@@ -20,11 +20,13 @@
 //! quick-scale deterministic load numbers (`load_quick`: updates
 //! applied, Σ|ΔV| marks, final violation marks, modeled and measured
 //! wire bytes per scenario × strategy × codec) are checked against the
-//! committed report's `load_quick` section, and the validation-suite
-//! integers (`suite.quick`: updates, finding marks, inclusion probe
-//! bytes) against its `suite.quick`; any integer leaf more than 20%
-//! above its reference fails the run with exit code 1. Latency and
-//! throughput floats are never gated.
+//! committed report's `load_quick` section, the quick concurrency curve
+//! (`speedup_quick`: messages, waves, sequential and threaded wire
+//! bytes, control overhead) against its `speedup_quick`, and the
+//! validation-suite integers (`suite.quick`: updates, finding marks,
+//! inclusion probe bytes) against its `suite.quick`; any integer leaf
+//! more than 20% above its reference fails the run with exit code 1.
+//! Latency and throughput floats are never gated.
 //!
 //! `--require-keys k1,k2,...` asserts each named key occurs somewhere in
 //! the produced report (any nesting level), failing with the missing
@@ -136,6 +138,14 @@ fn main() {
             .get("load_quick")
             .expect("load reports always embed load_quick");
         let mut regressions = compare_deterministic(cur_quick, ref_quick, 0.2);
+        // The quick concurrency curve gates the same way (message, wave
+        // and wire-byte counts; its wall-clock floats are skipped).
+        if let Some(ref_speedup) = reference.get("speedup_quick") {
+            let cur_speedup = report
+                .get("speedup_quick")
+                .expect("load reports always embed speedup_quick");
+            regressions.extend(compare_deterministic(cur_speedup, ref_speedup, 0.2));
+        }
         // The validation-suite quick integers gate the same way; an old
         // reference without the section (pre-BENCH_10) is not an error.
         if let Some(ref_suite) = reference.get("suite").and_then(|s| s.get("quick")) {
@@ -146,7 +156,9 @@ fn main() {
             regressions.extend(compare_deterministic(cur_suite, ref_suite, 0.2));
         }
         if regressions.is_empty() {
-            eprintln!("load gate: deterministic load and suite numbers within 20% of {path}");
+            eprintln!(
+                "load gate: deterministic load, speedup and suite numbers within 20% of {path}"
+            );
         } else {
             eprintln!("load gate FAILED against {path}:");
             for r in &regressions {

@@ -221,11 +221,17 @@ pub fn build_load_quick() -> Json {
 /// Build the whole `BENCH_10.json` document. `quick` selects the
 /// scenario scale of the headline `load` section, the site counts of
 /// the `speedup` curve and the stream scale of the `cfd_sweep`;
-/// `load_quick` is always quick-scale.
+/// `load_quick` and `speedup_quick` are always quick-scale.
 pub fn build_load_report(quick: bool) -> Json {
     let profile = if quick { Profile::Quick } else { Profile::Full };
     let load = run_matrix(profile, cell_json);
     let load_quick = build_load_quick();
+    let speedup_quick = crate::speedup::build_speedup(true);
+    let speedup = if quick {
+        speedup_quick.clone()
+    } else {
+        crate::speedup::build_speedup(false)
+    };
     Json::obj(vec![
         ("schema_version", Json::Int(1)),
         ("report", Json::Str("BENCH_10".into())),
@@ -255,7 +261,10 @@ pub fn build_load_report(quick: bool) -> Json {
                  accounting), with `ctrl_overhead_bytes`/`ack_overhead` \
                  isolating the control-frame wire tax that the \
                  piggybacked cumulative acks (`AckN`) keep near the \
-                 barrier floor. `cfd_sweep` grows `|Σ|` from 16 to 1024 \
+                 barrier floor; `speedup_quick` is the same curve at \
+                 quick scale (2/4 sites), whose integers — threaded wire \
+                 bytes and control overhead among them — the load_gen \
+                 --compare gate checks. `cfd_sweep` grows `|Σ|` from 16 to 1024 \
                  overlap-heavy generated CFDs over the fig9 stream and \
                  compares per-update cost with operator-level sharing \
                  (one dispatch pass, one digest per attribute, one \
@@ -285,7 +294,8 @@ pub fn build_load_report(quick: bool) -> Json {
         ),
         ("load", load),
         ("load_quick", load_quick),
-        ("speedup", crate::speedup::build_speedup(quick)),
+        ("speedup", speedup),
+        ("speedup_quick", speedup_quick),
         ("cfd_sweep", crate::sweep::build_cfd_sweep(quick)),
         ("analysis", crate::analysis::build_analysis(quick)),
         ("suite", crate::suite::build_suite_bench(quick)),

@@ -651,19 +651,18 @@ impl FindingSet {
         *c == 1
     }
 
-    /// Remove one source's mark on `(rule, tid)`. Returns `true` when
-    /// this retires the finding (the last source released it).
-    pub fn remove_mark(&mut self, rule: RuleId, tid: Tid) -> bool {
-        match self.counts[rule as usize].get_mut(&tid) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                false
-            }
-            Some(_) => {
-                self.counts[rule as usize].remove(&tid);
-                true
-            }
-            None => unreachable!("finding mark count out of sync"),
+    /// Remove one source's mark on `(rule, tid)`. Returns `Some(true)`
+    /// when this retires the finding (the last source released it),
+    /// `None` when no source holds a mark there — the caller's
+    /// bookkeeping slipped, and the set is left untouched.
+    pub fn remove_mark(&mut self, rule: RuleId, tid: Tid) -> Option<bool> {
+        let c = self.counts[rule as usize].get_mut(&tid)?;
+        if *c > 1 {
+            *c -= 1;
+            Some(false)
+        } else {
+            self.counts[rule as usize].remove(&tid);
+            Some(true)
         }
     }
 
@@ -918,10 +917,11 @@ mod tests {
         let mut fs = FindingSet::new(vec![ConstraintKind::Key, ConstraintKind::Inclusion]);
         assert!(fs.add_mark(0, 5)); // FD source
         assert!(!fs.add_mark(0, 5)); // residual source — same finding
-        assert!(!fs.remove_mark(0, 5)); // one source left
+        assert_eq!(fs.remove_mark(0, 5), Some(false)); // one source left
         assert!(fs.is_finding(0, 5));
-        assert!(fs.remove_mark(0, 5)); // last source retires it
+        assert_eq!(fs.remove_mark(0, 5), Some(true)); // last source retires it
         assert!(!fs.is_finding(0, 5));
+        assert_eq!(fs.remove_mark(0, 5), None); // nothing left to release
         assert!(fs.is_empty());
 
         fs.add_mark(1, 2);

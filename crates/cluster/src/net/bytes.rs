@@ -31,6 +31,16 @@
 //!
 //! (`Sym(Some)` carries the dictionary entry the model already charges:
 //! the 4-byte entry id plus the raw value.)
+//!
+//! # Compact primitives
+//!
+//! Control frames have no modeled size to stay aligned with (their whole
+//! encoding is structural overhead), so they use the compact primitives
+//! instead of the fixed-width ones above: LEB128 varints
+//! ([`put_varint`] / [`Reader::varint`], canonical encodings only),
+//! zig-zag for signed quantities, and [`put_cell`] / [`get_cell`] —
+//! a [`Value`] as one varint header (`0` null, `1` int followed by a
+//! zig-zag varint, `n + 2` a string of `n` bytes).
 
 use crate::codec::WireValue;
 use crate::md5::Digest;
@@ -63,9 +73,14 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Take the next `n` bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(bad("truncated field"));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -91,6 +106,37 @@ impl<'a> Reader<'a> {
     /// Next little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, ClusterError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// Next LEB128 varint. Only the canonical encoding is accepted:
+    /// at most ten bytes, no bits beyond the 64th, no trailing zero
+    /// groups.
+    pub fn varint(&mut self) -> Result<u64, ClusterError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(bad("varint overflows 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(bad("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(bad("varint longer than ten bytes"))
+    }
+
+    /// Next varint as the count of items that follow, each at least one
+    /// byte long: a count the rest of the frame cannot hold is rejected
+    /// here, so it never sizes an allocation.
+    pub fn count(&mut self) -> Result<usize, ClusterError> {
+        match usize::try_from(self.varint()?) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(bad("item count exceeds the frame")),
+        }
     }
 
     /// The frame must be fully consumed.
@@ -136,6 +182,68 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value, ClusterError> {
             Ok(Value::str(s))
         }
         _ => Err(bad("unknown value tag")),
+    }
+}
+
+/// Append `v` as a LEB128 varint (1 byte below 128, at most 10).
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Bytes [`put_varint`] spends on `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Zig-zag map of a signed value onto the varint-friendly unsigned
+/// range (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`).
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+pub fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+/// Serialize a [`Value`] compactly (see the module docs).
+pub fn put_cell(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Int(i) => {
+            out.push(1);
+            put_varint(out, zigzag(*i));
+        }
+        Value::Str(s) => {
+            put_varint(out, s.len() as u64 + 2);
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
+/// Bytes [`put_cell`] spends on `v`.
+pub fn cell_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Int(i) => 1 + varint_len(zigzag(*i)),
+        Value::Str(s) => varint_len(s.len() as u64 + 2) + s.len(),
+    }
+}
+
+/// Deserialize a [`put_cell`] value.
+pub fn get_cell(r: &mut Reader<'_>) -> Result<Value, ClusterError> {
+    match r.varint()? {
+        0 => Ok(Value::Null),
+        1 => Ok(Value::Int(unzigzag(r.varint()?))),
+        h => {
+            let len = usize::try_from(h - 2).map_err(|_| bad("string length"))?;
+            let s = std::str::from_utf8(r.take(len)?).map_err(|_| bad("non-UTF-8 string value"))?;
+            Ok(Value::str(s))
+        }
     }
 }
 
@@ -244,6 +352,68 @@ mod tests {
             assert_eq!(&get_wire_value(&mut r).unwrap(), w);
             r.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_non_canonical_encodings() {
+        for v in [0, 1, 127, 128, 300, 1 << 32, u64::MAX - 1, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(buf.len(), varint_len(v));
+            assert!(buf.len() <= 10);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v);
+            r.finish().unwrap();
+        }
+        for i in [0, 1, -1, 63, -64, i64::MAX, i64::MIN] {
+            assert_eq!(unzigzag(zigzag(i)), i);
+        }
+        assert_eq!((zigzag(0), zigzag(-1), zigzag(1)), (0, 1, 2));
+        let decode = |b: &[u8]| Reader::new(b).varint();
+        // Overlong: a trailing zero group re-encodes a shorter number.
+        assert!(decode(&[0x80, 0x00]).is_err());
+        assert!(decode(&[0xff, 0x80, 0x00]).is_err());
+        // Eleven bytes, and a tenth byte carrying bits past the 64th.
+        assert!(decode(&[0xff; 11]).is_err());
+        let mut ten = [0xff; 10];
+        ten[9] = 0x02;
+        assert!(decode(&ten).is_err());
+        ten[9] = 0x01;
+        assert_eq!(decode(&ten).unwrap(), u64::MAX);
+        // Truncated mid-number.
+        assert!(decode(&[0x80]).is_err());
+        // A count the frame cannot hold never reaches an allocator.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 40);
+        assert!(Reader::new(&buf).count().is_err());
+        assert!(Reader::new(&[u8::MAX; 9]).take(usize::MAX).is_err());
+    }
+
+    #[test]
+    fn cells_round_trip() {
+        for v in [
+            Value::Null,
+            Value::int(0),
+            Value::int(-987654321),
+            Value::int(i64::MIN),
+            Value::int(i64::MAX),
+            Value::str(""),
+            Value::str("Mayfield Gardens"),
+            Value::str("ünïcodé — 东京"),
+        ] {
+            let mut buf = Vec::new();
+            put_cell(&mut buf, &v);
+            assert_eq!(buf.len(), cell_len(&v));
+            let mut r = Reader::new(&buf);
+            assert_eq!(get_cell(&mut r).unwrap(), v);
+            r.finish().unwrap();
+        }
+        // Short strings and small ints cost one byte of header.
+        let mut buf = Vec::new();
+        put_cell(&mut buf, &Value::str("EDI"));
+        assert_eq!(buf.len(), 4);
+        assert!(get_cell(&mut Reader::new(&[4, 0xff, 0xfe])).is_err());
+        assert!(get_cell(&mut Reader::new(&[9, b'a'])).is_err());
     }
 
     #[test]

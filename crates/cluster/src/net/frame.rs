@@ -38,8 +38,15 @@ fn io_err(what: &str, e: std::io::Error) -> ClusterError {
     ClusterError::Transport(format!("{what}: {e}"))
 }
 
-/// Write one frame.
+/// Write one frame and flush the writer.
 pub fn write_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result<(), ClusterError> {
+    queue_frame(w, method, body)?;
+    w.flush().map_err(|e| io_err("flushing frame", e))
+}
+
+/// Write one frame **without** flushing — for buffered writers whose
+/// owner coalesces a burst of frames into one flush.
+pub fn queue_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result<(), ClusterError> {
     let len = body.len() + FRAME_METHOD_BYTES;
     if len > MAX_FRAME_BYTES {
         return Err(ClusterError::Transport(format!(
@@ -51,8 +58,7 @@ pub fn write_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result<(), Cl
     w.write_all(&[method])
         .map_err(|e| io_err("writing frame method", e))?;
     w.write_all(body)
-        .map_err(|e| io_err("writing frame body", e))?;
-    w.flush().map_err(|e| io_err("flushing frame", e))
+        .map_err(|e| io_err("writing frame body", e))
 }
 
 /// Read one frame, or `None` on a clean end-of-stream **at a frame

@@ -132,21 +132,47 @@ pub struct TransportMeter {
     pub saved_bytes: u64,
 }
 
+impl TransportMeter {
+    /// Meter one frame whose message serialized to `modeled` `|M|` bytes
+    /// plus `structural` bytes the model ignores, and whose body —
+    /// packed or stored — put `body` bytes behind the frame header.
+    pub fn record_frame(&mut self, modeled: usize, structural: usize, body: usize) {
+        let framing = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES;
+        self.frames += 1;
+        self.wire_bytes += (framing + body) as u64;
+        self.modeled_bytes += modeled as u64;
+        self.structural_bytes += (structural + framing) as u64;
+        self.saved_bytes += (modeled + structural - body) as u64;
+    }
+
+    /// Add another meter's counters to this one.
+    pub fn merge(&mut self, other: &TransportMeter) {
+        self.frames += other.frames;
+        self.wire_bytes += other.wire_bytes;
+        self.modeled_bytes += other.modeled_bytes;
+        self.structural_bytes += other.structural_bytes;
+        self.saved_bytes += other.saved_bytes;
+    }
+}
+
+/// Undo the packing a frame's method byte names: the serialized message
+/// the sender framed.
+pub fn unpack_body(method: u8, body: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
+    match method {
+        METHOD_STORED => Ok(body),
+        METHOD_LZ => lz::decompress(&body, MAX_FRAME_BYTES)
+            .map_err(|e| ClusterError::Transport(e.to_string())),
+        other => Err(ClusterError::Transport(format!(
+            "unknown frame method {other}"
+        ))),
+    }
+}
+
 /// Unpack one received frame body per its method byte and decode the
 /// message — the receive half of the [`ByteNetwork::send`] recipe,
 /// shared with the per-site runtime (`cluster::run`).
 pub fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
-    let body = match method {
-        METHOD_STORED => body,
-        METHOD_LZ => lz::decompress(&body, MAX_FRAME_BYTES)
-            .map_err(|e| ClusterError::Transport(e.to_string()))?,
-        other => {
-            return Err(ClusterError::Transport(format!(
-                "unknown frame method {other}"
-            )))
-        }
-    };
-    M::decode_frame(&body)
+    M::decode_frame(&unpack_body(method, body)?)
 }
 
 /// How the receive side of a [`ByteNetwork`] is wired.
@@ -322,12 +348,8 @@ impl<M: FrameCodec> ByteNetwork<M> {
         self.stats
             .record(src, dst, msg.wire_size(), msg.eqid_count());
         self.wire.record(src, dst, wire_len, 0);
-        self.meter.frames += 1;
-        self.meter.wire_bytes += wire_len as u64;
-        self.meter.modeled_bytes += msg.wire_size() as u64;
-        self.meter.structural_bytes +=
-            (structural + FRAME_HEADER_BYTES + FRAME_METHOD_BYTES) as u64;
-        self.meter.saved_bytes += (self.scratch.len() - body.len()) as u64;
+        self.meter
+            .record_frame(msg.wire_size(), structural, body.len());
         self.pending[src][dst] += 1;
         Ok(())
     }

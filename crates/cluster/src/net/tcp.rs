@@ -14,18 +14,22 @@
 //! The handshake is minimal: the connecting side's first frame body is
 //! its 4-byte site id, so the accepting side can label the link.
 
-use super::frame::{read_frame, read_frame_opt, write_frame, METHOD_STORED};
+use super::frame::{queue_frame, read_frame, read_frame_opt, write_frame, METHOD_STORED};
 use super::ByteTransport;
 use crate::{ClusterError, SiteId};
+use std::io::{BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The write half of one `(src, dst)` link.
+/// The write half of one `(src, dst)` link, buffered: a frame's header,
+/// method byte and body leave in one `write`, and a caller that
+/// [`queue`](TcpLink::queue)s a burst of frames pays one `write` per
+/// [`flush`](TcpLink::flush) rather than one per frame.
 #[derive(Debug)]
 pub struct TcpLink {
-    stream: TcpStream,
+    stream: BufWriter<TcpStream>,
 }
 
 impl TcpLink {
@@ -35,7 +39,21 @@ impl TcpLink {
         stream
             .set_nodelay(true)
             .map_err(|e| ClusterError::Transport(format!("set_nodelay: {e}")))?;
-        Ok(TcpLink { stream })
+        Ok(TcpLink {
+            stream: BufWriter::new(stream),
+        })
+    }
+
+    /// Buffer one frame without pushing it to the socket. The frame is
+    /// not on the wire until [`flush`](TcpLink::flush) (or the buffer
+    /// fills): whoever queues must flush before waiting on the peer.
+    pub fn queue(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
+        queue_frame(&mut self.stream, method, body)
+    }
+
+    /// Push every queued frame to the socket.
+    pub fn flush(&mut self) -> Result<(), ClusterError> {
+        self.stream.flush().map_err(|e| terr("flushing link", e))
     }
 }
 
@@ -45,7 +63,7 @@ impl ByteTransport for TcpLink {
     }
 
     fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError> {
-        read_frame(&mut self.stream)
+        read_frame(self.stream.get_mut())
     }
 }
 
@@ -292,7 +310,6 @@ pub fn join_mesh(n: usize, me: SiteId, base_port: u16) -> Result<NodeEndpoint, C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
 
     #[test]
     fn mesh_ships_frames_between_sites() {
@@ -361,7 +378,7 @@ mod tests {
         link.stream.write_all(&9u32.to_le_bytes()).unwrap();
         link.stream.write_all(&[METHOD_STORED]).unwrap();
         link.stream.write_all(b"abc").unwrap();
-        mesh.tx[1][0] = None; // disconnect mid-frame
+        mesh.tx[1][0] = None; // disconnect mid-frame (the drop flushes the half frame)
         let (src, res) = mesh.rx[0]
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("error is delivered, not swallowed");

@@ -110,10 +110,26 @@ impl NetStats {
         }
     }
 
-    /// Serialize to a flat little-endian image: `n` as `u32`, then the
-    /// `n²` counters as `(messages, bytes, eqids)` `u64` triples. Used by
-    /// the multi-process runtime (`cluster::run`) so a `site` process can
-    /// report its meters to the parent over a control frame.
+    /// The non-zero cells of row `src` as `(dst, counters)`, in `dst`
+    /// order. A node meters only its own sends, so this is everything a
+    /// site of the per-site runtime (`cluster::run`) has to report.
+    pub fn row(&self, src: SiteId) -> impl Iterator<Item = (SiteId, Counters)> + '_ {
+        self.matrix[src * self.n..(src + 1) * self.n]
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c != Counters::default())
+            .map(|(dst, c)| (dst, *c))
+    }
+
+    /// Add `c` to the `(src, dst)` cell — the receiving end of
+    /// [`row`](Self::row).
+    pub fn add(&mut self, src: SiteId, dst: SiteId, c: &Counters) {
+        self.matrix[src * self.n + dst].add(c);
+    }
+
+    /// Flat little-endian image: `n` as `u32`, then the `n²` counters as
+    /// `(messages, bytes, eqids)` `u64` triples. Two matrices are equal
+    /// iff their images are — what the differential suites compare.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + self.matrix.len() * 24);
         out.extend_from_slice(&(self.n as u32).to_le_bytes());
@@ -123,27 +139,6 @@ impl NetStats {
             out.extend_from_slice(&c.eqids.to_le_bytes());
         }
         out
-    }
-
-    /// Inverse of [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(b: &[u8]) -> Result<NetStats, crate::ClusterError> {
-        let bad = || crate::ClusterError::Transport("malformed NetStats image".into());
-        if b.len() < 4 {
-            return Err(bad());
-        }
-        let n = u32::from_le_bytes(b[..4].try_into().expect("4")) as usize;
-        if n > 1 << 16 || b.len() != 4 + n * n * 24 {
-            return Err(bad());
-        }
-        let mut s = NetStats::new(n);
-        for (i, chunk) in b[4..].chunks_exact(24).enumerate() {
-            s.matrix[i] = Counters {
-                messages: u64::from_le_bytes(chunk[..8].try_into().expect("8")),
-                bytes: u64::from_le_bytes(chunk[8..16].try_into().expect("8")),
-                eqids: u64::from_le_bytes(chunk[16..24].try_into().expect("8")),
-            };
-        }
-        Ok(s)
     }
 
     /// Difference `self − earlier` (counters are monotone).
@@ -489,19 +484,23 @@ mod tests {
     }
 
     #[test]
-    fn byte_image_round_trips() {
+    fn sparse_rows_rebuild_the_matrix() {
         let mut s = NetStats::new(3);
         s.record(0, 1, 100, 2);
         s.record(2, 1, 7, 0);
-        let img = s.to_bytes();
-        let back = NetStats::from_bytes(&img).unwrap();
-        assert_eq!(back.n_sites(), 3);
-        assert_eq!(back.pair(0, 1), s.pair(0, 1));
-        assert_eq!(back.pair(2, 1), s.pair(2, 1));
-        assert_eq!(back.total(), s.total());
-        // Malformed images are rejected, not panicked on.
-        assert!(NetStats::from_bytes(&img[..img.len() - 1]).is_err());
-        assert!(NetStats::from_bytes(&[]).is_err());
+        s.record(2, 0, 9, 1);
+        assert_eq!(s.row(1).count(), 0, "an idle sender reports nothing");
+        assert_eq!(
+            s.row(2).collect::<Vec<_>>(),
+            vec![(0, s.pair(2, 0)), (1, s.pair(2, 1))]
+        );
+        let mut back = NetStats::new(3);
+        for src in 0..3 {
+            for (dst, c) in s.row(src) {
+                back.add(src, dst, &c);
+            }
+        }
+        assert_eq!(back.to_bytes(), s.to_bytes());
     }
 
     #[test]

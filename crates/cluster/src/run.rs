@@ -29,7 +29,30 @@
 //! shipments) goes through [`Node::send_ctrl`], which is framed and
 //! wire-metered identically but contributes **zero** modeled `|M|` and
 //! zero modeled messages — the model meters the detection protocol, not
-//! the harness that schedules it.
+//! the harness that schedules it. Control frames of
+//! [`CTRL_LZ_MIN_BYTES`] or more are offered to [`lz`] whatever the
+//! session's [`Compression`] (receivers dispatch on the method byte
+//! either way); the savings land in `saved_bytes`, so the identity
+//! holds with packed control frames in the mix. Each node also counts
+//! the wire bytes of the frames it *receives*
+//! ([`Node::received_bytes`]) — summed over a mesh at rest, that is
+//! every byte the senders metered.
+//!
+//! # Flush before you park
+//!
+//! TCP write halves are buffered: a send queues its frame, and the
+//! frames queued towards one peer leave in one `write` when the node
+//! flushes. The node flushes **itself** at the one point a site can
+//! park — [`Node::recv`] / [`Node::recv_opt`] finding the inbox empty,
+//! just before they block — and the buffers flush once more when the
+//! node drops. So whenever a node is blocked, everything it ever sent is
+//! on the wire, and a cycle of nodes each waiting for a frame still
+//! sitting in another's buffer cannot form; a node that is not blocked
+//! is making progress towards its next park. The only caller-visible
+//! duty: a node that will wait on something *other* than its inbox
+//! (a thread join, process exit with the node kept alive) calls
+//! [`Node::flush`] first. In-process links deliver on send and have
+//! nothing to flush.
 //!
 //! [`ByteNetwork`]: crate::net::ByteNetwork
 //! [`ByteNetwork::send`]: crate::net::ByteNetwork::send
@@ -38,15 +61,23 @@ use crate::net::frame::{
     FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED,
 };
 use crate::net::tcp::{self, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
-use crate::net::{decode_body, ByteTransport, Compression, FrameCodec, TransportMeter};
+use crate::net::{decode_body, Compression, FrameCodec, TransportMeter};
 use crate::{lz, ClusterError, NetStats, SiteId};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// How long a node waits for an expected frame before declaring the
-/// peer dead. Generous: on a loaded single-core box, n site threads and
-/// their readers all contend for the one CPU.
+/// peer dead. Generous: on a loaded box with fewer cores than sites, n
+/// site threads and their readers all contend for the same CPUs.
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Control frames at least this long are offered to [`lz`] regardless of
+/// the session codec (kept only if smaller). Below it a frame is an ack
+/// or a barrier — a handful of bytes no match can shorten.
+pub const CTRL_LZ_MIN_BYTES: usize = 128;
+
+/// One inbound frame: `(src, method, body)`.
+type Frame = (SiteId, u8, Vec<u8>);
 
 /// A node's write halves.
 #[derive(Debug)]
@@ -76,6 +107,8 @@ pub struct Node {
     /// Measured on-wire bytes of this node's sends, framing included.
     wire: NetStats,
     meter: TransportMeter,
+    /// Wire bytes of the frames taken off the inbox, framing included.
+    received: u64,
     scratch: Vec<u8>,
 }
 
@@ -97,6 +130,7 @@ impl Node {
             stats: NetStats::new(n),
             wire: NetStats::new(n),
             meter: TransportMeter::default(),
+            received: 0,
             scratch: Vec::new(),
         }
     }
@@ -126,29 +160,7 @@ impl Node {
     /// Ship a **protocol** message: full [`crate::net::ByteNetwork`]
     /// accounting (modeled `|M|` + wire).
     pub fn send<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
-        self.send_inner(dst, msg, true)
-    }
-
-    /// Ship a **control** frame: framed and wire-metered like any other
-    /// frame, but zero modeled `|M|` and zero modeled messages. Control
-    /// messages should declare `wire_size() == 0` (their whole encoding
-    /// is structural overhead).
-    pub fn send_ctrl<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
-        self.send_inner(dst, msg, false)
-    }
-
-    fn send_inner<M: FrameCodec>(
-        &mut self,
-        dst: SiteId,
-        msg: &M,
-        modeled: bool,
-    ) -> Result<(), ClusterError> {
-        if dst == self.me {
-            return Err(ClusterError::Loopback(dst));
-        }
-        if dst >= self.n {
-            return Err(ClusterError::UnknownSite(dst));
-        }
+        self.check_dst(dst)?;
         self.scratch.clear();
         let structural = msg.encode_frame(&mut self.scratch);
         debug_assert_eq!(
@@ -156,23 +168,70 @@ impl Node {
             msg.wire_size() + structural,
             "encoder broke the overhead identity"
         );
+        let try_lz = self.compression == Compression::Lz;
+        self.ship(dst, msg.wire_size(), structural, try_lz)?;
+        self.stats
+            .record(self.me, dst, msg.wire_size(), msg.eqid_count());
+        Ok(())
+    }
+
+    /// Ship a **control** frame: framed and wire-metered like any other
+    /// frame, but zero modeled `|M|` and zero modeled messages — its
+    /// whole encoding is structural overhead.
+    pub fn send_ctrl<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
+        self.send_ctrl_with(dst, |out| {
+            msg.encode_frame(out);
+        })
+    }
+
+    /// [`send_ctrl`](Node::send_ctrl) for a sender that serializes from
+    /// borrowed data: `encode` writes the frame body straight into the
+    /// node's frame buffer, no owned message in between.
+    pub fn send_ctrl_with(
+        &mut self,
+        dst: SiteId,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ClusterError> {
+        self.check_dst(dst)?;
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        let len = self.scratch.len();
+        let try_lz = self.compression == Compression::Lz || len >= CTRL_LZ_MIN_BYTES;
+        self.ship(dst, 0, len, try_lz)
+    }
+
+    fn check_dst(&self, dst: SiteId) -> Result<(), ClusterError> {
+        if dst == self.me {
+            return Err(ClusterError::Loopback(dst));
+        }
+        if dst >= self.n {
+            return Err(ClusterError::UnknownSite(dst));
+        }
+        Ok(())
+    }
+
+    /// Frame the serialized message in `scratch` (packed when `try_lz`
+    /// and that is smaller), hand it to the link towards `dst`, and
+    /// meter it: `modeled` of its bytes are `|M|`, `structural` are not.
+    fn ship(
+        &mut self,
+        dst: SiteId,
+        modeled: usize,
+        structural: usize,
+        try_lz: bool,
+    ) -> Result<(), ClusterError> {
         if self.scratch.len() + FRAME_METHOD_BYTES > MAX_FRAME_BYTES {
             return Err(ClusterError::Transport(format!(
                 "refusing to send an oversized message ({} > {MAX_FRAME_BYTES} bytes serialized)",
                 self.scratch.len() + FRAME_METHOD_BYTES
             )));
         }
-        let packed;
-        let (method, body): (u8, &[u8]) = match self.compression {
-            Compression::None => (METHOD_STORED, &self.scratch),
-            Compression::Lz => {
-                packed = lz::compress(&self.scratch);
-                if packed.len() < self.scratch.len() {
-                    (METHOD_LZ, &packed)
-                } else {
-                    (METHOD_STORED, &self.scratch)
-                }
-            }
+        let packed = try_lz
+            .then(|| lz::compress(&self.scratch))
+            .filter(|p| p.len() < self.scratch.len());
+        let (method, body): (u8, &[u8]) = match &packed {
+            Some(p) => (METHOD_LZ, p),
+            None => (METHOD_STORED, &self.scratch),
         };
         match &mut self.tx {
             TxSide::Mem(chans) => {
@@ -188,27 +247,32 @@ impl Node {
                 let link = links[dst]
                     .as_mut()
                     .expect("off-diagonal links always exist");
-                link.send_frame(method, body)?;
+                link.queue(method, body)?;
             }
         }
         let wire_len = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len();
-        if modeled {
-            self.stats
-                .record(self.me, dst, msg.wire_size(), msg.eqid_count());
-            self.meter.modeled_bytes += msg.wire_size() as u64;
-            self.meter.structural_bytes +=
-                (structural + FRAME_HEADER_BYTES + FRAME_METHOD_BYTES) as u64;
-        } else {
-            // A control frame is all structure: every serialized byte is
-            // harness overhead the |M| model ignores.
-            self.meter.structural_bytes +=
-                (self.scratch.len() + FRAME_HEADER_BYTES + FRAME_METHOD_BYTES) as u64;
-        }
         self.wire.record(self.me, dst, wire_len, 0);
-        self.meter.frames += 1;
-        self.meter.wire_bytes += wire_len as u64;
-        self.meter.saved_bytes += (self.scratch.len() - body.len()) as u64;
+        self.meter.record_frame(modeled, structural, body.len());
         Ok(())
+    }
+
+    /// Push every queued frame to its socket (see the module docs: the
+    /// receive calls do this before they block, so only a node about to
+    /// wait on something other than its inbox needs to call it).
+    pub fn flush(&mut self) -> Result<(), ClusterError> {
+        if let TxSide::Tcp(links) = &mut self.tx {
+            for link in links.iter_mut().flatten() {
+                link.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn accept(&mut self, (src, frame): Inbound) -> Result<Frame, ClusterError> {
+        let (method, body) = frame
+            .map_err(|e| ClusterError::Transport(format!("link from node {src} failed: {e}")))?;
+        self.received += (FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len()) as u64;
+        Ok((src, method, body))
     }
 
     /// Block for the next inbound frame: `(src, method, body)`. Errors
@@ -225,13 +289,16 @@ impl Node {
 
     /// Block up to [`RECV_TIMEOUT`] for a frame; `Ok(None)` on timeout.
     /// For idle loops (a site waiting for its next batch) where silence
-    /// is normal, not a dead peer.
+    /// is normal, not a dead peer. This is where a node parks, so this
+    /// is where queued sends are flushed: only when the inbox is empty,
+    /// immediately before blocking.
     pub fn recv_opt(&mut self) -> Result<Option<(SiteId, u8, Vec<u8>)>, ClusterError> {
+        if let Some(frame) = self.try_recv()? {
+            return Ok(Some(frame));
+        }
+        self.flush()?;
         match self.rx.recv_timeout(RECV_TIMEOUT) {
-            Ok((src, Ok((method, body)))) => Ok(Some((src, method, body))),
-            Ok((src, Err(e))) => Err(ClusterError::Transport(format!(
-                "link from node {src} failed: {e}"
-            ))),
+            Ok(inbound) => self.accept(inbound).map(Some),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(ClusterError::Transport(
                 "inbox closed: all senders and readers are gone".into(),
@@ -240,12 +307,11 @@ impl Node {
     }
 
     /// Non-blocking poll: `Ok(None)` when the inbox is currently empty.
+    /// Never flushes — a node that keeps finding frames keeps batching
+    /// its sends.
     pub fn try_recv(&mut self) -> Result<Option<(SiteId, u8, Vec<u8>)>, ClusterError> {
         match self.rx.try_recv() {
-            Ok((src, Ok((method, body)))) => Ok(Some((src, method, body))),
-            Ok((src, Err(e))) => Err(ClusterError::Transport(format!(
-                "link from node {src} failed: {e}"
-            ))),
+            Ok(inbound) => self.accept(inbound).map(Some),
             Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
             Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(ClusterError::Transport(
                 "inbox closed: all senders and readers are gone".into(),
@@ -275,11 +341,18 @@ impl Node {
         self.meter
     }
 
+    /// Wire bytes (framing included) of every frame this node has taken
+    /// off its inbox — the receive-side twin of `meter().wire_bytes`.
+    pub fn received_bytes(&self) -> u64 {
+        self.received
+    }
+
     /// Reset this node's meters.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         self.wire.reset();
         self.meter = TransportMeter::default();
+        self.received = 0;
     }
 }
 
@@ -371,6 +444,9 @@ mod tests {
                     assert_eq!(src, 0);
                     let reply = Nums(msg.0.iter().map(|v| v * 2).collect());
                     node.send(0, &reply).unwrap();
+                    // This worker never parks in `recv` again and its
+                    // node outlives the thread: flush by hand.
+                    node.flush().unwrap();
                     node
                 })
             })
@@ -403,12 +479,7 @@ mod tests {
         for w in workers {
             let w = w.join().unwrap();
             stats.merge(w.stats());
-            let m = w.meter();
-            meter.frames += m.frames;
-            meter.wire_bytes += m.wire_bytes;
-            meter.modeled_bytes += m.modeled_bytes;
-            meter.structural_bytes += m.structural_bytes;
-            meter.saved_bytes += m.saved_bytes;
+            meter.merge(&w.meter());
         }
         assert_eq!(stats.total_messages(), 2 * (n as u64 - 1));
         assert_eq!(stats.total_bytes(), 2 * (n as u64 - 1) * 16);
@@ -484,6 +555,47 @@ mod tests {
             m.wire_bytes,
             m.modeled_bytes + m.structural_bytes - m.saved_bytes
         );
+    }
+
+    /// TCP sends only queue; the blocking receive is what puts them on
+    /// the wire. Large control frames are packed whatever the session
+    /// compression, and the receiver's byte count matches the meter.
+    #[test]
+    fn queued_frames_leave_when_the_node_parks() {
+        let mut nodes = tcp_mesh(2).unwrap();
+        let mut b = nodes.pop().unwrap();
+        let mut a = nodes.pop().unwrap();
+        let big = Nums(vec![7; 64]);
+        let sender = std::thread::spawn(move || {
+            a.send_ctrl(1, &Nums(vec![1])).unwrap();
+            a.send_ctrl(1, &big).unwrap();
+            a.send(1, &Nums(vec![2])).unwrap();
+            // No flush: parking in `recv` must push all three out.
+            let (src, reply): (SiteId, Nums) = a.recv_msg().unwrap();
+            assert_eq!((src, reply), (1, Nums(vec![3])));
+            a
+        });
+        let frames: Vec<_> = (0..3).map(|_| b.recv().unwrap()).collect();
+        let methods: Vec<u8> = frames.iter().map(|(_, m, _)| *m).collect();
+        assert_eq!(methods, [METHOD_STORED, METHOD_LZ, METHOD_STORED]);
+        let (_, method, body) = frames[1].clone();
+        assert_eq!(
+            decode_body::<Nums>(method, body).unwrap(),
+            Nums(vec![7; 64])
+        );
+        b.send(0, &Nums(vec![3])).unwrap();
+        b.flush().unwrap();
+        let a = sender.join().unwrap();
+        let m = a.meter();
+        assert_eq!(m.frames, 3);
+        assert!(m.saved_bytes > 0, "the 516-byte control frame packs");
+        assert_eq!(m.modeled_bytes, 8, "control frames model nothing");
+        assert_eq!(
+            m.wire_bytes,
+            m.modeled_bytes + m.structural_bytes - m.saved_bytes
+        );
+        assert_eq!(b.received_bytes(), m.wire_bytes);
+        assert_eq!(a.received_bytes(), b.meter().wire_bytes);
     }
 
     #[test]

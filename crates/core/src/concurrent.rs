@@ -23,10 +23,13 @@
 //! modification normalizes to `delete(t); insert(t')` of the same tid).
 //! An update lands in the first wave after every conflicting predecessor.
 //! Within a wave, footprints are disjoint, so sites fire *all* their
-//! probes up front and serve peers while their own rounds are in flight —
-//! on a single core this pipelining is what turns per-frame context
-//! switches into per-wave context switches, which is where the measured
-//! speedup over the sequential TCP drive comes from.
+//! probes up front and serve peers while their own rounds are in flight.
+//! With fewer cores than sites (the reference box has two for four
+//! sites) that pipelining is what turns a context switch per frame into
+//! one per burst of frames; with a core per site it is what lets the
+//! sites work at once.
+//!
+//! # The control plane
 //!
 //! Wave barriers, op shipment, acks and result collection ride on
 //! [`CtrlMsg`] frames, which are wire-metered but contribute **zero**
@@ -34,6 +37,35 @@
 //! protocol, not the harness that schedules it. The differential suite
 //! asserts threaded, multi-process and sequential drives agree on
 //! violations, `ΔV` *and* the full per-link modeled byte matrix.
+//!
+//! Since every byte of a control frame is overhead, the frames are
+//! written compactly (varints, per-frame column dictionaries — layouts
+//! in the [`ctrl`] module docs; larger frames are then LZ-packed by the
+//! node whatever the session codec) and the coordinator writes each
+//! site's `Ops` frame straight from the borrowed batch. Body sizes, old
+//! fixed-width row format → current, measured on `thr_tcp_batch` seed 1
+//! (4 sites, 16-column TPCH rows, 256-op batches, so ≈ 64 ops a slice
+//! and ≈ 165 `ΔV` marks an image; 879 frames of each kind a round):
+//!
+//! | frame                     | was (B)           | is (B)                    |
+//! |---------------------------|-------------------|---------------------------|
+//! | `Ack`, `Collect`, `Shutdown` | 1              | 1                         |
+//! | `AckN(k)`                 | 5                 | 1 + varint `k` (2)        |
+//! | `WaveDone` / `WaveAdvance`| 5                 | 1 + varint wave (2)       |
+//! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
+//! | `Ops`, ≈ 64-op slice      | 9 452 mean        | 3 899 mean, 2 540 packed  |
+//! | `Ops`, the 10 000-row `D₀` slice | 2.15 M     | 313 k, 244 k packed       |
+//! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 360 mean, 305 packed; ≈ 20 + 2/mark |
+//!
+//! The old `BatchResult` shipped two dense `n × n × 24 B` matrices of
+//! which a site can only ever fill its own row, and was sent *after*
+//! the meters it carried were cut and *before* they were reset — its
+//! bytes were on the wire and in no report. An image still cannot count
+//! the frame that carries it, so the coordinator, who holds that frame,
+//! adds it ([`BatchImage::count_own_frame`]):
+//! [`ConcurrentHorizontal::wire_stats`] is every byte the nodes wrote,
+//! and [`ConcurrentHorizontal::received_bytes`] — counted independently
+//! on the inboxes — must equal it between batches.
 //!
 //! # Piggybacked cumulative acks, flushed on idle
 //!
@@ -43,32 +75,50 @@
 //! counter per requesting peer and closes many silent rounds at once,
 //! over two vehicles. While traffic flows, the count rides for free:
 //! every outbound protocol frame towards a peer with a non-zero owed
-//! counter is wrapped in a [`RtFrame::Piggy`] envelope (5 structural
-//! bytes; the carried message's modeled `|M|` is untouched) whose
-//! cumulative ack pops the `k` oldest outstanding rounds at the
-//! receiver *before* the payload is matched — the owed rounds are
-//! strictly older, so FIFO reply matching is preserved by construction.
-//! When the inbox goes quiet — [`Node::try_recv`] finds nothing and the
-//! site is about to block — all owed counters flush as one standalone
-//! frame per peer ([`CtrlMsg::Ack`] for a single round, the same six
-//! wire bytes a per-round scheme pays; [`CtrlMsg::AckN`] when several
-//! rounds batch up). Because every site flushes *before* it blocks, a
-//! cycle of sites each waiting on the other's acks cannot form, and no
-//! demand/poll round-trip is ever needed. Candidate generation
-//! itself runs through the shared [`SharedPlan`] dispatch (one pass over
-//! the rule set per update instead of one `matches_lhs` scan per CFD),
-//! with per-update attribute digests hashed once and shared across every
-//! CFD in the same LHS key group.
+//! counter is wrapped in a [`RtFrame::Piggy`] envelope (two structural
+//! bytes below 128 owed rounds; the carried message's modeled `|M|` is
+//! untouched) whose cumulative ack pops the `k` oldest outstanding
+//! rounds at the receiver *before* the payload is matched — the owed
+//! rounds are strictly older, so FIFO reply matching is preserved by
+//! construction. When the inbox goes quiet — [`Node::try_recv`] finds
+//! nothing and the site is about to block — all owed counters flush as
+//! one standalone frame per peer ([`CtrlMsg::Ack`] for a single round,
+//! the same six wire bytes a per-round scheme pays; [`CtrlMsg::AckN`]
+//! when several rounds batch up).
+//!
+//! # Flush before you park
+//!
+//! Two things are held back while a site is busy: owed acks (above) and,
+//! on TCP, the frames themselves — a node's write halves are buffered,
+//! so a burst of probes, barrier frames and acks towards one peer costs
+//! one `write`, not one each. Both are released at the same place and
+//! for the same reason. A site parks in exactly one spot, the blocking
+//! receive under the runner's frame pump and [`SiteRunner::serve`]; right
+//! before it, the runner flushes what it owes and [`Node::recv`] /
+//! [`Node::recv_opt`] — which enforce the invariant themselves, see the
+//! [`cluster::run`] module docs — flush the sockets. So a blocked site
+//! has nothing withheld, and a cycle of sites each waiting on a frame
+//! another still buffers (or an ack another still owes) cannot form; no
+//! demand/poll round-trip is ever needed. The coordinator adds two
+//! flushes that are not parks but hand-offs — after shipping the `Ops`
+//! frames and after releasing a barrier — so the sites start while it
+//! turns to its own serial work, and one before it joins the site
+//! threads on drop (a wait that is not on its inbox).
+//!
+//! Candidate generation itself runs through the shared [`SharedPlan`]
+//! dispatch (one pass over the rule set per update instead of one
+//! `matches_lhs` scan per CFD), with per-update attribute digests hashed
+//! once and shared across every CFD in the same LHS key group.
 
 use crate::detector::{DetectError, Detector};
 use crate::horizontal::{key_digest_from, ClassEntry, GroupState, HorMsg, HorizontalDetector};
 use crate::md5::Digest;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
 use cluster::codec::{value_digest as attr_digest, CodecKind, PayloadCodec, ReceiverCodec};
-use cluster::net::{bytes as wirefmt, decode_body, FrameCodec, TransportKind};
+use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
-use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter, Wire, WireValue};
+use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter, WireValue};
 use relation::{
     AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch,
     Value,
@@ -76,6 +126,11 @@ use relation::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+pub mod ctrl;
+
+use ctrl::encode_ops;
+pub use ctrl::{BatchImage, CtrlMsg, RtFrame};
 
 /// The coordinator's site id. It is an ordinary site that additionally
 /// owns batch admission, wave barriers and result collection.
@@ -86,299 +141,8 @@ pub const COORD: SiteId = 0;
 /// into unbounded inboxes.
 const WINDOW: usize = 128;
 
-// ---------------------------------------------------------------------
-// Control frames (wire-metered, zero modeled |M|)
-// ---------------------------------------------------------------------
-
-const CT_ACK: u8 = 0x80;
-const CT_OPS: u8 = 0x81;
-const CT_DONE: u8 = 0x82;
-const CT_ADVANCE: u8 = 0x83;
-const CT_COLLECT: u8 = 0x84;
-const CT_RESULT: u8 = 0x85;
-const CT_SHUTDOWN: u8 = 0x86;
-const CT_ACK_N: u8 = 0x87;
-/// Piggyback envelope: `[tag][owed acks: u32][protocol frame]`.
-const CT_PIGGY: u8 = 0x89;
-
-const OP_INSERT: u8 = 0;
-const OP_DELETE: u8 = 1;
-
-/// One normalized update, shipped to its home site.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpWire {
-    /// Insert a tuple (tid + full row).
-    Insert(Tid, Vec<Value>),
-    /// Delete a live tuple by tid.
-    Delete(Tid),
-}
-
-/// A site's meters and `ΔV` slice for one batch, reported to the
-/// coordinator at collection.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchImage {
-    /// Marks this site added (unsettled).
-    pub added: Vec<(CfdId, Tid)>,
-    /// Marks this site removed (unsettled).
-    pub removed: Vec<(CfdId, Tid)>,
-    /// Serialized modeled-`|M|` matrix of this site's sends.
-    pub stats: Vec<u8>,
-    /// Serialized measured on-wire matrix of this site's sends.
-    pub wire: Vec<u8>,
-    /// `[frames, wire, modeled, structural, saved]` transport counters.
-    pub meter: [u64; 5],
-}
-
-/// Runtime control traffic: batch shipment, wave barriers, acks,
-/// collection, shutdown. All structure — `wire_size() == 0`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CtrlMsg {
-    /// Generic round-closer where the protocol has no payload to reply.
-    Ack,
-    /// Cumulative ack: closes the `k` *oldest* outstanding rounds the
-    /// receiver opened towards us (all served silently on our side).
-    /// Never sent with `k == 0`, and never with `k == 1` either — a
-    /// single owed round flushes as the smaller [`CtrlMsg::Ack`].
-    AckN(u32),
-    /// The coordinator ships a site its slice of the batch, wave-tagged.
-    Ops {
-        /// `(wave, op)` in batch order.
-        ops: Vec<(u32, OpWire)>,
-        /// Total number of waves in the batch (uniform across sites).
-        n_waves: u32,
-    },
-    /// A site finished its slice of the given wave.
-    WaveDone(u32),
-    /// The coordinator releases the barrier of the given wave.
-    WaveAdvance(u32),
-    /// The coordinator asks for the batch image.
-    Collect,
-    /// A site's batch image.
-    BatchResult(Box<BatchImage>),
-    /// Tear the site down (end of session).
-    Shutdown,
-}
-
-impl Wire for CtrlMsg {
-    fn wire_size(&self) -> usize {
-        0
-    }
-}
-
-fn put_marks(out: &mut Vec<u8>, marks: &[(CfdId, Tid)]) {
-    out.extend_from_slice(&(marks.len() as u32).to_le_bytes());
-    for (c, t) in marks {
-        out.extend_from_slice(&c.to_le_bytes());
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-}
-
-fn get_marks(r: &mut wirefmt::Reader<'_>) -> Result<Vec<(CfdId, Tid)>, ClusterError> {
-    let n = r.u32()? as usize;
-    let mut v = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let c = r.u32()?;
-        let t = r.u64()?;
-        v.push((c, t));
-    }
-    Ok(v)
-}
-
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn get_blob(r: &mut wirefmt::Reader<'_>) -> Result<Vec<u8>, ClusterError> {
-    let n = r.u32()? as usize;
-    Ok(r.take(n)?.to_vec())
-}
-
-impl FrameCodec for CtrlMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        match self {
-            CtrlMsg::Ack => out.push(CT_ACK),
-            CtrlMsg::AckN(k) => {
-                out.push(CT_ACK_N);
-                out.extend_from_slice(&k.to_le_bytes());
-            }
-            CtrlMsg::Ops { ops, n_waves } => {
-                out.push(CT_OPS);
-                out.extend_from_slice(&n_waves.to_le_bytes());
-                out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                for (w, op) in ops {
-                    out.extend_from_slice(&w.to_le_bytes());
-                    match op {
-                        OpWire::Insert(tid, values) => {
-                            out.push(OP_INSERT);
-                            out.extend_from_slice(&tid.to_le_bytes());
-                            out.extend_from_slice(&(values.len() as u16).to_le_bytes());
-                            for v in values {
-                                wirefmt::put_value(out, v);
-                            }
-                        }
-                        OpWire::Delete(tid) => {
-                            out.push(OP_DELETE);
-                            out.extend_from_slice(&tid.to_le_bytes());
-                        }
-                    }
-                }
-            }
-            CtrlMsg::WaveDone(w) => {
-                out.push(CT_DONE);
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            CtrlMsg::WaveAdvance(w) => {
-                out.push(CT_ADVANCE);
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            CtrlMsg::Collect => out.push(CT_COLLECT),
-            CtrlMsg::BatchResult(img) => {
-                out.push(CT_RESULT);
-                put_marks(out, &img.added);
-                put_marks(out, &img.removed);
-                put_blob(out, &img.stats);
-                put_blob(out, &img.wire);
-                for x in img.meter {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            CtrlMsg::Shutdown => out.push(CT_SHUTDOWN),
-        }
-        out.len() - start
-    }
-
-    fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
-        let mut r = wirefmt::Reader::new(body);
-        let msg = match r.u8()? {
-            CT_ACK => CtrlMsg::Ack,
-            CT_ACK_N => CtrlMsg::AckN(r.u32()?),
-            CT_OPS => {
-                let n_waves = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let w = r.u32()?;
-                    let op = match r.u8()? {
-                        OP_INSERT => {
-                            let tid = r.u64()?;
-                            let arity = r.u16()? as usize;
-                            let mut values = Vec::with_capacity(arity.min(1 << 12));
-                            for _ in 0..arity {
-                                values.push(wirefmt::get_value(&mut r)?);
-                            }
-                            OpWire::Insert(tid, values)
-                        }
-                        OP_DELETE => OpWire::Delete(r.u64()?),
-                        t => return Err(ClusterError::Transport(format!("unknown op tag {t:#x}"))),
-                    };
-                    ops.push((w, op));
-                }
-                CtrlMsg::Ops { ops, n_waves }
-            }
-            CT_DONE => CtrlMsg::WaveDone(r.u32()?),
-            CT_ADVANCE => CtrlMsg::WaveAdvance(r.u32()?),
-            CT_COLLECT => CtrlMsg::Collect,
-            CT_RESULT => {
-                let added = get_marks(&mut r)?;
-                let removed = get_marks(&mut r)?;
-                let stats = get_blob(&mut r)?;
-                let wire = get_blob(&mut r)?;
-                let mut meter = [0u64; 5];
-                for m in &mut meter {
-                    *m = r.u64()?;
-                }
-                CtrlMsg::BatchResult(Box::new(BatchImage {
-                    added,
-                    removed,
-                    stats,
-                    wire,
-                    meter,
-                }))
-            }
-            CT_SHUTDOWN => CtrlMsg::Shutdown,
-            t => return Err(ClusterError::Transport(format!("unknown ctrl tag {t:#x}"))),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
-
-/// Frame dispatcher for a running site: protocol frames ([`HorMsg`],
-/// first byte `< 0x80`) and control frames ([`CtrlMsg`], `>= 0x80`)
-/// share each inbound link.
-#[derive(Debug)]
-pub enum RtFrame {
-    /// A §6 protocol message.
-    Hor(HorMsg),
-    /// A runtime control message.
-    Ctrl(CtrlMsg),
-    /// A §6 protocol message carrying a piggybacked cumulative ack:
-    /// close the `k` oldest outstanding rounds towards the sender, then
-    /// process the payload. The envelope is pure structure — modeled
-    /// `|M|` is the carried message's.
-    Piggy(u32, HorMsg),
-}
-
-impl Wire for RtFrame {
-    fn wire_size(&self) -> usize {
-        match self {
-            RtFrame::Hor(m) | RtFrame::Piggy(_, m) => m.wire_size(),
-            RtFrame::Ctrl(m) => m.wire_size(),
-        }
-    }
-}
-
-impl FrameCodec for RtFrame {
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
-        match self {
-            RtFrame::Hor(m) => m.encode_frame(out),
-            RtFrame::Ctrl(m) => m.encode_frame(out),
-            RtFrame::Piggy(k, m) => {
-                out.push(CT_PIGGY);
-                out.extend_from_slice(&k.to_le_bytes());
-                m.encode_frame(out) + 5
-            }
-        }
-    }
-
-    fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
-        match body.first() {
-            None => Err(ClusterError::Transport("empty frame body".into())),
-            Some(&CT_PIGGY) => {
-                let k = body
-                    .get(1..5)
-                    .ok_or_else(|| ClusterError::Transport("truncated piggyback header".into()))?;
-                let k = u32::from_le_bytes(k.try_into().expect("4-byte slice"));
-                Ok(RtFrame::Piggy(k, HorMsg::decode_frame(&body[5..])?))
-            }
-            Some(&t) if t >= 0x80 => Ok(RtFrame::Ctrl(CtrlMsg::decode_frame(body)?)),
-            Some(_) => Ok(RtFrame::Hor(HorMsg::decode_frame(body)?)),
-        }
-    }
-}
-
 fn proto(msg: impl Into<String>) -> DetectError {
     DetectError::Cluster(ClusterError::Transport(msg.into()))
-}
-
-fn meter_to_array(m: TransportMeter) -> [u64; 5] {
-    [
-        m.frames,
-        m.wire_bytes,
-        m.modeled_bytes,
-        m.structural_bytes,
-        m.saved_bytes,
-    ]
-}
-
-fn add_meter(acc: &mut TransportMeter, m: [u64; 5]) {
-    acc.frames += m[0];
-    acc.wire_bytes += m[1];
-    acc.modeled_bytes += m[2];
-    acc.structural_bytes += m[3];
-    acc.saved_bytes += m[4];
 }
 
 // ---------------------------------------------------------------------
@@ -462,11 +226,11 @@ enum Event {
     /// Barrier release for the given wave.
     Advance(u32),
     /// Our slice of a new batch.
-    Ops(Vec<(u32, OpWire)>, u32),
+    Ops(Vec<(u32, Update)>, u32),
     /// The coordinator wants our batch image.
     Collect,
-    /// A site's batch image (coordinator side).
-    Result(BatchImage),
+    /// A site's batch image (coordinator side), its own frame counted.
+    Result(Box<BatchImage>),
     /// End of session.
     Shutdown,
 }
@@ -582,7 +346,14 @@ impl SiteRunner {
     // -- frame pump ----------------------------------------------------
 
     fn dispatch(&mut self, src: SiteId, method: u8, body: Vec<u8>) -> Result<Pumped, DetectError> {
-        let frame: RtFrame = decode_body(method, body).map_err(DetectError::Cluster)?;
+        let on_wire = body.len();
+        let body = unpack_body(method, body).map_err(DetectError::Cluster)?;
+        let mut frame = RtFrame::decode_frame(&body).map_err(DetectError::Cluster)?;
+        // The one frame its sender could not meter: the image it carries
+        // was cut before the frame existed.
+        if let RtFrame::Ctrl(CtrlMsg::BatchResult(img)) = &mut frame {
+            img.count_own_frame(self.me, body.len(), on_wire);
+        }
         match frame {
             RtFrame::Piggy(k, m) => {
                 let event = self.on_hor(src, m)?;
@@ -637,7 +408,7 @@ impl SiteRunner {
             CtrlMsg::WaveAdvance(w) => Ok(Some(Event::Advance(w))),
             CtrlMsg::Ops { ops, n_waves } => Ok(Some(Event::Ops(ops, n_waves))),
             CtrlMsg::Collect => Ok(Some(Event::Collect)),
-            CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(*img))),
+            CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
             CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
         }
     }
@@ -872,7 +643,7 @@ impl SiteRunner {
     /// Run this site's slice of one wave: fire all rounds up front
     /// (windowed), serve peers while they're in flight, fold replies as
     /// they arrive.
-    fn run_wave(&mut self, ops: Vec<OpWire>) -> Result<(), DetectError> {
+    fn run_wave(&mut self, ops: Vec<Update>) -> Result<(), DetectError> {
         let mut ws = WaveState {
             inflight: Vec::new(),
             queues: (0..self.n).map(|_| VecDeque::new()).collect(),
@@ -883,10 +654,8 @@ impl SiteRunner {
                 self.step(&mut ws)?;
             }
             match op {
-                OpWire::Insert(tid, values) => {
-                    self.begin_insert(Tuple::new(tid, values), &mut ws)?;
-                }
-                OpWire::Delete(tid) => self.begin_delete(tid, &mut ws)?,
+                Update::Insert(t) => self.begin_insert(t, &mut ws)?,
+                Update::Delete(tid) => self.begin_delete(tid, &mut ws)?,
             }
         }
         // Drain: silent rounds close via (piggybacked or flushed) acks,
@@ -1375,8 +1144,8 @@ impl SiteRunner {
     /// Run our slice of one batch: per wave, execute our ops, report
     /// done, serve peers until the barrier releases; then report the
     /// batch image when asked.
-    fn run_batch(&mut self, ops: Vec<(u32, OpWire)>, n_waves: u32) -> Result<(), DetectError> {
-        let mut by_wave: Vec<Vec<OpWire>> = (0..n_waves).map(|_| Vec::new()).collect();
+    fn run_batch(&mut self, ops: Vec<(u32, Update)>, n_waves: u32) -> Result<(), DetectError> {
+        let mut by_wave: Vec<Vec<Update>> = (0..n_waves).map(|_| Vec::new()).collect();
         for (w, op) in ops {
             by_wave
                 .get_mut(w as usize)
@@ -1405,13 +1174,22 @@ impl SiteRunner {
                 _ => return Err(proto("unexpected frame before collection")),
             }
         }
+        // Settled marks are sorted (small deltas on the wire) and net of
+        // this site's own add/remove pairs; `ΔV` sums across sites, so
+        // the coordinator's global settle sees the same net change.
+        self.dv.settle();
         let img = BatchImage {
             added: std::mem::take(&mut self.dv.added),
             removed: std::mem::take(&mut self.dv.removed),
-            stats: self.node.stats().to_bytes(),
-            wire: self.node.wire_stats().to_bytes(),
-            meter: meter_to_array(self.node.meter()),
+            stats: self.node.stats().row(self.me).collect(),
+            wire: self.node.wire_stats().row(self.me).collect(),
+            meter: self.node.meter(),
+            received: self.node.received_bytes(),
         };
+        // The image's own frame is metered by its receiver (the image
+        // was cut before the frame existed), so resetting *after* the
+        // send drops nothing: every byte this node wrote is in exactly
+        // one image or counted by the coordinator.
         self.node
             .send_ctrl(COORD, &CtrlMsg::BatchResult(Box::new(img)))
             .map_err(DetectError::Cluster)?;
@@ -1470,8 +1248,8 @@ pub fn run_site(
     SiteRunner::new(cfg, codec, node).serve()
 }
 
-/// One site's wave-tagged batch slice.
-type WaveOps = Vec<(u32, OpWire)>;
+/// One site's wave-tagged batch slice, borrowed from the batch.
+type WaveOps<'a> = Vec<(u32, &'a Update)>;
 
 /// The concurrent `incHor` session: site 0 (the coordinator) runs on
 /// the caller's thread; sites `1..n` are OS threads (threaded mode) or
@@ -1490,6 +1268,8 @@ pub struct ConcurrentHorizontal {
     stats: NetStats,
     wire: NetStats,
     meter: TransportMeter,
+    /// Wire bytes of the frames every site took off its inbox.
+    received: u64,
     /// Total scheduler waves executed across all batches (deterministic).
     waves: u64,
     n: usize,
@@ -1581,6 +1361,7 @@ impl ConcurrentHorizontal {
             stats: NetStats::new(n),
             wire: NetStats::new(n),
             meter: TransportMeter::default(),
+            received: 0,
             waves: 0,
             codec_kind: codec,
             label,
@@ -1601,28 +1382,41 @@ impl ConcurrentHorizontal {
         Ok(det)
     }
 
-    /// Assign every normalized op a home site and a wave. An op waits
+    /// Assign every normalized op a home site and a wave: `(home, wave)`
+    /// per op in batch order, plus the number of waves. An op waits
     /// for the last previous op that shares a `(CFD, group-key)`
     /// footprint or its tid (modifications normalize to
     /// `delete + insert` of one tid, possibly at *different* homes).
-    fn schedule(&mut self, delta: &UpdateBatch) -> Result<(Vec<WaveOps>, u32), DetectError> {
+    /// Tuples are read where they lie and the scratch containers are
+    /// cleared, not rebuilt, between ops — this loop is the one part of
+    /// a batch no site can overlap with.
+    fn schedule(&mut self, delta: &UpdateBatch) -> Result<(Vec<(SiteId, u32)>, u32), DetectError> {
         let cfds = Arc::clone(&self.runner.cfg.cfds);
         let plan = Arc::clone(&self.runner.cfg.plan);
+        let arity = self.runner.cfg.schema.arity();
         let mut scratch = std::mem::take(&mut self.runner.scratch);
         let mut last_fp: FxHashMap<(CfdId, Digest), u32> = FxHashMap::default();
         let mut last_tid: FxHashMap<Tid, u32> = FxHashMap::default();
-        let mut per_site: Vec<WaveOps> = (0..self.n).map(|_| Vec::new()).collect();
+        let mut placed = Vec::with_capacity(delta.ops().len());
         let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
+        let mut keys: Vec<(CfdId, Digest)> = Vec::new();
+        let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
+        let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
         let mut n_waves = 0u32;
         for op in delta.ops() {
-            let (home, t, opw) = match op {
-                Update::Insert(t) => (
-                    self.scheme.route(t).map_err(DetectError::Cluster)?,
-                    t.clone(),
-                    OpWire::Insert(t.tid, t.values.to_vec()),
-                ),
+            let deleted;
+            let (home, t) = match op {
+                Update::Insert(t) => {
+                    if t.values.len() != arity {
+                        return Err(DetectError::Rel(RelError::ArityMismatch {
+                            expected: arity,
+                            got: t.values.len(),
+                        }));
+                    }
+                    (self.scheme.route(t).map_err(DetectError::Cluster)?, t)
+                }
                 Update::Delete(tid) => {
-                    let t = self
+                    deleted = self
                         .current
                         .get(*tid)
                         .ok_or(DetectError::Rel(RelError::MissingTid(*tid)))?;
@@ -1630,14 +1424,14 @@ impl ConcurrentHorizontal {
                         .site_of_tid
                         .get(tid)
                         .expect("live tuple has a home site");
-                    (home, t, OpWire::Delete(*tid))
+                    (home, &deleted)
                 }
             };
             let mut w = last_tid.get(&t.tid).map_or(0, |&x| x + 1);
-            let mut keys: Vec<(CfdId, Digest)> = Vec::new();
-            let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
-            let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
-            for &cid in plan.matched(&t, &mut scratch) {
+            keys.clear();
+            attr_d.clear();
+            group_kd.fill(None);
+            for &cid in plan.matched(t, &mut scratch) {
                 if !plan.is_variable(cid) {
                     continue;
                 }
@@ -1648,7 +1442,7 @@ impl ConcurrentHorizontal {
                     None => {
                         let kd = key_digest_from(
                             cfd.lhs.iter().map(|&a| {
-                                HorizontalDetector::digest_cached(&mut attr_d, &t, a, &mut vbuf)
+                                HorizontalDetector::digest_cached(&mut attr_d, t, a, &mut vbuf)
                             }),
                             &mut kbuf,
                         );
@@ -1661,15 +1455,15 @@ impl ConcurrentHorizontal {
                 }
                 keys.push((cid, kd));
             }
-            for k in keys {
+            for &k in &keys {
                 last_fp.insert(k, w);
             }
             last_tid.insert(t.tid, w);
             n_waves = n_waves.max(w + 1);
-            per_site[home].push((w, opw));
+            placed.push((home, w));
         }
         self.runner.scratch = scratch;
-        Ok((per_site, n_waves))
+        Ok((placed, n_waves))
     }
 
     fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
@@ -1678,35 +1472,43 @@ impl ConcurrentHorizontal {
         if delta.ops().is_empty() {
             return Ok(dv);
         }
-        let (mut per_site, n_waves) = self.schedule(&delta)?;
+        let (placed, n_waves) = self.schedule(&delta)?;
         self.waves += u64::from(n_waves);
-        for (j, slot) in per_site.iter_mut().enumerate().skip(1) {
-            let ops = std::mem::take(slot);
-            self.runner
-                .node
-                .send_ctrl(j, &CtrlMsg::Ops { ops, n_waves })
+        // Remote slices are written to their frames straight from the
+        // batch; only our own slice is ever held as owned ops.
+        let mut per_site: Vec<WaveOps<'_>> = (0..self.n).map(|_| Vec::new()).collect();
+        for (op, &(home, w)) in delta.ops().iter().zip(&placed) {
+            per_site[home].push((w, op));
+        }
+        let node = &mut self.runner.node;
+        for (j, slice) in per_site.iter().enumerate().skip(1) {
+            node.send_ctrl_with(j, |out| encode_ops(out, n_waves, slice))
                 .map_err(DetectError::Cluster)?;
         }
+        // Not a park, but the next stretch is ours alone (the mirror
+        // update): put the sites to work before starting on it.
+        node.flush().map_err(DetectError::Cluster)?;
+        let mut mine: Vec<Vec<Update>> = (0..n_waves).map(|_| Vec::new()).collect();
+        for &(w, op) in &per_site[COORD] {
+            mine[w as usize].push(op.clone());
+        }
         // Update the logical mirror (sites own the physical fragments).
-        for op in delta.ops() {
+        for (op, &(home, _)) in delta.ops().iter().zip(&placed) {
             match op {
                 Update::Insert(t) => {
-                    let s = self.scheme.route(t).map_err(DetectError::Cluster)?;
-                    self.site_of_tid.insert(t.tid, s);
-                    self.current.insert(t.clone()).map_err(DetectError::Rel)?;
+                    self.site_of_tid.insert(t.tid, home);
+                    self.current
+                        .insert_row(t.tid, t.values.iter())
+                        .map_err(DetectError::Rel)?;
                 }
                 Update::Delete(tid) => {
                     self.site_of_tid.remove(tid);
-                    self.current.delete(*tid).map_err(DetectError::Rel)?;
+                    self.current.delete_quiet(*tid).map_err(DetectError::Rel)?;
                 }
             }
         }
         // Drive our own slice, holding every wave barrier until all
         // sites report done.
-        let mut mine: Vec<Vec<OpWire>> = (0..n_waves).map(|_| Vec::new()).collect();
-        for (w, op) in std::mem::take(&mut per_site[COORD]) {
-            mine[w as usize].push(op);
-        }
         for (w, ops) in mine.into_iter().enumerate() {
             self.runner.run_wave(ops)?;
             while self.runner.done_count < self.n - 1 {
@@ -1722,6 +1524,9 @@ impl ConcurrentHorizontal {
                     .send_ctrl(j, &CtrlMsg::WaveAdvance(w as u32))
                     .map_err(DetectError::Cluster)?;
             }
+            // Every site is parked on this barrier: release them before
+            // computing our own slice of the next wave.
+            self.runner.node.flush().map_err(DetectError::Cluster)?;
         }
         // Collect per-site images; fold ΔV and the meters.
         for j in 1..self.n {
@@ -1732,25 +1537,21 @@ impl ConcurrentHorizontal {
         }
         dv.added = std::mem::take(&mut self.runner.dv.added);
         dv.removed = std::mem::take(&mut self.runner.dv.removed);
-        self.absorb_runner_meters();
         let mut got = 0;
         while got < self.n - 1 {
             let p = self.runner.pump()?;
             match (p.acks, p.event) {
                 (0, None) => {}
                 (0, Some(Event::Result(img))) => {
+                    self.absorb_image(p.src, &img)?;
                     dv.added.extend(img.added);
                     dv.removed.extend(img.removed);
-                    self.stats
-                        .merge(&NetStats::from_bytes(&img.stats).map_err(DetectError::Cluster)?);
-                    self.wire
-                        .merge(&NetStats::from_bytes(&img.wire).map_err(DetectError::Cluster)?);
-                    add_meter(&mut self.meter, img.meter);
                     got += 1;
                 }
                 _ => return Err(proto("unexpected frame during collection")),
             }
         }
+        self.absorb_runner_meters();
         dv.settle();
         for &(c, t) in &dv.added {
             self.violations.add(c, t);
@@ -1761,17 +1562,35 @@ impl ConcurrentHorizontal {
         Ok(dv)
     }
 
+    /// Fold site `src`'s meters into the session's.
+    fn absorb_image(&mut self, src: SiteId, img: &BatchImage) -> Result<(), DetectError> {
+        for (matrix, cells) in [(&mut self.stats, &img.stats), (&mut self.wire, &img.wire)] {
+            for (dst, c) in cells {
+                if *dst >= self.n || *dst == src {
+                    return Err(proto(format!("site {src} metered a link to site {dst}")));
+                }
+                matrix.add(src, *dst, c);
+            }
+        }
+        self.meter.merge(&img.meter);
+        self.received += img.received;
+        Ok(())
+    }
+
     fn absorb_runner_meters(&mut self) {
-        self.stats.merge(self.runner.node.stats());
-        self.wire.merge(self.runner.node.wire_stats());
-        add_meter(&mut self.meter, meter_to_array(self.runner.node.meter()));
-        self.runner.node.reset_stats();
+        let node = &mut self.runner.node;
+        self.stats.merge(node.stats());
+        self.wire.merge(node.wire_stats());
+        self.meter.merge(&node.meter());
+        self.received += node.received_bytes();
+        node.reset_stats();
     }
 
     fn reset_meters(&mut self) {
         self.stats.reset();
         self.wire.reset();
         self.meter = TransportMeter::default();
+        self.received = 0;
         self.waves = 0;
     }
 
@@ -1794,6 +1613,14 @@ impl ConcurrentHorizontal {
     /// Merged transport counters of every site.
     pub fn transport_meter(&self) -> TransportMeter {
         self.meter
+    }
+
+    /// Wire bytes of the frames every site took off its inbox — the
+    /// receive-side twin of `transport_meter().wire_bytes`. Between
+    /// batches the mesh is at rest and the two are equal: every frame a
+    /// node metered was read, every frame read had been metered.
+    pub fn received_bytes(&self) -> u64 {
+        self.received
     }
 
     /// Number of sites.
@@ -1843,6 +1670,8 @@ impl Drop for ConcurrentHorizontal {
         for j in 1..self.n {
             let _ = self.runner.node.send_ctrl(j, &CtrlMsg::Shutdown);
         }
+        // We wait on the threads, not on the inbox: flush by hand.
+        let _ = self.runner.node.flush();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -2054,6 +1883,51 @@ mod tests {
         assert_eq!(conc.stats().total_bytes(), m.modeled_bytes);
     }
 
+    /// What the nodes metered on the way out is, byte for byte, what
+    /// their peers took off the inboxes — `BatchResult` frames and
+    /// LZ-packed control frames included.
+    #[test]
+    fn every_written_byte_is_metered_and_received() {
+        let s = emp_schema();
+        let mut conc = ConcurrentHorizontal::threaded(
+            s.clone(),
+            fig1_cfds(&s),
+            fig2_scheme(&s),
+            &d0(),
+            CodecKind::Md5,
+            TransportKind::Framed,
+        )
+        .unwrap();
+        assert_eq!(conc.received_bytes(), 0, "the load is not on the meters");
+        // A slice long enough for its `Ops` frame to be offered to LZ.
+        let mut wide = UpdateBatch::new();
+        for i in 0..48 {
+            let street = format!("{} Long Meadow Gardens", 100 + i);
+            wide.insert(emp_tuple(100 + i, "B", 44, 131, "EH9 1AA", &street, "EDI"));
+        }
+        let mut batches = script();
+        batches.push(wide);
+        let mut before = 0;
+        for (i, b) in batches.iter().enumerate() {
+            conc.apply_batch(b).unwrap();
+            let m = conc.transport_meter();
+            assert!(m.wire_bytes > before, "batch {i} moved bytes");
+            before = m.wire_bytes;
+            assert_eq!(conc.received_bytes(), m.wire_bytes, "batch {i}");
+            assert_eq!(conc.wire_stats().total_bytes(), m.wire_bytes, "batch {i}");
+            assert_eq!(conc.wire_stats().total_messages(), m.frames, "batch {i}");
+            assert_eq!(
+                m.wire_bytes,
+                m.modeled_bytes + m.structural_bytes - m.saved_bytes,
+                "batch {i}"
+            );
+            assert_eq!(conc.stats().total_bytes(), m.modeled_bytes, "batch {i}");
+        }
+        // The md5 session packs no protocol frame: every saved byte is a
+        // control frame's.
+        assert!(conc.transport_meter().saved_bytes > 0);
+    }
+
     /// Seeded interleaving stress: many small conflicting batches over
     /// a wider hash-partitioned mesh, checked batch-by-batch against
     /// the sequential drive (state, ΔV and the modeled byte matrix).
@@ -2146,76 +2020,6 @@ mod tests {
     }
 
     #[test]
-    fn ctrl_frames_round_trip() {
-        let msgs = vec![
-            CtrlMsg::Ack,
-            CtrlMsg::AckN(2),
-            CtrlMsg::AckN(129),
-            CtrlMsg::Ops {
-                ops: vec![
-                    (
-                        0,
-                        OpWire::Insert(7, vec![Value::int(1), Value::str("x"), Value::Null]),
-                    ),
-                    (2, OpWire::Delete(9)),
-                ],
-                n_waves: 3,
-            },
-            CtrlMsg::WaveDone(4),
-            CtrlMsg::WaveAdvance(4),
-            CtrlMsg::Collect,
-            CtrlMsg::BatchResult(Box::new(BatchImage {
-                added: vec![(0, 1), (1, 2)],
-                removed: vec![(0, 9)],
-                stats: NetStats::new(3).to_bytes(),
-                wire: NetStats::new(3).to_bytes(),
-                meter: [1, 2, 3, 4, 5],
-            })),
-            CtrlMsg::Shutdown,
-        ];
-        for m in msgs {
-            assert_eq!(m.wire_size(), 0, "control frames are all structure");
-            let mut buf = Vec::new();
-            let structural = m.encode_frame(&mut buf);
-            assert_eq!(structural, buf.len());
-            let back = CtrlMsg::decode_frame(&buf).unwrap();
-            assert_eq!(back, m);
-            // The runtime dispatcher routes it to the ctrl arm.
-            match RtFrame::decode_frame(&buf).unwrap() {
-                RtFrame::Ctrl(c) => assert_eq!(c, m),
-                RtFrame::Hor(_) | RtFrame::Piggy(..) => {
-                    panic!("ctrl frame dispatched as protocol")
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn piggy_envelope_keeps_the_carried_frames_modeled_size() {
-        let inner = HorMsg::ProbeReply {
-            conflicts: vec![3, 5, 8],
-        };
-        let plain_size = inner.wire_size();
-        let mut plain = Vec::new();
-        let plain_structural = inner.encode_frame(&mut plain);
-        let wrapped = RtFrame::Piggy(42, inner);
-        // Modeled |M| is the carried message's — the envelope is pure
-        // structural overhead (tag + u32 count = 5 bytes).
-        assert_eq!(wrapped.wire_size(), plain_size);
-        let mut buf = Vec::new();
-        let structural = wrapped.encode_frame(&mut buf);
-        assert_eq!(structural, plain_structural + 5);
-        assert_eq!(buf.len(), wrapped.wire_size() + structural);
-        match RtFrame::decode_frame(&buf).unwrap() {
-            RtFrame::Piggy(k, HorMsg::ProbeReply { conflicts }) => {
-                assert_eq!(k, 42);
-                assert_eq!(conflicts, vec![3, 5, 8]);
-            }
-            other => panic!("piggy frame decoded as {other:?}"),
-        }
-    }
-
-    #[test]
     fn schedule_separates_conflicting_ops_into_waves() {
         let s = emp_schema();
         let mut conc = ConcurrentHorizontal::threaded(
@@ -2235,10 +2039,11 @@ mod tests {
         b.insert(emp_tuple(21, "B", 44, 131, "EH9 9ZZ", "Q", "EDI"));
         b.insert(emp_tuple(22, "C", 44, 131, "EH8 8YY", "R", "EDI"));
         let delta = b.normalize(&conc.current);
-        let (per_site, n_waves) = conc.schedule(&delta).unwrap();
+        let (placed, n_waves) = conc.schedule(&delta).unwrap();
         assert_eq!(n_waves, 2, "the shared-zip pair serializes on φ0");
-        let total: usize = per_site.iter().map(Vec::len).sum();
-        assert_eq!(total, 3);
+        // One (home, wave) per op, in batch order: grades A, B, C live
+        // at sites 0, 1, 2, and only the second shared-zip op waits.
+        assert_eq!(placed, vec![(0, 0), (1, 1), (2, 0)]);
         // Distinct tids with no shared group: one wave.
         let mut b2 = UpdateBatch::new();
         b2.insert(emp_tuple(30, "A", 1, 1, "X1", "P", "EDI"));

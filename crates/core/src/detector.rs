@@ -41,6 +41,9 @@ pub enum DetectError {
     /// `AnalysisMode::Prune`), or an analysis mode needs a build path the
     /// caller didn't use (`Prune` requires `build_dyn`).
     Analysis(String),
+    /// Maintained state contradicted itself (a bug in this library, not
+    /// in the caller's input): the batch failed, the process lives.
+    Internal(String),
 }
 
 impl std::fmt::Display for DetectError {
@@ -49,6 +52,7 @@ impl std::fmt::Display for DetectError {
             DetectError::Rel(e) => write!(f, "{e}"),
             DetectError::Cluster(e) => write!(f, "{e}"),
             DetectError::Analysis(msg) => write!(f, "static analysis: {msg}"),
+            DetectError::Internal(msg) => write!(f, "internal inconsistency: {msg}"),
         }
     }
 }

@@ -44,6 +44,7 @@ pub mod suite;
 pub mod vertical;
 
 pub use builder::{BaselineStrategy, DetectorBuilder};
+pub use cfd::constraint::{Check, Constraint};
 pub use concurrent::ConcurrentHorizontal;
 pub use detector::{DetectError, Detector};
 pub use horizontal::HorizontalDetector;

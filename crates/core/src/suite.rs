@@ -439,7 +439,7 @@ impl SuiteSession {
                 n.on_primary(*is_insert, *tid, values, &mut marks, &mut self.ind_net);
             }
         }
-        let findings = self.commit(marks);
+        let findings = self.commit(marks)?;
         Ok(SuiteDelta {
             findings,
             cfd_delta,
@@ -494,7 +494,7 @@ impl SuiteSession {
                 );
             }
         }
-        let findings = self.commit(marks);
+        let findings = self.commit(marks)?;
         Ok(SuiteDelta {
             findings,
             cfd_delta: DeltaV::default(),
@@ -502,8 +502,10 @@ impl SuiteSession {
     }
 
     /// Fold settled rule-level source marks into the finding set,
-    /// reporting only the findings that actually flipped.
-    fn commit(&mut self, mut marks: DeltaV) -> DeltaFindings {
+    /// reporting only the findings that actually flipped. A release of a
+    /// mark no source holds is a bookkeeping bug in a check's state
+    /// machine: it fails the batch instead of killing the process.
+    fn commit(&mut self, mut marks: DeltaV) -> Result<DeltaFindings, DetectError> {
         marks.settle();
         let mut out = DeltaV::default();
         for &(r, t) in &marks.added {
@@ -512,12 +514,17 @@ impl SuiteSession {
             }
         }
         for &(r, t) in &marks.removed {
-            if self.findings.remove_mark(r, t) {
+            let retired = self.findings.remove_mark(r, t).ok_or_else(|| {
+                DetectError::Internal(format!(
+                    "rule {r} released a finding mark on tuple {t} that no source holds"
+                ))
+            })?;
+            if retired {
                 out.remove(r, t);
             }
         }
         out.settle();
-        DeltaFindings::from_rule_marks(&out, &self.kinds)
+        Ok(DeltaFindings::from_rule_marks(&out, &self.kinds))
     }
 
     /// The maintained unified finding set.
@@ -863,11 +870,15 @@ impl Native {
                         }
                     }
                     (true, false) => {
-                        for &t in &g.tids {
+                        // Everyone marked before this op releases: on a
+                        // delete that includes the leaver (no longer in
+                        // `tids`), on an insert it excludes the newcomer
+                        // (already in `tids`, never marked).
+                        for &t in g.tids.iter().filter(|&&t| t != tid) {
                             out.remove(*rule, t);
                         }
                         if !is_insert {
-                            out.remove(*rule, tid); // was marked before leaving
+                            out.remove(*rule, tid);
                         }
                     }
                 }
@@ -1013,6 +1024,23 @@ mod tests {
 
     fn vscheme(s: &Arc<Schema>) -> VerticalScheme {
         VerticalScheme::new(s.clone(), vec![vec![0, 1], vec![0, 2, 3]]).unwrap()
+    }
+
+    #[test]
+    fn releasing_an_unheld_mark_fails_the_batch_not_the_process() {
+        let (s, d0) = base();
+        let mut session = Suite::on(s)
+            .check(Check::row_count(["grade"], Some(2), None))
+            .build(&d0)
+            .unwrap();
+        let before = session.finding_set().tids_of(0);
+        let mut slip = DeltaV::default();
+        slip.remove(0, 99);
+        match session.commit(slip) {
+            Err(DetectError::Internal(msg)) => assert!(msg.contains("tuple 99"), "{msg}"),
+            other => panic!("expected an internal-inconsistency error, got {other:?}"),
+        }
+        assert_eq!(session.finding_set().tids_of(0), before);
     }
 
     #[test]

@@ -533,3 +533,50 @@ fn suite_tracks_the_oracle_under_loadgen_churn() {
         );
     }
 }
+
+/// Every direction of an aggregate bound transition on a one-group
+/// relation: the group flips as a whole, and the tuple that causes the
+/// flip is marked (or released) exactly as the oracle says — a newcomer
+/// that cures the group never held a mark, a leaver that cures it did.
+#[test]
+fn aggregate_bound_flips_in_every_direction() {
+    let s = Schema::new("R", &["id", "grade"], "id").expect("schema");
+    let grade = s.attr_id("grade").expect("grade");
+    let row = |tid: Tid| Tuple::new(tid, vec![Value::int(tid as i64), Value::str("B")]);
+    // (lo, hi, |D₀|, op, violating before, violating after)
+    let cases = [
+        (Some(2), None, 1, Update::Insert(row(2)), true, false), // lo cured by insert
+        (Some(2), None, 2, Update::Delete(2), false, true),      // lo entered by delete
+        (None, Some(2), 2, Update::Insert(row(3)), false, true), // hi entered by insert
+        (None, Some(2), 3, Update::Delete(3), true, false),      // hi cured by delete
+    ];
+    for (lo, hi, n0, op, before, after) in cases {
+        let mut d = Relation::new(s.clone());
+        for tid in 1..=n0 {
+            d.insert(row(tid)).expect("seed row");
+        }
+        let mut session = Suite::on(s.clone())
+            .check(incdetect::Check::row_count(["grade"], lo, hi))
+            .build(&d)
+            .expect("suite builds");
+        let oracle = |d: &Relation| aggregate_oracle(d, AggFunc::Count, None, &[grade], lo, hi);
+        assert_eq!(session.finding_set().tids_of(0), oracle(&d));
+        assert_eq!(!oracle(&d).is_empty(), before, "{lo:?}..{hi:?} seed state");
+        let delta = session.apply_one(&op).expect("flip applies");
+        UpdateBatch::from_ops(vec![op.clone()])
+            .apply(&mut d)
+            .expect("mirror applies");
+        assert_eq!(
+            session.finding_set().tids_of(0),
+            oracle(&d),
+            "{lo:?}..{hi:?} after {op:?}"
+        );
+        assert_eq!(!oracle(&d).is_empty(), after, "{lo:?}..{hi:?} flipped");
+        let flipped = if after {
+            &delta.findings.added
+        } else {
+            &delta.findings.removed
+        };
+        assert_eq!(flipped.len(), 1, "one finding flips: {delta:?}");
+    }
+}
