@@ -1,8 +1,9 @@
 //! Microbenches for the dictionary-encoding layer: `ValuePool`
 //! acquire/release, dictionary-encoded tuple construction, clone-keyed vs
-//! interned grouping, and inline vs boxed non-base HEV keys. The committed
-//! before/after numbers live in `BENCH_2.json` (`bench_report`); this
-//! bench is the interactive/criterion view of the same comparisons.
+//! interned grouping, and inline vs boxed non-base HEV keys. The before/after
+//! numbers are `bench_report`'s (first recorded at commit `63837a0`,
+//! PR 2); this bench is the interactive/criterion view of the same
+//! comparisons.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use incdetect::hev::{EqKey, NonBaseHev};

@@ -1066,7 +1066,7 @@ pub fn build_report(quick: bool) -> Json {
                  fourth codec `lz` (in-tree LZ77 per-message frame \
                  compression) undercutting raw_values on the wire. \
                  md5/raw_values/dict modeled bytes are bit-identical to \
-                 BENCH_4, and every detector evaluates under the shared \
+                 PR 4 (commit fa2e859), and every detector evaluates under the shared \
                  multi-CFD delta plan (SharingMode::Shared) — `cfd_sweep` \
                  measures what that buys as |Σ| grows, and `analysis` \
                  measures the static analysis of Σ itself plus the \

@@ -111,7 +111,10 @@
 //! once and shared across every CFD in the same LHS key group.
 
 use crate::detector::{DetectError, Detector};
-use crate::horizontal::{key_digest_from, ClassEntry, GroupState, HorMsg, HorizontalDetector};
+use crate::horizontal::{
+    class_values, clear_group, delete_case, insert_case, key_digest_from, mark_group, wire_attrs,
+    GroupState, HorMsg, HorizontalDetector,
+};
 use crate::md5::Digest;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
 use cluster::codec::{value_digest as attr_digest, CodecKind, PayloadCodec, ReceiverCodec};
@@ -121,7 +124,6 @@ use cluster::run::{self, Node};
 use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter, WireValue};
 use relation::{
     AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch,
-    Value,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -495,14 +497,8 @@ impl SiteRunner {
             let cfd = &cfds[c as usize];
             let kd = HorizontalDetector::key_from_wire(cfd, &digests, &mut kbuf);
             if let Some(h) = self.state[c as usize].get_mut(&kd) {
-                if !h.violating {
-                    h.violating = true;
-                    let members: Vec<Tid> = h.members().collect();
-                    for m in members {
-                        if self.violations.add(c, m) {
-                            self.dv.add(c, m);
-                        }
-                    }
+                if !h.violating() {
+                    mark_group(h, c, &mut self.violations, &mut self.dv);
                 }
             }
         }
@@ -534,17 +530,11 @@ impl SiteRunner {
                 let hit = match self.state[c].get_mut(&kd) {
                     None => false,
                     Some(h) => {
-                        let other = h.classes.keys().any(|&k| k != bd);
-                        if other && !h.violating {
-                            h.violating = true;
-                            let members: Vec<Tid> = h.members().collect();
-                            for m in members {
-                                if self.violations.add(cid, m) {
-                                    self.dv.add(cid, m);
-                                }
-                            }
+                        let other = h.has_other(bd);
+                        if other && !h.violating() {
+                            mark_group(h, cid, &mut self.violations, &mut self.dv);
                         }
-                        other || h.violating
+                        other || h.violating()
                     }
                 };
                 if hit {
@@ -579,18 +569,13 @@ impl SiteRunner {
         for &c in &queries {
             let cfd = &cfds[c as usize];
             let kd = HorizontalDetector::key_from_wire(cfd, &digests, &mut kbuf);
-            let bvals: Vec<WireValue> = match self.state[c as usize].get(&kd) {
-                None => Vec::new(),
-                Some(h) => h
-                    .classes
-                    .values()
-                    .map(|cls| {
-                        let raw = cls.raw_b.as_ref().unwrap_or(&Value::Null);
-                        codec.encode(me, src, raw)
-                    })
-                    .collect(),
-            };
-            if !bvals.is_empty() {
+            // Within a wave footprints are disjoint, so the group read
+            // here is never one an own in-flight update is half through.
+            if let Some(h) = self.state[c as usize].get(&kd) {
+                let bvals = class_values(h, &self.fragment, (me, cfd, kd), |v| {
+                    codec.encode(me, src, v)
+                })
+                .map_err(DetectError::Internal)?;
                 reply.push((c, bvals));
             }
         }
@@ -624,18 +609,8 @@ impl SiteRunner {
     }
 
     fn clear_group_local(&mut self, cfd: CfdId, kd: Digest) {
-        if let Some(h) = self.state[cfd as usize].get_mut(&kd) {
-            h.violating = false;
-            let members: Vec<Tid> = h.members().collect();
-            for m in members {
-                if self.violations.remove(cfd, m) {
-                    self.dv.remove(cfd, m);
-                }
-            }
-            if h.classes.is_empty() {
-                self.state[cfd as usize].remove(&kd);
-            }
-        }
+        let groups = &mut self.state[cfd as usize];
+        clear_group(groups, cfd, kd, &mut self.violations, &mut self.dv);
     }
 
     // -- own updates (mirrors the sequential sender-side blocks) -------
@@ -670,6 +645,11 @@ impl SiteRunner {
 
     fn begin_insert(&mut self, t: Tuple, ws: &mut WaveState) -> Result<(), DetectError> {
         let cfds = Arc::clone(&self.cfg.cfds);
+        // Row first, group state second: a class can be asked for its
+        // RHS value (`class_values`) from the moment it exists.
+        self.fragment
+            .insert_row(t.tid, t.values.iter())
+            .map_err(DetectError::Rel)?;
         let plan = Arc::clone(&self.cfg.plan);
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut probes: Vec<CfdId> = Vec::new();
@@ -707,58 +687,24 @@ impl SiteRunner {
                 }
             };
             let bd = HorizontalDetector::digest_cached(&mut attr_d, &t, cfd.rhs, &mut vbuf);
-            let local_only = self.cfg.local_ok[c][self.me];
-
-            let g = self.state[c].entry(kd).or_default();
-            let n0 = g.classes.len();
-            let has_other = g.classes.keys().any(|&k| k != bd);
-            let was_violating = g.violating;
-            let entry = g.classes.entry(bd).or_insert_with(|| ClassEntry {
-                tids: FxHashSet::default(),
-                raw_b: Some(t.get(cfd.rhs).clone()),
-            });
-            entry.tids.insert(t.tid);
-
-            if n0 == 0 {
-                if !local_only {
-                    queries.push(cfd.id);
-                }
-            } else if !has_other {
-                if was_violating && self.violations.add(cfd.id, t.tid) {
-                    self.dv.add(cfd.id, t.tid);
-                }
-            } else if was_violating {
-                if self.violations.add(cfd.id, t.tid) {
-                    self.dv.add(cfd.id, t.tid);
-                }
-            } else {
-                let g = self.state[c].get_mut(&kd).expect("group touched");
-                g.violating = true;
-                let members: Vec<Tid> = g.members().collect();
-                for m in members {
-                    if self.violations.add(cfd.id, m) {
-                        self.dv.add(cfd.id, m);
-                    }
-                }
-                if !local_only {
-                    probes.push(cfd.id);
-                }
-            }
+            insert_case(
+                &mut self.state[c],
+                (&mut self.violations, &mut self.dv),
+                cfd.id,
+                t.tid,
+                (kd, bd),
+                self.cfg.local_ok[c][self.me],
+                &mut probes,
+                &mut queries,
+            );
         }
         self.scratch = scratch;
         self.vbuf = vbuf;
         self.kbuf = kbuf;
 
         if !probes.is_empty() || !queries.is_empty() {
-            let mut attr_set: FxHashSet<AttrId> = FxHashSet::default();
-            for &c in &probes {
-                attr_set.extend(cfds[c as usize].lhs.iter().copied());
-            }
-            for &c in &queries {
-                let cfd = &cfds[c as usize];
-                attr_set.extend(cfd.lhs.iter().copied());
-                attr_set.insert(cfd.rhs);
-            }
+            let mut attr_set = Vec::new();
+            wire_attrs(&mut attr_set, &cfds, &probes, &queries);
             let peers = self.peers_of(probes.iter().chain(&queries));
             if !peers.is_empty() {
                 let mut cached = None;
@@ -794,7 +740,6 @@ impl SiteRunner {
                 ws.open += 1;
             }
         }
-        self.fragment.insert(t).map_err(DetectError::Rel)?;
         Ok(())
     }
 
@@ -840,49 +785,23 @@ impl SiteRunner {
                 }
             };
             let bd = HorizontalDetector::digest_cached(&mut attr_d, &t, cfd.rhs, &mut vbuf);
-            let local_only = self.cfg.local_ok[c][self.me];
-
-            let g = self.state[c]
-                .get_mut(&kd)
-                .expect("deleted tuple's group must exist");
-            let cls = g
-                .classes
-                .get_mut(&bd)
-                .expect("deleted tuple's class must exist");
-            let was_violating = g.violating;
-            cls.tids.remove(&tid);
-            let class_empty = cls.tids.is_empty();
-            if class_empty {
-                g.classes.remove(&bd);
-            }
-            let n_rem = g.classes.len();
-            if n_rem == 0 {
-                self.state[c].remove(&kd);
-            }
-            if !was_violating {
-                continue;
-            }
-            if self.violations.remove(cfd.id, tid) {
-                self.dv.remove(cfd.id, tid);
-            }
-            if !class_empty || n_rem >= 2 {
-                continue;
-            }
-            if local_only {
-                self.clear_group_local(cfd.id, kd);
-                continue;
-            }
-            queries.push(cfd.id);
+            delete_case(
+                &mut self.state[c],
+                (&mut self.violations, &mut self.dv),
+                cfd.id,
+                tid,
+                (kd, bd),
+                self.cfg.local_ok[c][self.me],
+                &mut queries,
+            );
         }
         self.scratch = scratch;
         self.vbuf = vbuf;
         self.kbuf = kbuf;
 
         if !queries.is_empty() {
-            let mut attr_set: FxHashSet<AttrId> = FxHashSet::default();
-            for &c in &queries {
-                attr_set.extend(cfds[c as usize].lhs.iter().copied());
-            }
+            let mut attr_set = Vec::new();
+            wire_attrs(&mut attr_set, &cfds, &queries, &[]);
             let peers = self.peers_of(queries.iter());
             let global: FxHashMap<CfdId, FxHashSet<Digest>> =
                 queries.iter().map(|&c| (c, FxHashSet::default())).collect();
@@ -934,13 +853,8 @@ impl SiteRunner {
 
     /// Sites relevant to at least one of the given CFDs, minus us, sorted.
     fn peers_of<'a>(&self, cfds: impl Iterator<Item = &'a CfdId>) -> Vec<SiteId> {
-        let mut peers: FxHashSet<SiteId> = FxHashSet::default();
-        for &c in cfds {
-            peers.extend(self.cfg.relevant[c as usize].iter().copied());
-        }
-        peers.remove(&self.me);
-        let mut peers: Vec<SiteId> = peers.into_iter().collect();
-        peers.sort_unstable();
+        let mut peers = Vec::new();
+        HorizontalDetector::peers_of(&mut peers, &self.cfg.relevant, cfds, self.me);
         peers
     }
 
@@ -1032,10 +946,8 @@ impl SiteRunner {
                 } else {
                     let mut pend = 0;
                     for (j, clear_list) in clears {
-                        let mut attr_set: FxHashSet<AttrId> = FxHashSet::default();
-                        for &c in &clear_list {
-                            attr_set.extend(self.cfg.cfds[c as usize].lhs.iter().copied());
-                        }
+                        let mut attr_set = Vec::new();
+                        wire_attrs(&mut attr_set, &self.cfg.cfds, &clear_list, &[]);
                         let attrs = HorizontalDetector::encode_attrs(
                             self.codec.as_mut(),
                             &t,
@@ -1085,7 +997,7 @@ impl SiteRunner {
                 let g = self.state[c as usize]
                     .get_mut(&kd)
                     .expect("group created during insert");
-                g.violating = true;
+                g.set_violating(true);
                 if self.violations.add(c, t.tid) {
                     self.dv.add(c, t.tid);
                 }
@@ -1116,7 +1028,9 @@ impl SiteRunner {
             let kd = HorizontalDetector::key_of(cfd, t, &mut vbuf, &mut kbuf);
             let mut all = global.remove(&c).expect("queried cfd");
             if let Some(h) = self.state[c as usize].get(&kd) {
-                all.extend(h.classes.keys().copied());
+                h.for_each_class(|bd, _| {
+                    all.insert(bd);
+                });
             }
             if all.len() >= 2 {
                 continue;
@@ -1373,11 +1287,7 @@ impl ConcurrentHorizontal {
         // Initial load: every site starts empty; d flows through the
         // regular batch path (then the meters reset, like the
         // sequential constructor).
-        let mut load = UpdateBatch::new();
-        for t in d.iter() {
-            load.insert(t);
-        }
-        det.apply_batch(&load)?;
+        crate::detector::ingest(d, |window| det.apply_batch(window))?;
         det.reset_meters();
         Ok(det)
     }
@@ -1627,6 +1537,22 @@ impl ConcurrentHorizontal {
     pub fn n_sites(&self) -> usize {
         self.n
     }
+
+    /// Group-state census of the coordinator's own site (the others live
+    /// on their threads; rolling them up would widen `BatchResult`).
+    #[cfg(test)]
+    pub(crate) fn coordinator_census(&self) -> crate::horizontal::StateCensus {
+        let mut census = crate::horizontal::StateCensus::default();
+        self.runner.state.iter().for_each(|map| census.count(map));
+        census
+    }
+
+    /// Symbols resident on each link into the coordinator.
+    #[cfg(test)]
+    pub(crate) fn coordinator_resident_symbols(&self) -> Vec<usize> {
+        let links = self.runner.rx.iter();
+        links.map(ReceiverCodec::resident_symbols).collect()
+    }
 }
 
 impl Detector for ConcurrentHorizontal {
@@ -1682,6 +1608,7 @@ impl Drop for ConcurrentHorizontal {
 mod tests {
     use super::*;
     use cfd::Cfd;
+    use relation::Value;
 
     fn emp_schema() -> Arc<Schema> {
         Schema::new(

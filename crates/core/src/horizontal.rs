@@ -35,6 +35,36 @@
 //! A variable CFD ships nothing at site `i` when `X_{F_i} ⊆ X` (violating
 //! pairs are co-located) and is skipped entirely at sites where
 //! `F_i ∧ F_φ` is unsatisfiable.
+//!
+//! # State layout
+//!
+//! §6 keeps per site "the group's distinct RHS values and a flag"; the
+//! containers below (`GroupState`, `ClassEntry`) cost bytes only
+//! where a group has more structure than that. Each `(site, CFD)` owns
+//! one `FxHashMap<Digest, GroupState>`; the nested
+//! `FxHashMap<Digest, {FxHashMap<Digest, {FxHashSet<Tid>, Option<Value>}>, bool}>`
+//! it replaces gave every group a heap table and every class a heap set
+//! and a cloned RHS value:
+//!
+//! | per … | was | is |
+//! |---|---|---|
+//! | group (map slot) | 56 B + a class table of its own (≥ 308 B) | 64 B, holding the flag, one class digest and ≤ 3 tids; no allocation while one class of ≤ 3 members |
+//! | class | 72 B slot (`ClassEntry` 56 B) + a tid table (≥ 52 B) + a `Value` clone | in the group slot, or a 48 B slot (`ClassEntry` 32 B) of the group's spilled class map |
+//! | membership | ≥ 9 B of a heap table | 8 B inline up to 3 per class, ≈ 9 B in a boxed `FxHashSet` beyond |
+//! | all in, per membership (`hor_wide_sigma`) | ≈ 140 B (≈ 160 MB) | ≈ 44 B (51.7 MB by [`StateCensus`]) |
+//!
+//! The thresholds come from `detbench`'s `hor_wide_sigma` (seed 1: 78 946
+//! groups, 435 020 classes, 1 182 697 memberships). 74 022 groups (94 %)
+//! hold exactly one class, so one class lives inline; but 1 180 groups
+//! (1.5 %) hold 319 324 of the classes, 65–512 each, so beyond one the
+//! classes are *hashed* (a flat `Vec` there cost 30 % of `updates_per_s`).
+//! 272 386 classes (63 %) hold exactly one tid, so tids start inline; but
+//! `hor_tcp_skew`'s Zipf classes reach 65–512 tids, so beyond three they
+//! are a boxed set and removal stays `O(1)`. A class's RHS value is read
+//! back from the site's own fragment through any member (`class_values`).
+//! Removals demote (`Many → One`, set → inline) and tables give their
+//! slack back under a quarter full, so the state follows deletes down as
+//! well as inserts up; [`HorizontalDetector::state_census`] counts it.
 
 use crate::detector::{DetectError, Detector};
 use crate::md5::{md5, Digest};
@@ -51,6 +81,7 @@ use relation::{
     AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch,
     Value,
 };
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Group-key digest of a CFD's LHS: MD5 over the concatenated per-attribute
@@ -269,25 +300,538 @@ impl FrameCodec for HorMsg {
 /// a batch — `None` where the op's tuple does not fall under the CFD.
 type PreDigests = Vec<Vec<Option<(Digest, Digest)>>>;
 
-/// One RHS class within a group at one site.
-#[derive(Debug, Default)]
-pub(crate) struct ClassEntry {
-    pub(crate) tids: FxHashSet<Tid>,
-    /// Representative raw RHS value (shipped in raw-mode replies).
-    pub(crate) raw_b: Option<Value>,
+/// Give a hash table's slack back once removals leave it under a quarter
+/// full. Amortised: the ≥ ¾·capacity removals before a shrink pay for it,
+/// and the shrunk table is over a quarter full, so growth and shrinkage
+/// cannot alternate op by op.
+macro_rules! shrink_if_sparse {
+    ($table:expr) => {
+        if $table.len() * 4 < $table.capacity() {
+            $table.shrink_to($table.len());
+        }
+    };
 }
 
-/// Per-site, per-CFD group state.
-#[derive(Debug, Default)]
-pub(crate) struct GroupState {
-    pub(crate) classes: FxHashMap<Digest, ClassEntry>,
-    /// Does the *global* group violate? (uniform across sites)
-    pub(crate) violating: bool,
+/// Member tids a class keeps inline before spilling to a boxed set.
+const INLINE_TIDS: usize = 3;
+
+/// The member tids of one RHS class within a group at one site: up to
+/// [`INLINE_TIDS`] inline, a boxed hash set beyond (Zipf-keyed classes
+/// reach hundreds of members, and removal must stay `O(1)` there). The
+/// layout is a function of the members alone — removals demote — and the
+/// class's RHS *value* is not kept: any member's row in the site's own
+/// fragment has it ([`class_values`]).
+#[derive(Debug)]
+pub(crate) enum ClassEntry {
+    Inline { len: u8, tids: [Tid; INLINE_TIDS] },
+    Spilled(Box<FxHashSet<Tid>>),
+}
+
+impl ClassEntry {
+    /// The class holding just `tid`.
+    fn of(tid: Tid) -> Self {
+        let mut tids = [0; INLINE_TIDS];
+        tids[0] = tid;
+        ClassEntry::Inline { len: 1, tids }
+    }
+
+    fn insert(&mut self, tid: Tid) {
+        match self {
+            ClassEntry::Inline { len, tids } => {
+                let n = usize::from(*len);
+                if tids[..n].contains(&tid) {
+                    return;
+                }
+                if n < INLINE_TIDS {
+                    tids[n] = tid;
+                    *len += 1;
+                } else {
+                    let set = tids.iter().copied().chain([tid]).collect();
+                    *self = ClassEntry::Spilled(Box::new(set));
+                }
+            }
+            ClassEntry::Spilled(set) => {
+                set.insert(tid);
+            }
+        }
+    }
+
+    fn remove(&mut self, tid: Tid) {
+        match self {
+            ClassEntry::Inline { len, tids } => {
+                let n = usize::from(*len);
+                if let Some(i) = tids[..n].iter().position(|&t| t == tid) {
+                    tids[i] = tids[n - 1];
+                    *len -= 1;
+                }
+            }
+            ClassEntry::Spilled(set) => {
+                set.remove(&tid);
+                if set.len() <= INLINE_TIDS {
+                    let mut tids = [0; INLINE_TIDS];
+                    for (slot, &t) in tids.iter_mut().zip(set.iter()) {
+                        *slot = t;
+                    }
+                    let len = set.len() as u8;
+                    *self = ClassEntry::Inline { len, tids };
+                } else {
+                    shrink_if_sparse!(set);
+                }
+            }
+        }
+    }
+
+    fn members(&self) -> Members<'_> {
+        match self {
+            ClassEntry::Inline { len, tids } => Members::Inline(&tids[..usize::from(*len)]),
+            ClassEntry::Spilled(set) => Members::Spilled(set),
+        }
+    }
+}
+
+/// Borrowed view of one class's member tids, however they are stored.
+#[derive(Clone, Copy)]
+pub(crate) enum Members<'a> {
+    Inline(&'a [Tid]),
+    Spilled(&'a FxHashSet<Tid>),
+}
+
+impl Members<'_> {
+    fn len(self) -> usize {
+        match self {
+            Members::Inline(tids) => tids.len(),
+            Members::Spilled(set) => set.len(),
+        }
+    }
+
+    fn first(self) -> Option<Tid> {
+        match self {
+            Members::Inline(tids) => tids.first().copied(),
+            Members::Spilled(set) => set.iter().next().copied(),
+        }
+    }
+
+    fn for_each(self, f: impl FnMut(Tid)) {
+        match self {
+            Members::Inline(tids) => tids.iter().copied().for_each(f),
+            Members::Spilled(set) => set.iter().copied().for_each(f),
+        }
+    }
+}
+
+/// Per-site, per-CFD state of one `X`-value group: its RHS classes and
+/// whether the *global* group violates (uniform across sites). One class
+/// lives inline — `Few`/`One` are a [`ClassEntry`] flattened next to its
+/// digest and the flag, so a satisfied group allocates nothing and a map
+/// slot is 64 B — and a hashed spill takes over from the second class.
+/// The layout is canonical: `Many` holds ≥ 2 classes and removals demote,
+/// so state follows the data down as well as up.
+#[derive(Debug)]
+pub(crate) enum GroupState {
+    Few {
+        violating: bool,
+        len: u8,
+        bd: Digest,
+        tids: [Tid; INLINE_TIDS],
+    },
+    One {
+        violating: bool,
+        bd: Digest,
+        tids: Box<FxHashSet<Tid>>,
+    },
+    Many {
+        violating: bool,
+        classes: Box<FxHashMap<Digest, ClassEntry>>,
+    },
 }
 
 impl GroupState {
-    pub(crate) fn members(&self) -> impl Iterator<Item = Tid> + '_ {
-        self.classes.values().flat_map(|c| c.tids.iter().copied())
+    /// A new, satisfied group holding `tid` in class `bd`.
+    pub(crate) fn new(bd: Digest, tid: Tid) -> Self {
+        Self::single(false, bd, ClassEntry::of(tid))
+    }
+
+    /// The group of one class.
+    fn single(violating: bool, bd: Digest, class: ClassEntry) -> Self {
+        match class {
+            ClassEntry::Inline { len, tids } => GroupState::Few {
+                violating,
+                len,
+                bd,
+                tids,
+            },
+            ClassEntry::Spilled(tids) => GroupState::One {
+                violating,
+                bd,
+                tids,
+            },
+        }
+    }
+
+    /// Move the class of a single-class group out; the caller writes the
+    /// group back.
+    fn take_single(&mut self) -> (Digest, ClassEntry) {
+        let hole = Self::single(false, Digest([0; 16]), ClassEntry::of(0));
+        match std::mem::replace(self, hole) {
+            GroupState::Few { bd, len, tids, .. } => (bd, ClassEntry::Inline { len, tids }),
+            GroupState::One { bd, tids, .. } => (bd, ClassEntry::Spilled(tids)),
+            GroupState::Many { .. } => unreachable!("callers handle Many first"),
+        }
+    }
+
+    pub(crate) fn violating(&self) -> bool {
+        match self {
+            GroupState::Few { violating, .. }
+            | GroupState::One { violating, .. }
+            | GroupState::Many { violating, .. } => *violating,
+        }
+    }
+
+    pub(crate) fn set_violating(&mut self, v: bool) {
+        match self {
+            GroupState::Few { violating, .. }
+            | GroupState::One { violating, .. }
+            | GroupState::Many { violating, .. } => *violating = v,
+        }
+    }
+
+    /// Does the group hold a class other than `bd`?
+    pub(crate) fn has_other(&self, bd: Digest) -> bool {
+        match self {
+            GroupState::Few { bd: b, .. } | GroupState::One { bd: b, .. } => *b != bd,
+            GroupState::Many { .. } => true,
+        }
+    }
+
+    /// Add `tid` to class `bd`, creating the class if need be.
+    pub(crate) fn insert(&mut self, bd: Digest, tid: Tid) {
+        if let GroupState::Many { classes, .. } = self {
+            match classes.entry(bd) {
+                Entry::Occupied(e) => e.into_mut().insert(tid),
+                Entry::Vacant(e) => {
+                    e.insert(ClassEntry::of(tid));
+                }
+            }
+            return;
+        }
+        let violating = self.violating();
+        let (b, mut class) = self.take_single();
+        *self = if b == bd {
+            class.insert(tid);
+            Self::single(violating, b, class)
+        } else {
+            // A second class arrives: the inline one moves into the spill.
+            let classes = [(b, class), (bd, ClassEntry::of(tid))];
+            GroupState::Many {
+                violating,
+                classes: Box::new(classes.into_iter().collect()),
+            }
+        };
+    }
+
+    /// Remove `tid` from class `bd`: `(class now empty, classes left)`, or
+    /// `None` when the group has no such class. A group left with no
+    /// class is the caller's to drop.
+    pub(crate) fn remove(&mut self, bd: Digest, tid: Tid) -> Option<(bool, usize)> {
+        let violating = self.violating();
+        if let GroupState::Many { classes, .. } = self {
+            let class = classes.get_mut(&bd)?;
+            class.remove(tid);
+            let class_empty = class.members().len() == 0;
+            if class_empty {
+                classes.remove(&bd);
+            }
+            let left = classes.len();
+            if left == 1 {
+                let (b, last) = classes.drain().next().expect("one class left");
+                *self = Self::single(violating, b, last);
+            } else {
+                shrink_if_sparse!(classes);
+            }
+            return Some((class_empty, left));
+        }
+        let (b, mut class) = self.take_single();
+        if b == bd {
+            class.remove(tid);
+        }
+        let left = usize::from(class.members().len() > 0);
+        *self = Self::single(violating, b, class);
+        (b == bd).then_some((left == 0, left))
+    }
+
+    /// Every class: its RHS digest and its members.
+    pub(crate) fn for_each_class(&self, mut f: impl FnMut(Digest, Members<'_>)) {
+        match self {
+            GroupState::Few { len, bd, tids, .. } => {
+                f(*bd, Members::Inline(&tids[..usize::from(*len)]));
+            }
+            GroupState::One { bd, tids, .. } => f(*bd, Members::Spilled(tids)),
+            GroupState::Many { classes, .. } => {
+                classes.iter().for_each(|(bd, c)| f(*bd, c.members()));
+            }
+        }
+    }
+
+    /// Every member tid, class by class.
+    pub(crate) fn for_each_member(&self, mut f: impl FnMut(Tid)) {
+        self.for_each_class(|_, members| members.for_each(&mut f));
+    }
+}
+
+/// The §6 insertion case analysis at one site for one variable CFD whose
+/// pattern matches the inserted tuple `tid`, given its group-key and RHS
+/// digests. Every runtime and evaluation mode funnels here, so the state
+/// transitions (and the probe/query lists that drive shipping) are
+/// identical by construction.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn insert_case(
+    groups: &mut FxHashMap<Digest, GroupState>,
+    (v, dv): (&mut Violations, &mut DeltaV),
+    cfd: CfdId,
+    tid: Tid,
+    (kd, bd): (Digest, Digest),
+    local_only: bool,
+    probes: &mut Vec<CfdId>,
+    queries: &mut Vec<CfdId>,
+) {
+    match groups.entry(kd) {
+        Entry::Vacant(e) => {
+            // Group unknown locally.
+            e.insert(GroupState::new(bd, tid));
+            if !local_only {
+                queries.push(cfd);
+            }
+        }
+        Entry::Occupied(e) => {
+            let g = e.into_mut();
+            let (has_other, was_violating) = (g.has_other(bd), g.violating());
+            g.insert(bd, tid);
+            if was_violating {
+                // Everyone concerned is already in V (≥ 2 classes, or a
+                // known remote conflict): only t is new. Zero shipment —
+                // Examples 2(1)(b)/9.
+                if v.add(cfd, tid) {
+                    dv.add(cfd, tid);
+                }
+            } else if has_other {
+                // One clashing class and the group was satisfied: a
+                // brand-new conflict. Everyone in the group joins V.
+                mark_group(g, cfd, v, dv);
+                if !local_only {
+                    probes.push(cfd);
+                }
+            }
+            // else: a satisfied single class agreeing with t.
+        }
+    }
+}
+
+/// The §6 deletion case analysis at one site for one variable CFD whose
+/// pattern matches the deleted tuple `tid`, given its group-key and RHS
+/// digests.
+pub(crate) fn delete_case(
+    groups: &mut FxHashMap<Digest, GroupState>,
+    (v, dv): (&mut Violations, &mut DeltaV),
+    cfd: CfdId,
+    tid: Tid,
+    (kd, bd): (Digest, Digest),
+    local_only: bool,
+    queries: &mut Vec<CfdId>,
+) {
+    let g = groups
+        .get_mut(&kd)
+        .expect("deleted tuple's group must exist");
+    let was_violating = g.violating();
+    let (class_empty, n_rem) = g.remove(bd, tid).expect("deleted tuple's class must exist");
+    if n_rem == 0 {
+        // An empty group carries no information — future inserts will
+        // re-query — so it is dropped, and with it the map's slack once
+        // deletes dominate: state stays proportional to the live fragment.
+        groups.remove(&kd);
+        shrink_if_sparse!(groups);
+    }
+    if !was_violating {
+        return; // deletions never create violations
+    }
+    // t was a violation; it leaves V in every remaining case.
+    if v.remove(cfd, tid) {
+        dv.remove(cfd, tid);
+    }
+    if !class_empty || n_rem >= 2 {
+        // Same-RHS witness survives or ≥2 local RHS values remain: global
+        // multiplicity still ≥ 2. Zero shipment — Example 2(2).
+        return;
+    }
+    if local_only {
+        // Global = local: the group dropped to ≤ 1 RHS value.
+        clear_group(groups, cfd, kd, v, dv);
+        return;
+    }
+    queries.push(cfd);
+}
+
+/// Clear the violating flag of a local group (if the site still holds
+/// it), removing its members from V.
+pub(crate) fn clear_group(
+    groups: &mut FxHashMap<Digest, GroupState>,
+    cfd: CfdId,
+    kd: Digest,
+    v: &mut Violations,
+    dv: &mut DeltaV,
+) {
+    if let Some(g) = groups.get_mut(&kd) {
+        g.set_violating(false);
+        g.for_each_member(|m| {
+            if v.remove(cfd, m) {
+                dv.remove(cfd, m);
+            }
+        });
+    }
+}
+
+/// Raise a group's flag: every member joins `V(φ)`.
+pub(crate) fn mark_group(g: &mut GroupState, cfd: CfdId, v: &mut Violations, dv: &mut DeltaV) {
+    g.set_violating(true);
+    g.for_each_member(|m| {
+        if v.add(cfd, m) {
+            dv.add(cfd, m);
+        }
+    });
+}
+
+/// The `DelReply` payload of one group at `site`: each class's RHS value,
+/// read from the site's own fragment through a member's row. Both
+/// runtimes store an inserted row *before* they touch group state, so a
+/// class always has a member to read; one that has none means the state
+/// contradicts the fragment, and the error text says where.
+pub(crate) fn class_values(
+    g: &GroupState,
+    fragment: &Relation,
+    (site, cfd, kd): (SiteId, &Cfd, Digest),
+    mut encode: impl FnMut(&Value) -> WireValue,
+) -> Result<Vec<WireValue>, String> {
+    let mut vals = Vec::new();
+    let mut orphan = false;
+    g.for_each_class(|_, members| {
+        match members
+            .first()
+            .and_then(|tid| fragment.value_at(tid, cfd.rhs))
+        {
+            Some(v) => vals.push(encode(v)),
+            None => orphan = true,
+        }
+    });
+    if orphan {
+        return Err(format!(
+            "site {site}: a class of CFD {} group {} has no member in the fragment",
+            cfd.id,
+            kd.to_hex()
+        ));
+    }
+    Ok(vals)
+}
+
+/// The attributes a coalesced message carries, sorted: the LHS of every
+/// listed CFD, plus the RHS of the `with_rhs` ones.
+pub(crate) fn wire_attrs(
+    out: &mut Vec<AttrId>,
+    cfds: &[Cfd],
+    lhs_only: &[CfdId],
+    with_rhs: &[CfdId],
+) {
+    out.clear();
+    for &c in lhs_only.iter().chain(with_rhs) {
+        out.extend_from_slice(&cfds[c as usize].lhs);
+    }
+    out.extend(with_rhs.iter().map(|&c| cfds[c as usize].rhs));
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// What the §6 group state holds and what it costs: a census over every
+/// `(site, CFD)` map, `O(state)` when asked for and free otherwise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StateCensus {
+    /// Live `(site, CFD, X-value)` groups.
+    pub groups: usize,
+    /// RHS classes over all groups.
+    pub classes: usize,
+    /// `(CFD, tid)` memberships over all classes.
+    pub memberships: usize,
+    /// Groups whose classes spilled to a hashed map (≥ 2 classes).
+    pub spilled_class_maps: usize,
+    /// Classes whose tids spilled to a boxed set (> 3 members).
+    pub spilled_tid_sets: usize,
+    /// Heap bytes of the group maps and every spill, from capacities.
+    pub resident_bytes: usize,
+}
+
+/// Heap bytes of a hash table with room for `capacity` entries of `T`:
+/// power-of-two buckets at 7/8 load, one control byte each plus a group.
+fn table_bytes<T>(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
+    buckets * (std::mem::size_of::<T>() + 1) + 16
+}
+
+impl StateCensus {
+    /// Add one `(site, CFD)` group map.
+    pub(crate) fn count(&mut self, map: &FxHashMap<Digest, GroupState>) {
+        self.groups += map.len();
+        self.resident_bytes += table_bytes::<(Digest, GroupState)>(map.capacity());
+        for g in map.values() {
+            if let GroupState::Many { classes, .. } = g {
+                self.spilled_class_maps += 1;
+                self.resident_bytes += std::mem::size_of::<FxHashMap<Digest, ClassEntry>>()
+                    + table_bytes::<(Digest, ClassEntry)>(classes.capacity());
+            }
+            g.for_each_class(|_, members| {
+                self.classes += 1;
+                self.memberships += members.len();
+                if let Members::Spilled(set) = members {
+                    self.spilled_tid_sets += 1;
+                    self.resident_bytes +=
+                        std::mem::size_of::<FxHashSet<Tid>>() + table_bytes::<Tid>(set.capacity());
+                }
+            });
+        }
+    }
+}
+
+/// Per-update scratch the detector owns: cleared, not rebuilt, per op.
+#[derive(Default)]
+struct OpScratch {
+    /// Shared-plan dispatch scratch (generation-stamped counters).
+    dispatch: MatchScratch,
+    /// Value bytes / key bytes of the digest being computed.
+    vbuf: Vec<u8>,
+    kbuf: Vec<u8>,
+    /// This update's attribute digests and per-key-group key digests.
+    attr_d: FxHashMap<AttrId, Digest>,
+    group_kd: Vec<Option<Digest>>,
+    /// CFDs needing a probe / a query round for this update.
+    probes: Vec<CfdId>,
+    queries: Vec<CfdId>,
+    /// Attributes and peers of the coalesced message being shipped.
+    attrs: Vec<AttrId>,
+    peers: Vec<SiteId>,
+    /// Receiver side: the digests and explicit probes of one message.
+    rx_digests: FxHashMap<AttrId, Digest>,
+    probe_set: FxHashSet<CfdId>,
+    /// Sender side: CFDs some peer reported a conflict for.
+    conflicting: FxHashSet<CfdId>,
+}
+
+impl OpScratch {
+    /// Reset for the next update under a plan with `key_groups` groups.
+    fn begin(&mut self, key_groups: usize) {
+        self.attr_d.clear();
+        self.group_kd.clear();
+        self.group_kd.resize(key_groups, None);
+        self.probes.clear();
+        self.queries.clear();
     }
 }
 
@@ -298,6 +842,8 @@ pub enum HorizontalError {
     Rel(RelError),
     /// Underlying cluster error.
     Cluster(ClusterError),
+    /// Maintained state contradicted itself (a bug in this library).
+    Internal(String),
 }
 
 impl std::fmt::Display for HorizontalError {
@@ -305,6 +851,7 @@ impl std::fmt::Display for HorizontalError {
         match self {
             HorizontalError::Rel(e) => write!(f, "{e}"),
             HorizontalError::Cluster(e) => write!(f, "{e}"),
+            HorizontalError::Internal(msg) => write!(f, "internal inconsistency: {msg}"),
         }
     }
 }
@@ -338,8 +885,9 @@ pub struct HorizontalDetector {
     /// LHS matching for the whole rule set, one key-group digest serves
     /// every CFD with the same `GroupBy` operator ([`cfd::SharedPlan`]).
     plan: Arc<SharedPlan>,
-    /// Reusable scratch for the shared dispatch pass.
-    scratch: MatchScratch,
+    /// Per-update scratch (dispatch counters, digest caches, the lists
+    /// and sets of the message being shipped).
+    scratch: OpScratch,
     /// Sender-side multi-CFD evaluation mode: shared plan (default) or
     /// the legacy per-CFD loop (kept as a differential baseline).
     sharing: SharingMode,
@@ -481,15 +1029,11 @@ impl HorizontalDetector {
             atom_digests,
             lhs_groups,
             plan,
-            scratch: MatchScratch::default(),
+            scratch: OpScratch::default(),
             sharing: SharingMode::default(),
             scheme,
         };
-        let mut load = UpdateBatch::new();
-        for t in d.iter() {
-            load.insert(t);
-        }
-        det.apply(&load)?;
+        crate::detector::ingest(d, |window| det.apply(window))?;
         det.net.reset_stats();
         Ok(det)
     }
@@ -692,22 +1236,21 @@ impl HorizontalDetector {
         key_digest_from(cfd.lhs.iter().map(|a| attrs[a]), kbuf)
     }
 
-    /// Wire payload for the union of `attr_set`, from tuple values,
-    /// encoded by `codec` for the `src → dst` link. Encoding is per link
-    /// because codecs may keep per-link state (dictionary residency): the
-    /// same value can ship as a full entry to one peer and a bare symbol
-    /// to the next.
+    /// Wire payload for the (sorted) attributes `attrs` of `t`, encoded
+    /// by `codec` for the `src → dst` link. Encoding is per link because
+    /// codecs may keep per-link state (dictionary residency): the same
+    /// value can ship as a full entry to one peer and a bare symbol to
+    /// the next.
     pub(crate) fn encode_attrs(
         codec: &mut dyn PayloadCodec,
         t: &Tuple,
-        attr_set: &FxHashSet<AttrId>,
+        attrs: &[AttrId],
         src: SiteId,
         dst: SiteId,
     ) -> Vec<(AttrId, WireValue)> {
-        let mut v: Vec<AttrId> = attr_set.iter().copied().collect();
-        v.sort_unstable();
-        v.into_iter()
-            .map(|a| (a, codec.encode(src, dst, t.get(a))))
+        attrs
+            .iter()
+            .map(|&a| (a, codec.encode(src, dst, t.get(a))))
             .collect()
     }
 
@@ -719,17 +1262,50 @@ impl HorizontalDetector {
     pub(crate) fn encode_attrs_for_peer(
         codec: &mut dyn PayloadCodec,
         t: &Tuple,
-        attr_set: &FxHashSet<AttrId>,
+        attrs: &[AttrId],
         src: SiteId,
         dst: SiteId,
         cached: &mut Option<Vec<(AttrId, WireValue)>>,
     ) -> Vec<(AttrId, WireValue)> {
         if codec.per_link() {
-            return Self::encode_attrs(codec, t, attr_set, src, dst);
+            return Self::encode_attrs(codec, t, attrs, src, dst);
         }
         cached
-            .get_or_insert_with(|| Self::encode_attrs(codec, t, attr_set, src, dst))
+            .get_or_insert_with(|| Self::encode_attrs(codec, t, attrs, src, dst))
             .clone()
+    }
+
+    /// Sites relevant to at least one of `cfds`, minus `me`, sorted.
+    pub(crate) fn peers_of<'a>(
+        out: &mut Vec<SiteId>,
+        relevant: &[Vec<SiteId>],
+        cfds: impl Iterator<Item = &'a CfdId>,
+        me: SiteId,
+    ) {
+        out.clear();
+        for &c in cfds {
+            out.extend(relevant[c as usize].iter().filter(|&&j| j != me));
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Resolve a received payload's per-attribute digests through the
+    /// `from → at` link's own dictionary state (fed only by received
+    /// deltas) into `out`.
+    fn resolve_digests(
+        &mut self,
+        out: &mut FxHashMap<AttrId, Digest>,
+        at: SiteId,
+        from: SiteId,
+        attrs: &[(AttrId, WireValue)],
+    ) -> Result<(), ClusterError> {
+        let rx = &mut self.rx_codecs[at][from];
+        out.clear();
+        for (a, w) in attrs {
+            out.insert(*a, rx.digest(w)?);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -744,10 +1320,12 @@ impl HorizontalDetector {
     ) -> Result<(), HorizontalError> {
         let cfds = Arc::clone(&self.cfds);
         let site = self.scheme.route(&t)?;
-        let mut probes: Vec<CfdId> = Vec::new();
-        let mut queries: Vec<CfdId> = Vec::new();
-        // Scratch buffers reused across every digest this update computes.
-        let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
+        // The row goes in before any group state: every class this update
+        // creates has, from its first instant, a member whose RHS value
+        // the fragment can produce ([`class_values`]).
+        self.fragments[site].insert_row(t.tid, t.values.iter())?;
+        let mut sx = std::mem::take(&mut self.scratch);
+        sx.begin(self.plan.key_groups().len());
 
         match self.sharing {
             SharingMode::PerCfd => {
@@ -769,12 +1347,21 @@ impl HorizontalDetector {
                                 continue;
                             }
                             (
-                                Self::key_of(cfd, &t, &mut vbuf, &mut kbuf),
-                                attr_digest_into(t.get(cfd.rhs), &mut vbuf),
+                                Self::key_of(cfd, &t, &mut sx.vbuf, &mut sx.kbuf),
+                                attr_digest_into(t.get(cfd.rhs), &mut sx.vbuf),
                             )
                         }
                     };
-                    self.insert_case(c, site, &t, kd, bd, dv, &mut probes, &mut queries);
+                    insert_case(
+                        &mut self.state[site][c],
+                        (&mut self.violations, dv),
+                        c as CfdId,
+                        t.tid,
+                        (kd, bd),
+                        self.local_ok[c][site],
+                        &mut sx.probes,
+                        &mut sx.queries,
+                    );
                 }
             }
             SharingMode::Shared => {
@@ -782,10 +1369,7 @@ impl HorizontalDetector {
                 // the hit list is ascending by id, so the case analysis
                 // runs in the exact order of the per-CFD loop.
                 let plan = Arc::clone(&self.plan);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
-                let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
-                for &cid in plan.matched(&t, &mut scratch) {
+                for &cid in plan.matched(&t, &mut sx.dispatch) {
                     let c = cid as usize;
                     let cfd = &cfds[c];
                     if cfd.is_constant() {
@@ -797,95 +1381,37 @@ impl HorizontalDetector {
                     // One group-key digest per key group, one value digest
                     // per attribute — the shared group-by pass.
                     let g = plan.group_of(cid).expect("variable CFD joins a key group");
-                    let kd = *group_kd[g].get_or_insert_with(|| {
+                    let kd = *sx.group_kd[g].get_or_insert_with(|| {
                         key_digest_from(
                             cfd.lhs
                                 .iter()
-                                .map(|&a| Self::digest_cached(&mut attr_d, &t, a, &mut vbuf)),
-                            &mut kbuf,
+                                .map(|&a| Self::digest_cached(&mut sx.attr_d, &t, a, &mut sx.vbuf)),
+                            &mut sx.kbuf,
                         )
                     });
-                    let bd = Self::digest_cached(&mut attr_d, &t, cfd.rhs, &mut vbuf);
-                    self.insert_case(c, site, &t, kd, bd, dv, &mut probes, &mut queries);
+                    let bd = Self::digest_cached(&mut sx.attr_d, &t, cfd.rhs, &mut sx.vbuf);
+                    insert_case(
+                        &mut self.state[site][c],
+                        (&mut self.violations, dv),
+                        c as CfdId,
+                        t.tid,
+                        (kd, bd),
+                        self.local_ok[c][site],
+                        &mut sx.probes,
+                        &mut sx.queries,
+                    );
                 }
-                self.scratch = scratch;
             }
         }
 
-        if !probes.is_empty() || !queries.is_empty() {
-            self.ship_probe(&t, site, probes, queries, dv)?;
+        if !sx.probes.is_empty() || !sx.queries.is_empty() {
+            self.ship_probe(&t, site, &mut sx, dv)?;
         }
+        self.scratch = sx;
 
-        self.fragments[site].insert(t.clone())?;
         self.site_of_tid.insert(t.tid, site);
         self.current.insert(t)?;
         Ok(())
-    }
-
-    /// The §6 insertion case analysis for one variable CFD whose pattern
-    /// matches `t`, given the group-key and RHS digests. Both evaluation
-    /// modes funnel here, so the state transitions (and the probe/query
-    /// lists that drive shipping) are identical by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn insert_case(
-        &mut self,
-        c: usize,
-        site: SiteId,
-        t: &Tuple,
-        kd: Digest,
-        bd: Digest,
-        dv: &mut DeltaV,
-        probes: &mut Vec<CfdId>,
-        queries: &mut Vec<CfdId>,
-    ) {
-        let cfds = Arc::clone(&self.cfds);
-        let cfd = &cfds[c];
-        let local_only = self.local_ok[c][site];
-
-        let g = self.state[site][c].entry(kd).or_default();
-        let n = g.classes.len();
-        let has_other = g.classes.keys().any(|&k| k != bd);
-        let was_violating = g.violating;
-
-        // Mutate local state first.
-        let entry = g.classes.entry(bd).or_insert_with(|| ClassEntry {
-            tids: FxHashSet::default(),
-            raw_b: Some(t.get(cfd.rhs).clone()),
-        });
-        entry.tids.insert(t.tid);
-
-        if n == 0 {
-            // Group unknown locally.
-            if !local_only {
-                queries.push(cfd.id);
-            }
-        } else if !has_other {
-            // Single class agreeing with t.
-            if was_violating && self.violations.add(cfd.id, t.tid) {
-                dv.add(cfd.id, t.tid);
-            }
-        } else if was_violating {
-            // Conflicting class exists but everyone concerned is
-            // already in V (≥2 classes, or a known remote conflict):
-            // only t is new. Zero shipment — Examples 2(1)(b)/9.
-            if self.violations.add(cfd.id, t.tid) {
-                dv.add(cfd.id, t.tid);
-            }
-        } else {
-            // Exactly one clashing class and the group was satisfied:
-            // a brand-new conflict. Everyone in the group joins V.
-            let g = self.state[site][c].get_mut(&kd).expect("group touched");
-            g.violating = true;
-            let members: Vec<Tid> = g.members().collect();
-            for m in members {
-                if self.violations.add(cfd.id, m) {
-                    dv.add(cfd.id, m);
-                }
-            }
-            if !local_only {
-                probes.push(cfd.id);
-            }
-        }
     }
 
     /// Ship one coalesced `TupleProbe` per peer covering every CFD that
@@ -895,38 +1421,27 @@ impl HorizontalDetector {
         &mut self,
         t: &Tuple,
         site: SiteId,
-        probes: Vec<CfdId>,
-        queries: Vec<CfdId>,
+        sx: &mut OpScratch,
         dv: &mut DeltaV,
     ) -> Result<(), HorizontalError> {
         let cfds = Arc::clone(&self.cfds);
-        let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
+        let lhs_groups = Arc::clone(&self.lhs_groups);
         // Attribute union: probe CFDs need the LHS, query CFDs LHS + RHS.
-        let mut attr_set: FxHashSet<AttrId> = FxHashSet::default();
-        for &c in &probes {
-            attr_set.extend(self.cfds[c as usize].lhs.iter().copied());
-        }
-        for &c in &queries {
-            let cfd = &self.cfds[c as usize];
-            attr_set.extend(cfd.lhs.iter().copied());
-            attr_set.insert(cfd.rhs);
-        }
-
+        wire_attrs(&mut sx.attrs, &cfds, &sx.probes, &sx.queries);
         // Peers: any site relevant to at least one involved CFD.
-        let mut peers: FxHashSet<SiteId> = FxHashSet::default();
-        for &c in probes.iter().chain(&queries) {
-            peers.extend(self.relevant[c as usize].iter().copied());
-        }
-        peers.remove(&site);
-        let mut peers: Vec<SiteId> = peers.into_iter().collect();
-        peers.sort_unstable();
+        Self::peers_of(
+            &mut sx.peers,
+            &self.relevant,
+            sx.probes.iter().chain(&sx.queries),
+            site,
+        );
 
         let mut cached = None;
-        for &j in &peers {
+        for &j in &sx.peers {
             let attrs = Self::encode_attrs_for_peer(
                 self.codec.as_mut(),
                 t,
-                &attr_set,
+                &sx.attrs,
                 site,
                 j,
                 &mut cached,
@@ -936,105 +1451,83 @@ impl HorizontalDetector {
                 j,
                 HorMsg::TupleProbe {
                     attrs,
-                    probes: probes.clone(),
+                    probes: sx.probes.clone(),
                 },
             )?;
             // Peer processes immediately (synchronous round).
             for (from, msg) in self.net.try_drain(j)? {
-                if let HorMsg::TupleProbe { attrs, probes } = msg {
-                    // Receiver-side digests: resolved through the link's
-                    // own dictionary state, fed only by received deltas.
-                    let rx = &mut self.rx_codecs[j][from];
-                    let digests: FxHashMap<AttrId, Digest> = attrs
-                        .iter()
-                        .map(|(a, w)| Ok((*a, rx.digest(w)?)))
-                        .collect::<Result<_, ClusterError>>()?;
-                    // Explicit probes: a brand-new conflict at the sender
-                    // flips every remote group of the CFD.
-                    for &c in &probes {
-                        let cfd = &cfds[c as usize];
-                        let kd = Self::key_from_wire(cfd, &digests, &mut kbuf);
-                        if let Some(h) = self.state[j][c as usize].get_mut(&kd) {
-                            if !h.violating {
-                                h.violating = true;
-                                let members: Vec<Tid> = h.members().collect();
-                                for m in members {
-                                    if self.violations.add(c, m) {
-                                        dv.add(c, m);
-                                    }
-                                }
-                            }
+                let HorMsg::TupleProbe { attrs, probes } = msg else {
+                    continue;
+                };
+                let digests = &mut sx.rx_digests;
+                self.resolve_digests(digests, j, from, &attrs)?;
+                // Explicit probes: a brand-new conflict at the sender
+                // flips every remote group of the CFD.
+                for &c in &probes {
+                    let kd = Self::key_from_wire(&cfds[c as usize], digests, &mut sx.kbuf);
+                    if let Some(h) = self.state[j][c as usize].get_mut(&kd) {
+                        if !h.violating() {
+                            mark_group(h, c, &mut self.violations, dv);
                         }
                     }
-                    // Implicit queries: every other derivable variable
-                    // CFD, one key digest per distinct LHS set.
-                    let probe_set: FxHashSet<CfdId> = probes.iter().copied().collect();
-                    let lhs_groups = Arc::clone(&self.lhs_groups);
-                    let mut reply: Vec<CfdId> = Vec::new();
-                    for (lhs, ids) in lhs_groups.iter() {
-                        if !lhs.iter().all(|a| digests.contains_key(a)) {
+                }
+                // Implicit queries: every other derivable variable
+                // CFD, one key digest per distinct LHS set.
+                sx.probe_set.clear();
+                sx.probe_set.extend(probes.iter().copied());
+                let mut reply: Vec<CfdId> = Vec::new();
+                for (lhs, ids) in lhs_groups.iter() {
+                    if !lhs.iter().all(|a| digests.contains_key(a)) {
+                        continue;
+                    }
+                    let kd = key_digest_from(lhs.iter().map(|a| digests[a]), &mut sx.kbuf);
+                    for &cid in ids {
+                        let c = cid as usize;
+                        if sx.probe_set.contains(&cid) {
                             continue;
                         }
-                        let kd = key_digest_from(lhs.iter().map(|a| digests[a]), &mut kbuf);
-                        for &cid in ids {
-                            let c = cid as usize;
-                            if probe_set.contains(&cid) {
-                                continue;
-                            }
-                            let cfd = &cfds[c];
-                            if !digests.contains_key(&cfd.rhs) {
-                                continue;
-                            }
-                            // Pattern check through precomputed atom digests.
-                            let matches =
-                                self.atom_digests[c].iter().all(|(a, d)| digests[a] == *d);
-                            if !matches {
-                                continue;
-                            }
-                            let bd = digests[&cfd.rhs];
-                            let hit = match self.state[j][c].get_mut(&kd) {
-                                None => false,
-                                Some(h) => {
-                                    let other = h.classes.keys().any(|&k| k != bd);
-                                    if other && !h.violating {
-                                        h.violating = true;
-                                        let members: Vec<Tid> = h.members().collect();
-                                        for m in members {
-                                            if self.violations.add(cid, m) {
-                                                dv.add(cid, m);
-                                            }
-                                        }
-                                    }
-                                    other || h.violating
+                        let Some(&bd) = digests.get(&cfds[c].rhs) else {
+                            continue;
+                        };
+                        // Pattern check through precomputed atom digests.
+                        if !self.atom_digests[c].iter().all(|(a, d)| digests[a] == *d) {
+                            continue;
+                        }
+                        let hit = match self.state[j][c].get_mut(&kd) {
+                            None => false,
+                            Some(h) => {
+                                let other = h.has_other(bd);
+                                if other && !h.violating() {
+                                    mark_group(h, cid, &mut self.violations, dv);
                                 }
-                            };
-                            if hit {
-                                reply.push(cid);
+                                other || h.violating()
                             }
+                        };
+                        if hit {
+                            reply.push(cid);
                         }
                     }
-                    if !reply.is_empty() {
-                        self.net
-                            .send(j, site, HorMsg::ProbeReply { conflicts: reply })?;
-                    }
+                }
+                if !reply.is_empty() {
+                    self.net
+                        .send(j, site, HorMsg::ProbeReply { conflicts: reply })?;
                 }
             }
         }
         // Fold replies into the querying CFDs' flags.
-        let mut conflicting: FxHashSet<CfdId> = FxHashSet::default();
+        sx.conflicting.clear();
         for (_, msg) in self.net.try_drain(site)? {
             if let HorMsg::ProbeReply { conflicts } = msg {
-                conflicting.extend(conflicts);
+                sx.conflicting.extend(conflicts);
             }
         }
-        for &c in &queries {
-            if conflicting.contains(&c) {
-                let cfd = &cfds[c as usize];
-                let kd = Self::key_of(cfd, t, &mut vbuf, &mut kbuf);
+        for &c in &sx.queries {
+            if sx.conflicting.contains(&c) {
+                let kd = Self::key_of(&cfds[c as usize], t, &mut sx.vbuf, &mut sx.kbuf);
                 let g = self.state[site][c as usize]
                     .get_mut(&kd)
                     .expect("group created during insert");
-                g.violating = true;
+                g.set_violating(true);
                 if self.violations.add(c, t.tid) {
                     dv.add(c, t.tid);
                 }
@@ -1059,9 +1552,9 @@ impl HorizontalDetector {
             .site_of_tid
             .get(&tid)
             .expect("live tuple has a home site");
+        let mut sx = std::mem::take(&mut self.scratch);
+        sx.begin(self.plan.key_groups().len());
 
-        let mut queries: Vec<CfdId> = Vec::new();
-        let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
         match self.sharing {
             SharingMode::PerCfd => {
                 for c in 0..cfds.len() {
@@ -1082,12 +1575,20 @@ impl HorizontalDetector {
                                 continue;
                             }
                             (
-                                Self::key_of(cfd, &t, &mut vbuf, &mut kbuf),
-                                attr_digest_into(t.get(cfd.rhs), &mut vbuf),
+                                Self::key_of(cfd, &t, &mut sx.vbuf, &mut sx.kbuf),
+                                attr_digest_into(t.get(cfd.rhs), &mut sx.vbuf),
                             )
                         }
                     };
-                    self.delete_case(c, site, tid, kd, bd, dv, &mut queries);
+                    delete_case(
+                        &mut self.state[site][c],
+                        (&mut self.violations, dv),
+                        c as CfdId,
+                        tid,
+                        (kd, bd),
+                        self.local_ok[c][site],
+                        &mut sx.queries,
+                    );
                 }
             }
             SharingMode::Shared => {
@@ -1096,10 +1597,7 @@ impl HorizontalDetector {
                 // (immutable) tuple matched `φ`'s LHS at insert, so a CFD
                 // outside the hit list cannot hold a mark for `tid`.
                 let plan = Arc::clone(&self.plan);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
-                let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
-                for &cid in plan.matched(&t, &mut scratch) {
+                for &cid in plan.matched(&t, &mut sx.dispatch) {
                     let c = cid as usize;
                     let cfd = &cfds[c];
                     if cfd.is_constant() {
@@ -1109,87 +1607,37 @@ impl HorizontalDetector {
                         continue;
                     }
                     let g = plan.group_of(cid).expect("variable CFD joins a key group");
-                    let kd = *group_kd[g].get_or_insert_with(|| {
+                    let kd = *sx.group_kd[g].get_or_insert_with(|| {
                         key_digest_from(
                             cfd.lhs
                                 .iter()
-                                .map(|&a| Self::digest_cached(&mut attr_d, &t, a, &mut vbuf)),
-                            &mut kbuf,
+                                .map(|&a| Self::digest_cached(&mut sx.attr_d, &t, a, &mut sx.vbuf)),
+                            &mut sx.kbuf,
                         )
                     });
-                    let bd = Self::digest_cached(&mut attr_d, &t, cfd.rhs, &mut vbuf);
-                    self.delete_case(c, site, tid, kd, bd, dv, &mut queries);
+                    let bd = Self::digest_cached(&mut sx.attr_d, &t, cfd.rhs, &mut sx.vbuf);
+                    delete_case(
+                        &mut self.state[site][c],
+                        (&mut self.violations, dv),
+                        c as CfdId,
+                        tid,
+                        (kd, bd),
+                        self.local_ok[c][site],
+                        &mut sx.queries,
+                    );
                 }
-                self.scratch = scratch;
             }
         }
 
-        if !queries.is_empty() {
-            self.ship_del_query(&t, site, queries, dv)?;
+        if !sx.queries.is_empty() {
+            self.ship_del_query(&t, site, &mut sx, dv)?;
         }
+        self.scratch = sx;
 
-        self.fragments[site].delete(tid)?;
+        self.fragments[site].delete_quiet(tid)?;
         self.site_of_tid.remove(&tid);
-        self.current.delete(tid)?;
+        self.current.delete_quiet(tid)?;
         Ok(())
-    }
-
-    /// The §6 deletion case analysis for one variable CFD whose pattern
-    /// matches the deleted tuple, given its group-key and RHS digests.
-    #[allow(clippy::too_many_arguments)]
-    fn delete_case(
-        &mut self,
-        c: usize,
-        site: SiteId,
-        tid: Tid,
-        kd: Digest,
-        bd: Digest,
-        dv: &mut DeltaV,
-        queries: &mut Vec<CfdId>,
-    ) {
-        let cfd_id = c as CfdId;
-        let local_only = self.local_ok[c][site];
-
-        let g = self.state[site][c]
-            .get_mut(&kd)
-            .expect("deleted tuple's group must exist");
-        let cls = g
-            .classes
-            .get_mut(&bd)
-            .expect("deleted tuple's class must exist");
-        let was_violating = g.violating;
-        cls.tids.remove(&tid);
-        let class_empty = cls.tids.is_empty();
-        if class_empty {
-            g.classes.remove(&bd);
-        }
-        let n_rem = g.classes.len();
-        if n_rem == 0 {
-            // An empty group carries no information: future inserts
-            // will re-query. Dropping it keeps state proportional to
-            // the live fragment.
-            self.state[site][c].remove(&kd);
-        }
-
-        if !was_violating {
-            return; // deletions never create violations
-        }
-        // t was a violation; it leaves V in every remaining case.
-        if self.violations.remove(cfd_id, tid) {
-            dv.remove(cfd_id, tid);
-        }
-        if !class_empty || n_rem >= 2 {
-            // Same-RHS witness survives or ≥2 local RHS values remain:
-            // global multiplicity still ≥ 2. Zero shipment —
-            // Example 2(2).
-            return;
-        }
-        if local_only {
-            // Global = local: the group dropped to ≤ 1 RHS value.
-            self.clear_group_local(cfd_id, site, kd, dv);
-            return;
-        }
-        queries.push(cfd_id);
     }
 
     /// One coalesced `TupleDelQuery` per peer; fold the per-CFD RHS-value
@@ -1199,36 +1647,28 @@ impl HorizontalDetector {
         &mut self,
         t: &Tuple,
         site: SiteId,
-        queries: Vec<CfdId>,
+        sx: &mut OpScratch,
         dv: &mut DeltaV,
     ) -> Result<(), HorizontalError> {
         let all_cfds = Arc::clone(&self.cfds);
-        let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
-        let mut attr_set: FxHashSet<AttrId> = FxHashSet::default();
-        for &c in &queries {
-            attr_set.extend(self.cfds[c as usize].lhs.iter().copied());
-        }
-
-        let mut peers: FxHashSet<SiteId> = FxHashSet::default();
-        for &c in &queries {
-            peers.extend(self.relevant[c as usize].iter().copied());
-        }
-        peers.remove(&site);
-        let mut peers: Vec<SiteId> = peers.into_iter().collect();
-        peers.sort_unstable();
+        wire_attrs(&mut sx.attrs, &all_cfds, &sx.queries, &[]);
+        Self::peers_of(&mut sx.peers, &self.relevant, sx.queries.iter(), site);
 
         // Per CFD: global distinct bvals and the peers holding members.
-        let mut global: FxHashMap<CfdId, FxHashSet<Digest>> =
-            queries.iter().map(|&c| (c, FxHashSet::default())).collect();
+        let mut global: FxHashMap<CfdId, FxHashSet<Digest>> = sx
+            .queries
+            .iter()
+            .map(|&c| (c, FxHashSet::default()))
+            .collect();
         let mut holders: FxHashMap<CfdId, Vec<SiteId>> =
-            queries.iter().map(|&c| (c, Vec::new())).collect();
+            sx.queries.iter().map(|&c| (c, Vec::new())).collect();
 
         let mut cached = None;
-        for &j in &peers {
+        for &j in &sx.peers {
             let attrs = Self::encode_attrs_for_peer(
                 self.codec.as_mut(),
                 t,
-                &attr_set,
+                &sx.attrs,
                 site,
                 j,
                 &mut cached,
@@ -1238,39 +1678,31 @@ impl HorizontalDetector {
                 j,
                 HorMsg::TupleDelQuery {
                     attrs,
-                    queries: queries.clone(),
+                    queries: sx.queries.clone(),
                 },
             )?;
             for (from, msg) in self.net.try_drain(j)? {
-                if let HorMsg::TupleDelQuery { attrs, queries } = msg {
-                    let rx = &mut self.rx_codecs[j][from];
-                    let digests: FxHashMap<AttrId, Digest> = attrs
-                        .iter()
-                        .map(|(a, w)| Ok((*a, rx.digest(w)?)))
-                        .collect::<Result<_, ClusterError>>()?;
-                    let codec = self.codec.as_mut();
-                    let mut reply: Vec<(CfdId, Vec<WireValue>)> = Vec::new();
-                    for &c in &queries {
-                        let cfd = &all_cfds[c as usize];
-                        let kd = Self::key_from_wire(cfd, &digests, &mut kbuf);
-                        let bvals: Vec<WireValue> = match self.state[j][c as usize].get(&kd) {
-                            None => Vec::new(),
-                            Some(h) => h
-                                .classes
-                                .values()
-                                .map(|cls| {
-                                    let raw = cls.raw_b.as_ref().unwrap_or(&Value::Null);
-                                    codec.encode(j, site, raw)
-                                })
-                                .collect(),
-                        };
-                        if !bvals.is_empty() {
-                            reply.push((c, bvals));
-                        }
+                let HorMsg::TupleDelQuery { attrs, queries } = msg else {
+                    continue;
+                };
+                self.resolve_digests(&mut sx.rx_digests, j, from, &attrs)?;
+                let codec = self.codec.as_mut();
+                let mut reply: Vec<(CfdId, Vec<WireValue>)> = Vec::new();
+                for &c in &queries {
+                    let cfd = &all_cfds[c as usize];
+                    let kd = Self::key_from_wire(cfd, &sx.rx_digests, &mut sx.kbuf);
+                    // Only peers answer, so the querying site's own
+                    // half-updated group is never the one read here.
+                    if let Some(h) = self.state[j][c as usize].get(&kd) {
+                        let bvals = class_values(h, &self.fragments[j], (j, cfd, kd), |v| {
+                            codec.encode(j, site, v)
+                        })
+                        .map_err(HorizontalError::Internal)?;
+                        reply.push((c, bvals));
                     }
-                    if !reply.is_empty() {
-                        self.net.send(j, site, HorMsg::DelReply { bvals: reply })?;
-                    }
+                }
+                if !reply.is_empty() {
+                    self.net.send(j, site, HorMsg::DelReply { bvals: reply })?;
                 }
             }
         }
@@ -1288,12 +1720,14 @@ impl HorizontalDetector {
 
         // Decide per CFD; coalesce clears per peer.
         let mut clears_by_peer: FxHashMap<SiteId, Vec<CfdId>> = FxHashMap::default();
-        for &c in &queries {
+        for &c in &sx.queries {
             let cfd = &all_cfds[c as usize];
-            let kd = Self::key_of(cfd, t, &mut vbuf, &mut kbuf);
+            let kd = Self::key_of(cfd, t, &mut sx.vbuf, &mut sx.kbuf);
             let mut all = global.remove(&c).expect("queried cfd");
             if let Some(h) = self.state[site][c as usize].get(&kd) {
-                all.extend(h.classes.keys().copied());
+                h.for_each_class(|bd, _| {
+                    all.insert(bd);
+                });
             }
             if all.len() >= 2 {
                 continue; // still violating everywhere
@@ -1307,11 +1741,8 @@ impl HorizontalDetector {
         clear_peers.sort_unstable();
         for j in clear_peers {
             let clear_list = clears_by_peer.remove(&j).expect("listed peer");
-            let mut attr_set: FxHashSet<AttrId> = FxHashSet::default();
-            for &c in &clear_list {
-                attr_set.extend(self.cfds[c as usize].lhs.iter().copied());
-            }
-            let attrs = Self::encode_attrs(self.codec.as_mut(), t, &attr_set, site, j);
+            wire_attrs(&mut sx.attrs, &all_cfds, &clear_list, &[]);
+            let attrs = Self::encode_attrs(self.codec.as_mut(), t, &sx.attrs, site, j);
             self.net.send(
                 site,
                 j,
@@ -1321,42 +1752,45 @@ impl HorizontalDetector {
                 },
             )?;
             for (from, msg) in self.net.try_drain(j)? {
-                if let HorMsg::ClearFlags {
+                let HorMsg::ClearFlags {
                     attrs,
                     cfds: to_clear,
                 } = msg
-                {
-                    let rx = &mut self.rx_codecs[j][from];
-                    let digests: FxHashMap<AttrId, Digest> = attrs
-                        .iter()
-                        .map(|(a, w)| Ok((*a, rx.digest(w)?)))
-                        .collect::<Result<_, ClusterError>>()?;
-                    for c in to_clear {
-                        let cfd = &all_cfds[c as usize];
-                        let kd = Self::key_from_wire(cfd, &digests, &mut kbuf);
-                        self.clear_group_local(c, j, kd, dv);
-                    }
+                else {
+                    continue;
+                };
+                self.resolve_digests(&mut sx.rx_digests, j, from, &attrs)?;
+                for c in to_clear {
+                    let kd =
+                        Self::key_from_wire(&all_cfds[c as usize], &sx.rx_digests, &mut sx.kbuf);
+                    self.clear_group_local(c, j, kd, dv);
                 }
             }
         }
         Ok(())
     }
 
-    /// Clear the violating flag of a local group, removing its members
-    /// from V (drops empty groups).
     fn clear_group_local(&mut self, cfd: CfdId, site: SiteId, kd: Digest, dv: &mut DeltaV) {
-        if let Some(h) = self.state[site][cfd as usize].get_mut(&kd) {
-            h.violating = false;
-            let members: Vec<Tid> = h.members().collect();
-            for m in members {
-                if self.violations.remove(cfd, m) {
-                    dv.remove(cfd, m);
-                }
-            }
-            if h.classes.is_empty() {
-                self.state[site][cfd as usize].remove(&kd);
-            }
+        let groups = &mut self.state[site][cfd as usize];
+        clear_group(groups, cfd, kd, &mut self.violations, dv);
+    }
+
+    /// Census of the §6 group state over every site: what it holds and
+    /// the heap bytes it keeps resident. `O(state)`; nothing is counted
+    /// unless this is called.
+    pub fn state_census(&self) -> StateCensus {
+        let mut census = StateCensus::default();
+        for map in self.state.iter().flatten() {
+            census.count(map);
         }
+        census
+    }
+
+    /// Symbols resident per receiving link, `[dst][src]` flattened.
+    #[cfg(test)]
+    pub(crate) fn resident_symbols(&self) -> Vec<usize> {
+        let links = self.rx_codecs.iter().flatten();
+        links.map(ReceiverCodec::resident_symbols).collect()
     }
 }
 
@@ -1767,13 +2201,109 @@ mod tests {
         }
         det.apply(&delta).unwrap();
         assert!(det.violations().is_empty());
-        for site in 0..3 {
-            for c in 0..det.cfds().len() {
-                assert!(
-                    det.state[site][c].is_empty(),
-                    "site {site} cfd {c} retains groups"
+        // No group, and no table allocation either, outlives the data.
+        assert_eq!(det.state_census(), StateCensus::default());
+    }
+
+    /// A later field shows up here before it shows up in `state_rss_mb`.
+    #[test]
+    fn group_state_sizes_are_guarded() {
+        assert!(std::mem::size_of::<ClassEntry>() <= 32);
+        assert!(std::mem::size_of::<(Digest, GroupState)>() <= 64);
+    }
+
+    /// Seeded op sequences over a few classes and a dozen tids cross both
+    /// spill thresholds (3 ↔ 4 members, 1 ↔ 2 classes) in both directions,
+    /// re-insert members and remove absent ones; after every op the group
+    /// agrees with a map-of-sets model and its layout is canonical.
+    #[test]
+    fn group_state_matches_a_hash_map_model() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let kd = Digest([7; 16]);
+        for round in 0..40 {
+            let n_classes = 1 + round % 4;
+            let mut groups: FxHashMap<Digest, GroupState> = FxHashMap::default();
+            let mut model: FxHashMap<Digest, FxHashSet<Tid>> = FxHashMap::default();
+            for step in 0..400 {
+                let bd = Digest([next(n_classes) as u8; 16]);
+                let tid = next(12);
+                // Drift up, then down, so spills are entered and left.
+                if next(100) < if step < 200 { 65 } else { 35 } {
+                    match groups.entry(kd) {
+                        Entry::Vacant(e) => {
+                            e.insert(GroupState::new(bd, tid));
+                        }
+                        Entry::Occupied(e) => {
+                            let g = e.into_mut();
+                            assert_eq!(g.has_other(bd), model.keys().any(|&k| k != bd));
+                            g.insert(bd, tid);
+                        }
+                    }
+                    model.entry(bd).or_default().insert(tid);
+                } else if let Some(g) = groups.get_mut(&kd) {
+                    let got = g.remove(bd, tid);
+                    let want = model.get_mut(&bd).map(|set| {
+                        set.remove(&tid);
+                        set.is_empty()
+                    });
+                    if want == Some(true) {
+                        model.remove(&bd);
+                    }
+                    assert_eq!(got, want.map(|empty| (empty, model.len())));
+                    if model.is_empty() {
+                        groups.remove(&kd);
+                    }
+                }
+                let mut census = StateCensus::default();
+                census.count(&groups);
+                let spilled = model.values().filter(|s| s.len() > INLINE_TIDS).count();
+                assert_eq!(census.groups, usize::from(!model.is_empty()));
+                assert_eq!(census.classes, model.len());
+                assert_eq!(
+                    census.memberships,
+                    model.values().map(FxHashSet::len).sum::<usize>()
                 );
+                assert_eq!(census.spilled_class_maps, usize::from(model.len() >= 2));
+                assert_eq!(census.spilled_tid_sets, spilled);
+                let Some(g) = groups.get(&kd) else { continue };
+                let (mut members, mut classes) = (Vec::new(), Vec::new());
+                g.for_each_member(|t| members.push(t));
+                g.for_each_class(|bd, m| {
+                    classes.push((bd, m.first().is_some_and(|t| model[&bd].contains(&t))));
+                });
+                members.sort_unstable();
+                classes.sort_unstable();
+                let mut want_members: Vec<Tid> = model.values().flatten().copied().collect();
+                let mut want_classes: Vec<_> = model.keys().map(|&bd| (bd, true)).collect();
+                want_members.sort_unstable();
+                want_classes.sort_unstable();
+                assert_eq!(members, want_members);
+                assert_eq!(classes, want_classes);
             }
+        }
+    }
+
+    #[test]
+    fn orphaned_class_is_an_internal_error_not_a_null() {
+        let mut det = detector();
+        // Break the invariant by hand: site 1 (grade B) loses t3 and t4's
+        // rows while their class stays in the group state.
+        det.fragments[1].delete_quiet(3).unwrap();
+        det.fragments[1].delete_quiet(4).unwrap();
+        // Deleting t5 (site 2, the only other street) sends a del-query.
+        let mut delta = UpdateBatch::new();
+        delta.delete(5);
+        match det.apply(&delta) {
+            Err(DetectError::Internal(msg)) => {
+                assert!(msg.contains("site 1") && msg.contains("CFD 0"), "{msg}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
         }
     }
 }

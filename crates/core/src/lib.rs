@@ -47,7 +47,7 @@ pub use builder::{BaselineStrategy, DetectorBuilder};
 pub use cfd::constraint::{Check, Constraint};
 pub use concurrent::ConcurrentHorizontal;
 pub use detector::{DetectError, Detector};
-pub use horizontal::HorizontalDetector;
+pub use horizontal::{HorizontalDetector, StateCensus};
 pub use hybrid::{HybridDetector, HybridScheme};
 pub use optimize::{share_operators, sharing_stats, SharingMode, SharingStats};
 pub use plan::HevPlan;

@@ -181,11 +181,7 @@ impl VerticalDetector {
         };
         // Bulk-load D through the insertion machinery, then forget the
         // traffic: incremental metering starts at the first `apply`.
-        let mut load = UpdateBatch::new();
-        for t in d.iter() {
-            load.insert(t);
-        }
-        det.apply(&load)?;
+        crate::detector::ingest(d, |window| det.apply(window))?;
         det.net.reset_stats();
         Ok(det)
     }

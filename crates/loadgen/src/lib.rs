@@ -19,7 +19,7 @@
 //!
 //! The `load_gen` binary in the `bench` crate runs the [`catalog`]
 //! across strategies and codecs and emits the `load` section of
-//! `BENCH_6.json`, which CI gates.
+//! `BENCH_10.json`, which CI gates.
 
 pub mod driver;
 pub mod hist;

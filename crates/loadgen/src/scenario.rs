@@ -30,7 +30,7 @@ pub enum Profile {
     /// Small bases and short streams — seconds per scenario, used by the
     /// CI `load-smoke` job and the deterministic `load_quick` gate.
     Quick,
-    /// Load-test scale for the committed `BENCH_6.json` numbers.
+    /// Load-test scale for the committed `BENCH_10.json` numbers.
     Full,
 }
 

@@ -4,7 +4,7 @@
 //! grow with `|D|`.
 
 use inc_cfd::prelude::*;
-use incdetect::baselines;
+use incdetect::{baselines, StateCensus};
 
 fn vertical(
     schema: &std::sync::Arc<Schema>,
@@ -203,4 +203,127 @@ fn delta_v_reflects_group_collapse() {
     let dv = det.apply(&delta).unwrap();
     assert!(det.violations().is_empty(), "all violations must clear");
     assert!(dv.removed.len() >= before);
+}
+
+/// ROADMAP item 6, memory half, for the §6 group state: a seeded stream
+/// that quadruples the relation, rewrites and deletes base tuples, and
+/// then walks back to the starting relation leaves the group state where
+/// it started — the same groups, classes, memberships and spills, the
+/// resident bytes within a constant factor (tables shrink under a quarter
+/// full and grow at full, so 4× is the worst a stream can leave behind;
+/// this one leaves 1.0–1.2× and is held to 2×) — and `V` equal to the
+/// start, whatever codec ships the values.
+#[test]
+fn group_state_returns_to_start_after_churn() {
+    use workload::emp::{self, EmpConfig};
+
+    let tpch_schema = tpch::tpch_schema();
+    let (_, tpch_d0) = tpch::generate(&cfg(1_200));
+    let emp_cfg = EmpConfig {
+        n_rows: 1_200,
+        ..EmpConfig::default()
+    };
+    let (emp_schema, emp_d0) = emp::generate(&emp_cfg);
+    let datasets = [
+        (
+            workload::rules::tpch_rules(&tpch_schema, 25, 1),
+            tpch::horizontal_scheme(&tpch_schema, 4),
+            tpch::generate_fresh(&cfg(1_200), 1_000_000, 3_600, 7),
+            tpch_d0,
+        ),
+        (
+            emp::emp_cfds(&emp_schema),
+            emp::emp_horizontal_scheme(&emp_schema),
+            emp::generate_fresh(&emp_cfg, 1_000_000, 3_600, 7),
+            emp_d0,
+        ),
+    ];
+    for (cfds, scheme, fresh, d0) in &datasets {
+        let schema = d0.schema();
+        let rhs = cfds
+            .iter()
+            .find(|c| c.is_variable())
+            .expect("a variable CFD")
+            .rhs;
+        for codec in [CodecKind::Md5, CodecKind::RawValues, CodecKind::Dict] {
+            let mut det = HorizontalDetector::with_codec(
+                schema.clone(),
+                cfds.clone(),
+                scheme.clone(),
+                d0,
+                codec,
+            )
+            .unwrap();
+            let start = det.state_census();
+            let start_marks = det.violations().marks_sorted();
+            assert!(
+                start.spilled_class_maps > 0 && start.spilled_tid_sets > 0,
+                "{start:?}"
+            );
+
+            // Out: grow 4×, rewrite a third of the base, delete half of it.
+            for chunk in fresh.chunks(600) {
+                det.apply(&UpdateBatch::from_ops(
+                    chunk.iter().cloned().map(Update::Insert).collect(),
+                ))
+                .unwrap();
+            }
+            let rewrite = updates::generate_modifications(d0, 400, 11, |t, rng| {
+                updates::corrupt_attr(t, rhs, rng)
+            });
+            det.apply(&rewrite).unwrap();
+            let drop = updates::generate(
+                d0,
+                &[],
+                600,
+                UpdateMix {
+                    insert_fraction: 0.0,
+                },
+                13,
+            );
+            det.apply(&drop).unwrap();
+            let peak = det.state_census();
+            assert!(
+                peak.memberships > 2 * start.memberships,
+                "{peak:?} vs {start:?}"
+            );
+
+            // And back: everything the start did not have goes, everything
+            // it had returns with its original values.
+            let mut back = UpdateBatch::new();
+            det.current()
+                .tids()
+                .filter(|&tid| !d0.contains(tid))
+                .for_each(|tid| back.delete(tid));
+            d0.iter().for_each(|t| back.insert(t));
+            for chunk in back.ops().chunks(700) {
+                det.apply(&UpdateBatch::from_ops(chunk.to_vec())).unwrap();
+            }
+
+            assert!(det.current().iter().eq(d0.iter()), "the stream ends on D0");
+            assert_eq!(det.violations().marks_sorted(), start_marks);
+            assert_eq!(
+                start_marks,
+                cfd::naive::detect(cfds, d0).marks_sorted(),
+                "and D0's violations are the oracle's"
+            );
+            let end = det.state_census();
+            assert_eq!(
+                StateCensus {
+                    resident_bytes: 0,
+                    ..end
+                },
+                StateCensus {
+                    resident_bytes: 0,
+                    ..start
+                },
+                "{codec:?}"
+            );
+            assert!(
+                end.resident_bytes <= 2 * start.resident_bytes
+                    && end.resident_bytes < peak.resident_bytes,
+                "{codec:?}: start {start:?}, peak {peak:?}, end {end:?}"
+            );
+        }
+    }
 }
