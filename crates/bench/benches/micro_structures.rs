@@ -7,10 +7,10 @@
 //! * **IDX** — group insert/remove cost.
 //! * **MD5** — digest cost per probe message (§6 optimization).
 
+use cluster::md5::{digest_values, md5};
 use criterion::{criterion_group, criterion_main, Criterion};
 use incdetect::hev::{BaseHev, NonBaseHev};
 use incdetect::idx::Idx;
-use incdetect::md5::{digest_values, md5};
 use relation::{FxHashMap, Sym, Value, ValuePool};
 use std::collections::HashMap;
 use std::hint::black_box;

@@ -19,11 +19,11 @@
 
 use cfd::Cfd;
 use cluster::codec::CodecKind;
+use cluster::md5::{digest_values, digest_values_into, Digest};
 use cluster::net::TransportKind;
 use cluster::{CostModel, DictMeter, NetReport};
 use incdetect::baselines;
 use incdetect::hev::{BaseHev, NonBaseHev};
-use incdetect::md5::{digest_values, digest_values_into, Digest};
 use incdetect::optimize::{optimize, OptimizeConfig};
 use incdetect::{BaselineStrategy, Detector, DetectorBuilder, HevPlan, VerticalDetector};
 use relation::{FxHashMap, Relation, Schema, SmallVec, Sym, Tid, Tuple, Value, ValuePool};

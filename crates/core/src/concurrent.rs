@@ -1,16 +1,21 @@
 //! Truly concurrent horizontal detection: one unit of execution per site.
 //!
-//! [`crate::HorizontalDetector`] runs the §6 protocol with every site's
-//! state in one struct, one thread driving all rounds synchronously. This
-//! module re-runs the *same* protocol — same [`HorMsg`] frames, same
-//! codecs, same case analysis, bit-identical modeled `|M|` — with each
-//! site as a real OS thread ([`ConcurrentHorizontal::threaded`]) or a
-//! real OS process ([`ConcurrentHorizontal::distributed`] plus the
-//! `site` binary in the bench crate), communicating **only** via byte
-//! frames over a [`cluster::run::Node`] mesh. No detector state is
-//! shared: each site owns its fragment, its per-CFD group state, its
-//! slice of `V`, and its receiver-side codec state, exactly as the
-//! paper's EC2 deployment would.
+//! [`crate::HorizontalDetector`] keeps every site's §6 machine
+//! (`horizontal::site`) in one struct and one thread drives all
+//! rounds synchronously. Here each machine runs as a real OS thread
+//! ([`ConcurrentHorizontal::threaded`]) or a real OS process
+//! ([`ConcurrentHorizontal::distributed`] plus the `site` binary in the
+//! bench crate), communicating **only** via byte frames over a
+//! [`cluster::run::Node`] mesh. The protocol — case analysis, [`HorMsg`]
+//! construction and serving, codecs, input validation — is the machine's,
+//! so frames and modeled `|M|` are the sequential drive's by construction.
+//! What this file owns is everything around it: which updates may run at
+//! once (waves), how a pipelined site matches replies to rounds and closes
+//! silent ones (slot queues, owed acks), the barriers between waves, and
+//! the per-batch images that carry each site's slice of `ΔV` and its
+//! meters home. No detector state is shared: each site owns its fragment,
+//! its per-CFD group state, its slice of `V`, and its receiver-side codec
+//! state, exactly as the paper's EC2 deployment would.
 //!
 //! # Wave-parallel scheduling
 //!
@@ -104,33 +109,26 @@
 //! frames and after releasing a barrier — so the sites start while it
 //! turns to its own serial work, and one before it joins the site
 //! threads on drop (a wait that is not on its inbox).
-//!
-//! Candidate generation itself runs through the shared [`SharedPlan`]
-//! dispatch (one pass over the rule set per update instead of one
-//! `matches_lhs` scan per CFD), with per-update attribute digests hashed
-//! once and shared across every CFD in the same LHS key group.
 
 use crate::detector::{DetectError, Detector};
-use crate::horizontal::{
-    class_values, clear_group, delete_case, insert_case, key_digest_from, mark_group, wire_attrs,
-    GroupState, HorMsg, HorizontalDetector,
-};
-use crate::md5::Digest;
-use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
-use cluster::codec::{value_digest as attr_digest, CodecKind, PayloadCodec, ReceiverCodec};
+use crate::horizontal::site::{OpScratch, Round, Site};
+use crate::horizontal::HorMsg;
+use crate::optimize::SharingMode;
+use cfd::{Cfd, CfdId, DeltaV, Violations};
+use cluster::codec::CodecKind;
+use cluster::md5::Digest;
 use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
-use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter, WireValue};
-use relation::{
-    AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch,
-};
+use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter};
+use relation::{FxHashMap, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 pub mod ctrl;
 
+pub use crate::horizontal::site::SiteConfig;
 use ctrl::encode_ops;
 pub use ctrl::{BatchImage, CtrlMsg, RtFrame};
 
@@ -145,75 +143,6 @@ const WINDOW: usize = 128;
 
 fn proto(msg: impl Into<String>) -> DetectError {
     DetectError::Cluster(ClusterError::Transport(msg.into()))
-}
-
-// ---------------------------------------------------------------------
-// Shared per-site configuration
-// ---------------------------------------------------------------------
-
-/// Everything a site derives from `(schema, Σ, scheme)` alone —
-/// identical at every site, cheap to clone (all `Arc`s), and
-/// reconstructible in a separate process from the same inputs.
-#[derive(Debug, Clone)]
-pub struct SiteConfig {
-    pub(crate) schema: Arc<Schema>,
-    pub(crate) cfds: Arc<[Cfd]>,
-    /// Operator-shared dispatch over `Σ` (one pass per update).
-    plan: Arc<SharedPlan>,
-    atom_digests: Arc<[Vec<(AttrId, Digest)>]>,
-    lhs_groups: Arc<[(Vec<AttrId>, Vec<CfdId>)]>,
-    /// `local_ok[cfd][site]`: `X_{F_i} ⊆ X` — no cross-site conflicts.
-    local_ok: Arc<[Vec<bool>]>,
-    /// `relevant[cfd]`: sites where `F_i ∧ F_φ` is satisfiable.
-    relevant: Arc<[Vec<SiteId>]>,
-}
-
-impl SiteConfig {
-    /// Derive the shared configuration (same computation as the
-    /// sequential detector's constructor).
-    pub fn new(schema: Arc<Schema>, cfds: Vec<Cfd>, scheme: &HorizontalScheme) -> Self {
-        let n = scheme.n_sites();
-        let mut local_ok = Vec::with_capacity(cfds.len());
-        let mut relevant = Vec::with_capacity(cfds.len());
-        for cfd in &cfds {
-            let lhs: FxHashSet<_> = cfd.lhs.iter().copied().collect();
-            local_ok.push(
-                (0..n)
-                    .map(|i| scheme.predicate(i).attrs().iter().all(|a| lhs.contains(a)))
-                    .collect::<Vec<bool>>(),
-            );
-            let atoms = cfd.constant_atoms();
-            relevant.push(
-                (0..n)
-                    .filter(|&i| !scheme.predicate(i).conflicts_with_atoms(&atoms))
-                    .collect::<Vec<SiteId>>(),
-            );
-        }
-        let atom_digests: Arc<[Vec<(AttrId, Digest)>]> = cfds
-            .iter()
-            .map(|c| {
-                c.constant_atoms()
-                    .into_iter()
-                    .map(|(a, v)| (a, attr_digest(&v)))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into();
-        let plan = Arc::new(SharedPlan::new(&cfds));
-        // The receiver-side implicit-query walk groups variable CFDs by
-        // identical LHS; the shared plan's key groups are exactly that
-        // partition, in the same first-seen order.
-        let lhs_groups: Arc<[(Vec<AttrId>, Vec<CfdId>)]> = plan.key_groups().to_vec().into();
-        SiteConfig {
-            schema,
-            cfds: cfds.into(),
-            plan,
-            atom_digests,
-            lhs_groups,
-            local_ok: local_ok.into(),
-            relevant: relevant.into(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -238,8 +167,8 @@ enum Event {
 }
 
 enum Response {
-    Conflicts(Vec<CfdId>),
-    Bvals(Vec<(CfdId, Vec<WireValue>)>),
+    /// A `ProbeReply` or `DelReply`.
+    Reply(HorMsg),
     Ack,
     /// Cumulative ack: close the `k` oldest outstanding rounds at once.
     AckN(u32),
@@ -255,26 +184,12 @@ struct Pumped {
     event: Option<Event>,
 }
 
-/// One outstanding update of the current wave.
-enum InFlight {
-    Insert {
-        t: Tuple,
-        queries: Vec<CfdId>,
-        conflicting: FxHashSet<CfdId>,
-    },
-    DelQuery {
-        t: Tuple,
-        queries: Vec<CfdId>,
-        global: FxHashMap<CfdId, FxHashSet<Digest>>,
-        holders: FxHashMap<CfdId, Vec<SiteId>>,
-    },
-    /// Clear round of a delete: only acks remain.
-    DelClear,
-}
-
+/// One outstanding update of the current wave: the peers still to answer
+/// and the machine's open round — `None` once a delete has sent its
+/// `ClearFlags` and only acks remain.
 struct Pending {
     pending: usize,
-    kind: InFlight,
+    round: Option<Round>,
 }
 
 /// Reply routing for a pipelined wave. Links are FIFO and peers serve
@@ -288,23 +203,18 @@ struct WaveState {
     open: usize,
 }
 
-/// One site of the concurrent runtime: fragment, group state, its slice
-/// of `V`, codec state, and the frame pump. The same struct runs on a
+/// One site of the concurrent runtime: the §6 `Site` machine, its slice
+/// of `V`, and what is the runtime's own — the frame pump, the owed-ack
+/// counters and the barrier bookkeeping. The same struct runs on a
 /// spawned thread (threaded mode), on the caller's thread (site 0), or
 /// alone inside a `site` process (multi-process mode).
 pub struct SiteRunner {
-    cfg: SiteConfig,
+    site: Site,
     me: SiteId,
     n: usize,
     node: Node,
-    fragment: Relation,
-    /// Group state per CFD (this site's row of the sequential matrix).
-    state: Vec<FxHashMap<Digest, GroupState>>,
     violations: Violations,
     dv: DeltaV,
-    codec: Box<dyn PayloadCodec>,
-    /// Receiver-side codec state per sending site.
-    rx: Vec<ReceiverCodec>,
     /// Coordinator only: sites done with the current wave.
     done_count: usize,
     /// Per requesting peer: silently-served rounds not yet acked.
@@ -313,32 +223,19 @@ pub struct SiteRunner {
     /// [`CtrlMsg::Ack`]/[`CtrlMsg::AckN`] frames the moment the inbox
     /// goes idle ([`SiteRunner::flush_owed`]).
     owed: Vec<u32>,
-    /// Shared-plan dispatch scratch (generation-stamped counters).
-    scratch: MatchScratch,
-    vbuf: Vec<u8>,
-    kbuf: Vec<u8>,
 }
 
 impl SiteRunner {
     /// Build a fresh site over its mesh node. Fragments start empty:
     /// initial data flows through the first batch like any other update.
     pub fn new(cfg: SiteConfig, codec: CodecKind, node: Node) -> Self {
-        let n = node.n_nodes();
-        let me = node.me();
-        let n_cfds = cfg.cfds.len();
+        let (n, me) = (node.n_nodes(), node.me());
         SiteRunner {
-            fragment: Relation::new(cfg.schema.clone()),
-            state: (0..n_cfds).map(|_| FxHashMap::default()).collect(),
-            violations: Violations::new(n_cfds),
+            violations: Violations::new(cfg.cfds.len()),
             dv: DeltaV::default(),
-            codec: codec.codec(),
-            rx: (0..n).map(|src| ReceiverCodec::for_link(src, me)).collect(),
             done_count: 0,
             owed: vec![0; n],
-            scratch: MatchScratch::default(),
-            vbuf: Vec::new(),
-            kbuf: Vec::new(),
-            cfg,
+            site: Site::new(cfg, me, codec),
             me,
             n,
             node,
@@ -378,25 +275,22 @@ impl SiteRunner {
         }
     }
 
+    /// Requests are served by the machine on the spot — its reply rides
+    /// back at once, a silent round is owed an ack; replies surface.
     fn on_hor(&mut self, src: SiteId, msg: HorMsg) -> Result<Option<Event>, DetectError> {
-        match msg {
-            HorMsg::TupleProbe { attrs, probes } => {
-                self.serve_probe(src, attrs, probes)?;
-                Ok(None)
-            }
-            HorMsg::TupleDelQuery { attrs, queries } => {
-                self.serve_del_query(src, attrs, queries)?;
-                Ok(None)
-            }
-            HorMsg::ClearFlags { attrs, cfds } => {
-                self.serve_clear(src, attrs, cfds)?;
-                Ok(None)
-            }
-            HorMsg::ProbeReply { conflicts } => {
-                Ok(Some(Event::Response(src, Response::Conflicts(conflicts))))
-            }
-            HorMsg::DelReply { bvals } => Ok(Some(Event::Response(src, Response::Bvals(bvals)))),
+        if matches!(msg, HorMsg::ProbeReply { .. } | HorMsg::DelReply { .. }) {
+            return Ok(Some(Event::Response(src, Response::Reply(msg))));
         }
+        let sink = (&mut self.violations, &mut self.dv);
+        match self.site.on_request(src, msg, sink)? {
+            // A protocol reply carries the owed acks with it, so FIFO
+            // matching holds.
+            Some(reply) => self.send_hor(src, reply)?,
+            // Pipelining needs every round closed eventually: a silent
+            // round bumps the owed counter (piggybacked or flushed later).
+            None => self.owed[src] += 1,
+        }
+        Ok(None)
     }
 
     fn on_ctrl(&mut self, src: SiteId, msg: CtrlMsg) -> Result<Option<Event>, DetectError> {
@@ -451,21 +345,6 @@ impl SiteRunner {
         Ok(())
     }
 
-    fn digests_of(
-        &mut self,
-        src: SiteId,
-        attrs: &[(AttrId, WireValue)],
-    ) -> Result<FxHashMap<AttrId, Digest>, DetectError> {
-        let rx = &mut self.rx[src];
-        attrs
-            .iter()
-            .map(|(a, w)| Ok((*a, rx.digest(w)?)))
-            .collect::<Result<_, ClusterError>>()
-            .map_err(DetectError::Cluster)
-    }
-
-    // -- serving peers (mirrors the sequential receiver-side blocks) ---
-
     /// Ship a protocol frame towards `dst`, carrying any owed
     /// silent-round acks in a [`RtFrame::Piggy`] envelope. The owed
     /// rounds are strictly older than anything this frame opens or
@@ -482,138 +361,7 @@ impl SiteRunner {
         .map_err(DetectError::Cluster)
     }
 
-    fn serve_probe(
-        &mut self,
-        src: SiteId,
-        attrs: Vec<(AttrId, WireValue)>,
-        probes: Vec<CfdId>,
-    ) -> Result<(), DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        let digests = self.digests_of(src, &attrs)?;
-        let mut kbuf = std::mem::take(&mut self.kbuf);
-        // Explicit probes: a brand-new conflict at the sender flips every
-        // remote group of the CFD.
-        for &c in &probes {
-            let cfd = &cfds[c as usize];
-            let kd = HorizontalDetector::key_from_wire(cfd, &digests, &mut kbuf);
-            if let Some(h) = self.state[c as usize].get_mut(&kd) {
-                if !h.violating() {
-                    mark_group(h, c, &mut self.violations, &mut self.dv);
-                }
-            }
-        }
-        // Implicit queries: every other derivable variable CFD.
-        let probe_set: FxHashSet<CfdId> = probes.iter().copied().collect();
-        let lhs_groups = Arc::clone(&self.cfg.lhs_groups);
-        let mut reply: Vec<CfdId> = Vec::new();
-        for (lhs, ids) in lhs_groups.iter() {
-            if !lhs.iter().all(|a| digests.contains_key(a)) {
-                continue;
-            }
-            let kd = key_digest_from(lhs.iter().map(|a| digests[a]), &mut kbuf);
-            for &cid in ids {
-                let c = cid as usize;
-                if probe_set.contains(&cid) {
-                    continue;
-                }
-                let cfd = &cfds[c];
-                if !digests.contains_key(&cfd.rhs) {
-                    continue;
-                }
-                if !self.cfg.atom_digests[c]
-                    .iter()
-                    .all(|(a, d)| digests[a] == *d)
-                {
-                    continue;
-                }
-                let bd = digests[&cfd.rhs];
-                let hit = match self.state[c].get_mut(&kd) {
-                    None => false,
-                    Some(h) => {
-                        let other = h.has_other(bd);
-                        if other && !h.violating() {
-                            mark_group(h, cid, &mut self.violations, &mut self.dv);
-                        }
-                        other || h.violating()
-                    }
-                };
-                if hit {
-                    reply.push(cid);
-                }
-            }
-        }
-        self.kbuf = kbuf;
-        // Pipelining needs every round closed eventually: a silent round
-        // just bumps the owed counter (piggybacked later), a protocol
-        // reply carries the owed acks with it so FIFO matching holds.
-        if reply.is_empty() {
-            self.owed[src] += 1;
-            Ok(())
-        } else {
-            self.send_hor(src, HorMsg::ProbeReply { conflicts: reply })
-        }
-    }
-
-    fn serve_del_query(
-        &mut self,
-        src: SiteId,
-        attrs: Vec<(AttrId, WireValue)>,
-        queries: Vec<CfdId>,
-    ) -> Result<(), DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        let digests = self.digests_of(src, &attrs)?;
-        let mut kbuf = std::mem::take(&mut self.kbuf);
-        let me = self.me;
-        let codec = self.codec.as_mut();
-        let mut reply: Vec<(CfdId, Vec<WireValue>)> = Vec::new();
-        for &c in &queries {
-            let cfd = &cfds[c as usize];
-            let kd = HorizontalDetector::key_from_wire(cfd, &digests, &mut kbuf);
-            // Within a wave footprints are disjoint, so the group read
-            // here is never one an own in-flight update is half through.
-            if let Some(h) = self.state[c as usize].get(&kd) {
-                let bvals = class_values(h, &self.fragment, (me, cfd, kd), |v| {
-                    codec.encode(me, src, v)
-                })
-                .map_err(DetectError::Internal)?;
-                reply.push((c, bvals));
-            }
-        }
-        self.kbuf = kbuf;
-        if reply.is_empty() {
-            self.owed[src] += 1;
-            Ok(())
-        } else {
-            self.send_hor(src, HorMsg::DelReply { bvals: reply })
-        }
-    }
-
-    fn serve_clear(
-        &mut self,
-        src: SiteId,
-        attrs: Vec<(AttrId, WireValue)>,
-        to_clear: Vec<CfdId>,
-    ) -> Result<(), DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        let digests = self.digests_of(src, &attrs)?;
-        let mut kbuf = std::mem::take(&mut self.kbuf);
-        for c in to_clear {
-            let cfd = &cfds[c as usize];
-            let kd = HorizontalDetector::key_from_wire(cfd, &digests, &mut kbuf);
-            self.clear_group_local(c, kd);
-        }
-        self.kbuf = kbuf;
-        // Clears never carry a payload back: always a silent round.
-        self.owed[src] += 1;
-        Ok(())
-    }
-
-    fn clear_group_local(&mut self, cfd: CfdId, kd: Digest) {
-        let groups = &mut self.state[cfd as usize];
-        clear_group(groups, cfd, kd, &mut self.violations, &mut self.dv);
-    }
-
-    // -- own updates (mirrors the sequential sender-side blocks) -------
+    // -- own updates ---------------------------------------------------
 
     /// Run this site's slice of one wave: fire all rounds up front
     /// (windowed), serve peers while they're in flight, fold replies as
@@ -628,9 +376,16 @@ impl SiteRunner {
             while ws.open >= WINDOW {
                 self.step(&mut ws)?;
             }
-            match op {
-                Update::Insert(t) => self.begin_insert(t, &mut ws)?,
-                Update::Delete(tid) => self.begin_delete(tid, &mut ws)?,
+            let sink = (&mut self.violations, &mut self.dv);
+            let opened = match op {
+                Update::Insert(t) => self.site.begin_insert(&t, sink)?,
+                Update::Delete(tid) => self.site.begin_delete(tid, sink)?,
+            };
+            if let Some((round, requests)) = opened {
+                let slot = ws.inflight.len();
+                ws.inflight.push(None);
+                ws.open += 1;
+                self.open_round(&mut ws, slot, Some(round), requests)?;
             }
         }
         // Drain: silent rounds close via (piggybacked or flushed) acks,
@@ -643,219 +398,22 @@ impl SiteRunner {
         Ok(())
     }
 
-    fn begin_insert(&mut self, t: Tuple, ws: &mut WaveState) -> Result<(), DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        // Row first, group state second: a class can be asked for its
-        // RHS value (`class_values`) from the moment it exists.
-        self.fragment
-            .insert_row(t.tid, t.values.iter())
-            .map_err(DetectError::Rel)?;
-        let plan = Arc::clone(&self.cfg.plan);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut probes: Vec<CfdId> = Vec::new();
-        let mut queries: Vec<CfdId> = Vec::new();
-        let (mut vbuf, mut kbuf) = (
-            std::mem::take(&mut self.vbuf),
-            std::mem::take(&mut self.kbuf),
-        );
-        // One shared dispatch pass instead of a per-CFD `matches_lhs`
-        // scan; attribute digests are hashed once per update and key
-        // digests once per LHS group (identical bytes to `key_of`).
-        let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
-        let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
-        for &cid in plan.matched(&t, &mut scratch) {
-            let c = cid as usize;
-            let cfd = &cfds[c];
-            if cfd.is_constant() {
-                if cfd.constant_violation(&t) && self.violations.add(cfd.id, t.tid) {
-                    self.dv.add(cfd.id, t.tid);
-                }
-                continue;
-            }
-            let g = plan.group_of(cid).expect("variable CFD joins a key group");
-            let kd = match group_kd[g] {
-                Some(kd) => kd,
-                None => {
-                    let kd = key_digest_from(
-                        cfd.lhs.iter().map(|&a| {
-                            HorizontalDetector::digest_cached(&mut attr_d, &t, a, &mut vbuf)
-                        }),
-                        &mut kbuf,
-                    );
-                    group_kd[g] = Some(kd);
-                    kd
-                }
-            };
-            let bd = HorizontalDetector::digest_cached(&mut attr_d, &t, cfd.rhs, &mut vbuf);
-            insert_case(
-                &mut self.state[c],
-                (&mut self.violations, &mut self.dv),
-                cfd.id,
-                t.tid,
-                (kd, bd),
-                self.cfg.local_ok[c][self.me],
-                &mut probes,
-                &mut queries,
-            );
+    /// Send `requests` and park `round` in `slot` until each asked peer
+    /// has answered or acked.
+    fn open_round(
+        &mut self,
+        ws: &mut WaveState,
+        slot: usize,
+        round: Option<Round>,
+        requests: Vec<(SiteId, HorMsg)>,
+    ) -> Result<(), DetectError> {
+        let pending = requests.len();
+        for (j, msg) in requests {
+            self.send_hor(j, msg)?;
+            ws.queues[j].push_back(slot);
         }
-        self.scratch = scratch;
-        self.vbuf = vbuf;
-        self.kbuf = kbuf;
-
-        if !probes.is_empty() || !queries.is_empty() {
-            let mut attr_set = Vec::new();
-            wire_attrs(&mut attr_set, &cfds, &probes, &queries);
-            let peers = self.peers_of(probes.iter().chain(&queries));
-            if !peers.is_empty() {
-                let mut cached = None;
-                for &j in &peers {
-                    let attrs = HorizontalDetector::encode_attrs_for_peer(
-                        self.codec.as_mut(),
-                        &t,
-                        &attr_set,
-                        self.me,
-                        j,
-                        &mut cached,
-                    );
-                    self.send_hor(
-                        j,
-                        HorMsg::TupleProbe {
-                            attrs,
-                            probes: probes.clone(),
-                        },
-                    )?;
-                }
-                let slot = ws.inflight.len();
-                for &j in &peers {
-                    ws.queues[j].push_back(slot);
-                }
-                ws.inflight.push(Some(Pending {
-                    pending: peers.len(),
-                    kind: InFlight::Insert {
-                        t: t.clone(),
-                        queries,
-                        conflicting: FxHashSet::default(),
-                    },
-                }));
-                ws.open += 1;
-            }
-        }
+        ws.inflight[slot] = Some(Pending { pending, round });
         Ok(())
-    }
-
-    fn begin_delete(&mut self, tid: Tid, ws: &mut WaveState) -> Result<(), DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        let t = self
-            .fragment
-            .get(tid)
-            .ok_or(DetectError::Rel(RelError::MissingTid(tid)))?;
-        let plan = Arc::clone(&self.cfg.plan);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut queries: Vec<CfdId> = Vec::new();
-        let (mut vbuf, mut kbuf) = (
-            std::mem::take(&mut self.vbuf),
-            std::mem::take(&mut self.kbuf),
-        );
-        let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
-        let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
-        // Restricting the constant-CFD sweep to dispatched CFDs is safe:
-        // `tid ∈ V(φ)` implies the (immutable) tuple matched φ's LHS at
-        // insert time, so a non-matching φ cannot hold `tid`.
-        for &cid in plan.matched(&t, &mut scratch) {
-            let c = cid as usize;
-            let cfd = &cfds[c];
-            if cfd.is_constant() {
-                if self.violations.remove(cfd.id, tid) {
-                    self.dv.remove(cfd.id, tid);
-                }
-                continue;
-            }
-            let g = plan.group_of(cid).expect("variable CFD joins a key group");
-            let kd = match group_kd[g] {
-                Some(kd) => kd,
-                None => {
-                    let kd = key_digest_from(
-                        cfd.lhs.iter().map(|&a| {
-                            HorizontalDetector::digest_cached(&mut attr_d, &t, a, &mut vbuf)
-                        }),
-                        &mut kbuf,
-                    );
-                    group_kd[g] = Some(kd);
-                    kd
-                }
-            };
-            let bd = HorizontalDetector::digest_cached(&mut attr_d, &t, cfd.rhs, &mut vbuf);
-            delete_case(
-                &mut self.state[c],
-                (&mut self.violations, &mut self.dv),
-                cfd.id,
-                tid,
-                (kd, bd),
-                self.cfg.local_ok[c][self.me],
-                &mut queries,
-            );
-        }
-        self.scratch = scratch;
-        self.vbuf = vbuf;
-        self.kbuf = kbuf;
-
-        if !queries.is_empty() {
-            let mut attr_set = Vec::new();
-            wire_attrs(&mut attr_set, &cfds, &queries, &[]);
-            let peers = self.peers_of(queries.iter());
-            let global: FxHashMap<CfdId, FxHashSet<Digest>> =
-                queries.iter().map(|&c| (c, FxHashSet::default())).collect();
-            let holders: FxHashMap<CfdId, Vec<SiteId>> =
-                queries.iter().map(|&c| (c, Vec::new())).collect();
-            if peers.is_empty() {
-                // No peer holds relevant data: decide from local state
-                // alone (mirrors the sequential empty-peer round).
-                let clears = self.decide_delete(&t, &queries, global, holders)?;
-                debug_assert!(clears.is_empty(), "no peers, no remote holders");
-            } else {
-                let mut cached = None;
-                for &j in &peers {
-                    let attrs = HorizontalDetector::encode_attrs_for_peer(
-                        self.codec.as_mut(),
-                        &t,
-                        &attr_set,
-                        self.me,
-                        j,
-                        &mut cached,
-                    );
-                    self.send_hor(
-                        j,
-                        HorMsg::TupleDelQuery {
-                            attrs,
-                            queries: queries.clone(),
-                        },
-                    )?;
-                }
-                let slot = ws.inflight.len();
-                for &j in &peers {
-                    ws.queues[j].push_back(slot);
-                }
-                ws.inflight.push(Some(Pending {
-                    pending: peers.len(),
-                    kind: InFlight::DelQuery {
-                        t: t.clone(),
-                        queries,
-                        global,
-                        holders,
-                    },
-                }));
-                ws.open += 1;
-            }
-        }
-        self.fragment.delete(tid).map_err(DetectError::Rel)?;
-        Ok(())
-    }
-
-    /// Sites relevant to at least one of the given CFDs, minus us, sorted.
-    fn peers_of<'a>(&self, cfds: impl Iterator<Item = &'a CfdId>) -> Vec<SiteId> {
-        let mut peers = Vec::new();
-        HorizontalDetector::peers_of(&mut peers, &self.cfg.relevant, cfds, self.me);
-        peers
     }
 
     /// Pump one frame and, if it completes rounds, fold them. A
@@ -884,40 +442,20 @@ impl SiteRunner {
     }
 
     /// Fold one reply (or ack) into the oldest outstanding round
-    /// towards `src`.
+    /// towards `src`; the last one finishes the round.
     fn settle(
         &mut self,
         src: SiteId,
         resp: Response,
         ws: &mut WaveState,
     ) -> Result<(), DetectError> {
-        let slot = *ws.queues[src]
-            .front()
+        let slot = ws.queues[src]
+            .pop_front()
             .ok_or_else(|| proto(format!("reply from site {src} with no outstanding round")))?;
-        ws.queues[src].pop_front();
         let p = ws.inflight[slot].as_mut().expect("routed slot is live");
-        match (&mut p.kind, resp) {
-            (InFlight::Insert { conflicting, .. }, Response::Conflicts(cs)) => {
-                conflicting.extend(cs);
-            }
-            (
-                InFlight::DelQuery {
-                    global, holders, ..
-                },
-                Response::Bvals(bvals),
-            ) => {
-                for (c, vs) in bvals {
-                    holders
-                        .get_mut(&c)
-                        .ok_or_else(|| proto("reply names an unqueried CFD"))?
-                        .push(src);
-                    let set = global.get_mut(&c).expect("holders and global share keys");
-                    for v in vs {
-                        set.insert(self.rx[src].digest(&v).map_err(DetectError::Cluster)?);
-                    }
-                }
-            }
-            (_, Response::Ack) => {}
+        match (resp, &mut p.round) {
+            (Response::Reply(msg), Some(round)) => self.site.on_reply(round, src, msg)?,
+            (Response::Ack, _) => {}
             _ => return Err(proto("reply type does not match the outstanding round")),
         }
         p.pending -= 1;
@@ -925,132 +463,18 @@ impl SiteRunner {
             return Ok(());
         }
         let p = ws.inflight[slot].take().expect("routed slot is live");
-        match p.kind {
-            InFlight::Insert {
-                t,
-                queries,
-                conflicting,
-            } => {
-                self.finish_insert(&t, &queries, &conflicting)?;
-                ws.open -= 1;
-            }
-            InFlight::DelQuery {
-                t,
-                queries,
-                global,
-                holders,
-            } => {
-                let clears = self.decide_delete(&t, &queries, global, holders)?;
-                if clears.is_empty() {
-                    ws.open -= 1;
-                } else {
-                    let mut pend = 0;
-                    for (j, clear_list) in clears {
-                        let mut attr_set = Vec::new();
-                        wire_attrs(&mut attr_set, &self.cfg.cfds, &clear_list, &[]);
-                        let attrs = HorizontalDetector::encode_attrs(
-                            self.codec.as_mut(),
-                            &t,
-                            &attr_set,
-                            self.me,
-                            j,
-                        );
-                        self.send_hor(
-                            j,
-                            HorMsg::ClearFlags {
-                                attrs,
-                                cfds: clear_list,
-                            },
-                        )?;
-                        ws.queues[j].push_back(slot);
-                        pend += 1;
-                    }
-                    ws.inflight[slot] = Some(Pending {
-                        pending: pend,
-                        kind: InFlight::DelClear,
-                    });
-                }
-            }
-            InFlight::DelClear => {
-                ws.open -= 1;
-            }
+        let clears = match p.round {
+            Some(round) => self
+                .site
+                .finish(round, (&mut self.violations, &mut self.dv))?,
+            None => Vec::new(),
+        };
+        if clears.is_empty() {
+            ws.open -= 1;
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Fold probe replies into the querying CFDs' flags (insert round).
-    fn finish_insert(
-        &mut self,
-        t: &Tuple,
-        queries: &[CfdId],
-        conflicting: &FxHashSet<CfdId>,
-    ) -> Result<(), DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        let (mut vbuf, mut kbuf) = (
-            std::mem::take(&mut self.vbuf),
-            std::mem::take(&mut self.kbuf),
-        );
-        for &c in queries {
-            if conflicting.contains(&c) {
-                let cfd = &cfds[c as usize];
-                let kd = HorizontalDetector::key_of(cfd, t, &mut vbuf, &mut kbuf);
-                let g = self.state[c as usize]
-                    .get_mut(&kd)
-                    .expect("group created during insert");
-                g.set_violating(true);
-                if self.violations.add(c, t.tid) {
-                    self.dv.add(c, t.tid);
-                }
-            }
-        }
-        self.vbuf = vbuf;
-        self.kbuf = kbuf;
-        Ok(())
-    }
-
-    /// Decide each queried CFD from the folded replies; returns the
-    /// coalesced clear lists per peer (sorted by peer).
-    fn decide_delete(
-        &mut self,
-        t: &Tuple,
-        queries: &[CfdId],
-        mut global: FxHashMap<CfdId, FxHashSet<Digest>>,
-        holders: FxHashMap<CfdId, Vec<SiteId>>,
-    ) -> Result<Vec<(SiteId, Vec<CfdId>)>, DetectError> {
-        let cfds = Arc::clone(&self.cfg.cfds);
-        let (mut vbuf, mut kbuf) = (
-            std::mem::take(&mut self.vbuf),
-            std::mem::take(&mut self.kbuf),
-        );
-        let mut clears_by_peer: FxHashMap<SiteId, Vec<CfdId>> = FxHashMap::default();
-        for &c in queries {
-            let cfd = &cfds[c as usize];
-            let kd = HorizontalDetector::key_of(cfd, t, &mut vbuf, &mut kbuf);
-            let mut all = global.remove(&c).expect("queried cfd");
-            if let Some(h) = self.state[c as usize].get(&kd) {
-                h.for_each_class(|bd, _| {
-                    all.insert(bd);
-                });
-            }
-            if all.len() >= 2 {
-                continue;
-            }
-            self.clear_group_local(c, kd);
-            for &j in &holders[&c] {
-                clears_by_peer.entry(j).or_default().push(c);
-            }
-        }
-        self.vbuf = vbuf;
-        self.kbuf = kbuf;
-        let mut peers: Vec<SiteId> = clears_by_peer.keys().copied().collect();
-        peers.sort_unstable();
-        Ok(peers
-            .into_iter()
-            .map(|j| {
-                let list = clears_by_peer.remove(&j).expect("listed peer");
-                (j, list)
-            })
-            .collect())
+        // The clear round of a delete keeps the slot: only acks remain.
+        self.open_round(ws, slot, None, clears)
     }
 
     // -- batch / session loops -----------------------------------------
@@ -1143,6 +567,45 @@ impl SiteRunner {
 // The coordinator-side detector
 // ---------------------------------------------------------------------
 
+/// The scheduler's footprint rule: an update waits for the last earlier
+/// one sharing a `(CFD, group-key)` pair it can touch anywhere in the mesh
+/// — the variable entries of the machine's own candidate list — or its
+/// tid (a modification normalizes to `delete + insert` of one tid,
+/// possibly at *different* homes). The scratch is kept between batches —
+/// placing is the one part of a batch no site can overlap with — but the
+/// two maps are sized by the batch and go with it, so the load's
+/// 4 096-op windows do not stay resident.
+#[derive(Default)]
+pub(crate) struct WavePlanner {
+    last_fp: FxHashMap<(CfdId, Digest), u32>,
+    last_tid: FxHashMap<Tid, u32>,
+    sx: OpScratch,
+    /// Waves the batch needs so far.
+    pub(crate) n_waves: u32,
+}
+
+impl WavePlanner {
+    /// End the batch: the waves it needs, with the maps given back.
+    pub(crate) fn finish(&mut self) -> u32 {
+        self.last_fp = FxHashMap::default();
+        self.last_tid = FxHashMap::default();
+        std::mem::take(&mut self.n_waves)
+    }
+
+    /// The first wave after every conflicting predecessor of `t`'s update.
+    pub(crate) fn place(&mut self, cfg: &SiteConfig, t: &Tuple) -> u32 {
+        cfg.candidates(SharingMode::Shared, t, &mut self.sx);
+        let footprint = || self.sx.cands.iter().filter_map(|&(c, kd)| Some((c, kd?)));
+        let after_tid = self.last_tid.get(&t.tid).map_or(0, |&x| x + 1);
+        let earlier = footprint().filter_map(|k| self.last_fp.get(&k));
+        let w = earlier.fold(after_tid, |w, &x| w.max(x + 1));
+        self.last_fp.extend(footprint().map(|k| (k, w)));
+        self.last_tid.insert(t.tid, w);
+        self.n_waves = self.n_waves.max(w + 1);
+        w
+    }
+}
+
 /// Run one non-coordinator site of a **multi-process** mesh to
 /// completion: join the mesh on fixed localhost ports, serve batches,
 /// return on shutdown. The entry point of the bench crate's `site`
@@ -1186,6 +649,7 @@ pub struct ConcurrentHorizontal {
     received: u64,
     /// Total scheduler waves executed across all batches (deterministic).
     waves: u64,
+    planner: WavePlanner,
     n: usize,
 }
 
@@ -1267,16 +731,17 @@ impl ConcurrentHorizontal {
         d: &Relation,
     ) -> Result<Self, DetectError> {
         let n = scheme.n_sites();
-        let n_cfds = runner.cfg.cfds.len();
+        let cfg = runner.site.cfg();
         let mut det = ConcurrentHorizontal {
-            current: Relation::new(runner.cfg.schema.clone()),
+            current: Relation::new(cfg.schema.clone()),
             site_of_tid: FxHashMap::default(),
-            violations: Violations::new(n_cfds),
+            violations: Violations::new(cfg.cfds.len()),
             stats: NetStats::new(n),
             wire: NetStats::new(n),
             meter: TransportMeter::default(),
             received: 0,
             waves: 0,
+            planner: WavePlanner::default(),
             codec_kind: codec,
             label,
             scheme,
@@ -1292,88 +757,32 @@ impl ConcurrentHorizontal {
         Ok(det)
     }
 
-    /// Assign every normalized op a home site and a wave: `(home, wave)`
-    /// per op in batch order, plus the number of waves. An op waits
-    /// for the last previous op that shares a `(CFD, group-key)`
-    /// footprint or its tid (modifications normalize to
-    /// `delete + insert` of one tid, possibly at *different* homes).
-    /// Tuples are read where they lie and the scratch containers are
-    /// cleared, not rebuilt, between ops — this loop is the one part of
-    /// a batch no site can overlap with.
+    /// Assign every normalized op a home site and a wave ([`WavePlanner`]):
+    /// `(home, wave)` per op in batch order, plus the number of waves.
+    /// Tuples are read where they lie.
     fn schedule(&mut self, delta: &UpdateBatch) -> Result<(Vec<(SiteId, u32)>, u32), DetectError> {
-        let cfds = Arc::clone(&self.runner.cfg.cfds);
-        let plan = Arc::clone(&self.runner.cfg.plan);
-        let arity = self.runner.cfg.schema.arity();
-        let mut scratch = std::mem::take(&mut self.runner.scratch);
-        let mut last_fp: FxHashMap<(CfdId, Digest), u32> = FxHashMap::default();
-        let mut last_tid: FxHashMap<Tid, u32> = FxHashMap::default();
-        let mut placed = Vec::with_capacity(delta.ops().len());
-        let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
-        let mut keys: Vec<(CfdId, Digest)> = Vec::new();
-        let mut attr_d: FxHashMap<AttrId, Digest> = FxHashMap::default();
-        let mut group_kd: Vec<Option<Digest>> = vec![None; plan.key_groups().len()];
-        let mut n_waves = 0u32;
-        for op in delta.ops() {
-            let deleted;
-            let (home, t) = match op {
-                Update::Insert(t) => {
-                    if t.values.len() != arity {
-                        return Err(DetectError::Rel(RelError::ArityMismatch {
-                            expected: arity,
-                            got: t.values.len(),
-                        }));
-                    }
-                    (self.scheme.route(t).map_err(DetectError::Cluster)?, t)
-                }
-                Update::Delete(tid) => {
-                    deleted = self
-                        .current
-                        .get(*tid)
-                        .ok_or(DetectError::Rel(RelError::MissingTid(*tid)))?;
-                    let home = *self
-                        .site_of_tid
-                        .get(tid)
-                        .expect("live tuple has a home site");
-                    (home, &deleted)
-                }
-            };
-            let mut w = last_tid.get(&t.tid).map_or(0, |&x| x + 1);
-            keys.clear();
-            attr_d.clear();
-            group_kd.fill(None);
-            for &cid in plan.matched(t, &mut scratch) {
-                if !plan.is_variable(cid) {
-                    continue;
-                }
-                let cfd = &cfds[cid as usize];
-                let g = plan.group_of(cid).expect("variable CFD joins a key group");
-                let kd = match group_kd[g] {
-                    Some(kd) => kd,
-                    None => {
-                        let kd = key_digest_from(
-                            cfd.lhs.iter().map(|&a| {
-                                HorizontalDetector::digest_cached(&mut attr_d, t, a, &mut vbuf)
-                            }),
-                            &mut kbuf,
-                        );
-                        group_kd[g] = Some(kd);
-                        kd
-                    }
-                };
-                if let Some(&x) = last_fp.get(&(cid, kd)) {
-                    w = w.max(x + 1);
-                }
-                keys.push((cid, kd));
+        let cfg = self.runner.site.cfg();
+        let arity = cfg.schema.arity();
+        let place = |op: &Update| match op {
+            Update::Insert(t) if t.values.len() != arity => Err(RelError::ArityMismatch {
+                expected: arity,
+                got: t.values.len(),
             }
-            for &k in &keys {
-                last_fp.insert(k, w);
+            .into()),
+            Update::Insert(t) => Ok((self.scheme.route(t)?, self.planner.place(cfg, t))),
+            Update::Delete(tid) => {
+                let t = self.current.get(*tid).ok_or(RelError::MissingTid(*tid))?;
+                let home = *self
+                    .site_of_tid
+                    .get(tid)
+                    .expect("live tuple has a home site");
+                Ok((home, self.planner.place(cfg, &t)))
             }
-            last_tid.insert(t.tid, w);
-            n_waves = n_waves.max(w + 1);
-            placed.push((home, w));
-        }
-        self.runner.scratch = scratch;
-        Ok((placed, n_waves))
+        };
+        let placed: Result<_, DetectError> = delta.ops().iter().map(place).collect();
+        // A failed batch ends here too: its footprints must not outlive it.
+        let n_waves = self.planner.finish();
+        Ok((placed?, n_waves))
     }
 
     fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
@@ -1543,15 +952,14 @@ impl ConcurrentHorizontal {
     #[cfg(test)]
     pub(crate) fn coordinator_census(&self) -> crate::horizontal::StateCensus {
         let mut census = crate::horizontal::StateCensus::default();
-        self.runner.state.iter().for_each(|map| census.count(map));
+        self.runner.site.count_into(&mut census);
         census
     }
 
     /// Symbols resident on each link into the coordinator.
     #[cfg(test)]
     pub(crate) fn coordinator_resident_symbols(&self) -> Vec<usize> {
-        let links = self.runner.rx.iter();
-        links.map(ReceiverCodec::resident_symbols).collect()
+        self.runner.site.resident_symbols().collect()
     }
 }
 
@@ -1561,11 +969,11 @@ impl Detector for ConcurrentHorizontal {
     }
 
     fn schema(&self) -> &Arc<Schema> {
-        &self.runner.cfg.schema
+        &self.runner.site.cfg().schema
     }
 
     fn cfds(&self) -> &[Cfd] {
-        &self.runner.cfg.cfds
+        &self.runner.site.cfg().cfds
     }
 
     fn current(&self) -> &Relation {
@@ -1607,87 +1015,8 @@ impl Drop for ConcurrentHorizontal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd::Cfd;
-    use relation::Value;
-
-    fn emp_schema() -> Arc<Schema> {
-        Schema::new(
-            "EMP",
-            &["id", "grade", "CC", "AC", "zip", "street", "city"],
-            "id",
-        )
-        .unwrap()
-    }
-
-    fn emp_tuple(
-        tid: Tid,
-        grade: &str,
-        cc: i64,
-        ac: i64,
-        zip: &str,
-        street: &str,
-        city: &str,
-    ) -> Tuple {
-        Tuple::new(
-            tid,
-            vec![
-                Value::int(tid as i64),
-                Value::str(grade),
-                Value::int(cc),
-                Value::int(ac),
-                Value::str(zip),
-                Value::str(street),
-                Value::str(city),
-            ],
-        )
-    }
-
-    fn d0() -> Relation {
-        let mut d = Relation::new(emp_schema());
-        d.insert(emp_tuple(1, "A", 44, 131, "EH4 8LE", "Mayfield", "NYC"))
-            .unwrap();
-        d.insert(emp_tuple(2, "A", 44, 131, "EH2 4HF", "Preston", "EDI"))
-            .unwrap();
-        d.insert(emp_tuple(3, "B", 44, 131, "EH4 8LE", "Mayfield", "EDI"))
-            .unwrap();
-        d.insert(emp_tuple(4, "B", 44, 131, "EH4 8LE", "Mayfield", "EDI"))
-            .unwrap();
-        d.insert(emp_tuple(5, "C", 44, 131, "EH4 8LE", "Crichton", "EDI"))
-            .unwrap();
-        d
-    }
-
-    fn fig1_cfds(s: &Schema) -> Vec<Cfd> {
-        vec![
-            Cfd::from_names(
-                0,
-                s,
-                &[("CC", Some(Value::int(44))), ("zip", None)],
-                ("street", None),
-            )
-            .unwrap(),
-            Cfd::from_names(
-                1,
-                s,
-                &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
-                ("city", Some(Value::str("EDI"))),
-            )
-            .unwrap(),
-        ]
-    }
-
-    fn fig2_scheme(s: &Arc<Schema>) -> HorizontalScheme {
-        HorizontalScheme::by_values(
-            s.clone(),
-            s.attr_id("grade").unwrap(),
-            vec![
-                vec![Value::str("A")],
-                vec![Value::str("B")],
-                vec![Value::str("C")],
-            ],
-        )
-        .unwrap()
-    }
+    use crate::horizontal::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
+    use crate::HorizontalDetector;
 
     /// The differential script: zero-shipment inserts, cross-site
     /// conflicts, witness-protected deletes, remote clears, and a
@@ -1944,6 +1273,33 @@ mod tests {
     #[test]
     fn interleaving_stress_16_sites() {
         stress(16, 0xBADCAB, 18);
+    }
+
+    /// A frame the codec decodes but the protocol cannot mean ends the
+    /// site's `serve` with a typed error naming the link — its thread
+    /// returns, it does not panic.
+    #[test]
+    fn forged_frame_ends_the_site_with_a_typed_error() {
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let mut nodes = run::mem_mesh(2).into_iter();
+        let (mut forger, node) = (nodes.next().unwrap(), nodes.next().unwrap());
+        let site = SiteRunner::new(cfg, CodecKind::Md5, node);
+        let handle = std::thread::spawn(move || site.serve());
+        let forged = HorMsg::ClearFlags {
+            attrs: vec![],
+            cfds: vec![u32::MAX],
+        };
+        forger.send(1, &forged).unwrap();
+        forger.flush().unwrap();
+        match handle.join().expect("the site thread must not panic") {
+            Err(DetectError::Cluster(e)) => {
+                let msg = e.to_string();
+                assert!(msg.contains("0 → 1") && msg.contains("ClearFlags"), "{msg}");
+                assert!(msg.contains("CFD 4294967295"), "{msg}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //! generic drivers (see `DetectorBuilder` for construction).
 //!
 //! [`DetectError`] is the single error type at this boundary; the
-//! per-detector enums ([`VerticalError`], [`HorizontalError`]) remain as
-//! internal detail and convert losslessly via `From`.
+//! vertical detector's own enum ([`VerticalError`]) remains as internal
+//! detail and converts losslessly via `From`.
 
-use crate::horizontal::HorizontalError;
 use crate::vertical::VerticalError;
 use cfd::constraint::FindingSet;
 use cfd::{Cfd, DeltaV, Violations};
@@ -76,16 +75,6 @@ impl From<VerticalError> for DetectError {
         match e {
             VerticalError::Rel(r) => DetectError::Rel(r),
             VerticalError::Cluster(c) => DetectError::Cluster(c),
-        }
-    }
-}
-
-impl From<HorizontalError> for DetectError {
-    fn from(e: HorizontalError) -> Self {
-        match e {
-            HorizontalError::Rel(r) => DetectError::Rel(r),
-            HorizontalError::Cluster(c) => DetectError::Cluster(c),
-            HorizontalError::Internal(msg) => DetectError::Internal(msg),
         }
     }
 }
@@ -374,7 +363,5 @@ mod tests {
         assert!(matches!(e, DetectError::Cluster(_)));
         let e: DetectError = VerticalError::Rel(RelError::MissingTid(1)).into();
         assert!(matches!(e, DetectError::Rel(_)));
-        let e: DetectError = HorizontalError::Cluster(ClusterError::UnknownSite(0)).into();
-        assert!(matches!(e, DetectError::Cluster(_)));
     }
 }

@@ -36,6 +36,41 @@
 //! pairs are co-located) and is skipped entirely at sites where
 //! `F_i ∧ F_φ` is unsatisfiable.
 //!
+//! # One machine, five steps
+//!
+//! The protocol is written once, in the `site` submodule: a `Site` is one
+//! site's fragment, group state and codec state, with no transport, no
+//! threads and no `V` inside — every step takes the `(V, ΔV)` it records
+//! into.
+//! [`HorizontalDetector`] holds `n` machines and drives them synchronously
+//! over a [`MsgTransport`]; the thread-per-site runtime
+//! ([`crate::concurrent`]) drives one per thread behind its wave
+//! scheduler. Both have no path to group state but these:
+//!
+//! | step | called by | in | out | the paper's case |
+//! |---|---|---|---|---|
+//! | `begin_insert(t)` | the driver, at `t`'s home site | — | nothing, or an open round and one `TupleProbe` per relevant peer | insertion case analysis; *nothing* is Examples 2(1)(b) and 9: a local same-RHS witness or an already-violating group decides |
+//! | `begin_delete(tid)` | the driver, at the tuple's home site | — | nothing, or an open round and one `TupleDelQuery` per relevant peer | deletion case analysis; *nothing* is Example 2(2): a local witness keeps the RHS multiplicity ≥ 2 |
+//! | `on_request(src, msg)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags` | `ProbeReply` / `DelReply`, or nothing (a silent round) | the receiving half of each exchange: flip or report conflicting groups, report distinct RHS values, clear flags |
+//! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | fold: which queried groups conflict somewhere, which RHS values remain and who holds them |
+//! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion |
+//!
+//! The machine enforces, for every driver:
+//!
+//! * **Row before group state.** An inserted row is in the fragment before
+//!   any class that could be asked for its RHS value exists, and a deleted
+//!   row leaves only after its groups let go of it.
+//! * **Validate before mutate.** CFD ids and payloads off the wire are
+//!   checked at `on_request` / `on_reply` entry — every *listed* id names a
+//!   variable CFD of `Σ` whose whole LHS the payload carries, no attribute
+//!   twice, a reply answers the kind of round it is folded into and names
+//!   only what that round queried — and a refusal is a
+//!   [`ClusterError`] naming the link, the message kind and the offender,
+//!   with group state, `V` and the round untouched. (Implicit probe
+//!   queries skip CFDs the payload cannot derive; that is the protocol,
+//!   not an error.)
+//! * **A round is finished exactly once.** `finish` consumes it.
+//!
 //! # State layout
 //!
 //! §6 keeps per site "the group's distinct RHS values and a flag"; the
@@ -67,42 +102,28 @@
 //! well as inserts up; [`HorizontalDetector::state_census`] counts it.
 
 use crate::detector::{DetectError, Detector};
-use crate::md5::{md5, Digest};
 use crate::optimize::SharingMode;
-use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
-use cluster::codec::{
-    value_digest as attr_digest, value_digest_into as attr_digest_into, CodecKind, PayloadCodec,
-    ReceiverCodec, WireValue,
-};
+use cfd::{Cfd, CfdId, DeltaV, SharedPlan, Violations};
+use cluster::codec::{CodecKind, WireValue};
+use cluster::md5::Digest;
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, MsgTransport, Network, SiteId, Wire};
 use relation::{
-    AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch,
-    Value,
+    AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Update, UpdateBatch, Value,
 };
+use site::{Site, SiteConfig};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-/// Group-key digest of a CFD's LHS: MD5 over the concatenated per-attribute
-/// digests (in LHS order). Computable both from raw values and from shipped
-/// attribute digests, which is what lets one message serve every CFD. The
-/// key buffer is caller-supplied and reused across probes.
-pub(crate) fn key_digest_from(
-    attr_digests: impl IntoIterator<Item = Digest>,
-    kbuf: &mut Vec<u8>,
-) -> Digest {
-    kbuf.clear();
-    for d in attr_digests {
-        kbuf.extend_from_slice(&d.0);
-    }
-    md5(kbuf)
-}
+#[cfg(test)]
+pub(crate) mod fixtures;
+pub(crate) mod site;
 
 /// Messages of the horizontal protocol. One `TupleProbe`/`TupleDelQuery`
 /// carries *all* CFD work for one update — the tuple crosses each link at
 /// most once. Every value payload is a [`WireValue`] produced by the
-/// session's [`PayloadCodec`], so the same message shapes serve all three
+/// session's [`cluster::codec::PayloadCodec`], so the same message shapes serve all three
 /// encodings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HorMsg {
@@ -145,6 +166,19 @@ pub enum HorMsg {
         /// CFDs to clear.
         cfds: Vec<CfdId>,
     },
+}
+
+impl HorMsg {
+    /// The variant's name, for protocol-error messages.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            HorMsg::TupleProbe { .. } => "TupleProbe",
+            HorMsg::ProbeReply { .. } => "ProbeReply",
+            HorMsg::TupleDelQuery { .. } => "TupleDelQuery",
+            HorMsg::DelReply { .. } => "DelReply",
+            HorMsg::ClearFlags { .. } => "ClearFlags",
+        }
+    }
 }
 
 impl Wire for HorMsg {
@@ -295,10 +329,6 @@ impl FrameCodec for HorMsg {
         Ok(msg)
     }
 }
-
-/// Per-`[cfd][op]` precomputed `(group-key digest, RHS digest)` pairs for
-/// a batch — `None` where the op's tuple does not fall under the CFD.
-type PreDigests = Vec<Vec<Option<(Digest, Digest)>>>;
 
 /// Give a hash table's slack back once removals leave it under a quarter
 /// full. Amortised: the ≥ ¾·capacity removals before a shrink pay for it,
@@ -578,12 +608,19 @@ impl GroupState {
     }
 }
 
+/// What one CFD's insertion case analysis asks of the peers.
+pub(crate) enum Ship {
+    /// Decided locally — the zero-shipment cases.
+    Nothing,
+    /// A brand-new local conflict: every remote group of the CFD flips.
+    Probe,
+    /// The group is locally unknown: ask whether anyone conflicts.
+    Query,
+}
+
 /// The §6 insertion case analysis at one site for one variable CFD whose
 /// pattern matches the inserted tuple `tid`, given its group-key and RHS
-/// digests. Every runtime and evaluation mode funnels here, so the state
-/// transitions (and the probe/query lists that drive shipping) are
-/// identical by construction.
-#[allow(clippy::too_many_arguments)]
+/// digests.
 pub(crate) fn insert_case(
     groups: &mut FxHashMap<Digest, GroupState>,
     (v, dv): (&mut Violations, &mut DeltaV),
@@ -591,44 +628,44 @@ pub(crate) fn insert_case(
     tid: Tid,
     (kd, bd): (Digest, Digest),
     local_only: bool,
-    probes: &mut Vec<CfdId>,
-    queries: &mut Vec<CfdId>,
-) {
-    match groups.entry(kd) {
+) -> Ship {
+    let g = match groups.entry(kd) {
         Entry::Vacant(e) => {
             // Group unknown locally.
             e.insert(GroupState::new(bd, tid));
-            if !local_only {
-                queries.push(cfd);
-            }
+            return if local_only {
+                Ship::Nothing
+            } else {
+                Ship::Query
+            };
         }
-        Entry::Occupied(e) => {
-            let g = e.into_mut();
-            let (has_other, was_violating) = (g.has_other(bd), g.violating());
-            g.insert(bd, tid);
-            if was_violating {
-                // Everyone concerned is already in V (≥ 2 classes, or a
-                // known remote conflict): only t is new. Zero shipment —
-                // Examples 2(1)(b)/9.
-                if v.add(cfd, tid) {
-                    dv.add(cfd, tid);
-                }
-            } else if has_other {
-                // One clashing class and the group was satisfied: a
-                // brand-new conflict. Everyone in the group joins V.
-                mark_group(g, cfd, v, dv);
-                if !local_only {
-                    probes.push(cfd);
-                }
-            }
-            // else: a satisfied single class agreeing with t.
+        Entry::Occupied(e) => e.into_mut(),
+    };
+    let (has_other, was_violating) = (g.has_other(bd), g.violating());
+    g.insert(bd, tid);
+    if was_violating {
+        // Everyone concerned is already in V (≥ 2 classes, or a known
+        // remote conflict): only t is new. Zero shipment — Examples
+        // 2(1)(b)/9.
+        if v.add(cfd, tid) {
+            dv.add(cfd, tid);
+        }
+    } else if has_other {
+        // One clashing class and the group was satisfied: a brand-new
+        // conflict. Everyone in the group joins V.
+        mark_group(g, cfd, v, dv);
+        if !local_only {
+            return Ship::Probe;
         }
     }
+    // else: a satisfied single class agreeing with t.
+    Ship::Nothing
 }
 
 /// The §6 deletion case analysis at one site for one variable CFD whose
 /// pattern matches the deleted tuple `tid`, given its group-key and RHS
-/// digests.
+/// digests. `true` when only the peers can tell whether the group still
+/// violates.
 pub(crate) fn delete_case(
     groups: &mut FxHashMap<Digest, GroupState>,
     (v, dv): (&mut Violations, &mut DeltaV),
@@ -636,8 +673,7 @@ pub(crate) fn delete_case(
     tid: Tid,
     (kd, bd): (Digest, Digest),
     local_only: bool,
-    queries: &mut Vec<CfdId>,
-) {
+) -> bool {
     let g = groups
         .get_mut(&kd)
         .expect("deleted tuple's group must exist");
@@ -651,7 +687,7 @@ pub(crate) fn delete_case(
         shrink_if_sparse!(groups);
     }
     if !was_violating {
-        return; // deletions never create violations
+        return false; // deletions never create violations
     }
     // t was a violation; it leaves V in every remaining case.
     if v.remove(cfd, tid) {
@@ -660,14 +696,13 @@ pub(crate) fn delete_case(
     if !class_empty || n_rem >= 2 {
         // Same-RHS witness survives or ≥2 local RHS values remain: global
         // multiplicity still ≥ 2. Zero shipment — Example 2(2).
-        return;
+        return false;
     }
     if local_only {
         // Global = local: the group dropped to ≤ 1 RHS value.
         clear_group(groups, cfd, kd, v, dv);
-        return;
     }
-    queries.push(cfd);
+    !local_only
 }
 
 /// Clear the violating flag of a local group (if the site still holds
@@ -731,23 +766,6 @@ pub(crate) fn class_values(
     Ok(vals)
 }
 
-/// The attributes a coalesced message carries, sorted: the LHS of every
-/// listed CFD, plus the RHS of the `with_rhs` ones.
-pub(crate) fn wire_attrs(
-    out: &mut Vec<AttrId>,
-    cfds: &[Cfd],
-    lhs_only: &[CfdId],
-    with_rhs: &[CfdId],
-) {
-    out.clear();
-    for &c in lhs_only.iter().chain(with_rhs) {
-        out.extend_from_slice(&cfds[c as usize].lhs);
-    }
-    out.extend(with_rhs.iter().map(|&c| cfds[c as usize].rhs));
-    out.sort_unstable();
-    out.dedup();
-}
-
 /// What the §6 group state holds and what it costs: a census over every
 /// `(site, CFD)` map, `O(state)` when asked for and free otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -800,103 +818,15 @@ impl StateCensus {
     }
 }
 
-/// Per-update scratch the detector owns: cleared, not rebuilt, per op.
-#[derive(Default)]
-struct OpScratch {
-    /// Shared-plan dispatch scratch (generation-stamped counters).
-    dispatch: MatchScratch,
-    /// Value bytes / key bytes of the digest being computed.
-    vbuf: Vec<u8>,
-    kbuf: Vec<u8>,
-    /// This update's attribute digests and per-key-group key digests.
-    attr_d: FxHashMap<AttrId, Digest>,
-    group_kd: Vec<Option<Digest>>,
-    /// CFDs needing a probe / a query round for this update.
-    probes: Vec<CfdId>,
-    queries: Vec<CfdId>,
-    /// Attributes and peers of the coalesced message being shipped.
-    attrs: Vec<AttrId>,
-    peers: Vec<SiteId>,
-    /// Receiver side: the digests and explicit probes of one message.
-    rx_digests: FxHashMap<AttrId, Digest>,
-    probe_set: FxHashSet<CfdId>,
-    /// Sender side: CFDs some peer reported a conflict for.
-    conflicting: FxHashSet<CfdId>,
-}
-
-impl OpScratch {
-    /// Reset for the next update under a plan with `key_groups` groups.
-    fn begin(&mut self, key_groups: usize) {
-        self.attr_d.clear();
-        self.group_kd.clear();
-        self.group_kd.resize(key_groups, None);
-        self.probes.clear();
-        self.queries.clear();
-    }
-}
-
-/// Errors from the horizontal detector.
-#[derive(Debug)]
-pub enum HorizontalError {
-    /// Underlying relational error.
-    Rel(RelError),
-    /// Underlying cluster error.
-    Cluster(ClusterError),
-    /// Maintained state contradicted itself (a bug in this library).
-    Internal(String),
-}
-
-impl std::fmt::Display for HorizontalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HorizontalError::Rel(e) => write!(f, "{e}"),
-            HorizontalError::Cluster(e) => write!(f, "{e}"),
-            HorizontalError::Internal(msg) => write!(f, "internal inconsistency: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for HorizontalError {}
-
-impl From<RelError> for HorizontalError {
-    fn from(e: RelError) -> Self {
-        HorizontalError::Rel(e)
-    }
-}
-
-impl From<ClusterError> for HorizontalError {
-    fn from(e: ClusterError) -> Self {
-        HorizontalError::Cluster(e)
-    }
-}
-
-/// The incremental violation detector for horizontally partitioned data.
+/// The incremental violation detector for horizontally partitioned data:
+/// every site's `Site` machine in one struct, one thread driving all
+/// rounds synchronously over the session's transport.
 pub struct HorizontalDetector {
-    schema: Arc<Schema>,
-    cfds: Arc<[Cfd]>,
-    /// Per CFD: digests of the LHS constant atoms (pattern checks on
-    /// shipped payloads without re-hashing constants).
-    atom_digests: Arc<[Vec<(AttrId, Digest)>]>,
-    /// Variable CFDs grouped by identical LHS attribute list, so receivers
-    /// compute one group-key digest per distinct LHS rather than per CFD.
-    /// Derived from the shared plan's key groups.
-    lhs_groups: Arc<[(Vec<AttrId>, Vec<CfdId>)]>,
-    /// The merged multi-CFD evaluation plan: one dispatch scan decides
-    /// LHS matching for the whole rule set, one key-group digest serves
-    /// every CFD with the same `GroupBy` operator ([`cfd::SharedPlan`]).
-    plan: Arc<SharedPlan>,
-    /// Per-update scratch (dispatch counters, digest caches, the lists
-    /// and sets of the message being shipped).
-    scratch: OpScratch,
-    /// Sender-side multi-CFD evaluation mode: shared plan (default) or
-    /// the legacy per-CFD loop (kept as a differential baseline).
-    sharing: SharingMode,
+    cfg: SiteConfig,
     scheme: HorizontalScheme,
-    fragments: Vec<Relation>,
+    sites: Vec<Site>,
     /// Which fragment holds each live tuple.
     site_of_tid: FxHashMap<Tid, SiteId>,
-    /// Group state, indexed `[site][cfd]` (empty maps for constant CFDs).
-    state: Vec<Vec<FxHashMap<Digest, GroupState>>>,
     /// Mirror of the logical relation (union of fragments).
     current: Relation,
     violations: Violations,
@@ -905,19 +835,8 @@ pub struct HorizontalDetector {
     /// or TCP sockets) that serializes every [`HorMsg`] to bytes.
     net: Box<dyn MsgTransport<HorMsg>>,
     transport: TransportKind,
-    /// Sender-side payload encoding for every shipped value (per-link
-    /// state lives in the codec — e.g. [`cluster::codec::DictSyms`]
-    /// dictionary residency).
-    codec: Box<dyn PayloadCodec>,
-    /// Receiver-side codec state, `[receiving site][sending site]`: link
-    /// dictionaries built **only from received payloads** (deltas), so
-    /// digests derive from what actually crossed the wire — the codec
-    /// state machine split the real transport requires.
-    rx_codecs: Vec<Vec<ReceiverCodec>>,
-    /// `local_ok[cfd][site]`: `X_{F_i} ⊆ X` — no cross-site conflicts.
-    local_ok: Vec<Vec<bool>>,
-    /// `relevant[cfd]`: sites where `F_i ∧ F_φ` is satisfiable.
-    relevant: Vec<Vec<SiteId>>,
+    codec: CodecKind,
+    sharing: SharingMode,
 }
 
 impl HorizontalDetector {
@@ -969,68 +888,21 @@ impl HorizontalDetector {
             TransportKind::Framed => {
                 Box::new(ByteNetwork::in_memory(n).with_compression(codec.compression()))
             }
-            TransportKind::Tcp => Box::new(
-                ByteNetwork::tcp_localhost(n)
-                    .map_err(DetectError::Cluster)?
-                    .with_compression(codec.compression()),
-            ),
+            TransportKind::Tcp => {
+                Box::new(ByteNetwork::tcp_localhost(n)?.with_compression(codec.compression()))
+            }
         };
-        let mut local_ok = Vec::with_capacity(cfds.len());
-        let mut relevant = Vec::with_capacity(cfds.len());
-        for cfd in &cfds {
-            let lhs: FxHashSet<_> = cfd.lhs.iter().copied().collect();
-            local_ok.push(
-                (0..n)
-                    .map(|i| scheme.predicate(i).attrs().iter().all(|a| lhs.contains(a)))
-                    .collect::<Vec<bool>>(),
-            );
-            let atoms = cfd.constant_atoms();
-            relevant.push(
-                (0..n)
-                    .filter(|&i| !scheme.predicate(i).conflicts_with_atoms(&atoms))
-                    .collect::<Vec<SiteId>>(),
-            );
-        }
-        let atom_digests: Arc<[Vec<(AttrId, Digest)>]> = cfds
-            .iter()
-            .map(|c| {
-                c.constant_atoms()
-                    .into_iter()
-                    .map(|(a, v)| (a, attr_digest(&v)))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into();
-        let plan = Arc::new(SharedPlan::new(&cfds));
-        let lhs_groups: Arc<[(Vec<AttrId>, Vec<CfdId>)]> = plan.key_groups().to_vec().into();
-        let cfds: Arc<[Cfd]> = cfds.into();
+        let cfg = SiteConfig::new(schema.clone(), cfds, &scheme);
         let mut det = HorizontalDetector {
-            fragments: (0..n).map(|_| Relation::new(schema.clone())).collect(),
+            sites: (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect(),
             site_of_tid: FxHashMap::default(),
-            state: (0..n)
-                .map(|_| (0..cfds.len()).map(|_| FxHashMap::default()).collect())
-                .collect(),
-            current: Relation::new(schema.clone()),
-            violations: Violations::new(cfds.len()),
+            current: Relation::new(schema),
+            violations: Violations::new(cfg.cfds.len()),
             net,
             transport,
-            codec: codec.codec(),
-            rx_codecs: (0..n)
-                .map(|dst| {
-                    (0..n)
-                        .map(|src| ReceiverCodec::for_link(src, dst))
-                        .collect()
-                })
-                .collect(),
-            local_ok,
-            relevant,
-            schema,
-            cfds,
-            atom_digests,
-            lhs_groups,
-            plan,
-            scratch: OpScratch::default(),
+            codec,
             sharing: SharingMode::default(),
+            cfg,
             scheme,
         };
         crate::detector::ingest(d, |window| det.apply(window))?;
@@ -1045,7 +917,7 @@ impl HorizontalDetector {
 
     /// The payload codec this session ships values with.
     pub fn codec_kind(&self) -> CodecKind {
-        self.codec.kind()
+        self.codec
     }
 
     /// The transport substrate this session runs on.
@@ -1077,12 +949,12 @@ impl HorizontalDetector {
 
     /// The rule set.
     pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
+        &self.cfg.cfds
     }
 
     /// The merged multi-CFD evaluation plan.
     pub fn shared_plan(&self) -> &Arc<SharedPlan> {
-        &self.plan
+        &self.cfg.plan
     }
 
     /// Current multi-CFD evaluation mode.
@@ -1092,14 +964,16 @@ impl HorizontalDetector {
 
     /// Select the multi-CFD evaluation mode. Both modes produce
     /// bit-identical violations, `ΔV` and shipments — [`SharingMode::PerCfd`]
-    /// only re-enables the legacy `O(|Σ| · |X|)` loop as a baseline.
+    /// only re-enables the legacy `O(|Σ| · |X|)` scan as the tests'
+    /// reference.
     pub fn set_sharing(&mut self, mode: SharingMode) {
         self.sharing = mode;
+        self.sites.iter_mut().for_each(|s| s.sharing = mode);
     }
 
     /// The global schema.
     pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        &self.cfg.schema
     }
 
     /// The mirror of the logical relation.
@@ -1109,26 +983,40 @@ impl HorizontalDetector {
 
     /// Fragment relation at `site`.
     pub fn fragment(&self, site: SiteId) -> &Relation {
-        &self.fragments[site]
+        self.sites[site].fragment()
     }
 
-    /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incHor`.
-    ///
-    /// For large batches the per-CFD MD5 work (group-key and RHS digests
-    /// of every op, for every matching variable CFD) is precomputed on
-    /// scoped threads — the per-CFD loop's dominant CPU cost fans out the
-    /// way the batch baselines' per-CFD checks already do — and the
-    /// protocol itself then replays serially, so message counts and `|M|`
-    /// are identical to a sequential run.
+    /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incHor`:
+    /// each update runs at its home site's machine, and one that opens a
+    /// round is driven to its end before the next begins.
     pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
         let delta = delta.normalize(&self.current);
-        let pre = self.precompute_digests(&delta);
         let mut dv = DeltaV::default();
-        for (i, op) in delta.ops().iter().enumerate() {
-            let pre_op = pre.as_ref().map(|p| (p, i));
-            match op {
-                Update::Insert(t) => self.insert_one(t.clone(), &mut dv, pre_op)?,
-                Update::Delete(tid) => self.delete_one(*tid, &mut dv, pre_op)?,
+        for op in delta.ops() {
+            let sink = (&mut self.violations, &mut dv);
+            let (home, opened) = match op {
+                Update::Insert(t) => {
+                    let home = self.scheme.route(t)?;
+                    let opened = self.sites[home].begin_insert(t, sink)?;
+                    self.site_of_tid.insert(t.tid, home);
+                    self.current.insert_row(t.tid, t.values.iter())?;
+                    (home, opened)
+                }
+                Update::Delete(tid) => {
+                    let home = self.site_of_tid.remove(tid);
+                    let home = home.ok_or(RelError::MissingTid(*tid))?;
+                    let opened = self.sites[home].begin_delete(*tid, sink)?;
+                    self.current.delete_quiet(*tid)?;
+                    (home, opened)
+                }
+            };
+            if let Some((mut round, requests)) = opened {
+                self.serve(home, requests, &mut dv)?;
+                for (from, reply) in self.net.try_drain(home)? {
+                    self.sites[home].on_reply(&mut round, from, reply)?;
+                }
+                let clears = self.sites[home].finish(round, (&mut self.violations, &mut dv))?;
+                self.serve(home, clears, &mut dv)?;
             }
         }
         debug_assert!(self.net.quiescent(), "protocol rounds must complete");
@@ -1136,643 +1024,24 @@ impl HorizontalDetector {
         Ok(dv)
     }
 
-    // ------------------------------------------------------------------
-    // Digest helpers
-    // ------------------------------------------------------------------
-
-    /// Per-`[cfd][op]` precomputed `(group-key digest, RHS digest)` for
-    /// variable CFDs whose pattern the op's tuple matches (`None`
-    /// otherwise, and everywhere for constant CFDs). Deletion digests read
-    /// the store's borrowed values — normalization guarantees every
-    /// deleted tid is live in the pre-batch relation. Returns `None`
-    /// (compute inline) below the parallel threshold, and always under
-    /// [`SharingMode::Shared`]: the shared dispatch pass hashes each
-    /// attribute once per update instead of once per CFD, so the per-CFD
-    /// fan-out this precompute parallelizes no longer exists.
-    fn precompute_digests(&self, delta: &UpdateBatch) -> Option<PreDigests> {
-        if self.sharing == SharingMode::Shared {
-            return None;
-        }
-        let ops = delta.ops();
-        let n_var = self.cfds.iter().filter(|c| c.is_variable()).count();
-        if ops.len() * n_var < crate::par::PAR_THRESHOLD {
-            return None;
-        }
-        let cfds = Arc::clone(&self.cfds);
-        let current = &self.current;
-        Some(crate::par::par_map(cfds.len(), true, &|c| {
-            let cfd = &cfds[c];
-            if cfd.is_constant() {
-                return vec![None; ops.len()];
-            }
-            let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
-            ops.iter()
-                .map(|op| match op {
-                    Update::Insert(t) => cfd.matches_lhs(t).then(|| {
-                        (
-                            Self::key_of(cfd, t, &mut vbuf, &mut kbuf),
-                            attr_digest_into(t.get(cfd.rhs), &mut vbuf),
-                        )
-                    }),
-                    Update::Delete(tid) => {
-                        let store = current.store();
-                        let row = store
-                            .row_of(*tid)
-                            .expect("normalized deletes target live tuples");
-                        let matches = cfd
-                            .lhs
-                            .iter()
-                            .zip(&cfd.lhs_pattern)
-                            .all(|(&a, p)| p.matches(store.value(row, a)));
-                        matches.then(|| {
-                            let kd = key_digest_from(
-                                cfd.lhs
-                                    .iter()
-                                    .map(|&a| attr_digest_into(store.value(row, a), &mut vbuf)),
-                                &mut kbuf,
-                            );
-                            (kd, attr_digest_into(store.value(row, cfd.rhs), &mut vbuf))
-                        })
-                    }
-                })
-                .collect()
-        }))
-    }
-
-    /// Group-key digest of `cfd`'s LHS for tuple `t`, built in the two
-    /// caller-supplied scratch buffers (value bytes, key bytes).
-    pub(crate) fn key_of(cfd: &Cfd, t: &Tuple, vbuf: &mut Vec<u8>, kbuf: &mut Vec<u8>) -> Digest {
-        key_digest_from(
-            cfd.lhs.iter().map(|&a| attr_digest_into(t.get(a), vbuf)),
-            kbuf,
-        )
-    }
-
-    /// Digest of `t[a]`, memoized across the CFDs sharing the attribute:
-    /// under the shared plan each attribute of an update is hashed once,
-    /// no matter how many plans read it.
-    pub(crate) fn digest_cached(
-        cache: &mut FxHashMap<AttrId, Digest>,
-        t: &Tuple,
-        a: AttrId,
-        vbuf: &mut Vec<u8>,
-    ) -> Digest {
-        match cache.get(&a) {
-            Some(d) => *d,
-            None => {
-                let d = attr_digest_into(t.get(a), vbuf);
-                cache.insert(a, d);
-                d
-            }
-        }
-    }
-
-    /// Group-key digest derived from shipped attribute payloads.
-    pub(crate) fn key_from_wire(
-        cfd: &Cfd,
-        attrs: &FxHashMap<AttrId, Digest>,
-        kbuf: &mut Vec<u8>,
-    ) -> Digest {
-        key_digest_from(cfd.lhs.iter().map(|a| attrs[a]), kbuf)
-    }
-
-    /// Wire payload for the (sorted) attributes `attrs` of `t`, encoded
-    /// by `codec` for the `src → dst` link. Encoding is per link because
-    /// codecs may keep per-link state (dictionary residency): the same
-    /// value can ship as a full entry to one peer and a bare symbol to
-    /// the next.
-    pub(crate) fn encode_attrs(
-        codec: &mut dyn PayloadCodec,
-        t: &Tuple,
-        attrs: &[AttrId],
-        src: SiteId,
-        dst: SiteId,
-    ) -> Vec<(AttrId, WireValue)> {
-        attrs
-            .iter()
-            .map(|&a| (a, codec.encode(src, dst, t.get(a))))
-            .collect()
-    }
-
-    /// [`Self::encode_attrs`] for one peer of a broadcast: link-stateful
-    /// codecs ([`PayloadCodec::per_link`]) encode fresh per peer, while
-    /// stateless ones (md5/raw) encode once into `cached` and clone — the
-    /// per-attribute digests of one update are computed once, not once
-    /// per peer.
-    pub(crate) fn encode_attrs_for_peer(
-        codec: &mut dyn PayloadCodec,
-        t: &Tuple,
-        attrs: &[AttrId],
-        src: SiteId,
-        dst: SiteId,
-        cached: &mut Option<Vec<(AttrId, WireValue)>>,
-    ) -> Vec<(AttrId, WireValue)> {
-        if codec.per_link() {
-            return Self::encode_attrs(codec, t, attrs, src, dst);
-        }
-        cached
-            .get_or_insert_with(|| Self::encode_attrs(codec, t, attrs, src, dst))
-            .clone()
-    }
-
-    /// Sites relevant to at least one of `cfds`, minus `me`, sorted.
-    pub(crate) fn peers_of<'a>(
-        out: &mut Vec<SiteId>,
-        relevant: &[Vec<SiteId>],
-        cfds: impl Iterator<Item = &'a CfdId>,
-        me: SiteId,
-    ) {
-        out.clear();
-        for &c in cfds {
-            out.extend(relevant[c as usize].iter().filter(|&&j| j != me));
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Resolve a received payload's per-attribute digests through the
-    /// `from → at` link's own dictionary state (fed only by received
-    /// deltas) into `out`.
-    fn resolve_digests(
+    /// Ship `home`'s requests; each peer serves its own at once (the
+    /// rounds are synchronous) and whatever it replies is shipped back.
+    fn serve(
         &mut self,
-        out: &mut FxHashMap<AttrId, Digest>,
-        at: SiteId,
-        from: SiteId,
-        attrs: &[(AttrId, WireValue)],
-    ) -> Result<(), ClusterError> {
-        let rx = &mut self.rx_codecs[at][from];
-        out.clear();
-        for (a, w) in attrs {
-            out.insert(*a, rx.digest(w)?);
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Insertion (§6 insertion case analysis, coalesced shipping)
-    // ------------------------------------------------------------------
-
-    fn insert_one(
-        &mut self,
-        t: Tuple,
+        home: SiteId,
+        requests: Vec<(SiteId, HorMsg)>,
         dv: &mut DeltaV,
-        pre: Option<(&PreDigests, usize)>,
-    ) -> Result<(), HorizontalError> {
-        let cfds = Arc::clone(&self.cfds);
-        let site = self.scheme.route(&t)?;
-        // The row goes in before any group state: every class this update
-        // creates has, from its first instant, a member whose RHS value
-        // the fragment can produce ([`class_values`]).
-        self.fragments[site].insert_row(t.tid, t.values.iter())?;
-        let mut sx = std::mem::take(&mut self.scratch);
-        sx.begin(self.plan.key_groups().len());
-
-        match self.sharing {
-            SharingMode::PerCfd => {
-                for c in 0..cfds.len() {
-                    let cfd = &cfds[c];
-                    if cfd.is_constant() {
-                        if cfd.constant_violation(&t) && self.violations.add(cfd.id, t.tid) {
-                            dv.add(cfd.id, t.tid);
-                        }
-                        continue;
-                    }
-                    let (kd, bd) = match pre {
-                        Some((p, i)) => match p[c][i] {
-                            Some(x) => x,
-                            None => continue, // pattern does not match
-                        },
-                        None => {
-                            if !cfd.matches_lhs(&t) {
-                                continue;
-                            }
-                            (
-                                Self::key_of(cfd, &t, &mut sx.vbuf, &mut sx.kbuf),
-                                attr_digest_into(t.get(cfd.rhs), &mut sx.vbuf),
-                            )
-                        }
-                    };
-                    insert_case(
-                        &mut self.state[site][c],
-                        (&mut self.violations, dv),
-                        c as CfdId,
-                        t.tid,
-                        (kd, bd),
-                        self.local_ok[c][site],
-                        &mut sx.probes,
-                        &mut sx.queries,
-                    );
-                }
-            }
-            SharingMode::Shared => {
-                // One dispatch pass decides LHS matching for every CFD;
-                // the hit list is ascending by id, so the case analysis
-                // runs in the exact order of the per-CFD loop.
-                let plan = Arc::clone(&self.plan);
-                for &cid in plan.matched(&t, &mut sx.dispatch) {
-                    let c = cid as usize;
-                    let cfd = &cfds[c];
-                    if cfd.is_constant() {
-                        if cfd.constant_violation(&t) && self.violations.add(cid, t.tid) {
-                            dv.add(cid, t.tid);
-                        }
-                        continue;
-                    }
-                    // One group-key digest per key group, one value digest
-                    // per attribute — the shared group-by pass.
-                    let g = plan.group_of(cid).expect("variable CFD joins a key group");
-                    let kd = *sx.group_kd[g].get_or_insert_with(|| {
-                        key_digest_from(
-                            cfd.lhs
-                                .iter()
-                                .map(|&a| Self::digest_cached(&mut sx.attr_d, &t, a, &mut sx.vbuf)),
-                            &mut sx.kbuf,
-                        )
-                    });
-                    let bd = Self::digest_cached(&mut sx.attr_d, &t, cfd.rhs, &mut sx.vbuf);
-                    insert_case(
-                        &mut self.state[site][c],
-                        (&mut self.violations, dv),
-                        c as CfdId,
-                        t.tid,
-                        (kd, bd),
-                        self.local_ok[c][site],
-                        &mut sx.probes,
-                        &mut sx.queries,
-                    );
-                }
-            }
-        }
-
-        if !sx.probes.is_empty() || !sx.queries.is_empty() {
-            self.ship_probe(&t, site, &mut sx, dv)?;
-        }
-        self.scratch = sx;
-
-        self.site_of_tid.insert(t.tid, site);
-        self.current.insert(t)?;
-        Ok(())
-    }
-
-    /// Ship one coalesced `TupleProbe` per peer covering every CFD that
-    /// needs remote work for this insertion, process it at each peer, and
-    /// fold the query replies back into the inserting site's flags.
-    fn ship_probe(
-        &mut self,
-        t: &Tuple,
-        site: SiteId,
-        sx: &mut OpScratch,
-        dv: &mut DeltaV,
-    ) -> Result<(), HorizontalError> {
-        let cfds = Arc::clone(&self.cfds);
-        let lhs_groups = Arc::clone(&self.lhs_groups);
-        // Attribute union: probe CFDs need the LHS, query CFDs LHS + RHS.
-        wire_attrs(&mut sx.attrs, &cfds, &sx.probes, &sx.queries);
-        // Peers: any site relevant to at least one involved CFD.
-        Self::peers_of(
-            &mut sx.peers,
-            &self.relevant,
-            sx.probes.iter().chain(&sx.queries),
-            site,
-        );
-
-        let mut cached = None;
-        for &j in &sx.peers {
-            let attrs = Self::encode_attrs_for_peer(
-                self.codec.as_mut(),
-                t,
-                &sx.attrs,
-                site,
-                j,
-                &mut cached,
-            );
-            self.net.send(
-                site,
-                j,
-                HorMsg::TupleProbe {
-                    attrs,
-                    probes: sx.probes.clone(),
-                },
-            )?;
-            // Peer processes immediately (synchronous round).
+    ) -> Result<(), DetectError> {
+        for (j, request) in requests {
+            self.net.send(home, j, request)?;
             for (from, msg) in self.net.try_drain(j)? {
-                let HorMsg::TupleProbe { attrs, probes } = msg else {
-                    continue;
-                };
-                let digests = &mut sx.rx_digests;
-                self.resolve_digests(digests, j, from, &attrs)?;
-                // Explicit probes: a brand-new conflict at the sender
-                // flips every remote group of the CFD.
-                for &c in &probes {
-                    let kd = Self::key_from_wire(&cfds[c as usize], digests, &mut sx.kbuf);
-                    if let Some(h) = self.state[j][c as usize].get_mut(&kd) {
-                        if !h.violating() {
-                            mark_group(h, c, &mut self.violations, dv);
-                        }
-                    }
-                }
-                // Implicit queries: every other derivable variable
-                // CFD, one key digest per distinct LHS set.
-                sx.probe_set.clear();
-                sx.probe_set.extend(probes.iter().copied());
-                let mut reply: Vec<CfdId> = Vec::new();
-                for (lhs, ids) in lhs_groups.iter() {
-                    if !lhs.iter().all(|a| digests.contains_key(a)) {
-                        continue;
-                    }
-                    let kd = key_digest_from(lhs.iter().map(|a| digests[a]), &mut sx.kbuf);
-                    for &cid in ids {
-                        let c = cid as usize;
-                        if sx.probe_set.contains(&cid) {
-                            continue;
-                        }
-                        let Some(&bd) = digests.get(&cfds[c].rhs) else {
-                            continue;
-                        };
-                        // Pattern check through precomputed atom digests.
-                        if !self.atom_digests[c].iter().all(|(a, d)| digests[a] == *d) {
-                            continue;
-                        }
-                        let hit = match self.state[j][c].get_mut(&kd) {
-                            None => false,
-                            Some(h) => {
-                                let other = h.has_other(bd);
-                                if other && !h.violating() {
-                                    mark_group(h, cid, &mut self.violations, dv);
-                                }
-                                other || h.violating()
-                            }
-                        };
-                        if hit {
-                            reply.push(cid);
-                        }
-                    }
-                }
-                if !reply.is_empty() {
-                    self.net
-                        .send(j, site, HorMsg::ProbeReply { conflicts: reply })?;
-                }
-            }
-        }
-        // Fold replies into the querying CFDs' flags.
-        sx.conflicting.clear();
-        for (_, msg) in self.net.try_drain(site)? {
-            if let HorMsg::ProbeReply { conflicts } = msg {
-                sx.conflicting.extend(conflicts);
-            }
-        }
-        for &c in &sx.queries {
-            if sx.conflicting.contains(&c) {
-                let kd = Self::key_of(&cfds[c as usize], t, &mut sx.vbuf, &mut sx.kbuf);
-                let g = self.state[site][c as usize]
-                    .get_mut(&kd)
-                    .expect("group created during insert");
-                g.set_violating(true);
-                if self.violations.add(c, t.tid) {
-                    dv.add(c, t.tid);
+                let sink = (&mut self.violations, &mut *dv);
+                if let Some(reply) = self.sites[j].on_request(from, msg, sink)? {
+                    self.net.send(j, from, reply)?;
                 }
             }
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Deletion (§6 deletion case analysis, coalesced shipping)
-    // ------------------------------------------------------------------
-
-    fn delete_one(
-        &mut self,
-        tid: Tid,
-        dv: &mut DeltaV,
-        pre: Option<(&PreDigests, usize)>,
-    ) -> Result<(), HorizontalError> {
-        let cfds = Arc::clone(&self.cfds);
-        let t = self.current.get(tid).ok_or(RelError::MissingTid(tid))?;
-        let site = *self
-            .site_of_tid
-            .get(&tid)
-            .expect("live tuple has a home site");
-        let mut sx = std::mem::take(&mut self.scratch);
-        sx.begin(self.plan.key_groups().len());
-
-        match self.sharing {
-            SharingMode::PerCfd => {
-                for c in 0..cfds.len() {
-                    let cfd = &cfds[c];
-                    if cfd.is_constant() {
-                        if self.violations.remove(cfd.id, tid) {
-                            dv.remove(cfd.id, tid);
-                        }
-                        continue;
-                    }
-                    let (kd, bd) = match pre {
-                        Some((p, i)) => match p[c][i] {
-                            Some(x) => x,
-                            None => continue, // pattern does not match
-                        },
-                        None => {
-                            if !cfd.matches_lhs(&t) {
-                                continue;
-                            }
-                            (
-                                Self::key_of(cfd, &t, &mut sx.vbuf, &mut sx.kbuf),
-                                attr_digest_into(t.get(cfd.rhs), &mut sx.vbuf),
-                            )
-                        }
-                    };
-                    delete_case(
-                        &mut self.state[site][c],
-                        (&mut self.violations, dv),
-                        c as CfdId,
-                        tid,
-                        (kd, bd),
-                        self.local_ok[c][site],
-                        &mut sx.queries,
-                    );
-                }
-            }
-            SharingMode::Shared => {
-                // Dispatch restricted to LHS-matching CFDs is sound for
-                // the constant-CFD removals too: `tid ∈ V(φ)` implies the
-                // (immutable) tuple matched `φ`'s LHS at insert, so a CFD
-                // outside the hit list cannot hold a mark for `tid`.
-                let plan = Arc::clone(&self.plan);
-                for &cid in plan.matched(&t, &mut sx.dispatch) {
-                    let c = cid as usize;
-                    let cfd = &cfds[c];
-                    if cfd.is_constant() {
-                        if self.violations.remove(cid, tid) {
-                            dv.remove(cid, tid);
-                        }
-                        continue;
-                    }
-                    let g = plan.group_of(cid).expect("variable CFD joins a key group");
-                    let kd = *sx.group_kd[g].get_or_insert_with(|| {
-                        key_digest_from(
-                            cfd.lhs
-                                .iter()
-                                .map(|&a| Self::digest_cached(&mut sx.attr_d, &t, a, &mut sx.vbuf)),
-                            &mut sx.kbuf,
-                        )
-                    });
-                    let bd = Self::digest_cached(&mut sx.attr_d, &t, cfd.rhs, &mut sx.vbuf);
-                    delete_case(
-                        &mut self.state[site][c],
-                        (&mut self.violations, dv),
-                        c as CfdId,
-                        tid,
-                        (kd, bd),
-                        self.local_ok[c][site],
-                        &mut sx.queries,
-                    );
-                }
-            }
-        }
-
-        if !sx.queries.is_empty() {
-            self.ship_del_query(&t, site, &mut sx, dv)?;
-        }
-        self.scratch = sx;
-
-        self.fragments[site].delete_quiet(tid)?;
-        self.site_of_tid.remove(&tid);
-        self.current.delete_quiet(tid)?;
-        Ok(())
-    }
-
-    /// One coalesced `TupleDelQuery` per peer; fold the per-CFD RHS-value
-    /// replies, and send (coalesced) `ClearFlags` where groups stopped
-    /// violating globally.
-    fn ship_del_query(
-        &mut self,
-        t: &Tuple,
-        site: SiteId,
-        sx: &mut OpScratch,
-        dv: &mut DeltaV,
-    ) -> Result<(), HorizontalError> {
-        let all_cfds = Arc::clone(&self.cfds);
-        wire_attrs(&mut sx.attrs, &all_cfds, &sx.queries, &[]);
-        Self::peers_of(&mut sx.peers, &self.relevant, sx.queries.iter(), site);
-
-        // Per CFD: global distinct bvals and the peers holding members.
-        let mut global: FxHashMap<CfdId, FxHashSet<Digest>> = sx
-            .queries
-            .iter()
-            .map(|&c| (c, FxHashSet::default()))
-            .collect();
-        let mut holders: FxHashMap<CfdId, Vec<SiteId>> =
-            sx.queries.iter().map(|&c| (c, Vec::new())).collect();
-
-        let mut cached = None;
-        for &j in &sx.peers {
-            let attrs = Self::encode_attrs_for_peer(
-                self.codec.as_mut(),
-                t,
-                &sx.attrs,
-                site,
-                j,
-                &mut cached,
-            );
-            self.net.send(
-                site,
-                j,
-                HorMsg::TupleDelQuery {
-                    attrs,
-                    queries: sx.queries.clone(),
-                },
-            )?;
-            for (from, msg) in self.net.try_drain(j)? {
-                let HorMsg::TupleDelQuery { attrs, queries } = msg else {
-                    continue;
-                };
-                self.resolve_digests(&mut sx.rx_digests, j, from, &attrs)?;
-                let codec = self.codec.as_mut();
-                let mut reply: Vec<(CfdId, Vec<WireValue>)> = Vec::new();
-                for &c in &queries {
-                    let cfd = &all_cfds[c as usize];
-                    let kd = Self::key_from_wire(cfd, &sx.rx_digests, &mut sx.kbuf);
-                    // Only peers answer, so the querying site's own
-                    // half-updated group is never the one read here.
-                    if let Some(h) = self.state[j][c as usize].get(&kd) {
-                        let bvals = class_values(h, &self.fragments[j], (j, cfd, kd), |v| {
-                            codec.encode(j, site, v)
-                        })
-                        .map_err(HorizontalError::Internal)?;
-                        reply.push((c, bvals));
-                    }
-                }
-                if !reply.is_empty() {
-                    self.net.send(j, site, HorMsg::DelReply { bvals: reply })?;
-                }
-            }
-        }
-        for (from, msg) in self.net.try_drain(site)? {
-            if let HorMsg::DelReply { bvals } = msg {
-                for (c, vs) in bvals {
-                    holders.get_mut(&c).expect("queried cfd").push(from);
-                    let set = global.get_mut(&c).expect("queried cfd");
-                    for v in vs {
-                        set.insert(self.rx_codecs[site][from].digest(&v)?);
-                    }
-                }
-            }
-        }
-
-        // Decide per CFD; coalesce clears per peer.
-        let mut clears_by_peer: FxHashMap<SiteId, Vec<CfdId>> = FxHashMap::default();
-        for &c in &sx.queries {
-            let cfd = &all_cfds[c as usize];
-            let kd = Self::key_of(cfd, t, &mut sx.vbuf, &mut sx.kbuf);
-            let mut all = global.remove(&c).expect("queried cfd");
-            if let Some(h) = self.state[site][c as usize].get(&kd) {
-                h.for_each_class(|bd, _| {
-                    all.insert(bd);
-                });
-            }
-            if all.len() >= 2 {
-                continue; // still violating everywhere
-            }
-            self.clear_group_local(c, site, kd, dv);
-            for &j in &holders[&c] {
-                clears_by_peer.entry(j).or_default().push(c);
-            }
-        }
-        let mut clear_peers: Vec<SiteId> = clears_by_peer.keys().copied().collect();
-        clear_peers.sort_unstable();
-        for j in clear_peers {
-            let clear_list = clears_by_peer.remove(&j).expect("listed peer");
-            wire_attrs(&mut sx.attrs, &all_cfds, &clear_list, &[]);
-            let attrs = Self::encode_attrs(self.codec.as_mut(), t, &sx.attrs, site, j);
-            self.net.send(
-                site,
-                j,
-                HorMsg::ClearFlags {
-                    attrs,
-                    cfds: clear_list,
-                },
-            )?;
-            for (from, msg) in self.net.try_drain(j)? {
-                let HorMsg::ClearFlags {
-                    attrs,
-                    cfds: to_clear,
-                } = msg
-                else {
-                    continue;
-                };
-                self.resolve_digests(&mut sx.rx_digests, j, from, &attrs)?;
-                for c in to_clear {
-                    let kd =
-                        Self::key_from_wire(&all_cfds[c as usize], &sx.rx_digests, &mut sx.kbuf);
-                    self.clear_group_local(c, j, kd, dv);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn clear_group_local(&mut self, cfd: CfdId, site: SiteId, kd: Digest, dv: &mut DeltaV) {
-        let groups = &mut self.state[site][cfd as usize];
-        clear_group(groups, cfd, kd, &mut self.violations, dv);
     }
 
     /// Census of the §6 group state over every site: what it holds and
@@ -1780,17 +1049,15 @@ impl HorizontalDetector {
     /// unless this is called.
     pub fn state_census(&self) -> StateCensus {
         let mut census = StateCensus::default();
-        for map in self.state.iter().flatten() {
-            census.count(map);
-        }
+        self.sites.iter().for_each(|s| s.count_into(&mut census));
         census
     }
 
     /// Symbols resident per receiving link, `[dst][src]` flattened.
     #[cfg(test)]
     pub(crate) fn resident_symbols(&self) -> Vec<usize> {
-        let links = self.rx_codecs.iter().flatten();
-        links.map(ReceiverCodec::resident_symbols).collect()
+        let links = self.sites.iter().flat_map(Site::resident_symbols);
+        links.collect()
     }
 }
 
@@ -1835,88 +1102,8 @@ impl Detector for HorizontalDetector {
 
 #[cfg(test)]
 mod tests {
+    use super::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
     use super::*;
-    use cluster::partition::HorizontalScheme;
-
-    fn emp_schema() -> Arc<Schema> {
-        Schema::new(
-            "EMP",
-            &["id", "grade", "CC", "AC", "zip", "street", "city"],
-            "id",
-        )
-        .unwrap()
-    }
-
-    fn emp_tuple(
-        tid: Tid,
-        grade: &str,
-        cc: i64,
-        ac: i64,
-        zip: &str,
-        street: &str,
-        city: &str,
-    ) -> Tuple {
-        Tuple::new(
-            tid,
-            vec![
-                Value::int(tid as i64),
-                Value::str(grade),
-                Value::int(cc),
-                Value::int(ac),
-                Value::str(zip),
-                Value::str(street),
-                Value::str(city),
-            ],
-        )
-    }
-
-    fn d0() -> Relation {
-        let mut d = Relation::new(emp_schema());
-        d.insert(emp_tuple(1, "A", 44, 131, "EH4 8LE", "Mayfield", "NYC"))
-            .unwrap();
-        d.insert(emp_tuple(2, "A", 44, 131, "EH2 4HF", "Preston", "EDI"))
-            .unwrap();
-        d.insert(emp_tuple(3, "B", 44, 131, "EH4 8LE", "Mayfield", "EDI"))
-            .unwrap();
-        d.insert(emp_tuple(4, "B", 44, 131, "EH4 8LE", "Mayfield", "EDI"))
-            .unwrap();
-        d.insert(emp_tuple(5, "C", 44, 131, "EH4 8LE", "Crichton", "EDI"))
-            .unwrap();
-        d
-    }
-
-    fn fig1_cfds(s: &Schema) -> Vec<Cfd> {
-        vec![
-            Cfd::from_names(
-                0,
-                s,
-                &[("CC", Some(Value::int(44))), ("zip", None)],
-                ("street", None),
-            )
-            .unwrap(),
-            Cfd::from_names(
-                1,
-                s,
-                &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
-                ("city", Some(Value::str("EDI"))),
-            )
-            .unwrap(),
-        ]
-    }
-
-    /// Fig. 2: grade A / B / C fragments.
-    fn fig2_scheme(s: &Arc<Schema>) -> HorizontalScheme {
-        HorizontalScheme::by_values(
-            s.clone(),
-            s.attr_id("grade").unwrap(),
-            vec![
-                vec![Value::str("A")],
-                vec![Value::str("B")],
-                vec![Value::str("C")],
-            ],
-        )
-        .unwrap()
-    }
 
     fn detector() -> HorizontalDetector {
         let s = emp_schema();
@@ -2286,24 +1473,6 @@ mod tests {
                 assert_eq!(members, want_members);
                 assert_eq!(classes, want_classes);
             }
-        }
-    }
-
-    #[test]
-    fn orphaned_class_is_an_internal_error_not_a_null() {
-        let mut det = detector();
-        // Break the invariant by hand: site 1 (grade B) loses t3 and t4's
-        // rows while their class stays in the group state.
-        det.fragments[1].delete_quiet(3).unwrap();
-        det.fragments[1].delete_quiet(4).unwrap();
-        // Deleting t5 (site 2, the only other street) sends a del-query.
-        let mut delta = UpdateBatch::new();
-        delta.delete(5);
-        match det.apply(&delta) {
-            Err(DetectError::Internal(msg)) => {
-                assert!(msg.contains("site 1") && msg.contains("CFD 0"), "{msg}");
-            }
-            other => panic!("expected an internal error, got {other:?}"),
         }
     }
 }

@@ -1,0 +1,1253 @@
+//! The §6 site machine: one site's whole share of `incHor` — fragment,
+//! group state, codec state — behind five steps with no transport, no
+//! threads and no `V` inside. The [parent module](super) documents the
+//! steps and the invariants; [`HorizontalDetector`](super::HorizontalDetector)
+//! drives `n` machines synchronously over a `MsgTransport`, the
+//! thread-per-site [`SiteRunner`](crate::concurrent::SiteRunner) drives
+//! one behind its wave scheduler.
+
+use super::{
+    class_values, clear_group, delete_case, insert_case, mark_group, GroupState, HorMsg, Ship,
+    StateCensus,
+};
+use crate::detector::DetectError;
+use crate::optimize::SharingMode;
+use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
+use cluster::codec::{
+    value_digest, value_digest_into, CodecKind, PayloadCodec, ReceiverCodec, WireValue,
+};
+use cluster::md5::{md5, Digest};
+use cluster::partition::HorizontalScheme;
+use cluster::{ClusterError, SiteId};
+use relation::{AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Where a step records what it decides: the caller's `V` and the `ΔV` of
+/// the batch in progress (the sequential driver has one of each, a
+/// threaded site its own slice).
+pub(crate) type Sink<'a> = (&'a mut Violations, &'a mut DeltaV);
+
+/// What a shipping `begin_*` hands its driver: the open round and the
+/// requests to send, ascending by peer.
+pub(crate) type Opened = (Round, Vec<(SiteId, HorMsg)>);
+
+/// Group-key digest of a CFD's LHS: MD5 over the concatenated per-attribute
+/// digests (in LHS order). Computable both from raw values and from shipped
+/// attribute digests, which is what lets one message serve every CFD.
+fn key_digest_from(attr_digests: impl IntoIterator<Item = Digest>, kbuf: &mut Vec<u8>) -> Digest {
+    kbuf.clear();
+    for d in attr_digests {
+        kbuf.extend_from_slice(&d.0);
+    }
+    md5(kbuf)
+}
+
+/// Digest of `t[a]`, memoized across the CFDs sharing the attribute: each
+/// attribute of an update is hashed once, however many rules read it.
+fn digest_cached(
+    cache: &mut FxHashMap<AttrId, Digest>,
+    t: &Tuple,
+    a: AttrId,
+    vbuf: &mut Vec<u8>,
+) -> Digest {
+    *cache
+        .entry(a)
+        .or_insert_with(|| value_digest_into(t.get(a), vbuf))
+}
+
+/// Wire payload for the (sorted) attributes `attrs` of `t` on the
+/// `src → dst` link. Encoding is per link because codecs may keep per-link
+/// state (dictionary residency): the same value can ship as a full entry
+/// to one peer and a bare symbol to the next.
+fn encode_attrs(
+    codec: &mut dyn PayloadCodec,
+    t: &Tuple,
+    attrs: &[AttrId],
+    (src, dst): (SiteId, SiteId),
+) -> Vec<(AttrId, WireValue)> {
+    let encode = |&a| (a, codec.encode(src, dst, t.get(a)));
+    attrs.iter().map(encode).collect()
+}
+
+/// The attributes a coalesced message carries, sorted: the LHS of every
+/// listed CFD, plus the RHS of the `with_rhs` ones.
+fn wire_attrs(out: &mut Vec<AttrId>, cfds: &[Cfd], lhs_only: &[CfdId], with_rhs: &[CfdId]) {
+    out.clear();
+    for &c in lhs_only.iter().chain(with_rhs) {
+        out.extend_from_slice(&cfds[c as usize].lhs);
+    }
+    out.extend(with_rhs.iter().map(|&c| cfds[c as usize].rhs));
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// One message per peer in `sx.peers` carrying `sx.attrs` of `t`, built at
+/// site `me`. Link-stateful codecs ([`PayloadCodec::per_link`]) encode
+/// fresh per peer; stateless ones (md5/raw) encode once and clone, so the
+/// attribute digests of an update are computed once, not per peer.
+fn broadcast(
+    codec: &mut dyn PayloadCodec,
+    me: SiteId,
+    sx: &OpScratch,
+    t: &Tuple,
+    msg: impl Fn(Vec<(AttrId, WireValue)>) -> HorMsg,
+) -> Vec<(SiteId, HorMsg)> {
+    let mut shared = None;
+    let to_peer = sx.peers.iter().map(|&j| {
+        let payload = if codec.per_link() {
+            encode_attrs(codec, t, &sx.attrs, (me, j))
+        } else {
+            shared
+                .get_or_insert_with(|| encode_attrs(codec, t, &sx.attrs, (me, j)))
+                .clone()
+        };
+        (j, msg(payload))
+    });
+    to_peer.collect()
+}
+
+/// Everything a site derives from `(schema, Σ, scheme)` alone — identical
+/// at every site, cheap to clone (all `Arc`s), and reconstructible in a
+/// separate process from the same inputs.
+#[derive(Debug, Clone)]
+pub struct SiteConfig {
+    pub(crate) schema: Arc<Schema>,
+    pub(crate) cfds: Arc<[Cfd]>,
+    /// The merged multi-CFD evaluation plan: one dispatch scan decides LHS
+    /// matching for the whole rule set, and its key groups (variable CFDs
+    /// by identical LHS list) let senders and receivers compute one
+    /// group-key digest per distinct LHS rather than per CFD.
+    pub(crate) plan: Arc<SharedPlan>,
+    pub(crate) n_sites: usize,
+    /// Per CFD: digests of the LHS constant atoms (pattern checks on
+    /// shipped payloads without re-hashing constants).
+    atom_digests: Arc<[Vec<(AttrId, Digest)>]>,
+    /// `local_ok[cfd][site]`: `X_{F_i} ⊆ X` — no cross-site conflicts.
+    local_ok: Arc<[Vec<bool>]>,
+    /// `relevant[cfd]`: sites where `F_i ∧ F_φ` is satisfiable.
+    relevant: Arc<[Vec<SiteId>]>,
+}
+
+impl SiteConfig {
+    /// Derive the shared configuration.
+    pub fn new(schema: Arc<Schema>, cfds: Vec<Cfd>, scheme: &HorizontalScheme) -> Self {
+        let n_sites = scheme.n_sites();
+        let mut local_ok = Vec::with_capacity(cfds.len());
+        let mut relevant = Vec::with_capacity(cfds.len());
+        let mut atom_digests = Vec::with_capacity(cfds.len());
+        for cfd in &cfds {
+            let on_lhs = |i| {
+                scheme
+                    .predicate(i)
+                    .attrs()
+                    .iter()
+                    .all(|a| cfd.lhs.contains(a))
+            };
+            local_ok.push((0..n_sites).map(on_lhs).collect::<Vec<bool>>());
+            let atoms = cfd.constant_atoms();
+            let satisfiable = |i: &SiteId| !scheme.predicate(*i).conflicts_with_atoms(&atoms);
+            relevant.push((0..n_sites).filter(satisfiable).collect::<Vec<SiteId>>());
+            let digest = |(a, v)| (a, value_digest(&v));
+            atom_digests.push(atoms.into_iter().map(digest).collect::<Vec<_>>());
+        }
+        SiteConfig {
+            schema,
+            plan: Arc::new(SharedPlan::new(&cfds)),
+            cfds: cfds.into(),
+            n_sites,
+            atom_digests: atom_digests.into(),
+            local_ok: local_ok.into(),
+            relevant: relevant.into(),
+        }
+    }
+
+    /// The CFDs whose LHS pattern `t` matches, ascending by id, into
+    /// `sx.cands` — each variable one with its group-key digest. The only
+    /// place the evaluation mode shows: one shared dispatch pass with one
+    /// key digest per key group, or ([`SharingMode::PerCfd`], the tests'
+    /// reference) a `matches_lhs` scan hashing every CFD's key on its own.
+    /// The variable entries are also the update's footprint, which is what
+    /// the wave scheduler reads.
+    pub(crate) fn candidates(&self, mode: SharingMode, t: &Tuple, sx: &mut OpScratch) {
+        sx.begin(self.plan.key_groups().len());
+        match mode {
+            SharingMode::Shared => {
+                for &cid in self.plan.matched(t, &mut sx.dispatch) {
+                    let kd = self.plan.group_of(cid).map(|g| {
+                        *sx.group_kd[g].get_or_insert_with(|| {
+                            let lhs = self.plan.key_groups()[g].0.iter();
+                            let digests =
+                                lhs.map(|&a| digest_cached(&mut sx.attr_d, t, a, &mut sx.vbuf));
+                            key_digest_from(digests, &mut sx.kbuf)
+                        })
+                    });
+                    sx.cands.push((cid, kd));
+                }
+            }
+            SharingMode::PerCfd => {
+                for cfd in self.cfds.iter().filter(|c| c.matches_lhs(t)) {
+                    let kd = cfd.is_variable().then(|| {
+                        let lhs = cfd.lhs.iter();
+                        let digests = lhs.map(|&a| value_digest_into(t.get(a), &mut sx.vbuf));
+                        key_digest_from(digests, &mut sx.kbuf)
+                    });
+                    sx.cands.push((cfd.id, kd));
+                }
+            }
+        }
+    }
+
+    /// Does `c` name a variable CFD of `Σ`? The protocol ships no other
+    /// kind: a constant CFD has no group state.
+    fn variable(&self, c: CfdId) -> Result<(), String> {
+        match self.cfds.get(c as usize) {
+            Some(cfd) if cfd.is_variable() => Ok(()),
+            Some(_) => Err(format!("lists constant CFD {c}")),
+            None => Err(format!("lists CFD {c} of {}", self.cfds.len())),
+        }
+    }
+}
+
+/// Per-update scratch a site owns: cleared, not rebuilt, per step.
+#[derive(Default)]
+pub(crate) struct OpScratch {
+    /// Shared-plan dispatch scratch (generation-stamped counters).
+    dispatch: MatchScratch,
+    /// Value bytes / key bytes of the digest being computed.
+    vbuf: Vec<u8>,
+    kbuf: Vec<u8>,
+    /// This update's attribute digests and per-key-group key digests.
+    attr_d: FxHashMap<AttrId, Digest>,
+    group_kd: Vec<Option<Digest>>,
+    /// This update's matching CFDs ([`SiteConfig::candidates`]).
+    pub(crate) cands: Vec<(CfdId, Option<Digest>)>,
+    /// CFDs needing a probe / a query round for this update, and the
+    /// queried groups' keys.
+    probes: Vec<CfdId>,
+    queries: Vec<CfdId>,
+    query_kd: Vec<Digest>,
+    /// Attributes and peers of the coalesced message being shipped.
+    attrs: Vec<AttrId>,
+    peers: Vec<SiteId>,
+    /// Receiver side: the digests and explicit probes of one request, the
+    /// resolved values of one reply.
+    rx_digests: FxHashMap<AttrId, Digest>,
+    probe_set: FxHashSet<CfdId>,
+    reply_d: Vec<Digest>,
+}
+
+impl OpScratch {
+    /// Reset for the next update under a plan with `key_groups` groups.
+    fn begin(&mut self, key_groups: usize) {
+        self.attr_d.clear();
+        self.group_kd.clear();
+        self.group_kd.resize(key_groups, None);
+        self.cands.clear();
+        self.probes.clear();
+        self.queries.clear();
+        self.query_kd.clear();
+    }
+}
+
+/// One queried CFD of an open delete round: the group, the distinct RHS
+/// values peers reported for it, and who reported any.
+pub(crate) struct DelQuery {
+    cfd: CfdId,
+    kd: Digest,
+    remote: FxHashSet<Digest>,
+    holders: Vec<SiteId>,
+}
+
+/// An update whose outcome waits on peers: opened by `begin_*`, fed by
+/// [`Site::on_reply`], consumed — so finished exactly once — by
+/// [`Site::finish`]. Queries ascend by CFD id.
+pub(crate) enum Round {
+    /// Per queried CFD: its group key and whether a peer reported a
+    /// conflicting group.
+    Insert {
+        tid: Tid,
+        queries: Vec<(CfdId, Digest, bool)>,
+    },
+    /// The deleted tuple (its values address the `ClearFlags`) and the
+    /// CFDs whose global multiplicity is in doubt.
+    Delete { t: Tuple, queries: Vec<DelQuery> },
+}
+
+/// One site of the §6 protocol, sans IO.
+pub(crate) struct Site {
+    cfg: SiteConfig,
+    me: SiteId,
+    pub(crate) sharing: SharingMode,
+    fragment: Relation,
+    /// Group state per CFD (empty maps for constant CFDs).
+    state: Vec<FxHashMap<Digest, GroupState>>,
+    /// Sender-side payload encoding; per-link state (dictionary
+    /// residency) lives in the codec.
+    codec: Box<dyn PayloadCodec>,
+    /// Receiver-side codec state per sending site: link dictionaries built
+    /// **only from received payloads** (deltas), so digests derive from
+    /// what actually crossed the wire.
+    rx: Vec<ReceiverCodec>,
+    sx: OpScratch,
+}
+
+impl Site {
+    /// Site `me` with an empty fragment.
+    pub(crate) fn new(cfg: SiteConfig, me: SiteId, codec: CodecKind) -> Self {
+        Site {
+            fragment: Relation::new(cfg.schema.clone()),
+            state: cfg.cfds.iter().map(|_| FxHashMap::default()).collect(),
+            codec: codec.codec(),
+            rx: (0..cfg.n_sites)
+                .map(|src| ReceiverCodec::for_link(src, me))
+                .collect(),
+            sx: OpScratch::default(),
+            sharing: SharingMode::default(),
+            cfg,
+            me,
+        }
+    }
+
+    pub(crate) fn cfg(&self) -> &SiteConfig {
+        &self.cfg
+    }
+
+    pub(crate) fn fragment(&self) -> &Relation {
+        &self.fragment
+    }
+
+    /// Add this site's group maps to `census`.
+    pub(crate) fn count_into(&self, census: &mut StateCensus) {
+        self.state.iter().for_each(|map| census.count(map));
+    }
+
+    /// Symbols resident on each link into this site, by sender.
+    #[cfg(test)]
+    pub(crate) fn resident_symbols(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rx.iter().map(ReceiverCodec::resident_symbols)
+    }
+
+    /// A protocol error on the `src → me` link.
+    fn bad(&self, src: SiteId, kind: &str, what: impl std::fmt::Display) -> DetectError {
+        let me = self.me;
+        ClusterError::Transport(format!("link {src} → {me}: {kind} {what}")).into()
+    }
+
+    // -- own updates ----------------------------------------------------
+
+    /// §6 insertion at the tuple's home site. `None` when the local case
+    /// analysis settles every CFD (Examples 2(1)(b) and 9) or no peer
+    /// could hold a conflicting group.
+    pub(crate) fn begin_insert(
+        &mut self,
+        t: &Tuple,
+        (v, dv): Sink<'_>,
+    ) -> Result<Option<Opened>, DetectError> {
+        // Row before group state: every class this update creates has,
+        // from its first instant, a member whose RHS value the fragment
+        // can produce (`class_values`).
+        self.fragment.insert_row(t.tid, t.values.iter())?;
+        self.cfg.candidates(self.sharing, t, &mut self.sx);
+        let sx = &mut self.sx;
+        for &(cid, kd) in &sx.cands {
+            let (c, cfd) = (cid as usize, &self.cfg.cfds[cid as usize]);
+            let Some(kd) = kd else {
+                if cfd.constant_violation(t) && v.add(cid, t.tid) {
+                    dv.add(cid, t.tid);
+                }
+                continue;
+            };
+            let bd = digest_cached(&mut sx.attr_d, t, cfd.rhs, &mut sx.vbuf);
+            let local_only = self.cfg.local_ok[c][self.me];
+            let groups = &mut self.state[c];
+            let sink = (&mut *v, &mut *dv);
+            match insert_case(groups, sink, cid, t.tid, (kd, bd), local_only) {
+                Ship::Nothing => {}
+                Ship::Probe => sx.probes.push(cid),
+                Ship::Query => {
+                    sx.queries.push(cid);
+                    sx.query_kd.push(kd);
+                }
+            }
+        }
+        if sx.probes.is_empty() && sx.queries.is_empty() {
+            return Ok(None);
+        }
+        // Probe CFDs need the LHS on the wire, query CFDs LHS + RHS.
+        wire_attrs(&mut sx.attrs, &self.cfg.cfds, &sx.probes, &sx.queries);
+        if !self.find_peers() {
+            return Ok(None);
+        }
+        let out = broadcast(self.codec.as_mut(), self.me, &self.sx, t, |attrs| {
+            let probes = self.sx.probes.clone();
+            HorMsg::TupleProbe { attrs, probes }
+        });
+        let queries = self.sx.queries.iter().zip(&self.sx.query_kd);
+        let round = Round::Insert {
+            tid: t.tid,
+            queries: queries.map(|(&c, &kd)| (c, kd, false)).collect(),
+        };
+        Ok(Some((round, out)))
+    }
+
+    /// §6 deletion at the tuple's home site. `None` when a local witness
+    /// keeps every violating group's multiplicity ≥ 2 (Example 2(2)), or
+    /// no peer is relevant and the site decided alone.
+    pub(crate) fn begin_delete(
+        &mut self,
+        tid: Tid,
+        (v, dv): Sink<'_>,
+    ) -> Result<Option<Opened>, DetectError> {
+        let t = self.fragment.get(tid).ok_or(RelError::MissingTid(tid))?;
+        self.cfg.candidates(self.sharing, &t, &mut self.sx);
+        let sx = &mut self.sx;
+        for &(cid, kd) in &sx.cands {
+            let (c, cfd) = (cid as usize, &self.cfg.cfds[cid as usize]);
+            // A constant CFD outside the list holds no mark for `tid`: a
+            // mark implies the (immutable) tuple matched its LHS.
+            let Some(kd) = kd else {
+                if v.remove(cid, tid) {
+                    dv.remove(cid, tid);
+                }
+                continue;
+            };
+            let bd = digest_cached(&mut sx.attr_d, &t, cfd.rhs, &mut sx.vbuf);
+            let local_only = self.cfg.local_ok[c][self.me];
+            let sink = (&mut *v, &mut *dv);
+            if delete_case(&mut self.state[c], sink, cid, tid, (kd, bd), local_only) {
+                sx.queries.push(cid);
+                sx.query_kd.push(kd);
+            }
+        }
+        // The groups have let go of the row; peers never read it.
+        self.fragment.delete_quiet(tid)?;
+        if self.sx.queries.is_empty() {
+            return Ok(None);
+        }
+        let sx = &mut self.sx;
+        wire_attrs(&mut sx.attrs, &self.cfg.cfds, &sx.queries, &[]);
+        let queried = sx.queries.iter().zip(&sx.query_kd);
+        let queries = queried.map(|(&cfd, &kd)| DelQuery {
+            cfd,
+            kd,
+            remote: FxHashSet::default(),
+            holders: Vec::new(),
+        });
+        let queries = queries.collect();
+        if !self.find_peers() {
+            // Global = local: decide from this site's classes alone.
+            let clears = self.finish(Round::Delete { t, queries }, (v, dv))?;
+            debug_assert!(clears.is_empty(), "no peers, no remote holders");
+            return Ok(None);
+        }
+        let out = broadcast(self.codec.as_mut(), self.me, &self.sx, &t, |attrs| {
+            let queries = self.sx.queries.clone();
+            HorMsg::TupleDelQuery { attrs, queries }
+        });
+        Ok(Some((Round::Delete { t, queries }, out)))
+    }
+
+    /// Fill `sx.peers` with the sites relevant to a probed or queried CFD
+    /// of this update, ascending, minus this one; is there any?
+    fn find_peers(&mut self) -> bool {
+        let sx = &mut self.sx;
+        sx.peers.clear();
+        for &c in sx.probes.iter().chain(&sx.queries) {
+            let relevant = self.cfg.relevant[c as usize].iter();
+            sx.peers.extend(relevant.filter(|&&j| j != self.me));
+        }
+        sx.peers.sort_unstable();
+        sx.peers.dedup();
+        !sx.peers.is_empty()
+    }
+
+    // -- serving peers --------------------------------------------------
+
+    /// Check a request before anything is mutated, and resolve its payload
+    /// into `sx.rx_digests` through the `src → me` link's own dictionary
+    /// (fed only by received deltas). Every *listed* id must name a
+    /// variable CFD whose whole LHS the payload carries.
+    fn admit(
+        &mut self,
+        src: SiteId,
+        kind: &str,
+        attrs: &[(AttrId, WireValue)],
+        listed: &[CfdId],
+    ) -> Result<(), DetectError> {
+        for &c in listed {
+            self.cfg.variable(c).map_err(|e| self.bad(src, kind, e))?;
+        }
+        let unknown = ClusterError::UnknownSite(src);
+        let rx = self.rx.get_mut(src).filter(|_| src != self.me);
+        let rx = rx.ok_or(unknown)?;
+        self.sx.rx_digests.clear();
+        for (a, w) in attrs {
+            if self.sx.rx_digests.insert(*a, rx.digest(w)?).is_some() {
+                return Err(self.bad(src, kind, format!("carries attribute {a} twice")));
+            }
+        }
+        for &c in listed {
+            let mut lhs = self.cfg.cfds[c as usize].lhs.iter();
+            if let Some(a) = lhs.find(|a| !self.sx.rx_digests.contains_key(*a)) {
+                let what = format!("lists CFD {c} without its LHS attribute {a}");
+                return Err(self.bad(src, kind, what));
+            }
+        }
+        Ok(())
+    }
+
+    /// Group key of listed CFD `c` from the admitted payload.
+    fn wire_key(&mut self, c: CfdId) -> Digest {
+        let lhs = self.cfg.cfds[c as usize].lhs.iter();
+        key_digest_from(lhs.map(|a| self.sx.rx_digests[a]), &mut self.sx.kbuf)
+    }
+
+    /// Serve a peer's `TupleProbe`, `TupleDelQuery` or `ClearFlags`. The
+    /// reply, if the protocol has one to give; `None` is a silent round.
+    pub(crate) fn on_request(
+        &mut self,
+        src: SiteId,
+        msg: HorMsg,
+        (v, dv): Sink<'_>,
+    ) -> Result<Option<HorMsg>, DetectError> {
+        match msg {
+            HorMsg::TupleProbe { attrs, probes } => {
+                self.admit(src, "TupleProbe", &attrs, &probes)?;
+                // Explicit probes: a brand-new conflict at the sender
+                // flips every remote group of the CFD.
+                for &c in &probes {
+                    let kd = self.wire_key(c);
+                    if let Some(h) = self.state[c as usize].get_mut(&kd) {
+                        if !h.violating() {
+                            mark_group(h, c, v, dv);
+                        }
+                    }
+                }
+                // Implicit queries: every other variable CFD the payload
+                // can derive, one key digest per distinct LHS list.
+                let sx = &mut self.sx;
+                sx.probe_set.clear();
+                sx.probe_set.extend(probes);
+                let digests = &sx.rx_digests;
+                let mut conflicts = Vec::new();
+                for (lhs, ids) in self.cfg.plan.key_groups() {
+                    if !lhs.iter().all(|a| digests.contains_key(a)) {
+                        continue;
+                    }
+                    let kd = key_digest_from(lhs.iter().map(|a| digests[a]), &mut sx.kbuf);
+                    for &cid in ids {
+                        let c = cid as usize;
+                        let Some(&bd) = digests.get(&self.cfg.cfds[c].rhs) else {
+                            continue;
+                        };
+                        // Pattern check through precomputed atom digests.
+                        let mut atoms = self.cfg.atom_digests[c].iter();
+                        if sx.probe_set.contains(&cid)
+                            || !atoms.all(|(a, d)| digests.get(a) == Some(d))
+                        {
+                            continue;
+                        }
+                        let Some(h) = self.state[c].get_mut(&kd) else {
+                            continue;
+                        };
+                        let other = h.has_other(bd);
+                        if other && !h.violating() {
+                            mark_group(h, cid, v, dv);
+                        }
+                        if other || h.violating() {
+                            conflicts.push(cid);
+                        }
+                    }
+                }
+                Ok((!conflicts.is_empty()).then_some(HorMsg::ProbeReply { conflicts }))
+            }
+            HorMsg::TupleDelQuery { attrs, queries } => {
+                self.admit(src, "TupleDelQuery", &attrs, &queries)?;
+                let mut bvals = Vec::new();
+                for c in queries {
+                    let kd = self.wire_key(c);
+                    // Only peers answer, and footprints within a wave are
+                    // disjoint, so the group read here is never one an
+                    // in-flight update of this site is half through.
+                    if let Some(h) = self.state[c as usize].get(&kd) {
+                        let (me, codec) = (self.me, self.codec.as_mut());
+                        let at = (me, &self.cfg.cfds[c as usize], kd);
+                        let encode = |v: &_| codec.encode(me, src, v);
+                        let vals = class_values(h, &self.fragment, at, encode);
+                        bvals.push((c, vals.map_err(DetectError::Internal)?));
+                    }
+                }
+                Ok((!bvals.is_empty()).then_some(HorMsg::DelReply { bvals }))
+            }
+            HorMsg::ClearFlags { attrs, cfds } => {
+                self.admit(src, "ClearFlags", &attrs, &cfds)?;
+                for c in cfds {
+                    let kd = self.wire_key(c);
+                    clear_group(&mut self.state[c as usize], c, kd, v, dv);
+                }
+                Ok(None)
+            }
+            reply => Err(self.bad(src, reply.kind(), "is not a request")),
+        }
+    }
+
+    // -- closing own rounds ---------------------------------------------
+
+    /// Fold a peer's reply into the round it answers. Checked before
+    /// anything is folded: a refused reply leaves the round as it was.
+    pub(crate) fn on_reply(
+        &mut self,
+        round: &mut Round,
+        src: SiteId,
+        msg: HorMsg,
+    ) -> Result<(), DetectError> {
+        match (round, msg) {
+            (Round::Insert { queries, .. }, HorMsg::ProbeReply { conflicts }) => {
+                // A peer answers every CFD the payload derives, queried or
+                // not; only the queried ones matter here.
+                for &c in &conflicts {
+                    let checked = self.cfg.variable(c);
+                    checked.map_err(|e| self.bad(src, "ProbeReply", e))?;
+                }
+                for c in conflicts {
+                    if let Ok(i) = queries.binary_search_by_key(&c, |q| q.0) {
+                        queries[i].2 = true;
+                    }
+                }
+                Ok(())
+            }
+            (Round::Delete { queries, .. }, HorMsg::DelReply { bvals }) => {
+                let queried = |c: &CfdId| queries.binary_search_by_key(c, |q| q.cfd);
+                if let Some((c, _)) = bvals.iter().find(|(c, _)| queried(c).is_err()) {
+                    let what = format!("names CFD {c}, which the round did not query");
+                    return Err(self.bad(src, "DelReply", what));
+                }
+                let unknown = ClusterError::UnknownSite(src);
+                let rx = self.rx.get_mut(src).ok_or(unknown)?;
+                self.sx.reply_d.clear();
+                for w in bvals.iter().flat_map(|(_, vs)| vs) {
+                    self.sx.reply_d.push(rx.digest(w)?);
+                }
+                let mut resolved = self.sx.reply_d.drain(..);
+                for (c, vs) in bvals {
+                    let i = queries.binary_search_by_key(&c, |q| q.cfd);
+                    let q = &mut queries[i.expect("checked above")];
+                    q.holders.push(src);
+                    q.remote.extend(resolved.by_ref().take(vs.len()));
+                }
+                Ok(())
+            }
+            (Round::Insert { .. }, msg) => {
+                Err(self.bad(src, msg.kind(), "does not answer an insert round"))
+            }
+            (Round::Delete { .. }, msg) => {
+                Err(self.bad(src, msg.kind(), "does not answer a delete round"))
+            }
+        }
+    }
+
+    /// Close a round once every asked peer has answered (or stayed
+    /// silent). An insert raises the flags peers reported and ships
+    /// nothing; a delete decides each queried group from the folded RHS
+    /// values and returns one coalesced `ClearFlags` per peer still
+    /// holding a group that stopped violating, ascending by peer.
+    pub(crate) fn finish(
+        &mut self,
+        round: Round,
+        (v, dv): Sink<'_>,
+    ) -> Result<Vec<(SiteId, HorMsg)>, DetectError> {
+        let me = self.me;
+        match round {
+            Round::Insert { tid, queries } => {
+                for (c, kd, _) in queries.into_iter().filter(|q| q.2) {
+                    let g = self.state[c as usize].get_mut(&kd).ok_or_else(|| {
+                        let group = kd.to_hex();
+                        let what = format!("site {me}: CFD {c} group {group} left mid-round");
+                        DetectError::Internal(what)
+                    })?;
+                    g.set_violating(true);
+                    if v.add(c, tid) {
+                        dv.add(c, tid);
+                    }
+                }
+                Ok(Vec::new())
+            }
+            Round::Delete { t, queries } => {
+                let mut clears: BTreeMap<SiteId, Vec<CfdId>> = BTreeMap::new();
+                for q in queries {
+                    let groups = &mut self.state[q.cfd as usize];
+                    let mut all = q.remote;
+                    if let Some(h) = groups.get(&q.kd) {
+                        h.for_each_class(|bd, _| {
+                            all.insert(bd);
+                        });
+                    }
+                    if all.len() >= 2 {
+                        continue; // still violating everywhere
+                    }
+                    clear_group(groups, q.cfd, q.kd, v, dv);
+                    for j in q.holders {
+                        clears.entry(j).or_default().push(q.cfd);
+                    }
+                }
+                let to_peer = clears.into_iter().map(|(j, cfds)| {
+                    wire_attrs(&mut self.sx.attrs, &self.cfg.cfds, &cfds, &[]);
+                    let attrs = encode_attrs(self.codec.as_mut(), &t, &self.sx.attrs, (me, j));
+                    (j, HorMsg::ClearFlags { attrs, cfds })
+                });
+                Ok(to_peer.collect())
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::concurrent::WavePlanner;
+    use crate::horizontal::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
+    use crate::HorizontalDetector;
+    use cluster::{NetStats, Wire};
+    use relation::{Update, UpdateBatch, Value};
+    use std::collections::VecDeque;
+    use workload::updates::{self, UpdateMix};
+
+    /// What crosses a link of the [`Mesh`]: a request, or what came of one
+    /// — the reply, or the ack of a silent round (free and unmetered, as
+    /// in the synchronous driver, which sends nothing for it).
+    enum Frame {
+        Request(HorMsg),
+        Answer(Option<HorMsg>),
+    }
+
+    /// An open round of the [`Mesh`]: peers still to answer, and the
+    /// machine's round (`None` for the clear round of a delete).
+    type Slot = (usize, Option<Round>);
+
+    /// `n` machines and per-link FIFO queues — no sockets, no threads, no
+    /// driver. Whoever holds the mesh decides what happens next: a site
+    /// begins its next update, or a link delivers its oldest frame.
+    struct Mesh {
+        sites: Vec<Site>,
+        v: Violations,
+        dv: DeltaV,
+        /// `[src][dst]`, oldest first.
+        links: Vec<Vec<VecDeque<Frame>>>,
+        /// `[site][slot]`, `None` once finished.
+        rounds: Vec<Vec<Option<Slot>>>,
+        /// `[site][peer]`: slots awaiting that peer's answer, oldest first
+        /// (links are FIFO and a peer answers in arrival order).
+        queues: Vec<Vec<VecDeque<usize>>>,
+        /// Modeled bytes and messages per link.
+        stats: NetStats,
+    }
+
+    impl Mesh {
+        fn new(cfg: &SiteConfig, codec: CodecKind) -> Self {
+            let n = cfg.n_sites;
+            fn per_link<T>(n: usize) -> Vec<Vec<VecDeque<T>>> {
+                let row = || (0..n).map(|_| VecDeque::new()).collect();
+                (0..n).map(|_| row()).collect()
+            }
+            Mesh {
+                sites: (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect(),
+                v: Violations::new(cfg.cfds.len()),
+                dv: DeltaV::default(),
+                links: per_link(n),
+                rounds: (0..n).map(|_| Vec::new()).collect(),
+                queues: per_link(n),
+                stats: NetStats::new(n),
+            }
+        }
+
+        fn send(
+            &mut self,
+            home: SiteId,
+            slot: usize,
+            round: Option<Round>,
+            requests: Vec<(SiteId, HorMsg)>,
+        ) {
+            self.rounds[home][slot] = Some((requests.len(), round));
+            for (j, msg) in requests {
+                self.stats.record(home, j, msg.wire_size(), 0);
+                self.links[home][j].push_back(Frame::Request(msg));
+                self.queues[home][j].push_back(slot);
+            }
+        }
+
+        fn begin(&mut self, home: SiteId, op: &Update) {
+            let sink = (&mut self.v, &mut self.dv);
+            let opened = match op {
+                Update::Insert(t) => self.sites[home].begin_insert(t, sink),
+                Update::Delete(tid) => self.sites[home].begin_delete(*tid, sink),
+            };
+            if let Some((round, requests)) = opened.unwrap() {
+                self.rounds[home].push(None);
+                self.send(home, self.rounds[home].len() - 1, Some(round), requests);
+            }
+        }
+
+        /// Deliver the oldest frame of the `src → dst` link.
+        fn deliver(&mut self, src: SiteId, dst: SiteId) {
+            let frame = self.links[src][dst].pop_front().expect("a frame in flight");
+            let sink = (&mut self.v, &mut self.dv);
+            match frame {
+                Frame::Request(msg) => {
+                    let reply = self.sites[dst].on_request(src, msg, sink).unwrap();
+                    if let Some(msg) = &reply {
+                        self.stats.record(dst, src, msg.wire_size(), 0);
+                    }
+                    self.links[dst][src].push_back(Frame::Answer(reply));
+                }
+                Frame::Answer(reply) => {
+                    let slot = self.queues[dst][src].pop_front().expect("a round is open");
+                    let (left, round) = self.rounds[dst][slot].as_mut().expect("live slot");
+                    if let Some(msg) = reply {
+                        let round = round.as_mut().expect("a clear round takes acks only");
+                        self.sites[dst].on_reply(round, src, msg).unwrap();
+                    }
+                    *left -= 1;
+                    if *left > 0 {
+                        return;
+                    }
+                    let (_, round) = self.rounds[dst][slot].take().expect("live slot");
+                    let clears = round.map_or_else(Vec::new, |round| {
+                        self.sites[dst].finish(round, sink).unwrap()
+                    });
+                    if !clears.is_empty() {
+                        self.send(dst, slot, None, clears);
+                    }
+                }
+            }
+        }
+
+        /// Run one conflict-free wave to quiescence. Each site begins its
+        /// own ops in wave order (as a runner does); everything else — who
+        /// begins next, which link delivers next — is `pick`'s choice
+        /// among the `k` moves possible.
+        fn run_wave(&mut self, wave: &[(SiteId, Update)], mut pick: impl FnMut(usize) -> usize) {
+            let n = self.sites.len();
+            let mut todo: Vec<VecDeque<&Update>> = (0..n).map(|_| VecDeque::new()).collect();
+            for (home, op) in wave {
+                todo[*home].push_back(op);
+            }
+            loop {
+                let mut moves = Vec::new();
+                for (i, ops) in todo.iter().enumerate() {
+                    if !ops.is_empty() {
+                        moves.push((i, None));
+                    }
+                    let busy = (0..n).filter(|&j| !self.links[i][j].is_empty());
+                    moves.extend(busy.map(|j| (i, Some(j))));
+                }
+                if moves.is_empty() {
+                    break;
+                }
+                match moves[pick(moves.len())] {
+                    (i, None) => self.begin(i, todo[i].pop_front().expect("listed")),
+                    (i, Some(j)) => self.deliver(i, j),
+                }
+            }
+            let mut slots = self.rounds.iter().flatten();
+            assert!(slots.all(Option::is_none), "a round was left open");
+            self.rounds.iter_mut().for_each(Vec::clear);
+        }
+
+        fn census(&self) -> StateCensus {
+            let mut census = StateCensus::default();
+            self.sites.iter().for_each(|s| s.count_into(&mut census));
+            census
+        }
+
+        fn resident_symbols(&self) -> Vec<usize> {
+            let links = self.sites.iter().flat_map(Site::resident_symbols);
+            links.collect()
+        }
+    }
+
+    /// What the synchronous driver left behind after one wave.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        marks: Vec<(CfdId, Tid)>,
+        census: StateCensus,
+        resident_symbols: Vec<usize>,
+        /// The per-link modeled-byte and message-count matrix.
+        stats: Vec<u8>,
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut(usize) -> usize {
+        move |k| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % k as u64) as usize
+        }
+    }
+
+    /// A seeded stream over `d0`: the load itself, a mixed batch, a batch
+    /// of modifications rewriting `rhs` (same tid, possibly another home),
+    /// and a delete-heavy one.
+    fn stream(d0: &Relation, fresh: &[Tuple], rhs: AttrId) -> Vec<UpdateBatch> {
+        let mut cur = Relation::new(d0.schema().clone());
+        let mut batches = vec![UpdateBatch::from_ops(
+            d0.iter().map(Update::Insert).collect(),
+        )];
+        let (early, late) = fresh.split_at(fresh.len() / 2);
+        for step in 1..4 {
+            batches[step - 1].normalize(&cur).apply(&mut cur).unwrap();
+            batches.push(match step {
+                1 => {
+                    let insert_fraction = 0.6;
+                    let n = (early.len() as f64 / insert_fraction) as usize;
+                    updates::generate(&cur, early, n, UpdateMix { insert_fraction }, 5)
+                }
+                2 => updates::generate_modifications(&cur, cur.len() / 3, 11, |t, rng| {
+                    updates::corrupt_attr(t, rhs, rng)
+                }),
+                _ => {
+                    let insert_fraction = 0.4;
+                    let n = (late.len() as f64 / insert_fraction) as usize;
+                    updates::generate(&cur, late, n, UpdateMix { insert_fraction }, 13)
+                }
+            });
+        }
+        batches
+    }
+
+    /// ROADMAP item 6's harness in its deterministic form: what
+    /// `interleaving_stress_{8,16}_sites` samples through the OS scheduler,
+    /// enumerated. Within a conflict-free wave, every FIFO-respecting
+    /// order of begins and deliveries leaves `V`, the group state, the link
+    /// dictionaries and the per-link traffic matrix exactly where the
+    /// synchronous driver leaves them. (Message *contents* may differ
+    /// under dict — a teach delta rides whichever frame crosses its link
+    /// first — which is why the matrix, not the frames, is compared.)
+    #[test]
+    fn any_fifo_interleaving_of_a_wave_gives_the_same_state() {
+        use workload::{emp, rules, tpch};
+        const PERMUTATIONS: u64 = 200;
+
+        let tpch_cfg = tpch::TpchConfig {
+            n_rows: 30,
+            n_customers: 12,
+            n_parts: 8,
+            n_suppliers: 5,
+            error_rate: 0.3,
+            ..tpch::TpchConfig::default()
+        };
+        let emp_cfg = emp::EmpConfig {
+            n_rows: 30,
+            n_zips: 6,
+            error_rate: 0.3,
+            ..emp::EmpConfig::default()
+        };
+        let (tpch_schema, tpch_d0) = tpch::generate(&tpch_cfg);
+        let (emp_schema, emp_d0) = emp::generate(&emp_cfg);
+        let datasets = [
+            (
+                rules::tpch_rules(&tpch_schema, 8, 1),
+                tpch::generate_fresh(&tpch_cfg, 1_000, 30, 7),
+                tpch_d0,
+            ),
+            (
+                emp::emp_cfds(&emp_schema),
+                emp::generate_fresh(&emp_cfg, 1_000, 30, 7),
+                emp_d0,
+            ),
+        ];
+        for (cfds, fresh, d0) in &datasets {
+            let schema = d0.schema();
+            let rhs = cfds.iter().find(|c| c.is_variable()).expect("a rule").rhs;
+            let batches = stream(d0, fresh, rhs);
+            for n in [3, 8] {
+                let scheme = HorizontalScheme::by_hash(schema.clone(), schema.key(), n).unwrap();
+                let cfg = SiteConfig::new(schema.clone(), cfds.clone(), &scheme);
+                for codec in [CodecKind::Md5, CodecKind::RawValues, CodecKind::Dict] {
+                    // The reference: the synchronous driver, wave by wave,
+                    // from an empty relation (so the load is metered too).
+                    let empty = Relation::new(schema.clone());
+                    let mut seq = HorizontalDetector::with_codec(
+                        schema.clone(),
+                        cfds.clone(),
+                        scheme.clone(),
+                        &empty,
+                        codec,
+                    )
+                    .unwrap();
+                    let mut planner = WavePlanner::default();
+                    let mut waves: Vec<Vec<(SiteId, Update)>> = Vec::new();
+                    let mut want = Vec::new();
+                    for batch in &batches {
+                        let delta = batch.normalize(seq.current());
+                        let first = waves.len();
+                        for op in delta.ops() {
+                            let (home, w) = match op {
+                                Update::Insert(t) => {
+                                    (scheme.route(t).unwrap(), planner.place(&cfg, t))
+                                }
+                                Update::Delete(tid) => {
+                                    let t = seq.current().get(*tid).unwrap();
+                                    (seq.site_of_tid[tid], planner.place(&cfg, &t))
+                                }
+                            };
+                            waves.resize_with(first + planner.n_waves as usize, Vec::new);
+                            waves[first + w as usize].push((home, op.clone()));
+                        }
+                        planner.finish();
+                        for wave in &waves[first..] {
+                            let ops = wave.iter().map(|(_, op)| op.clone()).collect();
+                            seq.apply(&UpdateBatch::from_ops(ops)).unwrap();
+                            let oracle = cfd::naive::detect(cfds, seq.current());
+                            assert_eq!(seq.violations().marks_sorted(), oracle.marks_sorted());
+                            want.push(Snapshot {
+                                marks: seq.violations().marks_sorted(),
+                                census: seq.state_census(),
+                                resident_symbols: seq.resident_symbols(),
+                                stats: seq.stats().to_bytes(),
+                            });
+                        }
+                    }
+                    assert!(seq.stats().total_messages() > 0 && waves.len() > batches.len());
+
+                    for seed in 1..=PERMUTATIONS {
+                        let mut pick = xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                        let mut mesh = Mesh::new(&cfg, codec);
+                        for (w, (wave, want)) in waves.iter().zip(&want).enumerate() {
+                            mesh.run_wave(wave, &mut pick);
+                            let got = Snapshot {
+                                marks: mesh.v.marks_sorted(),
+                                census: mesh.census(),
+                                resident_symbols: mesh.resident_symbols(),
+                                stats: mesh.stats.to_bytes(),
+                            };
+                            assert_eq!(&got, want, "{codec:?}, {n} sites, seed {seed}, wave {w}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The Fig. 2 mesh after loading `D₀`, and the open delete round of
+    /// `t5` at site 2 (the only other street of its zip) with its requests.
+    fn fig2_mesh_deleting_t5() -> (Mesh, Round, Vec<(SiteId, HorMsg)>) {
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let mut mesh = Mesh::new(&cfg, CodecKind::Dict);
+        let scheme = fig2_scheme(&s);
+        for t in d0().iter() {
+            // One op per wave: the load is five conflicting inserts.
+            let wave = [(scheme.route(&t).unwrap(), Update::Insert(t))];
+            mesh.run_wave(&wave, |_| 0);
+        }
+        let sink = (&mut mesh.v, &mut mesh.dv);
+        let (round, requests) = mesh.sites[2].begin_delete(5, sink).unwrap().unwrap();
+        (mesh, round, requests)
+    }
+
+    fn message_of(e: DetectError) -> String {
+        match e {
+            DetectError::Cluster(e) => e.to_string(),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    /// Everything `HorMsg::decode_frame` cannot range-check reaches the
+    /// machine raw. Each forged request is refused with an error naming
+    /// the link, the message kind and the offender, leaves the site as it
+    /// was, and does not disturb the well-formed round that follows.
+    #[test]
+    fn hostile_requests_are_errors_and_leave_the_site_untouched() {
+        let (mut mesh, round, requests) = fig2_mesh_deleting_t5();
+        let s = emp_schema();
+        let attr = |name| s.attr_id(name).unwrap();
+        let raw = |name, v| (attr(name), WireValue::Raw(v));
+        let lhs = || vec![raw("CC", Value::int(44)), raw("zip", Value::str("EH4 8LE"))];
+        let probe = |probes| HorMsg::TupleProbe {
+            attrs: lhs(),
+            probes,
+        };
+        let (no_zip, cc_twice) = (
+            format!("LHS attribute {}", attr("zip")),
+            format!("attribute {} twice", attr("CC")),
+        );
+        let forged: Vec<(HorMsg, [&str; 2])> = vec![
+            (probe(vec![2]), ["TupleProbe", "CFD 2 of 2"]),
+            (probe(vec![u32::MAX]), ["TupleProbe", "CFD 4294967295"]),
+            (probe(vec![1]), ["TupleProbe", "constant CFD 1"]),
+            (
+                HorMsg::TupleDelQuery {
+                    attrs: vec![raw("CC", Value::int(44))],
+                    queries: vec![0],
+                },
+                ["TupleDelQuery", &no_zip],
+            ),
+            (
+                HorMsg::ClearFlags {
+                    attrs: [lhs(), lhs()].concat(),
+                    cfds: vec![0],
+                },
+                ["ClearFlags", &cc_twice],
+            ),
+            (
+                HorMsg::TupleProbe {
+                    attrs: vec![
+                        raw("CC", Value::int(44)),
+                        (attr("zip"), WireValue::Sym(77, None)),
+                    ],
+                    probes: vec![0],
+                },
+                ["symbol 77", "1 → 0"],
+            ),
+            (
+                HorMsg::ProbeReply { conflicts: vec![0] },
+                ["ProbeReply", "not a request"],
+            ),
+        ];
+        let before = (mesh.v.marks_sorted(), mesh.census());
+        for (msg, needles) in forged {
+            let sink = (&mut mesh.v, &mut mesh.dv);
+            let err = message_of(mesh.sites[0].on_request(1, msg, sink).unwrap_err());
+            assert!(err.contains("1 → 0"), "{err}");
+            assert!(needles.iter().all(|n| err.contains(n)), "{err}");
+            assert_eq!((mesh.v.marks_sorted(), mesh.census()), before, "{err}");
+        }
+        // An unknown or own site id is refused before the codec is asked.
+        for src in [0, 3] {
+            let sink = (&mut mesh.v, &mut mesh.dv);
+            let err = mesh.sites[0].on_request(src, probe(vec![0]), sink);
+            assert!(message_of(err.unwrap_err()).contains("unknown site"));
+        }
+
+        // The real round still runs to the oracle's V: t5's street was the
+        // group's only other one, so t1, t3 and t4 are cleared with it.
+        mesh.rounds[2].push(None);
+        mesh.send(2, 0, Some(round), requests);
+        mesh.run_wave(&[], |_| 0);
+        let mut d = d0();
+        d.delete(5).unwrap();
+        let oracle = cfd::naive::detect(&fig1_cfds(&s), &d);
+        assert_eq!(mesh.v.marks_sorted(), oracle.marks_sorted());
+        assert_eq!(mesh.v.marks_sorted(), vec![(1, 1)]);
+    }
+
+    /// Replies are checked against the round they claim to answer, before
+    /// anything is folded: the refused ones leave the round able to take
+    /// the real replies and finish on the oracle's `V`.
+    #[test]
+    fn hostile_replies_are_errors_and_leave_the_round_intact() {
+        let (mut mesh, mut round, requests) = fig2_mesh_deleting_t5();
+        let street = |c| (c, vec![WireValue::Raw(Value::str("Mayfield"))]);
+        let forged = [
+            (
+                HorMsg::DelReply {
+                    bvals: vec![street(0), street(1)],
+                },
+                ["DelReply", "CFD 1, which the round did not query"],
+            ),
+            (
+                HorMsg::DelReply {
+                    bvals: vec![street(u32::MAX)],
+                },
+                ["DelReply", "CFD 4294967295"],
+            ),
+            (
+                HorMsg::DelReply {
+                    bvals: vec![(0, vec![WireValue::Sym(9, None)])],
+                },
+                ["symbol 9", "1 → 2"],
+            ),
+            (
+                HorMsg::ProbeReply { conflicts: vec![0] },
+                ["ProbeReply", "delete round"],
+            ),
+            (
+                HorMsg::ClearFlags {
+                    attrs: vec![],
+                    cfds: vec![],
+                },
+                ["ClearFlags", "delete round"],
+            ),
+        ];
+        for (msg, needles) in forged {
+            let err = message_of(mesh.sites[2].on_reply(&mut round, 1, msg).unwrap_err());
+            assert!(err.contains("1 → 2"), "{err}");
+            assert!(needles.iter().all(|n| err.contains(n)), "{err}");
+        }
+        mesh.rounds[2].push(None);
+        mesh.send(2, 0, Some(round), requests);
+        mesh.run_wave(&[], |_| 0);
+        assert_eq!(mesh.v.marks_sorted(), vec![(1, 1)], "t5 gone, φ1 satisfied");
+
+        // An insert round refuses a delete's reply, and ids out of Σ.
+        let t = emp_tuple(7, "C", 44, 131, "EH2 4HF", "Lauriston", "EDI");
+        let sink = (&mut mesh.v, &mut mesh.dv);
+        let (mut round, requests) = mesh.sites[2].begin_insert(&t, sink).unwrap().unwrap();
+        let forged = [
+            (
+                HorMsg::DelReply {
+                    bvals: vec![street(0)],
+                },
+                ["DelReply", "insert round"],
+            ),
+            (
+                HorMsg::ProbeReply { conflicts: vec![2] },
+                ["ProbeReply", "CFD 2 of 2"],
+            ),
+            (
+                HorMsg::ProbeReply { conflicts: vec![1] },
+                ["ProbeReply", "constant CFD 1"],
+            ),
+        ];
+        for (msg, needles) in forged {
+            let err = message_of(mesh.sites[2].on_reply(&mut round, 0, msg).unwrap_err());
+            assert!(needles.iter().all(|n| err.contains(n)), "{err}");
+        }
+        mesh.rounds[2].push(None);
+        mesh.send(2, 0, Some(round), requests);
+        mesh.run_wave(&[], |_| 0);
+        // t7's street clashes with t2's (site 0) on zip EH2 4HF.
+        assert_eq!(mesh.v.marks_sorted(), vec![(0, 2), (0, 7), (1, 1)]);
+    }
+
+    /// The same refusal end to end through the synchronous driver: a frame
+    /// forged onto the transport fails the `apply` that meets it with a
+    /// typed error; the process lives.
+    #[test]
+    fn forged_frame_fails_apply_with_a_typed_error() {
+        let s = emp_schema();
+        let mut det =
+            HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
+        let forged = HorMsg::TupleDelQuery {
+            attrs: vec![],
+            queries: vec![9],
+        };
+        det.net.send(2, 1, forged).unwrap();
+        // Deleting t5 queries site 1, whose inbox the forged frame heads.
+        let mut delta = UpdateBatch::new();
+        delta.delete(5);
+        let err = message_of(det.apply(&delta).unwrap_err());
+        assert!(err.contains("2 → 1") && err.contains("CFD 9 of 2"), "{err}");
+    }
+
+    #[test]
+    fn orphaned_class_is_an_internal_error_not_a_null() {
+        let s = emp_schema();
+        let mut det =
+            HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
+        // Break the invariant by hand: site 1 (grade B) loses t3 and t4's
+        // rows while their class stays in the group state.
+        det.sites[1].fragment.delete_quiet(3).unwrap();
+        det.sites[1].fragment.delete_quiet(4).unwrap();
+        // Deleting t5 (site 2, the only other street) sends a del-query.
+        let mut delta = UpdateBatch::new();
+        delta.delete(5);
+        match det.apply(&delta) {
+            Err(DetectError::Internal(msg)) => {
+                assert!(msg.contains("site 1") && msg.contains("CFD 0"), "{msg}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+    }
+}

@@ -25,10 +25,10 @@
 
 use crate::detector::{DetectError, Detector};
 use crate::horizontal::HorizontalDetector;
-use crate::md5::Digest;
 use crate::optimize::SharingMode;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, Violations};
 use cluster::codec::CodecKind;
+use cluster::md5::Digest;
 use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{ClusterError, NetStats, Network, SiteId, Wire};

@@ -16,9 +16,7 @@
 //!   Fan et al., ICDE 2010) and `ibatVer` / `ibatHor` (batch via the
 //!   incremental machinery, Exp-10),
 //! * [`plan`] — HEV plans and the static eqid-shipment count (Fig. 10),
-//! * [`hev`], [`idx`] — the index structures themselves,
-//! * [`md5`] — RFC 1321 (re-exported from [`cluster::md5`]), used to ship
-//!   128-bit digests instead of tuples.
+//! * [`hev`], [`idx`] — the index structures themselves.
 //!
 //! All strategies implement the object-safe [`Detector`] trait and are
 //! constructed through [`DetectorBuilder`]; errors cross the public
@@ -35,7 +33,6 @@ pub mod hev;
 pub mod horizontal;
 pub mod hybrid;
 pub mod idx;
-pub mod md5;
 pub mod optimize;
 pub mod par;
 pub mod plan;

@@ -1,12 +1,12 @@
 //! Scoped parallel helpers for the per-CFD loops of the batch `apply`s.
 //!
 //! The incremental protocols interleave computation with *metered*
-//! shipment, so the detectors split each batch into a read-only, per-CFD
-//! phase (candidate filtering for `incVer` lines 4–6, MD5 digest
-//! derivation for `incHor`) that fans out over scoped threads — matching
-//! the per-CFD parallelism the batch baselines already use — and a serial
-//! replay phase that performs the protocol, keeping message counts, `|M|`
-//! accounting and `ΔV` order bit-identical to the sequential execution.
+//! shipment, so `incVer` splits each batch into a read-only, per-CFD
+//! phase (candidate filtering, lines 4–6) that fans out over scoped
+//! threads — matching the per-CFD parallelism the batch baselines already
+//! use — and a serial replay phase that performs the protocol, keeping
+//! message counts, `|M|` accounting and `ΔV` order bit-identical to the
+//! sequential execution.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -31,9 +31,11 @@ use std::process::{Child, Command};
 use workload::updates::{self, UpdateMix};
 use workload::{rules, tpch};
 
-/// Default base port; an uncommon range so smoke runs don't collide
-/// with dev servers. Children listen on `port + me`.
-const DEFAULT_PORT: u16 = 46_000;
+/// Default base port: an uncommon range so smoke runs don't collide
+/// with dev servers, and below Linux's ephemeral range (32 768–60 999),
+/// out of which the kernel hands the tests' own outgoing connections
+/// their source ports. Children listen on `port + me`.
+const DEFAULT_PORT: u16 = 26_000;
 
 struct Args {
     cluster: Option<usize>,

@@ -4,7 +4,8 @@
 //! and thread-per-site drives on the same seeded stream.
 //!
 //! Ports: each test uses its own fixed base port (the harness runs
-//! tests in parallel within one process).
+//! tests in parallel within one process), below the ephemeral range so
+//! no outgoing connection of the same run can be holding it.
 
 use inc_cfd::prelude::*;
 use incdetect::{ConcurrentHorizontal, HorizontalDetector};
@@ -79,7 +80,7 @@ fn site_binary_cluster_mode_self_checks() {
             "--cluster",
             "4",
             "--port",
-            "46100",
+            "26100",
             "--rows",
             "300",
             "--cfds",
@@ -106,7 +107,7 @@ fn site_binary_cluster_mode_self_checks() {
 #[test]
 fn multi_process_matches_threaded_and_sequential() {
     const N: usize = 4;
-    const PORT: u16 = 46_200;
+    const PORT: u16 = 26_200;
     const ROWS: usize = 300;
     const CFDS: usize = 8;
     let (schema, cfds, d, delta, _) = instance(ROWS, CFDS);
