@@ -873,7 +873,7 @@ pub fn centralized(cfds: &[Cfd], d: &Relation) -> Violations {
 // Baselines as maintained detectors
 // ----------------------------------------------------------------------
 
-/// Scheme-side validation of a normalized batch, so a bad update (e.g.
+/// Scheme-side validation of an admitted batch, so a bad update (e.g.
 /// an unroutable tuple) surfaces as `Err` from `apply` *before* any
 /// state is mutated — matching the incremental detectors' behavior —
 /// instead of panicking inside the batch recompute.
@@ -1005,7 +1005,7 @@ macro_rules! batch_detector {
             }
 
             fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-                let delta = delta.normalize(&self.current);
+                let delta = crate::detector::admit(&self.current, delta)?;
                 self.scheme.check_delta(&delta)?;
                 delta.apply(&mut self.current)?;
                 let $self_ = &*self;

@@ -203,13 +203,17 @@ struct WaveState {
     open: usize,
 }
 
-/// One site of the concurrent runtime: the §6 `Site` machine, its slice
-/// of `V`, and what is the runtime's own — the frame pump, the owed-ack
-/// counters and the barrier bookkeeping. The same struct runs on a
-/// spawned thread (threaded mode), on the caller's thread (site 0), or
-/// alone inside a `site` process (multi-process mode).
+/// One site of the concurrent runtime: the §6 `Site` machine, the
+/// fragment its steps are handed, its slice of `V`, and what is the
+/// runtime's own — the frame pump, the owed-ack counters and the barrier
+/// bookkeeping. The same struct runs on a spawned thread (threaded mode),
+/// on the caller's thread (site 0), or alone inside a `site` process
+/// (multi-process mode).
 pub struct SiteRunner {
     site: Site,
+    /// This site's fragment `σ_{F_me}(D)`: the only copy of a row this
+    /// thread or process holds.
+    rows: Relation,
     me: SiteId,
     n: usize,
     node: Node,
@@ -231,6 +235,7 @@ impl SiteRunner {
     pub fn new(cfg: SiteConfig, codec: CodecKind, node: Node) -> Self {
         let (n, me) = (node.n_nodes(), node.me());
         SiteRunner {
+            rows: Relation::new(cfg.schema.clone()),
             violations: Violations::new(cfg.cfds.len()),
             dv: DeltaV::default(),
             done_count: 0,
@@ -282,7 +287,7 @@ impl SiteRunner {
             return Ok(Some(Event::Response(src, Response::Reply(msg))));
         }
         let sink = (&mut self.violations, &mut self.dv);
-        match self.site.on_request(src, msg, sink)? {
+        match self.site.on_request(src, msg, &self.rows, sink)? {
             // A protocol reply carries the owed acks with it, so FIFO
             // matching holds.
             Some(reply) => self.send_hor(src, reply)?,
@@ -376,10 +381,10 @@ impl SiteRunner {
             while ws.open >= WINDOW {
                 self.step(&mut ws)?;
             }
-            let sink = (&mut self.violations, &mut self.dv);
+            let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
             let opened = match op {
-                Update::Insert(t) => self.site.begin_insert(&t, sink)?,
-                Update::Delete(tid) => self.site.begin_delete(tid, sink)?,
+                Update::Insert(t) => self.site.begin_insert(&t, rows, sink)?,
+                Update::Delete(tid) => self.site.begin_delete(tid, rows, sink)?,
             };
             if let Some((round, requests)) = opened {
                 let slot = ws.inflight.len();
@@ -633,7 +638,11 @@ type WaveOps<'a> = Vec<(u32, &'a Update)>;
 /// separate processes joined over localhost TCP (distributed mode).
 pub struct ConcurrentHorizontal {
     scheme: HorizontalScheme,
-    /// Mirror of the logical relation (union of all fragments).
+    /// Mirror of the logical relation (union of all fragments): what
+    /// admission normalises against, what deletes are scheduled from and
+    /// what [`Detector::current`] returns — the sites' rows live on other
+    /// threads or in other processes. The coordinator being site 0 too,
+    /// its own slice is in here and in its runner's fragment.
     current: Relation,
     site_of_tid: FxHashMap<Tid, SiteId>,
     /// Global `V` mirror, folded from the per-site images.
@@ -757,18 +766,12 @@ impl ConcurrentHorizontal {
         Ok(det)
     }
 
-    /// Assign every normalized op a home site and a wave ([`WavePlanner`]):
-    /// `(home, wave)` per op in batch order, plus the number of waves.
-    /// Tuples are read where they lie.
+    /// Assign every op of an admitted batch a home site and a wave
+    /// ([`WavePlanner`]): `(home, wave)` per op in batch order, plus the
+    /// number of waves. Tuples are read where they lie.
     fn schedule(&mut self, delta: &UpdateBatch) -> Result<(Vec<(SiteId, u32)>, u32), DetectError> {
         let cfg = self.runner.site.cfg();
-        let arity = cfg.schema.arity();
         let place = |op: &Update| match op {
-            Update::Insert(t) if t.values.len() != arity => Err(RelError::ArityMismatch {
-                expected: arity,
-                got: t.values.len(),
-            }
-            .into()),
             Update::Insert(t) => Ok((self.scheme.route(t)?, self.planner.place(cfg, t))),
             Update::Delete(tid) => {
                 let t = self.current.get(*tid).ok_or(RelError::MissingTid(*tid))?;
@@ -786,7 +789,7 @@ impl ConcurrentHorizontal {
     }
 
     fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let delta = delta.normalize(&self.current);
+        let delta = crate::detector::admit(&self.current, delta)?;
         let mut dv = DeltaV::default();
         if delta.ops().is_empty() {
             return Ok(dv);

@@ -18,15 +18,13 @@
 //! The trait is object-safe: `Box<dyn Detector>` is the currency of the
 //! generic drivers (see `DetectorBuilder` for construction).
 //!
-//! [`DetectError`] is the single error type at this boundary; the
-//! vertical detector's own enum ([`VerticalError`]) remains as internal
-//! detail and converts losslessly via `From`.
+//! [`DetectError`] is the single error type at this boundary, and the
+//! only one the detectors use internally.
 
-use crate::vertical::VerticalError;
 use cfd::constraint::FindingSet;
 use cfd::{Cfd, DeltaV, Violations};
 use cluster::{ClusterError, NetReport};
-use relation::{RelError, Relation, Schema, Update, UpdateBatch};
+use relation::{RelError, Relation, Schema, Tuple, Update, UpdateBatch};
 use std::sync::Arc;
 
 /// Errors crossing the public detection boundary.
@@ -70,15 +68,6 @@ impl From<ClusterError> for DetectError {
     }
 }
 
-impl From<VerticalError> for DetectError {
-    fn from(e: VerticalError) -> Self {
-        match e {
-            VerticalError::Rel(r) => DetectError::Rel(r),
-            VerticalError::Cluster(c) => DetectError::Cluster(c),
-        }
-    }
-}
-
 /// Tuples per window of the streamed `D₀` build ([`ingest`]). A build
 /// holds one window of materialised tuples, its normalised copy and its
 /// `ΔV` at a time, so the transient is `O(window · (arity + |Σ|))` instead
@@ -111,6 +100,26 @@ pub(crate) fn ingest(
         apply(&window)?;
     }
     Ok(())
+}
+
+/// Admit a caller's batch — the first thing every `apply` does, before
+/// anything is mutated. The batch is normalised against `current` (`incVer`
+/// line 1), which leaves deletes of live tids and inserts of free ones
+/// only, and an insert whose arity is not the schema's is refused: past
+/// this point a tuple can be indexed by any attribute of the schema, and
+/// the one error a caller can still cause is an unroutable tuple, which
+/// the horizontal strategies settle next, for the whole batch.
+pub(crate) fn admit(current: &Relation, delta: &UpdateBatch) -> Result<UpdateBatch, DetectError> {
+    let delta = delta.normalize(current);
+    let expected = current.schema().arity();
+    let misfit = delta
+        .insertions()
+        .map(Tuple::arity)
+        .find(|&n| n != expected);
+    match misfit {
+        Some(got) => Err(RelError::ArityMismatch { expected, got }.into()),
+        None => Ok(delta),
+    }
 }
 
 /// A maintained violation detector: owns `V(Σ, D)` for some partition
@@ -361,7 +370,5 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e: DetectError = ClusterError::UnknownSite(3).into();
         assert!(matches!(e, DetectError::Cluster(_)));
-        let e: DetectError = VerticalError::Rel(RelError::MissingTid(1)).into();
-        assert!(matches!(e, DetectError::Rel(_)));
     }
 }

@@ -39,27 +39,33 @@
 //! # One machine, five steps
 //!
 //! The protocol is written once, in the `site` submodule: a `Site` is one
-//! site's fragment, group state and codec state, with no transport, no
-//! threads and no `V` inside — every step takes the `(V, ΔV)` it records
-//! into.
-//! [`HorizontalDetector`] holds `n` machines and drives them synchronously
-//! over a [`MsgTransport`]; the thread-per-site runtime
-//! ([`crate::concurrent`]) drives one per thread behind its wave
-//! scheduler. Both have no path to group state but these:
+//! site's group state and codec state, with no transport, no threads, no
+//! `V` and no rows inside — every step takes the `(V, ΔV)` it records
+//! into, and the three that touch a row take the store (`rows`) their
+//! driver owns. [`HorizontalDetector`] holds `n` machines, drives them
+//! synchronously over a [`MsgTransport`] and hands every one of them its
+//! single logical relation; the thread-per-site runtime
+//! ([`crate::concurrent`]) drives one per thread behind its wave scheduler
+//! and hands it the fragment that thread holds. Both have no path to group
+//! state but these:
 //!
-//! | step | called by | in | out | the paper's case |
-//! |---|---|---|---|---|
-//! | `begin_insert(t)` | the driver, at `t`'s home site | — | nothing, or an open round and one `TupleProbe` per relevant peer | insertion case analysis; *nothing* is Examples 2(1)(b) and 9: a local same-RHS witness or an already-violating group decides |
-//! | `begin_delete(tid)` | the driver, at the tuple's home site | — | nothing, or an open round and one `TupleDelQuery` per relevant peer | deletion case analysis; *nothing* is Example 2(2): a local witness keeps the RHS multiplicity ≥ 2 |
-//! | `on_request(src, msg)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags` | `ProbeReply` / `DelReply`, or nothing (a silent round) | the receiving half of each exchange: flip or report conflicting groups, report distinct RHS values, clear flags |
-//! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | fold: which queried groups conflict somewhere, which RHS values remain and who holds them |
-//! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion |
+//! | step | called by | in | `rows` | out | the paper's case |
+//! |---|---|---|---|---|---|
+//! | `begin_insert(t, rows)` | the driver, at `t`'s home site | — | `t` is inserted, first thing | nothing, or an open round and one `TupleProbe` per relevant peer | insertion case analysis; *nothing* is Examples 2(1)(b) and 9: a local same-RHS witness or an already-violating group decides |
+//! | `begin_delete(tid, rows)` | the driver, at the tuple's home site | — | the tuple is read, and deleted once its groups let go | nothing, or an open round and one `TupleDelQuery` per relevant peer | deletion case analysis; *nothing* is Example 2(2): a local witness keeps the RHS multiplicity ≥ 2 |
+//! | `on_request(src, msg, rows)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags` | read only, and only for a `TupleDelQuery`: the RHS value of each class of a queried group, through one of its members | `ProbeReply` / `DelReply`, or nothing (a silent round) | the receiving half of each exchange: flip or report conflicting groups, report distinct RHS values, clear flags |
+//! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | — | fold: which queried groups conflict somewhere, which RHS values remain and who holds them |
+//! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | — (the deleted tuple travels in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion |
 //!
 //! The machine enforces, for every driver:
 //!
-//! * **Row before group state.** An inserted row is in the fragment before
-//!   any class that could be asked for its RHS value exists, and a deleted
-//!   row leaves only after its groups let go of it.
+//! * **Row before group state, and the machine stores both.** The driver
+//!   owns `rows` but neither inserts nor deletes: `begin_insert` stores the
+//!   row before any class that could be asked for its RHS value exists,
+//!   `begin_delete` drops it only after its groups let go of it. A machine
+//!   reads no row but the one being deleted and members of its own
+//!   classes — rows it inserted itself — so `n` machines may share one
+//!   store (tids are global) or hold one each.
 //! * **Validate before mutate.** CFD ids and payloads off the wire are
 //!   checked at `on_request` / `on_reply` entry — every *listed* id names a
 //!   variable CFD of `Σ` whose whole LHS the payload carries, no attribute
@@ -96,7 +102,7 @@
 //! 272 386 classes (63 %) hold exactly one tid, so tids start inline; but
 //! `hor_tcp_skew`'s Zipf classes reach 65–512 tids, so beyond three they
 //! are a boxed set and removal stays `O(1)`. A class's RHS value is read
-//! back from the site's own fragment through any member (`class_values`).
+//! back from the rows through any member (`class_values`).
 //! Removals demote (`Many → One`, set → inline) and tables give their
 //! slack back under a quarter full, so the state follows deletes down as
 //! well as inserts up; [`HorizontalDetector::state_census`] counts it.
@@ -349,8 +355,8 @@ const INLINE_TIDS: usize = 3;
 /// [`INLINE_TIDS`] inline, a boxed hash set beyond (Zipf-keyed classes
 /// reach hundreds of members, and removal must stay `O(1)` there). The
 /// layout is a function of the members alone — removals demote — and the
-/// class's RHS *value* is not kept: any member's row in the site's own
-/// fragment has it ([`class_values`]).
+/// class's RHS *value* is not kept: any member's row has it
+/// ([`class_values`]).
 #[derive(Debug)]
 pub(crate) enum ClassEntry {
     Inline { len: u8, tids: [Tid; INLINE_TIDS] },
@@ -735,30 +741,27 @@ pub(crate) fn mark_group(g: &mut GroupState, cfd: CfdId, v: &mut Violations, dv:
 }
 
 /// The `DelReply` payload of one group at `site`: each class's RHS value,
-/// read from the site's own fragment through a member's row. Both
-/// runtimes store an inserted row *before* they touch group state, so a
-/// class always has a member to read; one that has none means the state
-/// contradicts the fragment, and the error text says where.
+/// read through a member's row in `rows`, the store the site's driver
+/// hands it. The machine stores an inserted row *before* it touches group
+/// state, so a class always has a member to read; one that has none means
+/// the state contradicts the rows, and the error text says where.
 pub(crate) fn class_values(
     g: &GroupState,
-    fragment: &Relation,
+    rows: &Relation,
     (site, cfd, kd): (SiteId, &Cfd, Digest),
     mut encode: impl FnMut(&Value) -> WireValue,
 ) -> Result<Vec<WireValue>, String> {
     let mut vals = Vec::new();
     let mut orphan = false;
     g.for_each_class(|_, members| {
-        match members
-            .first()
-            .and_then(|tid| fragment.value_at(tid, cfd.rhs))
-        {
+        match members.first().and_then(|tid| rows.value_at(tid, cfd.rhs)) {
             Some(v) => vals.push(encode(v)),
             None => orphan = true,
         }
     });
     if orphan {
         return Err(format!(
-            "site {site}: a class of CFD {} group {} has no member in the fragment",
+            "site {site}: a class of CFD {} group {} has no member among the rows",
             cfd.id,
             kd.to_hex()
         ));
@@ -819,15 +822,18 @@ impl StateCensus {
 }
 
 /// The incremental violation detector for horizontally partitioned data:
-/// every site's `Site` machine in one struct, one thread driving all
-/// rounds synchronously over the session's transport.
+/// every site's `Site` machine and the one relation they all store into in
+/// one struct, one thread driving all rounds synchronously over the
+/// session's transport.
 pub struct HorizontalDetector {
     cfg: SiteConfig,
     scheme: HorizontalScheme,
     sites: Vec<Site>,
-    /// Which fragment holds each live tuple.
+    /// Which site is home to each live tuple.
     site_of_tid: FxHashMap<Tid, SiteId>,
-    /// Mirror of the logical relation (union of fragments).
+    /// The logical relation, and the only copy of its rows: site `i`'s
+    /// fragment `σ_{F_i}(D)` is the rows `site_of_tid` maps to `i`, and
+    /// every machine's steps are handed this store.
     current: Relation,
     violations: Violations,
     /// The substrate protocol rounds ride on: the simulated metered
@@ -976,38 +982,51 @@ impl HorizontalDetector {
         &self.cfg.schema
     }
 
-    /// The mirror of the logical relation.
+    /// The logical relation (`scheme.partition` of it materialises any
+    /// fragment a caller wants).
     pub fn current(&self) -> &Relation {
         &self.current
-    }
-
-    /// Fragment relation at `site`.
-    pub fn fragment(&self, site: SiteId) -> &Relation {
-        self.sites[site].fragment()
     }
 
     /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incHor`:
     /// each update runs at its home site's machine, and one that opens a
     /// round is driven to its end before the next begins.
     pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let delta = delta.normalize(&self.current);
+        let delta = crate::detector::admit(&self.current, delta)?;
+        let homes = self.route(&delta)?;
+        self.apply_routed(&delta, homes)
+    }
+
+    /// The home of every insert of an admitted batch, in batch order. All
+    /// are routed before the first is stored, so an unroutable tuple fails
+    /// its batch whole.
+    pub(crate) fn route(&self, delta: &UpdateBatch) -> Result<Vec<SiteId>, DetectError> {
+        let homes = delta.insertions().map(|t| self.scheme.route(t));
+        Ok(homes.collect::<Result<_, _>>()?)
+    }
+
+    /// [`apply`](Self::apply) for an admitted batch and the
+    /// [`route`](Self::route) of it.
+    pub(crate) fn apply_routed(
+        &mut self,
+        delta: &UpdateBatch,
+        homes: Vec<SiteId>,
+    ) -> Result<DeltaV, DetectError> {
+        let mut homes = homes.into_iter();
         let mut dv = DeltaV::default();
         for op in delta.ops() {
-            let sink = (&mut self.violations, &mut dv);
+            let (rows, sink) = (&mut self.current, (&mut self.violations, &mut dv));
             let (home, opened) = match op {
                 Update::Insert(t) => {
-                    let home = self.scheme.route(t)?;
-                    let opened = self.sites[home].begin_insert(t, sink)?;
+                    let home = homes.next().expect("one home per insert");
+                    let opened = self.sites[home].begin_insert(t, rows, sink)?;
                     self.site_of_tid.insert(t.tid, home);
-                    self.current.insert_row(t.tid, t.values.iter())?;
                     (home, opened)
                 }
                 Update::Delete(tid) => {
                     let home = self.site_of_tid.remove(tid);
                     let home = home.ok_or(RelError::MissingTid(*tid))?;
-                    let opened = self.sites[home].begin_delete(*tid, sink)?;
-                    self.current.delete_quiet(*tid)?;
-                    (home, opened)
+                    (home, self.sites[home].begin_delete(*tid, rows, sink)?)
                 }
             };
             if let Some((mut round, requests)) = opened {
@@ -1036,7 +1055,7 @@ impl HorizontalDetector {
             self.net.send(home, j, request)?;
             for (from, msg) in self.net.try_drain(j)? {
                 let sink = (&mut self.violations, &mut *dv);
-                if let Some(reply) = self.sites[j].on_request(from, msg, sink)? {
+                if let Some(reply) = self.sites[j].on_request(from, msg, &self.current, sink)? {
                     self.net.send(j, from, reply)?;
                 }
             }

@@ -1,10 +1,12 @@
-//! The §6 site machine: one site's whole share of `incHor` — fragment,
-//! group state, codec state — behind five steps with no transport, no
-//! threads and no `V` inside. The [parent module](super) documents the
-//! steps and the invariants; [`HorizontalDetector`](super::HorizontalDetector)
-//! drives `n` machines synchronously over a `MsgTransport`, the
-//! thread-per-site [`SiteRunner`](crate::concurrent::SiteRunner) drives
-//! one behind its wave scheduler.
+//! The §6 site machine: one site's whole share of `incHor` — group state
+//! and codec state — behind five steps with no transport, no threads, no
+//! `V` and no rows inside: the three steps that touch a row are handed the
+//! store their driver owns. The [parent module](super) documents the steps
+//! and the invariants; [`HorizontalDetector`](super::HorizontalDetector)
+//! drives `n` machines synchronously over a `MsgTransport` and hands each
+//! the one logical relation, the thread-per-site
+//! [`SiteRunner`](crate::concurrent::SiteRunner) drives one behind its
+//! wave scheduler and hands it the fragment its thread or process holds.
 
 use super::{
     class_values, clear_group, delete_case, insert_case, mark_group, GroupState, HorMsg, Ship,
@@ -279,7 +281,6 @@ pub(crate) struct Site {
     cfg: SiteConfig,
     me: SiteId,
     pub(crate) sharing: SharingMode,
-    fragment: Relation,
     /// Group state per CFD (empty maps for constant CFDs).
     state: Vec<FxHashMap<Digest, GroupState>>,
     /// Sender-side payload encoding; per-link state (dictionary
@@ -293,10 +294,9 @@ pub(crate) struct Site {
 }
 
 impl Site {
-    /// Site `me` with an empty fragment.
+    /// Site `me`, holding no group yet.
     pub(crate) fn new(cfg: SiteConfig, me: SiteId, codec: CodecKind) -> Self {
         Site {
-            fragment: Relation::new(cfg.schema.clone()),
             state: cfg.cfds.iter().map(|_| FxHashMap::default()).collect(),
             codec: codec.codec(),
             rx: (0..cfg.n_sites)
@@ -311,10 +311,6 @@ impl Site {
 
     pub(crate) fn cfg(&self) -> &SiteConfig {
         &self.cfg
-    }
-
-    pub(crate) fn fragment(&self) -> &Relation {
-        &self.fragment
     }
 
     /// Add this site's group maps to `census`.
@@ -336,18 +332,19 @@ impl Site {
 
     // -- own updates ----------------------------------------------------
 
-    /// §6 insertion at the tuple's home site. `None` when the local case
-    /// analysis settles every CFD (Examples 2(1)(b) and 9) or no peer
-    /// could hold a conflicting group.
+    /// §6 insertion at the tuple's home site, into the driver's `rows`.
+    /// `None` when the local case analysis settles every CFD (Examples
+    /// 2(1)(b) and 9) or no peer could hold a conflicting group.
     pub(crate) fn begin_insert(
         &mut self,
         t: &Tuple,
+        rows: &mut Relation,
         (v, dv): Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
         // Row before group state: every class this update creates has,
-        // from its first instant, a member whose RHS value the fragment
-        // can produce (`class_values`).
-        self.fragment.insert_row(t.tid, t.values.iter())?;
+        // from its first instant, a member whose RHS value `rows` can
+        // produce (`class_values`).
+        rows.insert_row(t.tid, t.values.iter())?;
         self.cfg.candidates(self.sharing, t, &mut self.sx);
         let sx = &mut self.sx;
         for &(cid, kd) in &sx.cands {
@@ -391,15 +388,17 @@ impl Site {
         Ok(Some((round, out)))
     }
 
-    /// §6 deletion at the tuple's home site. `None` when a local witness
-    /// keeps every violating group's multiplicity ≥ 2 (Example 2(2)), or
-    /// no peer is relevant and the site decided alone.
+    /// §6 deletion at the tuple's home site, out of the driver's `rows`.
+    /// `None` when a local witness keeps every violating group's
+    /// multiplicity ≥ 2 (Example 2(2)), or no peer is relevant and the
+    /// site decided alone.
     pub(crate) fn begin_delete(
         &mut self,
         tid: Tid,
+        rows: &mut Relation,
         (v, dv): Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
-        let t = self.fragment.get(tid).ok_or(RelError::MissingTid(tid))?;
+        let t = rows.get(tid).ok_or(RelError::MissingTid(tid))?;
         self.cfg.candidates(self.sharing, &t, &mut self.sx);
         let sx = &mut self.sx;
         for &(cid, kd) in &sx.cands {
@@ -421,7 +420,7 @@ impl Site {
             }
         }
         // The groups have let go of the row; peers never read it.
-        self.fragment.delete_quiet(tid)?;
+        rows.delete_quiet(tid)?;
         if self.sx.queries.is_empty() {
             return Ok(None);
         }
@@ -505,10 +504,13 @@ impl Site {
 
     /// Serve a peer's `TupleProbe`, `TupleDelQuery` or `ClearFlags`. The
     /// reply, if the protocol has one to give; `None` is a silent round.
+    /// `rows` is read for one thing: the RHS value of a queried class,
+    /// through a member this site inserted.
     pub(crate) fn on_request(
         &mut self,
         src: SiteId,
         msg: HorMsg,
+        rows: &Relation,
         (v, dv): Sink<'_>,
     ) -> Result<Option<HorMsg>, DetectError> {
         match msg {
@@ -574,7 +576,7 @@ impl Site {
                         let (me, codec) = (self.me, self.codec.as_mut());
                         let at = (me, &self.cfg.cfds[c as usize], kd);
                         let encode = |v: &_| codec.encode(me, src, v);
-                        let vals = class_values(h, &self.fragment, at, encode);
+                        let vals = class_values(h, rows, at, encode);
                         bvals.push((c, vals.map_err(DetectError::Internal)?));
                     }
                 }
@@ -725,11 +727,14 @@ mod tests {
     /// machine's round (`None` for the clear round of a delete).
     type Slot = (usize, Option<Round>);
 
-    /// `n` machines and per-link FIFO queues — no sockets, no threads, no
-    /// driver. Whoever holds the mesh decides what happens next: a site
-    /// begins its next update, or a link delivers its oldest frame.
+    /// `n` machines, each over a row store of its own, and per-link FIFO
+    /// queues — no sockets, no threads, no driver. Whoever holds the mesh
+    /// decides what happens next: a site begins its next update, or a link
+    /// delivers its oldest frame.
     struct Mesh {
         sites: Vec<Site>,
+        /// `[site]`: the fragment that site's steps are handed.
+        rows: Vec<Relation>,
         v: Violations,
         dv: DeltaV,
         /// `[src][dst]`, oldest first.
@@ -752,6 +757,7 @@ mod tests {
             }
             Mesh {
                 sites: (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect(),
+                rows: (0..n).map(|_| Relation::new(cfg.schema.clone())).collect(),
                 v: Violations::new(cfg.cfds.len()),
                 dv: DeltaV::default(),
                 links: per_link(n),
@@ -777,10 +783,10 @@ mod tests {
         }
 
         fn begin(&mut self, home: SiteId, op: &Update) {
-            let sink = (&mut self.v, &mut self.dv);
+            let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[home]);
             let opened = match op {
-                Update::Insert(t) => self.sites[home].begin_insert(t, sink),
-                Update::Delete(tid) => self.sites[home].begin_delete(*tid, sink),
+                Update::Insert(t) => self.sites[home].begin_insert(t, rows, sink),
+                Update::Delete(tid) => self.sites[home].begin_delete(*tid, rows, sink),
             };
             if let Some((round, requests)) = opened.unwrap() {
                 self.rounds[home].push(None);
@@ -794,7 +800,8 @@ mod tests {
             let sink = (&mut self.v, &mut self.dv);
             match frame {
                 Frame::Request(msg) => {
-                    let reply = self.sites[dst].on_request(src, msg, sink).unwrap();
+                    let rows = &self.rows[dst];
+                    let reply = self.sites[dst].on_request(src, msg, rows, sink).unwrap();
                     if let Some(msg) = &reply {
                         self.stats.record(dst, src, msg.wire_size(), 0);
                     }
@@ -1041,8 +1048,9 @@ mod tests {
             let wave = [(scheme.route(&t).unwrap(), Update::Insert(t))];
             mesh.run_wave(&wave, |_| 0);
         }
-        let sink = (&mut mesh.v, &mut mesh.dv);
-        let (round, requests) = mesh.sites[2].begin_delete(5, sink).unwrap().unwrap();
+        let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
+        let opened = mesh.sites[2].begin_delete(5, rows, sink).unwrap();
+        let (round, requests) = opened.unwrap();
         (mesh, round, requests)
     }
 
@@ -1107,16 +1115,16 @@ mod tests {
         ];
         let before = (mesh.v.marks_sorted(), mesh.census());
         for (msg, needles) in forged {
-            let sink = (&mut mesh.v, &mut mesh.dv);
-            let err = message_of(mesh.sites[0].on_request(1, msg, sink).unwrap_err());
+            let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mesh.rows[0]);
+            let err = message_of(mesh.sites[0].on_request(1, msg, rows, sink).unwrap_err());
             assert!(err.contains("1 → 0"), "{err}");
             assert!(needles.iter().all(|n| err.contains(n)), "{err}");
             assert_eq!((mesh.v.marks_sorted(), mesh.census()), before, "{err}");
         }
         // An unknown or own site id is refused before the codec is asked.
         for src in [0, 3] {
-            let sink = (&mut mesh.v, &mut mesh.dv);
-            let err = mesh.sites[0].on_request(src, probe(vec![0]), sink);
+            let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mesh.rows[0]);
+            let err = mesh.sites[0].on_request(src, probe(vec![0]), rows, sink);
             assert!(message_of(err.unwrap_err()).contains("unknown site"));
         }
 
@@ -1182,8 +1190,9 @@ mod tests {
 
         // An insert round refuses a delete's reply, and ids out of Σ.
         let t = emp_tuple(7, "C", 44, 131, "EH2 4HF", "Lauriston", "EDI");
-        let sink = (&mut mesh.v, &mut mesh.dv);
-        let (mut round, requests) = mesh.sites[2].begin_insert(&t, sink).unwrap().unwrap();
+        let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
+        let opened = mesh.sites[2].begin_insert(&t, rows, sink).unwrap();
+        let (mut round, requests) = opened.unwrap();
         let forged = [
             (
                 HorMsg::DelReply {
@@ -1236,10 +1245,10 @@ mod tests {
         let s = emp_schema();
         let mut det =
             HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
-        // Break the invariant by hand: site 1 (grade B) loses t3 and t4's
-        // rows while their class stays in the group state.
-        det.sites[1].fragment.delete_quiet(3).unwrap();
-        det.sites[1].fragment.delete_quiet(4).unwrap();
+        // Break the invariant by hand: t3 and t4 (site 1, grade B) lose
+        // their rows while their class stays in the group state.
+        det.current.delete_quiet(3).unwrap();
+        det.current.delete_quiet(4).unwrap();
         // Deleting t5 (site 2, the only other street) sends a del-query.
         let mut delta = UpdateBatch::new();
         delta.delete(5);

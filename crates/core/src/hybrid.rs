@@ -4,7 +4,10 @@
 //!
 //! Layout: the relation is first split **horizontally** into *regions*;
 //! within each region the fragment is split **vertically** over that
-//! region's sub-sites (every sub-site keeps the key, as in §2.2).
+//! region's sub-sites (every sub-site keeps the key, as in §2.2). The
+//! layout is the scheme's: rows are stored once, in the inner detector's
+//! logical relation, and which sub-site holds an attribute — hence what
+//! assembly costs — is read off the scheme.
 //!
 //! Detection composes the two protocols:
 //!
@@ -132,8 +135,6 @@ pub struct HybridDetector {
     inner: HorizontalDetector,
     /// Intra-region assembly traffic (global physical site ids).
     intra: Network<AsmMsg>,
-    /// Per (region, sub-site) vertical fragments.
-    fragments: Vec<Vec<Relation>>,
     /// Variable CFDs' attribute sets, precomputed.
     var_attrs: Vec<Option<Vec<AttrId>>>,
     /// Constant CFDs' atom attributes, precomputed.
@@ -150,8 +151,8 @@ pub struct HybridDetector {
 }
 
 impl HybridDetector {
-    /// Build over `d`, loading fragments and the inter-region state
-    /// (unmetered, like the other detectors). Ships MD5 digests between
+    /// Build over `d`, loading the inter-region state (unmetered, like
+    /// the other detectors). Ships MD5 digests between
     /// region gateways — see [`HybridDetector::with_codec`].
     pub fn new(
         schema: Arc<Schema>,
@@ -197,11 +198,6 @@ impl HybridDetector {
             codec,
             transport,
         )?;
-        let mut fragments: Vec<Vec<Relation>> = Vec::with_capacity(scheme.n_regions());
-        let region_frags = scheme.regions.partition(d).map_err(DetectError::Cluster)?;
-        for (r, frag) in region_frags.iter().enumerate() {
-            fragments.push(scheme.verticals[r].partition(frag));
-        }
         let var_attrs = cfds
             .iter()
             .map(|c| c.is_variable().then(|| c.attrs()))
@@ -221,7 +217,6 @@ impl HybridDetector {
             intra: Network::new(scheme.n_sites()),
             scheme,
             inner,
-            fragments,
             var_attrs,
             const_attrs,
             needed_buf: FxHashSet::default(),
@@ -285,47 +280,29 @@ impl HybridDetector {
         self.inner.current()
     }
 
-    /// Fragment of `sub` within `region`.
-    pub fn fragment(&self, region: usize, sub: usize) -> &Relation {
-        &self.fragments[region][sub]
-    }
-
     /// Apply a batch update, metering intra-region assembly and running
     /// the inter-region §6 protocol.
     pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let delta = delta.normalize(self.inner.current());
-        // Meter assembly and maintain sub-fragments per op.
+        let delta = crate::detector::admit(self.inner.current(), delta)?;
+        // Route every insert before anything is metered or stored; the
+        // inner detector is handed the regions back, not asked again.
+        let regions = self.inner.route(&delta)?;
+        let mut inserted_at = regions.iter();
         for op in delta.ops() {
             match op {
                 Update::Insert(t) => {
-                    let region = self.scheme.regions.route(t).map_err(DetectError::Cluster)?;
+                    let region = *inserted_at.next().expect("one region per insert");
                     self.meter_assembly(region, t)?;
-                    let vs = &self.scheme.verticals[region];
-                    for sub in 0..vs.n_sites() {
-                        self.fragments[region][sub]
-                            .insert(t.project(vs.attrs_of(sub)))
-                            .map_err(DetectError::Rel)?;
-                    }
                 }
                 Update::Delete(tid) => {
-                    let t = self
-                        .inner
-                        .current()
-                        .get(*tid)
-                        .ok_or(DetectError::Rel(RelError::MissingTid(*tid)))?;
-                    let region = self
-                        .scheme
-                        .regions
-                        .route(&t)
-                        .map_err(DetectError::Cluster)?;
+                    let t = self.inner.current().get(*tid);
+                    let t = t.ok_or(RelError::MissingTid(*tid))?;
+                    let region = self.scheme.regions.route(&t)?;
                     self.meter_assembly(region, &t)?;
-                    for frag in &mut self.fragments[region] {
-                        frag.delete(*tid).map_err(DetectError::Rel)?;
-                    }
                 }
             }
         }
-        self.inner.apply(&delta)
+        self.inner.apply_routed(&delta, regions)
     }
 
     /// Assembly cost of one update at its region: every sub-site holding
@@ -577,31 +554,6 @@ mod tests {
         assert!(
             det.intra_stats().total_bytes() > 0,
             "digest assembly must be metered"
-        );
-    }
-
-    #[test]
-    fn fragments_stay_consistent() {
-        let mut det = detector(30);
-        let mut delta = UpdateBatch::new();
-        delta.insert(tup(200, 2, 2, 2, 0));
-        delta.delete(5);
-        det.apply(&delta).unwrap();
-        // Every live tuple appears in exactly one region, projected over
-        // all of that region's sub-sites.
-        let total: usize = (0..det.scheme.n_regions())
-            .map(|r| det.fragment(r, 0).len())
-            .sum();
-        assert_eq!(total, det.current().len());
-        for r in 0..det.scheme.n_regions() {
-            for sub in 1..det.scheme.verticals[r].n_sites() {
-                assert_eq!(det.fragment(r, sub).len(), det.fragment(r, 0).len());
-            }
-        }
-        assert!(
-            det.fragment(0, 0).get(200).is_some()
-                || det.fragment(1, 0).get(200).is_some()
-                || det.fragment(2, 0).get(200).is_some()
         );
     }
 

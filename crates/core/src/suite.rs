@@ -409,7 +409,7 @@ impl SuiteSession {
     /// Apply a batch to the **primary** relation, returning the unified
     /// finding delta alongside the inner CFD `ΔV`.
     pub fn apply(&mut self, delta: &UpdateBatch) -> Result<SuiteDelta, DetectError> {
-        let norm = delta.normalize(self.det.current());
+        let norm = crate::detector::admit(self.det.current(), delta)?;
         // Pre-images of deletions, captured before the detector mutates
         // its mirror (the native evaluators need the departing values).
         let mut ops: Vec<(bool, Tid, Vec<Value>)> = Vec::with_capacity(norm.len());
@@ -467,7 +467,7 @@ impl SuiteSession {
         let rel = self.refs.get_mut(relation).ok_or_else(|| {
             DetectError::Analysis(format!("unknown reference relation `{relation}`"))
         })?;
-        let norm = delta.normalize(rel);
+        let norm = crate::detector::admit(rel, delta)?;
         let mut ops: Vec<(bool, Tid, Vec<Value>)> = Vec::with_capacity(norm.len());
         for op in norm.ops() {
             match op {

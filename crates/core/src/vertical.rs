@@ -3,7 +3,9 @@
 //! [`VerticalDetector`] owns the distributed state of algorithm `incVer`:
 //! per-attribute base HEVs (at their plan-designated sites), the non-base
 //! HEV nodes of an [`HevPlan`], one IDX per variable CFD (at the site
-//! maintaining `id[t_X]`), the fragment relations, and the violation set.
+//! maintaining `id[t_X]`), and the violation set. Rows are stored once, in
+//! the logical relation: a site's fragment `π_{X_i}(D)` is a set of its
+//! columns, and the walks read them through the stored row symbols.
 //!
 //! * **Insertions** follow `incVIns` (Fig. 4): compute `id[t_X]` and
 //!   `id[t_{X∪B}]` by walking the plan (shipping eqids across sites, each
@@ -29,7 +31,7 @@ use crate::optimize::SharingMode;
 use crate::plan::{HevPlan, Input, NodeId};
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
 use cluster::partition::VerticalScheme;
-use cluster::{ClusterError, Network, SiteId, Wire};
+use cluster::{Network, SiteId, Wire};
 use relation::{
     AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, SmallVec, Sym, Tid, Tuple, Update,
     UpdateBatch,
@@ -70,38 +72,6 @@ impl Wire for VerMsg {
     }
 }
 
-/// Errors from the vertical detector.
-#[derive(Debug)]
-pub enum VerticalError {
-    /// Underlying relational error (bad update batch).
-    Rel(RelError),
-    /// Underlying cluster error.
-    Cluster(ClusterError),
-}
-
-impl std::fmt::Display for VerticalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerticalError::Rel(e) => write!(f, "{e}"),
-            VerticalError::Cluster(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for VerticalError {}
-
-impl From<RelError> for VerticalError {
-    fn from(e: RelError) -> Self {
-        VerticalError::Rel(e)
-    }
-}
-
-impl From<ClusterError> for VerticalError {
-    fn from(e: ClusterError) -> Self {
-        VerticalError::Cluster(e)
-    }
-}
-
 /// The incremental violation detector for vertically partitioned data.
 pub struct VerticalDetector {
     schema: Arc<Schema>,
@@ -114,13 +84,12 @@ pub struct VerticalDetector {
     node_stores: Vec<NonBaseHev>,
     /// One IDX per variable CFD (at `plan.idx_site(cfd)`).
     idxs: FxHashMap<CfdId, Idx>,
-    /// Mirror of the logical relation `D` (the join of all fragments).
-    /// Columnar: its [`relation::ColumnStore`] interns every live value
-    /// once, and the HEV walks below borrow the stored row symbols
-    /// directly — there is no separate encoded mirror.
+    /// The logical relation `D`, and the only copy of its rows: site `i`'s
+    /// fragment is the columns `scheme.attrs_of(i)` of it. Columnar: its
+    /// [`relation::ColumnStore`] interns every live value once, and the
+    /// HEV walks below borrow the stored row symbols directly — there is
+    /// no separate encoded mirror.
     current: Relation,
-    /// Fragment relations, one per site.
-    fragments: Vec<Relation>,
     violations: Violations,
     net: Network<VerMsg>,
     /// The merged multi-CFD evaluation plan: one dispatch scan decides
@@ -166,9 +135,6 @@ impl VerticalDetector {
                 .map(|c| (c.id, Idx::new()))
                 .collect(),
             current: Relation::new(schema.clone()),
-            fragments: (0..n)
-                .map(|s| Relation::new(scheme.fragment_schema(s).clone()))
-                .collect(),
             violations: Violations::new(cfds.len()),
             net: Network::new(n),
             shared_plan,
@@ -233,18 +199,14 @@ impl VerticalDetector {
         &self.schema
     }
 
-    /// The mirror of the logical relation (for tests/baselines).
+    /// The logical relation (`scheme.partition` of it materialises any
+    /// fragment a caller wants).
     pub fn current(&self) -> &Relation {
         &self.current
     }
 
-    /// Fragment relation at `site`.
-    pub fn fragment(&self, site: SiteId) -> &Relation {
-        &self.fragments[site]
-    }
-
-    /// The value dictionary (size reporting, tests) — the mirror
-    /// relation's own store dictionary.
+    /// The value dictionary (size reporting, tests) — the relation's own
+    /// store dictionary.
     pub fn pool(&self) -> &relation::ValuePool {
         self.current.pool()
     }
@@ -263,7 +225,7 @@ impl VerticalDetector {
     /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incVer`.
     pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
         // Line 1: remove updates cancelling each other.
-        let delta = delta.normalize(&self.current);
+        let delta = crate::detector::admit(&self.current, delta)?;
         let mut dv = DeltaV::default();
 
         // Lines 4–10: constant CFDs, batch candidate protocol.
@@ -285,7 +247,7 @@ impl VerticalDetector {
     // Constant CFDs (incVer lines 4–10)
     // ------------------------------------------------------------------
 
-    fn constant_cfds(&mut self, delta: &UpdateBatch, dv: &mut DeltaV) -> Result<(), VerticalError> {
+    fn constant_cfds(&mut self, delta: &UpdateBatch, dv: &mut DeltaV) -> Result<(), DetectError> {
         // Phase 1 (read-only, parallel when the batch is large): per
         // constant CFD, the site-local candidate lists of `incVer` lines
         // 4–6 — pure functions of (CFD, scheme, ΔD⁺), computed on scoped
@@ -492,7 +454,7 @@ impl VerticalDetector {
     }
 
     /// Walk the plan for the row symbols `st` (one [`Sym`] per attribute,
-    /// copied out of the mirror's store), producing eqids per input and
+    /// copied out of the store), producing eqids per input and
     /// metering cross-site shipments (each `(producer, destination)` pair
     /// once).
     fn walk(
@@ -501,7 +463,7 @@ impl VerticalDetector {
         nodes: &[NodeId],
         bases: &[AttrId],
         acquire: bool,
-    ) -> Result<FxHashMap<Input, EqId>, VerticalError> {
+    ) -> Result<FxHashMap<Input, EqId>, DetectError> {
         let mut eqids: FxHashMap<Input, EqId> = FxHashMap::default();
         for &a in bases {
             let store = self.bases.entry(a).or_default();
@@ -564,10 +526,10 @@ impl VerticalDetector {
     }
 
     /// `incVIns` for every variable CFD matching `t`.
-    fn insert_variable(&mut self, t: Tuple, dv: &mut DeltaV) -> Result<(), VerticalError> {
-        // Fail *before* mutating anything: the relation inserts below have
-        // both of their error conditions checked up front, so an error
-        // return cannot leak fragment rows or HEV refcounts. (The metered
+    fn insert_variable(&mut self, t: Tuple, dv: &mut DeltaV) -> Result<(), DetectError> {
+        // Fail *before* mutating anything: the relation insert below has
+        // both of its error conditions checked up front, so an error
+        // return cannot leak a row or HEV refcounts. (The metered
         // ship inside `walk` is also `?`-fallible, but only against a plan
         // with out-of-range site ids — plans built by
         // `default_chains`/`optimize` place nodes on scheme sites by
@@ -583,13 +545,10 @@ impl VerticalDetector {
             return Err(RelError::DuplicateTid(t.tid).into());
         }
         let matched = self.matched_variable(&t);
-        // Maintain data first: interning the row into the mirror's store
-        // is the single dictionary encode; the walk below borrows the
-        // stored symbols.
+        // Maintain data first: interning the row into the store is the
+        // single dictionary encode; the walk below borrows the stored
+        // symbols.
         let tid = t.tid;
-        for (site, frag) in self.fragments.iter_mut().enumerate() {
-            frag.insert_row(tid, t.iter_at(self.scheme.attrs_of(site)))?;
-        }
         self.current.insert(t)?;
         let row = self.current.row_of(tid).expect("just inserted");
         let st: RowSyms = self.current.store().row_syms(row).collect();
@@ -631,7 +590,7 @@ impl VerticalDetector {
     }
 
     /// `incVDel` for every variable CFD matching the stored tuple.
-    fn delete_variable(&mut self, tid: Tid, dv: &mut DeltaV) -> Result<(), VerticalError> {
+    fn delete_variable(&mut self, tid: Tid, dv: &mut DeltaV) -> Result<(), DetectError> {
         let row = self.current.row_of(tid).ok_or(RelError::MissingTid(tid))?;
         let st: RowSyms = self.current.store().row_syms(row).collect();
         let matched = self.matched_variable_at(row);
@@ -675,10 +634,7 @@ impl VerticalDetector {
             }
         }
         self.release(&st, &nodes, &bases, &eqids);
-        for frag in &mut self.fragments {
-            frag.delete_quiet(tid)?;
-        }
-        // Deleting the mirror row releases the dictionary references.
+        // Deleting the row releases the dictionary references.
         self.current.delete_quiet(tid)?;
         Ok(())
     }
@@ -990,12 +946,6 @@ mod tests {
             assert!(nstore.is_empty(), "non-base HEVs garbage-collected");
         }
         assert!(det.pool().is_empty(), "value dictionary garbage-collected");
-        for site in 0..det.fragments.len() {
-            assert!(
-                det.fragment(site).pool().is_empty(),
-                "fragment dictionaries garbage-collected"
-            );
-        }
     }
 
     #[test]
@@ -1010,12 +960,12 @@ mod tests {
         let dup = emp_tuple(1, "Z", 44, 131, "ZZ9 9ZZ", "Nowhere", "GLA");
         assert!(matches!(
             det.insert_variable(dup, &mut dv),
-            Err(VerticalError::Rel(RelError::DuplicateTid(1)))
+            Err(DetectError::Rel(RelError::DuplicateTid(1)))
         ));
         let short = Tuple::new(99, vec![Value::int(99), Value::str("A")]);
         assert!(matches!(
             det.insert_variable(short, &mut dv),
-            Err(VerticalError::Rel(RelError::ArityMismatch { .. }))
+            Err(DetectError::Rel(RelError::ArityMismatch { .. }))
         ));
         assert!(dv.is_empty());
         assert_eq!(

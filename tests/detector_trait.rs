@@ -3,7 +3,9 @@
 //! through one generic function over `dyn Detector` and must agree with
 //! the centralized ground-truth oracle on every workload.
 
+use inc_cfd::cluster::ClusterError;
 use inc_cfd::prelude::*;
+use inc_cfd::relation::RelError;
 use std::sync::Arc;
 use workload::dblp::{self, DblpConfig};
 use workload::updates::{self, UpdateMix};
@@ -250,7 +252,7 @@ fn detect_error_is_the_boundary_error() {
     // *later* batch: the second batch normalizes to empty, so force the
     // error with an apply of a raw (unnormalizable) missing insert-delete
     // pair instead: applying `delete(4)` twice across batches.
-    for det in &mut all_strategies(&schema, &sigma, vscheme, hscheme, yscheme, &d0) {
+    for det in &mut all_strategies(&schema, &sigma, vscheme.clone(), hscheme, yscheme, &d0) {
         let mut delta = UpdateBatch::new();
         delta.delete(4);
         det.apply(&delta).expect("first delete succeeds");
@@ -260,53 +262,136 @@ fn detect_error_is_the_boundary_error() {
         assert!(dv.is_empty(), "{}", det.strategy());
     }
 
-    // Routing errors surface as DetectError::Cluster: a tuple whose grade
-    // matches no horizontal fragment cannot be routed.
-    let mut hdet = DetectorBuilder::new(schema.clone(), sigma)
-        .horizontal(workload::emp::emp_horizontal_scheme(&schema))
-        .build(&d0)
-        .expect("incHor");
-    let mut bad = retid(&workload::emp::t6(), 50).values.to_vec();
-    let grade = schema.attr_id("grade").expect("grade attribute");
-    bad[grade as usize] = Value::str("Z");
-    let mut delta = UpdateBatch::new();
-    delta.insert(Tuple::new(50, bad));
-    match hdet.apply(&delta) {
-        Err(DetectError::Cluster(_)) => {}
-        other => panic!("expected DetectError::Cluster, got {other:?}"),
+    // A batch the caller got wrong — a tuple of the wrong arity, or one no
+    // fragment takes — is refused whole, with the typed error, in every
+    // strategy: nothing is stored, marked or metered, and the batch's
+    // valid first op applies on its own afterwards.
+    let grade = schema.attr_id("grade").expect("grade attribute") as usize;
+    let row = |tid: Tid, g: &str| {
+        let mut vals = retid(&workload::emp::t6(), tid).values.to_vec();
+        vals[grade] = Value::str(g);
+        Tuple::new(tid, vals)
+    };
+    let too_short = Tuple::new(71, vec![Value::int(71), Value::str("A")]);
+    let mut too_long = row(73, "A").values.to_vec();
+    too_long.push(Value::str("one too many"));
+    let cases = [
+        ("too short", too_short, false),
+        ("too long", Tuple::new(73, too_long), false),
+        ("unroutable", row(75, "Z"), true),
+    ];
+
+    // The hybrid by value over the grade regions: `uniform` hashes the key
+    // and routes anything.
+    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
+    let sub_sites = vec![vscheme.clone(); hscheme.n_sites()];
+    let yscheme = HybridScheme::new(hscheme.clone(), sub_sites).expect("hybrid scheme");
+    let mut subjects: Vec<Subject> =
+        all_strategies(&schema, &sigma, vscheme, hscheme.clone(), yscheme, &d0)
+            .into_iter()
+            .map(Subject::Det)
+            .collect();
+    let (codec, transport) = (CodecKind::Md5, TransportKind::Framed);
+    let threaded = incdetect::ConcurrentHorizontal::threaded(
+        schema.clone(),
+        sigma.clone(),
+        hscheme.clone(),
+        &d0,
+        codec,
+        transport,
+    );
+    subjects.push(Subject::Det(Box::new(threaded.expect("incHorMt"))));
+    let suite = Suite::on(schema.clone())
+        .cfds(sigma)
+        .checks([
+            Check::key(["zip", "phn"]),
+            Check::complete("city"),
+            Check::inclusion(["city"], "CITIES", ["city"]),
+            Check::row_count(["grade"], None, Some(4)),
+        ])
+        .reference(workload::emp::city_reference(&d0, 1.0))
+        .strategy(Strategy::Horizontal(hscheme));
+    subjects.push(Subject::Suite(Box::new(
+        suite.build(&d0).expect("suite session"),
+    )));
+
+    for subject in &mut subjects {
+        let name = subject.det().strategy();
+        let routes = name.contains("Hor") || name.contains("Hyb");
+        for (i, (case, bad, needs_routing)) in cases.iter().enumerate() {
+            if *needs_routing && !routes {
+                continue;
+            }
+            let first = row(70 + 2 * i as Tid, "A");
+            let mut delta = UpdateBatch::new();
+            delta.insert(first.clone());
+            delta.insert(bad.clone());
+            let before = subject.observe();
+            match (subject.apply(&delta), needs_routing) {
+                (Err(DetectError::Rel(RelError::ArityMismatch { expected: 12, .. })), false) => {}
+                (Err(DetectError::Cluster(ClusterError::Routing(_))), true) => {}
+                (other, _) => panic!("{name}, {case}: expected the typed error, got {other:?}"),
+            }
+            assert_eq!(subject.observe(), before, "{name}, {case}: state moved");
+
+            let mut delta = UpdateBatch::new();
+            delta.insert(first.clone());
+            let applied = subject.apply(&delta);
+            applied.unwrap_or_else(|e| panic!("{name}, {case}: the valid op alone: {e}"));
+            let det = subject.det();
+            assert_eq!(det.current().get(first.tid), Some(first), "{name}, {case}");
+            let oracle = cfd::naive::detect(det.cfds(), det.current());
+            assert_eq!(
+                det.violations().marks_sorted(),
+                oracle.marks_sorted(),
+                "{name}, {case}: diverged from the oracle"
+            );
+        }
+    }
+}
+
+/// What [`detect_error_is_the_boundary_error`] drives: a bare detector, or
+/// a suite session around one.
+enum Subject {
+    Det(Box<dyn Detector>),
+    Suite(Box<SuiteSession>),
+}
+
+/// Everything a refused batch must leave as it found it: `V`, the rows,
+/// the traffic report and (suite) the findings.
+type Observed = (
+    Vec<(cfd::CfdId, Tid)>,
+    Vec<Tuple>,
+    String,
+    Vec<(RuleId, Tid)>,
+);
+
+impl Subject {
+    fn det(&self) -> &dyn Detector {
+        match self {
+            Subject::Det(det) => det.as_ref(),
+            Subject::Suite(session) => session.detector(),
+        }
     }
 
-    // The horizontal batch baselines must surface the same routing error
-    // (not panic), and a failed batch must leave their state untouched.
-    let sigma = workload::emp::emp_cfds(&schema);
-    for strategy in [
-        BaselineStrategy::BatHor(workload::emp::emp_horizontal_scheme(&schema)),
-        BaselineStrategy::IbatHor(workload::emp::emp_horizontal_scheme(&schema)),
-    ] {
-        let mut det = DetectorBuilder::new(schema.clone(), sigma.clone())
-            .baseline(strategy)
-            .build_dyn(&d0)
-            .expect("baseline builds");
-        let marks_before = det.violations().marks_sorted();
-        let len_before = det.current().len();
-        match det.apply(&delta) {
-            Err(DetectError::Cluster(_)) => {}
-            other => panic!(
-                "{}: expected DetectError::Cluster, got {other:?}",
-                det.strategy()
-            ),
+    fn apply(&mut self, delta: &UpdateBatch) -> Result<(), DetectError> {
+        match self {
+            Subject::Det(det) => det.apply(delta).map(drop),
+            Subject::Suite(session) => session.apply(delta).map(drop),
         }
-        assert_eq!(
-            det.current().len(),
-            len_before,
-            "{}: state mutated",
-            det.strategy()
-        );
-        assert_eq!(
+    }
+
+    fn observe(&self) -> Observed {
+        let (net, findings) = match self {
+            Subject::Det(det) => (det.net(), Vec::new()),
+            Subject::Suite(session) => (session.net(), session.finding_set().marks_sorted()),
+        };
+        let det = self.det();
+        (
             det.violations().marks_sorted(),
-            marks_before,
-            "{}: violations mutated by a failed batch",
-            det.strategy()
-        );
+            det.current().iter().collect(),
+            format!("{net:?}"),
+            findings,
+        )
     }
 }
