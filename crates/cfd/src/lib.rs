@@ -48,7 +48,7 @@ pub use crate::constraint::{
 pub use crate::delta::{DeltaOp, DeltaPlan};
 pub use crate::parse::{parse_catalog, ParsedCatalog};
 pub use crate::pattern::PatternValue;
-pub use crate::share::{MatchScratch, SharedPlan};
+pub use crate::share::{MatchScratch, OpId, SharedPlan};
 pub use crate::violation::{DeltaV, Violations};
 
 /// Source location of a catalog diagnostic: 1-based line and column plus

@@ -16,6 +16,12 @@
 //! * **One group-by.** Variable CFDs with byte-identical `GroupBy`
 //!   operators form a *key group*: the detectors compute one group-key
 //!   digest per key group per tuple and every member CFD reuses it.
+//! * **One embedded FD.** Within a key group, the variable CFDs with the
+//!   same RHS attribute are patterns over one *operator* `(X → B)`.
+//!   Whether `tp[X]` matches is a function of `t[X]` alone, so every CFD
+//!   of an operator that matches a group's key sees the same members and
+//!   the same RHS classes: §6 keeps that group once per operator, and
+//!   names operators, not CFDs, on the wire.
 //!
 //! Residual predicates are **never** merged: two CFDs share a key group
 //! only when their `GroupBy` attribute lists are identical, and each
@@ -49,6 +55,12 @@ pub struct MatchScratch {
     expanded: Vec<CfdId>,
 }
 
+/// Index of an operator `(X → B)` in [`SharedPlan::operators`]: what §6
+/// group state is kept per and what its messages list. Numbered in
+/// first-seen order over ascending CFD ids, so every process compiling the
+/// same `Σ` agrees on them.
+pub type OpId = u32;
+
 /// The merged evaluation plan of a rule set. Immutable once built;
 /// evaluation needs only a [`MatchScratch`].
 #[derive(Debug, Clone)]
@@ -69,6 +81,11 @@ pub struct SharedPlan {
     key_groups: Vec<(Vec<AttrId>, Vec<CfdId>)>,
     /// Key group of each variable CFD.
     group_of: Vec<Option<usize>>,
+    /// Distinct embedded FDs: `(key group, B, member CFDs)`, first-seen
+    /// order over ascending ids (variable CFDs only).
+    operators: Vec<(usize, AttrId, Vec<CfdId>)>,
+    /// Operator of each variable CFD.
+    operator_of: Vec<Option<OpId>>,
     /// For each class representative, every member id (itself included,
     /// ascending); empty for non-representatives.
     expand: Vec<Vec<CfdId>>,
@@ -128,6 +145,8 @@ impl SharedPlan {
 
         let mut key_groups: Vec<(Vec<AttrId>, Vec<CfdId>)> = Vec::new();
         let mut group_of = vec![None; n];
+        let mut operators: Vec<(usize, AttrId, Vec<CfdId>)> = Vec::new();
+        let mut operator_of = vec![None; n];
         for (c, plan) in plans.iter().enumerate() {
             let Some(attrs) = plan.group_by() else {
                 continue;
@@ -141,6 +160,16 @@ impl SharedPlan {
             };
             key_groups[g].1.push(c as CfdId);
             group_of[c] = Some(g);
+            let b = cfds[c].rhs;
+            let o = match operators.iter().position(|&(og, ob, _)| (og, ob) == (g, b)) {
+                Some(o) => o,
+                None => {
+                    operators.push((g, b, Vec::new()));
+                    operators.len() - 1
+                }
+            };
+            operators[o].2.push(c as CfdId);
+            operator_of[c] = Some(o as OpId);
         }
 
         SharedPlan {
@@ -150,6 +179,8 @@ impl SharedPlan {
             is_var: cfds.iter().map(Cfd::is_variable).collect(),
             key_groups,
             group_of,
+            operators,
+            operator_of,
             plans,
             expand,
             n_deduped,
@@ -180,6 +211,19 @@ impl SharedPlan {
     /// Key group of a variable CFD (`None` for constant CFDs).
     pub fn group_of(&self, c: CfdId) -> Option<usize> {
         self.group_of[c as usize]
+    }
+
+    /// The embedded FDs `(X → B)` of the variable CFDs: each entry is
+    /// `(key group of X, B, member CFDs ascending)`, indexed by [`OpId`].
+    /// Only CFDs with the identical LHS list *and* RHS attribute merge;
+    /// their patterns stay their own.
+    pub fn operators(&self) -> &[(usize, AttrId, Vec<CfdId>)] {
+        &self.operators
+    }
+
+    /// Operator of a variable CFD (`None` for constant CFDs).
+    pub fn operator_of(&self, c: CfdId) -> Option<OpId> {
+        self.operator_of[c as usize]
     }
 
     /// Number of constrained attributes in the dispatch index.
@@ -351,6 +395,25 @@ mod tests {
                 );
             }
         }
+        // All of them determine `street`, so each key group is one
+        // operator; a rule on another RHS over the shared list is a second
+        // operator on the same key group.
+        let street = s.attr_id("street").unwrap();
+        assert_eq!(
+            plan.operators(),
+            [(0, street, vec![0, 1, 2]), (1, street, vec![3])]
+        );
+        assert_eq!(plan.operator_of(1), Some(0));
+        assert_eq!(plan.operator_of(4), None);
+        let mut cfds = cfds;
+        cfds.push(Cfd::from_names(5, &s, &[("cc", None), ("zip", None)], ("city", None)).unwrap());
+        let plan = SharedPlan::new(&cfds);
+        assert_eq!(plan.key_groups().len(), 2);
+        assert_eq!(plan.operators().len(), 3);
+        assert_eq!(
+            plan.operators()[2],
+            (0, s.attr_id("city").unwrap(), vec![5])
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! silent ones (slot queues, owed acks), the barriers between waves, and
 //! the per-batch images that carry each site's slice of `ΔV` and its
 //! meters home. No detector state is shared: each site owns its fragment,
-//! its per-CFD group state, its slice of `V`, and its receiver-side codec
+//! its per-operator group state, its slice of `V`, and its receiver-side codec
 //! state, exactly as the paper's EC2 deployment would.
 //!
 //! # Wave-parallel scheduling
@@ -22,7 +22,7 @@
 //! A batch is deterministic only if conflicting updates never race. The
 //! coordinator (site 0 — just another site that also happens to own the
 //! batch) assigns every normalized update a **wave**: the footprint of an
-//! update is the set of `(CFD, group-key digest)` pairs it can touch
+//! update is the set of `(operator, group-key digest)` pairs it can touch
 //! anywhere in the mesh (the implicit-query walk only ever reads groups
 //! keyed by the probing tuple's own digests), plus its tid (a
 //! modification normalizes to `delete(t); insert(t')` of the same tid).
@@ -114,7 +114,7 @@ use crate::detector::{DetectError, Detector};
 use crate::horizontal::site::{OpScratch, Round, Site};
 use crate::horizontal::HorMsg;
 use crate::optimize::SharingMode;
-use cfd::{Cfd, CfdId, DeltaV, Violations};
+use cfd::{Cfd, DeltaV, OpId, Violations};
 use cluster::codec::CodecKind;
 use cluster::md5::Digest;
 use cluster::net::{unpack_body, FrameCodec, TransportKind};
@@ -573,8 +573,8 @@ impl SiteRunner {
 // ---------------------------------------------------------------------
 
 /// The scheduler's footprint rule: an update waits for the last earlier
-/// one sharing a `(CFD, group-key)` pair it can touch anywhere in the mesh
-/// — the variable entries of the machine's own candidate list — or its
+/// one sharing an `(operator, group-key)` pair it can touch anywhere in the
+/// mesh — the machine's own candidate list, by operator — or its
 /// tid (a modification normalizes to `delete + insert` of one tid,
 /// possibly at *different* homes). The scratch is kept between batches —
 /// placing is the one part of a batch no site can overlap with — but the
@@ -582,7 +582,7 @@ impl SiteRunner {
 /// 4 096-op windows do not stay resident.
 #[derive(Default)]
 pub(crate) struct WavePlanner {
-    last_fp: FxHashMap<(CfdId, Digest), u32>,
+    last_fp: FxHashMap<(OpId, Digest), u32>,
     last_tid: FxHashMap<Tid, u32>,
     sx: OpScratch,
     /// Waves the batch needs so far.
@@ -600,7 +600,7 @@ impl WavePlanner {
     /// The first wave after every conflicting predecessor of `t`'s update.
     pub(crate) fn place(&mut self, cfg: &SiteConfig, t: &Tuple) -> u32 {
         cfg.candidates(SharingMode::Shared, t, &mut self.sx);
-        let footprint = || self.sx.cands.iter().filter_map(|&(c, kd)| Some((c, kd?)));
+        let footprint = || self.sx.footprint(&cfg.plan);
         let after_tid = self.last_tid.get(&t.tid).map_or(0, |&x| x + 1);
         let earlier = footprint().filter_map(|k| self.last_fp.get(&k));
         let w = earlier.fold(after_tid, |w, &x| w.max(x + 1));
@@ -1299,7 +1299,7 @@ mod tests {
             Err(DetectError::Cluster(e)) => {
                 let msg = e.to_string();
                 assert!(msg.contains("0 → 1") && msg.contains("ClearFlags"), "{msg}");
-                assert!(msg.contains("CFD 4294967295"), "{msg}");
+                assert!(msg.contains("operator 4294967295"), "{msg}");
             }
             other => panic!("expected a protocol error, got {other:?}"),
         }

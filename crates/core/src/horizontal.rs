@@ -1,8 +1,15 @@
 //! Incremental detection over horizontal partitions (§6).
 //!
-//! Per site and per variable CFD, the detector keeps the group state of the
-//! local tuples: for each pattern-matching `X`-value group, its distinct
-//! RHS classes (each with member tids) plus one `violating` flag.
+//! Per site and per operator — the embedded FD `(X → B)` of one or more
+//! variable CFDs ([`SharedPlan::operators`]) — the detector keeps the group
+//! state of the local tuples: for each `X`-value group that matches a
+//! pattern of the operator, its distinct RHS classes (each with member
+//! tids) plus one `violating` flag. Per operator, not per CFD, because
+//! whether `tp[X]` matches is a function of `t[X]` alone: every tuple of a
+//! group matches the same CFDs of the operator, so those CFDs would keep
+//! the same members, the same classes and the same flag, and run the same
+//! case analysis to the same shipment. The pattern only decides which
+//! `V(φ)` a group's marks are written to.
 //!
 //! **Invariant.** For a variable CFD, a tuple violates iff its *global*
 //! group (across all sites) holds ≥ 2 distinct RHS values — so "violating"
@@ -19,15 +26,15 @@
 //!   flag-clear round) resolves the global state.
 //!
 //! **One shipment per tuple** (§6 complexity analysis: *"each tuple in ΔD
-//! is sent to other sites at most once"*): all per-CFD probes and queries
-//! triggered by one update are coalesced into a single message per peer,
-//! carrying the tuple's *per-attribute* payloads plus the list of CFD ids
-//! concerned. How each attribute is encoded on the wire is delegated to
+//! is sent to other sites at most once"*): all per-operator probes and
+//! queries triggered by one update are coalesced into a single message per
+//! peer, carrying the tuple's *per-attribute* payloads plus the list of
+//! operator ids concerned. How each attribute is encoded on the wire is delegated to
 //! the session's [`cluster::codec::PayloadCodec`] — MD5 digests (§6's
 //! optimization, the default), raw values (the unoptimized variant), or
 //! dictionary symbols with one-time per-link deltas
-//! ([`cluster::codec::DictSyms`]). Receivers derive every CFD's group key
-//! from the attribute digests the codec resolves. Hence `O(n)` messages
+//! ([`cluster::codec::DictSyms`]). Receivers derive every operator's group
+//! key from the attribute digests the codec resolves. Hence `O(n)` messages
 //! per update regardless of `|Σ|`, and `O(|ΔD| + |ΔV|)` overall
 //! (Proposition 8).
 //!
@@ -51,11 +58,11 @@
 //!
 //! | step | called by | in | `rows` | out | the paper's case |
 //! |---|---|---|---|---|---|
-//! | `begin_insert(t, rows)` | the driver, at `t`'s home site | — | `t` is inserted, first thing | nothing, or an open round and one `TupleProbe` per relevant peer | insertion case analysis; *nothing* is Examples 2(1)(b) and 9: a local same-RHS witness or an already-violating group decides |
-//! | `begin_delete(tid, rows)` | the driver, at the tuple's home site | — | the tuple is read, and deleted once its groups let go | nothing, or an open round and one `TupleDelQuery` per relevant peer | deletion case analysis; *nothing* is Example 2(2): a local witness keeps the RHS multiplicity ≥ 2 |
-//! | `on_request(src, msg, rows)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags` | read only, and only for a `TupleDelQuery`: the RHS value of each class of a queried group, through one of its members | `ProbeReply` / `DelReply`, or nothing (a silent round) | the receiving half of each exchange: flip or report conflicting groups, report distinct RHS values, clear flags |
-//! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | — | fold: which queried groups conflict somewhere, which RHS values remain and who holds them |
-//! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | — (the deleted tuple travels in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion |
+//! | `begin_insert(t, rows)` | the driver, at `t`'s home site | — | `t` is inserted, first thing | nothing, or an open round and one `TupleProbe` per relevant peer | insertion case analysis, once per matched operator; *nothing* is Examples 2(1)(b) and 9: a local same-RHS witness or an already-violating group decides |
+//! | `begin_delete(tid, rows)` | the driver, at the tuple's home site | — | the tuple is read, and deleted once its groups let go | nothing, or an open round and one `TupleDelQuery` per relevant peer | deletion case analysis, once per matched operator; *nothing* is Example 2(2): a local witness keeps the RHS multiplicity ≥ 2 |
+//! | `on_request(src, msg, rows)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags`, each listing operator ids | read only, and only for a `TupleDelQuery`: the RHS value of each class of a queried group, through one of its members | `ProbeReply` / `DelReply` by operator id, or nothing (a silent round) | the receiving half of each exchange, one group lookup per operator: flip or report conflicting groups, report distinct RHS values, clear flags — and only where a flag flips or clears, the pattern check that says which CFDs' marks to write |
+//! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | — | fold: which queried operators' groups conflict somewhere, which RHS values remain and who holds them |
+//! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | — (the deleted tuple, and the matched CFD ids of every queried operator, travel in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion, its marks fanned out to the operator's matched CFDs |
 //!
 //! The machine enforces, for every driver:
 //!
@@ -66,23 +73,23 @@
 //!   reads no row but the one being deleted and members of its own
 //!   classes — rows it inserted itself — so `n` machines may share one
 //!   store (tids are global) or hold one each.
-//! * **Validate before mutate.** CFD ids and payloads off the wire are
-//!   checked at `on_request` / `on_reply` entry — every *listed* id names a
-//!   variable CFD of `Σ` whose whole LHS the payload carries, no attribute
-//!   twice, a reply answers the kind of round it is folded into and names
+//! * **Validate before mutate.** Operator ids and payloads off the wire
+//!   are checked at `on_request` / `on_reply` entry — every *listed* id
+//!   names an operator of `Σ` whose whole `X` the payload carries, no
+//!   attribute twice, a reply answers the kind of round it is folded into and names
 //!   only what that round queried — and a refusal is a
 //!   [`ClusterError`] naming the link, the message kind and the offender,
 //!   with group state, `V` and the round untouched. (Implicit probe
-//!   queries skip CFDs the payload cannot derive; that is the protocol,
-//!   not an error.)
+//!   queries skip operators the payload cannot derive; that is the
+//!   protocol, not an error.)
 //! * **A round is finished exactly once.** `finish` consumes it.
 //!
 //! # State layout
 //!
 //! §6 keeps per site "the group's distinct RHS values and a flag"; the
 //! containers below (`GroupState`, `ClassEntry`) cost bytes only
-//! where a group has more structure than that. Each `(site, CFD)` owns
-//! one `FxHashMap<Digest, GroupState>`; the nested
+//! where a group has more structure than that. Each `(site, operator)`
+//! owns one `FxHashMap<Digest, GroupState>`; the nested
 //! `FxHashMap<Digest, {FxHashMap<Digest, {FxHashSet<Tid>, Option<Value>}>, bool}>`
 //! it replaces gave every group a heap table and every class a heap set
 //! and a cloned RHS value:
@@ -92,14 +99,17 @@
 //! | group (map slot) | 56 B + a class table of its own (≥ 308 B) | 64 B, holding the flag, one class digest and ≤ 3 tids; no allocation while one class of ≤ 3 members |
 //! | class | 72 B slot (`ClassEntry` 56 B) + a tid table (≥ 52 B) + a `Value` clone | in the group slot, or a 48 B slot (`ClassEntry` 32 B) of the group's spilled class map |
 //! | membership | ≥ 9 B of a heap table | 8 B inline up to 3 per class, ≈ 9 B in a boxed `FxHashSet` beyond |
-//! | all in, per membership (`hor_wide_sigma`) | ≈ 140 B (≈ 160 MB) | ≈ 44 B (51.7 MB by [`StateCensus`]) |
+//! | all in, per membership (`hor_wide_sigma`) | ≈ 140 B | ≈ 44 B (25.6 MB by [`StateCensus`]) |
 //!
-//! The thresholds come from `detbench`'s `hor_wide_sigma` (seed 1: 78 946
-//! groups, 435 020 classes, 1 182 697 memberships). 74 022 groups (94 %)
-//! hold exactly one class, so one class lives inline; but 1 180 groups
-//! (1.5 %) hold 319 324 of the classes, 65–512 each, so beyond one the
+//! The thresholds come from `detbench`'s `hor_wide_sigma`: 768 variable
+//! CFDs on 53 operators, seed 1's `D₀` 56 002 groups, 225 571 classes,
+//! 575 398 memberships, 3 584 spilled class maps, 20 359 spilled tid sets
+//! (kept per CFD, the same data was 78 946 / 435 020 / 1 182 697 / 4 924 /
+//! 36 915 and 51.7 MB). 52 418 groups (94 %)
+//! hold exactly one class, so one class lives inline; but 540 groups
+//! (1 %) hold 142 000 of the classes, 65–378 each, so beyond one the
 //! classes are *hashed* (a flat `Vec` there cost 30 % of `updates_per_s`).
-//! 272 386 classes (63 %) hold exactly one tid, so tids start inline; but
+//! 139 272 classes (62 %) hold exactly one tid, so tids start inline; but
 //! `hor_tcp_skew`'s Zipf classes reach 65–512 tids, so beyond three they
 //! are a boxed set and removal stays `O(1)`. A class's RHS value is read
 //! back from the rows through any member (`class_values`).
@@ -109,7 +119,7 @@
 
 use crate::detector::{DetectError, Detector};
 use crate::optimize::SharingMode;
-use cfd::{Cfd, CfdId, DeltaV, SharedPlan, Violations};
+use cfd::{Cfd, CfdId, DeltaV, OpId, SharedPlan, Violations};
 use cluster::codec::{CodecKind, WireValue};
 use cluster::md5::Digest;
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
@@ -127,50 +137,56 @@ pub(crate) mod fixtures;
 pub(crate) mod site;
 
 /// Messages of the horizontal protocol. One `TupleProbe`/`TupleDelQuery`
-/// carries *all* CFD work for one update — the tuple crosses each link at
-/// most once. Every value payload is a [`WireValue`] produced by the
+/// carries *all* rule work for one update — the tuple crosses each link at
+/// most once. Every id list names *operators* ([`OpId`]: the embedded FDs
+/// `(X → B)` of `Σ`'s variable CFDs, numbered alike at every site), never
+/// CFDs: a group is shared by every CFD of its operator whose pattern its
+/// key matches, and the receiver works those out from the payload. Every value payload is a [`WireValue`] produced by the
 /// session's [`cluster::codec::PayloadCodec`], so the same message shapes serve all three
 /// encodings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HorMsg {
     /// Insert-side probe/query for one updated tuple. Receivers know `Σ`,
-    /// so the CFDs to check are *implicit*: every variable CFD whose
-    /// attributes are all present in the payload (and whose pattern the
-    /// digests match) is processed. Only the rare `probes` (brand-new
+    /// so the operators to check are *implicit*: every operator whose `X`
+    /// and `B` are all present in the payload (and whose group the
+    /// receiver holds) is processed. Only the rare `probes` (brand-new
     /// local conflicts, which force a flag flip even on agreeing remote
     /// classes) are listed explicitly.
     TupleProbe {
         /// Per-attribute payload for the union of attributes the involved
-        /// CFDs need (attr id + digest/raw value).
+        /// operators need (attr id + digest/raw value).
         attrs: Vec<(AttrId, WireValue)>,
-        /// CFDs whose group gained a brand-new conflict (flip flags).
-        probes: Vec<CfdId>,
+        /// Operators whose group gained a brand-new conflict (flip flags).
+        probes: Vec<OpId>,
     },
-    /// Reply to a [`HorMsg::TupleProbe`]: the CFD ids whose groups
+    /// Reply to a [`HorMsg::TupleProbe`]: the operators whose groups
     /// conflict with the inserted tuple at the replying site (sparse —
-    /// non-listed CFDs don't conflict).
+    /// non-listed operators don't conflict).
     ProbeReply {
-        /// Conflicting CFD ids.
-        conflicts: Vec<CfdId>,
+        /// Conflicting operator ids.
+        conflicts: Vec<OpId>,
     },
-    /// Delete-side query: report your distinct RHS values per listed CFD.
+    /// Delete-side query: report your distinct RHS values per listed
+    /// operator.
     TupleDelQuery {
-        /// Attribute payload (union of the listed CFDs' LHS attributes).
+        /// Attribute payload (union of the listed operators' `X`).
         attrs: Vec<(AttrId, WireValue)>,
-        /// CFDs whose global multiplicity is in doubt.
-        queries: Vec<CfdId>,
+        /// Operators whose global multiplicity is in doubt.
+        queries: Vec<OpId>,
     },
     /// Reply to [`HorMsg::TupleDelQuery`].
     DelReply {
-        /// Per CFD, the distinct local RHS values of the group.
-        bvals: Vec<(CfdId, Vec<WireValue>)>,
+        /// Per operator, the distinct local RHS values of the group —
+        /// once, however many of the operator's CFDs the group serves.
+        bvals: Vec<(OpId, Vec<WireValue>)>,
     },
-    /// The listed CFDs' groups no longer violate anywhere: clear flags.
+    /// The listed operators' groups no longer violate anywhere: clear
+    /// flags.
     ClearFlags {
         /// Attribute payload for group-key derivation.
         attrs: Vec<(AttrId, WireValue)>,
-        /// CFDs to clear.
-        cfds: Vec<CfdId>,
+        /// Operators to clear.
+        cfds: Vec<OpId>,
     },
 }
 
@@ -235,19 +251,19 @@ fn get_attrs(r: &mut wirefmt::Reader<'_>) -> Result<Vec<(AttrId, WireValue)>, Cl
     Ok(out)
 }
 
-/// Serialize a CFD-id list; overhead is the 2-byte count (ids are
+/// Serialize an operator-id list; overhead is the 2-byte count (ids are
 /// modeled at 4 B each).
-fn put_cfds(out: &mut Vec<u8>, cfds: &[CfdId]) -> usize {
-    out.extend_from_slice(&(cfds.len() as u16).to_le_bytes());
-    for c in cfds {
-        out.extend_from_slice(&c.to_le_bytes());
+fn put_ops(out: &mut Vec<u8>, ops: &[OpId]) -> usize {
+    out.extend_from_slice(&(ops.len() as u16).to_le_bytes());
+    for o in ops {
+        out.extend_from_slice(&o.to_le_bytes());
     }
     2
 }
 
-fn get_cfds(r: &mut wirefmt::Reader<'_>) -> Result<Vec<CfdId>, ClusterError> {
+fn get_ops(r: &mut wirefmt::Reader<'_>) -> Result<Vec<OpId>, ClusterError> {
     let n = r.u16()? as usize;
-    (0..n).map(|_| Ok(r.u32()? as CfdId)).collect()
+    (0..n).map(|_| Ok(r.u32()? as OpId)).collect()
 }
 
 /// Real byte framing for the §6 protocol: every [`HorMsg`] serializes to
@@ -262,22 +278,22 @@ impl FrameCodec for HorMsg {
         match self {
             HorMsg::TupleProbe { attrs, probes } => {
                 out.push(HF_PROBE); // modeled: wire_size counts this byte
-                put_attrs(out, attrs) + put_cfds(out, probes)
+                put_attrs(out, attrs) + put_ops(out, probes)
             }
             HorMsg::ProbeReply { conflicts } => {
                 out.push(HF_PROBE_REPLY); // modeled
-                put_cfds(out, conflicts)
+                put_ops(out, conflicts)
             }
             HorMsg::TupleDelQuery { attrs, queries } => {
                 out.push(HF_DEL_QUERY);
-                1 + put_attrs(out, attrs) + put_cfds(out, queries)
+                1 + put_attrs(out, attrs) + put_ops(out, queries)
             }
             HorMsg::DelReply { bvals } => {
                 out.push(HF_DEL_REPLY);
                 out.extend_from_slice(&(bvals.len() as u16).to_le_bytes());
                 let mut ovh = 1 + 2;
-                for (c, vs) in bvals {
-                    out.extend_from_slice(&c.to_le_bytes());
+                for (o, vs) in bvals {
+                    out.extend_from_slice(&o.to_le_bytes());
                     out.extend_from_slice(&(vs.len() as u16).to_le_bytes());
                     ovh += 2;
                     for v in vs {
@@ -288,7 +304,7 @@ impl FrameCodec for HorMsg {
             }
             HorMsg::ClearFlags { attrs, cfds } => {
                 out.push(HF_CLEAR);
-                1 + put_attrs(out, attrs) + put_cfds(out, cfds)
+                1 + put_attrs(out, attrs) + put_ops(out, cfds)
             }
         }
     }
@@ -298,32 +314,32 @@ impl FrameCodec for HorMsg {
         let msg = match r.u8()? {
             HF_PROBE => HorMsg::TupleProbe {
                 attrs: get_attrs(&mut r)?,
-                probes: get_cfds(&mut r)?,
+                probes: get_ops(&mut r)?,
             },
             HF_PROBE_REPLY => HorMsg::ProbeReply {
-                conflicts: get_cfds(&mut r)?,
+                conflicts: get_ops(&mut r)?,
             },
             HF_DEL_QUERY => HorMsg::TupleDelQuery {
                 attrs: get_attrs(&mut r)?,
-                queries: get_cfds(&mut r)?,
+                queries: get_ops(&mut r)?,
             },
             HF_DEL_REPLY => {
                 let n = r.u16()? as usize;
                 let mut bvals = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let c = r.u32()? as CfdId;
+                    let o = r.u32()? as OpId;
                     let k = r.u16()? as usize;
                     let mut vs = Vec::with_capacity(k);
                     for _ in 0..k {
                         vs.push(wirefmt::get_wire_value(&mut r)?);
                     }
-                    bvals.push((c, vs));
+                    bvals.push((o, vs));
                 }
                 HorMsg::DelReply { bvals }
             }
             HF_CLEAR => HorMsg::ClearFlags {
                 attrs: get_attrs(&mut r)?,
-                cfds: get_cfds(&mut r)?,
+                cfds: get_ops(&mut r)?,
             },
             _ => {
                 return Err(ClusterError::Transport(
@@ -455,8 +471,9 @@ impl Members<'_> {
     }
 }
 
-/// Per-site, per-CFD state of one `X`-value group: its RHS classes and
-/// whether the *global* group violates (uniform across sites). One class
+/// Per-site, per-operator state of one `X`-value group: its RHS classes
+/// and whether the *global* group violates (uniform across sites, and
+/// across the operator's CFDs the group key matches). One class
 /// lives inline — `Few`/`One` are a [`ClassEntry`] flattened next to its
 /// digest and the flag, so a satisfied group allocates nothing and a map
 /// slot is 64 B — and a hashed spill takes over from the second class.
@@ -614,23 +631,26 @@ impl GroupState {
     }
 }
 
-/// What one CFD's insertion case analysis asks of the peers.
+/// What one operator's insertion case analysis asks of the peers.
 pub(crate) enum Ship {
     /// Decided locally — the zero-shipment cases.
     Nothing,
-    /// A brand-new local conflict: every remote group of the CFD flips.
+    /// A brand-new local conflict: every remote group of the operator
+    /// flips.
     Probe,
     /// The group is locally unknown: ask whether anyone conflicts.
     Query,
 }
 
-/// The §6 insertion case analysis at one site for one variable CFD whose
-/// pattern matches the inserted tuple `tid`, given its group-key and RHS
-/// digests.
+/// The §6 insertion case analysis at one site for one operator, given the
+/// inserted tuple `tid`'s group-key and RHS digests. `cfds` are the
+/// operator's CFDs whose pattern the group key matches (at least one):
+/// they share the group, so the analysis runs once and only what it
+/// writes to `V` fans out over them.
 pub(crate) fn insert_case(
     groups: &mut FxHashMap<Digest, GroupState>,
     (v, dv): (&mut Violations, &mut DeltaV),
-    cfd: CfdId,
+    cfds: &[CfdId],
     tid: Tid,
     (kd, bd): (Digest, Digest),
     local_only: bool,
@@ -653,13 +673,11 @@ pub(crate) fn insert_case(
         // Everyone concerned is already in V (≥ 2 classes, or a known
         // remote conflict): only t is new. Zero shipment — Examples
         // 2(1)(b)/9.
-        if v.add(cfd, tid) {
-            dv.add(cfd, tid);
-        }
+        add_marks(cfds, tid, v, dv);
     } else if has_other {
         // One clashing class and the group was satisfied: a brand-new
         // conflict. Everyone in the group joins V.
-        mark_group(g, cfd, v, dv);
+        mark_group(g, cfds, v, dv);
         if !local_only {
             return Ship::Probe;
         }
@@ -668,23 +686,23 @@ pub(crate) fn insert_case(
     Ship::Nothing
 }
 
-/// The §6 deletion case analysis at one site for one variable CFD whose
-/// pattern matches the deleted tuple `tid`, given its group-key and RHS
-/// digests. `true` when only the peers can tell whether the group still
-/// violates.
+/// The §6 deletion case analysis at one site for one operator, given the
+/// deleted tuple `tid`'s group-key and RHS digests; `cfds` as for
+/// [`insert_case`]. `Ok(true)` when only the peers can tell whether the
+/// group still violates. `Err` says what the state no longer holds — a
+/// tuple that is in the rows was entered into its groups, so this is state
+/// an earlier failed `apply` left behind — and nothing was touched.
 pub(crate) fn delete_case(
     groups: &mut FxHashMap<Digest, GroupState>,
     (v, dv): (&mut Violations, &mut DeltaV),
-    cfd: CfdId,
+    cfds: &[CfdId],
     tid: Tid,
     (kd, bd): (Digest, Digest),
     local_only: bool,
-) -> bool {
-    let g = groups
-        .get_mut(&kd)
-        .expect("deleted tuple's group must exist");
+) -> Result<bool, &'static str> {
+    let g = groups.get_mut(&kd).ok_or("group")?;
     let was_violating = g.violating();
-    let (class_empty, n_rem) = g.remove(bd, tid).expect("deleted tuple's class must exist");
+    let (class_empty, n_rem) = g.remove(bd, tid).ok_or("RHS class")?;
     if n_rem == 0 {
         // An empty group carries no information — future inserts will
         // re-query — so it is dropped, and with it the map's slack once
@@ -693,76 +711,79 @@ pub(crate) fn delete_case(
         shrink_if_sparse!(groups);
     }
     if !was_violating {
-        return false; // deletions never create violations
+        return Ok(false); // deletions never create violations
     }
     // t was a violation; it leaves V in every remaining case.
-    if v.remove(cfd, tid) {
-        dv.remove(cfd, tid);
-    }
+    drop_marks(cfds, tid, v, dv);
     if !class_empty || n_rem >= 2 {
         // Same-RHS witness survives or ≥2 local RHS values remain: global
         // multiplicity still ≥ 2. Zero shipment — Example 2(2).
-        return false;
+        return Ok(false);
     }
     if local_only {
         // Global = local: the group dropped to ≤ 1 RHS value.
-        clear_group(groups, cfd, kd, v, dv);
-    }
-    !local_only
-}
-
-/// Clear the violating flag of a local group (if the site still holds
-/// it), removing its members from V.
-pub(crate) fn clear_group(
-    groups: &mut FxHashMap<Digest, GroupState>,
-    cfd: CfdId,
-    kd: Digest,
-    v: &mut Violations,
-    dv: &mut DeltaV,
-) {
-    if let Some(g) = groups.get_mut(&kd) {
-        g.set_violating(false);
-        g.for_each_member(|m| {
-            if v.remove(cfd, m) {
-                dv.remove(cfd, m);
-            }
-        });
-    }
-}
-
-/// Raise a group's flag: every member joins `V(φ)`.
-pub(crate) fn mark_group(g: &mut GroupState, cfd: CfdId, v: &mut Violations, dv: &mut DeltaV) {
-    g.set_violating(true);
-    g.for_each_member(|m| {
-        if v.add(cfd, m) {
-            dv.add(cfd, m);
+        if let Some(g) = groups.get_mut(&kd) {
+            clear_group(g, cfds, v, dv);
         }
-    });
+    }
+    Ok(!local_only)
 }
 
-/// The `DelReply` payload of one group at `site`: each class's RHS value,
-/// read through a member's row in `rows`, the store the site's driver
-/// hands it. The machine stores an inserted row *before* it touches group
-/// state, so a class always has a member to read; one that has none means
-/// the state contradicts the rows, and the error text says where.
+/// Clear a group's violating flag: its members leave `V(φ)` for every
+/// matched CFD `φ` of its operator.
+pub(crate) fn clear_group(g: &mut GroupState, cfds: &[CfdId], v: &mut Violations, dv: &mut DeltaV) {
+    g.set_violating(false);
+    g.for_each_member(|m| drop_marks(cfds, m, v, dv));
+}
+
+/// Raise a group's flag: every member joins `V(φ)` for every matched CFD
+/// `φ` of its operator.
+pub(crate) fn mark_group(g: &mut GroupState, cfds: &[CfdId], v: &mut Violations, dv: &mut DeltaV) {
+    g.set_violating(true);
+    g.for_each_member(|m| add_marks(cfds, m, v, dv));
+}
+
+/// `tid` joins `V(φ)` for each `φ` of `cfds`.
+pub(crate) fn add_marks(cfds: &[CfdId], tid: Tid, v: &mut Violations, dv: &mut DeltaV) {
+    for &c in cfds {
+        if v.add(c, tid) {
+            dv.add(c, tid);
+        }
+    }
+}
+
+/// `tid` leaves `V(φ)` for each `φ` of `cfds`.
+fn drop_marks(cfds: &[CfdId], tid: Tid, v: &mut Violations, dv: &mut DeltaV) {
+    for &c in cfds {
+        if v.remove(c, tid) {
+            dv.remove(c, tid);
+        }
+    }
+}
+
+/// The `DelReply` payload of one group of operator `op` (`→ rhs`) at
+/// `site`: each class's RHS value, read through a member's row in `rows`,
+/// the store the site's driver hands it. The machine stores an inserted
+/// row *before* it touches group state, so a class always has a member to
+/// read; one that has none means the state contradicts the rows, and the
+/// error text says where.
 pub(crate) fn class_values(
     g: &GroupState,
     rows: &Relation,
-    (site, cfd, kd): (SiteId, &Cfd, Digest),
+    (site, op, rhs, kd): (SiteId, OpId, AttrId, Digest),
     mut encode: impl FnMut(&Value) -> WireValue,
 ) -> Result<Vec<WireValue>, String> {
     let mut vals = Vec::new();
     let mut orphan = false;
-    g.for_each_class(|_, members| {
-        match members.first().and_then(|tid| rows.value_at(tid, cfd.rhs)) {
+    g.for_each_class(
+        |_, members| match members.first().and_then(|tid| rows.value_at(tid, rhs)) {
             Some(v) => vals.push(encode(v)),
             None => orphan = true,
-        }
-    });
+        },
+    );
     if orphan {
         return Err(format!(
-            "site {site}: a class of CFD {} group {} has no member among the rows",
-            cfd.id,
+            "site {site}: a class of operator {op} group {} has no member among the rows",
             kd.to_hex()
         ));
     }
@@ -770,14 +791,14 @@ pub(crate) fn class_values(
 }
 
 /// What the §6 group state holds and what it costs: a census over every
-/// `(site, CFD)` map, `O(state)` when asked for and free otherwise.
+/// `(site, operator)` map, `O(state)` when asked for and free otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StateCensus {
-    /// Live `(site, CFD, X-value)` groups.
+    /// Live `(site, operator, X-value)` groups.
     pub groups: usize,
     /// RHS classes over all groups.
     pub classes: usize,
-    /// `(CFD, tid)` memberships over all classes.
+    /// `(operator, tid)` memberships over all classes.
     pub memberships: usize,
     /// Groups whose classes spilled to a hashed map (≥ 2 classes).
     pub spilled_class_maps: usize,
@@ -798,7 +819,7 @@ fn table_bytes<T>(capacity: usize) -> usize {
 }
 
 impl StateCensus {
-    /// Add one `(site, CFD)` group map.
+    /// Add one `(site, operator)` group map.
     pub(crate) fn count(&mut self, map: &FxHashMap<Digest, GroupState>) {
         self.groups += map.len();
         self.resident_bytes += table_bytes::<(Digest, GroupState)>(map.capacity());

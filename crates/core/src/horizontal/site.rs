@@ -7,14 +7,18 @@
 //! the one logical relation, the thread-per-site
 //! [`SiteRunner`](crate::concurrent::SiteRunner) drives one behind its
 //! wave scheduler and hands it the fragment its thread or process holds.
+//!
+//! Group state, the case analyses and every id on the wire are per
+//! *operator* `(X → B)` ([`SharedPlan::operators`]); CFD ids appear only
+//! where a mark is written to `V`.
 
 use super::{
-    class_values, clear_group, delete_case, insert_case, mark_group, GroupState, HorMsg, Ship,
-    StateCensus,
+    add_marks, class_values, clear_group, delete_case, insert_case, mark_group, GroupState, HorMsg,
+    Ship, StateCensus,
 };
 use crate::detector::DetectError;
 use crate::optimize::SharingMode;
-use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
+use cfd::{Cfd, CfdId, DeltaV, MatchScratch, OpId, SharedPlan, Violations};
 use cluster::codec::{
     value_digest, value_digest_into, CodecKind, PayloadCodec, ReceiverCodec, WireValue,
 };
@@ -23,6 +27,7 @@ use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, SiteId};
 use relation::{AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where a step records what it decides: the caller's `V` and the `ΔV` of
@@ -34,9 +39,9 @@ pub(crate) type Sink<'a> = (&'a mut Violations, &'a mut DeltaV);
 /// requests to send, ascending by peer.
 pub(crate) type Opened = (Round, Vec<(SiteId, HorMsg)>);
 
-/// Group-key digest of a CFD's LHS: MD5 over the concatenated per-attribute
+/// Group-key digest of an LHS list: MD5 over the concatenated per-attribute
 /// digests (in LHS order). Computable both from raw values and from shipped
-/// attribute digests, which is what lets one message serve every CFD.
+/// attribute digests, which is what lets one message serve every operator.
 fn key_digest_from(attr_digests: impl IntoIterator<Item = Digest>, kbuf: &mut Vec<u8>) -> Digest {
     kbuf.clear();
     for d in attr_digests {
@@ -45,7 +50,7 @@ fn key_digest_from(attr_digests: impl IntoIterator<Item = Digest>, kbuf: &mut Ve
     md5(kbuf)
 }
 
-/// Digest of `t[a]`, memoized across the CFDs sharing the attribute: each
+/// Digest of `t[a]`, memoized across the rules sharing the attribute: each
 /// attribute of an update is hashed once, however many rules read it.
 fn digest_cached(
     cache: &mut FxHashMap<AttrId, Digest>,
@@ -70,18 +75,6 @@ fn encode_attrs(
 ) -> Vec<(AttrId, WireValue)> {
     let encode = |&a| (a, codec.encode(src, dst, t.get(a)));
     attrs.iter().map(encode).collect()
-}
-
-/// The attributes a coalesced message carries, sorted: the LHS of every
-/// listed CFD, plus the RHS of the `with_rhs` ones.
-fn wire_attrs(out: &mut Vec<AttrId>, cfds: &[Cfd], lhs_only: &[CfdId], with_rhs: &[CfdId]) {
-    out.clear();
-    for &c in lhs_only.iter().chain(with_rhs) {
-        out.extend_from_slice(&cfds[c as usize].lhs);
-    }
-    out.extend(with_rhs.iter().map(|&c| cfds[c as usize].rhs));
-    out.sort_unstable();
-    out.dedup();
 }
 
 /// One message per peer in `sx.peers` carrying `sx.attrs` of `t`, built at
@@ -117,15 +110,16 @@ pub struct SiteConfig {
     pub(crate) schema: Arc<Schema>,
     pub(crate) cfds: Arc<[Cfd]>,
     /// The merged multi-CFD evaluation plan: one dispatch scan decides LHS
-    /// matching for the whole rule set, and its key groups (variable CFDs
-    /// by identical LHS list) let senders and receivers compute one
-    /// group-key digest per distinct LHS rather than per CFD.
+    /// matching for the whole rule set, its key groups (variable CFDs by
+    /// identical LHS list) let senders and receivers compute one group-key
+    /// digest per distinct LHS rather than per CFD, and its operators
+    /// (key group × RHS attribute) are what group state is kept per.
     pub(crate) plan: Arc<SharedPlan>,
     pub(crate) n_sites: usize,
     /// Per CFD: digests of the LHS constant atoms (pattern checks on
     /// shipped payloads without re-hashing constants).
     atom_digests: Arc<[Vec<(AttrId, Digest)>]>,
-    /// `local_ok[cfd][site]`: `X_{F_i} ⊆ X` — no cross-site conflicts.
+    /// `local_ok[operator][site]`: `X_{F_i} ⊆ X` — no cross-site conflicts.
     local_ok: Arc<[Vec<bool>]>,
     /// `relevant[cfd]`: sites where `F_i ∧ F_φ` is satisfiable.
     relevant: Arc<[Vec<SiteId>]>,
@@ -135,80 +129,144 @@ impl SiteConfig {
     /// Derive the shared configuration.
     pub fn new(schema: Arc<Schema>, cfds: Vec<Cfd>, scheme: &HorizontalScheme) -> Self {
         let n_sites = scheme.n_sites();
-        let mut local_ok = Vec::with_capacity(cfds.len());
+        let plan = SharedPlan::new(&cfds);
         let mut relevant = Vec::with_capacity(cfds.len());
         let mut atom_digests = Vec::with_capacity(cfds.len());
         for cfd in &cfds {
-            let on_lhs = |i| {
-                scheme
-                    .predicate(i)
-                    .attrs()
-                    .iter()
-                    .all(|a| cfd.lhs.contains(a))
-            };
-            local_ok.push((0..n_sites).map(on_lhs).collect::<Vec<bool>>());
             let atoms = cfd.constant_atoms();
             let satisfiable = |i: &SiteId| !scheme.predicate(*i).conflicts_with_atoms(&atoms);
             relevant.push((0..n_sites).filter(satisfiable).collect::<Vec<SiteId>>());
             let digest = |(a, v)| (a, value_digest(&v));
             atom_digests.push(atoms.into_iter().map(digest).collect::<Vec<_>>());
         }
+        let local_ok = plan.operators().iter().map(|(g, ..)| {
+            let x = &plan.key_groups()[*g].0;
+            let on_lhs = |i| scheme.predicate(i).attrs().iter().all(|a| x.contains(a));
+            (0..n_sites).map(on_lhs).collect::<Vec<bool>>()
+        });
         SiteConfig {
             schema,
-            plan: Arc::new(SharedPlan::new(&cfds)),
+            local_ok: local_ok.collect(),
+            plan: Arc::new(plan),
             cfds: cfds.into(),
             n_sites,
             atom_digests: atom_digests.into(),
-            local_ok: local_ok.into(),
             relevant: relevant.into(),
         }
     }
 
-    /// The CFDs whose LHS pattern `t` matches, ascending by id, into
-    /// `sx.cands` — each variable one with its group-key digest. The only
+    /// The CFDs whose LHS pattern `t` matches: the constant ones into
+    /// `sx.consts`, the variable ones into `sx.vars` grouped by operator,
+    /// with the key digest of every key group one of them sits on in
+    /// `sx.group_kd` ([`matched_ops`] reads the two back). The only
     /// place the evaluation mode shows: one shared dispatch pass with one
     /// key digest per key group, or ([`SharingMode::PerCfd`], the tests'
     /// reference) a `matches_lhs` scan hashing every CFD's key on its own.
-    /// The variable entries are also the update's footprint, which is what
-    /// the wave scheduler reads.
     pub(crate) fn candidates(&self, mode: SharingMode, t: &Tuple, sx: &mut OpScratch) {
         sx.begin(self.plan.key_groups().len());
         match mode {
             SharingMode::Shared => {
                 for &cid in self.plan.matched(t, &mut sx.dispatch) {
-                    let kd = self.plan.group_of(cid).map(|g| {
-                        *sx.group_kd[g].get_or_insert_with(|| {
-                            let lhs = self.plan.key_groups()[g].0.iter();
-                            let digests =
-                                lhs.map(|&a| digest_cached(&mut sx.attr_d, t, a, &mut sx.vbuf));
-                            key_digest_from(digests, &mut sx.kbuf)
-                        })
+                    let Some(g) = self.plan.group_of(cid) else {
+                        sx.consts.push(cid);
+                        continue;
+                    };
+                    sx.group_kd[g].get_or_insert_with(|| {
+                        let lhs = self.plan.key_groups()[g].0.iter();
+                        let digests =
+                            lhs.map(|&a| digest_cached(&mut sx.attr_d, t, a, &mut sx.vbuf));
+                        key_digest_from(digests, &mut sx.kbuf)
                     });
-                    sx.cands.push((cid, kd));
+                    sx.vars.push(cid);
                 }
             }
             SharingMode::PerCfd => {
                 for cfd in self.cfds.iter().filter(|c| c.matches_lhs(t)) {
-                    let kd = cfd.is_variable().then(|| {
-                        let lhs = cfd.lhs.iter();
-                        let digests = lhs.map(|&a| value_digest_into(t.get(a), &mut sx.vbuf));
-                        key_digest_from(digests, &mut sx.kbuf)
-                    });
-                    sx.cands.push((cfd.id, kd));
+                    let Some(g) = self.plan.group_of(cfd.id) else {
+                        sx.consts.push(cfd.id);
+                        continue;
+                    };
+                    let lhs = cfd.lhs.iter();
+                    let digests = lhs.map(|&a| value_digest_into(t.get(a), &mut sx.vbuf));
+                    sx.group_kd[g] = Some(key_digest_from(digests, &mut sx.kbuf));
+                    sx.vars.push(cfd.id);
                 }
             }
         }
+        // Ids ascend and operators are numbered in first-seen order, so
+        // this is already sorted unless two operators' rules interleave.
+        sx.vars
+            .sort_unstable_by_key(|&c| (self.plan.operator_of(c), c));
     }
 
-    /// Does `c` name a variable CFD of `Σ`? The protocol ships no other
-    /// kind: a constant CFD has no group state.
-    fn variable(&self, c: CfdId) -> Result<(), String> {
-        match self.cfds.get(c as usize) {
-            Some(cfd) if cfd.is_variable() => Ok(()),
-            Some(_) => Err(format!("lists constant CFD {c}")),
-            None => Err(format!("lists CFD {c} of {}", self.cfds.len())),
+    /// Operator `o`: `X` in LHS order, `B`, and its CFDs ascending.
+    fn operator(&self, o: OpId) -> (&[AttrId], AttrId, &[CfdId]) {
+        let (g, b, cfds) = &self.plan.operators()[o as usize];
+        (&self.plan.key_groups()[*g].0, *b, cfds)
+    }
+
+    /// Does `o` name an operator of `Σ`? The protocol ships no other id: a
+    /// constant CFD has no group state, and so no operator.
+    fn listed(&self, o: OpId) -> Result<(), String> {
+        let n = self.plan.operators().len();
+        if (o as usize) < n {
+            Ok(())
+        } else {
+            Err(format!("lists operator {o} of {n}"))
         }
     }
+
+    /// The attributes a coalesced message carries, sorted: `X` of every
+    /// listed operator, plus `B` of the `with_rhs` ones.
+    fn wire_attrs(&self, out: &mut Vec<AttrId>, lhs_only: &[OpId], with_rhs: &[OpId]) {
+        out.clear();
+        for &o in lhs_only.iter().chain(with_rhs) {
+            out.extend_from_slice(self.operator(o).0);
+        }
+        out.extend(with_rhs.iter().map(|&o| self.operator(o).1));
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Add to `peers` whoever but `me` could hold a group of one of `cfds`
+    /// (the matched CFDs of an operator that ships).
+    fn peers_of(&self, cfds: &[CfdId], me: SiteId, peers: &mut Vec<SiteId>) {
+        for &c in cfds {
+            let relevant = self.relevant[c as usize].iter();
+            peers.extend(relevant.filter(|&&j| j != me));
+        }
+    }
+
+    /// The CFDs of operator `o` whose pattern a received payload matches,
+    /// into `hit` — through the precomputed atom digests. Senders never
+    /// need this (dispatch told them); a receiver runs it only where a
+    /// flag flips or clears, to find whose marks to write.
+    fn matched_under(&self, o: OpId, digests: &FxHashMap<AttrId, Digest>, hit: &mut Vec<CfdId>) {
+        let matches = |c: &CfdId| {
+            let mut atoms = self.atom_digests[*c as usize].iter();
+            atoms.all(|(a, d)| digests.get(a) == Some(d))
+        };
+        hit.clear();
+        hit.extend(self.operator(o).2.iter().copied().filter(matches));
+    }
+}
+
+/// The operators an update's candidates sit on, ascending — each with its
+/// group key and the CFDs of it the key matches — read back from the
+/// `vars` and `group_kd` that [`SiteConfig::candidates`] left in the
+/// scratch. Whether `tp[X]` matches depends on `t[X]` alone, so the run of
+/// an operator is the matched set of *every* tuple of that group.
+fn matched_ops<'a>(
+    plan: &'a SharedPlan,
+    vars: &'a [CfdId],
+    group_kd: &'a [Option<Digest>],
+) -> impl Iterator<Item = (OpId, Digest, &'a [CfdId])> {
+    let runs = vars.chunk_by(|&a, &b| plan.operator_of(a) == plan.operator_of(b));
+    runs.map(|cfds| {
+        let op = plan.operator_of(cfds[0]).expect("a variable CFD");
+        let kd = group_kd[plan.operators()[op as usize].0];
+        (op, kd.expect("digested as it matched"), cfds)
+    })
 }
 
 /// Per-update scratch a site owns: cleared, not rebuilt, per step.
@@ -222,20 +280,20 @@ pub(crate) struct OpScratch {
     /// This update's attribute digests and per-key-group key digests.
     attr_d: FxHashMap<AttrId, Digest>,
     group_kd: Vec<Option<Digest>>,
-    /// This update's matching CFDs ([`SiteConfig::candidates`]).
-    pub(crate) cands: Vec<(CfdId, Option<Digest>)>,
-    /// CFDs needing a probe / a query round for this update, and the
-    /// queried groups' keys.
-    probes: Vec<CfdId>,
-    queries: Vec<CfdId>,
-    query_kd: Vec<Digest>,
+    /// This update's matching CFDs ([`SiteConfig::candidates`]): constant
+    /// ones ascending, variable ones by `(operator, id)`.
+    consts: Vec<CfdId>,
+    vars: Vec<CfdId>,
+    /// Operators needing a probe / a query round for this update.
+    probes: Vec<OpId>,
+    queries: Vec<OpId>,
     /// Attributes and peers of the coalesced message being shipped.
     attrs: Vec<AttrId>,
     peers: Vec<SiteId>,
-    /// Receiver side: the digests and explicit probes of one request, the
-    /// resolved values of one reply.
+    /// Receiver side: the digests of one request, the matched CFDs of one
+    /// of its operators, the resolved values of one reply.
     rx_digests: FxHashMap<AttrId, Digest>,
-    probe_set: FxHashSet<CfdId>,
+    hit: Vec<CfdId>,
     reply_d: Vec<Digest>,
 }
 
@@ -245,35 +303,76 @@ impl OpScratch {
         self.attr_d.clear();
         self.group_kd.clear();
         self.group_kd.resize(key_groups, None);
-        self.cands.clear();
+        self.consts.clear();
+        self.vars.clear();
         self.probes.clear();
         self.queries.clear();
-        self.query_kd.clear();
+        self.peers.clear();
+    }
+
+    /// The footprint of the update [`SiteConfig::candidates`] was last run
+    /// for: the `(operator, group key)` pairs it can touch anywhere in the
+    /// mesh, which is what the wave scheduler reads.
+    pub(crate) fn footprint<'a>(
+        &'a self,
+        plan: &'a SharedPlan,
+    ) -> impl Iterator<Item = (OpId, Digest)> + 'a {
+        matched_ops(plan, &self.vars, &self.group_kd).map(|(op, kd, _)| (op, kd))
+    }
+
+    /// Sort the peers collected for the message being shipped; any?
+    fn settle_peers(&mut self) -> bool {
+        self.peers.sort_unstable();
+        self.peers.dedup();
+        !self.peers.is_empty()
     }
 }
 
-/// One queried CFD of an open delete round: the group, the distinct RHS
-/// values peers reported for it, and who reported any.
-pub(crate) struct DelQuery {
-    cfd: CfdId,
+/// One operator an open round asks the peers about: its group and — a
+/// range of the round's `cfds` — the CFDs of the operator that the group
+/// key matches, whose marks the round's conclusion writes.
+pub(crate) struct Asked {
+    op: OpId,
     kd: Digest,
+    cfds: Range<usize>,
+}
+
+impl Asked {
+    /// Ask about group `kd` of `op`, appending its matched `cfds` to the
+    /// round's.
+    fn new(op: OpId, kd: Digest, cfds: &[CfdId], round_cfds: &mut Vec<CfdId>) -> Self {
+        let start = round_cfds.len();
+        round_cfds.extend_from_slice(cfds);
+        let cfds = start..round_cfds.len();
+        Asked { op, kd, cfds }
+    }
+}
+
+/// One queried operator of an open delete round, with the distinct RHS
+/// values peers reported for its group and who reported any.
+pub(crate) struct DelQuery {
+    asked: Asked,
     remote: FxHashSet<Digest>,
     holders: Vec<SiteId>,
 }
 
 /// An update whose outcome waits on peers: opened by `begin_*`, fed by
 /// [`Site::on_reply`], consumed — so finished exactly once — by
-/// [`Site::finish`]. Queries ascend by CFD id.
+/// [`Site::finish`]. Queries ascend by operator.
 pub(crate) enum Round {
-    /// Per queried CFD: its group key and whether a peer reported a
-    /// conflicting group.
+    /// Per queried operator: whether a peer reported a conflicting group.
     Insert {
         tid: Tid,
-        queries: Vec<(CfdId, Digest, bool)>,
+        cfds: Vec<CfdId>,
+        queries: Vec<(Asked, bool)>,
     },
     /// The deleted tuple (its values address the `ClearFlags`) and the
-    /// CFDs whose global multiplicity is in doubt.
-    Delete { t: Tuple, queries: Vec<DelQuery> },
+    /// operators whose global multiplicity is in doubt.
+    Delete {
+        t: Tuple,
+        cfds: Vec<CfdId>,
+        queries: Vec<DelQuery>,
+    },
 }
 
 /// One site of the §6 protocol, sans IO.
@@ -281,7 +380,8 @@ pub(crate) struct Site {
     cfg: SiteConfig,
     me: SiteId,
     pub(crate) sharing: SharingMode,
-    /// Group state per CFD (empty maps for constant CFDs).
+    /// Group state per operator: every tuple of this site that matches at
+    /// least one CFD of the operator, by group key.
     state: Vec<FxHashMap<Digest, GroupState>>,
     /// Sender-side payload encoding; per-link state (dictionary
     /// residency) lives in the codec.
@@ -296,8 +396,9 @@ pub(crate) struct Site {
 impl Site {
     /// Site `me`, holding no group yet.
     pub(crate) fn new(cfg: SiteConfig, me: SiteId, codec: CodecKind) -> Self {
+        let operators = cfg.plan.operators().iter();
         Site {
-            state: cfg.cfds.iter().map(|_| FxHashMap::default()).collect(),
+            state: operators.map(|_| FxHashMap::default()).collect(),
             codec: codec.codec(),
             rx: (0..cfg.n_sites)
                 .map(|src| ReceiverCodec::for_link(src, me))
@@ -333,8 +434,8 @@ impl Site {
     // -- own updates ----------------------------------------------------
 
     /// §6 insertion at the tuple's home site, into the driver's `rows`.
-    /// `None` when the local case analysis settles every CFD (Examples
-    /// 2(1)(b) and 9) or no peer could hold a conflicting group.
+    /// `None` when the local case analysis settles every operator
+    /// (Examples 2(1)(b) and 9) or no peer could hold a conflicting group.
     pub(crate) fn begin_insert(
         &mut self,
         t: &Tuple,
@@ -346,44 +447,41 @@ impl Site {
         // produce (`class_values`).
         rows.insert_row(t.tid, t.values.iter())?;
         self.cfg.candidates(self.sharing, t, &mut self.sx);
-        let sx = &mut self.sx;
-        for &(cid, kd) in &sx.cands {
-            let (c, cfd) = (cid as usize, &self.cfg.cfds[cid as usize]);
-            let Some(kd) = kd else {
-                if cfd.constant_violation(t) && v.add(cid, t.tid) {
-                    dv.add(cid, t.tid);
-                }
-                continue;
-            };
-            let bd = digest_cached(&mut sx.attr_d, t, cfd.rhs, &mut sx.vbuf);
-            let local_only = self.cfg.local_ok[c][self.me];
-            let groups = &mut self.state[c];
-            let sink = (&mut *v, &mut *dv);
-            match insert_case(groups, sink, cid, t.tid, (kd, bd), local_only) {
-                Ship::Nothing => {}
-                Ship::Probe => sx.probes.push(cid),
-                Ship::Query => {
-                    sx.queries.push(cid);
-                    sx.query_kd.push(kd);
-                }
+        let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
+        for &c in &sx.consts {
+            if cfg.cfds[c as usize].constant_violation(t) && v.add(c, t.tid) {
+                dv.add(c, t.tid);
             }
         }
-        if sx.probes.is_empty() && sx.queries.is_empty() {
+        let (mut asked, mut asked_cfds) = (Vec::new(), Vec::new());
+        for (op, kd, cfds) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
+            let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
+            let local_only = cfg.local_ok[op as usize][me];
+            let groups = &mut self.state[op as usize];
+            let sink = (&mut *v, &mut *dv);
+            match insert_case(groups, sink, cfds, t.tid, (kd, bd), local_only) {
+                Ship::Nothing => continue,
+                Ship::Probe => sx.probes.push(op),
+                Ship::Query => {
+                    sx.queries.push(op);
+                    asked.push((Asked::new(op, kd, cfds, &mut asked_cfds), false));
+                }
+            }
+            cfg.peers_of(cfds, me, &mut sx.peers);
+        }
+        if !sx.settle_peers() {
             return Ok(None);
         }
-        // Probe CFDs need the LHS on the wire, query CFDs LHS + RHS.
-        wire_attrs(&mut sx.attrs, &self.cfg.cfds, &sx.probes, &sx.queries);
-        if !self.find_peers() {
-            return Ok(None);
-        }
-        let out = broadcast(self.codec.as_mut(), self.me, &self.sx, t, |attrs| {
-            let probes = self.sx.probes.clone();
+        // Probed operators need X on the wire, queried ones X and B.
+        cfg.wire_attrs(&mut sx.attrs, &sx.probes, &sx.queries);
+        let out = broadcast(self.codec.as_mut(), me, sx, t, |attrs| {
+            let probes = sx.probes.clone();
             HorMsg::TupleProbe { attrs, probes }
         });
-        let queries = self.sx.queries.iter().zip(&self.sx.query_kd);
         let round = Round::Insert {
             tid: t.tid,
-            queries: queries.map(|(&c, &kd)| (c, kd, false)).collect(),
+            cfds: asked_cfds,
+            queries: asked,
         };
         Ok(Some((round, out)))
     }
@@ -400,82 +498,70 @@ impl Site {
     ) -> Result<Option<Opened>, DetectError> {
         let t = rows.get(tid).ok_or(RelError::MissingTid(tid))?;
         self.cfg.candidates(self.sharing, &t, &mut self.sx);
-        let sx = &mut self.sx;
-        for &(cid, kd) in &sx.cands {
-            let (c, cfd) = (cid as usize, &self.cfg.cfds[cid as usize]);
-            // A constant CFD outside the list holds no mark for `tid`: a
-            // mark implies the (immutable) tuple matched its LHS.
-            let Some(kd) = kd else {
-                if v.remove(cid, tid) {
-                    dv.remove(cid, tid);
-                }
-                continue;
-            };
-            let bd = digest_cached(&mut sx.attr_d, &t, cfd.rhs, &mut sx.vbuf);
-            let local_only = self.cfg.local_ok[c][self.me];
-            let sink = (&mut *v, &mut *dv);
-            if delete_case(&mut self.state[c], sink, cid, tid, (kd, bd), local_only) {
-                sx.queries.push(cid);
-                sx.query_kd.push(kd);
+        let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
+        // A constant CFD outside the list holds no mark for `tid`: a mark
+        // implies the (immutable) tuple matched its LHS.
+        for &c in &sx.consts {
+            if v.remove(c, tid) {
+                dv.remove(c, tid);
             }
+        }
+        let (mut queries, mut asked_cfds) = (Vec::new(), Vec::new());
+        for (op, kd, cfds) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
+            let bd = digest_cached(&mut sx.attr_d, &t, cfg.operator(op).1, &mut sx.vbuf);
+            let local_only = cfg.local_ok[op as usize][me];
+            let groups = &mut self.state[op as usize];
+            let sink = (&mut *v, &mut *dv);
+            let lost = |what| {
+                let at = format!("site {me}: operator {op} group {}", kd.to_hex());
+                DetectError::Internal(format!("{at} lost the {what} of tuple {tid}"))
+            };
+            if !delete_case(groups, sink, cfds, tid, (kd, bd), local_only).map_err(lost)? {
+                continue;
+            }
+            sx.queries.push(op);
+            queries.push(DelQuery {
+                asked: Asked::new(op, kd, cfds, &mut asked_cfds),
+                remote: FxHashSet::default(),
+                holders: Vec::new(),
+            });
+            cfg.peers_of(cfds, me, &mut sx.peers);
         }
         // The groups have let go of the row; peers never read it.
         rows.delete_quiet(tid)?;
-        if self.sx.queries.is_empty() {
+        if queries.is_empty() {
             return Ok(None);
         }
-        let sx = &mut self.sx;
-        wire_attrs(&mut sx.attrs, &self.cfg.cfds, &sx.queries, &[]);
-        let queried = sx.queries.iter().zip(&sx.query_kd);
-        let queries = queried.map(|(&cfd, &kd)| DelQuery {
-            cfd,
-            kd,
-            remote: FxHashSet::default(),
-            holders: Vec::new(),
-        });
-        let queries = queries.collect();
-        if !self.find_peers() {
+        let cfds = asked_cfds;
+        if !sx.settle_peers() {
             // Global = local: decide from this site's classes alone.
-            let clears = self.finish(Round::Delete { t, queries }, (v, dv))?;
+            let clears = self.finish(Round::Delete { t, cfds, queries }, (v, dv))?;
             debug_assert!(clears.is_empty(), "no peers, no remote holders");
             return Ok(None);
         }
-        let out = broadcast(self.codec.as_mut(), self.me, &self.sx, &t, |attrs| {
-            let queries = self.sx.queries.clone();
+        cfg.wire_attrs(&mut sx.attrs, &sx.queries, &[]);
+        let out = broadcast(self.codec.as_mut(), me, sx, &t, |attrs| {
+            let queries = sx.queries.clone();
             HorMsg::TupleDelQuery { attrs, queries }
         });
-        Ok(Some((Round::Delete { t, queries }, out)))
-    }
-
-    /// Fill `sx.peers` with the sites relevant to a probed or queried CFD
-    /// of this update, ascending, minus this one; is there any?
-    fn find_peers(&mut self) -> bool {
-        let sx = &mut self.sx;
-        sx.peers.clear();
-        for &c in sx.probes.iter().chain(&sx.queries) {
-            let relevant = self.cfg.relevant[c as usize].iter();
-            sx.peers.extend(relevant.filter(|&&j| j != self.me));
-        }
-        sx.peers.sort_unstable();
-        sx.peers.dedup();
-        !sx.peers.is_empty()
+        Ok(Some((Round::Delete { t, cfds, queries }, out)))
     }
 
     // -- serving peers --------------------------------------------------
 
     /// Check a request before anything is mutated, and resolve its payload
     /// into `sx.rx_digests` through the `src → me` link's own dictionary
-    /// (fed only by received deltas). Every *listed* id must name a
-    /// variable CFD whose whole LHS the payload carries.
+    /// (fed only by received deltas). Every *listed* id must name an
+    /// operator whose whole `X` the payload carries.
     fn admit(
         &mut self,
         src: SiteId,
         kind: &str,
         attrs: &[(AttrId, WireValue)],
-        listed: &[CfdId],
+        listed: &[OpId],
     ) -> Result<(), DetectError> {
-        for &c in listed {
-            self.cfg.variable(c).map_err(|e| self.bad(src, kind, e))?;
+        for &o in listed {
+            self.cfg.listed(o).map_err(|e| self.bad(src, kind, e))?;
         }
         let unknown = ClusterError::UnknownSite(src);
         let rx = self.rx.get_mut(src).filter(|_| src != self.me);
@@ -486,19 +572,19 @@ impl Site {
                 return Err(self.bad(src, kind, format!("carries attribute {a} twice")));
             }
         }
-        for &c in listed {
-            let mut lhs = self.cfg.cfds[c as usize].lhs.iter();
+        for &o in listed {
+            let mut lhs = self.cfg.operator(o).0.iter();
             if let Some(a) = lhs.find(|a| !self.sx.rx_digests.contains_key(*a)) {
-                let what = format!("lists CFD {c} without its LHS attribute {a}");
+                let what = format!("lists operator {o} without its LHS attribute {a}");
                 return Err(self.bad(src, kind, what));
             }
         }
         Ok(())
     }
 
-    /// Group key of listed CFD `c` from the admitted payload.
-    fn wire_key(&mut self, c: CfdId) -> Digest {
-        let lhs = self.cfg.cfds[c as usize].lhs.iter();
+    /// Group key of listed operator `o` from the admitted payload.
+    fn wire_key(&mut self, o: OpId) -> Digest {
+        let lhs = self.cfg.operator(o).0.iter();
         key_digest_from(lhs.map(|a| self.sx.rx_digests[a]), &mut self.sx.kbuf)
     }
 
@@ -517,49 +603,45 @@ impl Site {
             HorMsg::TupleProbe { attrs, probes } => {
                 self.admit(src, "TupleProbe", &attrs, &probes)?;
                 // Explicit probes: a brand-new conflict at the sender
-                // flips every remote group of the CFD.
-                for &c in &probes {
-                    let kd = self.wire_key(c);
-                    if let Some(h) = self.state[c as usize].get_mut(&kd) {
-                        if !h.violating() {
-                            mark_group(h, c, v, dv);
-                        }
+                // flips every remote group of the operator.
+                for &o in &probes {
+                    let kd = self.wire_key(o);
+                    let h = self.state[o as usize].get_mut(&kd);
+                    if let Some(h) = h.filter(|h| !h.violating()) {
+                        let sx = &mut self.sx;
+                        self.cfg.matched_under(o, &sx.rx_digests, &mut sx.hit);
+                        mark_group(h, &sx.hit, v, dv);
                     }
                 }
-                // Implicit queries: every other variable CFD the payload
-                // can derive, one key digest per distinct LHS list.
-                let sx = &mut self.sx;
-                sx.probe_set.clear();
-                sx.probe_set.extend(probes);
+                // Implicit queries: every other operator the payload can
+                // derive — one key digest per distinct LHS list, one
+                // lookup per operator.
+                let (cfg, sx) = (&self.cfg, &mut self.sx);
                 let digests = &sx.rx_digests;
+                sx.group_kd.clear();
+                for (lhs, _) in cfg.plan.key_groups() {
+                    let covered = lhs.iter().all(|a| digests.contains_key(a));
+                    let kd = || key_digest_from(lhs.iter().map(|a| digests[a]), &mut sx.kbuf);
+                    sx.group_kd.push(covered.then(kd));
+                }
                 let mut conflicts = Vec::new();
-                for (lhs, ids) in self.cfg.plan.key_groups() {
-                    if !lhs.iter().all(|a| digests.contains_key(a)) {
+                for (o, (g, b, _)) in (0..).zip(cfg.plan.operators()) {
+                    let (Some(kd), Some(&bd)) = (sx.group_kd[*g], digests.get(b)) else {
+                        continue;
+                    };
+                    let Some(h) = self.state[o as usize].get_mut(&kd) else {
+                        continue;
+                    };
+                    if probes.contains(&o) {
                         continue;
                     }
-                    let kd = key_digest_from(lhs.iter().map(|a| digests[a]), &mut sx.kbuf);
-                    for &cid in ids {
-                        let c = cid as usize;
-                        let Some(&bd) = digests.get(&self.cfg.cfds[c].rhs) else {
-                            continue;
-                        };
-                        // Pattern check through precomputed atom digests.
-                        let mut atoms = self.cfg.atom_digests[c].iter();
-                        if sx.probe_set.contains(&cid)
-                            || !atoms.all(|(a, d)| digests.get(a) == Some(d))
-                        {
-                            continue;
-                        }
-                        let Some(h) = self.state[c].get_mut(&kd) else {
-                            continue;
-                        };
-                        let other = h.has_other(bd);
-                        if other && !h.violating() {
-                            mark_group(h, cid, v, dv);
-                        }
-                        if other || h.violating() {
-                            conflicts.push(cid);
-                        }
+                    let other = h.has_other(bd);
+                    if other && !h.violating() {
+                        cfg.matched_under(o, digests, &mut sx.hit);
+                        mark_group(h, &sx.hit, v, dv);
+                    }
+                    if other || h.violating() {
+                        conflicts.push(o);
                     }
                 }
                 Ok((!conflicts.is_empty()).then_some(HorMsg::ProbeReply { conflicts }))
@@ -567,26 +649,30 @@ impl Site {
             HorMsg::TupleDelQuery { attrs, queries } => {
                 self.admit(src, "TupleDelQuery", &attrs, &queries)?;
                 let mut bvals = Vec::new();
-                for c in queries {
-                    let kd = self.wire_key(c);
+                for o in queries {
+                    let kd = self.wire_key(o);
                     // Only peers answer, and footprints within a wave are
                     // disjoint, so the group read here is never one an
                     // in-flight update of this site is half through.
-                    if let Some(h) = self.state[c as usize].get(&kd) {
+                    if let Some(h) = self.state[o as usize].get(&kd) {
                         let (me, codec) = (self.me, self.codec.as_mut());
-                        let at = (me, &self.cfg.cfds[c as usize], kd);
+                        let at = (me, o, self.cfg.operator(o).1, kd);
                         let encode = |v: &_| codec.encode(me, src, v);
                         let vals = class_values(h, rows, at, encode);
-                        bvals.push((c, vals.map_err(DetectError::Internal)?));
+                        bvals.push((o, vals.map_err(DetectError::Internal)?));
                     }
                 }
                 Ok((!bvals.is_empty()).then_some(HorMsg::DelReply { bvals }))
             }
             HorMsg::ClearFlags { attrs, cfds } => {
                 self.admit(src, "ClearFlags", &attrs, &cfds)?;
-                for c in cfds {
-                    let kd = self.wire_key(c);
-                    clear_group(&mut self.state[c as usize], c, kd, v, dv);
+                for o in cfds {
+                    let kd = self.wire_key(o);
+                    if let Some(h) = self.state[o as usize].get_mut(&kd) {
+                        let sx = &mut self.sx;
+                        self.cfg.matched_under(o, &sx.rx_digests, &mut sx.hit);
+                        clear_group(h, &sx.hit, v, dv);
+                    }
                 }
                 Ok(None)
             }
@@ -606,23 +692,23 @@ impl Site {
     ) -> Result<(), DetectError> {
         match (round, msg) {
             (Round::Insert { queries, .. }, HorMsg::ProbeReply { conflicts }) => {
-                // A peer answers every CFD the payload derives, queried or
-                // not; only the queried ones matter here.
-                for &c in &conflicts {
-                    let checked = self.cfg.variable(c);
+                // A peer answers every operator the payload derives,
+                // queried or not; only the queried ones matter here.
+                for &o in &conflicts {
+                    let checked = self.cfg.listed(o);
                     checked.map_err(|e| self.bad(src, "ProbeReply", e))?;
                 }
-                for c in conflicts {
-                    if let Ok(i) = queries.binary_search_by_key(&c, |q| q.0) {
-                        queries[i].2 = true;
+                for o in conflicts {
+                    if let Ok(i) = queries.binary_search_by_key(&o, |q| q.0.op) {
+                        queries[i].1 = true;
                     }
                 }
                 Ok(())
             }
             (Round::Delete { queries, .. }, HorMsg::DelReply { bvals }) => {
-                let queried = |c: &CfdId| queries.binary_search_by_key(c, |q| q.cfd);
-                if let Some((c, _)) = bvals.iter().find(|(c, _)| queried(c).is_err()) {
-                    let what = format!("names CFD {c}, which the round did not query");
+                let queried = |o: &OpId| queries.binary_search_by_key(o, |q| q.asked.op);
+                if let Some((o, _)) = bvals.iter().find(|(o, _)| queried(o).is_err()) {
+                    let what = format!("names operator {o}, which the round did not query");
                     return Err(self.bad(src, "DelReply", what));
                 }
                 let unknown = ClusterError::UnknownSite(src);
@@ -632,8 +718,8 @@ impl Site {
                     self.sx.reply_d.push(rx.digest(w)?);
                 }
                 let mut resolved = self.sx.reply_d.drain(..);
-                for (c, vs) in bvals {
-                    let i = queries.binary_search_by_key(&c, |q| q.cfd);
+                for (o, vs) in bvals {
+                    let i = queries.binary_search_by_key(&o, |q| q.asked.op);
                     let q = &mut queries[i.expect("checked above")];
                     q.holders.push(src);
                     q.remote.extend(resolved.by_ref().take(vs.len()));
@@ -661,26 +747,25 @@ impl Site {
     ) -> Result<Vec<(SiteId, HorMsg)>, DetectError> {
         let me = self.me;
         match round {
-            Round::Insert { tid, queries } => {
-                for (c, kd, _) in queries.into_iter().filter(|q| q.2) {
-                    let g = self.state[c as usize].get_mut(&kd).ok_or_else(|| {
-                        let group = kd.to_hex();
-                        let what = format!("site {me}: CFD {c} group {group} left mid-round");
+            Round::Insert { tid, cfds, queries } => {
+                for (q, _) in queries.into_iter().filter(|q| q.1) {
+                    let g = self.state[q.op as usize].get_mut(&q.kd).ok_or_else(|| {
+                        let (op, group) = (q.op, q.kd.to_hex());
+                        let what = format!("site {me}: operator {op} group {group} left mid-round");
                         DetectError::Internal(what)
                     })?;
                     g.set_violating(true);
-                    if v.add(c, tid) {
-                        dv.add(c, tid);
-                    }
+                    add_marks(&cfds[q.cfds], tid, v, dv);
                 }
                 Ok(Vec::new())
             }
-            Round::Delete { t, queries } => {
-                let mut clears: BTreeMap<SiteId, Vec<CfdId>> = BTreeMap::new();
+            Round::Delete { t, cfds, queries } => {
+                let mut clears: BTreeMap<SiteId, Vec<OpId>> = BTreeMap::new();
                 for q in queries {
-                    let groups = &mut self.state[q.cfd as usize];
+                    let Asked { op, kd, cfds: ids } = q.asked;
+                    let h = self.state[op as usize].get_mut(&kd);
                     let mut all = q.remote;
-                    if let Some(h) = groups.get(&q.kd) {
+                    if let Some(h) = &h {
                         h.for_each_class(|bd, _| {
                             all.insert(bd);
                         });
@@ -688,13 +773,15 @@ impl Site {
                     if all.len() >= 2 {
                         continue; // still violating everywhere
                     }
-                    clear_group(groups, q.cfd, q.kd, v, dv);
+                    if let Some(h) = h {
+                        clear_group(h, &cfds[ids], v, dv);
+                    }
                     for j in q.holders {
-                        clears.entry(j).or_default().push(q.cfd);
+                        clears.entry(j).or_default().push(op);
                     }
                 }
                 let to_peer = clears.into_iter().map(|(j, cfds)| {
-                    wire_attrs(&mut self.sx.attrs, &self.cfg.cfds, &cfds, &[]);
+                    self.cfg.wire_attrs(&mut self.sx.attrs, &cfds, &[]);
                     let attrs = encode_attrs(self.codec.as_mut(), &t, &self.sx.attrs, (me, j));
                     (j, HorMsg::ClearFlags { attrs, cfds })
                 });
@@ -951,6 +1038,32 @@ mod tests {
         };
         let (tpch_schema, tpch_d0) = tpch::generate(&tpch_cfg);
         let (emp_schema, emp_d0) = emp::generate(&emp_cfg);
+        // EMP once more, under rules that share operators: `[CC, zip] →
+        // street` under three patterns (one of them twice) and `[CC, zip]
+        // → city` on the same key list. The generator only knows CC = 44;
+        // spread it, so that a key matches three, two or one of the
+        // street rules.
+        let cc = emp_schema.attr_id("CC").unwrap();
+        let spread = |t: Tuple| {
+            let mut values = t.values.to_vec();
+            values[cc as usize] = Value::int([44, 1, 7][(t.tid % 3) as usize]);
+            Tuple::new(t.tid, values)
+        };
+        let on_cc_zip = |id, cc, rhs| {
+            Cfd::from_names(id, &emp_schema, &[("CC", cc), ("zip", None)], (rhs, None)).unwrap()
+        };
+        let shared_ops = vec![
+            on_cc_zip(0, None, "street"),
+            on_cc_zip(1, Some(Value::int(44)), "street"),
+            on_cc_zip(2, Some(Value::int(1)), "street"),
+            on_cc_zip(3, Some(Value::int(44)), "city"),
+            on_cc_zip(4, Some(Value::int(44)), "street"),
+        ];
+        let plan = SharedPlan::new(&shared_ops);
+        assert_eq!(
+            (plan.operators().len(), plan.operators()[0].2.len()),
+            (2, 4)
+        );
         let datasets = [
             (
                 rules::tpch_rules(&tpch_schema, 8, 1),
@@ -960,7 +1073,15 @@ mod tests {
             (
                 emp::emp_cfds(&emp_schema),
                 emp::generate_fresh(&emp_cfg, 1_000, 30, 7),
-                emp_d0,
+                emp_d0.clone(),
+            ),
+            (
+                shared_ops,
+                emp::generate_fresh(&emp_cfg, 1_000, 30, 7)
+                    .into_iter()
+                    .map(spread)
+                    .collect(),
+                Relation::from_tuples(emp_schema.clone(), emp_d0.iter().map(spread)).unwrap(),
             ),
         ];
         for (cfds, fresh, d0) in &datasets {
@@ -1036,11 +1157,24 @@ mod tests {
         }
     }
 
-    /// The Fig. 2 mesh after loading `D₀`, and the open delete round of
-    /// `t5` at site 2 (the only other street of its zip) with its requests.
+    /// Fig. 1's rules, an FD twin of φ1 — the same operator `([CC, zip] →
+    /// street)`, so the two share every group — and `([zip] → AC)`, a
+    /// second operator, which `D₀` satisfies.
+    fn two_operator_cfds(s: &Schema) -> Vec<Cfd> {
+        let mut cfds = fig1_cfds(s);
+        let twin = [("CC", None), ("zip", None)];
+        cfds.push(Cfd::from_names(2, s, &twin, ("street", None)).unwrap());
+        cfds.push(Cfd::from_names(3, s, &[("zip", None)], ("AC", None)).unwrap());
+        cfds
+    }
+
+    /// The Fig. 2 mesh under [`two_operator_cfds`] after loading `D₀`, and
+    /// the open delete round of `t5` at site 2 (the only other street of
+    /// its zip) with its requests: it queries operator 0 and not 1.
     fn fig2_mesh_deleting_t5() -> (Mesh, Round, Vec<(SiteId, HorMsg)>) {
         let s = emp_schema();
-        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let cfg = SiteConfig::new(s.clone(), two_operator_cfds(&s), &fig2_scheme(&s));
+        assert_eq!(cfg.plan.operators().len(), 2);
         let mut mesh = Mesh::new(&cfg, CodecKind::Dict);
         let scheme = fig2_scheme(&s);
         for t in d0().iter() {
@@ -1076,20 +1210,28 @@ mod tests {
             attrs: lhs(),
             probes,
         };
-        let (no_zip, cc_twice) = (
-            format!("LHS attribute {}", attr("zip")),
+        let (no_zip, no_cc, cc_twice) = (
+            format!("operator 0 without its LHS attribute {}", attr("zip")),
+            format!("operator 0 without its LHS attribute {}", attr("CC")),
             format!("attribute {} twice", attr("CC")),
         );
         let forged: Vec<(HorMsg, [&str; 2])> = vec![
-            (probe(vec![2]), ["TupleProbe", "CFD 2 of 2"]),
-            (probe(vec![u32::MAX]), ["TupleProbe", "CFD 4294967295"]),
-            (probe(vec![1]), ["TupleProbe", "constant CFD 1"]),
+            (probe(vec![2]), ["TupleProbe", "operator 2 of 2"]),
+            (probe(vec![u32::MAX]), ["TupleProbe", "operator 4294967295"]),
             (
                 HorMsg::TupleDelQuery {
                     attrs: vec![raw("CC", Value::int(44))],
                     queries: vec![0],
                 },
                 ["TupleDelQuery", &no_zip],
+            ),
+            (
+                // Operator 1's `X` is covered, operator 0's is not.
+                HorMsg::ClearFlags {
+                    attrs: vec![raw("zip", Value::str("EH4 8LE"))],
+                    cfds: vec![1, 0],
+                },
+                ["ClearFlags", &no_cc],
             ),
             (
                 HorMsg::ClearFlags {
@@ -1135,7 +1277,7 @@ mod tests {
         mesh.run_wave(&[], |_| 0);
         let mut d = d0();
         d.delete(5).unwrap();
-        let oracle = cfd::naive::detect(&fig1_cfds(&s), &d);
+        let oracle = cfd::naive::detect(&two_operator_cfds(&s), &d);
         assert_eq!(mesh.v.marks_sorted(), oracle.marks_sorted());
         assert_eq!(mesh.v.marks_sorted(), vec![(1, 1)]);
     }
@@ -1146,19 +1288,20 @@ mod tests {
     #[test]
     fn hostile_replies_are_errors_and_leave_the_round_intact() {
         let (mut mesh, mut round, requests) = fig2_mesh_deleting_t5();
-        let street = |c| (c, vec![WireValue::Raw(Value::str("Mayfield"))]);
+        let street = |o| (o, vec![WireValue::Raw(Value::str("Mayfield"))]);
         let forged = [
             (
+                // An operator of Σ, but not one this round asked about.
                 HorMsg::DelReply {
                     bvals: vec![street(0), street(1)],
                 },
-                ["DelReply", "CFD 1, which the round did not query"],
+                ["DelReply", "operator 1, which the round did not query"],
             ),
             (
                 HorMsg::DelReply {
                     bvals: vec![street(u32::MAX)],
                 },
-                ["DelReply", "CFD 4294967295"],
+                ["DelReply", "operator 4294967295"],
             ),
             (
                 HorMsg::DelReply {
@@ -1202,11 +1345,13 @@ mod tests {
             ),
             (
                 HorMsg::ProbeReply { conflicts: vec![2] },
-                ["ProbeReply", "CFD 2 of 2"],
+                ["ProbeReply", "operator 2 of 2"],
             ),
             (
-                HorMsg::ProbeReply { conflicts: vec![1] },
-                ["ProbeReply", "constant CFD 1"],
+                HorMsg::ProbeReply {
+                    conflicts: vec![0, u32::MAX],
+                },
+                ["ProbeReply", "operator 4294967295"],
             ),
         ];
         for (msg, needles) in forged {
@@ -1216,8 +1361,10 @@ mod tests {
         mesh.rounds[2].push(None);
         mesh.send(2, 0, Some(round), requests);
         mesh.run_wave(&[], |_| 0);
-        // t7's street clashes with t2's (site 0) on zip EH2 4HF.
-        assert_eq!(mesh.v.marks_sorted(), vec![(0, 2), (0, 7), (1, 1)]);
+        // t7's street clashes with t2's (site 0) on zip EH2 4HF, under
+        // both rules of the operator; their AC agrees.
+        let marks = vec![(0, 2), (0, 7), (1, 1), (2, 2), (2, 7)];
+        assert_eq!(mesh.v.marks_sorted(), marks);
     }
 
     /// The same refusal end to end through the synchronous driver: a frame
@@ -1237,7 +1384,10 @@ mod tests {
         let mut delta = UpdateBatch::new();
         delta.delete(5);
         let err = message_of(det.apply(&delta).unwrap_err());
-        assert!(err.contains("2 → 1") && err.contains("CFD 9 of 2"), "{err}");
+        assert!(
+            err.contains("2 → 1") && err.contains("operator 9 of 1"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1254,9 +1404,53 @@ mod tests {
         delta.delete(5);
         match det.apply(&delta) {
             Err(DetectError::Internal(msg)) => {
-                assert!(msg.contains("site 1") && msg.contains("CFD 0"), "{msg}");
+                assert!(
+                    msg.contains("site 1") && msg.contains("operator 0"),
+                    "{msg}"
+                );
             }
             other => panic!("expected an internal error, got {other:?}"),
         }
+    }
+
+    /// What an `apply` that failed mid-batch can leave behind: a row whose
+    /// group the state no longer holds. Deleting it is an error that says
+    /// where, not a panic, and the detector goes on serving.
+    #[test]
+    fn lost_group_is_an_internal_error_not_a_panic() {
+        let s = emp_schema();
+        let mut det =
+            HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
+        // t2 is alone in its group (zip EH2 4HF, site 0): drop the group
+        // behind the machine's back.
+        let holds_t2 = |g: &GroupState| {
+            let mut found = false;
+            g.for_each_member(|m| found |= m == 2);
+            found
+        };
+        det.sites[0].state[0].retain(|_, g| !holds_t2(g));
+        let mut delta = UpdateBatch::new();
+        delta.delete(2);
+        match det.apply(&delta) {
+            Err(DetectError::Internal(msg)) => {
+                let named = ["site 0", "operator 0", "lost the group of tuple 2"];
+                assert!(named.iter().all(|n| msg.contains(n)), "{msg}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        // A group that is there but holds another class reads the same.
+        let groups = det.sites[1].state[0].values_mut();
+        groups.for_each(|g| *g = GroupState::new(Digest([9; 16]), 3));
+        let mut delta = UpdateBatch::new();
+        delta.delete(3);
+        match det.apply(&delta) {
+            Err(DetectError::Internal(msg)) => assert!(msg.contains("lost the RHS class"), "{msg}"),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        // A batch that stays clear of the damage runs as ever.
+        let mut delta = UpdateBatch::new();
+        delta.insert(emp_tuple(8, "C", 44, 131, "EH9 1ZZ", "Marchmont", "EDI"));
+        delta.insert(emp_tuple(9, "A", 44, 131, "EH9 1ZZ", "Sciennes", "EDI"));
+        assert_eq!(det.apply(&delta).unwrap().added_tids_sorted(), vec![8, 9]);
     }
 }

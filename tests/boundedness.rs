@@ -17,6 +17,7 @@ fn vertical(
         .build(d)
         .unwrap()
 }
+use workload::family::{cfd_family, FamilyConfig};
 use workload::tpch::{self, TpchConfig};
 use workload::updates::{self, UpdateMix};
 
@@ -205,6 +206,78 @@ fn delta_v_reflects_group_collapse() {
     assert!(dv.removed.len() >= before);
 }
 
+/// A mined catalog whose rules share operators: 256 patterns over 8 LHS
+/// lists (the `cfd_sweep` family), so most `(X → B)` carry several CFDs.
+fn shared_operator_family(schema: &std::sync::Arc<Schema>, d: &Relation) -> Vec<Cfd> {
+    let family = FamilyConfig {
+        n: 256,
+        overlap: 1.0 - 8.0 / 256.0,
+        seed: 0xCFD,
+        ..FamilyConfig::default()
+    };
+    cfd_family(schema, d, &family)
+}
+
+/// `state_census()` is the model, not an estimate of it: under a catalog
+/// whose rules share operators, what it counts is a brute-force grouping
+/// of every site's fragment by `(X-list, B)` over the tuples matching at
+/// least one CFD of that operator — one group per key, however many of the
+/// operator's patterns the key matches.
+#[test]
+fn census_is_a_grouping_by_site_and_operator() {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let schema = tpch::tpch_schema();
+    let (_, d0) = tpch::generate(&cfg(2_000));
+    let cfds = shared_operator_family(&schema, &d0);
+    let scheme = tpch::horizontal_scheme(&schema, 4);
+    let variable = || cfds.iter().filter(|c| c.is_variable());
+    let operators: BTreeSet<_> = variable().map(|c| (&c.lhs, c.rhs)).collect();
+    assert!(
+        operators.len() * 2 < variable().count(),
+        "{} operators",
+        operators.len()
+    );
+
+    // (site, X, B, t[X]) → t[B] → members.
+    let mut groups: BTreeMap<_, BTreeMap<&Value, usize>> = BTreeMap::new();
+    for t in d0.iter() {
+        let site = scheme.route(&t).unwrap();
+        let matched: BTreeSet<_> = variable()
+            .filter(|c| c.matches_lhs(&t))
+            .map(|c| (&c.lhs, c.rhs))
+            .collect();
+        for (lhs, rhs) in matched {
+            let class = d0.value_at(t.tid, rhs).unwrap();
+            let group = groups.entry((site, lhs, rhs, t.values_at(lhs)));
+            *group.or_default().entry(class).or_default() += 1;
+        }
+    }
+    let classes = || groups.values().flat_map(BTreeMap::values);
+    // A group's classes spill to a map from the second one, a class's tids
+    // to a set from the fourth (`StateCensus`'s field docs).
+    let model = StateCensus {
+        groups: groups.len(),
+        classes: classes().count(),
+        memberships: classes().sum(),
+        spilled_class_maps: groups.values().filter(|g| g.len() >= 2).count(),
+        spilled_tid_sets: classes().filter(|&&n| n > 3).count(),
+        resident_bytes: 0,
+    };
+    assert!(model.spilled_class_maps > 0 && model.spilled_tid_sets > 0);
+
+    let det = HorizontalDetector::new(schema, cfds.clone(), scheme, &d0).unwrap();
+    let census = det.state_census();
+    assert!(census.resident_bytes > 0);
+    assert_eq!(
+        StateCensus {
+            resident_bytes: 0,
+            ..census
+        },
+        model
+    );
+}
+
 /// ROADMAP item 6, memory half, for the §6 group state: a seeded stream
 /// that quadruples the relation, rewrites and deletes base tuples, and
 /// then walks back to the starting relation leaves the group state where
@@ -229,13 +302,19 @@ fn group_state_returns_to_start_after_churn() {
             workload::rules::tpch_rules(&tpch_schema, 25, 1),
             tpch::horizontal_scheme(&tpch_schema, 4),
             tpch::generate_fresh(&cfg(1_200), 1_000_000, 3_600, 7),
-            tpch_d0,
+            tpch_d0.clone(),
         ),
         (
             emp::emp_cfds(&emp_schema),
             emp::emp_horizontal_scheme(&emp_schema),
             emp::generate_fresh(&emp_cfg, 1_000_000, 3_600, 7),
             emp_d0,
+        ),
+        (
+            shared_operator_family(&tpch_schema, &tpch_d0),
+            tpch::horizontal_scheme(&tpch_schema, 4),
+            tpch::generate_fresh(&cfg(1_200), 1_000_000, 3_600, 7),
+            tpch_d0,
         ),
     ];
     for (cfds, scheme, fresh, d0) in &datasets {
