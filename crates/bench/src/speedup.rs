@@ -69,7 +69,8 @@ struct Point {
     /// frames: wave barriers, piggybacked cumulative acks, op shipment,
     /// result collection).
     thr_wire_bytes: u64,
-    /// Scheduler waves the stream decomposed into (deterministic).
+    /// Barrier rounds of the threaded drive: per batch the settle
+    /// handshake and one per scheduler wave (deterministic).
     waves: u64,
     /// Final violation marks — identical for both drives.
     marks: u64,

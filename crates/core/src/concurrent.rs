@@ -17,50 +17,119 @@
 //! its per-operator group state, its slice of `V`, and its receiver-side codec
 //! state, exactly as the paper's EC2 deployment would.
 //!
-//! # Wave-parallel scheduling
+//! # Wave-parallel scheduling: what must be ordered, and why
 //!
-//! A batch is deterministic only if conflicting updates never race. The
-//! coordinator (site 0 — just another site that also happens to own the
-//! batch) assigns every normalized update a **wave**: the footprint of an
-//! update is the set of `(operator, group-key digest)` pairs it can touch
-//! anywhere in the mesh (the implicit-query walk only ever reads groups
-//! keyed by the probing tuple's own digests), plus its tid (a
-//! modification normalizes to `delete(t); insert(t')` of the same tid).
-//! An update lands in the first wave after every conflicting predecessor.
-//! Within a wave, footprints are disjoint, so sites fire *all* their
-//! probes up front and serve peers while their own rounds are in flight.
-//! With fewer cores than sites (the reference box has two for four
-//! sites) that pipelining is what turns a context switch per frame into
-//! one per burst of frames; with a core per site it is what lets the
-//! sites work at once.
+//! A batch is deterministic only if no update can tell in which order the
+//! others ran — and most could not tell anyway. All a site ever shows of a
+//! group is the *set* of its RHS classes and its flag: that is what a
+//! `ProbeReply`'s conflicts, a `DelReply`'s values and the holders a
+//! `ClearFlags` goes to are computed from, and what decides whether an
+//! update of its own ships. How many tuples a class holds shows nowhere.
+//! So an update is one of two kinds, told apart at its home site by the
+//! size of its RHS class in every group it matches:
+//!
+//! * **class-preserving** — an insert that finds a member of its class, a
+//!   delete that leaves one behind. These are §6's zero-shipment cases
+//!   (Examples 2 and 9: a local same-RHS witness decides): the update
+//!   ships nothing under either value of the flag, reads nothing remote,
+//!   and changes nothing a peer's request reads. It commutes with every
+//!   update of every *other* site.
+//! * a **writer** — it creates or empties a class. Its round can flip the
+//!   group's flag across the mesh, and what it concludes depends on the
+//!   classes its peers hold when asked.
+//!
+//! The four commutation cases — a class-preserving insert or delete
+//! against another site's writer that raises or clears the flag of their
+//! group — come out the same in either order because `mark_group` and
+//! `clear_group` act on whoever is a member when the flag moves, an insert
+//! takes the flag it finds and a delete takes its own marks with it: `V`
+//! is a function of the final state, and a batch's `ΔV` is settled (net)
+//! before anyone sees it.
+//!
+//! Hence a schedule in two steps, `Ops` → `Deferred` → `Waves`:
+//!
+//! 1. **Settle pass.** Every site gets its slice of the batch in batch
+//!    order and walks it once (the machine's `try_settle` step), the coordinator —
+//!    site 0, just another site that also happens to own the batch — from
+//!    the borrowed batch. A class-preserving update is applied on the
+//!    spot, unless an earlier update of the slice was deferred and shares
+//!    a group key or the tid with it; everything else is *deferred*
+//!    untouched. Class sizes change only through the home site's own
+//!    updates, in slice order — counted as stored plus what the slice's
+//!    deferred updates will add and remove — so the classification is a
+//!    function of `(state, slice)`. The site reports the slice positions
+//!    it deferred, each with one bit: does the update *write*, or is it
+//!    class-preserving and merely **held** behind a deferred one.
+//! 2. **Waves over the rest.** The coordinator places the deferred
+//!    updates in batch order (`WavePlanner`). The footprint of an update
+//!    is the set of `(operator, group-key digest)` pairs it can touch
+//!    anywhere in the mesh (the implicit-query walk only ever reads groups
+//!    keyed by the probing tuple's own digests). A writer goes in the
+//!    first wave after every earlier writer, at any site, sharing any pair
+//!    of its footprint. A held update needs program order at its own site
+//!    and nothing else, being class-preserving by the time it runs: the
+//!    wave after an own writer on a shared key, the same wave as an own
+//!    held one (a site runs its slice of a wave in slice order, and held
+//!    updates complete on the spot). A shared tid is always the next wave
+//!    (a modification normalizes to `delete(t); insert(t')` of one tid,
+//!    possibly at two homes). Within a wave the writers' footprints are
+//!    disjoint, so sites fire *all* their probes up front and serve peers
+//!    while their own rounds are in flight.
+//!
+//! Every round thus opens with the payload, towards the peers, and to the
+//! replies it would have had in batch order — the differential suites
+//! compare the full per-link traffic matrix — while barrier rounds stop
+//! scaling with batch size ÷ smallest key cardinality: `tpch_rules` keys
+//! one operator on 25 nations, so no footprint-only wave held more than
+//! 25 updates; of `thr_tcp_batch`'s updates over 90 % settle on arrival.
+//! [`ConcurrentHorizontal::waves`] counts those barrier rounds, coordinator
+//! round trips every site waits out: per non-empty batch the settle
+//! handshake and one per wave. With fewer cores than sites (the reference
+//! box has two for four sites) pipelining within a wave is what turns a
+//! context switch per frame into one per burst of frames; with a core per
+//! site it is what lets the sites work at once.
 //!
 //! # The control plane
 //!
-//! Wave barriers, op shipment, acks and result collection ride on
-//! [`CtrlMsg`] frames, which are wire-metered but contribute **zero**
-//! modeled `|M|` ([`Node::send_ctrl`]): the model meters the detection
-//! protocol, not the harness that schedules it. The differential suite
-//! asserts threaded, multi-process and sequential drives agree on
-//! violations, `ΔV` *and* the full per-link modeled byte matrix.
+//! Op shipment, the settle handshake, wave barriers, acks, result
+//! collection and a failing site's last words ride on [`CtrlMsg`] frames,
+//! which are wire-metered but contribute **zero** modeled `|M|`
+//! ([`Node::send_ctrl`]): the model meters the detection protocol, not the
+//! harness that schedules it. The differential suite asserts threaded,
+//! multi-process and sequential drives agree on violations, `ΔV` *and*
+//! the full per-link modeled byte matrix.
 //!
 //! Since every byte of a control frame is overhead, the frames are
-//! written compactly (varints, per-frame column dictionaries — layouts
-//! in the [`ctrl`] module docs; larger frames are then LZ-packed by the
-//! node whatever the session codec) and the coordinator writes each
-//! site's `Ops` frame straight from the borrowed batch. Body sizes, old
-//! fixed-width row format → current, measured on `thr_tcp_batch` seed 1
-//! (4 sites, 16-column TPCH rows, 256-op batches, so ≈ 64 ops a slice
-//! and ≈ 165 `ΔV` marks an image; 879 frames of each kind a round):
+//! written compactly (varints, bit and per-frame dictionary columns —
+//! layouts in the [`ctrl`] module docs; larger frames are then LZ-packed
+//! by the node whatever the session codec), the coordinator writes each
+//! site's `Ops` frame straight from the borrowed batch, and no frame asks
+//! for what its receiver can tell itself: a site cuts its batch image on
+//! the last barrier release (or on a schedule of no waves), so there is no
+//! `Collect`. Body sizes, old fixed-width row format → current, measured
+//! on `thr_tcp_batch` seed 1 (4 sites, 16-column TPCH rows, 256-op
+//! batches, so ≈ 64 ops a slice, 5 to 6 of them deferred, and ≈ 165 `ΔV`
+//! marks an image; 879 frames of each per-batch kind a round):
 //!
 //! | frame                     | was (B)           | is (B)                    |
 //! |---------------------------|-------------------|---------------------------|
-//! | `Ack`, `Collect`, `Shutdown` | 1              | 1                         |
+//! | `Ack`, `Shutdown`         | 1                 | 1                         |
 //! | `AckN(k)`                 | 5                 | 1 + varint `k` (2)        |
 //! | `WaveDone` / `WaveAdvance`| 5                 | 1 + varint wave (2)       |
 //! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
-//! | `Ops`, ≈ 64-op slice      | 9 452 mean        | 3 899 mean, 2 540 packed  |
-//! | `Ops`, the 10 000-row `D₀` slice | 2.15 M     | 313 k, 244 k packed       |
-//! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 360 mean, 305 packed; ≈ 20 + 2/mark |
+//! | `Ops`, ≈ 64-op slice      | 9 452 mean        | 3 843 mean, 2 483 packed  |
+//! | `Ops`, ≈ 1 024-op slice of a `D₀` window | —  | 48.7 k mean, 30.4 k packed |
+//! | `Deferred`                | —                 | 7.7 mean; 2 + 1–2 per deferred update |
+//! | `Waves`                   | —                 | 8.4 mean; 3 + 1 per deferred update |
+//! | `Failed`                  | —                 | 2 + the error's text      |
+//! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 349 mean, 295 packed; ≈ 20 + 2/mark |
+//!
+//! A site that fails says so before it goes: [`SiteRunner::serve`] sends
+//! the error it is about to return to the coordinator as a best-effort
+//! `Failed`, and the coordinator's pump turns that into the batch's error
+//! from whatever wait it is in — the settle handshake, a barrier, the
+//! collection — instead of a closed inbox or a receive timeout a minute
+//! later.
 //!
 //! The old `BatchResult` shipped two dense `n × n × 24 B` matrices of
 //! which a site can only ever fill its own row, and was sent *after*
@@ -104,14 +173,16 @@
 //! [`cluster::run`] module docs — flush the sockets. So a blocked site
 //! has nothing withheld, and a cycle of sites each waiting on a frame
 //! another still buffers (or an ack another still owes) cannot form; no
-//! demand/poll round-trip is ever needed. The coordinator adds two
+//! demand/poll round-trip is ever needed. The coordinator adds three
 //! flushes that are not parks but hand-offs — after shipping the `Ops`
-//! frames and after releasing a barrier — so the sites start while it
-//! turns to its own serial work, and one before it joins the site
-//! threads on drop (a wait that is not on its inbox).
+//! frames, after shipping the `Waves` frames and after releasing a
+//! barrier — so the sites start while it turns to its own serial work
+//! (its settle pass and the mirror of the batch), and one before it joins
+//! the site threads on drop (a wait that is not on its inbox); a failing
+//! site flushes its `Failed` before it returns.
 
 use crate::detector::{DetectError, Detector};
-use crate::horizontal::site::{OpScratch, Round, Site};
+use crate::horizontal::site::{Deferrals, OpScratch, Round, Settled, Site};
 use crate::horizontal::HorMsg;
 use crate::optimize::SharingMode;
 use cfd::{Cfd, DeltaV, OpId, Violations};
@@ -145,6 +216,64 @@ fn proto(msg: impl Into<String>) -> DetectError {
     DetectError::Cluster(ClusterError::Transport(msg.into()))
 }
 
+/// A control frame on the `src → dst` link that its receiver cannot act on.
+fn bad_link(src: SiteId, dst: SiteId, what: impl std::fmt::Display) -> DetectError {
+    proto(format!("link {src} → {dst}: {what}"))
+}
+
+/// What a site's [`CtrlMsg::Failed`] becomes at the coordinator.
+fn site_failed(src: SiteId, cause: &str) -> DetectError {
+    proto(format!("site {src} failed: {cause}"))
+}
+
+/// Check a site's `Deferred` list against the slice it was sent, before
+/// anything is scheduled from it: positions inside the slice, ascending.
+fn check_deferred(src: SiteId, deferred: &[(u32, bool)], slice: usize) -> Result<(), DetectError> {
+    let mut floor = 0;
+    for &(pos, _) in deferred {
+        if pos as usize >= slice {
+            let what = format!("Deferred names position {pos} of a {slice}-op slice");
+            return Err(bad_link(src, COORD, what));
+        }
+        if pos < floor {
+            let what = format!("Deferred position {pos} repeats or is out of order");
+            return Err(bad_link(src, COORD, what));
+        }
+        floor = pos + 1;
+    }
+    Ok(())
+}
+
+/// One deferred update as its site runs it: `(wave, slice position,
+/// writes)`.
+type Placed = (u32, u32, bool);
+
+/// Check the coordinator's `Waves` against the list site `me` deferred,
+/// before any of it runs, and pair the two: the deferred updates sorted by
+/// wave, in slice order within one.
+fn wave_order(
+    me: SiteId,
+    deferred: &[(u32, bool)],
+    n_waves: u32,
+    waves: &[u32],
+) -> Result<Vec<Placed>, DetectError> {
+    if waves.len() != deferred.len() {
+        let (got, want) = (waves.len(), deferred.len());
+        let what = format!("Waves places {got} updates, {want} were deferred");
+        return Err(bad_link(COORD, me, what));
+    }
+    if let Some(w) = waves.iter().find(|&&w| w >= n_waves) {
+        let what = format!("Waves names wave {w} of {n_waves}");
+        return Err(bad_link(COORD, me, what));
+    }
+    let placed = waves.iter().zip(deferred);
+    let mut order: Vec<Placed> = placed
+        .map(|(&w, &(pos, writes))| (w, pos, writes))
+        .collect();
+    order.sort_unstable();
+    Ok(order)
+}
+
 // ---------------------------------------------------------------------
 // The per-site runner
 // ---------------------------------------------------------------------
@@ -157,9 +286,11 @@ enum Event {
     /// Barrier release for the given wave.
     Advance(u32),
     /// Our slice of a new batch.
-    Ops(Vec<(u32, Update)>, u32),
-    /// The coordinator wants our batch image.
-    Collect,
+    Ops(Vec<Update>),
+    /// What a site's settle pass left for the waves (coordinator side).
+    Deferred(Vec<(u32, bool)>),
+    /// The wave of each update we deferred.
+    Waves(u32, Vec<u32>),
     /// A site's batch image (coordinator side), its own frame counted.
     Result(Box<BatchImage>),
     /// End of session.
@@ -227,6 +358,8 @@ pub struct SiteRunner {
     /// [`CtrlMsg::Ack`]/[`CtrlMsg::AckN`] frames the moment the inbox
     /// goes idle ([`SiteRunner::flush_owed`]).
     owed: Vec<u32>,
+    /// The settle pass's memory of what it deferred, cleared per batch.
+    held: Deferrals,
 }
 
 impl SiteRunner {
@@ -240,6 +373,7 @@ impl SiteRunner {
             dv: DeltaV::default(),
             done_count: 0,
             owed: vec![0; n],
+            held: Deferrals::default(),
             site: Site::new(cfg, me, codec),
             me,
             n,
@@ -307,9 +441,12 @@ impl SiteRunner {
                 Ok(None)
             }
             CtrlMsg::WaveAdvance(w) => Ok(Some(Event::Advance(w))),
-            CtrlMsg::Ops { ops, n_waves } => Ok(Some(Event::Ops(ops, n_waves))),
-            CtrlMsg::Collect => Ok(Some(Event::Collect)),
+            CtrlMsg::Ops(ops) => Ok(Some(Event::Ops(ops))),
+            CtrlMsg::Deferred(deferred) => Ok(Some(Event::Deferred(deferred))),
+            CtrlMsg::Waves { n_waves, waves } => Ok(Some(Event::Waves(n_waves, waves))),
             CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
+            // Whatever we were waiting for, it is not coming.
+            CtrlMsg::Failed(cause) => Err(site_failed(src, &cause)),
             CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
         }
     }
@@ -368,25 +505,56 @@ impl SiteRunner {
 
     // -- own updates ---------------------------------------------------
 
-    /// Run this site's slice of one wave: fire all rounds up front
+    /// The settle pass over our slice of a new batch, in slice order and
+    /// before any round of the batch opens anywhere: every update the
+    /// machine finds class-preserving and unentangled is applied on the
+    /// spot ([`Site::try_settle`]). Returns what is left for the waves —
+    /// slice position and whether the update writes — ascending.
+    fn settle_pass(&mut self, slice: &[&Update]) -> Result<Vec<(u32, bool)>, DetectError> {
+        self.held.clear();
+        let mut deferred = Vec::new();
+        for (pos, &op) in (0..).zip(slice) {
+            let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
+            match self.site.try_settle(op, rows, sink, &mut self.held)? {
+                Settled::Applied => {}
+                Settled::Deferred { writes } => deferred.push((pos, writes)),
+            }
+        }
+        Ok(deferred)
+    }
+
+    /// Run this site's share of wave `w` — the head of `order`, our
+    /// deferred updates of `slice` by wave, then slice position — in slice
+    /// order, and return the rest of `order`: fire all rounds up front
     /// (windowed), serve peers while they're in flight, fold replies as
-    /// they arrive.
-    fn run_wave(&mut self, ops: Vec<Update>) -> Result<(), DetectError> {
+    /// they arrive. Each update comes with its `writes` bit: a held one is
+    /// class-preserving by the time it runs and must not ship.
+    fn run_wave<'o>(
+        &mut self,
+        w: u32,
+        order: &'o [Placed],
+        slice: &[&Update],
+    ) -> Result<&'o [Placed], DetectError> {
+        let (mine, rest) = order.split_at(order.partition_point(|p| p.0 <= w));
         let mut ws = WaveState {
             inflight: Vec::new(),
             queues: (0..self.n).map(|_| VecDeque::new()).collect(),
             open: 0,
         };
-        for op in ops {
+        for &(_, pos, writes) in mine {
             while ws.open >= WINDOW {
                 self.step(&mut ws)?;
             }
+            let op = slice[pos as usize];
             let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
             let opened = match op {
-                Update::Insert(t) => self.site.begin_insert(&t, rows, sink)?,
-                Update::Delete(tid) => self.site.begin_delete(tid, rows, sink)?,
+                Update::Insert(t) => self.site.begin_insert(t, rows, sink)?,
+                Update::Delete(tid) => self.site.begin_delete(*tid, rows, sink)?,
             };
             if let Some((round, requests)) = opened {
+                if !writes {
+                    return Err(self.site.shipped_unscheduled(op.tid()));
+                }
                 let slot = ws.inflight.len();
                 ws.inflight.push(None);
                 ws.open += 1;
@@ -400,7 +568,7 @@ impl SiteRunner {
         while ws.open > 0 {
             self.step(&mut ws)?;
         }
-        Ok(())
+        Ok(rest)
     }
 
     /// Send `requests` and park `round` in `slot` until each asked peer
@@ -484,37 +652,39 @@ impl SiteRunner {
 
     // -- batch / session loops -----------------------------------------
 
-    /// Run our slice of one batch: per wave, execute our ops, report
-    /// done, serve peers until the barrier releases; then report the
-    /// batch image when asked.
-    fn run_batch(&mut self, ops: Vec<(u32, Update)>, n_waves: u32) -> Result<(), DetectError> {
-        let mut by_wave: Vec<Vec<Update>> = (0..n_waves).map(|_| Vec::new()).collect();
-        for (w, op) in ops {
-            by_wave
-                .get_mut(w as usize)
-                .ok_or_else(|| proto("op wave out of range"))?
-                .push(op);
-        }
-        for (w, wave_ops) in by_wave.into_iter().enumerate() {
-            self.run_wave(wave_ops)?;
+    /// Run our slice of one batch: settle what needs no scheduling, report
+    /// the rest, take its waves from the coordinator; then per wave execute
+    /// our updates, report done and serve peers until the barrier releases.
+    /// The last release — or a schedule of no waves — is the cue to cut the
+    /// batch image.
+    fn run_batch(&mut self, ops: Vec<Update>) -> Result<(), DetectError> {
+        let slice: Vec<&Update> = ops.iter().collect();
+        let deferred = self.settle_pass(&slice)?;
+        self.node
+            .send_ctrl(COORD, &CtrlMsg::Deferred(deferred.clone()))
+            .map_err(DetectError::Cluster)?;
+        let (n_waves, waves) = loop {
+            let p = self.pump()?;
+            match (p.acks, p.event) {
+                (0, None) => {}
+                (0, Some(Event::Waves(n_waves, waves))) => break (n_waves, waves),
+                _ => return Err(proto("unexpected frame before the wave schedule")),
+            }
+        };
+        let order = wave_order(self.me, &deferred, n_waves, &waves)?;
+        let mut rest = order.as_slice();
+        for w in 0..n_waves {
+            rest = self.run_wave(w, rest, &slice)?;
             self.node
-                .send_ctrl(COORD, &CtrlMsg::WaveDone(w as u32))
+                .send_ctrl(COORD, &CtrlMsg::WaveDone(w))
                 .map_err(DetectError::Cluster)?;
             loop {
                 let p = self.pump()?;
                 match (p.acks, p.event) {
                     (0, None) => {}
-                    (0, Some(Event::Advance(x))) if x == w as u32 => break,
+                    (0, Some(Event::Advance(x))) if x == w => break,
                     _ => return Err(proto("unexpected frame at a wave barrier")),
                 }
-            }
-        }
-        loop {
-            let p = self.pump()?;
-            match (p.acks, p.event) {
-                (0, None) => {}
-                (0, Some(Event::Collect)) => break,
-                _ => return Err(proto("unexpected frame before collection")),
             }
         }
         // Settled marks are sorted (small deltas on the wire) and net of
@@ -541,11 +711,22 @@ impl SiteRunner {
     }
 
     /// The site main loop: serve batches until shutdown. This is what a
-    /// spawned site thread (or a `site` process) runs. Same idle-flush
-    /// discipline as the frame pump: a peer's wave-0 probe can
-    /// outrace our own `Ops` frame across links, so rounds served here
-    /// must still ack the moment the inbox goes quiet.
+    /// spawned site thread (or a `site` process) runs. A site that fails
+    /// says so before it goes: the coordinator gets a best-effort
+    /// [`CtrlMsg::Failed`] carrying the error this returns, so whatever it
+    /// is waiting on ends at once with the cause, not at a receive timeout.
     pub fn serve(mut self) -> Result<(), DetectError> {
+        let served = self.serve_batches();
+        if let Err(e) = &served {
+            let _ = self.node.send_ctrl(COORD, &CtrlMsg::Failed(e.to_string()));
+            let _ = self.node.flush();
+        }
+        served
+    }
+
+    /// Same idle-flush discipline as the frame pump: whatever round is
+    /// served here is acked the moment the inbox goes quiet.
+    fn serve_batches(&mut self) -> Result<(), DetectError> {
         loop {
             let (src, method, body) = match self.node.try_recv().map_err(DetectError::Cluster)? {
                 Some(frame) => frame,
@@ -560,7 +741,7 @@ impl SiteRunner {
             let p = self.dispatch(src, method, body)?;
             match (p.acks, p.event) {
                 (0, None) => {}
-                (0, Some(Event::Ops(ops, n_waves))) => self.run_batch(ops, n_waves)?,
+                (0, Some(Event::Ops(ops))) => self.run_batch(ops)?,
                 (0, Some(Event::Shutdown)) => return Ok(()),
                 _ => return Err(proto("unexpected frame while idle")),
             }
@@ -572,18 +753,30 @@ impl SiteRunner {
 // The coordinator-side detector
 // ---------------------------------------------------------------------
 
-/// The scheduler's footprint rule: an update waits for the last earlier
-/// one sharing an `(operator, group-key)` pair it can touch anywhere in the
-/// mesh — the machine's own candidate list, by operator — or its
-/// tid (a modification normalizes to `delete + insert` of one tid,
-/// possibly at *different* homes). The scratch is kept between batches —
-/// placing is the one part of a batch no site can overlap with — but the
-/// two maps are sized by the batch and go with it, so the load's
-/// 4 096-op windows do not stay resident.
+/// The coordinator's placing rule for the updates the settle passes
+/// deferred, fed in batch order. A *writer* creates or empties an RHS class
+/// at its home, which peers can see: it goes after every earlier deferred
+/// writer, at any site, that shares one of its `(operator, group key)`
+/// pairs — the machine's own candidate list, the full footprint, so the
+/// implicit queries its probe raises at a peer never meet a half-done
+/// write there. A *held* update is class-preserving — it commutes with
+/// whatever other sites do — and only keeps program order at its own site:
+/// the wave after an own writer on a shared key (whose round may still be
+/// open), the same wave as an own held one (a site runs a wave's slice in
+/// slice order and held updates complete on the spot); an own writer
+/// behind it waits likewise. A shared tid is always the next wave (a
+/// modification normalizes to `delete + insert` of one tid, possibly at
+/// *different* homes). The scratch is kept between batches — placing is
+/// the one part of a batch no site can overlap with — but the maps are
+/// sized by the deferred updates and go with the batch.
 #[derive(Default)]
 pub(crate) struct WavePlanner {
-    last_fp: FxHashMap<(OpId, Digest), u32>,
-    last_tid: FxHashMap<Tid, u32>,
+    /// Per group key: the wave after its last deferred writer, anywhere.
+    after_writer: FxHashMap<(OpId, Digest), u32>,
+    /// Per site and group key: the first wave its next deferred update on
+    /// that key may take.
+    own_floor: FxHashMap<(SiteId, OpId, Digest), u32>,
+    after_tid: FxHashMap<Tid, u32>,
     sx: OpScratch,
     /// Waves the batch needs so far.
     pub(crate) n_waves: u32,
@@ -592,20 +785,28 @@ pub(crate) struct WavePlanner {
 impl WavePlanner {
     /// End the batch: the waves it needs, with the maps given back.
     pub(crate) fn finish(&mut self) -> u32 {
-        self.last_fp = FxHashMap::default();
-        self.last_tid = FxHashMap::default();
+        self.after_writer = FxHashMap::default();
+        self.own_floor = FxHashMap::default();
+        self.after_tid = FxHashMap::default();
         std::mem::take(&mut self.n_waves)
     }
 
-    /// The first wave after every conflicting predecessor of `t`'s update.
-    pub(crate) fn place(&mut self, cfg: &SiteConfig, t: &Tuple) -> u32 {
+    /// The wave of the deferred update of `t` at its home site.
+    pub(crate) fn place(&mut self, cfg: &SiteConfig, home: SiteId, t: &Tuple, writes: bool) -> u32 {
         cfg.candidates(SharingMode::Shared, t, &mut self.sx);
-        let footprint = || self.sx.footprint(&cfg.plan);
-        let after_tid = self.last_tid.get(&t.tid).map_or(0, |&x| x + 1);
-        let earlier = footprint().filter_map(|k| self.last_fp.get(&k));
-        let w = earlier.fold(after_tid, |w, &x| w.max(x + 1));
-        self.last_fp.extend(footprint().map(|k| (k, w)));
-        self.last_tid.insert(t.tid, w);
+        let mut w = self.after_tid.get(&t.tid).copied().unwrap_or(0);
+        for (op, kd) in self.sx.footprint(&cfg.plan) {
+            let own = self.own_floor.get(&(home, op, kd));
+            let writer = self.after_writer.get(&(op, kd)).filter(|_| writes);
+            w = own.into_iter().chain(writer).fold(w, |w, &x| w.max(x));
+        }
+        for (op, kd) in self.sx.footprint(&cfg.plan) {
+            self.own_floor.insert((home, op, kd), w + u32::from(writes));
+            if writes {
+                self.after_writer.insert((op, kd), w + 1);
+            }
+        }
+        self.after_tid.insert(t.tid, w + 1);
         self.n_waves = self.n_waves.max(w + 1);
         w
     }
@@ -630,9 +831,6 @@ pub fn run_site(
     SiteRunner::new(cfg, codec, node).serve()
 }
 
-/// One site's wave-tagged batch slice, borrowed from the batch.
-type WaveOps<'a> = Vec<(u32, &'a Update)>;
-
 /// The concurrent `incHor` session: site 0 (the coordinator) runs on
 /// the caller's thread; sites `1..n` are OS threads (threaded mode) or
 /// separate processes joined over localhost TCP (distributed mode).
@@ -656,7 +854,8 @@ pub struct ConcurrentHorizontal {
     meter: TransportMeter,
     /// Wire bytes of the frames every site took off its inbox.
     received: u64,
-    /// Total scheduler waves executed across all batches (deterministic).
+    /// Barrier rounds since the last reset (deterministic): per batch the
+    /// settle handshake and one per wave.
     waves: u64,
     planner: WavePlanner,
     n: usize,
@@ -766,73 +965,170 @@ impl ConcurrentHorizontal {
         Ok(det)
     }
 
-    /// Assign every op of an admitted batch a home site and a wave
-    /// ([`WavePlanner`]): `(home, wave)` per op in batch order, plus the
-    /// number of waves. Tuples are read where they lie.
-    fn schedule(&mut self, delta: &UpdateBatch) -> Result<(Vec<(SiteId, u32)>, u32), DetectError> {
-        let cfg = self.runner.site.cfg();
-        let place = |op: &Update| match op {
-            Update::Insert(t) => Ok((self.scheme.route(t)?, self.planner.place(cfg, t))),
+    /// The home of every update of an admitted batch, in batch order. All
+    /// are routed before anything is sent, so an unroutable tuple fails its
+    /// batch whole.
+    fn route(&self, delta: &UpdateBatch) -> Result<Vec<SiteId>, DetectError> {
+        let home = |op: &Update| match op {
+            Update::Insert(t) => Ok(self.scheme.route(t)?),
             Update::Delete(tid) => {
-                let t = self.current.get(*tid).ok_or(RelError::MissingTid(*tid))?;
-                let home = *self
-                    .site_of_tid
-                    .get(tid)
-                    .expect("live tuple has a home site");
-                Ok((home, self.planner.place(cfg, &t)))
+                let home = self.site_of_tid.get(tid);
+                Ok(*home.ok_or(RelError::MissingTid(*tid))?)
             }
         };
-        let placed: Result<_, DetectError> = delta.ops().iter().map(place).collect();
-        // A failed batch ends here too: its footprints must not outlive it.
-        let n_waves = self.planner.finish();
-        Ok((placed?, n_waves))
+        delta.ops().iter().map(home).collect()
     }
 
+    /// Update the logical mirror (sites own the physical fragments), in two
+    /// passes over the batch so that the first can run while the sites
+    /// settle: scheduling reads the tuples of deferred deletes from the
+    /// mirror, so deletes — and the insert half of a modification, whose
+    /// tid is live until its delete is through — wait for the second.
+    fn mirror(
+        &mut self,
+        delta: &UpdateBatch,
+        homes: &[SiteId],
+        deletes: bool,
+    ) -> Result<(), DetectError> {
+        for (op, &home) in delta.ops().iter().zip(homes) {
+            match op {
+                Update::Insert(t) if !self.current.contains(t.tid) => {
+                    self.site_of_tid.insert(t.tid, home);
+                    self.current.insert_row(t.tid, t.values.iter())?;
+                }
+                Update::Delete(tid) if deletes => {
+                    self.site_of_tid.remove(tid);
+                    self.current.delete_quiet(*tid)?;
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Place what the settle passes deferred ([`WavePlanner`]), in batch
+    /// order: the number of waves and, per site, the wave of each update
+    /// it listed. `deferred` has passed [`check_deferred`], and no delete
+    /// of the batch has reached the mirror yet.
+    fn schedule(
+        &mut self,
+        delta: &UpdateBatch,
+        homes: &[SiteId],
+        deferred: &[Vec<(u32, bool)>],
+    ) -> Result<(u32, Vec<Vec<u32>>), DetectError> {
+        let cfg = self.runner.site.cfg();
+        let mut waves: Vec<Vec<u32>> = deferred.iter().map(|_| Vec::new()).collect();
+        let mut at = vec![0; self.n];
+        let mut place_all = || {
+            for (op, &home) in delta.ops().iter().zip(homes) {
+                let pos = at[home];
+                at[home] += 1;
+                let next = deferred[home].get(waves[home].len());
+                let Some(&(_, writes)) = next.filter(|d| d.0 == pos) else {
+                    continue;
+                };
+                waves[home].push(match op {
+                    Update::Insert(t) => self.planner.place(cfg, home, t, writes),
+                    Update::Delete(tid) => {
+                        let t = self.current.get(*tid).ok_or(RelError::MissingTid(*tid))?;
+                        self.planner.place(cfg, home, &t, writes)
+                    }
+                });
+            }
+            Ok::<(), DetectError>(())
+        };
+        let placed = place_all();
+        // A failed batch ends here too: its footprints must not outlive it.
+        let n_waves = self.planner.finish();
+        placed.map(|()| (n_waves, waves))
+    }
+
+    /// One batch through the mesh. A site that fails says why before it
+    /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
+    /// but a *send* to the node it left behind fails first, in the
+    /// transport's words: prefer the site's own, if they are in the inbox.
     fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
+        let applied = self.drive_batch(delta);
+        applied.map_err(|e| match e {
+            DetectError::Cluster(ClusterError::Transport(_)) => self.last_words().unwrap_or(e),
+            e => e,
+        })
+    }
+
+    /// The `Failed` frame waiting in the inbox, if any, as the error it is.
+    fn last_words(&mut self) -> Option<DetectError> {
+        let node = &mut self.runner.node;
+        while let Ok(Some((src, method, body))) = node.try_recv() {
+            let frame = unpack_body(method, body).and_then(|body| RtFrame::decode_frame(&body));
+            if let Ok(RtFrame::Ctrl(CtrlMsg::Failed(cause))) = frame {
+                return Some(site_failed(src, &cause));
+            }
+        }
+        None
+    }
+
+    /// Admit, route and ship the batch; settle our slice while the sites
+    /// settle theirs; place what everyone deferred and drive the waves;
+    /// fold the sites' images into `ΔV`, `V` and the meters.
+    fn drive_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
         let delta = crate::detector::admit(&self.current, delta)?;
         let mut dv = DeltaV::default();
         if delta.ops().is_empty() {
             return Ok(dv);
         }
-        let (placed, n_waves) = self.schedule(&delta)?;
-        self.waves += u64::from(n_waves);
-        // Remote slices are written to their frames straight from the
-        // batch; only our own slice is ever held as owned ops.
-        let mut per_site: Vec<WaveOps<'_>> = (0..self.n).map(|_| Vec::new()).collect();
-        for (op, &(home, w)) in delta.ops().iter().zip(&placed) {
-            per_site[home].push((w, op));
+        let homes = self.route(&delta)?;
+        // Slices are written to their frames straight from the batch, and
+        // ours is settled and run from it: no op is copied.
+        let mut slices: Vec<Vec<&Update>> = (0..self.n).map(|_| Vec::new()).collect();
+        for (op, &home) in delta.ops().iter().zip(&homes) {
+            slices[home].push(op);
         }
         let node = &mut self.runner.node;
-        for (j, slice) in per_site.iter().enumerate().skip(1) {
-            node.send_ctrl_with(j, |out| encode_ops(out, n_waves, slice))
+        for (j, slice) in slices.iter().enumerate().skip(1) {
+            node.send_ctrl_with(j, |out| encode_ops(out, slice))
                 .map_err(DetectError::Cluster)?;
         }
-        // Not a park, but the next stretch is ours alone (the mirror
-        // update): put the sites to work before starting on it.
+        // Not a park, but the next stretch is ours alone: put the sites to
+        // work on their settle passes before starting on ours and on the
+        // mirror.
         node.flush().map_err(DetectError::Cluster)?;
-        let mut mine: Vec<Vec<Update>> = (0..n_waves).map(|_| Vec::new()).collect();
-        for &(w, op) in &per_site[COORD] {
-            mine[w as usize].push(op.clone());
-        }
-        // Update the logical mirror (sites own the physical fragments).
-        for (op, &(home, _)) in delta.ops().iter().zip(&placed) {
-            match op {
-                Update::Insert(t) => {
-                    self.site_of_tid.insert(t.tid, home);
-                    self.current
-                        .insert_row(t.tid, t.values.iter())
-                        .map_err(DetectError::Rel)?;
+        let mut deferred: Vec<Vec<(u32, bool)>> = (0..self.n).map(|_| Vec::new()).collect();
+        deferred[COORD] = self.runner.settle_pass(&slices[COORD])?;
+        self.mirror(&delta, &homes, false)?;
+        let mut reported = vec![false; self.n];
+        for _ in 1..self.n {
+            let (src, list) = loop {
+                let p = self.runner.pump()?;
+                match (p.acks, p.event) {
+                    (0, None) => {}
+                    (0, Some(Event::Deferred(list))) => break (p.src, list),
+                    _ => return Err(proto("unexpected frame during the settle handshake")),
                 }
-                Update::Delete(tid) => {
-                    self.site_of_tid.remove(tid);
-                    self.current.delete_quiet(*tid).map_err(DetectError::Rel)?;
-                }
+            };
+            if std::mem::replace(&mut reported[src], true) {
+                return Err(bad_link(src, COORD, "a second Deferred for one batch"));
             }
+            check_deferred(src, &list, slices[src].len())?;
+            deferred[src] = list;
         }
-        // Drive our own slice, holding every wave barrier until all
-        // sites report done.
-        for (w, ops) in mine.into_iter().enumerate() {
-            self.runner.run_wave(ops)?;
+        let (n_waves, waves) = self.schedule(&delta, &homes, &deferred)?;
+        self.waves += 1 + u64::from(n_waves);
+        let node = &mut self.runner.node;
+        let mut waves = waves.into_iter();
+        let own_waves = waves.next().expect("the coordinator is a site");
+        for (j, waves) in (1..).zip(waves) {
+            node.send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })
+                .map_err(DetectError::Cluster)?;
+        }
+        // Wave 0 is the sites' to start while the mirror catches up.
+        node.flush().map_err(DetectError::Cluster)?;
+        self.mirror(&delta, &homes, true)?;
+        // Drive our own deferred updates, holding every wave barrier until
+        // all sites report done.
+        let order = wave_order(COORD, &deferred[COORD], n_waves, &own_waves)?;
+        let mut rest = order.as_slice();
+        for w in 0..n_waves {
+            rest = self.runner.run_wave(w, rest, &slices[COORD])?;
             while self.runner.done_count < self.n - 1 {
                 let p = self.runner.pump()?;
                 if p.acks > 0 || p.event.is_some() {
@@ -843,20 +1139,15 @@ impl ConcurrentHorizontal {
             for j in 1..self.n {
                 self.runner
                     .node
-                    .send_ctrl(j, &CtrlMsg::WaveAdvance(w as u32))
+                    .send_ctrl(j, &CtrlMsg::WaveAdvance(w))
                     .map_err(DetectError::Cluster)?;
             }
             // Every site is parked on this barrier: release them before
             // computing our own slice of the next wave.
             self.runner.node.flush().map_err(DetectError::Cluster)?;
         }
-        // Collect per-site images; fold ΔV and the meters.
-        for j in 1..self.n {
-            self.runner
-                .node
-                .send_ctrl(j, &CtrlMsg::Collect)
-                .map_err(DetectError::Cluster)?;
-        }
+        // The last release (or the empty schedule) was the sites' cue:
+        // collect their images; fold ΔV and the meters.
         dv.added = std::mem::take(&mut self.runner.dv.added);
         dv.removed = std::mem::take(&mut self.runner.dv.removed);
         let mut got = 0;
@@ -916,8 +1207,11 @@ impl ConcurrentHorizontal {
         self.waves = 0;
     }
 
-    /// Scheduler waves executed since the last reset. Deterministic:
-    /// the greedy wave assignment depends only on the op stream.
+    /// Barrier rounds — coordinator round trips every site waits out —
+    /// since the last reset: per non-empty batch, the settle handshake
+    /// (`Ops` out, `Deferred` back) and one per wave of deferred updates.
+    /// Deterministic: classification depends only on a site's state and
+    /// slice, placement only on the op stream.
     pub fn waves(&self) -> u64 {
         self.waves
     }
@@ -1020,6 +1314,7 @@ mod tests {
     use super::*;
     use crate::horizontal::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
     use crate::HorizontalDetector;
+    use std::time::{Duration, Instant};
 
     /// The differential script: zero-shipment inserts, cross-site
     /// conflicts, witness-protected deletes, remote clears, and a
@@ -1040,40 +1335,58 @@ mod tests {
         vec![b1, b2, b3]
     }
 
-    fn assert_tracks_sequential(
-        mut conc: ConcurrentHorizontal,
+    /// Fig. 1's rules over Fig. 2's fragments of `d`: the threaded drive
+    /// and the sequential one it must track.
+    fn emp_pair(
+        d: &Relation,
         codec: CodecKind,
+        transport: TransportKind,
+    ) -> (ConcurrentHorizontal, HorizontalDetector) {
+        let s = emp_schema();
+        let (cfds, scheme) = (fig1_cfds(&s), fig2_scheme(&s));
+        let conc = ConcurrentHorizontal::threaded(
+            s.clone(),
+            cfds.clone(),
+            scheme.clone(),
+            d,
+            codec,
+            transport,
+        );
+        let seq = HorizontalDetector::with_codec(s, cfds, scheme, d, codec);
+        (conc.unwrap(), seq.unwrap())
+    }
+
+    /// One batch through both drives: per-batch `ΔV`, `V` (the oracle's)
+    /// and the full per-link modeled matrix agree. Returns the barrier
+    /// rounds the threaded drive took.
+    fn apply_both(
+        (conc, seq): &mut (ConcurrentHorizontal, HorizontalDetector),
+        b: &UpdateBatch,
+        what: &str,
+    ) -> u64 {
+        let before = conc.waves();
+        let dv_c = conc.apply_batch(b).unwrap();
+        let dv_s = Detector::apply(seq, b).unwrap();
+        assert_eq!(dv_c, dv_s, "{what}: ΔV");
+        let marks = conc.violations().marks_sorted();
+        assert_eq!(marks, seq.violations().marks_sorted(), "{what}: V");
+        let oracle = cfd::naive::detect(conc.cfds(), conc.current());
+        assert_eq!(marks, oracle.marks_sorted(), "{what}: the oracle's V");
+        let (got, want) = (conc.stats().to_bytes(), seq.stats().to_bytes());
+        assert_eq!(got, want, "{what}: modeled |M| matrix");
+        conc.waves() - before
+    }
+
+    fn assert_tracks_sequential(
+        mut pair: (ConcurrentHorizontal, HorizontalDetector),
         batches: &[UpdateBatch],
     ) {
-        let s = emp_schema();
-        let mut seq =
-            HorizontalDetector::with_codec(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0(), codec)
-                .unwrap();
-        assert_eq!(
-            conc.violations().marks_sorted(),
-            seq.violations().marks_sorted(),
-            "initial load diverged"
-        );
+        let loaded = pair.0.violations().marks_sorted();
+        assert_eq!(loaded, pair.1.violations().marks_sorted(), "initial load");
         for (i, b) in batches.iter().enumerate() {
-            let dv_c = conc.apply_batch(b).unwrap();
-            let dv_s = Detector::apply(&mut seq, b).unwrap();
-            assert_eq!(
-                (dv_c.added.clone(), dv_c.removed.clone()),
-                (dv_s.added.clone(), dv_s.removed.clone()),
-                "ΔV diverged at batch {i}"
-            );
-            assert_eq!(
-                conc.violations().marks_sorted(),
-                seq.violations().marks_sorted(),
-                "V diverged at batch {i}"
-            );
-            assert_eq!(
-                conc.stats().to_bytes(),
-                seq.stats().to_bytes(),
-                "modeled |M| matrix diverged at batch {i}"
-            );
+            apply_both(&mut pair, b, &format!("batch {i}"));
         }
-        assert_eq!(conc.current().len(), seq.current().len());
+        assert_eq!(pair.0.current().len(), pair.1.current().len());
     }
 
     #[test]
@@ -1084,49 +1397,23 @@ mod tests {
             CodecKind::Dict,
             CodecKind::Lz,
         ] {
-            let s = emp_schema();
-            let conc = ConcurrentHorizontal::threaded(
-                s.clone(),
-                fig1_cfds(&s),
-                fig2_scheme(&s),
-                &d0(),
-                codec,
-                TransportKind::Framed,
-            )
-            .unwrap();
-            assert_eq!(conc.strategy(), "incHorMt");
-            assert_tracks_sequential(conc, codec, &script());
+            let pair = emp_pair(&d0(), codec, TransportKind::Framed);
+            assert_eq!(pair.0.strategy(), "incHorMt");
+            assert_tracks_sequential(pair, &script());
         }
     }
 
     #[test]
     fn threaded_tcp_matches_sequential() {
-        let s = emp_schema();
-        let conc = ConcurrentHorizontal::threaded(
-            s.clone(),
-            fig1_cfds(&s),
-            fig2_scheme(&s),
-            &d0(),
-            CodecKind::Md5,
-            TransportKind::Tcp,
-        )
-        .unwrap();
+        let pair = emp_pair(&d0(), CodecKind::Md5, TransportKind::Tcp);
+        let conc = &pair.0;
         assert!(conc.transport_meter().frames > 0 || conc.stats().total_bytes() == 0);
-        assert_tracks_sequential(conc, CodecKind::Md5, &script());
+        assert_tracks_sequential(pair, &script());
     }
 
     #[test]
     fn wire_meter_identity_holds_and_ctrl_is_unmodeled() {
-        let s = emp_schema();
-        let mut conc = ConcurrentHorizontal::threaded(
-            s.clone(),
-            fig1_cfds(&s),
-            fig2_scheme(&s),
-            &d0(),
-            CodecKind::Md5,
-            TransportKind::Framed,
-        )
-        .unwrap();
+        let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
         let mut b = UpdateBatch::new();
         b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
         b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
@@ -1143,20 +1430,11 @@ mod tests {
     }
 
     /// What the nodes metered on the way out is, byte for byte, what
-    /// their peers took off the inboxes — `BatchResult` frames and
-    /// LZ-packed control frames included.
+    /// their peers took off the inboxes — `Deferred`, `Waves` and
+    /// `BatchResult` frames and LZ-packed control frames included.
     #[test]
     fn every_written_byte_is_metered_and_received() {
-        let s = emp_schema();
-        let mut conc = ConcurrentHorizontal::threaded(
-            s.clone(),
-            fig1_cfds(&s),
-            fig2_scheme(&s),
-            &d0(),
-            CodecKind::Md5,
-            TransportKind::Framed,
-        )
-        .unwrap();
+        let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
         assert_eq!(conc.received_bytes(), 0, "the load is not on the meters");
         // A slice long enough for its `Ops` frame to be offered to LZ.
         let mut wide = UpdateBatch::new();
@@ -1187,31 +1465,27 @@ mod tests {
         assert!(conc.transport_meter().saved_bytes > 0);
     }
 
-    /// Seeded interleaving stress: many small conflicting batches over
-    /// a wider hash-partitioned mesh, checked batch-by-batch against
-    /// the sequential drive (state, ΔV and the modeled byte matrix).
-    fn stress(n_sites: usize, seed: u64, n_batches: usize) {
+    /// Seeded interleaving stress: conflicting batches of about `batch`
+    /// updates over a wider hash-partitioned mesh, checked batch by batch
+    /// against the sequential drive (state, ΔV and the modeled byte
+    /// matrix). The key domain grows with the batch, so a large window —
+    /// the build's, where nothing else compares `ΔV` — still creates,
+    /// empties and re-enters classes instead of settling whole.
+    fn stress(n_sites: usize, seed: u64, n_batches: usize, batch: usize) {
         let s = emp_schema();
         let scheme =
             HorizontalScheme::by_hash(s.clone(), s.attr_id("id").unwrap(), n_sites).unwrap();
-        let cfds = fig1_cfds(&s);
-        let mut conc = ConcurrentHorizontal::threaded(
+        let (cfds, empty) = (fig1_cfds(&s), Relation::new(s.clone()));
+        let conc = ConcurrentHorizontal::threaded(
             s.clone(),
             cfds.clone(),
             scheme.clone(),
-            &Relation::new(s.clone()),
+            &empty,
             CodecKind::Md5,
             TransportKind::Framed,
-        )
-        .unwrap();
-        let mut seq = HorizontalDetector::with_codec(
-            s.clone(),
-            cfds,
-            scheme,
-            &Relation::new(s.clone()),
-            CodecKind::Md5,
-        )
-        .unwrap();
+        );
+        let seq = HorizontalDetector::with_codec(s.clone(), cfds, scheme, &empty, CodecKind::Md5);
+        let mut pair = (conc.unwrap(), seq.unwrap());
         let mut rng = seed;
         let mut next = move || {
             rng = rng
@@ -1219,14 +1493,15 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (rng >> 33) as usize
         };
-        let zips = ["Z1", "Z2", "Z3"];
+        let n_zips = (batch / 8).max(3);
         let streets = ["S1", "S2", "S3", "S4"];
         let cities = ["EDI", "NYC"];
         let mut live: Vec<Tid> = Vec::new();
         let mut tid_next: Tid = 1;
+        let mut waves = 0;
         for i in 0..n_batches {
             let mut b = UpdateBatch::new();
-            for _ in 0..(2 + next() % 6) {
+            for _ in 0..(batch / 2 + next() % batch) {
                 let del = !live.is_empty() && next() % 4 == 0;
                 if del {
                     let k = next() % live.len();
@@ -1245,42 +1520,253 @@ mod tests {
                         "A",
                         44,
                         131,
-                        zips[next() % zips.len()],
+                        &format!("Z{}", next() % n_zips),
                         streets[next() % streets.len()],
                         cities[next() % cities.len()],
                     ));
                 }
             }
-            let dv_c = conc.apply_batch(&b).unwrap();
-            let dv_s = Detector::apply(&mut seq, &b).unwrap();
-            assert_eq!(dv_c.added, dv_s.added, "batch {i} Δ⁺");
-            assert_eq!(dv_c.removed, dv_s.removed, "batch {i} Δ⁻");
-            assert_eq!(
-                conc.violations().marks_sorted(),
-                seq.violations().marks_sorted(),
-                "batch {i} V"
-            );
-            assert_eq!(
-                conc.stats().to_bytes(),
-                seq.stats().to_bytes(),
-                "batch {i} |M| matrix"
+            waves += apply_both(
+                &mut pair,
+                &b,
+                &format!("{n_sites} sites, batch {i} of {batch}"),
             );
         }
+        // Every batch shakes hands once, and some deferred an update.
+        assert!(waves > n_batches as u64, "{waves} barrier rounds");
     }
 
     #[test]
     fn interleaving_stress_8_sites() {
-        stress(8, 0xC0FFEE, 30);
+        stress(8, 0xC0FFEE, 30, 4);
+        stress(8, 0xC0FFEE, 12, 16);
+        stress(8, 0xC0FFEE, 4, 256);
+        stress(8, 0xC0FFEE, 2, 4_096);
     }
 
     #[test]
     fn interleaving_stress_16_sites() {
-        stress(16, 0xBADCAB, 18);
+        stress(16, 0xBADCAB, 18, 4);
+        stress(16, 0xBADCAB, 8, 16);
+        stress(16, 0xBADCAB, 3, 256);
+        stress(16, 0xBADCAB, 2, 4_096);
     }
+
+    // -- what must be ordered, case by case -----------------------------
+
+    fn tuples_of(batch: &[Update]) -> UpdateBatch {
+        UpdateBatch::from_ops(batch.to_vec())
+    }
+
+    /// `d0` and more tuples.
+    fn d0_with(more: &[Tuple]) -> Relation {
+        let mut d = d0();
+        for t in more {
+            d.insert(t.clone()).unwrap();
+        }
+        d
+    }
+
+    /// Run `batch` over `d` through both drives and return the barrier
+    /// rounds it took.
+    fn rounds_of(d: &Relation, batch: &[Update], what: &str) -> u64 {
+        let mut pair = emp_pair(d, CodecKind::Md5, TransportKind::Framed);
+        apply_both(&mut pair, &tuples_of(batch), what)
+    }
+
+    /// The four commutation cases: a class-preserving insert or delete at
+    /// site 0, listed after a writer of site 1 on the same group that
+    /// raises the group's flag or clears it. Site 0 applies its update on
+    /// arrival — before the writer's round, whichever is listed first —
+    /// and nothing tells: one wave (the writer's) behind the handshake,
+    /// `ΔV`, `V` and traffic those of batch order.
+    #[test]
+    fn class_preserving_updates_commute_with_a_remote_writer() {
+        let at = |tid, grade, street| emp_tuple(tid, grade, 44, 131, "EH9 1AA", street, "EDI");
+        // Site 0 (grade A) holds street S twice; site 1 (grade B) holds
+        // the group's only other street, or nothing of the group yet.
+        let satisfied = d0_with(&[at(30, "A", "S"), at(31, "A", "S")]);
+        let violating = d0_with(&[at(30, "A", "S"), at(31, "A", "S"), at(32, "B", "T")]);
+        let raises = (&satisfied, Update::Insert(at(32, "B", "T")));
+        let clears = (&violating, Update::Delete(32));
+        let preserving = [Update::Insert(at(33, "A", "S")), Update::Delete(31)];
+        for (flag, (d, writer)) in [("raises", raises), ("clears", clears)] {
+            for own in &preserving {
+                let what = format!("{own:?} behind the writer that {flag} the flag");
+                let batch = [writer.clone(), own.clone()];
+                assert_eq!(rounds_of(d, &batch, &what), 2, "{what}");
+                let batch = [own.clone(), writer.clone()];
+                assert_eq!(rounds_of(d, &batch, &what), 2, "{what}, swapped");
+            }
+        }
+    }
+
+    /// Program order at one site: an insert into the class a writer of the
+    /// same slice creates is class-preserving only once that writer ran —
+    /// held, and placed in the wave behind it.
+    #[test]
+    fn an_insert_into_a_class_its_slice_creates_is_held_a_wave_behind() {
+        let at = |tid, street| emp_tuple(tid, "A", 44, 131, "EH7 7AA", street, "EDI");
+        let batch = [Update::Insert(at(40, "S")), Update::Insert(at(41, "S"))];
+        assert_eq!(rounds_of(&d0(), &batch, "creator, joiner"), 3);
+        // A third that opens another class of the group writes: behind the
+        // creator like the joiner, and in the joiner's wave.
+        let batch = [
+            batch[0].clone(),
+            batch[1].clone(),
+            Update::Insert(at(42, "T")),
+        ];
+        assert_eq!(rounds_of(&d0(), &batch, "creator, joiner, clasher"), 3);
+    }
+
+    /// The trap: `t5` is the only Crichton of its group at site 2. Behind
+    /// the delete that empties the class, an insert into it finds the
+    /// class populated in the *stored* state — but creates it anew by the
+    /// time it runs. It must be classified a writer (the stored size plus
+    /// what the slice's deferred updates will do to it): taken for
+    /// class-preserving, it would be held, left unordered against the
+    /// other sites' writers, and would open a round it has no wave for.
+    #[test]
+    fn an_insert_behind_the_delete_that_empties_its_class_writes() {
+        let back = emp_tuple(51, "C", 44, 131, "EH4 8LE", "Crichton", "EDI");
+        let batch = [Update::Delete(5), Update::Insert(back)];
+        assert_eq!(rounds_of(&d0(), &batch, "empty, refill"), 3);
+    }
+
+    /// A modification is `delete + insert` of one tid, and the two may
+    /// live at different sites: each home classifies its half on its own.
+    #[test]
+    fn a_modification_across_homes_settles_each_half_at_its_home() {
+        // t5 (site 2, the group's only Crichton) becomes a Mayfield of
+        // site 1: the delete writes and clears the group's flag, the insert
+        // joins t3 and t4 on arrival — while t5 still lives at site 2.
+        let moved = emp_tuple(5, "B", 44, 131, "EH4 8LE", "Mayfield", "EDI");
+        assert_eq!(rounds_of(&d0(), &[Update::Insert(moved)], "writer out"), 2);
+        // t3 (site 1, leaves t4 behind) becomes site 0's first Crichton:
+        // the delete settles on arrival, the insert writes.
+        let moved = emp_tuple(3, "A", 44, 131, "EH4 8LE", "Crichton", "EDI");
+        assert_eq!(rounds_of(&d0(), &[Update::Insert(moved)], "writer in"), 2);
+        // Both halves at site 0, both writers (t1 is its only Mayfield):
+        // one tid, consecutive waves.
+        let moved = emp_tuple(1, "A", 44, 131, "EH4 8LE", "Crichton", "NYC");
+        assert_eq!(rounds_of(&d0(), &[Update::Insert(moved)], "in place"), 3);
+    }
+
+    /// A batch of class-preserving updates costs the handshake and no
+    /// wave, whatever its size.
+    #[test]
+    fn a_class_preserving_batch_is_one_handshake_whatever_its_size() {
+        let mut pair = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
+        let mut tid = 100;
+        for size in [6, 12] {
+            let mut b = UpdateBatch::new();
+            for i in 0..size {
+                // Every site's class of zip EH4 8LE, and site 0's Preston.
+                let (grade, zip, street) = [
+                    ("A", "EH4 8LE", "Mayfield"),
+                    ("B", "EH4 8LE", "Mayfield"),
+                    ("C", "EH4 8LE", "Crichton"),
+                    ("A", "EH2 4HF", "Preston"),
+                ][i % 4];
+                b.insert(emp_tuple(tid, grade, 44, 131, zip, street, "EDI"));
+                tid += 1;
+            }
+            // … and a delete that leaves its class a member.
+            b.delete(tid - 4);
+            assert_eq!(apply_both(&mut pair, &b, &format!("{size} inserts")), 1);
+        }
+    }
+
+    #[test]
+    fn schedule_separates_conflicting_ops_into_waves() {
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let at = |tid, zip| emp_tuple(tid, "A", 44, 131, zip, "S", "EDI");
+        let mut planner = WavePlanner::default();
+        let mut place = |home, t: Tuple, writes| planner.place(&cfg, home, &t, writes);
+        // Same zip ⇒ same φ0 group ⇒ writers serialize, wherever they
+        // live. φ1's RHS is a constant, so it is a *constant* CFD and adds
+        // no footprint: the distinct-zip writer rides in wave 0.
+        assert_eq!(place(0, at(20, "Z1"), true), 0);
+        assert_eq!(place(1, at(21, "Z1"), true), 1);
+        assert_eq!(place(2, at(22, "Z2"), true), 0);
+        // A held update waits for its own site's writer on the key, and
+        // for nobody else's: site 1's is in wave 1, site 2 has none.
+        assert_eq!(place(1, at(23, "Z1"), false), 2);
+        assert_eq!(place(2, at(24, "Z1"), false), 0);
+        // Held updates of one site share a wave, and a writer behind them
+        // may join it (slice order; they complete on the spot) — but the
+        // next writer on the key, anywhere, goes behind that one.
+        assert_eq!(place(1, at(25, "Z1"), false), 2);
+        assert_eq!(place(1, at(26, "Z1"), true), 2);
+        assert_eq!(place(2, at(27, "Z1"), false), 0);
+        assert_eq!(place(0, at(28, "Z1"), true), 3);
+        // A shared tid is the next wave, whatever else.
+        assert_eq!(place(0, at(22, "Z3"), false), 1);
+        assert_eq!(planner.finish(), 4);
+        // The next batch starts over.
+        assert_eq!(planner.place(&cfg, 1, &at(21, "Z1"), true), 0);
+        assert_eq!(planner.finish(), 1);
+
+        // End to end: three creators of new groups, two on one zip.
+        let batch = [
+            Update::Insert(emp_tuple(20, "A", 44, 131, "EH9 9ZZ", "P", "EDI")),
+            Update::Insert(emp_tuple(21, "B", 44, 131, "EH9 9ZZ", "Q", "EDI")),
+            Update::Insert(emp_tuple(22, "C", 44, 131, "EH8 8YY", "R", "EDI")),
+        ];
+        assert_eq!(
+            rounds_of(&d0(), &batch, "the shared-zip pair serializes"),
+            3
+        );
+        assert_eq!(rounds_of(&d0(), &batch[1..], "disjoint footprints"), 2);
+    }
+
+    /// The acceptance count: a relation that is being loaded settles more
+    /// of every window than of the one before. The 40 000-row TPCH base of
+    /// `detbench`'s `thr_tcp_batch` (its generator's proportions, its
+    /// rules), replayed into an empty session in the build's 4 096-op
+    /// windows: the footprint-only schedule needed 209–230 waves for each
+    /// of them, 2 184 in all.
+    #[test]
+    fn a_loading_relation_needs_fewer_waves_window_by_window() {
+        use workload::{rules, tpch};
+        let n_rows = 40_000;
+        let (schema, base) = tpch::generate(&tpch::TpchConfig {
+            n_rows,
+            n_customers: n_rows / 20,
+            n_parts: n_rows / 30,
+            n_suppliers: n_rows / 100,
+            error_rate: 0.0,
+            seed: 1,
+        });
+        let mut conc = ConcurrentHorizontal::threaded(
+            schema.clone(),
+            rules::tpch_rules(&schema, 8, 0xCFD),
+            tpch::horizontal_scheme(&schema, 4),
+            &Relation::new(schema.clone()),
+            CodecKind::Md5,
+            TransportKind::Framed,
+        )
+        .unwrap();
+        let rows: Vec<Update> = base.iter().map(Update::Insert).collect();
+        let mut per_window = Vec::new();
+        for window in rows.chunks(4_096) {
+            let before = conc.waves();
+            conc.apply_batch(&tuples_of(window)).unwrap();
+            per_window.push(conc.waves() - before);
+        }
+        let full = &per_window[..n_rows / 4_096];
+        assert!(conc.waves() <= 650, "{per_window:?}");
+        assert!(full[full.len() - 1] * 10 <= full[0], "{per_window:?}");
+        let oracle = cfd::naive::detect(conc.cfds(), &base);
+        assert_eq!(conc.violations().marks_sorted(), oracle.marks_sorted());
+    }
+
+    // -- failure and hostile frames -------------------------------------
 
     /// A frame the codec decodes but the protocol cannot mean ends the
     /// site's `serve` with a typed error naming the link — its thread
-    /// returns, it does not panic.
+    /// returns, it does not panic — and the coordinator is told.
     #[test]
     fn forged_frame_ends_the_site_with_a_typed_error() {
         let s = emp_schema();
@@ -1295,47 +1781,189 @@ mod tests {
         };
         forger.send(1, &forged).unwrap();
         forger.flush().unwrap();
-        match handle.join().expect("the site thread must not panic") {
-            Err(DetectError::Cluster(e)) => {
-                let msg = e.to_string();
-                assert!(msg.contains("0 → 1") && msg.contains("ClearFlags"), "{msg}");
-                assert!(msg.contains("operator 4294967295"), "{msg}");
-            }
+        let msg = match handle.join().expect("the site thread must not panic") {
+            Err(DetectError::Cluster(e)) => e.to_string(),
             other => panic!("expected a protocol error, got {other:?}"),
+        };
+        assert!(msg.contains("0 → 1") && msg.contains("ClearFlags"), "{msg}");
+        assert!(msg.contains("operator 4294967295"), "{msg}");
+        let last_words = forger.recv_msg::<CtrlMsg>().unwrap();
+        assert_eq!(last_words, (1, CtrlMsg::Failed(msg)));
+    }
+
+    /// A site that fails says so before it goes: the `apply` that meets
+    /// the gap returns at once with the site and its own words, not a
+    /// closed inbox or a receive timeout a minute later — whether the site
+    /// is still on its way out (the coordinator's wait ends on its
+    /// `Failed`) or long gone (the send to it fails first).
+    #[test]
+    fn a_failing_site_fails_the_batch_at_once_with_its_own_words() {
+        for let_it_go in [false, true] {
+            let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
+            // No site expects a barrier release between batches.
+            let node = &mut conc.runner.node;
+            node.send_ctrl(1, &CtrlMsg::WaveAdvance(7)).unwrap();
+            while let_it_go && !conc.handles[0].is_finished() {
+                std::thread::yield_now();
+            }
+            let mut b = UpdateBatch::new();
+            b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+            b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
+            let asked = Instant::now();
+            let err = match conc.apply_batch(&b) {
+                Err(DetectError::Cluster(e)) => e.to_string(),
+                other => panic!("expected a transport error, got {other:?}"),
+            };
+            assert!(asked.elapsed() < Duration::from_secs(1), "{err}");
+            assert!(err.contains("site 1 failed"), "{err}");
+            assert!(err.contains("unexpected frame while idle"), "{err}");
+            // Sites 2 is parked mid-batch; the drop must not wait it out.
+            let dropped = Instant::now();
+            drop(conc);
+            assert!(dropped.elapsed() < Duration::from_secs(1));
         }
     }
 
-    #[test]
-    fn schedule_separates_conflicting_ops_into_waves() {
+    /// A session over `n` hash fragments of EMP whose sites `1..` are
+    /// played by `script`: it is handed the site's node and each control
+    /// frame the coordinator sends it, until `Shutdown`.
+    fn scripted_session(
+        n: usize,
+        script: impl Fn(&mut Node, CtrlMsg) + Clone + Send + 'static,
+    ) -> ConcurrentHorizontal {
         let s = emp_schema();
-        let mut conc = ConcurrentHorizontal::threaded(
-            s.clone(),
-            fig1_cfds(&s),
-            fig2_scheme(&s),
-            &d0(),
-            CodecKind::Md5,
-            TransportKind::Framed,
-        )
-        .unwrap();
-        // Same zip ⇒ same φ0 group ⇒ must serialize. φ1's RHS is a
-        // constant (`city = EDI`), so it is a *constant* CFD and adds no
-        // footprint: the distinct-zip tuple rides in wave 0.
-        let mut b = UpdateBatch::new();
-        b.insert(emp_tuple(20, "A", 44, 131, "EH9 9ZZ", "P", "EDI"));
-        b.insert(emp_tuple(21, "B", 44, 131, "EH9 9ZZ", "Q", "EDI"));
-        b.insert(emp_tuple(22, "C", 44, 131, "EH8 8YY", "R", "EDI"));
-        let delta = b.normalize(&conc.current);
-        let (placed, n_waves) = conc.schedule(&delta).unwrap();
-        assert_eq!(n_waves, 2, "the shared-zip pair serializes on φ0");
-        // One (home, wave) per op, in batch order: grades A, B, C live
-        // at sites 0, 1, 2, and only the second shared-zip op waits.
-        assert_eq!(placed, vec![(0, 0), (1, 1), (2, 0)]);
-        // Distinct tids with no shared group: one wave.
-        let mut b2 = UpdateBatch::new();
-        b2.insert(emp_tuple(30, "A", 1, 1, "X1", "P", "EDI"));
-        b2.insert(emp_tuple(31, "B", 2, 2, "X2", "Q", "EDI"));
-        let delta2 = b2.normalize(&conc.current);
-        let (_, n_waves2) = conc.schedule(&delta2).unwrap();
-        assert_eq!(n_waves2, 1, "disjoint footprints share a wave");
+        let scheme = HorizontalScheme::by_hash(s.clone(), s.attr_id("id").unwrap(), n).unwrap();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &scheme);
+        let mut nodes = run::mem_mesh(n).into_iter();
+        let node0 = nodes.next().expect("a coordinator");
+        let play = |mut node: Node| {
+            let script = script.clone();
+            std::thread::spawn(move || loop {
+                match node.recv_msg::<RtFrame>().map_err(DetectError::Cluster)? {
+                    (_, RtFrame::Ctrl(CtrlMsg::Shutdown)) => return Ok(()),
+                    (_, RtFrame::Ctrl(frame)) => script(&mut node, frame),
+                    _ => {}
+                }
+            })
+        };
+        let runner = SiteRunner::new(cfg, CodecKind::Md5, node0);
+        let (handles, codec) = (nodes.map(play).collect(), CodecKind::Md5);
+        let empty = Relation::new(s);
+        ConcurrentHorizontal::finish_build(scheme, runner, handles, codec, "scripted", &empty)
+            .unwrap()
+    }
+
+    /// A `Deferred` list the coordinator cannot schedule from — a position
+    /// outside the slice, out of order, repeated, a second list — fails
+    /// the batch with the link and the cause before anything is placed.
+    #[test]
+    fn hostile_deferred_lists_fail_the_batch_before_anything_is_placed() {
+        // Site 1 answers its 8-op slice with `forged`; under three sites,
+        // site 2 stays silent, so that both lists read are site 1's.
+        let answering = |forged: Vec<(u32, bool)>| {
+            move |node: &mut Node, frame: CtrlMsg| {
+                if let (1, CtrlMsg::Ops(ops)) = (node.me(), &frame) {
+                    assert_eq!(ops.len(), 8);
+                    let repeats = node.n_nodes() - 1;
+                    for _ in 0..repeats {
+                        node.send_ctrl(COORD, &CtrlMsg::Deferred(forged.clone()))
+                            .unwrap();
+                    }
+                    node.flush().unwrap();
+                }
+            }
+        };
+        let cases = [
+            (2, vec![(8, true)], "position 8 of a 8-op slice"),
+            (
+                2,
+                vec![(0, true), (u32::MAX, false)],
+                "position 4294967295 of a 8-op slice",
+            ),
+            (
+                2,
+                vec![(3, true), (2, true)],
+                "position 2 repeats or is out of order",
+            ),
+            (
+                2,
+                vec![(1, false), (1, true)],
+                "position 1 repeats or is out of order",
+            ),
+            (3, vec![(0, true)], "a second Deferred for one batch"),
+        ];
+        for (n, forged, cause) in cases {
+            let mut conc = scripted_session(n, answering(forged));
+            // Eight tuples at every site, whatever the hash makes of ids.
+            let mut b = UpdateBatch::new();
+            let mut slices = vec![0; n];
+            for tid in 1.. {
+                let t = emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI");
+                let home = conc.scheme.route(&t).unwrap();
+                if slices[home] < 8 {
+                    slices[home] += 1;
+                    b.insert(t);
+                }
+                if slices.iter().all(|&k| k == 8) {
+                    break;
+                }
+            }
+            let err = match conc.apply_batch(&b) {
+                Err(DetectError::Cluster(e)) => e.to_string(),
+                other => panic!("expected a protocol error, got {other:?}"),
+            };
+            assert!(err.contains("link 1 → 0") && err.contains(cause), "{err}");
+            assert_eq!(conc.waves(), 0, "{err}");
+        }
+    }
+
+    /// A `Waves` frame that does not answer the list the site deferred —
+    /// another length, a wave the batch does not have — ends the site
+    /// with the link and the cause, and none of the deferred updates ran.
+    #[test]
+    fn hostile_wave_schedules_end_the_site_before_a_wave_runs() {
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let waves = |n_waves, waves: &[u32]| CtrlMsg::Waves {
+            n_waves,
+            waves: waves.to_vec(),
+        };
+        let cases = [
+            (waves(1, &[0]), "Waves places 1 updates, 2 were deferred"),
+            (
+                waves(1, &[0, 0, 0]),
+                "Waves places 3 updates, 2 were deferred",
+            ),
+            (waves(0, &[]), "Waves places 0 updates, 2 were deferred"),
+            (waves(2, &[1, 2]), "Waves names wave 2 of 2"),
+            (waves(0, &[0, 0]), "Waves names wave 0 of 0"),
+        ];
+        for (forged, cause) in cases {
+            let mut nodes = run::mem_mesh(2).into_iter();
+            let (mut coord, node) = (nodes.next().unwrap(), nodes.next().unwrap());
+            let mut site = SiteRunner::new(cfg.clone(), CodecKind::Md5, node);
+            let served = std::thread::scope(|scope| {
+                let serving = scope.spawn(|| site.serve_batches());
+                // Two creators of new groups: both deferred, both writers.
+                let ops = vec![
+                    Update::Insert(emp_tuple(1, "B", 44, 131, "EH7 7AA", "Foo", "EDI")),
+                    Update::Insert(emp_tuple(2, "B", 44, 131, "EH8 8BB", "Bar", "EDI")),
+                ];
+                coord.send_ctrl(1, &CtrlMsg::Ops(ops)).unwrap();
+                let deferred = CtrlMsg::Deferred(vec![(0, true), (1, true)]);
+                assert_eq!(coord.recv_msg::<CtrlMsg>().unwrap(), (1, deferred));
+                coord.send_ctrl(1, &forged).unwrap();
+                coord.flush().unwrap();
+                serving.join().expect("the site thread must not panic")
+            });
+            let err = match served {
+                Err(DetectError::Cluster(e)) => e.to_string(),
+                other => panic!("expected a protocol error, got {other:?}"),
+            };
+            assert!(err.contains("link 0 → 1") && err.contains(cause), "{err}");
+            let mut census = crate::horizontal::StateCensus::default();
+            site.site.count_into(&mut census);
+            assert_eq!((site.rows.len(), census.groups), (0, 0), "{err}");
+        }
     }
 }

@@ -17,12 +17,16 @@
 //! AckN(k)      87 v(k)
 //! WaveDone(w)  82 v(w)
 //! WaveAdvance  83 v(w)
-//! Collect      84
 //! Shutdown     86
 //! Piggy(k, m)  89 v(k) <HorMsg frame of m>
+//! Deferred     8a v(n) n × v(position << 1 | writes)
+//! Waves        8b v(n_waves) v(n) n × v(wave)
+//! Failed       8c v(len) len × UTF-8 byte
 //!
-//! Ops          81 v(n_waves) v(n_ops)
-//!              n_ops × v(wave << 1 | is_delete)      kind / wave column
+//! Ops          81 v(n_ops)
+//!              ⌈n_ops / 8⌉ × kind bits               op i is bit i mod 8 of
+//!                                                    byte i / 8, set for a
+//!                                                    delete; spare bits 0
 //!              n_ops × z(tid − previous tid)         tid column
 //!              v(arity)                              0 without inserts
 //!              arity × column over the inserted rows, in slice order:
@@ -70,11 +74,13 @@ const CT_ACK: u8 = 0x80;
 const CT_OPS: u8 = 0x81;
 const CT_DONE: u8 = 0x82;
 const CT_ADVANCE: u8 = 0x83;
-const CT_COLLECT: u8 = 0x84;
 const CT_RESULT: u8 = 0x85;
 const CT_SHUTDOWN: u8 = 0x86;
 const CT_ACK_N: u8 = 0x87;
 const CT_PIGGY: u8 = 0x89;
+const CT_DEFERRED: u8 = 0x8a;
+const CT_WAVES: u8 = 0x8b;
+const CT_FAILED: u8 = 0x8c;
 
 const COL_PLAIN: u8 = 0;
 const COL_DICT: u8 = 1;
@@ -126,8 +132,9 @@ impl BatchImage {
     }
 }
 
-/// Runtime control traffic: batch shipment, wave barriers, acks,
-/// collection, shutdown. All structure — `wire_size() == 0`.
+/// Runtime control traffic: batch shipment, the settle handshake, wave
+/// barriers, acks, result collection, failure, shutdown. All structure —
+/// `wire_size() == 0`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg {
     /// Generic round-closer where the protocol has no payload to reply.
@@ -137,23 +144,36 @@ pub enum CtrlMsg {
     /// Never sent with `k == 0`, and never with `k == 1` either — a
     /// single owed round flushes as the smaller [`CtrlMsg::Ack`].
     AckN(u32),
-    /// The coordinator ships a site its slice of the batch, wave-tagged.
-    /// (The coordinator itself never builds this variant: it writes the
-    /// frame from the borrowed batch with [`encode_ops`].)
-    Ops {
-        /// `(wave, op)` in batch order; every wave is below `n_waves`.
-        ops: Vec<(u32, Update)>,
-        /// Total number of waves in the batch (uniform across sites).
+    /// The coordinator ships a site its slice of the batch, in batch
+    /// order. (The coordinator itself never builds this variant: it writes
+    /// the frame from the borrowed batch with [`encode_ops`].)
+    Ops(Vec<Update>),
+    /// A site's settle pass is through: the slice positions, ascending, of
+    /// the updates it left for the wave schedule, each with whether the
+    /// update *writes* (creates or empties a local RHS class) or is
+    /// class-preserving and only held behind one that shares a group key
+    /// or its tid.
+    Deferred(Vec<(u32, bool)>),
+    /// The coordinator's answer: the wave of each update the site
+    /// deferred, in the order the site listed them. With `n_waves == 0`
+    /// nobody deferred anything and the frame is the cue to cut the batch
+    /// image.
+    Waves {
+        /// Waves of the batch, the same number at every site.
         n_waves: u32,
+        /// One wave per deferred update, each below `n_waves`.
+        waves: Vec<u32>,
     },
     /// A site finished its slice of the given wave.
     WaveDone(u32),
-    /// The coordinator releases the barrier of the given wave.
+    /// The coordinator releases the barrier of the given wave; the last
+    /// one of a batch is the cue to cut the batch image.
     WaveAdvance(u32),
-    /// The coordinator asks for the batch image.
-    Collect,
     /// A site's batch image.
     BatchResult(Box<BatchImage>),
+    /// A site's last words to the coordinator: its `serve` is returning
+    /// this error.
+    Failed(String),
     /// Tear the site down (end of session).
     Shutdown,
 }
@@ -168,22 +188,21 @@ impl Wire for CtrlMsg {
 /// where they lie, column by column, and no row is copied. Every
 /// inserted row must have the arity of the first (the coordinator checks
 /// rows against the schema before it schedules them).
-pub fn encode_ops(out: &mut Vec<u8>, n_waves: u32, ops: &[(u32, &Update)]) {
+pub fn encode_ops(out: &mut Vec<u8>, ops: &[&Update]) {
     out.push(CT_OPS);
-    put_varint(out, u64::from(n_waves));
     put_varint(out, ops.len() as u64);
-    for (w, op) in ops {
-        let is_delete = matches!(op, Update::Delete(_));
-        put_varint(out, (u64::from(*w) << 1) | u64::from(is_delete));
+    for byte in ops.chunks(8) {
+        let bit = |(i, op): (usize, &&Update)| u8::from(matches!(op, Update::Delete(_))) << i;
+        out.push(byte.iter().enumerate().map(bit).sum());
     }
     let mut prev: Tid = 0;
-    for (_, op) in ops {
+    for op in ops {
         put_varint(out, zigzag(op.tid().wrapping_sub(prev) as i64));
         prev = op.tid();
     }
     let rows: Vec<&Tuple> = ops
         .iter()
-        .filter_map(|(_, op)| match op {
+        .filter_map(|op| match op {
             Update::Insert(t) => Some(t),
             Update::Delete(_) => None,
         })
@@ -234,16 +253,12 @@ fn get_u32(r: &mut Reader<'_>) -> Result<u32, ClusterError> {
 /// Decode the body of an `Ops` frame; `budget` bounds the string bytes
 /// dictionary references may re-materialize.
 fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterError> {
-    let n_waves = get_u32(r)?;
+    // Every op has a tid byte ahead, so the count cannot outgrow the frame.
     let n = r.count()?;
-    let mut kinds = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = r.varint()?;
-        let wave = u32::try_from(x >> 1)
-            .ok()
-            .filter(|w| *w < n_waves)
-            .ok_or_else(|| bad("op wave out of range"))?;
-        kinds.push((wave, x & 1 == 1));
+    let bits = r.take(n.div_ceil(8))?;
+    let is_delete = |i: usize| bits[i / 8] >> (i % 8) & 1 == 1;
+    if n % 8 != 0 && bits[n / 8] >> (n % 8) != 0 {
+        return Err(bad("spare kind bits set"));
     }
     let mut tids = Vec::with_capacity(n);
     let mut prev: Tid = 0;
@@ -252,7 +267,7 @@ fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterE
         tids.push(prev);
     }
     let arity = r.count()?;
-    let n_rows = kinds.iter().filter(|(_, is_delete)| !is_delete).count();
+    let n_rows = (0..n).filter(|&i| !is_delete(i)).count();
     if n_rows == 0 && arity != 0 {
         return Err(bad("columns without rows"));
     }
@@ -300,19 +315,11 @@ fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterE
         }
     }
     let mut rows = rows.into_iter();
-    let ops = kinds
-        .into_iter()
-        .zip(tids)
-        .map(|((wave, is_delete), tid)| {
-            let op = if is_delete {
-                Update::Delete(tid)
-            } else {
-                Update::Insert(Tuple::new(tid, rows.next().expect("one row per insert")))
-            };
-            (wave, op)
-        })
-        .collect();
-    Ok(CtrlMsg::Ops { ops, n_waves })
+    let op = |(i, tid)| match is_delete(i) {
+        true => Update::Delete(tid),
+        false => Update::Insert(Tuple::new(tid, rows.next().expect("one row per insert"))),
+    };
+    Ok(CtrlMsg::Ops(tids.into_iter().enumerate().map(op).collect()))
 }
 
 fn put_marks(out: &mut Vec<u8>, marks: &[(CfdId, Tid)]) {
@@ -373,9 +380,21 @@ impl FrameCodec for CtrlMsg {
                 out.push(CT_ACK_N);
                 put_varint(out, u64::from(*k));
             }
-            CtrlMsg::Ops { ops, n_waves } => {
-                let refs: Vec<(u32, &Update)> = ops.iter().map(|(w, op)| (*w, op)).collect();
-                encode_ops(out, *n_waves, &refs);
+            CtrlMsg::Ops(ops) => encode_ops(out, &ops.iter().collect::<Vec<_>>()),
+            CtrlMsg::Deferred(deferred) => {
+                out.push(CT_DEFERRED);
+                put_varint(out, deferred.len() as u64);
+                for &(pos, writes) in deferred {
+                    put_varint(out, (u64::from(pos) << 1) | u64::from(writes));
+                }
+            }
+            CtrlMsg::Waves { n_waves, waves } => {
+                out.push(CT_WAVES);
+                put_varint(out, u64::from(*n_waves));
+                put_varint(out, waves.len() as u64);
+                for &w in waves {
+                    put_varint(out, u64::from(w));
+                }
             }
             CtrlMsg::WaveDone(w) => {
                 out.push(CT_DONE);
@@ -385,7 +404,6 @@ impl FrameCodec for CtrlMsg {
                 out.push(CT_ADVANCE);
                 put_varint(out, u64::from(*w));
             }
-            CtrlMsg::Collect => out.push(CT_COLLECT),
             CtrlMsg::BatchResult(img) => {
                 out.push(CT_RESULT);
                 put_marks(out, &img.added);
@@ -404,6 +422,11 @@ impl FrameCodec for CtrlMsg {
                     put_varint(out, x);
                 }
             }
+            CtrlMsg::Failed(cause) => {
+                out.push(CT_FAILED);
+                put_varint(out, cause.len() as u64);
+                out.extend_from_slice(cause.as_bytes());
+            }
             CtrlMsg::Shutdown => out.push(CT_SHUTDOWN),
         }
         out.len() - start
@@ -417,7 +440,27 @@ impl FrameCodec for CtrlMsg {
             CT_OPS => decode_ops(&mut r, MAX_FRAME_BYTES)?,
             CT_DONE => CtrlMsg::WaveDone(get_u32(&mut r)?),
             CT_ADVANCE => CtrlMsg::WaveAdvance(get_u32(&mut r)?),
-            CT_COLLECT => CtrlMsg::Collect,
+            CT_DEFERRED => {
+                let n = r.count()?;
+                let mut deferred = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let x = r.varint()?;
+                    let pos = u32::try_from(x >> 1).map_err(|_| bad("position out of range"))?;
+                    deferred.push((pos, x & 1 == 1));
+                }
+                CtrlMsg::Deferred(deferred)
+            }
+            CT_WAVES => {
+                let n_waves = get_u32(&mut r)?;
+                let n = r.count()?;
+                let waves = (0..n).map(|_| get_u32(&mut r)).collect::<Result<_, _>>()?;
+                CtrlMsg::Waves { n_waves, waves }
+            }
+            CT_FAILED => {
+                let len = r.count()?;
+                let cause = String::from_utf8(r.take(len)?.to_vec());
+                CtrlMsg::Failed(cause.map_err(|_| bad("cause is not UTF-8"))?)
+            }
             CT_RESULT => CtrlMsg::BatchResult(Box::new(BatchImage {
                 added: get_marks(&mut r)?,
                 removed: get_marks(&mut r)?,
@@ -538,7 +581,6 @@ mod tests {
     }
 
     fn ops_frame(rng: &mut Lcg, shape: u64) -> CtrlMsg {
-        let n_waves = 1 + rng.below(5) as u32;
         let n_ops = rng.below(40) as usize;
         let arity = rng.pick(&[0, 1, 2, 3, 7]);
         let mut n_rows = 0;
@@ -552,17 +594,35 @@ mod tests {
                     1 => false,
                     _ => rng.below(3) == 0,
                 };
-                let op = if is_delete {
+                if is_delete {
                     Update::Delete(tid)
                 } else {
                     n_rows += 1;
                     let values = (0..arity).map(|a| cell(rng, a, n_rows - 1)).collect();
                     Update::Insert(Tuple::new(tid, values))
-                };
-                (rng.below(u64::from(n_waves)) as u32, op)
+                }
             })
             .collect();
-        CtrlMsg::Ops { ops, n_waves }
+        CtrlMsg::Ops(ops)
+    }
+
+    /// A settle handshake: ascending positions with gaps of every varint
+    /// width, and the schedule that answers it.
+    fn handshake_frames(rng: &mut Lcg) -> [CtrlMsg; 2] {
+        let mut pos = 0u32;
+        let deferred: Vec<(u32, bool)> = (0..rng.below(30))
+            .map(|_| {
+                pos = pos.saturating_add(rng.pick(&[1, 1, 2, 63, 64, 9_000, 1 << 21, 1 << 29]));
+                (pos - 1, rng.below(2) == 1)
+            })
+            .collect();
+        let n_waves = rng.pick(&[0, 1, 2, 127, 128, u32::MAX]);
+        let below = u64::from(n_waves).max(1);
+        let waves = deferred.iter().map(|_| rng.below(below) as u32).collect();
+        [
+            CtrlMsg::Deferred(deferred),
+            CtrlMsg::Waves { n_waves, waves },
+        ]
     }
 
     fn result_frame(rng: &mut Lcg) -> CtrlMsg {
@@ -628,21 +688,33 @@ mod tests {
             CtrlMsg::AckN(2),
             CtrlMsg::AckN(129),
             CtrlMsg::AckN(u32::MAX),
-            CtrlMsg::Ops {
-                ops: vec![
-                    (0, row(7, "Mayfield")),
-                    (2, Update::Delete(9)),
-                    (1, row(3, "Mayfield")),
-                ],
-                n_waves: 3,
+            CtrlMsg::Ops(vec![
+                row(7, "Mayfield"),
+                Update::Delete(9),
+                row(3, "Mayfield"),
+            ]),
+            CtrlMsg::Ops(Vec::new()),
+            // Nine ops: the kind bits spill into a second byte.
+            CtrlMsg::Ops((0..9).map(|i| Update::Delete(i * i)).collect()),
+            CtrlMsg::Deferred(Vec::new()),
+            CtrlMsg::Deferred(vec![
+                (0, true),
+                (1, false),
+                (4_095, true),
+                (u32::MAX, false),
+            ]),
+            CtrlMsg::Waves {
+                n_waves: 0,
+                waves: Vec::new(),
             },
-            CtrlMsg::Ops {
-                ops: Vec::new(),
-                n_waves: 1,
+            CtrlMsg::Waves {
+                n_waves: 300,
+                waves: vec![0, 0, 299, 7],
             },
             CtrlMsg::WaveDone(4),
             CtrlMsg::WaveAdvance(300),
-            CtrlMsg::Collect,
+            CtrlMsg::Failed(String::new()),
+            CtrlMsg::Failed("link 0 → 1: Waves names wave 9 of 2 — ünïcodé".into()),
             CtrlMsg::BatchResult(Box::default()),
             CtrlMsg::BatchResult(Box::new(BatchImage {
                 added: vec![(0, 1), (1, 2)],
@@ -678,58 +750,63 @@ mod tests {
                 }
             }
         }
-        // Barriers and acks are two bytes where they were five.
+        // Barriers and acks are two bytes where they were five; a deferred
+        // update costs a byte each way in a steady batch's slice, and eight
+        // ops share a kind byte.
         assert_eq!(encoded(&CtrlMsg::WaveDone(4)).len(), 2);
         assert_eq!(encoded(&CtrlMsg::AckN(2)).len(), 2);
+        assert_eq!(
+            encoded(&CtrlMsg::Deferred(vec![(3, true), (63, false)])).len(),
+            4
+        );
+        let waves = vec![0, 1];
+        assert_eq!(encoded(&CtrlMsg::Waves { n_waves: 2, waves }).len(), 5);
+        let deletes = |n| CtrlMsg::Ops((0..n).map(Update::Delete).collect());
+        assert_eq!(encoded(&deletes(8)).len(), 2 + 1 + 8 + 1);
+        assert_eq!(encoded(&deletes(9)).len(), 2 + 2 + 9 + 1);
     }
 
     #[test]
-    fn seeded_ops_and_results_round_trip() {
+    fn seeded_frames_round_trip() {
         for seed in 0..300 {
             let mut rng = Lcg(seed);
-            let m = ops_frame(&mut rng, seed);
-            let buf = encoded(&m);
-            assert_eq!(CtrlMsg::decode_frame(&buf).unwrap(), m, "seed {seed}");
-            // The borrowed encoder writes the very same frame.
-            let CtrlMsg::Ops { ops, n_waves } = &m else {
-                unreachable!()
-            };
-            let refs: Vec<(u32, &Update)> = ops.iter().map(|(w, op)| (*w, op)).collect();
-            let mut direct = Vec::new();
-            encode_ops(&mut direct, *n_waves, &refs);
-            assert_eq!(direct, buf, "seed {seed}");
-
-            let m = result_frame(&mut rng);
-            assert_eq!(
-                CtrlMsg::decode_frame(&encoded(&m)).unwrap(),
-                m,
-                "seed {seed}"
-            );
+            let ops = ops_frame(&mut rng, seed);
+            let [deferred, waves] = handshake_frames(&mut rng);
+            for m in [ops, result_frame(&mut rng), deferred, waves] {
+                let buf = encoded(&m);
+                assert_eq!(CtrlMsg::decode_frame(&buf).unwrap(), m, "seed {seed}");
+                // The borrowed encoder writes the very same frame.
+                if let CtrlMsg::Ops(ops) = &m {
+                    let mut direct = Vec::new();
+                    encode_ops(&mut direct, &ops.iter().collect::<Vec<_>>());
+                    assert_eq!(direct, buf, "seed {seed}");
+                }
+            }
         }
     }
 
     #[test]
     fn columns_take_the_shorter_form() {
-        let ops: Vec<(u32, Update)> = (0..64)
+        let ops: Vec<Update> = (0..64)
             .map(|i| {
                 let values = vec![
                     Value::int(1_000_000 + i),
                     Value::str("SHIP MODE"),
                     Value::str(if i % 8 == 0 { "RAIL" } else { "TRUCK" }),
                 ];
-                (0, Update::Insert(Tuple::new(i as Tid, values)))
+                Update::Insert(Tuple::new(i as Tid, values))
             })
             .collect();
-        let buf = encoded(&CtrlMsg::Ops { ops, n_waves: 1 });
-        // Header 3, kinds 64, tids 64, arity 1; the distinct ints stay
+        let buf = encoded(&CtrlMsg::Ops(ops));
+        // Header 2, kinds 8, tids 64, arity 1; the distinct ints stay
         // plain (1 + 64 × 4), the constant costs one literal and 63
         // one-byte indices, the two-valued column two literals and 62.
         let plain = 1 + 64 * 4;
         let constant = 1 + (1 + 10) + 63;
         let two_valued = 1 + (1 + 5) + (1 + 6) + 62;
-        assert_eq!(buf.len(), 3 + 64 + 64 + 1 + plain + constant + two_valued);
-        assert_eq!(buf[132], COL_PLAIN);
-        assert_eq!(buf[132 + plain], COL_DICT);
+        assert_eq!(buf.len(), 2 + 8 + 64 + 1 + plain + constant + two_valued);
+        assert_eq!(buf[75], COL_PLAIN);
+        assert_eq!(buf[75 + plain], COL_DICT);
     }
 
     /// A handful of valid frames exercising every decoder branch.
@@ -739,11 +816,13 @@ mod tests {
             .flat_map(|shape| {
                 let ops = encoded(&ops_frame(&mut rng, shape));
                 let result = encoded(&result_frame(&mut rng));
-                [ops, result]
+                let [deferred, waves] = handshake_frames(&mut rng);
+                [ops, result, encoded(&deferred), encoded(&waves)]
             })
             .collect();
         frames.push(encoded(&CtrlMsg::AckN(1 << 20)));
         frames.push(encoded(&CtrlMsg::WaveAdvance(77)));
+        frames.push(encoded(&CtrlMsg::Failed("site 3: ünïcodé".into())));
         let mut piggy = Vec::new();
         RtFrame::Piggy(
             300,
@@ -785,24 +864,34 @@ mod tests {
     #[test]
     fn lying_counts_cannot_drive_allocation() {
         let huge = |out: &mut Vec<u8>| put_varint(out, 1 << 40);
-        // An op count, a row count (via arity) and a mark count the
-        // frame cannot hold are refused before anything is reserved.
-        let mut ops = vec![CT_OPS, 1];
-        huge(&mut ops);
-        assert!(CtrlMsg::decode_frame(&ops).is_err());
-        let mut rows = vec![CT_OPS, 1, 2, 0, 0, 2, 2];
-        huge(&mut rows);
-        rows.extend([COL_PLAIN; 4]);
-        assert!(CtrlMsg::decode_frame(&rows).is_err());
-        let mut marks = vec![CT_RESULT];
-        huge(&mut marks);
-        assert!(CtrlMsg::decode_frame(&marks).is_err());
-        // Columns without a row to fill, waves beyond the batch, a
-        // dictionary index before its literal, an unknown column form.
-        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 1, 1, 2, 1, COL_PLAIN]).is_err());
-        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 1, 2, 2, 0]).is_err());
-        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 1, 0, 2, 1, COL_DICT, 1]).is_err());
-        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 1, 0, 2, 1, 7, 0]).is_err());
+        // An op count, a row count (via arity), a mark count, a deferred
+        // count, a wave count and a cause length the frame cannot hold are
+        // refused before anything is reserved.
+        for head in [
+            vec![CT_OPS],
+            vec![CT_OPS, 2, 0, 2, 2],
+            vec![CT_RESULT],
+            vec![CT_DEFERRED],
+            vec![CT_WAVES, 1],
+            vec![CT_FAILED],
+        ] {
+            let mut frame = head;
+            huge(&mut frame);
+            frame.extend([COL_PLAIN; 4]);
+            assert!(CtrlMsg::decode_frame(&frame).is_err(), "{frame:02x?}");
+        }
+        // Columns without a row to fill, a spare kind bit set, a
+        // dictionary index before its literal, an unknown column form, a
+        // position past 32 bits, a cause that is not UTF-8.
+        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 0, 2, 1, COL_PLAIN, 0]).is_ok());
+        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 1, 2, 1, COL_PLAIN]).is_err());
+        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 2, 2, 1, COL_PLAIN, 0]).is_err());
+        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 0, 2, 1, COL_DICT, 1]).is_err());
+        assert!(CtrlMsg::decode_frame(&[CT_OPS, 1, 0, 2, 1, 7, 0]).is_err());
+        let mut far = vec![CT_DEFERRED, 1];
+        put_varint(&mut far, 1 << 33);
+        assert!(CtrlMsg::decode_frame(&far).is_err());
+        assert!(CtrlMsg::decode_frame(&[CT_FAILED, 2, 0xc3, 0x28]).is_err());
         // A CFD id that leaves the 32-bit range.
         let mut cfd = vec![CT_RESULT, 1];
         put_varint(&mut cfd, zigzag(1 << 32));
@@ -811,13 +900,10 @@ mod tests {
 
         // One long literal referenced over and over must not expand
         // past the budget: 1 literal + 9 references of 100 bytes.
-        let ops: Vec<(u32, Update)> = (0..10)
-            .map(|i| {
-                let values = vec![Value::str("x".repeat(100))];
-                (0, Update::Insert(Tuple::new(i, values)))
-            })
+        let ops: Vec<Update> = (0..10)
+            .map(|i| Update::Insert(Tuple::new(i, vec![Value::str("x".repeat(100))])))
             .collect();
-        let frame = encoded(&CtrlMsg::Ops { ops, n_waves: 1 });
+        let frame = encoded(&CtrlMsg::Ops(ops));
         let body = |budget| decode_ops(&mut Reader::new(&frame[1..]), budget);
         assert!(body(900).is_ok());
         assert!(body(899).is_err());

@@ -43,18 +43,20 @@
 //! pairs are co-located) and is skipped entirely at sites where
 //! `F_i ∧ F_φ` is unsatisfiable.
 //!
-//! # One machine, five steps
+//! # One machine, six steps
 //!
 //! The protocol is written once, in the `site` submodule: a `Site` is one
 //! site's group state and codec state, with no transport, no threads, no
 //! `V` and no rows inside — every step takes the `(V, ΔV)` it records
-//! into, and the three that touch a row take the store (`rows`) their
+//! into, and the four that touch a row take the store (`rows`) their
 //! driver owns. [`HorizontalDetector`] holds `n` machines, drives them
 //! synchronously over a [`MsgTransport`] and hands every one of them its
 //! single logical relation; the thread-per-site runtime
 //! ([`crate::concurrent`]) drives one per thread behind its wave scheduler
-//! and hands it the fragment that thread holds. Both have no path to group
-//! state but these:
+//! and hands it the fragment that thread holds — and is the one caller of
+//! the sixth step, which lets a site apply on arrival every update of a
+//! batch that no peer could tell from its absence. Both have no path to
+//! group state but these:
 //!
 //! | step | called by | in | `rows` | out | the paper's case |
 //! |---|---|---|---|---|---|
@@ -63,6 +65,7 @@
 //! | `on_request(src, msg, rows)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags`, each listing operator ids | read only, and only for a `TupleDelQuery`: the RHS value of each class of a queried group, through one of its members | `ProbeReply` / `DelReply` by operator id, or nothing (a silent round) | the receiving half of each exchange, one group lookup per operator: flip or report conflicting groups, report distinct RHS values, clear flags — and only where a flag flips or clears, the pattern check that says which CFDs' marks to write |
 //! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | — | fold: which queried operators' groups conflict somewhere, which RHS values remain and who holds them |
 //! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | — (the deleted tuple, and the matched CFD ids of every queried operator, travel in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion, its marks fanned out to the operator's matched CFDs |
+//! | `try_settle(op, rows, held)` | a driver that schedules a batch, at the update's home site, once per update in slice order before any round of the batch opens | — | as `begin_insert` / `begin_delete` when it applies; a deferred update touches nothing | *applied*, or *deferred* with one bit: does it write (create or empty a local RHS class) or is it only held behind a deferred update of the slice sharing a group key or its tid | the zero-shipment cases told apart *before* the case analysis runs: an update whose RHS class is populated before and after it (`GroupState::class_len`, plus what the slice's deferred updates will add or remove) ships nothing whatever the group's flag and leaves unchanged everything a peer's request reads — the set of classes and the flag — so it is applied through the same `insert_case` / `delete_case`, which must ship nothing |
 //!
 //! The machine enforces, for every driver:
 //!
@@ -545,6 +548,18 @@ impl GroupState {
             GroupState::Few { violating, .. }
             | GroupState::One { violating, .. }
             | GroupState::Many { violating, .. } => *violating = v,
+        }
+    }
+
+    /// Members of class `bd` (0: the group has no such class). What
+    /// [`site::Site::try_settle`] reads: an insert into a populated class,
+    /// or a delete that leaves one populated, changes nothing a peer sees.
+    pub(crate) fn class_len(&self, bd: Digest) -> usize {
+        match self {
+            GroupState::Few { bd: b, len, .. } if *b == bd => usize::from(*len),
+            GroupState::One { bd: b, tids, .. } if *b == bd => tids.len(),
+            GroupState::Many { classes, .. } => classes.get(&bd).map_or(0, |c| c.members().len()),
+            _ => 0,
         }
     }
 

@@ -1,12 +1,14 @@
 //! The §6 site machine: one site's whole share of `incHor` — group state
-//! and codec state — behind five steps with no transport, no threads, no
-//! `V` and no rows inside: the three steps that touch a row are handed the
+//! and codec state — behind six steps with no transport, no threads, no
+//! `V` and no rows inside: the four steps that touch a row are handed the
 //! store their driver owns. The [parent module](super) documents the steps
 //! and the invariants; [`HorizontalDetector`](super::HorizontalDetector)
 //! drives `n` machines synchronously over a `MsgTransport` and hands each
 //! the one logical relation, the thread-per-site
 //! [`SiteRunner`](crate::concurrent::SiteRunner) drives one behind its
-//! wave scheduler and hands it the fragment its thread or process holds.
+//! wave scheduler and hands it the fragment its thread or process holds —
+//! after [`Site::try_settle`] has applied, on arrival, every update of the
+//! batch that needs no scheduling at all.
 //!
 //! Group state, the case analyses and every id on the wire are per
 //! *operator* `(X → B)` ([`SharedPlan::operators`]); CFD ids appear only
@@ -25,7 +27,7 @@ use cluster::codec::{
 use cluster::md5::{md5, Digest};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, SiteId};
-use relation::{AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple};
+use relation::{AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -375,6 +377,51 @@ pub(crate) enum Round {
     },
 }
 
+/// What [`Site::try_settle`] did with one update of a batch slice.
+pub(crate) enum Settled {
+    /// Class-preserving and clear of every deferred update before it:
+    /// applied, nothing shipped.
+    Applied,
+    /// Left untouched for the wave schedule. `writes`: the update creates
+    /// or empties a local RHS class, so peers can tell it happened;
+    /// otherwise it is class-preserving and only *held* behind an earlier
+    /// deferred update of the slice that shares a group key or its tid.
+    Deferred { writes: bool },
+}
+
+/// Tables of a [`Deferrals`] keep this much room between batches; a `D₀`
+/// window defers thousands of updates, a steady batch a handful.
+const DEFERRALS_KEPT: usize = 64;
+
+/// What the settle pass of one batch slice remembers of the updates it
+/// deferred, so that every later update of the slice is classified — and
+/// kept in program order — as if they had run. Sized by the deferred
+/// updates, not by the slice; the driver keeps one and clears it per batch.
+#[derive(Default)]
+pub(crate) struct Deferrals {
+    /// Group keys and tids a deferred update touches: whatever shares one
+    /// waits behind it.
+    keys: FxHashSet<(OpId, Digest)>,
+    tids: FxHashSet<Tid>,
+    /// Per `(operator, group key, RHS class)`: members the deferred
+    /// updates will add, less those they will remove. Without it an insert
+    /// behind a deferred delete that empties its class would count a
+    /// member that is gone by the time it runs.
+    pending: FxHashMap<(OpId, Digest, Digest), i32>,
+}
+
+impl Deferrals {
+    /// Forget the slice; give back what a large one grew.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.keys.shrink_to(DEFERRALS_KEPT);
+        self.tids.clear();
+        self.tids.shrink_to(DEFERRALS_KEPT);
+        self.pending.clear();
+        self.pending.shrink_to(DEFERRALS_KEPT);
+    }
+}
+
 /// One site of the §6 protocol, sans IO.
 pub(crate) struct Site {
     cfg: SiteConfig,
@@ -440,13 +487,23 @@ impl Site {
         &mut self,
         t: &Tuple,
         rows: &mut Relation,
-        (v, dv): Sink<'_>,
+        sink: Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
         // Row before group state: every class this update creates has,
         // from its first instant, a member whose RHS value `rows` can
         // produce (`class_values`).
         rows.insert_row(t.tid, t.values.iter())?;
         self.cfg.candidates(self.sharing, t, &mut self.sx);
+        self.insert_matched(t, sink)
+    }
+
+    /// The insertion case analysis over the candidates the scratch holds
+    /// for `t`, whose row is stored.
+    fn insert_matched(
+        &mut self,
+        t: &Tuple,
+        (v, dv): Sink<'_>,
+    ) -> Result<Option<Opened>, DetectError> {
         let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
         for &c in &sx.consts {
             if cfg.cfds[c as usize].constant_violation(t) && v.add(c, t.tid) {
@@ -494,10 +551,22 @@ impl Site {
         &mut self,
         tid: Tid,
         rows: &mut Relation,
-        (v, dv): Sink<'_>,
+        sink: Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
         let t = rows.get(tid).ok_or(RelError::MissingTid(tid))?;
         self.cfg.candidates(self.sharing, &t, &mut self.sx);
+        self.delete_matched(t, rows, sink)
+    }
+
+    /// The deletion case analysis over the candidates the scratch holds
+    /// for `t`, which is still in `rows`.
+    fn delete_matched(
+        &mut self,
+        t: Tuple,
+        rows: &mut Relation,
+        (v, dv): Sink<'_>,
+    ) -> Result<Option<Opened>, DetectError> {
+        let tid = t.tid;
         let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
         // A constant CFD outside the list holds no mark for `tid`: a mark
         // implies the (immutable) tuple matched its LHS.
@@ -545,6 +614,90 @@ impl Site {
             HorMsg::TupleDelQuery { attrs, queries }
         });
         Ok(Some((Round::Delete { t, cfds, queries }, out)))
+    }
+
+    // -- settling a batch slice -----------------------------------------
+
+    /// The settle step, once per update of a batch slice, in slice order,
+    /// before any round of the batch opens anywhere. An update is
+    /// *class-preserving* when, for every operator it matches, the local
+    /// group holds its RHS class before and after it: an insert finds a
+    /// member there, a delete leaves one — counting what the slice's
+    /// deferred updates (`held`) will have added and removed by the time it
+    /// runs. Such an update ships nothing under either value of the
+    /// group's flag, and changes neither the set of classes nor the flag,
+    /// which is all a peer's request reads: it commutes with every update
+    /// of every other site. One that also shares no group key and no tid
+    /// with a deferred update before it is applied here, through the case
+    /// analysis of `begin_insert` / `begin_delete`; any other is recorded
+    /// in `held` and left for the driver to schedule, untouched.
+    pub(crate) fn try_settle(
+        &mut self,
+        op: &Update,
+        rows: &mut Relation,
+        sink: Sink<'_>,
+        held: &mut Deferrals,
+    ) -> Result<Settled, DetectError> {
+        let opened = match op {
+            Update::Insert(t) => {
+                self.cfg.candidates(self.sharing, t, &mut self.sx);
+                if let Some(writes) = self.defer(t, 1, held) {
+                    return Ok(Settled::Deferred { writes });
+                }
+                rows.insert_row(t.tid, t.values.iter())?;
+                self.insert_matched(t, sink)?
+            }
+            Update::Delete(tid) => {
+                let t = rows.get(*tid).ok_or(RelError::MissingTid(*tid))?;
+                self.cfg.candidates(self.sharing, &t, &mut self.sx);
+                if let Some(writes) = self.defer(&t, -1, held) {
+                    return Ok(Settled::Deferred { writes });
+                }
+                self.delete_matched(t, rows, sink)?
+            }
+        };
+        match opened {
+            None => Ok(Settled::Applied),
+            Some(_) => Err(self.shipped_unscheduled(op.tid())),
+        }
+    }
+
+    /// A class-preserving update asked for a round: the classification and
+    /// the case analysis disagree.
+    pub(crate) fn shipped_unscheduled(&self, tid: Tid) -> DetectError {
+        let me = self.me;
+        let what = format!("site {me}: the class-preserving update of tuple {tid} opened a round");
+        DetectError::Internal(what)
+    }
+
+    /// Classify the update the scratch holds the candidates of — `t`
+    /// inserted (`sign` 1) or deleted (−1). `None`: apply it now. Otherwise
+    /// it is entered into `held`, and `Some(writes)` says whether it is a
+    /// writer or merely held. The RHS digests stay cached for the apply
+    /// half.
+    fn defer(&mut self, t: &Tuple, sign: i32, held: &mut Deferrals) -> Option<bool> {
+        let (cfg, sx) = (&self.cfg, &mut self.sx);
+        // An insert needs a member to join, a delete one to leave behind.
+        let needed = if sign > 0 { 1 } else { 2 };
+        let (mut preserves, mut blocked) = (true, held.tids.contains(&t.tid));
+        for (op, kd, _) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
+            let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
+            let group = self.state[op as usize].get(&kd);
+            let stored = group.map_or(0, |g| g.class_len(bd)) as i64;
+            let pending = held.pending.get(&(op, kd, bd)).copied().unwrap_or(0);
+            preserves &= stored + i64::from(pending) >= needed;
+            blocked |= held.keys.contains(&(op, kd));
+        }
+        if preserves && !blocked {
+            return None;
+        }
+        held.tids.insert(t.tid);
+        for (op, kd, _) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
+            let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
+            held.keys.insert((op, kd));
+            *held.pending.entry((op, kd, bd)).or_insert(0) += sign;
+        }
+        Some(!preserves)
     }
 
     // -- serving peers --------------------------------------------------
@@ -798,7 +951,7 @@ mod tests {
     use crate::horizontal::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
     use crate::HorizontalDetector;
     use cluster::{NetStats, Wire};
-    use relation::{Update, UpdateBatch, Value};
+    use relation::{UpdateBatch, Value};
     use std::collections::VecDeque;
     use workload::updates::{self, UpdateMix};
 
@@ -813,6 +966,11 @@ mod tests {
     /// An open round of the [`Mesh`]: peers still to answer, and the
     /// machine's round (`None` for the clear round of a delete).
     type Slot = (usize, Option<Round>);
+
+    /// One update of a routed batch as the two-step schedule runs it: its
+    /// home site and whether it may ship (`false`: settled or held — it
+    /// must complete on the spot).
+    type Step = (SiteId, Update, bool);
 
     /// `n` machines, each over a row store of its own, and per-link FIFO
     /// queues — no sockets, no threads, no driver. Whoever holds the mesh
@@ -833,6 +991,8 @@ mod tests {
         queues: Vec<Vec<VecDeque<usize>>>,
         /// Modeled bytes and messages per link.
         stats: NetStats,
+        /// `[site]`: the settle pass's memory of what it deferred.
+        held: Vec<Deferrals>,
     }
 
     impl Mesh {
@@ -851,6 +1011,7 @@ mod tests {
                 rounds: (0..n).map(|_| Vec::new()).collect(),
                 queues: per_link(n),
                 stats: NetStats::new(n),
+                held: (0..n).map(|_| Deferrals::default()).collect(),
             }
         }
 
@@ -869,13 +1030,14 @@ mod tests {
             }
         }
 
-        fn begin(&mut self, home: SiteId, op: &Update) {
+        fn begin(&mut self, home: SiteId, op: &Update, writes: bool) {
             let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[home]);
             let opened = match op {
                 Update::Insert(t) => self.sites[home].begin_insert(t, rows, sink),
                 Update::Delete(tid) => self.sites[home].begin_delete(*tid, rows, sink),
             };
             if let Some((round, requests)) = opened.unwrap() {
+                assert!(writes, "site {home}: held {op:?} opened a round");
                 self.rounds[home].push(None);
                 self.send(home, self.rounds[home].len() - 1, Some(round), requests);
             }
@@ -916,15 +1078,16 @@ mod tests {
             }
         }
 
-        /// Run one conflict-free wave to quiescence. Each site begins its
-        /// own ops in wave order (as a runner does); everything else — who
-        /// begins next, which link delivers next — is `pick`'s choice
-        /// among the `k` moves possible.
-        fn run_wave(&mut self, wave: &[(SiteId, Update)], mut pick: impl FnMut(usize) -> usize) {
+        /// Run one wave to quiescence. Each site begins its own ops in
+        /// wave order (as a runner does); everything else — who begins
+        /// next, which link delivers next — is `pick`'s choice among the
+        /// `k` moves possible.
+        fn run_wave(&mut self, wave: &[Step], mut pick: impl FnMut(usize) -> usize) {
             let n = self.sites.len();
-            let mut todo: Vec<VecDeque<&Update>> = (0..n).map(|_| VecDeque::new()).collect();
-            for (home, op) in wave {
-                todo[*home].push_back(op);
+            let mut todo: Vec<VecDeque<(&Update, bool)>> =
+                (0..n).map(|_| VecDeque::new()).collect();
+            for (home, op, writes) in wave {
+                todo[*home].push_back((op, *writes));
             }
             loop {
                 let mut moves = Vec::new();
@@ -939,7 +1102,10 @@ mod tests {
                     break;
                 }
                 match moves[pick(moves.len())] {
-                    (i, None) => self.begin(i, todo[i].pop_front().expect("listed")),
+                    (i, None) => {
+                        let (op, writes) = todo[i].pop_front().expect("listed");
+                        self.begin(i, op, writes);
+                    }
                     (i, Some(j)) => self.deliver(i, j),
                 }
             }
@@ -948,10 +1114,66 @@ mod tests {
             self.rounds.iter_mut().for_each(Vec::clear);
         }
 
+        /// One routed batch through the two-step schedule, as the
+        /// threaded runtime drives it: every site's settle pass over its
+        /// slice, the coordinator's placing of what they deferred, then
+        /// the waves, each to quiescence under `pick`. `after` sees the
+        /// mesh after the settle passes (with the updates they applied,
+        /// in batch order) and after every wave (with the wave).
+        fn run_batch(
+            &mut self,
+            batch: &[(SiteId, Update)],
+            mut pick: impl FnMut(usize) -> usize,
+            mut after: impl FnMut(&Mesh, &[Step]),
+        ) {
+            let cfg = self.sites[0].cfg().clone();
+            self.held.iter_mut().for_each(Deferrals::clear);
+            // Sites do not interact while they settle, so batch order is
+            // every site's slice order at once.
+            let mut settled = Vec::new();
+            let mut waves: Vec<Vec<Step>> = Vec::new();
+            let mut deferred = Vec::new();
+            for (home, op) in batch {
+                let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[*home]);
+                let held = &mut self.held[*home];
+                match self.sites[*home].try_settle(op, rows, sink, held).unwrap() {
+                    Settled::Applied => settled.push((*home, op.clone(), false)),
+                    Settled::Deferred { writes } => deferred.push((*home, op, writes)),
+                }
+            }
+            after(self, &settled);
+            let mut planner = WavePlanner::default();
+            for (home, op, writes) in deferred {
+                let w = match op {
+                    Update::Insert(t) => planner.place(&cfg, home, t, writes),
+                    Update::Delete(tid) => {
+                        let t = self.rows[home].get(*tid).expect("deferred untouched");
+                        planner.place(&cfg, home, &t, writes)
+                    }
+                };
+                waves.resize_with(planner.n_waves as usize, Vec::new);
+                waves[w as usize].push((home, op.clone(), writes));
+            }
+            planner.finish();
+            for wave in &waves {
+                self.run_wave(wave, &mut pick);
+                after(self, wave);
+            }
+        }
+
         fn census(&self) -> StateCensus {
             let mut census = StateCensus::default();
             self.sites.iter().for_each(|s| s.count_into(&mut census));
             census
+        }
+
+        fn snapshot(&self) -> Snapshot {
+            Snapshot {
+                marks: self.v.marks_sorted(),
+                census: self.census(),
+                resident_symbols: self.resident_symbols(),
+                stats: self.stats.to_bytes(),
+            }
         }
 
         fn resident_symbols(&self) -> Vec<usize> {
@@ -960,7 +1182,7 @@ mod tests {
         }
     }
 
-    /// What the synchronous driver left behind after one wave.
+    /// What a driver left behind after one step of a batch.
     #[derive(Debug, PartialEq)]
     struct Snapshot {
         marks: Vec<(CfdId, Tid)>,
@@ -1011,12 +1233,17 @@ mod tests {
 
     /// ROADMAP item 6's harness in its deterministic form: what
     /// `interleaving_stress_{8,16}_sites` samples through the OS scheduler,
-    /// enumerated. Within a conflict-free wave, every FIFO-respecting
-    /// order of begins and deliveries leaves `V`, the group state, the link
-    /// dictionaries and the per-link traffic matrix exactly where the
-    /// synchronous driver leaves them. (Message *contents* may differ
-    /// under dict — a teach delta rides whichever frame crosses its link
-    /// first — which is why the matrix, not the frames, is compared.)
+    /// enumerated, over the two-step schedule the threaded runtime runs.
+    /// Every batch is settled site by site, and what the passes deferred
+    /// is placed and run wave by wave; within a wave, every
+    /// FIFO-respecting order of begins and deliveries leaves `V`, the
+    /// group state, the link dictionaries and the per-link traffic matrix
+    /// exactly where the synchronous driver leaves them when it is fed the
+    /// same steps — and at the end of every batch exactly where a second
+    /// synchronous driver, fed the batch whole and in batch order, is: the
+    /// reordering is invisible. (Message *contents* may differ under dict —
+    /// a teach delta rides whichever frame crosses its link first — which
+    /// is why the matrix, not the frames, is compared.)
     #[test]
     fn any_fifo_interleaving_of_a_wave_gives_the_same_state() {
         use workload::{emp, rules, tpch};
@@ -1092,65 +1319,84 @@ mod tests {
                 let scheme = HorizontalScheme::by_hash(schema.clone(), schema.key(), n).unwrap();
                 let cfg = SiteConfig::new(schema.clone(), cfds.clone(), &scheme);
                 for codec in [CodecKind::Md5, CodecKind::RawValues, CodecKind::Dict] {
-                    // The reference: the synchronous driver, wave by wave,
-                    // from an empty relation (so the load is metered too).
-                    let empty = Relation::new(schema.clone());
-                    let mut seq = HorizontalDetector::with_codec(
-                        schema.clone(),
-                        cfds.clone(),
-                        scheme.clone(),
-                        &empty,
-                        codec,
-                    )
-                    .unwrap();
-                    let mut planner = WavePlanner::default();
-                    let mut waves: Vec<Vec<(SiteId, Update)>> = Vec::new();
+                    // The references: one synchronous driver fed step by
+                    // step, one fed whole batches, both from an empty
+                    // relation (so the load is metered too). A pilot mesh,
+                    // delivering in the synchronous order, says what the
+                    // steps are.
+                    let build = || {
+                        let (schema, empty) = (schema.clone(), Relation::new(schema.clone()));
+                        HorizontalDetector::with_codec(
+                            schema,
+                            cfds.clone(),
+                            scheme.clone(),
+                            &empty,
+                            codec,
+                        )
+                        .unwrap()
+                    };
+                    let snapshot = |seq: &HorizontalDetector| Snapshot {
+                        marks: seq.violations().marks_sorted(),
+                        census: seq.state_census(),
+                        resident_symbols: seq.resident_symbols(),
+                        stats: seq.stats().to_bytes(),
+                    };
+                    let (mut seq, mut whole) = (build(), build());
+                    let mut pilot = Mesh::new(&cfg, codec);
+                    let mut routed: Vec<Vec<(SiteId, Update)>> = Vec::new();
+                    let mut steps: Vec<Vec<Step>> = Vec::new();
                     let mut want = Vec::new();
                     for batch in &batches {
                         let delta = batch.normalize(seq.current());
-                        let first = waves.len();
-                        for op in delta.ops() {
-                            let (home, w) = match op {
-                                Update::Insert(t) => {
-                                    (scheme.route(t).unwrap(), planner.place(&cfg, t))
-                                }
-                                Update::Delete(tid) => {
-                                    let t = seq.current().get(*tid).unwrap();
-                                    (seq.site_of_tid[tid], planner.place(&cfg, &t))
-                                }
-                            };
-                            waves.resize_with(first + planner.n_waves as usize, Vec::new);
-                            waves[first + w as usize].push((home, op.clone()));
-                        }
-                        planner.finish();
-                        for wave in &waves[first..] {
-                            let ops = wave.iter().map(|(_, op)| op.clone()).collect();
-                            seq.apply(&UpdateBatch::from_ops(ops)).unwrap();
-                            let oracle = cfd::naive::detect(cfds, seq.current());
-                            assert_eq!(seq.violations().marks_sorted(), oracle.marks_sorted());
-                            want.push(Snapshot {
-                                marks: seq.violations().marks_sorted(),
-                                census: seq.state_census(),
-                                resident_symbols: seq.resident_symbols(),
-                                stats: seq.stats().to_bytes(),
-                            });
-                        }
+                        let home = |op: &Update| match op {
+                            Update::Insert(t) => scheme.route(t).unwrap(),
+                            Update::Delete(tid) => seq.site_of_tid[tid],
+                        };
+                        let ops = delta.ops().iter();
+                        routed.push(ops.map(|op| (home(op), op.clone())).collect());
+                        pilot.run_batch(
+                            routed.last().expect("pushed"),
+                            |_| 0,
+                            |mesh, step| {
+                                let ops = step.iter().map(|(_, op, _)| op.clone()).collect();
+                                seq.apply(&UpdateBatch::from_ops(ops)).unwrap();
+                                let oracle = cfd::naive::detect(cfds, seq.current());
+                                assert_eq!(seq.violations().marks_sorted(), oracle.marks_sorted());
+                                assert_eq!(mesh.snapshot(), snapshot(&seq), "the pilot");
+                                want.push(snapshot(&seq));
+                                steps.push(step.to_vec());
+                            },
+                        );
+                        whole.apply(&delta).unwrap();
+                        // Table capacities remember the order of growth.
+                        let logical = |mut at: Snapshot| {
+                            at.census.resident_bytes = 0;
+                            at
+                        };
+                        let (stepped, whole) = (snapshot(&seq), snapshot(&whole));
+                        assert_eq!(logical(stepped), logical(whole), "batch order");
                     }
-                    assert!(seq.stats().total_messages() > 0 && waves.len() > batches.len());
+                    // The stream exercises all three kinds of update, and
+                    // some batch needs more than one wave.
+                    let count =
+                        |f: fn(&Step) -> bool| steps.iter().flatten().filter(|s| f(s)).count();
+                    let settled: usize = steps.iter().filter(|s| s.iter().any(|x| !x.2)).count();
+                    assert!(seq.stats().total_messages() > 0 && steps.len() > 2 * batches.len());
+                    assert!(settled > 0 && count(|s| s.2) > 0, "{settled} settled steps");
 
                     for seed in 1..=PERMUTATIONS {
                         let mut pick = xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                         let mut mesh = Mesh::new(&cfg, codec);
-                        for (w, (wave, want)) in waves.iter().zip(&want).enumerate() {
-                            mesh.run_wave(wave, &mut pick);
-                            let got = Snapshot {
-                                marks: mesh.v.marks_sorted(),
-                                census: mesh.census(),
-                                resident_symbols: mesh.resident_symbols(),
-                                stats: mesh.stats.to_bytes(),
-                            };
-                            assert_eq!(&got, want, "{codec:?}, {n} sites, seed {seed}, wave {w}");
+                        let mut at = 0;
+                        for batch in &routed {
+                            mesh.run_batch(batch, &mut pick, |mesh, step| {
+                                let what = format!("{codec:?}, {n} sites, seed {seed}, step {at}");
+                                assert_eq!(step, steps[at], "{what}");
+                                assert_eq!(mesh.snapshot(), want[at], "{what}");
+                                at += 1;
+                            });
                         }
+                        assert_eq!(at, steps.len());
                     }
                 }
             }
@@ -1179,7 +1425,7 @@ mod tests {
         let scheme = fig2_scheme(&s);
         for t in d0().iter() {
             // One op per wave: the load is five conflicting inserts.
-            let wave = [(scheme.route(&t).unwrap(), Update::Insert(t))];
+            let wave = [(scheme.route(&t).unwrap(), Update::Insert(t), true)];
             mesh.run_wave(&wave, |_| 0);
         }
         let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
