@@ -437,8 +437,10 @@ impl<M: FrameCodec> MsgTransport<M> for ByteNetwork<M> {
         ByteNetwork::try_drain(self, site)
     }
 
-    fn quiescent(&self) -> bool {
-        ByteNetwork::quiescent(self)
+    fn in_flight(&self) -> Option<(SiteId, SiteId, usize)> {
+        let links = (0..self.n).flat_map(|dst| (0..self.n).map(move |src| (src, dst)));
+        let mut busy = links.map(|(src, dst)| (src, dst, self.pending[src][dst]));
+        busy.find(|&(.., k)| k > 0)
     }
 
     fn stats(&self) -> &NetStats {

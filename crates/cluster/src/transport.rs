@@ -146,8 +146,10 @@ pub trait MsgTransport<M>: std::fmt::Debug + Send {
     /// byte backends can hit truncated frames or disconnects.
     fn try_drain(&mut self, site: SiteId) -> Result<Vec<(SiteId, M)>, ClusterError>;
 
-    /// Are all links idle? (protocol-completion assertion)
-    fn quiescent(&self) -> bool;
+    /// The frames in flight to the lowest-numbered site that has any, from
+    /// its lowest-numbered sender: `(src, dst, frames)`. `None` when every
+    /// link is idle.
+    fn in_flight(&self) -> Option<(SiteId, SiteId, usize)>;
 
     /// Modeled `|M|` statistics.
     fn stats(&self) -> &NetStats;
@@ -179,8 +181,10 @@ impl<M: Wire + std::fmt::Debug + Send> MsgTransport<M> for Network<M> {
         Ok(Network::drain(self, site))
     }
 
-    fn quiescent(&self) -> bool {
-        Network::quiescent(self)
+    fn in_flight(&self) -> Option<(SiteId, SiteId, usize)> {
+        let (dst, inbox) = (0..).zip(&self.inboxes).find(|(_, q)| !q.is_empty())?;
+        let src = inbox.iter().map(|m| m.0).min()?;
+        Some((src, dst, inbox.iter().filter(|m| m.0 == src).count()))
     }
 
     fn stats(&self) -> &NetStats {

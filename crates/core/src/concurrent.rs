@@ -76,6 +76,23 @@
 //!    disjoint, so sites fire *all* their probes up front and serve peers
 //!    while their own rounds are in flight.
 //!
+//! The sequential driver ([`crate::HorizontalDetector`], whose module docs
+//! describe its batch loop) applies the same rule *online*: it begins
+//! every update in batch order and keeps the rounds it opens in flight,
+//! holding an update back — draining first — only if it could observe a
+//! round still unfinished: it shares the round's tid, or its footprint
+//! meets the keys the round's requests carry and it either writes or lives
+//! at the round's own home.
+//! That last case is the same-home trap, and the reason a held update above
+//! waits for its own site's writer: an insert round's `finish` raises the
+//! flag and marks its own tuple only, so a class-preserving newcomer to the
+//! group at that site that ran before the round finished would find the
+//! flag down and stay unmarked. Everything else runs at once, by the four
+//! cases. Online, the rule needs only the keys of the rounds in flight and
+//! the stored state — exact, since every earlier update has begun — where
+//! the two steps above, applied to a whole `D₀` window, defer nearly all
+//! of it behind its first writers.
+//!
 //! Every round thus opens with the payload, towards the peers, and to the
 //! replies it would have had in batch order — the differential suites
 //! compare the full per-link traffic matrix — while barrier rounds stop
@@ -207,10 +224,11 @@ pub use ctrl::{BatchImage, CtrlMsg, RtFrame};
 /// owns batch admission, wave barriers and result collection.
 pub const COORD: SiteId = 0;
 
-/// In-flight ops per site within a wave. Bounds peak buffering; the
-/// window never deadlocks because reader threads always drain sockets
-/// into unbounded inboxes.
-const WINDOW: usize = 128;
+/// In-flight rounds per site within a wave, and across the mesh between
+/// two drains of the sequential driver. Bounds peak buffering; the window
+/// never deadlocks because reader threads always drain sockets into
+/// unbounded inboxes.
+pub(crate) const WINDOW: usize = 128;
 
 fn proto(msg: impl Into<String>) -> DetectError {
     DetectError::Cluster(ClusterError::Transport(msg.into()))
@@ -547,11 +565,7 @@ impl SiteRunner {
             }
             let op = slice[pos as usize];
             let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
-            let opened = match op {
-                Update::Insert(t) => self.site.begin_insert(t, rows, sink)?,
-                Update::Delete(tid) => self.site.begin_delete(*tid, rows, sink)?,
-            };
-            if let Some((round, requests)) = opened {
+            if let Some((round, requests)) = self.site.begin(op, rows, sink)? {
                 if !writes {
                     return Err(self.site.shipped_unscheduled(op.tid()));
                 }

@@ -1,10 +1,11 @@
 //! The §6 site machine: one site's whole share of `incHor` — group state
 //! and codec state — behind six steps with no transport, no threads, no
-//! `V` and no rows inside: the four steps that touch a row are handed the
+//! `V` and no rows inside: the three steps that touch a row are handed the
 //! store their driver owns. The [parent module](super) documents the steps
 //! and the invariants; [`HorizontalDetector`](super::HorizontalDetector)
-//! drives `n` machines synchronously over a `MsgTransport` and hands each
-//! the one logical relation, the thread-per-site
+//! drives `n` machines from one thread over a `MsgTransport`, rounds in
+//! flight across a batch, and hands each the one logical relation, the
+//! thread-per-site
 //! [`SiteRunner`](crate::concurrent::SiteRunner) drives one behind its
 //! wave scheduler and hands it the fragment its thread or process holds —
 //! after [`Site::try_settle`] has applied, on arrival, every update of the
@@ -81,8 +82,9 @@ fn encode_attrs(
 
 /// One message per peer in `sx.peers` carrying `sx.attrs` of `t`, built at
 /// site `me`. Link-stateful codecs ([`PayloadCodec::per_link`]) encode
-/// fresh per peer; stateless ones (md5/raw) encode once and clone, so the
-/// attribute digests of an update are computed once, not per peer.
+/// fresh per peer; stateless ones (md5/raw) encode once, clone for all but
+/// the last peer and hand that one the original, so the attribute digests
+/// of an update are computed once, not per peer.
 fn broadcast(
     codec: &mut dyn PayloadCodec,
     me: SiteId,
@@ -91,13 +93,17 @@ fn broadcast(
     msg: impl Fn(Vec<(AttrId, WireValue)>) -> HorMsg,
 ) -> Vec<(SiteId, HorMsg)> {
     let mut shared = None;
-    let to_peer = sx.peers.iter().map(|&j| {
+    let last = sx.peers.len().saturating_sub(1);
+    let to_peer = sx.peers.iter().enumerate().map(|(i, &j)| {
         let payload = if codec.per_link() {
             encode_attrs(codec, t, &sx.attrs, (me, j))
         } else {
-            shared
-                .get_or_insert_with(|| encode_attrs(codec, t, &sx.attrs, (me, j)))
-                .clone()
+            let once = shared.get_or_insert_with(|| encode_attrs(codec, t, &sx.attrs, (me, j)));
+            if i == last {
+                std::mem::take(once)
+            } else {
+                once.clone()
+            }
         };
         (j, msg(payload))
     });
@@ -271,7 +277,10 @@ fn matched_ops<'a>(
     })
 }
 
-/// Per-update scratch a site owns: cleared, not rebuilt, per step.
+/// Own-update scratch: cleared, not rebuilt, per update. What
+/// [`SiteConfig::candidates`] leaves here survives everything a site does
+/// for its peers meanwhile ([`ServeScratch`] is theirs), so an update
+/// classified before a drain is begun after it without recomputing.
 #[derive(Default)]
 pub(crate) struct OpScratch {
     /// Shared-plan dispatch scratch (generation-stamped counters).
@@ -292,9 +301,16 @@ pub(crate) struct OpScratch {
     /// Attributes and peers of the coalesced message being shipped.
     attrs: Vec<AttrId>,
     peers: Vec<SiteId>,
-    /// Receiver side: the digests of one request, the matched CFDs of one
-    /// of its operators, the resolved values of one reply.
-    rx_digests: FxHashMap<AttrId, Digest>,
+}
+
+/// Serving scratch: the digests of one request and the key digest per key
+/// group it derives, the matched CFDs of one of its operators, the resolved
+/// values of one reply.
+#[derive(Default)]
+struct ServeScratch {
+    digests: FxHashMap<AttrId, Digest>,
+    group_kd: Vec<Option<Digest>>,
+    kbuf: Vec<u8>,
     hit: Vec<CfdId>,
     reply_d: Vec<Digest>,
 }
@@ -377,6 +393,39 @@ pub(crate) enum Round {
     },
 }
 
+/// An update at its home site as the machine reads it: the inserted tuple,
+/// or the stored tuple a delete removes — read off the rows once, for the
+/// classification and the case analysis alike.
+pub(crate) enum Own<'a> {
+    Insert(&'a Tuple),
+    Delete(Tuple),
+}
+
+impl<'a> Own<'a> {
+    /// `op` at its home, whose rows hold every tuple it may delete.
+    pub(crate) fn read(op: &'a Update, rows: &Relation) -> Result<Self, DetectError> {
+        Ok(match op {
+            Update::Insert(t) => Own::Insert(t),
+            Update::Delete(tid) => Own::Delete(rows.get(*tid).ok_or(RelError::MissingTid(*tid))?),
+        })
+    }
+
+    fn tuple(&self) -> &Tuple {
+        match self {
+            Own::Insert(t) => t,
+            Own::Delete(t) => t,
+        }
+    }
+
+    /// Members the update adds to its classes: 1, or −1 for a delete.
+    fn sign(&self) -> i32 {
+        match self {
+            Own::Insert(_) => 1,
+            Own::Delete(_) => -1,
+        }
+    }
+}
+
 /// What [`Site::try_settle`] did with one update of a batch slice.
 pub(crate) enum Settled {
     /// Class-preserving and clear of every deferred update before it:
@@ -438,6 +487,7 @@ pub(crate) struct Site {
     /// what actually crossed the wire.
     rx: Vec<ReceiverCodec>,
     sx: OpScratch,
+    served: ServeScratch,
 }
 
 impl Site {
@@ -451,6 +501,7 @@ impl Site {
                 .map(|src| ReceiverCodec::for_link(src, me))
                 .collect(),
             sx: OpScratch::default(),
+            served: ServeScratch::default(),
             sharing: SharingMode::default(),
             cfg,
             me,
@@ -480,21 +531,76 @@ impl Site {
 
     // -- own updates ----------------------------------------------------
 
-    /// §6 insertion at the tuple's home site, into the driver's `rows`.
-    /// `None` when the local case analysis settles every operator
-    /// (Examples 2(1)(b) and 9) or no peer could hold a conflicting group.
-    pub(crate) fn begin_insert(
+    /// `op` at its home site, both halves at once: [`classify`](Self::classify),
+    /// then [`begin_classified`](Self::begin_classified).
+    pub(crate) fn begin(
         &mut self,
-        t: &Tuple,
+        op: &Update,
         rows: &mut Relation,
         sink: Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
-        // Row before group state: every class this update creates has,
-        // from its first instant, a member whose RHS value `rows` can
-        // produce (`class_values`).
-        rows.insert_row(t.tid, t.values.iter())?;
-        self.cfg.candidates(self.sharing, t, &mut self.sx);
-        self.insert_matched(t, sink)
+        let own = Own::read(op, rows)?;
+        self.classify(&own);
+        self.begin_classified(own, rows, sink)
+    }
+
+    /// The first half of an own update: its candidates — the CFDs it
+    /// matches and a key digest per key group they sit on — into the
+    /// own-update scratch. They stay there, whatever this site serves its
+    /// peers meanwhile, until the update begins.
+    pub(crate) fn classify(&mut self, own: &Own<'_>) {
+        self.cfg.candidates(self.sharing, own.tuple(), &mut self.sx);
+    }
+
+    /// The classified update's key groups, each with its group key: every
+    /// group the update, or a round it opens, can touch at any site (a
+    /// peer's implicit queries only derive keys from the tuple's own
+    /// values, and a group exists only where a tuple of that key matched).
+    pub(crate) fn footprint(&self) -> impl Iterator<Item = (usize, Digest)> + '_ {
+        let keyed = self.sx.group_kd.iter().enumerate();
+        keyed.filter_map(|(g, kd)| kd.map(|kd| (g, kd)))
+    }
+
+    /// The part of the footprint the round the update just opened can
+    /// touch: the key groups whose whole `X` its requests carry. A peer
+    /// derives keys from the payload alone, and every operator the round
+    /// queries, probes or may clear is among them.
+    pub(crate) fn reach(&self) -> impl Iterator<Item = (usize, Digest)> + '_ {
+        let carried = |g: usize| {
+            let lhs = &self.cfg.plan.key_groups()[g].0;
+            lhs.iter().all(|a| self.sx.attrs.binary_search(a).is_ok())
+        };
+        self.footprint().filter(move |&(g, _)| carried(g))
+    }
+
+    /// Does the classified update create or empty a local RHS class, so
+    /// that a peer could tell it happened? Exact for an update about to
+    /// begin: the stored state is the state it will find.
+    pub(crate) fn writes(&mut self, own: &Own<'_>) -> bool {
+        !self.preserves(own, |_| 0)
+    }
+
+    /// The second half: the case analysis over the classified candidates —
+    /// the insert's row stored first, the delete's row dropped last. `None`
+    /// when the local case analysis settles every operator (Examples
+    /// 2(1)(b), 2(2) and 9), no peer could hold a group of it, or the site
+    /// decided a delete alone.
+    pub(crate) fn begin_classified(
+        &mut self,
+        own: Own<'_>,
+        rows: &mut Relation,
+        sink: Sink<'_>,
+    ) -> Result<Option<Opened>, DetectError> {
+        match own {
+            Own::Insert(t) => {
+                // Row before group state: every class this update creates
+                // has, from its first instant, a member whose RHS value
+                // `rows` can produce (`class_values`).
+                rows.insert_row(t.tid, t.values.iter())?;
+                self.insert_matched(t, sink)
+            }
+            Own::Delete(t) => self.delete_matched(t, rows, sink),
+        }
     }
 
     /// The insertion case analysis over the candidates the scratch holds
@@ -541,21 +647,6 @@ impl Site {
             queries: asked,
         };
         Ok(Some((round, out)))
-    }
-
-    /// §6 deletion at the tuple's home site, out of the driver's `rows`.
-    /// `None` when a local witness keeps every violating group's
-    /// multiplicity ≥ 2 (Example 2(2)), or no peer is relevant and the
-    /// site decided alone.
-    pub(crate) fn begin_delete(
-        &mut self,
-        tid: Tid,
-        rows: &mut Relation,
-        sink: Sink<'_>,
-    ) -> Result<Option<Opened>, DetectError> {
-        let t = rows.get(tid).ok_or(RelError::MissingTid(tid))?;
-        self.cfg.candidates(self.sharing, &t, &mut self.sx);
-        self.delete_matched(t, rows, sink)
     }
 
     /// The deletion case analysis over the candidates the scratch holds
@@ -638,25 +729,19 @@ impl Site {
         sink: Sink<'_>,
         held: &mut Deferrals,
     ) -> Result<Settled, DetectError> {
-        let opened = match op {
-            Update::Insert(t) => {
-                self.cfg.candidates(self.sharing, t, &mut self.sx);
-                if let Some(writes) = self.defer(t, 1, held) {
-                    return Ok(Settled::Deferred { writes });
-                }
-                rows.insert_row(t.tid, t.values.iter())?;
-                self.insert_matched(t, sink)?
-            }
-            Update::Delete(tid) => {
-                let t = rows.get(*tid).ok_or(RelError::MissingTid(*tid))?;
-                self.cfg.candidates(self.sharing, &t, &mut self.sx);
-                if let Some(writes) = self.defer(&t, -1, held) {
-                    return Ok(Settled::Deferred { writes });
-                }
-                self.delete_matched(t, rows, sink)?
-            }
-        };
-        match opened {
+        let own = Own::read(op, rows)?;
+        self.classify(&own);
+        let pending = |key| held.pending.get(&key).copied().unwrap_or(0);
+        let preserves = self.preserves(&own, pending);
+        let (cfg, sx) = (&self.cfg, &self.sx);
+        let blocked = held.tids.contains(&op.tid())
+            || matched_ops(&cfg.plan, &sx.vars, &sx.group_kd)
+                .any(|(o, kd, _)| held.keys.contains(&(o, kd)));
+        if !preserves || blocked {
+            self.defer(&own, held);
+            return Ok(Settled::Deferred { writes: !preserves });
+        }
+        match self.begin_classified(own, rows, sink)? {
             None => Ok(Settled::Applied),
             Some(_) => Err(self.shipped_unscheduled(op.tid())),
         }
@@ -670,40 +755,45 @@ impl Site {
         DetectError::Internal(what)
     }
 
-    /// Classify the update the scratch holds the candidates of — `t`
-    /// inserted (`sign` 1) or deleted (−1). `None`: apply it now. Otherwise
-    /// it is entered into `held`, and `Some(writes)` says whether it is a
-    /// writer or merely held. The RHS digests stay cached for the apply
-    /// half.
-    fn defer(&mut self, t: &Tuple, sign: i32, held: &mut Deferrals) -> Option<bool> {
-        let (cfg, sx) = (&self.cfg, &mut self.sx);
+    /// Is the classified update class-preserving: does every RHS class it
+    /// touches hold a member before and after it? `pending` adds, per
+    /// `(operator, group key, class)`, the members earlier updates not yet
+    /// applied will have added or removed by the time it runs. The RHS
+    /// digests stay cached for the case analysis.
+    fn preserves(
+        &mut self,
+        own: &Own<'_>,
+        pending: impl Fn((OpId, Digest, Digest)) -> i32,
+    ) -> bool {
+        let (cfg, sx, t) = (&self.cfg, &mut self.sx, own.tuple());
         // An insert needs a member to join, a delete one to leave behind.
-        let needed = if sign > 0 { 1 } else { 2 };
-        let (mut preserves, mut blocked) = (true, held.tids.contains(&t.tid));
+        let needed = if own.sign() > 0 { 1 } else { 2 };
         for (op, kd, _) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
             let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
             let group = self.state[op as usize].get(&kd);
             let stored = group.map_or(0, |g| g.class_len(bd)) as i64;
-            let pending = held.pending.get(&(op, kd, bd)).copied().unwrap_or(0);
-            preserves &= stored + i64::from(pending) >= needed;
-            blocked |= held.keys.contains(&(op, kd));
+            if stored + i64::from(pending((op, kd, bd))) < needed {
+                return false;
+            }
         }
-        if preserves && !blocked {
-            return None;
-        }
+        true
+    }
+
+    /// Enter the classified update into `held`, untouched.
+    fn defer(&mut self, own: &Own<'_>, held: &mut Deferrals) {
+        let (cfg, sx, t) = (&self.cfg, &mut self.sx, own.tuple());
         held.tids.insert(t.tid);
         for (op, kd, _) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
             let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
             held.keys.insert((op, kd));
-            *held.pending.entry((op, kd, bd)).or_insert(0) += sign;
+            *held.pending.entry((op, kd, bd)).or_insert(0) += own.sign();
         }
-        Some(!preserves)
     }
 
     // -- serving peers --------------------------------------------------
 
     /// Check a request before anything is mutated, and resolve its payload
-    /// into `sx.rx_digests` through the `src → me` link's own dictionary
+    /// into the serving scratch through the `src → me` link's own dictionary
     /// (fed only by received deltas). Every *listed* id must name an
     /// operator whose whole `X` the payload carries.
     fn admit(
@@ -719,15 +809,15 @@ impl Site {
         let unknown = ClusterError::UnknownSite(src);
         let rx = self.rx.get_mut(src).filter(|_| src != self.me);
         let rx = rx.ok_or(unknown)?;
-        self.sx.rx_digests.clear();
+        self.served.digests.clear();
         for (a, w) in attrs {
-            if self.sx.rx_digests.insert(*a, rx.digest(w)?).is_some() {
+            if self.served.digests.insert(*a, rx.digest(w)?).is_some() {
                 return Err(self.bad(src, kind, format!("carries attribute {a} twice")));
             }
         }
         for &o in listed {
             let mut lhs = self.cfg.operator(o).0.iter();
-            if let Some(a) = lhs.find(|a| !self.sx.rx_digests.contains_key(*a)) {
+            if let Some(a) = lhs.find(|a| !self.served.digests.contains_key(*a)) {
                 let what = format!("lists operator {o} without its LHS attribute {a}");
                 return Err(self.bad(src, kind, what));
             }
@@ -738,7 +828,7 @@ impl Site {
     /// Group key of listed operator `o` from the admitted payload.
     fn wire_key(&mut self, o: OpId) -> Digest {
         let lhs = self.cfg.operator(o).0.iter();
-        key_digest_from(lhs.map(|a| self.sx.rx_digests[a]), &mut self.sx.kbuf)
+        key_digest_from(lhs.map(|a| self.served.digests[a]), &mut self.served.kbuf)
     }
 
     /// Serve a peer's `TupleProbe`, `TupleDelQuery` or `ClearFlags`. The
@@ -761,16 +851,16 @@ impl Site {
                     let kd = self.wire_key(o);
                     let h = self.state[o as usize].get_mut(&kd);
                     if let Some(h) = h.filter(|h| !h.violating()) {
-                        let sx = &mut self.sx;
-                        self.cfg.matched_under(o, &sx.rx_digests, &mut sx.hit);
+                        let sx = &mut self.served;
+                        self.cfg.matched_under(o, &sx.digests, &mut sx.hit);
                         mark_group(h, &sx.hit, v, dv);
                     }
                 }
                 // Implicit queries: every other operator the payload can
                 // derive — one key digest per distinct LHS list, one
                 // lookup per operator.
-                let (cfg, sx) = (&self.cfg, &mut self.sx);
-                let digests = &sx.rx_digests;
+                let (cfg, sx) = (&self.cfg, &mut self.served);
+                let digests = &sx.digests;
                 sx.group_kd.clear();
                 for (lhs, _) in cfg.plan.key_groups() {
                     let covered = lhs.iter().all(|a| digests.contains_key(a));
@@ -779,15 +869,15 @@ impl Site {
                 }
                 let mut conflicts = Vec::new();
                 for (o, (g, b, _)) in (0..).zip(cfg.plan.operators()) {
-                    let (Some(kd), Some(&bd)) = (sx.group_kd[*g], digests.get(b)) else {
-                        continue;
-                    };
-                    let Some(h) = self.state[o as usize].get_mut(&kd) else {
-                        continue;
-                    };
+                    // Cheapest test first: most key groups are not derivable.
+                    let Some(kd) = sx.group_kd[*g] else { continue };
+                    let Some(&bd) = digests.get(b) else { continue };
                     if probes.contains(&o) {
                         continue;
                     }
+                    let Some(h) = self.state[o as usize].get_mut(&kd) else {
+                        continue;
+                    };
                     let other = h.has_other(bd);
                     if other && !h.violating() {
                         cfg.matched_under(o, digests, &mut sx.hit);
@@ -804,9 +894,9 @@ impl Site {
                 let mut bvals = Vec::new();
                 for o in queries {
                     let kd = self.wire_key(o);
-                    // Only peers answer, and footprints within a wave are
-                    // disjoint, so the group read here is never one an
-                    // in-flight update of this site is half through.
+                    // Only peers answer, and the footprints of rounds open
+                    // at once are disjoint, so the group read here is never
+                    // one an in-flight update of this site is half through.
                     if let Some(h) = self.state[o as usize].get(&kd) {
                         let (me, codec) = (self.me, self.codec.as_mut());
                         let at = (me, o, self.cfg.operator(o).1, kd);
@@ -822,8 +912,8 @@ impl Site {
                 for o in cfds {
                     let kd = self.wire_key(o);
                     if let Some(h) = self.state[o as usize].get_mut(&kd) {
-                        let sx = &mut self.sx;
-                        self.cfg.matched_under(o, &sx.rx_digests, &mut sx.hit);
+                        let sx = &mut self.served;
+                        self.cfg.matched_under(o, &sx.digests, &mut sx.hit);
                         clear_group(h, &sx.hit, v, dv);
                     }
                 }
@@ -866,11 +956,11 @@ impl Site {
                 }
                 let unknown = ClusterError::UnknownSite(src);
                 let rx = self.rx.get_mut(src).ok_or(unknown)?;
-                self.sx.reply_d.clear();
+                self.served.reply_d.clear();
                 for w in bvals.iter().flat_map(|(_, vs)| vs) {
-                    self.sx.reply_d.push(rx.digest(w)?);
+                    self.served.reply_d.push(rx.digest(w)?);
                 }
-                let mut resolved = self.sx.reply_d.drain(..);
+                let mut resolved = self.served.reply_d.drain(..);
                 for (o, vs) in bvals {
                     let i = queries.binary_search_by_key(&o, |q| q.asked.op);
                     let q = &mut queries[i.expect("checked above")];
@@ -1032,10 +1122,7 @@ mod tests {
 
         fn begin(&mut self, home: SiteId, op: &Update, writes: bool) {
             let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[home]);
-            let opened = match op {
-                Update::Insert(t) => self.sites[home].begin_insert(t, rows, sink),
-                Update::Delete(tid) => self.sites[home].begin_delete(*tid, rows, sink),
-            };
+            let opened = self.sites[home].begin(op, rows, sink);
             if let Some((round, requests)) = opened.unwrap() {
                 assert!(writes, "site {home}: held {op:?} opened a round");
                 self.rounds[home].push(None);
@@ -1429,7 +1516,7 @@ mod tests {
             mesh.run_wave(&wave, |_| 0);
         }
         let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
-        let opened = mesh.sites[2].begin_delete(5, rows, sink).unwrap();
+        let opened = mesh.sites[2].begin(&Update::Delete(5), rows, sink).unwrap();
         let (round, requests) = opened.unwrap();
         (mesh, round, requests)
     }
@@ -1580,7 +1667,7 @@ mod tests {
         // An insert round refuses a delete's reply, and ids out of Σ.
         let t = emp_tuple(7, "C", 44, 131, "EH2 4HF", "Lauriston", "EDI");
         let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
-        let opened = mesh.sites[2].begin_insert(&t, rows, sink).unwrap();
+        let opened = mesh.sites[2].begin(&Update::Insert(t), rows, sink).unwrap();
         let (mut round, requests) = opened.unwrap();
         let forged = [
             (
@@ -1613,9 +1700,10 @@ mod tests {
         assert_eq!(mesh.v.marks_sorted(), marks);
     }
 
-    /// The same refusal end to end through the synchronous driver: a frame
+    /// The same refusal end to end through the sequential driver: a frame
     /// forged onto the transport fails the `apply` that meets it with a
-    /// typed error; the process lives.
+    /// typed error, and leaves every link idle; the process lives. A
+    /// well-formed request that no round sent fails its batch too.
     #[test]
     fn forged_frame_fails_apply_with_a_typed_error() {
         let s = emp_schema();
@@ -1634,6 +1722,21 @@ mod tests {
             err.contains("2 → 1") && err.contains("operator 9 of 1"),
             "{err}"
         );
+        assert_eq!(det.net.in_flight(), None);
+        let stray = HorMsg::TupleDelQuery {
+            attrs: vec![(4, WireValue::Raw(Value::str("EH4 8LE")))],
+            queries: vec![],
+        };
+        det.net.send(0, 1, stray).unwrap();
+        // t6 joins site 2's Crichton class: nothing ships.
+        let mut delta = UpdateBatch::new();
+        delta.insert(emp_tuple(6, "C", 44, 131, "EH4 8LE", "Crichton", "EDI"));
+        let err = message_of(det.apply(&delta).unwrap_err());
+        assert!(
+            err.contains("link 0 → 1: TupleDelQuery of no open round"),
+            "{err}"
+        );
+        assert_eq!(det.net.in_flight(), None);
     }
 
     #[test]
@@ -1661,7 +1764,8 @@ mod tests {
 
     /// What an `apply` that failed mid-batch can leave behind: a row whose
     /// group the state no longer holds. Deleting it is an error that says
-    /// where, not a panic, and the detector goes on serving.
+    /// where, not a panic — with rounds in flight too — and the detector
+    /// goes on serving.
     #[test]
     fn lost_group_is_an_internal_error_not_a_panic() {
         let s = emp_schema();
@@ -1675,15 +1779,16 @@ mod tests {
             found
         };
         det.sites[0].state[0].retain(|_, g| !holds_t2(g));
-        let mut delta = UpdateBatch::new();
-        delta.delete(2);
-        match det.apply(&delta) {
+        let lost_t2 = |det: &mut HorizontalDetector, delta: &UpdateBatch| match det.apply(delta) {
             Err(DetectError::Internal(msg)) => {
                 let named = ["site 0", "operator 0", "lost the group of tuple 2"];
                 assert!(named.iter().all(|n| msg.contains(n)), "{msg}");
             }
             other => panic!("expected an internal error, got {other:?}"),
-        }
+        };
+        let mut delta = UpdateBatch::new();
+        delta.delete(2);
+        lost_t2(&mut det, &delta);
         // A group that is there but holds another class reads the same.
         let groups = det.sites[1].state[0].values_mut();
         groups.for_each(|g| *g = GroupState::new(Digest([9; 16]), 3));
@@ -1693,10 +1798,28 @@ mod tests {
             Err(DetectError::Internal(msg)) => assert!(msg.contains("lost the RHS class"), "{msg}"),
             other => panic!("expected an internal error, got {other:?}"),
         }
-        // A batch that stays clear of the damage runs as ever.
+        // The first delete again, behind a shipping insert of site 1 whose
+        // round — a street of site 0's t12 clashes with it — is still in
+        // flight when the delete fails: the round runs to its end, as the
+        // blocking drive had run it before the delete began, and nothing is
+        // left on a link for the next batch to fold into a round of its own.
+        let mut delta = UpdateBatch::new();
+        delta.insert(emp_tuple(12, "A", 44, 131, "EH6 6AA", "Leith", "EDI"));
+        det.apply(&delta).unwrap();
+        let mut delta = UpdateBatch::new();
+        delta.insert(emp_tuple(10, "B", 44, 131, "EH6 6AA", "Foo", "EDI"));
+        delta.delete(2);
+        lost_t2(&mut det, &delta);
+        assert_eq!(det.net.in_flight(), None);
+        let v = det.violations();
+        assert!(v.is_violation(10) && v.is_violation(12));
+        // A batch that stays clear of the damage runs as ever, to the
+        // oracle's V.
         let mut delta = UpdateBatch::new();
         delta.insert(emp_tuple(8, "C", 44, 131, "EH9 1ZZ", "Marchmont", "EDI"));
         delta.insert(emp_tuple(9, "A", 44, 131, "EH9 1ZZ", "Sciennes", "EDI"));
         assert_eq!(det.apply(&delta).unwrap().added_tids_sorted(), vec![8, 9]);
+        let oracle = cfd::naive::detect(det.cfds(), det.current());
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
     }
 }
