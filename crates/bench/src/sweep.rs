@@ -104,9 +104,8 @@ pub fn build_cfd_sweep(quick: bool) -> Json {
     let (schema, _, d, delta) = fixed_tpch(quick);
     let n_sites = 10;
     let passes = if quick { 1 } else { 3 };
-    // The fig9 stream as singleton batches: per-update semantics, and the
-    // per-CFD mode stays below its batch-parallel precompute threshold,
-    // so both modes are measured on the serial per-update path.
+    // The fig9 stream as singleton batches: both modes are measured on
+    // the per-update path.
     let stream: Vec<UpdateBatch> = delta
         .ops()
         .iter()

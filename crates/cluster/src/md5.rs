@@ -8,7 +8,7 @@
 //! stable, collision-improbable 128-bit fingerprint for value vectors.
 
 /// A 128-bit MD5 digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 16]);
 
 impl Digest {

@@ -101,8 +101,7 @@ impl NetStats {
     }
 
     /// Merge another statistics object into this one (used when per-CFD
-    /// work runs in parallel with private meters — §7's "the violations of
-    /// all CFDs are checked in parallel").
+    /// work runs on private meters, as the batch baselines' runs do).
     pub fn merge(&mut self, other: &NetStats) {
         assert_eq!(self.n, other.n, "merging stats of different cluster sizes");
         for i in 0..self.matrix.len() {

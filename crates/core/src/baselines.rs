@@ -7,10 +7,6 @@
 //!   per-CFD coordinator site and check the violations there. Their
 //!   communication and computation grow with `|D|`, which is precisely what
 //!   the incremental algorithms avoid.
-//! * [`bat_ver_parallel`] / [`bat_hor_parallel`] — the same work with the
-//!   per-CFD checks running on parallel threads (§7, step 3: "the
-//!   violations of all CFDs are checked in parallel"); each CFD task owns
-//!   a private meter, merged afterwards.
 //! * [`ibat_ver`] / [`ibat_hor`] — the *refined* batch algorithms of
 //!   Exp-10: recompute from scratch, but through the incremental insertion
 //!   machinery and its indices.
@@ -586,17 +582,6 @@ pub fn bat_ver_with(
     Ok(merge_results(cfds.len(), scheme.n_sites(), results))
 }
 
-/// `batVer` with per-CFD checks on parallel threads (simulated network —
-/// each CFD task owns a private meter, merged afterwards).
-pub fn bat_ver_parallel(cfds: &[Cfd], scheme: &VerticalScheme, d: &Relation) -> BatchOutcome {
-    let fragments = scheme.partition(d);
-    let results = parallel_per_cfd(cfds, |cfd| {
-        bat_ver_one(cfd, scheme, &fragments, TransportKind::Simulated)
-            .expect("the simulated substrate cannot fail")
-    });
-    merge_results(cfds.len(), scheme.n_sites(), results)
-}
-
 // ----------------------------------------------------------------------
 // batHor
 // ----------------------------------------------------------------------
@@ -734,34 +719,7 @@ pub fn bat_hor_with(
     Ok(merge_results(cfds.len(), n, results))
 }
 
-/// `batHor` with per-CFD checks on parallel threads (simulated network).
-pub fn bat_hor_parallel(cfds: &[Cfd], scheme: &HorizontalScheme, d: &Relation) -> BatchOutcome {
-    let n = scheme.n_sites();
-    let fragments = scheme.partition(d).expect("scheme partitions D");
-    let results = parallel_per_cfd(cfds, |cfd| {
-        bat_hor_one(cfd, n, &fragments, TransportKind::Simulated)
-            .expect("the simulated substrate cannot fail")
-    });
-    merge_results(cfds.len(), n, results)
-}
-
-// ----------------------------------------------------------------------
-// Parallel scaffolding
-// ----------------------------------------------------------------------
-
-/// Run `work` for every CFD on a bounded scoped thread pool, preserving
-/// CFD association.
-fn parallel_per_cfd<F>(cfds: &[Cfd], work: F) -> Vec<(CfdId, CfdRun)>
-where
-    F: Fn(&Cfd) -> CfdRun + Sync,
-{
-    let idx: Vec<usize> = (0..cfds.len()).collect();
-    let results = crate::par::par_map(idx.len(), true, &|i| (cfds[i].id, work(&cfds[i])));
-    let mut results = results;
-    results.sort_by_key(|(id, _)| *id);
-    results
-}
-
+/// Fold the per-CFD runs, each on its private substrate, into one outcome.
 fn merge_results(n_cfds: usize, n_sites: usize, results: Vec<(CfdId, CfdRun)>) -> BatchOutcome {
     let mut violations = Violations::new(n_cfds);
     let mut stats = NetStats::new(n_sites);
@@ -1199,24 +1157,6 @@ mod tests {
         let oracle = centralized(&cfds, &d);
         assert_eq!(out.violations.marks_sorted(), oracle.marks_sorted());
         assert!(out.stats.total_bytes() > 0);
-    }
-
-    #[test]
-    fn parallel_baselines_match_sequential() {
-        let s = emp_schema();
-        let d = d0();
-        let cfds = fig1_cfds(&s);
-        let scheme = vscheme(&s);
-        let seq = bat_ver(&cfds, &scheme, &d);
-        let par = bat_ver_parallel(&cfds, &scheme, &d);
-        assert_eq!(seq.violations.marks_sorted(), par.violations.marks_sorted());
-        assert_eq!(seq.stats.total_bytes(), par.stats.total_bytes());
-
-        let hscheme = HorizontalScheme::by_hash(s.clone(), 0, 3).unwrap();
-        let seq = bat_hor(&cfds, &hscheme, &d);
-        let par = bat_hor_parallel(&cfds, &hscheme, &d);
-        assert_eq!(seq.violations.marks_sorted(), par.violations.marks_sorted());
-        assert_eq!(seq.stats.total_bytes(), par.stats.total_bytes());
     }
 
     #[test]

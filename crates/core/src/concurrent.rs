@@ -1261,8 +1261,8 @@ impl ConcurrentHorizontal {
     /// Group-state census of the coordinator's own site (the others live
     /// on their threads; rolling them up would widen `BatchResult`).
     #[cfg(test)]
-    pub(crate) fn coordinator_census(&self) -> crate::horizontal::StateCensus {
-        let mut census = crate::horizontal::StateCensus::default();
+    pub(crate) fn coordinator_census(&self) -> crate::StateCensus {
+        let mut census = crate::StateCensus::default();
         self.runner.site.count_into(&mut census);
         census
     }
@@ -1975,7 +1975,7 @@ mod tests {
                 other => panic!("expected a protocol error, got {other:?}"),
             };
             assert!(err.contains("link 0 → 1") && err.contains(cause), "{err}");
-            let mut census = crate::horizontal::StateCensus::default();
+            let mut census = crate::StateCensus::default();
             site.site.count_into(&mut census);
             assert_eq!((site.rows.len(), census.groups), (0, 0), "{err}");
         }

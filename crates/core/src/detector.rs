@@ -21,6 +21,7 @@
 //! [`DetectError`] is the single error type at this boundary, and the
 //! only one the detectors use internally.
 
+use crate::plan::PlanError;
 use cfd::constraint::FindingSet;
 use cfd::{Cfd, DeltaV, Violations};
 use cluster::{ClusterError, NetReport};
@@ -38,6 +39,8 @@ pub enum DetectError {
     /// `AnalysisMode::Prune`), or an analysis mode needs a build path the
     /// caller didn't use (`Prune` requires `build_dyn`).
     Analysis(String),
+    /// An HEV plan does not fit the scheme or the rule set (§4).
+    Plan(PlanError),
     /// Maintained state contradicted itself (a bug in this library, not
     /// in the caller's input): the batch failed, the process lives.
     Internal(String),
@@ -49,6 +52,7 @@ impl std::fmt::Display for DetectError {
             DetectError::Rel(e) => write!(f, "{e}"),
             DetectError::Cluster(e) => write!(f, "{e}"),
             DetectError::Analysis(msg) => write!(f, "static analysis: {msg}"),
+            DetectError::Plan(e) => write!(f, "HEV plan: {e}"),
             DetectError::Internal(msg) => write!(f, "internal inconsistency: {msg}"),
         }
     }
@@ -59,6 +63,12 @@ impl std::error::Error for DetectError {}
 impl From<RelError> for DetectError {
     fn from(e: RelError) -> Self {
         DetectError::Rel(e)
+    }
+}
+
+impl From<PlanError> for DetectError {
+    fn from(e: PlanError) -> Self {
+        DetectError::Plan(e)
     }
 }
 
@@ -187,7 +197,7 @@ pub trait Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::horizontal::StateCensus;
+    use crate::StateCensus;
     use crate::{ConcurrentHorizontal, HorizontalDetector, VerticalDetector};
     use cluster::codec::CodecKind;
     use cluster::net::TransportKind;

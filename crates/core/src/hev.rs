@@ -7,8 +7,9 @@
 //! `eq(id[t_{Y1}], …, id[t_{Ym}]) = id[t_{Y1∪…∪Ym}]`.
 //!
 //! Both kinds are reference-counted by live tuples so deletions
-//! garbage-collect equivalence classes, keeping index size proportional to
-//! the live database. All operations are O(1) hash probes, which is what
+//! garbage-collect equivalence classes, and a table gives its slack back
+//! once under a quarter full, keeping index size proportional to the live
+//! database. All operations are O(1) hash probes, which is what
 //! makes the computational cost of the detectors `O(|ΔD| + |ΔV|)`.
 //!
 //! **Representation.** Values are dictionary-encoded at ingest
@@ -19,6 +20,7 @@
 //! inline capacity, where the old `Box<[EqId]>` representation paid one
 //! heap allocation per probe.
 
+use crate::group::{shrink_if_sparse, table_bytes};
 use relation::{FxHashMap, SmallVec, Sym};
 
 /// An equivalence-class identifier, unique within its owning HEV.
@@ -80,6 +82,7 @@ impl BaseHev {
             e.refs -= 1;
         } else {
             self.map.remove(&s);
+            shrink_if_sparse!(self.map);
         }
         id
     }
@@ -92,6 +95,11 @@ impl BaseHev {
     /// Is the index empty?
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Heap bytes of the table, from its capacity.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        table_bytes::<(Sym, Entry)>(self.map.capacity())
     }
 }
 
@@ -178,6 +186,7 @@ impl NonBaseHev {
                 e.refs -= 1;
             } else {
                 self.fused.remove(&f);
+                shrink_if_sparse!(self.fused);
             }
             return id;
         }
@@ -190,6 +199,7 @@ impl NonBaseHev {
             e.refs -= 1;
         } else {
             self.wide.remove(key);
+            shrink_if_sparse!(self.wide);
         }
         id
     }
@@ -202,6 +212,13 @@ impl NonBaseHev {
     /// Is the index empty?
     pub fn is_empty(&self) -> bool {
         self.fused.is_empty() && self.wide.is_empty()
+    }
+
+    /// Heap bytes of both tables, from their capacities (a wide key past
+    /// its inline capacity adds a heap block not counted here).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        table_bytes::<(u64, Entry)>(self.fused.capacity())
+            + table_bytes::<(EqKey, Entry)>(self.wide.capacity())
     }
 }
 

@@ -130,39 +130,15 @@
 //!
 //! # State layout
 //!
-//! §6 keeps per site "the group's distinct RHS values and a flag"; the
-//! containers below (`GroupState`, `ClassEntry`) cost bytes only
-//! where a group has more structure than that. Each `(site, operator)`
-//! owns one `FxHashMap<Digest, GroupState>`; the nested
-//! `FxHashMap<Digest, {FxHashMap<Digest, {FxHashSet<Tid>, Option<Value>}>, bool}>`
-//! it replaces gave every group a heap table and every class a heap set
-//! and a cloned RHS value:
-//!
-//! | per … | was | is |
-//! |---|---|---|
-//! | group (map slot) | 56 B + a class table of its own (≥ 308 B) | 64 B, holding the flag, one class digest and ≤ 3 tids; no allocation while one class of ≤ 3 members |
-//! | class | 72 B slot (`ClassEntry` 56 B) + a tid table (≥ 52 B) + a `Value` clone | in the group slot, or a 48 B slot (`ClassEntry` 32 B) of the group's spilled class map |
-//! | membership | ≥ 9 B of a heap table | 8 B inline up to 3 per class, ≈ 9 B in a boxed `FxHashSet` beyond |
-//! | all in, per membership (`hor_wide_sigma`) | ≈ 140 B | ≈ 44 B (25.6 MB by [`StateCensus`]) |
-//!
-//! The thresholds come from `detbench`'s `hor_wide_sigma`: 768 variable
-//! CFDs on 53 operators, seed 1's `D₀` 56 002 groups, 225 571 classes,
-//! 575 398 memberships, 3 584 spilled class maps, 20 359 spilled tid sets
-//! (kept per CFD, the same data was 78 946 / 435 020 / 1 182 697 / 4 924 /
-//! 36 915 and 51.7 MB). 52 418 groups (94 %)
-//! hold exactly one class, so one class lives inline; but 540 groups
-//! (1 %) hold 142 000 of the classes, 65–378 each, so beyond one the
-//! classes are *hashed* (a flat `Vec` there cost 30 % of `updates_per_s`).
-//! 139 272 classes (62 %) hold exactly one tid, so tids start inline; but
-//! `hor_tcp_skew`'s Zipf classes reach 65–512 tids, so beyond three they
-//! are a boxed set and removal stays `O(1)`. A class's RHS value is read
-//! back from the rows through any member (`class_values`).
-//! Removals demote (`Many → One`, set → inline) and tables give their
-//! slack back under a quarter full, so the state follows deletes down as
-//! well as inserts up; [`HorizontalDetector::state_census`] counts it.
+//! Each `(site, operator)` owns one `FxHashMap<Digest, GroupState<Digest>>`:
+//! one class and ≤ 3 tids inline, hashed spills beyond, RHS values read
+//! back from the rows (`class_values`). The container, its layout table
+//! and its thresholds live in `crate::group`, shared with §4's IDX;
+//! [`HorizontalDetector::state_census`] counts it.
 
 use crate::concurrent::WINDOW;
 use crate::detector::{DetectError, Detector};
+use crate::group::{shrink_if_sparse, GroupState, StateCensus};
 use crate::optimize::SharingMode;
 use cfd::{Cfd, CfdId, DeltaV, OpId, SharedPlan, Violations};
 use cluster::codec::{CodecKind, WireValue};
@@ -398,297 +374,6 @@ impl FrameCodec for HorMsg {
     }
 }
 
-/// Give a hash table's slack back once removals leave it under a quarter
-/// full. Amortised: the ≥ ¾·capacity removals before a shrink pay for it,
-/// and the shrunk table is over a quarter full, so growth and shrinkage
-/// cannot alternate op by op.
-macro_rules! shrink_if_sparse {
-    ($table:expr) => {
-        if $table.len() * 4 < $table.capacity() {
-            $table.shrink_to($table.len());
-        }
-    };
-}
-
-/// Member tids a class keeps inline before spilling to a boxed set.
-const INLINE_TIDS: usize = 3;
-
-/// The member tids of one RHS class within a group at one site: up to
-/// [`INLINE_TIDS`] inline, a boxed hash set beyond (Zipf-keyed classes
-/// reach hundreds of members, and removal must stay `O(1)` there). The
-/// layout is a function of the members alone — removals demote — and the
-/// class's RHS *value* is not kept: any member's row has it
-/// ([`class_values`]).
-#[derive(Debug)]
-pub(crate) enum ClassEntry {
-    Inline { len: u8, tids: [Tid; INLINE_TIDS] },
-    Spilled(Box<FxHashSet<Tid>>),
-}
-
-impl ClassEntry {
-    /// The class holding just `tid`.
-    fn of(tid: Tid) -> Self {
-        let mut tids = [0; INLINE_TIDS];
-        tids[0] = tid;
-        ClassEntry::Inline { len: 1, tids }
-    }
-
-    fn insert(&mut self, tid: Tid) {
-        match self {
-            ClassEntry::Inline { len, tids } => {
-                let n = usize::from(*len);
-                if tids[..n].contains(&tid) {
-                    return;
-                }
-                if n < INLINE_TIDS {
-                    tids[n] = tid;
-                    *len += 1;
-                } else {
-                    let set = tids.iter().copied().chain([tid]).collect();
-                    *self = ClassEntry::Spilled(Box::new(set));
-                }
-            }
-            ClassEntry::Spilled(set) => {
-                set.insert(tid);
-            }
-        }
-    }
-
-    fn remove(&mut self, tid: Tid) {
-        match self {
-            ClassEntry::Inline { len, tids } => {
-                let n = usize::from(*len);
-                if let Some(i) = tids[..n].iter().position(|&t| t == tid) {
-                    tids[i] = tids[n - 1];
-                    *len -= 1;
-                }
-            }
-            ClassEntry::Spilled(set) => {
-                set.remove(&tid);
-                if set.len() <= INLINE_TIDS {
-                    let mut tids = [0; INLINE_TIDS];
-                    for (slot, &t) in tids.iter_mut().zip(set.iter()) {
-                        *slot = t;
-                    }
-                    let len = set.len() as u8;
-                    *self = ClassEntry::Inline { len, tids };
-                } else {
-                    shrink_if_sparse!(set);
-                }
-            }
-        }
-    }
-
-    fn members(&self) -> Members<'_> {
-        match self {
-            ClassEntry::Inline { len, tids } => Members::Inline(&tids[..usize::from(*len)]),
-            ClassEntry::Spilled(set) => Members::Spilled(set),
-        }
-    }
-}
-
-/// Borrowed view of one class's member tids, however they are stored.
-#[derive(Clone, Copy)]
-pub(crate) enum Members<'a> {
-    Inline(&'a [Tid]),
-    Spilled(&'a FxHashSet<Tid>),
-}
-
-impl Members<'_> {
-    fn len(self) -> usize {
-        match self {
-            Members::Inline(tids) => tids.len(),
-            Members::Spilled(set) => set.len(),
-        }
-    }
-
-    fn first(self) -> Option<Tid> {
-        match self {
-            Members::Inline(tids) => tids.first().copied(),
-            Members::Spilled(set) => set.iter().next().copied(),
-        }
-    }
-
-    fn for_each(self, f: impl FnMut(Tid)) {
-        match self {
-            Members::Inline(tids) => tids.iter().copied().for_each(f),
-            Members::Spilled(set) => set.iter().copied().for_each(f),
-        }
-    }
-}
-
-/// Per-site, per-operator state of one `X`-value group: its RHS classes
-/// and whether the *global* group violates (uniform across sites, and
-/// across the operator's CFDs the group key matches). One class
-/// lives inline — `Few`/`One` are a [`ClassEntry`] flattened next to its
-/// digest and the flag, so a satisfied group allocates nothing and a map
-/// slot is 64 B — and a hashed spill takes over from the second class.
-/// The layout is canonical: `Many` holds ≥ 2 classes and removals demote,
-/// so state follows the data down as well as up.
-#[derive(Debug)]
-pub(crate) enum GroupState {
-    Few {
-        violating: bool,
-        len: u8,
-        bd: Digest,
-        tids: [Tid; INLINE_TIDS],
-    },
-    One {
-        violating: bool,
-        bd: Digest,
-        tids: Box<FxHashSet<Tid>>,
-    },
-    Many {
-        violating: bool,
-        classes: Box<FxHashMap<Digest, ClassEntry>>,
-    },
-}
-
-impl GroupState {
-    /// A new, satisfied group holding `tid` in class `bd`.
-    pub(crate) fn new(bd: Digest, tid: Tid) -> Self {
-        Self::single(false, bd, ClassEntry::of(tid))
-    }
-
-    /// The group of one class.
-    fn single(violating: bool, bd: Digest, class: ClassEntry) -> Self {
-        match class {
-            ClassEntry::Inline { len, tids } => GroupState::Few {
-                violating,
-                len,
-                bd,
-                tids,
-            },
-            ClassEntry::Spilled(tids) => GroupState::One {
-                violating,
-                bd,
-                tids,
-            },
-        }
-    }
-
-    /// Move the class of a single-class group out; the caller writes the
-    /// group back.
-    fn take_single(&mut self) -> (Digest, ClassEntry) {
-        let hole = Self::single(false, Digest([0; 16]), ClassEntry::of(0));
-        match std::mem::replace(self, hole) {
-            GroupState::Few { bd, len, tids, .. } => (bd, ClassEntry::Inline { len, tids }),
-            GroupState::One { bd, tids, .. } => (bd, ClassEntry::Spilled(tids)),
-            GroupState::Many { .. } => unreachable!("callers handle Many first"),
-        }
-    }
-
-    pub(crate) fn violating(&self) -> bool {
-        match self {
-            GroupState::Few { violating, .. }
-            | GroupState::One { violating, .. }
-            | GroupState::Many { violating, .. } => *violating,
-        }
-    }
-
-    pub(crate) fn set_violating(&mut self, v: bool) {
-        match self {
-            GroupState::Few { violating, .. }
-            | GroupState::One { violating, .. }
-            | GroupState::Many { violating, .. } => *violating = v,
-        }
-    }
-
-    /// Members of class `bd` (0: the group has no such class). What
-    /// [`site::Site::try_settle`] reads: an insert into a populated class,
-    /// or a delete that leaves one populated, changes nothing a peer sees.
-    pub(crate) fn class_len(&self, bd: Digest) -> usize {
-        match self {
-            GroupState::Few { bd: b, len, .. } if *b == bd => usize::from(*len),
-            GroupState::One { bd: b, tids, .. } if *b == bd => tids.len(),
-            GroupState::Many { classes, .. } => classes.get(&bd).map_or(0, |c| c.members().len()),
-            _ => 0,
-        }
-    }
-
-    /// Does the group hold a class other than `bd`?
-    pub(crate) fn has_other(&self, bd: Digest) -> bool {
-        match self {
-            GroupState::Few { bd: b, .. } | GroupState::One { bd: b, .. } => *b != bd,
-            GroupState::Many { .. } => true,
-        }
-    }
-
-    /// Add `tid` to class `bd`, creating the class if need be.
-    pub(crate) fn insert(&mut self, bd: Digest, tid: Tid) {
-        if let GroupState::Many { classes, .. } = self {
-            match classes.entry(bd) {
-                Entry::Occupied(e) => e.into_mut().insert(tid),
-                Entry::Vacant(e) => {
-                    e.insert(ClassEntry::of(tid));
-                }
-            }
-            return;
-        }
-        let violating = self.violating();
-        let (b, mut class) = self.take_single();
-        *self = if b == bd {
-            class.insert(tid);
-            Self::single(violating, b, class)
-        } else {
-            // A second class arrives: the inline one moves into the spill.
-            let classes = [(b, class), (bd, ClassEntry::of(tid))];
-            GroupState::Many {
-                violating,
-                classes: Box::new(classes.into_iter().collect()),
-            }
-        };
-    }
-
-    /// Remove `tid` from class `bd`: `(class now empty, classes left)`, or
-    /// `None` when the group has no such class. A group left with no
-    /// class is the caller's to drop.
-    pub(crate) fn remove(&mut self, bd: Digest, tid: Tid) -> Option<(bool, usize)> {
-        let violating = self.violating();
-        if let GroupState::Many { classes, .. } = self {
-            let class = classes.get_mut(&bd)?;
-            class.remove(tid);
-            let class_empty = class.members().len() == 0;
-            if class_empty {
-                classes.remove(&bd);
-            }
-            let left = classes.len();
-            if left == 1 {
-                let (b, last) = classes.drain().next().expect("one class left");
-                *self = Self::single(violating, b, last);
-            } else {
-                shrink_if_sparse!(classes);
-            }
-            return Some((class_empty, left));
-        }
-        let (b, mut class) = self.take_single();
-        if b == bd {
-            class.remove(tid);
-        }
-        let left = usize::from(class.members().len() > 0);
-        *self = Self::single(violating, b, class);
-        (b == bd).then_some((left == 0, left))
-    }
-
-    /// Every class: its RHS digest and its members.
-    pub(crate) fn for_each_class(&self, mut f: impl FnMut(Digest, Members<'_>)) {
-        match self {
-            GroupState::Few { len, bd, tids, .. } => {
-                f(*bd, Members::Inline(&tids[..usize::from(*len)]));
-            }
-            GroupState::One { bd, tids, .. } => f(*bd, Members::Spilled(tids)),
-            GroupState::Many { classes, .. } => {
-                classes.iter().for_each(|(bd, c)| f(*bd, c.members()));
-            }
-        }
-    }
-
-    /// Every member tid, class by class.
-    pub(crate) fn for_each_member(&self, mut f: impl FnMut(Tid)) {
-        self.for_each_class(|_, members| members.for_each(&mut f));
-    }
-}
-
 /// What one operator's insertion case analysis asks of the peers.
 pub(crate) enum Ship {
     /// Decided locally — the zero-shipment cases.
@@ -706,7 +391,7 @@ pub(crate) enum Ship {
 /// they share the group, so the analysis runs once and only what it
 /// writes to `V` fans out over them.
 pub(crate) fn insert_case(
-    groups: &mut FxHashMap<Digest, GroupState>,
+    groups: &mut FxHashMap<Digest, GroupState<Digest>>,
     (v, dv): (&mut Violations, &mut DeltaV),
     cfds: &[CfdId],
     tid: Tid,
@@ -751,7 +436,7 @@ pub(crate) fn insert_case(
 /// tuple that is in the rows was entered into its groups, so this is state
 /// an earlier failed `apply` left behind — and nothing was touched.
 pub(crate) fn delete_case(
-    groups: &mut FxHashMap<Digest, GroupState>,
+    groups: &mut FxHashMap<Digest, GroupState<Digest>>,
     (v, dv): (&mut Violations, &mut DeltaV),
     cfds: &[CfdId],
     tid: Tid,
@@ -789,14 +474,24 @@ pub(crate) fn delete_case(
 
 /// Clear a group's violating flag: its members leave `V(φ)` for every
 /// matched CFD `φ` of its operator.
-pub(crate) fn clear_group(g: &mut GroupState, cfds: &[CfdId], v: &mut Violations, dv: &mut DeltaV) {
+pub(crate) fn clear_group(
+    g: &mut GroupState<Digest>,
+    cfds: &[CfdId],
+    v: &mut Violations,
+    dv: &mut DeltaV,
+) {
     g.set_violating(false);
     g.for_each_member(|m| drop_marks(cfds, m, v, dv));
 }
 
 /// Raise a group's flag: every member joins `V(φ)` for every matched CFD
 /// `φ` of its operator.
-pub(crate) fn mark_group(g: &mut GroupState, cfds: &[CfdId], v: &mut Violations, dv: &mut DeltaV) {
+pub(crate) fn mark_group(
+    g: &mut GroupState<Digest>,
+    cfds: &[CfdId],
+    v: &mut Violations,
+    dv: &mut DeltaV,
+) {
     g.set_violating(true);
     g.for_each_member(|m| add_marks(cfds, m, v, dv));
 }
@@ -826,7 +521,7 @@ fn drop_marks(cfds: &[CfdId], tid: Tid, v: &mut Violations, dv: &mut DeltaV) {
 /// read; one that has none means the state contradicts the rows, and the
 /// error text says where.
 pub(crate) fn class_values(
-    g: &GroupState,
+    g: &GroupState<Digest>,
     rows: &Relation,
     (site, op, rhs, kd): (SiteId, OpId, AttrId, Digest),
     mut encode: impl FnMut(&Value) -> WireValue,
@@ -846,58 +541,6 @@ pub(crate) fn class_values(
         ));
     }
     Ok(vals)
-}
-
-/// What the §6 group state holds and what it costs: a census over every
-/// `(site, operator)` map, `O(state)` when asked for and free otherwise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StateCensus {
-    /// Live `(site, operator, X-value)` groups.
-    pub groups: usize,
-    /// RHS classes over all groups.
-    pub classes: usize,
-    /// `(operator, tid)` memberships over all classes.
-    pub memberships: usize,
-    /// Groups whose classes spilled to a hashed map (≥ 2 classes).
-    pub spilled_class_maps: usize,
-    /// Classes whose tids spilled to a boxed set (> 3 members).
-    pub spilled_tid_sets: usize,
-    /// Heap bytes of the group maps and every spill, from capacities.
-    pub resident_bytes: usize,
-}
-
-/// Heap bytes of a hash table with room for `capacity` entries of `T`:
-/// power-of-two buckets at 7/8 load, one control byte each plus a group.
-fn table_bytes<T>(capacity: usize) -> usize {
-    if capacity == 0 {
-        return 0;
-    }
-    let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
-    buckets * (std::mem::size_of::<T>() + 1) + 16
-}
-
-impl StateCensus {
-    /// Add one `(site, operator)` group map.
-    pub(crate) fn count(&mut self, map: &FxHashMap<Digest, GroupState>) {
-        self.groups += map.len();
-        self.resident_bytes += table_bytes::<(Digest, GroupState)>(map.capacity());
-        for g in map.values() {
-            if let GroupState::Many { classes, .. } = g {
-                self.spilled_class_maps += 1;
-                self.resident_bytes += std::mem::size_of::<FxHashMap<Digest, ClassEntry>>()
-                    + table_bytes::<(Digest, ClassEntry)>(classes.capacity());
-            }
-            g.for_each_class(|_, members| {
-                self.classes += 1;
-                self.memberships += members.len();
-                if let Members::Spilled(set) = members {
-                    self.spilled_tid_sets += 1;
-                    self.resident_bytes +=
-                        std::mem::size_of::<FxHashSet<Tid>>() + table_bytes::<Tid>(set.capacity());
-                }
-            });
-        }
-    }
 }
 
 /// Tables of an [`InFlight`] keep this much room between batches.
@@ -1887,89 +1530,5 @@ mod tests {
         assert!(det.violations().is_empty());
         // No group, and no table allocation either, outlives the data.
         assert_eq!(det.state_census(), StateCensus::default());
-    }
-
-    /// A later field shows up here before it shows up in `state_rss_mb`.
-    #[test]
-    fn group_state_sizes_are_guarded() {
-        assert!(std::mem::size_of::<ClassEntry>() <= 32);
-        assert!(std::mem::size_of::<(Digest, GroupState)>() <= 64);
-    }
-
-    /// Seeded op sequences over a few classes and a dozen tids cross both
-    /// spill thresholds (3 ↔ 4 members, 1 ↔ 2 classes) in both directions,
-    /// re-insert members and remove absent ones; after every op the group
-    /// agrees with a map-of-sets model and its layout is canonical.
-    #[test]
-    fn group_state_matches_a_hash_map_model() {
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |n: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % n
-        };
-        let kd = Digest([7; 16]);
-        for round in 0..40 {
-            let n_classes = 1 + round % 4;
-            let mut groups: FxHashMap<Digest, GroupState> = FxHashMap::default();
-            let mut model: FxHashMap<Digest, FxHashSet<Tid>> = FxHashMap::default();
-            for step in 0..400 {
-                let bd = Digest([next(n_classes) as u8; 16]);
-                let tid = next(12);
-                // Drift up, then down, so spills are entered and left.
-                if next(100) < if step < 200 { 65 } else { 35 } {
-                    match groups.entry(kd) {
-                        Entry::Vacant(e) => {
-                            e.insert(GroupState::new(bd, tid));
-                        }
-                        Entry::Occupied(e) => {
-                            let g = e.into_mut();
-                            assert_eq!(g.has_other(bd), model.keys().any(|&k| k != bd));
-                            g.insert(bd, tid);
-                        }
-                    }
-                    model.entry(bd).or_default().insert(tid);
-                } else if let Some(g) = groups.get_mut(&kd) {
-                    let got = g.remove(bd, tid);
-                    let want = model.get_mut(&bd).map(|set| {
-                        set.remove(&tid);
-                        set.is_empty()
-                    });
-                    if want == Some(true) {
-                        model.remove(&bd);
-                    }
-                    assert_eq!(got, want.map(|empty| (empty, model.len())));
-                    if model.is_empty() {
-                        groups.remove(&kd);
-                    }
-                }
-                let mut census = StateCensus::default();
-                census.count(&groups);
-                let spilled = model.values().filter(|s| s.len() > INLINE_TIDS).count();
-                assert_eq!(census.groups, usize::from(!model.is_empty()));
-                assert_eq!(census.classes, model.len());
-                assert_eq!(
-                    census.memberships,
-                    model.values().map(FxHashSet::len).sum::<usize>()
-                );
-                assert_eq!(census.spilled_class_maps, usize::from(model.len() >= 2));
-                assert_eq!(census.spilled_tid_sets, spilled);
-                let Some(g) = groups.get(&kd) else { continue };
-                let (mut members, mut classes) = (Vec::new(), Vec::new());
-                g.for_each_member(|t| members.push(t));
-                g.for_each_class(|bd, m| {
-                    classes.push((bd, m.first().is_some_and(|t| model[&bd].contains(&t))));
-                });
-                members.sort_unstable();
-                classes.sort_unstable();
-                let mut want_members: Vec<Tid> = model.values().flatten().copied().collect();
-                let mut want_classes: Vec<_> = model.keys().map(|&bd| (bd, true)).collect();
-                want_members.sort_unstable();
-                want_classes.sort_unstable();
-                assert_eq!(members, want_members);
-                assert_eq!(classes, want_classes);
-            }
-        }
     }
 }

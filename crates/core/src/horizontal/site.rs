@@ -478,7 +478,7 @@ pub(crate) struct Site {
     pub(crate) sharing: SharingMode,
     /// Group state per operator: every tuple of this site that matches at
     /// least one CFD of the operator, by group key.
-    state: Vec<FxHashMap<Digest, GroupState>>,
+    state: Vec<FxHashMap<Digest, GroupState<Digest>>>,
     /// Sender-side payload encoding; per-link state (dictionary
     /// residency) lives in the codec.
     codec: Box<dyn PayloadCodec>,
@@ -1773,7 +1773,7 @@ mod tests {
             HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
         // t2 is alone in its group (zip EH2 4HF, site 0): drop the group
         // behind the machine's back.
-        let holds_t2 = |g: &GroupState| {
+        let holds_t2 = |g: &GroupState<Digest>| {
             let mut found = false;
             g.for_each_member(|m| found |= m == 2);
             found

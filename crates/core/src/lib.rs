@@ -29,12 +29,12 @@ pub mod baselines;
 pub mod builder;
 pub mod concurrent;
 pub mod detector;
+mod group;
 pub mod hev;
 pub mod horizontal;
 pub mod hybrid;
 pub mod idx;
 pub mod optimize;
-pub mod par;
 pub mod plan;
 pub mod pruned;
 pub mod suite;
@@ -44,7 +44,8 @@ pub use builder::{BaselineStrategy, DetectorBuilder};
 pub use cfd::constraint::{Check, Constraint};
 pub use concurrent::ConcurrentHorizontal;
 pub use detector::{DetectError, Detector};
-pub use horizontal::{HorizontalDetector, StateCensus};
+pub use group::StateCensus;
+pub use horizontal::HorizontalDetector;
 pub use hybrid::{HybridDetector, HybridScheme};
 pub use optimize::{share_operators, sharing_stats, SharingMode, SharingStats};
 pub use plan::HevPlan;

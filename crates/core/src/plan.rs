@@ -75,6 +75,8 @@ pub enum PlanError {
     NotTopological(NodeId),
     /// A base HEV is placed at a site that does not hold its attribute.
     BadBaseSite(AttrId, SiteId),
+    /// A node is placed at a site the scheme does not have.
+    BadNodeSite(NodeId, SiteId),
     /// A CFD target is missing or malformed.
     BadTarget(u32),
 }
@@ -90,6 +92,7 @@ impl std::fmt::Display for PlanError {
                     "base HEV for attr #{a} at site {s} which does not hold it"
                 )
             }
+            PlanError::BadNodeSite(n, s) => write!(f, "node {n} at site {s}, not a scheme site"),
             PlanError::BadTarget(c) => write!(f, "CFD {c}: malformed target"),
         }
     }
@@ -152,9 +155,10 @@ impl HevPlan {
         &self.base_sites
     }
 
-    /// Target anchors of `cfd` (None for constant CFDs).
+    /// Target anchors of `cfd` (None for constant CFDs, and for an id
+    /// the plan has no target for).
     pub fn target(&self, cfd: u32) -> Option<CfdTarget> {
-        self.targets[cfd as usize]
+        self.targets.get(cfd as usize).copied().flatten()
     }
 
     /// Site of an eqid source.
@@ -228,6 +232,9 @@ impl HevPlan {
             }
         }
         for (id, node) in self.nodes.iter().enumerate() {
+            if node.site >= scheme.n_sites() {
+                return Err(PlanError::BadNodeSite(id, node.site));
+            }
             let mut covered: FxHashSet<AttrId> = FxHashSet::default();
             for &inp in &node.inputs {
                 match inp {

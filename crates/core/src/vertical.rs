@@ -14,61 +14,288 @@
 //! * **Deletions** follow `incVDel`: the same eqid walk (lookups), then the
 //!   case split on `|[t]_{X∪B}|` and `|set(t[X])|`.
 //! * **Batch updates** follow `incVer` (Fig. 5): updates are normalized
-//!   (cancelling pairs removed), constant CFDs are checked with the
-//!   candidate-shipping/sort-merge protocol of lines 4–10, and variable
-//!   CFDs run the single-update algorithms per operation. Locally checkable
-//!   CFDs (case 2 of §4) fall out automatically: their plan nodes are
-//!   co-located, so the walk ships nothing.
+//!   (cancelling pairs removed), variable CFDs run the single-update
+//!   algorithms per operation, and constant CFDs are checked with the
+//!   candidate-shipping protocol of lines 4–10: each site holding some of
+//!   a CFD's constant atoms ships the tids of `ΔD⁺` matching them to the
+//!   coordinator (an empty list is no message), whose sort-merge keeps the
+//!   tids every list holds. Locally checkable CFDs (case 2 of §4) fall out
+//!   automatically: their plan nodes are co-located, so the walk ships
+//!   nothing.
 //!
 //! Both the communication cost (only eqids and candidate tids cross sites,
 //! at most a constant number per update) and the computational cost (O(1)
 //! hash probes per update per CFD) are `O(|ΔD| + |ΔV|)` — Proposition 6.
+//!
+//! # Compiled at build
+//!
+//! Everything that depends only on `(Σ, scheme, plan)` is compiled once,
+//! by [`VerticalDetector::with_plan`], which also refuses a plan that does
+//! not validate against the scheme; an update only reads it:
+//!
+//! * per variable CFD, its *anchors*: the plan nodes its `id[t_X]` and
+//!   `id[t_{X∪B}]` need, in topological order, the base HEVs they read,
+//!   and the eqid slots of the two ids;
+//! * per plan node, the eqid slots of its inputs, and each input held at
+//!   another site with the dense id of its `(input, destination)` pair;
+//! * per constant CFD, its coordinator and its *scan*: per participating
+//!   site, the atoms that site checks — one scan for every constant CFD
+//!   with the same atoms and coordinator.
+//!
+//! Per update, the matched CFDs' node and base lists are unioned through
+//! generation-stamped marks (the idiom of [`MatchScratch`]), which also
+//! ship each pair once, and eqids live in a dense vector indexed by slot:
+//! base HEVs by attribute, then plan nodes. Nothing is planned, hashed for
+//! bookkeeping or spawned per update, and the candidate scan is one serial
+//! pass over `ΔD⁺` that counts each site's list and computes the merge's
+//! survivors at once. Base HEVs and IDXs are vectors indexed by attribute
+//! and CFD id; an IDX group is §6's compact group ([`crate::idx`]).
 
 use crate::detector::{DetectError, Detector};
 use crate::hev::{BaseHev, EqId, EqKey, NonBaseHev};
-use crate::idx::Idx;
+use crate::idx::{Case, Idx};
 use crate::optimize::SharingMode;
-use crate::plan::{HevPlan, Input, NodeId};
+use crate::plan::{HevPlan, Input, NodeId, PlanError};
+use crate::StateCensus;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
 use cluster::partition::VerticalScheme;
-use cluster::{Network, SiteId, Wire};
+use cluster::{NetStats, SiteId};
 use relation::{
-    AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, SmallVec, Sym, Tid, Tuple, Update,
-    UpdateBatch,
+    AttrId, FxHashMap, RelError, Relation, RowId, Schema, Tid, Tuple, Update, UpdateBatch, Value,
 };
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// One tuple's dictionary symbols, copied out of the store so the HEV walk
-/// can run while the detector is mutably borrowed.
-type RowSyms = SmallVec<Sym, 8>;
+/// Wire bytes of one shipped eqid, and of one candidate tid.
+const EQID_BYTES: usize = 8;
+const TID_BYTES: usize = 8;
 
-/// One constant CFD's shipment plan: the coordinator site plus each
-/// participating site's tid-ordered candidate list.
-type ConstPlan = (SiteId, Vec<(SiteId, Vec<Tid>)>);
-
-/// Messages exchanged by the vertical detector.
-#[derive(Debug, Clone)]
-pub enum VerMsg {
-    /// One equivalence-class id shipped between HEV sites.
-    Eqid(EqId),
-    /// Candidate tuple ids for a constant CFD, shipped to its coordinator
-    /// (sorted ascending — `incVer` line 7 merges them in linear time).
-    ConstCands(Vec<Tid>),
+/// A variable CFD's anchors (constant CFDs keep the empty default).
+#[derive(Default)]
+struct Anchor {
+    /// Plan nodes the two ids need, ascending (topological).
+    nodes: Vec<NodeId>,
+    /// Base HEVs the nodes (or a one-attribute `X`) read.
+    bases: Vec<AttrId>,
+    /// Eqid slots of `id[t_X]` and `id[t_{X∪B}]`.
+    x: usize,
+    xb: usize,
 }
 
-impl Wire for VerMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            VerMsg::Eqid(_) => 8,
-            VerMsg::ConstCands(tids) => 8 * tids.len(),
+/// A plan node: where it lives, its key's input slots, and its inputs held
+/// elsewhere as `(source site, pair id)`.
+struct Step {
+    site: SiteId,
+    inputs: Vec<usize>,
+    ships: Vec<(SiteId, usize)>,
+}
+
+/// A constant CFD: its coordinator (the primary site of its `B`) and scan.
+struct ConstCfd {
+    id: CfdId,
+    coord: SiteId,
+    scan: usize,
+}
+
+/// Everything an update reads, compiled from `(Σ, scheme, plan)`.
+struct Compiled {
+    /// Per CFD id.
+    anchors: Vec<Anchor>,
+    /// Per plan node.
+    steps: Vec<Step>,
+    n_pairs: usize,
+    /// Constant CFDs, ascending.
+    consts: Vec<ConstCfd>,
+    /// Per scan, its range of `lists`: one `(site, atoms)` per
+    /// participating site, ascending by site.
+    scans: Vec<Range<usize>>,
+    lists: Vec<(SiteId, Vec<(AttrId, Value)>)>,
+}
+
+impl Compiled {
+    fn new(cfds: &[Cfd], scheme: &VerticalScheme, plan: &HevPlan) -> Result<Self, PlanError> {
+        plan.validate(scheme)?;
+        let arity = scheme.schema().arity();
+        let slot = |input| match input {
+            Input::Base(a) => a as usize,
+            Input::Node(n) => arity + n,
+        };
+        let mut pairs: FxHashMap<(Input, SiteId), usize> = FxHashMap::default();
+        let mut steps = Vec::with_capacity(plan.nodes().len());
+        for node in plan.nodes() {
+            let mut ships = Vec::new();
+            for &input in &node.inputs {
+                let src = plan.site_of(input);
+                if src != node.site {
+                    let next = pairs.len();
+                    ships.push((src, *pairs.entry((input, node.site)).or_insert(next)));
+                }
+            }
+            let inputs = node.inputs.iter().map(|&i| slot(i)).collect();
+            steps.push(Step {
+                site: node.site,
+                inputs,
+                ships,
+            });
+        }
+
+        let mut anchors = Vec::with_capacity(cfds.len());
+        let (mut consts, mut scans, mut lists) = (Vec::new(), Vec::new(), Vec::new());
+        let mut scan_of: FxHashMap<(SiteId, Vec<(AttrId, Value)>), usize> = FxHashMap::default();
+        for cfd in cfds {
+            if cfd.is_constant() {
+                anchors.push(Anchor::default());
+                let coord = scheme.primary_site(cfd.rhs);
+                let mut atoms = cfd.constant_atoms();
+                atoms.sort_unstable_by_key(|(a, _)| *a);
+                let next = scans.len();
+                let scan = *scan_of.entry((coord, atoms.clone())).or_insert_with(|| {
+                    // Each atom is checked at the coordinator when it holds
+                    // the attribute (zero shipment), else at its primary site.
+                    let mut by_site: BTreeMap<SiteId, Vec<(AttrId, Value)>> = BTreeMap::new();
+                    for (a, v) in atoms {
+                        let site = match scheme.local_pos(coord, a) {
+                            Some(_) => coord,
+                            None => scheme.primary_site(a),
+                        };
+                        by_site.entry(site).or_default().push((a, v));
+                    }
+                    let start = lists.len();
+                    lists.extend(by_site);
+                    scans.push(start..lists.len());
+                    next
+                });
+                consts.push(ConstCfd {
+                    id: cfd.id,
+                    coord,
+                    scan,
+                });
+                continue;
+            }
+            let target = plan.target(cfd.id).ok_or(PlanError::BadTarget(cfd.id))?;
+            let nodes = plan.required_nodes(cfd.id);
+            let inputs = nodes.iter().flat_map(|&n| &plan.nodes()[n].inputs);
+            let mut bases: Vec<AttrId> = inputs
+                .chain([&target.lhs])
+                .filter_map(|i| match i {
+                    Input::Base(a) => Some(*a),
+                    Input::Node(_) => None,
+                })
+                .collect();
+            bases.sort_unstable();
+            bases.dedup();
+            anchors.push(Anchor {
+                nodes,
+                bases,
+                x: slot(target.lhs),
+                xb: slot(Input::Node(target.xb)),
+            });
+        }
+        Ok(Compiled {
+            anchors,
+            steps,
+            n_pairs: pairs.len(),
+            consts,
+            scans,
+            lists,
+        })
+    }
+}
+
+/// Per-update scratch, reused across updates: nothing here grows with the
+/// data.
+#[derive(Default)]
+struct Walk {
+    dispatch: MatchScratch,
+    /// Variable CFDs the update matches, ascending.
+    matched: Vec<CfdId>,
+    /// The union of their anchors: nodes ascending, bases in any order.
+    nodes: Vec<NodeId>,
+    bases: Vec<AttrId>,
+    /// Stamps of the current generation on nodes, bases and pairs.
+    generation: u32,
+    node_seen: Vec<u32>,
+    base_seen: Vec<u32>,
+    pair_seen: Vec<u32>,
+    /// Eqids by slot.
+    eq: Vec<EqId>,
+    /// Per candidate list, the insertions of the batch it holds; per
+    /// scan, whether the tuple at hand passed all its lists.
+    hits: Vec<usize>,
+    pass: Vec<bool>,
+}
+
+impl Walk {
+    fn new(k: &Compiled, arity: usize) -> Self {
+        Walk {
+            node_seen: vec![0; k.steps.len()],
+            base_seen: vec![0; arity],
+            pair_seen: vec![0; k.n_pairs],
+            eq: vec![0; arity + k.steps.len()],
+            hits: vec![0; k.lists.len()],
+            pass: vec![false; k.scans.len()],
+            ..Walk::default()
         }
     }
 
-    fn eqid_count(&self) -> usize {
-        match self {
-            VerMsg::Eqid(_) => 1,
-            VerMsg::ConstCands(_) => 0,
+    /// Variable CFDs whose LHS pattern the tuple `value_of` describes
+    /// matches — under [`SharingMode::Shared`] via one dispatch pass over
+    /// the shared plan's posting index instead of the per-CFD loop.
+    fn dispatch<'v>(
+        &mut self,
+        (cfds, plan, sharing): (&[Cfd], &SharedPlan, SharingMode),
+        value_of: impl Fn(AttrId) -> &'v Value,
+    ) {
+        self.matched.clear();
+        match sharing {
+            SharingMode::PerCfd => self.matched.extend(
+                cfds.iter()
+                    .filter(|c| {
+                        let mut x = c.lhs.iter().zip(&c.lhs_pattern);
+                        c.is_variable() && x.all(|(&a, p)| p.matches(value_of(a)))
+                    })
+                    .map(|c| c.id),
+            ),
+            SharingMode::Shared => {
+                let hits = plan.matched_by(value_of, &mut self.dispatch);
+                let variable = hits.iter().filter(|&&c| plan.is_variable(c));
+                self.matched.extend(variable);
+            }
         }
+    }
+
+    /// Union the matched CFDs' anchors into `nodes` / `bases` and open a
+    /// generation for the pair marks.
+    fn union(&mut self, k: &Compiled) {
+        self.generation = self.generation.checked_add(1).unwrap_or_else(|| {
+            self.node_seen.fill(0);
+            self.base_seen.fill(0);
+            self.pair_seen.fill(0);
+            1
+        });
+        let g = self.generation;
+        self.nodes.clear();
+        self.bases.clear();
+        for &c in &self.matched {
+            let anchor = &k.anchors[c as usize];
+            for &n in &anchor.nodes {
+                if std::mem::replace(&mut self.node_seen[n], g) != g {
+                    self.nodes.push(n);
+                }
+            }
+            for &a in &anchor.bases {
+                if std::mem::replace(&mut self.base_seen[a as usize], g) != g {
+                    self.bases.push(a);
+                }
+            }
+        }
+        self.nodes.sort_unstable();
+    }
+
+    /// A node's HEV key: its inputs' eqids, computed earlier in the walk.
+    fn key(&self, step: &Step) -> EqKey {
+        step.inputs.iter().map(|&s| self.eq[s]).collect()
     }
 }
 
@@ -76,14 +303,13 @@ impl Wire for VerMsg {
 pub struct VerticalDetector {
     schema: Arc<Schema>,
     cfds: Vec<Cfd>,
-    scheme: VerticalScheme,
     plan: HevPlan,
-    /// Base HEVs, one per attribute (located at `plan.base_site(attr)`).
-    bases: FxHashMap<AttrId, BaseHev>,
+    /// Base HEVs by attribute (located at `plan.base_site(attr)`).
+    bases: Vec<BaseHev>,
     /// Non-base HEV stores, parallel to `plan.nodes()`.
     node_stores: Vec<NonBaseHev>,
-    /// One IDX per variable CFD (at `plan.idx_site(cfd)`).
-    idxs: FxHashMap<CfdId, Idx>,
+    /// IDXs by CFD id (at `plan.idx_site(cfd)`; empty for constant CFDs).
+    idxs: Vec<Idx>,
     /// The logical relation `D`, and the only copy of its rows: site `i`'s
     /// fragment is the columns `scheme.attrs_of(i)` of it. Columnar: its
     /// [`relation::ColumnStore`] interns every live value once, and the
@@ -91,15 +317,16 @@ pub struct VerticalDetector {
     /// no separate encoded mirror.
     current: Relation,
     violations: Violations,
-    net: Network<VerMsg>,
+    /// Every shipment the protocol makes, metered per link.
+    net: NetStats,
     /// The merged multi-CFD evaluation plan: one dispatch scan decides
     /// which variable CFDs a tuple falls under ([`cfd::SharedPlan`]).
     shared_plan: Arc<SharedPlan>,
-    /// Reusable scratch for the shared dispatch pass.
-    scratch: MatchScratch,
     /// Multi-CFD evaluation mode: shared plan (default) or the legacy
     /// per-CFD loop (kept as a differential baseline).
     sharing: SharingMode,
+    compiled: Compiled,
+    walk: Walk,
 }
 
 impl VerticalDetector {
@@ -116,7 +343,9 @@ impl VerticalDetector {
         Self::with_plan(schema, cfds, scheme, plan, d)
     }
 
-    /// Build with an explicit (e.g. optimized) plan.
+    /// Build with an explicit (e.g. optimized) plan, compiling it first: a
+    /// plan that does not validate against `scheme`, or has no target for
+    /// a variable CFD, is refused with [`DetectError::Plan`].
     pub fn with_plan(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -124,31 +353,27 @@ impl VerticalDetector {
         plan: HevPlan,
         d: &Relation,
     ) -> Result<Self, DetectError> {
-        let n = scheme.n_sites();
-        let shared_plan = Arc::new(SharedPlan::new(&cfds));
+        let compiled = Compiled::new(&cfds, &scheme, &plan)?;
+        let arity = scheme.schema().arity();
         let mut det = VerticalDetector {
-            bases: FxHashMap::default(),
+            bases: (0..arity).map(|_| BaseHev::new()).collect(),
             node_stores: plan.nodes().iter().map(|_| NonBaseHev::new()).collect(),
-            idxs: cfds
-                .iter()
-                .filter(|c| c.is_variable())
-                .map(|c| (c.id, Idx::new()))
-                .collect(),
+            idxs: cfds.iter().map(|_| Idx::new()).collect(),
             current: Relation::new(schema.clone()),
             violations: Violations::new(cfds.len()),
-            net: Network::new(n),
-            shared_plan,
-            scratch: MatchScratch::default(),
+            net: NetStats::new(scheme.n_sites()),
+            shared_plan: Arc::new(SharedPlan::new(&cfds)),
             sharing: SharingMode::default(),
+            walk: Walk::new(&compiled, arity),
+            compiled,
             schema,
             cfds,
-            scheme,
             plan,
         };
         // Bulk-load D through the insertion machinery, then forget the
         // traffic: incremental metering starts at the first `apply`.
         crate::detector::ingest(d, |window| det.apply(window))?;
-        det.net.reset_stats();
+        det.net.reset();
         Ok(det)
     }
 
@@ -158,13 +383,13 @@ impl VerticalDetector {
     }
 
     /// Cumulative network statistics since construction (or last reset).
-    pub fn stats(&self) -> &cluster::NetStats {
-        self.net.stats()
+    pub fn stats(&self) -> &NetStats {
+        &self.net
     }
 
     /// Reset network statistics.
     pub fn reset_stats(&mut self) {
-        self.net.reset_stats();
+        self.net.reset();
     }
 
     /// The HEV plan in use.
@@ -216,10 +441,23 @@ impl VerticalDetector {
     pub fn index_sizes(&self) -> (usize, usize, usize, usize) {
         (
             self.current.pool().len(),
-            self.bases.values().map(BaseHev::len).sum(),
+            self.bases.iter().map(BaseHev::len).sum(),
             self.node_stores.iter().map(NonBaseHev::len).sum(),
-            self.idxs.values().map(Idx::n_tuples).sum(),
+            self.idxs.iter().map(Idx::n_tuples).sum(),
         )
+    }
+
+    /// Census of the IDX groups over every CFD — `(CFD, X-value)` groups,
+    /// their classes, `(CFD, tid)` memberships and spills — with the heap
+    /// bytes of the IDX and HEV tables. `O(state)`; nothing is counted
+    /// unless this is called.
+    pub fn state_census(&self) -> StateCensus {
+        let mut census = StateCensus::default();
+        self.idxs.iter().for_each(|idx| idx.count_into(&mut census));
+        let bases = self.bases.iter().map(BaseHev::resident_bytes);
+        let nodes = self.node_stores.iter().map(NonBaseHev::resident_bytes);
+        census.resident_bytes += bases.chain(nodes).sum::<usize>();
+        census
     }
 
     /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incVer`.
@@ -228,17 +466,19 @@ impl VerticalDetector {
         let delta = crate::detector::admit(&self.current, delta)?;
         let mut dv = DeltaV::default();
 
-        // Lines 4–10: constant CFDs, batch candidate protocol.
-        self.constant_cfds(&delta, &mut dv)?;
-
         // Lines 11–16: variable CFDs (locally checkable ones ship nothing
-        // because their plan nodes are co-located).
+        // because their plan nodes are co-located). They run first: an
+        // update whose walk finds the state contradicting itself fails
+        // before it mutates anything, and before the constant CFDs below.
         for op in delta.ops() {
             match op {
                 Update::Insert(t) => self.insert_variable(t.clone(), &mut dv)?,
                 Update::Delete(tid) => self.delete_variable(*tid, &mut dv)?,
             }
         }
+
+        // Lines 4–10: constant CFDs, batch candidate protocol.
+        self.constant_cfds(&delta, &mut dv);
         dv.settle();
         Ok(dv)
     }
@@ -247,293 +487,109 @@ impl VerticalDetector {
     // Constant CFDs (incVer lines 4–10)
     // ------------------------------------------------------------------
 
-    fn constant_cfds(&mut self, delta: &UpdateBatch, dv: &mut DeltaV) -> Result<(), DetectError> {
-        // Phase 1 (read-only, parallel when the batch is large): per
-        // constant CFD, the site-local candidate lists of `incVer` lines
-        // 4–6 — pure functions of (CFD, scheme, ΔD⁺), computed on scoped
-        // threads. Phase 2 below replays them serially so shipment
-        // metering and violation mutation stay deterministic.
-        let const_idx: Vec<usize> = (0..self.cfds.len())
-            .filter(|&c| self.cfds[c].is_constant())
-            .collect();
-        if const_idx.is_empty() {
-            return Ok(());
+    /// One serial scan of `ΔD⁺` against every compiled scan: per site
+    /// list, how many insertions it holds (lines 4–6), and per tuple
+    /// whether every list holds it — the sort-merge of line 7 — and then
+    /// violates on `B` (lines 8–10). A deleted tuple leaves `V(φ)` iff it
+    /// was in it: the old output is at hand, nothing ships.
+    fn constant_cfds(&mut self, delta: &UpdateBatch, dv: &mut DeltaV) {
+        let (k, w) = (&self.compiled, &mut self.walk);
+        for c in &k.consts {
+            for tid in delta.deletions() {
+                if self.violations.remove(c.id, tid) {
+                    dv.remove(c.id, tid);
+                }
+            }
         }
-        let insertions: Vec<&Tuple> = delta.insertions().collect();
-        let cfds = &self.cfds;
-        let scheme = &self.scheme;
-        // Operator sharing for the candidate scan: constant CFDs whose
-        // plans carry identical restrict operators (same atoms, same
-        // coordinator) produce identical candidate lists, so compute the
-        // list once per distinct signature. This shares computation only
-        // — phase 2 below still meters and ships per CFD, keeping `|M|`
-        // bit-identical to the per-CFD loop.
-        let mut uniq: Vec<usize> = Vec::new(); // representative positions
-        let mut slot_of: Vec<usize> = Vec::with_capacity(const_idx.len());
-        if self.sharing == SharingMode::Shared {
-            let mut seen: FxHashMap<(SiteId, Vec<(AttrId, relation::Value)>), usize> =
-                FxHashMap::default();
-            for (pos, &c) in const_idx.iter().enumerate() {
-                let cfd = &cfds[c];
-                let mut atoms = cfd.constant_atoms();
-                atoms.sort_unstable_by_key(|(a, _)| *a);
-                match seen.entry((scheme.primary_site(cfd.rhs), atoms)) {
-                    std::collections::hash_map::Entry::Occupied(e) => slot_of.push(*e.get()),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(uniq.len());
-                        slot_of.push(uniq.len());
-                        uniq.push(pos);
+        w.hits.fill(0);
+        for t in delta.insertions() {
+            for (pass, lists) in w.pass.iter_mut().zip(&k.scans) {
+                *pass = true;
+                for l in lists.clone() {
+                    if k.lists[l].1.iter().all(|(a, v)| t.get(*a) == v) {
+                        w.hits[l] += 1;
+                    } else {
+                        *pass = false;
                     }
                 }
             }
-        } else {
-            uniq.extend(0..const_idx.len());
-            slot_of.extend(0..const_idx.len());
-        }
-        let computed = crate::par::par_map(
-            uniq.len(),
-            insertions.len() * uniq.len() >= crate::par::PAR_THRESHOLD,
-            &|u| {
-                let cfd = &cfds[const_idx[uniq[u]]];
-                let coord = scheme.primary_site(cfd.rhs);
-                let atoms = cfd.constant_atoms();
-                // Group atoms by evaluation site (prefer the coordinator
-                // when it holds the attribute — zero shipment).
-                let mut by_site: FxHashMap<SiteId, Vec<&(AttrId, relation::Value)>> =
-                    FxHashMap::default();
-                for av in &atoms {
-                    let site = if scheme.local_pos(coord, av.0).is_some() {
-                        coord
-                    } else {
-                        scheme.primary_site(av.0)
-                    };
-                    by_site.entry(site).or_default().push(av);
-                }
-                // Candidate lists per participating site, in tid order.
-                let mut sites: Vec<SiteId> = by_site.keys().copied().collect();
-                sites.sort_unstable();
-                let cands: Vec<(SiteId, Vec<Tid>)> = sites
-                    .into_iter()
-                    .map(|site| {
-                        let atoms_s = &by_site[&site];
-                        let mut cands: Vec<Tid> = insertions
-                            .iter()
-                            .filter(|t| atoms_s.iter().all(|(a, v)| t.get(*a) == v))
-                            .map(|t| t.tid)
-                            .collect();
-                        // The sort-merge of incVer line 7 requires ascending
-                        // tids; batch order interleaves insertions
-                        // arbitrarily.
-                        cands.sort_unstable();
-                        (site, cands)
-                    })
-                    .collect();
-                (coord, cands)
-            },
-        );
-        let plans: Vec<ConstPlan> = slot_of.iter().map(|&u| computed[u].clone()).collect();
-
-        // Phase 2: metering, sort-merge and violation maintenance, in CFD
-        // order.
-        for (i, (coord, cand_lists)) in const_idx.iter().zip(plans) {
-            let cfd = self.cfds[*i].clone();
-            // Deletions: a deleted tuple leaves V(φ) iff it was in it — the
-            // old output is available, no shipment needed.
-            for tid in delta.deletions() {
-                if self.violations.remove(cfd.id, tid) {
-                    dv.remove(cfd.id, tid);
-                }
-            }
-            for (site, cands) in &cand_lists {
-                if *site != coord {
-                    self.net
-                        .ship(*site, coord, &VerMsg::ConstCands(cands.clone()))?;
-                }
-            }
-            // Sort-merge intersection (lists are tid-ordered).
-            let survivors: Vec<Tid> = match cand_lists.len() {
-                0 => delta.insertions().map(|t| t.tid).collect(),
-                _ => {
-                    let lists: Vec<Vec<Tid>> = cand_lists.into_iter().map(|(_, c)| c).collect();
-                    intersect_sorted(&lists)
-                }
-            };
-            let mut surviving: FxHashSet<Tid> = survivors.into_iter().collect();
-            for t in delta.insertions() {
-                if surviving.remove(&t.tid)
+            for c in &k.consts {
+                let cfd = &self.cfds[c.id as usize];
+                if w.pass[c.scan]
                     && !cfd.rhs_pattern.matches(t.get(cfd.rhs))
-                    && self.violations.add(cfd.id, t.tid)
+                    && self.violations.add(c.id, t.tid)
                 {
-                    dv.add(cfd.id, t.tid);
+                    dv.add(c.id, t.tid);
                 }
             }
         }
-        Ok(())
+        // Each participating site's list, shipped to the coordinator per
+        // CFD: `8 B` a tid, and no message for an empty list.
+        for c in &k.consts {
+            for l in k.scans[c.scan].clone() {
+                let site = k.lists[l].0;
+                if site != c.coord && w.hits[l] > 0 {
+                    self.net.record(site, c.coord, TID_BYTES * w.hits[l], 0);
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
     // Variable CFDs (incVIns / incVDel, Fig. 4)
     // ------------------------------------------------------------------
 
-    /// Variable CFDs whose LHS pattern matches `t`, in id order — under
-    /// [`SharingMode::Shared`] via one dispatch pass over the shared
-    /// plan's posting index instead of the per-CFD loop.
-    fn matched_variable(&mut self, t: &Tuple) -> Vec<CfdId> {
-        match self.sharing {
-            SharingMode::PerCfd => self
-                .cfds
-                .iter()
-                .filter(|c| c.is_variable() && c.matches_lhs(t))
-                .map(|c| c.id)
-                .collect(),
-            SharingMode::Shared => {
-                let plan = &self.shared_plan;
-                plan.matched(t, &mut self.scratch)
-                    .iter()
-                    .copied()
-                    .filter(|&c| plan.is_variable(c))
-                    .collect()
-            }
-        }
-    }
-
-    /// [`Self::matched_variable`] for a live stored tuple, checking
-    /// patterns against the store's borrowed values (no materialization).
-    fn matched_variable_at(&mut self, row: relation::RowId) -> Vec<CfdId> {
+    /// Compute the eqids of the matched CFDs' anchors for `row` — acquiring
+    /// classes for an insert, looking them up for a delete — then meter
+    /// each cross-site `(input, destination)` pair once. A delete whose
+    /// classes are missing returns [`DetectError::Internal`] having
+    /// changed nothing; an insert cannot fail.
+    fn eqids(&mut self, row: RowId, insert: bool) -> Result<(), DetectError> {
+        let (k, w) = (&self.compiled, &mut self.walk);
+        w.union(k);
         let store = self.current.store();
-        match self.sharing {
-            SharingMode::PerCfd => self
-                .cfds
-                .iter()
-                .filter(|c| {
-                    c.is_variable()
-                        && c.lhs
-                            .iter()
-                            .zip(&c.lhs_pattern)
-                            .all(|(&a, p)| p.matches(store.value(row, a)))
-                })
-                .map(|c| c.id)
-                .collect(),
-            SharingMode::Shared => {
-                let plan = &self.shared_plan;
-                plan.matched_by(|a| store.value(row, a), &mut self.scratch)
-                    .iter()
-                    .copied()
-                    .filter(|&c| plan.is_variable(c))
-                    .collect()
-            }
-        }
-    }
-
-    /// Nodes and base attributes needed to anchor `cfds` for one tuple.
-    fn needed(&self, cfds: &[CfdId]) -> (Vec<NodeId>, Vec<AttrId>) {
-        let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
-        let mut bases: FxHashSet<AttrId> = FxHashSet::default();
-        for &c in cfds {
-            for n in self.plan.required_nodes(c) {
-                nodes.insert(n);
-            }
-            if let Some(t) = self.plan.target(c) {
-                if let Input::Base(a) = t.lhs {
-                    bases.insert(a);
-                }
-            }
-        }
-        for &n in &nodes {
-            for inp in &self.plan.nodes()[n].inputs {
-                if let Input::Base(a) = inp {
-                    bases.insert(*a);
-                }
-            }
-        }
-        let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
-        nodes.sort_unstable(); // topological (ids are topo-ordered)
-        let mut bases: Vec<AttrId> = bases.into_iter().collect();
-        bases.sort_unstable();
-        (nodes, bases)
-    }
-
-    /// Walk the plan for the row symbols `st` (one [`Sym`] per attribute,
-    /// copied out of the store), producing eqids per input and
-    /// metering cross-site shipments (each `(producer, destination)` pair
-    /// once).
-    fn walk(
-        &mut self,
-        st: &[Sym],
-        nodes: &[NodeId],
-        bases: &[AttrId],
-        acquire: bool,
-    ) -> Result<FxHashMap<Input, EqId>, DetectError> {
-        let mut eqids: FxHashMap<Input, EqId> = FxHashMap::default();
-        for &a in bases {
-            let store = self.bases.entry(a).or_default();
-            let s = st[a as usize];
-            let id = if acquire {
-                store.acquire(s)
+        let missing = |what: String| {
+            let tid = store.tid_of(row);
+            DetectError::Internal(format!(
+                "deletion walk: tuple {tid} has no live class {what}"
+            ))
+        };
+        for &a in &w.bases {
+            let (hev, s) = (&mut self.bases[a as usize], store.sym(row, a));
+            w.eq[a as usize] = if insert {
+                hev.acquire(s)
             } else {
-                store
-                    .lookup(s)
-                    .expect("deletion walk: value must have a live class")
+                let what = || missing(format!("in the base HEV of attribute #{a}"));
+                hev.lookup(s).ok_or_else(what)?
             };
-            eqids.insert(Input::Base(a), id);
         }
-        let mut shipped: FxHashSet<(Input, SiteId)> = FxHashSet::default();
-        for &n in nodes {
-            let node = self.plan.nodes()[n].clone();
-            let key: EqKey = node.inputs.iter().map(|i| eqids[i]).collect();
-            for &inp in &node.inputs {
-                let src = self.plan.site_of(inp);
-                if src != node.site && shipped.insert((inp, node.site)) {
-                    self.net.ship(src, node.site, &VerMsg::Eqid(eqids[&inp]))?;
+        let arity = self.bases.len();
+        for &n in &w.nodes {
+            let (hev, key) = (&mut self.node_stores[n], w.key(&k.steps[n]));
+            w.eq[arity + n] = if insert {
+                hev.acquire(&key)
+            } else {
+                hev.lookup(&key)
+                    .ok_or_else(|| missing(format!("in plan node {n}")))?
+            };
+        }
+        for &n in &w.nodes {
+            let step = &k.steps[n];
+            for &(src, pair) in &step.ships {
+                if std::mem::replace(&mut w.pair_seen[pair], w.generation) != w.generation {
+                    self.net.record(src, step.site, EQID_BYTES, 1);
                 }
             }
-            let store = &mut self.node_stores[n];
-            let id = if acquire {
-                store.acquire(&key)
-            } else {
-                store
-                    .lookup(&key)
-                    .expect("deletion walk: eqid vector must have a live class")
-            };
-            eqids.insert(Input::Node(n), id);
         }
-        Ok(eqids)
-    }
-
-    /// Release HEV references after a deletion, in reverse topological
-    /// order so parents release before their inputs disappear.
-    fn release(
-        &mut self,
-        st: &[Sym],
-        nodes: &[NodeId],
-        bases: &[AttrId],
-        eqids: &FxHashMap<Input, EqId>,
-    ) {
-        for &n in nodes.iter().rev() {
-            let key: EqKey = self.plan.nodes()[n]
-                .inputs
-                .iter()
-                .map(|i| eqids[i])
-                .collect();
-            self.node_stores[n].release(&key);
-        }
-        for &a in bases {
-            self.bases
-                .get_mut(&a)
-                .expect("acquired earlier")
-                .release(st[a as usize]);
-        }
+        Ok(())
     }
 
     /// `incVIns` for every variable CFD matching `t`.
     fn insert_variable(&mut self, t: Tuple, dv: &mut DeltaV) -> Result<(), DetectError> {
         // Fail *before* mutating anything: the relation insert below has
-        // both of its error conditions checked up front, so an error
-        // return cannot leak a row or HEV refcounts. (The metered
-        // ship inside `walk` is also `?`-fallible, but only against a plan
-        // with out-of-range site ids — plans built by
-        // `default_chains`/`optimize` place nodes on scheme sites by
-        // construction.)
+        // both of its error conditions checked up front, and the walk
+        // after it cannot fail (the plan was validated at build), so an
+        // error return cannot leak a row or HEV refcounts.
         if t.arity() != self.schema.arity() {
             return Err(RelError::ArityMismatch {
                 expected: self.schema.arity(),
@@ -544,47 +600,26 @@ impl VerticalDetector {
         if self.current.contains(t.tid) {
             return Err(RelError::DuplicateTid(t.tid).into());
         }
-        let matched = self.matched_variable(&t);
+        let rules = (&self.cfds[..], &*self.shared_plan, self.sharing);
+        self.walk.dispatch(rules, |a| t.get(a));
         // Maintain data first: interning the row into the store is the
         // single dictionary encode; the walk below borrows the stored
         // symbols.
         let tid = t.tid;
         self.current.insert(t)?;
         let row = self.current.row_of(tid).expect("just inserted");
-        let st: RowSyms = self.current.store().row_syms(row).collect();
-        let (nodes, bases) = self.needed(&matched);
-        let eqids = self.walk(&st, &nodes, &bases, true)?;
-        for c in matched {
-            let target = self.plan.target(c).expect("variable CFD has a target");
-            let eq_x = eqids[&target.lhs];
-            let eq_xb = eqids[&Input::Node(target.xb)];
-            let idx = self.idxs.get_mut(&c).expect("IDX exists for variable CFD");
-
-            // Case analysis of Fig. 4 (before inserting t).
-            let mut added: Vec<Tid> = Vec::new();
-            match idx.n_classes(eq_x) {
-                0 => {}
-                1 => {
-                    let (&k, members) = idx
-                        .classes(eq_x)
-                        .expect("group exists")
-                        .iter()
-                        .next()
-                        .expect("non-empty group");
-                    if k != eq_xb {
-                        // (t, t′) violate φ: t plus the whole class [t′]_{X∪B}.
-                        added.push(tid);
-                        added.extend(members.iter().copied());
-                    }
+        self.eqids(row, true)?;
+        let (k, w) = (&self.compiled, &self.walk);
+        for &c in &w.matched {
+            let anchor = &k.anchors[c as usize];
+            let (x, xb) = (w.eq[anchor.x], w.eq[anchor.xb]);
+            let idx = &mut self.idxs[c as usize];
+            let case = idx.insert(x, xb, tid);
+            fan(idx, case, x, tid, |m| {
+                if self.violations.add(c, m) {
+                    dv.add(c, m);
                 }
-                _ => added.push(tid),
-            }
-            idx.insert(eq_x, eq_xb, tid);
-            for tid in added {
-                if self.violations.add(c, tid) {
-                    dv.add(c, tid);
-                }
-            }
+            });
         }
         Ok(())
     }
@@ -592,51 +627,47 @@ impl VerticalDetector {
     /// `incVDel` for every variable CFD matching the stored tuple.
     fn delete_variable(&mut self, tid: Tid, dv: &mut DeltaV) -> Result<(), DetectError> {
         let row = self.current.row_of(tid).ok_or(RelError::MissingTid(tid))?;
-        let st: RowSyms = self.current.store().row_syms(row).collect();
-        let matched = self.matched_variable_at(row);
-        let (nodes, bases) = self.needed(&matched);
-        let eqids = self.walk(&st, &nodes, &bases, false)?;
-        for c in matched {
-            let target = self.plan.target(c).expect("variable CFD has a target");
-            let eq_x = eqids[&target.lhs];
-            let eq_xb = eqids[&Input::Node(target.xb)];
-            let idx = self.idxs.get_mut(&c).expect("IDX exists for variable CFD");
-
-            // Case analysis of Fig. 4 (before removing t).
-            let mut removed: Vec<Tid> = Vec::new();
-            let cls_size = idx.class_size(eq_x, eq_xb);
-            debug_assert!(cls_size >= 1, "deleted tuple must be indexed");
-            let n = idx.n_classes(eq_x);
-            if cls_size > 1 {
-                // Tuples equal to t on X∪{B} remain: violations persist,
-                // only t leaves (if it was a violation at all).
-                if n > 1 {
-                    removed.push(tid);
+        let store = self.current.store();
+        let rules = (&self.cfds[..], &*self.shared_plan, self.sharing);
+        self.walk.dispatch(rules, |a| store.value(row, a));
+        self.eqids(row, false)?;
+        let (k, w) = (&self.compiled, &self.walk);
+        for &c in &w.matched {
+            let anchor = &k.anchors[c as usize];
+            let (x, xb) = (w.eq[anchor.x], w.eq[anchor.xb]);
+            let idx = &mut self.idxs[c as usize];
+            let case = idx.remove(x, xb, tid).ok_or_else(|| {
+                DetectError::Internal(format!("CFD {c}: tuple {tid} is not in its IDX"))
+            })?;
+            fan(idx, case, x, tid, |m| {
+                if self.violations.remove(c, m) {
+                    dv.remove(c, m);
                 }
-            } else {
-                match n {
-                    0 | 1 => {} // t alone in its group: was not a violation
-                    2 => {
-                        // The remaining class stops violating with t gone.
-                        removed.push(tid);
-                        let (_, members) =
-                            idx.other_class(eq_x, eq_xb).expect("exactly two classes");
-                        removed.extend(members.iter().copied());
-                    }
-                    _ => removed.push(tid),
-                }
-            }
-            idx.remove(eq_x, eq_xb, tid);
-            for r in removed {
-                if self.violations.remove(c, r) {
-                    dv.remove(c, r);
-                }
-            }
+            });
         }
-        self.release(&st, &nodes, &bases, &eqids);
+        // Release HEV references in reverse topological order, so parents
+        // release before their inputs disappear.
+        let store = self.current.store();
+        for &n in w.nodes.iter().rev() {
+            self.node_stores[n].release(&w.key(&k.steps[n]));
+        }
+        for &a in &w.bases {
+            self.bases[a as usize].release(store.sym(row, a));
+        }
         // Deleting the row releases the dictionary references.
         self.current.delete_quiet(tid)?;
         Ok(())
+    }
+}
+
+/// The tuples a Fig. 4 case moves into or out of `V(φ)`: `tid`, and for
+/// [`Case::Group`] every member left in its group `x`.
+fn fan(idx: &Idx, case: Case, x: EqId, tid: Tid, mut f: impl FnMut(Tid)) {
+    if case != Case::Nothing {
+        f(tid);
+    }
+    if case == Case::Group {
+        idx.for_each_member(x, f);
     }
 }
 
@@ -666,7 +697,7 @@ impl Detector for VerticalDetector {
     }
 
     fn net(&self) -> cluster::NetReport {
-        cluster::NetReport::single(self.net.stats().clone())
+        cluster::NetReport::single(self.net.clone())
     }
 
     fn reset_stats(&mut self) {
@@ -674,33 +705,10 @@ impl Detector for VerticalDetector {
     }
 }
 
-/// Sort-merge intersection of ascending tid lists (`incVer` line 7).
-fn intersect_sorted(lists: &[Vec<Tid>]) -> Vec<Tid> {
-    debug_assert!(!lists.is_empty());
-    let mut acc: Vec<Tid> = lists[0].clone();
-    for l in &lists[1..] {
-        let mut out = Vec::with_capacity(acc.len().min(l.len()));
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < acc.len() && j < l.len() {
-            match acc[i].cmp(&l[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(acc[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc = out;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::Value;
+    use crate::plan::{CfdTarget, HevNode, PlanBuilder};
 
     /// EMP schema of Fig. 2 (attributes relevant to the CFDs).
     fn emp_schema() -> Arc<Schema> {
@@ -880,11 +888,108 @@ mod tests {
         delta.insert(emp_tuple(8, "A", 1, 212, "10001", "5th Ave", "NYC"));
         let dv = det.apply(&delta).unwrap();
         assert!(dv.is_empty());
+        // Nor does a delete: φ2's candidate list from the CC/AC site to
+        // the city site is empty both times, and an empty list is no
+        // message.
+        let mut delta = UpdateBatch::new();
+        delta.delete(8);
+        assert!(det.apply(&delta).unwrap().is_empty());
+        let total = det.stats().total();
         assert_eq!(
-            det.stats().total_bytes(),
-            0,
+            (total.bytes, total.messages),
+            (0, 0),
             "pattern filter avoids all shipment"
         );
+        // A matching insert ships a one-tid list beside φ1's eqids;
+        // deleting it again ships the eqids and no list.
+        let mut delta = UpdateBatch::new();
+        delta.insert(emp_tuple(9, "A", 44, 131, "EH2 4HF", "Preston", "EDI"));
+        det.apply(&delta).unwrap();
+        let link = det.stats().pair(2, 1); // CC/AC site → city site
+        assert_eq!(
+            (link.messages, link.bytes),
+            (link.eqids + 1, 8 * link.eqids + 8)
+        );
+        det.reset_stats();
+        let mut delta = UpdateBatch::new();
+        delta.delete(9);
+        det.apply(&delta).unwrap();
+        let total = det.stats().total();
+        assert!(total.eqids > 0);
+        assert_eq!(
+            (total.messages, total.bytes),
+            (total.eqids, 8 * total.eqids)
+        );
+    }
+
+    #[test]
+    fn a_plan_off_the_scheme_is_refused_at_build() {
+        let s = emp_schema();
+        let scheme = fig2_scheme(&s);
+        let a = |n: &str| s.attr_id(n).unwrap();
+        // φ1's nodes by hand, on site 7 of three.
+        let mut b = PlanBuilder::new(&scheme);
+        let mut x = vec![a("CC"), a("zip")];
+        x.sort_unstable();
+        let mut xb = [x.clone(), vec![a("street")]].concat();
+        xb.sort_unstable();
+        let inputs = x.iter().map(|&at| Input::Base(at)).collect();
+        let n_x = b.push_node(HevNode {
+            attrs: x,
+            site: 7,
+            inputs,
+        });
+        let n_xb = b.push_node(HevNode {
+            attrs: xb,
+            site: 7,
+            inputs: vec![Input::Node(n_x), Input::Base(a("street"))],
+        });
+        b.targets = vec![
+            Some(CfdTarget {
+                lhs: Input::Node(n_x),
+                xb: n_xb,
+            }),
+            None,
+        ];
+        let plan = b.finish();
+        assert_eq!(plan.validate(&scheme), Err(PlanError::BadNodeSite(n_x, 7)));
+        let built = VerticalDetector::with_plan(s.clone(), fig1_cfds(&s), scheme, plan, &d0());
+        assert!(matches!(
+            built,
+            Err(DetectError::Plan(PlanError::BadNodeSite(0, 7)))
+        ));
+    }
+
+    #[test]
+    fn a_delete_meeting_a_missing_class_fails_before_mutating() {
+        let mut det = detector();
+        let street = det.schema().attr_id("street").unwrap();
+        // Only t5 lives on Crichton; drop the class under it.
+        let crichton = det.current().sym_at(5, street).unwrap();
+        while det.bases[street as usize].lookup(crichton).is_some() {
+            det.bases[street as usize].release(crichton);
+        }
+        let (marks, sizes) = (det.violations().marks_sorted(), det.index_sizes());
+        det.reset_stats();
+        let mut delta = UpdateBatch::new();
+        delta.delete(5);
+        let err = det.apply(&delta).unwrap_err();
+        assert!(
+            matches!(&err, DetectError::Internal(m) if m.contains("tuple 5")),
+            "{err}"
+        );
+        assert!(det.current().contains(5));
+        assert_eq!(det.violations().marks_sorted(), marks);
+        assert_eq!(det.index_sizes(), sizes);
+        assert_eq!(det.stats().total_messages(), 0);
+        // The next clean batch is the oracle's.
+        let mut delta = UpdateBatch::new();
+        delta.insert(emp_tuple(6, "C", 44, 131, "EH4 8LE", "Mayfield", "EDI"));
+        delta.delete(4);
+        delta.insert(emp_tuple(7, "A", 44, 131, "EH9 9ZZ", "Lauriston", "GLA"));
+        det.apply(&delta).unwrap();
+        let oracle = cfd::naive::detect(det.cfds(), det.current());
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
     }
 
     #[test]
@@ -917,16 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn intersect_sorted_works() {
-        assert_eq!(
-            intersect_sorted(&[vec![1, 3, 5, 7], vec![3, 4, 5], vec![3, 5, 9]]),
-            vec![3, 5]
-        );
-        assert_eq!(intersect_sorted(&[vec![1, 2]]), vec![1, 2]);
-        assert!(intersect_sorted(&[vec![1], vec![2]]).is_empty());
-    }
-
-    #[test]
     fn index_state_gc_on_full_teardown() {
         let mut det = detector();
         let mut delta = UpdateBatch::new();
@@ -936,10 +1031,10 @@ mod tests {
         det.apply(&delta).unwrap();
         assert!(det.violations().is_empty());
         assert!(det.current().is_empty());
-        for idx in det.idxs.values() {
+        for idx in &det.idxs {
             assert!(idx.is_empty(), "IDX garbage-collected");
         }
-        for b in det.bases.values() {
+        for b in &det.bases {
             assert!(b.is_empty(), "base HEVs garbage-collected");
         }
         for nstore in &det.node_stores {

@@ -9,15 +9,18 @@
 # (uncommitted edits included). Each side's `benchmark/` is built once, into
 # a target directory of its own, and each binary runs from its own root (it
 # reads `./BENCHMARK.json`). Pair i runs both sides on seed i; odd pairs run
-# the parent first, even pairs the change. Every run's final JSON line is
-# kept, and per end-to-end metric of BENCHMARK.json the two medians, the
-# quartiles and the change's win count are printed.
+# the parent first, even pairs the change. Every run's final JSON line and
+# its `#detail` line are kept. Per end-to-end metric of BENCHMARK.json the
+# two medians, the quartiles and the change's win count are printed; below
+# them, labelled ungated, the same for the stream metrics of the detail
+# lines (`run.updates_per_s`, `run.apply_p50_us`, `run.apply_p99_us`,
+# `run.cpu_us_per_update`).
 #
 # Everything is written under ${TMPDIR:-/tmp}/detbench-pairs and reused by
 # the next call (the builds are then no-ops); nothing in the checkout moves.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
 workload=$2
 pairs=${3:-10}
@@ -44,12 +47,16 @@ build() {
 build "parent-$rev" "$parent"
 build change "$root"
 
-# run <side> <root> <binary> <seed>: keep the run's final JSON line.
+# run <side> <root> <binary> <seed>: keep the run's final JSON line, and
+# its `#detail` line beside it.
 run() {
-    out=$runs/$1.$4.json
+    out=$runs/$1.$4
     (cd "$2" && "$3" run --workload "$workload" --seed "$4" \
-        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) >"$out"
-    grep -q '"metrics"' "$out" || { echo "$1 seed $4: no result, see $out" >&2; exit 1; }
+        --seconds "$seconds" --trace 0 2>/dev/null) >"$out.log"
+    tail -n 1 "$out.log" >"$out.json"
+    sed -n 's/^#detail //p' "$out.log" >"$out.detail.json"
+    rm -f "$out.log"
+    grep -q '"metrics"' "$out.json" || { echo "$1 seed $4: no result, see $out.json" >&2; exit 1; }
 }
 
 rm -f "$runs"/parent.*.json "$runs"/change.*.json
@@ -68,6 +75,7 @@ done
 
 echo "$workload: $pairs pairs, parent $rev vs change, $seconds s, seeds 1..$pairs ($runs)"
 awk -v runs="$runs" -v pairs="$pairs" '
+BEGIN { k = split("run.updates_per_s run.apply_p50_us run.apply_p99_us run.cpu_us_per_update", sname, " ") }
 # The end-to-end metrics: one `{"name": ..., "better": ...}` per line.
 /"end_to_end"/ { inside = 1; next }
 inside && /^ *\]/ { inside = 0 }
@@ -93,29 +101,45 @@ function quantile(v, k, q,    i, j, t, pos, lo) {
 function spread(v, k) {
     return sprintf("%.6g (%.6g-%.6g)", quantile(v, k, 0.5), quantile(v, k, 0.25), quantile(v, k, 0.75))
 }
+function line_of(file,    line) {
+    line = ""
+    getline line < file
+    close(file)
+    return line
+}
+# One row over p[1..pairs] and c[1..pairs]: both medians with quartiles and
+# the change'"'"'s better / same / worse count.
+function row(label, hi,    i, win, same) {
+    win = same = 0
+    for (i = 1; i <= pairs; i++) {
+        if (p[i] == c[i]) same += 1
+        else if (hi ? c[i] + 0 > p[i] + 0 : c[i] + 0 < p[i] + 0) win += 1
+    }
+    printf "%-26s %32s %32s  %d / %d / %d\n", label, spread(p, pairs), spread(c, pairs),
+        win, same, pairs - win - same
+}
 END {
     for (s = 1; s <= 2; s++) {
         side = s == 1 ? "parent" : "change"
         for (i = 1; i <= pairs; i++) {
-            file = runs "/" side "." i ".json"
-            getline line < file
-            close(file)
+            line = line_of(runs "/" side "." i ".json")
             for (m = 1; m <= n; m++) val[side, m, i] = field(line, name[m])
             failed[side] += field(line, "failed")
             attempted[side] += field(line, "attempted")
             if (field(line, "correct") != "true") wrong[side] += 1
+            line = line_of(runs "/" side "." i ".detail.json")
+            for (m = 1; m <= k; m++) sval[side, m, i] = field(line, sname[m])
         }
     }
     printf "%-26s %32s %32s  %s\n", "metric", "parent median (q1-q3)", "change median (q1-q3)", "change better / same / worse"
     for (m = 1; m <= n; m++) {
-        win = same = 0
-        for (i = 1; i <= pairs; i++) {
-            p[i] = val["parent", m, i]; c[i] = val["change", m, i]
-            if (p[i] == c[i]) same += 1
-            else if (higher[m] ? c[i] + 0 > p[i] + 0 : c[i] + 0 < p[i] + 0) win += 1
-        }
-        printf "%-26s %32s %32s  %d / %d / %d\n", name[m], spread(p, pairs), spread(c, pairs),
-            win, same, pairs - win - same
+        for (i = 1; i <= pairs; i++) { p[i] = val["parent", m, i]; c[i] = val["change", m, i] }
+        row(name[m], higher[m])
+    }
+    print "ungated, the stream (each run'"'"'s #detail line):"
+    for (m = 1; m <= k; m++) {
+        for (i = 1; i <= pairs; i++) { p[i] = sval["parent", m, i]; c[i] = sval["change", m, i] }
+        row(sname[m], m == 1)
     }
     printf "failed / attempted: parent %d / %d, change %d / %d; incorrect runs: parent %d, change %d\n",
         failed["parent"], attempted["parent"], failed["change"], attempted["change"],

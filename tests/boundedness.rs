@@ -278,16 +278,18 @@ fn census_is_a_grouping_by_site_and_operator() {
     );
 }
 
-/// ROADMAP item 6, memory half, for the §6 group state: a seeded stream
-/// that quadruples the relation, rewrites and deletes base tuples, and
-/// then walks back to the starting relation leaves the group state where
-/// it started — the same groups, classes, memberships and spills, the
-/// resident bytes within a constant factor (tables shrink under a quarter
-/// full and grow at full, so 4× is the worst a stream can leave behind;
-/// this one leaves 1.0–1.2× and is held to 2×) — and `V` equal to the
-/// start, whatever codec ships the values.
-#[test]
-fn group_state_returns_to_start_after_churn() {
+/// One catalog the returns-to-start tests churn: `D₀` (1 200 rows),
+/// 3 600 fresh tuples, and both partitionings of it.
+struct Churn {
+    cfds: Vec<Cfd>,
+    d0: Relation,
+    fresh: Vec<Tuple>,
+    hor: HorizontalScheme,
+    ver: VerticalScheme,
+}
+
+/// TPCH's 25 rules, EMP's Fig. 1 and the shared-operator family.
+fn churn_cases() -> Vec<Churn> {
     use workload::emp::{self, EmpConfig};
 
     let tpch_schema = tpch::tpch_schema();
@@ -297,112 +299,200 @@ fn group_state_returns_to_start_after_churn() {
         ..EmpConfig::default()
     };
     let (emp_schema, emp_d0) = emp::generate(&emp_cfg);
-    let datasets = [
-        (
-            workload::rules::tpch_rules(&tpch_schema, 25, 1),
-            tpch::horizontal_scheme(&tpch_schema, 4),
-            tpch::generate_fresh(&cfg(1_200), 1_000_000, 3_600, 7),
-            tpch_d0.clone(),
-        ),
-        (
-            emp::emp_cfds(&emp_schema),
-            emp::emp_horizontal_scheme(&emp_schema),
-            emp::generate_fresh(&emp_cfg, 1_000_000, 3_600, 7),
-            emp_d0,
-        ),
-        (
-            shared_operator_family(&tpch_schema, &tpch_d0),
-            tpch::horizontal_scheme(&tpch_schema, 4),
-            tpch::generate_fresh(&cfg(1_200), 1_000_000, 3_600, 7),
-            tpch_d0,
-        ),
-    ];
-    for (cfds, scheme, fresh, d0) in &datasets {
-        let schema = d0.schema();
-        let rhs = cfds
-            .iter()
-            .find(|c| c.is_variable())
-            .expect("a variable CFD")
-            .rhs;
+    let tpch_case = |cfds| Churn {
+        cfds,
+        d0: tpch_d0.clone(),
+        fresh: tpch::generate_fresh(&cfg(1_200), 1_000_000, 3_600, 7),
+        hor: tpch::horizontal_scheme(&tpch_schema, 4),
+        ver: tpch::vertical_scheme(&tpch_schema, 4),
+    };
+    vec![
+        tpch_case(workload::rules::tpch_rules(&tpch_schema, 25, 1)),
+        Churn {
+            cfds: emp::emp_cfds(&emp_schema),
+            fresh: emp::generate_fresh(&emp_cfg, 1_000_000, 3_600, 7),
+            hor: emp::emp_horizontal_scheme(&emp_schema),
+            ver: emp::emp_vertical_scheme(&emp_schema),
+            d0: emp_d0,
+        },
+        tpch_case(shared_operator_family(&tpch_schema, &tpch_d0)),
+    ]
+}
+
+/// Drive `det` out — grow the relation 4×, rewrite a third of the base,
+/// delete half of it — handing it to `at_peak` there, and back to `D₀`:
+/// everything the start did not have goes, everything it had returns with
+/// its original values. `V` must then be where it started, and the
+/// oracle's.
+fn out_and_back<D: Detector>(det: &mut D, case: &Churn, at_peak: impl FnOnce(&D)) {
+    let d0 = &case.d0;
+    let start_marks = det.violations().marks_sorted();
+    let rhs = case
+        .cfds
+        .iter()
+        .find(|c| c.is_variable())
+        .expect("a variable CFD")
+        .rhs;
+    for chunk in case.fresh.chunks(600) {
+        det.apply(&UpdateBatch::from_ops(
+            chunk.iter().cloned().map(Update::Insert).collect(),
+        ))
+        .unwrap();
+    }
+    let rewrite =
+        updates::generate_modifications(d0, 400, 11, |t, rng| updates::corrupt_attr(t, rhs, rng));
+    det.apply(&rewrite).unwrap();
+    let drop = updates::generate(
+        d0,
+        &[],
+        600,
+        UpdateMix {
+            insert_fraction: 0.0,
+        },
+        13,
+    );
+    det.apply(&drop).unwrap();
+    at_peak(det);
+
+    let mut back = UpdateBatch::new();
+    det.current()
+        .tids()
+        .filter(|&tid| !d0.contains(tid))
+        .for_each(|tid| back.delete(tid));
+    d0.iter().for_each(|t| back.insert(t));
+    for chunk in back.ops().chunks(700) {
+        det.apply(&UpdateBatch::from_ops(chunk.to_vec())).unwrap();
+    }
+
+    assert!(det.current().iter().eq(d0.iter()), "the stream ends on D0");
+    assert_eq!(det.violations().marks_sorted(), start_marks);
+    assert_eq!(
+        start_marks,
+        cfd::naive::detect(&case.cfds, d0).marks_sorted(),
+        "and D0's violations are the oracle's"
+    );
+}
+
+/// Back at the start: the same census but for resident bytes, which are
+/// within a constant factor (tables shrink under a quarter full and grow
+/// at full, so 4× is the worst a stream can leave behind; held to 2×) and
+/// below the peak's.
+fn assert_census_returned(start: StateCensus, peak: StateCensus, end: StateCensus, what: &str) {
+    let shape = |c: StateCensus| StateCensus {
+        resident_bytes: 0,
+        ..c
+    };
+    assert_eq!(shape(end), shape(start), "{what}");
+    assert!(
+        end.resident_bytes <= 2 * start.resident_bytes && end.resident_bytes < peak.resident_bytes,
+        "{what}: start {start:?}, peak {peak:?}, end {end:?}"
+    );
+}
+
+/// ROADMAP item 6, memory half, for the §6 group state: a seeded stream
+/// that quadruples the relation, rewrites and deletes base tuples, and
+/// then walks back to the starting relation leaves the group state where
+/// it started — the same groups, classes, memberships and spills, the
+/// resident bytes within a constant factor (this one leaves 1.0–1.2×) —
+/// and `V` equal to the start, whatever codec ships the values.
+#[test]
+fn group_state_returns_to_start_after_churn() {
+    for case in &churn_cases() {
+        let schema = case.d0.schema();
         for codec in [CodecKind::Md5, CodecKind::RawValues, CodecKind::Dict] {
             let mut det = HorizontalDetector::with_codec(
                 schema.clone(),
-                cfds.clone(),
-                scheme.clone(),
-                d0,
+                case.cfds.clone(),
+                case.hor.clone(),
+                &case.d0,
                 codec,
             )
             .unwrap();
             let start = det.state_census();
-            let start_marks = det.violations().marks_sorted();
             assert!(
                 start.spilled_class_maps > 0 && start.spilled_tid_sets > 0,
                 "{start:?}"
             );
-
-            // Out: grow 4×, rewrite a third of the base, delete half of it.
-            for chunk in fresh.chunks(600) {
-                det.apply(&UpdateBatch::from_ops(
-                    chunk.iter().cloned().map(Update::Insert).collect(),
-                ))
-                .unwrap();
-            }
-            let rewrite = updates::generate_modifications(d0, 400, 11, |t, rng| {
-                updates::corrupt_attr(t, rhs, rng)
-            });
-            det.apply(&rewrite).unwrap();
-            let drop = updates::generate(
-                d0,
-                &[],
-                600,
-                UpdateMix {
-                    insert_fraction: 0.0,
-                },
-                13,
-            );
-            det.apply(&drop).unwrap();
-            let peak = det.state_census();
+            let mut peak = StateCensus::default();
+            out_and_back(&mut det, case, |det| peak = det.state_census());
             assert!(
                 peak.memberships > 2 * start.memberships,
                 "{peak:?} vs {start:?}"
             );
-
-            // And back: everything the start did not have goes, everything
-            // it had returns with its original values.
-            let mut back = UpdateBatch::new();
-            det.current()
-                .tids()
-                .filter(|&tid| !d0.contains(tid))
-                .for_each(|tid| back.delete(tid));
-            d0.iter().for_each(|t| back.insert(t));
-            for chunk in back.ops().chunks(700) {
-                det.apply(&UpdateBatch::from_ops(chunk.to_vec())).unwrap();
-            }
-
-            assert!(det.current().iter().eq(d0.iter()), "the stream ends on D0");
-            assert_eq!(det.violations().marks_sorted(), start_marks);
-            assert_eq!(
-                start_marks,
-                cfd::naive::detect(cfds, d0).marks_sorted(),
-                "and D0's violations are the oracle's"
-            );
-            let end = det.state_census();
-            assert_eq!(
-                StateCensus {
-                    resident_bytes: 0,
-                    ..end
-                },
-                StateCensus {
-                    resident_bytes: 0,
-                    ..start
-                },
-                "{codec:?}"
-            );
-            assert!(
-                end.resident_bytes <= 2 * start.resident_bytes
-                    && end.resident_bytes < peak.resident_bytes,
-                "{codec:?}: start {start:?}, peak {peak:?}, end {end:?}"
-            );
+            assert_census_returned(start, peak, det.state_census(), &format!("{codec:?}"));
         }
+    }
+}
+
+/// `incVer`'s HEV and IDX state under the same churn: back on `D₀`, the
+/// IDX census and `index_sizes()` (dictionary, base and non-base HEV
+/// classes, IDX members) equal the start's, and the HEV and IDX tables
+/// hold at most twice the start's bytes.
+#[test]
+fn hev_and_idx_state_return_to_start_after_churn() {
+    for case in &churn_cases() {
+        let schema = case.d0.schema();
+        let mut det = vertical(schema, &case.cfds, &case.ver, &case.d0);
+        let (start, start_sizes) = (det.state_census(), det.index_sizes());
+        assert!(
+            start.spilled_class_maps > 0 && start.spilled_tid_sets > 0,
+            "{start:?}"
+        );
+        let mut peak = StateCensus::default();
+        out_and_back(&mut det, case, |det| peak = det.state_census());
+        assert!(
+            peak.memberships > 2 * start.memberships,
+            "{peak:?} vs {start:?}"
+        );
+        assert_eq!(det.index_sizes(), start_sizes);
+        assert_census_returned(start, peak, det.state_census(), "incVer");
+    }
+}
+
+/// `incVer`'s `state_census()` is a brute-force grouping too: one group
+/// per variable CFD and `X`-value over the tuples matching the CFD's
+/// pattern, one class per `B`-value in it — the IDX is per CFD, so a
+/// catalog whose rules share operators keeps one group per pattern.
+#[test]
+fn vertical_census_is_a_grouping_by_cfd() {
+    use std::collections::BTreeMap;
+
+    let schema = tpch::tpch_schema();
+    let (_, d0) = tpch::generate(&cfg(2_000));
+    for cfds in [
+        workload::rules::tpch_rules(&schema, 25, 1),
+        shared_operator_family(&schema, &d0),
+    ] {
+        // (CFD, t[X]) → t[B] → members.
+        let mut groups: BTreeMap<_, BTreeMap<&Value, usize>> = BTreeMap::new();
+        for t in d0.iter() {
+            for c in cfds.iter().filter(|c| c.is_variable() && c.matches_lhs(&t)) {
+                let class = d0.value_at(t.tid, c.rhs).unwrap();
+                let group = groups.entry((c.id, t.values_at(&c.lhs)));
+                *group.or_default().entry(class).or_default() += 1;
+            }
+        }
+        let classes = || groups.values().flat_map(BTreeMap::values);
+        let model = StateCensus {
+            groups: groups.len(),
+            classes: classes().count(),
+            memberships: classes().sum(),
+            spilled_class_maps: groups.values().filter(|g| g.len() >= 2).count(),
+            spilled_tid_sets: classes().filter(|&&n| n > 3).count(),
+            resident_bytes: 0,
+        };
+        assert!(model.spilled_class_maps > 0 && model.spilled_tid_sets > 0);
+
+        let det = vertical(&schema, &cfds, &tpch::vertical_scheme(&schema, 4), &d0);
+        let census = det.state_census();
+        assert!(census.resident_bytes > 0);
+        assert_eq!(
+            StateCensus {
+                resident_bytes: 0,
+                ..census
+            },
+            model
+        );
+        assert_eq!(census.memberships, det.index_sizes().3);
     }
 }
