@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--scale S] [exp1|exp2|exp2-dblp|exp3|exp3-dblp|exp4|exp5|
-//!              exp6|exp7|exp8|exp9|exp10|all]
+//!              exp6|exp7|exp8|exp9|exp10|exp-small|exp-speedup|all]
 //! ```
 //!
 //! Default scale 1.0 ≈ 10k-tuple TPCH (seconds on a laptop); the paper's
@@ -10,7 +10,7 @@
 
 use bench::{
     all_experiments, exp1, exp10, exp2, exp2_dblp, exp3, exp3_dblp, exp4, exp5, exp6, exp7, exp8,
-    exp9, exp_small_updates, Scale, Table,
+    exp9, exp_small_updates, exp_speedup, Scale, Table,
 };
 
 fn main() {
@@ -31,7 +31,10 @@ fn main() {
                 scale = Scale(v);
             }
             "--help" | "-h" => {
-                eprintln!("usage: experiments [--scale S] [exp1..exp10|exp2-dblp|exp3-dblp|all]");
+                eprintln!(
+                    "usage: experiments [--scale S] \
+                     [exp1..exp10|exp2-dblp|exp3-dblp|exp-small|exp-speedup|all]"
+                );
                 return;
             }
             other => which.push(other.to_string()),
@@ -56,6 +59,7 @@ fn main() {
             "exp9" => Some(exp9(scale)),
             "exp10" => Some(exp10(scale)),
             "exp-small" => Some(exp_small_updates(scale)),
+            "exp-speedup" => Some(exp_speedup(scale)),
             _ => None,
         }
     };

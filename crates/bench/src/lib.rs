@@ -4,26 +4,23 @@
 //! workload, runs the incremental detector against its batch counterpart,
 //! and returns a [`Table`] whose rows mirror the paper's series (elapsed
 //! time, shipped data, eqid counts, scaleup). The `experiments` binary
-//! prints them; the criterion benches in `benches/` measure the same
-//! configurations under the criterion harness.
+//! prints them; [`exp_speedup`] adds the §7 one-detector-per-site curve.
 //!
 //! Absolute numbers differ from the paper (laptop-scale synthetic data vs.
-//! 10 GB TPCH on EC2 — see DESIGN.md); the *shapes* are asserted in
-//! EXPERIMENTS.md: incremental flat in `|D|`, linear in `|ΔD|`/`|Σ|`,
-//! batch growing with `|D|` and shipping orders of magnitude more data.
-
-pub mod analysis;
-pub mod load;
-pub mod report;
-pub mod speedup;
-pub mod suite;
-pub mod sweep;
+//! 10 GB TPCH on EC2 — see the README's "Reproducing §7" section); the
+//! *shapes* are asserted in this crate's tests: incremental shipment flat
+//! in `|D|` and linear in `|ΔD|`, batch shipment growing with `|D|`.
 
 use cfd::Cfd;
+use cluster::codec::CodecKind;
+use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{CostModel, NetReport};
 use incdetect::optimize::{optimize, OptimizeConfig};
-use incdetect::{BaselineStrategy, Detector, DetectorBuilder, HevPlan};
+use incdetect::{
+    BaselineStrategy, ConcurrentHorizontal, DetectError, Detector, DetectorBuilder, HevPlan,
+    HorizontalDetector,
+};
 use relation::{Relation, Schema, UpdateBatch};
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,11 +94,11 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 /// Combined elapsed-time metric: wall clock plus the simulated network
 /// time of the metered traffic under pipelined links (the EC2
-/// substitution — see DESIGN.md). Pipelined, because both the paper's
-/// implementation and any real deployment stream payloads over persistent
-/// connections rather than paying an RTT per eqid. The roll-up over
-/// single- or two-tier traffic lives in [`NetReport`], shared by every
-/// strategy.
+/// substitution — see the README's "Reproducing §7" section). Pipelined,
+/// because both the paper's implementation and any real deployment stream
+/// payloads over persistent connections rather than paying an RTT per
+/// eqid. The roll-up over single- or two-tier traffic lives in
+/// [`NetReport`], shared by every strategy.
 fn elapsed(wall: f64, net: &NetReport) -> f64 {
     wall + net.pipelined_seconds(&CostModel::default())
 }
@@ -232,7 +229,7 @@ fn run_horizontal(
     )
 }
 
-pub(crate) fn tpch_delta(cfg: &tpch::TpchConfig, d: &Relation, n: usize, frac: f64) -> UpdateBatch {
+fn tpch_delta(cfg: &tpch::TpchConfig, d: &Relation, n: usize, frac: f64) -> UpdateBatch {
     let n_ins = ((n as f64) * frac).round() as usize;
     let fresh = tpch::generate_fresh(cfg, 1_000_000_000, n_ins, cfg.seed ^ 0xdead);
     updates::generate(
@@ -275,14 +272,23 @@ pub fn exp1(scale: Scale) -> Table {
         let n_rows = scale.rows(step);
         let cfg = tpch_cfg(n_rows);
         let (_, d) = tpch::generate(&cfg);
-        let delta = tpch_delta(&cfg, &d, delta_n.min(n_rows / 2 + delta_n / 2), 0.8);
-        let (inc, bat, _, _) = run_vertical(&schema, &cfds, 10, &d, &delta);
-        rows.push((format!("{n_rows}"), vec![inc, bat]));
+        let dn = delta_n.min(n_rows / 2 + delta_n / 2);
+        let delta = tpch_delta(&cfg, &d, dn, 0.8);
+        let (inc, bat, inc_b, bat_b) = run_vertical(&schema, &cfds, 10, &d, &delta);
+        rows.push((
+            format!("{n_rows} ({dn})"),
+            vec![inc, bat, inc_b as f64, bat_b as f64],
+        ));
     }
     Table {
         id: "Exp-1 / Fig. 9(a): TPCH vertical, varying |D|".into(),
-        x_label: "|D| (tuples)".into(),
-        columns: vec!["incVer (s)".into(), "batVer (s)".into()],
+        x_label: "|D| (|ΔD|)".into(),
+        columns: vec![
+            "incVer (s)".into(),
+            "batVer (s)".into(),
+            "incVer ship (B)".into(),
+            "batVer ship (B)".into(),
+        ],
         rows,
     }
 }
@@ -408,14 +414,23 @@ pub fn exp6(scale: Scale) -> Table {
         let n_rows = scale.rows(step);
         let cfg = tpch_cfg(n_rows);
         let (_, d) = tpch::generate(&cfg);
-        let delta = tpch_delta(&cfg, &d, delta_n.min(n_rows / 2 + delta_n / 2), 0.8);
-        let (inc, bat, _, _) = run_horizontal(&schema, &cfds, 10, &d, &delta);
-        rows.push((format!("{n_rows}"), vec![inc, bat]));
+        let dn = delta_n.min(n_rows / 2 + delta_n / 2);
+        let delta = tpch_delta(&cfg, &d, dn, 0.8);
+        let (inc, bat, inc_b, bat_b) = run_horizontal(&schema, &cfds, 10, &d, &delta);
+        rows.push((
+            format!("{n_rows} ({dn})"),
+            vec![inc, bat, inc_b as f64, bat_b as f64],
+        ));
     }
     Table {
         id: "Exp-6 / Fig. 9(f): TPCH horizontal, varying |D|".into(),
-        x_label: "|D| (tuples)".into(),
-        columns: vec!["incHor (s)".into(), "batHor (s)".into()],
+        x_label: "|D| (|ΔD|)".into(),
+        columns: vec![
+            "incHor (s)".into(),
+            "batHor (s)".into(),
+            "incHor ship (B)".into(),
+            "batHor ship (B)".into(),
+        ],
         rows,
     }
 }
@@ -632,6 +647,149 @@ pub fn exp10(scale: Scale) -> Table {
     }
 }
 
+/// A fixed-seed TPCH instance: `|D| = n_rows`, the first `n_cfds` TPCH
+/// rules and a `ΔD` of `|D|/2` operations, 80 % of them insertions — the
+/// input of [`exp_speedup`].
+pub fn tpch_fixture(
+    n_rows: usize,
+    n_cfds: usize,
+) -> (Arc<Schema>, Vec<Cfd>, Relation, UpdateBatch) {
+    let schema = tpch::tpch_schema();
+    let cfds = workload::rules::tpch_rules(&schema, n_cfds, 1);
+    let cfg = tpch_cfg(n_rows);
+    let (_, d) = tpch::generate(&cfg);
+    let delta = tpch_delta(&cfg, &d, n_rows / 2, 0.8);
+    (schema, cfds, d, delta)
+}
+
+/// One site count of [`exp_speedup`]: the sequential `incHor` drive and
+/// the thread-per-site runtime, each over its own localhost TCP mesh, on
+/// the same `ΔD`.
+#[derive(Debug, Clone)]
+pub struct SpeedupPoint {
+    /// Modeled `|M|`, identical for both drives.
+    pub modeled_bytes: u64,
+    /// Protocol messages, identical for both drives.
+    pub messages: u64,
+    /// Measured on-wire bytes of the sequential drive.
+    pub seq_wire_bytes: u64,
+    /// Measured on-wire bytes of the threaded drive: the protocol frames
+    /// plus its control frames (ops, settle, barriers, acks, results).
+    /// They move by a few frames with ack timing.
+    pub thr_wire_bytes: u64,
+    /// Barrier rounds of the threaded drive (deterministic).
+    pub waves: u64,
+    /// Final violation marks, identical for both drives.
+    pub marks: u64,
+    /// Wall-clock seconds of the sequential `apply`.
+    pub seq_wall_s: f64,
+    /// Wall-clock seconds of the threaded `apply`.
+    pub thr_wall_s: f64,
+    /// Sequential wall plus [`CostModel::serialized_seconds`]: one thread
+    /// overlaps nothing, so every message pays a full round trip.
+    pub seq_elapsed_s: f64,
+    /// Threaded wall (the concurrent transport really ran) plus what
+    /// localhost cannot show: two model latencies per barrier round and
+    /// the busiest link's bytes over the model bandwidth.
+    pub thr_elapsed_s: f64,
+}
+
+/// Run one [`SpeedupPoint`], asserting that the two drives agree on `V`
+/// and on the modeled `|M|` matrix.
+pub fn speedup_point(
+    schema: &Arc<Schema>,
+    cfds: &[Cfd],
+    d: &Relation,
+    delta: &UpdateBatch,
+    n_sites: usize,
+) -> Result<SpeedupPoint, DetectError> {
+    let hs = tpch::horizontal_scheme(schema, n_sites);
+    let mut seq = HorizontalDetector::with_session(
+        schema.clone(),
+        cfds.to_vec(),
+        hs.clone(),
+        d,
+        CodecKind::Md5,
+        TransportKind::Tcp,
+    )?;
+    let (res, seq_wall_s) = time(|| seq.apply(delta));
+    res?;
+    let mut thr = ConcurrentHorizontal::threaded(
+        schema.clone(),
+        cfds.to_vec(),
+        hs,
+        d,
+        CodecKind::Md5,
+        TransportKind::Tcp,
+    )?;
+    let (res, thr_wall_s) = time(|| thr.apply(delta));
+    res?;
+    assert_eq!(
+        seq.violations().marks_sorted(),
+        thr.violations().marks_sorted(),
+        "sequential and threaded drives must agree at {n_sites} sites"
+    );
+    assert_eq!(
+        seq.stats().to_bytes(),
+        thr.stats().to_bytes(),
+        "modeled |M| must be bit-identical at {n_sites} sites"
+    );
+    let model = CostModel::default();
+    let seq_wire = seq.wire_stats().expect("the TCP drive meters wire bytes");
+    Ok(SpeedupPoint {
+        modeled_bytes: seq.stats().total_bytes(),
+        messages: seq.stats().total_messages(),
+        seq_wire_bytes: seq_wire.total_bytes(),
+        thr_wire_bytes: thr.wire_stats().total_bytes(),
+        waves: thr.waves(),
+        marks: seq.violations().marks_sorted().len() as u64,
+        seq_wall_s,
+        thr_wall_s,
+        seq_elapsed_s: seq_wall_s + model.serialized_seconds(seq_wire),
+        thr_elapsed_s: thr_wall_s
+            + 2.0 * thr.waves() as f64 * model.latency_s
+            + model.pipelined_seconds(thr.wire_stats()),
+    })
+}
+
+/// §7's one detector per site: the thread-per-site `incHor` runtime vs
+/// the sequential drive at 2…16 sites over localhost TCP, on
+/// [`tpch_fixture`] with `|D|` = 4 000 × scale and 50 rules. Two speedup
+/// columns: `CostModel` elapsed (the paper's latency-bearing setting) and
+/// raw measured wall. On a machine with fewer cores than site threads the
+/// wall column says more about the OS scheduler than about the protocol.
+pub fn exp_speedup(scale: Scale) -> Table {
+    let (schema, cfds, d, delta) = tpch_fixture(scale.rows(4_000), 50);
+    let mut rows = Vec::new();
+    for n_sites in [2usize, 4, 8, 16] {
+        let p = speedup_point(&schema, &cfds, &d, &delta, n_sites).expect("speedup point runs");
+        rows.push((
+            format!("{n_sites}"),
+            vec![
+                p.messages as f64,
+                p.waves as f64,
+                p.seq_wire_bytes as f64,
+                p.thr_wire_bytes as f64,
+                p.seq_elapsed_s / p.thr_elapsed_s,
+                p.seq_wall_s / p.thr_wall_s,
+            ],
+        ));
+    }
+    Table {
+        id: "§7 speedup: incHor one thread per site vs one thread, TCP".into(),
+        x_label: "#sites".into(),
+        columns: vec![
+            "messages".into(),
+            "waves".into(),
+            "seq wire (B)".into(),
+            "thr wire (B)".into(),
+            "speedup (elapsed)".into(),
+            "speedup (wall)".into(),
+        ],
+        rows,
+    }
+}
+
 /// All experiments in paper order.
 pub fn all_experiments(scale: Scale) -> Vec<Table> {
     vec![
@@ -648,6 +806,7 @@ pub fn all_experiments(scale: Scale) -> Vec<Table> {
         exp9(scale),
         exp10(scale),
         exp_small_updates(scale),
+        exp_speedup(scale),
     ]
 }
 
@@ -655,57 +814,79 @@ pub fn all_experiments(scale: Scale) -> Vec<Table> {
 mod tests {
     use super::*;
 
-    /// Tiny-scale smoke runs of every experiment — the correctness
-    /// assertions inside `run_vertical`/`run_horizontal` double as an
-    /// incremental-vs-batch equivalence test on generated workloads.
-    #[test]
-    fn exp1_smoke() {
-        let t = exp1(Scale(0.01));
+    /// Largest over smallest of `xs`.
+    fn spread(xs: &[f64]) -> f64 {
+        let max = xs.iter().copied().fold(f64::MIN, f64::max);
+        let min = xs.iter().copied().fold(f64::MAX, f64::min);
+        max / min
+    }
+
+    /// Incremental shipment per update is flat across the `|ΔD|` sweep
+    /// (within 10 %). Only the deterministic byte columns are read; the
+    /// run itself asserts incremental and batch agree on `V`.
+    fn assert_linear_in_delta(t: &Table) {
         assert_eq!(t.rows.len(), 5);
-        assert!(t.render().contains("incVer"));
+        let per_update: Vec<f64> = t
+            .rows
+            .iter()
+            .map(|(x, vals)| vals[2] / x.parse::<f64>().expect("x is |ΔD|"))
+            .collect();
+        assert!(
+            spread(&per_update) <= 1.10,
+            "{}: incremental bytes per update {per_update:?}",
+            t.id
+        );
+    }
+
+    /// At rows of equal `|ΔD|`, incremental shipment stays within 10 %
+    /// across `|D|` while batch shipment strictly grows.
+    fn assert_flat_in_d(t: &Table) {
+        assert_eq!(t.rows.len(), 5);
+        let mut by_delta: Vec<(&str, Vec<f64>, Vec<f64>)> = Vec::new();
+        for (x, vals) in &t.rows {
+            let (_, dn) = x.split_once(" (").expect("x is `|D| (|ΔD|)`");
+            match by_delta.iter_mut().find(|(d, _, _)| *d == dn) {
+                Some((_, inc, bat)) => {
+                    inc.push(vals[2]);
+                    bat.push(vals[3]);
+                }
+                None => by_delta.push((dn, vec![vals[2]], vec![vals[3]])),
+            }
+        }
+        let (_, inc, bat) = by_delta
+            .iter()
+            .max_by_key(|(_, inc, _)| inc.len())
+            .expect("rows exist");
+        assert!(inc.len() >= 3, "{}: too few rows share a |ΔD|", t.id);
+        assert!(spread(inc) <= 1.10, "{}: incremental bytes {inc:?}", t.id);
+        assert!(
+            bat.windows(2).all(|w| w[0] < w[1]),
+            "{}: batch bytes must grow with |D|: {bat:?}",
+            t.id
+        );
     }
 
     #[test]
-    fn exp2_smoke() {
-        let t = exp2(Scale(0.01));
-        // Incremental ships less than batch at every ΔD size at this scale.
+    fn exp2_and_exp7_ship_linearly_in_delta() {
+        let t = exp2(Scale(0.02));
+        assert_linear_in_delta(&t);
+        // Incremental ships less than batch at every ΔD size.
         for (_, vals) in &t.rows {
-            assert!(
-                vals[2] < vals[3],
-                "inc ship {} < bat ship {}",
-                vals[2],
-                vals[3]
-            );
+            assert!(vals[2] < vals[3], "inc {} < bat {}", vals[2], vals[3]);
         }
+        assert_linear_in_delta(&exp7(Scale(0.02)));
     }
 
     #[test]
-    fn exp5_optimization_reduces_shipment() {
-        let t = exp5(Scale(1.0));
-        for (ds, vals) in &t.rows {
-            assert!(
-                vals[1] <= vals[0],
-                "{ds}: optimized {} must not exceed default {}",
-                vals[1],
-                vals[0]
-            );
-        }
-    }
-
-    #[test]
-    fn exp7_smoke() {
-        // At smoke scale ΔD ≈ |D|, where batch shipment can legitimately
-        // undercut the incremental broadcasts (the paper's own crossover
-        // regime) — so only the table shape is asserted here. The
-        // inc-vs-batch *result* equivalence is asserted inside the run.
-        let t = exp7(Scale(0.01));
-        assert_eq!(t.rows.len(), 5);
-        assert_eq!(t.columns.len(), 4);
+    fn exp1_and_exp6_ship_independently_of_d() {
+        assert_flat_in_d(&exp1(Scale(0.02)));
+        assert_flat_in_d(&exp6(Scale(0.02)));
     }
 
     #[test]
     fn exp10_smoke() {
         let t = exp10(Scale(0.01));
         assert_eq!(t.columns.len(), 4);
+        assert!(t.render().contains("ibatVer"));
     }
 }

@@ -96,7 +96,7 @@ pub enum CodecKind {
 }
 
 impl CodecKind {
-    /// Stable name used in reports, labels and `BENCH_*.json` keys.
+    /// Stable name used in reports and labels.
     pub fn name(self) -> &'static str {
         match self {
             CodecKind::RawValues => "raw_values",

@@ -1,10 +1,10 @@
 //! Metered in-process distributed substrate.
 //!
 //! The paper evaluates on an Amazon EC2 cluster with one fragment per
-//! instance. This crate is the substitution documented in `DESIGN.md`: sites
-//! are in-process fragment holders and *every* cross-site payload flows
-//! through a [`Network`] that meters messages, bytes and eqid shipments per
-//! `(src, dst)` pair. A configurable [`CostModel`] converts the meter into a
+//! instance. This crate is the substitution the README's "Reproducing §7"
+//! section describes: sites are in-process fragment holders and *every*
+//! cross-site payload flows through a [`Network`] that meters messages,
+//! bytes and eqid shipments per `(src, dst)` pair. A configurable [`CostModel`] converts the meter into a
 //! *simulated network time*, so experiments can report both wall-clock time
 //! and the communication-dominated elapsed time the paper measures.
 //!

@@ -21,7 +21,8 @@
 //!   member.
 //!
 //! Compression is deterministic (no randomized data structures), which
-//! keeps the benchmark report's measured byte counts reproducible.
+//! keeps measured byte counts reproducible (`tests/gated_integers.rs`
+//! pins them).
 
 /// Minimum match length the encoder emits / the decoder expects.
 pub const MIN_MATCH: usize = 4;

@@ -9,8 +9,7 @@
 //! receiving site reconstructs the message from nothing but the received
 //! bytes. [`ByteNetwork`] meters both quantities side by side — the
 //! modeled `|M|` (identical accounting to [`crate::Network`]) and the
-//! measured on-wire bytes — so the benchmark report can hold the model to
-//! the wire.
+//! measured on-wire bytes — so the tests can hold the model to the wire.
 //!
 //! # Accounting identity
 //!

@@ -213,8 +213,7 @@ impl<M: Wire + std::fmt::Debug + Send> MsgTransport<M> for Network<M> {
 /// that crosses a link once pays (slightly more than) its raw wire size,
 /// and only *repeat* shipments over the same link are cheap. The existing
 /// `md5` and `raw_values` shipping modes are deliberately untouched; this
-/// meter quantifies what a dictionary-shipping protocol *would* cost, and
-/// backs the `wire_model` section of the benchmark report.
+/// meter quantifies what a dictionary-shipping protocol *would* cost.
 #[derive(Debug, Default)]
 pub struct DictMeter {
     /// Symbols already resident at the destination, per ordered link.

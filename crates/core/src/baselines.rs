@@ -77,8 +77,7 @@ impl ColsMsg {
     /// Encode the `rows` of `frag` projected onto `attrs` (fragment-local
     /// positions), updating `codec`'s per-link residency to pick the
     /// dictionary delta ([`DictSyms::ship_sym`] — the symbols here are the
-    /// fragment store's own). Returns the message plus what the retired
-    /// row-oriented format would have cost for the same shipment.
+    /// fragment store's own).
     pub fn encode(
         frag: &Relation,
         rows: &[(Tid, RowId)],
@@ -86,28 +85,25 @@ impl ColsMsg {
         codec: &mut DictSyms,
         src: SiteId,
         dst: SiteId,
-    ) -> (ColsMsg, u64) {
+    ) -> ColsMsg {
         let store = frag.store();
         let mut msg = ColsMsg {
             tids: Vec::with_capacity(rows.len()),
             cols: vec![Vec::with_capacity(rows.len()); attrs.len()],
             dict: Vec::new(),
         };
-        let mut rows_equiv = 0u64;
         for &(tid, row) in rows {
             msg.tids.push(tid);
-            rows_equiv += 8;
             for (k, &a) in attrs.iter().enumerate() {
                 let s = store.sym(row, a);
                 let v = store.value(row, a);
-                rows_equiv += v.wire_size() as u64;
                 if codec.ship_sym(src, dst, s, v) > DictMeter::SYM_WIRE_SIZE {
                     msg.dict.push((s, v.clone()));
                 }
                 msg.cols[k].push(s);
             }
         }
-        (msg, rows_equiv)
+        msg
     }
 
     /// Receiver-side decode back to `(tid, values)` rows. `link` is the
@@ -129,10 +125,7 @@ impl ColsMsg {
     }
 }
 
-/// Column payloads shipped by the batch baselines (the row-oriented
-/// `BatMsg::Rows(Vec<(Tid, Vec<Value>)>)` of earlier revisions is retired;
-/// its equivalent cost is still tracked per run in
-/// [`BatchOutcome::rows_equiv_bytes`] for the benchmark report).
+/// Column payloads shipped by the batch baselines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatMsg {
     /// Dictionary-backed projected columns.
@@ -333,10 +326,6 @@ pub struct BatchOutcome {
     pub wire: Option<NetStats>,
     /// Whole-run transport counters of the byte transport, if one ran.
     pub meter: Option<TransportMeter>,
-    /// What the same shipments would have cost in the retired row-oriented
-    /// format (`8 B` tid + full value wire sizes per row) — 0 for runs
-    /// that ship no columnar messages (`ibatVer`/`ibatHor`).
-    pub rows_equiv_bytes: u64,
 }
 
 /// One CFD's coordinator run: marked tids plus every meter of the net it
@@ -346,7 +335,6 @@ struct CfdRun {
     stats: NetStats,
     wire: Option<NetStats>,
     meter: Option<TransportMeter>,
-    rows_equiv: u64,
 }
 
 /// One CFD's private substrate under the chosen transport. Simulated
@@ -396,7 +384,6 @@ fn bat_ver_one(
     let n = scheme.n_sites();
     let mut net = bat_net(n, transport)?;
     let mut codec = DictSyms::new();
-    let mut rows_equiv = 0u64;
     let mut out: Vec<Tid> = Vec::new();
 
     // Coordinator: the site holding the most attributes of the CFD.
@@ -440,8 +427,7 @@ fn bat_ver_one(
         });
         let rows = filter_rows(frag, &atoms);
         if site != coord {
-            let (msg, re) = ColsMsg::encode(frag, &rows, &served_local, &mut codec, site, coord);
-            rows_equiv += re;
+            let msg = ColsMsg::encode(frag, &rows, &served_local, &mut codec, site, coord);
             net.send(site, coord, BatMsg::Cols(msg))
                 .map_err(DetectError::Cluster)?;
         } else {
@@ -552,7 +538,6 @@ fn bat_ver_one(
         stats: net.stats().clone(),
         wire: net.wire_stats().cloned(),
         meter: net.transport_meter(),
-        rows_equiv,
     })
 }
 
@@ -596,7 +581,6 @@ fn bat_hor_one(
     fragments: &[Relation],
     transport: TransportKind,
 ) -> Result<CfdRun, DetectError> {
-    let mut rows_equiv = 0u64;
     let mut out: Vec<Tid> = Vec::new();
 
     if cfd.is_constant() {
@@ -621,7 +605,6 @@ fn bat_hor_one(
             stats: NetStats::new(n),
             wire: None,
             meter: None,
-            rows_equiv,
         });
     }
     let mut net = bat_net(n, transport)?;
@@ -637,8 +620,7 @@ fn bat_hor_one(
         let atoms = local_atom_syms(cfd, frag, Some);
         let rows = filter_rows(frag, &atoms);
         if site != coord {
-            let (msg, re) = ColsMsg::encode(frag, &rows, &proj, &mut codec, site, coord);
-            rows_equiv += re;
+            let msg = ColsMsg::encode(frag, &rows, &proj, &mut codec, site, coord);
             net.send(site, coord, BatMsg::Cols(msg))
                 .map_err(DetectError::Cluster)?;
         } else {
@@ -692,7 +674,6 @@ fn bat_hor_one(
         stats: net.stats().clone(),
         wire: net.wire_stats().cloned(),
         meter: net.transport_meter(),
-        rows_equiv,
     })
 }
 
@@ -725,7 +706,6 @@ fn merge_results(n_cfds: usize, n_sites: usize, results: Vec<(CfdId, CfdRun)>) -
     let mut stats = NetStats::new(n_sites);
     let mut wire: Option<NetStats> = None;
     let mut meter: Option<TransportMeter> = None;
-    let mut rows_equiv_bytes = 0u64;
     for (cfd, run) in results {
         for t in run.tids {
             violations.add(cfd, t);
@@ -737,14 +717,12 @@ fn merge_results(n_cfds: usize, n_sites: usize, results: Vec<(CfdId, CfdRun)>) -
         if let Some(m) = run.meter {
             merge_meter(&mut meter, m);
         }
-        rows_equiv_bytes += run.rows_equiv;
     }
     BatchOutcome {
         violations,
         stats,
         wire,
         meter,
-        rows_equiv_bytes,
     }
 }
 
@@ -773,7 +751,6 @@ pub fn ibat_ver(
         stats: det.stats().clone(),
         wire: None,
         meter: None,
-        rows_equiv_bytes: 0,
     })
 }
 
@@ -817,7 +794,6 @@ pub fn ibat_hor_with(
         stats: det.stats().clone(),
         wire: det.wire_stats().cloned(),
         meter: det.transport_meter(),
-        rows_equiv_bytes: 0,
     })
 }
 

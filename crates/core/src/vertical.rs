@@ -437,7 +437,8 @@ impl VerticalDetector {
     }
 
     /// Peak-relevant index sizes: (dictionary entries, base HEV classes,
-    /// non-base HEV classes, IDX member tuples) — benchmark reporting.
+    /// non-base HEV classes, IDX member tuples), pinned on a fixed-seed run
+    /// by `tests/gated_integers.rs`.
     pub fn index_sizes(&self) -> (usize, usize, usize, usize) {
         (
             self.current.pool().len(),

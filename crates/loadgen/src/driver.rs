@@ -217,12 +217,12 @@ pub fn run_suite_load(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{catalog, Profile, Scenario};
+    use crate::scenario::{catalog, Scenario};
     use incdetect::DetectorBuilder;
 
     #[test]
     fn run_load_measures_and_matches_oracle() {
-        let cfg = catalog(Profile::Quick).remove(0);
+        let cfg = catalog().remove(0);
         let ds = cfg.dataset();
         let mut det = DetectorBuilder::new(ds.schema.clone(), ds.cfds.clone())
             .horizontal(ds.horizontal.clone())
@@ -261,7 +261,7 @@ mod tests {
         use cfd::Check;
         use incdetect::Suite;
 
-        let cfg = catalog(Profile::Quick).remove(0);
+        let cfg = catalog().remove(0);
         let ds = cfg.dataset();
         let mut session = Suite::on(ds.schema.clone())
             .cfds(ds.cfds.clone())
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn warmup_excludes_early_ticks_from_measurement() {
-        let cfg = catalog(Profile::Quick).remove(0);
+        let cfg = catalog().remove(0);
         let ds = cfg.dataset();
         let build = || {
             DetectorBuilder::new(ds.schema.clone(), ds.cfds.clone())

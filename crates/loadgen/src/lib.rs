@@ -16,10 +16,6 @@
 //!   integer-only bucket math and ppm quantiles (p50/p90/p99/p999);
 //! * [`driver`] — [`run_load`]: push a stream through any
 //!   [`Detector`](incdetect::Detector) strategy, timing every update.
-//!
-//! The `load_gen` binary in the `bench` crate runs the [`catalog`]
-//! across strategies and codecs and emits the `load` section of
-//! `BENCH_10.json`, which CI gates.
 
 pub mod driver;
 pub mod hist;
@@ -29,7 +25,6 @@ pub mod stream;
 pub use driver::{run_load, run_suite_load, LoadConfig, LoadReport, SuiteLoadReport};
 pub use hist::Histogram;
 pub use scenario::{
-    catalog, ArrivalShape, Dataset, DirtyRate, KeyDist, OpMix, Profile, Scenario, ScenarioCfg,
-    WorkloadKind,
+    catalog, ArrivalShape, Dataset, DirtyRate, KeyDist, OpMix, Scenario, ScenarioCfg, WorkloadKind,
 };
 pub use stream::{Tick, UpdateStream};

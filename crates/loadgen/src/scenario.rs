@@ -8,8 +8,8 @@
 //! ([`KeyDist`]), what kind of operations they are ([`OpMix`]) and how
 //! often an arriving tuple is dirty ([`DirtyRate`]). Everything is
 //! derived from one seed — the same scenario always produces the same
-//! byte-identical stream, which is what lets CI gate the deterministic
-//! half of the load report.
+//! byte-identical stream, which is what lets the tests pin the
+//! deterministic counts of a run.
 //!
 //! The stock scenarios live in [`catalog`]; custom ones are plain
 //! [`ScenarioCfg`] values (see `examples/load_stream.rs`).
@@ -22,17 +22,6 @@ use std::sync::Arc;
 use workload::{dblp, emp, rules, tpch};
 
 use crate::stream::UpdateStream;
-
-/// Scale profile: `Quick` for CI smoke runs, `Full` for the committed
-/// benchmark report (base relations 10×+ the paper's Fig. 9 scale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Small bases and short streams — seconds per scenario, used by the
-    /// CI `load-smoke` job and the deterministic `load_quick` gate.
-    Quick,
-    /// Load-test scale for the committed `BENCH_10.json` numbers.
-    Full,
-}
 
 /// Which workload generator backs the scenario's base relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,14 +388,12 @@ pub(crate) fn fresh_pool(cfg: &ScenarioCfg, dataset: &Dataset, n: usize) -> Vec<
     }
 }
 
-/// The stock scenario set, sized by `profile`. Names are stable report
-/// keys — CI gates on them.
-pub fn catalog(profile: Profile) -> Vec<ScenarioCfg> {
+/// The stock scenario set: 800-row bases and 40-tick streams, seconds per
+/// scenario. Names are stable keys — `tests/gated_integers.rs` pins each
+/// scenario's counts under its name.
+pub fn catalog() -> Vec<ScenarioCfg> {
     // (rows, ticks, unit) — `unit` scales the per-tick arrival rates.
-    let (rows, ticks, unit) = match profile {
-        Profile::Quick => (800, 40, 6),
-        Profile::Full => (40_000, 160, 25),
-    };
+    let (rows, ticks, unit) = (800, 40, 6);
     vec![
         // Constant-rate control: the paper's 80/20 insert/delete mix over
         // uniformly drawn victims.
@@ -543,7 +530,7 @@ mod tests {
 
     #[test]
     fn catalog_has_stable_names_and_builds() {
-        let quick = catalog(Profile::Quick);
+        let quick = catalog();
         let names: Vec<&str> = quick.iter().map(|s| s.name).collect();
         assert_eq!(
             names,

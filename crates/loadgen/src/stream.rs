@@ -239,11 +239,11 @@ impl Iterator for UpdateStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{catalog, Profile, Scenario};
+    use crate::scenario::{catalog, Scenario};
 
     #[test]
     fn stream_is_deterministic_and_sequentially_valid() {
-        for cfg in catalog(Profile::Quick) {
+        for cfg in catalog() {
             let ds = cfg.dataset();
             let a: Vec<Tick> = cfg.stream(&ds).collect();
             let b: Vec<Tick> = cfg.stream(&ds).collect();
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn different_seed_changes_the_stream() {
-        let mut cfg = catalog(Profile::Quick).remove(0);
+        let mut cfg = catalog().remove(0);
         let ds = cfg.dataset();
         let a: Vec<Tick> = cfg.stream(&ds).collect();
         cfg.seed ^= 1;
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn zipf_hot_concentrates_victims() {
-        let cfg = catalog(Profile::Quick)
+        let cfg = catalog()
             .into_iter()
             .find(|c| c.name == "zipf_hot")
             .unwrap();

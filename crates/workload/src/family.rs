@@ -1,5 +1,5 @@
 //! Seeded synthetic CFD **families** with a controllable LHS-overlap
-//! knob — the workload behind the `cfd_sweep` benchmark.
+//! knob — the rule catalogs behind `detbench`'s `hor_wide_sigma`.
 //!
 //! The operator-sharing optimizer (§5 extension) merges the group-by
 //! passes of CFDs with identical LHS attribute lists, so the interesting

@@ -5,8 +5,8 @@
 //!   throughout §1–§6.
 //! * [`tpch`] — a deterministic synthetic stand-in for the paper's joined
 //!   TPCH relation (one wide denormalized order table with hierarchical
-//!   attributes and seeded errors). See DESIGN.md for the substitution
-//!   rationale.
+//!   attributes and seeded errors). The README's "Reproducing §7"
+//!   section gives the substitution rationale.
 //! * [`dblp`] — a synthetic bibliographic relation standing in for the
 //!   paper's 320 MB DBLP extract.
 //! * [`rules`] — CFD generation following the paper's methodology:

@@ -101,8 +101,7 @@ pub mod prelude {
     };
     pub use loadgen::{
         catalog, run_load, run_suite_load, ArrivalShape, DirtyRate, Histogram, KeyDist, LoadConfig,
-        LoadReport, OpMix, Profile, Scenario, ScenarioCfg, SuiteLoadReport, UpdateStream,
-        WorkloadKind,
+        LoadReport, OpMix, Scenario, ScenarioCfg, SuiteLoadReport, UpdateStream, WorkloadKind,
     };
     pub use relation::{
         Predicate, Relation, Schema, Sym, SymTuple, Tid, Tuple, Update, UpdateBatch, Value,

@@ -207,7 +207,7 @@ fn delta_v_reflects_group_collapse() {
 }
 
 /// A mined catalog whose rules share operators: 256 patterns over 8 LHS
-/// lists (the `cfd_sweep` family), so most `(X → B)` carry several CFDs.
+/// lists, so most `(X → B)` carry several CFDs.
 fn shared_operator_family(schema: &std::sync::Arc<Schema>, d: &Relation) -> Vec<Cfd> {
     let family = FamilyConfig {
         n: 256,

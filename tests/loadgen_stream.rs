@@ -3,7 +3,7 @@
 //! and churn settling through every strategy.
 
 use inc_cfd::prelude::*;
-use loadgen::{catalog, Profile, Scenario, Tick};
+use loadgen::{catalog, Scenario, Tick};
 use std::sync::Arc;
 use workload::tpch::{self, TpchConfig};
 use workload::updates;
@@ -49,7 +49,7 @@ fn all_strategies(
 
 #[test]
 fn same_seed_produces_byte_identical_streams() {
-    for cfg in catalog(Profile::Quick) {
+    for cfg in catalog() {
         let ds = cfg.dataset();
         let a: Vec<Tick> = cfg.stream(&ds).collect();
         let b: Vec<Tick> = cfg.stream(&ds).collect();
@@ -77,7 +77,7 @@ fn same_seed_produces_byte_identical_streams() {
 /// per-tick as batches.
 #[test]
 fn stream_prefix_is_oracle_identical_across_all_strategies() {
-    for cfg in catalog(Profile::Quick) {
+    for cfg in catalog() {
         let ds = cfg.dataset();
         let prefix: Vec<Tick> = cfg.stream(&ds).take(6).collect();
         let mut dets = all_strategies(
@@ -116,7 +116,7 @@ fn stream_prefix_is_oracle_identical_across_all_strategies() {
 /// per-tick batch walk.
 #[test]
 fn apply_one_walk_matches_batch_walk() {
-    let cfg = catalog(Profile::Quick)
+    let cfg = catalog()
         .into_iter()
         .find(|c| c.name == "zipf_hot")
         .expect("zipf_hot in catalog");

@@ -239,8 +239,8 @@ fn sharing_is_invisible_on_a_generated_64_cfd_family() {
     assert_modes_identical(&schema, &sigma, vscheme, hscheme, yscheme, &d0, &batches);
 }
 
-/// Per-operator §6 state under a catalog whose rules share operators (the
-/// `cfd_sweep` family: 256 patterns over 8 LHS lists, ≈ 5 CFDs per
+/// Per-operator §6 state under a catalog whose rules share operators (a
+/// mined family: 256 patterns over 8 LHS lists, ≈ 5 CFDs per
 /// `(X → B)`): every horizontal runtime tracks `cfd::naive::detect` batch
 /// by batch, both candidate producers drive the one protocol identically,
 /// and against the per-CFD protocol of the parent commit it sends the same

@@ -390,7 +390,7 @@ fn colsmsg_frames_cross_a_byte_network() {
     }
     let rows: Vec<(Tid, relation::RowId)> = frag.store().rows().collect();
     let mut codec = cluster::codec::DictSyms::new();
-    let (msg, _) = ColsMsg::encode(&frag, &rows, &[1, 2], &mut codec, 0, 1);
+    let msg = ColsMsg::encode(&frag, &rows, &[1, 2], &mut codec, 0, 1);
     let expected_rows = msg.decode(&mut Default::default());
 
     let mut net: ByteNetwork<BatMsg> = ByteNetwork::in_memory(2);
