@@ -78,7 +78,8 @@ impl From<ClusterError> for DetectError {
     }
 }
 
-/// Tuples per window of the streamed `D₀` build ([`ingest`]). A build
+/// Tuples per window of the streamed `D₀` build of `incHor` and the
+/// threaded runtime ([`ingest`]). A build
 /// holds one window of materialised tuples, its normalised copy and its
 /// `ΔV` at a time, so the transient is `O(window · (arity + |Σ|))` instead
 /// of `O(|D₀| · |Σ|)` — at 1 024 rules and 40 000 rows the one-batch build
@@ -91,10 +92,13 @@ impl From<ClusterError> for DetectError {
 const BUILD_WINDOW: usize = 4096;
 
 /// Load `d` into an empty detector by replaying it, in tid order, through
-/// the detector's own incremental `apply` — the one build path of every
-/// constructor. The replay is windowed and each window's `ΔV` dropped:
-/// the ops and their order are those of a single `apply(D₀)`, so `V`,
-/// index/group state and per-link codec residency come out the same.
+/// the detector's own incremental `apply` — the build path of `incHor`
+/// and the threaded runtime, whose sites learn `D₀` over their links.
+/// (`incVer` indexes a clone of `d`'s store instead; see
+/// [`VerticalDetector`](crate::VerticalDetector).) The replay is windowed
+/// and each window's `ΔV` dropped: the ops and their order are those of a
+/// single `apply(D₀)`, so `V`, index/group state and per-link codec
+/// residency come out the same.
 pub(crate) fn ingest(
     d: &Relation,
     mut apply: impl FnMut(&UpdateBatch) -> Result<DeltaV, DetectError>,
@@ -263,8 +267,9 @@ mod tests {
         resident_symbols: Vec<usize>,
     }
 
-    /// Streamed build ≡ empty detector + one `apply(D₀)`, for every
-    /// constructor and every way `|D₀|` can sit against the window.
+    /// Build ≡ empty detector + one `apply(D₀)`, for every constructor —
+    /// streamed through [`ingest`] or, for `incVer`, from the store — and
+    /// every way `|D₀|` can sit against the window.
     #[test]
     fn build_is_the_replay() {
         let s = emp_schema();

@@ -369,29 +369,22 @@ pub struct SuiteSession {
 impl SuiteSession {
     fn seed(&mut self, d0: &Relation) {
         // References first: inclusion membership must exist before the
-        // primary scan probes it.
-        type RefRows = Vec<(Tid, Vec<Value>)>;
-        let ref_snapshot: Vec<(String, RefRows)> = self
-            .refs
-            .iter()
-            .map(|(name, rel)| {
-                (
-                    name.clone(),
-                    rel.iter().map(|t| (t.tid, t.values.to_vec())).collect(),
-                )
-            })
-            .collect();
+        // primary scan probes it. Both read the stored rows in place.
         let mut marks = DeltaV::default();
-        for (name, rows) in &ref_snapshot {
-            for (tid, values) in rows {
+        for (name, rel) in &self.refs {
+            let store = rel.store();
+            for (tid, row) in rel.scan() {
                 for n in &mut self.natives {
-                    n.on_reference(name, true, *tid, values, &mut marks, &mut self.ind_net);
+                    let value = |a| store.value(row, a);
+                    n.on_reference(name, true, tid, value, &mut marks, &mut self.ind_net);
                 }
             }
         }
-        for t in d0.iter() {
+        let store = d0.store();
+        for (tid, row) in d0.scan() {
             for n in &mut self.natives {
-                n.on_primary(true, t.tid, &t.values, &mut marks, &mut self.ind_net);
+                let value = |a| store.value(row, a);
+                n.on_primary(true, tid, value, &mut marks, &mut self.ind_net);
             }
         }
         marks.settle();
@@ -436,7 +429,8 @@ impl SuiteSession {
         }
         for (is_insert, tid, values) in &ops {
             for n in &mut self.natives {
-                n.on_primary(*is_insert, *tid, values, &mut marks, &mut self.ind_net);
+                let value = |a: AttrId| &values[a as usize];
+                n.on_primary(*is_insert, *tid, value, &mut marks, &mut self.ind_net);
             }
         }
         let findings = self.commit(marks)?;
@@ -484,11 +478,12 @@ impl SuiteSession {
         let mut marks = DeltaV::default();
         for (is_insert, tid, values) in &ops {
             for n in &mut self.natives {
+                let value = |a: AttrId| &values[a as usize];
                 n.on_reference(
                     relation,
                     *is_insert,
                     *tid,
-                    values,
+                    value,
                     &mut marks,
                     &mut self.ind_net,
                 );
@@ -676,8 +671,8 @@ enum Native {
     },
 }
 
-fn project(values: &[Value], attrs: &[AttrId]) -> Vec<Value> {
-    attrs.iter().map(|&a| values[a as usize].clone()).collect()
+fn project<'v>(value: impl Fn(AttrId) -> &'v Value, attrs: &[AttrId]) -> Vec<Value> {
+    attrs.iter().map(|&a| value(a).clone()).collect()
 }
 
 impl Native {
@@ -741,11 +736,13 @@ impl Native {
         })
     }
 
-    fn on_primary(
+    /// Fold one primary-relation insert or delete of `tid`, whose values
+    /// `value` reads, into this check's state and `out`.
+    fn on_primary<'v>(
         &mut self,
         is_insert: bool,
         tid: Tid,
-        values: &[Value],
+        value: impl Fn(AttrId) -> &'v Value,
         out: &mut DeltaV,
         net: &mut NetStats,
     ) {
@@ -755,7 +752,7 @@ impl Native {
                 proj,
                 buckets,
             } => {
-                let key = project(values, proj);
+                let key = project(value, proj);
                 if is_insert {
                     let b = buckets.entry(key).or_default();
                     b.push(tid);
@@ -780,7 +777,7 @@ impl Native {
                 }
             }
             Native::CompleteResidual { rule, attr, probe } => {
-                if values[*attr as usize].is_null() && values[*probe as usize].is_null() {
+                if value(*attr).is_null() && value(*probe).is_null() {
                     if is_insert {
                         out.add(*rule, tid);
                     } else {
@@ -796,7 +793,7 @@ impl Native {
                 groups,
                 ..
             } => {
-                let key = project(values, attrs);
+                let key = project(value, attrs);
                 let present = ref_counts.contains_key(&key);
                 if is_insert {
                     // Membership probe: coordinator → owning fragment of
@@ -831,10 +828,10 @@ impl Native {
                 hi,
                 groups,
             } => {
-                let key = project(values, group_by);
+                let key = project(&value, group_by);
                 let g = groups.entry(key.clone()).or_default();
                 let was_violating = g.violating;
-                let int_val = attr.and_then(|a| values[a as usize].as_int());
+                let int_val = attr.and_then(|a| value(a).as_int());
                 if is_insert {
                     g.tids.insert(tid);
                     if let Some(x) = int_val {
@@ -889,12 +886,14 @@ impl Native {
         }
     }
 
-    fn on_reference(
+    /// Fold one insert or delete on the reference relation `relation`,
+    /// whose values `value` reads, into this check's state and `out`.
+    fn on_reference<'v>(
         &mut self,
         relation: &str,
         is_insert: bool,
         _tid: Tid,
-        values: &[Value],
+        value: impl Fn(AttrId) -> &'v Value,
         out: &mut DeltaV,
         net: &mut NetStats,
     ) {
@@ -913,7 +912,7 @@ impl Native {
         if ref_name != relation {
             return;
         }
-        let key = project(values, ref_attrs);
+        let key = project(value, ref_attrs);
         if is_insert {
             let c = ref_counts.entry(key.clone()).or_insert(0);
             *c += 1;

@@ -50,6 +50,17 @@
 //! pass over `ΔD⁺` that counts each site's list and computes the merge's
 //! survivors at once. Base HEVs and IDXs are vectors indexed by attribute
 //! and CFD id; an IDX group is §6's compact group ([`crate::idx`]).
+//!
+//! # Built from the store
+//!
+//! The paper takes `V(Σ, D)` as given; the build computes it without
+//! replaying `D₀` through `apply`. `current` is a clone of `D₀`'s
+//! [`Relation`] — its columns, dictionary and row ids as they are — and
+//! one pass over its rows in tid order runs, per row, the indexing an
+//! insert runs after storing its tuple, plus the constant CFDs' scan.
+//! Tid order is the order a replay would insert in, so every class gets
+//! the eqid a replay would give it and the HEV / IDX state is the same.
+//! No tuple is materialised, no value re-interned, no `ΔV` kept.
 
 use crate::detector::{DetectError, Detector};
 use crate::hev::{BaseHev, EqId, EqKey, NonBaseHev};
@@ -297,6 +308,34 @@ impl Walk {
     fn key(&self, step: &Step) -> EqKey {
         step.inputs.iter().map(|&s| self.eq[s]).collect()
     }
+
+    /// Lines 7–10 for one inserted tuple, which `value_of` describes: run
+    /// every scan over it, counting each list that holds it into `hits`,
+    /// and call `violates` with each constant CFD whose lists all hold it
+    /// and whose `B` it fails.
+    fn mark_constants<'v>(
+        &mut self,
+        (k, cfds): (&Compiled, &[Cfd]),
+        value_of: impl Fn(AttrId) -> &'v Value,
+        mut violates: impl FnMut(CfdId),
+    ) {
+        for (pass, lists) in self.pass.iter_mut().zip(&k.scans) {
+            *pass = true;
+            for l in lists.clone() {
+                if k.lists[l].1.iter().all(|(a, v)| value_of(*a) == v) {
+                    self.hits[l] += 1;
+                } else {
+                    *pass = false;
+                }
+            }
+        }
+        for c in &k.consts {
+            let cfd = &cfds[c.id as usize];
+            if self.pass[c.scan] && !cfd.rhs_pattern.matches(value_of(cfd.rhs)) {
+                violates(c.id);
+            }
+        }
+    }
 }
 
 /// The incremental violation detector for vertically partitioned data.
@@ -331,8 +370,9 @@ pub struct VerticalDetector {
 
 impl VerticalDetector {
     /// Build a detector over `d` with the default HEV chains of §4.
-    /// The initial load (computing `V(Σ, D)` and the indices) is not
-    /// metered: the paper's problem statement takes `V(Σ, D)` as given.
+    /// The initial load (computing `V(Σ, D)` and the indices from `d`'s
+    /// store) is not metered: the paper's problem statement takes
+    /// `V(Σ, D)` as given.
     pub fn new(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -344,8 +384,10 @@ impl VerticalDetector {
     }
 
     /// Build with an explicit (e.g. optimized) plan, compiling it first: a
-    /// plan that does not validate against `scheme`, or has no target for
-    /// a variable CFD, is refused with [`DetectError::Plan`].
+    /// `d` whose arity is not `schema`'s is refused with
+    /// [`RelError::ArityMismatch`] before anything is built, and a plan
+    /// that does not validate against `scheme`, or has no target for a
+    /// variable CFD, with [`DetectError::Plan`].
     pub fn with_plan(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -353,13 +395,14 @@ impl VerticalDetector {
         plan: HevPlan,
         d: &Relation,
     ) -> Result<Self, DetectError> {
+        let current = d.clone_under(schema.clone())?;
         let compiled = Compiled::new(&cfds, &scheme, &plan)?;
         let arity = scheme.schema().arity();
         let mut det = VerticalDetector {
             bases: (0..arity).map(|_| BaseHev::new()).collect(),
             node_stores: plan.nodes().iter().map(|_| NonBaseHev::new()).collect(),
             idxs: cfds.iter().map(|_| Idx::new()).collect(),
-            current: Relation::new(schema.clone()),
+            current,
             violations: Violations::new(cfds.len()),
             net: NetStats::new(scheme.n_sites()),
             shared_plan: Arc::new(SharedPlan::new(&cfds)),
@@ -370,9 +413,19 @@ impl VerticalDetector {
             cfds,
             plan,
         };
-        // Bulk-load D through the insertion machinery, then forget the
-        // traffic: incremental metering starts at the first `apply`.
-        crate::detector::ingest(d, |window| det.apply(window))?;
+        // `current` is a clone of `d`: `d`'s rows, row ids and values are
+        // its own. Tid order is a replay's insertion order, so every class
+        // is acquired in the same order.
+        let store = d.store();
+        for (tid, row) in d.scan() {
+            let value_of = |a| store.value(row, a);
+            det.index_row((tid, row), value_of, |_, _| {})?;
+            let rules = (&det.compiled, &det.cfds[..]);
+            det.walk.mark_constants(rules, value_of, |c| {
+                det.violations.add(c, tid);
+            });
+        }
+        // Incremental metering starts at the first `apply`.
         det.net.reset();
         Ok(det)
     }
@@ -473,7 +526,7 @@ impl VerticalDetector {
         // before it mutates anything, and before the constant CFDs below.
         for op in delta.ops() {
             match op {
-                Update::Insert(t) => self.insert_variable(t.clone(), &mut dv)?,
+                Update::Insert(t) => self.insert_variable(t, &mut dv)?,
                 Update::Delete(tid) => self.delete_variable(*tid, &mut dv)?,
             }
         }
@@ -504,25 +557,12 @@ impl VerticalDetector {
         }
         w.hits.fill(0);
         for t in delta.insertions() {
-            for (pass, lists) in w.pass.iter_mut().zip(&k.scans) {
-                *pass = true;
-                for l in lists.clone() {
-                    if k.lists[l].1.iter().all(|(a, v)| t.get(*a) == v) {
-                        w.hits[l] += 1;
-                    } else {
-                        *pass = false;
-                    }
+            let value_of = |a| t.get(a);
+            w.mark_constants((k, &self.cfds), value_of, |c| {
+                if self.violations.add(c, t.tid) {
+                    dv.add(c, t.tid);
                 }
-            }
-            for c in &k.consts {
-                let cfd = &self.cfds[c.id as usize];
-                if w.pass[c.scan]
-                    && !cfd.rhs_pattern.matches(t.get(cfd.rhs))
-                    && self.violations.add(c.id, t.tid)
-                {
-                    dv.add(c.id, t.tid);
-                }
-            }
+            });
         }
         // Each participating site's list, shipped to the coordinator per
         // CFD: `8 B` a tid, and no message for an empty list.
@@ -586,29 +626,28 @@ impl VerticalDetector {
     }
 
     /// `incVIns` for every variable CFD matching `t`.
-    fn insert_variable(&mut self, t: Tuple, dv: &mut DeltaV) -> Result<(), DetectError> {
-        // Fail *before* mutating anything: the relation insert below has
-        // both of its error conditions checked up front, and the walk
-        // after it cannot fail (the plan was validated at build), so an
-        // error return cannot leak a row or HEV refcounts.
-        if t.arity() != self.schema.arity() {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: t.arity(),
-            }
-            .into());
-        }
-        if self.current.contains(t.tid) {
-            return Err(RelError::DuplicateTid(t.tid).into());
-        }
+    fn insert_variable(&mut self, t: &Tuple, dv: &mut DeltaV) -> Result<(), DetectError> {
+        // Maintain data first: storing the row is the single dictionary
+        // encode, and the store refuses a wrong arity or a live tid before
+        // mutating anything. The walk after it cannot fail (the plan was
+        // validated at build), so an error cannot leak a row or refcounts.
+        let row = self.current.insert_row(t.tid, t.values.iter())?;
+        self.index_row((t.tid, row), |a| t.get(a), |c, m| dv.add(c, m))
+    }
+
+    /// Index the stored row `row` of `tid`, whose values `value_of` reads,
+    /// under every variable CFD they match: acquire its classes, enter it
+    /// into each matched IDX and mark what the Fig. 4 case moves into `V`,
+    /// passing each new mark to `added`. An insert runs it after storing
+    /// its tuple, the build on every row of `D₀`.
+    fn index_row<'v>(
+        &mut self,
+        (tid, row): (Tid, RowId),
+        value_of: impl Fn(AttrId) -> &'v Value,
+        mut added: impl FnMut(CfdId, Tid),
+    ) -> Result<(), DetectError> {
         let rules = (&self.cfds[..], &*self.shared_plan, self.sharing);
-        self.walk.dispatch(rules, |a| t.get(a));
-        // Maintain data first: interning the row into the store is the
-        // single dictionary encode; the walk below borrows the stored
-        // symbols.
-        let tid = t.tid;
-        self.current.insert(t)?;
-        let row = self.current.row_of(tid).expect("just inserted");
+        self.walk.dispatch(rules, value_of);
         self.eqids(row, true)?;
         let (k, w) = (&self.compiled, &self.walk);
         for &c in &w.matched {
@@ -618,7 +657,7 @@ impl VerticalDetector {
             let case = idx.insert(x, xb, tid);
             fan(idx, case, x, tid, |m| {
                 if self.violations.add(c, m) {
-                    dv.add(c, m);
+                    added(c, m);
                 }
             });
         }
@@ -962,6 +1001,39 @@ mod tests {
     }
 
     #[test]
+    fn a_d0_of_another_arity_is_refused_at_build() {
+        let s = emp_schema();
+        let build =
+            |d: &Relation| VerticalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), d);
+        let short = Schema::new("EMP", &["id", "grade"], "id").unwrap();
+        let mut d = Relation::new(short);
+        assert!(matches!(
+            build(&d),
+            Err(DetectError::Rel(RelError::ArityMismatch {
+                expected: 7,
+                got: 2
+            }))
+        ));
+        d.insert(Tuple::new(1, vec![Value::int(1), Value::str("A")]))
+            .unwrap();
+        assert!(matches!(
+            build(&d),
+            Err(DetectError::Rel(RelError::ArityMismatch { .. }))
+        ));
+        // A D₀ of the right arity is taken as stored, under the detector's
+        // schema, not its own.
+        let names = ["id", "grade", "CC", "AC", "zip", "street", "city"];
+        let other = Schema::new("EMP0", &names, "id").unwrap();
+        let d = Relation::from_tuples(other, d0().iter()).unwrap();
+        let det = build(&d).unwrap();
+        assert!(Arc::ptr_eq(det.current().schema(), &s));
+        assert_eq!(
+            det.violations().marks_sorted(),
+            detector().violations().marks_sorted()
+        );
+    }
+
+    #[test]
     fn a_delete_meeting_a_missing_class_fails_before_mutating() {
         let mut det = detector();
         let street = det.schema().attr_id("street").unwrap();
@@ -1055,12 +1127,12 @@ mod tests {
         let mut dv = DeltaV::default();
         let dup = emp_tuple(1, "Z", 44, 131, "ZZ9 9ZZ", "Nowhere", "GLA");
         assert!(matches!(
-            det.insert_variable(dup, &mut dv),
+            det.insert_variable(&dup, &mut dv),
             Err(DetectError::Rel(RelError::DuplicateTid(1)))
         ));
         let short = Tuple::new(99, vec![Value::int(99), Value::str("A")]);
         assert!(matches!(
-            det.insert_variable(short, &mut dv),
+            det.insert_variable(&short, &mut dv),
             Err(DetectError::Rel(RelError::ArityMismatch { .. }))
         ));
         assert!(dv.is_empty());

@@ -21,6 +21,7 @@
 use crate::fx::FxHashMap;
 use crate::schema::AttrId;
 use crate::smallvec::SmallVec;
+use crate::store::clone_with_capacity;
 use crate::tuple::{Tid, Tuple};
 use crate::value::Value;
 use std::sync::Arc;
@@ -60,13 +61,25 @@ struct Slot {
 /// saves one allocation and one re-hash per new value, and the hit path
 /// never chases a shared-pointer key — measurable on bulk loads, where
 /// interning dominates.
-#[derive(Debug, Clone, Default)]
+///
+/// A clone keeps every symbol, free slot and capacity of the source.
+#[derive(Debug, Default)]
 pub struct ValuePool {
     /// Value hash → symbols of live values with that hash (collisions are
     /// possible, hence the candidate list; in practice it has one entry).
     map: FxHashMap<u64, SmallVec<Sym, 2>>,
     slots: Vec<Slot>,
     free: Vec<Sym>,
+}
+
+impl Clone for ValuePool {
+    fn clone(&self) -> Self {
+        ValuePool {
+            map: self.map.clone(),
+            slots: clone_with_capacity(&self.slots),
+            free: clone_with_capacity(&self.free),
+        }
+    }
 }
 
 impl ValuePool {
@@ -208,6 +221,17 @@ impl ValuePool {
     /// mark of distinct simultaneous values.
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Allocated capacities of the reverse index, the slots and the free
+    /// list.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> [usize; 3] {
+        [
+            self.map.capacity(),
+            self.slots.capacity(),
+            self.free.capacity(),
+        ]
     }
 }
 

@@ -79,14 +79,30 @@ impl Relation {
     }
 
     /// Insert a row from borrowed values — the allocation-free ingest path
-    /// (no `Tuple` materialization; values are interned directly).
-    pub fn insert_row<'a, I>(&mut self, tid: Tid, values: I) -> Result<(), RelError>
+    /// (no `Tuple` materialization; values are interned directly) —
+    /// returning the row it is stored at.
+    pub fn insert_row<'a, I>(&mut self, tid: Tid, values: I) -> Result<RowId, RelError>
     where
         I: IntoIterator<Item = &'a Value>,
         I::IntoIter: ExactSizeIterator,
     {
-        self.store.insert(tid, values)?;
-        Ok(())
+        self.store.insert(tid, values)
+    }
+
+    /// A copy of this relation under `schema`: the same store, row ids and
+    /// symbols included ([`ColumnStore`]'s clone). A `schema` of another
+    /// arity is refused before anything is copied.
+    pub fn clone_under(&self, schema: Arc<Schema>) -> Result<Relation, RelError> {
+        if schema.arity() != self.schema.arity() {
+            return Err(RelError::ArityMismatch {
+                expected: schema.arity(),
+                got: self.schema.arity(),
+            });
+        }
+        Ok(Relation {
+            schema,
+            store: self.store.clone(),
+        })
     }
 
     /// Batched ingest of raw `(tid, values)` rows — the loaders' fast
@@ -263,7 +279,8 @@ mod tests {
     fn insert_row_avoids_tuple_materialization() {
         let mut r = Relation::new(schema());
         let vals = [Value::int(9), Value::int(1)];
-        r.insert_row(9, vals.iter()).unwrap();
+        let row = r.insert_row(9, vals.iter()).unwrap();
+        assert_eq!(r.row_of(9), Some(row));
         assert_eq!(r.get(9).unwrap().get(1), &Value::int(1));
         r.delete_quiet(9).unwrap();
         assert!(r.is_empty());

@@ -32,6 +32,17 @@ use std::collections::BTreeMap;
 /// Index of a physical row in the arena.
 pub type RowId = u32;
 
+/// A copy of `v` with `v`'s capacity, not just its length. A derived
+/// `Clone` allocates exactly `len` slots, so a copy that keeps growing
+/// re-walks the doubling sequence from there (40k → 80k → 160k where the
+/// push-built source sits at 65 536 → 131 072). The store's clones keep
+/// the source's growth state instead.
+pub(crate) fn clone_with_capacity<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
+}
+
 /// Dense `Tid → RowId` map with tid-ordered iteration.
 ///
 /// Tuple ids in every workload here are small, mostly-contiguous integers,
@@ -39,13 +50,23 @@ pub type RowId = u32;
 /// inside a growing dense window, with a `BTreeMap` overflow for outliers.
 /// The invariant `sparse keys ≥ dense.len()` makes tid-ordered iteration a
 /// linear dense scan followed by the in-order overflow walk.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TidMap {
     /// `row + 1` per tid; `0` marks an absent tid.
     dense: Vec<u32>,
     /// Overflow for tids beyond the dense window (all keys ≥ `dense.len()`).
     sparse: BTreeMap<Tid, RowId>,
     len: usize,
+}
+
+impl Clone for TidMap {
+    fn clone(&self) -> Self {
+        TidMap {
+            dense: clone_with_capacity(&self.dense),
+            sparse: self.sparse.clone(),
+            len: self.len,
+        }
+    }
 }
 
 impl TidMap {
@@ -155,8 +176,11 @@ impl TidMap {
 
 /// Columnar arena storage: the physical layer of a [`Relation`].
 ///
+/// A clone is the same store — rows, row ids, free rows, symbols and
+/// free pool slots — with the same capacities.
+///
 /// [`Relation`]: crate::relation::Relation
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ColumnStore {
     arity: usize,
     pool: ValuePool,
@@ -174,6 +198,20 @@ pub struct ColumnStore {
     /// consumed by the validation suite (`cfd::constraint`): a not-null
     /// check over an attribute with `null_count == 0` needs no scan.
     null_counts: Vec<u64>,
+}
+
+impl Clone for ColumnStore {
+    fn clone(&self) -> Self {
+        ColumnStore {
+            arity: self.arity,
+            pool: self.pool.clone(),
+            cols: self.cols.iter().map(clone_with_capacity).collect(),
+            row_tids: clone_with_capacity(&self.row_tids),
+            free: clone_with_capacity(&self.free),
+            tids: self.tids.clone(),
+            null_counts: self.null_counts.clone(),
+        }
+    }
 }
 
 impl ColumnStore {
@@ -624,6 +662,55 @@ mod tests {
         assert_eq!(s.len(), 3);
         let order: Vec<Tid> = s.rows().map(|(t, _)| t).collect();
         assert_eq!(order, vec![5, 9, 10]);
+    }
+
+    /// Everything a clone must carry over: rows, row ids and symbols, free
+    /// rows and pool slots, the overflow tree, and every capacity.
+    fn shape(s: &ColumnStore) -> impl PartialEq + std::fmt::Debug {
+        let rows: Vec<(Tid, RowId, Vec<Sym>)> = s
+            .rows()
+            .map(|(tid, row)| (tid, row, s.row_syms(row).collect()))
+            .collect();
+        let cols: Vec<(usize, usize)> = s.cols.iter().map(|c| (c.len(), c.capacity())).collect();
+        (
+            rows,
+            cols,
+            (s.row_tids.len(), s.row_tids.capacity()),
+            (s.free.clone(), s.free.capacity()),
+            (s.tids.dense.len(), s.tids.dense.capacity()),
+            s.tids.sparse.clone(),
+            (s.pool.len(), s.pool.capacity(), s.pool.allocated()),
+        )
+    }
+
+    #[test]
+    fn a_clone_keeps_lengths_and_capacities() {
+        let mut s = ColumnStore::new(2);
+        for tid in 0..100u64 {
+            s.insert(tid, [&v(&format!("k{tid}")), &v(&format!("g{}", tid % 9))])
+                .unwrap();
+        }
+        // History: free rows, free pool slots, and one tid past the dense
+        // window in the overflow tree.
+        for tid in (0..100).step_by(7) {
+            s.delete(tid).unwrap();
+        }
+        s.insert(10_000_000, [&v("far"), &v("g1")]).unwrap();
+        assert!(!s.free.is_empty() && !s.tids.sparse.is_empty());
+        assert!(s.row_tids.capacity() > s.row_tids.len(), "push-built slack");
+
+        let mut copy = s.clone();
+        assert_eq!(shape(&copy), shape(&s));
+        // The same inserts — reusing free rows and slots, then growing —
+        // leave both equal.
+        for tid in 200..400u64 {
+            for store in [&mut s, &mut copy] {
+                store
+                    .insert(tid, [&v(&format!("n{tid}")), &v("g2")])
+                    .unwrap();
+            }
+        }
+        assert_eq!(shape(&copy), shape(&s));
     }
 
     #[test]

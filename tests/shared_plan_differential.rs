@@ -607,6 +607,145 @@ fn compiled_walk_ships_the_planners_bytes_and_eqids() {
     }
 }
 
+/// `D₀` with history: every seventh row deleted, which leaves free rows
+/// and free dictionary slots, and `far`'s values stored under a tid past
+/// the dense window, in `TidMap`'s overflow tree.
+fn with_history(d0: &Relation, far: &Tuple) -> Relation {
+    let mut d = d0.clone();
+    let gone: Vec<Tid> = d.tids().step_by(7).collect();
+    for tid in gone {
+        d.delete_quiet(tid).expect("live tid");
+    }
+    d.insert(Tuple::new(1 << 40, far.values.to_vec()))
+        .expect("free tid");
+    d
+}
+
+/// `incVer` built over `D₀` — a clone of its store plus one indexing pass
+/// — is the detector built over the empty relation and handed `D₀` as one
+/// insert batch: the same `V`, index sizes and census, and after the same
+/// seeded stream of inserts, deletes and modifications the same `ΔV` and
+/// per-link traffic, under both candidate producers and both plans, on a
+/// `D₀` whose store has free rows, free dictionary slots and an overflow
+/// tid.
+#[test]
+fn the_store_built_detector_is_the_replay_built_one() {
+    let tcfg = workload::tpch::TpchConfig {
+        n_rows: 1_000,
+        n_customers: 100,
+        n_parts: 60,
+        n_suppliers: 20,
+        error_rate: 0.02,
+        seed: 42,
+    };
+    let (tpch, tpch_d0) = workload::tpch::generate(&tcfg);
+    let tpch_fresh = workload::tpch::generate_fresh(&tcfg, 1_000_000, 111, 7);
+    let tpch_d0 = with_history(&tpch_d0, &tpch_fresh[110]);
+    let ecfg = workload::emp::EmpConfig {
+        n_rows: 400,
+        n_zips: 40,
+        error_rate: 0.05,
+        seed: 3,
+    };
+    let (emp, emp_d0) = workload::emp::generate(&ecfg);
+    let emp_fresh = workload::emp::generate_fresh(&ecfg, 1_000_000, 111, 7);
+    let emp_d0 = with_history(&emp_d0, &emp_fresh[110]);
+    let family = FamilyConfig {
+        n: 256,
+        overlap: 1.0 - 8.0 / 256.0,
+        seed: 0xCFD,
+        ..FamilyConfig::default()
+    };
+    let catalogs = [
+        (
+            "TPCH 25 rules",
+            workload::rules::tpch_rules(&tpch, 25, 1),
+            &tpch,
+            &tpch_d0,
+            &tpch_fresh,
+            workload::tpch::vertical_scheme(&tpch, 8),
+        ),
+        (
+            "EMP Fig. 1",
+            workload::emp::emp_cfds(&emp),
+            &emp,
+            &emp_d0,
+            &emp_fresh,
+            workload::emp::emp_vertical_scheme(&emp),
+        ),
+        (
+            "shared operator family",
+            cfd_family(&tpch, &tpch_d0, &family),
+            &tpch,
+            &tpch_d0,
+            &tpch_fresh,
+            workload::tpch::vertical_scheme(&tpch, 8),
+        ),
+    ];
+
+    for (name, sigma, schema, d0, fresh, scheme) in catalogs {
+        let rhs = sigma.iter().find(|c| c.is_variable()).expect("rule").rhs;
+        let batches = ver_batches(d0, &fresh[..110], rhs);
+        let empty = Relation::new(schema.clone());
+        for optimized in [false, true] {
+            for mode in [SharingMode::Shared, SharingMode::PerCfd] {
+                let build = |d: &Relation| {
+                    let b = DetectorBuilder::new(schema.clone(), sigma.clone())
+                        .sharing(mode)
+                        .vertical(scheme.clone());
+                    let b = if optimized {
+                        b.optimized(incdetect::optimize::OptimizeConfig::default())
+                    } else {
+                        b
+                    };
+                    b.build(d).expect("incVer")
+                };
+                let at = format!("{name}, optVer {optimized}, {mode:?}");
+                let mut stored = build(d0);
+                let mut replayed = build(&empty);
+                let mut all = UpdateBatch::new();
+                d0.iter().for_each(|t| all.insert(t));
+                replayed.apply(&all).expect("replay");
+                replayed.reset_stats();
+                assert_eq!(
+                    stored.violations().marks_sorted(),
+                    replayed.violations().marks_sorted(),
+                    "{at}: V(Σ, D₀)"
+                );
+                assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
+                assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
+                assert_eq!(stored.stats().total_messages(), 0, "{at}: unmetered");
+
+                for (i, batch) in batches.iter().enumerate() {
+                    let (a, b) = match batch.ops() {
+                        [op] => (stored.apply_one(op), replayed.apply_one(op)),
+                        _ => (stored.apply(batch), replayed.apply(batch)),
+                    };
+                    assert_eq!(
+                        a.expect("apply"),
+                        b.expect("apply"),
+                        "{at}: ΔV of batch {i}"
+                    );
+                }
+                let links = |det: &VerticalDetector| {
+                    let stats = det.stats();
+                    let n = stats.n_sites();
+                    let pairs = (0..n).flat_map(|src| (0..n).map(move |dst| (src, dst)));
+                    pairs
+                        .map(|(src, dst)| stats.pair(src, dst))
+                        .map(|c| (c.messages, c.bytes))
+                        .collect::<Vec<_>>()
+                };
+                assert!(stored.stats().total_messages() > 0, "{at}: a stream ships");
+                assert_eq!(links(&stored), links(&replayed), "{at}: per-link traffic");
+                assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
+                let oracle = cfd::naive::detect(&sigma, stored.current());
+                assert_eq!(stored.violations().marks_sorted(), oracle.marks_sorted());
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Structural properties of the shared plan itself
 // ---------------------------------------------------------------------
