@@ -16,10 +16,10 @@ use cluster::codec::CodecKind;
 use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{CostModel, NetReport};
+use incdetect::baselines::{BatHor, BatVer, IbatHor, IbatVer};
 use incdetect::optimize::{optimize, OptimizeConfig};
 use incdetect::{
-    BaselineStrategy, ConcurrentHorizontal, DetectError, Detector, DetectorBuilder, HevPlan,
-    HorizontalDetector,
+    ConcurrentHorizontal, DetectError, Detector, HevPlan, HorizontalDetector, Strategy, Suite,
 };
 use relation::{Relation, Schema, UpdateBatch};
 use std::sync::Arc;
@@ -164,16 +164,10 @@ fn run_vertical_scheme(
     d: &Relation,
     delta: &UpdateBatch,
 ) -> (f64, f64, u64, u64) {
-    let inc = DetectorBuilder::new(schema.clone(), cfds.to_vec())
-        .vertical(scheme.clone())
-        .build_dyn(d)
-        .expect("incVer builds");
-    let bat = DetectorBuilder::new(schema.clone(), cfds.to_vec())
-        .baseline(BaselineStrategy::BatVer(scheme))
-        .initial_violations(inc.violations().clone())
-        .build_dyn(d)
-        .expect("batVer builds");
-    run_pair(inc, bat, delta)
+    let inc = incremental(schema, cfds, Strategy::Vertical(scheme.clone()), d);
+    let v = inc.violations().clone();
+    let bat = BatVer::with_initial(schema.clone(), cfds.to_vec(), scheme, d, v);
+    run_pair(inc, Box::new(bat.expect("batVer builds")), delta)
 }
 
 /// `incHor` vs `batHor` over an explicit horizontal scheme.
@@ -184,16 +178,25 @@ fn run_horizontal_scheme(
     d: &Relation,
     delta: &UpdateBatch,
 ) -> (f64, f64, u64, u64) {
-    let inc = DetectorBuilder::new(schema.clone(), cfds.to_vec())
-        .horizontal(scheme.clone())
-        .build_dyn(d)
-        .expect("incHor builds");
-    let bat = DetectorBuilder::new(schema.clone(), cfds.to_vec())
-        .baseline(BaselineStrategy::BatHor(scheme))
-        .initial_violations(inc.violations().clone())
-        .build_dyn(d)
-        .expect("batHor builds");
-    run_pair(inc, bat, delta)
+    let inc = incremental(schema, cfds, Strategy::Horizontal(scheme.clone()), d);
+    let v = inc.violations().clone();
+    let bat = BatHor::with_initial(schema.clone(), cfds.to_vec(), scheme, d, v);
+    run_pair(inc, Box::new(bat.expect("batHor builds")), delta)
+}
+
+/// An incremental detector over `d` through [`Suite`].
+fn incremental(
+    schema: &Arc<Schema>,
+    cfds: &[Cfd],
+    strategy: Strategy,
+    d: &Relation,
+) -> Box<dyn Detector> {
+    let suite = Suite::on(schema.clone())
+        .cfds(cfds.to_vec())
+        .strategy(strategy);
+    suite
+        .build_detector(d)
+        .expect("incremental detector builds")
 }
 
 /// TPCH layouts used by Exp-1…Exp-9.
@@ -609,28 +612,16 @@ pub fn exp10(scale: Scale) -> Table {
         let delta = tpch_delta(&cfg, &d, dn, 0.6);
 
         let vs = tpch::vertical_scheme(&schema, 10);
-        let inc = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .vertical(vs.clone())
-            .build_dyn(&d)
-            .unwrap();
-        let ibat = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .baseline(BaselineStrategy::IbatVer(vs))
-            .initial_violations(inc.violations().clone())
-            .build_dyn(&d)
-            .unwrap();
-        let (inc_v, ibat_v, _, _) = run_pair(inc, ibat, &delta);
+        let inc = incremental(&schema, &cfds, Strategy::Vertical(vs.clone()), &d);
+        let v = inc.violations().clone();
+        let ibat = IbatVer::with_initial(schema.clone(), cfds.clone(), vs, &d, v).unwrap();
+        let (inc_v, ibat_v, _, _) = run_pair(inc, Box::new(ibat), &delta);
 
         let hs = tpch::horizontal_scheme(&schema, 10);
-        let inc = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .horizontal(hs.clone())
-            .build_dyn(&d)
-            .unwrap();
-        let ibat = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .baseline(BaselineStrategy::IbatHor(hs))
-            .initial_violations(inc.violations().clone())
-            .build_dyn(&d)
-            .unwrap();
-        let (inc_h, ibat_h, _, _) = run_pair(inc, ibat, &delta);
+        let inc = incremental(&schema, &cfds, Strategy::Horizontal(hs.clone()), &d);
+        let v = inc.violations().clone();
+        let ibat = IbatHor::with_initial(schema.clone(), cfds.clone(), hs, &d, v).unwrap();
+        let (inc_h, ibat_h, _, _) = run_pair(inc, Box::new(ibat), &delta);
 
         rows.push((format!("{dn}"), vec![inc_v, ibat_v, inc_h, ibat_h]));
     }
@@ -704,7 +695,7 @@ pub fn speedup_point(
     n_sites: usize,
 ) -> Result<SpeedupPoint, DetectError> {
     let hs = tpch::horizontal_scheme(schema, n_sites);
-    let mut seq = HorizontalDetector::with_session(
+    let mut seq = HorizontalDetector::new(
         schema.clone(),
         cfds.to_vec(),
         hs.clone(),

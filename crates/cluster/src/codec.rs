@@ -75,8 +75,8 @@ impl WireValue {
     }
 }
 
-/// Selector for the built-in codecs — the public surface of
-/// `DetectorBuilder::horizontal().md5()/.raw_values()/.dict()/.lz()`.
+/// Selector for the built-in codecs — what `incdetect`'s `Suite::codec`
+/// and the horizontal / hybrid detector constructors take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CodecKind {
     /// Ship raw values ([`RawValues`]).

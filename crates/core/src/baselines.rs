@@ -776,7 +776,7 @@ pub fn ibat_hor_with(
     transport: TransportKind,
 ) -> Result<BatchOutcome, DetectError> {
     let empty = Relation::new(schema.clone());
-    let mut det = HorizontalDetector::with_session(
+    let mut det = HorizontalDetector::new(
         schema,
         cfds,
         scheme,
@@ -861,6 +861,7 @@ macro_rules! batch_detector {
                 scheme: $scheme_ty,
                 d: &Relation,
             ) -> Result<Self, DetectError> {
+                crate::detector::positional(&cfds)?;
                 let initial = centralized(&cfds, d);
                 Self::with_initial(schema, cfds, scheme, d, initial)
             }
@@ -877,6 +878,7 @@ macro_rules! batch_detector {
                 d: &Relation,
                 initial: Violations,
             ) -> Result<Self, DetectError> {
+                crate::detector::positional(&cfds)?;
                 let n = scheme.n_sites();
                 Ok($name {
                     violations: initial,

@@ -887,6 +887,7 @@ impl ConcurrentHorizontal {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
+        crate::detector::positional(&cfds)?;
         let n = scheme.n_sites();
         let cfg = SiteConfig::new(schema, cfds, &scheme);
         let nodes = match transport {
@@ -929,6 +930,7 @@ impl ConcurrentHorizontal {
         codec: CodecKind,
         base_port: u16,
     ) -> Result<Self, DetectError> {
+        crate::detector::positional(&cfds)?;
         let n = scheme.n_sites();
         let cfg = SiteConfig::new(schema, cfds, &scheme);
         let node0 = run::join(n, COORD, base_port)
@@ -1326,7 +1328,9 @@ impl Drop for ConcurrentHorizontal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::horizontal::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
+    use crate::horizontal::fixtures::{
+        d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
+    };
     use crate::HorizontalDetector;
     use std::time::{Duration, Instant};
 
@@ -1366,7 +1370,7 @@ mod tests {
             codec,
             transport,
         );
-        let seq = HorizontalDetector::with_codec(s, cfds, scheme, d, codec);
+        let seq = simulated(cfds, scheme, d, codec);
         (conc.unwrap(), seq.unwrap())
     }
 
@@ -1498,7 +1502,7 @@ mod tests {
             CodecKind::Md5,
             TransportKind::Framed,
         );
-        let seq = HorizontalDetector::with_codec(s.clone(), cfds, scheme, &empty, CodecKind::Md5);
+        let seq = simulated(cfds, scheme, &empty, CodecKind::Md5);
         let mut pair = (conc.unwrap(), seq.unwrap());
         let mut rng = seed;
         let mut next = move || {

@@ -16,13 +16,13 @@
 //!   [`IbatHor`](crate::baselines::IbatHor).
 //!
 //! The trait is object-safe: `Box<dyn Detector>` is the currency of the
-//! generic drivers (see `DetectorBuilder` for construction).
+//! generic drivers, and [`Suite::build_detector`](crate::Suite::build_detector)
+//! builds one for any [`Strategy`](crate::Strategy).
 //!
 //! [`DetectError`] is the single error type at this boundary, and the
 //! only one the detectors use internally.
 
 use crate::plan::PlanError;
-use cfd::constraint::FindingSet;
 use cfd::{Cfd, DeltaV, Violations};
 use cluster::{ClusterError, NetReport};
 use relation::{RelError, Relation, Schema, Tuple, Update, UpdateBatch};
@@ -35,9 +35,9 @@ pub enum DetectError {
     Rel(RelError),
     /// Underlying cluster error (bad scheme, routing, unknown site).
     Cluster(ClusterError),
-    /// The catalog failed static analysis (Σ unsatisfiable under
-    /// `AnalysisMode::Prune`), or an analysis mode needs a build path the
-    /// caller didn't use (`Prune` requires `build_dyn`).
+    /// The catalog was refused: its CFD ids are not its positions, it
+    /// failed static analysis (Σ unsatisfiable under
+    /// `AnalysisMode::Prune`), or a suite check names what it lacks.
     Analysis(String),
     /// An HEV plan does not fit the scheme or the rule set (§4).
     Plan(PlanError),
@@ -136,6 +136,19 @@ pub(crate) fn admit(current: &Relation, delta: &UpdateBatch) -> Result<UpdateBat
     }
 }
 
+/// Refuse a catalog whose CFD ids are not their positions `0, 1, …` —
+/// the first thing every detector constructor does, since violation sets
+/// and plans index their per-CFD state by id.
+pub(crate) fn positional(cfds: &[Cfd]) -> Result<(), DetectError> {
+    match cfds.iter().enumerate().find(|(i, c)| c.id as usize != *i) {
+        Some((i, c)) => Err(DetectError::Analysis(format!(
+            "the CFD at position {i} has id {}; ids must be 0, 1, … in catalog order",
+            c.id
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// A maintained violation detector: owns `V(Σ, D)` for some partition
 /// strategy and folds update batches into it.
 ///
@@ -179,15 +192,6 @@ pub trait Detector {
             Update::Delete(tid) => batch.delete(*tid),
         }
         self.apply(&batch)
-    }
-
-    /// The violation set lifted into the unified validation-suite
-    /// surface: one [`FindingSet`] whose rules are the CFD ids, all of
-    /// kind [`Cfd`](cfd::constraint::ConstraintKind::Cfd). Pure-CFD
-    /// detectors and mixed-kind [`Suite`](crate::suite::Suite) sessions
-    /// thereby report findings through the same type.
-    fn finding_set(&self) -> FindingSet {
-        FindingSet::from(self.violations())
     }
 
     /// Cumulative network traffic since construction or the last
@@ -309,7 +313,7 @@ mod tests {
                 &d0,
                 |d| {
                     let (codec, transport) = (CodecKind::Dict, TransportKind::Framed);
-                    HorizontalDetector::with_session(
+                    HorizontalDetector::new(
                         s.clone(),
                         emp_cfds(&s),
                         hor.clone(),
@@ -368,6 +372,110 @@ mod tests {
                 // Measured bytes move with ack timing; modeled |M| may not.
                 |det| format!("{:?}", det.stats()),
             );
+        }
+    }
+
+    /// A catalog whose ids are not its positions is a typed refusal at
+    /// every constructor, before any per-CFD state is indexed by id.
+    #[test]
+    fn every_constructor_refuses_non_positional_ids() {
+        use crate::baselines::{BatHor, BatVer, IbatHor, IbatVer};
+        use crate::{HevPlan, HybridDetector, HybridScheme};
+        let s = emp_schema();
+        let hor = HorizontalScheme::by_hash(s.clone(), 0, 2).unwrap();
+        let ver = VerticalScheme::round_robin(s.clone(), 2).unwrap();
+        let hyb = HybridScheme::uniform(s.clone(), 2, 2).unwrap();
+        let d = Relation::from_tuples(s.clone(), (1..=20).map(emp_row)).unwrap();
+        let (md5, sim) = (CodecKind::Md5, TransportKind::Simulated);
+        let none = |c: &[Cfd]| Violations::new(c.len());
+        type Build<'a> = Box<dyn Fn(Vec<Cfd>) -> Result<(), DetectError> + 'a>;
+        let builds: Vec<(&str, Build<'_>)> = vec![
+            (
+                "VerticalDetector::with_plan",
+                Box::new(|c| {
+                    let plan = HevPlan::default_chains(&c, &ver);
+                    VerticalDetector::with_plan(s.clone(), c, ver.clone(), plan, &d).map(drop)
+                }),
+            ),
+            (
+                "HorizontalDetector::new",
+                Box::new(|c| {
+                    HorizontalDetector::new(s.clone(), c, hor.clone(), &d, md5, sim).map(drop)
+                }),
+            ),
+            (
+                "HybridDetector::new",
+                Box::new(|c| {
+                    HybridDetector::new(s.clone(), c, hyb.clone(), &d, md5, sim).map(drop)
+                }),
+            ),
+            (
+                "ConcurrentHorizontal::threaded",
+                Box::new(|c| {
+                    ConcurrentHorizontal::threaded(s.clone(), c, hor.clone(), &d, md5, sim)
+                        .map(drop)
+                }),
+            ),
+            (
+                "BatVer::new",
+                Box::new(|c| BatVer::new(s.clone(), c, ver.clone(), &d).map(drop)),
+            ),
+            (
+                "BatHor::new",
+                Box::new(|c| BatHor::new(s.clone(), c, hor.clone(), &d).map(drop)),
+            ),
+            (
+                "IbatVer::new",
+                Box::new(|c| IbatVer::new(s.clone(), c, ver.clone(), &d).map(drop)),
+            ),
+            (
+                "IbatHor::new",
+                Box::new(|c| IbatHor::new(s.clone(), c, hor.clone(), &d).map(drop)),
+            ),
+            (
+                "BatVer::with_initial",
+                Box::new(|c| {
+                    let v = none(&c);
+                    BatVer::with_initial(s.clone(), c, ver.clone(), &d, v).map(drop)
+                }),
+            ),
+            (
+                "BatHor::with_initial",
+                Box::new(|c| {
+                    let v = none(&c);
+                    BatHor::with_initial(s.clone(), c, hor.clone(), &d, v).map(drop)
+                }),
+            ),
+            (
+                "IbatVer::with_initial",
+                Box::new(|c| {
+                    let v = none(&c);
+                    IbatVer::with_initial(s.clone(), c, ver.clone(), &d, v).map(drop)
+                }),
+            ),
+            (
+                "IbatHor::with_initial",
+                Box::new(|c| {
+                    let v = none(&c);
+                    IbatHor::with_initial(s.clone(), c, hor.clone(), &d, v).map(drop)
+                }),
+            ),
+        ];
+        for (ids, at) in [(&[1][..], 0), (&[0, 0], 1), (&[0, 2], 1)] {
+            let cfds: Vec<Cfd> = ids
+                .iter()
+                .zip(emp_cfds(&s))
+                .map(|(&id, c)| Cfd { id, ..c })
+                .collect();
+            let want = format!("position {at} has id {}", ids[at]);
+            for (name, build) in &builds {
+                match build(cfds.clone()) {
+                    Err(DetectError::Analysis(msg)) => {
+                        assert!(msg.contains(&want), "{name}: {msg}");
+                    }
+                    other => panic!("{name} over ids {ids:?}: {other:?}"),
+                }
+            }
         }
     }
 

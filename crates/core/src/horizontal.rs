@@ -689,41 +689,18 @@ pub struct HorizontalDetector {
 }
 
 impl HorizontalDetector {
-    /// Build a detector over `d` with the default §6 MD5 digest codec.
-    pub fn new(
-        schema: Arc<Schema>,
-        cfds: Vec<Cfd>,
-        scheme: HorizontalScheme,
-        d: &Relation,
-    ) -> Result<Self, DetectError> {
-        Self::with_codec(schema, cfds, scheme, d, CodecKind::Md5)
-    }
-
-    /// Build with an explicit payload codec: [`CodecKind::Md5`] (the §6
-    /// optimization), [`CodecKind::RawValues`] (the unoptimized variant),
-    /// [`CodecKind::Dict`] (symbols on the wire, one-time per-link
-    /// dictionary deltas), or [`CodecKind::Lz`] (raw values with
-    /// per-frame LZ compression on byte transports). Runs on the
-    /// simulated network; see [`HorizontalDetector::with_session`] for
-    /// real byte transports.
-    pub fn with_codec(
-        schema: Arc<Schema>,
-        cfds: Vec<Cfd>,
-        scheme: HorizontalScheme,
-        d: &Relation,
-        codec: CodecKind,
-    ) -> Result<Self, DetectError> {
-        Self::with_session(schema, cfds, scheme, d, codec, TransportKind::Simulated)
-    }
-
-    /// Build a full session: payload codec **and** transport substrate.
+    /// Build a detector over `d` shipping values with `codec` —
+    /// [`CodecKind::Md5`] (the §6 optimization), [`CodecKind::RawValues`]
+    /// (the unoptimized variant), [`CodecKind::Dict`] (symbols on the wire,
+    /// one-time per-link dictionary deltas) or [`CodecKind::Lz`] (raw values
+    /// with per-frame LZ compression on byte transports) — over `transport`.
     /// With [`TransportKind::Framed`] or [`TransportKind::Tcp`] every
     /// protocol message is serialized to a length-prefixed byte frame,
     /// shipped through the chosen link (in-process channel or localhost
     /// socket), and decoded at the receiving site from the bytes alone;
     /// the detector then meters modeled `|M|` and measured on-wire bytes
     /// side by side ([`HorizontalDetector::wire_stats`]).
-    pub fn with_session(
+    pub fn new(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
         scheme: HorizontalScheme,
@@ -731,6 +708,7 @@ impl HorizontalDetector {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
+        crate::detector::positional(&cfds)?;
         let n = scheme.n_sites();
         let net: Box<dyn MsgTransport<HorMsg>> = match transport {
             TransportKind::Simulated => Box::new(Network::new(n)),
@@ -1105,13 +1083,13 @@ impl Detector for HorizontalDetector {
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
+    use super::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated};
     use super::*;
     use relation::Tuple;
 
     fn detector() -> HorizontalDetector {
         let s = emp_schema();
-        HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap()
+        simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap()
     }
 
     #[test]
@@ -1209,7 +1187,7 @@ mod tests {
         for (i, rhs) in ["grade", "AC"].iter().enumerate() {
             cfds.push(Cfd::from_names((5 + i) as u32, &s, &[("zip", None)], (rhs, None)).unwrap());
         }
-        let mut det = HorizontalDetector::new(s.clone(), cfds, fig2_scheme(&s), &d0()).unwrap();
+        let mut det = simulated(cfds, fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
         det.reset_stats();
         let mut d = UpdateBatch::new();
         // Brand-new zip → every variable CFD queries.
@@ -1226,10 +1204,8 @@ mod tests {
     #[test]
     fn md5_codec_ships_fewer_bytes_than_raw() {
         let s = emp_schema();
-        let mk = |codec: CodecKind| {
-            HorizontalDetector::with_codec(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0(), codec)
-                .unwrap()
-        };
+        let mk =
+            |codec: CodecKind| simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), codec).unwrap();
         let run = |det: &mut HorizontalDetector| {
             let mut d = UpdateBatch::new();
             d.insert(emp_tuple(
@@ -1255,10 +1231,8 @@ mod tests {
     #[test]
     fn dict_codec_matches_md5_violations_and_wins_on_repeats() {
         let s = emp_schema();
-        let mk = |codec: CodecKind| {
-            HorizontalDetector::with_codec(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0(), codec)
-                .unwrap()
-        };
+        let mk =
+            |codec: CodecKind| simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), codec).unwrap();
         // Insert/delete cycles of the same cross-site conflict: every
         // cycle re-ships the same zip (probe + delete query) and street
         // values (delete replies) over the same links. Raw pays their full
@@ -1331,7 +1305,7 @@ mod tests {
         let zip = s.attr_id("zip").unwrap();
         let scheme = HorizontalScheme::by_hash(s.clone(), zip, 4).unwrap();
         let cfds = vec![fig1_cfds(&s).remove(0)];
-        let mut det = HorizontalDetector::new(s, cfds, scheme, &d0()).unwrap();
+        let mut det = simulated(cfds, scheme, &d0(), CodecKind::Md5).unwrap();
         let mut d = UpdateBatch::new();
         d.insert(emp_tuple(40, "A", 44, 131, "EH4 8LE", "Zig", "EDI"));
         d.insert(emp_tuple(41, "B", 44, 131, "ZZ9 9ZZ", "Zag", "EDI"));
@@ -1360,7 +1334,7 @@ mod tests {
             ("street", None),
         )
         .unwrap()];
-        let mut det = HorizontalDetector::new(s, cfds, scheme, &d0()).unwrap();
+        let mut det = simulated(cfds, scheme, &d0(), CodecKind::Md5).unwrap();
         det.reset_stats();
         let mut d = UpdateBatch::new();
         d.insert(emp_tuple(50, "A", 44, 131, "NEW 111", "Foo", "EDI"));
@@ -1391,7 +1365,7 @@ mod tests {
     /// agree, and the loop took `waves` drains.
     fn pipelined_as_blocking(d: &Relation, batch: &[Update], waves: u64, what: &str) {
         let s = emp_schema();
-        let build = || HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), d);
+        let build = || simulated(fig1_cfds(&s), fig2_scheme(&s), d, CodecKind::Md5);
         let (mut piped, mut blocking) = (build().unwrap(), build().unwrap());
         let batch = UpdateBatch::from_ops(batch.to_vec());
         let dv = piped.apply(&batch).unwrap();
@@ -1504,6 +1478,8 @@ mod tests {
             rules::tpch_rules(&schema, 8, 0xCFD),
             tpch::horizontal_scheme(&schema, 4),
             &Relation::new(schema.clone()),
+            CodecKind::Md5,
+            TransportKind::Simulated,
         )
         .unwrap();
         let rows: Vec<Update> = base.iter().map(Update::Insert).collect();

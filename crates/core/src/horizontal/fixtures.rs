@@ -1,7 +1,10 @@
 //! The paper's running example (Fig. 1 rules, Fig. 2 fragments), shared by
 //! the in-crate tests of the §6 machine and of both runtimes driving it.
 
+use crate::{DetectError, HorizontalDetector};
 use cfd::Cfd;
+use cluster::codec::CodecKind;
+use cluster::net::TransportKind;
 use cluster::partition::HorizontalScheme;
 use relation::{Relation, Schema, Tid, Tuple, Value};
 use std::sync::Arc;
@@ -83,4 +86,15 @@ pub(crate) fn fig2_scheme(s: &Arc<Schema>) -> HorizontalScheme {
         ],
     )
     .unwrap()
+}
+
+/// `incHor` over `d` on the simulated network, under the scheme's schema.
+pub(crate) fn simulated(
+    cfds: Vec<Cfd>,
+    scheme: HorizontalScheme,
+    d: &Relation,
+    codec: CodecKind,
+) -> Result<HorizontalDetector, DetectError> {
+    let schema = scheme.schema().clone();
+    HorizontalDetector::new(schema, cfds, scheme, d, codec, TransportKind::Simulated)
 }

@@ -1038,7 +1038,9 @@ impl Site {
 mod tests {
     use super::*;
     use crate::concurrent::WavePlanner;
-    use crate::horizontal::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme};
+    use crate::horizontal::fixtures::{
+        d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
+    };
     use crate::HorizontalDetector;
     use cluster::{NetStats, Wire};
     use relation::{UpdateBatch, Value};
@@ -1412,15 +1414,8 @@ mod tests {
                     // delivering in the synchronous order, says what the
                     // steps are.
                     let build = || {
-                        let (schema, empty) = (schema.clone(), Relation::new(schema.clone()));
-                        HorizontalDetector::with_codec(
-                            schema,
-                            cfds.clone(),
-                            scheme.clone(),
-                            &empty,
-                            codec,
-                        )
-                        .unwrap()
+                        let empty = Relation::new(schema.clone());
+                        simulated(cfds.clone(), scheme.clone(), &empty, codec).unwrap()
                     };
                     let snapshot = |seq: &HorizontalDetector| Snapshot {
                         marks: seq.violations().marks_sorted(),
@@ -1707,8 +1702,7 @@ mod tests {
     #[test]
     fn forged_frame_fails_apply_with_a_typed_error() {
         let s = emp_schema();
-        let mut det =
-            HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
+        let mut det = simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
         let forged = HorMsg::TupleDelQuery {
             attrs: vec![],
             queries: vec![9],
@@ -1742,8 +1736,7 @@ mod tests {
     #[test]
     fn orphaned_class_is_an_internal_error_not_a_null() {
         let s = emp_schema();
-        let mut det =
-            HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
+        let mut det = simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
         // Break the invariant by hand: t3 and t4 (site 1, grade B) lose
         // their rows while their class stays in the group state.
         det.current.delete_quiet(3).unwrap();
@@ -1769,8 +1762,7 @@ mod tests {
     #[test]
     fn lost_group_is_an_internal_error_not_a_panic() {
         let s = emp_schema();
-        let mut det =
-            HorizontalDetector::new(s.clone(), fig1_cfds(&s), fig2_scheme(&s), &d0()).unwrap();
+        let mut det = simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
         // t2 is alone in its group (zip EH2 4HF, site 0): drop the group
         // behind the machine's back.
         let holds_t2 = |g: &GroupState<Digest>| {

@@ -152,37 +152,13 @@ pub struct HybridDetector {
 
 impl HybridDetector {
     /// Build over `d`, loading the inter-region state (unmetered, like
-    /// the other detectors). Ships MD5 digests between
-    /// region gateways — see [`HybridDetector::with_codec`].
+    /// the other detectors). `codec` and `transport` are the inter-region
+    /// §6 protocol's — real byte frames between region gateways for
+    /// [`TransportKind::Framed`]/[`TransportKind::Tcp`] — while
+    /// intra-region digest assembly stays on the modeled network (its
+    /// messages are fixed-size digest bundles; the gateway rounds are where
+    /// the codec and transport decisions matter).
     pub fn new(
-        schema: Arc<Schema>,
-        cfds: Vec<Cfd>,
-        scheme: HybridScheme,
-        d: &Relation,
-    ) -> Result<Self, DetectError> {
-        Self::with_codec(schema, cfds, scheme, d, CodecKind::Md5)
-    }
-
-    /// Build with an explicit wire codec for the inter-region §6 protocol
-    /// (intra-region assembly always ships fixed-size digests). Runs on
-    /// the simulated network; see [`HybridDetector::with_session`].
-    pub fn with_codec(
-        schema: Arc<Schema>,
-        cfds: Vec<Cfd>,
-        scheme: HybridScheme,
-        d: &Relation,
-        codec: CodecKind,
-    ) -> Result<Self, DetectError> {
-        Self::with_session(schema, cfds, scheme, d, codec, TransportKind::Simulated)
-    }
-
-    /// Build a full session: inter-region codec **and** transport. The
-    /// §6 protocol between region gateways rides the chosen substrate —
-    /// real byte frames for [`TransportKind::Framed`]/[`TransportKind::Tcp`]
-    /// — while intra-region digest assembly stays on the modeled network
-    /// (its messages are fixed-size digest bundles; the gateway rounds
-    /// are where the codec and transport decisions matter).
-    pub fn with_session(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
         scheme: HybridScheme,
@@ -190,7 +166,8 @@ impl HybridDetector {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
-        let inner = HorizontalDetector::with_session(
+        crate::detector::positional(&cfds)?;
+        let inner = HorizontalDetector::new(
             schema.clone(),
             cfds.clone(),
             scheme.regions.clone(),
@@ -511,7 +488,15 @@ mod tests {
     fn detector(n: usize) -> HybridDetector {
         let s = schema();
         let scheme = HybridScheme::uniform(s.clone(), 3, 2).unwrap();
-        HybridDetector::new(s.clone(), cfds(&s), scheme, &base(n)).unwrap()
+        HybridDetector::new(
+            s.clone(),
+            cfds(&s),
+            scheme,
+            &base(n),
+            CodecKind::Md5,
+            TransportKind::Simulated,
+        )
+        .unwrap()
     }
 
     #[test]

@@ -19,14 +19,15 @@
 //! * [`hev`], [`idx`] — the index structures themselves.
 //!
 //! All strategies implement the object-safe [`Detector`] trait and are
-//! constructed through [`DetectorBuilder`]; errors cross the public
-//! boundary as [`DetectError`]. Value-shipping protocols (horizontal,
-//! hybrid, the batch coordinators) encode payloads through the pluggable
-//! [`cluster::codec::PayloadCodec`] — pick it per session with
-//! `DetectorBuilder::horizontal(..).md5()/.raw_values()/.dict()`.
+//! constructed through [`Suite`] — `Suite::on(schema).cfds(Σ)
+//! .strategy(`[`Strategy`]`).build_detector(&d0)` — or, where a caller
+//! needs the concrete type, through that detector's own constructor;
+//! errors cross the public boundary as [`DetectError`]. Value-shipping
+//! protocols (horizontal, hybrid, the batch coordinators) encode payloads
+//! through the pluggable [`cluster::codec::PayloadCodec`] — pick it per
+//! session with [`Suite::codec`].
 
 pub mod baselines;
-pub mod builder;
 pub mod concurrent;
 pub mod detector;
 mod group;
@@ -40,7 +41,6 @@ pub mod pruned;
 pub mod suite;
 pub mod vertical;
 
-pub use builder::{BaselineStrategy, DetectorBuilder};
 pub use cfd::constraint::{Check, Constraint};
 pub use concurrent::ConcurrentHorizontal;
 pub use detector::{DetectError, Detector};

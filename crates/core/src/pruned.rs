@@ -1,9 +1,9 @@
 //! Static-analysis integration: catalog preflight and the mark-preserving
 //! pruned detector.
 //!
-//! [`DetectorBuilder`](crate::DetectorBuilder) runs the `cfd::analysis`
-//! procedures over Σ *before* plan compilation, per
-//! [`AnalysisMode`]:
+//! [`Suite`](crate::Suite) runs the `cfd::analysis` procedures over Σ
+//! *before* plan compilation, per [`AnalysisMode`]
+//! ([`Suite::analyze`](crate::Suite::analyze)):
 //!
 //! * [`AnalysisMode::Off`] — no analysis (the default; bit-identical to
 //!   every prior release).
@@ -42,7 +42,7 @@ use cluster::NetReport;
 use relation::{AttrId, FxHashSet, Relation, Schema, Tid, Tuple, UpdateBatch, Value};
 use std::sync::Arc;
 
-/// What the builder does with Σ before compiling plans.
+/// What [`Suite`](crate::Suite) does with Σ before compiling plans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AnalysisMode {
     /// No static analysis (the default).
@@ -51,20 +51,18 @@ pub enum AnalysisMode {
     /// Analyze and report findings on stderr; build over the full Σ.
     Warn,
     /// Refuse unsatisfiable catalogs and detect over the kept rules only,
-    /// reconstructing pruned rules' marks from their representatives.
-    /// Only available through `build_dyn` (the result is a wrapper type).
+    /// reconstructing pruned rules' marks from their representatives (the
+    /// session's detector is then a [`Pruned`] wrapper).
     Prune,
 }
 
-/// Everything `build_dyn` needs to stand up a [`Pruned`] detector: the
+/// Everything a build needs to stand up a [`Pruned`] detector: the
 /// remapped kept rules plus the rider/residual tables.
 pub(crate) struct PrunePrep {
     /// Kept rules with fresh contiguous ids `0..k`, in kept order.
     pub kept: Vec<Cfd>,
     /// Inner id → original id.
     full_of: Vec<CfdId>,
-    /// Original id → inner id, for kept rules.
-    inner_of: Vec<Option<CfdId>>,
     /// Inner id → original ids of the pruned rules riding it.
     riders: Vec<Vec<CfdId>>,
     /// `(original pruned id, inner rep id)` pairs, ascending.
@@ -75,23 +73,7 @@ pub(crate) struct PrunePrep {
     full: Vec<Cfd>,
 }
 
-impl PrunePrep {
-    /// Remap a violation set over the full Σ onto the kept rules (used to
-    /// forward `initial_violations` to the inner baseline detector).
-    pub(crate) fn remap_initial(&self, v: &Violations) -> Violations {
-        let mut out = Violations::new(self.kept.len());
-        for (full_id, inner) in self.inner_of.iter().enumerate() {
-            if let Some(ic) = inner {
-                for &tid in v.of_cfd(full_id as CfdId) {
-                    out.add(*ic, tid);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Run the analysis for `mode` over Σ (open domains — the builder has no
+/// Run the analysis for `mode` over Σ (open domains — a build has no
 /// data-dependent domain knowledge). Returns `Some(prep)` when a
 /// [`Pruned`] wrapper is warranted: Prune mode, satisfiable catalog, at
 /// least one pruned rule. `Off` always returns `None`; so does `Prune`
@@ -144,7 +126,6 @@ pub(crate) fn preflight(
             Ok(Some(PrunePrep {
                 kept,
                 full_of: kept_ids.clone(),
-                inner_of,
                 riders,
                 pruned,
                 residual: plan.residual.clone(),

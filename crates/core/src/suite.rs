@@ -18,11 +18,12 @@
 //!     .build(&d0)?
 //! ```
 //!
-//! The typed [`Strategy`] enum collapses the four [`DetectorBuilder`]
-//! families (`.vertical()` / `.horizontal()` / `.hybrid()` /
-//! `.baseline()`) behind one value; the builder paths remain as
-//! documented, tested construction surfaces and `Suite` drives them
-//! internally ([`Suite::build_detector`]).
+//! The typed [`Strategy`] value names one of the paper's eight
+//! algorithms with its partition scheme. A pure-CFD session needs no
+//! wrapper: [`Suite::build_detector`] returns the bare [`Detector`].
+//! Callers that need a concrete detector type (its `waves()`, its
+//! `state_census()`, an explicit [`HevPlan`]) call that detector's own
+//! constructor instead.
 //!
 //! Division of labour per constraint class:
 //!
@@ -48,11 +49,12 @@
 //! [`DeltaFindings`], with the CFD-level [`DeltaV`] still available
 //! alongside ([`SuiteDelta`]).
 
-use crate::builder::{BaselineStrategy, DetectorBuilder};
+use crate::baselines::{BatHor, BatVer, IbatHor, IbatVer};
 use crate::detector::{DetectError, Detector};
-use crate::hybrid::HybridScheme;
-use crate::optimize::{OptimizeConfig, SharingMode};
-use crate::pruned::AnalysisMode;
+use crate::hybrid::{HybridDetector, HybridScheme};
+use crate::optimize::{optimize, OptimizeConfig, SharingMode};
+use crate::pruned::{preflight, AnalysisMode, Pruned};
+use crate::{HevPlan, HorizontalDetector, VerticalDetector};
 use cfd::constraint::{
     AggFunc, Check, Constraint, ConstraintKind, DeltaFindings, FindingSet, RuleId,
 };
@@ -65,8 +67,8 @@ use relation::{AttrId, FxHashMap, FxHashSet, Relation, Schema, Tid, Update, Upda
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The partition strategy of a suite session — one typed value covering
-/// every [`DetectorBuilder`] family (the paper's seven algorithms).
+/// The partition strategy of a suite session: one of the paper's
+/// algorithms with its partition scheme.
 #[derive(Debug, Clone)]
 pub enum Strategy {
     /// `incVer` (§4) over a vertical partition, default HEV chains.
@@ -77,8 +79,15 @@ pub enum Strategy {
     Horizontal(HorizontalScheme),
     /// `incHyb` over a hybrid topology.
     Hybrid(HybridScheme),
-    /// One of the four batch baselines (§7 / Exp-10).
-    Baseline(BaselineStrategy),
+    /// `batVer` (§7): batch recomputation over vertical fragments.
+    BatVer(VerticalScheme),
+    /// `batHor` (§7): batch recomputation over horizontal fragments.
+    BatHor(HorizontalScheme),
+    /// `ibatVer` (Exp-10): batch recomputation through the incremental
+    /// machinery.
+    IbatVer(VerticalScheme),
+    /// `ibatHor` (Exp-10): horizontal counterpart of `ibatVer`.
+    IbatHor(HorizontalScheme),
 }
 
 impl Strategy {
@@ -90,10 +99,10 @@ impl Strategy {
             Strategy::OptimizedVertical(..) => "optVer",
             Strategy::Horizontal(_) => "incHor",
             Strategy::Hybrid(_) => "incHyb",
-            Strategy::Baseline(BaselineStrategy::BatVer(_)) => "batVer",
-            Strategy::Baseline(BaselineStrategy::BatHor(_)) => "batHor",
-            Strategy::Baseline(BaselineStrategy::IbatVer(_)) => "ibatVer",
-            Strategy::Baseline(BaselineStrategy::IbatHor(_)) => "ibatHor",
+            Strategy::BatVer(_) => "batVer",
+            Strategy::BatHor(_) => "batHor",
+            Strategy::IbatVer(_) => "ibatVer",
+            Strategy::IbatHor(_) => "ibatHor",
         }
     }
 }
@@ -200,26 +209,42 @@ impl Suite {
         self
     }
 
-    /// Wire codec for the strategies that ship values (see
-    /// [`DetectorBuilder`]'s horizontal/hybrid stages).
+    /// Wire codec of the §6 protocol, for the strategies that ship values
+    /// through it (`incHor`, and `incHyb` between region gateways):
+    /// [`CodecKind::Md5`] (the default), [`CodecKind::RawValues`],
+    /// [`CodecKind::Dict`] or [`CodecKind::Lz`]. The batch baselines
+    /// ship with their own fixed codecs.
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.codec = codec;
         self
     }
 
-    /// Transport substrate for the inner detection protocol.
+    /// Transport substrate for the inner detection protocol:
+    /// [`TransportKind::Simulated`] (modeled `|M|` only, the default),
+    /// [`TransportKind::Framed`] (real byte frames over in-process
+    /// channels) or [`TransportKind::Tcp`] (localhost sockets). `incVer`,
+    /// `optVer` and `ibatVer` run on the simulated network regardless.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
         self
     }
 
-    /// Multi-CFD sharing mode of the inner incremental detectors.
+    /// Multi-CFD evaluation mode of the inner incremental detectors:
+    /// [`SharingMode::Shared`] (the default — one shared-plan dispatch
+    /// pass per update) or [`SharingMode::PerCfd`] (the per-CFD loop,
+    /// kept as a differential baseline). Both detect and meter
+    /// bit-identically; the batch baselines ignore it.
     pub fn sharing(mut self, sharing: SharingMode) -> Self {
         self.sharing = sharing;
         self
     }
 
-    /// Static analysis of the compiled CFD catalog before building.
+    /// Static analysis of the compiled CFD catalog before building:
+    /// [`AnalysisMode::Off`] (default), [`AnalysisMode::Warn`] (report
+    /// findings, build over the full catalog) or [`AnalysisMode::Prune`]
+    /// (refuse unsatisfiable catalogs and detect over the minimal kept
+    /// rules inside a [`Pruned`] wrapper). Violations and ΔV are
+    /// bit-identical across the three on satisfiable catalogs.
     pub fn analyze(mut self, analysis: AnalysisMode) -> Self {
         self.analysis = analysis;
         self
@@ -278,9 +303,7 @@ impl Suite {
     }
 
     /// Build only the inner [`Detector`] over the CFD catalog — the
-    /// collapsed construction path for pure-CFD sessions (`Suite` with
-    /// no checks is exactly `DetectorBuilder` behind a typed
-    /// [`Strategy`]).
+    /// construction path for pure-CFD sessions.
     pub fn build_detector(self, d0: &Relation) -> Result<Box<dyn Detector>, DetectError> {
         if !self.checks.is_empty() {
             return Err(DetectError::Analysis(
@@ -291,33 +314,60 @@ impl Suite {
         self.build_dyn(cfds, d0)
     }
 
+    /// Construct the strategy's detector over `cfds` (positional ids),
+    /// wrapped in [`Pruned`] when [`AnalysisMode::Prune`] shrinks them.
     fn build_dyn(&self, cfds: Vec<Cfd>, d0: &Relation) -> Result<Box<dyn Detector>, DetectError> {
+        let schema = self.schema.clone();
+        let prep = preflight(&schema, &cfds, self.analysis)?;
+        let cfds = prep.as_ref().map_or(cfds, |p| p.kept.clone());
         let strategy = match &self.strategy {
             Some(s) => s.clone(),
-            None => Strategy::Horizontal(HorizontalScheme::by_hash(
-                self.schema.clone(),
-                self.schema.key(),
-                2,
-            )?),
+            None => {
+                Strategy::Horizontal(HorizontalScheme::by_hash(schema.clone(), schema.key(), 2)?)
+            }
         };
-        let b = DetectorBuilder::new(self.schema.clone(), cfds)
-            .sharing(self.sharing)
-            .analyze(self.analysis);
-        match strategy {
-            Strategy::Vertical(s) => b.vertical(s).build_dyn(d0),
-            Strategy::OptimizedVertical(s, cfg) => b.vertical(s).optimized(cfg).build_dyn(d0),
-            Strategy::Horizontal(s) => b
-                .horizontal(s)
-                .codec(self.codec)
-                .transport(self.transport)
-                .build_dyn(d0),
-            Strategy::Hybrid(s) => b
-                .hybrid(s)
-                .codec(self.codec)
-                .transport(self.transport)
-                .build_dyn(d0),
-            Strategy::Baseline(bs) => b.baseline(bs).transport(self.transport).build_dyn(d0),
-        }
+        let (codec, transport, sharing) = (self.codec, self.transport, self.sharing);
+        let vertical = |cfds, s, plan| -> Result<Box<dyn Detector>, DetectError> {
+            let mut det = VerticalDetector::with_plan(schema.clone(), cfds, s, plan, d0)?;
+            det.set_sharing(sharing);
+            Ok(Box::new(det))
+        };
+        let inner: Box<dyn Detector> = match strategy {
+            Strategy::Vertical(s) => {
+                let plan = HevPlan::default_chains(&cfds, &s);
+                vertical(cfds, s, plan)?
+            }
+            Strategy::OptimizedVertical(s, cfg) => {
+                let plan = optimize(&cfds, &s, cfg);
+                vertical(cfds, s, plan)?
+            }
+            Strategy::Horizontal(s) => {
+                let mut det = HorizontalDetector::new(schema, cfds, s, d0, codec, transport)?;
+                det.set_sharing(sharing);
+                Box::new(det)
+            }
+            Strategy::Hybrid(s) => {
+                let mut det = HybridDetector::new(schema, cfds, s, d0, codec, transport)?;
+                det.set_sharing(sharing);
+                Box::new(det)
+            }
+            Strategy::BatVer(s) => {
+                Box::new(BatVer::new(schema, cfds, s, d0)?.with_transport(transport))
+            }
+            Strategy::BatHor(s) => {
+                Box::new(BatHor::new(schema, cfds, s, d0)?.with_transport(transport))
+            }
+            Strategy::IbatVer(s) => {
+                Box::new(IbatVer::new(schema, cfds, s, d0)?.with_transport(transport))
+            }
+            Strategy::IbatHor(s) => {
+                Box::new(IbatHor::new(schema, cfds, s, d0)?.with_transport(transport))
+            }
+        };
+        Ok(match prep {
+            None => inner,
+            Some(prep) => Box::new(Pruned::new(inner, prep)),
+        })
     }
 
     /// Build the full session over the initial primary relation `d0`.
@@ -1163,22 +1213,22 @@ mod tests {
     }
 
     #[test]
-    fn build_detector_is_the_collapsed_builder_path() {
+    fn build_detector_builds_the_bare_detector() {
         let (s, d0) = base();
         let cfds = vec![Cfd::from_names(0, &s, &[("city", None)], ("grade", None)).unwrap()];
         let det = Suite::on(s.clone())
             .cfds(cfds.clone())
-            .strategy(Strategy::Baseline(BaselineStrategy::BatVer(vscheme(&s))))
+            .strategy(Strategy::BatVer(vscheme(&s)))
             .build_detector(&d0)
             .unwrap();
         assert_eq!(det.strategy(), "batVer");
-        // With checks present the collapsed path refuses politely.
+        // With checks present build_detector refuses politely.
         let err = Suite::on(s.clone())
             .cfds(cfds)
             .check(Check::complete("city"))
             .build_detector(&d0)
             .err()
-            .expect("checks present: collapsed path must refuse");
+            .expect("checks present: build_detector must refuse");
         assert!(matches!(err, DetectError::Analysis(_)));
     }
 }

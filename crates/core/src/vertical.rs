@@ -384,7 +384,8 @@ impl VerticalDetector {
     }
 
     /// Build with an explicit (e.g. optimized) plan, compiling it first: a
-    /// `d` whose arity is not `schema`'s is refused with
+    /// catalog whose ids are not its positions is refused with
+    /// [`DetectError::Analysis`], a `d` whose arity is not `schema`'s with
     /// [`RelError::ArityMismatch`] before anything is built, and a plan
     /// that does not validate against `scheme`, or has no target for a
     /// variable CFD, with [`DetectError::Plan`].
@@ -395,6 +396,7 @@ impl VerticalDetector {
         plan: HevPlan,
         d: &Relation,
     ) -> Result<Self, DetectError> {
+        crate::detector::positional(&cfds)?;
         let current = d.clone_under(schema.clone())?;
         let compiled = Compiled::new(&cfds, &scheme, &plan)?;
         let arity = scheme.schema().arity();

@@ -218,20 +218,20 @@ pub fn run_suite_load(
 mod tests {
     use super::*;
     use crate::scenario::{catalog, Scenario};
-    use incdetect::DetectorBuilder;
+    use incdetect::{Strategy, Suite};
 
     #[test]
     fn run_load_measures_and_matches_oracle() {
         let cfg = catalog().remove(0);
         let ds = cfg.dataset();
-        let mut det = DetectorBuilder::new(ds.schema.clone(), ds.cfds.clone())
-            .horizontal(ds.horizontal.clone())
-            .md5()
-            .build(&ds.base)
+        let mut det = Suite::on(ds.schema.clone())
+            .cfds(ds.cfds.clone())
+            .strategy(Strategy::Horizontal(ds.horizontal.clone()))
+            .build_detector(&ds.base)
             .unwrap();
         let report = run_load(
             "steady_uniform",
-            &mut det,
+            det.as_mut(),
             cfg.stream(&ds),
             &LoadConfig { warmup_ticks: 2 },
         )
@@ -259,7 +259,6 @@ mod tests {
     #[test]
     fn run_suite_load_drives_mixed_catalogs() {
         use cfd::Check;
-        use incdetect::Suite;
 
         let cfg = catalog().remove(0);
         let ds = cfg.dataset();
@@ -268,7 +267,7 @@ mod tests {
             .check(Check::key(["zip", "phn"]))
             .check(Check::complete("city"))
             .check(Check::row_count(["grade"], Some(1), None))
-            .strategy(incdetect::Strategy::Horizontal(ds.horizontal.clone()))
+            .strategy(Strategy::Horizontal(ds.horizontal.clone()))
             .build(&ds.base)
             .unwrap();
         let report = run_suite_load(
@@ -305,9 +304,10 @@ mod tests {
         let cfg = catalog().remove(0);
         let ds = cfg.dataset();
         let build = || {
-            DetectorBuilder::new(ds.schema.clone(), ds.cfds.clone())
-                .vertical(ds.vertical.clone())
-                .build_dyn(&ds.base)
+            Suite::on(ds.schema.clone())
+                .cfds(ds.cfds.clone())
+                .strategy(Strategy::Vertical(ds.vertical.clone()))
+                .build_detector(&ds.base)
                 .unwrap()
         };
         let mut cold = build();

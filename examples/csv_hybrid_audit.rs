@@ -46,10 +46,9 @@ fn main() {
         scheme.n_regions(),
         scheme.n_sites()
     );
-    let mut det = DetectorBuilder::new(schema.clone(), sigma)
-        .hybrid(scheme)
-        .build(&d)
-        .expect("detector builds");
+    let strategy = Strategy::Hybrid(scheme);
+    let suite = Suite::on(schema.clone()).cfds(sigma).strategy(strategy);
+    let mut det = suite.build_detector(&d).expect("detector builds");
     println!("initial violations: {:?}", det.violations().tids_sorted());
 
     // Stream one correction and one insertion.

@@ -1,6 +1,6 @@
 //! A guided walk through the paper's §1–§6 examples on the EMP relation,
 //! in *both* partition layouts, with shipment accounting printed at every
-//! step — all through the unified `Detector` / `DetectorBuilder` API.
+//! step — every detector driven through the unified `Detector` trait.
 //!
 //! ```sh
 //! cargo run --example employee_audit
@@ -48,11 +48,9 @@ fn main() {
         opt_plan.neqid()
     );
 
-    let mut vdet = DetectorBuilder::new(schema.clone(), sigma.clone())
-        .vertical(vscheme)
-        .with_plan(opt_plan)
-        .build(&d0)
-        .expect("vertical detector builds");
+    let mut vdet =
+        VerticalDetector::with_plan(schema.clone(), sigma.clone(), vscheme, opt_plan, &d0)
+            .expect("vertical detector builds");
     println!(
         "  V(Σ, D₀) = {:?}  (Fig. 1: t1,t3,t4,t5 for φ1; t1 for φ2)",
         vdet.violations().tids_sorted()
@@ -85,9 +83,10 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\n=== Horizontal partitions (§6) ===");
     let hscheme = workload::emp::emp_horizontal_scheme(&schema);
-    let mut hdet = DetectorBuilder::new(schema.clone(), sigma.clone())
-        .horizontal(hscheme)
-        .build(&d0)
+    let mut hdet = Suite::on(schema.clone())
+        .cfds(sigma.clone())
+        .strategy(Strategy::Horizontal(hscheme))
+        .build_detector(&d0)
         .expect("horizontal detector builds");
     println!("  V(Σ, D₀) = {:?}", hdet.violations().tids_sorted());
 
@@ -149,8 +148,7 @@ fn main() {
     );
 
     // Ground truth check at the end, uniformly through the trait.
-    let detectors: [&dyn Detector; 2] = [&vdet, &hdet];
-    for det in detectors {
+    for det in [&vdet as &dyn Detector, hdet.as_ref()] {
         let oracle = cfd::naive::detect(det.cfds(), det.current());
         assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
     }

@@ -9,7 +9,6 @@
 //! cargo run --release --example horizontal_stream [-- <rows> <batches>]
 //! ```
 
-use cluster::codec::CodecKind;
 use inc_cfd::prelude::*;
 use workload::dblp::{self, DblpConfig};
 use workload::updates::{self, UpdateMix};
@@ -29,12 +28,9 @@ fn run(codec: CodecKind, rows: usize, batches: usize) -> CodecRun {
     };
     let (schema, mut d) = dblp::generate(&cfg);
     let cfds = workload::rules::dblp_rules(&schema, 16, 3);
-    let scheme = dblp::horizontal_scheme(&schema, 8);
-    let mut det = DetectorBuilder::new(schema, cfds)
-        .horizontal(scheme)
-        .codec(codec)
-        .build(&d)
-        .expect("detector builds");
+    let strategy = Strategy::Horizontal(dblp::horizontal_scheme(&schema, 8));
+    let suite = Suite::on(schema).cfds(cfds).strategy(strategy).codec(codec);
+    let mut det = suite.build_detector(&d).expect("detector builds");
 
     let mut next_tid = 1_000_000_000u64;
     let mut total_dv = 0usize;

@@ -50,21 +50,19 @@ fn main() {
         ticks
     );
 
-    let b = || DetectorBuilder::new(ds.schema.clone(), ds.cfds.clone());
-    let mut ver = b()
-        .vertical(ds.vertical.clone())
-        .build_dyn(&ds.base)
-        .unwrap();
-    let mut hor = b()
-        .horizontal(ds.horizontal.clone())
-        .md5()
-        .build_dyn(&ds.base)
-        .unwrap();
     let load_cfg = LoadConfig { warmup_ticks: 4 };
-    let reports = vec![
-        run_load(cfg.name, ver.as_mut(), cfg.stream(&ds), &load_cfg).unwrap(),
-        run_load(cfg.name, hor.as_mut(), cfg.stream(&ds), &load_cfg).unwrap(),
+    let strategies = [
+        Strategy::Vertical(ds.vertical.clone()),
+        Strategy::Horizontal(ds.horizontal.clone()),
     ];
+    let reports: Vec<LoadReport> = strategies
+        .into_iter()
+        .map(|strategy| {
+            let suite = Suite::on(ds.schema.clone()).cfds(ds.cfds.clone());
+            let mut det = suite.strategy(strategy).build_detector(&ds.base).unwrap();
+            run_load(cfg.name, det.as_mut(), cfg.stream(&ds), &load_cfg).unwrap()
+        })
+        .collect();
 
     println!(
         "{:>8} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",

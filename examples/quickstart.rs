@@ -19,11 +19,9 @@ fn main() {
 
     // Partition horizontally by salary grade (A / B / C) across 3 sites
     // and build the incremental detector session.
-    let scheme = workload::emp::emp_horizontal_scheme(&schema);
-    let mut det = DetectorBuilder::new(schema.clone(), sigma)
-        .horizontal(scheme)
-        .build(&d0)
-        .expect("detector builds");
+    let strategy = Strategy::Horizontal(workload::emp::emp_horizontal_scheme(&schema));
+    let suite = Suite::on(schema).cfds(sigma).strategy(strategy);
+    let mut det = suite.build_detector(&d0).expect("detector builds");
 
     // V(Σ, D₀) — the violation table of Fig. 1.
     println!("\ninitial violations: {:?}", det.violations().tids_sorted());

@@ -28,11 +28,7 @@ fn run(codec: CodecKind, rows: usize, batches: usize) -> (NetReport, TransportMe
     let (schema, mut d) = dblp::generate(&cfg);
     let cfds = workload::rules::dblp_rules(&schema, 12, 3);
     let scheme = dblp::horizontal_scheme(&schema, 4);
-    let mut det = DetectorBuilder::new(schema, cfds)
-        .horizontal(scheme)
-        .codec(codec)
-        .transport(TransportKind::Tcp)
-        .build(&d)
+    let mut det = HorizontalDetector::new(schema, cfds, scheme, &d, codec, TransportKind::Tcp)
         .expect("TCP mesh binds on 127.0.0.1 ephemeral ports");
 
     let mut next_tid = 1_000_000_000u64;

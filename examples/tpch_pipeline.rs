@@ -33,14 +33,14 @@ fn main() {
     let scheme = tpch::vertical_scheme(&schema, 10);
 
     let t0 = Instant::now();
-    let mut det: Box<dyn Detector> = DetectorBuilder::new(schema.clone(), cfds.clone())
-        .vertical(scheme.clone())
-        .build_dyn(&d)
+    let mut det = Suite::on(schema.clone())
+        .cfds(cfds.clone())
+        .strategy(Strategy::Vertical(scheme.clone()))
+        .build_detector(&d)
         .expect("detector builds");
-    let mut bat: Box<dyn Detector> = DetectorBuilder::new(schema.clone(), cfds.clone())
-        .baseline(BaselineStrategy::BatVer(scheme))
-        .initial_violations(det.violations().clone())
-        .build_dyn(&d)
+    // The baseline takes V(Σ, D₀) from the incremental detector.
+    let v0 = det.violations().clone();
+    let mut bat = incdetect::baselines::BatVer::with_initial(schema, cfds, scheme, &d, v0)
         .expect("baseline builds");
     println!(
         "initial V(Σ, D): {} violating tuples ({} marks), built in {:.2}s",

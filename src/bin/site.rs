@@ -158,7 +158,14 @@ fn run_cluster(args: &Args) -> Result<(), DetectError> {
     let wall = t0.elapsed().as_secs_f64();
 
     // Single-thread reference drive over the simulated substrate.
-    let mut seq = HorizontalDetector::new(schema, cfds, scheme, &d)?;
+    let mut seq = HorizontalDetector::new(
+        schema,
+        cfds,
+        scheme,
+        &d,
+        CodecKind::Md5,
+        TransportKind::Simulated,
+    )?;
     seq.apply(&delta)?;
     assert_eq!(
         det.violations().marks_sorted(),

@@ -22,10 +22,10 @@
 //!
 //! # Quickstart
 //!
-//! Detectors are constructed through [`DetectorBuilder`](incdetect::DetectorBuilder)
-//! and all implement the [`Detector`](incdetect::Detector) trait —
+//! Detectors are constructed through [`Suite`](incdetect::Suite) and all
+//! implement the [`Detector`](incdetect::Detector) trait —
 //! `violations()`, `apply(ΔD) → ΔV`, and `net()` for traffic accounting —
-//! regardless of the partition strategy.
+//! regardless of the partition [`Strategy`](incdetect::Strategy).
 //!
 //! ```
 //! use inc_cfd::prelude::*;
@@ -38,9 +38,10 @@
 //! // Partition horizontally by salary grade across 3 sites and build the
 //! // incremental detector.
 //! let scheme = workload::emp::emp_horizontal_scheme(&schema);
-//! let mut det = DetectorBuilder::new(schema.clone(), sigma.clone())
-//!     .horizontal(scheme)
-//!     .build(&d0)
+//! let mut det = Suite::on(schema.clone())
+//!     .cfds(sigma.clone())
+//!     .strategy(Strategy::Horizontal(scheme))
+//!     .build_detector(&d0)
 //!     .unwrap();
 //!
 //! // Initial violations: t1, t3, t4, t5 (φ1) and t1 (φ2).
@@ -56,20 +57,11 @@
 //! assert!(dv.removed_tids_sorted().is_empty());
 //! assert_eq!(det.net().total_bytes(), 0);
 //!
-//! // The same session works for any strategy through `dyn Detector`:
-//! let (schema, d0) = workload::emp::emp_relation();
+//! // The same session works for any strategy:
 //! let vscheme = workload::emp::emp_vertical_scheme(&schema);
-//! let mut dets: Vec<Box<dyn Detector>> = vec![
-//!     DetectorBuilder::new(schema.clone(), sigma.clone())
-//!         .vertical(vscheme.clone())
-//!         .build_dyn(&d0)
-//!         .unwrap(),
-//!     DetectorBuilder::new(schema.clone(), sigma.clone())
-//!         .baseline(BaselineStrategy::BatVer(vscheme))
-//!         .build_dyn(&d0)
-//!         .unwrap(),
-//! ];
-//! for det in &mut dets {
+//! for strategy in [Strategy::Vertical(vscheme.clone()), Strategy::BatVer(vscheme)] {
+//!     let suite = Suite::on(schema.clone()).cfds(sigma.clone());
+//!     let mut det = suite.strategy(strategy).build_detector(&d0).unwrap();
 //!     let dv = det.apply(&delta).unwrap();
 //!     assert_eq!(dv.added_tids_sorted(), vec![6], "{}", det.strategy());
 //! }
@@ -95,9 +87,8 @@ pub mod prelude {
         CostModel, NetReport, NetStats, SiteId, TransportMeter,
     };
     pub use incdetect::{
-        AnalysisMode, BaselineStrategy, DetectError, Detector, DetectorBuilder, HorizontalDetector,
-        HybridDetector, HybridScheme, RuleInfo, SharingMode, Strategy, Suite, SuiteDelta,
-        SuiteSession, VerticalDetector,
+        AnalysisMode, DetectError, Detector, HorizontalDetector, HybridDetector, HybridScheme,
+        RuleInfo, SharingMode, Strategy, Suite, SuiteDelta, SuiteSession, VerticalDetector,
     };
     pub use loadgen::{
         catalog, run_load, run_suite_load, ArrivalShape, DirtyRate, Histogram, KeyDist, LoadConfig,

@@ -112,17 +112,13 @@ fn optimizer_reduces_or_matches_default_on_real_rule_sets() {
 fn optimized_plan_detects_identically_on_tpch_updates() {
     let (s, d, cfds) = tpch_small();
     let scheme = tpch::vertical_scheme(&s, 6);
-    let opt = optimize(&cfds, &scheme, OptimizeConfig::default());
-
-    let mut det_def = DetectorBuilder::new(s.clone(), cfds.clone())
-        .vertical(scheme.clone())
-        .build(&d)
-        .unwrap();
-    let mut det_opt = DetectorBuilder::new(s.clone(), cfds.clone())
-        .vertical(scheme)
-        .with_plan(opt)
-        .build(&d)
-        .unwrap();
+    let suite = Suite::on(s.clone()).cfds(cfds.clone());
+    let build = |strategy| suite.clone().strategy(strategy).build_detector(&d).unwrap();
+    let mut det_def = build(Strategy::Vertical(scheme.clone()));
+    let mut det_opt = build(Strategy::OptimizedVertical(
+        scheme,
+        OptimizeConfig::default(),
+    ));
 
     let cfg = TpchConfig {
         n_rows: 800,
@@ -195,16 +191,9 @@ fn md5_and_raw_horizontal_agree_with_less_traffic_for_md5() {
         10,
     );
 
-    let mut md5 = DetectorBuilder::new(s.clone(), cfds.clone())
-        .horizontal(hs.clone())
-        .md5()
-        .build(&d)
-        .unwrap();
-    let mut raw = DetectorBuilder::new(s, cfds)
-        .horizontal(hs)
-        .raw_values()
-        .build(&d)
-        .unwrap();
+    let suite = Suite::on(s).cfds(cfds).strategy(Strategy::Horizontal(hs));
+    let build = |codec| suite.clone().codec(codec).build_detector(&d).unwrap();
+    let (mut md5, mut raw) = (build(CodecKind::Md5), build(CodecKind::RawValues));
     md5.apply(&delta).unwrap();
     raw.apply(&delta).unwrap();
     assert_eq!(

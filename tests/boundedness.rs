@@ -12,10 +12,7 @@ fn vertical(
     scheme: &VerticalScheme,
     d: &Relation,
 ) -> VerticalDetector {
-    DetectorBuilder::new(schema.clone(), cfds.to_vec())
-        .vertical(scheme.clone())
-        .build(d)
-        .unwrap()
+    VerticalDetector::new(schema.clone(), cfds.to_vec(), scheme.clone(), d).unwrap()
 }
 use workload::family::{cfd_family, FamilyConfig};
 use workload::tpch::{self, TpchConfig};
@@ -149,9 +146,10 @@ fn horizontal_shipment_independent_of_base_size() {
     let mut msgs = Vec::new();
     for rows in [500usize, 4_000] {
         let (_, d) = tpch::generate(&cfg(rows));
-        let mut det = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .horizontal(scheme.clone())
-            .build(&d)
+        let mut det = Suite::on(schema.clone())
+            .cfds(cfds.clone())
+            .strategy(Strategy::Horizontal(scheme.clone()))
+            .build_detector(&d)
             .unwrap();
         det.apply(&delta).unwrap();
         msgs.push(det.net().total_messages());
@@ -180,10 +178,7 @@ fn delta_v_reflects_group_collapse() {
         ..cfg(300)
     };
     let (_, d) = tpch::generate(&c);
-    let mut det = DetectorBuilder::new(schema, cfds.clone())
-        .vertical(scheme)
-        .build(&d)
-        .unwrap();
+    let mut det = VerticalDetector::new(schema, cfds.clone(), scheme, &d).unwrap();
     let before = det.violations().len();
     assert!(before > 0);
 
@@ -266,7 +261,15 @@ fn census_is_a_grouping_by_site_and_operator() {
     };
     assert!(model.spilled_class_maps > 0 && model.spilled_tid_sets > 0);
 
-    let det = HorizontalDetector::new(schema, cfds.clone(), scheme, &d0).unwrap();
+    let det = HorizontalDetector::new(
+        schema,
+        cfds.clone(),
+        scheme,
+        &d0,
+        CodecKind::Md5,
+        TransportKind::Simulated,
+    )
+    .unwrap();
     let census = det.state_census();
     assert!(census.resident_bytes > 0);
     assert_eq!(
@@ -400,12 +403,13 @@ fn group_state_returns_to_start_after_churn() {
     for case in &churn_cases() {
         let schema = case.d0.schema();
         for codec in [CodecKind::Md5, CodecKind::RawValues, CodecKind::Dict] {
-            let mut det = HorizontalDetector::with_codec(
+            let mut det = HorizontalDetector::new(
                 schema.clone(),
                 case.cfds.clone(),
                 case.hor.clone(),
                 &case.d0,
                 codec,
+                TransportKind::Simulated,
             )
             .unwrap();
             let start = det.state_census();

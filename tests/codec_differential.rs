@@ -29,14 +29,12 @@ fn run_stream(
     d0: &Relation,
     batches: &[UpdateBatch],
 ) -> Vec<(CodecKind, u64)> {
-    let mut dets: Vec<(CodecKind, HorizontalDetector)> = CODECS
+    let suite = Suite::on(schema.clone()).cfds(cfds.to_vec());
+    let suite = suite.strategy(Strategy::Horizontal(scheme.clone()));
+    let mut dets: Vec<(CodecKind, Box<dyn Detector>)> = CODECS
         .map(|codec| {
-            let det = DetectorBuilder::new(schema.clone(), cfds.to_vec())
-                .horizontal(scheme.clone())
-                .codec(codec)
-                .build(d0)
-                .expect("detector builds");
-            (codec, det)
+            let det = suite.clone().codec(codec).build_detector(d0);
+            (codec, det.expect("detector builds"))
         })
         .into_iter()
         .collect();
@@ -160,11 +158,8 @@ fn dblp_codecs_agree_and_dict_undercuts_raw() {
     );
     // Reports carry the codec label the traffic was encoded with.
     for codec in CODECS {
-        let det = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .horizontal(scheme.clone())
-            .codec(codec)
-            .build(&d0)
-            .unwrap();
+        let (s, c, sim) = (schema.clone(), cfds.clone(), TransportKind::Simulated);
+        let det = HorizontalDetector::new(s, c, scheme.clone(), &d0, codec, sim).unwrap();
         assert_eq!(det.net().codec(), Some(codec.name()));
         assert_eq!(det.codec_kind(), codec);
     }
@@ -184,10 +179,11 @@ fn hybrid_inter_region_codecs_agree() {
     delta.normalize(&mirror).apply(&mut mirror).unwrap();
     let oracle = cfd::naive::detect(&cfds, &mirror);
     for codec in CODECS {
-        let mut det = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .hybrid(scheme.clone())
+        let mut det = Suite::on(schema.clone())
+            .cfds(cfds.clone())
+            .strategy(Strategy::Hybrid(scheme.clone()))
             .codec(codec)
-            .build(&d0)
+            .build_detector(&d0)
             .unwrap();
         det.apply(&delta).unwrap();
         assert_eq!(

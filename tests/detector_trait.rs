@@ -3,7 +3,10 @@
 //! through one generic function over `dyn Detector` and must agree with
 //! the centralized ground-truth oracle on every workload.
 
+mod common;
+
 use inc_cfd::cluster::ClusterError;
+use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use inc_cfd::relation::RelError;
 use std::sync::Arc;
@@ -17,8 +20,7 @@ fn retid(t: &Tuple, tid: Tid) -> Tuple {
     Tuple::new(tid, vals)
 }
 
-/// Every strategy over the same `(schema, Σ, D₀)` instance, built through
-/// the single `DetectorBuilder` entry point.
+/// Every strategy over the same `(schema, Σ, D₀)` instance.
 fn all_strategies(
     schema: &Arc<Schema>,
     cfds: &[Cfd],
@@ -27,34 +29,10 @@ fn all_strategies(
     yscheme: HybridScheme,
     d0: &Relation,
 ) -> Vec<Box<dyn Detector>> {
-    let b = || DetectorBuilder::new(schema.clone(), cfds.to_vec());
-    vec![
-        b().vertical(vscheme.clone()).build_dyn(d0).expect("incVer"),
-        b().vertical(vscheme.clone())
-            .optimized(incdetect::optimize::OptimizeConfig::default())
-            .build_dyn(d0)
-            .expect("incVer/optVer"),
-        b().horizontal(hscheme.clone())
-            .build_dyn(d0)
-            .expect("incHor"),
-        b().horizontal(hscheme.clone())
-            .raw_values()
-            .build_dyn(d0)
-            .expect("incHor/raw"),
-        b().hybrid(yscheme).build_dyn(d0).expect("incHyb"),
-        b().baseline(BaselineStrategy::BatVer(vscheme.clone()))
-            .build_dyn(d0)
-            .expect("batVer"),
-        b().baseline(BaselineStrategy::BatHor(hscheme.clone()))
-            .build_dyn(d0)
-            .expect("batHor"),
-        b().baseline(BaselineStrategy::IbatVer(vscheme))
-            .build_dyn(d0)
-            .expect("ibatVer"),
-        b().baseline(BaselineStrategy::IbatHor(hscheme))
-            .build_dyn(d0)
-            .expect("ibatHor"),
-    ]
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(schema, cfds, &vscheme, &hscheme, &yscheme, opt);
+    let build = |(name, suite): (&str, Suite)| suite.build_detector(d0).expect(name);
+    suites.into_iter().map(build).collect()
 }
 
 /// The single shared driver: apply `delta`, keep a centralized mirror in
@@ -228,9 +206,12 @@ fn net_report_is_normalized_across_strategies() {
     }
 
     // The hybrid report exposes both tiers by name.
-    let mut hybrid = DetectorBuilder::new(schema.clone(), sigma)
-        .hybrid(HybridScheme::uniform(schema.clone(), 2, 2).expect("scheme"))
-        .build_dyn(&d0)
+    let mut hybrid = Suite::on(schema.clone())
+        .cfds(sigma)
+        .strategy(Strategy::Hybrid(
+            HybridScheme::uniform(schema, 2, 2).expect("scheme"),
+        ))
+        .build_detector(&d0)
         .expect("incHyb");
     hybrid.apply(&delta).expect("apply");
     let net = hybrid.net();

@@ -56,37 +56,37 @@ fn fig9_and_fig11_shipments() {
     let (schema, cfds, d, delta) = fixture();
     let vs = tpch::vertical_scheme(&schema, 10);
     let hs = tpch::horizontal_scheme(&schema, 10);
-    let b = || DetectorBuilder::new(schema.clone(), cfds.clone());
-    let against = |inc: Box<dyn Detector>, bat: BaselineStrategy| {
-        let bat = b()
-            .baseline(bat)
-            .initial_violations(inc.violations().clone())
-            .build_dyn(&d)
-            .unwrap();
-        shipped(inc, bat, &delta)
+    let suite = Suite::on(schema.clone()).cfds(cfds.clone());
+    let build = |strategy, codec| {
+        let suite = suite.clone().strategy(strategy).codec(codec);
+        suite.build_detector(&d).unwrap()
     };
-    let inc_ver = || b().vertical(vs.clone()).build_dyn(&d).unwrap();
-    let inc_hor = || b().horizontal(hs.clone()).build_dyn(&d).unwrap();
+    let against = |inc, codec, bat| shipped(build(inc, codec), build(bat, codec), &delta);
+    let (inc_ver, inc_hor) = (
+        || Strategy::Vertical(vs.clone()),
+        || Strategy::Horizontal(hs.clone()),
+    );
+    let md5 = CodecKind::Md5;
 
     // Fig. 9: incremental vs batch, the horizontal side per codec.
-    let bat_hor = || BaselineStrategy::BatHor(hs.clone());
+    let bat_hor = || Strategy::BatHor(hs.clone());
     assert_eq!(
-        against(inc_ver(), BaselineStrategy::BatVer(vs.clone())),
+        against(inc_ver(), md5, Strategy::BatVer(vs.clone())),
         [12_888, 60_755, 1_600]
     );
-    assert_eq!(against(inc_hor(), bat_hor()), [79_590, 111_015, 0]);
-    let raw = b().horizontal(hs.clone()).raw_values().build_dyn(&d);
-    assert_eq!(against(raw.unwrap(), bat_hor()), [81_093, 111_015, 0]);
-    let dict = b().horizontal(hs.clone()).dict().build_dyn(&d);
-    assert_eq!(against(dict.unwrap(), bat_hor()), [64_710, 111_015, 0]);
+    assert_eq!(against(inc_hor(), md5, bat_hor()), [79_590, 111_015, 0]);
+    let raw = CodecKind::RawValues;
+    assert_eq!(against(inc_hor(), raw, bat_hor()), [81_093, 111_015, 0]);
+    let dict = CodecKind::Dict;
+    assert_eq!(against(inc_hor(), dict, bat_hor()), [64_710, 111_015, 0]);
 
     // Fig. 11: incremental vs the refined batch recomputation.
     assert_eq!(
-        against(inc_ver(), BaselineStrategy::IbatVer(vs.clone())),
+        against(inc_ver(), md5, Strategy::IbatVer(vs.clone())),
         [12_888, 33_624, 1_600]
     );
     assert_eq!(
-        against(inc_hor(), BaselineStrategy::IbatHor(hs.clone())),
+        against(inc_hor(), md5, Strategy::IbatHor(hs.clone())),
         [79_590, 384_356, 0]
     );
 }
@@ -164,12 +164,8 @@ fn framed_transport_per_codec() {
         (CodecKind::Dict, [64_710, 85_578, 1_488, 20_868, 0]),
         (CodecKind::Lz, [81_093, 102_656, 1_488, 25_500, 3_937]),
     ] {
-        let mut det = DetectorBuilder::new(schema.clone(), cfds.clone())
-            .horizontal(hs.clone())
-            .codec(kind)
-            .transport(TransportKind::Framed)
-            .build(&d)
-            .unwrap();
+        let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
+        let mut det = HorizontalDetector::new(s, c, hs.clone(), &d, kind, framed).unwrap();
         det.apply(&delta).unwrap();
         let m = det.transport_meter().expect("framed runs meter the wire");
         assert_eq!(m.modeled_bytes, det.stats().total_bytes());
@@ -265,28 +261,29 @@ const LOAD: [LoadRow; 5] = [
 /// Run one scenario × cell after four warm-up ticks. Returns `(updates,
 /// Σ|ΔV| marks, final marks)` and `(modeled |M|, measured wire bytes)`.
 fn load_cell(cfg: &ScenarioCfg, ds: &Dataset, cell: Cell) -> ([u64; 3], u64, Option<u64>) {
-    let b = DetectorBuilder::new(ds.schema.clone(), ds.cfds.clone());
-    let framed = TransportKind::Framed;
-    let mut det = match cell {
-        Cell::IncVer => b.vertical(ds.vertical.clone()).build_dyn(&ds.base),
-        Cell::IncHor(codec, transport) => b
-            .horizontal(ds.horizontal.clone())
-            .codec(codec)
-            .transport(transport)
-            .build_dyn(&ds.base),
-        Cell::IncHyb => b
-            .hybrid(ds.hybrid.clone())
-            .codec(CodecKind::Md5)
-            .build_dyn(&ds.base),
-        Cell::BatVer => b
-            .baseline(BaselineStrategy::BatVer(ds.vertical.clone()))
-            .transport(framed)
-            .build_dyn(&ds.base),
-        Cell::BatHor => b
-            .baseline(BaselineStrategy::BatHor(ds.horizontal.clone()))
-            .transport(framed)
-            .build_dyn(&ds.base),
-    }
+    let (md5, sim, framed) = (
+        CodecKind::Md5,
+        TransportKind::Simulated,
+        TransportKind::Framed,
+    );
+    let (strategy, codec, transport) = match cell {
+        Cell::IncVer => (Strategy::Vertical(ds.vertical.clone()), md5, sim),
+        Cell::IncHor(codec, transport) => (
+            Strategy::Horizontal(ds.horizontal.clone()),
+            codec,
+            transport,
+        ),
+        Cell::IncHyb => (Strategy::Hybrid(ds.hybrid.clone()), md5, sim),
+        Cell::BatVer => (Strategy::BatVer(ds.vertical.clone()), md5, framed),
+        Cell::BatHor => (Strategy::BatHor(ds.horizontal.clone()), md5, framed),
+    };
+    let suite = Suite::on(ds.schema.clone())
+        .cfds(ds.cfds.clone())
+        .strategy(strategy);
+    let mut det = (suite
+        .codec(codec)
+        .transport(transport)
+        .build_detector(&ds.base))
     .expect("detector builds for the scenario");
     let r = run_load(
         cfg.name,

@@ -24,9 +24,10 @@ fn tpch_small() -> (std::sync::Arc<Schema>, Relation, Vec<Cfd>, TpchConfig) {
 fn hybrid_detector_matches_oracle_over_update_rounds() {
     let (s, mut d, cfds, cfg) = tpch_small();
     let scheme = HybridScheme::uniform(s.clone(), 3, 3).unwrap();
-    let mut det = DetectorBuilder::new(s.clone(), cfds.clone())
-        .hybrid(scheme)
-        .build(&d)
+    let suite = Suite::on(s.clone()).cfds(cfds.clone());
+    let mut det = suite
+        .strategy(Strategy::Hybrid(scheme))
+        .build_detector(&d)
         .unwrap();
     let oracle0 = cfd::naive::detect(&cfds, &d);
     assert_eq!(det.violations().marks_sorted(), oracle0.marks_sorted());
@@ -130,9 +131,9 @@ id,grade,CC,AC,zip,street,city
     )
     .unwrap();
     let scheme = cluster::partition::VerticalScheme::round_robin(s.clone(), 3).unwrap();
-    let det = DetectorBuilder::new(s, sigma)
-        .vertical(scheme)
-        .build(&d)
-        .unwrap();
+    let suite = Suite::on(s)
+        .cfds(sigma)
+        .strategy(Strategy::Vertical(scheme));
+    let det = suite.build_detector(&d).unwrap();
     assert_eq!(det.violations().tids_sorted(), vec![1, 3, 4, 5]);
 }

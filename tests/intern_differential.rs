@@ -3,8 +3,8 @@
 //! The PR rekeyed every detection hot path on interned symbols (`BaseHev`
 //! on `Sym`, grouping on symbol vectors, inline non-base keys), so this
 //! suite drives **string-heavy** seeded workloads — where interning
-//! actually collapses payloads — through all nine `DetectorBuilder`
-//! strategy configurations and checks them against an *independent*
+//! actually collapses payloads — through all nine strategy
+//! configurations and checks them against an *independent*
 //! pairwise oracle implemented here straight from the CFD semantics
 //! (deliberately not `cfd::naive`, which now interns too: the oracle and
 //! the system under test must not share the new code path).
@@ -18,6 +18,9 @@
 //! (encode/decode differential against the retired row-oriented
 //! shipment, cumulative dictionary deltas across a link).
 
+mod common;
+
+use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use incdetect::baselines::ColsMsg;
 use rand::rngs::StdRng;
@@ -161,36 +164,14 @@ fn strategies(
     let vscheme = VerticalScheme::round_robin(s.clone(), n_sites).unwrap();
     let hscheme = HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap();
     let yscheme = HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap();
-    let b = || DetectorBuilder::new(s.clone(), cfds.to_vec());
-    vec![
-        b().vertical(vscheme.clone()).build_dyn(d).unwrap(),
-        b().vertical(vscheme.clone())
-            .optimized(incdetect::optimize::OptimizeConfig {
-                k: 3,
-                eval_budget: 500,
-                relocate: true,
-            })
-            .build_dyn(d)
-            .unwrap(),
-        b().horizontal(hscheme.clone()).build_dyn(d).unwrap(),
-        b().horizontal(hscheme.clone())
-            .raw_values()
-            .build_dyn(d)
-            .unwrap(),
-        b().hybrid(yscheme).build_dyn(d).unwrap(),
-        b().baseline(BaselineStrategy::BatVer(vscheme.clone()))
-            .build_dyn(d)
-            .unwrap(),
-        b().baseline(BaselineStrategy::BatHor(hscheme.clone()))
-            .build_dyn(d)
-            .unwrap(),
-        b().baseline(BaselineStrategy::IbatVer(vscheme))
-            .build_dyn(d)
-            .unwrap(),
-        b().baseline(BaselineStrategy::IbatHor(hscheme))
-            .build_dyn(d)
-            .unwrap(),
-    ]
+    let opt = OptimizeConfig {
+        k: 3,
+        eval_budget: 500,
+        relocate: true,
+    };
+    let suites = common::nine_suites(s, cfds, &vscheme, &hscheme, &yscheme, opt);
+    let build = |(_, suite): (&str, Suite)| suite.build_detector(d).unwrap();
+    suites.into_iter().map(build).collect()
 }
 
 #[test]

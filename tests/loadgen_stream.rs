@@ -2,6 +2,9 @@
 //! correctness of a sampled stream prefix across all nine strategies,
 //! and churn settling through every strategy.
 
+mod common;
+
+use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use loadgen::{catalog, Scenario, Tick};
 use std::sync::Arc;
@@ -17,34 +20,10 @@ fn all_strategies(
     yscheme: HybridScheme,
     d0: &Relation,
 ) -> Vec<Box<dyn Detector>> {
-    let b = || DetectorBuilder::new(schema.clone(), cfds.to_vec());
-    vec![
-        b().vertical(vscheme.clone()).build_dyn(d0).expect("incVer"),
-        b().vertical(vscheme.clone())
-            .optimized(incdetect::optimize::OptimizeConfig::default())
-            .build_dyn(d0)
-            .expect("incVer/optVer"),
-        b().horizontal(hscheme.clone())
-            .build_dyn(d0)
-            .expect("incHor"),
-        b().horizontal(hscheme.clone())
-            .raw_values()
-            .build_dyn(d0)
-            .expect("incHor/raw"),
-        b().hybrid(yscheme).build_dyn(d0).expect("incHyb"),
-        b().baseline(BaselineStrategy::BatVer(vscheme.clone()))
-            .build_dyn(d0)
-            .expect("batVer"),
-        b().baseline(BaselineStrategy::BatHor(hscheme.clone()))
-            .build_dyn(d0)
-            .expect("batHor"),
-        b().baseline(BaselineStrategy::IbatVer(vscheme))
-            .build_dyn(d0)
-            .expect("ibatVer"),
-        b().baseline(BaselineStrategy::IbatHor(hscheme))
-            .build_dyn(d0)
-            .expect("ibatHor"),
-    ]
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(schema, cfds, &vscheme, &hscheme, &yscheme, opt);
+    let build = |(name, suite): (&str, Suite)| suite.build_detector(d0).expect(name);
+    suites.into_iter().map(build).collect()
 }
 
 #[test]
@@ -122,19 +101,13 @@ fn apply_one_walk_matches_batch_walk() {
         .expect("zipf_hot in catalog");
     let ds = cfg.dataset();
     let prefix: Vec<Tick> = cfg.stream(&ds).take(6).collect();
-    let b = || DetectorBuilder::new(ds.schema.clone(), ds.cfds.to_vec());
-    let mut by_batch = b()
-        .horizontal(ds.horizontal.clone())
-        .build_dyn(&ds.base)
-        .unwrap();
-    let mut by_op = b()
-        .horizontal(ds.horizontal.clone())
-        .build_dyn(&ds.base)
-        .unwrap();
-    let mut by_op_ver = b()
-        .vertical(ds.vertical.clone())
-        .build_dyn(&ds.base)
-        .unwrap();
+    let b = |strategy| {
+        let suite = Suite::on(ds.schema.clone()).cfds(ds.cfds.to_vec());
+        suite.strategy(strategy).build_detector(&ds.base).unwrap()
+    };
+    let mut by_batch = b(Strategy::Horizontal(ds.horizontal.clone()));
+    let mut by_op = b(Strategy::Horizontal(ds.horizontal.clone()));
+    let mut by_op_ver = b(Strategy::Vertical(ds.vertical.clone()));
     for tick in &prefix {
         by_batch.apply(&tick.batch).unwrap();
         for op in tick.batch.ops() {

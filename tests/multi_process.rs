@@ -136,7 +136,15 @@ fn multi_process_matches_threaded_and_sequential() {
     .expect("threaded mesh forms");
     thr.apply(&delta).expect("apply over threads");
 
-    let mut seq = HorizontalDetector::new(schema, cfds, scheme, &d).expect("sequential builds");
+    let mut seq = HorizontalDetector::new(
+        schema,
+        cfds,
+        scheme,
+        &d,
+        CodecKind::Md5,
+        TransportKind::Simulated,
+    )
+    .expect("sequential builds");
     seq.apply(&delta).expect("sequential apply");
 
     assert_eq!(

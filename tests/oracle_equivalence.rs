@@ -8,6 +8,9 @@
 //! generated from explicit seeds with the workspace PRNG, so a failing
 //! seed reproduces with no external shrinking machinery.
 
+mod common;
+
+use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,36 +128,14 @@ fn strategies(
     let vscheme = VerticalScheme::round_robin(s.clone(), n_sites).unwrap();
     let hscheme = HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap();
     let yscheme = HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap();
-    let b = || DetectorBuilder::new(s.clone(), cfds.to_vec());
-    vec![
-        b().vertical(vscheme.clone()).build_dyn(d).unwrap(),
-        b().vertical(vscheme.clone())
-            .optimized(incdetect::optimize::OptimizeConfig {
-                k: 3,
-                eval_budget: 500,
-                relocate: true,
-            })
-            .build_dyn(d)
-            .unwrap(),
-        b().horizontal(hscheme.clone()).build_dyn(d).unwrap(),
-        b().horizontal(hscheme.clone())
-            .raw_values()
-            .build_dyn(d)
-            .unwrap(),
-        b().hybrid(yscheme).build_dyn(d).unwrap(),
-        b().baseline(BaselineStrategy::BatVer(vscheme.clone()))
-            .build_dyn(d)
-            .unwrap(),
-        b().baseline(BaselineStrategy::BatHor(hscheme.clone()))
-            .build_dyn(d)
-            .unwrap(),
-        b().baseline(BaselineStrategy::IbatVer(vscheme))
-            .build_dyn(d)
-            .unwrap(),
-        b().baseline(BaselineStrategy::IbatHor(hscheme))
-            .build_dyn(d)
-            .unwrap(),
-    ]
+    let opt = OptimizeConfig {
+        k: 3,
+        eval_budget: 500,
+        relocate: true,
+    };
+    let suites = common::nine_suites(s, cfds, &vscheme, &hscheme, &yscheme, opt);
+    let build = |(_, suite): (&str, Suite)| suite.build_detector(d).unwrap();
+    suites.into_iter().map(build).collect()
 }
 
 #[test]

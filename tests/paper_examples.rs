@@ -1,16 +1,25 @@
 //! End-to-end reproduction of the paper's worked examples through the
 //! public facade: Fig. 1's violation table, Example 2 (incremental insert
 //! and delete), Example 6 (single-eqid shipment), and Example 9
-//! (horizontal zero-shipment insert) — all constructed through
-//! `DetectorBuilder` and driven through the `Detector` trait surface.
+//! (horizontal zero-shipment insert) — driven through the `Detector`
+//! trait surface.
 
 use inc_cfd::prelude::*;
+use std::sync::Arc;
 
-fn builder(schema: &std::sync::Arc<Schema>, sigma: &[Cfd]) -> DetectorBuilder {
-    DetectorBuilder::new(schema.clone(), sigma.to_vec())
+fn build(
+    schema: &Arc<Schema>,
+    sigma: &[Cfd],
+    strategy: Strategy,
+    d0: &Relation,
+) -> Box<dyn Detector> {
+    let suite = Suite::on(schema.clone())
+        .cfds(sigma.to_vec())
+        .strategy(strategy);
+    suite.build_detector(d0).unwrap()
 }
 
-fn setup() -> (std::sync::Arc<Schema>, Relation, Vec<Cfd>) {
+fn setup() -> (Arc<Schema>, Relation, Vec<Cfd>) {
     let (schema, d0) = workload::emp::emp_relation();
     let sigma = workload::emp::emp_cfds(&schema);
     (schema, d0, sigma)
@@ -20,10 +29,7 @@ fn setup() -> (std::sync::Arc<Schema>, Relation, Vec<Cfd>) {
 fn fig1_violation_table_vertical() {
     let (schema, d0, sigma) = setup();
     let scheme = workload::emp::emp_vertical_scheme(&schema);
-    let det = builder(&schema, &sigma)
-        .vertical(scheme)
-        .build(&d0)
-        .unwrap();
+    let det = build(&schema, &sigma, Strategy::Vertical(scheme), &d0);
     // φ1: t1, t3, t4, t5; φ2: t1.
     let mut phi1: Vec<Tid> = det.violations().of_cfd(0).iter().copied().collect();
     phi1.sort_unstable();
@@ -36,10 +42,7 @@ fn fig1_violation_table_vertical() {
 fn fig1_violation_table_horizontal() {
     let (schema, d0, sigma) = setup();
     let scheme = workload::emp::emp_horizontal_scheme(&schema);
-    let det = builder(&schema, &sigma)
-        .horizontal(scheme)
-        .build(&d0)
-        .unwrap();
+    let det = build(&schema, &sigma, Strategy::Horizontal(scheme), &d0);
     assert_eq!(det.violations().tids_sorted(), vec![1, 3, 4, 5]);
 }
 
@@ -47,10 +50,7 @@ fn fig1_violation_table_horizontal() {
 fn example2_vertical_insert_t6_then_delete_t4() {
     let (schema, d0, sigma) = setup();
     let scheme = workload::emp::emp_vertical_scheme(&schema);
-    let mut det = builder(&schema, &sigma)
-        .vertical(scheme)
-        .build(&d0)
-        .unwrap();
+    let mut det = build(&schema, &sigma, Strategy::Vertical(scheme), &d0);
 
     // (1) Insertion of t6: ΔV = {t6}.
     let mut delta = UpdateBatch::new();
@@ -84,11 +84,7 @@ fn example6_single_eqid_shipped_for_phi1() {
         incdetect::optimize::OptimizeConfig::default(),
     );
     assert_eq!(plan.neqid(), 1, "optVer finds the Fig. 3 placement");
-    let mut det = builder(&schema, &phi1)
-        .vertical(scheme)
-        .with_plan(plan)
-        .build(&d0)
-        .unwrap();
+    let mut det = VerticalDetector::with_plan(schema, phi1, scheme, plan, &d0).unwrap();
 
     let mut delta = UpdateBatch::new();
     delta.insert(workload::emp::t6());
@@ -108,10 +104,7 @@ fn example6_single_eqid_shipped_for_phi1() {
 fn example9_horizontal_zero_shipment() {
     let (schema, d0, sigma) = setup();
     let scheme = workload::emp::emp_horizontal_scheme(&schema);
-    let mut det = builder(&schema, &sigma)
-        .horizontal(scheme)
-        .build(&d0)
-        .unwrap();
+    let mut det = build(&schema, &sigma, Strategy::Horizontal(scheme), &d0);
 
     let mut delta = UpdateBatch::new();
     delta.insert(workload::emp::t6());
@@ -144,14 +137,8 @@ fn batch_and_incremental_agree_after_example_updates() {
     let (schema, d0, sigma) = setup();
     let vscheme = workload::emp::emp_vertical_scheme(&schema);
     let hscheme = workload::emp::emp_horizontal_scheme(&schema);
-    let mut vdet = builder(&schema, &sigma)
-        .vertical(vscheme.clone())
-        .build(&d0)
-        .unwrap();
-    let mut hdet = builder(&schema, &sigma)
-        .horizontal(hscheme.clone())
-        .build(&d0)
-        .unwrap();
+    let mut vdet = build(&schema, &sigma, Strategy::Vertical(vscheme.clone()), &d0);
+    let mut hdet = build(&schema, &sigma, Strategy::Horizontal(hscheme.clone()), &d0);
 
     let mut delta = UpdateBatch::new();
     delta.insert(workload::emp::t6());

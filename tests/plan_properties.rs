@@ -130,16 +130,17 @@ fn optimized_plan_is_detection_equivalent() {
             d.insert(Tuple::new(tid, vals)).unwrap();
         }
 
-        // The optimized plan through the builder must agree with the
+        // The optimized plan through `Suite` must agree with the
         // centralized oracle.
-        let det_opt = DetectorBuilder::new(s.clone(), cfds.clone())
-            .vertical(scheme.clone())
-            .optimized(OptimizeConfig {
-                k: 2,
-                eval_budget: 200,
-                relocate: true,
-            })
-            .build(&d)
+        let opt = OptimizeConfig {
+            k: 2,
+            eval_budget: 200,
+            relocate: true,
+        };
+        let det_opt = Suite::on(s.clone())
+            .cfds(cfds.clone())
+            .strategy(Strategy::OptimizedVertical(scheme.clone(), opt))
+            .build_detector(&d)
             .unwrap();
         let oracle = cfd::naive::detect(&cfds, &d);
         assert_eq!(

@@ -6,11 +6,12 @@
 //! bit-identical `ΔV` and violations — pruning changes what is
 //! *evaluated*, never what is *detected*.
 //!
-//! Plus the refusal paths: an unsatisfiable catalog must fail to build
-//! under `Prune` (detection over it is vacuous — everything violates),
-//! and a concrete (non-boxed) `build()` must refuse a catalog that
-//! `Prune` would actually shrink, pointing at `build_dyn`.
+//! Plus the refusal path: an unsatisfiable catalog must fail to build
+//! under `Prune` (detection over it is vacuous — everything violates).
 
+mod common;
+
+use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use std::sync::Arc;
 use workload::family::{cfd_family, FamilyConfig};
@@ -20,40 +21,14 @@ use workload::updates::{self, UpdateMix};
 fn strategies(
     schema: &Arc<Schema>,
     cfds: &[Cfd],
-    vscheme: VerticalScheme,
-    hscheme: HorizontalScheme,
-    yscheme: HybridScheme,
+    (vscheme, hscheme, yscheme): (&VerticalScheme, &HorizontalScheme, &HybridScheme),
     d0: &Relation,
     mode: AnalysisMode,
 ) -> Vec<Box<dyn Detector>> {
-    let b = || DetectorBuilder::new(schema.clone(), cfds.to_vec()).analyze(mode);
-    vec![
-        b().vertical(vscheme.clone()).build_dyn(d0).expect("incVer"),
-        b().vertical(vscheme.clone())
-            .optimized(incdetect::optimize::OptimizeConfig::default())
-            .build_dyn(d0)
-            .expect("incVer/optVer"),
-        b().horizontal(hscheme.clone())
-            .build_dyn(d0)
-            .expect("incHor"),
-        b().horizontal(hscheme.clone())
-            .raw_values()
-            .build_dyn(d0)
-            .expect("incHor/raw"),
-        b().hybrid(yscheme).build_dyn(d0).expect("incHyb"),
-        b().baseline(BaselineStrategy::BatVer(vscheme.clone()))
-            .build_dyn(d0)
-            .expect("batVer"),
-        b().baseline(BaselineStrategy::BatHor(hscheme.clone()))
-            .build_dyn(d0)
-            .expect("batHor"),
-        b().baseline(BaselineStrategy::IbatVer(vscheme))
-            .build_dyn(d0)
-            .expect("ibatVer"),
-        b().baseline(BaselineStrategy::IbatHor(hscheme))
-            .build_dyn(d0)
-            .expect("ibatHor"),
-    ]
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(schema, cfds, vscheme, hscheme, yscheme, opt);
+    let build = |(name, suite): (&str, Suite)| suite.analyze(mode).build_detector(d0).expect(name);
+    suites.into_iter().map(build).collect()
 }
 
 /// Drive all three analysis modes in lockstep over `batches`, asserting
@@ -76,33 +51,10 @@ fn assert_modes_identical(
         "fixture must contain prunable rules ({} rules, 0 pruned)",
         cfds.len()
     );
-    let mut off = strategies(
-        schema,
-        cfds,
-        vscheme.clone(),
-        hscheme.clone(),
-        yscheme.clone(),
-        d0,
-        AnalysisMode::Off,
-    );
-    let mut warn = strategies(
-        schema,
-        cfds,
-        vscheme.clone(),
-        hscheme.clone(),
-        yscheme.clone(),
-        d0,
-        AnalysisMode::Warn,
-    );
-    let mut prune = strategies(
-        schema,
-        cfds,
-        vscheme,
-        hscheme,
-        yscheme,
-        d0,
-        AnalysisMode::Prune,
-    );
+    let schemes = (&vscheme, &hscheme, &yscheme);
+    let [mut off, mut warn, mut prune] =
+        [AnalysisMode::Off, AnalysisMode::Warn, AnalysisMode::Prune]
+            .map(|mode| strategies(schema, cfds, schemes, d0, mode));
     for ((o, w), p) in off.iter_mut().zip(&mut warn).zip(&mut prune) {
         assert_eq!(o.strategy(), p.strategy());
         let name = o.strategy();
@@ -262,10 +214,13 @@ fn prune_refuses_an_unsatisfiable_catalog() {
         .expect("rule 1"),
     ];
     let hscheme = workload::emp::emp_horizontal_scheme(&schema);
-    let Err(err) = DetectorBuilder::new(schema.clone(), sigma.clone())
+    let suite = Suite::on(schema)
+        .cfds(sigma)
+        .strategy(Strategy::Horizontal(hscheme));
+    let Err(err) = suite
+        .clone()
         .analyze(AnalysisMode::Prune)
-        .horizontal(hscheme.clone())
-        .build_dyn(&d0)
+        .build_detector(&d0)
     else {
         panic!("unsat catalog must not build under Prune")
     };
@@ -275,51 +230,24 @@ fn prune_refuses_an_unsatisfiable_catalog() {
     );
     // Off detects over it as-is (everything matching CC violates one of
     // the two rules — a legal, if silly, catalog to *detect* with).
-    DetectorBuilder::new(schema, sigma)
-        .horizontal(hscheme)
-        .build_dyn(&d0)
-        .expect("Off must still build");
+    suite.build_detector(&d0).expect("Off must still build");
 }
 
-/// A concrete (non-boxed) `build()` cannot carry the pruning wrapper, so
-/// it must refuse a catalog that `Prune` would shrink — and keep working
-/// when there is nothing to prune.
+/// `Prune` over a catalog with nothing to prune builds the detector as
+/// `Off` does.
 #[test]
-fn concrete_build_refuses_prune_with_a_prunable_catalog() {
+fn prune_with_nothing_to_prune_builds_the_plain_detector() {
     let (schema, d0) = workload::emp::emp_relation();
-    let mut sigma = workload::emp::emp_cfds(&schema);
-    let c = &sigma[0];
-    let mut lhs = c.lhs.clone();
-    let mut pat = c.lhs_pattern.clone();
-    lhs.reverse();
-    pat.reverse();
-    let dup = Cfd::new(
-        sigma.len() as u32,
-        &schema,
-        lhs,
-        c.rhs,
-        pat,
-        c.rhs_pattern.clone(),
-    )
-    .expect("reordered duplicate");
-    sigma.push(dup);
     let vscheme = workload::emp::emp_vertical_scheme(&schema);
-    let Err(err) = DetectorBuilder::new(schema.clone(), sigma)
-        .analyze(AnalysisMode::Prune)
-        .vertical(vscheme.clone())
-        .build(&d0)
-    else {
-        panic!("concrete build must refuse a shrinkable catalog")
-    };
-    assert!(
-        matches!(&err, DetectError::Analysis(msg) if msg.contains("build_dyn")),
-        "wrong error: {err}"
+    let suite = Suite::on(schema.clone())
+        .cfds(workload::emp::emp_cfds(&schema))
+        .strategy(Strategy::Vertical(vscheme));
+    let off = suite.clone().build_detector(&d0).expect("Off builds");
+    let prune = suite.analyze(AnalysisMode::Prune).build_detector(&d0);
+    let prune = prune.expect("nothing to prune: Prune builds");
+    assert_eq!(prune.cfds().len(), off.cfds().len());
+    assert_eq!(
+        prune.violations().marks_sorted(),
+        off.violations().marks_sorted()
     );
-    // Nothing prunable: the concrete build is allowed even under Prune.
-    let sigma = workload::emp::emp_cfds(&schema);
-    DetectorBuilder::new(schema, sigma)
-        .analyze(AnalysisMode::Prune)
-        .vertical(vscheme)
-        .build(&d0)
-        .expect("nothing to prune: concrete build stays legal");
 }

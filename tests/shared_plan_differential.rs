@@ -10,7 +10,11 @@
 //! merge CFDs whose LHS attribute lists are *identical* (residual
 //! restricts stay per-CFD — incompatible patterns are never merged).
 
+mod common;
+
 use cfd::{Cfd, MatchScratch, SharedPlan};
+use inc_cfd::incdetect::optimize::{optimize, OptimizeConfig};
+use inc_cfd::incdetect::HevPlan;
 use inc_cfd::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,40 +26,35 @@ use workload::updates::{self, UpdateMix};
 fn strategies(
     schema: &Arc<Schema>,
     cfds: &[Cfd],
-    vscheme: VerticalScheme,
-    hscheme: HorizontalScheme,
-    yscheme: HybridScheme,
+    (vscheme, hscheme, yscheme): (&VerticalScheme, &HorizontalScheme, &HybridScheme),
     d0: &Relation,
     mode: SharingMode,
 ) -> Vec<Box<dyn Detector>> {
-    let b = || DetectorBuilder::new(schema.clone(), cfds.to_vec()).sharing(mode);
-    vec![
-        b().vertical(vscheme.clone()).build_dyn(d0).expect("incVer"),
-        b().vertical(vscheme.clone())
-            .optimized(incdetect::optimize::OptimizeConfig::default())
-            .build_dyn(d0)
-            .expect("incVer/optVer"),
-        b().horizontal(hscheme.clone())
-            .build_dyn(d0)
-            .expect("incHor"),
-        b().horizontal(hscheme.clone())
-            .raw_values()
-            .build_dyn(d0)
-            .expect("incHor/raw"),
-        b().hybrid(yscheme).build_dyn(d0).expect("incHyb"),
-        b().baseline(BaselineStrategy::BatVer(vscheme.clone()))
-            .build_dyn(d0)
-            .expect("batVer"),
-        b().baseline(BaselineStrategy::BatHor(hscheme.clone()))
-            .build_dyn(d0)
-            .expect("batHor"),
-        b().baseline(BaselineStrategy::IbatVer(vscheme))
-            .build_dyn(d0)
-            .expect("ibatVer"),
-        b().baseline(BaselineStrategy::IbatHor(hscheme))
-            .build_dyn(d0)
-            .expect("ibatHor"),
-    ]
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(schema, cfds, vscheme, hscheme, yscheme, opt);
+    let build = |(name, suite): (&str, Suite)| suite.sharing(mode).build_detector(d0).expect(name);
+    suites.into_iter().map(build).collect()
+}
+
+/// `incVer` as its concrete type, over the default chains or the `optVer`
+/// plan, in `mode`.
+fn ver(
+    schema: &Arc<Schema>,
+    sigma: &[Cfd],
+    scheme: &VerticalScheme,
+    optimized: bool,
+    mode: SharingMode,
+    d: &Relation,
+) -> VerticalDetector {
+    let plan = if optimized {
+        optimize(sigma, scheme, OptimizeConfig::default())
+    } else {
+        HevPlan::default_chains(sigma, scheme)
+    };
+    let (schema, sigma, scheme) = (schema.clone(), sigma.to_vec(), scheme.clone());
+    let mut det = VerticalDetector::with_plan(schema, sigma, scheme, plan, d).expect("incVer");
+    det.set_sharing(mode);
+    det
 }
 
 /// Drive both modes in lockstep over `batches`, asserting bit-identity
@@ -69,24 +68,9 @@ fn assert_modes_identical(
     d0: &Relation,
     batches: &[UpdateBatch],
 ) {
-    let mut shared = strategies(
-        schema,
-        cfds,
-        vscheme.clone(),
-        hscheme.clone(),
-        yscheme.clone(),
-        d0,
-        SharingMode::Shared,
-    );
-    let mut per_cfd = strategies(
-        schema,
-        cfds,
-        vscheme,
-        hscheme,
-        yscheme,
-        d0,
-        SharingMode::PerCfd,
-    );
+    let schemes = (&vscheme, &hscheme, &yscheme);
+    let [mut shared, mut per_cfd] = [SharingMode::Shared, SharingMode::PerCfd]
+        .map(|mode| strategies(schema, cfds, schemes, d0, mode));
     for (s, p) in shared.iter_mut().zip(&mut per_cfd) {
         assert_eq!(s.strategy(), p.strategy());
         let name = s.strategy();
@@ -320,13 +304,13 @@ fn operator_state_ships_the_parents_messages_in_fewer_bytes() {
     }
     assert_eq!(batches.len(), 4);
 
-    let b = |mode| DetectorBuilder::new(schema.clone(), sigma.clone()).sharing(mode);
+    let b = |mode, strategy| {
+        let suite = Suite::on(schema.clone()).cfds(sigma.clone()).sharing(mode);
+        suite.strategy(strategy)
+    };
     let hor = |mode, codec| {
-        b(mode)
-            .horizontal(hscheme.clone())
-            .codec(codec)
-            .build_dyn(&d0)
-            .expect("incHor")
+        let suite = b(mode, Strategy::Horizontal(hscheme.clone())).codec(codec);
+        suite.build_detector(&d0).expect("incHor")
     };
     let threaded = |_| -> Box<dyn Detector> {
         Box::new(
@@ -342,10 +326,8 @@ fn operator_state_ships_the_parents_messages_in_fewer_bytes() {
         )
     };
     let hyb = |mode| {
-        b(mode)
-            .hybrid(yscheme.clone())
-            .build_dyn(&d0)
-            .expect("incHyb")
+        let suite = b(mode, Strategy::Hybrid(yscheme.clone()));
+        suite.build_detector(&d0).expect("incHyb")
     };
     type Build<'a> = Box<dyn Fn(SharingMode) -> Box<dyn Detector> + 'a>;
     let runtimes: [Build<'_>; 5] = [
@@ -574,15 +556,7 @@ fn compiled_walk_ships_the_planners_bytes_and_eqids() {
 
     for ((name, s), parent) in ver_streams().into_iter().zip(PARENT) {
         for mode in [SharingMode::Shared, SharingMode::PerCfd] {
-            let b = DetectorBuilder::new(s.schema.clone(), s.sigma.clone())
-                .sharing(mode)
-                .vertical(s.scheme.clone());
-            let b = if s.optimized {
-                b.optimized(incdetect::optimize::OptimizeConfig::default())
-            } else {
-                b
-            };
-            let mut det = b.build(&s.d0).expect("incVer");
+            let mut det = ver(&s.schema, &s.sigma, &s.scheme, s.optimized, mode, &s.d0);
             let mut oracle = cfd::naive::detect(&s.sigma, &s.d0);
             assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
             for (i, batch) in s.batches.iter().enumerate() {
@@ -689,17 +663,7 @@ fn the_store_built_detector_is_the_replay_built_one() {
         let empty = Relation::new(schema.clone());
         for optimized in [false, true] {
             for mode in [SharingMode::Shared, SharingMode::PerCfd] {
-                let build = |d: &Relation| {
-                    let b = DetectorBuilder::new(schema.clone(), sigma.clone())
-                        .sharing(mode)
-                        .vertical(scheme.clone());
-                    let b = if optimized {
-                        b.optimized(incdetect::optimize::OptimizeConfig::default())
-                    } else {
-                        b
-                    };
-                    b.build(d).expect("incVer")
-                };
+                let build = |d: &Relation| ver(schema, &sigma, &scheme, optimized, mode, d);
                 let at = format!("{name}, optVer {optimized}, {mode:?}");
                 let mut stored = build(d0);
                 let mut replayed = build(&empty);

@@ -1,10 +1,11 @@
 //! Differential validation of the suite API: every non-CFD constraint
 //! kind — keys, completeness, inclusion dependencies, aggregates — is
-//! driven through every partition strategy (the nine `Detector`
-//! configurations of `detector_trait.rs` expressed as [`Strategy`]
-//! values, plus a real framed byte transport) and must agree with a
+//! driven through every partition strategy (the nine configurations of
+//! `common::nine_suites`, plus a real framed byte transport) and must agree with a
 //! brute-force oracle recomputed from scratch after **every** batch,
 //! including churn streams from `loadgen` and reference-side updates.
+
+mod common;
 
 use inc_cfd::prelude::*;
 use incdetect::optimize::OptimizeConfig;
@@ -194,9 +195,8 @@ fn oracle_marks(
     marks
 }
 
-/// Every partition strategy of `detector_trait.rs::all_strategies`, as
-/// `Suite` configurations, plus one horizontal session on the real
-/// framed byte transport.
+/// Every partition strategy of the shared nine, plus one horizontal
+/// session on the real framed byte transport.
 fn all_suite_sessions(
     schema: &Arc<Schema>,
     cfds: &[Cfd],
@@ -206,69 +206,19 @@ fn all_suite_sessions(
     cities: &Relation,
     d0: &Relation,
 ) -> Vec<SuiteSession> {
-    let base = || {
-        Suite::on(schema.clone())
-            .cfds(cfds.to_vec())
-            .checks(all_checks())
-            .reference(cities.clone())
-    };
-    let configs: Vec<(Suite, &str)> = vec![
-        (
-            base().strategy(Strategy::Vertical(vscheme.clone())),
-            "incVer",
-        ),
-        (
-            base().strategy(Strategy::OptimizedVertical(
-                vscheme.clone(),
-                OptimizeConfig::default(),
-            )),
-            "optVer",
-        ),
-        (
-            base().strategy(Strategy::Horizontal(hscheme.clone())),
-            "incHor/md5",
-        ),
-        (
-            base()
-                .strategy(Strategy::Horizontal(hscheme.clone()))
-                .codec(CodecKind::RawValues),
-            "incHor/raw",
-        ),
-        (base().strategy(Strategy::Hybrid(yscheme.clone())), "incHyb"),
-        (
-            base().strategy(Strategy::Baseline(BaselineStrategy::BatVer(
-                vscheme.clone(),
-            ))),
-            "batVer",
-        ),
-        (
-            base().strategy(Strategy::Baseline(BaselineStrategy::BatHor(
-                hscheme.clone(),
-            ))),
-            "batHor",
-        ),
-        (
-            base().strategy(Strategy::Baseline(BaselineStrategy::IbatVer(
-                vscheme.clone(),
-            ))),
-            "ibatVer",
-        ),
-        (
-            base().strategy(Strategy::Baseline(BaselineStrategy::IbatHor(
-                hscheme.clone(),
-            ))),
-            "ibatHor",
-        ),
-        (
-            base()
-                .strategy(Strategy::Horizontal(hscheme.clone()))
-                .transport(TransportKind::Framed),
-            "incHor/framed",
-        ),
-    ];
+    let framed = Suite::on(schema.clone())
+        .cfds(cfds.to_vec())
+        .strategy(Strategy::Horizontal(hscheme.clone()))
+        .transport(TransportKind::Framed);
+    let opt = OptimizeConfig::default();
+    let mut configs = common::nine_suites(schema, cfds, vscheme, hscheme, yscheme, opt);
+    configs.push(("incHor/framed", framed));
     configs
         .into_iter()
-        .map(|(suite, label)| suite.build(d0).unwrap_or_else(|e| panic!("{label}: {e}")))
+        .map(|(label, suite)| {
+            let suite = suite.checks(all_checks()).reference(cities.clone());
+            suite.build(d0).unwrap_or_else(|e| panic!("{label}: {e}"))
+        })
         .collect()
 }
 

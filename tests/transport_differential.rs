@@ -86,12 +86,9 @@ fn run(
     transport: TransportKind,
 ) -> RunOutcome {
     let (schema, cfds, scheme, d0, batches) = fixture;
-    let mut det = DetectorBuilder::new(schema.clone(), cfds.clone())
-        .horizontal(scheme.clone())
-        .codec(codec)
-        .transport(transport)
-        .build(d0)
-        .expect("detector builds");
+    let (s, c) = (schema.clone(), cfds.clone());
+    let det = HorizontalDetector::new(s, c, scheme.clone(), d0, codec, transport);
+    let mut det = det.expect("detector builds");
     for delta in batches {
         det.apply(delta).expect("apply succeeds");
     }
@@ -139,11 +136,9 @@ fn framed_bytes_equal_model_plus_declared_overhead() {
     }
     // And all three agree with the centralized oracle on final state.
     let (schema, cfds, scheme, d0, batches) = &fixture;
-    let mut det = DetectorBuilder::new(schema.clone(), cfds.clone())
-        .horizontal(scheme.clone())
-        .transport(TransportKind::Framed)
-        .build(d0)
-        .unwrap();
+    let (s, c, md5) = (schema.clone(), cfds.clone(), CodecKind::Md5);
+    let framed = TransportKind::Framed;
+    let mut det = HorizontalDetector::new(s, c, scheme.clone(), d0, md5, framed).unwrap();
     let mut mirror = d0.clone();
     for delta in batches {
         det.apply(delta).unwrap();
@@ -197,18 +192,12 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
     let (schema, d0) = dblp::generate(&cfg);
     let cfds = workload::rules::dblp_rules(&schema, 8, 2);
     let scheme = dblp::horizontal_scheme(&schema, 4);
-    let mut det = DetectorBuilder::new(schema.clone(), cfds.clone())
-        .horizontal(scheme.clone())
-        .dict()
-        .transport(TransportKind::Tcp)
-        .build(&d0)
-        .expect("TCP mesh builds on localhost");
+    let (s, c, dict) = (schema.clone(), cfds.clone(), CodecKind::Dict);
+    let det = HorizontalDetector::new(s, c, scheme.clone(), &d0, dict, TransportKind::Tcp);
+    let mut det = det.expect("TCP mesh builds on localhost");
     let mut mirror = d0.clone();
-    let mut sim = DetectorBuilder::new(schema, cfds)
-        .horizontal(scheme)
-        .dict()
-        .build(&d0)
-        .unwrap();
+    let sim = TransportKind::Simulated;
+    let mut sim = HorizontalDetector::new(schema, cfds, scheme, &d0, dict, sim).unwrap();
     let fresh = dblp::generate_fresh(&cfg, 9_000_000, 60, 5);
     for round in 0..4u64 {
         let delta = updates::generate(
@@ -271,11 +260,12 @@ fn hybrid_gateway_rounds_ride_the_byte_transport() {
         .unwrap(),
     ];
     let scheme = HybridScheme::uniform(schema.clone(), 3, 2).unwrap();
-    let mut det = DetectorBuilder::new(schema, cfds)
-        .hybrid(scheme)
-        .dict()
+    let mut det = Suite::on(schema)
+        .cfds(cfds)
+        .strategy(Strategy::Hybrid(scheme))
+        .codec(CodecKind::Dict)
         .transport(TransportKind::Framed)
-        .build(&d0)
+        .build_detector(&d0)
         .unwrap();
     let mut delta = UpdateBatch::new();
     for i in 0..20u64 {
