@@ -17,81 +17,43 @@
 //! its per-operator group state, its slice of `V`, and its receiver-side codec
 //! state, exactly as the paper's EC2 deployment would.
 //!
-//! # Wave-parallel scheduling: what must be ordered, and why
+//! # Wave-parallel scheduling
 //!
 //! A batch is deterministic only if no update can tell in which order the
-//! others ran — and most could not tell anyway. All a site ever shows of a
-//! group is the *set* of its RHS classes and its flag: that is what a
-//! `ProbeReply`'s conflicts, a `DelReply`'s values and the holders a
-//! `ClearFlags` goes to are computed from, and what decides whether an
-//! update of its own ships. How many tuples a class holds shows nowhere.
-//! So an update is one of two kinds, told apart at its home site by the
-//! size of its RHS class in every group it matches:
-//!
-//! * **class-preserving** — an insert that finds a member of its class, a
-//!   delete that leaves one behind. These are §6's zero-shipment cases
-//!   (Examples 2 and 9: a local same-RHS witness decides): the update
-//!   ships nothing under either value of the flag, reads nothing remote,
-//!   and changes nothing a peer's request reads. It commutes with every
-//!   update of every *other* site.
-//! * a **writer** — it creates or empties a class. Its round can flip the
-//!   group's flag across the mesh, and what it concludes depends on the
-//!   classes its peers hold when asked.
-//!
-//! The four commutation cases — a class-preserving insert or delete
-//! against another site's writer that raises or clears the flag of their
-//! group — come out the same in either order because `mark_group` and
-//! `clear_group` act on whoever is a member when the flag moves, an insert
-//! takes the flag it finds and a delete takes its own marks with it: `V`
-//! is a function of the final state, and a batch's `ΔV` is settled (net)
-//! before anyone sees it.
-//!
-//! Hence a schedule in two steps, `Ops` → `Deferred` → `Waves`:
+//! others ran — and most could not tell anyway. Which pairs of updates
+//! must keep batch order is the `horizontal::order`
+//! module's one rule: a shared tid, a shared group key at one site, or a
+//! shared key between two writers (updates that create or empty an RHS
+//! class). A class-preserving update commutes with every other site's
+//! update. The runtime applies the rule in two steps, `Ops` → `Deferred` →
+//! `Waves`:
 //!
 //! 1. **Settle pass.** Every site gets its slice of the batch in batch
-//!    order and walks it once (the machine's `try_settle` step), the coordinator —
-//!    site 0, just another site that also happens to own the batch — from
-//!    the borrowed batch. A class-preserving update is applied on the
-//!    spot, unless an earlier update of the slice was deferred and shares
-//!    a group key or the tid with it; everything else is *deferred*
-//!    untouched. Class sizes change only through the home site's own
-//!    updates, in slice order — counted as stored plus what the slice's
-//!    deferred updates will add and remove — so the classification is a
-//!    function of `(state, slice)`. The site reports the slice positions
-//!    it deferred, each with one bit: does the update *write*, or is it
-//!    class-preserving and merely **held** behind a deferred one.
-//! 2. **Waves over the rest.** The coordinator places the deferred
-//!    updates in batch order (`WavePlanner`). The footprint of an update
-//!    is the set of `(operator, group-key digest)` pairs it can touch
-//!    anywhere in the mesh (the implicit-query walk only ever reads groups
-//!    keyed by the probing tuple's own digests). A writer goes in the
-//!    first wave after every earlier writer, at any site, sharing any pair
-//!    of its footprint. A held update needs program order at its own site
-//!    and nothing else, being class-preserving by the time it runs: the
-//!    wave after an own writer on a shared key, the same wave as an own
-//!    held one (a site runs its slice of a wave in slice order, and held
-//!    updates complete on the spot). A shared tid is always the next wave
-//!    (a modification normalizes to `delete(t); insert(t')` of one tid,
-//!    possibly at two homes). Within a wave the writers' footprints are
+//!    order and walks it once (the machine's `settle` step), the
+//!    coordinator — site 0, just another site that also happens to own the
+//!    batch — from the borrowed batch. A class-preserving update that
+//!    commutes with every update deferred before it is applied on the
+//!    spot; everything else is *deferred* untouched. Class sizes change
+//!    only through the home site's own updates, in slice order — counted
+//!    as stored plus what the slice's deferred updates will add and remove
+//!    — so the classification is a function of `(state, slice)`. The site
+//!    reports the slice positions it deferred, each with one bit: does the
+//!    update *write*, or is it class-preserving and merely **held** behind
+//!    a deferred one.
+//! 2. **Waves over the rest.** The coordinator places the deferred updates
+//!    in batch order, each in the first wave its verdicts against the ones
+//!    placed before it allow: after an earlier writer of any site on a
+//!    shared key if it writes, after an own writer on a shared key, in the
+//!    same wave as an own held one (a site runs its slice of a wave in
+//!    slice order, and held updates complete on the spot), after the
+//!    other half of its tid. Within a wave the writers' footprints are
 //!    disjoint, so sites fire *all* their probes up front and serve peers
 //!    while their own rounds are in flight.
 //!
-//! The sequential driver ([`crate::HorizontalDetector`], whose module docs
-//! describe its batch loop) applies the same rule *online*: it begins
-//! every update in batch order and keeps the rounds it opens in flight,
-//! holding an update back — draining first — only if it could observe a
-//! round still unfinished: it shares the round's tid, or its footprint
-//! meets the keys the round's requests carry and it either writes or lives
-//! at the round's own home.
-//! That last case is the same-home trap, and the reason a held update above
-//! waits for its own site's writer: an insert round's `finish` raises the
-//! flag and marks its own tuple only, so a class-preserving newcomer to the
-//! group at that site that ran before the round finished would find the
-//! flag down and stay unmarked. Everything else runs at once, by the four
-//! cases. Online, the rule needs only the keys of the rounds in flight and
-//! the stored state — exact, since every earlier update has begun — where
-//! the two steps above, applied to a whole `D₀` window, defer nearly all
-//! of it behind its first writers.
+//! The sequential driver ([`crate::HorizontalDetector`]) applies the same
+//! rule *online*, to the rounds it keeps in flight — exact, since every
+//! earlier update has begun — where the two steps above, applied to a
+//! whole `D₀` window, defer nearly all of it behind its first writers.
 //!
 //! Every round thus opens with the payload, towards the peers, and to the
 //! replies it would have had in batch order — the differential suites
@@ -199,17 +161,16 @@
 //! site flushes its `Failed` before it returns.
 
 use crate::detector::{DetectError, Detector};
-use crate::horizontal::site::{Deferrals, OpScratch, Round, Settled, Site};
+use crate::horizontal::order::{Deferrals, DeferredList, WavePlanner};
+use crate::horizontal::site::{Round, Site};
 use crate::horizontal::HorMsg;
-use crate::optimize::SharingMode;
-use cfd::{Cfd, DeltaV, OpId, Violations};
+use cfd::{Cfd, DeltaV, Violations};
 use cluster::codec::CodecKind;
-use cluster::md5::Digest;
 use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
 use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter};
-use relation::{FxHashMap, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch};
+use relation::{FxHashMap, RelError, Relation, Schema, Tid, Update, UpdateBatch};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -264,12 +225,12 @@ fn check_deferred(src: SiteId, deferred: &[(u32, bool)], slice: usize) -> Result
 
 /// One deferred update as its site runs it: `(wave, slice position,
 /// writes)`.
-type Placed = (u32, u32, bool);
+pub(crate) type Placed = (u32, u32, bool);
 
 /// Check the coordinator's `Waves` against the list site `me` deferred,
 /// before any of it runs, and pair the two: the deferred updates sorted by
 /// wave, in slice order within one.
-fn wave_order(
+pub(crate) fn wave_order(
     me: SiteId,
     deferred: &[(u32, bool)],
     n_waves: u32,
@@ -523,22 +484,12 @@ impl SiteRunner {
 
     // -- own updates ---------------------------------------------------
 
-    /// The settle pass over our slice of a new batch, in slice order and
-    /// before any round of the batch opens anywhere: every update the
-    /// machine finds class-preserving and unentangled is applied on the
-    /// spot ([`Site::try_settle`]). Returns what is left for the waves —
-    /// slice position and whether the update writes — ascending.
-    fn settle_pass(&mut self, slice: &[&Update]) -> Result<Vec<(u32, bool)>, DetectError> {
-        self.held.clear();
-        let mut deferred = Vec::new();
-        for (pos, &op) in (0..).zip(slice) {
-            let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
-            match self.site.try_settle(op, rows, sink, &mut self.held)? {
-                Settled::Applied => {}
-                Settled::Deferred { writes } => deferred.push((pos, writes)),
-            }
-        }
-        Ok(deferred)
+    /// The settle pass over our slice of a new batch ([`Site::settle`]):
+    /// what it leaves for the waves.
+    fn settle_pass(&mut self, slice: &[&Update]) -> Result<DeferredList, DetectError> {
+        let sink = (&mut self.violations, &mut self.dv);
+        self.site
+            .settle(slice, &mut self.rows, sink, &mut self.held)
     }
 
     /// Run this site's share of wave `w` — the head of `order`, our
@@ -565,10 +516,7 @@ impl SiteRunner {
             }
             let op = slice[pos as usize];
             let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
-            if let Some((round, requests)) = self.site.begin(op, rows, sink)? {
-                if !writes {
-                    return Err(self.site.shipped_unscheduled(op.tid()));
-                }
+            if let Some((round, requests)) = self.site.begin(op, writes, rows, sink)? {
                 let slot = ws.inflight.len();
                 ws.inflight.push(None);
                 ws.open += 1;
@@ -767,65 +715,6 @@ impl SiteRunner {
 // The coordinator-side detector
 // ---------------------------------------------------------------------
 
-/// The coordinator's placing rule for the updates the settle passes
-/// deferred, fed in batch order. A *writer* creates or empties an RHS class
-/// at its home, which peers can see: it goes after every earlier deferred
-/// writer, at any site, that shares one of its `(operator, group key)`
-/// pairs — the machine's own candidate list, the full footprint, so the
-/// implicit queries its probe raises at a peer never meet a half-done
-/// write there. A *held* update is class-preserving — it commutes with
-/// whatever other sites do — and only keeps program order at its own site:
-/// the wave after an own writer on a shared key (whose round may still be
-/// open), the same wave as an own held one (a site runs a wave's slice in
-/// slice order and held updates complete on the spot); an own writer
-/// behind it waits likewise. A shared tid is always the next wave (a
-/// modification normalizes to `delete + insert` of one tid, possibly at
-/// *different* homes). The scratch is kept between batches — placing is
-/// the one part of a batch no site can overlap with — but the maps are
-/// sized by the deferred updates and go with the batch.
-#[derive(Default)]
-pub(crate) struct WavePlanner {
-    /// Per group key: the wave after its last deferred writer, anywhere.
-    after_writer: FxHashMap<(OpId, Digest), u32>,
-    /// Per site and group key: the first wave its next deferred update on
-    /// that key may take.
-    own_floor: FxHashMap<(SiteId, OpId, Digest), u32>,
-    after_tid: FxHashMap<Tid, u32>,
-    sx: OpScratch,
-    /// Waves the batch needs so far.
-    pub(crate) n_waves: u32,
-}
-
-impl WavePlanner {
-    /// End the batch: the waves it needs, with the maps given back.
-    pub(crate) fn finish(&mut self) -> u32 {
-        self.after_writer = FxHashMap::default();
-        self.own_floor = FxHashMap::default();
-        self.after_tid = FxHashMap::default();
-        std::mem::take(&mut self.n_waves)
-    }
-
-    /// The wave of the deferred update of `t` at its home site.
-    pub(crate) fn place(&mut self, cfg: &SiteConfig, home: SiteId, t: &Tuple, writes: bool) -> u32 {
-        cfg.candidates(SharingMode::Shared, t, &mut self.sx);
-        let mut w = self.after_tid.get(&t.tid).copied().unwrap_or(0);
-        for (op, kd) in self.sx.footprint(&cfg.plan) {
-            let own = self.own_floor.get(&(home, op, kd));
-            let writer = self.after_writer.get(&(op, kd)).filter(|_| writes);
-            w = own.into_iter().chain(writer).fold(w, |w, &x| w.max(x));
-        }
-        for (op, kd) in self.sx.footprint(&cfg.plan) {
-            self.own_floor.insert((home, op, kd), w + u32::from(writes));
-            if writes {
-                self.after_writer.insert((op, kd), w + 1);
-            }
-        }
-        self.after_tid.insert(t.tid, w + 1);
-        self.n_waves = self.n_waves.max(w + 1);
-        w
-    }
-}
-
 /// Run one non-coordinator site of a **multi-process** mesh to
 /// completion: join the mesh on fixed localhost ports, serve batches,
 /// return on shutdown. The entry point of the bench crate's `site`
@@ -1022,43 +911,6 @@ impl ConcurrentHorizontal {
         Ok(())
     }
 
-    /// Place what the settle passes deferred ([`WavePlanner`]), in batch
-    /// order: the number of waves and, per site, the wave of each update
-    /// it listed. `deferred` has passed [`check_deferred`], and no delete
-    /// of the batch has reached the mirror yet.
-    fn schedule(
-        &mut self,
-        delta: &UpdateBatch,
-        homes: &[SiteId],
-        deferred: &[Vec<(u32, bool)>],
-    ) -> Result<(u32, Vec<Vec<u32>>), DetectError> {
-        let cfg = self.runner.site.cfg();
-        let mut waves: Vec<Vec<u32>> = deferred.iter().map(|_| Vec::new()).collect();
-        let mut at = vec![0; self.n];
-        let mut place_all = || {
-            for (op, &home) in delta.ops().iter().zip(homes) {
-                let pos = at[home];
-                at[home] += 1;
-                let next = deferred[home].get(waves[home].len());
-                let Some(&(_, writes)) = next.filter(|d| d.0 == pos) else {
-                    continue;
-                };
-                waves[home].push(match op {
-                    Update::Insert(t) => self.planner.place(cfg, home, t, writes),
-                    Update::Delete(tid) => {
-                        let t = self.current.get(*tid).ok_or(RelError::MissingTid(*tid))?;
-                        self.planner.place(cfg, home, &t, writes)
-                    }
-                });
-            }
-            Ok::<(), DetectError>(())
-        };
-        let placed = place_all();
-        // A failed batch ends here too: its footprints must not outlive it.
-        let n_waves = self.planner.finish();
-        placed.map(|()| (n_waves, waves))
-    }
-
     /// One batch through the mesh. A site that fails says why before it
     /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
     /// but a *send* to the node it left behind fails first, in the
@@ -1108,7 +960,7 @@ impl ConcurrentHorizontal {
         // work on their settle passes before starting on ours and on the
         // mirror.
         node.flush().map_err(DetectError::Cluster)?;
-        let mut deferred: Vec<Vec<(u32, bool)>> = (0..self.n).map(|_| Vec::new()).collect();
+        let mut deferred: Vec<DeferredList> = (0..self.n).map(|_| Vec::new()).collect();
         deferred[COORD] = self.runner.settle_pass(&slices[COORD])?;
         self.mirror(&delta, &homes, false)?;
         let mut reported = vec![false; self.n];
@@ -1127,7 +979,11 @@ impl ConcurrentHorizontal {
             check_deferred(src, &list, slices[src].len())?;
             deferred[src] = list;
         }
-        let (n_waves, waves) = self.schedule(&delta, &homes, &deferred)?;
+        // No delete of the batch has reached the mirror yet.
+        let (cfg, mirror) = (self.runner.site.cfg(), &self.current);
+        let ops = homes.iter().copied().zip(delta.ops());
+        let stored = |_, tid| mirror.get(tid);
+        let (n_waves, waves) = self.planner.schedule(cfg, ops, &deferred, stored)?;
         self.waves += 1 + u64::from(n_waves);
         let node = &mut self.runner.node;
         let mut waves = waves.into_iter();
@@ -1332,6 +1188,7 @@ mod tests {
         d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
     };
     use crate::HorizontalDetector;
+    use relation::Tuple;
     use std::time::{Duration, Instant};
 
     /// The differential script: zero-shipment inserts, cross-site
@@ -1570,7 +1427,7 @@ mod tests {
         stress(16, 0xBADCAB, 2, 4_096);
     }
 
-    // -- what must be ordered, case by case -----------------------------
+    // -- the ordering rule, case by case --------------------------------
 
     fn tuples_of(batch: &[Update]) -> UpdateBatch {
         UpdateBatch::from_ops(batch.to_vec())

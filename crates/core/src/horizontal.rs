@@ -61,12 +61,12 @@
 //!
 //! | step | called by | in | `rows` | out | the paper's case |
 //! |---|---|---|---|---|---|
-//! | `classify(own)` | the driver, at the update's home site, before anything mutates | — (the inserted tuple, or a delete's stored tuple, read once for both halves) | — | the candidates, kept in the own-update scratch — whatever the site serves meanwhile — until the update begins; the driver reads off them its footprint, whether it *writes* (creates or empties a local RHS class), and the reach of a round it opens | which operators and groups the update touches |
-//! | `begin_classified(own, rows)` | the driver, once the update may run | — | an insert's row is stored first thing; a delete's is dropped once its groups let go | nothing, or an open round and one `TupleProbe` / `TupleDelQuery` per relevant peer | insertion / deletion case analysis, once per matched operator; *nothing* is Examples 2(1)(b), 2(2) and 9: a local same-RHS witness or an already-violating group decides |
+//! | `classify(own)` | the driver, at the update's home site, before anything mutates | — (the inserted tuple, or a delete's stored tuple, read once for both halves) | — | the candidates and their RHS digests, kept in the own-update scratch — whatever the site serves meanwhile — until the update begins; the driver reads off them what the `order` rule asks: the footprint, whether the update *writes* (creates or empties a local RHS class), and the reach of a round it opens | which operators and groups the update touches |
+//! | `begin_classified(own, may_ship, rows)` | the driver, once the update may run | — | an insert's row is stored first thing; a delete's is dropped once its groups let go | nothing, or an open round and one `TupleProbe` / `TupleDelQuery` per relevant peer (a [`DetectError::Internal`] if the driver ran it as class-preserving) | insertion / deletion case analysis, once per matched operator; *nothing* is Examples 2(1)(b), 2(2) and 9: a local same-RHS witness or an already-violating group decides |
 //! | `on_request(src, msg, rows)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags`, each listing operator ids | read only, and only for a `TupleDelQuery`: the RHS value of each class of a queried group, through one of its members | `ProbeReply` / `DelReply` by operator id, or nothing (a silent round) | the receiving half of each exchange, one group lookup per operator: flip or report conflicting groups, report distinct RHS values, clear flags — and only where a flag flips or clears, the pattern check that says which CFDs' marks to write |
 //! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | — | fold: which queried operators' groups conflict somewhere, which RHS values remain and who holds them |
 //! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | — (the deleted tuple, and the matched CFD ids of every queried operator, travel in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion, its marks fanned out to the operator's matched CFDs |
-//! | `try_settle(op, rows, held)` | the threaded runtime, at the update's home site, once per update in slice order before any round of the batch opens | — | as `begin_classified` when it applies; a deferred update touches nothing | *applied*, or *deferred* with one bit: does it write (create or empty a local RHS class) or is it only held behind a deferred update of the slice sharing a group key or its tid | the zero-shipment cases told apart *before* the case analysis runs: an update whose RHS class is populated before and after it (`GroupState::class_len`, plus what the slice's deferred updates will add or remove) ships nothing whatever the group's flag and leaves unchanged everything a peer's request reads — the set of classes and the flag — so it is applied through the same `insert_case` / `delete_case`, which must ship nothing |
+//! | `settle(slice, rows, held)` | the threaded runtime, at every site, once per batch before any round of it opens | — | as `begin_classified` for what it applies; a deferred update touches nothing | the deferred updates' slice positions, each with one bit: does it write, or is it only held behind a deferred update of the slice | the zero-shipment cases told apart *before* the case analysis runs: an update whose RHS class is populated before and after it (`GroupState::class_len`, plus what the slice's deferred updates will add or remove) ships nothing whatever the group's flag and leaves unchanged everything a peer's request reads — the set of classes and the flag — so it is applied through the same `insert_case` / `delete_case`, which must ship nothing |
 //!
 //! The machine enforces, for every driver:
 //!
@@ -92,41 +92,27 @@
 //! # The sequential driver: rounds in flight across a batch
 //!
 //! [`HorizontalDetector`] runs a batch in one loop. Each update is
-//! classified and begun at its home in batch order. Its *footprint* is one
-//! `(key group, group key)` per key group it matches: every group it can
-//! touch. A round it opens sends its request to every asked peer at once
-//! and stays in flight, its tid and its *reach* — the footprint's key
-//! groups whose whole `X` the requests carry, all a peer can derive a key
-//! for — entered in a small in-flight set. The loop *drains* — serves
-//! every site's inbox, folds each reply into its round through the link's
-//! FIFO slot queue, finishes the rounds and waits out the `ClearFlags`
-//! they send — before the next update only if that update
-//!
-//! * shares a tid with an open round (a modification normalizes to a
-//!   delete and an insert of one tid, possibly at two homes),
-//! * meets an open round's reach *at its own home* — program order at a
-//!   site: an insert round's `finish` raises the flag and marks its own
-//!   tuple only, so a newcomer to the group that ran first would go
-//!   unmarked —
-//! * or meets any open round's reach and *writes*: creates or empties a
-//!   local RHS class (exact here, every earlier update having begun);
-//!
-//! and otherwise when `concurrent::WINDOW` (128) rounds are open and when
-//! the batch ends. Any other update is class-preserving at another
-//! site, or key-disjoint, and commutes with the open rounds by the four
-//! cases of [`crate::concurrent`]'s "what must be ordered, and why" — the
-//! rule the threaded runtime applies to a whole slice up front, applied
-//! online to the rounds in flight — so it runs at once, and a round it
-//! opened would be a [`DetectError::Internal`]. Open rounds thus never
-//! share a key or a tid, and the order a site serves them in leaves the
-//! state, the replies and the per-link traffic of the blocking schedule
-//! (one update at a time, `apply_one`). What it saves is waiting: over TCP
-//! a drain waits once per busy inbox where the blocking drive waited a
-//! round trip per peer of every shipping update — `detbench`'s
-//! `hor_tcp_skew` build opens 10 088 rounds and drains 1 752 times. A
-//! batch that fails runs the rounds earlier updates opened to their end
-//! (unless a drain is what failed) and discards whatever is still in
-//! flight: it leaves every link idle.
+//! classified and begun at its home in batch order. A round it opens sends
+//! its request to every asked peer at once and stays in flight, entered in
+//! an `order::Ledger` with its tid and its *reach*: the footprint keys
+//! whose whole `X` the requests carry, all a peer can derive a key for. The
+//! loop *drains* — serves every site's inbox, folds each reply into its
+//! round through the link's FIFO slot queue, finishes the rounds and waits
+//! out the `ClearFlags` they send — before an update whose
+//! `order::verdict` against an open round is not `Commutes` (a shared
+//! tid; a shared key at its own home; a shared key, and it writes — exact
+//! here, every earlier update having begun), when `concurrent::WINDOW`
+//! (128) rounds are open, and when the batch ends. Any other update runs at
+//! once, and a round it opened would be a [`DetectError::Internal`]. Open
+//! rounds thus never share a key or a tid, and the order a site serves them
+//! in leaves the state, the replies and the per-link traffic of the
+//! blocking schedule (one update at a time, `apply_one`). What it saves is
+//! waiting: over TCP a drain waits once per busy inbox where the blocking
+//! drive waited a round trip per peer of every shipping update —
+//! `detbench`'s `hor_tcp_skew` build opens 10 088 rounds and drains 1 752
+//! times. A batch that fails runs the rounds earlier updates opened to
+//! their end (unless a drain is what failed) and discards whatever is
+//! still in flight: it leaves every link idle.
 //!
 //! # State layout
 //!
@@ -146,9 +132,8 @@ use cluster::md5::Digest;
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, MsgTransport, Network, SiteId, Wire};
-use relation::{
-    AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Update, UpdateBatch, Value,
-};
+use order::{Ledger, Party, Verdict};
+use relation::{AttrId, FxHashMap, RelError, Relation, Schema, Tid, Update, UpdateBatch, Value};
 use site::{Own, Round, Site, SiteConfig};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -156,6 +141,7 @@ use std::sync::Arc;
 
 #[cfg(test)]
 pub(crate) mod fixtures;
+pub(crate) mod order;
 pub(crate) mod site;
 
 /// Messages of the horizontal protocol. One `TupleProbe`/`TupleDelQuery`
@@ -543,26 +529,12 @@ pub(crate) fn class_values(
     Ok(vals)
 }
 
-/// Tables of an [`InFlight`] keep this much room between batches.
-const IN_FLIGHT_KEPT: usize = 64;
-
 /// A round of the batch loop in flight: its home, the asked peers yet to
 /// answer, the machine's round.
 struct Open {
     home: SiteId,
     left: usize,
     round: Round,
-}
-
-/// What an update would observe of the rounds in flight.
-#[derive(PartialEq)]
-enum Overlap {
-    /// Nothing: it shares no tid and no group key with any of them.
-    None,
-    /// Group keys of rounds opened at other sites, and nothing else.
-    Remote,
-    /// A tid, or a group key of a round opened at its own site.
-    Ordered,
 }
 
 /// The batch loop's rounds in flight and the links they ride. Kept between
@@ -573,11 +545,9 @@ struct InFlight {
     /// Rounds in the order they opened, `None` once finished.
     slots: Vec<Option<Open>>,
     open: usize,
-    /// Every open round's reach, each key ([`fold`]ed) with the round's
-    /// home, and its tid. Open rounds never share either: an update that
-    /// would share one waits for a drain before its own round can open.
-    keys: FxHashMap<u64, SiteId>,
-    tids: FxHashSet<Tid>,
+    /// Every open round, entered with its reach at wave 0: an update whose
+    /// verdict against one is not `Commutes` waits for the next drain.
+    ledger: Ledger,
     /// `[src][dst]`: the slots of the requests on the link, oldest first
     /// (a peer serves its inbox in arrival order) — and of the replies.
     asked: Vec<Vec<VecDeque<usize>>>,
@@ -588,14 +558,6 @@ struct InFlight {
     /// last reset.
     waves: u64,
     opened: u64,
-}
-
-/// A key `(key group, group key)` as one word. The group key is
-/// an MD5 digest, so its first eight bytes, mixed with the key group, tell
-/// keys apart but for a 2⁻⁶⁴ chance — and two keys taken for one cost a
-/// drain, never a missed one.
-fn fold((g, kd): (usize, Digest)) -> u64 {
-    u64::from_le_bytes(kd.0[..8].try_into().expect("a digest has 16 bytes")) ^ g as u64
 }
 
 impl InFlight {
@@ -609,41 +571,10 @@ impl InFlight {
         }
     }
 
-    /// What an update of `tid` at `home` with `footprint` would observe.
-    fn overlap(
-        &self,
-        home: SiteId,
-        tid: Tid,
-        footprint: impl Iterator<Item = (usize, Digest)>,
-    ) -> Overlap {
-        if self.open == 0 {
-            return Overlap::None;
-        }
-        if self.tids.contains(&tid) {
-            return Overlap::Ordered;
-        }
-        let mut overlap = Overlap::None;
-        for key in footprint {
-            match self.keys.get(&fold(key)) {
-                Some(&h) if h == home => return Overlap::Ordered,
-                Some(_) => overlap = Overlap::Remote,
-                None => {}
-            }
-        }
-        overlap
-    }
-
-    /// Enter the round an update of `tid` at `home` opened, with its reach.
-    fn enter(&mut self, home: SiteId, tid: Tid, reach: impl Iterator<Item = (usize, Digest)>) {
-        self.tids.insert(tid);
-        self.keys.extend(reach.map(|key| (fold(key), home)));
-    }
-
     /// Every round is finished and every link idle.
     fn settle(&mut self) {
         self.slots.clear();
-        self.keys.clear();
-        self.tids.clear();
+        self.ledger.clear();
         self.draining = false;
     }
 
@@ -653,13 +584,7 @@ impl InFlight {
         self.open = 0;
         let queues = self.asked.iter_mut().chain(&mut self.answering).flatten();
         queues.for_each(VecDeque::clear);
-        self.give_back();
-    }
-
-    /// End a batch: give back what a large one grew.
-    fn give_back(&mut self) {
-        self.keys.shrink_to(IN_FLIGHT_KEPT);
-        self.tids.shrink_to(IN_FLIGHT_KEPT);
+        self.ledger.give_back();
     }
 }
 
@@ -852,7 +777,7 @@ impl HorizontalDetector {
         if let Err(e) = self.drive(delta, homes, &mut dv) {
             return Err(self.recover(e, &mut dv));
         }
-        self.flight.give_back();
+        self.flight.ledger.give_back();
         dv.settle();
         Ok(dv)
     }
@@ -881,18 +806,24 @@ impl HorizontalDetector {
             };
             let own = Own::read(op, &self.current)?;
             self.sites[home].classify(&own);
-            let overlap = self
+            // Whether it writes is read only if another site's round meets it.
+            let (site, mut writes) = (&self.sites[home], None);
+            let (verdict, _) = self
                 .flight
-                .overlap(home, op.tid(), self.sites[home].footprint());
-            // A class-preserving update at another site commutes with the
-            // rounds open on its keys (`concurrent`'s four cases); any other
-            // update that meets one waits for it.
-            let preserving = overlap == Overlap::Remote && !self.sites[home].writes(&own);
-            if overlap != Overlap::None && !preserving {
+                .ledger
+                .wait(home, op.tid(), site.footprint(), || {
+                    *writes.get_or_insert_with(|| site.writes(&own))
+                });
+            let ordered = verdict != Verdict::Commutes;
+            if ordered {
                 self.drain(dv)?;
             }
+            // Run at once behind another site's writer, it is
+            // class-preserving and must not ship.
+            let may_ship = ordered || writes != Some(false);
             let sink = (&mut self.violations, &mut *dv);
-            let opened = self.sites[home].begin_classified(own, &mut self.current, sink)?;
+            let opened =
+                self.sites[home].begin_classified(own, may_ship, &mut self.current, sink)?;
             match op {
                 Update::Insert(t) => self.site_of_tid.insert(t.tid, home),
                 Update::Delete(tid) => self.site_of_tid.remove(tid),
@@ -900,11 +831,8 @@ impl HorizontalDetector {
             let Some((round, requests)) = opened else {
                 continue;
             };
-            if preserving {
-                return Err(self.sites[home].shipped_unscheduled(op.tid()));
-            }
-            let reach = self.sites[home].reach();
-            self.flight.enter(home, op.tid(), reach);
+            let (party, reach) = (Party { home, writes: true }, self.sites[home].reach());
+            self.flight.ledger.enter(party, 0, op.tid(), reach);
             let slot = self.flight.slots.len();
             let left = requests.len();
             self.flight.slots.push(Some(Open { home, left, round }));
@@ -1487,10 +1415,7 @@ mod tests {
             det.apply(&UpdateBatch::from_ops(window.to_vec())).unwrap();
         }
         let (drains, rounds) = (det.waves(), det.flight.opened);
-        assert!(
-            drains > 0 && drains * 5 <= rounds,
-            "{drains} drains, {rounds} rounds"
-        );
+        assert_eq!((drains, rounds), (1_752, 10_088));
         let oracle = cfd::naive::detect(det.cfds(), &base);
         assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
     }

@@ -8,13 +8,15 @@
 //! thread-per-site
 //! [`SiteRunner`](crate::concurrent::SiteRunner) drives one behind its
 //! wave scheduler and hands it the fragment its thread or process holds —
-//! after [`Site::try_settle`] has applied, on arrival, every update of the
-//! batch that needs no scheduling at all.
+//! after [`Site::settle`] has applied, on arrival, every update of the
+//! batch that needs no scheduling at all. When an update may run is
+//! decided by the [`order`](super::order) module's one rule.
 //!
 //! Group state, the case analyses and every id on the wire are per
 //! *operator* `(X → B)` ([`SharedPlan::operators`]); CFD ids appear only
 //! where a mark is written to `V`.
 
+use super::order::{self, Class, Deferrals, DeferredList, Key, Party, Verdict};
 use super::{
     add_marks, class_values, clear_group, delete_case, insert_case, mark_group, GroupState, HorMsg,
     Ship, StateCensus,
@@ -328,14 +330,24 @@ impl OpScratch {
         self.peers.clear();
     }
 
-    /// The footprint of the update [`SiteConfig::candidates`] was last run
-    /// for: the `(operator, group key)` pairs it can touch anywhere in the
-    /// mesh, which is what the wave scheduler reads.
-    pub(crate) fn footprint<'a>(
-        &'a self,
-        plan: &'a SharedPlan,
-    ) -> impl Iterator<Item = (OpId, Digest)> + 'a {
-        matched_ops(plan, &self.vars, &self.group_kd).map(|(op, kd, _)| (op, kd))
+    /// The key groups the update [`SiteConfig::candidates`] was last run
+    /// for matches, each with its group key.
+    fn keyed(&self) -> impl Iterator<Item = (usize, Digest)> + '_ {
+        let keyed = self.group_kd.iter().enumerate();
+        keyed.filter_map(|(g, kd)| kd.map(|kd| (g, kd)))
+    }
+
+    /// That update's footprint: every group it, or a round it opens, can
+    /// touch at any site ([`order`]).
+    pub(crate) fn footprint(&self) -> impl Iterator<Item = Key> + '_ {
+        self.keyed().map(|(g, kd)| order::key(g, kd))
+    }
+
+    /// The RHS class that update joins or leaves in each group it matches;
+    /// [`Site::classify`] has digested every RHS value.
+    fn classes<'a>(&'a self, cfg: &'a SiteConfig) -> impl Iterator<Item = Class> + 'a {
+        let matched = matched_ops(&cfg.plan, &self.vars, &self.group_kd);
+        matched.map(|(op, kd, _)| (op, kd, self.attr_d[&cfg.operator(op).1]))
     }
 
     /// Sort the peers collected for the message being shipped; any?
@@ -426,51 +438,6 @@ impl<'a> Own<'a> {
     }
 }
 
-/// What [`Site::try_settle`] did with one update of a batch slice.
-pub(crate) enum Settled {
-    /// Class-preserving and clear of every deferred update before it:
-    /// applied, nothing shipped.
-    Applied,
-    /// Left untouched for the wave schedule. `writes`: the update creates
-    /// or empties a local RHS class, so peers can tell it happened;
-    /// otherwise it is class-preserving and only *held* behind an earlier
-    /// deferred update of the slice that shares a group key or its tid.
-    Deferred { writes: bool },
-}
-
-/// Tables of a [`Deferrals`] keep this much room between batches; a `D₀`
-/// window defers thousands of updates, a steady batch a handful.
-const DEFERRALS_KEPT: usize = 64;
-
-/// What the settle pass of one batch slice remembers of the updates it
-/// deferred, so that every later update of the slice is classified — and
-/// kept in program order — as if they had run. Sized by the deferred
-/// updates, not by the slice; the driver keeps one and clears it per batch.
-#[derive(Default)]
-pub(crate) struct Deferrals {
-    /// Group keys and tids a deferred update touches: whatever shares one
-    /// waits behind it.
-    keys: FxHashSet<(OpId, Digest)>,
-    tids: FxHashSet<Tid>,
-    /// Per `(operator, group key, RHS class)`: members the deferred
-    /// updates will add, less those they will remove. Without it an insert
-    /// behind a deferred delete that empties its class would count a
-    /// member that is gone by the time it runs.
-    pending: FxHashMap<(OpId, Digest, Digest), i32>,
-}
-
-impl Deferrals {
-    /// Forget the slice; give back what a large one grew.
-    pub(crate) fn clear(&mut self) {
-        self.keys.clear();
-        self.keys.shrink_to(DEFERRALS_KEPT);
-        self.tids.clear();
-        self.tids.shrink_to(DEFERRALS_KEPT);
-        self.pending.clear();
-        self.pending.shrink_to(DEFERRALS_KEPT);
-    }
-}
-
 /// One site of the §6 protocol, sans IO.
 pub(crate) struct Site {
     cfg: SiteConfig,
@@ -536,47 +503,50 @@ impl Site {
     pub(crate) fn begin(
         &mut self,
         op: &Update,
+        may_ship: bool,
         rows: &mut Relation,
         sink: Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
         let own = Own::read(op, rows)?;
         self.classify(&own);
-        self.begin_classified(own, rows, sink)
+        self.begin_classified(own, may_ship, rows, sink)
     }
 
     /// The first half of an own update: its candidates — the CFDs it
-    /// matches and a key digest per key group they sit on — into the
-    /// own-update scratch. They stay there, whatever this site serves its
-    /// peers meanwhile, until the update begins.
+    /// matches and a key digest per key group they sit on — and the RHS
+    /// digest of each class it touches, into the own-update scratch. They
+    /// stay there, whatever this site serves its peers meanwhile, until
+    /// the update begins.
     pub(crate) fn classify(&mut self, own: &Own<'_>) {
-        self.cfg.candidates(self.sharing, own.tuple(), &mut self.sx);
+        let (cfg, sx, t) = (&self.cfg, &mut self.sx, own.tuple());
+        cfg.candidates(self.sharing, t, sx);
+        for (op, ..) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
+            digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
+        }
     }
 
-    /// The classified update's key groups, each with its group key: every
-    /// group the update, or a round it opens, can touch at any site (a
-    /// peer's implicit queries only derive keys from the tuple's own
-    /// values, and a group exists only where a tuple of that key matched).
-    pub(crate) fn footprint(&self) -> impl Iterator<Item = (usize, Digest)> + '_ {
-        let keyed = self.sx.group_kd.iter().enumerate();
-        keyed.filter_map(|(g, kd)| kd.map(|kd| (g, kd)))
+    /// The classified update's footprint ([`order`]).
+    pub(crate) fn footprint(&self) -> impl Iterator<Item = Key> + '_ {
+        self.sx.footprint()
     }
 
     /// The part of the footprint the round the update just opened can
     /// touch: the key groups whose whole `X` its requests carry. A peer
     /// derives keys from the payload alone, and every operator the round
     /// queries, probes or may clear is among them.
-    pub(crate) fn reach(&self) -> impl Iterator<Item = (usize, Digest)> + '_ {
+    pub(crate) fn reach(&self) -> impl Iterator<Item = Key> + '_ {
         let carried = |g: usize| {
             let lhs = &self.cfg.plan.key_groups()[g].0;
             lhs.iter().all(|a| self.sx.attrs.binary_search(a).is_ok())
         };
-        self.footprint().filter(move |&(g, _)| carried(g))
+        let keyed = self.sx.keyed().filter(move |&(g, _)| carried(g));
+        keyed.map(|(g, kd)| order::key(g, kd))
     }
 
     /// Does the classified update create or empty a local RHS class, so
     /// that a peer could tell it happened? Exact for an update about to
     /// begin: the stored state is the state it will find.
-    pub(crate) fn writes(&mut self, own: &Own<'_>) -> bool {
+    pub(crate) fn writes(&self, own: &Own<'_>) -> bool {
         !self.preserves(own, |_| 0)
     }
 
@@ -584,23 +554,34 @@ impl Site {
     /// the insert's row stored first, the delete's row dropped last. `None`
     /// when the local case analysis settles every operator (Examples
     /// 2(1)(b), 2(2) and 9), no peer could hold a group of it, or the site
-    /// decided a delete alone.
+    /// decided a delete alone. An update the driver runs as
+    /// class-preserving (`!may_ship`) that opens a round is an internal
+    /// error: the classification and the case analysis disagree.
     pub(crate) fn begin_classified(
         &mut self,
         own: Own<'_>,
+        may_ship: bool,
         rows: &mut Relation,
         sink: Sink<'_>,
     ) -> Result<Option<Opened>, DetectError> {
-        match own {
+        let tid = own.tuple().tid;
+        let opened = match own {
             Own::Insert(t) => {
                 // Row before group state: every class this update creates
                 // has, from its first instant, a member whose RHS value
                 // `rows` can produce (`class_values`).
                 rows.insert_row(t.tid, t.values.iter())?;
-                self.insert_matched(t, sink)
+                self.insert_matched(t, sink)?
             }
-            Own::Delete(t) => self.delete_matched(t, rows, sink),
+            Own::Delete(t) => self.delete_matched(t, rows, sink)?,
+        };
+        if opened.is_some() && !may_ship {
+            let me = self.me;
+            let what =
+                format!("site {me}: the class-preserving update of tuple {tid} opened a round");
+            return Err(DetectError::Internal(what));
         }
+        Ok(opened)
     }
 
     /// The insertion case analysis over the candidates the scratch holds
@@ -709,85 +690,55 @@ impl Site {
 
     // -- settling a batch slice -----------------------------------------
 
-    /// The settle step, once per update of a batch slice, in slice order,
-    /// before any round of the batch opens anywhere. An update is
+    /// The settle step: once per batch, over this site's slice in slice
+    /// order, before any round of the batch opens anywhere. An update is
     /// *class-preserving* when, for every operator it matches, the local
     /// group holds its RHS class before and after it: an insert finds a
     /// member there, a delete leaves one — counting what the slice's
-    /// deferred updates (`held`) will have added and removed by the time it
-    /// runs. Such an update ships nothing under either value of the
-    /// group's flag, and changes neither the set of classes nor the flag,
-    /// which is all a peer's request reads: it commutes with every update
-    /// of every other site. One that also shares no group key and no tid
-    /// with a deferred update before it is applied here, through the case
-    /// analysis of `begin_insert` / `begin_delete`; any other is recorded
-    /// in `held` and left for the driver to schedule, untouched.
-    pub(crate) fn try_settle(
+    /// deferred updates will have added and removed by the time it runs.
+    /// One that also commutes ([`order::verdict`]) with every update
+    /// deferred before it is applied here, through the same case analysis,
+    /// which must ship nothing. Every other update is left untouched for
+    /// the wave schedule, entered in `held` (which the driver keeps between
+    /// batches) and listed: its slice position, and whether it writes or
+    /// is only held behind a deferred update.
+    pub(crate) fn settle(
         &mut self,
-        op: &Update,
+        slice: &[&Update],
         rows: &mut Relation,
-        sink: Sink<'_>,
+        (v, dv): Sink<'_>,
         held: &mut Deferrals,
-    ) -> Result<Settled, DetectError> {
-        let own = Own::read(op, rows)?;
-        self.classify(&own);
-        let pending = |key| held.pending.get(&key).copied().unwrap_or(0);
-        let preserves = self.preserves(&own, pending);
-        let (cfg, sx) = (&self.cfg, &self.sx);
-        let blocked = held.tids.contains(&op.tid())
-            || matched_ops(&cfg.plan, &sx.vars, &sx.group_kd)
-                .any(|(o, kd, _)| held.keys.contains(&(o, kd)));
-        if !preserves || blocked {
-            self.defer(&own, held);
-            return Ok(Settled::Deferred { writes: !preserves });
+    ) -> Result<DeferredList, DetectError> {
+        held.clear();
+        let mut deferred = Vec::new();
+        for (pos, &op) in (0..).zip(slice) {
+            let (own, tid, me) = (Own::read(op, rows)?, op.tid(), self.me);
+            self.classify(&own);
+            let writes = !self.preserves(&own, |class| held.pending(class));
+            let (verdict, _) = held.ledger.wait(me, tid, self.footprint(), || writes);
+            if writes || verdict != Verdict::Commutes {
+                let (keys, classes) = (self.sx.footprint(), self.sx.classes(&self.cfg));
+                held.defer(Party { home: me, writes }, tid, keys, own.sign(), classes);
+                deferred.push((pos, writes));
+            } else {
+                self.begin_classified(own, false, rows, (&mut *v, &mut *dv))?;
+            }
         }
-        match self.begin_classified(own, rows, sink)? {
-            None => Ok(Settled::Applied),
-            Some(_) => Err(self.shipped_unscheduled(op.tid())),
-        }
-    }
-
-    /// A class-preserving update asked for a round: the classification and
-    /// the case analysis disagree.
-    pub(crate) fn shipped_unscheduled(&self, tid: Tid) -> DetectError {
-        let me = self.me;
-        let what = format!("site {me}: the class-preserving update of tuple {tid} opened a round");
-        DetectError::Internal(what)
+        Ok(deferred)
     }
 
     /// Is the classified update class-preserving: does every RHS class it
     /// touches hold a member before and after it? `pending` adds, per
-    /// `(operator, group key, class)`, the members earlier updates not yet
-    /// applied will have added or removed by the time it runs. The RHS
-    /// digests stay cached for the case analysis.
-    fn preserves(
-        &mut self,
-        own: &Own<'_>,
-        pending: impl Fn((OpId, Digest, Digest)) -> i32,
-    ) -> bool {
-        let (cfg, sx, t) = (&self.cfg, &mut self.sx, own.tuple());
+    /// class, the members earlier updates not yet applied will have added
+    /// or removed by the time it runs.
+    fn preserves(&self, own: &Own<'_>, pending: impl Fn(Class) -> i32) -> bool {
         // An insert needs a member to join, a delete one to leave behind.
         let needed = if own.sign() > 0 { 1 } else { 2 };
-        for (op, kd, _) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
-            let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
+        self.sx.classes(&self.cfg).all(|(op, kd, bd)| {
             let group = self.state[op as usize].get(&kd);
             let stored = group.map_or(0, |g| g.class_len(bd)) as i64;
-            if stored + i64::from(pending((op, kd, bd))) < needed {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Enter the classified update into `held`, untouched.
-    fn defer(&mut self, own: &Own<'_>, held: &mut Deferrals) {
-        let (cfg, sx, t) = (&self.cfg, &mut self.sx, own.tuple());
-        held.tids.insert(t.tid);
-        for (op, kd, _) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
-            let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
-            held.keys.insert((op, kd));
-            *held.pending.entry((op, kd, bd)).or_insert(0) += own.sign();
-        }
+            stored + i64::from(pending((op, kd, bd))) >= needed
+        })
     }
 
     // -- serving peers --------------------------------------------------
@@ -1037,10 +988,11 @@ impl Site {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent::WavePlanner;
+    use crate::concurrent::wave_order;
     use crate::horizontal::fixtures::{
         d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
     };
+    use crate::horizontal::order::WavePlanner;
     use crate::HorizontalDetector;
     use cluster::{NetStats, Wire};
     use relation::{UpdateBatch, Value};
@@ -1083,7 +1035,7 @@ mod tests {
         queues: Vec<Vec<VecDeque<usize>>>,
         /// Modeled bytes and messages per link.
         stats: NetStats,
-        /// `[site]`: the settle pass's memory of what it deferred.
+        /// `[site]`: what its settle pass deferred.
         held: Vec<Deferrals>,
     }
 
@@ -1124,9 +1076,8 @@ mod tests {
 
         fn begin(&mut self, home: SiteId, op: &Update, writes: bool) {
             let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[home]);
-            let opened = self.sites[home].begin(op, rows, sink);
+            let opened = self.sites[home].begin(op, writes, rows, sink);
             if let Some((round, requests)) = opened.unwrap() {
-                assert!(writes, "site {home}: held {op:?} opened a round");
                 self.rounds[home].push(None);
                 self.send(home, self.rounds[home].len() - 1, Some(round), requests);
             }
@@ -1203,48 +1154,50 @@ mod tests {
             self.rounds.iter_mut().for_each(Vec::clear);
         }
 
-        /// One routed batch through the two-step schedule, as the
-        /// threaded runtime drives it: every site's settle pass over its
-        /// slice, the coordinator's placing of what they deferred, then
-        /// the waves, each to quiescence under `pick`. `after` sees the
-        /// mesh after the settle passes (with the updates they applied,
-        /// in batch order) and after every wave (with the wave).
+        /// One routed batch through the two-step schedule, by the
+        /// runtime's own steps: every site's settle pass over its slice,
+        /// the coordinator's placing of what they deferred, each site's
+        /// wave order — then the waves, each to quiescence under `pick`.
+        /// `after` sees the mesh after the settle passes (with the updates
+        /// they applied) and after every wave (with the wave), each site's
+        /// share in slice order.
         fn run_batch(
             &mut self,
             batch: &[(SiteId, Update)],
             mut pick: impl FnMut(usize) -> usize,
             mut after: impl FnMut(&Mesh, &[Step]),
         ) {
-            let cfg = self.sites[0].cfg().clone();
-            self.held.iter_mut().for_each(Deferrals::clear);
-            // Sites do not interact while they settle, so batch order is
-            // every site's slice order at once.
-            let mut settled = Vec::new();
-            let mut waves: Vec<Vec<Step>> = Vec::new();
+            let n = self.sites.len();
+            let mut slices: Vec<Vec<&Update>> = (0..n).map(|_| Vec::new()).collect();
+            batch.iter().for_each(|(home, op)| slices[*home].push(op));
+            // Sites do not interact while they settle.
             let mut deferred = Vec::new();
-            for (home, op) in batch {
-                let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[*home]);
-                let held = &mut self.held[*home];
-                match self.sites[*home].try_settle(op, rows, sink, held).unwrap() {
-                    Settled::Applied => settled.push((*home, op.clone(), false)),
-                    Settled::Deferred { writes } => deferred.push((*home, op, writes)),
+            for (i, slice) in slices.iter().enumerate() {
+                let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[i]);
+                let held = &mut self.held[i];
+                deferred.push(self.sites[i].settle(slice, rows, sink, held).unwrap());
+            }
+            let (cfg, rows) = (self.sites[0].cfg().clone(), &self.rows);
+            let ops = batch.iter().map(|(home, op)| (*home, op));
+            let stored = |home: SiteId, tid| rows[home].get(tid);
+            let schedule = WavePlanner::default().schedule(&cfg, ops, &deferred, stored);
+            let (n_waves, waves) = schedule.unwrap();
+            let mut steps: Vec<Vec<Step>> = (0..=n_waves).map(|_| Vec::new()).collect();
+            for (home, slice) in slices.iter().enumerate() {
+                let mut listed = deferred[home].iter().map(|d| d.0).peekable();
+                for (pos, &op) in (0..).zip(slice) {
+                    if listed.next_if_eq(&pos).is_none() {
+                        steps[0].push((home, op.clone(), false));
+                    }
+                }
+                let order = wave_order(home, &deferred[home], n_waves, &waves[home]).unwrap();
+                for (w, pos, writes) in order {
+                    let op = slice[pos as usize].clone();
+                    steps[w as usize + 1].push((home, op, writes));
                 }
             }
-            after(self, &settled);
-            let mut planner = WavePlanner::default();
-            for (home, op, writes) in deferred {
-                let w = match op {
-                    Update::Insert(t) => planner.place(&cfg, home, t, writes),
-                    Update::Delete(tid) => {
-                        let t = self.rows[home].get(*tid).expect("deferred untouched");
-                        planner.place(&cfg, home, &t, writes)
-                    }
-                };
-                waves.resize_with(planner.n_waves as usize, Vec::new);
-                waves[w as usize].push((home, op.clone(), writes));
-            }
-            planner.finish();
-            for wave in &waves {
+            after(self, &steps[0]);
+            for wave in &steps[1..] {
                 self.run_wave(wave, &mut pick);
                 after(self, wave);
             }
@@ -1511,7 +1464,9 @@ mod tests {
             mesh.run_wave(&wave, |_| 0);
         }
         let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
-        let opened = mesh.sites[2].begin(&Update::Delete(5), rows, sink).unwrap();
+        let opened = mesh.sites[2]
+            .begin(&Update::Delete(5), true, rows, sink)
+            .unwrap();
         let (round, requests) = opened.unwrap();
         (mesh, round, requests)
     }
@@ -1662,7 +1617,9 @@ mod tests {
         // An insert round refuses a delete's reply, and ids out of Σ.
         let t = emp_tuple(7, "C", 44, 131, "EH2 4HF", "Lauriston", "EDI");
         let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
-        let opened = mesh.sites[2].begin(&Update::Insert(t), rows, sink).unwrap();
+        let opened = mesh.sites[2]
+            .begin(&Update::Insert(t), true, rows, sink)
+            .unwrap();
         let (mut round, requests) = opened.unwrap();
         let forged = [
             (
