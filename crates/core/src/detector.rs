@@ -78,44 +78,6 @@ impl From<ClusterError> for DetectError {
     }
 }
 
-/// Tuples per window of the streamed `D₀` build of `incHor` and the
-/// threaded runtime ([`ingest`]). A build
-/// holds one window of materialised tuples, its normalised copy and its
-/// `ΔV` at a time, so the transient is `O(window · (arity + |Σ|))` instead
-/// of `O(|D₀| · |Σ|)` — at 1 024 rules and 40 000 rows the one-batch build
-/// peaked ≈ 120 MiB above the state it left behind. The threaded runtime
-/// pays a wave schedule, an `Ops` frame per site and a collection round
-/// per window: at 2 048 its `setup_s` on `detbench`'s `thr_tcp_batch` read
-/// 3.5 % over the one-batch build (slower in 8 of 10 pairs), at 4 096 it
-/// is back inside that build's own spread, for 3 MiB more peak on
-/// `hor_wide_sigma` (52.8 vs 49.6 MiB, down from 234).
-const BUILD_WINDOW: usize = 4096;
-
-/// Load `d` into an empty detector by replaying it, in tid order, through
-/// the detector's own incremental `apply` — the build path of `incHor`
-/// and the threaded runtime, whose sites learn `D₀` over their links.
-/// (`incVer` indexes a clone of `d`'s store instead; see
-/// [`VerticalDetector`](crate::VerticalDetector).) The replay is windowed
-/// and each window's `ΔV` dropped: the ops and their order are those of a
-/// single `apply(D₀)`, so `V`, index/group state and per-link codec
-/// residency come out the same.
-pub(crate) fn ingest(
-    d: &Relation,
-    mut apply: impl FnMut(&UpdateBatch) -> Result<DeltaV, DetectError>,
-) -> Result<(), DetectError> {
-    let mut rows = d.iter().peekable();
-    while rows.peek().is_some() {
-        let window = UpdateBatch::from_ops(
-            rows.by_ref()
-                .take(BUILD_WINDOW)
-                .map(Update::Insert)
-                .collect(),
-        );
-        apply(&window)?;
-    }
-    Ok(())
-}
-
 /// Admit a caller's batch — the first thing every `apply` does, before
 /// anything is mutated. The batch is normalised against `current` (`incVer`
 /// line 1), which leaves deletes of live tids and inserts of free ones
@@ -207,17 +169,18 @@ mod tests {
     use super::*;
     use crate::StateCensus;
     use crate::{ConcurrentHorizontal, HorizontalDetector, VerticalDetector};
+    use cfd::{CfdId, OpId, SharedPlan};
     use cluster::codec::CodecKind;
+    use cluster::md5::Digest;
     use cluster::net::TransportKind;
     use cluster::partition::{HorizontalScheme, VerticalScheme};
-    use relation::{Tid, Tuple, Value};
+    use cluster::SiteId;
+    use relation::{AttrId, Tid, Tuple, Value};
 
     fn emp_schema() -> Arc<Schema> {
         Schema::new("EMP", &["id", "grade", "CC", "zip", "street", "city"], "id").unwrap()
     }
 
-    /// Groups of every shape: ~60-member classes over 5 streets per zip
-    /// (hashed class maps, boxed tid sets), plus singleton zips.
     fn emp_row(tid: Tid) -> Tuple {
         let zip = if tid % 10 == 0 { tid } else { tid % 97 };
         let city = if tid % 13 == 0 { "NYC" } else { "EDI" };
@@ -243,135 +206,287 @@ mod tests {
         ]
     }
 
-    /// Inserts, deletes and modifications against `d0 = 1..=n`.
-    fn follow_up(n: Tid) -> Vec<UpdateBatch> {
-        let mut b1 = UpdateBatch::new();
-        for tid in n + 1..n + 40 {
-            b1.insert(emp_row(tid));
+    /// `d` as a caller's store may hold it after a history: every seventh
+    /// row deleted, which leaves free rows and free dictionary slots, and
+    /// `far`'s values under a tid past the dense window, in `TidMap`'s
+    /// overflow tree.
+    fn with_history(d: &Relation, far: &Tuple) -> Relation {
+        let mut d = d.clone();
+        let gone: Vec<Tid> = d.tids().step_by(7).collect();
+        for tid in gone {
+            d.delete_quiet(tid).unwrap();
         }
-        let mut b2 = UpdateBatch::new();
-        for tid in (1..=n.min(60)).step_by(3) {
-            b2.delete(tid);
-        }
-        for tid in (2..=n.min(60)).step_by(3) {
-            b2.insert(Tuple::new(tid, emp_row(tid + 1).values.to_vec()));
-        }
-        for tid in n + 1..n + 20 {
-            b2.delete(tid);
-        }
-        vec![b1, b2]
+        d.insert(Tuple::new(1 << 40, far.values.to_vec())).unwrap();
+        d
     }
 
-    /// What a build leaves behind, as far as this crate can see it.
+    /// A seeded stream over `d0`: mixed batches, modifications that
+    /// rewrite `rhs`, and single updates.
+    fn stream(d0: &Relation, fresh: &[Tuple], rhs: AttrId) -> Vec<UpdateBatch> {
+        use workload::updates::{self, UpdateMix};
+        let mut mirror = d0.clone();
+        let mut batches = Vec::new();
+        let mut push = |batch: UpdateBatch, mirror: &mut Relation| {
+            batch.normalize(mirror).apply(mirror).unwrap();
+            batches.push(batch);
+        };
+        let mix = |insert_fraction| UpdateMix { insert_fraction };
+        push(
+            updates::generate(&mirror, &fresh[..30], 50, mix(0.6), 1),
+            &mut mirror,
+        );
+        let corrupt = |t: &Tuple, rng: &mut _| updates::corrupt_attr(t, rhs, rng);
+        push(
+            updates::generate_modifications(&mirror, 30, 2, corrupt),
+            &mut mirror,
+        );
+        let b = updates::generate(&mirror, &fresh[30..40], 20, mix(0.5), 3);
+        for op in b.ops() {
+            push(UpdateBatch::from_ops(vec![op.clone()]), &mut mirror);
+        }
+        batches
+    }
+
+    /// What a §6 build leaves behind, as far as this crate can see it.
     #[derive(Debug, PartialEq)]
     struct Built {
-        marks: Vec<(cfd::CfdId, Tid)>,
+        marks: Vec<(CfdId, Tid)>,
         census: StateCensus,
-        index_sizes: (usize, usize, usize, usize),
+        flags: Vec<(SiteId, OpId, Digest, bool)>,
         resident_symbols: Vec<usize>,
     }
 
-    /// Build ≡ empty detector + one `apply(D₀)`, for every constructor —
-    /// streamed through [`ingest`] or, for `incVer`, from the store — and
-    /// every way `|D₀|` can sit against the window.
+    impl Built {
+        fn of(det: &HorizontalDetector) -> Self {
+            Built {
+                marks: det.violations().marks_sorted(),
+                census: det.state_census(),
+                flags: det.group_flags(),
+                resident_symbols: det.resident_symbols(),
+            }
+        }
+    }
+
+    /// The §6 build — `HorizontalDetector::new`, and `HybridDetector::new`
+    /// through it — leaves what an empty detector handed `D₀` as one insert
+    /// batch leaves: the same `V`, census (resident bytes included), flag of
+    /// every group at every site and symbols resident on every link; after
+    /// the same seeded stream, the same `ΔV` at every step and the same
+    /// per-link traffic. Under every codec, over the simulated and framed
+    /// transports, for TPCH's 8 rules and a 96-rule mined family at high
+    /// overlap (spilled classes, groups held at several sites, operators
+    /// local to a site), on a `D₀` with history.
     #[test]
     fn build_is_the_replay() {
-        let s = emp_schema();
-        let grade = s.attr_id("grade").unwrap();
-        let hor = HorizontalScheme::by_hash(s.clone(), grade, 3).unwrap();
-        let ver = VerticalScheme::round_robin(s.clone(), 3).unwrap();
-        let w = BUILD_WINDOW as Tid;
+        use crate::{HybridDetector, HybridScheme};
+        use workload::family::{cfd_family, FamilyConfig};
+        use workload::{rules, tpch};
+        let tcfg = tpch::TpchConfig {
+            n_rows: 600,
+            n_customers: 60,
+            n_parts: 40,
+            n_suppliers: 12,
+            error_rate: 0.1,
+            seed: 42,
+        };
+        let (s, d0) = tpch::generate(&tcfg);
+        let fresh = tpch::generate_fresh(&tcfg, 1_000_000, 41, 7);
+        let d0 = with_history(&d0, &fresh[40]);
+        let family = FamilyConfig {
+            n: 96,
+            overlap: 0.95,
+            seed: 0xCFD,
+            ..FamilyConfig::default()
+        };
+        let family = cfd_family(&s, &d0, &family);
+        // Partitioned on an attribute some operators' `X` holds and others'
+        // does not: local and cross-site operators side by side.
+        let plan = SharedPlan::new(&family);
+        let lists: Vec<&[AttrId]> = plan.key_groups().iter().map(|(x, _)| &x[..]).collect();
+        let on = *lists
+            .iter()
+            .flat_map(|x| x.iter())
+            .find(|a| lists.iter().any(|x| !x.contains(a)))
+            .expect("an attribute on some key lists only");
+        let by_on = HorizontalScheme::by_hash(s.clone(), on, 3).unwrap();
+        let catalogs = [
+            (
+                "TPCH 8 rules",
+                rules::tpch_rules(&s, 8, 0xCFD),
+                tpch::horizontal_scheme(&s, 4),
+            ),
+            ("96-rule family", family, by_on),
+        ];
+        let codecs = [
+            CodecKind::RawValues,
+            CodecKind::Md5,
+            CodecKind::Dict,
+            CodecKind::Lz,
+        ];
+        let transports = [TransportKind::Simulated, TransportKind::Framed];
+        let empty = Relation::new(s.clone());
+        let mut all = UpdateBatch::new();
+        d0.iter().for_each(|t| all.insert(t));
+        for (name, sigma, scheme) in &catalogs {
+            let rhs = sigma.iter().find(|c| c.is_variable()).unwrap().rhs;
+            let batches = stream(&d0, &fresh[..40], rhs);
+            let hybrid = HybridScheme::new(
+                scheme.clone(),
+                (0..scheme.n_sites())
+                    .map(|_| VerticalScheme::round_robin(s.clone(), 2).unwrap())
+                    .collect(),
+            )
+            .unwrap();
+            for (codec, transport) in codecs.into_iter().flat_map(|c| transports.map(|t| (c, t))) {
+                let at = format!("{name}, {codec:?} over {transport:?}");
+                let hor = |d: &Relation| {
+                    let (s, sigma) = (s.clone(), sigma.clone());
+                    HorizontalDetector::new(s, sigma, scheme.clone(), d, codec, transport).unwrap()
+                };
+                let (mut built, mut replayed) = (hor(&d0), hor(&empty));
+                replayed.apply(&all).unwrap();
+                replayed.reset_stats();
+                let got = Built::of(&built);
+                assert_eq!(got, Built::of(&replayed), "{at}: incHor");
+                assert!(got.flags.iter().any(|f| f.3), "{at}: a violating group");
+                if *name != "TPCH 8 rules" {
+                    let census = got.census;
+                    assert!(census.spilled_class_maps > 0, "{at}: {census:?}");
+                    let mut keys: Vec<_> = got.flags.iter().map(|f| (f.1, f.2)).collect();
+                    keys.sort_unstable();
+                    assert!(
+                        keys.windows(2).any(|w| w[0] == w[1]),
+                        "{at}: no multi-site group"
+                    );
+                }
+                if codec == CodecKind::Dict {
+                    assert!(got.resident_symbols.iter().any(|&n| n > 0), "{at}");
+                }
+                assert_eq!(built.stats().total_messages(), 0, "{at}: unmetered");
+                for (i, batch) in batches.iter().enumerate() {
+                    let dv = built.apply(batch).unwrap();
+                    assert_eq!(dv, replayed.apply(batch).unwrap(), "{at}: ΔV of batch {i}");
+                }
+                assert!(built.stats().total_messages() > 0, "{at}: the stream ships");
+                assert_eq!(
+                    built.stats().to_bytes(),
+                    replayed.stats().to_bytes(),
+                    "{at}"
+                );
+                assert_eq!(
+                    format!("{:?}", built.net()),
+                    format!("{:?}", replayed.net())
+                );
+                assert_eq!(
+                    Built::of(&built),
+                    Built::of(&replayed),
+                    "{at}: after the stream"
+                );
 
-        // Build both ways with `mk`, compare what `observe` sees, then
-        // run the follow-up stream through both and compare ΔV and `net`.
-        fn check<D>(
-            d0: &Relation,
-            mk: impl Fn(&Relation) -> D,
-            apply: impl Fn(&mut D, &UpdateBatch) -> DeltaV,
-            reset: impl Fn(&mut D),
-            observe: impl Fn(&D) -> Built,
-            net: impl Fn(&D) -> String,
-        ) {
-            let n = d0.len();
-            let streamed = &mut mk(d0);
-            let replayed = &mut mk(&Relation::new(d0.schema().clone()));
+                let hyb = |d: &Relation| {
+                    let (s, sigma) = (s.clone(), sigma.clone());
+                    HybridDetector::new(s, sigma, hybrid.clone(), d, codec, transport).unwrap()
+                };
+                let (mut built, mut replayed) = (hyb(&d0), hyb(&empty));
+                replayed.apply(&all).unwrap();
+                replayed.reset_stats();
+                let (got, want) = (Built::of(built.inner()), Built::of(replayed.inner()));
+                assert_eq!(got, want, "{at}: incHyb");
+                for (i, batch) in batches.iter().enumerate() {
+                    let dv = built.apply(batch).unwrap();
+                    assert_eq!(dv, replayed.apply(batch).unwrap(), "{at}: incHyb ΔV {i}");
+                }
+                assert_eq!(
+                    format!("{:?}", built.net()),
+                    format!("{:?}", replayed.net())
+                );
+            }
+        }
+        // Under key hashing no TPCH operator is local to a site; under
+        // `on`, some are.
+        let local = |scheme: &HorizontalScheme| {
+            let keyed = plan
+                .operators()
+                .iter()
+                .map(|(g, ..)| &plan.key_groups()[*g].0);
+            let on_x = |x: &Vec<AttrId>| scheme.predicate(0).attrs().iter().all(|a| x.contains(a));
+            keyed.filter(|x| on_x(x)).count()
+        };
+        let n_local = local(&catalogs[1].2);
+        assert!(n_local > 0 && n_local < plan.operators().len());
+    }
+
+    /// The build refuses what the replay's `admit` and `route` refused, with
+    /// the same typed error: a `D₀` of another arity (through
+    /// `clone_under`), and one holding an unroutable tuple (the scheme's
+    /// `Routing`, naming the tid) — and the constructor returns no
+    /// detector, half-built or not. An empty `D₀` builds no group, teaches
+    /// no symbol and allocates no table.
+    #[test]
+    fn a_build_refuses_what_the_replay_refused() {
+        use crate::{HybridDetector, HybridScheme};
+        let s = emp_schema();
+        let cc = s.attr_id("CC").unwrap();
+        let values = vec![vec![Value::int(44)], vec![Value::int(1)]];
+        let by_cc = HorizontalScheme::by_values(s.clone(), cc, values).unwrap();
+        let mut stray = Relation::from_tuples(s.clone(), (1..=40).map(emp_row)).unwrap();
+        let mut values = emp_row(41).values.to_vec();
+        values[2] = Value::int(7);
+        stray.insert(Tuple::new(41, values)).unwrap();
+        let narrow = Schema::new("EMP", &["id", "grade", "CC", "zip", "street"], "id").unwrap();
+        let row = |tid| Tuple::new(tid, emp_row(tid).values[..5].to_vec());
+        let narrow = Relation::from_tuples(narrow, (1..=3).map(row)).unwrap();
+        let (md5, dict) = (CodecKind::Md5, CodecKind::Dict);
+        let sim = TransportKind::Simulated;
+        let hor = |d: &Relation, codec| {
+            HorizontalDetector::new(s.clone(), emp_cfds(&s), by_cc.clone(), d, codec, sim)
+        };
+        let hyb = |d: &Relation, codec| {
+            let verticals = vec![VerticalScheme::round_robin(s.clone(), 2).unwrap(); 2];
+            let scheme = HybridScheme::new(by_cc.clone(), verticals).unwrap();
+            HybridDetector::new(s.clone(), emp_cfds(&s), scheme, d, codec, sim).map(drop)
+        };
+        let refusals = [
+            (&stray, "routing error: tuple 41 matches no fragment"),
+            (&narrow, "tuple arity 5 does not match schema arity 6"),
+        ];
+        for (d0, want) in refusals {
             let mut all = UpdateBatch::new();
             d0.iter().for_each(|t| all.insert(t));
-            apply(replayed, &all);
-            reset(replayed);
-            assert_eq!(observe(streamed), observe(replayed), "|D0| = {n}");
-            for batch in follow_up(n as Tid) {
-                assert_eq!(apply(streamed, &batch), apply(replayed, &batch));
+            let empty = Relation::new(s.clone());
+            let replayed = hor(&empty, md5).unwrap().apply(&all).map(drop).unwrap_err();
+            for codec in [md5, dict] {
+                for (what, got) in [
+                    ("incHor", hor(d0, codec).map(drop)),
+                    ("incHyb", hyb(d0, codec)),
+                ] {
+                    let got = got.expect_err(what);
+                    let typed = matches!(
+                        (&got, &replayed),
+                        (
+                            DetectError::Cluster(ClusterError::Routing(_)),
+                            DetectError::Cluster(ClusterError::Routing(_))
+                        ) | (
+                            DetectError::Rel(RelError::ArityMismatch { .. }),
+                            DetectError::Rel(RelError::ArityMismatch { .. })
+                        )
+                    );
+                    assert!(
+                        typed,
+                        "{what}, {codec:?}: {got:?} where the replay said {replayed:?}"
+                    );
+                    assert_eq!(got.to_string(), replayed.to_string(), "{what}");
+                    assert!(got.to_string().contains(want), "{what}: {got}");
+                }
             }
-            assert_eq!(observe(streamed).marks, observe(replayed).marks);
-            assert_eq!(net(streamed), net(replayed), "|D0| = {n}");
         }
-
-        for n in [0, 1, w - 1, w, w + 1, 3 * w + 7] {
-            let d0 = Relation::from_tuples(s.clone(), (1..=n).map(emp_row)).unwrap();
-            check(
-                &d0,
-                |d| {
-                    let (codec, transport) = (CodecKind::Dict, TransportKind::Framed);
-                    HorizontalDetector::new(
-                        s.clone(),
-                        emp_cfds(&s),
-                        hor.clone(),
-                        d,
-                        codec,
-                        transport,
-                    )
-                    .unwrap()
-                },
-                |det, b| det.apply(b).unwrap(),
-                HorizontalDetector::reset_stats,
-                |det| Built {
-                    marks: det.violations().marks_sorted(),
-                    census: det.state_census(),
-                    index_sizes: (0, 0, 0, 0),
-                    resident_symbols: det.resident_symbols(),
-                },
-                |det| format!("{:?}", det.net()),
-            );
-            check(
-                &d0,
-                |d| VerticalDetector::new(s.clone(), emp_cfds(&s), ver.clone(), d).unwrap(),
-                |det, b| det.apply(b).unwrap(),
-                VerticalDetector::reset_stats,
-                |det| Built {
-                    marks: det.violations().marks_sorted(),
-                    census: StateCensus::default(),
-                    index_sizes: det.index_sizes(),
-                    resident_symbols: Vec::new(),
-                },
-                |det| format!("{:?}", det.net()),
-            );
-            check(
-                &d0,
-                |d| {
-                    let (codec, transport) = (CodecKind::Dict, TransportKind::Framed);
-                    ConcurrentHorizontal::threaded(
-                        s.clone(),
-                        emp_cfds(&s),
-                        hor.clone(),
-                        d,
-                        codec,
-                        transport,
-                    )
-                    .unwrap()
-                },
-                |det, b| det.apply(b).unwrap(),
-                ConcurrentHorizontal::reset_stats,
-                // The coordinator's own site; the others are threads.
-                |det| Built {
-                    marks: det.violations().marks_sorted(),
-                    census: det.coordinator_census(),
-                    index_sizes: (0, 0, 0, 0),
-                    resident_symbols: det.coordinator_resident_symbols(),
-                },
-                // Measured bytes move with ack timing; modeled |M| may not.
-                |det| format!("{:?}", det.stats()),
-            );
+        let empty = Relation::new(s.clone());
+        for codec in [md5, dict] {
+            let det = hor(&empty, codec).unwrap();
+            assert_eq!(det.state_census(), StateCensus::default());
+            assert!(det.resident_symbols().iter().all(|&n| n == 0));
+            assert!(det.violations().is_empty());
+            assert_eq!(det.stats().total_messages(), 0);
         }
     }
 

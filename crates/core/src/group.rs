@@ -263,6 +263,21 @@ impl<K: ClassKey> GroupState<K> {
         }
     }
 
+    /// Does the global group violate — do its classes here and at `peers`
+    /// (the same key's group at each site holding one) number ≥ 2
+    /// distinct?
+    pub(crate) fn violates_among<'a>(&self, mut peers: impl Iterator<Item = &'a Self>) -> bool
+    where
+        K: 'a,
+    {
+        match self {
+            GroupState::Few { bd, .. } | GroupState::One { bd, .. } => {
+                peers.any(|h| h.has_other(*bd))
+            }
+            GroupState::Many { .. } => true,
+        }
+    }
+
     /// Add `tid` to class `bd`, creating the class if need be.
     pub(crate) fn insert(&mut self, bd: K, tid: Tid) {
         if let GroupState::Many { classes, .. } = self {

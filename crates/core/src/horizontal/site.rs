@@ -18,8 +18,8 @@
 
 use super::order::{self, Class, Deferrals, DeferredList, Key, Party, Verdict};
 use super::{
-    add_marks, class_values, clear_group, delete_case, insert_case, mark_group, GroupState, HorMsg,
-    Ship, StateCensus,
+    add_marks, class_values, clear_group, delete_case, insert_case, insert_ship, mark_group,
+    GroupState, HorMsg, Ship, StateCensus,
 };
 use crate::detector::DetectError;
 use crate::optimize::SharingMode;
@@ -31,6 +31,7 @@ use cluster::md5::{md5, Digest};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, SiteId};
 use relation::{AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -279,6 +280,53 @@ fn matched_ops<'a>(
     })
 }
 
+/// `V(Σ, D₀)` and every site's group and codec state, built over `rows` —
+/// `D₀`, already stored — as a replay of its rows as inserts in tid order
+/// through the protocol leaves them, with no round and no frame:
+///
+/// 1. each row is routed by `home`, classified once at its home (shared
+///    dispatch, key and RHS digests), and entered: into the home's group
+///    maps, and into `V` for each constant CFD it violates. Under a codec
+///    with per-link state it first teaches the links what the replay's
+///    frame for it would have ([`Site::teach`]).
+/// 2. per operator, each group's flag is the global fact the protocol
+///    maintains — its classes across all sites hold ≥ 2 distinct RHS
+///    digests — and a violating group's members are marked.
+///
+/// Site `i`'s peers are the sites before and after it; what a pass reads
+/// of them is their group maps as they stand, so nothing sized by `D₀` is
+/// kept beside the state itself.
+pub(crate) fn build(
+    sites: &mut [Site],
+    rows: &Relation,
+    mut home: impl FnMut(&Tuple) -> Result<SiteId, DetectError>,
+    v: &mut Violations,
+) -> Result<(), DetectError> {
+    for t in rows.iter() {
+        let (before, site, after) = split(sites, home(&t)?)?;
+        site.classify(&Own::Insert(&t));
+        site.enter(&t, (before, after), v)?;
+    }
+    let operators = sites.first().map_or(0, |s| s.state.len());
+    for op in (0..operators).map(|o| o as OpId) {
+        for i in 0..sites.len() {
+            let (before, site, after) = split(sites, i)?;
+            site.flag(op, (before, after), rows, v)?;
+        }
+    }
+    Ok(())
+}
+
+/// Site `i`, between the sites before and after it.
+fn split(
+    sites: &mut [Site],
+    i: SiteId,
+) -> Result<(&mut [Site], &mut Site, &mut [Site]), DetectError> {
+    let (before, rest) = sites.split_at_mut(i.min(sites.len()));
+    let (site, after) = rest.split_first_mut().ok_or(ClusterError::UnknownSite(i))?;
+    Ok((before, site, after))
+}
+
 /// Own-update scratch: cleared, not rebuilt, per update. What
 /// [`SiteConfig::candidates`] leaves here survives everything a site does
 /// for its peers meanwhile ([`ServeScratch`] is theirs), so an update
@@ -488,6 +536,13 @@ impl Site {
     #[cfg(test)]
     pub(crate) fn resident_symbols(&self) -> impl Iterator<Item = usize> + '_ {
         self.rx.iter().map(ReceiverCodec::resident_symbols)
+    }
+
+    /// Every group's flag, by operator and key.
+    #[cfg(test)]
+    pub(crate) fn flags(&self) -> impl Iterator<Item = (OpId, Digest, bool)> + '_ {
+        let ops = (0..).zip(&self.state);
+        ops.flat_map(|(op, map)| map.iter().map(move |(kd, g)| (op, *kd, g.violating())))
     }
 
     /// A protocol error on the `src → me` link.
@@ -739,6 +794,116 @@ impl Site {
             let stored = group.map_or(0, |g| g.class_len(bd)) as i64;
             stored + i64::from(pending((op, kd, bd))) >= needed
         })
+    }
+
+    // -- the direct build -----------------------------------------------
+
+    /// Pass 1 of [`build`] for the classified row `t`, stored at this site
+    /// and after every row of a lower tid: its codec traffic first, then
+    /// its constant-CFD marks and its memberships.
+    fn enter(
+        &mut self,
+        t: &Tuple,
+        (before, after): (&mut [Site], &mut [Site]),
+        v: &mut Violations,
+    ) -> Result<(), DetectError> {
+        if self.codec.per_link() {
+            self.teach(t, (before, after))?;
+        }
+        let (cfg, sx) = (&self.cfg, &self.sx);
+        for &c in &sx.consts {
+            if cfg.cfds[c as usize].constant_violation(t) {
+                v.add(c, t.tid);
+            }
+        }
+        for (op, kd, bd) in sx.classes(cfg) {
+            match self.state[op as usize].entry(kd) {
+                Entry::Vacant(e) => {
+                    e.insert(GroupState::new(bd, t.tid));
+                }
+                Entry::Occupied(e) => e.into_mut().insert(bd, t.tid),
+            }
+        }
+        Ok(())
+    }
+
+    /// Teach each link the classified row `t` would have crossed in the
+    /// replay what its frame would have: [`insert_ship`] against the
+    /// classes the earlier rows left here and at the peers — where a
+    /// group's flag is the global fact — says whether it ships, and the
+    /// payload is encoded here and decoded at each peer in peer order, so
+    /// both ends' dictionaries hold the replay's symbols.
+    fn teach(
+        &mut self,
+        t: &Tuple,
+        (before, after): (&mut [Site], &mut [Site]),
+    ) -> Result<(), DetectError> {
+        let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
+        for (op, kd, cfds) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
+            let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
+            let found = self.state[op as usize].get(&kd).map(|g| {
+                let peers = before.iter().chain(&*after);
+                let held = peers.filter_map(|p| p.state[op as usize].get(&kd));
+                // The flag is read only when t brings another class.
+                let other = g.has_other(bd);
+                (other, other && g.violates_among(held))
+            });
+            match insert_ship(found, cfg.local_ok[op as usize][me]) {
+                Ship::Nothing => continue,
+                Ship::Probe => sx.probes.push(op),
+                Ship::Query => sx.queries.push(op),
+            }
+            cfg.peers_of(cfds, me, &mut sx.peers);
+        }
+        if !sx.settle_peers() {
+            return Ok(());
+        }
+        cfg.wire_attrs(&mut sx.attrs, &sx.probes, &sx.queries);
+        let peers = before.iter_mut().chain(after);
+        for peer in peers.filter(|p| sx.peers.binary_search(&p.me).is_ok()) {
+            let rx = peer.rx.get_mut(me).ok_or(ClusterError::UnknownSite(me))?;
+            for &a in &sx.attrs {
+                rx.digest(&self.codec.encode(me, peer.me, t.get(a)))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Pass 2 of [`build`] at this site for operator `op`: raise the flag
+    /// of every group whose classes here and at the peers hold ≥ 2
+    /// distinct RHS digests, and mark its members for the CFDs of `op`
+    /// whose pattern the group key matches — read off one member's row.
+    fn flag(
+        &mut self,
+        op: OpId,
+        (before, after): (&[Site], &[Site]),
+        rows: &Relation,
+        v: &mut Violations,
+    ) -> Result<(), DetectError> {
+        let (cfg, me) = (&self.cfg, self.me);
+        let mut hit = Vec::new();
+        for (kd, g) in self.state[op as usize].iter_mut() {
+            let held = before.iter().chain(after);
+            if !g.violates_among(held.filter_map(|p| p.state[op as usize].get(kd))) {
+                continue;
+            }
+            g.set_violating(true);
+            let mut member = None;
+            g.for_each_class(|_, members| member = member.or(members.first()));
+            let Some(t) = member.and_then(|tid| rows.get(tid)) else {
+                let what = format!("site {me}: operator {op} group {} has no row", kd.to_hex());
+                return Err(DetectError::Internal(what));
+            };
+            let matched = cfg.operator(op).2.iter().copied();
+            hit.clear();
+            hit.extend(matched.filter(|&c| cfg.cfds[c as usize].matches_lhs(&t)));
+            g.for_each_member(|m| {
+                for &c in &hit {
+                    v.add(c, m);
+                }
+            });
+        }
+        Ok(())
     }
 
     // -- serving peers --------------------------------------------------

@@ -242,6 +242,12 @@ impl HybridDetector {
         self.intra.stats()
     }
 
+    /// The inter-region §6 detector.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &HorizontalDetector {
+        &self.inner
+    }
+
     /// Total shipped bytes, inter + intra.
     pub fn total_bytes(&self) -> u64 {
         self.inner.stats().total_bytes() + self.intra.stats().total_bytes()

@@ -595,13 +595,23 @@ fn with_history(d0: &Relation, far: &Tuple) -> Relation {
     d
 }
 
-/// `incVer` built over `D₀` — a clone of its store plus one indexing pass
-/// — is the detector built over the empty relation and handed `D₀` as one
-/// insert batch: the same `V`, index sizes and census, and after the same
-/// seeded stream of inserts, deletes and modifications the same `ΔV` and
-/// per-link traffic, under both candidate producers and both plans, on a
-/// `D₀` whose store has free rows, free dictionary slots and an overflow
-/// tid.
+/// Per-link `(messages, bytes)` of a traffic matrix.
+fn links(stats: &NetStats) -> Vec<(u64, u64)> {
+    let n = stats.n_sites();
+    let pairs = (0..n).flat_map(|src| (0..n).map(move |dst| (src, dst)));
+    let pair = |(src, dst)| stats.pair(src, dst);
+    pairs.map(pair).map(|c| (c.messages, c.bytes)).collect()
+}
+
+/// The detectors built over `D₀` from its store — `incVer`'s clone plus
+/// one indexing pass, `incHor`'s (and through it `incHyb`'s) clone plus
+/// two site-local passes — are the detectors built over the empty relation
+/// and handed `D₀` as one insert batch: the same `V`, index sizes and
+/// census, and after the same seeded stream of inserts, deletes and
+/// modifications the same `ΔV` and per-link traffic. `incVer` under both
+/// candidate producers and both plans, `incHor` and `incHyb` under md5 on
+/// the simulated network and dict over framed bytes; all on a `D₀` whose
+/// store has free rows, free dictionary slots and an overflow tid.
 #[test]
 fn the_store_built_detector_is_the_replay_built_one() {
     let tcfg = workload::tpch::TpchConfig {
@@ -638,6 +648,7 @@ fn the_store_built_detector_is_the_replay_built_one() {
             &tpch_d0,
             &tpch_fresh,
             workload::tpch::vertical_scheme(&tpch, 8),
+            workload::tpch::horizontal_scheme(&tpch, 4),
         ),
         (
             "EMP Fig. 1",
@@ -646,6 +657,7 @@ fn the_store_built_detector_is_the_replay_built_one() {
             &emp_d0,
             &emp_fresh,
             workload::emp::emp_vertical_scheme(&emp),
+            workload::emp::emp_horizontal_scheme(&emp),
         ),
         (
             "shared operator family",
@@ -654,10 +666,11 @@ fn the_store_built_detector_is_the_replay_built_one() {
             &tpch_d0,
             &tpch_fresh,
             workload::tpch::vertical_scheme(&tpch, 8),
+            workload::tpch::horizontal_scheme(&tpch, 4),
         ),
     ];
 
-    for (name, sigma, schema, d0, fresh, scheme) in catalogs {
+    for (name, sigma, schema, d0, fresh, scheme, hscheme) in catalogs {
         let rhs = sigma.iter().find(|c| c.is_variable()).expect("rule").rhs;
         let batches = ver_batches(d0, &fresh[..110], rhs);
         let empty = Relation::new(schema.clone());
@@ -691,21 +704,61 @@ fn the_store_built_detector_is_the_replay_built_one() {
                         "{at}: ΔV of batch {i}"
                     );
                 }
-                let links = |det: &VerticalDetector| {
-                    let stats = det.stats();
-                    let n = stats.n_sites();
-                    let pairs = (0..n).flat_map(|src| (0..n).map(move |dst| (src, dst)));
-                    pairs
-                        .map(|(src, dst)| stats.pair(src, dst))
-                        .map(|c| (c.messages, c.bytes))
-                        .collect::<Vec<_>>()
-                };
                 assert!(stored.stats().total_messages() > 0, "{at}: a stream ships");
-                assert_eq!(links(&stored), links(&replayed), "{at}: per-link traffic");
+                let (got, want) = (links(stored.stats()), links(replayed.stats()));
+                assert_eq!(got, want, "{at}: per-link traffic");
                 assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
                 let oracle = cfd::naive::detect(&sigma, stored.current());
                 assert_eq!(stored.violations().marks_sorted(), oracle.marks_sorted());
             }
+        }
+
+        let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
+        let sessions = [
+            (CodecKind::Md5, TransportKind::Simulated),
+            (CodecKind::Dict, TransportKind::Framed),
+        ];
+        for (codec, transport) in sessions {
+            let at = format!("{name}, {codec:?} over {transport:?}");
+            let hor = |d: &Relation| {
+                let (schema, sigma, hscheme) = (schema.clone(), sigma.clone(), hscheme.clone());
+                HorizontalDetector::new(schema, sigma, hscheme, d, codec, transport)
+                    .expect("incHor")
+            };
+            let hyb = |d: &Relation| {
+                let (schema, sigma, yscheme) = (schema.clone(), sigma.clone(), yscheme.clone());
+                HybridDetector::new(schema, sigma, yscheme, d, codec, transport).expect("incHyb")
+            };
+            let mut all = UpdateBatch::new();
+            d0.iter().for_each(|t| all.insert(t));
+            let (mut stored, mut replayed) = (hor(d0), hor(&empty));
+            replayed.apply(&all).expect("replay");
+            replayed.reset_stats();
+            let marks = |det: &HorizontalDetector| det.violations().marks_sorted();
+            assert_eq!(marks(&stored), marks(&replayed), "{at}: incHor V(Σ, D₀)");
+            assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
+            assert_eq!(stored.stats().total_messages(), 0, "{at}: unmetered");
+            for (i, batch) in batches.iter().enumerate() {
+                let (a, b) = (stored.apply(batch), replayed.apply(batch));
+                assert_eq!(a.expect("apply"), b.expect("apply"), "{at}: incHor ΔV {i}");
+            }
+            let (got, want) = (links(stored.stats()), links(replayed.stats()));
+            assert_eq!(got, want, "{at}: incHor per-link traffic");
+            assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
+
+            let (mut stored, mut replayed) = (hyb(d0), hyb(&empty));
+            replayed.apply(&all).expect("replay");
+            replayed.reset_stats();
+            let marks = |det: &HybridDetector| det.violations().marks_sorted();
+            assert_eq!(marks(&stored), marks(&replayed), "{at}: incHyb V(Σ, D₀)");
+            for (i, batch) in batches.iter().enumerate() {
+                let (a, b) = (stored.apply(batch), replayed.apply(batch));
+                assert_eq!(a.expect("apply"), b.expect("apply"), "{at}: incHyb ΔV {i}");
+            }
+            let (got, want) = (links(stored.inter_stats()), links(replayed.inter_stats()));
+            assert_eq!(got, want, "{at}: incHyb inter-region traffic");
+            let (got, want) = (links(stored.intra_stats()), links(replayed.intra_stats()));
+            assert_eq!(got, want, "{at}: incHyb intra-region traffic");
         }
     }
 }
