@@ -226,16 +226,6 @@ impl SharedPlan {
         self.operator_of[c as usize]
     }
 
-    /// Number of constrained attributes in the dispatch index.
-    pub fn n_indexed_attrs(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Number of CFDs with no residual restricts.
-    pub fn n_always(&self) -> usize {
-        self.always.len()
-    }
-
     /// Number of rules deduped onto an earlier rule with the same
     /// [`NormalForm`] — they ride their representative's postings instead
     /// of being evaluated by the dispatch pass.

@@ -141,7 +141,6 @@
 use crate::concurrent::WINDOW;
 use crate::detector::{DetectError, Detector};
 use crate::group::{shrink_if_sparse, GroupState, StateCensus};
-use crate::optimize::SharingMode;
 use cfd::{Cfd, CfdId, DeltaV, OpId, SharedPlan, Violations};
 use cluster::codec::{CodecKind, WireValue};
 use cluster::md5::Digest;
@@ -635,7 +634,6 @@ pub struct HorizontalDetector {
     flight: InFlight,
     transport: TransportKind,
     codec: CodecKind,
-    sharing: SharingMode,
 }
 
 impl HorizontalDetector {
@@ -698,7 +696,6 @@ impl HorizontalDetector {
             flight: InFlight::new(n),
             transport,
             codec,
-            sharing: SharingMode::default(),
             cfg,
             scheme,
         })
@@ -761,20 +758,6 @@ impl HorizontalDetector {
     /// The merged multi-CFD evaluation plan.
     pub fn shared_plan(&self) -> &Arc<SharedPlan> {
         &self.cfg.plan
-    }
-
-    /// Current multi-CFD evaluation mode.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.sharing
-    }
-
-    /// Select the multi-CFD evaluation mode. Both modes produce
-    /// bit-identical violations, `ΔV` and shipments — [`SharingMode::PerCfd`]
-    /// only re-enables the legacy `O(|Σ| · |X|)` scan as the tests'
-    /// reference.
-    pub fn set_sharing(&mut self, mode: SharingMode) {
-        self.sharing = mode;
-        self.sites.iter_mut().for_each(|s| s.sharing = mode);
     }
 
     /// The global schema.

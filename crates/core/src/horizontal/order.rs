@@ -59,7 +59,6 @@
 
 use super::site::{OpScratch, SiteConfig};
 use crate::detector::DetectError;
-use crate::optimize::SharingMode;
 use cfd::OpId;
 use cluster::md5::Digest;
 use cluster::SiteId;
@@ -327,7 +326,7 @@ pub(crate) type DeferredList = Vec<(u32, bool)>;
 impl WavePlanner {
     /// The wave of the deferred update of `t` at `home`.
     pub(crate) fn place(&mut self, cfg: &SiteConfig, home: SiteId, t: &Tuple, writes: bool) -> u32 {
-        cfg.candidates(SharingMode::Shared, t, &mut self.sx);
+        cfg.candidates(t, &mut self.sx);
         let keys = || self.sx.footprint();
         let (_, w) = self.placed.wait(home, t.tid, keys(), || writes);
         self.placed.enter(Party { home, writes }, w, t.tid, keys());

@@ -22,7 +22,6 @@ use super::{
     GroupState, HorMsg, Ship, StateCensus,
 };
 use crate::detector::DetectError;
-use crate::optimize::SharingMode;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, OpId, SharedPlan, Violations};
 use cluster::codec::{
     value_digest, value_digest_into, CodecKind, PayloadCodec, ReceiverCodec, WireValue,
@@ -169,40 +168,22 @@ impl SiteConfig {
     /// The CFDs whose LHS pattern `t` matches: the constant ones into
     /// `sx.consts`, the variable ones into `sx.vars` grouped by operator,
     /// with the key digest of every key group one of them sits on in
-    /// `sx.group_kd` ([`matched_ops`] reads the two back). The only
-    /// place the evaluation mode shows: one shared dispatch pass with one
-    /// key digest per key group, or ([`SharingMode::PerCfd`], the tests'
-    /// reference) a `matches_lhs` scan hashing every CFD's key on its own.
-    pub(crate) fn candidates(&self, mode: SharingMode, t: &Tuple, sx: &mut OpScratch) {
+    /// `sx.group_kd` ([`matched_ops`] reads the two back): one shared
+    /// dispatch pass, and one key digest per key group however many of
+    /// its CFDs match.
+    pub(crate) fn candidates(&self, t: &Tuple, sx: &mut OpScratch) {
         sx.begin(self.plan.key_groups().len());
-        match mode {
-            SharingMode::Shared => {
-                for &cid in self.plan.matched(t, &mut sx.dispatch) {
-                    let Some(g) = self.plan.group_of(cid) else {
-                        sx.consts.push(cid);
-                        continue;
-                    };
-                    sx.group_kd[g].get_or_insert_with(|| {
-                        let lhs = self.plan.key_groups()[g].0.iter();
-                        let digests =
-                            lhs.map(|&a| digest_cached(&mut sx.attr_d, t, a, &mut sx.vbuf));
-                        key_digest_from(digests, &mut sx.kbuf)
-                    });
-                    sx.vars.push(cid);
-                }
-            }
-            SharingMode::PerCfd => {
-                for cfd in self.cfds.iter().filter(|c| c.matches_lhs(t)) {
-                    let Some(g) = self.plan.group_of(cfd.id) else {
-                        sx.consts.push(cfd.id);
-                        continue;
-                    };
-                    let lhs = cfd.lhs.iter();
-                    let digests = lhs.map(|&a| value_digest_into(t.get(a), &mut sx.vbuf));
-                    sx.group_kd[g] = Some(key_digest_from(digests, &mut sx.kbuf));
-                    sx.vars.push(cfd.id);
-                }
-            }
+        for &cid in self.plan.matched(t, &mut sx.dispatch) {
+            let Some(g) = self.plan.group_of(cid) else {
+                sx.consts.push(cid);
+                continue;
+            };
+            sx.group_kd[g].get_or_insert_with(|| {
+                let lhs = self.plan.key_groups()[g].0.iter();
+                let digests = lhs.map(|&a| digest_cached(&mut sx.attr_d, t, a, &mut sx.vbuf));
+                key_digest_from(digests, &mut sx.kbuf)
+            });
+            sx.vars.push(cid);
         }
         // Ids ascend and operators are numbered in first-seen order, so
         // this is already sorted unless two operators' rules interleave.
@@ -490,7 +471,6 @@ impl<'a> Own<'a> {
 pub(crate) struct Site {
     cfg: SiteConfig,
     me: SiteId,
-    pub(crate) sharing: SharingMode,
     /// Group state per operator: every tuple of this site that matches at
     /// least one CFD of the operator, by group key.
     state: Vec<FxHashMap<Digest, GroupState<Digest>>>,
@@ -517,7 +497,6 @@ impl Site {
                 .collect(),
             sx: OpScratch::default(),
             served: ServeScratch::default(),
-            sharing: SharingMode::default(),
             cfg,
             me,
         }
@@ -574,7 +553,7 @@ impl Site {
     /// the update begins.
     pub(crate) fn classify(&mut self, own: &Own<'_>) {
         let (cfg, sx, t) = (&self.cfg, &mut self.sx, own.tuple());
-        cfg.candidates(self.sharing, t, sx);
+        cfg.candidates(t, sx);
         for (op, ..) in matched_ops(&cfg.plan, &sx.vars, &sx.group_kd) {
             digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
         }
@@ -1600,6 +1579,89 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The one candidate producer is the per-rule scan it replaced: on
+    /// stored rows and fresh tuples of TPCH, under the 8-rule catalog and
+    /// under a mined 128-rule family whose rules share operators, the
+    /// shared dispatch leaves in the scratch exactly what a `matches_lhs`
+    /// scan over Σ derives — the matched constant CFDs, the matched
+    /// variable ones by `(operator, id)`, and per key group the digest of
+    /// each matched CFD's own LHS.
+    #[test]
+    fn candidates_are_the_per_cfd_scan() {
+        use workload::family::{cfd_family, FamilyConfig};
+        use workload::{rules, tpch};
+
+        let tcfg = tpch::TpchConfig {
+            n_rows: 400,
+            n_customers: 40,
+            n_parts: 30,
+            n_suppliers: 10,
+            error_rate: 0.05,
+            ..tpch::TpchConfig::default()
+        };
+        let (schema, d0) = tpch::generate(&tcfg);
+        let rows: Vec<Tuple> = d0.iter().collect();
+        let fresh = tpch::generate_fresh(&tcfg, 1_000_000, 200, 7);
+        let family = FamilyConfig {
+            n: 128,
+            overlap: 0.9,
+            seed: 0xCA7,
+            ..FamilyConfig::default()
+        };
+        let scheme = HorizontalScheme::by_hash(schema.clone(), schema.key(), 4).unwrap();
+        let catalogs = [
+            rules::tpch_rules(&schema, 8, 1),
+            cfd_family(&schema, &d0, &family),
+        ];
+        let mut pick = xorshift(0x5EED);
+        for cfds in catalogs {
+            let cfg = SiteConfig::new(schema.clone(), cfds.clone(), &scheme);
+            let plan = &cfg.plan;
+            let mut sx = OpScratch::default();
+            let (mut vbuf, mut kbuf) = (Vec::new(), Vec::new());
+            // How many constant and variable matches the tuples made, and
+            // how many key digests served more than one matched CFD.
+            let (mut n_consts, mut n_vars, mut n_shared) = (0, 0, 0);
+            for i in 0..600 {
+                let t = match i % 2 {
+                    0 => &rows[pick(rows.len())],
+                    _ => &fresh[pick(fresh.len())],
+                };
+                cfg.candidates(t, &mut sx);
+
+                let (mut consts, mut vars) = (Vec::new(), Vec::new());
+                let mut group_kd = vec![None; plan.key_groups().len()];
+                let mut served = vec![0; plan.key_groups().len()];
+                for cfd in cfds.iter().filter(|c| c.matches_lhs(t)) {
+                    let Some(g) = plan.group_of(cfd.id) else {
+                        consts.push(cfd.id);
+                        continue;
+                    };
+                    let lhs = cfd.lhs.iter();
+                    let digests = lhs.map(|&a| value_digest_into(t.get(a), &mut vbuf));
+                    let kd = key_digest_from(digests, &mut kbuf);
+                    assert!(
+                        group_kd[g].is_none_or(|other| other == kd),
+                        "one key per group"
+                    );
+                    group_kd[g] = Some(kd);
+                    served[g] += 1;
+                    vars.push(cfd.id);
+                }
+                vars.sort_unstable_by_key(|&c| (plan.operator_of(c), c));
+                let at = format!("{} rules, tuple {}", cfds.len(), t.tid);
+                assert_eq!(sx.consts, consts, "{at}: constant CFDs");
+                assert_eq!(sx.vars, vars, "{at}: variable CFDs");
+                assert_eq!(sx.group_kd, group_kd, "{at}: key digests");
+                n_consts += consts.len();
+                n_vars += vars.len();
+                n_shared += served.iter().filter(|&&n| n > 1).count();
+            }
+            assert!(n_consts > 0 && n_vars > 0, "{n_consts} / {n_vars} matches");
+            assert!(cfds.len() < 64 || n_shared > 0, "no key digest was shared");
         }
     }
 

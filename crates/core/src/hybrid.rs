@@ -28,14 +28,14 @@
 
 use crate::detector::{DetectError, Detector};
 use crate::horizontal::HorizontalDetector;
-use crate::optimize::SharingMode;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, Violations};
 use cluster::codec::CodecKind;
 use cluster::md5::Digest;
 use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{ClusterError, NetStats, Network, SiteId, Wire};
-use relation::{AttrId, FxHashSet, RelError, Relation, Schema, Tuple, Update, UpdateBatch};
+use relation::{AttrId, FxHashSet, RelError, Relation, Schema, Tuple, UpdateBatch};
+use std::mem::take;
 use std::sync::Arc;
 
 /// A hybrid partition scheme: horizontal regions, each vertically split.
@@ -145,9 +145,6 @@ pub struct HybridDetector {
     scratch: MatchScratch,
     /// Reusable buffer holding the dispatch hit list of one update.
     hits_buf: Vec<CfdId>,
-    /// Multi-CFD evaluation mode for the assembly metering (the inner
-    /// inter-region detector keeps its own copy, set in lockstep).
-    sharing: SharingMode,
 }
 
 impl HybridDetector {
@@ -199,21 +196,7 @@ impl HybridDetector {
             needed_buf: FxHashSet::default(),
             scratch: MatchScratch::default(),
             hits_buf: Vec::new(),
-            sharing: SharingMode::default(),
         })
-    }
-
-    /// Current multi-CFD evaluation mode.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.sharing
-    }
-
-    /// Select the multi-CFD evaluation mode for both the intra-region
-    /// assembly metering and the inner inter-region §6 protocol. Both
-    /// modes meter and detect bit-identically.
-    pub fn set_sharing(&mut self, mode: SharingMode) {
-        self.sharing = mode;
-        self.inner.set_sharing(mode);
     }
 
     /// Current violation set.
@@ -269,21 +252,17 @@ impl HybridDetector {
         let delta = crate::detector::admit(self.inner.current(), delta)?;
         // Route every insert before anything is metered or stored; the
         // inner detector is handed the regions back, not asked again.
+        // Metering only adds to counters: inserts and deletes may be
+        // metered in two passes.
         let regions = self.inner.route(&delta)?;
-        let mut inserted_at = regions.iter();
-        for op in delta.ops() {
-            match op {
-                Update::Insert(t) => {
-                    let region = *inserted_at.next().expect("one region per insert");
-                    self.meter_assembly(region, t)?;
-                }
-                Update::Delete(tid) => {
-                    let t = self.inner.current().get(*tid);
-                    let t = t.ok_or(RelError::MissingTid(*tid))?;
-                    let region = self.scheme.regions.route(&t)?;
-                    self.meter_assembly(region, &t)?;
-                }
-            }
+        for (t, &region) in delta.insertions().zip(&regions) {
+            self.meter_assembly(region, t)?;
+        }
+        for tid in delta.deletions() {
+            let t = self.inner.current().get(tid);
+            let t = t.ok_or(RelError::MissingTid(tid))?;
+            let region = self.scheme.regions.route(&t)?;
+            self.meter_assembly(region, &t)?;
         }
         self.inner.apply_routed(&delta, regions)
     }
@@ -291,55 +270,19 @@ impl HybridDetector {
     /// Assembly cost of one update at its region: every sub-site holding
     /// relevant attributes (other than the gateway) ships one message —
     /// per-attribute digests for the variable CFDs the tuple matches, a
-    /// candidate tid per matched constant CFD.
+    /// candidate tid per matched constant CFD. One dispatch pass finds
+    /// both kinds.
     fn meter_assembly(&mut self, region: usize, t: &Tuple) -> Result<(), DetectError> {
-        // Digest attributes needed by matching variable CFDs (reused
-        // buffer — no per-update set allocation).
-        let mut needed = std::mem::take(&mut self.needed_buf);
+        // Reused buffers — no per-update allocation.
+        let (mut needed, mut hits) = (take(&mut self.needed_buf), take(&mut self.hits_buf));
         needed.clear();
-        match self.sharing {
-            SharingMode::PerCfd => {
-                for (c, attrs) in self.var_attrs.iter().enumerate() {
-                    if let Some(attrs) = attrs {
-                        if self.inner.cfds()[c].matches_lhs(t) {
-                            needed.extend(attrs.iter().copied());
-                        }
-                    }
-                }
-                // One digest message per contributing non-gateway sub-site.
-                let result = self.meter_assembly_inner(region, t, &needed, None);
-                self.needed_buf = needed;
-                result
-            }
-            SharingMode::Shared => {
-                // One dispatch pass serves both the variable-attribute
-                // union here and the constant-candidate shipping below.
-                let mut hits = std::mem::take(&mut self.hits_buf);
-                hits.clear();
-                {
-                    let plan = Arc::clone(self.inner.shared_plan());
-                    hits.extend_from_slice(plan.matched(t, &mut self.scratch));
-                }
-                for &cid in &hits {
-                    if let Some(attrs) = &self.var_attrs[cid as usize] {
-                        needed.extend(attrs.iter().copied());
-                    }
-                }
-                let result = self.meter_assembly_inner(region, t, &needed, Some(&hits));
-                self.needed_buf = needed;
-                self.hits_buf = hits;
-                result
+        hits.clear();
+        hits.extend_from_slice(self.inner.shared_plan().matched(t, &mut self.scratch));
+        for &cid in &hits {
+            if let Some(attrs) = &self.var_attrs[cid as usize] {
+                needed.extend(attrs.iter().copied());
             }
         }
-    }
-
-    fn meter_assembly_inner(
-        &mut self,
-        region: usize,
-        t: &Tuple,
-        needed: &FxHashSet<AttrId>,
-        matched: Option<&[CfdId]>,
-    ) -> Result<(), DetectError> {
         let vs = &self.scheme.verticals[region];
         let gateway = self.scheme.gateway(region);
         for sub in 0..vs.n_sites() {
@@ -357,45 +300,21 @@ impl HybridDetector {
                     .map_err(DetectError::Cluster)?;
             }
         }
-        // Constant CFDs: candidate tids from atom-owning sub-sites. The
-        // dispatch hit list (ascending by id, like the loop) replaces the
-        // per-CFD `matches_lhs` scan when the shared plan ran.
-        match matched {
-            None => {
-                for (c, attrs) in self.const_attrs.iter().enumerate() {
-                    if let Some(attrs) = attrs {
-                        let cfd = &self.inner.cfds()[c];
-                        if !cfd.matches_lhs(t) {
-                            continue;
-                        }
-                        for &a in attrs {
-                            let sub = vs.primary_site(a);
-                            let gsite = self.scheme.global_site(region, sub);
-                            if gsite != gateway {
-                                self.intra
-                                    .ship(gsite, gateway, &AsmMsg::Cand)
-                                    .map_err(DetectError::Cluster)?;
-                            }
-                        }
-                    }
-                }
-            }
-            Some(hits) => {
-                for &cid in hits {
-                    if let Some(attrs) = &self.const_attrs[cid as usize] {
-                        for &a in attrs {
-                            let sub = vs.primary_site(a);
-                            let gsite = self.scheme.global_site(region, sub);
-                            if gsite != gateway {
-                                self.intra
-                                    .ship(gsite, gateway, &AsmMsg::Cand)
-                                    .map_err(DetectError::Cluster)?;
-                            }
-                        }
-                    }
+        // Constant CFDs: candidate tids from atom-owning sub-sites.
+        for &cid in &hits {
+            let Some(attrs) = &self.const_attrs[cid as usize] else {
+                continue;
+            };
+            for &a in attrs {
+                let gsite = self.scheme.global_site(region, vs.primary_site(a));
+                if gsite != gateway {
+                    self.intra
+                        .ship(gsite, gateway, &AsmMsg::Cand)
+                        .map_err(DetectError::Cluster)?;
                 }
             }
         }
+        (self.needed_buf, self.hits_buf) = (needed, hits);
         Ok(())
     }
 }

@@ -47,7 +47,6 @@ pub use detector::{DetectError, Detector};
 pub use group::StateCensus;
 pub use horizontal::HorizontalDetector;
 pub use hybrid::{HybridDetector, HybridScheme};
-pub use optimize::{share_operators, sharing_stats, SharingMode, SharingStats};
 pub use plan::HevPlan;
 pub use pruned::{AnalysisMode, Pruned};
 pub use suite::{RuleInfo, Strategy, Suite, SuiteDelta, SuiteSession};

@@ -26,78 +26,22 @@
 //!
 //! # Operator-level sharing
 //!
-//! Eqid merging shares *state* between CFDs; [`share_operators`] extends
-//! the optimizer to share *work*. It compiles every CFD's
-//! [`DeltaPlan`](cfd::DeltaPlan) and merges the shareable operators into
-//! one [`SharedPlan`]: a single dispatch scan decides LHS matching for
-//! the whole rule set, identical `GroupBy` operators collapse into key
-//! groups (one group-key digest serving every member CFD), and each
-//! CFD's constant atoms stay behind as residual restricts evaluated on
-//! the shared output. All three incremental detectors route candidate
-//! generation through this plan (mode [`SharingMode::Shared`], the
-//! default); [`SharingMode::PerCfd`] keeps the legacy per-CFD loops as
-//! the differential baseline. Sharing changes *how* the match sets are
-//! computed, never *what* they are — violations, `ΔV` and modeled `|M|`
-//! are asserted bit-identical across modes.
+//! Eqid merging shares *state* between CFDs; the rule set's
+//! [`SharedPlan`](cfd::SharedPlan) shares *work*. It compiles every CFD's
+//! [`DeltaPlan`](cfd::DeltaPlan) and merges the shareable operators: a
+//! single dispatch scan decides LHS matching for the whole rule set,
+//! identical `GroupBy` operators collapse into key groups (one group-key
+//! digest serving every member CFD), and each CFD's constant atoms stay
+//! behind as residual restricts evaluated on the shared output. It is how
+//! all three incremental detectors generate their candidates; the
+//! per-rule `matches_lhs` scan survives only in the tests, as the
+//! reference each producer's match sets are checked against.
 
 use crate::plan::{CfdTarget, HevNode, HevPlan, Input};
-use cfd::{Cfd, SharedPlan};
+use cfd::Cfd;
 use cluster::partition::VerticalScheme;
 use cluster::SiteId;
 use relation::{AttrId, FxHashMap, FxHashSet};
-
-/// How a detector derives per-update candidate work from the rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SharingMode {
-    /// Evaluate the rule set through the [`SharedPlan`]: one dispatch
-    /// scan and one group-key pass per distinct `GroupBy` operator.
-    #[default]
-    Shared,
-    /// The legacy path: every CFD re-derives its own candidate work
-    /// (`O(|Σ|)` per update). Kept as the differential and bench
-    /// baseline.
-    PerCfd,
-}
-
-/// Static summary of what [`share_operators`] merged — the §5 report
-/// counterpart of [`HevPlan::neqid`] for operator sharing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharingStats {
-    /// CFDs in the rule set.
-    pub n_cfds: usize,
-    /// Variable CFDs (the ones with a `GroupBy` operator).
-    pub n_variable: usize,
-    /// Distinct `GroupBy` operators after sharing.
-    pub shared_group_bys: usize,
-    /// `GroupBy` evaluations saved per matching tuple
-    /// (`n_variable − shared_group_bys`).
-    pub merged_group_bys: usize,
-    /// Attributes carrying restrict postings in the dispatch index.
-    pub indexed_attrs: usize,
-    /// CFDs with no residual restricts (match every tuple).
-    pub always_matched: usize,
-}
-
-/// Compile the rule set's delta plans and merge their shareable
-/// operators (the §5 extension beyond eqid merging).
-pub fn share_operators(cfds: &[Cfd]) -> SharedPlan {
-    SharedPlan::new(cfds)
-}
-
-/// Summarize how much work [`share_operators`] eliminated.
-pub fn sharing_stats(plan: &SharedPlan) -> SharingStats {
-    let n_variable = (0..plan.n_cfds() as cfd::CfdId)
-        .filter(|&c| plan.is_variable(c))
-        .count();
-    SharingStats {
-        n_cfds: plan.n_cfds(),
-        n_variable,
-        shared_group_bys: plan.key_groups().len(),
-        merged_group_bys: n_variable - plan.key_groups().len(),
-        indexed_attrs: plan.n_indexed_attrs(),
-        always_matched: plan.n_always(),
-    }
-}
 
 /// A candidate non-base HEV during optimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -615,13 +559,13 @@ mod tests {
             )
             .unwrap(),
         );
-        let plan = share_operators(&cfds);
-        let stats = sharing_stats(&plan);
-        assert_eq!(stats.n_cfds, 6);
-        assert_eq!(stats.n_variable, 6);
+        let plan = cfd::SharedPlan::new(&cfds);
+        assert_eq!(plan.n_cfds(), 6);
+        let variable = (0..6).filter(|&c| plan.is_variable(c)).count();
+        assert_eq!(variable, 6);
         // [A,B,C] serves CFDs 0, 4, 5 with one group-key computation.
-        assert_eq!(stats.shared_group_bys, 4);
-        assert_eq!(stats.merged_group_bys, 2);
+        assert_eq!(plan.key_groups().len(), 4);
+        assert_eq!(variable - plan.key_groups().len(), 2);
         assert_eq!(
             plan.key_groups()[0],
             (vec![a("A"), a("B"), a("C")], vec![0, 4, 5])

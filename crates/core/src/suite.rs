@@ -52,7 +52,7 @@
 use crate::baselines::{BatHor, BatVer, IbatHor, IbatVer};
 use crate::detector::{DetectError, Detector};
 use crate::hybrid::{HybridDetector, HybridScheme};
-use crate::optimize::{optimize, OptimizeConfig, SharingMode};
+use crate::optimize::{optimize, OptimizeConfig};
 use crate::pruned::{preflight, AnalysisMode, Pruned};
 use crate::{HevPlan, HorizontalDetector, VerticalDetector};
 use cfd::constraint::{
@@ -141,7 +141,6 @@ pub struct Suite {
     strategy: Option<Strategy>,
     codec: CodecKind,
     transport: TransportKind,
-    sharing: SharingMode,
     analysis: AnalysisMode,
     ind_sites: usize,
 }
@@ -169,7 +168,6 @@ impl Suite {
             strategy: None,
             codec: CodecKind::default(),
             transport: TransportKind::default(),
-            sharing: SharingMode::default(),
             analysis: AnalysisMode::default(),
             ind_sites: 2,
         }
@@ -226,16 +224,6 @@ impl Suite {
     /// `optVer` and `ibatVer` run on the simulated network regardless.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Multi-CFD evaluation mode of the inner incremental detectors:
-    /// [`SharingMode::Shared`] (the default — one shared-plan dispatch
-    /// pass per update) or [`SharingMode::PerCfd`] (the per-CFD loop,
-    /// kept as a differential baseline). Both detect and meter
-    /// bit-identically; the batch baselines ignore it.
-    pub fn sharing(mut self, sharing: SharingMode) -> Self {
-        self.sharing = sharing;
         self
     }
 
@@ -326,10 +314,9 @@ impl Suite {
                 Strategy::Horizontal(HorizontalScheme::by_hash(schema.clone(), schema.key(), 2)?)
             }
         };
-        let (codec, transport, sharing) = (self.codec, self.transport, self.sharing);
+        let (codec, transport) = (self.codec, self.transport);
         let vertical = |cfds, s, plan| -> Result<Box<dyn Detector>, DetectError> {
-            let mut det = VerticalDetector::with_plan(schema.clone(), cfds, s, plan, d0)?;
-            det.set_sharing(sharing);
+            let det = VerticalDetector::with_plan(schema.clone(), cfds, s, plan, d0)?;
             Ok(Box::new(det))
         };
         let inner: Box<dyn Detector> = match strategy {
@@ -342,13 +329,11 @@ impl Suite {
                 vertical(cfds, s, plan)?
             }
             Strategy::Horizontal(s) => {
-                let mut det = HorizontalDetector::new(schema, cfds, s, d0, codec, transport)?;
-                det.set_sharing(sharing);
+                let det = HorizontalDetector::new(schema, cfds, s, d0, codec, transport)?;
                 Box::new(det)
             }
             Strategy::Hybrid(s) => {
-                let mut det = HybridDetector::new(schema, cfds, s, d0, codec, transport)?;
-                det.set_sharing(sharing);
+                let det = HybridDetector::new(schema, cfds, s, d0, codec, transport)?;
                 Box::new(det)
             }
             Strategy::BatVer(s) => {

@@ -65,7 +65,6 @@
 use crate::detector::{DetectError, Detector};
 use crate::hev::{BaseHev, EqId, EqKey, NonBaseHev};
 use crate::idx::{Case, Idx};
-use crate::optimize::SharingMode;
 use crate::plan::{HevPlan, Input, NodeId, PlanError};
 use crate::StateCensus;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
@@ -251,29 +250,12 @@ impl Walk {
     }
 
     /// Variable CFDs whose LHS pattern the tuple `value_of` describes
-    /// matches — under [`SharingMode::Shared`] via one dispatch pass over
-    /// the shared plan's posting index instead of the per-CFD loop.
-    fn dispatch<'v>(
-        &mut self,
-        (cfds, plan, sharing): (&[Cfd], &SharedPlan, SharingMode),
-        value_of: impl Fn(AttrId) -> &'v Value,
-    ) {
+    /// matches: one dispatch pass over the shared plan's posting index.
+    fn dispatch<'v>(&mut self, plan: &SharedPlan, value_of: impl Fn(AttrId) -> &'v Value) {
         self.matched.clear();
-        match sharing {
-            SharingMode::PerCfd => self.matched.extend(
-                cfds.iter()
-                    .filter(|c| {
-                        let mut x = c.lhs.iter().zip(&c.lhs_pattern);
-                        c.is_variable() && x.all(|(&a, p)| p.matches(value_of(a)))
-                    })
-                    .map(|c| c.id),
-            ),
-            SharingMode::Shared => {
-                let hits = plan.matched_by(value_of, &mut self.dispatch);
-                let variable = hits.iter().filter(|&&c| plan.is_variable(c));
-                self.matched.extend(variable);
-            }
-        }
+        let hits = plan.matched_by(value_of, &mut self.dispatch);
+        let variable = hits.iter().filter(|&&c| plan.is_variable(c));
+        self.matched.extend(variable);
     }
 
     /// Union the matched CFDs' anchors into `nodes` / `bases` and open a
@@ -361,9 +343,6 @@ pub struct VerticalDetector {
     /// The merged multi-CFD evaluation plan: one dispatch scan decides
     /// which variable CFDs a tuple falls under ([`cfd::SharedPlan`]).
     shared_plan: Arc<SharedPlan>,
-    /// Multi-CFD evaluation mode: shared plan (default) or the legacy
-    /// per-CFD loop (kept as a differential baseline).
-    sharing: SharingMode,
     compiled: Compiled,
     walk: Walk,
 }
@@ -408,7 +387,6 @@ impl VerticalDetector {
             violations: Violations::new(cfds.len()),
             net: NetStats::new(scheme.n_sites()),
             shared_plan: Arc::new(SharedPlan::new(&cfds)),
-            sharing: SharingMode::default(),
             walk: Walk::new(&compiled, arity),
             compiled,
             schema,
@@ -455,18 +433,6 @@ impl VerticalDetector {
     /// The merged multi-CFD evaluation plan.
     pub fn shared_plan(&self) -> &Arc<SharedPlan> {
         &self.shared_plan
-    }
-
-    /// Current multi-CFD evaluation mode.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.sharing
-    }
-
-    /// Select the multi-CFD evaluation mode. Both modes produce
-    /// bit-identical violations, `ΔV` and shipments — [`SharingMode::PerCfd`]
-    /// only re-enables the legacy `O(|Σ| · |X|)` loop as a baseline.
-    pub fn set_sharing(&mut self, mode: SharingMode) {
-        self.sharing = mode;
     }
 
     /// The rule set.
@@ -648,8 +614,7 @@ impl VerticalDetector {
         value_of: impl Fn(AttrId) -> &'v Value,
         mut added: impl FnMut(CfdId, Tid),
     ) -> Result<(), DetectError> {
-        let rules = (&self.cfds[..], &*self.shared_plan, self.sharing);
-        self.walk.dispatch(rules, value_of);
+        self.walk.dispatch(&self.shared_plan, value_of);
         self.eqids(row, true)?;
         let (k, w) = (&self.compiled, &self.walk);
         for &c in &w.matched {
@@ -670,8 +635,8 @@ impl VerticalDetector {
     fn delete_variable(&mut self, tid: Tid, dv: &mut DeltaV) -> Result<(), DetectError> {
         let row = self.current.row_of(tid).ok_or(RelError::MissingTid(tid))?;
         let store = self.current.store();
-        let rules = (&self.cfds[..], &*self.shared_plan, self.sharing);
-        self.walk.dispatch(rules, |a| store.value(row, a));
+        self.walk
+            .dispatch(&self.shared_plan, |a| store.value(row, a));
         self.eqids(row, false)?;
         let (k, w) = (&self.compiled, &self.walk);
         for &c in &w.matched {

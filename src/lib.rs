@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use incdetect::{
         AnalysisMode, DetectError, Detector, HorizontalDetector, HybridDetector, HybridScheme,
-        RuleInfo, SharingMode, Strategy, Suite, SuiteDelta, SuiteSession, VerticalDetector,
+        RuleInfo, Strategy, Suite, SuiteDelta, SuiteSession, VerticalDetector,
     };
     pub use loadgen::{
         catalog, run_load, run_suite_load, ArrivalShape, DirtyRate, Histogram, KeyDist, LoadConfig,

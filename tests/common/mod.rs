@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 /// The nine configurations every differential suite drives over one
 /// `(schema, Σ)`: each of the paper's eight algorithms once, plus `incHor`
-/// shipping raw values. A caller adds its own `.sharing(..)` /
-/// `.analyze(..)` and calls `build_detector`.
+/// shipping raw values. A caller adds its own `.analyze(..)` if it needs
+/// one and calls `build_detector`.
 pub(crate) fn nine_suites(
     schema: &Arc<Schema>,
     cfds: &[Cfd],

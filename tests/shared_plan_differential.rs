@@ -1,14 +1,17 @@
-//! Shared-plan differential suite: operator-level sharing must be a pure
-//! execution strategy. For every detection strategy and every workload,
-//! driving the same update stream under [`SharingMode::Shared`] and
-//! [`SharingMode::PerCfd`] must produce bit-identical violations, `ΔV`
-//! *and* modeled network traffic — sharing changes how candidates are
-//! generated, never what ships or what is detected.
+//! Shared-plan differential suite. Every incremental detector takes its
+//! candidates from one [`cfd::SharedPlan`] dispatch; the per-rule loops it
+//! replaced are gone, and what they metered is pinned here as literals:
+//! the nine strategies on a generated 64-rule family, `incHor` / `incHyb`
+//! on a family whose rules share operators, and `incVer`'s compiled walk
+//! on three catalogs, each tracking `cfd::naive::detect` batch by batch.
+//! The store-built detectors are held equal to replay-built ones.
 //!
 //! Plus the structural property tests: the shared dispatch agrees with a
-//! naive `matches_lhs` scan on random tuples, and key groups only ever
-//! merge CFDs whose LHS attribute lists are *identical* (residual
-//! restricts stay per-CFD — incompatible patterns are never merged).
+//! naive `matches_lhs` scan on random tuples (the vertical and hybrid
+//! producers' reference; `incHor`'s producer is checked against the same
+//! scan in `horizontal::site`), and key groups only ever merge CFDs whose
+//! LHS attribute lists are *identical* (residual restricts stay per-CFD —
+//! incompatible patterns are never merged).
 
 mod common;
 
@@ -22,28 +25,13 @@ use std::sync::Arc;
 use workload::family::{cfd_family, FamilyConfig};
 use workload::updates::{self, UpdateMix};
 
-/// All nine strategies over one instance, pinned to one sharing mode.
-fn strategies(
-    schema: &Arc<Schema>,
-    cfds: &[Cfd],
-    (vscheme, hscheme, yscheme): (&VerticalScheme, &HorizontalScheme, &HybridScheme),
-    d0: &Relation,
-    mode: SharingMode,
-) -> Vec<Box<dyn Detector>> {
-    let opt = OptimizeConfig::default();
-    let suites = common::nine_suites(schema, cfds, vscheme, hscheme, yscheme, opt);
-    let build = |(name, suite): (&str, Suite)| suite.sharing(mode).build_detector(d0).expect(name);
-    suites.into_iter().map(build).collect()
-}
-
 /// `incVer` as its concrete type, over the default chains or the `optVer`
-/// plan, in `mode`.
+/// plan.
 fn ver(
     schema: &Arc<Schema>,
     sigma: &[Cfd],
     scheme: &VerticalScheme,
     optimized: bool,
-    mode: SharingMode,
     d: &Relation,
 ) -> VerticalDetector {
     let plan = if optimized {
@@ -52,133 +40,33 @@ fn ver(
         HevPlan::default_chains(sigma, scheme)
     };
     let (schema, sigma, scheme) = (schema.clone(), sigma.to_vec(), scheme.clone());
-    let mut det = VerticalDetector::with_plan(schema, sigma, scheme, plan, d).expect("incVer");
-    det.set_sharing(mode);
-    det
+    VerticalDetector::with_plan(schema, sigma, scheme, plan, d).expect("incVer")
 }
 
-/// Drive both modes in lockstep over `batches`, asserting bit-identity
-/// after every batch: `V`, `ΔV`, and the full per-tier modeled traffic.
-fn assert_modes_identical(
-    schema: &Arc<Schema>,
-    cfds: &[Cfd],
-    vscheme: VerticalScheme,
-    hscheme: HorizontalScheme,
-    yscheme: HybridScheme,
-    d0: &Relation,
-    batches: &[UpdateBatch],
-) {
-    let schemes = (&vscheme, &hscheme, &yscheme);
-    let [mut shared, mut per_cfd] = [SharingMode::Shared, SharingMode::PerCfd]
-        .map(|mode| strategies(schema, cfds, schemes, d0, mode));
-    for (s, p) in shared.iter_mut().zip(&mut per_cfd) {
-        assert_eq!(s.strategy(), p.strategy());
-        let name = s.strategy();
-        assert_eq!(
-            s.violations().marks_sorted(),
-            p.violations().marks_sorted(),
-            "{name}: initial V diverged"
-        );
-        for (i, b) in batches.iter().enumerate() {
-            let dv_s = s.apply(b).expect("shared apply");
-            let dv_p = p.apply(b).expect("per-CFD apply");
-            assert_eq!(dv_s, dv_p, "{name}: ΔV diverged at batch {i}");
-            assert_eq!(
-                s.violations().marks_sorted(),
-                p.violations().marks_sorted(),
-                "{name}: V diverged at batch {i}"
-            );
-            let (net_s, net_p) = (s.net(), p.net());
-            assert_eq!(
-                net_s.total_bytes(),
-                net_p.total_bytes(),
-                "{name}: modeled |M| diverged at batch {i}"
-            );
-            assert_eq!(
-                net_s.total_eqids(),
-                net_p.total_eqids(),
-                "{name}: eqid shipment diverged at batch {i}"
-            );
-            for (tier, stats) in net_s.tiers() {
-                let other = net_p.tier(tier).expect("same tiers in both modes");
-                assert_eq!(
-                    stats.to_bytes(),
-                    other.to_bytes(),
-                    "{name}: tier {tier} byte matrix diverged at batch {i}"
-                );
-            }
-        }
-    }
-}
-
+/// The nine strategies under a generated 64-rule family (overlap 0.85):
+/// each tracks `cfd::naive::detect` batch by batch and ends on the
+/// traffic the per-CFD candidate loops metered — per tier, messages,
+/// modeled bytes and eqids, recorded at `d19a0de`, where this stream
+/// asserted the shared dispatch and the loops bit-identical.
 #[test]
-fn sharing_is_invisible_on_emp() {
-    let (schema, d0) = workload::emp::emp_relation();
-    let sigma = workload::emp::emp_cfds(&schema);
-    let vscheme = workload::emp::emp_vertical_scheme(&schema);
-    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
-    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
+fn nine_strategies_meter_the_per_cfd_loops_traffic_on_a_64_cfd_family() {
+    /// Per strategy, per tier: `(tier, messages, bytes, eqids)`.
+    type Tiers = &'static [(&'static str, u64, u64, u64)];
+    const PARENT: [(&str, Tiers); 9] = [
+        ("incVer", &[("net", 288, 3_752, 251)]),
+        ("optVer", &[("net", 271, 3_616, 234)]),
+        ("incHor", &[("net", 168, 8_124, 0)]),
+        ("incHor/raw", &[("net", 168, 8_136, 0)]),
+        (
+            "incHyb",
+            &[("inter", 25, 1_120, 0), ("intra", 207, 5_128, 0)],
+        ),
+        ("batVer", &[("net", 272, 857_256, 0)]),
+        ("batHor", &[("net", 384, 34_918, 0)]),
+        ("ibatVer", &[("net", 1_778, 27_144, 1_713)]),
+        ("ibatHor", &[("net", 1_644, 90_776, 0)]),
+    ];
 
-    let mut b1 = UpdateBatch::new();
-    b1.insert(workload::emp::t6());
-    let mut b2 = UpdateBatch::new();
-    b2.delete(4);
-    b2.delete(2);
-    let mut b3 = UpdateBatch::new();
-    b3.delete(5);
-    b3.insert(workload::emp::t6()); // modification of tid 6
-    assert_modes_identical(
-        &schema,
-        &sigma,
-        vscheme,
-        hscheme,
-        yscheme,
-        &d0,
-        &[b1, b2, b3],
-    );
-}
-
-#[test]
-fn sharing_is_invisible_on_dblp() {
-    let cfg = workload::dblp::DblpConfig {
-        n_rows: 300,
-        n_venues: 25,
-        n_authors: 100,
-        error_rate: 0.06,
-        seed: 9,
-    };
-    let (schema, d0) = workload::dblp::generate(&cfg);
-    let sigma = workload::rules::dblp_rules(&schema, 12, 4);
-    let vscheme = workload::dblp::vertical_scheme(&schema, 4);
-    let hscheme = workload::dblp::horizontal_scheme(&schema, 4);
-    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
-
-    let mut mirror = d0.clone();
-    let mut batches = Vec::new();
-    let mut next_tid = 1_000_000u64;
-    for round in 0..3u64 {
-        let fresh = workload::dblp::generate_fresh(&cfg, next_tid, 30, round + 1);
-        next_tid += 30;
-        let delta = updates::generate(
-            &mirror,
-            &fresh,
-            40,
-            UpdateMix {
-                insert_fraction: 0.7,
-            },
-            round ^ 0x55,
-        );
-        delta
-            .normalize(&mirror.clone())
-            .apply(&mut mirror)
-            .expect("mirror applies");
-        batches.push(delta);
-    }
-    assert_modes_identical(&schema, &sigma, vscheme, hscheme, yscheme, &d0, &batches);
-}
-
-#[test]
-fn sharing_is_invisible_on_a_generated_64_cfd_family() {
     let tcfg = workload::tpch::TpchConfig {
         n_rows: 300,
         seed: 13,
@@ -220,14 +108,39 @@ fn sharing_is_invisible_on_a_generated_64_cfd_family() {
             .expect("mirror applies");
         batches.push(delta);
     }
-    assert_modes_identical(&schema, &sigma, vscheme, hscheme, yscheme, &d0, &batches);
+
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(&schema, &sigma, &vscheme, &hscheme, &yscheme, opt);
+    for ((name, suite), (parent_name, parent)) in suites.into_iter().zip(PARENT) {
+        assert_eq!(name, parent_name);
+        let mut det = suite.build_detector(&d0).expect(name);
+        let mut oracle = cfd::naive::detect(&sigma, &d0);
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
+        for (i, batch) in batches.iter().enumerate() {
+            let dv = det.apply(batch).expect(name);
+            let next = cfd::naive::detect(&sigma, det.current());
+            assert_eq!(dv, oracle.diff(&next), "{name}: ΔV of batch {i}");
+            oracle = next;
+        }
+        assert!(det.current().iter().eq(mirror.iter()), "{name}: D");
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
+        let net = det.net();
+        let tiers = net.tiers().iter().map(|(tier, stats)| {
+            let total = stats.total();
+            (tier.as_str(), total.messages, total.bytes, total.eqids)
+        });
+        assert_eq!(
+            tiers.collect::<Vec<_>>(),
+            parent,
+            "{name}: traffic per tier"
+        );
+    }
 }
 
 /// Per-operator §6 state under a catalog whose rules share operators (a
 /// mined family: 256 patterns over 8 LHS lists, ≈ 5 CFDs per
 /// `(X → B)`): every horizontal runtime tracks `cfd::naive::detect` batch
-/// by batch, both candidate producers drive the one protocol identically,
-/// and against the per-CFD protocol of the parent commit it sends the same
+/// by batch, and against the per-CFD protocol of `bb5c0c3` it sends the same
 /// number of messages over every link and strictly fewer modeled bytes —
 /// an id per operator instead of per CFD, a `DelReply`'s RHS values once
 /// per operator.
@@ -304,15 +217,16 @@ fn operator_state_ships_the_parents_messages_in_fewer_bytes() {
     }
     assert_eq!(batches.len(), 4);
 
-    let b = |mode, strategy| {
-        let suite = Suite::on(schema.clone()).cfds(sigma.clone()).sharing(mode);
-        suite.strategy(strategy)
+    let b = |strategy| {
+        Suite::on(schema.clone())
+            .cfds(sigma.clone())
+            .strategy(strategy)
     };
-    let hor = |mode, codec| {
-        let suite = b(mode, Strategy::Horizontal(hscheme.clone())).codec(codec);
+    let hor = |codec| {
+        let suite = b(Strategy::Horizontal(hscheme.clone())).codec(codec);
         suite.build_detector(&d0).expect("incHor")
     };
-    let threaded = |_| -> Box<dyn Detector> {
+    let threaded = || -> Box<dyn Detector> {
         Box::new(
             ConcurrentHorizontal::threaded(
                 schema.clone(),
@@ -325,45 +239,37 @@ fn operator_state_ships_the_parents_messages_in_fewer_bytes() {
             .expect("threaded incHor"),
         )
     };
-    let hyb = |mode| {
-        let suite = b(mode, Strategy::Hybrid(yscheme.clone()));
-        suite.build_detector(&d0).expect("incHyb")
+    let hyb = || {
+        b(Strategy::Hybrid(yscheme.clone()))
+            .build_detector(&d0)
+            .expect("incHyb")
     };
-    type Build<'a> = Box<dyn Fn(SharingMode) -> Box<dyn Detector> + 'a>;
+    type Build<'a> = Box<dyn Fn() -> Box<dyn Detector> + 'a>;
     let runtimes: [Build<'_>; 5] = [
-        Box::new(|mode| hor(mode, CodecKind::Md5)),
-        Box::new(|mode| hor(mode, CodecKind::RawValues)),
-        Box::new(|mode| hor(mode, CodecKind::Dict)),
-        // The threaded runtime has one candidate producer.
+        Box::new(|| hor(CodecKind::Md5)),
+        Box::new(|| hor(CodecKind::RawValues)),
+        Box::new(|| hor(CodecKind::Dict)),
         Box::new(threaded),
         Box::new(hyb),
     ];
 
     let mut md5_matrix = Vec::new();
     for (build, (name, parent_links, parent_bytes)) in runtimes.iter().zip(PARENT) {
-        let (mut shared, mut per_cfd) = (build(SharingMode::Shared), build(SharingMode::PerCfd));
+        let mut det = build();
         let mut oracle = cfd::naive::detect(&sigma, &d0);
-        assert_eq!(shared.violations().marks_sorted(), oracle.marks_sorted());
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
         for (i, batch) in batches.iter().enumerate() {
-            let dv = shared.apply(batch).expect("shared apply");
-            assert_eq!(
-                dv,
-                per_cfd.apply(batch).expect("per-CFD apply"),
-                "{name}: ΔV of batch {i} depends on the mode"
-            );
-            let next = cfd::naive::detect(&sigma, shared.current());
+            let dv = det.apply(batch).expect("apply");
+            let next = cfd::naive::detect(&sigma, det.current());
             assert_eq!(dv, oracle.diff(&next), "{name}: ΔV of batch {i}");
             oracle = next;
         }
-        assert!(shared.current().iter().eq(mirror.iter()));
-        assert_eq!(shared.violations().marks_sorted(), oracle.marks_sorted());
-        assert_eq!(per_cfd.violations().marks_sorted(), oracle.marks_sorted());
+        assert!(det.current().iter().eq(mirror.iter()));
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
 
-        let (net, net_p) = (shared.net(), per_cfd.net());
+        let net = det.net();
         let mut links = Vec::new();
-        for (tier, stats) in net.tiers() {
-            let other = net_p.tier(tier).expect("same tiers in both modes");
-            assert_eq!(stats.to_bytes(), other.to_bytes(), "{name}: tier {tier}");
+        for (_, stats) in net.tiers() {
             let n = stats.n_sites();
             let pairs = (0..n).flat_map(|src| (0..n).map(move |dst| (src, dst)));
             links.extend(pairs.map(|(src, dst)| stats.pair(src, dst).messages));
@@ -523,7 +429,7 @@ fn ver_streams() -> Vec<(&'static str, VerStream)> {
 
 /// `incVer` walks a plan compiled once at build: every update unions the
 /// matched CFDs' node lists and ships each `(input, destination)` pair
-/// once. On three catalogs under both candidate producers it meters, link
+/// once. On three catalogs it meters, link
 /// by link, the bytes and eqids the per-update planner it replaced did,
 /// and that planner's messages less the empty candidate lists it counted —
 /// an empty `ConstCands` list is no longer a message. `ΔV` is the oracle's
@@ -533,7 +439,8 @@ fn compiled_walk_ships_the_planners_bytes_and_eqids() {
     /// One link's traffic: `(src, dst, messages, bytes, eqids)`.
     type Link = (usize, usize, u64, u64, u64);
     /// The per-update planner's run of this stream, non-zero links only,
-    /// identical in both modes. Its messages are kept but for the
+    /// under the shared dispatch and the per-CFD loop alike (both ran
+    /// until `d19a0de`). Its messages are kept but for the
     /// zero-byte candidate lists it metered: 289 of TPCH's 318 on `3 → 4`,
     /// 31 of EMP's 53 on `2 → 1`.
     #[rustfmt::skip]
@@ -555,29 +462,27 @@ fn compiled_walk_ships_the_planners_bytes_and_eqids() {
     ];
 
     for ((name, s), parent) in ver_streams().into_iter().zip(PARENT) {
-        for mode in [SharingMode::Shared, SharingMode::PerCfd] {
-            let mut det = ver(&s.schema, &s.sigma, &s.scheme, s.optimized, mode, &s.d0);
-            let mut oracle = cfd::naive::detect(&s.sigma, &s.d0);
-            assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
-            for (i, batch) in s.batches.iter().enumerate() {
-                let dv = match batch.ops() {
-                    [op] => det.apply_one(op),
-                    _ => Detector::apply(&mut det, batch),
-                };
-                let next = cfd::naive::detect(&s.sigma, det.current());
-                assert_eq!(dv.expect("apply"), oracle.diff(&next), "{name}: batch {i}");
-                oracle = next;
-            }
-            let stats = det.stats();
-            let n = stats.n_sites();
-            let links: Vec<_> = (0..n)
-                .flat_map(|src| (0..n).map(move |dst| (src, dst)))
-                .map(|(src, dst)| (src, dst, stats.pair(src, dst)))
-                .filter(|(_, _, c)| c.messages > 0)
-                .map(|(src, dst, c)| (src, dst, c.messages, c.bytes, c.eqids))
-                .collect();
-            assert_eq!(links, parent, "{name} {mode:?}: per-link traffic");
+        let mut det = ver(&s.schema, &s.sigma, &s.scheme, s.optimized, &s.d0);
+        let mut oracle = cfd::naive::detect(&s.sigma, &s.d0);
+        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
+        for (i, batch) in s.batches.iter().enumerate() {
+            let dv = match batch.ops() {
+                [op] => det.apply_one(op),
+                _ => Detector::apply(&mut det, batch),
+            };
+            let next = cfd::naive::detect(&s.sigma, det.current());
+            assert_eq!(dv.expect("apply"), oracle.diff(&next), "{name}: batch {i}");
+            oracle = next;
         }
+        let stats = det.stats();
+        let n = stats.n_sites();
+        let links: Vec<_> = (0..n)
+            .flat_map(|src| (0..n).map(move |dst| (src, dst)))
+            .map(|(src, dst)| (src, dst, stats.pair(src, dst)))
+            .filter(|(_, _, c)| c.messages > 0)
+            .map(|(src, dst, c)| (src, dst, c.messages, c.bytes, c.eqids))
+            .collect();
+        assert_eq!(links, parent, "{name}: per-link traffic");
     }
 }
 
@@ -609,7 +514,7 @@ fn links(stats: &NetStats) -> Vec<(u64, u64)> {
 /// and handed `D₀` as one insert batch: the same `V`, index sizes and
 /// census, and after the same seeded stream of inserts, deletes and
 /// modifications the same `ΔV` and per-link traffic. `incVer` under both
-/// candidate producers and both plans, `incHor` and `incHyb` under md5 on
+/// plans, `incHor` and `incHyb` under md5 on
 /// the simulated network and dict over framed bytes; all on a `D₀` whose
 /// store has free rows, free dictionary slots and an overflow tid.
 #[test]
@@ -675,42 +580,40 @@ fn the_store_built_detector_is_the_replay_built_one() {
         let batches = ver_batches(d0, &fresh[..110], rhs);
         let empty = Relation::new(schema.clone());
         for optimized in [false, true] {
-            for mode in [SharingMode::Shared, SharingMode::PerCfd] {
-                let build = |d: &Relation| ver(schema, &sigma, &scheme, optimized, mode, d);
-                let at = format!("{name}, optVer {optimized}, {mode:?}");
-                let mut stored = build(d0);
-                let mut replayed = build(&empty);
-                let mut all = UpdateBatch::new();
-                d0.iter().for_each(|t| all.insert(t));
-                replayed.apply(&all).expect("replay");
-                replayed.reset_stats();
-                assert_eq!(
-                    stored.violations().marks_sorted(),
-                    replayed.violations().marks_sorted(),
-                    "{at}: V(Σ, D₀)"
-                );
-                assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
-                assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
-                assert_eq!(stored.stats().total_messages(), 0, "{at}: unmetered");
+            let build = |d: &Relation| ver(schema, &sigma, &scheme, optimized, d);
+            let at = format!("{name}, optVer {optimized}");
+            let mut stored = build(d0);
+            let mut replayed = build(&empty);
+            let mut all = UpdateBatch::new();
+            d0.iter().for_each(|t| all.insert(t));
+            replayed.apply(&all).expect("replay");
+            replayed.reset_stats();
+            assert_eq!(
+                stored.violations().marks_sorted(),
+                replayed.violations().marks_sorted(),
+                "{at}: V(Σ, D₀)"
+            );
+            assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
+            assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
+            assert_eq!(stored.stats().total_messages(), 0, "{at}: unmetered");
 
-                for (i, batch) in batches.iter().enumerate() {
-                    let (a, b) = match batch.ops() {
-                        [op] => (stored.apply_one(op), replayed.apply_one(op)),
-                        _ => (stored.apply(batch), replayed.apply(batch)),
-                    };
-                    assert_eq!(
-                        a.expect("apply"),
-                        b.expect("apply"),
-                        "{at}: ΔV of batch {i}"
-                    );
-                }
-                assert!(stored.stats().total_messages() > 0, "{at}: a stream ships");
-                let (got, want) = (links(stored.stats()), links(replayed.stats()));
-                assert_eq!(got, want, "{at}: per-link traffic");
-                assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
-                let oracle = cfd::naive::detect(&sigma, stored.current());
-                assert_eq!(stored.violations().marks_sorted(), oracle.marks_sorted());
+            for (i, batch) in batches.iter().enumerate() {
+                let (a, b) = match batch.ops() {
+                    [op] => (stored.apply_one(op), replayed.apply_one(op)),
+                    _ => (stored.apply(batch), replayed.apply(batch)),
+                };
+                assert_eq!(
+                    a.expect("apply"),
+                    b.expect("apply"),
+                    "{at}: ΔV of batch {i}"
+                );
             }
+            assert!(stored.stats().total_messages() > 0, "{at}: a stream ships");
+            let (got, want) = (links(stored.stats()), links(replayed.stats()));
+            assert_eq!(got, want, "{at}: per-link traffic");
+            assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
+            let oracle = cfd::naive::detect(&sigma, stored.current());
+            assert_eq!(stored.violations().marks_sorted(), oracle.marks_sorted());
         }
 
         let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
