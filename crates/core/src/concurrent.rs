@@ -52,8 +52,8 @@
 //!
 //! The sequential driver ([`crate::HorizontalDetector`]) applies the same
 //! rule *online*, to the rounds it keeps in flight — exact, since every
-//! earlier update has begun — where the two steps above, applied to a
-//! whole `D₀` window, defer nearly all of it behind its first writers.
+//! earlier update has begun — where the two steps above apply it to a
+//! whole batch at once.
 //!
 //! Every round thus opens with the payload, towards the peers, and to the
 //! replies it would have had in batch order — the differential suites
@@ -68,10 +68,35 @@
 //! context switch per frame into one per burst of frames; with a core per
 //! site it is what lets the sites work at once.
 //!
+//! # The build
+//!
+//! A session starts from `V(Σ, D₀)`; it does not negotiate it. Both
+//! constructors run `horizontal::Build` — the sequential detector's two
+//! local passes over `n` machines — before any mesh exists, so the build
+//! sends nothing and leaves every meter at zero.
+//! [`ConcurrentHorizontal::threaded`] runs it once, on the caller's
+//! thread, and moves into each site's runner its machine, its fragment
+//! (the rows it is home to) and its slice of `V` (the marks of those rows)
+//! — what a replay of `D₀` through the batch path would have left there;
+//! the coordinator keeps the relation, every row's home and the whole `V`.
+//! Only then does it open the mesh and spawn the site threads.
+//!
+//! In a multi-process session no row of `D₀` crosses a link: each `site`
+//! process derives `D₀` from the parameters it derives `(schema, Σ,
+//! scheme)` from, runs the same build and keeps its own machine, and the
+//! processes build in parallel. Each then sends the coordinator one
+//! `Built` frame, a fingerprint of its fragment and its slice of `V`
+//! ([`BuildPrint`]), which [`ConcurrentHorizontal::distributed`] holds to
+//! its own build of that site: a site that derived another `D₀` is
+//! [`DetectError::BuildMismatch`] naming the site, and every site is shut
+//! down. That handshake is the build's, not `ΔD`'s: both ends take it off
+//! their meters.
+//!
 //! # The control plane
 //!
 //! Op shipment, the settle handshake, wave barriers, acks, result
-//! collection and a failing site's last words ride on [`CtrlMsg`] frames,
+//! collection, a failing site's last words and a process's build
+//! fingerprint ride on [`CtrlMsg`] frames,
 //! which are wire-metered but contribute **zero** modeled `|M|`
 //! ([`Node::send_ctrl`]): the model meters the detection protocol, not the
 //! harness that schedules it. The differential suite asserts threaded,
@@ -97,10 +122,10 @@
 //! | `WaveDone` / `WaveAdvance`| 5                 | 1 + varint wave (2)       |
 //! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
 //! | `Ops`, ≈ 64-op slice      | 9 452 mean        | 3 843 mean, 2 483 packed  |
-//! | `Ops`, ≈ 1 024-op slice of a `D₀` window | —  | 48.7 k mean, 30.4 k packed |
 //! | `Deferred`                | —                 | 7.7 mean; 2 + 1–2 per deferred update |
 //! | `Waves`                   | —                 | 8.4 mean; 3 + 1 per deferred update |
 //! | `Failed`                  | —                 | 2 + the error's text      |
+//! | `Built`                   | —                 | 17 + two varints; once a site and session |
 //! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 349 mean, 295 packed; ≈ 20 + 2/mark |
 //!
 //! A site that fails says so before it goes: [`SiteRunner::serve`] sends
@@ -163,8 +188,8 @@
 use crate::detector::{DetectError, Detector};
 use crate::horizontal::order::{Deferrals, DeferredList, WavePlanner};
 use crate::horizontal::site::{Round, Site};
-use crate::horizontal::HorMsg;
-use cfd::{Cfd, DeltaV, Violations};
+use crate::horizontal::{Build, HorMsg};
+use cfd::{Cfd, CfdId, DeltaV, Violations};
 use cluster::codec::CodecKind;
 use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
@@ -179,7 +204,7 @@ pub mod ctrl;
 
 pub use crate::horizontal::site::SiteConfig;
 use ctrl::encode_ops;
-pub use ctrl::{BatchImage, CtrlMsg, RtFrame};
+pub use ctrl::{BatchImage, BuildPrint, CtrlMsg, RtFrame};
 
 /// The coordinator's site id. It is an ordinary site that additionally
 /// owns batch admission, wave barriers and result collection.
@@ -272,6 +297,8 @@ enum Event {
     Waves(u32, Vec<u32>),
     /// A site's batch image (coordinator side), its own frame counted.
     Result(Box<BatchImage>),
+    /// What a site process's build left it (coordinator side).
+    Built(BuildPrint),
     /// End of session.
     Shutdown,
 }
@@ -342,18 +369,18 @@ pub struct SiteRunner {
 }
 
 impl SiteRunner {
-    /// Build a fresh site over its mesh node. Fragments start empty:
-    /// initial data flows through the first batch like any other update.
-    pub fn new(cfg: SiteConfig, codec: CodecKind, node: Node) -> Self {
+    /// The site of `node` as the build left it: its machine, its fragment
+    /// and its slice of `V` ([`split`]).
+    pub(crate) fn new(site: Site, rows: Relation, violations: Violations, node: Node) -> Self {
         let (n, me) = (node.n_nodes(), node.me());
         SiteRunner {
-            rows: Relation::new(cfg.schema.clone()),
-            violations: Violations::new(cfg.cfds.len()),
+            rows,
+            violations,
             dv: DeltaV::default(),
             done_count: 0,
             owed: vec![0; n],
             held: Deferrals::default(),
-            site: Site::new(cfg, me, codec),
+            site,
             me,
             n,
             node,
@@ -424,6 +451,7 @@ impl SiteRunner {
             CtrlMsg::Deferred(deferred) => Ok(Some(Event::Deferred(deferred))),
             CtrlMsg::Waves { n_waves, waves } => Ok(Some(Event::Waves(n_waves, waves))),
             CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
+            CtrlMsg::Built(print) => Ok(Some(Event::Built(print))),
             // Whatever we were waiting for, it is not coming.
             CtrlMsg::Failed(cause) => Err(site_failed(src, &cause)),
             CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
@@ -715,23 +743,78 @@ impl SiteRunner {
 // The coordinator-side detector
 // ---------------------------------------------------------------------
 
+/// What the coordinator keeps of a build: the logical relation, every
+/// row's home and the whole `V`.
+type Mirror = (Relation, FxHashMap<Tid, SiteId>, Violations);
+
+/// One site's share of a build: its machine, its fragment and its slice
+/// of `V`.
+type Share = (Site, Relation, Violations);
+
+/// Take `build` apart: by site, its machine, its fragment — the rows it is
+/// home to — and its slice of `V`, the marks of those rows; and the
+/// coordinator's [`Mirror`]. A site's share is what a replay of `D₀`
+/// through the batch path leaves there: a site stores only the rows it is
+/// home to, and marks only members of its own groups.
+fn split(build: Build) -> Result<(Vec<Share>, Mirror), DetectError> {
+    let Build {
+        cfg,
+        sites,
+        current,
+        site_of_tid,
+        violations,
+    } = build;
+    let share = |site| {
+        let rows = Relation::new(cfg.schema.clone());
+        (site, rows, Violations::new(cfg.cfds.len()))
+    };
+    let mut shares: Vec<_> = sites.into_iter().map(share).collect();
+    let home = |tid: Tid| {
+        let home = site_of_tid.get(&tid).copied();
+        home.ok_or_else(|| DetectError::Internal(format!("row {tid} of the build has no home")))
+    };
+    let store = current.store();
+    for (tid, row) in store.rows() {
+        let values = store.row_syms(row).map(|s| store.pool().resolve(s));
+        shares[home(tid)?].1.insert_row(tid, values)?;
+    }
+    for c in (0..cfg.cfds.len()).map(|c| c as CfdId) {
+        for &tid in violations.of_cfd(c) {
+            shares[home(tid)?].2.add(c, tid);
+        }
+    }
+    Ok((shares, (current, site_of_tid, violations)))
+}
+
 /// Run one non-coordinator site of a **multi-process** mesh to
-/// completion: join the mesh on fixed localhost ports, serve batches,
-/// return on shutdown. The entry point of the bench crate's `site`
-/// binary.
+/// completion: build site `me`'s share of `d`, join the mesh on fixed
+/// localhost ports, tell the coordinator what the build left
+/// ([`CtrlMsg::Built`]), serve batches, return on shutdown. The entry
+/// point of the `site` binary, which derives `d` — like `(schema, Σ,
+/// scheme)` — from the same parameters as the coordinator.
 pub fn run_site(
     schema: Arc<Schema>,
     cfds: Vec<Cfd>,
     scheme: &HorizontalScheme,
+    d: &Relation,
     me: SiteId,
     codec: CodecKind,
     base_port: u16,
 ) -> Result<(), DetectError> {
-    let cfg = SiteConfig::new(schema, cfds, scheme);
+    let (shares, _) = split(Build::new(schema, cfds, scheme, d, codec)?)?;
+    let share = shares.into_iter().nth(me);
+    let (site, rows, violations) = share.ok_or(ClusterError::UnknownSite(me))?;
+    let print = BuildPrint::of(&rows, &violations);
     let node = run::join(scheme.n_sites(), me, base_port)
         .map_err(DetectError::Cluster)?
         .with_compression(codec.compression());
-    SiteRunner::new(cfg, codec, node).serve()
+    let mut runner = SiteRunner::new(site, rows, violations, node);
+    let node = &mut runner.node;
+    node.send_ctrl(COORD, &CtrlMsg::Built(print))
+        .map_err(DetectError::Cluster)?;
+    // The handshake is the build's, not ΔD's.
+    node.reset_stats();
+    runner.serve()
 }
 
 /// The concurrent `incHor` session: site 0 (the coordinator) runs on
@@ -764,40 +847,20 @@ pub struct ConcurrentHorizontal {
     n: usize,
 }
 
-/// Tuples per window of the threaded runtime's `D₀` replay ([`ingest`]).
-/// A build holds one window of materialised tuples, its normalised copy
-/// and its `ΔV` at a time, so the transient is `O(window · (arity + |Σ|))`
-/// instead of `O(|D₀| · |Σ|)` — at 1 024 rules and 40 000 rows the
-/// one-batch build peaked ≈ 120 MiB above the state it left behind. Each
-/// window pays a wave schedule, an `Ops` frame per site and a collection
-/// round: at 2 048 `setup_s` on `detbench`'s `thr_tcp_batch` read 3.5 %
-/// over the one-batch build (slower in 8 of 10 pairs), at 4 096 it is back
-/// inside that build's own spread.
-const BUILD_WINDOW: usize = 4096;
-
-/// Load `d` into the empty runtime by replaying it, in tid order, through
-/// its own batch path, in [`BUILD_WINDOW`]-tuple windows whose `ΔV` is
-/// dropped. Its sites may live in other processes and learn `D₀` over
-/// their links, so this is its build; the ops and their order are those
-/// of a single `apply(D₀)`, so `V`, group state and per-link codec
-/// residency come out the same. (`incVer` and `incHor` build site-locally
-/// from `d`'s store instead.)
-fn ingest(
-    d: &Relation,
-    mut apply: impl FnMut(&UpdateBatch) -> Result<DeltaV, DetectError>,
-) -> Result<(), DetectError> {
-    let mut rows = d.iter().peekable();
-    while rows.peek().is_some() {
-        let window = rows.by_ref().take(BUILD_WINDOW).map(Update::Insert);
-        apply(&UpdateBatch::from_ops(window.collect()))?;
-    }
-    Ok(())
+/// A scheme of no site leaves nobody to coordinate.
+fn no_site() -> DetectError {
+    ClusterError::BadScheme("a scheme of no site".into()).into()
 }
 
 impl ConcurrentHorizontal {
     /// One OS thread per site over the chosen transport:
     /// [`TransportKind::Tcp`] uses the localhost socket mesh, anything
-    /// else the in-process frame channels.
+    /// else the in-process frame channels. `V(Σ, D₀)` is built from `d` on
+    /// the caller's thread before the mesh exists (the module docs'
+    /// build); an unroutable row of `d` is the scheme's
+    /// [`ClusterError::Routing`], one of another arity a
+    /// [`RelError::ArityMismatch`], and neither opens a mesh or spawns a
+    /// thread.
     pub fn threaded(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -806,41 +869,39 @@ impl ConcurrentHorizontal {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
-        crate::detector::positional(&cfds)?;
-        let n = scheme.n_sites();
-        let cfg = SiteConfig::new(schema, cfds, &scheme);
+        let (shares, mirror) = split(Build::new(schema, cfds, &scheme, d, codec)?)?;
         let nodes = match transport {
-            TransportKind::Tcp => run::tcp_mesh(n).map_err(DetectError::Cluster)?,
-            _ => run::mem_mesh(n),
+            TransportKind::Tcp => run::tcp_mesh(shares.len()).map_err(DetectError::Cluster)?,
+            _ => run::mem_mesh(shares.len()),
         };
-        let mut it = nodes
+        let mut runners = shares
             .into_iter()
-            .map(|nd| nd.with_compression(codec.compression()));
-        let node0 = it.next().expect("mesh has at least one node");
-        let handles = it
-            .map(|node| {
-                let runner = SiteRunner::new(cfg.clone(), codec, node);
-                std::thread::Builder::new()
-                    .name(format!("site-{}", runner.me))
-                    .spawn(move || runner.serve())
-                    .expect("spawn site thread")
-            })
-            .collect();
-        Self::finish_build(
-            scheme,
-            SiteRunner::new(cfg, codec, node0),
-            handles,
-            codec,
-            "incHorMt",
-            d,
-        )
+            .zip(nodes)
+            .map(|((site, rows, v), node)| {
+                let node = node.with_compression(codec.compression());
+                SiteRunner::new(site, rows, v, node)
+            });
+        let coord = runners.next().ok_or_else(no_site)?;
+        let mut det = Self::coordinating(scheme, mirror, coord, codec, "incHorMt");
+        for runner in runners {
+            let me = runner.me;
+            let spawned = std::thread::Builder::new()
+                .name(format!("site-{me}"))
+                .spawn(move || runner.serve());
+            // On failure, dropping `det` shuts down the threads spawned.
+            let spawned = spawned.map_err(|e| proto(format!("spawn site thread {me}: {e}")))?;
+            det.handles.push(spawned);
+        }
+        Ok(det)
     }
 
     /// Join an `n`-process mesh on fixed localhost ports as the
-    /// coordinator. The `n - 1` site processes must run
-    /// [`run_site`] with the same `(schema, Σ, scheme, codec,
-    /// base_port)` — each site derives its configuration independently,
-    /// nothing but frames crosses process boundaries.
+    /// coordinator. The `n - 1` site processes must run [`run_site`] with
+    /// the same `(schema, Σ, scheme, D₀, codec, base_port)`: each builds
+    /// its own share of `d` while this builds every site's, and no row
+    /// crosses a process boundary. A site whose [`CtrlMsg::Built`] does not
+    /// match this build of it is [`DetectError::BuildMismatch`], and every
+    /// site is shut down.
     pub fn distributed(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -849,36 +910,35 @@ impl ConcurrentHorizontal {
         codec: CodecKind,
         base_port: u16,
     ) -> Result<Self, DetectError> {
-        crate::detector::positional(&cfds)?;
-        let n = scheme.n_sites();
-        let cfg = SiteConfig::new(schema, cfds, &scheme);
-        let node0 = run::join(n, COORD, base_port)
+        let (shares, mirror) = split(Build::new(schema, cfds, &scheme, d, codec)?)?;
+        let print = |(_, rows, v): &Share| BuildPrint::of(rows, v);
+        let prints: Vec<BuildPrint> = shares.iter().map(print).collect();
+        let (site, rows, v) = shares.into_iter().next().ok_or_else(no_site)?;
+        let node0 = run::join(scheme.n_sites(), COORD, base_port)
             .map_err(DetectError::Cluster)?
             .with_compression(codec.compression());
-        Self::finish_build(
-            scheme,
-            SiteRunner::new(cfg, codec, node0),
-            Vec::new(),
-            codec,
-            "incHorMp",
-            d,
-        )
+        let coord = SiteRunner::new(site, rows, v, node0);
+        let mut det = Self::coordinating(scheme, mirror, coord, codec, "incHorMp");
+        // On a refusal, dropping `det` shuts every site down.
+        det.check_builds(&prints)?;
+        Ok(det)
     }
 
-    fn finish_build(
+    /// The session over the coordinator's part of a build — the mirror
+    /// and site 0's runner — with no site thread yet and every meter at
+    /// zero.
+    fn coordinating(
         scheme: HorizontalScheme,
+        (current, site_of_tid, violations): Mirror,
         runner: SiteRunner,
-        handles: Vec<JoinHandle<Result<(), DetectError>>>,
         codec: CodecKind,
         label: &'static str,
-        d: &Relation,
-    ) -> Result<Self, DetectError> {
+    ) -> Self {
         let n = scheme.n_sites();
-        let cfg = runner.site.cfg();
-        let mut det = ConcurrentHorizontal {
-            current: Relation::new(cfg.schema.clone()),
-            site_of_tid: FxHashMap::default(),
-            violations: Violations::new(cfg.cfds.len()),
+        ConcurrentHorizontal {
+            current,
+            site_of_tid,
+            violations,
             stats: NetStats::new(n),
             wire: NetStats::new(n),
             meter: TransportMeter::default(),
@@ -889,14 +949,34 @@ impl ConcurrentHorizontal {
             label,
             scheme,
             runner,
-            handles,
+            handles: Vec::new(),
             n,
-        };
-        // Initial load: every site starts empty; d flows through the
-        // regular batch path, then the meters reset.
-        ingest(d, |window| det.apply_batch(window))?;
-        det.reset_meters();
-        Ok(det)
+        }
+    }
+
+    /// Take one [`CtrlMsg::Built`] from every other site and hold it to
+    /// `prints`, this build's fingerprint of each site's share. The frames
+    /// are the build's, not `ΔD`'s: once all match, they leave the meters.
+    fn check_builds(&mut self, prints: &[BuildPrint]) -> Result<(), DetectError> {
+        let mut reported = vec![false; self.n];
+        for _ in 1..self.n {
+            let p = self.runner.pump()?;
+            let (src, theirs) = match (p.acks, p.event) {
+                (0, Some(Event::Built(theirs))) => (p.src, theirs),
+                _ => return Err(proto("unexpected frame during the build handshake")),
+            };
+            if std::mem::replace(&mut reported[src], true) {
+                return Err(bad_link(src, COORD, "a second Built"));
+            }
+            let ours = prints[src];
+            if theirs != ours {
+                let what = format!("{theirs}, where the coordinator built it {ours}");
+                let what = what.into();
+                return Err(DetectError::BuildMismatch { site: src, what });
+            }
+        }
+        self.runner.node.reset_stats();
+        Ok(())
     }
 
     /// The home of every update of an admitted batch, in batch order. All
@@ -1293,15 +1373,24 @@ mod tests {
         assert_eq!(pair.0.current().len(), pair.1.current().len());
     }
 
-    /// The threaded build — `D₀` replayed in [`BUILD_WINDOW`]-tuple windows
-    /// — is an empty runtime handed `D₀` as one batch: the same `V`, the
+    /// The threaded build — `horizontal::Build` on the caller's thread, its
+    /// machines, fragments and `V` slices moved to the sites — is an empty
+    /// runtime handed `D₀` as one batch and then reset. Right after
+    /// construction, with no reset on the built side: the same `V`, the
     /// coordinator's group census and the symbols resident on its links,
-    /// then the same `ΔV` and modeled traffic over a follow-up stream, at
-    /// every size `|D₀|` can take against the window. Groups of every
-    /// shape: ≈ 60-member classes over 5 streets per zip, singleton zips,
-    /// rows outside CC 44.
+    /// and no barrier round, frame or received byte. Then, over a seeded
+    /// stream, the same `ΔV` and barrier rounds batch by batch — a wave
+    /// count is a function of every site's class sizes, so equal waves say
+    /// every site's state is the replay's, not only the coordinator's — and
+    /// the same modeled traffic matrix. Under every codec, over framed
+    /// channels and TCP; for Fig. 1's rules at |D₀| ∈ {0, 1, 97, 3 000}
+    /// (≈ 60-member classes over 5 streets per zip, singleton zips, rows
+    /// outside CC 44), and the TPCH 8-rule and 96-rule catalogs of
+    /// `fixtures::build_catalogs` (operators local to a site among them) —
+    /// every `D₀` but the empty one with free rows and an overflow tid.
     #[test]
-    fn the_windowed_build_is_one_apply() {
+    fn the_threaded_build_is_one_apply() {
+        use crate::horizontal::fixtures::{build_catalogs, stream, with_history};
         let s = emp_schema();
         let row = |tid: Tid| {
             let zip = format!("Z{}", if tid % 10 == 0 { tid } else { tid % 97 });
@@ -1320,41 +1409,72 @@ mod tests {
                 b2.insert(Tuple::new(tid, row(tid + 1).values.to_vec()));
             }
             (n + 1..n + 20).for_each(|tid| b2.delete(tid));
-            [b1, b2]
+            vec![b1, b2]
         };
-        let build = |d: &Relation| {
-            let (codec, transport) = (CodecKind::Dict, TransportKind::Framed);
+        let mut cases = Vec::new();
+        for n in [0, 1, 97, 3_000] {
+            let rows = Relation::from_tuples(s.clone(), (1..=n).map(row)).unwrap();
+            let d0 = match n {
+                0 => rows,
+                n => with_history(&rows, &row(n + 1)),
+            };
             let (cfds, scheme) = (fig1_cfds(&s), fig2_scheme(&s));
-            ConcurrentHorizontal::threaded(s.clone(), cfds, scheme, d, codec, transport).unwrap()
-        };
+            cases.push((
+                format!("EMP, |D0| = {}", d0.len()),
+                cfds,
+                scheme,
+                d0,
+                follow_up(n),
+            ));
+        }
+        let (d0, fresh, catalogs) = build_catalogs();
+        for (name, cfds, scheme) in catalogs {
+            let rhs = cfds.iter().find(|c| c.is_variable()).unwrap().rhs;
+            let batches = stream(&d0, &fresh[..40], rhs);
+            cases.push((name.into(), cfds, scheme, d0.clone(), batches));
+        }
         let seen = |det: &ConcurrentHorizontal| {
             let marks = det.violations().marks_sorted();
-            (
-                marks,
-                det.coordinator_census(),
-                det.coordinator_resident_symbols(),
-            )
+            let census = det.coordinator_census();
+            (marks, census, det.coordinator_resident_symbols())
         };
-        let w = BUILD_WINDOW as Tid;
-        for n in [0, 1, w - 1, w, w + 1, 3 * w + 7] {
-            let d0 = Relation::from_tuples(s.clone(), (1..=n).map(row)).unwrap();
-            let mut windowed = build(&d0);
-            let mut replayed = build(&Relation::new(s.clone()));
+        let codecs = [
+            CodecKind::RawValues,
+            CodecKind::Md5,
+            CodecKind::Dict,
+            CodecKind::Lz,
+        ];
+        for (name, cfds, scheme, d0, batches) in &cases {
+            let schema = d0.schema().clone();
             let mut all = UpdateBatch::new();
             d0.iter().for_each(|t| all.insert(t));
-            replayed.apply(&all).unwrap();
-            replayed.reset_stats();
-            assert_eq!(seen(&windowed), seen(&replayed), "|D0| = {n}");
-            for batch in follow_up(n) {
-                assert_eq!(
-                    windowed.apply(&batch).unwrap(),
-                    replayed.apply(&batch).unwrap()
-                );
+            for codec in codecs {
+                for transport in [TransportKind::Framed, TransportKind::Tcp] {
+                    let at = format!("{name}, {codec:?} over {transport:?}");
+                    let build = |d: &Relation| {
+                        let (s, c, sc) = (schema.clone(), cfds.clone(), scheme.clone());
+                        ConcurrentHorizontal::threaded(s, c, sc, d, codec, transport).unwrap()
+                    };
+                    let mut built = build(d0);
+                    let mut replayed = build(&Relation::new(schema.clone()));
+                    replayed.apply(&all).unwrap();
+                    replayed.reset_stats();
+                    assert_eq!(seen(&built), seen(&replayed), "{at}");
+                    assert_eq!(built.waves(), 0, "{at}");
+                    assert_eq!(built.transport_meter(), TransportMeter::default(), "{at}");
+                    assert_eq!(built.received_bytes(), 0, "{at}");
+                    for (i, batch) in batches.iter().enumerate() {
+                        let dv = built.apply(batch).unwrap();
+                        assert_eq!(dv, replayed.apply(batch).unwrap(), "{at}: ΔV of batch {i}");
+                        assert_eq!(built.waves(), replayed.waves(), "{at}: batch {i}");
+                    }
+                    assert!(built.waves() > 0, "{at}: the stream waves");
+                    assert_eq!(seen(&built).0, seen(&replayed).0, "{at}");
+                    // Measured bytes move with ack timing; modeled |M| may not.
+                    let (got, want) = (built.stats().to_bytes(), replayed.stats().to_bytes());
+                    assert_eq!(got, want, "{at}: modeled |M| matrix");
+                }
             }
-            assert_eq!(seen(&windowed).0, seen(&replayed).0, "|D0| = {n}");
-            // Measured bytes move with ack timing; modeled |M| may not.
-            let stats = |det: &ConcurrentHorizontal| format!("{:?}", det.stats());
-            assert_eq!(stats(&windowed), stats(&replayed), "|D0| = {n}");
         }
     }
 
@@ -1437,9 +1557,9 @@ mod tests {
     /// Seeded interleaving stress: conflicting batches of about `batch`
     /// updates over a wider hash-partitioned mesh, checked batch by batch
     /// against the sequential drive (state, ΔV and the modeled byte
-    /// matrix). The key domain grows with the batch, so a large window —
-    /// the build's, where nothing else compares `ΔV` — still creates,
-    /// empties and re-enters classes instead of settling whole.
+    /// matrix). The key domain grows with the batch, so a large batch
+    /// still creates, empties and re-enters classes instead of settling
+    /// whole.
     fn stress(n_sites: usize, seed: u64, n_batches: usize, batch: usize) {
         let s = emp_schema();
         let scheme =
@@ -1693,9 +1813,9 @@ mod tests {
     /// The acceptance count: a relation that is being loaded settles more
     /// of every window than of the one before. The 40 000-row TPCH base of
     /// `detbench`'s `thr_tcp_batch` (its generator's proportions, its
-    /// rules), replayed into an empty session in the build's 4 096-op
-    /// windows: the footprint-only schedule needed 209–230 waves for each
-    /// of them, 2 184 in all.
+    /// rules), replayed into an empty session in 4 096-op windows: the
+    /// footprint-only schedule needed 209–230 waves for each of them,
+    /// 2 184 in all.
     #[test]
     fn a_loading_relation_needs_fewer_waves_window_by_window() {
         use workload::{rules, tpch};
@@ -1733,6 +1853,16 @@ mod tests {
 
     // -- failure and hostile frames -------------------------------------
 
+    /// Site `node.me()` of a session over an empty `D₀`.
+    fn empty_runner(cfg: SiteConfig, node: Node) -> SiteRunner {
+        let (rows, v) = (
+            Relation::new(cfg.schema.clone()),
+            Violations::new(cfg.cfds.len()),
+        );
+        let site = Site::new(cfg, node.me(), CodecKind::Md5);
+        SiteRunner::new(site, rows, v, node)
+    }
+
     /// A frame the codec decodes but the protocol cannot mean ends the
     /// site's `serve` with a typed error naming the link — its thread
     /// returns, it does not panic — and the coordinator is told.
@@ -1742,7 +1872,7 @@ mod tests {
         let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
         let mut nodes = run::mem_mesh(2).into_iter();
         let (mut forger, node) = (nodes.next().unwrap(), nodes.next().unwrap());
-        let site = SiteRunner::new(cfg, CodecKind::Md5, node);
+        let site = empty_runner(cfg, node);
         let handle = std::thread::spawn(move || site.serve());
         let forged = HorMsg::ClearFlags {
             attrs: vec![],
@@ -1815,11 +1945,16 @@ mod tests {
                 }
             })
         };
-        let runner = SiteRunner::new(cfg, CodecKind::Md5, node0);
-        let (handles, codec) = (nodes.map(play).collect(), CodecKind::Md5);
-        let empty = Relation::new(s);
-        ConcurrentHorizontal::finish_build(scheme, runner, handles, codec, "scripted", &empty)
-            .unwrap()
+        let mirror = (
+            Relation::new(s),
+            FxHashMap::default(),
+            Violations::new(cfg.cfds.len()),
+        );
+        let runner = empty_runner(cfg, node0);
+        let mut det =
+            ConcurrentHorizontal::coordinating(scheme, mirror, runner, CodecKind::Md5, "scripted");
+        det.handles = nodes.map(play).collect();
+        det
     }
 
     /// A `Deferred` list the coordinator cannot schedule from — a position
@@ -1910,7 +2045,7 @@ mod tests {
         for (forged, cause) in cases {
             let mut nodes = run::mem_mesh(2).into_iter();
             let (mut coord, node) = (nodes.next().unwrap(), nodes.next().unwrap());
-            let mut site = SiteRunner::new(cfg.clone(), CodecKind::Md5, node);
+            let mut site = empty_runner(cfg.clone(), node);
             let served = std::thread::scope(|scope| {
                 let serving = scope.spawn(|| site.serve_batches());
                 // Two creators of new groups: both deferred, both writers.

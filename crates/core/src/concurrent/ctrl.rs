@@ -22,6 +22,7 @@
 //! Deferred     8a v(n) n × v(position << 1 | writes)
 //! Waves        8b v(n_waves) v(n) n × v(wave)
 //! Failed       8c v(len) len × UTF-8 byte
+//! Built        8d v(rows) v(marks) 16 × digest byte
 //!
 //! Ops          81 v(n_ops)
 //!              ⌈n_ops / 8⌉ × kind bits               op i is bit i mod 8 of
@@ -59,7 +60,8 @@
 //! [`ClusterError::Transport`], never a panic.
 
 use crate::horizontal::HorMsg;
-use cfd::CfdId;
+use cfd::{CfdId, Violations};
+use cluster::md5::{md5, Digest};
 use cluster::net::bytes::{
     cell_len, get_cell, put_cell, put_varint, unzigzag, varint_len, zigzag, Reader,
 };
@@ -67,7 +69,7 @@ use cluster::net::frame::{FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTE
 use cluster::net::FrameCodec;
 use cluster::netstats::Counters;
 use cluster::{ClusterError, SiteId, TransportMeter, Wire};
-use relation::{Tid, Tuple, Update, Value};
+use relation::{Relation, Tid, Tuple, Update, Value};
 use std::collections::hash_map::{Entry, HashMap};
 
 const CT_ACK: u8 = 0x80;
@@ -81,6 +83,7 @@ const CT_PIGGY: u8 = 0x89;
 const CT_DEFERRED: u8 = 0x8a;
 const CT_WAVES: u8 = 0x8b;
 const CT_FAILED: u8 = 0x8c;
+const CT_BUILT: u8 = 0x8d;
 
 const COL_PLAIN: u8 = 0;
 const COL_DICT: u8 = 1;
@@ -132,9 +135,50 @@ impl BatchImage {
     }
 }
 
-/// Runtime control traffic: batch shipment, the settle handshake, wave
-/// barriers, acks, result collection, failure, shutdown. All structure —
-/// `wire_size() == 0`.
+/// What a site's build left it, in a form two processes can compare: the
+/// sizes of its fragment and of its slice of `V`, and one MD5 over both —
+/// each row in tid order as its tid and its cells, then the marks sorted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BuildPrint {
+    /// Rows of the fragment.
+    pub rows: u64,
+    /// Marks of the slice of `V`.
+    pub marks: u64,
+    /// MD5 of the rows and the marks.
+    pub digest: Digest,
+}
+
+impl BuildPrint {
+    /// The fingerprint of a site holding `rows` and the marks `v`.
+    pub fn of(rows: &Relation, v: &Violations) -> Self {
+        let mut bytes = Vec::new();
+        let store = rows.store();
+        for (tid, row) in store.rows() {
+            put_varint(&mut bytes, tid);
+            store
+                .row_syms(row)
+                .for_each(|s| put_cell(&mut bytes, store.pool().resolve(s)));
+        }
+        let marks = v.marks_sorted();
+        put_marks(&mut bytes, &marks);
+        BuildPrint {
+            rows: rows.len() as u64,
+            marks: marks.len() as u64,
+            digest: md5(&bytes),
+        }
+    }
+}
+
+impl std::fmt::Display for BuildPrint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (rows, marks, digest) = (self.rows, self.marks, self.digest.to_hex());
+        write!(f, "{rows} rows and {marks} marks (MD5 {digest})")
+    }
+}
+
+/// Runtime control traffic: a process's build fingerprint, batch shipment,
+/// the settle handshake, wave barriers, acks, result collection, failure,
+/// shutdown. All structure — `wire_size() == 0`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg {
     /// Generic round-closer where the protocol has no payload to reply.
@@ -174,6 +218,9 @@ pub enum CtrlMsg {
     /// A site's last words to the coordinator: its `serve` is returning
     /// this error.
     Failed(String),
+    /// A site process's first words to the coordinator: what its build
+    /// left it.
+    Built(BuildPrint),
     /// Tear the site down (end of session).
     Shutdown,
 }
@@ -427,6 +474,12 @@ impl FrameCodec for CtrlMsg {
                 put_varint(out, cause.len() as u64);
                 out.extend_from_slice(cause.as_bytes());
             }
+            CtrlMsg::Built(print) => {
+                out.push(CT_BUILT);
+                put_varint(out, print.rows);
+                put_varint(out, print.marks);
+                out.extend_from_slice(&print.digest.0);
+            }
             CtrlMsg::Shutdown => out.push(CT_SHUTDOWN),
         }
         out.len() - start
@@ -475,6 +528,16 @@ impl FrameCodec for CtrlMsg {
                 },
                 received: r.varint()?,
             })),
+            CT_BUILT => {
+                let (rows, marks) = (r.varint()?, r.varint()?);
+                let mut digest = Digest::default();
+                digest.0.copy_from_slice(r.take(Digest::WIRE_SIZE)?);
+                CtrlMsg::Built(BuildPrint {
+                    rows,
+                    marks,
+                    digest,
+                })
+            }
             CT_SHUTDOWN => CtrlMsg::Shutdown,
             t => return Err(bad(&format!("unknown tag {t:#x}"))),
         };
@@ -715,6 +778,12 @@ mod tests {
             CtrlMsg::WaveAdvance(300),
             CtrlMsg::Failed(String::new()),
             CtrlMsg::Failed("link 0 → 1: Waves names wave 9 of 2 — ünïcodé".into()),
+            CtrlMsg::Built(BuildPrint::default()),
+            CtrlMsg::Built(BuildPrint {
+                rows: 40_000,
+                marks: u64::MAX,
+                digest: md5(b"a fragment"),
+            }),
             CtrlMsg::BatchResult(Box::default()),
             CtrlMsg::BatchResult(Box::new(BatchImage {
                 added: vec![(0, 1), (1, 2)],
@@ -823,6 +892,12 @@ mod tests {
         frames.push(encoded(&CtrlMsg::AckN(1 << 20)));
         frames.push(encoded(&CtrlMsg::WaveAdvance(77)));
         frames.push(encoded(&CtrlMsg::Failed("site 3: ünïcodé".into())));
+        let print = BuildPrint {
+            rows: 300,
+            marks: 1 << 40,
+            digest: md5(b"site 2"),
+        };
+        frames.push(encoded(&CtrlMsg::Built(print)));
         let mut piggy = Vec::new();
         RtFrame::Piggy(
             300,
@@ -866,7 +941,8 @@ mod tests {
         let huge = |out: &mut Vec<u8>| put_varint(out, 1 << 40);
         // An op count, a row count (via arity), a mark count, a deferred
         // count, a wave count and a cause length the frame cannot hold are
-        // refused before anything is reserved.
+        // refused before anything is reserved; a build fingerprint's counts
+        // size nothing, and its digest must still be there.
         for head in [
             vec![CT_OPS],
             vec![CT_OPS, 2, 0, 2, 2],
@@ -874,6 +950,8 @@ mod tests {
             vec![CT_DEFERRED],
             vec![CT_WAVES, 1],
             vec![CT_FAILED],
+            vec![CT_BUILT],
+            vec![CT_BUILT, 3],
         ] {
             let mut frame = head;
             huge(&mut frame);
@@ -892,6 +970,23 @@ mod tests {
         put_varint(&mut far, 1 << 33);
         assert!(CtrlMsg::decode_frame(&far).is_err());
         assert!(CtrlMsg::decode_frame(&[CT_FAILED, 2, 0xc3, 0x28]).is_err());
+        // Counts past anything a site holds are only numbers: the frame
+        // decodes, and the coordinator's comparison refuses it.
+        let mut lying = vec![CT_BUILT];
+        huge(&mut lying);
+        huge(&mut lying);
+        lying.extend([0; 16]);
+        let lied = CtrlMsg::Built(BuildPrint {
+            rows: 1 << 40,
+            marks: 1 << 40,
+            digest: Digest::default(),
+        });
+        assert_eq!(CtrlMsg::decode_frame(&lying).unwrap(), lied);
+        lying.push(0);
+        assert!(
+            CtrlMsg::decode_frame(&lying).is_err(),
+            "a byte past the digest"
+        );
         // A CFD id that leaves the 32-bit range.
         let mut cfd = vec![CT_RESULT, 1];
         put_varint(&mut cfd, zigzag(1 << 32));

@@ -24,7 +24,7 @@
 
 use crate::plan::PlanError;
 use cfd::{Cfd, DeltaV, Violations};
-use cluster::{ClusterError, NetReport};
+use cluster::{ClusterError, NetReport, SiteId};
 use relation::{RelError, Relation, Schema, Tuple, Update, UpdateBatch};
 use std::sync::Arc;
 
@@ -44,6 +44,16 @@ pub enum DetectError {
     /// Maintained state contradicted itself (a bug in this library, not
     /// in the caller's input): the batch failed, the process lives.
     Internal(String),
+    /// A site process of a multi-process session built another share of
+    /// `D₀` than the coordinator's build of that site: it derived another
+    /// `D₀`, `Σ` or scheme from its parameters.
+    BuildMismatch {
+        /// The site.
+        site: SiteId,
+        /// Its fingerprint against the coordinator's. (Boxed, so the
+        /// variant is no wider than the others.)
+        what: Box<str>,
+    },
 }
 
 impl std::fmt::Display for DetectError {
@@ -54,6 +64,9 @@ impl std::fmt::Display for DetectError {
             DetectError::Analysis(msg) => write!(f, "static analysis: {msg}"),
             DetectError::Plan(e) => write!(f, "HEV plan: {e}"),
             DetectError::Internal(msg) => write!(f, "internal inconsistency: {msg}"),
+            DetectError::BuildMismatch { site, what } => {
+                write!(f, "site {site} built another share of D₀: {what}")
+            }
         }
     }
 }
@@ -169,13 +182,13 @@ mod tests {
     use super::*;
     use crate::StateCensus;
     use crate::{ConcurrentHorizontal, HorizontalDetector, VerticalDetector};
-    use cfd::{CfdId, OpId, SharedPlan};
+    use cfd::{CfdId, OpId};
     use cluster::codec::CodecKind;
     use cluster::md5::Digest;
     use cluster::net::TransportKind;
     use cluster::partition::{HorizontalScheme, VerticalScheme};
     use cluster::SiteId;
-    use relation::{AttrId, Tid, Tuple, Value};
+    use relation::{Tid, Tuple, Value};
 
     fn emp_schema() -> Arc<Schema> {
         Schema::new("EMP", &["id", "grade", "CC", "zip", "street", "city"], "id").unwrap()
@@ -206,47 +219,6 @@ mod tests {
         ]
     }
 
-    /// `d` as a caller's store may hold it after a history: every seventh
-    /// row deleted, which leaves free rows and free dictionary slots, and
-    /// `far`'s values under a tid past the dense window, in `TidMap`'s
-    /// overflow tree.
-    fn with_history(d: &Relation, far: &Tuple) -> Relation {
-        let mut d = d.clone();
-        let gone: Vec<Tid> = d.tids().step_by(7).collect();
-        for tid in gone {
-            d.delete_quiet(tid).unwrap();
-        }
-        d.insert(Tuple::new(1 << 40, far.values.to_vec())).unwrap();
-        d
-    }
-
-    /// A seeded stream over `d0`: mixed batches, modifications that
-    /// rewrite `rhs`, and single updates.
-    fn stream(d0: &Relation, fresh: &[Tuple], rhs: AttrId) -> Vec<UpdateBatch> {
-        use workload::updates::{self, UpdateMix};
-        let mut mirror = d0.clone();
-        let mut batches = Vec::new();
-        let mut push = |batch: UpdateBatch, mirror: &mut Relation| {
-            batch.normalize(mirror).apply(mirror).unwrap();
-            batches.push(batch);
-        };
-        let mix = |insert_fraction| UpdateMix { insert_fraction };
-        push(
-            updates::generate(&mirror, &fresh[..30], 50, mix(0.6), 1),
-            &mut mirror,
-        );
-        let corrupt = |t: &Tuple, rng: &mut _| updates::corrupt_attr(t, rhs, rng);
-        push(
-            updates::generate_modifications(&mirror, 30, 2, corrupt),
-            &mut mirror,
-        );
-        let b = updates::generate(&mirror, &fresh[30..40], 20, mix(0.5), 3);
-        for op in b.ops() {
-            push(UpdateBatch::from_ops(vec![op.clone()]), &mut mirror);
-        }
-        batches
-    }
-
     /// What a §6 build leaves behind, as far as this crate can see it.
     #[derive(Debug, PartialEq)]
     struct Built {
@@ -275,48 +247,13 @@ mod tests {
     /// per-link traffic. Under every codec, over the simulated and framed
     /// transports, for TPCH's 8 rules and a 96-rule mined family at high
     /// overlap (spilled classes, groups held at several sites, operators
-    /// local to a site), on a `D₀` with history.
+    /// local to a site), on a `D₀` with history (`fixtures::build_catalogs`).
     #[test]
     fn build_is_the_replay() {
+        use crate::horizontal::fixtures::{build_catalogs, stream};
         use crate::{HybridDetector, HybridScheme};
-        use workload::family::{cfd_family, FamilyConfig};
-        use workload::{rules, tpch};
-        let tcfg = tpch::TpchConfig {
-            n_rows: 600,
-            n_customers: 60,
-            n_parts: 40,
-            n_suppliers: 12,
-            error_rate: 0.1,
-            seed: 42,
-        };
-        let (s, d0) = tpch::generate(&tcfg);
-        let fresh = tpch::generate_fresh(&tcfg, 1_000_000, 41, 7);
-        let d0 = with_history(&d0, &fresh[40]);
-        let family = FamilyConfig {
-            n: 96,
-            overlap: 0.95,
-            seed: 0xCFD,
-            ..FamilyConfig::default()
-        };
-        let family = cfd_family(&s, &d0, &family);
-        // Partitioned on an attribute some operators' `X` holds and others'
-        // does not: local and cross-site operators side by side.
-        let plan = SharedPlan::new(&family);
-        let lists: Vec<&[AttrId]> = plan.key_groups().iter().map(|(x, _)| &x[..]).collect();
-        let on = *lists
-            .iter()
-            .flat_map(|x| x.iter())
-            .find(|a| lists.iter().any(|x| !x.contains(a)))
-            .expect("an attribute on some key lists only");
-        let by_on = HorizontalScheme::by_hash(s.clone(), on, 3).unwrap();
-        let catalogs = [
-            (
-                "TPCH 8 rules",
-                rules::tpch_rules(&s, 8, 0xCFD),
-                tpch::horizontal_scheme(&s, 4),
-            ),
-            ("96-rule family", family, by_on),
-        ];
+        let (d0, fresh, catalogs) = build_catalogs();
+        let s = d0.schema().clone();
         let codecs = [
             CodecKind::RawValues,
             CodecKind::Md5,
@@ -402,26 +339,16 @@ mod tests {
                 );
             }
         }
-        // Under key hashing no TPCH operator is local to a site; under
-        // `on`, some are.
-        let local = |scheme: &HorizontalScheme| {
-            let keyed = plan
-                .operators()
-                .iter()
-                .map(|(g, ..)| &plan.key_groups()[*g].0);
-            let on_x = |x: &Vec<AttrId>| scheme.predicate(0).attrs().iter().all(|a| x.contains(a));
-            keyed.filter(|x| on_x(x)).count()
-        };
-        let n_local = local(&catalogs[1].2);
-        assert!(n_local > 0 && n_local < plan.operators().len());
     }
 
     /// The build refuses what the replay's `admit` and `route` refused, with
     /// the same typed error: a `D₀` of another arity (through
     /// `clone_under`), and one holding an unroutable tuple (the scheme's
     /// `Routing`, naming the tid) — and the constructor returns no
-    /// detector, half-built or not. An empty `D₀` builds no group, teaches
-    /// no symbol and allocates no table.
+    /// detector, half-built or not. The threaded runtime runs the same
+    /// build before it opens a mesh, so it refuses the same way, over TCP
+    /// too. An empty `D₀` builds no group, teaches no symbol and allocates
+    /// no table.
     #[test]
     fn a_build_refuses_what_the_replay_refused() {
         use crate::{HybridDetector, HybridScheme};
@@ -446,6 +373,10 @@ mod tests {
             let scheme = HybridScheme::new(by_cc.clone(), verticals).unwrap();
             HybridDetector::new(s.clone(), emp_cfds(&s), scheme, d, codec, sim).map(drop)
         };
+        let thr = |d: &Relation, codec| {
+            let (cfds, scheme, tcp) = (emp_cfds(&s), by_cc.clone(), TransportKind::Tcp);
+            ConcurrentHorizontal::threaded(s.clone(), cfds, scheme, d, codec, tcp).map(drop)
+        };
         let refusals = [
             (&stray, "routing error: tuple 41 matches no fragment"),
             (&narrow, "tuple arity 5 does not match schema arity 6"),
@@ -459,6 +390,7 @@ mod tests {
                 for (what, got) in [
                     ("incHor", hor(d0, codec).map(drop)),
                     ("incHyb", hyb(d0, codec)),
+                    ("incHorMt", thr(d0, codec)),
                 ] {
                     let got = got.expect_err(what);
                     let typed = matches!(

@@ -89,8 +89,8 @@
 //!   protocol, not an error.)
 //! * **A round is finished exactly once.** `finish` consumes it.
 //!
-//! **The build.** `V(Σ, D₀)` is where [`HorizontalDetector`] starts, not a
-//! stream it negotiates: `site::build` computes, over `n` machines and
+//! **The build.** `V(Σ, D₀)` is where both drivers start, not a stream
+//! they negotiate: `site::build` computes, over `n` machines and
 //! before any transport exists, what replaying `D₀` as inserts in tid
 //! order through the steps above would leave — in two local passes and
 //! with no message. Pass 1 routes each row, classifies it once at its home
@@ -101,8 +101,12 @@
 //! dictionary) is warmed in pass 1: `insert_ship`, the case analysis's own
 //! rule, says which rows the replay would have shipped, and their payloads
 //! are encoded and decoded on each link they would have crossed, so every
-//! link's dictionary holds the replay's symbols. The thread-per-site
-//! runtime, whose sites may live in other processes, still replays.
+//! link's dictionary holds the replay's symbols. `Build::new` runs it for
+//! both: [`HorizontalDetector`] keeps the `n` machines and the one store;
+//! the thread-per-site runtime moves each machine to its thread with the
+//! rows it is home to and the marks of those rows, and each process of a
+//! multi-process session runs the same build from the same parameters and
+//! keeps its own machine.
 //!
 //! # The sequential driver: rounds in flight across a batch
 //!
@@ -612,6 +616,56 @@ impl InFlight {
     }
 }
 
+/// The module docs' build, for a driver to take apart: `n` fresh machines
+/// holding `D₀`'s group and codec state, `D₀` itself, every row's home and
+/// `V(Σ, D₀)`. [`HorizontalDetector`] keeps it whole; the thread-per-site
+/// runtime keeps the relation, the homes and `V` at its coordinator and
+/// moves each machine to its site with the rows it is home to.
+pub(crate) struct Build {
+    pub(crate) cfg: SiteConfig,
+    pub(crate) sites: Vec<Site>,
+    /// `D₀` under the session's schema: a clone of its store.
+    pub(crate) current: Relation,
+    pub(crate) site_of_tid: FxHashMap<Tid, SiteId>,
+    pub(crate) violations: Violations,
+}
+
+impl Build {
+    /// Build over `d` with no transport in existence, so nothing can be
+    /// sent: refuse a catalog whose ids are not its positions, clone `d`'s
+    /// store under `schema` (refusing another arity), then route each row
+    /// and run the two passes (`site::build`). An unroutable row is the
+    /// scheme's [`ClusterError::Routing`].
+    pub(crate) fn new(
+        schema: Arc<Schema>,
+        cfds: Vec<Cfd>,
+        scheme: &HorizontalScheme,
+        d: &Relation,
+        codec: CodecKind,
+    ) -> Result<Self, DetectError> {
+        crate::detector::positional(&cfds)?;
+        let n = scheme.n_sites();
+        let cfg = SiteConfig::new(schema.clone(), cfds, scheme);
+        let current = d.clone_under(schema)?;
+        let mut sites: Vec<Site> = (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect();
+        let mut violations = Violations::new(cfg.cfds.len());
+        let mut site_of_tid = FxHashMap::default();
+        let home = |t: &Tuple| {
+            let home = scheme.route(t)?;
+            site_of_tid.insert(t.tid, home);
+            Ok(home)
+        };
+        site::build(&mut sites, &current, home, &mut violations)?;
+        Ok(Build {
+            cfg,
+            sites,
+            current,
+            site_of_tid,
+            violations,
+        })
+    }
+}
+
 /// The incremental violation detector for horizontally partitioned data:
 /// every site's `Site` machine and the one relation they all store into in
 /// one struct, one thread driving every round over the session's
@@ -664,20 +718,15 @@ impl HorizontalDetector {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
-        crate::detector::positional(&cfds)?;
-        let n = scheme.n_sites();
-        let cfg = SiteConfig::new(schema.clone(), cfds, &scheme);
-        let current = d.clone_under(schema)?;
-        let mut sites: Vec<Site> = (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect();
-        let mut violations = Violations::new(cfg.cfds.len());
-        let mut site_of_tid = FxHashMap::default();
-        let home = |t: &Tuple| {
-            let home = scheme.route(t)?;
-            site_of_tid.insert(t.tid, home);
-            Ok(home)
-        };
-        site::build(&mut sites, &current, home, &mut violations)?;
+        let Build {
+            cfg,
+            sites,
+            current,
+            site_of_tid,
+            violations,
+        } = Build::new(schema, cfds, &scheme, d, codec)?;
         // Only now is there a transport: the build cannot send.
+        let n = sites.len();
         let net: Box<dyn MsgTransport<HorMsg>> = match transport {
             TransportKind::Simulated => Box::new(Network::new(n)),
             TransportKind::Framed => {

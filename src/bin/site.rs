@@ -3,25 +3,29 @@
 //! Two modes share one binary:
 //!
 //! * **Child** (`--me I --sites N`): run site `I` of an `N`-site mesh
-//!   to completion via [`incdetect::concurrent::run_site`] — join the
-//!   fixed-port localhost mesh, serve §6 probe/query batches, exit on
-//!   the coordinator's shutdown frame. A child never sees the data: it
-//!   derives `(schema, Σ, scheme)` from the same CLI parameters as the
-//!   parent and receives its fragment as ordinary insert ops over TCP.
+//!   to completion via [`incdetect::concurrent::run_site`] — build its
+//!   share of `V(Σ, D₀)`, join the fixed-port localhost mesh, send the
+//!   coordinator a fingerprint of what the build left it, serve §6
+//!   probe/query batches, exit on the coordinator's shutdown frame. No
+//!   row of `D₀` reaches a child over a link: it derives `(schema, Σ,
+//!   scheme)` and the seeded base relation `D₀` from the same CLI
+//!   parameters as the parent, and only the update batch arrives over
+//!   TCP.
 //! * **Cluster parent** (`--cluster N`): spawn sites `1..N` as child
-//!   processes of this same executable, join the mesh as the
-//!   coordinator (site 0), push the seeded TPCH base relation and one
-//!   fig9-style update batch through
-//!   [`incdetect::ConcurrentHorizontal::distributed`], then check the
-//!   outcome against the single-thread [`HorizontalDetector`] — marks
-//!   and modeled `|M|` must be bit-identical.
+//!   processes of this same executable, build every site's share of the
+//!   seeded TPCH base relation and join the mesh as the coordinator (site
+//!   0) through [`incdetect::ConcurrentHorizontal::distributed`], which
+//!   holds each child's fingerprint to its own build of that site; push
+//!   one fig9-style update batch through the mesh, then check the outcome
+//!   against the single-thread [`HorizontalDetector`] — marks and modeled
+//!   `|M|` must be bit-identical.
 //!
 //! ```sh
 //! cargo run --release --bin site -- --cluster 4
 //! cargo run --release --bin site -- --cluster 4 --rows 4000 --cfds 50
 //! ```
 //!
-//! The CI `concurrency-smoke` job runs the 4-site cluster; the root
+//! The CI `concurrency-smoke` job runs both; the root
 //! integration test `tests/multi_process.rs` drives the same spawn path
 //! through `CARGO_BIN_EXE_site`.
 
@@ -85,8 +89,8 @@ fn parse_args() -> Args {
 }
 
 /// The deterministic problem instance both sides derive independently:
-/// rules and partition scheme from `(rows, cfds)` at the fixed seed.
-/// Only the parent materializes the relation and the update batch.
+/// rules, partition scheme and base relation from `(rows, cfds)` at the
+/// fixed seed. Only the parent materializes the update batch.
 fn instance(rows: usize, n_cfds: usize) -> (std::sync::Arc<Schema>, Vec<Cfd>, tpch::TpchConfig) {
     let schema = tpch::tpch_schema();
     let cfds = rules::tpch_rules(&schema, n_cfds, 1);
@@ -104,9 +108,10 @@ fn instance(rows: usize, n_cfds: usize) -> (std::sync::Arc<Schema>, Vec<Cfd>, tp
 /// Child mode: serve one site until the coordinator shuts the mesh down.
 fn run_child(args: &Args) -> Result<(), DetectError> {
     let me = args.me.expect("child mode has --me");
-    let (schema, cfds, _) = instance(args.rows, args.cfds);
+    let (schema, cfds, cfg) = instance(args.rows, args.cfds);
     let scheme = tpch::horizontal_scheme(&schema, args.sites);
-    incdetect::concurrent::run_site(schema, cfds, &scheme, me, CodecKind::Md5, args.port)
+    let (_, d) = tpch::generate(&cfg);
+    incdetect::concurrent::run_site(schema, cfds, &scheme, &d, me, CodecKind::Md5, args.port)
 }
 
 /// Parent mode: spawn the children, coordinate, differential-check.

@@ -48,19 +48,23 @@ fn instance(
     (schema, cfds, d, delta, cfg)
 }
 
+/// Spawn site `me` of an `n`-site mesh as a real OS process of the `site`
+/// binary.
+fn spawn_child(me: usize, n: usize, port: u16, rows: usize, cfds: usize) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_site"))
+        .args(["--me", &me.to_string()])
+        .args(["--sites", &n.to_string()])
+        .args(["--port", &port.to_string()])
+        .args(["--rows", &rows.to_string()])
+        .args(["--cfds", &cfds.to_string()])
+        .spawn()
+        .expect("spawn site child process")
+}
+
 /// Spawn sites `1..n` as real OS processes of the `site` binary.
 fn spawn_children(n: usize, port: u16, rows: usize, cfds: usize) -> Vec<Child> {
     (1..n)
-        .map(|me| {
-            Command::new(env!("CARGO_BIN_EXE_site"))
-                .args(["--me", &me.to_string()])
-                .args(["--sites", &n.to_string()])
-                .args(["--port", &port.to_string()])
-                .args(["--rows", &rows.to_string()])
-                .args(["--cfds", &cfds.to_string()])
-                .spawn()
-                .expect("spawn site child process")
-        })
+        .map(|me| spawn_child(me, n, port, rows, cfds))
         .collect()
 }
 
@@ -167,4 +171,45 @@ fn multi_process_matches_threaded_and_sequential() {
 
     drop(mp); // broadcasts shutdown to the children
     reap(children);
+}
+
+/// A child that derives another `D₀` — here from another `--rows` —
+/// builds another share of it, and the coordinator refuses the session:
+/// `distributed` returns the typed mismatch naming that site within
+/// seconds, and every child is shut down and exits.
+#[test]
+fn a_child_with_another_d0_is_refused() {
+    use std::time::{Duration, Instant};
+    const N: usize = 3;
+    const PORT: u16 = 26_150;
+    const ROWS: usize = 300;
+    const CFDS: usize = 8;
+    let (schema, cfds, d, _, _) = instance(ROWS, CFDS);
+    let scheme = tpch::horizontal_scheme(&schema, N);
+    // Site 2 derives its base from one row more.
+    let children = [
+        spawn_child(1, N, PORT, ROWS, CFDS),
+        spawn_child(2, N, PORT, ROWS + 1, CFDS),
+    ];
+
+    let asked = Instant::now();
+    let refused = ConcurrentHorizontal::distributed(schema, cfds, scheme, &d, CodecKind::Md5, PORT);
+    let err = refused.map(drop).expect_err("a site built another D₀");
+    assert!(asked.elapsed() < Duration::from_secs(10), "{err}");
+    assert!(
+        matches!(err, DetectError::BuildMismatch { site: 2, .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("site 2"), "{err}");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for (i, mut child) in children.into_iter().enumerate() {
+        while child.try_wait().expect("child status").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("site {} outlived the refused session", i + 1);
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
 }
