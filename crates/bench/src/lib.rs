@@ -665,8 +665,8 @@ pub struct SpeedupPoint {
     /// Measured on-wire bytes of the sequential drive.
     pub seq_wire_bytes: u64,
     /// Measured on-wire bytes of the threaded drive: the protocol frames
-    /// plus its control frames (ops, settle, barriers, acks, results).
-    /// They move by a few frames with ack timing.
+    /// plus its control frames (slice hand-over, settle, barriers, acks,
+    /// results). They move by a few frames with ack timing.
     pub thr_wire_bytes: u64,
     /// Barrier rounds of the threaded drive (deterministic).
     pub waves: u64,

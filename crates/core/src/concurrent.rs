@@ -25,8 +25,8 @@
 //! module's one rule: a shared tid, a shared group key at one site, or a
 //! shared key between two writers (updates that create or empty an RHS
 //! class). A class-preserving update commutes with every other site's
-//! update. The runtime applies the rule in two steps, `Ops` → `Deferred` →
-//! `Waves`:
+//! update. The runtime applies the rule in two steps, `Take` → `Deferred`
+//! → `Waves`:
 //!
 //! 1. **Settle pass.** Every site gets its slice of the batch in batch
 //!    order and walks it once (the machine's `settle` step), the
@@ -94,7 +94,7 @@
 //!
 //! # The control plane
 //!
-//! Op shipment, the settle handshake, wave barriers, acks, result
+//! The slice hand-over, the settle handshake, wave barriers, acks, result
 //! collection, a failing site's last words and a process's build
 //! fingerprint ride on [`CtrlMsg`] frames,
 //! which are wire-metered but contribute **zero** modeled `|M|`
@@ -106,14 +106,19 @@
 //! Since every byte of a control frame is overhead, the frames are
 //! written compactly (varints, bit and per-frame dictionary columns —
 //! layouts in the [`ctrl`] module docs; larger frames are then LZ-packed
-//! by the node whatever the session codec), the coordinator writes each
-//! site's `Ops` frame straight from the borrowed batch, and no frame asks
-//! for what its receiver can tell itself: a site cuts its batch image on
-//! the last barrier release (or on a schedule of no waves), so there is no
-//! `Collect`. Body sizes, old fixed-width row format → current, measured
-//! on `thr_tcp_batch` seed 1 (4 sites, 16-column TPCH rows, 256-op
-//! batches, so ≈ 64 ops a slice, 5 to 6 of them deferred, and ≈ 165 `ΔV`
-//! marks an image; 879 frames of each per-batch kind a round):
+//! by the node whatever the session codec), and no frame carries what its
+//! receiver can have without it. `ΔD_i` enters at `S_i`, as in the paper:
+//! a site *thread* is in the caller's process, so the coordinator hands it
+//! its slice in memory — into the site's inlet, an in-process channel
+//! whose rows share their values with the batch — and sends a one-byte
+//! `Take`; no row crosses a link. Only a site *process*, whose one way in
+//! is its links, gets an `Ops` frame, written straight from the borrowed
+//! batch. A site cuts its batch image on the last barrier release (or on
+//! a schedule of no waves), so there is no `Collect`. Body sizes, old
+//! fixed-width row format → current, measured on `thr_tcp_batch` seed 1
+//! (4 sites, 16-column TPCH rows, 256-op batches, so ≈ 64 ops a slice, 5
+//! to 6 of them deferred, and ≈ 165 `ΔV` marks an image; 879 frames of
+//! each per-batch kind a round):
 //!
 //! | frame                     | was (B)           | is (B)                    |
 //! |---------------------------|-------------------|---------------------------|
@@ -121,7 +126,8 @@
 //! | `AckN(k)`                 | 5                 | 1 + varint `k` (2)        |
 //! | `WaveDone` / `WaveAdvance`| 5                 | 1 + varint wave (2)       |
 //! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
-//! | `Ops`, ≈ 64-op slice      | 9 452 mean        | 3 843 mean, 2 483 packed  |
+//! | `Take`, site threads only | — (an `Ops` frame) | 1                        |
+//! | `Ops`, ≈ 64-op slice, site processes only | 9 452 mean | 3 843 mean, 2 483 packed |
 //! | `Deferred`                | —                 | 7.7 mean; 2 + 1–2 per deferred update |
 //! | `Waves`                   | —                 | 8.4 mean; 3 + 1 per deferred update |
 //! | `Failed`                  | —                 | 2 + the error's text      |
@@ -177,13 +183,15 @@
 //! [`cluster::run`] module docs — flush the sockets. So a blocked site
 //! has nothing withheld, and a cycle of sites each waiting on a frame
 //! another still buffers (or an ack another still owes) cannot form; no
-//! demand/poll round-trip is ever needed. The coordinator adds three
-//! flushes that are not parks but hand-offs — after shipping the `Ops`
-//! frames, after shipping the `Waves` frames and after releasing a
-//! barrier — so the sites start while it turns to its own serial work
-//! (its settle pass and the mirror of the batch), and one before it joins
-//! the site threads on drop (a wait that is not on its inbox); a failing
-//! site flushes its `Failed` before it returns.
+//! demand/poll round-trip is ever needed. (A site thread's inlet is no
+//! second parking spot: its slice is in it before the `Take` is sent.)
+//! The coordinator adds three flushes that are not parks but hand-offs —
+//! after handing out the slices (`Take` or `Ops`), after shipping the
+//! `Waves` frames and after releasing a barrier — so the sites start
+//! while it turns to its own serial work (its settle pass and the mirror
+//! of the batch), and one before it joins the site threads on drop (a
+//! wait that is not on its inbox); a failing site flushes its `Failed`
+//! before it returns.
 
 use crate::detector::{DetectError, Detector};
 use crate::horizontal::order::{Deferrals, DeferredList, WavePlanner};
@@ -197,6 +205,7 @@ use cluster::run::{self, Node};
 use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter};
 use relation::{FxHashMap, RelError, Relation, Schema, Tid, Update, UpdateBatch};
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -289,7 +298,8 @@ enum Event {
     Response(SiteId, Response),
     /// Barrier release for the given wave.
     Advance(u32),
-    /// Our slice of a new batch.
+    /// Our slice of a new batch: taken from the inlet on a `Take`, or
+    /// decoded from an `Ops` frame.
     Ops(Vec<Update>),
     /// What a site's settle pass left for the waves (coordinator side).
     Deferred(Vec<(u32, bool)>),
@@ -366,6 +376,10 @@ pub struct SiteRunner {
     owed: Vec<u32>,
     /// The settle pass's memory of what it deferred, cleared per batch.
     held: Deferrals,
+    /// Site threads only: the slices the coordinator hands over in memory,
+    /// one per batch, each announced by a [`CtrlMsg::Take`]. A site process
+    /// has none; its slices arrive in [`CtrlMsg::Ops`] frames.
+    inlet: Option<Receiver<Vec<Update>>>,
 }
 
 impl SiteRunner {
@@ -380,6 +394,7 @@ impl SiteRunner {
             done_count: 0,
             owed: vec![0; n],
             held: Deferrals::default(),
+            inlet: None,
             site,
             me,
             n,
@@ -448,6 +463,7 @@ impl SiteRunner {
             }
             CtrlMsg::WaveAdvance(w) => Ok(Some(Event::Advance(w))),
             CtrlMsg::Ops(ops) => Ok(Some(Event::Ops(ops))),
+            CtrlMsg::Take => Ok(Some(Event::Ops(self.take(src)?))),
             CtrlMsg::Deferred(deferred) => Ok(Some(Event::Deferred(deferred))),
             CtrlMsg::Waves { n_waves, waves } => Ok(Some(Event::Waves(n_waves, waves))),
             CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
@@ -456,6 +472,17 @@ impl SiteRunner {
             CtrlMsg::Failed(cause) => Err(site_failed(src, &cause)),
             CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
         }
+    }
+
+    /// The slice `src`'s [`CtrlMsg::Take`] announces. The coordinator puts
+    /// it in the inlet before it sends the frame, so it is there to take,
+    /// and no site ever parks on its inlet.
+    fn take(&mut self, src: SiteId) -> Result<Vec<Update>, DetectError> {
+        let Some(inlet) = &self.inlet else {
+            return Err(bad_link(src, self.me, "Take at a site with no inlet"));
+        };
+        let slice = inlet.try_recv();
+        slice.map_err(|_| bad_link(src, self.me, "Take with nothing in the inlet"))
     }
 
     /// Take the next frame; serve requests inline, surface everything
@@ -832,6 +859,9 @@ pub struct ConcurrentHorizontal {
     /// Global `V` mirror, folded from the per-site images.
     violations: Violations,
     runner: SiteRunner,
+    /// Where site thread `j` takes its slices from, at `j - 1`. A site
+    /// process has no inlet, so a multi-process session has none.
+    inlets: Vec<Sender<Vec<Update>>>,
     handles: Vec<JoinHandle<Result<(), DetectError>>>,
     codec_kind: CodecKind,
     label: &'static str,
@@ -883,8 +913,11 @@ impl ConcurrentHorizontal {
             });
         let coord = runners.next().ok_or_else(no_site)?;
         let mut det = Self::coordinating(scheme, mirror, coord, codec, "incHorMt");
-        for runner in runners {
+        for mut runner in runners {
             let me = runner.me;
+            let (inlet, outlet) = mpsc::channel();
+            runner.inlet = Some(outlet);
+            det.inlets.push(inlet);
             let spawned = std::thread::Builder::new()
                 .name(format!("site-{me}"))
                 .spawn(move || runner.serve());
@@ -949,6 +982,7 @@ impl ConcurrentHorizontal {
             label,
             scheme,
             runner,
+            inlets: Vec::new(),
             handles: Vec::new(),
             n,
         }
@@ -1054,16 +1088,24 @@ impl ConcurrentHorizontal {
             return Ok(dv);
         }
         let homes = self.route(&delta)?;
-        // Slices are written to their frames straight from the batch, and
-        // ours is settled and run from it: no op is copied.
+        // Ours is settled and run straight from the batch, a site process's
+        // is written to its frame from it; a site thread's shares its rows.
         let mut slices: Vec<Vec<&Update>> = (0..self.n).map(|_| Vec::new()).collect();
         for (op, &home) in delta.ops().iter().zip(&homes) {
             slices[home].push(op);
         }
         let node = &mut self.runner.node;
         for (j, slice) in slices.iter().enumerate().skip(1) {
-            node.send_ctrl_with(j, |out| encode_ops(out, slice))
-                .map_err(DetectError::Cluster)?;
+            match self.inlets.get(j - 1) {
+                Some(inlet) => {
+                    let owned = slice.iter().map(|&op| op.clone()).collect();
+                    let left = |_| proto(format!("site {j} has left: its inlet is closed"));
+                    inlet.send(owned).map_err(left)?;
+                    node.send_ctrl(j, &CtrlMsg::Take)
+                }
+                None => node.send_ctrl_with(j, |out| encode_ops(out, slice)),
+            }
+            .map_err(DetectError::Cluster)?;
         }
         // Not a park, but the next stretch is ours alone: put the sites to
         // work on their settle passes before starting on ours and on the
@@ -1096,7 +1138,9 @@ impl ConcurrentHorizontal {
         self.waves += 1 + u64::from(n_waves);
         let node = &mut self.runner.node;
         let mut waves = waves.into_iter();
-        let own_waves = waves.next().expect("the coordinator is a site");
+        let own_waves = waves.next().ok_or_else(|| {
+            DetectError::Internal("the wave schedule has no list for the coordinator".into())
+        })?;
         for (j, waves) in (1..).zip(waves) {
             node.send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })
                 .map_err(DetectError::Cluster)?;
@@ -1190,7 +1234,8 @@ impl ConcurrentHorizontal {
 
     /// Barrier rounds — coordinator round trips every site waits out —
     /// since the last reset: per non-empty batch, the settle handshake
-    /// (`Ops` out, `Deferred` back) and one per wave of deferred updates.
+    /// (`Take` or `Ops` out, `Deferred` back) and one per wave of deferred
+    /// updates.
     /// Deterministic: classification depends only on a site's state and
     /// slice, placement only on the op stream.
     pub fn waves(&self) -> u64 {
@@ -1525,7 +1570,8 @@ mod tests {
     fn every_written_byte_is_metered_and_received() {
         let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
         assert_eq!(conc.received_bytes(), 0, "the load is not on the meters");
-        // A slice long enough for its `Ops` frame to be offered to LZ.
+        // Site 1's slice is handed over in memory, but its image carries a
+        // mark per row: a control frame long enough to be offered to LZ.
         let mut wide = UpdateBatch::new();
         for i in 0..48 {
             let street = format!("{} Long Meadow Gardens", 100 + i);
@@ -1533,12 +1579,13 @@ mod tests {
         }
         let mut batches = script();
         batches.push(wide);
-        let mut before = 0;
+        let (mut before, mut saved) = (0, Vec::new());
         for (i, b) in batches.iter().enumerate() {
             conc.apply_batch(b).unwrap();
             let m = conc.transport_meter();
             assert!(m.wire_bytes > before, "batch {i} moved bytes");
             before = m.wire_bytes;
+            saved.push(m.saved_bytes);
             assert_eq!(conc.received_bytes(), m.wire_bytes, "batch {i}");
             assert_eq!(conc.wire_stats().total_bytes(), m.wire_bytes, "batch {i}");
             assert_eq!(conc.wire_stats().total_messages(), m.frames, "batch {i}");
@@ -1550,8 +1597,9 @@ mod tests {
             assert_eq!(conc.stats().total_bytes(), m.modeled_bytes, "batch {i}");
         }
         // The md5 session packs no protocol frame: every saved byte is a
-        // control frame's.
-        assert!(conc.transport_meter().saved_bytes > 0);
+        // control frame's, and the wide batch's image saved some.
+        let n = saved.len();
+        assert!(saved[n - 1] > saved[n - 2], "saved {saved:?}");
     }
 
     /// Seeded interleaving stress: conflicting batches of about `batch`
@@ -1742,27 +1790,81 @@ mod tests {
     }
 
     /// A batch of class-preserving updates costs the handshake and no
-    /// wave, whatever its size.
+    /// wave, whatever its size — and, the rows being handed to the site
+    /// threads in memory, the same control bytes on every link out of the
+    /// coordinator: no row crosses one.
     #[test]
     fn a_class_preserving_batch_is_one_handshake_whatever_its_size() {
-        let mut pair = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
-        let mut tid = 100;
-        for size in [6, 12] {
-            let mut b = UpdateBatch::new();
-            for i in 0..size {
-                // Every site's class of zip EH4 8LE, and site 0's Preston.
-                let (grade, zip, street) = [
-                    ("A", "EH4 8LE", "Mayfield"),
-                    ("B", "EH4 8LE", "Mayfield"),
-                    ("C", "EH4 8LE", "Crichton"),
-                    ("A", "EH2 4HF", "Preston"),
-                ][i % 4];
-                b.insert(emp_tuple(tid, grade, 44, 131, zip, street, "EDI"));
-                tid += 1;
+        // Wire bytes less modeled |M| on each link out of the coordinator.
+        let ctrl_out = |conc: &ConcurrentHorizontal| -> Vec<u64> {
+            let (wire, modeled) = (conc.wire_stats(), conc.stats());
+            let ctrl = |j| wire.pair(COORD, j).bytes - modeled.pair(COORD, j).bytes;
+            (1..conc.n_sites()).map(ctrl).collect()
+        };
+        for transport in [TransportKind::Framed, TransportKind::Tcp] {
+            let mut pair = emp_pair(&d0(), CodecKind::Md5, transport);
+            let mut tid = 100;
+            let mut per_batch = Vec::new();
+            for size in [6, 12] {
+                let mut b = UpdateBatch::new();
+                for i in 0..size {
+                    // Every site's class of zip EH4 8LE, and site 0's Preston.
+                    let (grade, zip, street) = [
+                        ("A", "EH4 8LE", "Mayfield"),
+                        ("B", "EH4 8LE", "Mayfield"),
+                        ("C", "EH4 8LE", "Crichton"),
+                        ("A", "EH2 4HF", "Preston"),
+                    ][i % 4];
+                    b.insert(emp_tuple(tid, grade, 44, 131, zip, street, "EDI"));
+                    tid += 1;
+                }
+                // … and a delete that leaves its class a member.
+                b.delete(tid - 4);
+                let what = format!("{size} inserts over {transport:?}");
+                let before = ctrl_out(&pair.0);
+                assert_eq!(apply_both(&mut pair, &b, &what), 1, "{what}");
+                let after = ctrl_out(&pair.0);
+                let moved: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+                assert!(moved.iter().all(|&bytes| bytes > 0), "{what}: {moved:?}");
+                per_batch.push(moved);
             }
-            // … and a delete that leaves its class a member.
-            b.delete(tid - 4);
-            assert_eq!(apply_both(&mut pair, &b, &format!("{size} inserts")), 1);
+            assert_eq!(
+                per_batch[0], per_batch[1],
+                "{transport:?}: control bytes out"
+            );
+        }
+    }
+
+    /// An empty batch, and one whose updates cancel (an insert, then the
+    /// delete of its tid), move nothing: no barrier round, no frame, no
+    /// byte written or received, and no slice in any site's inlet.
+    #[test]
+    fn an_empty_or_self_cancelling_batch_moves_nothing() {
+        let mut cancelling = UpdateBatch::new();
+        cancelling.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+        cancelling.delete(10);
+        for transport in [TransportKind::Framed, TransportKind::Tcp] {
+            let mut pair = emp_pair(&d0(), CodecKind::Md5, transport);
+            // Stand-ins for the inlets, read here instead of by the sites.
+            let (spies, outlets): (Vec<_>, Vec<_>) = (1..3).map(|_| mpsc::channel()).unzip();
+            let inlets = std::mem::replace(&mut pair.0.inlets, spies);
+            for (what, b) in [
+                ("empty", UpdateBatch::new()),
+                ("cancelling", cancelling.clone()),
+            ] {
+                let what = format!("{what} batch over {transport:?}");
+                assert_eq!(apply_both(&mut pair, &b, &what), 0, "{what}");
+                let conc = &pair.0;
+                assert_eq!(conc.transport_meter(), TransportMeter::default(), "{what}");
+                assert_eq!(conc.wire_stats().total_bytes(), 0, "{what}");
+                assert_eq!(conc.received_bytes(), 0, "{what}");
+                let empty = |o: &Receiver<Vec<Update>>| o.try_recv().is_err();
+                assert!(outlets.iter().all(empty), "{what}: a slice was handed over");
+            }
+            // The session is none the worse: the next batches track the
+            // sequential drive.
+            pair.0.inlets = inlets;
+            assert_tracks_sequential(pair, &script());
         }
     }
 
@@ -1865,29 +1967,65 @@ mod tests {
 
     /// A frame the codec decodes but the protocol cannot mean ends the
     /// site's `serve` with a typed error naming the link — its thread
-    /// returns, it does not panic — and the coordinator is told.
+    /// returns, it does not panic — and the coordinator is told: a request
+    /// for an operator the site does not have, a `Take` at a site thread
+    /// with nothing in its inlet, a `Take` at a site process (no inlet).
     #[test]
     fn forged_frame_ends_the_site_with_a_typed_error() {
         let s = emp_schema();
         let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
-        let mut nodes = run::mem_mesh(2).into_iter();
-        let (mut forger, node) = (nodes.next().unwrap(), nodes.next().unwrap());
-        let site = empty_runner(cfg, node);
-        let handle = std::thread::spawn(move || site.serve());
-        let forged = HorMsg::ClearFlags {
+        let clear = RtFrame::Hor(HorMsg::ClearFlags {
             attrs: vec![],
             cfds: vec![u32::MAX],
+        });
+        let take = || RtFrame::Ctrl(CtrlMsg::Take);
+        let cases: [(_, _, &[&str]); 3] = [
+            (clear, false, &["ClearFlags", "operator 4294967295"]),
+            (take(), true, &["Take with nothing in the inlet"]),
+            (take(), false, &["Take at a site with no inlet"]),
+        ];
+        for (forged, thread, cause) in cases {
+            let mut nodes = run::mem_mesh(2).into_iter();
+            let (mut forger, node) = (nodes.next().unwrap(), nodes.next().unwrap());
+            let mut site = empty_runner(cfg.clone(), node);
+            // The sending half stays open: an empty inlet, not a closed one.
+            let (_inlet, outlet) = mpsc::channel();
+            site.inlet = thread.then_some(outlet);
+            let handle = std::thread::spawn(move || site.serve());
+            forger.send(1, &forged).unwrap();
+            forger.flush().unwrap();
+            let msg = match handle.join().expect("the site thread must not panic") {
+                Err(DetectError::Cluster(e)) => e.to_string(),
+                other => panic!("expected a protocol error, got {other:?}"),
+            };
+            assert!(msg.contains("0 → 1"), "{msg}");
+            assert!(cause.iter().all(|c| msg.contains(c)), "{msg}");
+            let last_words = forger.recv_msg::<CtrlMsg>().unwrap();
+            assert_eq!(last_words, (1, CtrlMsg::Failed(msg)));
+        }
+    }
+
+    /// A site thread that is gone takes no slice: handing it one is a
+    /// transport error that names the site, before any frame is sent.
+    #[test]
+    fn a_slice_for_a_site_that_left_names_the_site() {
+        let mut pair = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
+        // Site 1's inlet, as its thread's exit would leave it: closed.
+        let (closed, _) = mpsc::channel();
+        let open = std::mem::replace(&mut pair.0.inlets[0], closed);
+        let mut b = UpdateBatch::new();
+        b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+        b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
+        let err = match pair.0.apply_batch(&b) {
+            Err(DetectError::Cluster(ClusterError::Transport(e))) => e,
+            other => panic!("expected a transport error, got {other:?}"),
         };
-        forger.send(1, &forged).unwrap();
-        forger.flush().unwrap();
-        let msg = match handle.join().expect("the site thread must not panic") {
-            Err(DetectError::Cluster(e)) => e.to_string(),
-            other => panic!("expected a protocol error, got {other:?}"),
-        };
-        assert!(msg.contains("0 → 1") && msg.contains("ClearFlags"), "{msg}");
-        assert!(msg.contains("operator 4294967295"), "{msg}");
-        let last_words = forger.recv_msg::<CtrlMsg>().unwrap();
-        assert_eq!(last_words, (1, CtrlMsg::Failed(msg)));
+        assert!(err.contains("site 1 has left"), "{err}");
+        assert_eq!(pair.0.runner.node.meter().frames, 0, "{err}");
+        // Nothing of the batch was applied anywhere: with the inlet back,
+        // it runs as if for the first time.
+        pair.0.inlets[0] = open;
+        apply_both(&mut pair, &b, "the batch again");
     }
 
     /// A site that fails says so before it goes: the `apply` that meets

@@ -23,6 +23,7 @@
 //! Waves        8b v(n_waves) v(n) n × v(wave)
 //! Failed       8c v(len) len × UTF-8 byte
 //! Built        8d v(rows) v(marks) 16 × digest byte
+//! Take         8e
 //!
 //! Ops          81 v(n_ops)
 //!              ⌈n_ops / 8⌉ × kind bits               op i is bit i mod 8 of
@@ -84,6 +85,7 @@ const CT_DEFERRED: u8 = 0x8a;
 const CT_WAVES: u8 = 0x8b;
 const CT_FAILED: u8 = 0x8c;
 const CT_BUILT: u8 = 0x8d;
+const CT_TAKE: u8 = 0x8e;
 
 const COL_PLAIN: u8 = 0;
 const COL_DICT: u8 = 1;
@@ -176,7 +178,7 @@ impl std::fmt::Display for BuildPrint {
     }
 }
 
-/// Runtime control traffic: a process's build fingerprint, batch shipment,
+/// Runtime control traffic: a process's build fingerprint, batch hand-over,
 /// the settle handshake, wave barriers, acks, result collection, failure,
 /// shutdown. All structure — `wire_size() == 0`.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,10 +190,14 @@ pub enum CtrlMsg {
     /// Never sent with `k == 0`, and never with `k == 1` either — a
     /// single owed round flushes as the smaller [`CtrlMsg::Ack`].
     AckN(u32),
-    /// The coordinator ships a site its slice of the batch, in batch
-    /// order. (The coordinator itself never builds this variant: it writes
-    /// the frame from the borrowed batch with [`encode_ops`].)
+    /// The coordinator ships a site process its slice of the batch, in
+    /// batch order. (The coordinator itself never builds this variant: it
+    /// writes the frame from the borrowed batch with [`encode_ops`].)
     Ops(Vec<Update>),
+    /// A site thread's slice of the batch is in its in-process inlet:
+    /// take it. The rows never cross the link; a site process, which has
+    /// no inlet, gets [`CtrlMsg::Ops`] instead.
+    Take,
     /// A site's settle pass is through: the slice positions, ascending, of
     /// the updates it left for the wave schedule, each with whether the
     /// update *writes* (creates or empties a local RHS class) or is
@@ -428,6 +434,7 @@ impl FrameCodec for CtrlMsg {
                 put_varint(out, u64::from(*k));
             }
             CtrlMsg::Ops(ops) => encode_ops(out, &ops.iter().collect::<Vec<_>>()),
+            CtrlMsg::Take => out.push(CT_TAKE),
             CtrlMsg::Deferred(deferred) => {
                 out.push(CT_DEFERRED);
                 put_varint(out, deferred.len() as u64);
@@ -491,6 +498,7 @@ impl FrameCodec for CtrlMsg {
             CT_ACK => CtrlMsg::Ack,
             CT_ACK_N => CtrlMsg::AckN(get_u32(&mut r)?),
             CT_OPS => decode_ops(&mut r, MAX_FRAME_BYTES)?,
+            CT_TAKE => CtrlMsg::Take,
             CT_DONE => CtrlMsg::WaveDone(get_u32(&mut r)?),
             CT_ADVANCE => CtrlMsg::WaveAdvance(get_u32(&mut r)?),
             CT_DEFERRED => {
@@ -759,6 +767,7 @@ mod tests {
             CtrlMsg::Ops(Vec::new()),
             // Nine ops: the kind bits spill into a second byte.
             CtrlMsg::Ops((0..9).map(|i| Update::Delete(i * i)).collect()),
+            CtrlMsg::Take,
             CtrlMsg::Deferred(Vec::new()),
             CtrlMsg::Deferred(vec![
                 (0, true),
@@ -819,10 +828,12 @@ mod tests {
                 }
             }
         }
-        // Barriers and acks are two bytes where they were five; a deferred
-        // update costs a byte each way in a steady batch's slice, and eight
-        // ops share a kind byte.
+        // Barriers and acks are two bytes where they were five; a slice
+        // handed over in memory is a tag; a deferred update costs a byte
+        // each way in a steady batch's slice, and eight ops share a kind
+        // byte.
         assert_eq!(encoded(&CtrlMsg::WaveDone(4)).len(), 2);
+        assert_eq!(encoded(&CtrlMsg::Take).len(), 1);
         assert_eq!(encoded(&CtrlMsg::AckN(2)).len(), 2);
         assert_eq!(
             encoded(&CtrlMsg::Deferred(vec![(3, true), (63, false)])).len(),
@@ -890,6 +901,7 @@ mod tests {
             })
             .collect();
         frames.push(encoded(&CtrlMsg::AckN(1 << 20)));
+        frames.push(encoded(&CtrlMsg::Take));
         frames.push(encoded(&CtrlMsg::WaveAdvance(77)));
         frames.push(encoded(&CtrlMsg::Failed("site 3: ünïcodé".into())));
         let print = BuildPrint {

@@ -346,21 +346,25 @@ fn load_bat_hor_cells() {
 // Speedup points
 // ----------------------------------------------------------------------
 
-/// `|b − a|` within 2 % of `a`.
-fn within_2pct(got: u64, reference: u64) -> bool {
-    got.abs_diff(reference) * 50 <= reference
-}
-
 #[test]
 fn speedup_points_at_2_and_4_sites() {
     let (schema, cfds, d, delta) = fixture();
     // Per site count: [messages, modeled |M|, sequential wire bytes,
     // barrier rounds, final marks] exactly, then the threaded wire bytes
-    // and their excess over the sequential drive's, each within ±2 %.
+    // and their excess over the sequential drive's, each as `(pin,
+    // tolerance)` in bytes. They move by a few frames with ack timing (an
+    // owed ack rides a protocol frame or flushes alone), and that jitter
+    // is a number of bytes, whatever the size of the rest of the traffic.
     for (n_sites, exact, thr_wire, ctrl_overhead) in [
-        (2, [138, 4_886, 6_936, 50, 215], 11_625, 4_689),
-        (4, [468, 18_738, 25_926, 52, 215], 36_640, 10_714),
+        (2, [138, 4_886, 6_936, 50, 215], (8_570, 233), (1_640, 94)),
+        (
+            4,
+            [468, 18_738, 25_926, 52, 215],
+            (30_900, 733),
+            (4_980, 214),
+        ),
     ] {
+        let within = |got: u64, (pin, tolerance): (u64, u64)| got.abs_diff(pin) <= tolerance;
         let p = speedup_point(&schema, &cfds, &d, &delta, n_sites).unwrap();
         let got = [
             p.messages,
@@ -371,14 +375,14 @@ fn speedup_points_at_2_and_4_sites() {
         ];
         assert_eq!(got, exact, "{n_sites} sites");
         assert!(
-            within_2pct(p.thr_wire_bytes, thr_wire),
-            "{n_sites} sites: threaded wire {} vs {thr_wire}",
+            within(p.thr_wire_bytes, thr_wire),
+            "{n_sites} sites: threaded wire {} vs {thr_wire:?}",
             p.thr_wire_bytes
         );
         let overhead = p.thr_wire_bytes - p.seq_wire_bytes;
         assert!(
-            within_2pct(overhead, ctrl_overhead),
-            "{n_sites} sites: control overhead {overhead} vs {ctrl_overhead}"
+            within(overhead, ctrl_overhead),
+            "{n_sites} sites: control overhead {overhead} vs {ctrl_overhead:?}"
         );
         // Per-wave latency beats per-message latency, which only shows
         // optimized: debug walls swamp the modeled latencies.
