@@ -14,10 +14,13 @@
 //! * [`transport`] — the generic, synchronous, metered message network,
 //!   and the [`MsgTransport`] abstraction real byte backends plug into,
 //! * [`net`] — the **real byte-level transport**: length-prefixed framing
-//!   ([`net::ByteTransport`]), a deterministic in-process framed channel,
-//!   a `TcpListener`/`TcpStream` localhost mesh, and [`net::ByteNetwork`]
-//!   which serializes typed messages to frames and meters modeled `|M|`
-//!   and measured on-wire bytes side by side,
+//!   ([`net::frame`]), a `TcpListener`/`TcpStream` localhost mesh, and
+//!   [`net::ByteNetwork`], which serializes typed messages to frames and
+//!   meters modeled `|M|` and measured on-wire bytes side by side,
+//! * [`run`] — the per-node frame runtime under every byte transport:
+//!   one [`run::Node`] per site over in-process channels or TCP, driven
+//!   by one thread per site, one process per site, or (as
+//!   [`net::ByteNetwork`]) all from one thread,
 //! * [`codec`] — the pluggable payload codecs ([`PayloadCodec`]:
 //!   [`codec::RawValues`], [`codec::Md5Digest`], [`codec::DictSyms`],
 //!   [`codec::LzBlock`]) every value-shipping protocol encodes through,
@@ -39,7 +42,7 @@ pub mod run;
 pub mod transport;
 
 pub use codec::{CodecKind, PayloadCodec, ReceiverCodec, WireValue};
-pub use net::{ByteNetwork, ByteTransport, Compression, FrameCodec, TransportKind, TransportMeter};
+pub use net::{ByteNetwork, Compression, FrameCodec, TransportKind, TransportMeter};
 pub use netstats::{CostModel, NetReport, NetStats};
 pub use transport::{DictMeter, MsgTransport, Network, Wire};
 

@@ -10,7 +10,7 @@
 //! **structural** bytes — enum tags, item counts, value-type markers —
 //! that the model deliberately ignores. Every `put_*` function therefore
 //! returns the structural overhead it introduced, so encoders can prove
-//! (and [`super::ByteNetwork`] debug-asserts) the identity
+//! (and [`crate::run::Node::send`] debug-asserts) the identity
 //!
 //! ```text
 //! encoded_len == wire_size() + structural_overhead

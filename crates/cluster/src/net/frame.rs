@@ -1,7 +1,6 @@
-//! Length-prefixed framing over byte streams, plus the deterministic
-//! in-process framed channel.
+//! Length-prefixed framing over byte streams.
 //!
-//! Every frame on a [`super::ByteTransport`] link is:
+//! Every frame on a byte link is:
 //!
 //! ```text
 //! [ length: u32 LE ][ method: u8 ][ body: length − 1 bytes ]
@@ -19,9 +18,7 @@
 //! [`ClusterError::Transport`] — never panics.
 
 use crate::ClusterError;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::{Arc, Mutex};
 
 /// Bytes of the length prefix.
 pub const FRAME_HEADER_BYTES: usize = 4;
@@ -36,12 +33,6 @@ pub const METHOD_LZ: u8 = 1;
 
 fn io_err(what: &str, e: std::io::Error) -> ClusterError {
     ClusterError::Transport(format!("{what}: {e}"))
-}
-
-/// Write one frame and flush the writer.
-pub fn write_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result<(), ClusterError> {
-    queue_frame(w, method, body)?;
-    w.flush().map_err(|e| io_err("flushing frame", e))
 }
 
 /// Write one frame **without** flushing — for buffered writers whose
@@ -110,59 +101,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ClusterError> {
         .ok_or_else(|| ClusterError::Transport("link closed while a frame was expected".into()))
 }
 
-/// One endpoint of a deterministic in-process framed channel: a duplex
-/// pair of shared byte queues. Reads never block — a read past the
-/// available bytes reports end-of-stream, which the framing layer turns
-/// into a truncation error. [`super::ByteNetwork`] only reads frames it
-/// knows are in flight, so in correct operation the bytes are always
-/// there; tests use the raw [`Write`]/[`Read`] impls to inject partial
-/// or malformed frames.
-#[derive(Debug, Clone)]
-pub struct InMemLink {
-    tx: Arc<Mutex<VecDeque<u8>>>,
-    rx: Arc<Mutex<VecDeque<u8>>>,
-}
-
-/// A connected pair of in-process endpoints: bytes written to one are
-/// read from the other, in order, in both directions.
-pub fn in_mem_pair() -> (InMemLink, InMemLink) {
-    let a_to_b = Arc::new(Mutex::new(VecDeque::new()));
-    let b_to_a = Arc::new(Mutex::new(VecDeque::new()));
-    (
-        InMemLink {
-            tx: a_to_b.clone(),
-            rx: b_to_a.clone(),
-        },
-        InMemLink {
-            tx: b_to_a,
-            rx: a_to_b,
-        },
-    )
-}
-
-impl Write for InMemLink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut q = self.tx.lock().expect("link poisoned");
-        q.extend(buf.iter().copied());
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Read for InMemLink {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let mut q = self.rx.lock().expect("link poisoned");
-        let n = buf.len().min(q.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = q.pop_front().expect("counted");
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,8 +109,8 @@ mod tests {
     #[test]
     fn frame_round_trips() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, METHOD_STORED, b"hello frames").unwrap();
-        write_frame(&mut wire, METHOD_LZ, b"packed").unwrap();
+        queue_frame(&mut wire, METHOD_STORED, b"hello frames").unwrap();
+        queue_frame(&mut wire, METHOD_LZ, b"packed").unwrap();
         assert_eq!(
             wire.len(),
             2 * (FRAME_HEADER_BYTES + FRAME_METHOD_BYTES) + 12 + 6
@@ -190,7 +128,7 @@ mod tests {
     #[test]
     fn truncated_header_is_an_error() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, METHOD_STORED, b"abc").unwrap();
+        queue_frame(&mut wire, METHOD_STORED, b"abc").unwrap();
         wire.truncate(2); // half a header
         let e = read_frame_opt(&mut Cursor::new(wire)).unwrap_err();
         assert!(matches!(e, ClusterError::Transport(_)));
@@ -200,7 +138,7 @@ mod tests {
     #[test]
     fn truncated_body_is_an_error() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, METHOD_STORED, b"abcdefgh").unwrap();
+        queue_frame(&mut wire, METHOD_STORED, b"abcdefgh").unwrap();
         wire.truncate(FRAME_HEADER_BYTES + 4);
         let e = read_frame_opt(&mut Cursor::new(wire)).unwrap_err();
         assert!(e.to_string().contains("truncated"));
@@ -218,28 +156,6 @@ mod tests {
         assert!(matches!(e, ClusterError::Transport(_)));
         // And the writer refuses to produce one.
         let huge = vec![0u8; MAX_FRAME_BYTES];
-        assert!(write_frame(&mut Vec::new(), METHOD_STORED, &huge).is_err());
-    }
-
-    #[test]
-    fn in_mem_pair_is_a_duplex_byte_channel() {
-        let (mut a, mut b) = in_mem_pair();
-        write_frame(&mut a, METHOD_STORED, b"ping").unwrap();
-        assert_eq!(read_frame(&mut b).unwrap().1, b"ping");
-        write_frame(&mut b, METHOD_STORED, b"pong").unwrap();
-        assert_eq!(read_frame(&mut a).unwrap().1, b"pong");
-        // Draining an empty link reports a clean close, not a hang.
-        assert_eq!(read_frame_opt(&mut a).unwrap(), None);
-    }
-
-    #[test]
-    fn in_mem_partial_frame_surfaces_as_truncation() {
-        let (mut a, mut b) = in_mem_pair();
-        // Write a header promising 100 bytes, then only 3.
-        a.write_all(&(101u32).to_le_bytes()).unwrap();
-        a.write_all(&[METHOD_STORED]).unwrap();
-        a.write_all(b"abc").unwrap();
-        let e = read_frame(&mut b).unwrap_err();
-        assert!(e.to_string().contains("truncated"), "{e}");
+        assert!(queue_frame(&mut Vec::new(), METHOD_STORED, &huge).is_err());
     }
 }

@@ -4,10 +4,11 @@
 //! [`crate::Network`] meters each payload's declared
 //! [`crate::Wire::wire_size`] and calls it `|M|` (§2.3). This module
 //! ships **actual bytes**: typed messages serialize to length-prefixed
-//! frames ([`frame`]), frames cross either a deterministic in-process
-//! channel or real `TcpListener`/`TcpStream` sockets ([`tcp`]), and the
-//! receiving site reconstructs the message from nothing but the received
-//! bytes. [`ByteNetwork`] meters both quantities side by side — the
+//! frames ([`frame`]), frames cross either in-process frame channels or
+//! real `TcpListener`/`TcpStream` sockets ([`tcp`]) between the nodes of
+//! [`crate::run`], and the receiving site reconstructs the message from
+//! nothing but the received bytes. [`ByteNetwork`] is those `n` nodes
+//! driven by one thread; it meters both quantities side by side — the
 //! modeled `|M|` (identical accounting to [`crate::Network`]) and the
 //! measured on-wire bytes — so the tests can hold the model to the wire.
 //!
@@ -31,37 +32,11 @@ pub mod bytes;
 pub mod frame;
 pub mod tcp;
 
+use crate::run::{self, Meters, Node};
 use crate::{lz, ClusterError, MsgTransport, NetStats, SiteId, Wire};
 use frame::{FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
-use std::collections::VecDeque;
-use std::time::Duration;
 
-pub use frame::{in_mem_pair, InMemLink};
 pub use tcp::{join_mesh, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
-
-/// One end of one framed byte link. `send_frame` writes a complete
-/// `[len][method][body]` frame; `recv_frame` blocks for (or, on the
-/// in-process channel, requires) the next one. All failures are
-/// [`ClusterError::Transport`] — implementations never panic on
-/// malformed or truncated input.
-pub trait ByteTransport: Send + std::fmt::Debug {
-    /// Write one frame (`method` says how `body` is packed — see
-    /// [`frame::METHOD_STORED`] / [`frame::METHOD_LZ`]).
-    fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError>;
-
-    /// Read the next frame.
-    fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError>;
-}
-
-impl ByteTransport for InMemLink {
-    fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
-        frame::write_frame(self, method, body)
-    }
-
-    fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError> {
-        frame::read_frame(self)
-    }
-}
 
 /// Messages that can cross a byte link: they know their modeled size
 /// ([`Wire`]) *and* how to serialize/deserialize themselves.
@@ -70,7 +45,7 @@ pub trait FrameCodec: Wire + Sized + Send + std::fmt::Debug {
     /// **structural overhead**: bytes written beyond
     /// [`Wire::wire_size`] (tags, counts — see [`bytes`]). Encoders
     /// must uphold `out-growth == wire_size() + overhead`;
-    /// [`ByteNetwork::send`] debug-asserts it.
+    /// [`Node::send`] debug-asserts it.
     fn encode_frame(&self, out: &mut Vec<u8>) -> usize;
 
     /// Rebuild a message from one decoded frame body.
@@ -168,244 +143,130 @@ pub fn unpack_body(method: u8, body: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
 }
 
 /// Unpack one received frame body per its method byte and decode the
-/// message — the receive half of the [`ByteNetwork::send`] recipe,
-/// shared with the per-site runtime (`cluster::run`).
+/// message — the receive half of the [`Node::send`] recipe.
 pub fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
     M::decode_frame(&unpack_body(method, body)?)
 }
 
-/// How the receive side of a [`ByteNetwork`] is wired.
-#[derive(Debug)]
-enum RxSide {
-    /// Receive halves held directly, read deterministically in site
-    /// order (the in-process mesh).
-    Direct(Vec<Vec<Option<Box<dyn ByteTransport>>>>),
-    /// Per-site inbox channels fed by reader threads (the TCP mesh),
-    /// plus the guards that shut the readers down and join them when
-    /// the network is dropped.
-    Inboxes {
-        inboxes: Vec<std::sync::mpsc::Receiver<tcp::Inbound>>,
-        _guards: Vec<tcp::ReaderGuard>,
-    },
-}
-
-/// A byte-shipping drop-in for [`crate::Network`]: same send/drain
-/// discipline and identical modeled `|M|` accounting, but every message
-/// is serialized, framed, optionally compressed, pushed through a real
-/// byte link, and decoded on the receiving side from the received bytes
-/// alone.
+/// A byte-shipping drop-in for [`crate::Network`]: the `n` nodes of a
+/// [`run::mem_mesh`] or [`run::tcp_mesh`] driven by one thread, with the
+/// same send/drain discipline and identical modeled `|M|` accounting.
+/// Every message is serialized, framed, optionally compressed, pushed
+/// through a real byte link by its sender's [`Node`], and decoded on the
+/// receiving side from the received bytes alone.
 ///
 /// Determinism: the network tracks how many frames are in flight per
-/// ordered link, so `try_drain` reads exactly the frames it knows exist
-/// (in sender-site order) — no polling, no timeouts on the in-process
-/// mesh, and reproducible byte counts for the benchmark gate.
+/// ordered link, so `try_drain` takes exactly the frames it knows exist
+/// and hands them over in sender-site order — reproducible byte counts
+/// for the benchmark gate, whichever order the frames arrived in.
 #[derive(Debug)]
 pub struct ByteNetwork<M> {
-    n: usize,
-    tx: Vec<Vec<Option<Box<dyn ByteTransport>>>>,
-    rx: RxSide,
+    nodes: Vec<Node>,
     /// Frames in flight per `(src, dst)`.
     pending: Vec<Vec<usize>>,
-    /// Modeled `|M|` — identical accounting to [`crate::Network`].
-    stats: NetStats,
-    /// Measured on-wire traffic (bytes include the frame header).
-    wire: NetStats,
-    meter: TransportMeter,
-    compression: Compression,
-    scratch: Vec<u8>,
+    /// Every node's sends, metered here rather than at the node.
+    meters: Meters,
     _msg: std::marker::PhantomData<fn() -> M>,
 }
 
 impl<M: FrameCodec> ByteNetwork<M> {
-    /// An `n`-site network over deterministic in-process framed channels.
+    /// An `n`-site network over in-process frame channels.
     pub fn in_memory(n: usize) -> Self {
-        let mut tx: Vec<Vec<Option<Box<dyn ByteTransport>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rx: Vec<Vec<Option<Box<dyn ByteTransport>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let (a, b) = in_mem_pair();
-                tx[src][dst] = Some(Box::new(a));
-                rx[src][dst] = Some(Box::new(b));
-            }
-        }
-        ByteNetwork::with_parts(n, tx, RxSide::Direct(rx))
+        ByteNetwork::over(run::mem_mesh(n))
     }
 
     /// An `n`-site network over localhost TCP sockets (one connection per
     /// ordered pair; each site's inbound links serviced by dedicated
     /// reader threads).
     pub fn tcp_localhost(n: usize) -> Result<Self, ClusterError> {
-        let mesh = tcp::TcpMesh::localhost(n)?;
-        let tx = mesh
-            .tx
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|l| l.map(|l| Box::new(l) as Box<dyn ByteTransport>))
-                    .collect()
-            })
-            .collect();
-        Ok(ByteNetwork::with_parts(
-            n,
-            tx,
-            RxSide::Inboxes {
-                inboxes: mesh.rx,
-                _guards: mesh.guards,
-            },
-        ))
+        Ok(ByteNetwork::over(run::tcp_mesh(n)?))
     }
 
-    fn with_parts(n: usize, tx: Vec<Vec<Option<Box<dyn ByteTransport>>>>, rx: RxSide) -> Self {
+    fn over(nodes: Vec<Node>) -> Self {
+        let n = nodes.len();
         ByteNetwork {
-            n,
-            tx,
-            rx,
+            nodes,
             pending: vec![vec![0; n]; n],
-            stats: NetStats::new(n),
-            wire: NetStats::new(n),
-            meter: TransportMeter::default(),
-            compression: Compression::default(),
-            scratch: Vec::new(),
+            meters: Meters::new(n),
             _msg: std::marker::PhantomData,
         }
     }
 
     /// Select the per-frame body packing.
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
-        self
+    pub fn with_compression(self, compression: Compression) -> Self {
+        let nodes = self.nodes.into_iter();
+        let nodes = nodes.map(|node| node.with_compression(compression));
+        ByteNetwork {
+            nodes: nodes.collect(),
+            ..self
+        }
     }
 
     /// Number of sites.
     pub fn n_sites(&self) -> usize {
-        self.n
+        self.nodes.len()
     }
 
     /// Modeled `|M|` statistics (same accounting as [`crate::Network`]).
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.meters.stats
     }
 
     /// Measured on-wire statistics: per-link frame counts and actual
     /// bytes including framing.
     pub fn wire_stats(&self) -> &NetStats {
-        &self.wire
+        &self.meters.wire
     }
 
     /// Whole-run transport counters.
     pub fn meter(&self) -> TransportMeter {
-        self.meter
+        self.meters.meter
     }
 
-    /// Ship `msg` from `src` to `dst` as a real frame.
+    /// Ship `msg` from `src` to `dst` as a real frame ([`Node::send`]).
     pub fn send(&mut self, src: SiteId, dst: SiteId, msg: M) -> Result<(), ClusterError> {
-        if src == dst {
-            return Err(ClusterError::Loopback(src));
-        }
-        if src >= self.n || dst >= self.n {
-            return Err(ClusterError::UnknownSite(dst.max(src)));
-        }
-        self.scratch.clear();
-        let structural = msg.encode_frame(&mut self.scratch);
-        debug_assert_eq!(
-            self.scratch.len(),
-            msg.wire_size() + structural,
-            "encoder broke the overhead identity"
-        );
-        // The frame bound applies to the *serialized* message, not to
-        // whatever compression makes of it: receivers cap decompressed
-        // output at MAX_FRAME_BYTES, so a message accepted here must be
-        // decodable there regardless of how well it packed.
-        if self.scratch.len() + FRAME_METHOD_BYTES > MAX_FRAME_BYTES {
-            return Err(ClusterError::Transport(format!(
-                "refusing to send an oversized message ({} > {MAX_FRAME_BYTES} bytes serialized)",
-                self.scratch.len() + FRAME_METHOD_BYTES
-            )));
-        }
-        let packed;
-        let (method, body): (u8, &[u8]) = match self.compression {
-            Compression::None => (METHOD_STORED, &self.scratch),
-            Compression::Lz => {
-                packed = lz::compress(&self.scratch);
-                if packed.len() < self.scratch.len() {
-                    (METHOD_LZ, &packed)
-                } else {
-                    (METHOD_STORED, &self.scratch)
-                }
-            }
-        };
-        let link = self.tx[src][dst]
-            .as_mut()
-            .expect("off-diagonal links always exist");
-        link.send_frame(method, body)?;
-        let wire_len = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len();
-        self.stats
-            .record(src, dst, msg.wire_size(), msg.eqid_count());
-        self.wire.record(src, dst, wire_len, 0);
-        self.meter
-            .record_frame(msg.wire_size(), structural, body.len());
+        let node = self
+            .nodes
+            .get_mut(src)
+            .ok_or(ClusterError::UnknownSite(src))?;
+        node.send_into(dst, &msg, &mut self.meters)?;
         self.pending[src][dst] += 1;
         Ok(())
-    }
-
-    fn decode(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
-        decode_body(method, body)
     }
 
     /// Receive and decode every in-flight frame addressed to `site`,
     /// grouped in sender-site order (FIFO within each sender).
     pub fn try_drain(&mut self, site: SiteId) -> Result<Vec<(SiteId, M)>, ClusterError> {
-        if site >= self.n {
+        if site >= self.n_sites() {
             return Err(ClusterError::UnknownSite(site));
         }
-        // Pending counters are decremented exactly when a frame has been
-        // consumed off its link (even if it then fails to decode), so an
-        // error mid-drain leaves the bookkeeping matching what is still
-        // buffered: unread frames stay pending, consumed frames don't.
-        let mut out = Vec::new();
-        match &mut self.rx {
-            RxSide::Direct(links) => {
-                for (src, row) in links.iter_mut().enumerate() {
-                    let k = self.pending[src][site];
-                    for _ in 0..k {
-                        let link = row[site].as_mut().expect("pending frames imply a link");
-                        let (method, body) = link.recv_frame()?;
-                        self.pending[src][site] -= 1;
-                        out.push((src, Self::decode(method, body)?));
-                    }
-                }
-            }
-            RxSide::Inboxes { inboxes, .. } => {
-                let total: usize = (0..self.n).map(|src| self.pending[src][site]).sum();
-                let mut per_src: Vec<VecDeque<M>> = (0..self.n).map(|_| VecDeque::new()).collect();
-                for _ in 0..total {
-                    let (src, res) = inboxes[site]
-                        .recv_timeout(Duration::from_secs(10))
-                        .map_err(|_| {
-                            ClusterError::Transport(
-                                "timed out waiting for an in-flight frame (reader thread gone?)"
-                                    .into(),
-                            )
-                        })?;
-                    let (method, body) = res?;
-                    self.pending[src][site] =
-                        self.pending[src][site].checked_sub(1).ok_or_else(|| {
-                            ClusterError::Transport(format!(
-                                "unexpected frame from site {src} (nothing in flight)"
-                            ))
-                        })?;
-                    per_src[src].push_back(Self::decode(method, body)?);
-                }
-                for (src, msgs) in per_src.iter_mut().enumerate() {
-                    out.extend(msgs.drain(..).map(|m| (src, m)));
-                }
+        // The drain waits on `site`'s inbox, not the senders' own: put
+        // what they queued on the wire first.
+        let mut total = 0;
+        for (node, row) in self.nodes.iter_mut().zip(&self.pending) {
+            if row[site] > 0 {
+                node.flush()?;
+                total += row[site];
             }
         }
+        // Pending counters are decremented exactly when a frame has been
+        // taken off the inbox (even if it then fails to decode), so an
+        // error mid-drain leaves the bookkeeping matching what is still
+        // queued: unread frames stay pending, consumed frames don't.
+        let mut out = Vec::with_capacity(total);
+        for _ in 0..total {
+            let (src, method, body) = self.nodes[site].recv()?;
+            let pending = &mut self.pending[src][site];
+            *pending = pending.checked_sub(1).ok_or_else(|| {
+                ClusterError::Transport(format!(
+                    "unexpected frame from site {src} (nothing in flight)"
+                ))
+            })?;
+            out.push((src, decode_body(method, body)?));
+        }
+        // Arrival interleaves the senders; a stable sort restores sender
+        // order and keeps each sender's FIFO.
+        out.sort_by_key(|&(src, _)| src);
         Ok(out)
     }
 
@@ -417,9 +278,7 @@ impl<M: FrameCodec> ByteNetwork<M> {
     /// Reset every meter (links must be idle).
     pub fn reset_stats(&mut self) {
         debug_assert!(self.quiescent());
-        self.stats.reset();
-        self.wire.reset();
-        self.meter = TransportMeter::default();
+        self.meters.reset();
     }
 }
 
@@ -437,7 +296,8 @@ impl<M: FrameCodec> MsgTransport<M> for ByteNetwork<M> {
     }
 
     fn in_flight(&self) -> Option<(SiteId, SiteId, usize)> {
-        let links = (0..self.n).flat_map(|dst| (0..self.n).map(move |src| (src, dst)));
+        let n = self.n_sites();
+        let links = (0..n).flat_map(|dst| (0..n).map(move |src| (src, dst)));
         let mut busy = links.map(|(src, dst)| (src, dst, self.pending[src][dst]));
         busy.find(|&(.., k)| k > 0)
     }
@@ -497,30 +357,53 @@ mod tests {
         }
     }
 
+    /// The same `n`-site network over each substrate: in-process
+    /// channels, then localhost TCP.
+    fn both<M: FrameCodec>(n: usize) -> [ByteNetwork<M>; 2] {
+        [
+            ByteNetwork::in_memory(n),
+            ByteNetwork::tcp_localhost(n).unwrap(),
+        ]
+    }
+
     #[test]
     fn in_memory_network_ships_decodes_and_meters() {
-        let mut net: ByteNetwork<Nums> = ByteNetwork::in_memory(3);
-        net.send(0, 2, Nums(vec![1, 2, 3])).unwrap();
-        net.send(1, 2, Nums(vec![4])).unwrap();
-        assert!(!net.quiescent());
-        let got = net.try_drain(2).unwrap();
-        assert_eq!(
-            got,
-            vec![(0, Nums(vec![1, 2, 3])), (1, Nums(vec![4]))],
-            "sender order, FIFO per sender"
-        );
-        assert!(net.quiescent());
-        // Modeled |M| matches the simulated network's accounting…
-        assert_eq!(net.stats().total_bytes(), 8 * 4);
-        assert_eq!(net.stats().total_eqids(), 4);
-        // …and the constructive identity holds.
-        let m = net.meter();
-        assert_eq!(m.frames, 2);
-        assert_eq!(m.saved_bytes, 0);
-        assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
-        assert_eq!(net.wire_stats().total_bytes(), m.wire_bytes);
-        // Structural = per-frame header+method (5) + the u32 count (4).
-        assert_eq!(m.structural_bytes, 2 * (5 + 4));
+        for mut net in both(3) {
+            // Three senders interleaved: the drain hands frames over in
+            // sender-site order, FIFO per sender, whatever the arrival
+            // order — the sequential detector's determinism rests on it.
+            net.send(0, 2, Nums(vec![1, 2, 3])).unwrap();
+            net.send(1, 2, Nums(vec![4])).unwrap();
+            net.send(0, 2, Nums(vec![5, 6])).unwrap();
+            net.send(2, 0, Nums(vec![7])).unwrap();
+            net.send(1, 2, Nums(vec![8])).unwrap();
+            assert!(!net.quiescent());
+            let got = net.try_drain(2).unwrap();
+            let want = [
+                (0, vec![1, 2, 3]),
+                (0, vec![5, 6]),
+                (1, vec![4]),
+                (1, vec![8]),
+            ];
+            let want: Vec<_> = want.into_iter().map(|(s, v)| (s, Nums(v))).collect();
+            assert_eq!(got, want, "sender order, FIFO per sender");
+            assert_eq!(net.in_flight(), Some((2, 0, 1)));
+            assert_eq!(net.try_drain(0).unwrap(), vec![(2, Nums(vec![7]))]);
+            assert!(net.quiescent());
+            // Modeled |M| matches the simulated network's accounting…
+            assert_eq!(net.stats().total_bytes(), 8 * 8);
+            assert_eq!(net.stats().total_eqids(), 8);
+            assert_eq!(net.stats().pair(0, 2).messages, 2);
+            // …and the constructive identity holds.
+            let m = net.meter();
+            assert_eq!(m.frames, 5);
+            assert_eq!(m.saved_bytes, 0);
+            assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
+            assert_eq!(net.wire_stats().total_bytes(), m.wire_bytes);
+            assert_eq!(net.wire_stats().pair(0, 2).bytes, 9 + 24 + 9 + 16);
+            // Structural = per-frame header+method (5) + the u32 count (4).
+            assert_eq!(m.structural_bytes, 5 * (5 + 4));
+        }
     }
 
     #[test]
@@ -649,19 +532,20 @@ mod tests {
 
     #[test]
     fn drain_error_keeps_pending_frames_in_sync() {
-        let mut net: ByteNetwork<Fussy> = ByteNetwork::in_memory(2);
-        net.send(0, 1, Fussy(POISON)).unwrap();
-        net.send(0, 1, Fussy(7)).unwrap();
-        // First drain consumes the poisoned frame and errors on decode.
-        assert!(net.try_drain(1).is_err());
-        // The second frame is still buffered — and still accounted for:
-        // the network must not claim quiescence nor lose the frame.
-        assert!(!net.quiescent(), "unread frame must stay pending");
-        assert_eq!(net.try_drain(1).unwrap(), vec![(0, Fussy(7))]);
-        assert!(net.quiescent());
-        // Subsequent traffic on the link is unaffected.
-        net.send(0, 1, Fussy(8)).unwrap();
-        assert_eq!(net.try_drain(1).unwrap(), vec![(0, Fussy(8))]);
+        for mut net in both::<Fussy>(2) {
+            net.send(0, 1, Fussy(POISON)).unwrap();
+            net.send(0, 1, Fussy(7)).unwrap();
+            // First drain consumes the poisoned frame and errors on decode.
+            assert!(net.try_drain(1).is_err());
+            // The second frame is still queued — and still accounted for:
+            // the network must not claim quiescence nor lose the frame.
+            assert!(!net.quiescent(), "unread frame must stay pending");
+            assert_eq!(net.try_drain(1).unwrap(), vec![(0, Fussy(7))]);
+            assert!(net.quiescent());
+            // Subsequent traffic on the link is unaffected.
+            net.send(0, 1, Fussy(8)).unwrap();
+            assert_eq!(net.try_drain(1).unwrap(), vec![(0, Fussy(8))]);
+        }
     }
 
     #[test]
@@ -670,24 +554,26 @@ mod tests {
         // decompressed output at MAX_FRAME_BYTES, so a message that only
         // fits *compressed* must be refused at the sender (symmetrically
         // with Compression::None) instead of dying at every receiver.
-        let huge = Nums(vec![0u64; MAX_FRAME_BYTES / 8 + 1]);
-        let mut lznet: ByteNetwork<Nums> =
-            ByteNetwork::in_memory(2).with_compression(Compression::Lz);
-        let e = lznet.send(0, 1, huge).unwrap_err();
-        assert!(matches!(e, ClusterError::Transport(_)));
-        assert!(e.to_string().contains("oversized"), "{e}");
-        assert!(lznet.quiescent(), "nothing was shipped");
-        assert_eq!(lznet.meter().frames, 0, "nothing was metered");
+        for net in both::<Nums>(2) {
+            let huge = Nums(vec![0u64; MAX_FRAME_BYTES / 8 + 1]);
+            let mut lznet = net.with_compression(Compression::Lz);
+            let e = lznet.send(0, 1, huge).unwrap_err();
+            assert!(matches!(e, ClusterError::Transport(_)));
+            assert!(e.to_string().contains("oversized"), "{e}");
+            assert!(lznet.quiescent(), "nothing was shipped");
+            assert_eq!(lznet.meter().frames, 0, "nothing was metered");
+        }
     }
 
     #[test]
     fn reset_clears_all_meters() {
-        let mut net: ByteNetwork<Nums> = ByteNetwork::in_memory(2);
-        net.send(0, 1, Nums(vec![7])).unwrap();
-        net.try_drain(1).unwrap();
-        net.reset_stats();
-        assert_eq!(net.meter(), TransportMeter::default());
-        assert_eq!(net.stats().total_bytes(), 0);
-        assert_eq!(net.wire_stats().total_messages(), 0);
+        for mut net in both::<Nums>(2) {
+            net.send(0, 1, Nums(vec![7])).unwrap();
+            net.try_drain(1).unwrap();
+            net.reset_stats();
+            assert_eq!(net.meter(), TransportMeter::default());
+            assert_eq!(net.stats().total_bytes(), 0);
+            assert_eq!(net.wire_stats().total_messages(), 0);
+        }
     }
 }

@@ -1,21 +1,20 @@
 //! Localhost TCP mesh: `std::net::TcpListener`/`TcpStream` links between
-//! sites, with each site's receive side running on its own threads.
+//! nodes, with each node's receive side running on its own threads.
 //!
-//! Topology: one listener per site, one connection per **ordered** pair
+//! Topology: one listener per node, one connection per **ordered** pair
 //! `(src, dst)` — `src` holds the write half, `dst` the read half. After
-//! the mesh is up, every site's inbound connections are serviced by
+//! the mesh is up, every node's inbound connections are serviced by
 //! dedicated reader threads that pull length-prefixed frames off the
-//! socket and push `(src, frame)` into the site's inbox channel, so
+//! socket and push `(src, frame)` into the node's inbox channel, so
 //! receiving genuinely happens concurrently with the sender's work. A
 //! reader thread exits on a clean close and forwards any mid-stream error
 //! (truncated frame, reset connection) into the inbox, where the next
-//! drain surfaces it as a [`ClusterError::Transport`].
+//! receive surfaces it as a [`ClusterError::Transport`].
 //!
 //! The handshake is minimal: the connecting side's first frame body is
-//! its 4-byte site id, so the accepting side can label the link.
+//! its 4-byte node id, so the accepting side can label the link.
 
-use super::frame::{queue_frame, read_frame, read_frame_opt, write_frame, METHOD_STORED};
-use super::ByteTransport;
+use super::frame::{queue_frame, read_frame, read_frame_opt, METHOD_STORED};
 use crate::{ClusterError, SiteId};
 use std::io::{BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -57,17 +56,7 @@ impl TcpLink {
     }
 }
 
-impl ByteTransport for TcpLink {
-    fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
-        write_frame(&mut self.stream, method, body)
-    }
-
-    fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError> {
-        read_frame(self.stream.get_mut())
-    }
-}
-
-/// What a reader thread delivers into a site's inbox: the sending site
+/// What a reader thread delivers into a node's inbox: the sending node
 /// and the frame (or the transport error that ended the link).
 pub type Inbound = (SiteId, Result<(u8, Vec<u8>), ClusterError>);
 
@@ -109,15 +98,17 @@ impl Drop for ReaderGuard {
     }
 }
 
-/// A fully connected localhost mesh.
+/// One node's view of a TCP mesh: its write halves, its inbox, and the
+/// guard over its own reader threads. This is what a per-site thread (or
+/// a whole `site` process) owns — see `cluster::run`.
 #[derive(Debug)]
-pub(crate) struct TcpMesh {
-    /// Write halves, `[src][dst]` (`None` on the diagonal).
-    pub tx: Vec<Vec<Option<TcpLink>>>,
-    /// Per-site inbox fed by that site's reader threads.
-    pub rx: Vec<Receiver<Inbound>>,
-    /// Per-site reader-thread guards (joined on drop).
-    pub guards: Vec<ReaderGuard>,
+pub struct NodeEndpoint {
+    /// Write halves to every other node (`None` at `me`).
+    pub tx: Vec<Option<TcpLink>>,
+    /// Inbox fed by this node's reader threads.
+    pub rx: Receiver<Inbound>,
+    /// Reader threads for the inbound links (joined on drop).
+    pub guard: ReaderGuard,
 }
 
 fn terr(what: &str, e: std::io::Error) -> ClusterError {
@@ -142,75 +133,61 @@ fn spawn_reader(mut stream: TcpStream, src: SiteId, inbox: Sender<Inbound>) -> J
     })
 }
 
-impl TcpMesh {
-    /// Stand up an `n`-site mesh on `127.0.0.1` ephemeral ports: bind one
-    /// listener per site, connect every ordered pair, handshake site ids,
-    /// and spawn each site's reader threads.
-    pub(crate) fn localhost(n: usize) -> Result<TcpMesh, ClusterError> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").map_err(|e| terr("bind listener", e)))
-            .collect::<Result<_, _>>()?;
-        let addrs: Vec<_> = listeners
-            .iter()
-            .map(|l| l.local_addr().map_err(|e| terr("local_addr", e)))
-            .collect::<Result<_, _>>()?;
-
-        // Connect every ordered pair; the OS accept backlog holds the
-        // connections until each site's accept loop below picks them up.
-        let mut tx: Vec<Vec<Option<TcpLink>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for (src, row) in tx.iter_mut().enumerate() {
-            for (dst, addr) in addrs.iter().enumerate() {
-                if dst == src {
-                    continue;
-                }
-                let stream = TcpStream::connect(addr)
-                    .map_err(|e| terr(&format!("connect {src}→{dst}"), e))?;
-                let mut link = TcpLink::new(stream)?;
-                link.send_frame(METHOD_STORED, &(src as u32).to_le_bytes())?;
-                row[dst] = Some(link);
-            }
-        }
-
-        // Accept side: n−1 inbound links per site, identified by the
-        // handshake frame, each serviced by its own reader thread.
-        let mut rx = Vec::with_capacity(n);
-        let mut guards = Vec::with_capacity(n);
-        for (dst, listener) in listeners.into_iter().enumerate() {
-            let (inbox_tx, inbox_rx) = channel();
-            let mut guard = ReaderGuard::default();
-            let mut seen = vec![false; n];
-            for _ in 0..n.saturating_sub(1) {
-                let (mut stream, _) = listener.accept().map_err(|e| terr("accept", e))?;
-                let src = read_handshake(&mut stream, n, dst)?;
-                if seen[src] {
-                    return Err(ClusterError::Transport(format!(
-                        "unexpected handshake: site {src} connecting to {dst}"
-                    )));
-                }
-                seen[src] = true;
-                stream
-                    .set_nodelay(true)
-                    .map_err(|e| terr("set_nodelay", e))?;
-                let half = stream.try_clone().map_err(|e| terr("try_clone", e))?;
-                guard.push(half, spawn_reader(stream, src, inbox_tx.clone()));
-            }
-            rx.push(inbox_rx);
-            guards.push(guard);
-        }
-        Ok(TcpMesh { tx, rx, guards })
+/// Node `me`'s write halves: `connect(dst)` opens the stream to every
+/// other node, and the first frame on each is `me`'s id.
+fn connect_out(
+    n: usize,
+    me: SiteId,
+    mut connect: impl FnMut(SiteId) -> std::io::Result<TcpStream>,
+) -> Result<Vec<Option<TcpLink>>, ClusterError> {
+    let mut tx: Vec<Option<TcpLink>> = (0..n).map(|_| None).collect();
+    for (dst, slot) in tx.iter_mut().enumerate().filter(|&(dst, _)| dst != me) {
+        let stream = connect(dst).map_err(|e| terr(&format!("connect {me}→{dst}"), e))?;
+        let mut link = TcpLink::new(stream)?;
+        link.queue(METHOD_STORED, &(me as u32).to_le_bytes())?;
+        link.flush()?;
+        *slot = Some(link);
     }
+    Ok(tx)
 }
 
-/// Validate one inbound handshake frame, returning the connecting site.
+/// Accept node `me`'s `n − 1` inbound links on `listener`, label each by
+/// its handshake and give it a reader thread: the node's inbox and the
+/// guard over its readers.
+fn accept_in(
+    listener: &TcpListener,
+    n: usize,
+    me: SiteId,
+) -> Result<(Receiver<Inbound>, ReaderGuard), ClusterError> {
+    let (inbox_tx, inbox_rx) = channel();
+    let mut guard = ReaderGuard::default();
+    let mut seen = vec![false; n];
+    for _ in 0..n.saturating_sub(1) {
+        let (mut stream, _) = listener.accept().map_err(|e| terr("accept", e))?;
+        let src = read_handshake(&mut stream, n, me)?;
+        if std::mem::replace(&mut seen[src], true) {
+            return Err(ClusterError::Transport(format!(
+                "unexpected handshake: node {src} connecting to {me} twice"
+            )));
+        }
+        stream
+            .set_nodelay(true)
+            .map_err(|e| terr("set_nodelay", e))?;
+        let half = stream.try_clone().map_err(|e| terr("try_clone", e))?;
+        guard.push(half, spawn_reader(stream, src, inbox_tx.clone()));
+    }
+    Ok((inbox_rx, guard))
+}
+
+/// Validate one inbound handshake frame, returning the connecting node.
 fn read_handshake(stream: &mut TcpStream, n: usize, dst: SiteId) -> Result<SiteId, ClusterError> {
     let (_, hello) = read_frame(stream)?;
-    if hello.len() != 4 {
+    let Ok(id) = <[u8; 4]>::try_from(hello) else {
         return Err(ClusterError::Transport(
             "malformed site-id handshake frame".into(),
         ));
-    }
-    let src = u32::from_le_bytes(hello.try_into().expect("4")) as usize;
+    };
+    let src = u32::from_le_bytes(id) as usize;
     if src >= n || src == dst {
         return Err(ClusterError::Transport(format!(
             "unexpected handshake: site {src} connecting to {dst}"
@@ -219,30 +196,29 @@ fn read_handshake(stream: &mut TcpStream, n: usize, dst: SiteId) -> Result<SiteI
     Ok(src)
 }
 
-/// One node's view of a TCP mesh: its write halves, its inbox, and the
-/// guard over its own reader threads. This is what a per-site thread (or
-/// a whole `site` process) owns — see `cluster::run`.
-#[derive(Debug)]
-pub struct NodeEndpoint {
-    /// Write halves to every other node (`None` at `me`).
-    pub tx: Vec<Option<TcpLink>>,
-    /// Inbox fed by this node's reader threads.
-    pub rx: Receiver<Inbound>,
-    /// Reader threads for the inbound links (joined on drop).
-    pub guard: ReaderGuard,
-}
-
-impl TcpMesh {
-    /// Split the mesh into one [`NodeEndpoint`] per site, so each site's
-    /// thread owns exactly its own links, inbox and readers.
-    pub(crate) fn into_node_endpoints(self) -> Vec<NodeEndpoint> {
-        let TcpMesh { tx, rx, guards } = self;
-        tx.into_iter()
-            .zip(rx)
-            .zip(guards)
-            .map(|((tx, rx), guard)| NodeEndpoint { tx, rx, guard })
-            .collect()
-    }
+/// Stand up an `n`-node mesh on `127.0.0.1` ephemeral ports, in one
+/// process: bind one listener per node, connect every ordered pair (the
+/// OS accept backlog holds the connections until each node's accept
+/// loop picks them up), and spawn each node's reader threads.
+pub(crate) fn localhost(n: usize) -> Result<Vec<NodeEndpoint>, ClusterError> {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").map_err(|e| terr("bind listener", e)))
+        .collect::<Result<_, _>>()?;
+    let addrs: Vec<_> = listeners
+        .iter()
+        .map(|l| l.local_addr().map_err(|e| terr("local_addr", e)))
+        .collect::<Result<_, _>>()?;
+    let txs: Vec<_> = (0..n)
+        .map(|me| connect_out(n, me, |dst| TcpStream::connect(addrs[dst])))
+        .collect::<Result<_, _>>()?;
+    txs.into_iter()
+        .zip(&listeners)
+        .enumerate()
+        .map(|(me, (tx, listener))| {
+            let (rx, guard) = accept_in(listener, n, me)?;
+            Ok(NodeEndpoint { tx, rx, guard })
+        })
+        .collect()
 }
 
 /// Join an `n`-node mesh on fixed localhost ports as node `me` — the
@@ -257,80 +233,45 @@ pub fn join_mesh(n: usize, me: SiteId, base_port: u16) -> Result<NodeEndpoint, C
     }
     let listener = TcpListener::bind(("127.0.0.1", base_port + me as u16))
         .map_err(|e| terr(&format!("bind port {}", base_port + me as u16), e))?;
-
     // Connect out (the OS accept backlog holds our inbound connections
     // while we do). Peers may not have bound yet — retry briefly.
-    let mut tx: Vec<Option<TcpLink>> = (0..n).map(|_| None).collect();
-    for (dst, slot) in tx.iter_mut().enumerate() {
-        if dst == me {
-            continue;
-        }
+    let tx = connect_out(n, me, |dst| {
         let deadline = Instant::now() + Duration::from_secs(30);
-        let stream = loop {
+        loop {
             match TcpStream::connect(("127.0.0.1", base_port + dst as u16)) {
-                Ok(s) => break s,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
+                Err(_) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(20));
                 }
-                Err(e) => return Err(terr(&format!("connect {me}→{dst}"), e)),
+                connected => break connected,
             }
-        };
-        let mut link = TcpLink::new(stream)?;
-        link.send_frame(METHOD_STORED, &(me as u32).to_le_bytes())?;
-        *slot = Some(link);
-    }
-
-    // Accept the inbound half of every link.
-    let (inbox_tx, inbox_rx) = channel();
-    let mut guard = ReaderGuard::default();
-    let mut seen = vec![false; n];
-    for _ in 0..n.saturating_sub(1) {
-        let (mut stream, _) = listener.accept().map_err(|e| terr("accept", e))?;
-        let src = read_handshake(&mut stream, n, me)?;
-        if seen[src] {
-            return Err(ClusterError::Transport(format!(
-                "unexpected handshake: node {src} connecting to {me} twice"
-            )));
         }
-        seen[src] = true;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| terr("set_nodelay", e))?;
-        let half = stream.try_clone().map_err(|e| terr("try_clone", e))?;
-        guard.push(half, spawn_reader(stream, src, inbox_tx.clone()));
-    }
-    Ok(NodeEndpoint {
-        tx,
-        rx: inbox_rx,
-        guard,
-    })
+    })?;
+    let (rx, guard) = accept_in(&listener, n, me)?;
+    Ok(NodeEndpoint { tx, rx, guard })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Write one stored frame and put it on the wire.
+    fn send_frame(link: &mut Option<TcpLink>, body: &[u8]) {
+        let link = link.as_mut().unwrap();
+        link.queue(METHOD_STORED, body).unwrap();
+        link.flush().unwrap();
+    }
+
+    fn recv_frame(ep: &NodeEndpoint) -> (SiteId, Vec<u8>) {
+        let (src, frame) = ep.rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        (src, frame.unwrap().1)
+    }
+
     #[test]
     fn mesh_ships_frames_between_sites() {
-        let mut mesh = TcpMesh::localhost(3).unwrap();
-        mesh.tx[0][2]
-            .as_mut()
-            .unwrap()
-            .send_frame(METHOD_STORED, b"zero to two")
-            .unwrap();
-        mesh.tx[1][2]
-            .as_mut()
-            .unwrap()
-            .send_frame(METHOD_STORED, b"one to two")
-            .unwrap();
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            let (src, frame) = mesh.rx[2]
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .expect("frame arrives");
-            got.push((src, frame.unwrap().1));
-        }
+        let mut mesh = localhost(3).unwrap();
+        send_frame(&mut mesh[0].tx[2], b"zero to two");
+        send_frame(&mut mesh[1].tx[2], b"one to two");
+        let mut got: Vec<_> = (0..2).map(|_| recv_frame(&mesh[2])).collect();
         got.sort();
         assert_eq!(
             got,
@@ -344,43 +285,33 @@ mod tests {
         // reader thread, and the guard must join them all (observable:
         // drop returns, nothing deadlocks, and the ports are reusable).
         for _ in 0..3 {
-            let mut mesh = TcpMesh::localhost(4).unwrap();
+            let mut mesh = localhost(4).unwrap();
             for dst in 1..4 {
-                mesh.tx[0][dst]
-                    .as_mut()
-                    .unwrap()
-                    .send_frame(METHOD_STORED, b"never read")
-                    .unwrap();
+                send_frame(&mut mesh[0].tx[dst], b"never read");
             }
             drop(mesh); // readers shut down and joined here
         }
         // A fresh mesh after the drops still round-trips.
-        let mut mesh = TcpMesh::localhost(2).unwrap();
-        mesh.tx[1][0]
-            .as_mut()
-            .unwrap()
-            .send_frame(METHOD_STORED, b"alive")
-            .unwrap();
-        let (src, frame) = mesh.rx[0]
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .unwrap();
-        assert_eq!((src, frame.unwrap().1), (1, b"alive".to_vec()));
+        let mut mesh = localhost(2).unwrap();
+        send_frame(&mut mesh[1].tx[0], b"alive");
+        assert_eq!(recv_frame(&mesh[0]), (1, b"alive".to_vec()));
     }
 
     #[test]
     fn peer_disconnect_mid_round_surfaces_as_inbox_error_not_panic() {
-        // Site 1 vanishes (drop of its write half) while site 0 still
+        // Node 1 vanishes (drop of its write half) while node 0 still
         // expects traffic: the reader exits cleanly; a *mid-frame* cut
         // forwards one Transport error into the inbox.
-        let mut mesh = TcpMesh::localhost(2).unwrap();
+        let mut mesh = localhost(2).unwrap();
         // Half a frame from 1 → 0, then hang up.
-        let link = mesh.tx[1][0].as_mut().unwrap();
+        let link = mesh[1].tx[0].as_mut().unwrap();
         link.stream.write_all(&9u32.to_le_bytes()).unwrap();
         link.stream.write_all(&[METHOD_STORED]).unwrap();
         link.stream.write_all(b"abc").unwrap();
-        mesh.tx[1][0] = None; // disconnect mid-frame (the drop flushes the half frame)
-        let (src, res) = mesh.rx[0]
-            .recv_timeout(std::time::Duration::from_secs(5))
+        mesh[1].tx[0] = None; // disconnect mid-frame (the drop flushes the half frame)
+        let (src, res) = mesh[0]
+            .rx
+            .recv_timeout(Duration::from_secs(5))
             .expect("error is delivered, not swallowed");
         assert_eq!(src, 1);
         let e = res.unwrap_err();
@@ -397,40 +328,20 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut ep = join_mesh(3, me, base).unwrap();
                 // Everyone greets node 0; node 1 also gets a reply.
-                ep.tx[0]
-                    .as_mut()
-                    .unwrap()
-                    .send_frame(METHOD_STORED, format!("hi from {me}").as_bytes())
-                    .unwrap();
+                send_frame(&mut ep.tx[0], format!("hi from {me}").as_bytes());
                 if me == 1 {
-                    let (src, frame) = ep
-                        .rx
-                        .recv_timeout(std::time::Duration::from_secs(10))
-                        .unwrap();
-                    assert_eq!(src, 0);
-                    assert_eq!(frame.unwrap().1, b"ack".to_vec());
+                    assert_eq!(recv_frame(&ep), (0, b"ack".to_vec()));
                 }
             }));
         }
         let mut ep = join_mesh(3, 0, base).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            let (src, frame) = ep
-                .rx
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap();
-            got.push((src, frame.unwrap().1));
-        }
+        let mut got: Vec<_> = (0..2).map(|_| recv_frame(&ep)).collect();
         got.sort();
         assert_eq!(
             got,
             vec![(1, b"hi from 1".to_vec()), (2, b"hi from 2".to_vec())]
         );
-        ep.tx[1]
-            .as_mut()
-            .unwrap()
-            .send_frame(METHOD_STORED, b"ack")
-            .unwrap();
+        send_frame(&mut ep.tx[1], b"ack");
         for h in handles {
             h.join().unwrap();
         }

@@ -1,11 +1,10 @@
-//! The per-node frame runtime: what one site's **thread or process**
-//! owns when every site is a real unit of execution.
+//! The per-node frame runtime: the one byte substrate every real
+//! transport runs on.
 //!
-//! [`crate::net::ByteNetwork`] holds all `n²` links in one struct and is
-//! driven by a single thread. This module splits the same substrate into
-//! `n` independent [`Node`]s — each owning its write halves, its inbox,
-//! and its own meters — so a detector can run one OS thread (or one OS
-//! process) per site, communicating *only* via frames:
+//! A mesh is `n` independent [`Node`]s, each owning its write halves, its
+//! inbox and its own meters. A detector can run one OS thread (or one OS
+//! process) per site, communicating *only* via frames, or drive every
+//! node from one thread: [`ByteNetwork`] is exactly that.
 //!
 //! * [`mem_mesh`] — `n` nodes over in-process frame channels (each send
 //!   delivers one complete `(method, body)` frame into the receiver's
@@ -18,13 +17,10 @@
 //!
 //! # Metering
 //!
-//! Each node meters its *sends* with exactly the [`ByteNetwork::send`]
-//! recipe (modeled `|M|`, measured wire bytes, and the transport-meter
-//! identity `wire == modeled + structural − saved`), into node-local
-//! [`NetStats`] matrices. Merging every node's meters therefore
-//! reproduces, counter for counter, what a single-threaded
-//! [`ByteNetwork`] drive of the same frames would have recorded — the
-//! differential suites assert this. Protocol messages go through
+//! Each node meters its *sends* — modeled `|M|`, measured wire bytes,
+//! and the transport-meter identity `wire == modeled + structural −
+//! saved` — into node-local [`NetStats`] matrices; merging every node's
+//! meters gives the whole mesh's picture. Protocol messages go through
 //! [`Node::send`]; runtime control traffic (acks, wave barriers, op
 //! shipments) goes through [`Node::send_ctrl`], which is framed and
 //! wire-metered identically but contributes **zero** modeled `|M|` and
@@ -50,12 +46,11 @@
 //! sitting in another's buffer cannot form; a node that is not blocked
 //! is making progress towards its next park. The only caller-visible
 //! duty: a node that will wait on something *other* than its inbox
-//! (a thread join, process exit with the node kept alive) calls
-//! [`Node::flush`] first. In-process links deliver on send and have
-//! nothing to flush.
+//! (a thread join, process exit with the node kept alive, or another
+//! node's inbox, as in [`ByteNetwork`]'s drain) calls [`Node::flush`]
+//! first. In-process links deliver on send and have nothing to flush.
 //!
 //! [`ByteNetwork`]: crate::net::ByteNetwork
-//! [`ByteNetwork::send`]: crate::net::ByteNetwork::send
 
 use crate::net::frame::{
     FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED,
@@ -90,6 +85,32 @@ enum TxSide {
     Tcp(Vec<Option<TcpLink>>),
 }
 
+/// What a node meters of its sends.
+#[derive(Debug)]
+pub(crate) struct Meters {
+    /// Modeled `|M|` (a node fills its own row).
+    pub(crate) stats: NetStats,
+    /// Measured on-wire bytes, framing included.
+    pub(crate) wire: NetStats,
+    pub(crate) meter: TransportMeter,
+}
+
+impl Meters {
+    pub(crate) fn new(n: usize) -> Self {
+        Meters {
+            stats: NetStats::new(n),
+            wire: NetStats::new(n),
+            meter: TransportMeter::default(),
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.stats.reset();
+        self.wire.reset();
+        self.meter = TransportMeter::default();
+    }
+}
+
 /// One site's endpoint in an `n`-node mesh: write halves to every peer,
 /// a blocking inbox of inbound frames, and send-side meters. `Send` —
 /// hand each node to its thread (or build one per process).
@@ -102,11 +123,7 @@ pub struct Node {
     /// TCP reader threads for this node's inbound links (joined on drop).
     _guard: Option<ReaderGuard>,
     compression: Compression,
-    /// Modeled `|M|` of this node's sends (row `me` of the global matrix).
-    stats: NetStats,
-    /// Measured on-wire bytes of this node's sends, framing included.
-    wire: NetStats,
-    meter: TransportMeter,
+    meters: Meters,
     /// Wire bytes of the frames taken off the inbox, framing included.
     received: u64,
     scratch: Vec<u8>,
@@ -127,9 +144,7 @@ impl Node {
             rx,
             _guard: guard,
             compression: Compression::default(),
-            stats: NetStats::new(n),
-            wire: NetStats::new(n),
-            meter: TransportMeter::default(),
+            meters: Meters::new(n),
             received: 0,
             scratch: Vec::new(),
         }
@@ -157,8 +172,7 @@ impl Node {
         self.me
     }
 
-    /// Ship a **protocol** message: full [`crate::net::ByteNetwork`]
-    /// accounting (modeled `|M|` + wire).
+    /// Ship a **protocol** message: modeled `|M|` and wire accounting.
     pub fn send<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
         self.check_dst(dst)?;
         self.scratch.clear();
@@ -170,9 +184,25 @@ impl Node {
         );
         let try_lz = self.compression == Compression::Lz;
         self.ship(dst, msg.wire_size(), structural, try_lz)?;
-        self.stats
+        self.meters
+            .stats
             .record(self.me, dst, msg.wire_size(), msg.eqid_count());
         Ok(())
+    }
+
+    /// [`send`](Node::send), metered into `meters` instead of this node's
+    /// own: how a caller that owns every node keeps merged meters at O(1) per
+    /// send (the matrices are swapped in and out, never added).
+    pub(crate) fn send_into<M: FrameCodec>(
+        &mut self,
+        dst: SiteId,
+        msg: &M,
+        meters: &mut Meters,
+    ) -> Result<(), ClusterError> {
+        std::mem::swap(&mut self.meters, meters);
+        let sent = self.send(dst, msg);
+        std::mem::swap(&mut self.meters, meters);
+        sent
     }
 
     /// Ship a **control** frame: framed and wire-metered like any other
@@ -233,26 +263,28 @@ impl Node {
             Some(p) => (METHOD_LZ, p),
             None => (METHOD_STORED, &self.scratch),
         };
+        let me = self.me;
+        let no_link = || ClusterError::Transport(format!("node {me} has no link to node {dst}"));
         match &mut self.tx {
             TxSide::Mem(chans) => {
-                let chan = chans[dst]
-                    .as_ref()
-                    .expect("off-diagonal links always exist");
-                chan.send((self.me, Ok((method, body.to_vec()))))
-                    .map_err(|_| {
-                        ClusterError::Transport(format!("node {dst} hung up (inbox closed)"))
-                    })?;
+                let chan = chans
+                    .get(dst)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(no_link)?;
+                chan.send((me, Ok((method, body.to_vec())))).map_err(|_| {
+                    ClusterError::Transport(format!("node {dst} hung up (inbox closed)"))
+                })?;
             }
             TxSide::Tcp(links) => {
-                let link = links[dst]
-                    .as_mut()
-                    .expect("off-diagonal links always exist");
-                link.queue(method, body)?;
+                let link = links.get_mut(dst).and_then(Option::as_mut);
+                link.ok_or_else(no_link)?.queue(method, body)?;
             }
         }
         let wire_len = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len();
-        self.wire.record(self.me, dst, wire_len, 0);
-        self.meter.record_frame(modeled, structural, body.len());
+        self.meters.wire.record(me, dst, wire_len, 0);
+        self.meters
+            .meter
+            .record_frame(modeled, structural, body.len());
         Ok(())
     }
 
@@ -328,17 +360,17 @@ impl Node {
 
     /// Modeled `|M|` of this node's sends.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.meters.stats
     }
 
     /// Measured on-wire bytes of this node's sends.
     pub fn wire_stats(&self) -> &NetStats {
-        &self.wire
+        &self.meters.wire
     }
 
     /// This node's transport counters.
     pub fn meter(&self) -> TransportMeter {
-        self.meter
+        self.meters.meter
     }
 
     /// Wire bytes (framing included) of every frame this node has taken
@@ -349,9 +381,7 @@ impl Node {
 
     /// Reset this node's meters.
     pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.wire.reset();
-        self.meter = TransportMeter::default();
+        self.meters.reset();
         self.received = 0;
     }
 }
@@ -378,8 +408,7 @@ pub fn mem_mesh(n: usize) -> Vec<Node> {
 /// Each node's inbound links are serviced by its own reader threads,
 /// joined when the node drops.
 pub fn tcp_mesh(n: usize) -> Result<Vec<Node>, ClusterError> {
-    let eps = tcp::TcpMesh::localhost(n)?.into_node_endpoints();
-    Ok(eps
+    Ok(tcp::localhost(n)?
         .into_iter()
         .enumerate()
         .map(|(me, ep)| Node::from_endpoint(n, me, ep))
@@ -473,44 +502,51 @@ mod tests {
         .join()
         .unwrap();
 
-        // Meters merge to the whole-mesh picture.
+        // Meters merge to the whole-mesh picture. Every frame is one
+        // two-`u64` message each way per worker: 16 modeled bytes, 4 of
+        // item count and 5 of frame header and method byte.
         let mut stats = hub.stats().clone();
+        let mut wire = hub.wire_stats().clone();
         let mut meter = hub.meter();
+        let mut received = hub.received_bytes();
         for w in workers {
             let w = w.join().unwrap();
             stats.merge(w.stats());
+            wire.merge(w.wire_stats());
             meter.merge(&w.meter());
+            received += w.received_bytes();
         }
-        assert_eq!(stats.total_messages(), 2 * (n as u64 - 1));
-        assert_eq!(stats.total_bytes(), 2 * (n as u64 - 1) * 16);
-        assert_eq!(meter.frames, 2 * (n as u64 - 1));
-        assert_eq!(
-            meter.wire_bytes,
-            meter.modeled_bytes + meter.structural_bytes - meter.saved_bytes
-        );
-        // Prove the meters match what a single-threaded ByteNetwork
-        // records for the same message set.
-        let mut reference: crate::net::ByteNetwork<Nums> = crate::net::ByteNetwork::in_memory(n);
-        for dst in 1..n {
-            reference.send(0, dst, Nums(vec![dst as u64, 7])).unwrap();
-            reference.try_drain(dst).unwrap();
-            reference
-                .send(dst, 0, Nums(vec![2 * dst as u64, 14]))
-                .unwrap();
-            reference.try_drain(0).unwrap();
+        let frames = 2 * (n as u64 - 1);
+        let expected = TransportMeter {
+            frames,
+            wire_bytes: 25 * frames,
+            modeled_bytes: 16 * frames,
+            structural_bytes: 9 * frames,
+            saved_bytes: 0,
+        };
+        assert_eq!(meter, expected);
+        assert_eq!(received, 25 * frames);
+        for (src, dst) in (1..n).flat_map(|s| [(0, s), (s, 0)]) {
+            assert_eq!(
+                (stats.pair(src, dst).messages, stats.pair(src, dst).bytes),
+                (1, 16)
+            );
+            assert_eq!(
+                (wire.pair(src, dst).messages, wire.pair(src, dst).bytes),
+                (1, 25)
+            );
         }
-        assert_eq!(stats.total_bytes(), reference.stats().total_bytes());
-        assert_eq!(meter.wire_bytes, reference.meter().wire_bytes);
-        assert_eq!(meter.structural_bytes, reference.meter().structural_bytes);
+        assert_eq!(stats.total_messages(), frames);
+        assert_eq!(wire.total_bytes(), 25 * frames);
     }
 
     #[test]
-    fn mem_mesh_round_trips_and_meters_like_bytenetwork() {
+    fn mem_mesh_round_trips_and_meters_every_frame() {
         exercise(mem_mesh(4));
     }
 
     #[test]
-    fn tcp_mesh_round_trips_and_meters_like_bytenetwork() {
+    fn tcp_mesh_round_trips_and_meters_every_frame() {
         exercise(tcp_mesh(4).unwrap());
     }
 
@@ -605,6 +641,27 @@ mod tests {
         assert_eq!(e, ClusterError::Loopback(1));
         let e = nodes[0].send(9, &Nums(vec![1])).unwrap_err();
         assert!(matches!(e, ClusterError::UnknownSite(9)));
+    }
+
+    /// A hand-made endpoint whose write halves are short or missing is a
+    /// typed error naming both nodes, never a panic.
+    #[test]
+    fn an_endpoint_without_a_link_names_both_nodes() {
+        for tx in [vec![None, None], vec![None], Vec::new()] {
+            let (_inbox, rx) = channel();
+            let ep = NodeEndpoint {
+                tx,
+                rx,
+                guard: ReaderGuard::default(),
+            };
+            let mut node = Node::from_endpoint(2, 0, ep);
+            let e = node.send(1, &Nums(vec![1])).unwrap_err();
+            let msg = "transport error: node 0 has no link to node 1";
+            assert_eq!(e.to_string(), msg);
+            let e = node.send_ctrl(1, &Nums(vec![1])).unwrap_err();
+            assert_eq!(e.to_string(), msg);
+            assert_eq!(node.meter(), TransportMeter::default(), "nothing metered");
+        }
     }
 
     #[test]

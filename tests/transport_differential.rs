@@ -17,6 +17,7 @@
 
 use cluster::codec::{value_digest, CodecKind, ReceiverCodec};
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
+use cluster::netstats::Counters;
 use cluster::TransportMeter;
 use inc_cfd::prelude::*;
 use incdetect::baselines::{BatMsg, ColsMsg};
@@ -178,8 +179,16 @@ fn lz_codec_reduces_measured_bytes_vs_raw_values() {
     );
 }
 
+/// Every cell of an `n`-site matrix, row-major.
+fn cells(stats: &NetStats) -> Vec<Counters> {
+    let n = stats.n_sites();
+    (0..n * n).map(|i| stats.pair(i / n, i % n)).collect()
+}
+
 /// The socket transport: the same protocol over real localhost TCP
-/// connections (per-site reader threads), byte-for-byte metered.
+/// connections (per-site reader threads), byte-for-byte metered — and
+/// byte for byte what the in-process framed channels write, link by
+/// link, since both are the same nodes driven by one thread.
 #[test]
 fn tcp_transport_runs_the_protocol_end_to_end() {
     let cfg = DblpConfig {
@@ -196,6 +205,8 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
     let det = HorizontalDetector::new(s, c, scheme.clone(), &d0, dict, TransportKind::Tcp);
     let mut det = det.expect("TCP mesh builds on localhost");
     let mut mirror = d0.clone();
+    let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
+    let mut framed = HorizontalDetector::new(s, c, scheme.clone(), &d0, dict, framed).unwrap();
     let sim = TransportKind::Simulated;
     let mut sim = HorizontalDetector::new(schema, cfds, scheme, &d0, dict, sim).unwrap();
     let fresh = dblp::generate_fresh(&cfg, 9_000_000, 60, 5);
@@ -209,7 +220,15 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
             },
             round,
         );
-        det.apply(&delta).expect("apply over sockets");
+        let dv = det.apply(&delta).expect("apply over sockets");
+        assert_eq!(
+            dv,
+            framed.apply(&delta).expect("apply framed"),
+            "round {round}"
+        );
+        assert_eq!(cells(det.stats()), cells(framed.stats()), "round {round}");
+        let (wire, framed_wire) = (det.wire_stats().unwrap(), framed.wire_stats().unwrap());
+        assert_eq!(cells(wire), cells(framed_wire), "round {round}");
         sim.apply(&delta).expect("apply simulated");
         delta.normalize(&mirror).apply(&mut mirror).unwrap();
     }
