@@ -15,7 +15,9 @@
 //! the per-batch images that carry each site's slice of `ΔV` and its
 //! meters home. No detector state is shared: each site owns its fragment,
 //! its per-operator group state, its slice of `V`, and its receiver-side codec
-//! state, exactly as the paper's EC2 deployment would.
+//! state, exactly as the paper's EC2 deployment would. No process holds `D`
+//! whole: a row lives in its home's fragment only, and the coordinator
+//! gathers `D` when asked for it (the control plane's gather, below).
 //!
 //! # Wave-parallel scheduling
 //!
@@ -39,7 +41,8 @@
 //!    — so the classification is a function of `(state, slice)`. The site
 //!    reports the slice positions it deferred, each with one bit: does the
 //!    update *write*, or is it class-preserving and merely **held** behind
-//!    a deferred one.
+//!    a deferred one; and, of a deferred delete, its footprint, for the
+//!    row it reads it from is only there.
 //! 2. **Waves over the rest.** The coordinator places the deferred updates
 //!    in batch order, each in the first wave its verdicts against the ones
 //!    placed before it allow: after an earlier writer of any site on a
@@ -49,6 +52,11 @@
 //!    other half of its tid. Within a wave the writers' footprints are
 //!    disjoint, so sites fire *all* their probes up front and serve peers
 //!    while their own rounds are in flight.
+//!
+//! The coordinator admits a batch against the homes of the live tids alone:
+//! presence is all it can normalise by. A re-insert of a row as stored
+//! therefore reaches its home as the delete and the insert of one tid,
+//! and the home's settle pass, row at hand, drops the pair.
 //!
 //! The sequential driver ([`crate::HorizontalDetector`]) applies the same
 //! rule *online*, to the rounds it keeps in flight — exact, since every
@@ -75,11 +83,12 @@
 //! local passes over `n` machines — before any mesh exists, so the build
 //! sends nothing and leaves every meter at zero.
 //! [`ConcurrentHorizontal::threaded`] runs it once, on the caller's
-//! thread, and moves into each site's runner its machine, its fragment
-//! (the rows it is home to) and its slice of `V` (the marks of those rows)
-//! — what a replay of `D₀` through the batch path would have left there;
-//! the coordinator keeps the relation, every row's home and the whole `V`.
-//! Only then does it open the mesh and spawn the site threads.
+//! thread, over the caller's `D₀` (it makes no copy of it), and moves into
+//! each site's runner its machine, its fragment (the rows it is home to)
+//! and its slice of `V` (the marks of those rows) — what a replay of `D₀`
+//! through the batch path would have left there. The coordinator keeps no
+//! row: only every row's home, in a dense [`TidMap`] at 4 B a tid, and the
+//! whole `V`. Only then does it open the mesh and spawn the site threads.
 //!
 //! In a multi-process session no row of `D₀` crosses a link: each `site`
 //! process derives `D₀` from the parameters it derives `(schema, Σ,
@@ -95,8 +104,8 @@
 //! # The control plane
 //!
 //! The slice hand-over, the settle handshake, wave barriers, acks, result
-//! collection, a failing site's last words and a process's build
-//! fingerprint ride on [`CtrlMsg`] frames,
+//! collection, the gather of `D`, a failing site's last words and a
+//! process's build fingerprint ride on [`CtrlMsg`] frames,
 //! which are wire-metered but contribute **zero** modeled `|M|`
 //! ([`Node::send_ctrl`]): the model meters the detection protocol, not the
 //! harness that schedules it. The differential suite asserts threaded,
@@ -128,11 +137,22 @@
 //! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
 //! | `Take`, site threads only | — (an `Ops` frame) | 1                        |
 //! | `Ops`, ≈ 64-op slice, site processes only | 9 452 mean | 3 843 mean, 2 483 packed |
-//! | `Deferred`                | —                 | 7.7 mean; 2 + 1–2 per deferred update |
+//! | `Deferred`                | —                 | 42.2 mean, 41.9 packed; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete (3 keys under these rules) |
 //! | `Waves`                   | —                 | 8.4 mean; 3 + 1 per deferred update |
 //! | `Failed`                  | —                 | 2 + the error's text      |
 //! | `Built`                   | —                 | 17 + two varints; once a site and session |
-//! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 349 mean, 295 packed; ≈ 20 + 2/mark |
+//! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 232 mean, 214 packed; ≈ 20 + 1.3/mark |
+//! | `Gather`, between batches | —                 | 1; answered by an `Ops` frame of the fragment, 481 096 mean, 398 419 packed |
+//!
+//! **The gather.** [`Detector::current`] — and the fallible
+//! [`ConcurrentHorizontal::gather`] behind it — sends every site a tag-only
+//! `Gather`; each answers with its fragment in tid order, in the `Ops`
+//! frame's insert layout, and the coordinator joins the fragments to site
+//! 0's, each row checked against its home. Like the `Built` handshake, the
+//! exchange reads `D` and belongs to no batch: both ends take it off their
+//! meters, so no number a batch reports moves. `current()` keeps what it
+//! gathered until the next `apply`; a gather that fails leaves it empty,
+//! and its error for that `apply` to return.
 //!
 //! A site that fails says so before it goes: [`SiteRunner::serve`] sends
 //! the error it is about to return to the coordinator as a best-effort
@@ -188,13 +208,13 @@
 //! The coordinator adds three flushes that are not parks but hand-offs —
 //! after handing out the slices (`Take` or `Ops`), after shipping the
 //! `Waves` frames and after releasing a barrier — so the sites start
-//! while it turns to its own serial work (its settle pass and the mirror
-//! of the batch), and one before it joins the site threads on drop (a
-//! wait that is not on its inbox); a failing site flushes its `Failed`
-//! before it returns.
+//! while it turns to its own serial work (its settle pass, the homes of
+//! the batch), and one before it joins the site threads on drop (a wait
+//! that is not on its inbox); a failing site flushes its `Failed` before
+//! it returns.
 
 use crate::detector::{DetectError, Detector};
-use crate::horizontal::order::{Deferrals, DeferredList, WavePlanner};
+use crate::horizontal::order::{Deferrals, WavePlanner};
 use crate::horizontal::site::{Round, Site};
 use crate::horizontal::{Build, HorMsg};
 use cfd::{Cfd, CfdId, DeltaV, Violations};
@@ -203,7 +223,8 @@ use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
 use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter};
-use relation::{FxHashMap, RelError, Relation, Schema, Tid, Update, UpdateBatch};
+use relation::{RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -211,6 +232,7 @@ use std::thread::JoinHandle;
 
 pub mod ctrl;
 
+pub use crate::horizontal::order::DeferredList;
 pub use crate::horizontal::site::SiteConfig;
 use ctrl::encode_ops;
 pub use ctrl::{BatchImage, BuildPrint, CtrlMsg, RtFrame};
@@ -240,19 +262,31 @@ fn site_failed(src: SiteId, cause: &str) -> DetectError {
 }
 
 /// Check a site's `Deferred` list against the slice it was sent, before
-/// anything is scheduled from it: positions inside the slice, ascending.
-fn check_deferred(src: SiteId, deferred: &[(u32, bool)], slice: usize) -> Result<(), DetectError> {
-    let mut floor = 0;
-    for &(pos, _) in deferred {
-        if pos as usize >= slice {
-            let what = format!("Deferred names position {pos} of a {slice}-op slice");
+/// anything is scheduled from it: positions inside the slice, ascending,
+/// and a footprint for each deferred delete.
+fn check_deferred(
+    src: SiteId,
+    deferred: &DeferredList,
+    slice: &[&Update],
+) -> Result<(), DetectError> {
+    let (mut floor, mut deletes) = (0, 0);
+    for &(pos, _) in &deferred.updates {
+        let Some(op) = slice.get(pos as usize) else {
+            let len = slice.len();
+            let what = format!("Deferred names position {pos} of a {len}-op slice");
             return Err(bad_link(src, COORD, what));
-        }
+        };
         if pos < floor {
             let what = format!("Deferred position {pos} repeats or is out of order");
             return Err(bad_link(src, COORD, what));
         }
         floor = pos + 1;
+        deletes += usize::from(!op.is_insert());
+    }
+    let keyed = deferred.footprints.len();
+    if keyed != deletes {
+        let what = format!("Deferred carries {keyed} footprints for {deletes} deferred deletes");
+        return Err(bad_link(src, COORD, what));
     }
     Ok(())
 }
@@ -302,13 +336,15 @@ enum Event {
     /// decoded from an `Ops` frame.
     Ops(Vec<Update>),
     /// What a site's settle pass left for the waves (coordinator side).
-    Deferred(Vec<(u32, bool)>),
+    Deferred(DeferredList),
     /// The wave of each update we deferred.
     Waves(u32, Vec<u32>),
     /// A site's batch image (coordinator side), its own frame counted.
     Result(Box<BatchImage>),
     /// What a site process's build left it (coordinator side).
     Built(BuildPrint),
+    /// The coordinator asks for our fragment.
+    Gather,
     /// End of session.
     Shutdown,
 }
@@ -468,6 +504,7 @@ impl SiteRunner {
             CtrlMsg::Waves { n_waves, waves } => Ok(Some(Event::Waves(n_waves, waves))),
             CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
             CtrlMsg::Built(print) => Ok(Some(Event::Built(print))),
+            CtrlMsg::Gather => Ok(Some(Event::Gather)),
             // Whatever we were waiting for, it is not coming.
             CtrlMsg::Failed(cause) => Err(site_failed(src, &cause)),
             CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
@@ -642,7 +679,13 @@ impl SiteRunner {
         let slot = ws.queues[src]
             .pop_front()
             .ok_or_else(|| proto(format!("reply from site {src} with no outstanding round")))?;
-        let p = ws.inflight[slot].as_mut().expect("routed slot is live");
+        let Some(p) = ws.inflight[slot].as_mut() else {
+            let what = format!(
+                "site {}: a reply from site {src} was routed to closed round slot {slot}",
+                self.me
+            );
+            return Err(DetectError::Internal(what));
+        };
         match (resp, &mut p.round) {
             (Response::Reply(msg), Some(round)) => self.site.on_reply(round, src, msg)?,
             (Response::Ack, _) => {}
@@ -652,8 +695,9 @@ impl SiteRunner {
         if p.pending > 0 {
             return Ok(());
         }
-        let p = ws.inflight[slot].take().expect("routed slot is live");
-        let clears = match p.round {
+        let round = p.round.take();
+        ws.inflight[slot] = None;
+        let clears = match round {
             Some(round) => self
                 .site
                 .finish(round, (&mut self.violations, &mut self.dv))?,
@@ -688,7 +732,7 @@ impl SiteRunner {
                 _ => return Err(proto("unexpected frame before the wave schedule")),
             }
         };
-        let order = wave_order(self.me, &deferred, n_waves, &waves)?;
+        let order = wave_order(self.me, &deferred.updates, n_waves, &waves)?;
         let mut rest = order.as_slice();
         for w in 0..n_waves {
             rest = self.run_wave(w, rest, &slice)?;
@@ -759,10 +803,24 @@ impl SiteRunner {
             match (p.acks, p.event) {
                 (0, None) => {}
                 (0, Some(Event::Ops(ops))) => self.run_batch(ops)?,
+                (0, Some(Event::Gather)) => self.send_fragment()?,
                 (0, Some(Event::Shutdown)) => return Ok(()),
                 _ => return Err(proto("unexpected frame while idle")),
             }
         }
+    }
+
+    /// Answer a [`CtrlMsg::Gather`]: our fragment, one insert per row in
+    /// tid order, in an `Ops` frame. The exchange reads `D` and belongs to
+    /// no batch: like the `Built` handshake, it leaves the meters.
+    fn send_fragment(&mut self) -> Result<(), DetectError> {
+        let rows: Vec<Update> = self.rows.iter().map(Update::Insert).collect();
+        let rows: Vec<&Update> = rows.iter().collect();
+        let node = &mut self.node;
+        node.send_ctrl_with(COORD, |out| encode_ops(out, &rows))
+            .map_err(DetectError::Cluster)?;
+        node.reset_stats();
+        Ok(())
     }
 }
 
@@ -770,37 +828,42 @@ impl SiteRunner {
 // The coordinator-side detector
 // ---------------------------------------------------------------------
 
-/// What the coordinator keeps of a build: the logical relation, every
-/// row's home and the whole `V`.
-type Mirror = (Relation, FxHashMap<Tid, SiteId>, Violations);
-
 /// One site's share of a build: its machine, its fragment and its slice
 /// of `V`.
 type Share = (Site, Relation, Violations);
 
-/// Take `build` apart: by site, its machine, its fragment — the rows it is
-/// home to — and its slice of `V`, the marks of those rows; and the
-/// coordinator's [`Mirror`]. A site's share is what a replay of `D₀`
-/// through the batch path leaves there: a site stores only the rows it is
-/// home to, and marks only members of its own groups.
-fn split(build: Build) -> Result<(Vec<Share>, Mirror), DetectError> {
+/// Build over `d` and take the build apart: by site, its machine, its
+/// fragment — the rows of `d` it is home to — and its slice of `V`, the
+/// marks of those rows; and what the coordinator keeps, every row's home
+/// and the whole `V`. A site's share is what a replay of `D₀` through the
+/// batch path leaves there: a site stores only the rows it is home to,
+/// and marks only members of its own groups.
+fn split(
+    schema: Arc<Schema>,
+    cfds: Vec<Cfd>,
+    scheme: &HorizontalScheme,
+    d: &Relation,
+    codec: CodecKind,
+) -> Result<(Vec<Share>, TidMap, Violations), DetectError> {
+    let mut homes = TidMap::default();
+    let homed = |tid, home| {
+        homes.insert(tid, home as RowId);
+    };
     let Build {
         cfg,
         sites,
-        current,
-        site_of_tid,
         violations,
-    } = build;
+    } = Build::new(schema, cfds, scheme, d, codec, homed)?;
     let share = |site| {
         let rows = Relation::new(cfg.schema.clone());
         (site, rows, Violations::new(cfg.cfds.len()))
     };
     let mut shares: Vec<_> = sites.into_iter().map(share).collect();
     let home = |tid: Tid| {
-        let home = site_of_tid.get(&tid).copied();
+        let home = homes.get(tid).map(|h| h as SiteId);
         home.ok_or_else(|| DetectError::Internal(format!("row {tid} of the build has no home")))
     };
-    let store = current.store();
+    let store = d.store();
     for (tid, row) in store.rows() {
         let values = store.row_syms(row).map(|s| store.pool().resolve(s));
         shares[home(tid)?].1.insert_row(tid, values)?;
@@ -810,7 +873,7 @@ fn split(build: Build) -> Result<(Vec<Share>, Mirror), DetectError> {
             shares[home(tid)?].2.add(c, tid);
         }
     }
-    Ok((shares, (current, site_of_tid, violations)))
+    Ok((shares, homes, violations))
 }
 
 /// Run one non-coordinator site of a **multi-process** mesh to
@@ -828,7 +891,7 @@ pub fn run_site(
     codec: CodecKind,
     base_port: u16,
 ) -> Result<(), DetectError> {
-    let (shares, _) = split(Build::new(schema, cfds, scheme, d, codec)?)?;
+    let (shares, ..) = split(schema, cfds, scheme, d, codec)?;
     let share = shares.into_iter().nth(me);
     let (site, rows, violations) = share.ok_or(ClusterError::UnknownSite(me))?;
     let print = BuildPrint::of(&rows, &violations);
@@ -847,18 +910,32 @@ pub fn run_site(
 /// The concurrent `incHor` session: site 0 (the coordinator) runs on
 /// the caller's thread; sites `1..n` are OS threads (threaded mode) or
 /// separate processes joined over localhost TCP (distributed mode).
+///
+/// A row of `D` lives only in its home site's fragment. The coordinator
+/// keeps what ordering a batch needs — every live tid's home, `V` and
+/// site 0's runner — and gathers `D` from the sites when asked for it:
+/// [`gather`](Self::gather), or [`Detector::current`], which keeps what
+/// it gathered until the next `apply`. A gather that fails cannot say so
+/// through `current()`: it then returns the empty relation, and the next
+/// `apply` returns the gather's error.
 pub struct ConcurrentHorizontal {
     scheme: HorizontalScheme,
-    /// Mirror of the logical relation (union of all fragments): what
-    /// admission normalises against, what deletes are scheduled from and
-    /// what [`Detector::current`] returns — the sites' rows live on other
-    /// threads or in other processes. The coordinator being site 0 too,
-    /// its own slice is in here and in its runner's fragment.
-    current: Relation,
-    site_of_tid: FxHashMap<Tid, SiteId>,
+    /// What every site derives from `(schema, Σ, scheme)`.
+    cfg: SiteConfig,
+    /// The home site of every live tid: what admission asks presence of
+    /// and what routes a delete.
+    homes: TidMap,
     /// Global `V` mirror, folded from the per-site images.
     violations: Violations,
-    runner: SiteRunner,
+    /// Site 0. In a cell so that [`Detector::current`], which takes
+    /// `&self`, can drive its node to gather; every `&mut self` path
+    /// reaches it with `get_mut`.
+    runner: RefCell<SiteRunner>,
+    /// `D` as the last gather since the last `apply` left it.
+    gathered: OnceCell<Relation>,
+    /// What a gather behind [`Detector::current`] failed with, for the
+    /// next `apply` to return.
+    failed: Cell<Option<DetectError>>,
     /// Where site thread `j` takes its slices from, at `j - 1`. A site
     /// process has no inlet, so a multi-process session has none.
     inlets: Vec<Sender<Vec<Update>>>,
@@ -882,6 +959,26 @@ fn no_site() -> DetectError {
     ClusterError::BadScheme("a scheme of no site".into()).into()
 }
 
+/// The `Failed` frame waiting in `node`'s inbox, if any, as the error it
+/// is: a site's own words, which beat the transport's for a send to it.
+fn last_words(node: &mut Node) -> Option<DetectError> {
+    while let Ok(Some((src, method, body))) = node.try_recv() {
+        let frame = unpack_body(method, body).and_then(|body| RtFrame::decode_frame(&body));
+        if let Ok(RtFrame::Ctrl(CtrlMsg::Failed(cause))) = frame {
+            return Some(site_failed(src, &cause));
+        }
+    }
+    None
+}
+
+/// Prefer a site's own words ([`last_words`]) to a transport error.
+fn in_own_words(node: &mut Node, e: DetectError) -> DetectError {
+    match e {
+        DetectError::Cluster(ClusterError::Transport(_)) => last_words(node).unwrap_or(e),
+        e => e,
+    }
+}
+
 impl ConcurrentHorizontal {
     /// One OS thread per site over the chosen transport:
     /// [`TransportKind::Tcp`] uses the localhost socket mesh, anything
@@ -899,7 +996,7 @@ impl ConcurrentHorizontal {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
-        let (shares, mirror) = split(Build::new(schema, cfds, &scheme, d, codec)?)?;
+        let (shares, homes, v) = split(schema, cfds, &scheme, d, codec)?;
         let nodes = match transport {
             TransportKind::Tcp => run::tcp_mesh(shares.len()).map_err(DetectError::Cluster)?,
             _ => run::mem_mesh(shares.len()),
@@ -912,7 +1009,7 @@ impl ConcurrentHorizontal {
                 SiteRunner::new(site, rows, v, node)
             });
         let coord = runners.next().ok_or_else(no_site)?;
-        let mut det = Self::coordinating(scheme, mirror, coord, codec, "incHorMt");
+        let mut det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMt");
         for mut runner in runners {
             let me = runner.me;
             let (inlet, outlet) = mpsc::channel();
@@ -943,35 +1040,37 @@ impl ConcurrentHorizontal {
         codec: CodecKind,
         base_port: u16,
     ) -> Result<Self, DetectError> {
-        let (shares, mirror) = split(Build::new(schema, cfds, &scheme, d, codec)?)?;
+        let (shares, homes, v) = split(schema, cfds, &scheme, d, codec)?;
         let print = |(_, rows, v): &Share| BuildPrint::of(rows, v);
         let prints: Vec<BuildPrint> = shares.iter().map(print).collect();
-        let (site, rows, v) = shares.into_iter().next().ok_or_else(no_site)?;
+        let (site, rows, v0) = shares.into_iter().next().ok_or_else(no_site)?;
         let node0 = run::join(scheme.n_sites(), COORD, base_port)
             .map_err(DetectError::Cluster)?
             .with_compression(codec.compression());
-        let coord = SiteRunner::new(site, rows, v, node0);
-        let mut det = Self::coordinating(scheme, mirror, coord, codec, "incHorMp");
+        let coord = SiteRunner::new(site, rows, v0, node0);
+        let mut det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMp");
         // On a refusal, dropping `det` shuts every site down.
         det.check_builds(&prints)?;
         Ok(det)
     }
 
-    /// The session over the coordinator's part of a build — the mirror
-    /// and site 0's runner — with no site thread yet and every meter at
-    /// zero.
+    /// The session over the coordinator's part of a build — every row's
+    /// home, `V` and site 0's runner — with no site thread yet and every
+    /// meter at zero.
     fn coordinating(
         scheme: HorizontalScheme,
-        (current, site_of_tid, violations): Mirror,
+        (homes, violations): (TidMap, Violations),
         runner: SiteRunner,
         codec: CodecKind,
         label: &'static str,
     ) -> Self {
         let n = scheme.n_sites();
         ConcurrentHorizontal {
-            current,
-            site_of_tid,
+            cfg: runner.site.cfg().clone(),
+            homes,
             violations,
+            gathered: OnceCell::new(),
+            failed: Cell::new(None),
             stats: NetStats::new(n),
             wire: NetStats::new(n),
             meter: TransportMeter::default(),
@@ -981,7 +1080,7 @@ impl ConcurrentHorizontal {
             codec_kind: codec,
             label,
             scheme,
-            runner,
+            runner: RefCell::new(runner),
             inlets: Vec::new(),
             handles: Vec::new(),
             n,
@@ -992,9 +1091,10 @@ impl ConcurrentHorizontal {
     /// `prints`, this build's fingerprint of each site's share. The frames
     /// are the build's, not `ΔD`'s: once all match, they leave the meters.
     fn check_builds(&mut self, prints: &[BuildPrint]) -> Result<(), DetectError> {
+        let runner = self.runner.get_mut();
         let mut reported = vec![false; self.n];
         for _ in 1..self.n {
-            let p = self.runner.pump()?;
+            let p = runner.pump()?;
             let (src, theirs) = match (p.acks, p.event) {
                 (0, Some(Event::Built(theirs))) => (p.src, theirs),
                 _ => return Err(proto("unexpected frame during the build handshake")),
@@ -1009,8 +1109,62 @@ impl ConcurrentHorizontal {
                 return Err(DetectError::BuildMismatch { site: src, what });
             }
         }
-        self.runner.node.reset_stats();
+        runner.node.reset_stats();
         Ok(())
+    }
+
+    /// `D`, gathered from the sites: every other site is sent a
+    /// [`CtrlMsg::Gather`] and answers with its fragment, which joins site
+    /// 0's. Both ends take the exchange off their meters, so it moves no
+    /// number a batch reports. A reply that is not the fragment the
+    /// coordinator's homes say the site holds — a delete, a row out of tid
+    /// order or homed elsewhere, a row missing — is an error naming the
+    /// link; a site that failed is its own error, naming it.
+    pub fn gather(&self) -> Result<Relation, DetectError> {
+        let runner = &mut *self.runner.borrow_mut();
+        let gathered = self.gather_from(runner);
+        gathered.map_err(|e| in_own_words(&mut runner.node, e))
+    }
+
+    fn gather_from(&self, runner: &mut SiteRunner) -> Result<Relation, DetectError> {
+        for j in 1..self.n {
+            runner.node.send_ctrl(j, &CtrlMsg::Gather)?;
+        }
+        let mut d = Relation::new(self.cfg.schema.clone());
+        runner.rows.iter().try_for_each(|t| d.insert(t))?;
+        let mut replied = vec![false; self.n];
+        for _ in 1..self.n {
+            let p = runner.pump()?;
+            let (src, rows) = match (p.acks, p.event) {
+                (0, Some(Event::Ops(rows))) => (p.src, rows),
+                _ => return Err(proto("unexpected frame during the gather")),
+            };
+            if std::mem::replace(&mut replied[src], true) {
+                return Err(bad_link(src, COORD, "a second fragment"));
+            }
+            let mut floor = None;
+            for op in rows {
+                let Update::Insert(t) = op else {
+                    return Err(bad_link(src, COORD, "a fragment with a delete in it"));
+                };
+                let home = self.homes.get(t.tid).map(|h| h as SiteId);
+                if home != Some(src) || floor >= Some(t.tid) {
+                    let what = format!(
+                        "fragment row {} is out of tid order or homed elsewhere",
+                        t.tid
+                    );
+                    return Err(bad_link(src, COORD, what));
+                }
+                floor = Some(t.tid);
+                d.insert(t)?;
+            }
+        }
+        runner.node.reset_stats();
+        if d.len() != self.homes.len() {
+            let (got, want) = (d.len(), self.homes.len());
+            return Err(proto(format!("the fragments hold {got} of {want} rows")));
+        }
+        Ok(d)
     }
 
     /// The home of every update of an admitted batch, in batch order. All
@@ -1020,69 +1174,48 @@ impl ConcurrentHorizontal {
         let home = |op: &Update| match op {
             Update::Insert(t) => Ok(self.scheme.route(t)?),
             Update::Delete(tid) => {
-                let home = self.site_of_tid.get(tid);
-                Ok(*home.ok_or(RelError::MissingTid(*tid))?)
+                let home = self.homes.get(*tid).ok_or(RelError::MissingTid(*tid))?;
+                Ok(home as SiteId)
             }
         };
         delta.ops().iter().map(home).collect()
     }
 
-    /// Update the logical mirror (sites own the physical fragments), in two
-    /// passes over the batch so that the first can run while the sites
-    /// settle: scheduling reads the tuples of deferred deletes from the
-    /// mirror, so deletes — and the insert half of a modification, whose
-    /// tid is live until its delete is through — wait for the second.
-    fn mirror(
-        &mut self,
-        delta: &UpdateBatch,
-        homes: &[SiteId],
-        deletes: bool,
-    ) -> Result<(), DetectError> {
+    /// Move the tids of a scheduled batch to their homes, in batch order:
+    /// a modification's delete frees the tid its insert takes.
+    fn rehome(&mut self, delta: &UpdateBatch, homes: &[SiteId]) {
         for (op, &home) in delta.ops().iter().zip(homes) {
             match op {
-                Update::Insert(t) if !self.current.contains(t.tid) => {
-                    self.site_of_tid.insert(t.tid, home);
-                    self.current.insert_row(t.tid, t.values.iter())?;
-                }
-                Update::Delete(tid) if deletes => {
-                    self.site_of_tid.remove(tid);
-                    self.current.delete_quiet(*tid)?;
-                }
-                _ => {}
-            }
+                Update::Insert(t) => self.homes.insert(t.tid, home as RowId),
+                Update::Delete(tid) => self.homes.remove(*tid).is_some(),
+            };
         }
-        Ok(())
     }
 
     /// One batch through the mesh. A site that fails says why before it
     /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
     /// but a *send* to the node it left behind fails first, in the
     /// transport's words: prefer the site's own, if they are in the inbox.
+    /// What a gather since the last batch gathered goes; what one failed
+    /// with is this batch's error.
     fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let applied = self.drive_batch(delta);
-        applied.map_err(|e| match e {
-            DetectError::Cluster(ClusterError::Transport(_)) => self.last_words().unwrap_or(e),
-            e => e,
-        })
-    }
-
-    /// The `Failed` frame waiting in the inbox, if any, as the error it is.
-    fn last_words(&mut self) -> Option<DetectError> {
-        let node = &mut self.runner.node;
-        while let Ok(Some((src, method, body))) = node.try_recv() {
-            let frame = unpack_body(method, body).and_then(|body| RtFrame::decode_frame(&body));
-            if let Ok(RtFrame::Ctrl(CtrlMsg::Failed(cause))) = frame {
-                return Some(site_failed(src, &cause));
-            }
+        self.gathered.take();
+        if let Some(e) = self.failed.take() {
+            return Err(e);
         }
-        None
+        let applied = self.drive_batch(delta);
+        applied.map_err(|e| in_own_words(&mut self.runner.get_mut().node, e))
     }
 
     /// Admit, route and ship the batch; settle our slice while the sites
     /// settle theirs; place what everyone deferred and drive the waves;
     /// fold the sites' images into `ΔV`, `V` and the meters.
     fn drive_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let delta = crate::detector::admit(&self.current, delta)?;
+        // No row is at hand to compare a re-insert with: its home drops the
+        // pair if it re-inserts the row as stored (`Site::settle`).
+        let live = |tid| self.homes.get(tid).is_some();
+        let delta = delta.normalize_by(live, |_| false);
+        let delta = crate::detector::fitted(delta, &self.cfg.schema)?;
         let mut dv = DeltaV::default();
         if delta.ops().is_empty() {
             return Ok(dv);
@@ -1094,30 +1227,29 @@ impl ConcurrentHorizontal {
         for (op, &home) in delta.ops().iter().zip(&homes) {
             slices[home].push(op);
         }
-        let node = &mut self.runner.node;
+        let runner = self.runner.get_mut();
         for (j, slice) in slices.iter().enumerate().skip(1) {
             match self.inlets.get(j - 1) {
                 Some(inlet) => {
                     let owned = slice.iter().map(|&op| op.clone()).collect();
                     let left = |_| proto(format!("site {j} has left: its inlet is closed"));
                     inlet.send(owned).map_err(left)?;
-                    node.send_ctrl(j, &CtrlMsg::Take)
+                    runner.node.send_ctrl(j, &CtrlMsg::Take)
                 }
-                None => node.send_ctrl_with(j, |out| encode_ops(out, slice)),
+                None => runner.node.send_ctrl_with(j, |out| encode_ops(out, slice)),
             }
             .map_err(DetectError::Cluster)?;
         }
         // Not a park, but the next stretch is ours alone: put the sites to
-        // work on their settle passes before starting on ours and on the
-        // mirror.
-        node.flush().map_err(DetectError::Cluster)?;
-        let mut deferred: Vec<DeferredList> = (0..self.n).map(|_| Vec::new()).collect();
-        deferred[COORD] = self.runner.settle_pass(&slices[COORD])?;
-        self.mirror(&delta, &homes, false)?;
+        // work on their settle passes before starting on ours.
+        runner.node.flush().map_err(DetectError::Cluster)?;
+        let mut deferred: Vec<DeferredList> =
+            (0..self.n).map(|_| DeferredList::default()).collect();
+        deferred[COORD] = runner.settle_pass(&slices[COORD])?;
         let mut reported = vec![false; self.n];
         for _ in 1..self.n {
             let (src, list) = loop {
-                let p = self.runner.pump()?;
+                let p = runner.pump()?;
                 match (p.acks, p.event) {
                     (0, None) => {}
                     (0, Some(Event::Deferred(list))) => break (p.src, list),
@@ -1127,57 +1259,56 @@ impl ConcurrentHorizontal {
             if std::mem::replace(&mut reported[src], true) {
                 return Err(bad_link(src, COORD, "a second Deferred for one batch"));
             }
-            check_deferred(src, &list, slices[src].len())?;
+            check_deferred(src, &list, &slices[src])?;
             deferred[src] = list;
         }
-        // No delete of the batch has reached the mirror yet.
-        let (cfg, mirror) = (self.runner.site.cfg(), &self.current);
         let ops = homes.iter().copied().zip(delta.ops());
-        let stored = |_, tid| mirror.get(tid);
-        let (n_waves, waves) = self.planner.schedule(cfg, ops, &deferred, stored)?;
+        let (n_waves, waves) = self.planner.schedule(&self.cfg, ops, &deferred)?;
         self.waves += 1 + u64::from(n_waves);
-        let node = &mut self.runner.node;
         let mut waves = waves.into_iter();
         let own_waves = waves.next().ok_or_else(|| {
             DetectError::Internal("the wave schedule has no list for the coordinator".into())
         })?;
         for (j, waves) in (1..).zip(waves) {
-            node.send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })
+            runner
+                .node
+                .send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })
                 .map_err(DetectError::Cluster)?;
         }
-        // Wave 0 is the sites' to start while the mirror catches up.
-        node.flush().map_err(DetectError::Cluster)?;
-        self.mirror(&delta, &homes, true)?;
+        // Wave 0 is the sites' to start while the homes catch up.
+        runner.node.flush().map_err(DetectError::Cluster)?;
+        self.rehome(&delta, &homes);
         // Drive our own deferred updates, holding every wave barrier until
         // all sites report done.
-        let order = wave_order(COORD, &deferred[COORD], n_waves, &own_waves)?;
+        let runner = self.runner.get_mut();
+        let order = wave_order(COORD, &deferred[COORD].updates, n_waves, &own_waves)?;
         let mut rest = order.as_slice();
         for w in 0..n_waves {
-            rest = self.runner.run_wave(w, rest, &slices[COORD])?;
-            while self.runner.done_count < self.n - 1 {
-                let p = self.runner.pump()?;
+            rest = runner.run_wave(w, rest, &slices[COORD])?;
+            while runner.done_count < self.n - 1 {
+                let p = runner.pump()?;
                 if p.acks > 0 || p.event.is_some() {
                     return Err(proto("unexpected frame at a wave barrier"));
                 }
             }
-            self.runner.done_count = 0;
+            runner.done_count = 0;
             for j in 1..self.n {
-                self.runner
+                runner
                     .node
                     .send_ctrl(j, &CtrlMsg::WaveAdvance(w))
                     .map_err(DetectError::Cluster)?;
             }
             // Every site is parked on this barrier: release them before
             // computing our own slice of the next wave.
-            self.runner.node.flush().map_err(DetectError::Cluster)?;
+            runner.node.flush().map_err(DetectError::Cluster)?;
         }
         // The last release (or the empty schedule) was the sites' cue:
         // collect their images; fold ΔV and the meters.
-        dv.added = std::mem::take(&mut self.runner.dv.added);
-        dv.removed = std::mem::take(&mut self.runner.dv.removed);
+        dv.added = std::mem::take(&mut runner.dv.added);
+        dv.removed = std::mem::take(&mut runner.dv.removed);
         let mut got = 0;
         while got < self.n - 1 {
-            let p = self.runner.pump()?;
+            let p = self.runner.get_mut().pump()?;
             match (p.acks, p.event) {
                 (0, None) => {}
                 (0, Some(Event::Result(img))) => {
@@ -1216,7 +1347,7 @@ impl ConcurrentHorizontal {
     }
 
     fn absorb_runner_meters(&mut self) {
-        let node = &mut self.runner.node;
+        let node = &mut self.runner.get_mut().node;
         self.stats.merge(node.stats());
         self.wire.merge(node.wire_stats());
         self.meter.merge(&node.meter());
@@ -1275,14 +1406,14 @@ impl ConcurrentHorizontal {
     #[cfg(test)]
     pub(crate) fn coordinator_census(&self) -> crate::StateCensus {
         let mut census = crate::StateCensus::default();
-        self.runner.site.count_into(&mut census);
+        self.runner.borrow().site.count_into(&mut census);
         census
     }
 
     /// Symbols resident on each link into the coordinator.
     #[cfg(test)]
     pub(crate) fn coordinator_resident_symbols(&self) -> Vec<usize> {
-        self.runner.site.resident_symbols().collect()
+        self.runner.borrow().site.resident_symbols().collect()
     }
 }
 
@@ -1292,15 +1423,24 @@ impl Detector for ConcurrentHorizontal {
     }
 
     fn schema(&self) -> &Arc<Schema> {
-        &self.runner.site.cfg().schema
+        &self.cfg.schema
     }
 
     fn cfds(&self) -> &[Cfd] {
-        &self.runner.site.cfg().cfds
+        &self.cfg.cfds
     }
 
+    /// `D`, gathered from the sites on first call after an `apply` and
+    /// kept until the next ([`ConcurrentHorizontal::gather`]). If the
+    /// gather fails, the empty relation, and the next `apply` returns the
+    /// gather's error.
     fn current(&self) -> &Relation {
-        &self.current
+        self.gathered.get_or_init(|| {
+            self.gather().unwrap_or_else(|e| {
+                self.failed.set(Some(e));
+                Relation::new(self.cfg.schema.clone())
+            })
+        })
     }
 
     fn violations(&self) -> &Violations {
@@ -1324,11 +1464,12 @@ impl Detector for ConcurrentHorizontal {
 
 impl Drop for ConcurrentHorizontal {
     fn drop(&mut self) {
+        let node = &mut self.runner.get_mut().node;
         for j in 1..self.n {
-            let _ = self.runner.node.send_ctrl(j, &CtrlMsg::Shutdown);
+            let _ = node.send_ctrl(j, &CtrlMsg::Shutdown);
         }
         // We wait on the threads, not on the inbox: flush by hand.
-        let _ = self.runner.node.flush();
+        let _ = node.flush();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -1399,11 +1540,18 @@ mod tests {
         assert_eq!(dv_c, dv_s, "{what}: ΔV");
         let marks = conc.violations().marks_sorted();
         assert_eq!(marks, seq.violations().marks_sorted(), "{what}: V");
+        assert_same_rows(conc.current(), seq.current(), what);
         let oracle = cfd::naive::detect(conc.cfds(), conc.current());
         assert_eq!(marks, oracle.marks_sorted(), "{what}: the oracle's V");
         let (got, want) = (conc.stats().to_bytes(), seq.stats().to_bytes());
         assert_eq!(got, want, "{what}: modeled |M| matrix");
         conc.waves() - before
+    }
+
+    /// Two relations hold the same rows, tid for tid.
+    fn assert_same_rows(got: &Relation, want: &Relation, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: rows of D");
+        assert!(got.iter().eq(want.iter()), "{what}: D");
     }
 
     fn assert_tracks_sequential(
@@ -1571,9 +1719,10 @@ mod tests {
         let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
         assert_eq!(conc.received_bytes(), 0, "the load is not on the meters");
         // Site 1's slice is handed over in memory, but its image carries a
-        // mark per row: a control frame long enough to be offered to LZ.
+        // mark per row, a byte or so each: a control frame long enough to
+        // be offered to LZ.
         let mut wide = UpdateBatch::new();
-        for i in 0..48 {
+        for i in 0..160 {
             let street = format!("{} Long Meadow Gardens", 100 + i);
             wide.insert(emp_tuple(100 + i, "B", 44, 131, "EH9 1AA", &street, "EDI"));
         }
@@ -1837,7 +1986,8 @@ mod tests {
 
     /// An empty batch, and one whose updates cancel (an insert, then the
     /// delete of its tid), move nothing: no barrier round, no frame, no
-    /// byte written or received, and no slice in any site's inlet.
+    /// byte written or received, and no slice in any site's inlet — and
+    /// the gather of `D` behind `current()` none either.
     #[test]
     fn an_empty_or_self_cancelling_batch_moves_nothing() {
         let mut cancelling = UpdateBatch::new();
@@ -1855,6 +2005,7 @@ mod tests {
                 let what = format!("{what} batch over {transport:?}");
                 assert_eq!(apply_both(&mut pair, &b, &what), 0, "{what}");
                 let conc = &pair.0;
+                assert_same_rows(&conc.gather().unwrap(), pair.1.current(), &what);
                 assert_eq!(conc.transport_meter(), TransportMeter::default(), "{what}");
                 assert_eq!(conc.wire_stats().total_bytes(), 0, "{what}");
                 assert_eq!(conc.received_bytes(), 0, "{what}");
@@ -1865,6 +2016,98 @@ mod tests {
             // sequential drive.
             pair.0.inlets = inlets;
             assert_tracks_sequential(pair, &script());
+        }
+    }
+
+    /// A re-insert of a row as stored is no update, but the coordinator,
+    /// holding no row to compare it with, admits it as the delete and the
+    /// insert of one tid, and the home's settle pass drops the pair. Mixed
+    /// into a batch with a modification and an insert its batch deletes,
+    /// the re-inserts change nothing: `ΔV`, `V`, the waves, the messages
+    /// and the modeled matrix are those of the batch without them — and,
+    /// by `apply_both`, the sequential drive's, which never sees them.
+    #[test]
+    fn a_reinsert_of_the_stored_row_moves_no_frame() {
+        let d = d0();
+        let again = |tid| Update::Insert(d.get(tid).unwrap());
+        let modified = Update::Insert(emp_tuple(3, "A", 44, 131, "EH4 8LE", "Crichton", "EDI"));
+        let fleeting = Update::Insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+        let mixed = UpdateBatch::from_ops(vec![
+            again(1),
+            modified.clone(),
+            again(2),
+            fleeting.clone(),
+            again(4),
+            Update::Delete(10),
+            again(5),
+        ]);
+        let plain = UpdateBatch::from_ops(vec![modified, fleeting, Update::Delete(10)]);
+        for transport in [TransportKind::Framed, TransportKind::Tcp] {
+            let mut with = emp_pair(&d, CodecKind::Md5, transport);
+            let mut without = emp_pair(&d, CodecKind::Md5, transport);
+            let what = format!("re-inserts over {transport:?}");
+            let waves = apply_both(&mut with, &mixed, &what);
+            assert_eq!(waves, apply_both(&mut without, &plain, &what), "{what}");
+            let (with, without) = (&with.0, &without.0);
+            let marks = with.violations().marks_sorted();
+            assert_eq!(marks, without.violations().marks_sorted(), "{what}");
+            let (got, want) = (with.stats(), without.stats());
+            assert_eq!(got.total_messages(), want.total_messages(), "{what}");
+            assert_eq!(got.to_bytes(), want.to_bytes(), "{what}");
+        }
+        // Both halves of the pair are the home's to drop: its settle pass
+        // applies nothing and defers nothing of them (the delete alone, of
+        // a row no group holds, would empty a class: deferred).
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let (mut site, mut rows) = (Site::new(cfg.clone(), 1, CodecKind::Md5), d0());
+        let mut v = Violations::new(cfg.cfds.len());
+        let (mut dv, mut held) = (DeltaV::default(), Deferrals::default());
+        let pair = [Update::Delete(4), again(4)];
+        let slice: Vec<&Update> = pair.iter().collect();
+        let left = site
+            .settle(&slice, &mut rows, (&mut v, &mut dv), &mut held)
+            .unwrap();
+        assert_eq!(left, DeferredList::default());
+        assert_eq!(dv, DeltaV::default());
+        assert_same_rows(&rows, &d, "after the pair");
+    }
+
+    /// `D` is gathered from the sites when asked for, and the gather is
+    /// off the meters at both ends: between batches `gather()` and
+    /// `current()` move no meter, the next batch still reads every byte
+    /// written as received, and a twin session that never gathered reads
+    /// the same modeled matrix and waves after every batch.
+    #[test]
+    fn a_gather_between_batches_moves_no_meter() {
+        for transport in [TransportKind::Framed, TransportKind::Tcp] {
+            let (mut gathering, seq) = emp_pair(&d0(), CodecKind::Md5, transport);
+            let (mut twin, _) = emp_pair(&d0(), CodecKind::Md5, transport);
+            let meters = |c: &ConcurrentHorizontal| {
+                let (wire, stats) = (c.wire_stats().to_bytes(), c.stats().to_bytes());
+                (
+                    c.transport_meter(),
+                    c.received_bytes(),
+                    wire,
+                    stats,
+                    c.waves(),
+                )
+            };
+            assert_same_rows(&gathering.gather().unwrap(), seq.current(), "the build");
+            for (i, b) in script().iter().enumerate() {
+                let at = format!("batch {i} over {transport:?}");
+                gathering.apply_batch(b).unwrap();
+                twin.apply_batch(b).unwrap();
+                let before = meters(&gathering);
+                let gathered = gathering.gather().unwrap();
+                assert_same_rows(gathering.current(), &gathered, &at);
+                assert_eq!(meters(&gathering), before, "{at}");
+                let m = gathering.transport_meter();
+                assert_eq!(gathering.received_bytes(), m.wire_bytes, "{at}");
+                let (got, want) = (gathering.stats(), twin.stats());
+                assert_eq!(got.to_bytes(), want.to_bytes(), "{at}");
+                assert_eq!(gathering.waves(), twin.waves(), "{at}");
+            }
         }
     }
 
@@ -2021,7 +2264,7 @@ mod tests {
             other => panic!("expected a transport error, got {other:?}"),
         };
         assert!(err.contains("site 1 has left"), "{err}");
-        assert_eq!(pair.0.runner.node.meter().frames, 0, "{err}");
+        assert_eq!(pair.0.runner.get_mut().node.meter().frames, 0, "{err}");
         // Nothing of the batch was applied anywhere: with the inlet back,
         // it runs as if for the first time.
         pair.0.inlets[0] = open;
@@ -2038,7 +2281,7 @@ mod tests {
         for let_it_go in [false, true] {
             let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
             // No site expects a barrier release between batches.
-            let node = &mut conc.runner.node;
+            let node = &mut conc.runner.get_mut().node;
             node.send_ctrl(1, &CtrlMsg::WaveAdvance(7)).unwrap();
             while let_it_go && !conc.handles[0].is_finished() {
                 std::thread::yield_now();
@@ -2083,16 +2326,110 @@ mod tests {
                 }
             })
         };
-        let mirror = (
-            Relation::new(s),
-            FxHashMap::default(),
-            Violations::new(cfg.cfds.len()),
-        );
+        let kept = (TidMap::default(), Violations::new(cfg.cfds.len()));
         let runner = empty_runner(cfg, node0);
         let mut det =
-            ConcurrentHorizontal::coordinating(scheme, mirror, runner, CodecKind::Md5, "scripted");
+            ConcurrentHorizontal::coordinating(scheme, kept, runner, CodecKind::Md5, "scripted");
         det.handles = nodes.map(play).collect();
         det
+    }
+
+    /// A fragment the coordinator's homes say the site does not hold — a
+    /// delete in it, a row homed elsewhere, rows out of tid order, a row
+    /// missing, a second fragment — fails the gather with the link and the
+    /// cause. `current()` cannot say so: it reads empty, and the next
+    /// `apply` returns the gather's error.
+    #[test]
+    fn hostile_fragments_fail_the_gather() {
+        let row = |tid| Update::Insert(emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+        let cases = [
+            (
+                2,
+                vec![Update::Delete(5)],
+                vec![],
+                "a fragment with a delete in it",
+            ),
+            (
+                2,
+                vec![row(5)],
+                vec![(5, 2)],
+                "row 5 is out of tid order or homed elsewhere",
+            ),
+            (
+                2,
+                vec![row(5)],
+                vec![],
+                "row 5 is out of tid order or homed elsewhere",
+            ),
+            (
+                2,
+                vec![row(6), row(5)],
+                vec![(5, 1), (6, 1)],
+                "row 5 is out of tid order or homed elsewhere",
+            ),
+            (
+                2,
+                vec![row(5)],
+                vec![(5, 1), (6, 1)],
+                "the fragments hold 1 of 2 rows",
+            ),
+            (3, vec![], vec![], "a second fragment"),
+        ];
+        for (n, fragment, homes, cause) in cases {
+            let answering = move |node: &mut Node, frame: CtrlMsg| {
+                if let (1, CtrlMsg::Gather) = (node.me(), &frame) {
+                    for _ in 1..node.n_nodes() {
+                        node.send_ctrl(COORD, &CtrlMsg::Ops(fragment.clone()))
+                            .unwrap();
+                    }
+                    node.flush().unwrap();
+                }
+            };
+            for through_current in [false, true] {
+                let mut conc = scripted_session(n, answering.clone());
+                for &(tid, home) in &homes {
+                    conc.homes.insert(tid, home as RowId);
+                }
+                let err = if through_current {
+                    assert_eq!(conc.current().len(), 0, "{cause}");
+                    conc.apply_batch(&UpdateBatch::new())
+                        .map(|_| ())
+                        .unwrap_err()
+                } else {
+                    conc.gather().map(drop).unwrap_err()
+                };
+                let err = err.to_string();
+                let link = cause.contains("rows") || err.contains("link 1 → 0");
+                assert!(link && err.contains(cause), "{err}");
+            }
+        }
+    }
+
+    /// A gather after a site has failed ends with the site's own words —
+    /// whether its `Failed` is still on the way or the site long gone —
+    /// and neither end panics.
+    #[test]
+    fn a_gather_after_a_site_failed_names_the_site() {
+        for let_it_go in [false, true] {
+            for through_current in [false, true] {
+                let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
+                // No site expects a barrier release between batches.
+                let node = &mut conc.runner.get_mut().node;
+                node.send_ctrl(1, &CtrlMsg::WaveAdvance(7)).unwrap();
+                while let_it_go && !conc.handles[0].is_finished() {
+                    std::thread::yield_now();
+                }
+                let err = if through_current {
+                    assert_eq!(conc.current().len(), 0);
+                    conc.apply_batch(&script()[0]).map(|_| ()).unwrap_err()
+                } else {
+                    conc.gather().map(drop).unwrap_err()
+                };
+                let err = err.to_string();
+                assert!(err.contains("site 1 failed"), "{err}");
+                assert!(err.contains("unexpected frame while idle"), "{err}");
+            }
+        }
     }
 
     /// A `Deferred` list the coordinator cannot schedule from — a position
@@ -2102,7 +2439,7 @@ mod tests {
     fn hostile_deferred_lists_fail_the_batch_before_anything_is_placed() {
         // Site 1 answers its 8-op slice with `forged`; under three sites,
         // site 2 stays silent, so that both lists read are site 1's.
-        let answering = |forged: Vec<(u32, bool)>| {
+        let answering = |forged: DeferredList| {
             move |node: &mut Node, frame: CtrlMsg| {
                 if let (1, CtrlMsg::Ops(ops)) = (node.me(), &frame) {
                     assert_eq!(ops.len(), 8);
@@ -2116,25 +2453,40 @@ mod tests {
             }
         };
         let cases = [
-            (2, vec![(8, true)], "position 8 of a 8-op slice"),
+            (2, vec![(8, true)], 0, "position 8 of a 8-op slice"),
             (
                 2,
                 vec![(0, true), (u32::MAX, false)],
+                0,
                 "position 4294967295 of a 8-op slice",
             ),
             (
                 2,
                 vec![(3, true), (2, true)],
+                0,
                 "position 2 repeats or is out of order",
             ),
             (
                 2,
                 vec![(1, false), (1, true)],
+                0,
                 "position 1 repeats or is out of order",
             ),
-            (3, vec![(0, true)], "a second Deferred for one batch"),
+            (3, vec![(0, true)], 0, "a second Deferred for one batch"),
+            // The slice is all inserts: a footprint names no delete.
+            (
+                2,
+                vec![(0, true)],
+                1,
+                "Deferred carries 1 footprints for 0 deferred deletes",
+            ),
         ];
-        for (n, forged, cause) in cases {
+        for (n, updates, keyed, cause) in cases {
+            let footprints = vec![vec![0xC0FFEE]; keyed];
+            let forged = DeferredList {
+                updates,
+                footprints,
+            };
             let mut conc = scripted_session(n, answering(forged));
             // Eight tuples at every site, whatever the hash makes of ids.
             let mut b = UpdateBatch::new();
@@ -2192,7 +2544,10 @@ mod tests {
                     Update::Insert(emp_tuple(2, "B", 44, 131, "EH8 8BB", "Bar", "EDI")),
                 ];
                 coord.send_ctrl(1, &CtrlMsg::Ops(ops)).unwrap();
-                let deferred = CtrlMsg::Deferred(vec![(0, true), (1, true)]);
+                let deferred = CtrlMsg::Deferred(DeferredList {
+                    updates: vec![(0, true), (1, true)],
+                    footprints: Vec::new(),
+                });
                 assert_eq!(coord.recv_msg::<CtrlMsg>().unwrap(), (1, deferred));
                 coord.send_ctrl(1, &forged).unwrap();
                 coord.flush().unwrap();

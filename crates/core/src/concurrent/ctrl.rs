@@ -20,10 +20,16 @@
 //! Shutdown     86
 //! Piggy(k, m)  89 v(k) <HorMsg frame of m>
 //! Deferred     8a v(n) n × v(position << 1 | writes)
+//!              v(m) m × (v(k) k × key)              a deferred delete's
+//!                                                    footprint, in slice
+//!                                                    order; a key is 8
+//!                                                    bytes little-endian
 //! Waves        8b v(n_waves) v(n) n × v(wave)
 //! Failed       8c v(len) len × UTF-8 byte
 //! Built        8d v(rows) v(marks) 16 × digest byte
 //! Take         8e
+//! Gather       8f                                    answered by an Ops
+//!                                                    frame of inserts
 //!
 //! Ops          81 v(n_ops)
 //!              ⌈n_ops / 8⌉ × kind bits               op i is bit i mod 8 of
@@ -41,7 +47,11 @@
 //! BatchResult  85 marks(added) marks(removed) cells(stats) cells(wire)
 //!              v(frames) v(wire) v(modeled) v(structural) v(saved)
 //!              v(received)
-//!   marks      v(n) n × (z(cfd − previous cfd) z(tid − previous tid))
+//!   marks      v(runs) runs × run                    a run: one CFD's marks,
+//!                                                    tids ascending
+//!   run        z(cfd − previous run's cfd) v(len)
+//!              z(first tid − previous run's first tid)
+//!              (len − 1) × v(tid − previous tid)
 //!   cells      v(n) n × (v(dst) v(messages) v(bytes) v(eqids))
 //! ```
 //!
@@ -60,6 +70,7 @@
 //! million times does not decode. Malformed frames are
 //! [`ClusterError::Transport`], never a panic.
 
+use crate::horizontal::order::DeferredList;
 use crate::horizontal::HorMsg;
 use cfd::{CfdId, Violations};
 use cluster::md5::{md5, Digest};
@@ -86,6 +97,7 @@ const CT_WAVES: u8 = 0x8b;
 const CT_FAILED: u8 = 0x8c;
 const CT_BUILT: u8 = 0x8d;
 const CT_TAKE: u8 = 0x8e;
+const CT_GATHER: u8 = 0x8f;
 
 const COL_PLAIN: u8 = 0;
 const COL_DICT: u8 = 1;
@@ -202,8 +214,9 @@ pub enum CtrlMsg {
     /// the updates it left for the wave schedule, each with whether the
     /// update *writes* (creates or empties a local RHS class) or is
     /// class-preserving and only held behind one that shares a group key
-    /// or its tid.
-    Deferred(Vec<(u32, bool)>),
+    /// or its tid; and the footprint of each deferred delete, whose row
+    /// only the site holds.
+    Deferred(DeferredList),
     /// The coordinator's answer: the wave of each update the site
     /// deferred, in the order the site listed them. With `n_waves == 0`
     /// nobody deferred anything and the frame is the cue to cut the batch
@@ -227,6 +240,11 @@ pub enum CtrlMsg {
     /// A site process's first words to the coordinator: what its build
     /// left it.
     Built(BuildPrint),
+    /// The coordinator asks a site for its fragment, between batches. The
+    /// site answers with an [`CtrlMsg::Ops`] frame of inserts, one per row
+    /// it is home to, in tid order. Both ends take the exchange off their
+    /// meters: it reads `D`, it is not `ΔD`'s.
+    Gather,
     /// Tear the site down (end of session).
     Shutdown,
 }
@@ -375,27 +393,72 @@ fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterE
     Ok(CtrlMsg::Ops(tids.into_iter().enumerate().map(op).collect()))
 }
 
+fn get_deferred(r: &mut Reader<'_>) -> Result<DeferredList, ClusterError> {
+    let n = r.count()?;
+    let mut updates = Vec::with_capacity(n);
+    for _ in 0..n {
+        let x = r.varint()?;
+        let pos = u32::try_from(x >> 1).map_err(|_| bad("position out of range"))?;
+        updates.push((pos, x & 1 == 1));
+    }
+    let n = r.count()?;
+    let mut footprints = Vec::with_capacity(n);
+    for _ in 0..n {
+        let k = r.count()?;
+        footprints.push((0..k).map(|_| r.u64()).collect::<Result<_, _>>()?);
+    }
+    Ok(DeferredList {
+        updates,
+        footprints,
+    })
+}
+
+/// Marks as runs: a run is a stretch of one CFD's marks with ascending
+/// tids (a sorted list has one per CFD), its CFD and first tid written as
+/// deltas from the run before, the rest of its tids as gaps.
 fn put_marks(out: &mut Vec<u8>, marks: &[(CfdId, Tid)]) {
-    put_varint(out, marks.len() as u64);
+    let runs = || marks.chunk_by(|a, b| a.0 == b.0 && a.1 < b.1);
+    put_varint(out, runs().count() as u64);
     let (mut prev_c, mut prev_t) = (0i64, 0 as Tid);
-    for &(c, t) in marks {
+    for run in runs() {
+        let (c, first) = run[0];
         put_varint(out, zigzag(i64::from(c) - prev_c));
-        put_varint(out, zigzag(t.wrapping_sub(prev_t) as i64));
-        (prev_c, prev_t) = (i64::from(c), t);
+        put_varint(out, run.len() as u64);
+        put_varint(out, zigzag(first.wrapping_sub(prev_t) as i64));
+        for pair in run.windows(2) {
+            put_varint(out, pair[1].1 - pair[0].1);
+        }
+        (prev_c, prev_t) = (i64::from(c), first);
     }
 }
 
 fn get_marks(r: &mut Reader<'_>) -> Result<Vec<(CfdId, Tid)>, ClusterError> {
-    let n = r.count()?;
-    let mut marks = Vec::with_capacity(n);
+    let runs = r.count()?;
+    let mut marks = Vec::new();
     let (mut prev_c, mut prev_t) = (0i64, 0 as Tid);
-    for _ in 0..n {
+    for _ in 0..runs {
         prev_c = prev_c
             .checked_add(unzigzag(r.varint()?))
             .filter(|c| CfdId::try_from(*c).is_ok())
             .ok_or_else(|| bad("CFD id out of range"))?;
+        // Every tid of the run is at least one byte.
+        let len = r.count()?;
+        if len == 0 {
+            return Err(bad("an empty run of marks"));
+        }
+        marks.reserve(len);
         prev_t = prev_t.wrapping_add(unzigzag(r.varint()?) as u64);
-        marks.push((prev_c as CfdId, prev_t));
+        let c = prev_c as CfdId;
+        let mut t = prev_t;
+        marks.push((c, t));
+        for _ in 1..len {
+            let gap = r.varint()?;
+            t = t
+                .checked_add(gap)
+                .filter(|_| gap > 0)
+                .ok_or_else(|| bad("a tid gap of zero or past the last tid"))?;
+            marks.push((c, t));
+        }
     }
     Ok(marks)
 }
@@ -437,9 +500,15 @@ impl FrameCodec for CtrlMsg {
             CtrlMsg::Take => out.push(CT_TAKE),
             CtrlMsg::Deferred(deferred) => {
                 out.push(CT_DEFERRED);
-                put_varint(out, deferred.len() as u64);
-                for &(pos, writes) in deferred {
+                put_varint(out, deferred.updates.len() as u64);
+                for &(pos, writes) in &deferred.updates {
                     put_varint(out, (u64::from(pos) << 1) | u64::from(writes));
+                }
+                put_varint(out, deferred.footprints.len() as u64);
+                for keys in &deferred.footprints {
+                    put_varint(out, keys.len() as u64);
+                    keys.iter()
+                        .for_each(|k| out.extend_from_slice(&k.to_le_bytes()));
                 }
             }
             CtrlMsg::Waves { n_waves, waves } => {
@@ -487,6 +556,7 @@ impl FrameCodec for CtrlMsg {
                 put_varint(out, print.marks);
                 out.extend_from_slice(&print.digest.0);
             }
+            CtrlMsg::Gather => out.push(CT_GATHER),
             CtrlMsg::Shutdown => out.push(CT_SHUTDOWN),
         }
         out.len() - start
@@ -501,16 +571,7 @@ impl FrameCodec for CtrlMsg {
             CT_TAKE => CtrlMsg::Take,
             CT_DONE => CtrlMsg::WaveDone(get_u32(&mut r)?),
             CT_ADVANCE => CtrlMsg::WaveAdvance(get_u32(&mut r)?),
-            CT_DEFERRED => {
-                let n = r.count()?;
-                let mut deferred = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let x = r.varint()?;
-                    let pos = u32::try_from(x >> 1).map_err(|_| bad("position out of range"))?;
-                    deferred.push((pos, x & 1 == 1));
-                }
-                CtrlMsg::Deferred(deferred)
-            }
+            CT_DEFERRED => CtrlMsg::Deferred(get_deferred(&mut r)?),
             CT_WAVES => {
                 let n_waves = get_u32(&mut r)?;
                 let n = r.count()?;
@@ -546,6 +607,7 @@ impl FrameCodec for CtrlMsg {
                     digest,
                 })
             }
+            CT_GATHER => CtrlMsg::Gather,
             CT_SHUTDOWN => CtrlMsg::Shutdown,
             t => return Err(bad(&format!("unknown tag {t:#x}"))),
         };
@@ -678,18 +740,34 @@ mod tests {
     }
 
     /// A settle handshake: ascending positions with gaps of every varint
-    /// width, and the schedule that answers it.
+    /// width, footprints of no key to many, and the schedule that answers
+    /// it.
     fn handshake_frames(rng: &mut Lcg) -> [CtrlMsg; 2] {
         let mut pos = 0u32;
-        let deferred: Vec<(u32, bool)> = (0..rng.below(30))
+        let updates: Vec<(u32, bool)> = (0..rng.below(30))
             .map(|_| {
                 pos = pos.saturating_add(rng.pick(&[1, 1, 2, 63, 64, 9_000, 1 << 21, 1 << 29]));
                 (pos - 1, rng.below(2) == 1)
             })
             .collect();
+        let footprints = (0..rng.below(updates.len() as u64 + 1))
+            .map(|_| {
+                let n_keys = rng.pick(&[0, 1, 3, 17]);
+                (0..n_keys)
+                    .map(|_| {
+                        let wild = rng.next();
+                        rng.pick(&[0, 1, u64::MAX, wild])
+                    })
+                    .collect()
+            })
+            .collect();
         let n_waves = rng.pick(&[0, 1, 2, 127, 128, u32::MAX]);
         let below = u64::from(n_waves).max(1);
-        let waves = deferred.iter().map(|_| rng.below(below) as u32).collect();
+        let waves = updates.iter().map(|_| rng.below(below) as u32).collect();
+        let deferred = DeferredList {
+            updates,
+            footprints,
+        };
         [
             CtrlMsg::Deferred(deferred),
             CtrlMsg::Waves { n_waves, waves },
@@ -768,13 +846,12 @@ mod tests {
             // Nine ops: the kind bits spill into a second byte.
             CtrlMsg::Ops((0..9).map(|i| Update::Delete(i * i)).collect()),
             CtrlMsg::Take,
-            CtrlMsg::Deferred(Vec::new()),
-            CtrlMsg::Deferred(vec![
-                (0, true),
-                (1, false),
-                (4_095, true),
-                (u32::MAX, false),
-            ]),
+            CtrlMsg::Gather,
+            CtrlMsg::Deferred(DeferredList::default()),
+            CtrlMsg::Deferred(DeferredList {
+                updates: vec![(0, true), (1, false), (4_095, true), (u32::MAX, false)],
+                footprints: vec![vec![], vec![7, u64::MAX, 0]],
+            }),
             CtrlMsg::Waves {
                 n_waves: 0,
                 waves: Vec::new(),
@@ -829,16 +906,23 @@ mod tests {
             }
         }
         // Barriers and acks are two bytes where they were five; a slice
-        // handed over in memory is a tag; a deferred update costs a byte
-        // each way in a steady batch's slice, and eight ops share a kind
-        // byte.
+        // handed over in memory is a tag, and so is a request for a
+        // fragment; a deferred update costs a byte each way in a steady
+        // batch's slice, a deferred delete its footprint besides (a count
+        // and eight bytes a key), and eight ops share a kind byte.
         assert_eq!(encoded(&CtrlMsg::WaveDone(4)).len(), 2);
         assert_eq!(encoded(&CtrlMsg::Take).len(), 1);
+        assert_eq!(encoded(&CtrlMsg::Gather).len(), 1);
         assert_eq!(encoded(&CtrlMsg::AckN(2)).len(), 2);
-        assert_eq!(
-            encoded(&CtrlMsg::Deferred(vec![(3, true), (63, false)])).len(),
-            4
-        );
+        let deferred = |footprints| {
+            let updates = vec![(3, true), (63, false)];
+            encoded(&CtrlMsg::Deferred(DeferredList {
+                updates,
+                footprints,
+            }))
+        };
+        assert_eq!(deferred(vec![]).len(), 5);
+        assert_eq!(deferred(vec![vec![1, 2, 3]]).len(), 5 + 1 + 3 * 8);
         let waves = vec![0, 1];
         assert_eq!(encoded(&CtrlMsg::Waves { n_waves: 2, waves }).len(), 5);
         let deletes = |n| CtrlMsg::Ops((0..n).map(Update::Delete).collect());
@@ -902,6 +986,7 @@ mod tests {
             .collect();
         frames.push(encoded(&CtrlMsg::AckN(1 << 20)));
         frames.push(encoded(&CtrlMsg::Take));
+        frames.push(encoded(&CtrlMsg::Gather));
         frames.push(encoded(&CtrlMsg::WaveAdvance(77)));
         frames.push(encoded(&CtrlMsg::Failed("site 3: ünïcodé".into())));
         let print = BuildPrint {
@@ -1004,6 +1089,43 @@ mod tests {
         put_varint(&mut cfd, zigzag(1 << 32));
         cfd.extend([0; 9]);
         assert!(CtrlMsg::decode_frame(&cfd).is_err());
+        // A run of marks: one run of CFD 0 from tid 5, then `tail`, then
+        // an empty `removed` and no cells, meter or received count.
+        let image = |len: u8, tail: &[u8]| {
+            let mut frame = vec![CT_RESULT, 1, 0, len, zigzag(5) as u8];
+            frame.extend_from_slice(tail);
+            frame.extend([0; 9]);
+            CtrlMsg::decode_frame(&frame)
+        };
+        let marks = |m: CtrlMsg| match m {
+            CtrlMsg::BatchResult(img) => img.added,
+            other => panic!("decoded {other:?}"),
+        };
+        assert_eq!(marks(image(3, &[1, 4]).unwrap()), [(0, 5), (0, 6), (0, 10)]);
+        // A run longer than the bytes left, an empty run, a tid gap of zero
+        // (runs ascend), a tid past `u64::MAX`.
+        let mut long = vec![CT_RESULT, 1, 0];
+        huge(&mut long);
+        long.extend([0; 12]);
+        assert!(CtrlMsg::decode_frame(&long).is_err());
+        assert!(image(0, &[]).is_err());
+        assert!(image(2, &[0]).is_err());
+        let mut past = Vec::new();
+        put_varint(&mut past, u64::MAX - 4);
+        assert!(image(2, &past).is_err());
+        past.clear();
+        put_varint(&mut past, u64::MAX - 6);
+        assert_eq!(marks(image(2, &past).unwrap()), [(0, 5), (0, u64::MAX - 1)]);
+        // A footprint longer than the bytes left, and one cut short.
+        let mut keys = vec![CT_DEFERRED, 0, 1];
+        huge(&mut keys);
+        assert!(CtrlMsg::decode_frame(&keys).is_err());
+        let cut = [CT_DEFERRED, 0, 1, 2];
+        let mut cut = cut.to_vec();
+        cut.extend([7; 15]);
+        assert!(CtrlMsg::decode_frame(&cut).is_err());
+        cut.push(7);
+        assert!(CtrlMsg::decode_frame(&cut).is_ok());
 
         // One long literal referenced over and over must not expand
         // past the budget: 1 literal + 9 references of 100 bytes.

@@ -99,8 +99,14 @@ impl From<ClusterError> for DetectError {
 /// the one error a caller can still cause is an unroutable tuple, which
 /// the horizontal strategies settle next, for the whole batch.
 pub(crate) fn admit(current: &Relation, delta: &UpdateBatch) -> Result<UpdateBatch, DetectError> {
-    let delta = delta.normalize(current);
-    let expected = current.schema().arity();
+    fitted(delta.normalize(current), current.schema())
+}
+
+/// Refuse a normalised batch that inserts a tuple of another arity than
+/// `schema`'s ([`admit`]'s second half, for a detector that normalises
+/// without a copy of `D`).
+pub(crate) fn fitted(delta: UpdateBatch, schema: &Schema) -> Result<UpdateBatch, DetectError> {
+    let expected = schema.arity();
     let misfit = delta
         .insertions()
         .map(Tuple::arity)
@@ -127,11 +133,14 @@ pub(crate) fn positional(cfds: &[Cfd]) -> Result<(), DetectError> {
 /// A maintained violation detector: owns `V(Σ, D)` for some partition
 /// strategy and folds update batches into it.
 ///
-/// All implementations keep a mirror of the logical relation (`current`),
-/// meter every cross-site payload, and guarantee that after `apply`
+/// Every implementation can produce the logical relation (`current`),
+/// meters every cross-site payload, and guarantees that after `apply`
 /// returns, `violations()` equals the centralized ground truth over
 /// `current()` — the incremental ones in `O(|ΔD| + |ΔV|)`, the batch
-/// baselines by recomputation.
+/// baselines by recomputation. The single-process detectors keep `D`
+/// whole; the concurrent runtime keeps each row only at its home site and
+/// gathers `D` when asked
+/// ([`ConcurrentHorizontal`](crate::ConcurrentHorizontal)).
 pub trait Detector {
     /// Partition-strategy name, e.g. `"incVer"` or `"batHor"` (the paper's
     /// algorithm names; used by harness output).
@@ -143,7 +152,8 @@ pub trait Detector {
     /// The rule set `Σ`.
     fn cfds(&self) -> &[Cfd];
 
-    /// Mirror of the logical relation `D` (the join/union of fragments).
+    /// The logical relation `D` (the join/union of fragments): kept, or
+    /// gathered from the sites on demand.
     fn current(&self) -> &Relation;
 
     /// The maintained violation set `V(Σ, D)`.

@@ -617,50 +617,49 @@ impl InFlight {
 }
 
 /// The module docs' build, for a driver to take apart: `n` fresh machines
-/// holding `D₀`'s group and codec state, `D₀` itself, every row's home and
-/// `V(Σ, D₀)`. [`HorizontalDetector`] keeps it whole; the thread-per-site
-/// runtime keeps the relation, the homes and `V` at its coordinator and
+/// holding `D₀`'s group and codec state, and `V(Σ, D₀)`. The rows stay the
+/// caller's: [`HorizontalDetector`] builds over its own clone of `D₀` and
+/// keeps it; the thread-per-site runtime builds over the caller's `D₀` and
 /// moves each machine to its site with the rows it is home to.
 pub(crate) struct Build {
     pub(crate) cfg: SiteConfig,
     pub(crate) sites: Vec<Site>,
-    /// `D₀` under the session's schema: a clone of its store.
-    pub(crate) current: Relation,
-    pub(crate) site_of_tid: FxHashMap<Tid, SiteId>,
     pub(crate) violations: Violations,
 }
 
 impl Build {
-    /// Build over `d` with no transport in existence, so nothing can be
-    /// sent: refuse a catalog whose ids are not its positions, clone `d`'s
-    /// store under `schema` (refusing another arity), then route each row
-    /// and run the two passes (`site::build`). An unroutable row is the
-    /// scheme's [`ClusterError::Routing`].
+    /// Build over the rows of `d` with no transport in existence, so
+    /// nothing can be sent: refuse a catalog whose ids are not its
+    /// positions and a `d` of another arity than `schema`'s, then route
+    /// each row, tell `homed` its tid and home, and run the two passes
+    /// (`site::build`). An unroutable row is the scheme's
+    /// [`ClusterError::Routing`].
     pub(crate) fn new(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
         scheme: &HorizontalScheme,
         d: &Relation,
         codec: CodecKind,
+        mut homed: impl FnMut(Tid, SiteId),
     ) -> Result<Self, DetectError> {
         crate::detector::positional(&cfds)?;
+        let (expected, got) = (schema.arity(), d.schema().arity());
+        if expected != got {
+            return Err(RelError::ArityMismatch { expected, got }.into());
+        }
         let n = scheme.n_sites();
-        let cfg = SiteConfig::new(schema.clone(), cfds, scheme);
-        let current = d.clone_under(schema)?;
+        let cfg = SiteConfig::new(schema, cfds, scheme);
         let mut sites: Vec<Site> = (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect();
         let mut violations = Violations::new(cfg.cfds.len());
-        let mut site_of_tid = FxHashMap::default();
         let home = |t: &Tuple| {
             let home = scheme.route(t)?;
-            site_of_tid.insert(t.tid, home);
+            homed(t.tid, home);
             Ok(home)
         };
-        site::build(&mut sites, &current, home, &mut violations)?;
+        site::build(&mut sites, d, home, &mut violations)?;
         Ok(Build {
             cfg,
             sites,
-            current,
-            site_of_tid,
             violations,
         })
     }
@@ -718,13 +717,17 @@ impl HorizontalDetector {
         codec: CodecKind,
         transport: TransportKind,
     ) -> Result<Self, DetectError> {
+        crate::detector::positional(&cfds)?;
+        let current = d.clone_under(schema.clone())?;
+        let mut site_of_tid = FxHashMap::default();
+        let homed = |tid, home| {
+            site_of_tid.insert(tid, home);
+        };
         let Build {
             cfg,
             sites,
-            current,
-            site_of_tid,
             violations,
-        } = Build::new(schema, cfds, &scheme, d, codec)?;
+        } = Build::new(schema, cfds, &scheme, &current, codec, homed)?;
         // Only now is there a transport: the build cannot send.
         let n = sites.len();
         let net: Box<dyn MsgTransport<HorMsg>> = match transport {

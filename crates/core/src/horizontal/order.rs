@@ -62,7 +62,7 @@ use crate::detector::DetectError;
 use cfd::OpId;
 use cluster::md5::Digest;
 use cluster::SiteId;
-use relation::{FxHashMap, RelError, Tid, Tuple, Update};
+use relation::{FxHashMap, Tid, Tuple, Update};
 
 /// Tables of a holder keep this much room between batches: a `D₀` window
 /// enters thousands of updates, a steady batch a handful.
@@ -309,27 +309,50 @@ impl Deferrals {
 /// batch order, each in the first wave its verdicts against the updates
 /// placed before it allow. Its footprint is the machine's own candidate
 /// list, so the implicit queries a writer's probe raises at a peer never
-/// meet a half-done write there. The scratch is kept between batches —
-/// placing is the one part of a batch no site can overlap with.
+/// meet a half-done write there: an insert's computed here from the
+/// tuple, a delete's by its home, which holds the row. The scratch is kept
+/// between batches — placing is the one part of a batch no site can
+/// overlap with.
 #[derive(Default)]
 pub(crate) struct WavePlanner {
     placed: Ledger,
     sx: OpScratch,
+    /// The footprint of the update being placed.
+    keys: Vec<Key>,
     /// Waves the batch needs so far.
     n_waves: u32,
 }
 
-/// Per site, what its settle pass deferred: slice position and whether the
-/// update writes, ascending.
-pub(crate) type DeferredList = Vec<(u32, bool)>;
+/// What a site's settle pass left for the wave schedule.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DeferredList {
+    /// The slice position of each deferred update, ascending, and whether
+    /// the update writes.
+    pub updates: Vec<(u32, bool)>,
+    /// The footprint keys of each deferred *delete*, in slice order: its
+    /// home read the row, which the coordinator does not keep. (Which
+    /// deferred updates are deletes, the coordinator knows from its batch.)
+    pub footprints: Vec<Vec<u64>>,
+}
 
 impl WavePlanner {
     /// The wave of the deferred update of `t` at `home`.
     pub(crate) fn place(&mut self, cfg: &SiteConfig, home: SiteId, t: &Tuple, writes: bool) -> u32 {
         cfg.candidates(t, &mut self.sx);
-        let keys = || self.sx.footprint();
-        let (_, w) = self.placed.wait(home, t.tid, keys(), || writes);
-        self.placed.enter(Party { home, writes }, w, t.tid, keys());
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend(self.sx.footprint());
+        let w = self.place_keys(home, t.tid, &keys, writes);
+        self.keys = keys;
+        w
+    }
+
+    /// The wave of the deferred update of `tid` at `home` with footprint
+    /// `keys`.
+    fn place_keys(&mut self, home: SiteId, tid: Tid, keys: &[Key], writes: bool) -> u32 {
+        let (_, w) = self.placed.wait(home, tid, keys.iter().copied(), || writes);
+        self.placed
+            .enter(Party { home, writes }, w, tid, keys.iter().copied());
         self.n_waves = self.n_waves.max(w + 1);
         w
     }
@@ -341,35 +364,43 @@ impl WavePlanner {
     }
 
     /// Place a batch: `ops` with their homes, in batch order; `deferred`,
-    /// per site, the positions its slice left; `stored` reads a deferred
-    /// delete's tuple, which no step of the batch has touched yet. The
-    /// number of waves and, per site, the wave of each update it deferred.
+    /// per site, what its settle pass left — a delete's footprint among
+    /// it. The number of waves and, per site, the wave of each update it
+    /// deferred. A list that leaves a deferred delete without a footprint
+    /// is an internal error (the coordinator checks a site's list against
+    /// its slice before it schedules from it).
     pub(crate) fn schedule<'a>(
         &mut self,
         cfg: &SiteConfig,
         ops: impl IntoIterator<Item = (SiteId, &'a Update)>,
         deferred: &[DeferredList],
-        stored: impl Fn(SiteId, Tid) -> Option<Tuple>,
     ) -> Result<(u32, Vec<Vec<u32>>), DetectError> {
         let mut waves: Vec<Vec<u32>> = deferred.iter().map(|_| Vec::new()).collect();
         let mut at = vec![0; deferred.len()];
+        let mut deletes = vec![0; deferred.len()];
         let place_all = || {
             for (home, op) in ops {
                 let pos = at[home];
                 at[home] += 1;
-                let next = deferred[home].get(waves[home].len());
+                let next = deferred[home].updates.get(waves[home].len());
                 let Some(&(_, writes)) = next.filter(|d| d.0 == pos) else {
                     continue;
                 };
                 waves[home].push(match op {
                     Update::Insert(t) => self.place(cfg, home, t, writes),
                     Update::Delete(tid) => {
-                        let t = stored(home, *tid).ok_or(RelError::MissingTid(*tid))?;
-                        self.place(cfg, home, &t, writes)
+                        let i = deletes[home];
+                        deletes[home] += 1;
+                        let Some(keys) = deferred[home].footprints.get(i) else {
+                            let what =
+                                format!("site {home} deferred a delete of {tid} with no footprint");
+                            return Err(DetectError::Internal(what));
+                        };
+                        self.place_keys(home, *tid, keys, writes)
                     }
                 });
             }
-            Ok::<(), DetectError>(())
+            Ok(())
         };
         let placed = place_all();
         // A failed batch ends here too: its footprints must not outlive it.

@@ -735,7 +735,12 @@ impl Site {
     /// which must ship nothing. Every other update is left untouched for
     /// the wave schedule, entered in `held` (which the driver keeps between
     /// batches) and listed: its slice position, and whether it writes or
-    /// is only held behind a deferred update.
+    /// is only held behind a deferred update; a deferred delete also with
+    /// its footprint, read off the row only its home holds.
+    ///
+    /// A delete followed by the insert of its tid as stored — a re-insert
+    /// admitted where no row was at hand to compare it with — is dropped
+    /// whole, as `normalize` drops it where the row is at hand.
     pub(crate) fn settle(
         &mut self,
         slice: &[&Update],
@@ -744,16 +749,29 @@ impl Site {
         held: &mut Deferrals,
     ) -> Result<DeferredList, DetectError> {
         held.clear();
-        let mut deferred = Vec::new();
-        for (pos, &op) in (0..).zip(slice) {
+        let mut deferred = DeferredList::default();
+        let mut ops = (0..).zip(slice).peekable();
+        while let Some((pos, &op)) = ops.next() {
             let (own, tid, me) = (Own::read(op, rows)?, op.tid(), self.me);
+            if let Own::Delete(stored) = &own {
+                let same = |t: &Tuple| t.tid == tid && t.values == stored.values;
+                if ops
+                    .next_if(|(_, next)| matches!(next, Update::Insert(t) if same(t)))
+                    .is_some()
+                {
+                    continue;
+                }
+            }
             self.classify(&own);
             let writes = !self.preserves(&own, |class| held.pending(class));
             let (verdict, _) = held.ledger.wait(me, tid, self.footprint(), || writes);
             if writes || verdict != Verdict::Commutes {
                 let (keys, classes) = (self.sx.footprint(), self.sx.classes(&self.cfg));
                 held.defer(Party { home: me, writes }, tid, keys, own.sign(), classes);
-                deferred.push((pos, writes));
+                deferred.updates.push((pos, writes));
+                if let Own::Delete(_) = own {
+                    deferred.footprints.push(self.sx.footprint().collect());
+                }
             } else {
                 self.begin_classified(own, false, rows, (&mut *v, &mut *dv))?;
             }
@@ -1321,20 +1339,20 @@ mod tests {
                 let held = &mut self.held[i];
                 deferred.push(self.sites[i].settle(slice, rows, sink, held).unwrap());
             }
-            let (cfg, rows) = (self.sites[0].cfg().clone(), &self.rows);
+            let cfg = self.sites[0].cfg().clone();
             let ops = batch.iter().map(|(home, op)| (*home, op));
-            let stored = |home: SiteId, tid| rows[home].get(tid);
-            let schedule = WavePlanner::default().schedule(&cfg, ops, &deferred, stored);
+            let schedule = WavePlanner::default().schedule(&cfg, ops, &deferred);
             let (n_waves, waves) = schedule.unwrap();
             let mut steps: Vec<Vec<Step>> = (0..=n_waves).map(|_| Vec::new()).collect();
             for (home, slice) in slices.iter().enumerate() {
-                let mut listed = deferred[home].iter().map(|d| d.0).peekable();
+                let mut listed = deferred[home].updates.iter().map(|d| d.0).peekable();
                 for (pos, &op) in (0..).zip(slice) {
                     if listed.next_if_eq(&pos).is_none() {
                         steps[0].push((home, op.clone(), false));
                     }
                 }
-                let order = wave_order(home, &deferred[home], n_waves, &waves[home]).unwrap();
+                let listed = &deferred[home].updates;
+                let order = wave_order(home, listed, n_waves, &waves[home]).unwrap();
                 for (w, pos, writes) in order {
                     let op = slice[pos as usize].clone();
                     steps[w as usize + 1].push((home, op, writes));

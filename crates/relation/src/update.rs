@@ -101,7 +101,31 @@ impl UpdateBatch {
     /// * tid present, net effect "replaced by t" → `Delete` then `Insert(t)`
     ///   (a modification);
     /// * no net effect → nothing.
+    ///
+    /// A tid present in `base` that ends "replaced by" a tuple equal to its
+    /// stored one has no net effect.
     pub fn normalize(&self, base: &Relation) -> UpdateBatch {
+        let arity = base.schema().arity();
+        self.normalize_by(
+            |tid| base.contains(tid),
+            |t| {
+                let same = |(a, v)| base.value_at(t.tid, a as crate::AttrId) == Some(v);
+                t.arity() == arity && t.values.iter().enumerate().all(same)
+            },
+        )
+    }
+
+    /// [`normalize`](Self::normalize) against a `D` seen only through two
+    /// tests: `present(tid)` — is `tid` in `D`? — and `unchanged(t)` — does
+    /// `D` hold `t` as it is? The latter is asked only of a present tid's
+    /// final insert. A caller that cannot compare values passes
+    /// `|_| false`: a re-insert of a stored tuple then stays a `Delete`,
+    /// `Insert` pair of one tid, for whoever holds the row to drop.
+    pub fn normalize_by(
+        &self,
+        present: impl Fn(Tid) -> bool,
+        unchanged: impl Fn(&Tuple) -> bool,
+    ) -> UpdateBatch {
         use crate::fx::FxHashMap;
         // Last-writer-wins state per tid, in first-touch order.
         #[derive(Clone)]
@@ -127,32 +151,19 @@ impl UpdateBatch {
         }
         let mut out = UpdateBatch::new();
         for tid in order {
-            let present = base.contains(tid);
+            let present = present(tid);
             match state.remove(&tid).expect("state populated above") {
-                Net::Inserted(t) => {
-                    if present {
-                        // Modification: only emit if the value actually
-                        // changed (compared against the store's borrowed
-                        // values — no materialization).
-                        let unchanged = t.arity() == base.schema().arity()
-                            && t.values
-                                .iter()
-                                .enumerate()
-                                .all(|(a, v)| base.value_at(tid, a as crate::AttrId) == Some(v));
-                        if !unchanged {
-                            out.delete(tid);
-                            out.insert(t);
-                        }
-                    } else {
+                // Modification: only emitted if the value changed.
+                Net::Inserted(t) if present => {
+                    if !unchanged(&t) {
+                        out.delete(tid);
                         out.insert(t);
                     }
                 }
-                Net::Deleted => {
-                    if present {
-                        out.delete(tid);
-                    }
-                    // else: insert+delete of a new tid cancels entirely.
-                }
+                Net::Inserted(t) => out.insert(t),
+                Net::Deleted if present => out.delete(tid),
+                // Insert + delete of a new tid cancels entirely.
+                Net::Deleted => {}
             }
         }
         out
@@ -255,6 +266,51 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.delete(42);
         assert!(b.normalize(&base).is_empty());
+    }
+
+    /// The two tests are all `normalize_by` sees of `D`: presence alone
+    /// decides what cancels, and a present tid's final insert is dropped
+    /// only when `unchanged` says so — asked of nothing else.
+    #[test]
+    fn normalize_by_asks_presence_and_sameness_only() {
+        let present = |tid: Tid| tid < 10;
+        let mut b = UpdateBatch::new();
+        b.insert(tup(1, 0)); // a re-insert of a present tid
+        b.insert(tup(20, 3)); // a new tid
+        b.delete(2);
+        b.insert(tup(21, 4)); // inserted, then deleted: no net effect
+        b.delete(21);
+        b.delete(22); // absent: nothing to delete
+        let asked = std::cell::RefCell::new(Vec::new());
+        let never = |t: &Tuple| {
+            asked.borrow_mut().push(t.tid);
+            false
+        };
+        let n = b.normalize_by(present, never);
+        let want = [
+            Update::Delete(1),
+            Update::Insert(tup(1, 0)),
+            Update::Insert(tup(20, 3)),
+            Update::Delete(2),
+        ];
+        assert_eq!(n.ops(), want);
+        assert_eq!(*asked.borrow(), [1]);
+        // Where `unchanged` holds, the pair goes; the rest stays.
+        let n = b.normalize_by(present, |t| t.tid == 1);
+        assert_eq!(n.ops(), &want[2..]);
+        // `normalize(base)` is the two tests read off `base`.
+        let base = rel_with(&[1, 2]);
+        assert_eq!(b.normalize(&base).ops(), &want[2..]);
+        let mut moved = UpdateBatch::new();
+        moved.insert(tup(1, 5));
+        moved.insert(Tuple::new(2, vec![Value::int(2)]));
+        let n = moved.normalize(&base);
+        let kinds: Vec<_> = n
+            .ops()
+            .iter()
+            .map(|op| (op.tid(), op.is_insert()))
+            .collect();
+        assert_eq!(kinds, [(1, false), (1, true), (2, false), (2, true)]);
     }
 
     #[test]

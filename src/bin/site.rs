@@ -18,7 +18,8 @@
 //!   holds each child's fingerprint to its own build of that site; push
 //!   one fig9-style update batch through the mesh, then check the outcome
 //!   against the single-thread [`HorizontalDetector`] — marks and modeled
-//!   `|M|` must be bit-identical.
+//!   `|M|` must be bit-identical, and `D` as gathered from the children
+//!   (`det.current()`; no process keeps it whole) the reference's.
 //!
 //! ```sh
 //! cargo run --release --bin site -- --cluster 4
@@ -181,6 +182,12 @@ fn run_cluster(args: &Args) -> Result<(), DetectError> {
         det.stats().to_bytes(),
         seq.stats().to_bytes(),
         "modeled |M| must be bit-identical across runtimes"
+    );
+    // No process keeps D whole: `current()` gathers every child's fragment.
+    let (gathered, kept) = (det.current(), seq.current());
+    assert!(
+        gathered.len() == kept.len() && gathered.iter().eq(kept.iter()),
+        "D gathered from the site processes must be the single-thread drive's"
     );
 
     let meter = det.transport_meter();

@@ -356,12 +356,12 @@ fn speedup_points_at_2_and_4_sites() {
     // owed ack rides a protocol frame or flushes alone), and that jitter
     // is a number of bytes, whatever the size of the rest of the traffic.
     for (n_sites, exact, thr_wire, ctrl_overhead) in [
-        (2, [138, 4_886, 6_936, 50, 215], (8_570, 233), (1_640, 94)),
+        (2, [138, 4_886, 6_936, 50, 215], (9_230, 233), (2_294, 94)),
         (
             4,
             [468, 18_738, 25_926, 52, 215],
-            (30_900, 733),
-            (4_980, 214),
+            (31_890, 733),
+            (5_964, 214),
         ),
     ] {
         let within = |got: u64, (pin, tolerance): (u64, u64)| got.abs_diff(pin) <= tolerance;

@@ -105,9 +105,32 @@ fn site_binary_cluster_mode_self_checks() {
     assert!(stdout.contains("all children exited cleanly"), "{stdout}");
 }
 
+/// The same rows, tid for tid.
+fn same_rows(a: &Relation, b: &Relation) -> bool {
+    a.len() == b.len() && a.iter().eq(b.iter())
+}
+
+/// A batch over `d` that changes one row and no other: three rows
+/// re-inserted as stored, one modified into another row's values, and a
+/// fresh tid inserted and deleted again.
+fn reinserts_around_a_modification(d: &Relation) -> UpdateBatch {
+    let rows: Vec<Tuple> = d.iter().take(5).collect();
+    let mut b = UpdateBatch::new();
+    b.insert(rows[0].clone());
+    b.insert(Tuple::new(rows[3].tid, rows[4].values.to_vec()));
+    b.insert(rows[1].clone());
+    b.insert(Tuple::new(u64::from(u32::MAX), rows[4].values.to_vec()));
+    b.insert(rows[2].clone());
+    b.delete(u64::from(u32::MAX));
+    b
+}
+
 /// Three-way differential at 4 sites: multi-process vs thread-per-site
-/// vs single-thread — identical `V`, bit-identical modeled `|M|`, and
-/// the same deterministic wave count across both concurrent runtimes.
+/// vs single-thread — identical `V` and `D` (gathered from the sites
+/// after every batch), bit-identical modeled `|M|`, and the same
+/// deterministic wave count across both concurrent runtimes; a second
+/// batch of re-inserts of stored rows around one modification, which the
+/// sites drop, changes none of it.
 #[test]
 fn multi_process_matches_threaded_and_sequential() {
     const N: usize = 4;
@@ -168,6 +191,23 @@ fn multi_process_matches_threaded_and_sequential() {
     );
     assert_eq!(mp.waves(), thr.waves(), "wave schedule is deterministic");
     assert!(mp.transport_meter().wire_bytes > mp.stats().total_bytes());
+    assert!(same_rows(mp.current(), seq.current()), "D over processes");
+    assert!(same_rows(thr.current(), seq.current()), "D over threads");
+
+    let again = reinserts_around_a_modification(seq.current());
+    let dv = seq.apply(&again).expect("sequential apply");
+    assert_eq!(mp.apply(&again).expect("apply over processes"), dv);
+    assert_eq!(thr.apply(&again).expect("apply over threads"), dv);
+    assert_eq!(
+        mp.violations().marks_sorted(),
+        seq.violations().marks_sorted(),
+        "processes vs single thread, re-inserts"
+    );
+    assert_eq!(mp.stats().to_bytes(), seq.stats().to_bytes(), "re-inserts");
+    assert_eq!(thr.stats().to_bytes(), seq.stats().to_bytes(), "re-inserts");
+    assert_eq!(mp.waves(), thr.waves(), "re-inserts");
+    assert!(same_rows(mp.current(), seq.current()), "D over processes");
+    assert!(same_rows(thr.current(), seq.current()), "D over threads");
 
     drop(mp); // broadcasts shutdown to the children
     reap(children);

@@ -21,7 +21,7 @@ use cluster::netstats::Counters;
 use cluster::TransportMeter;
 use inc_cfd::prelude::*;
 use incdetect::baselines::{BatMsg, ColsMsg};
-use incdetect::HybridScheme;
+use incdetect::{ConcurrentHorizontal, HybridScheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workload::dblp::{self, DblpConfig};
@@ -188,7 +188,10 @@ fn cells(stats: &NetStats) -> Vec<Counters> {
 /// The socket transport: the same protocol over real localhost TCP
 /// connections (per-site reader threads), byte-for-byte metered — and
 /// byte for byte what the in-process framed channels write, link by
-/// link, since both are the same nodes driven by one thread.
+/// link, since both are the same nodes driven by one thread. The
+/// thread-per-site runtime over the same sockets computes the same `ΔV`
+/// and modeled matrix, and the `D` it gathers from its sites after every
+/// batch is the stream's.
 #[test]
 fn tcp_transport_runs_the_protocol_end_to_end() {
     let cfg = DblpConfig {
@@ -207,6 +210,8 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
     let mut mirror = d0.clone();
     let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
     let mut framed = HorizontalDetector::new(s, c, scheme.clone(), &d0, dict, framed).unwrap();
+    let (s, c, tcp) = (schema.clone(), cfds.clone(), TransportKind::Tcp);
+    let mut thr = ConcurrentHorizontal::threaded(s, c, scheme.clone(), &d0, dict, tcp).unwrap();
     let sim = TransportKind::Simulated;
     let mut sim = HorizontalDetector::new(schema, cfds, scheme, &d0, dict, sim).unwrap();
     let fresh = dblp::generate_fresh(&cfg, 9_000_000, 60, 5);
@@ -231,6 +236,15 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
         assert_eq!(cells(wire), cells(framed_wire), "round {round}");
         sim.apply(&delta).expect("apply simulated");
         delta.normalize(&mirror).apply(&mut mirror).unwrap();
+        assert_eq!(
+            thr.apply(&delta).expect("apply threaded"),
+            dv,
+            "round {round}"
+        );
+        assert_eq!(cells(thr.stats()), cells(det.stats()), "round {round}");
+        let gathered = thr.current();
+        assert_eq!(gathered.len(), mirror.len(), "round {round}");
+        assert!(gathered.iter().eq(mirror.iter()), "round {round}");
     }
     let oracle = cfd::naive::detect(det.cfds(), &mirror);
     assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
