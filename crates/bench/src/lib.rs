@@ -720,18 +720,23 @@ pub fn speedup_point(
         thr.violations().marks_sorted(),
         "sequential and threaded drives must agree at {n_sites} sites"
     );
+    let (seq_m, thr_m) = (seq.meters(), thr.meters());
     assert_eq!(
-        seq.stats().to_bytes(),
-        thr.stats().to_bytes(),
+        seq_m.modeled.to_bytes(),
+        thr_m.modeled.to_bytes(),
         "modeled |M| must be bit-identical at {n_sites} sites"
     );
     let model = CostModel::default();
-    let seq_wire = seq.wire_stats().expect("the TCP drive meters wire bytes");
+    assert!(
+        seq.net().measured().is_some(),
+        "the TCP drive meters wire bytes"
+    );
+    let seq_wire = &seq_m.wire;
     Ok(SpeedupPoint {
-        modeled_bytes: seq.stats().total_bytes(),
-        messages: seq.stats().total_messages(),
+        modeled_bytes: seq_m.modeled.total_bytes(),
+        messages: seq_m.modeled.total_messages(),
         seq_wire_bytes: seq_wire.total_bytes(),
-        thr_wire_bytes: thr.wire_stats().total_bytes(),
+        thr_wire_bytes: thr_m.wire.total_bytes(),
         waves: thr.waves(),
         marks: seq.violations().marks_sorted().len() as u64,
         seq_wall_s,
@@ -739,7 +744,7 @@ pub fn speedup_point(
         seq_elapsed_s: seq_wall_s + model.serialized_seconds(seq_wire),
         thr_elapsed_s: thr_wall_s
             + 2.0 * thr.waves() as f64 * model.latency_s
-            + model.pipelined_seconds(thr.wire_stats()),
+            + model.pipelined_seconds(&thr_m.wire),
     })
 }
 

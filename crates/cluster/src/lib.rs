@@ -3,14 +3,16 @@
 //! The paper evaluates on an Amazon EC2 cluster with one fragment per
 //! instance. This crate is the substitution the README's "Reproducing §7"
 //! section describes: sites are in-process fragment holders and *every*
-//! cross-site payload flows through a [`Network`] that meters messages,
-//! bytes and eqid shipments per `(src, dst)` pair. A configurable [`CostModel`] converts the meter into a
+//! cross-site payload flows through a substrate that meters messages,
+//! bytes and eqid shipments per `(src, dst)` pair into one [`Meters`]
+//! block. A configurable [`CostModel`] converts the meter into a
 //! *simulated network time*, so experiments can report both wall-clock time
 //! and the communication-dominated elapsed time the paper measures.
 //!
 //! Modules:
 //!
-//! * [`netstats`] — counters and the cost model,
+//! * [`netstats`] — counters, the [`Meters`] block every substrate and
+//!   detector accumulates into, and the cost model,
 //! * [`transport`] — the generic, synchronous, metered message network,
 //!   and the [`MsgTransport`] abstraction real byte backends plug into,
 //! * [`net`] — the **real byte-level transport**: length-prefixed framing
@@ -43,7 +45,7 @@ pub mod transport;
 
 pub use codec::{CodecKind, PayloadCodec, ReceiverCodec, WireValue};
 pub use net::{ByteNetwork, Compression, FrameCodec, TransportKind, TransportMeter};
-pub use netstats::{CostModel, NetReport, NetStats};
+pub use netstats::{CostModel, Meters, NetReport, NetStats};
 pub use transport::{DictMeter, MsgTransport, Network, Wire};
 
 /// Identifier of a site `S_i`. Sites are numbered `0..n`.

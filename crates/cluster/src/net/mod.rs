@@ -8,9 +8,10 @@
 //! real `TcpListener`/`TcpStream` sockets ([`tcp`]) between the nodes of
 //! [`crate::run`], and the receiving site reconstructs the message from
 //! nothing but the received bytes. [`ByteNetwork`] is those `n` nodes
-//! driven by one thread; it meters both quantities side by side — the
-//! modeled `|M|` (identical accounting to [`crate::Network`]) and the
-//! measured on-wire bytes — so the tests can hold the model to the wire.
+//! driven by one thread; its one [`Meters`] block holds both quantities
+//! side by side — the modeled `|M|` (identical accounting to
+//! [`crate::Network`]) and the measured on-wire bytes — so the tests can
+//! hold the model to the wire.
 //!
 //! # Accounting identity
 //!
@@ -32,8 +33,8 @@ pub mod bytes;
 pub mod frame;
 pub mod tcp;
 
-use crate::run::{self, Meters, Node};
-use crate::{lz, ClusterError, MsgTransport, NetStats, SiteId, Wire};
+use crate::run::{self, Node};
+use crate::{lz, ClusterError, Meters, MsgTransport, SiteId, Wire};
 use frame::{FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
 
 pub use tcp::{join_mesh, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
@@ -164,7 +165,8 @@ pub struct ByteNetwork<M> {
     nodes: Vec<Node>,
     /// Frames in flight per `(src, dst)`.
     pending: Vec<Vec<usize>>,
-    /// Every node's sends, metered here rather than at the node.
+    /// Every node's sends and receives, metered here rather than at the
+    /// node.
     meters: Meters,
     _msg: std::marker::PhantomData<fn() -> M>,
 }
@@ -187,7 +189,7 @@ impl<M: FrameCodec> ByteNetwork<M> {
         ByteNetwork {
             nodes,
             pending: vec![vec![0; n]; n],
-            meters: Meters::new(n),
+            meters: Meters::framed(n),
             _msg: std::marker::PhantomData,
         }
     }
@@ -207,20 +209,15 @@ impl<M: FrameCodec> ByteNetwork<M> {
         self.nodes.len()
     }
 
-    /// Modeled `|M|` statistics (same accounting as [`crate::Network`]).
-    pub fn stats(&self) -> &NetStats {
-        &self.meters.stats
-    }
-
-    /// Measured on-wire statistics: per-link frame counts and actual
-    /// bytes including framing.
-    pub fn wire_stats(&self) -> &NetStats {
-        &self.meters.wire
+    /// Every node's sends and receives: modeled `|M|` (same accounting as
+    /// [`crate::Network`]) beside the measured on-wire bytes.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Whole-run transport counters.
     pub fn meter(&self) -> TransportMeter {
-        self.meters.meter
+        self.meters.transport
     }
 
     /// Ship `msg` from `src` to `dst` as a real frame ([`Node::send`]).
@@ -229,7 +226,7 @@ impl<M: FrameCodec> ByteNetwork<M> {
             .nodes
             .get_mut(src)
             .ok_or(ClusterError::UnknownSite(src))?;
-        node.send_into(dst, &msg, &mut self.meters)?;
+        node.metered_into(&mut self.meters, |node| node.send(dst, &msg))?;
         self.pending[src][dst] += 1;
         Ok(())
     }
@@ -254,16 +251,20 @@ impl<M: FrameCodec> ByteNetwork<M> {
         // error mid-drain leaves the bookkeeping matching what is still
         // queued: unread frames stay pending, consumed frames don't.
         let mut out = Vec::with_capacity(total);
-        for _ in 0..total {
-            let (src, method, body) = self.nodes[site].recv()?;
-            let pending = &mut self.pending[src][site];
-            *pending = pending.checked_sub(1).ok_or_else(|| {
-                ClusterError::Transport(format!(
-                    "unexpected frame from site {src} (nothing in flight)"
-                ))
-            })?;
-            out.push((src, decode_body(method, body)?));
-        }
+        let pending = &mut self.pending;
+        self.nodes[site].metered_into(&mut self.meters, |node| {
+            for _ in 0..total {
+                let (src, method, body) = node.recv()?;
+                let pending = &mut pending[src][site];
+                *pending = pending.checked_sub(1).ok_or_else(|| {
+                    ClusterError::Transport(format!(
+                        "unexpected frame from site {src} (nothing in flight)"
+                    ))
+                })?;
+                out.push((src, decode_body(method, body)?));
+            }
+            Ok::<_, ClusterError>(())
+        })?;
         // Arrival interleaves the senders; a stable sort restores sender
         // order and keeps each sender's FIFO.
         out.sort_by_key(|&(src, _)| src);
@@ -302,16 +303,8 @@ impl<M: FrameCodec> MsgTransport<M> for ByteNetwork<M> {
         busy.find(|&(.., k)| k > 0)
     }
 
-    fn stats(&self) -> &NetStats {
-        ByteNetwork::stats(self)
-    }
-
-    fn wire_stats(&self) -> Option<&NetStats> {
-        Some(ByteNetwork::wire_stats(self))
-    }
-
-    fn transport_meter(&self) -> Option<TransportMeter> {
-        Some(self.meter())
+    fn meters(&self) -> &Meters {
+        ByteNetwork::meters(self)
     }
 
     fn reset_stats(&mut self) {
@@ -391,16 +384,16 @@ mod tests {
             assert_eq!(net.try_drain(0).unwrap(), vec![(2, Nums(vec![7]))]);
             assert!(net.quiescent());
             // Modeled |M| matches the simulated network's accounting…
-            assert_eq!(net.stats().total_bytes(), 8 * 8);
-            assert_eq!(net.stats().total_eqids(), 8);
-            assert_eq!(net.stats().pair(0, 2).messages, 2);
+            assert_eq!(net.meters().modeled.total_bytes(), 8 * 8);
+            assert_eq!(net.meters().modeled.total_eqids(), 8);
+            assert_eq!(net.meters().modeled.pair(0, 2).messages, 2);
             // …and the constructive identity holds.
             let m = net.meter();
             assert_eq!(m.frames, 5);
             assert_eq!(m.saved_bytes, 0);
             assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
-            assert_eq!(net.wire_stats().total_bytes(), m.wire_bytes);
-            assert_eq!(net.wire_stats().pair(0, 2).bytes, 9 + 24 + 9 + 16);
+            assert_eq!(net.meters().wire.total_bytes(), m.wire_bytes);
+            assert_eq!(net.meters().wire.pair(0, 2).bytes, 9 + 24 + 9 + 16);
             // Structural = per-frame header+method (5) + the u32 count (4).
             assert_eq!(m.structural_bytes, 5 * (5 + 4));
         }
@@ -433,7 +426,10 @@ mod tests {
         assert_eq!(lz.try_drain(1).unwrap(), vec![(0, repetitive.clone())]);
         assert_eq!(plain.try_drain(1).unwrap(), vec![(0, repetitive)]);
         // Same model, smaller wire.
-        assert_eq!(lz.stats().total_bytes(), plain.stats().total_bytes());
+        assert_eq!(
+            lz.meters().modeled.total_bytes(),
+            plain.meters().modeled.total_bytes()
+        );
         let (pm, lm) = (plain.meter(), lz.meter());
         assert!(lm.saved_bytes > 0);
         assert!(lm.wire_bytes < pm.wire_bytes / 4, "{lm:?} vs {pm:?}");
@@ -570,10 +566,14 @@ mod tests {
         for mut net in both::<Nums>(2) {
             net.send(0, 1, Nums(vec![7])).unwrap();
             net.try_drain(1).unwrap();
+            assert_eq!(net.meters().received, net.meter().wire_bytes);
             net.reset_stats();
+            assert_eq!(net.meters().received, 0, "received resets too");
+            let report = net.meters().report("net");
+            assert_eq!(report.measured_bytes(), Some(0), "still framed");
             assert_eq!(net.meter(), TransportMeter::default());
-            assert_eq!(net.stats().total_bytes(), 0);
-            assert_eq!(net.wire_stats().total_messages(), 0);
+            assert_eq!(net.meters().modeled.total_bytes(), 0);
+            assert_eq!(net.meters().wire.total_messages(), 0);
         }
     }
 }

@@ -10,9 +10,16 @@
 //! * eqids — how many equivalence-class ids were shipped (the unit Exp-5 /
 //!   Fig. 10 reports).
 //!
+//! [`Meters`] is the one block every substrate, detector and baseline
+//! accumulates its traffic into: modeled `|M|` and measured bytes per
+//! link, the [`TransportMeter`] and the received bytes. Its
+//! [`report`](Meters::report) is the only place a single-tier
+//! [`NetReport`] is built.
+//!
 //! [`CostModel`] turns the counters into a simulated elapsed time so that
 //! experiment output exhibits the paper's communication-dominated shape.
 
+use crate::net::TransportMeter;
 use crate::SiteId;
 
 /// Counters for one direction of one site pair.
@@ -159,11 +166,12 @@ impl NetStats {
 ///
 /// Detectors differ in how many *tiers* of communication they meter: the
 /// single-tier vertical/horizontal detectors and the batch baselines have
-/// one [`NetStats`], while the hybrid detector meters inter-region protocol
-/// traffic and intra-region digest assembly separately. `NetReport` is the
-/// uniform shape the `Detector::net()` trait method returns, so harnesses
-/// roll up bytes/messages/eqids and simulated time without knowing which
-/// strategy produced them.
+/// one, built by [`Meters::report`], while the hybrid detector adds its
+/// intra-region digest assembly and a suite session its inclusion probes
+/// ([`with_tier`](Self::with_tier)). `NetReport` is the uniform shape the
+/// `Detector::net()` trait method returns, so harnesses roll up
+/// bytes/messages/eqids and simulated time without knowing which strategy
+/// produced them.
 ///
 /// Tiers represent *sequential* protocol phases of the same logical
 /// operation (assembly feeds the inter-region rounds), so the time
@@ -182,14 +190,10 @@ pub struct NetReport {
 }
 
 impl NetReport {
-    /// Report with explicit named tiers.
-    pub fn from_tiers(tiers: Vec<(String, NetStats)>) -> Self {
-        assert!(!tiers.is_empty(), "a report needs at least one tier");
-        NetReport {
-            tiers,
-            codec: None,
-            measured: None,
-        }
+    /// Append a tier after the existing ones.
+    pub fn with_tier(mut self, label: impl Into<String>, stats: NetStats) -> Self {
+        self.tiers.push((label.into(), stats));
+        self
     }
 
     /// Label the report with the payload codec its traffic was encoded
@@ -204,12 +208,6 @@ impl NetReport {
         self.codec.as_deref()
     }
 
-    /// Attach the measured on-wire statistics of a real byte transport.
-    pub fn with_measured(mut self, measured: NetStats) -> Self {
-        self.measured = Some(measured);
-        self
-    }
-
     /// Measured on-wire statistics, if the session shipped real bytes.
     pub fn measured(&self) -> Option<&NetStats> {
         self.measured.as_ref()
@@ -219,20 +217,6 @@ impl NetReport {
     /// shipped.
     pub fn measured_bytes(&self) -> Option<u64> {
         self.measured.as_ref().map(NetStats::total_bytes)
-    }
-
-    /// Single-tier report (vertical/horizontal detectors, batch baselines).
-    pub fn single(stats: NetStats) -> Self {
-        Self::from_tiers(vec![("net".to_string(), stats)])
-    }
-
-    /// Two-tier report (the hybrid detector: §6 protocol between region
-    /// gateways plus digest assembly within regions).
-    pub fn two_tier(inter: NetStats, intra: NetStats) -> Self {
-        Self::from_tiers(vec![
-            ("inter".to_string(), inter),
-            ("intra".to_string(), intra),
-        ])
     }
 
     /// All tiers, in protocol order.
@@ -276,6 +260,81 @@ impl NetReport {
             .iter()
             .map(|(_, s)| model.pipelined_seconds(s))
             .sum()
+    }
+}
+
+/// Everything metered of one traffic source: a node's sends and receives,
+/// a whole mesh's, a detector's or a batch run's. Blocks of the same
+/// cluster size [`merge`](Self::merge) into the picture of both.
+///
+/// Whether the block has a measured tier is fixed by the substrate that
+/// fills it: the typed [`crate::Network`] writes no bytes
+/// ([`Meters::modeled`]), every [`crate::run::Node`] does
+/// ([`Meters::framed`]). A framed block obeys the [`TransportMeter`]
+/// identity, and once its mesh is at rest `received` equals
+/// `transport.wire_bytes`: every byte written was read.
+#[derive(Debug, Clone)]
+pub struct Meters {
+    /// Modeled `|M|` per link.
+    pub modeled: NetStats,
+    /// Measured on-wire bytes per link, framing included (one message per
+    /// frame, control frames too).
+    pub wire: NetStats,
+    /// Whole-run transport counters.
+    pub transport: TransportMeter,
+    /// Wire bytes, framing included, of the frames taken off an inbox.
+    pub received: u64,
+    /// Whether frames filled this block (it then has a measured tier).
+    framed: bool,
+}
+
+impl Meters {
+    /// A block for `n` sites that only the model fills: no measured tier.
+    pub fn modeled(n: usize) -> Self {
+        Meters {
+            modeled: NetStats::new(n),
+            wire: NetStats::new(n),
+            transport: TransportMeter::default(),
+            received: 0,
+            framed: false,
+        }
+    }
+
+    /// A block for `n` sites that real frames fill: its report carries
+    /// `wire` as the measured tier.
+    pub fn framed(n: usize) -> Self {
+        Meters {
+            framed: true,
+            ..Meters::modeled(n)
+        }
+    }
+
+    /// Zero every counter; the substrate stays what it was.
+    pub fn reset(&mut self) {
+        self.modeled.reset();
+        self.wire.reset();
+        self.transport = TransportMeter::default();
+        self.received = 0;
+    }
+
+    /// Add `other`'s counters to this block's. The sum has a measured tier
+    /// if either part had one.
+    pub fn merge(&mut self, other: &Meters) {
+        self.modeled.merge(&other.modeled);
+        self.wire.merge(&other.wire);
+        self.transport.merge(&other.transport);
+        self.received += other.received;
+        self.framed |= other.framed;
+    }
+
+    /// The single-tier report of this block: `modeled` as the tier named
+    /// `tier`, and `wire` as the measured traffic if frames filled it.
+    pub fn report(&self, tier: &str) -> NetReport {
+        NetReport {
+            tiers: vec![(tier.to_string(), self.modeled.clone())],
+            codec: None,
+            measured: self.framed.then(|| self.wire.clone()),
+        }
     }
 }
 
@@ -361,44 +420,54 @@ mod tests {
 
     #[test]
     fn net_report_rolls_up_tiers() {
-        let mut inter = NetStats::new(3);
-        inter.record(0, 1, 100, 2);
+        let mut inter = Meters::modeled(3);
+        inter.modeled.record(0, 1, 100, 2);
         let mut intra = NetStats::new(6);
         intra.record(3, 4, 50, 0);
         intra.record(5, 4, 30, 1);
-        let r = NetReport::two_tier(inter.clone(), intra);
+        let r = inter.report("inter").with_tier("intra", intra);
         assert_eq!(r.total_bytes(), 180);
         assert_eq!(r.total_messages(), 3);
         assert_eq!(r.total_eqids(), 3);
         assert_eq!(r.tier("inter").unwrap().total_bytes(), 100);
         assert!(r.tier("missing").is_none());
         let m = CostModel::default();
-        let single = NetReport::single(inter.clone());
-        assert_eq!(single.simulated_seconds(&m), m.simulated_seconds(&inter));
+        let single = inter.report("net");
+        assert_eq!(
+            single.simulated_seconds(&m),
+            m.simulated_seconds(&inter.modeled)
+        );
         assert!(r.simulated_seconds(&m) > single.simulated_seconds(&m));
         assert!(r.pipelined_seconds(&m) > 0.0);
     }
 
     #[test]
     fn net_report_carries_codec_label() {
-        let r = NetReport::single(NetStats::new(2));
+        let r = Meters::modeled(2).report("net");
         assert_eq!(r.codec(), None, "unlabeled by default");
         let r = r.with_codec("dict");
         assert_eq!(r.codec(), Some("dict"));
-        let two = NetReport::two_tier(NetStats::new(2), NetStats::new(4)).with_codec("md5");
+        let two = Meters::modeled(2).report("inter");
+        let two = two.with_tier("intra", NetStats::new(4)).with_codec("md5");
         assert_eq!(two.codec(), Some("md5"));
     }
 
+    /// A block the typed network filled reports no measured tier; a framed
+    /// one reports exactly its `wire`, even before anything was sent.
     #[test]
     fn net_report_carries_measured_wire_stats() {
-        let r = NetReport::single(NetStats::new(2));
+        let r = Meters::modeled(2).report("net");
         assert!(r.measured().is_none(), "simulated sessions have no wire");
         assert_eq!(r.measured_bytes(), None);
-        let mut wire = NetStats::new(2);
-        wire.record(0, 1, 150, 0); // framing included
-        let r = r.with_measured(wire);
+        let mut framed = Meters::framed(2);
+        assert_eq!(framed.report("net").measured_bytes(), Some(0));
+        framed.wire.record(0, 1, 150, 0); // framing included
+        framed.modeled.record(0, 1, 140, 0);
+        let r = framed.report("net");
         assert_eq!(r.measured_bytes(), Some(150));
+        assert_eq!(r.measured().unwrap().to_bytes(), framed.wire.to_bytes());
         assert_eq!(r.measured().unwrap().total_messages(), 1);
+        assert_eq!(r.total_bytes(), 140);
     }
 
     #[test]

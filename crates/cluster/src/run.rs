@@ -19,8 +19,8 @@
 //!
 //! Each node meters its *sends* — modeled `|M|`, measured wire bytes,
 //! and the transport-meter identity `wire == modeled + structural −
-//! saved` — into node-local [`NetStats`] matrices; merging every node's
-//! meters gives the whole mesh's picture. Protocol messages go through
+//! saved` — into its own [`Meters`] block ([`Node::meters`]); merging
+//! every node's block gives the whole mesh's picture. Protocol messages go through
 //! [`Node::send`]; runtime control traffic (acks, wave barriers, op
 //! shipments) goes through [`Node::send_ctrl`], which is framed and
 //! wire-metered identically but contributes **zero** modeled `|M|` and
@@ -30,9 +30,8 @@
 //! session's [`Compression`] (receivers dispatch on the method byte
 //! either way); the savings land in `saved_bytes`, so the identity
 //! holds with packed control frames in the mix. Each node also counts
-//! the wire bytes of the frames it *receives*
-//! ([`Node::received_bytes`]) — summed over a mesh at rest, that is
-//! every byte the senders metered.
+//! the wire bytes of the frames it *receives* (`Meters::received`) —
+//! summed over a mesh at rest, that is every byte the senders metered.
 //!
 //! # Flush before you park
 //!
@@ -56,8 +55,8 @@ use crate::net::frame::{
     FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED,
 };
 use crate::net::tcp::{self, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
-use crate::net::{decode_body, Compression, FrameCodec, TransportMeter};
-use crate::{lz, ClusterError, NetStats, SiteId};
+use crate::net::{decode_body, Compression, FrameCodec};
+use crate::{lz, ClusterError, Meters, SiteId};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
@@ -85,34 +84,8 @@ enum TxSide {
     Tcp(Vec<Option<TcpLink>>),
 }
 
-/// What a node meters of its sends.
-#[derive(Debug)]
-pub(crate) struct Meters {
-    /// Modeled `|M|` (a node fills its own row).
-    pub(crate) stats: NetStats,
-    /// Measured on-wire bytes, framing included.
-    pub(crate) wire: NetStats,
-    pub(crate) meter: TransportMeter,
-}
-
-impl Meters {
-    pub(crate) fn new(n: usize) -> Self {
-        Meters {
-            stats: NetStats::new(n),
-            wire: NetStats::new(n),
-            meter: TransportMeter::default(),
-        }
-    }
-
-    pub(crate) fn reset(&mut self) {
-        self.stats.reset();
-        self.wire.reset();
-        self.meter = TransportMeter::default();
-    }
-}
-
 /// One site's endpoint in an `n`-node mesh: write halves to every peer,
-/// a blocking inbox of inbound frames, and send-side meters. `Send` —
+/// a blocking inbox of inbound frames, and its meters. `Send` —
 /// hand each node to its thread (or build one per process).
 #[derive(Debug)]
 pub struct Node {
@@ -123,9 +96,8 @@ pub struct Node {
     /// TCP reader threads for this node's inbound links (joined on drop).
     _guard: Option<ReaderGuard>,
     compression: Compression,
+    /// Its sends (a node fills its own row) and the bytes it received.
     meters: Meters,
-    /// Wire bytes of the frames taken off the inbox, framing included.
-    received: u64,
     scratch: Vec<u8>,
 }
 
@@ -144,8 +116,7 @@ impl Node {
             rx,
             _guard: guard,
             compression: Compression::default(),
-            meters: Meters::new(n),
-            received: 0,
+            meters: Meters::framed(n),
             scratch: Vec::new(),
         }
     }
@@ -185,24 +156,23 @@ impl Node {
         let try_lz = self.compression == Compression::Lz;
         self.ship(dst, msg.wire_size(), structural, try_lz)?;
         self.meters
-            .stats
+            .modeled
             .record(self.me, dst, msg.wire_size(), msg.eqid_count());
         Ok(())
     }
 
-    /// [`send`](Node::send), metered into `meters` instead of this node's
-    /// own: how a caller that owns every node keeps merged meters at O(1) per
-    /// send (the matrices are swapped in and out, never added).
-    pub(crate) fn send_into<M: FrameCodec>(
+    /// Run `f` on this node with `meters` in place of its own: how a
+    /// caller that owns every node keeps one merged block at O(1) per send
+    /// or receive (the blocks are swapped in and out, never added).
+    pub(crate) fn metered_into<T>(
         &mut self,
-        dst: SiteId,
-        msg: &M,
         meters: &mut Meters,
-    ) -> Result<(), ClusterError> {
+        f: impl FnOnce(&mut Node) -> T,
+    ) -> T {
         std::mem::swap(&mut self.meters, meters);
-        let sent = self.send(dst, msg);
+        let out = f(self);
         std::mem::swap(&mut self.meters, meters);
-        sent
+        out
     }
 
     /// Ship a **control** frame: framed and wire-metered like any other
@@ -282,9 +252,8 @@ impl Node {
         }
         let wire_len = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len();
         self.meters.wire.record(me, dst, wire_len, 0);
-        self.meters
-            .meter
-            .record_frame(modeled, structural, body.len());
+        let transport = &mut self.meters.transport;
+        transport.record_frame(modeled, structural, body.len());
         Ok(())
     }
 
@@ -303,7 +272,7 @@ impl Node {
     fn accept(&mut self, (src, frame): Inbound) -> Result<Frame, ClusterError> {
         let (method, body) = frame
             .map_err(|e| ClusterError::Transport(format!("link from node {src} failed: {e}")))?;
-        self.received += (FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len()) as u64;
+        self.meters.received += (FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len()) as u64;
         Ok((src, method, body))
     }
 
@@ -358,31 +327,15 @@ impl Node {
         Ok((src, decode_body(method, body)?))
     }
 
-    /// Modeled `|M|` of this node's sends.
-    pub fn stats(&self) -> &NetStats {
-        &self.meters.stats
-    }
-
-    /// Measured on-wire bytes of this node's sends.
-    pub fn wire_stats(&self) -> &NetStats {
-        &self.meters.wire
-    }
-
-    /// This node's transport counters.
-    pub fn meter(&self) -> TransportMeter {
-        self.meters.meter
-    }
-
-    /// Wire bytes (framing included) of every frame this node has taken
-    /// off its inbox — the receive-side twin of `meter().wire_bytes`.
-    pub fn received_bytes(&self) -> u64 {
-        self.received
+    /// What this node metered: its sends, in its own row, and the frames
+    /// it took off its inbox.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Reset this node's meters.
     pub fn reset_stats(&mut self) {
         self.meters.reset();
-        self.received = 0;
     }
 }
 
@@ -428,8 +381,8 @@ pub fn join(n: usize, me: SiteId, base_port: u16) -> Result<Node, ClusterError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::bytes;
-    use crate::Wire;
+    use crate::net::{bytes, ByteNetwork, TransportMeter};
+    use crate::{NetStats, Wire};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Nums(Vec<u64>);
@@ -505,17 +458,17 @@ mod tests {
         // Meters merge to the whole-mesh picture. Every frame is one
         // two-`u64` message each way per worker: 16 modeled bytes, 4 of
         // item count and 5 of frame header and method byte.
-        let mut stats = hub.stats().clone();
-        let mut wire = hub.wire_stats().clone();
-        let mut meter = hub.meter();
-        let mut received = hub.received_bytes();
+        let mut meters = hub.meters().clone();
         for w in workers {
-            let w = w.join().unwrap();
-            stats.merge(w.stats());
-            wire.merge(w.wire_stats());
-            meter.merge(&w.meter());
-            received += w.received_bytes();
+            meters.merge(w.join().unwrap().meters());
         }
+        let Meters {
+            modeled: stats,
+            wire,
+            transport: meter,
+            received,
+            ..
+        } = meters;
         let frames = 2 * (n as u64 - 1);
         let expected = TransportMeter {
             frames,
@@ -581,10 +534,10 @@ mod tests {
         assert_eq!((src, msg), (0, Ack));
         // No modeled |M|, no modeled messages — but real wire bytes and
         // the meter identity still holds.
-        assert_eq!(a.stats().total_messages(), 0);
-        assert_eq!(a.stats().total_bytes(), 0);
-        assert_eq!(a.wire_stats().total_messages(), 1);
-        let m = a.meter();
+        assert_eq!(a.meters().modeled.total_messages(), 0);
+        assert_eq!(a.meters().modeled.total_bytes(), 0);
+        assert_eq!(a.meters().wire.total_messages(), 1);
+        let m = a.meters().transport;
         assert_eq!(m.frames, 1);
         assert_eq!(m.wire_bytes, 5 + 1);
         assert_eq!(
@@ -622,7 +575,7 @@ mod tests {
         b.send(0, &Nums(vec![3])).unwrap();
         b.flush().unwrap();
         let a = sender.join().unwrap();
-        let m = a.meter();
+        let m = a.meters().transport;
         assert_eq!(m.frames, 3);
         assert!(m.saved_bytes > 0, "the 516-byte control frame packs");
         assert_eq!(m.modeled_bytes, 8, "control frames model nothing");
@@ -630,8 +583,53 @@ mod tests {
             m.wire_bytes,
             m.modeled_bytes + m.structural_bytes - m.saved_bytes
         );
-        assert_eq!(b.received_bytes(), m.wire_bytes);
-        assert_eq!(a.received_bytes(), b.meter().wire_bytes);
+        assert_eq!(b.meters().received, m.wire_bytes);
+        assert_eq!(a.meters().received, b.meters().transport.wire_bytes);
+    }
+
+    /// Two nodes' blocks, merged, are the block of one `ByteNetwork` that
+    /// made the same sends and drains: modeled, wire, transport and
+    /// received alike, and both report the same measured tier.
+    #[test]
+    fn two_nodes_blocks_merge_into_the_block_that_saw_both() {
+        let mut nodes = mem_mesh(2);
+        let mut b = nodes.pop().unwrap();
+        let mut a = nodes.pop().unwrap();
+        let mut net = ByteNetwork::<Nums>::in_memory(2);
+        a.send(1, &Nums(vec![1, 2, 3])).unwrap();
+        a.send(1, &Nums(vec![4])).unwrap();
+        b.send(0, &Nums(vec![5])).unwrap();
+        net.send(0, 1, Nums(vec![1, 2, 3])).unwrap();
+        net.send(0, 1, Nums(vec![4])).unwrap();
+        net.send(1, 0, Nums(vec![5])).unwrap();
+        for _ in 0..2 {
+            b.recv().unwrap();
+        }
+        a.recv().unwrap();
+        net.try_drain(1).unwrap();
+        net.try_drain(0).unwrap();
+        let mut merged = a.meters().clone();
+        merged.merge(b.meters());
+        let one = net.meters();
+        assert_eq!(merged.modeled.to_bytes(), one.modeled.to_bytes());
+        assert_eq!(merged.wire.to_bytes(), one.wire.to_bytes());
+        assert_eq!(merged.transport, one.transport);
+        assert_eq!(merged.received, one.received);
+        assert_eq!(merged.received, merged.transport.wire_bytes, "at rest");
+        let measured = merged.report("net").measured().map(NetStats::to_bytes);
+        assert_eq!(
+            measured,
+            Some(one.wire.to_bytes()),
+            "the measured tier is the wire"
+        );
+        // A modeled block merged with a framed one gains the measured tier.
+        let mut modeled = Meters::modeled(2);
+        assert!(modeled.report("net").measured().is_none());
+        modeled.merge(&merged);
+        assert_eq!(
+            modeled.report("net").measured().map(NetStats::to_bytes),
+            measured
+        );
     }
 
     #[test]
@@ -660,7 +658,8 @@ mod tests {
             assert_eq!(e.to_string(), msg);
             let e = node.send_ctrl(1, &Nums(vec![1])).unwrap_err();
             assert_eq!(e.to_string(), msg);
-            assert_eq!(node.meter(), TransportMeter::default(), "nothing metered");
+            let m = node.meters().transport;
+            assert_eq!(m, TransportMeter::default(), "nothing metered");
         }
     }
 

@@ -9,10 +9,12 @@
 //! destination inbox, `drain` empties an inbox in FIFO order. This models
 //! the round-structured protocols of §4/§6 faithfully while keeping tests
 //! reproducible. Metering is the load-bearing part — the experiments'
-//! communication columns come straight from here.
+//! communication columns come straight from here. It writes no bytes, so
+//! its [`Meters`] block is [`Meters::modeled`]: its report has no measured
+//! tier. [`MsgTransport`] is the one surface both it and the byte mesh
+//! ([`crate::net::ByteNetwork`]) present to a detector, metering included.
 
-use crate::netstats::NetStats;
-use crate::{ClusterError, SiteId};
+use crate::{ClusterError, Meters, SiteId};
 use relation::{FxHashMap, FxHashSet, Sym, Value};
 use std::collections::VecDeque;
 
@@ -32,7 +34,7 @@ pub trait Wire {
 #[derive(Debug)]
 pub struct Network<M> {
     inboxes: Vec<VecDeque<(SiteId, M)>>,
-    stats: NetStats,
+    meters: Meters,
 }
 
 impl<M: Wire> Network<M> {
@@ -40,7 +42,7 @@ impl<M: Wire> Network<M> {
     pub fn new(n: usize) -> Self {
         Network {
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            stats: NetStats::new(n),
+            meters: Meters::modeled(n),
         }
     }
 
@@ -62,26 +64,9 @@ impl<M: Wire> Network<M> {
         if dst >= self.inboxes.len() {
             return Err(ClusterError::UnknownSite(dst));
         }
-        self.stats
-            .record(src, dst, msg.wire_size(), msg.eqid_count());
+        let modeled = &mut self.meters.modeled;
+        modeled.record(src, dst, msg.wire_size(), msg.eqid_count());
         self.inboxes[dst].push_back((src, msg));
-        Ok(())
-    }
-
-    /// Ship `msg` from `src` to `dst` and consume it immediately at the
-    /// destination — fire-and-forget metering for payloads the receiving
-    /// site absorbs into local state without replying (e.g. eqids fed into
-    /// an HEV). Identical accounting to [`Network::send`], no inbox entry,
-    /// and the same zero-alloc loopback rejection.
-    pub fn ship(&mut self, src: SiteId, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
-        if src == dst {
-            return Err(ClusterError::Loopback(src));
-        }
-        if dst >= self.inboxes.len() {
-            return Err(ClusterError::UnknownSite(dst));
-        }
-        self.stats
-            .record(src, dst, msg.wire_size(), msg.eqid_count());
         Ok(())
     }
 
@@ -113,15 +98,15 @@ impl<M: Wire> Network<M> {
         self.inboxes.iter().all(VecDeque::is_empty)
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    /// Accumulated statistics: modeled `|M|` only.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Reset statistics (inboxes must be empty).
     pub fn reset_stats(&mut self) {
         debug_assert!(self.quiescent());
-        self.stats.reset();
+        self.meters.reset();
     }
 }
 
@@ -131,9 +116,9 @@ impl<M: Wire> Network<M> {
 ///
 /// Detectors hold a `Box<dyn MsgTransport<M>>` and drive send/drain
 /// rounds without knowing which substrate is underneath; both implement
-/// identical modeled accounting ([`MsgTransport::stats`]), and byte
-/// backends additionally expose the measured on-wire traffic
-/// ([`MsgTransport::wire_stats`]).
+/// identical modeled accounting, and byte backends additionally meter the
+/// measured on-wire traffic, in one [`Meters`] block
+/// ([`MsgTransport::meters`]) whose report says which it was.
 pub trait MsgTransport<M>: std::fmt::Debug + Send {
     /// Number of sites.
     fn n_sites(&self) -> usize;
@@ -151,18 +136,8 @@ pub trait MsgTransport<M>: std::fmt::Debug + Send {
     /// link is idle.
     fn in_flight(&self) -> Option<(SiteId, SiteId, usize)>;
 
-    /// Modeled `|M|` statistics.
-    fn stats(&self) -> &NetStats;
-
-    /// Measured on-wire statistics, when the substrate ships real bytes.
-    fn wire_stats(&self) -> Option<&NetStats> {
-        None
-    }
-
-    /// Whole-run transport counters, when the substrate ships real bytes.
-    fn transport_meter(&self) -> Option<crate::net::TransportMeter> {
-        None
-    }
+    /// Everything metered since the last reset.
+    fn meters(&self) -> &Meters;
 
     /// Reset every meter (links must be idle).
     fn reset_stats(&mut self);
@@ -187,8 +162,8 @@ impl<M: Wire + std::fmt::Debug + Send> MsgTransport<M> for Network<M> {
         Some((src, dst, inbox.iter().filter(|m| m.0 == src).count()))
     }
 
-    fn stats(&self) -> &NetStats {
-        Network::stats(self)
+    fn meters(&self) -> &Meters {
+        Network::meters(self)
     }
 
     fn reset_stats(&mut self) {
@@ -317,23 +292,28 @@ mod tests {
                 (0, EqidMsg(vec![4])),
             ]
         );
-        assert_eq!(net.stats().total_messages(), 3);
-        assert_eq!(net.stats().total_bytes(), 8 * 4);
-        assert_eq!(net.stats().total_eqids(), 4);
+        assert_eq!(net.meters().modeled.total_messages(), 3);
+        assert_eq!(net.meters().modeled.total_bytes(), 8 * 4);
+        assert_eq!(net.meters().modeled.total_eqids(), 4);
         assert!(net.quiescent());
+        // The typed network writes no bytes: no measured tier.
+        let report = net.meters().report("net");
+        assert!(report.measured().is_none());
+        assert_eq!(report.total_bytes(), 8 * 4);
+        assert_eq!(net.meters().transport, Default::default());
     }
 
     #[test]
     fn local_send_is_rejected_without_allocating() {
         let mut net: Network<EqidMsg> = Network::new(2);
         // Loopback rejection carries only the site id — no formatted
-        // string on the metering path (`send` and `ship` alike).
+        // string on the metering path.
         assert_eq!(
             net.send(1, 1, EqidMsg(vec![1])),
             Err(ClusterError::Loopback(1))
         );
         assert_eq!(
-            net.ship(0, 0, &EqidMsg(vec![2])),
+            net.send(0, 0, EqidMsg(vec![2])),
             Err(ClusterError::Loopback(0))
         );
         assert!(matches!(
@@ -341,7 +321,7 @@ mod tests {
             Err(ClusterError::UnknownSite(9))
         ));
         // Nothing was metered or delivered by the rejected calls.
-        assert_eq!(net.stats().total_messages(), 0);
+        assert_eq!(net.meters().modeled.total_messages(), 0);
         assert!(net.quiescent());
         assert!(ClusterError::Loopback(1).to_string().contains("site 1"));
     }
@@ -350,7 +330,7 @@ mod tests {
     fn broadcast_counts_n_minus_1_messages() {
         let mut net: Network<EqidMsg> = Network::new(4);
         net.broadcast(1, EqidMsg(vec![7])).unwrap();
-        assert_eq!(net.stats().total_messages(), 3);
+        assert_eq!(net.meters().modeled.total_messages(), 3);
         for s in [0usize, 2, 3] {
             assert_eq!(net.drain(s).len(), 1);
         }

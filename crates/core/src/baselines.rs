@@ -26,14 +26,15 @@ use crate::vertical::VerticalDetector;
 use cfd::pattern::PatternValue;
 use cfd::{Cfd, CfdId, DeltaV, Violations};
 use cluster::codec::DictSyms;
-use cluster::net::{bytes as wirefmt, FrameCodec, TransportKind, TransportMeter};
+use cluster::net::{bytes as wirefmt, FrameCodec, TransportKind};
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{
-    ByteNetwork, ClusterError, DictMeter, MsgTransport, NetReport, NetStats, Network, SiteId, Wire,
+    ByteNetwork, ClusterError, DictMeter, Meters, MsgTransport, NetReport, Network, SiteId, Wire,
 };
 use relation::{
-    AttrId, FxHashMap, Relation, RowId, Schema, SmallVec, Sym, Tid, UpdateBatch, ValuePool,
+    AttrId, FxHashMap, Relation, RowId, Schema, SmallVec, Sym, Tid, Tuple, UpdateBatch, ValuePool,
 };
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Interned group key for the coordinator-side `GROUP BY t[X]`.
@@ -319,22 +320,16 @@ fn filter_rows(frag: &Relation, atoms: &Option<SmallVec<(AttrId, Sym), 4>>) -> V
 pub struct BatchOutcome {
     /// `V(Σ, D)` computed from scratch.
     pub violations: Violations,
-    /// Shipment metered during the run ([`BatMsg::Cols`] accounting).
-    pub stats: NetStats,
-    /// Measured on-wire bytes (framing included) when the run crossed a
-    /// byte transport; `None` on the simulated network.
-    pub wire: Option<NetStats>,
-    /// Whole-run transport counters of the byte transport, if one ran.
-    pub meter: Option<TransportMeter>,
+    /// Shipment metered during the run ([`BatMsg::Cols`] accounting), with
+    /// the measured bytes when the run crossed a byte transport.
+    pub meters: Meters,
 }
 
-/// One CFD's coordinator run: marked tids plus every meter of the net it
+/// One CFD's coordinator run: marked tids plus the meters of the net it
 /// drove (each CFD owns a private substrate, merged afterwards).
 struct CfdRun {
     tids: Vec<Tid>,
-    stats: NetStats,
-    wire: Option<NetStats>,
-    meter: Option<TransportMeter>,
+    meters: Meters,
 }
 
 /// One CFD's private substrate under the chosen transport. Simulated
@@ -353,16 +348,6 @@ fn bat_net(
             Box::new(ByteNetwork::tcp_localhost(n).map_err(DetectError::Cluster)?)
         }
     })
-}
-
-/// Field-wise accumulation of transport counters.
-fn merge_meter(acc: &mut Option<TransportMeter>, m: TransportMeter) {
-    let a = acc.get_or_insert_with(TransportMeter::default);
-    a.frames += m.frames;
-    a.wire_bytes += m.wire_bytes;
-    a.modeled_bytes += m.modeled_bytes;
-    a.structural_bytes += m.structural_bytes;
-    a.saved_bytes += m.saved_bytes;
 }
 
 // ----------------------------------------------------------------------
@@ -535,9 +520,7 @@ fn bat_ver_one(
     }
     Ok(CfdRun {
         tids: out,
-        stats: net.stats().clone(),
-        wire: net.wire_stats().cloned(),
-        meter: net.transport_meter(),
+        meters: net.meters().clone(),
     })
 }
 
@@ -550,8 +533,8 @@ pub fn bat_ver(cfds: &[Cfd], scheme: &VerticalScheme, d: &Relation) -> BatchOutc
 
 /// [`bat_ver`] over an explicit transport: with [`TransportKind::Framed`]
 /// or [`TransportKind::Tcp`] every coordinator shipment crosses a
-/// [`ByteNetwork`] as a real frame (and [`BatchOutcome::wire`] reports
-/// the measured bytes); the modeled `|M|` is identical on every
+/// [`ByteNetwork`] as a real frame (and [`BatchOutcome::meters`] reports
+/// the measured bytes beside it); the modeled `|M|` is identical on every
 /// substrate.
 pub fn bat_ver_with(
     cfds: &[Cfd],
@@ -602,9 +585,7 @@ fn bat_hor_one(
         // Constant CFDs ship nothing — no substrate is even built.
         return Ok(CfdRun {
             tids: out,
-            stats: NetStats::new(n),
-            wire: None,
-            meter: None,
+            meters: Meters::modeled(n),
         });
     }
     let mut net = bat_net(n, transport)?;
@@ -671,20 +652,20 @@ fn bat_hor_one(
     }
     Ok(CfdRun {
         tids: out,
-        stats: net.stats().clone(),
-        wire: net.wire_stats().cloned(),
-        meter: net.transport_meter(),
+        meters: net.meters().clone(),
     })
 }
 
 /// `batHor`: batch detection over horizontal fragments on the simulated
-/// network.
+/// network. Panics if `scheme` routes a row of `d` nowhere; the checked
+/// form is [`bat_hor_with`].
 pub fn bat_hor(cfds: &[Cfd], scheme: &HorizontalScheme, d: &Relation) -> BatchOutcome {
     bat_hor_with(cfds, scheme, d, TransportKind::Simulated)
-        .expect("the simulated substrate cannot fail")
+        .expect("every row routes and the simulated substrate cannot fail")
 }
 
-/// [`bat_hor`] over an explicit transport — see [`bat_ver_with`].
+/// [`bat_hor`] over an explicit transport — see [`bat_ver_with`]. A row
+/// of `d` that `scheme` routes nowhere is its [`ClusterError::Routing`].
 pub fn bat_hor_with(
     cfds: &[Cfd],
     scheme: &HorizontalScheme,
@@ -692,7 +673,7 @@ pub fn bat_hor_with(
     transport: TransportKind,
 ) -> Result<BatchOutcome, DetectError> {
     let n = scheme.n_sites();
-    let fragments = scheme.partition(d).expect("scheme partitions D");
+    let fragments = scheme.partition(d)?;
     let mut results = Vec::with_capacity(cfds.len());
     for cfd in cfds {
         results.push((cfd.id, bat_hor_one(cfd, n, &fragments, transport)?));
@@ -703,27 +684,14 @@ pub fn bat_hor_with(
 /// Fold the per-CFD runs, each on its private substrate, into one outcome.
 fn merge_results(n_cfds: usize, n_sites: usize, results: Vec<(CfdId, CfdRun)>) -> BatchOutcome {
     let mut violations = Violations::new(n_cfds);
-    let mut stats = NetStats::new(n_sites);
-    let mut wire: Option<NetStats> = None;
-    let mut meter: Option<TransportMeter> = None;
+    let mut meters = Meters::modeled(n_sites);
     for (cfd, run) in results {
         for t in run.tids {
             violations.add(cfd, t);
         }
-        stats.merge(&run.stats);
-        if let Some(w) = run.wire {
-            wire.get_or_insert_with(|| NetStats::new(n_sites)).merge(&w);
-        }
-        if let Some(m) = run.meter {
-            merge_meter(&mut meter, m);
-        }
+        meters.merge(&run.meters);
     }
-    BatchOutcome {
-        violations,
-        stats,
-        wire,
-        meter,
-    }
+    BatchOutcome { violations, meters }
 }
 
 // ----------------------------------------------------------------------
@@ -748,9 +716,7 @@ pub fn ibat_ver(
     det.apply(&load)?;
     Ok(BatchOutcome {
         violations: det.violations().clone(),
-        stats: det.stats().clone(),
-        wire: None,
-        meter: None,
+        meters: det.meters().clone(),
     })
 }
 
@@ -791,9 +757,7 @@ pub fn ibat_hor_with(
     det.apply(&load)?;
     Ok(BatchOutcome {
         violations: det.violations().clone(),
-        stats: det.stats().clone(),
-        wire: det.wire_stats().cloned(),
-        meter: det.transport_meter(),
+        meters: det.meters().clone(),
     })
 }
 
@@ -807,24 +771,31 @@ pub fn centralized(cfds: &[Cfd], d: &Relation) -> Violations {
 // Baselines as maintained detectors
 // ----------------------------------------------------------------------
 
-/// Scheme-side validation of an admitted batch, so a bad update (e.g.
-/// an unroutable tuple) surfaces as `Err` from `apply` *before* any
-/// state is mutated — matching the incremental detectors' behavior —
-/// instead of panicking inside the batch recompute.
+/// Scheme-side validation of rows before they are stored — `D₀` at
+/// construction, an admitted batch at `apply` — so a row the scheme cannot
+/// place (an unroutable tuple) surfaces as `Err` before any state is
+/// mutated, matching the incremental detectors' behavior, instead of
+/// panicking inside the batch recompute.
 trait BatScheme {
-    fn check_delta(&self, delta: &UpdateBatch) -> Result<(), DetectError>;
+    fn check_rows<T: Borrow<Tuple>>(
+        &self,
+        rows: impl Iterator<Item = T>,
+    ) -> Result<(), DetectError>;
 }
 
 impl BatScheme for VerticalScheme {
-    fn check_delta(&self, _delta: &UpdateBatch) -> Result<(), DetectError> {
+    fn check_rows<T: Borrow<Tuple>>(&self, _: impl Iterator<Item = T>) -> Result<(), DetectError> {
         Ok(()) // projections exist for every tuple
     }
 }
 
 impl BatScheme for HorizontalScheme {
-    fn check_delta(&self, delta: &UpdateBatch) -> Result<(), DetectError> {
-        for t in delta.insertions() {
-            self.route(t)?;
+    fn check_rows<T: Borrow<Tuple>>(
+        &self,
+        rows: impl Iterator<Item = T>,
+    ) -> Result<(), DetectError> {
+        for t in rows {
+            self.route(t.borrow())?;
         }
         Ok(())
     }
@@ -846,14 +817,13 @@ macro_rules! batch_detector {
             scheme: $scheme_ty,
             current: Relation,
             violations: Violations,
-            stats: NetStats,
             transport: TransportKind,
-            wire: Option<NetStats>,
-            meter: Option<TransportMeter>,
+            meters: Meters,
         }
 
         impl $name {
-            /// Build over `d`. The initial violation computation is not
+            /// Build over `d`, refusing what [`with_initial`](Self::with_initial)
+            /// refuses. The initial violation computation is not
             /// metered; traffic accrues per [`Detector::apply`] recompute.
             pub fn new(
                 schema: Arc<Schema>,
@@ -861,9 +831,9 @@ macro_rules! batch_detector {
                 scheme: $scheme_ty,
                 d: &Relation,
             ) -> Result<Self, DetectError> {
-                crate::detector::positional(&cfds)?;
-                let initial = centralized(&cfds, d);
-                Self::with_initial(schema, cfds, scheme, d, initial)
+                let mut det = Self::with_initial(schema, cfds, scheme, d, Violations::new(0))?;
+                det.violations = centralized(&det.cfds, &det.current);
+                Ok(det)
             }
 
             /// Build over `d` with `V(Σ, D)` supplied by the caller (the
@@ -871,6 +841,10 @@ macro_rules! batch_detector {
             /// centralized pass of [`new`](Self::new) — harnesses that
             /// already computed the initial violations (e.g. beside an
             /// incremental detector over the same `D`) should use this.
+            /// A `d` the detector could not recompute over is refused as
+            /// `incHor` refuses it: another arity than `schema`'s is
+            /// [`relation::RelError::ArityMismatch`], a row the scheme
+            /// routes nowhere the scheme's [`ClusterError::Routing`].
             pub fn with_initial(
                 schema: Arc<Schema>,
                 cfds: Vec<Cfd>,
@@ -879,14 +853,14 @@ macro_rules! batch_detector {
                 initial: Violations,
             ) -> Result<Self, DetectError> {
                 crate::detector::positional(&cfds)?;
+                let current = d.clone_under(schema.clone())?;
+                scheme.check_rows(current.iter())?;
                 let n = scheme.n_sites();
                 Ok($name {
                     violations: initial,
-                    current: d.clone(),
-                    stats: NetStats::new(n),
+                    current,
                     transport: TransportKind::Simulated,
-                    wire: None,
-                    meter: None,
+                    meters: Meters::modeled(n),
                     schema,
                     cfds,
                     scheme,
@@ -903,19 +877,10 @@ macro_rules! batch_detector {
                 self
             }
 
-            /// Cumulative recompute traffic.
-            pub fn stats(&self) -> &NetStats {
-                &self.stats
-            }
-
-            /// Cumulative measured on-wire bytes, if a byte transport ran.
-            pub fn wire_stats(&self) -> Option<&NetStats> {
-                self.wire.as_ref()
-            }
-
-            /// Cumulative transport counters, if a byte transport ran.
-            pub fn transport_meter(&self) -> Option<TransportMeter> {
-                self.meter
+            /// Cumulative recompute traffic, with the measured bytes once
+            /// a recompute crossed a byte transport.
+            pub fn meters(&self) -> &Meters {
+                &self.meters
             }
         }
 
@@ -942,38 +907,26 @@ macro_rules! batch_detector {
 
             fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
                 let delta = crate::detector::admit(&self.current, delta)?;
-                self.scheme.check_delta(&delta)?;
+                self.scheme.check_rows(delta.insertions())?;
                 delta.apply(&mut self.current)?;
                 let $self_ = &*self;
                 let out: BatchOutcome = $recompute;
-                self.stats.merge(&out.stats);
-                if let Some(w) = &out.wire {
-                    let n = self.scheme.n_sites();
-                    self.wire.get_or_insert_with(|| NetStats::new(n)).merge(w);
-                }
-                if let Some(m) = out.meter {
-                    merge_meter(&mut self.meter, m);
-                }
+                self.meters.merge(&out.meters);
                 let dv = self.violations.diff(&out.violations);
                 self.violations = out.violations;
                 Ok(dv)
             }
 
             fn net(&self) -> NetReport {
-                let mut report = NetReport::single(self.stats.clone());
-                if let Some(codec) = $codec {
-                    report = report.with_codec(codec);
+                let report = self.meters.report("net");
+                match $codec {
+                    Some(codec) => report.with_codec(codec),
+                    None => report,
                 }
-                if let Some(w) = &self.wire {
-                    report = report.with_measured(w.clone());
-                }
-                report
             }
 
             fn reset_stats(&mut self) {
-                self.stats.reset();
-                self.wire = None;
-                self.meter = None;
+                self.meters.reset();
             }
         }
     };
@@ -1020,7 +973,8 @@ batch_detector!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::{Tuple, Value};
+    use cluster::TransportMeter;
+    use relation::Value;
 
     fn emp_schema() -> Arc<Schema> {
         Schema::new(
@@ -1111,7 +1065,7 @@ mod tests {
         let oracle = centralized(&cfds, &d);
         assert_eq!(out.violations.marks_sorted(), oracle.marks_sorted());
         assert!(
-            out.stats.total_bytes() > 0,
+            out.meters.modeled.total_bytes() > 0,
             "batch must ship attribute data"
         );
     }
@@ -1134,7 +1088,7 @@ mod tests {
         let out = bat_hor(&cfds, &scheme, &d);
         let oracle = centralized(&cfds, &d);
         assert_eq!(out.violations.marks_sorted(), oracle.marks_sorted());
-        assert!(out.stats.total_bytes() > 0);
+        assert!(out.meters.modeled.total_bytes() > 0);
     }
 
     #[test]
@@ -1156,18 +1110,20 @@ mod tests {
                 "batVer violations must agree over {transport:?}"
             );
             assert_eq!(
-                sim.stats.to_bytes(),
-                byte.stats.to_bytes(),
+                sim.meters.modeled.to_bytes(),
+                byte.meters.modeled.to_bytes(),
                 "batVer modeled |M| must be bit-identical over {transport:?}"
             );
-            let m = byte.meter.expect("byte transport meters frames");
+            let m = byte.meters.transport;
+            assert!(m.frames > 0, "byte transport meters frames");
             assert_eq!(
                 m.wire_bytes,
                 m.modeled_bytes + m.structural_bytes - m.saved_bytes,
                 "wire overhead identity over {transport:?}"
             );
-            let wire = byte.wire.expect("byte transport meters wire stats");
-            assert!(wire.total_bytes() > byte.stats.total_bytes());
+            let report = byte.meters.report("net");
+            let wire = report.measured().expect("byte transport meters wire stats");
+            assert!(wire.total_bytes() > byte.meters.modeled.total_bytes());
         }
 
         let hs = HorizontalScheme::by_hash(s.clone(), 0, 3).unwrap();
@@ -1177,8 +1133,12 @@ mod tests {
             sim.violations.marks_sorted(),
             byte.violations.marks_sorted()
         );
-        assert_eq!(sim.stats.to_bytes(), byte.stats.to_bytes());
-        assert!(byte.wire.is_some() && byte.meter.is_some());
+        assert_eq!(
+            sim.meters.modeled.to_bytes(),
+            byte.meters.modeled.to_bytes()
+        );
+        assert!(sim.meters.report("net").measured().is_none());
+        assert!(byte.meters.report("net").measured().is_some() && byte.meters.transport.frames > 0);
     }
 
     #[test]
@@ -1198,10 +1158,15 @@ mod tests {
         let dv_byte = byte.apply(&delta).unwrap();
         assert_eq!(dv_sim.added, dv_byte.added);
         assert_eq!(dv_sim.removed, dv_byte.removed);
-        assert_eq!(sim.stats().to_bytes(), byte.stats().to_bytes());
-        assert!(sim.wire_stats().is_none() && sim.transport_meter().is_none());
-        let wire = byte.wire_stats().expect("framed run measures wire bytes");
-        assert!(wire.total_bytes() > byte.stats().total_bytes());
+        assert_eq!(
+            sim.meters().modeled.to_bytes(),
+            byte.meters().modeled.to_bytes()
+        );
+        assert!(sim.net().measured().is_none());
+        assert_eq!(sim.meters().transport, TransportMeter::default());
+        let report = byte.net();
+        let wire = report.measured().expect("framed run measures wire bytes");
+        assert!(wire.total_bytes() > byte.meters().modeled.total_bytes());
         assert!(byte.net().measured_bytes().is_some());
     }
 
@@ -1231,15 +1196,15 @@ mod tests {
         let mut delta = UpdateBatch::new();
         delta.insert(emp_tuple(6, "C", 44, 131, "EH4 8LE", "Mayfield", "EDI"));
         det.apply(&delta).unwrap();
-        let inc_bytes = det.stats().total_bytes();
+        let inc_bytes = det.meters().modeled.total_bytes();
 
         let mut d2 = d0();
         delta.apply(&mut d2).unwrap();
         let bat = bat_ver(&cfds, &scheme, &d2);
         assert!(
-            bat.stats.total_bytes() > inc_bytes,
+            bat.meters.modeled.total_bytes() > inc_bytes,
             "batch {} vs incremental {}",
-            bat.stats.total_bytes(),
+            bat.meters.modeled.total_bytes(),
             inc_bytes
         );
     }

@@ -166,10 +166,10 @@
 //! the meters it carried were cut and *before* they were reset — its
 //! bytes were on the wire and in no report. An image still cannot count
 //! the frame that carries it, so the coordinator, who holds that frame,
-//! adds it ([`BatchImage::count_own_frame`]):
-//! [`ConcurrentHorizontal::wire_stats`] is every byte the nodes wrote,
-//! and [`ConcurrentHorizontal::received_bytes`] — counted independently
-//! on the inboxes — must equal it between batches.
+//! adds it ([`BatchImage::count_own_frame`]): the `wire` of
+//! [`ConcurrentHorizontal::meters`] is every byte the nodes wrote, and its
+//! `received` — counted independently on the inboxes — must equal it
+//! between batches.
 //!
 //! # Piggybacked cumulative acks, flushed on idle
 //!
@@ -222,7 +222,7 @@ use cluster::codec::CodecKind;
 use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
-use cluster::{ClusterError, NetReport, NetStats, SiteId, TransportMeter};
+use cluster::{ClusterError, Meters, NetReport, SiteId};
 use relation::{RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
@@ -752,13 +752,14 @@ impl SiteRunner {
         // this site's own add/remove pairs; `ΔV` sums across sites, so
         // the coordinator's global settle sees the same net change.
         self.dv.settle();
+        let m = self.node.meters();
         let img = BatchImage {
             added: std::mem::take(&mut self.dv.added),
             removed: std::mem::take(&mut self.dv.removed),
-            stats: self.node.stats().row(self.me).collect(),
-            wire: self.node.wire_stats().row(self.me).collect(),
-            meter: self.node.meter(),
-            received: self.node.received_bytes(),
+            stats: m.modeled.row(self.me).collect(),
+            wire: m.wire.row(self.me).collect(),
+            meter: m.transport,
+            received: m.received,
         };
         // The image's own frame is metered by its receiver (the image
         // was cut before the frame existed), so resetting *after* the
@@ -942,11 +943,8 @@ pub struct ConcurrentHorizontal {
     handles: Vec<JoinHandle<Result<(), DetectError>>>,
     codec_kind: CodecKind,
     label: &'static str,
-    stats: NetStats,
-    wire: NetStats,
-    meter: TransportMeter,
-    /// Wire bytes of the frames every site took off its inbox.
-    received: u64,
+    /// Every site's meters, folded in at each batch's end.
+    meters: Meters,
     /// Barrier rounds since the last reset (deterministic): per batch the
     /// settle handshake and one per wave.
     waves: u64,
@@ -1071,10 +1069,7 @@ impl ConcurrentHorizontal {
             violations,
             gathered: OnceCell::new(),
             failed: Cell::new(None),
-            stats: NetStats::new(n),
-            wire: NetStats::new(n),
-            meter: TransportMeter::default(),
-            received: 0,
+            meters: Meters::framed(n),
             waves: 0,
             planner: WavePlanner::default(),
             codec_kind: codec,
@@ -1320,7 +1315,9 @@ impl ConcurrentHorizontal {
                 _ => return Err(proto("unexpected frame during collection")),
             }
         }
-        self.absorb_runner_meters();
+        let node = &mut self.runner.get_mut().node;
+        self.meters.merge(node.meters());
+        node.reset_stats();
         dv.settle();
         for &(c, t) in &dv.added {
             self.violations.add(c, t);
@@ -1331,9 +1328,11 @@ impl ConcurrentHorizontal {
         Ok(dv)
     }
 
-    /// Fold site `src`'s meters into the session's.
+    /// Fold site `src`'s image into the session's meters, each cell
+    /// checked to be a link out of `src`.
     fn absorb_image(&mut self, src: SiteId, img: &BatchImage) -> Result<(), DetectError> {
-        for (matrix, cells) in [(&mut self.stats, &img.stats), (&mut self.wire, &img.wire)] {
+        let m = &mut self.meters;
+        for (matrix, cells) in [(&mut m.modeled, &img.stats), (&mut m.wire, &img.wire)] {
             for (dst, c) in cells {
                 if *dst >= self.n || *dst == src {
                     return Err(proto(format!("site {src} metered a link to site {dst}")));
@@ -1341,26 +1340,9 @@ impl ConcurrentHorizontal {
                 matrix.add(src, *dst, c);
             }
         }
-        self.meter.merge(&img.meter);
-        self.received += img.received;
+        m.transport.merge(&img.meter);
+        m.received += img.received;
         Ok(())
-    }
-
-    fn absorb_runner_meters(&mut self) {
-        let node = &mut self.runner.get_mut().node;
-        self.stats.merge(node.stats());
-        self.wire.merge(node.wire_stats());
-        self.meter.merge(&node.meter());
-        self.received += node.received_bytes();
-        node.reset_stats();
-    }
-
-    fn reset_meters(&mut self) {
-        self.stats.reset();
-        self.wire.reset();
-        self.meter = TransportMeter::default();
-        self.received = 0;
-        self.waves = 0;
     }
 
     /// Barrier rounds — coordinator round trips every site waits out —
@@ -1373,27 +1355,13 @@ impl ConcurrentHorizontal {
         self.waves
     }
 
-    /// Cumulative modeled `|M|` since the last reset (all sites merged).
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// Cumulative measured on-wire bytes, control frames included.
-    pub fn wire_stats(&self) -> &NetStats {
-        &self.wire
-    }
-
-    /// Merged transport counters of every site.
-    pub fn transport_meter(&self) -> TransportMeter {
-        self.meter
-    }
-
-    /// Wire bytes of the frames every site took off its inbox — the
-    /// receive-side twin of `transport_meter().wire_bytes`. Between
-    /// batches the mesh is at rest and the two are equal: every frame a
-    /// node metered was read, every frame read had been metered.
-    pub fn received_bytes(&self) -> u64 {
-        self.received
+    /// Every site's meters since the last reset, merged: modeled `|M|`,
+    /// measured bytes with control frames included, and the bytes read
+    /// off the inboxes. Between batches the mesh is at rest and `received`
+    /// equals `transport.wire_bytes`: every frame a node metered was read,
+    /// every frame read had been metered.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Number of sites.
@@ -1452,13 +1420,12 @@ impl Detector for ConcurrentHorizontal {
     }
 
     fn net(&self) -> NetReport {
-        NetReport::single(self.stats.clone())
-            .with_codec(self.codec_kind.name())
-            .with_measured(self.wire.clone())
+        self.meters.report("net").with_codec(self.codec_kind.name())
     }
 
     fn reset_stats(&mut self) {
-        self.reset_meters();
+        self.meters.reset();
+        self.waves = 0;
     }
 }
 
@@ -1483,6 +1450,7 @@ mod tests {
         d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
     };
     use crate::HorizontalDetector;
+    use cluster::TransportMeter;
     use relation::Tuple;
     use std::time::{Duration, Instant};
 
@@ -1543,7 +1511,10 @@ mod tests {
         assert_same_rows(conc.current(), seq.current(), what);
         let oracle = cfd::naive::detect(conc.cfds(), conc.current());
         assert_eq!(marks, oracle.marks_sorted(), "{what}: the oracle's V");
-        let (got, want) = (conc.stats().to_bytes(), seq.stats().to_bytes());
+        let (got, want) = (
+            conc.meters().modeled.to_bytes(),
+            seq.meters().modeled.to_bytes(),
+        );
         assert_eq!(got, want, "{what}: modeled |M| matrix");
         conc.waves() - before
     }
@@ -1654,8 +1625,8 @@ mod tests {
                     replayed.reset_stats();
                     assert_eq!(seen(&built), seen(&replayed), "{at}");
                     assert_eq!(built.waves(), 0, "{at}");
-                    assert_eq!(built.transport_meter(), TransportMeter::default(), "{at}");
-                    assert_eq!(built.received_bytes(), 0, "{at}");
+                    assert_eq!(built.meters().transport, TransportMeter::default(), "{at}");
+                    assert_eq!(built.meters().received, 0, "{at}");
                     for (i, batch) in batches.iter().enumerate() {
                         let dv = built.apply(batch).unwrap();
                         assert_eq!(dv, replayed.apply(batch).unwrap(), "{at}: ΔV of batch {i}");
@@ -1664,7 +1635,10 @@ mod tests {
                     assert!(built.waves() > 0, "{at}: the stream waves");
                     assert_eq!(seen(&built).0, seen(&replayed).0, "{at}");
                     // Measured bytes move with ack timing; modeled |M| may not.
-                    let (got, want) = (built.stats().to_bytes(), replayed.stats().to_bytes());
+                    let (got, want) = (
+                        built.meters().modeled.to_bytes(),
+                        replayed.meters().modeled.to_bytes(),
+                    );
                     assert_eq!(got, want, "{at}: modeled |M| matrix");
                 }
             }
@@ -1689,7 +1663,7 @@ mod tests {
     fn threaded_tcp_matches_sequential() {
         let pair = emp_pair(&d0(), CodecKind::Md5, TransportKind::Tcp);
         let conc = &pair.0;
-        assert!(conc.transport_meter().frames > 0 || conc.stats().total_bytes() == 0);
+        assert!(conc.meters().transport.frames > 0 || conc.meters().modeled.total_bytes() == 0);
         assert_tracks_sequential(pair, &script());
     }
 
@@ -1700,15 +1674,15 @@ mod tests {
         b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
         b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
         conc.apply_batch(&b).unwrap();
-        let m = conc.transport_meter();
+        let m = conc.meters().transport;
         assert_eq!(
             m.wire_bytes,
             m.modeled_bytes + m.structural_bytes - m.saved_bytes,
             "transport identity"
         );
         // Wave barriers + acks exist, but only protocol frames are |M|.
-        assert!(m.frames > conc.stats().total_messages());
-        assert_eq!(conc.stats().total_bytes(), m.modeled_bytes);
+        assert!(m.frames > conc.meters().modeled.total_messages());
+        assert_eq!(conc.meters().modeled.total_bytes(), m.modeled_bytes);
     }
 
     /// What the nodes metered on the way out is, byte for byte, what
@@ -1717,7 +1691,7 @@ mod tests {
     #[test]
     fn every_written_byte_is_metered_and_received() {
         let (mut conc, _) = emp_pair(&d0(), CodecKind::Md5, TransportKind::Framed);
-        assert_eq!(conc.received_bytes(), 0, "the load is not on the meters");
+        assert_eq!(conc.meters().received, 0, "the load is not on the meters");
         // Site 1's slice is handed over in memory, but its image carries a
         // mark per row, a byte or so each: a control frame long enough to
         // be offered to LZ.
@@ -1731,19 +1705,23 @@ mod tests {
         let (mut before, mut saved) = (0, Vec::new());
         for (i, b) in batches.iter().enumerate() {
             conc.apply_batch(b).unwrap();
-            let m = conc.transport_meter();
+            let m = conc.meters().transport;
             assert!(m.wire_bytes > before, "batch {i} moved bytes");
             before = m.wire_bytes;
             saved.push(m.saved_bytes);
-            assert_eq!(conc.received_bytes(), m.wire_bytes, "batch {i}");
-            assert_eq!(conc.wire_stats().total_bytes(), m.wire_bytes, "batch {i}");
-            assert_eq!(conc.wire_stats().total_messages(), m.frames, "batch {i}");
+            assert_eq!(conc.meters().received, m.wire_bytes, "batch {i}");
+            assert_eq!(conc.meters().wire.total_bytes(), m.wire_bytes, "batch {i}");
+            assert_eq!(conc.meters().wire.total_messages(), m.frames, "batch {i}");
             assert_eq!(
                 m.wire_bytes,
                 m.modeled_bytes + m.structural_bytes - m.saved_bytes,
                 "batch {i}"
             );
-            assert_eq!(conc.stats().total_bytes(), m.modeled_bytes, "batch {i}");
+            assert_eq!(
+                conc.meters().modeled.total_bytes(),
+                m.modeled_bytes,
+                "batch {i}"
+            );
         }
         // The md5 session packs no protocol frame: every saved byte is a
         // control frame's, and the wide batch's image saved some.
@@ -1946,7 +1924,7 @@ mod tests {
     fn a_class_preserving_batch_is_one_handshake_whatever_its_size() {
         // Wire bytes less modeled |M| on each link out of the coordinator.
         let ctrl_out = |conc: &ConcurrentHorizontal| -> Vec<u64> {
-            let (wire, modeled) = (conc.wire_stats(), conc.stats());
+            let (wire, modeled) = (&conc.meters().wire, &conc.meters().modeled);
             let ctrl = |j| wire.pair(COORD, j).bytes - modeled.pair(COORD, j).bytes;
             (1..conc.n_sites()).map(ctrl).collect()
         };
@@ -2006,9 +1984,9 @@ mod tests {
                 assert_eq!(apply_both(&mut pair, &b, &what), 0, "{what}");
                 let conc = &pair.0;
                 assert_same_rows(&conc.gather().unwrap(), pair.1.current(), &what);
-                assert_eq!(conc.transport_meter(), TransportMeter::default(), "{what}");
-                assert_eq!(conc.wire_stats().total_bytes(), 0, "{what}");
-                assert_eq!(conc.received_bytes(), 0, "{what}");
+                assert_eq!(conc.meters().transport, TransportMeter::default(), "{what}");
+                assert_eq!(conc.meters().wire.total_bytes(), 0, "{what}");
+                assert_eq!(conc.meters().received, 0, "{what}");
                 let empty = |o: &Receiver<Vec<Update>>| o.try_recv().is_err();
                 assert!(outlets.iter().all(empty), "{what}: a slice was handed over");
             }
@@ -2051,7 +2029,7 @@ mod tests {
             let (with, without) = (&with.0, &without.0);
             let marks = with.violations().marks_sorted();
             assert_eq!(marks, without.violations().marks_sorted(), "{what}");
-            let (got, want) = (with.stats(), without.stats());
+            let (got, want) = (&with.meters().modeled, &without.meters().modeled);
             assert_eq!(got.total_messages(), want.total_messages(), "{what}");
             assert_eq!(got.to_bytes(), want.to_bytes(), "{what}");
         }
@@ -2084,10 +2062,10 @@ mod tests {
             let (mut gathering, seq) = emp_pair(&d0(), CodecKind::Md5, transport);
             let (mut twin, _) = emp_pair(&d0(), CodecKind::Md5, transport);
             let meters = |c: &ConcurrentHorizontal| {
-                let (wire, stats) = (c.wire_stats().to_bytes(), c.stats().to_bytes());
+                let (wire, stats) = (c.meters().wire.to_bytes(), c.meters().modeled.to_bytes());
                 (
-                    c.transport_meter(),
-                    c.received_bytes(),
+                    c.meters().transport,
+                    c.meters().received,
                     wire,
                     stats,
                     c.waves(),
@@ -2102,9 +2080,9 @@ mod tests {
                 let gathered = gathering.gather().unwrap();
                 assert_same_rows(gathering.current(), &gathered, &at);
                 assert_eq!(meters(&gathering), before, "{at}");
-                let m = gathering.transport_meter();
-                assert_eq!(gathering.received_bytes(), m.wire_bytes, "{at}");
-                let (got, want) = (gathering.stats(), twin.stats());
+                let m = gathering.meters().transport;
+                assert_eq!(gathering.meters().received, m.wire_bytes, "{at}");
+                let (got, want) = (&gathering.meters().modeled, &twin.meters().modeled);
                 assert_eq!(got.to_bytes(), want.to_bytes(), "{at}");
                 assert_eq!(gathering.waves(), twin.waves(), "{at}");
             }
@@ -2264,7 +2242,11 @@ mod tests {
             other => panic!("expected a transport error, got {other:?}"),
         };
         assert!(err.contains("site 1 has left"), "{err}");
-        assert_eq!(pair.0.runner.get_mut().node.meter().frames, 0, "{err}");
+        assert_eq!(
+            pair.0.runner.get_mut().node.meters().transport.frames,
+            0,
+            "{err}"
+        );
         // Nothing of the batch was applied anywhere: with the inlet back,
         // it runs as if for the first time.
         pair.0.inlets[0] = open;

@@ -134,7 +134,8 @@ pub(crate) fn positional(cfds: &[Cfd]) -> Result<(), DetectError> {
 /// strategy and folds update batches into it.
 ///
 /// Every implementation can produce the logical relation (`current`),
-/// meters every cross-site payload, and guarantees that after `apply`
+/// meters every cross-site payload into one [`cluster::Meters`] block (its
+/// concrete type's `meters()`), and guarantees that after `apply`
 /// returns, `violations()` equals the centralized ground truth over
 /// `current()` — the incremental ones in `O(|ΔD| + |ΔV|)`, the batch
 /// baselines by recomputation. The single-process detectors keep `D`
@@ -180,7 +181,10 @@ pub trait Detector {
     }
 
     /// Cumulative network traffic since construction or the last
-    /// [`reset_stats`](Self::reset_stats), normalized over tiers.
+    /// [`reset_stats`](Self::reset_stats), normalized over tiers: the
+    /// [`report`](cluster::Meters::report) of the detector's meters, which
+    /// alone decides whether a measured tier exists, plus the hybrid's
+    /// intra-region tier where there is one.
     fn net(&self) -> NetReport;
 
     /// Reset the traffic meters (e.g. between experiment phases).
@@ -309,15 +313,22 @@ mod tests {
                 if codec == CodecKind::Dict {
                     assert!(got.resident_symbols.iter().any(|&n| n > 0), "{at}");
                 }
-                assert_eq!(built.stats().total_messages(), 0, "{at}: unmetered");
+                assert_eq!(
+                    built.meters().modeled.total_messages(),
+                    0,
+                    "{at}: unmetered"
+                );
                 for (i, batch) in batches.iter().enumerate() {
                     let dv = built.apply(batch).unwrap();
                     assert_eq!(dv, replayed.apply(batch).unwrap(), "{at}: ΔV of batch {i}");
                 }
-                assert!(built.stats().total_messages() > 0, "{at}: the stream ships");
+                assert!(
+                    built.meters().modeled.total_messages() > 0,
+                    "{at}: the stream ships"
+                );
                 assert_eq!(
-                    built.stats().to_bytes(),
-                    replayed.stats().to_bytes(),
+                    built.meters().modeled.to_bytes(),
+                    replayed.meters().modeled.to_bytes(),
                     "{at}"
                 );
                 assert_eq!(
@@ -357,10 +368,12 @@ mod tests {
     /// `Routing`, naming the tid) — and the constructor returns no
     /// detector, half-built or not. The threaded runtime runs the same
     /// build before it opens a mesh, so it refuses the same way, over TCP
-    /// too. An empty `D₀` builds no group, teaches no symbol and allocates
-    /// no table.
+    /// too, and so does every baseline constructor, which would otherwise
+    /// fail or panic at its first recompute. An empty `D₀` builds no
+    /// group, teaches no symbol and allocates no table.
     #[test]
     fn a_build_refuses_what_the_replay_refused() {
+        use crate::baselines::{BatHor, BatVer, IbatHor, IbatVer};
         use crate::{HybridDetector, HybridScheme};
         let s = emp_schema();
         let cc = s.attr_id("CC").unwrap();
@@ -391,35 +404,102 @@ mod tests {
             (&stray, "routing error: tuple 41 matches no fragment"),
             (&narrow, "tuple arity 5 does not match schema arity 6"),
         ];
+        // The baselines recompute over the rows they were built with, so
+        // each constructor refuses what incHor refuses. A vertical scheme
+        // routes nothing: there only the arity is refused, and over the
+        // stray D₀ they build and recompute.
+        let vs = VerticalScheme::round_robin(s.clone(), 2).unwrap();
+        let given = || Violations::new(3);
+        type Built = Result<Box<dyn Detector>, DetectError>;
+        fn boxed<D: Detector + 'static>(d: Result<D, DetectError>) -> Built {
+            d.map(|d| Box::new(d) as Box<dyn Detector>)
+        }
+        let baselines = |d: &Relation| -> Vec<(&str, Built)> {
+            let (c, h, v) = (emp_cfds(&s), by_cc.clone(), vs.clone());
+            vec![
+                (
+                    "batHor",
+                    boxed(BatHor::new(s.clone(), c.clone(), h.clone(), d)),
+                ),
+                (
+                    "batHor given V",
+                    boxed(BatHor::with_initial(
+                        s.clone(),
+                        c.clone(),
+                        h.clone(),
+                        d,
+                        given(),
+                    )),
+                ),
+                (
+                    "ibatHor",
+                    boxed(IbatHor::new(s.clone(), c.clone(), h.clone(), d)),
+                ),
+                (
+                    "ibatHor given V",
+                    boxed(IbatHor::with_initial(s.clone(), c.clone(), h, d, given())),
+                ),
+                (
+                    "batVer",
+                    boxed(BatVer::new(s.clone(), c.clone(), v.clone(), d)),
+                ),
+                (
+                    "batVer given V",
+                    boxed(BatVer::with_initial(
+                        s.clone(),
+                        c.clone(),
+                        v.clone(),
+                        d,
+                        given(),
+                    )),
+                ),
+                (
+                    "ibatVer",
+                    boxed(IbatVer::new(s.clone(), c.clone(), v.clone(), d)),
+                ),
+                (
+                    "ibatVer given V",
+                    boxed(IbatVer::with_initial(s.clone(), c, v, d, given())),
+                ),
+            ]
+        };
         for (d0, want) in refusals {
             let mut all = UpdateBatch::new();
             d0.iter().for_each(|t| all.insert(t));
             let empty = Relation::new(s.clone());
             let replayed = hor(&empty, md5).unwrap().apply(&all).map(drop).unwrap_err();
+            let refused = |what: &str, got: Result<(), DetectError>| {
+                let got = got.expect_err(what);
+                let typed = matches!(
+                    (&got, &replayed),
+                    (
+                        DetectError::Cluster(ClusterError::Routing(_)),
+                        DetectError::Cluster(ClusterError::Routing(_))
+                    ) | (
+                        DetectError::Rel(RelError::ArityMismatch { .. }),
+                        DetectError::Rel(RelError::ArityMismatch { .. })
+                    )
+                );
+                assert!(typed, "{what}: {got:?} where the replay said {replayed:?}");
+                assert_eq!(got.to_string(), replayed.to_string(), "{what}");
+                assert!(got.to_string().contains(want), "{what}: {got}");
+            };
             for codec in [md5, dict] {
                 for (what, got) in [
                     ("incHor", hor(d0, codec).map(drop)),
                     ("incHyb", hyb(d0, codec)),
                     ("incHorMt", thr(d0, codec)),
                 ] {
-                    let got = got.expect_err(what);
-                    let typed = matches!(
-                        (&got, &replayed),
-                        (
-                            DetectError::Cluster(ClusterError::Routing(_)),
-                            DetectError::Cluster(ClusterError::Routing(_))
-                        ) | (
-                            DetectError::Rel(RelError::ArityMismatch { .. }),
-                            DetectError::Rel(RelError::ArityMismatch { .. })
-                        )
-                    );
-                    assert!(
-                        typed,
-                        "{what}, {codec:?}: {got:?} where the replay said {replayed:?}"
-                    );
-                    assert_eq!(got.to_string(), replayed.to_string(), "{what}");
-                    assert!(got.to_string().contains(want), "{what}: {got}");
+                    refused(&format!("{what}, {codec:?}"), got);
                 }
+            }
+            for (what, got) in baselines(d0) {
+                if what.contains("Ver") && std::ptr::eq(d0, &stray) {
+                    let mut det = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    det.apply(&UpdateBatch::new()).unwrap();
+                    continue;
+                }
+                refused(what, got.map(drop));
             }
         }
         let empty = Relation::new(s.clone());
@@ -428,7 +508,7 @@ mod tests {
             assert_eq!(det.state_census(), StateCensus::default());
             assert!(det.resident_symbols().iter().all(|&n| n == 0));
             assert!(det.violations().is_empty());
-            assert_eq!(det.stats().total_messages(), 0);
+            assert_eq!(det.meters().modeled.total_messages(), 0);
         }
     }
 

@@ -150,7 +150,7 @@ use cluster::codec::{CodecKind, WireValue};
 use cluster::md5::Digest;
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
-use cluster::{ClusterError, MsgTransport, Network, SiteId, Wire};
+use cluster::{ClusterError, Meters, MsgTransport, Network, SiteId, Wire};
 use order::{Ledger, Party, Verdict};
 use relation::{
     AttrId, FxHashMap, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch, Value,
@@ -700,7 +700,7 @@ impl HorizontalDetector {
     /// shipped through the chosen link (in-process channel or localhost
     /// socket), and decoded at the receiving site from the bytes alone;
     /// the detector then meters modeled `|M|` and measured on-wire bytes
-    /// side by side ([`HorizontalDetector::wire_stats`]).
+    /// side by side ([`HorizontalDetector::meters`]).
     ///
     /// `V(Σ, D₀)` and every site's group and codec state are built from `d`
     /// directly — a clone of its store, two local passes, no round and no
@@ -768,21 +768,11 @@ impl HorizontalDetector {
         self.transport
     }
 
-    /// Network statistics since construction (or last reset).
-    pub fn stats(&self) -> &cluster::NetStats {
-        self.net.stats()
-    }
-
-    /// Measured on-wire statistics (frames, actual bytes including
-    /// framing), when the session runs over a real byte transport.
-    pub fn wire_stats(&self) -> Option<&cluster::NetStats> {
-        self.net.wire_stats()
-    }
-
-    /// Whole-run transport counters (frames, wire/modeled/structural/
-    /// saved bytes), when the session runs over a real byte transport.
-    pub fn transport_meter(&self) -> Option<cluster::TransportMeter> {
-        self.net.transport_meter()
+    /// Traffic since construction (or last reset): modeled `|M|`, and
+    /// the measured bytes when the session runs over a real byte
+    /// transport.
+    pub fn meters(&self) -> &Meters {
+        self.net.meters()
     }
 
     /// Reset network statistics and the wave count.
@@ -874,7 +864,9 @@ impl HorizontalDetector {
                 self.drain(dv)?;
             }
             let home = match op {
-                Update::Insert(_) => homes.next().expect("one home per insert"),
+                Update::Insert(t) => homes.next().ok_or_else(|| {
+                    DetectError::Internal(format!("insert of tid {} was routed nowhere", t.tid))
+                })?,
                 Update::Delete(tid) => *self
                     .site_of_tid
                     .get(tid)
@@ -958,7 +950,10 @@ impl HorizontalDetector {
             || ClusterError::Transport(format!("link {src} → {dst}: {kind} of no open round"));
         if let HorMsg::ProbeReply { .. } | HorMsg::DelReply { .. } = msg {
             let slot = fl.answering[src][dst].pop_front().ok_or_else(stray)?;
-            let open = fl.slots[slot].as_mut().expect("a queued slot is open");
+            let open = fl.slots[slot].as_mut().ok_or_else(|| {
+                let what = format!("link {src} → {dst}: {kind} for slot {slot}, which is closed");
+                DetectError::Internal(what)
+            })?;
             self.sites[dst].on_reply(&mut open.round, src, msg)?;
             return self.answered(slot, dv);
         }
@@ -983,14 +978,14 @@ impl HorizontalDetector {
     /// One asked peer of the round in `slot` has answered; the last one
     /// finishes it, and its home ships the `ClearFlags` it decides.
     fn answered(&mut self, slot: usize, dv: &mut DeltaV) -> Result<(), DetectError> {
-        let open = self.flight.slots[slot]
-            .as_mut()
-            .expect("a queued slot is open");
+        let closed =
+            || DetectError::Internal(format!("an answer for slot {slot}, which is closed"));
+        let open = self.flight.slots[slot].as_mut().ok_or_else(closed)?;
         open.left -= 1;
         if open.left > 0 {
             return Ok(());
         }
-        let Open { home, round, .. } = self.flight.slots[slot].take().expect("open");
+        let Open { home, round, .. } = self.flight.slots[slot].take().ok_or_else(closed)?;
         self.flight.open -= 1;
         for (j, clear) in self.sites[home].finish(round, (&mut self.violations, dv))? {
             self.net.send(home, j, clear)?;
@@ -1082,12 +1077,10 @@ impl Detector for HorizontalDetector {
     }
 
     fn net(&self) -> cluster::NetReport {
-        let report =
-            cluster::NetReport::single(self.net.stats().clone()).with_codec(self.codec.name());
-        match self.net.wire_stats() {
-            Some(wire) => report.with_measured(wire.clone()),
-            None => report,
-        }
+        self.net
+            .meters()
+            .report("net")
+            .with_codec(self.codec.name())
     }
 
     fn reset_stats(&mut self) {
@@ -1114,7 +1107,7 @@ mod tests {
         phi1.sort_unstable();
         assert_eq!(phi1, vec![1, 3, 4, 5]);
         assert_eq!(v.of_cfd(1).iter().copied().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(det.stats().total_bytes(), 0, "load is unmetered");
+        assert_eq!(det.meters().modeled.total_bytes(), 0, "load is unmetered");
     }
 
     #[test]
@@ -1127,7 +1120,7 @@ mod tests {
         // so no data is shipped (Example 2(1)(b), horizontal case).
         assert_eq!(dv.added, vec![(0, 6)]);
         assert!(dv.removed.is_empty());
-        assert_eq!(det.stats().total_bytes(), 0);
+        assert_eq!(det.meters().modeled.total_bytes(), 0);
     }
 
     #[test]
@@ -1143,7 +1136,7 @@ mod tests {
         // t3 remains in t4's class at the same site: only t4 leaves V.
         assert_eq!(dv.removed, vec![(0, 4)]);
         assert!(dv.added.is_empty());
-        assert_eq!(det.stats().total_bytes(), 0);
+        assert_eq!(det.meters().modeled.total_bytes(), 0);
     }
 
     #[test]
@@ -1158,7 +1151,10 @@ mod tests {
         d2.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
         let dv2 = det.apply(&d2).unwrap();
         assert_eq!(dv2.added_tids_sorted(), vec![10, 11]);
-        assert!(det.stats().total_bytes() > 0, "query round was needed");
+        assert!(
+            det.meters().modeled.total_bytes() > 0,
+            "query round was needed"
+        );
     }
 
     #[test]
@@ -1209,9 +1205,9 @@ mod tests {
         det.apply(&d).unwrap();
         // 2 peers: ≤ 1 probe + ≤ 1 reply each.
         assert!(
-            det.stats().total_messages() <= 4,
+            det.meters().modeled.total_messages() <= 4,
             "got {} messages",
-            det.stats().total_messages()
+            det.meters().modeled.total_messages()
         );
     }
 
@@ -1232,7 +1228,7 @@ mod tests {
                 "EDI",
             ));
             det.apply(&d).unwrap();
-            det.stats().total_bytes()
+            det.meters().modeled.total_bytes()
         };
         let md5_bytes = run(&mut mk(CodecKind::Md5));
         let raw_bytes = run(&mut mk(CodecKind::RawValues));
@@ -1279,7 +1275,10 @@ mod tests {
                 del.delete(101);
                 det.apply(&del).unwrap();
             }
-            (det.violations().marks_sorted(), det.stats().total_bytes())
+            (
+                det.violations().marks_sorted(),
+                det.meters().modeled.total_bytes(),
+            )
         };
         let (v_dict, dict_bytes) = run(&mut mk(CodecKind::Dict));
         let (v_raw, raw_bytes) = run(&mut mk(CodecKind::RawValues));
@@ -1326,7 +1325,11 @@ mod tests {
         d.delete(5);
         d.delete(40);
         det.apply(&d).unwrap();
-        assert_eq!(det.stats().total_bytes(), 0, "X_{{F_i}} ⊆ X ⇒ no shipment");
+        assert_eq!(
+            det.meters().modeled.total_bytes(),
+            0,
+            "X_{{F_i}} ⊆ X ⇒ no shipment"
+        );
         let oracle = cfd::naive::detect(det.cfds(), det.current());
         assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
     }
@@ -1354,7 +1357,7 @@ mod tests {
         d.insert(emp_tuple(50, "A", 44, 131, "NEW 111", "Foo", "EDI"));
         det.apply(&d).unwrap();
         // Only peer (CC=1) is irrelevant (F_j ∧ F_φ unsat) → nothing sent.
-        assert_eq!(det.stats().total_messages(), 0);
+        assert_eq!(det.meters().modeled.total_messages(), 0);
     }
 
     #[test]
@@ -1392,7 +1395,10 @@ mod tests {
         assert_eq!(marks, blocking.violations().marks_sorted(), "{what}: V");
         let oracle = cfd::naive::detect(piped.cfds(), piped.current());
         assert_eq!(marks, oracle.marks_sorted(), "{what}: the oracle's V");
-        let (got, want) = (piped.stats().to_bytes(), blocking.stats().to_bytes());
+        let (got, want) = (
+            piped.meters().modeled.to_bytes(),
+            blocking.meters().modeled.to_bytes(),
+        );
         assert_eq!(got, want, "{what}: modeled |M| matrix");
         assert_eq!(piped.waves(), waves, "{what}: drains");
     }

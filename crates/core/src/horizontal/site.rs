@@ -1536,7 +1536,7 @@ mod tests {
                         marks: seq.violations().marks_sorted(),
                         census: seq.state_census(),
                         resident_symbols: seq.resident_symbols(),
-                        stats: seq.stats().to_bytes(),
+                        stats: seq.meters().modeled.to_bytes(),
                     };
                     let (mut seq, mut whole) = (build(), build());
                     let mut pilot = Mesh::new(&cfg, codec);
@@ -1578,7 +1578,10 @@ mod tests {
                     let count =
                         |f: fn(&Step) -> bool| steps.iter().flatten().filter(|s| f(s)).count();
                     let settled: usize = steps.iter().filter(|s| s.iter().any(|x| !x.2)).count();
-                    assert!(seq.stats().total_messages() > 0 && steps.len() > 2 * batches.len());
+                    assert!(
+                        seq.meters().modeled.total_messages() > 0
+                            && steps.len() > 2 * batches.len()
+                    );
                     assert!(settled > 0 && count(|s| s.2) > 0, "{settled} settled steps");
 
                     for seed in 1..=PERMUTATIONS {

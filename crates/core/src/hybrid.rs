@@ -33,7 +33,7 @@ use cluster::codec::CodecKind;
 use cluster::md5::Digest;
 use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
-use cluster::{ClusterError, NetStats, Network, SiteId, Wire};
+use cluster::{ClusterError, NetStats, SiteId};
 use relation::{AttrId, FxHashSet, RelError, Relation, Schema, Tuple, UpdateBatch};
 use std::mem::take;
 use std::sync::Arc;
@@ -110,31 +110,19 @@ impl HybridScheme {
     }
 }
 
-/// Intra-region assembly payloads.
-#[derive(Debug, Clone)]
-enum AsmMsg {
-    /// Per-attribute MD5 digests shipped to the gateway.
-    Digests(u32),
-    /// Candidate tid for a constant CFD atom check.
-    Cand,
-}
-
-impl Wire for AsmMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            AsmMsg::Digests(n) => Digest::WIRE_SIZE * (*n as usize),
-            AsmMsg::Cand => 8,
-        }
-    }
-}
+/// Wire bytes of one candidate tid, shipped to the gateway for a
+/// constant CFD's atom check (per-attribute digests cost
+/// [`Digest::WIRE_SIZE`] each).
+const CAND_BYTES: usize = 8;
 
 /// The hybrid detector: §6 between regions, digest assembly within them.
 pub struct HybridDetector {
     scheme: HybridScheme,
     /// Inter-region protocol (regions as logical sites).
     inner: HorizontalDetector,
-    /// Intra-region assembly traffic (global physical site ids).
-    intra: Network<AsmMsg>,
+    /// Intra-region assembly traffic (global physical site ids), metered
+    /// from the scheme alone: nothing is sent.
+    intra: NetStats,
     /// Variable CFDs' attribute sets, precomputed.
     var_attrs: Vec<Option<Vec<AttrId>>>,
     /// Constant CFDs' atom attributes, precomputed.
@@ -188,7 +176,7 @@ impl HybridDetector {
             })
             .collect();
         Ok(HybridDetector {
-            intra: Network::new(scheme.n_sites()),
+            intra: NetStats::new(scheme.n_sites()),
             scheme,
             inner,
             var_attrs,
@@ -212,28 +200,13 @@ impl HybridDetector {
     /// Reset both traffic meters.
     pub fn reset_stats(&mut self) {
         self.inner.reset_stats();
-        self.intra.reset_stats();
-    }
-
-    /// Inter-region traffic (the §6 protocol).
-    pub fn inter_stats(&self) -> &NetStats {
-        self.inner.stats()
-    }
-
-    /// Intra-region assembly traffic.
-    pub fn intra_stats(&self) -> &NetStats {
-        self.intra.stats()
+        self.intra.reset();
     }
 
     /// The inter-region §6 detector.
     #[cfg(test)]
     pub(crate) fn inner(&self) -> &HorizontalDetector {
         &self.inner
-    }
-
-    /// Total shipped bytes, inter + intra.
-    pub fn total_bytes(&self) -> u64 {
-        self.inner.stats().total_bytes() + self.intra.stats().total_bytes()
     }
 
     /// The rule set.
@@ -256,13 +229,13 @@ impl HybridDetector {
         // metered in two passes.
         let regions = self.inner.route(&delta)?;
         for (t, &region) in delta.insertions().zip(&regions) {
-            self.meter_assembly(region, t)?;
+            self.meter_assembly(region, t);
         }
         for tid in delta.deletions() {
             let t = self.inner.current().get(tid);
             let t = t.ok_or(RelError::MissingTid(tid))?;
             let region = self.scheme.regions.route(&t)?;
-            self.meter_assembly(region, &t)?;
+            self.meter_assembly(region, &t);
         }
         self.inner.apply_routed(&delta, regions)
     }
@@ -272,7 +245,7 @@ impl HybridDetector {
     /// per-attribute digests for the variable CFDs the tuple matches, a
     /// candidate tid per matched constant CFD. One dispatch pass finds
     /// both kinds.
-    fn meter_assembly(&mut self, region: usize, t: &Tuple) -> Result<(), DetectError> {
+    fn meter_assembly(&mut self, region: usize, t: &Tuple) {
         // Reused buffers — no per-update allocation.
         let (mut needed, mut hits) = (take(&mut self.needed_buf), take(&mut self.hits_buf));
         needed.clear();
@@ -290,14 +263,13 @@ impl HybridDetector {
             if gsite == gateway {
                 continue;
             }
-            let held: u32 = needed
+            let held = needed
                 .iter()
                 .filter(|&&a| vs.local_pos(sub, a).is_some() && vs.primary_site(a) == sub)
-                .count() as u32;
+                .count();
             if held > 0 {
                 self.intra
-                    .ship(gsite, gateway, &AsmMsg::Digests(held))
-                    .map_err(DetectError::Cluster)?;
+                    .record(gsite, gateway, Digest::WIRE_SIZE * held, 0);
             }
         }
         // Constant CFDs: candidate tids from atom-owning sub-sites.
@@ -308,14 +280,11 @@ impl HybridDetector {
             for &a in attrs {
                 let gsite = self.scheme.global_site(region, vs.primary_site(a));
                 if gsite != gateway {
-                    self.intra
-                        .ship(gsite, gateway, &AsmMsg::Cand)
-                        .map_err(DetectError::Cluster)?;
+                    self.intra.record(gsite, gateway, CAND_BYTES, 0);
                 }
             }
         }
         (self.needed_buf, self.hits_buf) = (needed, hits);
-        Ok(())
     }
 }
 
@@ -345,13 +314,9 @@ impl Detector for HybridDetector {
     }
 
     fn net(&self) -> cluster::NetReport {
-        let report =
-            cluster::NetReport::two_tier(self.inner.stats().clone(), self.intra.stats().clone())
-                .with_codec(self.inner.codec_kind().name());
-        match self.inner.wire_stats() {
-            Some(wire) => report.with_measured(wire.clone()),
-            None => report,
-        }
+        let report = self.inner.meters().report("inter");
+        let report = report.with_tier("intra", self.intra.clone());
+        report.with_codec(self.inner.codec_kind().name())
     }
 
     fn reset_stats(&mut self) {
@@ -462,7 +427,7 @@ mod tests {
         let oracle = cfd::naive::detect(det.cfds(), det.current());
         assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
         assert!(
-            det.intra_stats().total_bytes() > 0,
+            det.net().tier("intra").unwrap().total_bytes() > 0,
             "digest assembly must be metered"
         );
     }

@@ -610,21 +610,7 @@ impl SuiteSession {
     /// Network traffic: the inner detector's tiers plus the `ind` tier
     /// metering inclusion-dependency probes and presence flips.
     pub fn net(&self) -> NetReport {
-        let inner = self.det.net();
-        let mut tiers: Vec<(String, NetStats)> = inner
-            .tiers()
-            .iter()
-            .map(|(l, s)| (l.clone(), s.clone()))
-            .collect();
-        tiers.push(("ind".to_string(), self.ind_net.clone()));
-        let mut report = NetReport::from_tiers(tiers);
-        if let Some(codec) = inner.codec() {
-            report = report.with_codec(codec);
-        }
-        if let Some(m) = inner.measured() {
-            report = report.with_measured(m.clone());
-        }
-        report
+        self.det.net().with_tier("ind", self.ind_net.clone())
     }
 
     /// Reset all traffic meters.

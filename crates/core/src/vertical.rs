@@ -69,7 +69,7 @@ use crate::plan::{HevPlan, Input, NodeId, PlanError};
 use crate::StateCensus;
 use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
 use cluster::partition::VerticalScheme;
-use cluster::{NetStats, SiteId};
+use cluster::{Meters, SiteId};
 use relation::{
     AttrId, FxHashMap, RelError, Relation, RowId, Schema, Tid, Tuple, Update, UpdateBatch, Value,
 };
@@ -338,8 +338,9 @@ pub struct VerticalDetector {
     /// no separate encoded mirror.
     current: Relation,
     violations: Violations,
-    /// Every shipment the protocol makes, metered per link.
-    net: NetStats,
+    /// Every shipment the protocol makes, metered per link (modeled `|M|`
+    /// only: nothing is framed).
+    meters: Meters,
     /// The merged multi-CFD evaluation plan: one dispatch scan decides
     /// which variable CFDs a tuple falls under ([`cfd::SharedPlan`]).
     shared_plan: Arc<SharedPlan>,
@@ -385,7 +386,7 @@ impl VerticalDetector {
             idxs: cfds.iter().map(|_| Idx::new()).collect(),
             current,
             violations: Violations::new(cfds.len()),
-            net: NetStats::new(scheme.n_sites()),
+            meters: Meters::modeled(scheme.n_sites()),
             shared_plan: Arc::new(SharedPlan::new(&cfds)),
             walk: Walk::new(&compiled, arity),
             compiled,
@@ -406,7 +407,7 @@ impl VerticalDetector {
             });
         }
         // Incremental metering starts at the first `apply`.
-        det.net.reset();
+        det.meters.reset();
         Ok(det)
     }
 
@@ -415,14 +416,14 @@ impl VerticalDetector {
         &self.violations
     }
 
-    /// Cumulative network statistics since construction (or last reset).
-    pub fn stats(&self) -> &NetStats {
-        &self.net
+    /// Cumulative traffic since construction (or last reset).
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Reset network statistics.
     pub fn reset_stats(&mut self) {
-        self.net.reset();
+        self.meters.reset();
     }
 
     /// The HEV plan in use.
@@ -538,7 +539,9 @@ impl VerticalDetector {
             for l in k.scans[c.scan].clone() {
                 let site = k.lists[l].0;
                 if site != c.coord && w.hits[l] > 0 {
-                    self.net.record(site, c.coord, TID_BYTES * w.hits[l], 0);
+                    self.meters
+                        .modeled
+                        .record(site, c.coord, TID_BYTES * w.hits[l], 0);
                 }
             }
         }
@@ -586,7 +589,7 @@ impl VerticalDetector {
             let step = &k.steps[n];
             for &(src, pair) in &step.ships {
                 if std::mem::replace(&mut w.pair_seen[pair], w.generation) != w.generation {
-                    self.net.record(src, step.site, EQID_BYTES, 1);
+                    self.meters.modeled.record(src, step.site, EQID_BYTES, 1);
                 }
             }
         }
@@ -704,7 +707,7 @@ impl Detector for VerticalDetector {
     }
 
     fn net(&self) -> cluster::NetReport {
-        cluster::NetReport::single(self.net.clone())
+        self.meters.report("net")
     }
 
     fn reset_stats(&mut self) {
@@ -817,7 +820,7 @@ mod tests {
         let phi2: Vec<Tid> = v.of_cfd(1).iter().copied().collect();
         assert_eq!(phi2, vec![1]);
         // Load is unmetered.
-        assert_eq!(det.stats().total_bytes(), 0);
+        assert_eq!(det.meters().modeled.total_bytes(), 0);
     }
 
     #[test]
@@ -833,8 +836,11 @@ mod tests {
         // also anchors φ2's candidate protocol (no candidates here) and the
         // X∪{B} node; total eqid traffic stays O(1), far below the batch
         // recomputation, and includes the CC eqid of Example 6.
-        assert!(det.stats().total_eqids() >= 1);
-        assert!(det.stats().total_eqids() <= 4, "O(1) eqids per update");
+        assert!(det.meters().modeled.total_eqids() >= 1);
+        assert!(
+            det.meters().modeled.total_eqids() <= 4,
+            "O(1) eqids per update"
+        );
     }
 
     #[test]
@@ -852,7 +858,7 @@ mod tests {
         let dv = det.apply(&d2).unwrap();
         assert_eq!(dv.removed, vec![(0, 4)]);
         assert!(dv.added.is_empty());
-        assert!(det.stats().total_eqids() <= 4);
+        assert!(det.meters().modeled.total_eqids() <= 4);
     }
 
     #[test]
@@ -901,7 +907,7 @@ mod tests {
         let mut delta = UpdateBatch::new();
         delta.delete(8);
         assert!(det.apply(&delta).unwrap().is_empty());
-        let total = det.stats().total();
+        let total = det.meters().modeled.total();
         assert_eq!(
             (total.bytes, total.messages),
             (0, 0),
@@ -912,7 +918,7 @@ mod tests {
         let mut delta = UpdateBatch::new();
         delta.insert(emp_tuple(9, "A", 44, 131, "EH2 4HF", "Preston", "EDI"));
         det.apply(&delta).unwrap();
-        let link = det.stats().pair(2, 1); // CC/AC site → city site
+        let link = det.meters().modeled.pair(2, 1); // CC/AC site → city site
         assert_eq!(
             (link.messages, link.bytes),
             (link.eqids + 1, 8 * link.eqids + 8)
@@ -921,7 +927,7 @@ mod tests {
         let mut delta = UpdateBatch::new();
         delta.delete(9);
         det.apply(&delta).unwrap();
-        let total = det.stats().total();
+        let total = det.meters().modeled.total();
         assert!(total.eqids > 0);
         assert_eq!(
             (total.messages, total.bytes),
@@ -1021,7 +1027,7 @@ mod tests {
         assert!(det.current().contains(5));
         assert_eq!(det.violations().marks_sorted(), marks);
         assert_eq!(det.index_sizes(), sizes);
-        assert_eq!(det.stats().total_messages(), 0);
+        assert_eq!(det.meters().modeled.total_messages(), 0);
         // The next clean batch is the oracle's.
         let mut delta = UpdateBatch::new();
         delta.insert(emp_tuple(6, "C", 44, 131, "EH4 8LE", "Mayfield", "EDI"));

@@ -55,7 +55,11 @@ fn run(codec: CodecKind, rows: usize, batches: usize) -> (NetReport, TransportMe
         oracle.marks_sorted(),
         "socket run must match the centralized oracle"
     );
-    let meter = det.transport_meter().expect("TCP sessions meter the wire");
+    let meter = det.meters().transport;
+    assert!(
+        det.net().measured().is_some(),
+        "TCP sessions meter the wire"
+    );
     (det.net(), meter, total_dv)
 }
 

@@ -179,8 +179,8 @@ fn run_cluster(args: &Args) -> Result<(), DetectError> {
         "multi-process and single-thread drives must agree on V"
     );
     assert_eq!(
-        det.stats().to_bytes(),
-        seq.stats().to_bytes(),
+        det.meters().modeled.to_bytes(),
+        seq.meters().modeled.to_bytes(),
         "modeled |M| must be bit-identical across runtimes"
     );
     // No process keeps D whole: `current()` gathers every child's fragment.
@@ -190,7 +190,7 @@ fn run_cluster(args: &Args) -> Result<(), DetectError> {
         "D gathered from the site processes must be the single-thread drive's"
     );
 
-    let meter = det.transport_meter();
+    let meter = det.meters().transport;
     println!(
         "[site 0] {n} processes · |D|={} |ΔD|={} |ΔV|={} · {} waves in {:.3}s\n\
          [site 0] modeled |M| {} B (== 1-thread drive) · wire {} B over {} frames\n\
@@ -200,7 +200,7 @@ fn run_cluster(args: &Args) -> Result<(), DetectError> {
         dv.len(),
         det.waves(),
         wall,
-        det.stats().total_bytes(),
+        det.meters().modeled.total_bytes(),
         meter.wire_bytes,
         meter.frames,
     );

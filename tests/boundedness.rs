@@ -114,7 +114,7 @@ fn batch_grows_with_base_but_incremental_does_not() {
         let mut d_new = d.clone();
         delta.normalize(&d).apply(&mut d_new).unwrap();
         let out = baselines::bat_ver(&cfds, &scheme, &d_new);
-        bat_bytes.push(out.stats.total_bytes());
+        bat_bytes.push(out.meters.modeled.total_bytes());
     }
     // Batch grows roughly with |D| (4× base → ~4× shipment).
     assert!(

@@ -143,11 +143,17 @@ fn batch_coordinators_ship_columns() {
     let vs = tpch::vertical_scheme(&schema, 10);
     let hs = tpch::horizontal_scheme(&schema, 10);
     assert_eq!(
-        baselines::bat_ver(&cfds, &vs, &d).stats.total_bytes(),
+        baselines::bat_ver(&cfds, &vs, &d)
+            .meters
+            .modeled
+            .total_bytes(),
         47_699
     );
     assert_eq!(
-        baselines::bat_hor(&cfds, &hs, &d).stats.total_bytes(),
+        baselines::bat_hor(&cfds, &hs, &d)
+            .meters
+            .modeled
+            .total_bytes(),
         91_419
     );
 }
@@ -167,8 +173,9 @@ fn framed_transport_per_codec() {
         let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
         let mut det = HorizontalDetector::new(s, c, hs.clone(), &d, kind, framed).unwrap();
         det.apply(&delta).unwrap();
-        let m = det.transport_meter().expect("framed runs meter the wire");
-        assert_eq!(m.modeled_bytes, det.stats().total_bytes());
+        assert!(det.net().measured().is_some(), "framed runs meter the wire");
+        let m = det.meters().transport;
+        assert_eq!(m.modeled_bytes, det.meters().modeled.total_bytes());
         assert_eq!(
             m.wire_bytes,
             m.modeled_bytes + m.structural_bytes - m.saved_bytes,

@@ -185,12 +185,12 @@ fn multi_process_matches_threaded_and_sequential() {
         "processes vs threads"
     );
     assert_eq!(
-        mp.stats().to_bytes(),
-        seq.stats().to_bytes(),
+        mp.meters().modeled.to_bytes(),
+        seq.meters().modeled.to_bytes(),
         "modeled |M| is runtime-independent"
     );
     assert_eq!(mp.waves(), thr.waves(), "wave schedule is deterministic");
-    assert!(mp.transport_meter().wire_bytes > mp.stats().total_bytes());
+    assert!(mp.meters().transport.wire_bytes > mp.meters().modeled.total_bytes());
     assert!(same_rows(mp.current(), seq.current()), "D over processes");
     assert!(same_rows(thr.current(), seq.current()), "D over threads");
 
@@ -203,8 +203,9 @@ fn multi_process_matches_threaded_and_sequential() {
         seq.violations().marks_sorted(),
         "processes vs single thread, re-inserts"
     );
-    assert_eq!(mp.stats().to_bytes(), seq.stats().to_bytes(), "re-inserts");
-    assert_eq!(thr.stats().to_bytes(), seq.stats().to_bytes(), "re-inserts");
+    let modeled = |m: &inc_cfd::cluster::Meters| m.modeled.to_bytes();
+    assert_eq!(modeled(mp.meters()), modeled(seq.meters()), "re-inserts");
+    assert_eq!(modeled(thr.meters()), modeled(seq.meters()), "re-inserts");
     assert_eq!(mp.waves(), thr.waves(), "re-inserts");
     assert!(same_rows(mp.current(), seq.current()), "D over processes");
     assert!(same_rows(thr.current(), seq.current()), "D over threads");

@@ -128,7 +128,7 @@ fn example1_batch_needs_shipment_where_incremental_does_not() {
     d.insert(workload::emp::t6()).unwrap();
     let scheme = workload::emp::emp_horizontal_scheme(&schema);
     let out = incdetect::baselines::bat_hor(&sigma, &scheme, &d);
-    assert!(out.stats.total_bytes() > 0);
+    assert!(out.meters.modeled.total_bytes() > 0);
     assert_eq!(out.violations.tids_sorted(), vec![1, 3, 4, 5, 6]);
 }
 

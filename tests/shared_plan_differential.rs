@@ -474,7 +474,7 @@ fn compiled_walk_ships_the_planners_bytes_and_eqids() {
             assert_eq!(dv.expect("apply"), oracle.diff(&next), "{name}: batch {i}");
             oracle = next;
         }
-        let stats = det.stats();
+        let stats = &det.meters().modeled;
         let n = stats.n_sites();
         let links: Vec<_> = (0..n)
             .flat_map(|src| (0..n).map(move |dst| (src, dst)))
@@ -595,7 +595,11 @@ fn the_store_built_detector_is_the_replay_built_one() {
             );
             assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
             assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
-            assert_eq!(stored.stats().total_messages(), 0, "{at}: unmetered");
+            assert_eq!(
+                stored.meters().modeled.total_messages(),
+                0,
+                "{at}: unmetered"
+            );
 
             for (i, batch) in batches.iter().enumerate() {
                 let (a, b) = match batch.ops() {
@@ -608,8 +612,9 @@ fn the_store_built_detector_is_the_replay_built_one() {
                     "{at}: ΔV of batch {i}"
                 );
             }
-            assert!(stored.stats().total_messages() > 0, "{at}: a stream ships");
-            let (got, want) = (links(stored.stats()), links(replayed.stats()));
+            let (got, want) = (&stored.meters().modeled, &replayed.meters().modeled);
+            assert!(got.total_messages() > 0, "{at}: a stream ships");
+            let (got, want) = (links(got), links(want));
             assert_eq!(got, want, "{at}: per-link traffic");
             assert_eq!(stored.index_sizes(), replayed.index_sizes(), "{at}");
             let oracle = cfd::naive::detect(&sigma, stored.current());
@@ -640,12 +645,17 @@ fn the_store_built_detector_is_the_replay_built_one() {
             let marks = |det: &HorizontalDetector| det.violations().marks_sorted();
             assert_eq!(marks(&stored), marks(&replayed), "{at}: incHor V(Σ, D₀)");
             assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
-            assert_eq!(stored.stats().total_messages(), 0, "{at}: unmetered");
+            assert_eq!(
+                stored.meters().modeled.total_messages(),
+                0,
+                "{at}: unmetered"
+            );
             for (i, batch) in batches.iter().enumerate() {
                 let (a, b) = (stored.apply(batch), replayed.apply(batch));
                 assert_eq!(a.expect("apply"), b.expect("apply"), "{at}: incHor ΔV {i}");
             }
-            let (got, want) = (links(stored.stats()), links(replayed.stats()));
+            let (got, want) = (&stored.meters().modeled, &replayed.meters().modeled);
+            let (got, want) = (links(got), links(want));
             assert_eq!(got, want, "{at}: incHor per-link traffic");
             assert_eq!(stored.state_census(), replayed.state_census(), "{at}");
 
@@ -658,10 +668,15 @@ fn the_store_built_detector_is_the_replay_built_one() {
                 let (a, b) = (stored.apply(batch), replayed.apply(batch));
                 assert_eq!(a.expect("apply"), b.expect("apply"), "{at}: incHyb ΔV {i}");
             }
-            let (got, want) = (links(stored.inter_stats()), links(replayed.inter_stats()));
-            assert_eq!(got, want, "{at}: incHyb inter-region traffic");
-            let (got, want) = (links(stored.intra_stats()), links(replayed.intra_stats()));
-            assert_eq!(got, want, "{at}: incHyb intra-region traffic");
+            let (got, want) = (stored.net(), replayed.net());
+            for tier in ["inter", "intra"] {
+                let (got, want) = (got.tier(tier).unwrap(), want.tier(tier).unwrap());
+                assert_eq!(
+                    links(got),
+                    links(want),
+                    "{at}: incHyb {tier}-region traffic"
+                );
+            }
         }
     }
 }

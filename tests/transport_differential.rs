@@ -95,8 +95,8 @@ fn run(
     }
     RunOutcome {
         marks: det.violations().marks_sorted(),
-        modeled: det.stats().total_bytes(),
-        meter: det.transport_meter(),
+        modeled: det.meters().modeled.total_bytes(),
+        meter: det.net().measured().map(|_| det.meters().transport),
     }
 }
 
@@ -231,9 +231,9 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
             framed.apply(&delta).expect("apply framed"),
             "round {round}"
         );
-        assert_eq!(cells(det.stats()), cells(framed.stats()), "round {round}");
-        let (wire, framed_wire) = (det.wire_stats().unwrap(), framed.wire_stats().unwrap());
-        assert_eq!(cells(wire), cells(framed_wire), "round {round}");
+        let (m, framed_m) = (det.meters(), framed.meters());
+        assert_eq!(cells(&m.modeled), cells(&framed_m.modeled), "round {round}");
+        assert_eq!(cells(&m.wire), cells(&framed_m.wire), "round {round}");
         sim.apply(&delta).expect("apply simulated");
         delta.normalize(&mirror).apply(&mut mirror).unwrap();
         assert_eq!(
@@ -241,7 +241,8 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
             dv,
             "round {round}"
         );
-        assert_eq!(cells(thr.stats()), cells(det.stats()), "round {round}");
+        let (thr_m, m) = (&thr.meters().modeled, &det.meters().modeled);
+        assert_eq!(cells(thr_m), cells(m), "round {round}");
         let gathered = thr.current();
         assert_eq!(gathered.len(), mirror.len(), "round {round}");
         assert!(gathered.iter().eq(mirror.iter()), "round {round}");
@@ -249,17 +250,17 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
     let oracle = cfd::naive::detect(det.cfds(), &mirror);
     assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
     assert_eq!(
-        det.stats().total_bytes(),
-        sim.stats().total_bytes(),
+        det.meters().modeled.total_bytes(),
+        sim.meters().modeled.total_bytes(),
         "modeled |M| identical over sockets and simulation"
     );
-    let m = det.transport_meter().expect("sockets meter the wire");
+    let m = det.meters().transport;
     assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
-    let wire = det.wire_stats().unwrap();
-    assert_eq!(wire.total_messages(), m.frames);
     // The NetReport surface carries both sides.
     let report = det.net();
-    assert_eq!(report.total_bytes(), det.stats().total_bytes());
+    let wire = report.measured().expect("sockets meter the wire");
+    assert_eq!(wire.total_messages(), m.frames);
+    assert_eq!(report.total_bytes(), det.meters().modeled.total_bytes());
     assert_eq!(report.measured_bytes(), Some(m.wire_bytes));
 }
 
