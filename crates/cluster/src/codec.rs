@@ -20,12 +20,12 @@
 //!   4 bytes instead of their full size, which is what collapses `|M|` on
 //!   skewed update streams.
 //!
-//! Receivers never see raw protocol bytes in this in-process substrate;
-//! what they need is the *digest* of each shipped value (group keys in the
-//! §6 protocol are MD5 digests over per-attribute digests). The codec
-//! therefore also answers [`PayloadCodec::digest`] — for [`DictSyms`] that
-//! resolves through the dictionary state the deltas built up, so a symbol
-//! is digested once per distinct value rather than once per shipment.
+//! What a receiver needs is the *digest* of each shipped value (group keys
+//! in the §6 protocol are MD5 digests over per-attribute digests), derived
+//! from the received payloads alone: [`ReceiverCodec`], one per link, is
+//! that half. For [`DictSyms`] it resolves bare symbols through the
+//! dictionary the link's deltas taught it, so a symbol is digested once per
+//! distinct value rather than once per shipment.
 //!
 //! The vertical protocol (§4) is untouched by codecs: it ships equivalence
 //! ids, never attribute values — eqids *are* its encoding.
@@ -109,10 +109,10 @@ impl CodecKind {
     /// A fresh codec instance of this kind.
     pub fn codec(self) -> Box<dyn PayloadCodec> {
         match self {
-            CodecKind::RawValues => Box::new(RawValues::default()),
+            CodecKind::RawValues => Box::new(RawValues),
             CodecKind::Md5 => Box::new(Md5Digest::default()),
             CodecKind::Dict => Box::new(DictSyms::new()),
-            CodecKind::Lz => Box::new(LzBlock::default()),
+            CodecKind::Lz => Box::new(LzBlock),
         }
     }
 
@@ -128,16 +128,14 @@ impl CodecKind {
 
 /// A pluggable payload encoding for cross-site value shipment.
 ///
-/// One codec instance serves one protocol session: [`encode`] is called by
-/// the sending site for every value that crosses a `(src, dst)` link and
-/// may update per-link state (dictionary residency); [`digest`] is the
-/// receiving side's view, turning the shipped payload back into the
-/// 128-bit fingerprint the §6 group-key derivation runs on. Both ends live
-/// in the same object because the substrate is in-process — a socket
-/// transport would split the same state machine across two hosts.
+/// One codec instance serves one sending site's session: [`encode`] is
+/// called for every value that crosses a `(src, dst)` link and may update
+/// per-link state (dictionary residency). The receiving side's view — the
+/// shipped payload turned back into the 128-bit fingerprint the §6
+/// group-key derivation runs on — is [`ReceiverCodec`]'s, from the
+/// payloads alone.
 ///
 /// [`encode`]: PayloadCodec::encode
-/// [`digest`]: PayloadCodec::digest
 ///
 /// # Worked example
 ///
@@ -148,7 +146,7 @@ impl CodecKind {
 /// actually consumes — is identical for all of them:
 ///
 /// ```
-/// use cluster::codec::{value_digest, CodecKind, PayloadCodec};
+/// use cluster::codec::{value_digest, CodecKind, PayloadCodec, ReceiverCodec};
 /// use relation::Value;
 ///
 /// let street = Value::str("Glenna Goodacre Boulevard"); // 29 B raw
@@ -169,12 +167,14 @@ impl CodecKind {
 /// // A different link pays its own entry (dictionaries are per link)…
 /// assert_eq!(dict.encode(0, 2, &street).wire_size(), 4 + 4 + 29);
 ///
-/// // …and every codec resolves to the same group-key digest.
+/// // …and every codec's payloads resolve to the same group-key digest
+/// // at the receiver (the dict link taught by the first crossing).
 /// let d = value_digest(&street);
-/// let (raw_wire, md5_wire) = (raw.encode(0, 1, &street), md5.encode(0, 1, &street));
-/// assert_eq!(raw.digest(&raw_wire), d);
-/// assert_eq!(md5.digest(&md5_wire), d);
-/// assert_eq!(dict.digest(&repeat), d);
+/// let mut rx = ReceiverCodec::for_link(0, 1);
+/// assert_eq!(rx.digest(&raw.encode(0, 1, &street)).unwrap(), d);
+/// assert_eq!(rx.digest(&md5.encode(0, 1, &street)).unwrap(), d);
+/// assert_eq!(rx.digest(&first).unwrap(), d);
+/// assert_eq!(rx.digest(&repeat).unwrap(), d);
 /// ```
 pub trait PayloadCodec: std::fmt::Debug + Send {
     /// Which built-in kind this codec is (drives labels and builder plumbing).
@@ -197,18 +197,11 @@ pub trait PayloadCodec: std::fmt::Debug + Send {
     fn per_link(&self) -> bool {
         false
     }
-
-    /// Receiver-side digest of a shipped payload, for group-key
-    /// derivation. For [`WireValue::Sym`] this resolves through the
-    /// dictionary state built by [`PayloadCodec::encode`]'s deltas.
-    fn digest(&mut self, w: &WireValue) -> Digest;
 }
 
 /// Ship values verbatim — the unoptimized §6 variant.
 #[derive(Debug, Default)]
-pub struct RawValues {
-    scratch: Vec<u8>,
-}
+pub struct RawValues;
 
 impl PayloadCodec for RawValues {
     fn kind(&self) -> CodecKind {
@@ -217,14 +210,6 @@ impl PayloadCodec for RawValues {
 
     fn encode(&mut self, _src: SiteId, _dst: SiteId, value: &Value) -> WireValue {
         WireValue::Raw(value.clone())
-    }
-
-    fn digest(&mut self, w: &WireValue) -> Digest {
-        match w {
-            WireValue::Raw(v) => value_digest_into(v, &mut self.scratch),
-            WireValue::Md5(d) => *d,
-            WireValue::Sym(..) => unreachable!("raw_values codec never ships symbols"),
-        }
     }
 }
 
@@ -248,14 +233,6 @@ impl PayloadCodec for Md5Digest {
             WireValue::Raw(value.clone())
         }
     }
-
-    fn digest(&mut self, w: &WireValue) -> Digest {
-        match w {
-            WireValue::Raw(v) => value_digest_into(v, &mut self.scratch),
-            WireValue::Md5(d) => *d,
-            WireValue::Sym(..) => unreachable!("md5 codec never ships symbols"),
-        }
-    }
 }
 
 /// Dictionary shipping: symbols on the wire, one-time per-link deltas.
@@ -265,8 +242,9 @@ impl PayloadCodec for Md5Digest {
 /// tracking which symbols are resident at which `(src, dst)` link. The
 /// first time a value crosses a link, the payload carries the dictionary
 /// entry (4 B id + the raw value) on top of the 4-byte symbol; afterwards
-/// the bare symbol suffices. Per-symbol digests are cached, so receivers
-/// pay one MD5 per distinct value instead of one per shipment.
+/// the bare symbol suffices. A receiver ([`ReceiverCodec`]) keeps each
+/// taught symbol's digest, so it pays one MD5 per distinct value instead
+/// of one per shipment; the sender computes none.
 ///
 /// The batch coordinators' columnar shipments
 /// (`incdetect::baselines::ColsMsg`) route their sizing through
@@ -287,8 +265,6 @@ enum DictMode {
 pub struct DictSyms {
     dict: ValuePool,
     meter: DictMeter,
-    digests: FxHashMap<Sym, Digest>,
-    scratch: Vec<u8>,
     mode: Option<DictMode>,
 }
 
@@ -339,27 +315,11 @@ impl PayloadCodec for DictSyms {
         self.enter(DictMode::Codec);
         let sym = match self.dict.lookup(value) {
             Some(s) => s,
-            None => {
-                let s = self.dict.acquire(value);
-                self.digests
-                    .insert(s, value_digest_into(value, &mut self.scratch));
-                s
-            }
+            None => self.dict.acquire(value),
         };
         let cost = self.meter.ship_sym(src, dst, sym, value);
         let delta = (cost > DictMeter::SYM_WIRE_SIZE).then(|| value.clone());
         WireValue::Sym(sym, delta)
-    }
-
-    fn digest(&mut self, w: &WireValue) -> Digest {
-        match w {
-            WireValue::Raw(v) => value_digest_into(v, &mut self.scratch),
-            WireValue::Md5(d) => *d,
-            WireValue::Sym(s, _) => *self
-                .digests
-                .get(s)
-                .expect("symbol was assigned by this codec's encode"),
-        }
     }
 
     fn per_link(&self) -> bool {
@@ -375,9 +335,7 @@ impl PayloadCodec for DictSyms {
 /// the simulated network this codec therefore meters exactly like
 /// `raw_values`; the measured savings only exist where real bytes do.
 #[derive(Debug, Default)]
-pub struct LzBlock {
-    scratch: Vec<u8>,
-}
+pub struct LzBlock;
 
 impl PayloadCodec for LzBlock {
     fn kind(&self) -> CodecKind {
@@ -386,14 +344,6 @@ impl PayloadCodec for LzBlock {
 
     fn encode(&mut self, _src: SiteId, _dst: SiteId, value: &Value) -> WireValue {
         WireValue::Raw(value.clone())
-    }
-
-    fn digest(&mut self, w: &WireValue) -> Digest {
-        match w {
-            WireValue::Raw(v) => value_digest_into(v, &mut self.scratch),
-            WireValue::Md5(d) => *d,
-            WireValue::Sym(..) => unreachable!("lz codec never ships symbols"),
-        }
     }
 }
 
@@ -494,6 +444,11 @@ impl ReceiverCodec {
 mod tests {
     use super::*;
 
+    /// What a fresh receiver on the link derives from `w`.
+    fn received(w: &WireValue) -> Digest {
+        ReceiverCodec::new().digest(w).unwrap()
+    }
+
     #[test]
     fn kinds_name_and_construct() {
         for (kind, name) in [
@@ -512,11 +467,11 @@ mod tests {
 
     #[test]
     fn raw_ships_full_size() {
-        let mut c = RawValues::default();
+        let mut c = RawValues;
         let v = Value::str("a street name longer than a digest");
         let w = c.encode(0, 1, &v);
         assert_eq!(w.wire_size(), v.wire_size());
-        assert_eq!(c.digest(&w), value_digest(&v));
+        assert_eq!(received(&w), value_digest(&v));
     }
 
     #[test]
@@ -530,8 +485,8 @@ mod tests {
         let n = c.encode(0, 1, &narrow);
         assert!(matches!(n, WireValue::Raw(_)), "8 B int ships raw");
         assert_eq!(n.wire_size(), narrow.wire_size());
-        assert_eq!(c.digest(&w), value_digest(&wide));
-        assert_eq!(c.digest(&n), value_digest(&narrow));
+        assert_eq!(received(&w), value_digest(&wide));
+        assert_eq!(received(&n), value_digest(&narrow));
     }
 
     #[test]
@@ -554,16 +509,17 @@ mod tests {
             unreachable!()
         };
         assert_eq!(a, b, "one symbol per distinct value");
-        // Digests resolve through the dictionary, identically everywhere.
-        assert_eq!(c.digest(&first), value_digest(&v));
-        assert_eq!(c.digest(&repeat), value_digest(&v));
+        // The link's receiver resolves the repeat through what the first
+        // crossing taught it.
+        let mut rx = ReceiverCodec::for_link(0, 1);
+        assert_eq!(rx.digest(&first).unwrap(), value_digest(&v));
+        assert_eq!(rx.digest(&repeat).unwrap(), value_digest(&v));
         assert_eq!(c.meter().dict_bytes(), 2 * (4 + v.wire_size() as u64));
     }
 
     #[test]
     fn dict_repeat_heavy_stream_beats_raw_and_md5() {
-        let (mut raw, mut md5c, mut dict) =
-            (RawValues::default(), Md5Digest::default(), DictSyms::new());
+        let (mut raw, mut md5c, mut dict) = (RawValues, Md5Digest::default(), DictSyms::new());
         let v = Value::str("Glenna Goodacre Boulevard");
         let (mut r, mut m, mut d) = (0usize, 0usize, 0usize);
         for _ in 0..1000 {
@@ -576,12 +532,12 @@ mod tests {
 
     #[test]
     fn lz_codec_is_raw_at_the_value_level() {
-        let mut c = LzBlock::default();
+        let mut c = LzBlock;
         let v = Value::str("a street name longer than a digest");
         let w = c.encode(0, 1, &v);
         assert!(matches!(w, WireValue::Raw(_)));
         assert_eq!(w.wire_size(), v.wire_size(), "models like raw_values");
-        assert_eq!(c.digest(&w), value_digest(&v));
+        assert_eq!(received(&w), value_digest(&v));
         assert_eq!(
             CodecKind::Lz.compression(),
             crate::net::Compression::Lz,

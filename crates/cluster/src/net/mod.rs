@@ -22,9 +22,10 @@
 //! wire_bytes == modeled |M| + structural_bytes − saved_bytes
 //! ```
 //!
-//! where `structural_bytes` is the framing the model ignores (the
-//! 4-byte length prefix + 1-byte method marker per frame, plus the
-//! per-message tags and item counts itemized in [`bytes`]), and
+//! where `structural_bytes` is the framing the model ignores (each
+//! frame's one-varint header of body length and method, 1 byte below a
+//! 64-byte body — [`frame`] — plus the per-message tags and item counts
+//! itemized in [`bytes`]), and
 //! `saved_bytes` is what per-frame LZ compression ([`crate::lz`],
 //! enabled by [`Compression::Lz`]) recovered. The differential test
 //! suite asserts this identity over whole protocol runs.
@@ -35,7 +36,7 @@ pub mod tcp;
 
 use crate::run::{self, Node};
 use crate::{lz, ClusterError, Meters, MsgTransport, SiteId, Wire};
-use frame::{FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
+use frame::{frame_wire_len, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
 
 pub use tcp::{join_mesh, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
 
@@ -60,7 +61,7 @@ pub enum Compression {
     #[default]
     None,
     /// Each body is [`lz`]-compressed when that is smaller ("per-message
-    /// LZ"); the method byte records the choice per frame.
+    /// LZ"); the header's method bit records the choice per frame.
     Lz,
 }
 
@@ -96,12 +97,13 @@ impl TransportKind {
 pub struct TransportMeter {
     /// Frames shipped.
     pub frames: u64,
-    /// Actual bytes on the wire, including the per-frame header.
+    /// Actual bytes on the wire, each frame's header included
+    /// ([`frame::frame_wire_len`]).
     pub wire_bytes: u64,
     /// Modeled `|M|` bytes ([`Wire::wire_size`] sums).
     pub modeled_bytes: u64,
-    /// Structural bytes the model ignores: frame headers + method bytes
-    /// + message tags + item counts.
+    /// Structural bytes the model ignores: frame headers (1–4 bytes each,
+    /// the method bit inside) + message tags + item counts.
     pub structural_bytes: u64,
     /// Bytes recovered by per-frame compression.
     pub saved_bytes: u64,
@@ -112,11 +114,11 @@ impl TransportMeter {
     /// plus `structural` bytes the model ignores, and whose body —
     /// packed or stored — put `body` bytes behind the frame header.
     pub fn record_frame(&mut self, modeled: usize, structural: usize, body: usize) {
-        let framing = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES;
+        let wire = frame_wire_len(body);
         self.frames += 1;
-        self.wire_bytes += (framing + body) as u64;
+        self.wire_bytes += wire as u64;
         self.modeled_bytes += modeled as u64;
-        self.structural_bytes += (structural + framing) as u64;
+        self.structural_bytes += (structural + wire - body) as u64;
         self.saved_bytes += (modeled + structural - body) as u64;
     }
 
@@ -130,7 +132,7 @@ impl TransportMeter {
     }
 }
 
-/// Undo the packing a frame's method byte names: the serialized message
+/// Undo the packing a frame's method bit names: the serialized message
 /// the sender framed.
 pub fn unpack_body(method: u8, body: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
     match method {
@@ -143,7 +145,7 @@ pub fn unpack_body(method: u8, body: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
     }
 }
 
-/// Unpack one received frame body per its method byte and decode the
+/// Unpack one received frame body per its method bit and decode the
 /// message — the receive half of the [`Node::send`] recipe.
 pub fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
     M::decode_frame(&unpack_body(method, body)?)
@@ -393,9 +395,10 @@ mod tests {
             assert_eq!(m.saved_bytes, 0);
             assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
             assert_eq!(net.meters().wire.total_bytes(), m.wire_bytes);
-            assert_eq!(net.meters().wire.pair(0, 2).bytes, 9 + 24 + 9 + 16);
-            // Structural = per-frame header+method (5) + the u32 count (4).
-            assert_eq!(m.structural_bytes, 5 * (5 + 4));
+            assert_eq!(net.meters().wire.pair(0, 2).bytes, 5 + 24 + 5 + 16);
+            // Structural = per-frame header (one byte below a 64-byte body)
+            // + the u32 count (4).
+            assert_eq!(m.structural_bytes, 5 * (1 + 4));
         }
     }
 

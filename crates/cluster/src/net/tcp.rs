@@ -5,8 +5,9 @@
 //! `(src, dst)` — `src` holds the write half, `dst` the read half. After
 //! the mesh is up, every node's inbound connections are serviced by
 //! dedicated reader threads that pull length-prefixed frames off the
-//! socket and push `(src, frame)` into the node's inbox channel, so
-//! receiving genuinely happens concurrently with the sender's work. A
+//! socket through a read buffer and push `(src, frame)` into the node's
+//! inbox channel, so receiving genuinely happens concurrently with the
+//! sender's work. A
 //! reader thread exits on a clean close and forwards any mid-stream error
 //! (truncated frame, reset connection) into the inbox, where the next
 //! receive surfaces it as a [`ClusterError::Transport`].
@@ -16,14 +17,14 @@
 
 use super::frame::{queue_frame, read_frame, read_frame_opt, METHOD_STORED};
 use crate::{ClusterError, SiteId};
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The write half of one `(src, dst)` link, buffered: a frame's header,
-/// method byte and body leave in one `write`, and a caller that
+/// The write half of one `(src, dst)` link, buffered: a frame's header
+/// and body leave in one `write`, and a caller that
 /// [`queue`](TcpLink::queue)s a burst of frames pays one `write` per
 /// [`flush`](TcpLink::flush) rather than one per frame.
 #[derive(Debug)]
@@ -115,8 +116,11 @@ fn terr(what: &str, e: std::io::Error) -> ClusterError {
     ClusterError::Transport(format!("{what}: {e}"))
 }
 
-/// Spawn the reader thread for one inbound `(src → dst)` connection.
-fn spawn_reader(mut stream: TcpStream, src: SiteId, inbox: Sender<Inbound>) -> JoinHandle<()> {
+/// Spawn the reader thread for one inbound `(src → dst)` connection. It
+/// reads through a buffer: a header is read a byte at a time, and a burst
+/// of frames costs about one `read` on the socket, not a few per frame.
+fn spawn_reader(stream: TcpStream, src: SiteId, inbox: Sender<Inbound>) -> JoinHandle<()> {
+    let mut stream = BufReader::new(stream);
     std::thread::spawn(move || loop {
         match read_frame_opt(&mut stream) {
             Ok(Some(frame)) => {
@@ -303,10 +307,10 @@ mod tests {
         // expects traffic: the reader exits cleanly; a *mid-frame* cut
         // forwards one Transport error into the inbox.
         let mut mesh = localhost(2).unwrap();
-        // Half a frame from 1 → 0, then hang up.
+        // Half a frame from 1 → 0 — a header promising 8 stored bytes,
+        // then 3 — and hang up.
         let link = mesh[1].tx[0].as_mut().unwrap();
-        link.stream.write_all(&9u32.to_le_bytes()).unwrap();
-        link.stream.write_all(&[METHOD_STORED]).unwrap();
+        link.stream.write_all(&[8 << 1 | METHOD_STORED]).unwrap();
         link.stream.write_all(b"abc").unwrap();
         mesh[1].tx[0] = None; // disconnect mid-frame (the drop flushes the half frame)
         let (src, res) = mesh[0]
@@ -347,6 +351,39 @@ mod tests {
         }
     }
 
+    /// What a socket carries is what the meters price: the raw bytes of
+    /// frames at each header width's edges add up to `frame_wire_len`.
+    #[test]
+    fn socket_bytes_are_the_priced_frame_lengths() {
+        use super::super::frame::frame_wire_len;
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let lens = [0, 63, 64, 8_191, 8_192];
+        let writer = std::thread::spawn(move || {
+            let mut link = TcpLink::new(TcpStream::connect(addr).unwrap()).unwrap();
+            for len in lens {
+                link.queue(METHOD_STORED, &vec![0x5A; len]).unwrap();
+            }
+            link.flush().unwrap();
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        writer.join().unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        let priced: usize = lens.iter().map(|&len| frame_wire_len(len)).sum();
+        assert_eq!(raw.len(), priced);
+        assert_eq!(priced, lens.iter().sum::<usize>() + 1 + 1 + 2 + 2 + 3);
+        let mut r = raw.as_slice();
+        for len in lens {
+            assert_eq!(
+                read_frame(&mut r).unwrap(),
+                (METHOD_STORED, vec![0x5A; len])
+            );
+        }
+        assert_eq!(read_frame_opt(&mut r).unwrap(), None);
+    }
+
     /// A base port unlikely to collide across concurrently running
     /// tests: derived from the process id.
     fn pick_base_port() -> u16 {
@@ -359,9 +396,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            // A header promising 64 bytes, then only 3 — and hang up.
-            s.write_all(&65u32.to_le_bytes()).unwrap();
-            s.write_all(&[METHOD_STORED]).unwrap();
+            // A header promising 64 stored bytes, then only 3 — and hang up.
+            s.write_all(&[0x80, 0x01]).unwrap();
             s.write_all(b"abc").unwrap();
         });
         let (mut stream, _) = listener.accept().unwrap();

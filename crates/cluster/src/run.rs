@@ -27,11 +27,15 @@
 //! zero modeled messages — the model meters the detection protocol, not
 //! the harness that schedules it. Control frames of
 //! [`CTRL_LZ_MIN_BYTES`] or more are offered to [`lz`] whatever the
-//! session's [`Compression`] (receivers dispatch on the method byte
+//! session's [`Compression`] (receivers dispatch on the method bit
 //! either way); the savings land in `saved_bytes`, so the identity
 //! holds with packed control frames in the mix. Each node also counts
 //! the wire bytes of the frames it *receives* (`Meters::received`) —
 //! summed over a mesh at rest, that is every byte the senders metered.
+//! Both ends price a frame at [`frame_wire_len`] of its body, the one
+//! place that knows the header ([`crate::net::frame`]): the in-process
+//! links write no header but meter the one a socket would carry, so the
+//! two substrates read the same bytes.
 //!
 //! # Flush before you park
 //!
@@ -51,9 +55,7 @@
 //!
 //! [`ByteNetwork`]: crate::net::ByteNetwork
 
-use crate::net::frame::{
-    FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED,
-};
+use crate::net::frame::{frame_wire_len, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
 use crate::net::tcp::{self, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
 use crate::net::{decode_body, Compression, FrameCodec};
 use crate::{lz, ClusterError, Meters, SiteId};
@@ -220,10 +222,10 @@ impl Node {
         structural: usize,
         try_lz: bool,
     ) -> Result<(), ClusterError> {
-        if self.scratch.len() + FRAME_METHOD_BYTES > MAX_FRAME_BYTES {
+        if self.scratch.len() > MAX_FRAME_BYTES {
             return Err(ClusterError::Transport(format!(
                 "refusing to send an oversized message ({} > {MAX_FRAME_BYTES} bytes serialized)",
-                self.scratch.len() + FRAME_METHOD_BYTES
+                self.scratch.len()
             )));
         }
         let packed = try_lz
@@ -250,8 +252,11 @@ impl Node {
                 link.ok_or_else(no_link)?.queue(method, body)?;
             }
         }
-        let wire_len = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len();
-        self.meters.wire.record(me, dst, wire_len, 0);
+        // An in-process link writes no header, but the frame is priced as
+        // one on any byte link would be.
+        self.meters
+            .wire
+            .record(me, dst, frame_wire_len(body.len()), 0);
         let transport = &mut self.meters.transport;
         transport.record_frame(modeled, structural, body.len());
         Ok(())
@@ -272,7 +277,7 @@ impl Node {
     fn accept(&mut self, (src, frame): Inbound) -> Result<Frame, ClusterError> {
         let (method, body) = frame
             .map_err(|e| ClusterError::Transport(format!("link from node {src} failed: {e}")))?;
-        self.meters.received += (FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len()) as u64;
+        self.meters.received += frame_wire_len(body.len()) as u64;
         Ok((src, method, body))
     }
 
@@ -457,7 +462,7 @@ mod tests {
 
         // Meters merge to the whole-mesh picture. Every frame is one
         // two-`u64` message each way per worker: 16 modeled bytes, 4 of
-        // item count and 5 of frame header and method byte.
+        // item count and 1 of frame header.
         let mut meters = hub.meters().clone();
         for w in workers {
             meters.merge(w.join().unwrap().meters());
@@ -472,13 +477,13 @@ mod tests {
         let frames = 2 * (n as u64 - 1);
         let expected = TransportMeter {
             frames,
-            wire_bytes: 25 * frames,
+            wire_bytes: 21 * frames,
             modeled_bytes: 16 * frames,
-            structural_bytes: 9 * frames,
+            structural_bytes: 5 * frames,
             saved_bytes: 0,
         };
         assert_eq!(meter, expected);
-        assert_eq!(received, 25 * frames);
+        assert_eq!(received, 21 * frames);
         for (src, dst) in (1..n).flat_map(|s| [(0, s), (s, 0)]) {
             assert_eq!(
                 (stats.pair(src, dst).messages, stats.pair(src, dst).bytes),
@@ -486,11 +491,11 @@ mod tests {
             );
             assert_eq!(
                 (wire.pair(src, dst).messages, wire.pair(src, dst).bytes),
-                (1, 25)
+                (1, 21)
             );
         }
         assert_eq!(stats.total_messages(), frames);
-        assert_eq!(wire.total_bytes(), 25 * frames);
+        assert_eq!(wire.total_bytes(), 21 * frames);
     }
 
     #[test]
@@ -539,7 +544,7 @@ mod tests {
         assert_eq!(a.meters().wire.total_messages(), 1);
         let m = a.meters().transport;
         assert_eq!(m.frames, 1);
-        assert_eq!(m.wire_bytes, 5 + 1);
+        assert_eq!(m.wire_bytes, 1 + 1);
         assert_eq!(
             m.wire_bytes,
             m.modeled_bytes + m.structural_bytes - m.saved_bytes

@@ -12,12 +12,13 @@
 //! What this file owns is everything around it: which updates may run at
 //! once (waves), how a pipelined site matches replies to rounds and closes
 //! silent ones (slot queues, owed acks), the barriers between waves, and
-//! the per-batch images that carry each site's slice of `ΔV` and its
-//! meters home. No detector state is shared: each site owns its fragment,
-//! its per-operator group state, its slice of `V`, and its receiver-side codec
-//! state, exactly as the paper's EC2 deployment would. No process holds `D`
-//! whole: a row lives in its home's fragment only, and the coordinator
-//! gathers `D` when asked for it (the control plane's gather, below).
+//! the per-batch images that carry each site's slice of `ΔV` home. No
+//! detector state is shared: each site owns its fragment, its per-operator
+//! group state, its slice of `V`, its receiver-side codec state and its
+//! meters, exactly as the paper's EC2 deployment would. No process holds
+//! `D` whole: a row lives in its home's fragment only, and the coordinator
+//! gathers `D`, and the meters, when asked for them (the control plane's
+//! gathers, below).
 //!
 //! # Wave-parallel scheduling
 //!
@@ -104,8 +105,8 @@
 //! # The control plane
 //!
 //! The slice hand-over, the settle handshake, wave barriers, acks, result
-//! collection, the gather of `D`, a failing site's last words and a
-//! process's build fingerprint ride on [`CtrlMsg`] frames,
+//! collection, the gathers of `D` and of the meters, a failing site's last
+//! words and a process's build fingerprint ride on [`CtrlMsg`] frames,
 //! which are wire-metered but contribute **zero** modeled `|M|`
 //! ([`Node::send_ctrl`]): the model meters the detection protocol, not the
 //! harness that schedules it. The differential suite asserts threaded,
@@ -123,26 +124,29 @@
 //! `Take`; no row crosses a link. Only a site *process*, whose one way in
 //! is its links, gets an `Ops` frame, written straight from the borrowed
 //! batch. A site cuts its batch image on the last barrier release (or on
-//! a schedule of no waves), so there is no `Collect`. Body sizes, old
-//! fixed-width row format → current, measured on `thr_tcp_batch` seed 1
-//! (4 sites, 16-column TPCH rows, 256-op batches, so ≈ 64 ops a slice, 5
-//! to 6 of them deferred, and ≈ 165 `ΔV` marks an image; 879 frames of
-//! each per-batch kind a round):
+//! a schedule of no waves), so there is no `Collect`. Sizes on the wire,
+//! old fixed-width row format behind a 5-byte frame header → current
+//! body behind its one-varint header (1 byte below a 64-byte body, 2
+//! below 8 KiB; [`cluster::net::frame`]), measured on `thr_tcp_batch`
+//! seed 1 (4 sites, 16-column TPCH rows, 256-op batches, so ≈ 64 ops a
+//! slice, 5 to 6 of them deferred, and ≈ 165 `ΔV` marks an image; 879
+//! frames of each per-batch kind a round):
 //!
-//! | frame                     | was (B)           | is (B)                    |
+//! | frame                     | was (B)           | is (B), header included   |
 //! |---------------------------|-------------------|---------------------------|
-//! | `Ack`, `Shutdown`         | 1                 | 1                         |
-//! | `AckN(k)`                 | 5                 | 1 + varint `k` (2)        |
-//! | `WaveDone` / `WaveAdvance`| 5                 | 1 + varint wave (2)       |
+//! | `Ack`, `Shutdown`         | 5 + 1             | 1 + 1                     |
+//! | `AckN(k)`                 | 5 + 5             | 1 + 1 + varint `k` (3)    |
+//! | `WaveDone` / `WaveAdvance`| 5 + 5             | 1 + 1 + varint wave (3)   |
 //! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
-//! | `Take`, site threads only | — (an `Ops` frame) | 1                        |
-//! | `Ops`, ≈ 64-op slice, site processes only | 9 452 mean | 3 843 mean, 2 483 packed |
-//! | `Deferred`                | —                 | 42.2 mean, 41.9 packed; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete (3 keys under these rules) |
-//! | `Waves`                   | —                 | 8.4 mean; 3 + 1 per deferred update |
-//! | `Failed`                  | —                 | 2 + the error's text      |
-//! | `Built`                   | —                 | 17 + two varints; once a site and session |
-//! | `BatchResult`             | 2 791 mean, 833 + 12/mark | 232 mean, 214 packed; ≈ 20 + 1.3/mark |
-//! | `Gather`, between batches | —                 | 1; answered by an `Ops` frame of the fragment, 481 096 mean, 398 419 packed |
+//! | `Take`, site threads only | — (an `Ops` frame) | 1 + 1                    |
+//! | `Ops`, ≈ 64-op slice, site processes only | 5 + 9 452 mean | 2 + 3 843 mean, 2 + 2 483 packed |
+//! | `Deferred`                | —                 | 1 + 42.2 mean, 41.9 packed; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete (3 keys under these rules) |
+//! | `Waves`                   | —                 | 1 + 8.4 mean; 3 + 1 per deferred update |
+//! | `Failed`                  | —                 | 1–2 + 2 + the error's text |
+//! | `Built`                   | —                 | 1 + 17 + two varints; once a site and session |
+//! | `BatchResult`             | 5 + 2 791 mean, 833 + 12/mark | 2 + 197.5 mean, 2 + 182.1 packed; ≈ 1.2 a mark |
+//! | `Gather`, between batches | —                 | 1 + 1; answered by an `Ops` frame of the fragment, 3 + 481 096 mean, 3 + 398 419 packed |
+//! | `Meters`, between batches | —                 | 1 + 1; answered by a `Metered` frame of the site's row, 1 + 61 mean |
 //!
 //! **The gather.** [`Detector::current`] — and the fallible
 //! [`ConcurrentHorizontal::gather`] behind it — sends every site a tag-only
@@ -161,15 +165,18 @@
 //! collection — instead of a closed inbox or a receive timeout a minute
 //! later.
 //!
-//! The old `BatchResult` shipped two dense `n × n × 24 B` matrices of
-//! which a site can only ever fill its own row, and was sent *after*
-//! the meters it carried were cut and *before* they were reset — its
-//! bytes were on the wire and in no report. An image still cannot count
-//! the frame that carries it, so the coordinator, who holds that frame,
-//! adds it ([`BatchImage::count_own_frame`]): the `wire` of
-//! [`ConcurrentHorizontal::meters`] is every byte the nodes wrote, and its
-//! `received` — counted independently on the inboxes — must equal it
-//! between batches.
+//! **The meters.** A batch image carries `ΔV` and nothing else. Each node
+//! meters every frame it writes and reads, its own `BatchResult` included,
+//! and its site keeps that block across batches.
+//! [`ConcurrentHorizontal::meters`] — and `net()` and `reset_stats()`
+//! behind it — sends every site a tag-only `Meters`; each answers with its row of the modeled and wire
+//! matrices, its transport counters and its received bytes
+//! ([`MeterImage`]), and zeroes them. As with the gather of `D`, both ends
+//! take the exchange off their meters, each cell is checked to be a link
+//! out of its site, and the merged block is kept until the next `apply`
+//! (a request that fails, its error for that `apply`). So the `wire` of
+//! `meters()` is every byte the nodes wrote, and its `received` — counted
+//! independently on the inboxes — must equal it between batches.
 //!
 //! # Piggybacked cumulative acks, flushed on idle
 //!
@@ -187,8 +194,8 @@
 //! construction. When the inbox goes quiet — [`Node::try_recv`] finds
 //! nothing and the site is about to block — all owed counters flush as
 //! one standalone frame per peer ([`CtrlMsg::Ack`] for a single round,
-//! the same six wire bytes a per-round scheme pays; [`CtrlMsg::AckN`]
-//! when several rounds batch up).
+//! two wire bytes with its header, as many as the envelope it would have
+//! ridden in; [`CtrlMsg::AckN`] when several rounds batch up).
 //!
 //! # Flush before you park
 //!
@@ -224,7 +231,7 @@ use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
 use cluster::{ClusterError, Meters, NetReport, SiteId};
 use relation::{RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -235,7 +242,7 @@ pub mod ctrl;
 pub use crate::horizontal::order::DeferredList;
 pub use crate::horizontal::site::SiteConfig;
 use ctrl::encode_ops;
-pub use ctrl::{BatchImage, BuildPrint, CtrlMsg, RtFrame};
+pub use ctrl::{BatchImage, BuildPrint, CtrlMsg, MeterImage, RtFrame};
 
 /// The coordinator's site id. It is an ordinary site that additionally
 /// owns batch admission, wave barriers and result collection.
@@ -339,12 +346,16 @@ enum Event {
     Deferred(DeferredList),
     /// The wave of each update we deferred.
     Waves(u32, Vec<u32>),
-    /// A site's batch image (coordinator side), its own frame counted.
+    /// A site's batch image (coordinator side).
     Result(Box<BatchImage>),
     /// What a site process's build left it (coordinator side).
     Built(BuildPrint),
     /// The coordinator asks for our fragment.
     Gather,
+    /// The coordinator asks for our meters.
+    Meters,
+    /// A site's meters (coordinator side).
+    Metered(Box<MeterImage>),
     /// End of session.
     Shutdown,
 }
@@ -416,6 +427,10 @@ pub struct SiteRunner {
     /// one per batch, each announced by a [`CtrlMsg::Take`]. A site process
     /// has none; its slices arrive in [`CtrlMsg::Ops`] frames.
     inlet: Option<Receiver<Vec<Update>>>,
+    /// What the node metered before the frame being served between batches
+    /// ([`SiteRunner::keep_meters`]), kept until the coordinator asks for
+    /// it. At the coordinator: its own, and every site's it was sent.
+    kept: Meters,
 }
 
 impl SiteRunner {
@@ -431,6 +446,7 @@ impl SiteRunner {
             owed: vec![0; n],
             held: Deferrals::default(),
             inlet: None,
+            kept: Meters::framed(n),
             site,
             me,
             n,
@@ -441,15 +457,8 @@ impl SiteRunner {
     // -- frame pump ----------------------------------------------------
 
     fn dispatch(&mut self, src: SiteId, method: u8, body: Vec<u8>) -> Result<Pumped, DetectError> {
-        let on_wire = body.len();
         let body = unpack_body(method, body).map_err(DetectError::Cluster)?;
-        let mut frame = RtFrame::decode_frame(&body).map_err(DetectError::Cluster)?;
-        // The one frame its sender could not meter: the image it carries
-        // was cut before the frame existed.
-        if let RtFrame::Ctrl(CtrlMsg::BatchResult(img)) = &mut frame {
-            img.count_own_frame(self.me, body.len(), on_wire);
-        }
-        match frame {
+        match RtFrame::decode_frame(&body).map_err(DetectError::Cluster)? {
             RtFrame::Piggy(k, m) => {
                 let event = self.on_hor(src, m)?;
                 Ok(Pumped {
@@ -505,6 +514,8 @@ impl SiteRunner {
             CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
             CtrlMsg::Built(print) => Ok(Some(Event::Built(print))),
             CtrlMsg::Gather => Ok(Some(Event::Gather)),
+            CtrlMsg::Meters => Ok(Some(Event::Meters)),
+            CtrlMsg::Metered(img) => Ok(Some(Event::Metered(img))),
             // Whatever we were waiting for, it is not coming.
             CtrlMsg::Failed(cause) => Err(site_failed(src, &cause)),
             CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
@@ -750,26 +761,16 @@ impl SiteRunner {
         }
         // Settled marks are sorted (small deltas on the wire) and net of
         // this site's own add/remove pairs; `ΔV` sums across sites, so
-        // the coordinator's global settle sees the same net change.
+        // the coordinator's global settle sees the same net change. The
+        // node meters the image's frame like any other.
         self.dv.settle();
-        let m = self.node.meters();
         let img = BatchImage {
             added: std::mem::take(&mut self.dv.added),
             removed: std::mem::take(&mut self.dv.removed),
-            stats: m.modeled.row(self.me).collect(),
-            wire: m.wire.row(self.me).collect(),
-            meter: m.transport,
-            received: m.received,
         };
-        // The image's own frame is metered by its receiver (the image
-        // was cut before the frame existed), so resetting *after* the
-        // send drops nothing: every byte this node wrote is in exactly
-        // one image or counted by the coordinator.
         self.node
             .send_ctrl(COORD, &CtrlMsg::BatchResult(Box::new(img)))
-            .map_err(DetectError::Cluster)?;
-        self.node.reset_stats();
-        Ok(())
+            .map_err(DetectError::Cluster)
     }
 
     /// The site main loop: serve batches until shutdown. This is what a
@@ -787,13 +788,18 @@ impl SiteRunner {
     }
 
     /// Same idle-flush discipline as the frame pump: whatever round is
-    /// served here is acked the moment the inbox goes quiet.
+    /// served here is acked the moment the inbox goes quiet. Before each
+    /// receive the node's meters are kept ([`SiteRunner::keep_meters`]),
+    /// so a request between batches finds the node's block holding only
+    /// itself, and answering it leaves no trace on the meters.
     fn serve_batches(&mut self) -> Result<(), DetectError> {
         loop {
+            self.keep_meters();
             let (src, method, body) = match self.node.try_recv().map_err(DetectError::Cluster)? {
                 Some(frame) => frame,
                 None => {
                     self.flush_owed()?;
+                    self.keep_meters();
                     match self.node.recv_opt().map_err(DetectError::Cluster)? {
                         Some(frame) => frame,
                         None => continue, // idle between batches
@@ -805,10 +811,18 @@ impl SiteRunner {
                 (0, None) => {}
                 (0, Some(Event::Ops(ops))) => self.run_batch(ops)?,
                 (0, Some(Event::Gather)) => self.send_fragment()?,
+                (0, Some(Event::Meters)) => self.send_meters()?,
                 (0, Some(Event::Shutdown)) => return Ok(()),
                 _ => return Err(proto("unexpected frame while idle")),
             }
         }
+    }
+
+    /// Fold what the node metered into [`kept`](SiteRunner::kept) and
+    /// zero the node's block.
+    fn keep_meters(&mut self) {
+        self.kept.merge(self.node.meters());
+        self.node.reset_stats();
     }
 
     /// Answer a [`CtrlMsg::Gather`]: our fragment, one insert per row in
@@ -819,6 +833,25 @@ impl SiteRunner {
         let rows: Vec<&Update> = rows.iter().collect();
         let node = &mut self.node;
         node.send_ctrl_with(COORD, |out| encode_ops(out, &rows))
+            .map_err(DetectError::Cluster)?;
+        node.reset_stats();
+        Ok(())
+    }
+
+    /// Answer a [`CtrlMsg::Meters`]: what we metered since we last
+    /// answered one, which we then zero. The exchange itself is traffic
+    /// about traffic: it leaves the meters.
+    fn send_meters(&mut self) -> Result<(), DetectError> {
+        let (me, kept) = (self.me, &mut self.kept);
+        let img = MeterImage {
+            stats: kept.modeled.row(me).collect(),
+            wire: kept.wire.row(me).collect(),
+            meter: kept.transport,
+            received: kept.received,
+        };
+        kept.reset();
+        let node = &mut self.node;
+        node.send_ctrl(COORD, &CtrlMsg::Metered(Box::new(img)))
             .map_err(DetectError::Cluster)?;
         node.reset_stats();
         Ok(())
@@ -918,7 +951,8 @@ pub fn run_site(
 /// [`gather`](Self::gather), or [`Detector::current`], which keeps what
 /// it gathered until the next `apply`. A gather that fails cannot say so
 /// through `current()`: it then returns the empty relation, and the next
-/// `apply` returns the gather's error.
+/// `apply` returns the gather's error. The sites' meters are gathered
+/// the same way ([`meters`](Self::meters)).
 pub struct ConcurrentHorizontal {
     scheme: HorizontalScheme,
     /// What every site derives from `(schema, Σ, scheme)`.
@@ -934,8 +968,11 @@ pub struct ConcurrentHorizontal {
     runner: RefCell<SiteRunner>,
     /// `D` as the last gather since the last `apply` left it.
     gathered: OnceCell<Relation>,
-    /// What a gather behind [`Detector::current`] failed with, for the
-    /// next `apply` to return.
+    /// Every site's meters, as the last request since the last `apply`
+    /// left them.
+    metered: OnceCell<Meters>,
+    /// What a gather behind [`Detector::current`] or a meters request
+    /// failed with first, for the next `apply` to return.
     failed: Cell<Option<DetectError>>,
     /// Where site thread `j` takes its slices from, at `j - 1`. A site
     /// process has no inlet, so a multi-process session has none.
@@ -943,8 +980,6 @@ pub struct ConcurrentHorizontal {
     handles: Vec<JoinHandle<Result<(), DetectError>>>,
     codec_kind: CodecKind,
     label: &'static str,
-    /// Every site's meters, folded in at each batch's end.
-    meters: Meters,
     /// Barrier rounds since the last reset (deterministic): per batch the
     /// settle handshake and one per wave.
     waves: u64,
@@ -1068,8 +1103,8 @@ impl ConcurrentHorizontal {
             homes,
             violations,
             gathered: OnceCell::new(),
+            metered: OnceCell::new(),
             failed: Cell::new(None),
-            meters: Meters::framed(n),
             waves: 0,
             planner: WavePlanner::default(),
             codec_kind: codec,
@@ -1122,6 +1157,7 @@ impl ConcurrentHorizontal {
     }
 
     fn gather_from(&self, runner: &mut SiteRunner) -> Result<Relation, DetectError> {
+        runner.keep_meters();
         for j in 1..self.n {
             runner.node.send_ctrl(j, &CtrlMsg::Gather)?;
         }
@@ -1187,14 +1223,72 @@ impl ConcurrentHorizontal {
         }
     }
 
+    /// Every site's meters, merged into the coordinator's `kept` block:
+    /// every other site is sent a [`CtrlMsg::Meters`] and answers with what
+    /// it metered since it last did, each cell checked to be a link out of
+    /// it. Both ends take the exchange off their meters.
+    fn ask_meters(&self, runner: &mut SiteRunner) -> Result<(), DetectError> {
+        runner.keep_meters();
+        for j in 1..self.n {
+            runner.node.send_ctrl(j, &CtrlMsg::Meters)?;
+        }
+        let mut answered = vec![false; self.n];
+        for _ in 1..self.n {
+            let p = runner.pump()?;
+            let (src, img) = match (p.acks, p.event) {
+                (0, Some(Event::Metered(img))) => (p.src, img),
+                _ => return Err(proto("unexpected frame during the meters request")),
+            };
+            if std::mem::replace(&mut answered[src], true) {
+                return Err(bad_link(src, COORD, "a second Metered"));
+            }
+            let m = &mut runner.kept;
+            for (matrix, cells) in [(&mut m.modeled, &img.stats), (&mut m.wire, &img.wire)] {
+                for (dst, c) in cells {
+                    if *dst >= self.n || *dst == src {
+                        return Err(bad_link(
+                            src,
+                            COORD,
+                            format!("metered a link to site {dst}"),
+                        ));
+                    }
+                    matrix.add(src, *dst, c);
+                }
+            }
+            m.transport.merge(&img.meter);
+            m.received += img.received;
+        }
+        runner.node.reset_stats();
+        Ok(())
+    }
+
+    /// Site 0's runner, every site's meters merged into its `kept` block
+    /// ([`ask_meters`](Self::ask_meters)) for the infallible accessors: an
+    /// error is kept for the next `apply`.
+    fn gathered_meters(&self) -> RefMut<'_, SiteRunner> {
+        let mut runner = self.runner.borrow_mut();
+        if let Err(e) = self.ask_meters(&mut runner) {
+            self.defer(in_own_words(&mut runner.node, e));
+        }
+        runner
+    }
+
+    /// Keep `e` for the next `apply` to return, unless an earlier error is
+    /// already waiting there.
+    fn defer(&self, e: DetectError) {
+        let first = self.failed.take().unwrap_or(e);
+        self.failed.set(Some(first));
+    }
+
     /// One batch through the mesh. A site that fails says why before it
     /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
     /// but a *send* to the node it left behind fails first, in the
     /// transport's words: prefer the site's own, if they are in the inbox.
-    /// What a gather since the last batch gathered goes; what one failed
-    /// with is this batch's error.
+    /// What a gather of `D` or of the meters since the last batch gathered
+    /// goes; what one failed with is this batch's error.
     fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
         self.gathered.take();
+        self.metered.take();
         if let Some(e) = self.failed.take() {
             return Err(e);
         }
@@ -1298,16 +1392,15 @@ impl ConcurrentHorizontal {
             runner.node.flush().map_err(DetectError::Cluster)?;
         }
         // The last release (or the empty schedule) was the sites' cue:
-        // collect their images; fold ΔV and the meters.
+        // collect their images and fold ΔV.
         dv.added = std::mem::take(&mut runner.dv.added);
         dv.removed = std::mem::take(&mut runner.dv.removed);
         let mut got = 0;
         while got < self.n - 1 {
-            let p = self.runner.get_mut().pump()?;
+            let p = runner.pump()?;
             match (p.acks, p.event) {
                 (0, None) => {}
                 (0, Some(Event::Result(img))) => {
-                    self.absorb_image(p.src, &img)?;
                     dv.added.extend(img.added);
                     dv.removed.extend(img.removed);
                     got += 1;
@@ -1315,9 +1408,6 @@ impl ConcurrentHorizontal {
                 _ => return Err(proto("unexpected frame during collection")),
             }
         }
-        let node = &mut self.runner.get_mut().node;
-        self.meters.merge(node.meters());
-        node.reset_stats();
         dv.settle();
         for &(c, t) in &dv.added {
             self.violations.add(c, t);
@@ -1326,23 +1416,6 @@ impl ConcurrentHorizontal {
             self.violations.remove(c, t);
         }
         Ok(dv)
-    }
-
-    /// Fold site `src`'s image into the session's meters, each cell
-    /// checked to be a link out of `src`.
-    fn absorb_image(&mut self, src: SiteId, img: &BatchImage) -> Result<(), DetectError> {
-        let m = &mut self.meters;
-        for (matrix, cells) in [(&mut m.modeled, &img.stats), (&mut m.wire, &img.wire)] {
-            for (dst, c) in cells {
-                if *dst >= self.n || *dst == src {
-                    return Err(proto(format!("site {src} metered a link to site {dst}")));
-                }
-                matrix.add(src, *dst, c);
-            }
-        }
-        m.transport.merge(&img.meter);
-        m.received += img.received;
-        Ok(())
     }
 
     /// Barrier rounds — coordinator round trips every site waits out —
@@ -1357,11 +1430,15 @@ impl ConcurrentHorizontal {
 
     /// Every site's meters since the last reset, merged: modeled `|M|`,
     /// measured bytes with control frames included, and the bytes read
-    /// off the inboxes. Between batches the mesh is at rest and `received`
+    /// off the inboxes. Gathered from the sites on first call after an
+    /// `apply` (one [`CtrlMsg::Meters`] each, off the meters) and kept
+    /// until the next. Between batches the mesh is at rest and `received`
     /// equals `transport.wire_bytes`: every frame a node metered was read,
-    /// every frame read had been metered.
+    /// every frame read had been metered. If the request fails, what was
+    /// gathered before it, and the next `apply` returns its error.
     pub fn meters(&self) -> &Meters {
-        &self.meters
+        self.metered
+            .get_or_init(|| self.gathered_meters().kept.clone())
     }
 
     /// Number of sites.
@@ -1405,7 +1482,7 @@ impl Detector for ConcurrentHorizontal {
     fn current(&self) -> &Relation {
         self.gathered.get_or_init(|| {
             self.gather().unwrap_or_else(|e| {
-                self.failed.set(Some(e));
+                self.defer(e);
                 Relation::new(self.cfg.schema.clone())
             })
         })
@@ -1420,11 +1497,16 @@ impl Detector for ConcurrentHorizontal {
     }
 
     fn net(&self) -> NetReport {
-        self.meters.report("net").with_codec(self.codec_kind.name())
+        self.meters()
+            .report("net")
+            .with_codec(self.codec_kind.name())
     }
 
+    /// Zero every site's meters — each answers a [`CtrlMsg::Meters`],
+    /// whose block is dropped — and the barrier rounds.
     fn reset_stats(&mut self) {
-        self.meters.reset();
+        self.gathered_meters().kept.reset();
+        self.metered.take();
         self.waves = 0;
     }
 }
@@ -2051,41 +2133,80 @@ mod tests {
         assert_same_rows(&rows, &d, "after the pair");
     }
 
-    /// `D` is gathered from the sites when asked for, and the gather is
-    /// off the meters at both ends: between batches `gather()` and
-    /// `current()` move no meter, the next batch still reads every byte
-    /// written as received, and a twin session that never gathered reads
-    /// the same modeled matrix and waves after every batch.
+    /// `D` and the meters are gathered from the sites when asked for, and
+    /// both exchanges are off the meters at both ends: between batches
+    /// `gather()`, `current()` and a second meters request move no meter,
+    /// every byte written reads as received, and a twin session that never
+    /// asked until the end reads the same modeled matrix and waves.
     #[test]
     fn a_gather_between_batches_moves_no_meter() {
         for transport in [TransportKind::Framed, TransportKind::Tcp] {
             let (mut gathering, seq) = emp_pair(&d0(), CodecKind::Md5, transport);
             let (mut twin, _) = emp_pair(&d0(), CodecKind::Md5, transport);
-            let meters = |c: &ConcurrentHorizontal| {
-                let (wire, stats) = (c.meters().wire.to_bytes(), c.meters().modeled.to_bytes());
-                (
-                    c.meters().transport,
-                    c.meters().received,
-                    wire,
-                    stats,
-                    c.waves(),
-                )
+            // Each reading is a fresh request to every site.
+            let meters = |c: &mut ConcurrentHorizontal| {
+                c.metered.take();
+                let m = c.meters();
+                let (wire, stats) = (m.wire.to_bytes(), m.modeled.to_bytes());
+                (m.transport, m.received, wire, stats, c.waves())
             };
             assert_same_rows(&gathering.gather().unwrap(), seq.current(), "the build");
+            assert_eq!(meters(&mut gathering).0, TransportMeter::default());
             for (i, b) in script().iter().enumerate() {
                 let at = format!("batch {i} over {transport:?}");
                 gathering.apply_batch(b).unwrap();
                 twin.apply_batch(b).unwrap();
-                let before = meters(&gathering);
+                let before = meters(&mut gathering);
                 let gathered = gathering.gather().unwrap();
                 assert_same_rows(gathering.current(), &gathered, &at);
-                assert_eq!(meters(&gathering), before, "{at}");
-                let m = gathering.meters().transport;
-                assert_eq!(gathering.meters().received, m.wire_bytes, "{at}");
-                let (got, want) = (&gathering.meters().modeled, &twin.meters().modeled);
-                assert_eq!(got.to_bytes(), want.to_bytes(), "{at}");
+                assert_eq!(meters(&mut gathering), before, "{at}");
+                let (transport, received, ..) = before;
+                assert_eq!(received, transport.wire_bytes, "{at}");
+                assert!(transport.frames > 0, "{at}");
                 assert_eq!(gathering.waves(), twin.waves(), "{at}");
             }
+            let (got, want) = (&gathering.meters().modeled, &twin.meters().modeled);
+            assert_eq!(got.to_bytes(), want.to_bytes(), "over {transport:?}");
+            let m = twin.meters();
+            assert_eq!(m.received, m.transport.wire_bytes, "over {transport:?}");
+        }
+    }
+
+    /// A meters answer the coordinator cannot fold — a cell on a link out
+    /// of another site, or a second answer — fails the request with the
+    /// link; `meters()` then reads what was gathered before it, and the
+    /// next `apply` returns the error.
+    #[test]
+    fn hostile_meter_images_fail_the_request() {
+        let cell = |dst| {
+            let c = cluster::netstats::Counters {
+                messages: 1,
+                bytes: 9,
+                eqids: 0,
+            };
+            MeterImage {
+                wire: vec![(dst, c)],
+                ..MeterImage::default()
+            }
+        };
+        for (n, img, cause) in [
+            (2, cell(1), "link 1 → 0: metered a link to site 1"),
+            (2, cell(2), "link 1 → 0: metered a link to site 2"),
+            (3, MeterImage::default(), "link 1 → 0: a second Metered"),
+        ] {
+            let answering = move |node: &mut Node, frame: CtrlMsg| {
+                if let (1, CtrlMsg::Meters) = (node.me(), &frame) {
+                    for _ in 1..node.n_nodes() {
+                        let img = Box::new(img.clone());
+                        node.send_ctrl(COORD, &CtrlMsg::Metered(img)).unwrap();
+                    }
+                    node.flush().unwrap();
+                }
+            };
+            let mut conc = scripted_session(n, answering);
+            assert_eq!(conc.meters().wire.total_bytes(), 0, "{cause}");
+            let err = conc.apply_batch(&UpdateBatch::new()).unwrap_err();
+            assert!(err.to_string().contains(cause), "{err}");
         }
     }
 

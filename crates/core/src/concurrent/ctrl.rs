@@ -30,6 +30,7 @@
 //! Take         8e
 //! Gather       8f                                    answered by an Ops
 //!                                                    frame of inserts
+//! Meters       84                                    answered by Metered
 //!
 //! Ops          81 v(n_ops)
 //!              ⌈n_ops / 8⌉ × kind bits               op i is bit i mod 8 of
@@ -44,14 +45,16 @@
 //!                                                    dictionary, i names
 //!                                                    its i-th literal
 //!
-//! BatchResult  85 marks(added) marks(removed) cells(stats) cells(wire)
-//!              v(frames) v(wire) v(modeled) v(structural) v(saved)
-//!              v(received)
+//! BatchResult  85 marks(added) marks(removed)
 //!   marks      v(runs) runs × run                    a run: one CFD's marks,
 //!                                                    tids ascending
 //!   run        z(cfd − previous run's cfd) v(len)
 //!              z(first tid − previous run's first tid)
 //!              (len − 1) × v(tid − previous tid)
+//!
+//! Metered      88 cells(stats) cells(wire)
+//!              v(frames) v(wire) v(modeled) v(structural) v(saved)
+//!              v(received)
 //!   cells      v(n) n × (v(dst) v(messages) v(bytes) v(eqids))
 //! ```
 //!
@@ -77,7 +80,7 @@ use cluster::md5::{md5, Digest};
 use cluster::net::bytes::{
     cell_len, get_cell, put_cell, put_varint, unzigzag, varint_len, zigzag, Reader,
 };
-use cluster::net::frame::{FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES};
+use cluster::net::frame::MAX_FRAME_BYTES;
 use cluster::net::FrameCodec;
 use cluster::netstats::Counters;
 use cluster::{ClusterError, SiteId, TransportMeter, Wire};
@@ -88,9 +91,11 @@ const CT_ACK: u8 = 0x80;
 const CT_OPS: u8 = 0x81;
 const CT_DONE: u8 = 0x82;
 const CT_ADVANCE: u8 = 0x83;
+const CT_METERS: u8 = 0x84;
 const CT_RESULT: u8 = 0x85;
 const CT_SHUTDOWN: u8 = 0x86;
 const CT_ACK_N: u8 = 0x87;
+const CT_METERED: u8 = 0x88;
 const CT_PIGGY: u8 = 0x89;
 const CT_DEFERRED: u8 = 0x8a;
 const CT_WAVES: u8 = 0x8b;
@@ -106,16 +111,22 @@ fn bad(what: &str) -> ClusterError {
     ClusterError::Transport(format!("malformed control frame: {what}"))
 }
 
-/// A site's meters and settled `ΔV` slice for one batch, reported to the
-/// coordinator at collection. The image cannot count the frame that
-/// carries it; the coordinator, frame in hand, adds that one
-/// ([`BatchImage::count_own_frame`]).
+/// A site's settled `ΔV` slice for one batch, reported to the coordinator
+/// at collection. Its meters stay at the site until asked for
+/// ([`MeterImage`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchImage {
     /// Marks this site added, net of its own removals, sorted.
     pub added: Vec<(CfdId, Tid)>,
     /// Marks this site removed, net of its own additions, sorted.
     pub removed: Vec<(CfdId, Tid)>,
+}
+
+/// A site's meters since it last answered a [`CtrlMsg::Meters`] request:
+/// the site fills only its own row of each matrix, so its non-zero cells
+/// are all there is to ship.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct MeterImage {
     /// Non-zero cells of the site's row of the modeled-`|M|` matrix.
     pub stats: Vec<(SiteId, Counters)>,
     /// Non-zero cells of the site's row of the measured on-wire matrix.
@@ -124,29 +135,6 @@ pub struct BatchImage {
     pub meter: TransportMeter,
     /// Wire bytes of the frames the site took off its inbox.
     pub received: u64,
-}
-
-impl BatchImage {
-    /// Meter the frame that carried this image to `dst`: `serialized`
-    /// bytes of control message, `body` of them on the wire.
-    pub fn count_own_frame(&mut self, dst: SiteId, serialized: usize, body: usize) {
-        self.meter.record_frame(0, serialized, body);
-        let bytes = (FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body) as u64;
-        match self.wire.iter_mut().find(|(d, _)| *d == dst) {
-            Some((_, c)) => {
-                c.messages += 1;
-                c.bytes += bytes;
-            }
-            None => self.wire.push((
-                dst,
-                Counters {
-                    messages: 1,
-                    bytes,
-                    eqids: 0,
-                },
-            )),
-        }
-    }
 }
 
 /// What a site's build left it, in a form two processes can compare: the
@@ -191,8 +179,9 @@ impl std::fmt::Display for BuildPrint {
 }
 
 /// Runtime control traffic: a process's build fingerprint, batch hand-over,
-/// the settle handshake, wave barriers, acks, result collection, failure,
-/// shutdown. All structure — `wire_size() == 0`.
+/// the settle handshake, wave barriers, acks, result collection, the
+/// gathers of `D` and of the meters, failure, shutdown. All structure —
+/// `wire_size() == 0`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg {
     /// Generic round-closer where the protocol has no payload to reply.
@@ -234,6 +223,12 @@ pub enum CtrlMsg {
     WaveAdvance(u32),
     /// A site's batch image.
     BatchResult(Box<BatchImage>),
+    /// The coordinator asks a site for its meters, between batches. The
+    /// site answers with [`CtrlMsg::Metered`] and zeroes them. Both ends
+    /// take the exchange off their meters: it reports traffic, it is none.
+    Meters,
+    /// A site's answer to [`CtrlMsg::Meters`].
+    Metered(Box<MeterImage>),
     /// A site's last words to the coordinator: its `serve` is returning
     /// this error.
     Failed(String),
@@ -531,6 +526,10 @@ impl FrameCodec for CtrlMsg {
                 out.push(CT_RESULT);
                 put_marks(out, &img.added);
                 put_marks(out, &img.removed);
+            }
+            CtrlMsg::Meters => out.push(CT_METERS),
+            CtrlMsg::Metered(img) => {
+                out.push(CT_METERED);
                 put_cells(out, &img.stats);
                 put_cells(out, &img.wire);
                 let m = &img.meter;
@@ -586,6 +585,9 @@ impl FrameCodec for CtrlMsg {
             CT_RESULT => CtrlMsg::BatchResult(Box::new(BatchImage {
                 added: get_marks(&mut r)?,
                 removed: get_marks(&mut r)?,
+            })),
+            CT_METERS => CtrlMsg::Meters,
+            CT_METERED => CtrlMsg::Metered(Box::new(MeterImage {
                 stats: get_cells(&mut r)?,
                 wire: get_cells(&mut r)?,
                 meter: TransportMeter {
@@ -787,6 +789,10 @@ mod tests {
                 .collect()
         };
         let (added, removed) = (marks(rng), marks(rng));
+        CtrlMsg::BatchResult(Box::new(BatchImage { added, removed }))
+    }
+
+    fn meters_frame(rng: &mut Lcg) -> CtrlMsg {
         let cells = |rng: &mut Lcg| -> Vec<(SiteId, Counters)> {
             (0..rng.below(4))
                 .map(|dst| {
@@ -800,9 +806,7 @@ mod tests {
                 .collect()
         };
         let (stats, wire) = (cells(rng), cells(rng));
-        CtrlMsg::BatchResult(Box::new(BatchImage {
-            added,
-            removed,
+        CtrlMsg::Metered(Box::new(MeterImage {
             stats,
             wire,
             meter: TransportMeter {
@@ -874,6 +878,10 @@ mod tests {
             CtrlMsg::BatchResult(Box::new(BatchImage {
                 added: vec![(0, 1), (1, 2)],
                 removed: vec![(0, 9)],
+            })),
+            CtrlMsg::Meters,
+            CtrlMsg::Metered(Box::default()),
+            CtrlMsg::Metered(Box::new(MeterImage {
                 stats: vec![(
                     2,
                     Counters {
@@ -907,12 +915,13 @@ mod tests {
         }
         // Barriers and acks are two bytes where they were five; a slice
         // handed over in memory is a tag, and so is a request for a
-        // fragment; a deferred update costs a byte each way in a steady
+        // fragment or for meters; a deferred update costs a byte each way in a steady
         // batch's slice, a deferred delete its footprint besides (a count
         // and eight bytes a key), and eight ops share a kind byte.
         assert_eq!(encoded(&CtrlMsg::WaveDone(4)).len(), 2);
         assert_eq!(encoded(&CtrlMsg::Take).len(), 1);
         assert_eq!(encoded(&CtrlMsg::Gather).len(), 1);
+        assert_eq!(encoded(&CtrlMsg::Meters).len(), 1);
         assert_eq!(encoded(&CtrlMsg::AckN(2)).len(), 2);
         let deferred = |footprints| {
             let updates = vec![(3, true), (63, false)];
@@ -936,7 +945,8 @@ mod tests {
             let mut rng = Lcg(seed);
             let ops = ops_frame(&mut rng, seed);
             let [deferred, waves] = handshake_frames(&mut rng);
-            for m in [ops, result_frame(&mut rng), deferred, waves] {
+            let (result, meters) = (result_frame(&mut rng), meters_frame(&mut rng));
+            for m in [ops, result, meters, deferred, waves] {
                 let buf = encoded(&m);
                 assert_eq!(CtrlMsg::decode_frame(&buf).unwrap(), m, "seed {seed}");
                 // The borrowed encoder writes the very same frame.
@@ -980,13 +990,15 @@ mod tests {
             .flat_map(|shape| {
                 let ops = encoded(&ops_frame(&mut rng, shape));
                 let result = encoded(&result_frame(&mut rng));
+                let meters = encoded(&meters_frame(&mut rng));
                 let [deferred, waves] = handshake_frames(&mut rng);
-                [ops, result, encoded(&deferred), encoded(&waves)]
+                [ops, result, meters, encoded(&deferred), encoded(&waves)]
             })
             .collect();
         frames.push(encoded(&CtrlMsg::AckN(1 << 20)));
         frames.push(encoded(&CtrlMsg::Take));
         frames.push(encoded(&CtrlMsg::Gather));
+        frames.push(encoded(&CtrlMsg::Meters));
         frames.push(encoded(&CtrlMsg::WaveAdvance(77)));
         frames.push(encoded(&CtrlMsg::Failed("site 3: ünïcodé".into())));
         let print = BuildPrint {
@@ -1036,14 +1048,17 @@ mod tests {
     #[test]
     fn lying_counts_cannot_drive_allocation() {
         let huge = |out: &mut Vec<u8>| put_varint(out, 1 << 40);
-        // An op count, a row count (via arity), a mark count, a deferred
-        // count, a wave count and a cause length the frame cannot hold are
+        // An op count, a row count (via arity), a mark count, a cell
+        // count, a deferred count, a wave count and a cause length the
+        // frame cannot hold are
         // refused before anything is reserved; a build fingerprint's counts
         // size nothing, and its digest must still be there.
         for head in [
             vec![CT_OPS],
             vec![CT_OPS, 2, 0, 2, 2],
             vec![CT_RESULT],
+            vec![CT_METERED],
+            vec![CT_METERED, 0],
             vec![CT_DEFERRED],
             vec![CT_WAVES, 1],
             vec![CT_FAILED],
@@ -1084,17 +1099,22 @@ mod tests {
             CtrlMsg::decode_frame(&lying).is_err(),
             "a byte past the digest"
         );
-        // A CFD id that leaves the 32-bit range.
-        let mut cfd = vec![CT_RESULT, 1];
-        put_varint(&mut cfd, zigzag(1 << 32));
-        cfd.extend([0; 9]);
-        assert!(CtrlMsg::decode_frame(&cfd).is_err());
+        // A CFD id that leaves the 32-bit range, in a run of one mark at
+        // tid 0 ahead of an empty `removed`: refused, where CFD 0 is not.
+        let cfd = |c: i64| {
+            let mut frame = vec![CT_RESULT, 1];
+            put_varint(&mut frame, zigzag(c));
+            frame.extend([1, 0, 0]);
+            CtrlMsg::decode_frame(&frame)
+        };
+        assert!(cfd(0).is_ok());
+        assert!(cfd(1 << 32).is_err());
         // A run of marks: one run of CFD 0 from tid 5, then `tail`, then
-        // an empty `removed` and no cells, meter or received count.
+        // an empty `removed`.
         let image = |len: u8, tail: &[u8]| {
             let mut frame = vec![CT_RESULT, 1, 0, len, zigzag(5) as u8];
             frame.extend_from_slice(tail);
-            frame.extend([0; 9]);
+            frame.push(0);
             CtrlMsg::decode_frame(&frame)
         };
         let marks = |m: CtrlMsg| match m {
@@ -1161,17 +1181,5 @@ mod tests {
             }
             other => panic!("piggy frame decoded as {other:?}"),
         }
-    }
-
-    #[test]
-    fn an_image_counts_the_frame_that_carried_it() {
-        let mut img = BatchImage::default();
-        img.count_own_frame(0, 40, 25);
-        img.count_own_frame(0, 10, 10);
-        let m = img.meter;
-        assert_eq!((m.frames, m.wire_bytes), (2, 30 + 15));
-        assert_eq!(m.wire_bytes, m.structural_bytes - m.saved_bytes);
-        assert_eq!(img.wire.len(), 1);
-        assert_eq!((img.wire[0].1.messages, img.wire[0].1.bytes), (2, 45));
     }
 }

@@ -19,7 +19,10 @@
 //!   one fig9-style update batch through the mesh, then check the outcome
 //!   against the single-thread [`HorizontalDetector`] — marks and modeled
 //!   `|M|` must be bit-identical, and `D` as gathered from the children
-//!   (`det.current()`; no process keeps it whole) the reference's.
+//!   (`det.current()`; no process keeps it whole) the reference's. The
+//!   meters, too, are gathered from the children (`det.meters()`): besides
+//!   the modeled matrix, every byte a process wrote must read as received
+//!   by another.
 //!
 //! ```sh
 //! cargo run --release --bin site -- --cluster 4
@@ -178,10 +181,16 @@ fn run_cluster(args: &Args) -> Result<(), DetectError> {
         seq.violations().marks_sorted(),
         "multi-process and single-thread drives must agree on V"
     );
+    // The children's meters are gathered on demand, like D.
+    let meters = det.meters();
     assert_eq!(
-        det.meters().modeled.to_bytes(),
+        meters.modeled.to_bytes(),
         seq.meters().modeled.to_bytes(),
         "modeled |M| must be bit-identical across runtimes"
+    );
+    assert_eq!(
+        meters.received, meters.transport.wire_bytes,
+        "every byte a process wrote must be received by another"
     );
     // No process keeps D whole: `current()` gathers every child's fragment.
     let (gathered, kept) = (det.current(), seq.current());

@@ -165,10 +165,10 @@ fn framed_transport_per_codec() {
     let (schema, cfds, d, delta) = fixture();
     let hs = tpch::horizontal_scheme(&schema, 10);
     for (kind, want) in [
-        (CodecKind::Md5, [79_590, 104_589, 1_488, 24_999, 0]),
-        (CodecKind::RawValues, [81_093, 106_593, 1_488, 25_500, 0]),
-        (CodecKind::Dict, [64_710, 85_578, 1_488, 20_868, 0]),
-        (CodecKind::Lz, [81_093, 102_656, 1_488, 25_500, 3_937]),
+        (CodecKind::Md5, [79_590, 99_132, 1_488, 19_542, 0]),
+        (CodecKind::RawValues, [81_093, 101_136, 1_488, 20_043, 0]),
+        (CodecKind::Dict, [64_710, 80_283, 1_488, 15_573, 0]),
+        (CodecKind::Lz, [81_093, 97_199, 1_488, 20_043, 3_937]),
     ] {
         let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
         let mut det = HorizontalDetector::new(s, c, hs.clone(), &d, kind, framed).unwrap();
@@ -233,35 +233,35 @@ const LOAD: [LoadRow; 5] = [
         [216, 15, 53],
         [4_824, 0, 0, 0, 0, 8_640],
         [0, 0],
-        [[4_614_648, 4_622_640], [2_828_212, 2_853_052]],
+        [[4_614_648, 4_621_776], [2_828_212, 2_851_756]],
     ),
     (
         "bursty_onoff",
         [430, 751, 774],
         [18_040, 42_740, 22_404, 42_824, 42_740, 22_619],
-        [56_153, 58_966],
-        [[36_238_968, 36_428_703], [35_554_113, 36_422_734]],
+        [51_993, 54_806],
+        [[36_238_968, 36_418_813], [35_554_113, 36_391_774]],
     ),
     (
         "zipf_hot",
         [230, 1_385, 151],
         [9_256, 6_936, 4_192, 7_008, 6_936, 16_574],
-        [10_416, 10_660],
-        [[11_831_645, 11_894_407], [18_772_549, 19_157_431]],
+        [9_232, 9_476],
+        [[11_831_645, 11_890_727], [18_772_549, 19_140_871]],
     ),
     (
         "churn_delete_heavy",
         [229, 11, 46],
         [9_248, 1_064, 608, 1_112, 1_064, 14_856],
-        [1_360, 1_336],
-        [[11_591_397, 11_653_685], [18_345_131, 18_726_560]],
+        [1_312, 1_288],
+        [[11_591_397, 11_650_021], [18_345_131, 18_710_072]],
     ),
     (
         "dirty_ramp",
         [275, 1_125, 915],
         [11_456, 27_310, 15_786, 27_334, 27_310, 15_150],
-        [35_736, 37_560],
-        [[21_080_646, 21_203_155], [20_745_040, 21_289_013]],
+        [33_136, 34_980],
+        [[21_080_646, 21_196_830], [20_745_040, 21_269_213]],
     ),
 ];
 
@@ -362,14 +362,11 @@ fn speedup_points_at_2_and_4_sites() {
     // tolerance)` in bytes. They move by a few frames with ack timing (an
     // owed ack rides a protocol frame or flushes alone), and that jitter
     // is a number of bytes, whatever the size of the rest of the traffic.
+    // A standalone `Ack` costs two bytes, as its envelope would: 40 release
+    // runs under load read 7 946–7 999 and 27 382–27 390.
     for (n_sites, exact, thr_wire, ctrl_overhead) in [
-        (2, [138, 4_886, 6_936, 50, 215], (9_230, 233), (2_294, 94)),
-        (
-            4,
-            [468, 18_738, 25_926, 52, 215],
-            (31_890, 733),
-            (5_964, 214),
-        ),
+        (2, [138, 4_886, 6_388, 50, 215], (7_972, 31), (1_584, 31)),
+        (4, [468, 18_738, 24_108, 52, 215], (27_386, 71), (3_278, 71)),
     ] {
         let within = |got: u64, (pin, tolerance): (u64, u64)| got.abs_diff(pin) <= tolerance;
         let p = speedup_point(&schema, &cfds, &d, &delta, n_sites).unwrap();
