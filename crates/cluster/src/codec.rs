@@ -506,7 +506,7 @@ mod tests {
         let other = c.encode(1, 0, &v);
         assert!(matches!(other, WireValue::Sym(_, Some(_))));
         let (WireValue::Sym(a, _), WireValue::Sym(b, _)) = (&first, &other) else {
-            unreachable!()
+            panic!("both links carry a symbol");
         };
         assert_eq!(a, b, "one symbol per distinct value");
         // The link's receiver resolves the repeat through what the first

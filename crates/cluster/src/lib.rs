@@ -34,6 +34,8 @@
 //! * [`partition`] — vertical (§2.2, projections with key, replication
 //!   allowed) and horizontal (disjoint selections) partitioners.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::unreachable)]
+
 pub mod codec;
 pub mod lz;
 pub mod md5;

@@ -14,12 +14,7 @@ pub struct Digest(pub [u8; 16]);
 impl Digest {
     /// Render as the conventional lowercase hex string.
     pub fn to_hex(self) -> String {
-        let mut s = String::with_capacity(32);
-        for b in self.0 {
-            use std::fmt::Write;
-            write!(s, "{b:02x}").expect("writing to String cannot fail");
-        }
-        s
+        self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     /// Wire size of a shipped digest (16 bytes).
@@ -51,8 +46,8 @@ const K: [u32; 64] = [
 fn compress(state: &mut [u32; 4], chunk: &[u8]) {
     debug_assert_eq!(chunk.len(), 64);
     let mut m = [0u32; 16];
-    for (j, w) in m.iter_mut().enumerate() {
-        *w = u32::from_le_bytes(chunk[4 * j..4 * j + 4].try_into().unwrap());
+    for (w, b) in m.iter_mut().zip(chunk.chunks_exact(4)) {
+        *w = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     }
     let (mut a, mut b, mut c, mut d) = (state[0], state[1], state[2], state[3]);
     for i in 0..64 {

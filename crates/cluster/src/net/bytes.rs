@@ -88,6 +88,13 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ClusterError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Next `u8`.
     pub fn u8(&mut self) -> Result<u8, ClusterError> {
         Ok(self.take(1)?[0])
@@ -95,17 +102,17 @@ impl<'a> Reader<'a> {
 
     /// Next little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, ClusterError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Next little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, ClusterError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Next little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, ClusterError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Next LEB128 varint. Only the canonical encoding is accepted:
@@ -254,8 +261,7 @@ pub fn put_digest(out: &mut Vec<u8>, d: &Digest) {
 
 /// Deserialize a [`Digest`].
 pub fn get_digest(r: &mut Reader<'_>) -> Result<Digest, ClusterError> {
-    let bytes = r.take(Digest::WIRE_SIZE)?;
-    Ok(Digest(bytes.try_into().expect("16")))
+    Ok(Digest(r.array()?))
 }
 
 /// Serialize a [`WireValue`]; returns structural overhead.

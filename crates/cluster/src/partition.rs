@@ -66,14 +66,11 @@ impl VerticalScheme {
             .enumerate()
             .map(|(i, attrs)| {
                 let names: Vec<&str> = attrs.iter().map(|&a| schema.attr_name(a)).collect();
-                Schema::new(
-                    format!("{}_V{}", schema.name(), i + 1),
-                    &names,
-                    schema.attr_name(key),
-                )
-                .expect("fragment schema is valid by construction")
+                let name = format!("{}_V{}", schema.name(), i + 1);
+                let fragment = Schema::new(name, &names, schema.attr_name(key));
+                fragment.map_err(|e| ClusterError::BadScheme(format!("fragment {i}: {e}")))
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(VerticalScheme {
             schema,
             frags: norm,
@@ -122,6 +119,10 @@ impl VerticalScheme {
     }
 
     /// The first site holding `attr`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`new` refuses a scheme that leaves an attribute uncovered"
+    )]
     pub fn primary_site(&self, attr: AttrId) -> SiteId {
         self.sites_of(attr)
             .into_iter()
@@ -142,6 +143,10 @@ impl VerticalScheme {
     /// Partition a relation: `D_i = π_{X_i}(D)` with tuple ids preserved.
     /// Scans the source columns directly — each fragment row is interned
     /// from borrowed values, no intermediate `Tuple` per projection.
+    #[expect(
+        clippy::expect_used,
+        reason = "a projection has the fragment's arity, and `d`'s tids are unique"
+    )]
     pub fn partition(&self, d: &Relation) -> Vec<Relation> {
         let mut out: Vec<Relation> = self
             .frag_schemas
@@ -261,6 +266,10 @@ impl HorizontalScheme {
 
     /// Partition a relation: `D_i = σ_{F_i}(D)` — a columnar scan; each
     /// selected row is interned into its fragment from borrowed values.
+    #[expect(
+        clippy::expect_used,
+        reason = "a fragment has `d`'s schema, and `d`'s tids are unique"
+    )]
     pub fn partition(&self, d: &Relation) -> Result<Vec<Relation>, ClusterError> {
         let mut out: Vec<Relation> = (0..self.preds.len())
             .map(|_| Relation::new(self.schema.clone()))

@@ -380,7 +380,7 @@ fn bat_ver_one(
                 .filter(|&&a| scheme.local_pos(s, a).is_some())
                 .count()
         })
-        .expect("at least one site");
+        .ok_or_else(|| ClusterError::BadScheme("a scheme of no site".into()))?;
 
     // Each attribute is served by one site (coordinator if it holds it).
     let mut serving: FxHashMap<SiteId, Vec<AttrId>> = FxHashMap::default();
@@ -403,6 +403,10 @@ fn bat_ver_one(
     for &site in &sites {
         let served = &serving[&site];
         let frag = &fragments[site];
+        #[expect(
+            clippy::expect_used,
+            reason = "a site serves only attributes it holds, by `serving`'s construction"
+        )]
         let served_local: Vec<AttrId> = served
             .iter()
             .map(|&a| scheme.local_pos(site, a).expect("served attr is local") as AttrId)
@@ -526,6 +530,10 @@ fn bat_ver_one(
 
 /// `batVer`: batch detection over vertical fragments on the simulated
 /// network, CFDs checked one after another.
+#[expect(
+    clippy::expect_used,
+    reason = "the simulated substrate cannot fail; `bat_ver_with` is the checked form"
+)]
 pub fn bat_ver(cfds: &[Cfd], scheme: &VerticalScheme, d: &Relation) -> BatchOutcome {
     bat_ver_with(cfds, scheme, d, TransportKind::Simulated)
         .expect("the simulated substrate cannot fail")
@@ -566,11 +574,7 @@ fn bat_hor_one(
 ) -> Result<CfdRun, DetectError> {
     let mut out: Vec<Tid> = Vec::new();
 
-    if cfd.is_constant() {
-        let rhs_const = match &cfd.rhs_pattern {
-            PatternValue::Const(v) => v,
-            PatternValue::Wildcard => unreachable!("constant CFD has a const RHS"),
-        };
+    if let PatternValue::Const(rhs_const) = &cfd.rhs_pattern {
         for frag in fragments {
             let atoms = local_atom_syms(cfd, frag, Some);
             let store = frag.store();
@@ -659,6 +663,10 @@ fn bat_hor_one(
 /// `batHor`: batch detection over horizontal fragments on the simulated
 /// network. Panics if `scheme` routes a row of `d` nowhere; the checked
 /// form is [`bat_hor_with`].
+#[expect(
+    clippy::expect_used,
+    reason = "documented panic on an unroutable row; `bat_hor_with` is the checked form"
+)]
 pub fn bat_hor(cfds: &[Cfd], scheme: &HorizontalScheme, d: &Relation) -> BatchOutcome {
     bat_hor_with(cfds, scheme, d, TransportKind::Simulated)
         .expect("every row routes and the simulated substrate cannot fail")

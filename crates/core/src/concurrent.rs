@@ -158,12 +158,20 @@
 //! gathered until the next `apply`; a gather that fails leaves it empty,
 //! and its error for that `apply` to return.
 //!
-//! A site that fails says so before it goes: [`SiteRunner::serve`] sends
-//! the error it is about to return to the coordinator as a best-effort
-//! `Failed`, and the coordinator's pump turns that into the batch's error
-//! from whatever wait it is in — the settle handshake, a barrier, the
-//! collection — instead of a closed inbox or a receive timeout a minute
-//! later.
+//! **The one wait.** A runner waits for control frames in one place,
+//! serving protocol requests meanwhile (except in the coordinator's
+//! exchanges between batches, which take the answer alone). Where the
+//! coordinator needs an answer from every site it takes one from each,
+//! once; a `WaveDone` counts only for the wave it runs, at the barrier or
+//! during its own share of the wave. The decoder knows who may send what:
+//! acks and `Failed` aside, only the coordinator sends `Take`, an `Ops`
+//! slice, `Waves`, `WaveAdvance`, `Gather`, `Meters` and `Shutdown`, and
+//! only a site sends the coordinator `Deferred`, `WaveDone`,
+//! `BatchResult`, `Built`, `Metered` and a fragment; any other frame is
+//! refused naming its link. A site that fails says so before it goes:
+//! [`SiteRunner::serve`] sends its error to the coordinator as a
+//! best-effort `Failed`, which ends whatever the coordinator waits for at
+//! once, not at a receive timeout a minute later.
 //!
 //! **The meters.** A batch image carries `ΔV` and nothing else. Each node
 //! meters every frame it writes and reads, its own `BatchResult` included,
@@ -204,10 +212,10 @@
 //! so a burst of probes, barrier frames and acks towards one peer costs
 //! one `write`, not one each. Both are released at the same place and
 //! for the same reason. A site parks in exactly one spot, the blocking
-//! receive under the runner's frame pump and [`SiteRunner::serve`]; right
-//! before it, the runner flushes what it owes and [`Node::recv`] /
-//! [`Node::recv_opt`] — which enforce the invariant themselves, see the
-//! [`cluster::run`] module docs — flush the sockets. So a blocked site
+//! receive under the runner's frame pump; right before it, the runner
+//! flushes what it owes and [`Node::recv`] / [`Node::recv_opt`] — which
+//! enforce the invariant themselves, see the [`cluster::run`] module docs
+//! — flush the sockets. So a blocked site
 //! has nothing withheld, and a cycle of sites each waiting on a frame
 //! another still buffers (or an ack another still owes) cannot form; no
 //! demand/poll round-trip is ever needed. (A site thread's inlet is no
@@ -332,50 +340,63 @@ pub(crate) fn wave_order(
 // The per-site runner
 // ---------------------------------------------------------------------
 
-/// What [`SiteRunner::pump`] surfaces to its caller. Requests (probes,
-/// del-queries, clears) are served inside `pump` and never surface.
-enum Event {
-    /// A reply (or ack) from `src` to one of our outstanding rounds.
-    Response(SiteId, Response),
-    /// Barrier release for the given wave.
-    Advance(u32),
-    /// Our slice of a new batch: taken from the inlet on a `Take`, or
-    /// decoded from an `Ops` frame.
-    Ops(Vec<Update>),
-    /// What a site's settle pass left for the waves (coordinator side).
-    Deferred(DeferredList),
-    /// The wave of each update we deferred.
-    Waves(u32, Vec<u32>),
-    /// A site's batch image (coordinator side).
-    Result(Box<BatchImage>),
-    /// What a site process's build left it (coordinator side).
-    Built(BuildPrint),
-    /// The coordinator asks for our fragment.
-    Gather,
-    /// The coordinator asks for our meters.
-    Meters,
-    /// A site's meters (coordinator side).
-    Metered(Box<MeterImage>),
-    /// End of session.
-    Shutdown,
+/// What one inbound frame came to once [`SiteRunner::pump`] served the
+/// request in it, if any: nothing more; `k` of our rounds towards `src`
+/// closed by acks (an `Ack`, an `AckN(k)`, a served request's envelope);
+/// a reply behind the acks of its envelope; or a control frame its link
+/// may carry, a `Take` turned into the `Ops` of the slice it announces.
+enum Pumped {
+    Served,
+    Acks(SiteId, u32),
+    Reply(SiteId, u32, HorMsg),
+    Ctrl(SiteId, CtrlMsg),
 }
 
-enum Response {
-    /// A `ProbeReply` or `DelReply`.
-    Reply(HorMsg),
-    Ack,
-    /// Cumulative ack: close the `k` oldest outstanding rounds at once.
-    AckN(u32),
+/// Where a runner waits for a control frame, by the words its refusals
+/// use: in a batch, serving protocol requests meanwhile; in one of the
+/// coordinator's exchanges between batches (the build handshake, the
+/// gathers of `D` and of the meters), which take the answer alone; or at
+/// a site between batches, where silence is no fault and what the node
+/// metered is kept before each frame.
+#[derive(Clone, Copy)]
+enum Wait {
+    Batch(&'static str),
+    Between(&'static str),
+    Idle,
 }
 
-/// What one inbound frame produced: the piggybacked cumulative ack (if
-/// any — closes rounds towards `src`, strictly older than whatever the
-/// carried payload closes) plus the payload's event.
-struct Pumped {
-    src: SiteId,
-    /// Rounds towards `src` closed by a piggybacked ack count.
-    acks: u32,
-    event: Option<Event>,
+impl Wait {
+    fn refusal(self) -> DetectError {
+        let (Wait::Batch(at) | Wait::Between(at)) = self else {
+            return proto("unexpected frame while idle");
+        };
+        proto(format!("unexpected frame {at}"))
+    }
+}
+
+/// The payload of a `CtrlMsg::$kind` frame, `None` for any other frame.
+macro_rules! pick {
+    ($kind:ident) => {
+        |msg| match msg {
+            CtrlMsg::$kind(it) => Some(it),
+            _ => None,
+        }
+    };
+}
+
+/// Mark `src` in `seen`, the sites a wait has heard from: a second time
+/// is `a second {what}` on its link to the coordinator.
+fn once(seen: &mut [bool], src: SiteId, what: &str) -> Result<(), DetectError> {
+    match seen.get_mut(src).map(|seen| std::mem::replace(seen, true)) {
+        Some(false) => Ok(()),
+        _ => Err(bad_link(src, COORD, format!("a second {what}"))),
+    }
+}
+
+/// Site `src` is through with wave `x`, and the coordinator runs `w`.
+fn in_wave(src: SiteId, x: u32, w: u32) -> Result<(), DetectError> {
+    let stray = || bad_link(src, COORD, format!("WaveDone({x}) in wave {w}"));
+    (x == w).then_some(()).ok_or_else(stray)
 }
 
 /// One outstanding update of the current wave: the peers still to answer
@@ -389,12 +410,15 @@ struct Pending {
 /// Reply routing for a pipelined wave. Links are FIFO and peers serve
 /// requests in arrival order, so the reply from `src` always belongs to
 /// the *oldest* outstanding round we opened towards `src`.
-struct WaveState {
+struct WaveState<'d> {
     inflight: Vec<Option<Pending>>,
     /// Per peer: outstanding round slots, in send order.
     queues: Vec<VecDeque<usize>>,
     /// Rounds not yet complete.
     open: usize,
+    /// The wave, and (coordinator only) the sites through with it.
+    wave: u32,
+    done: &'d mut [bool],
 }
 
 /// One site of the concurrent runtime: the §6 `Site` machine, the
@@ -413,8 +437,6 @@ pub struct SiteRunner {
     node: Node,
     violations: Violations,
     dv: DeltaV,
-    /// Coordinator only: sites done with the current wave.
-    done_count: usize,
     /// Per requesting peer: silently-served rounds not yet acked.
     /// Piggybacked onto the next protocol frame towards that peer
     /// ([`RtFrame::Piggy`]) while traffic flows, flushed as standalone
@@ -442,7 +464,6 @@ impl SiteRunner {
             rows,
             violations,
             dv: DeltaV::default(),
-            done_count: 0,
             owed: vec![0; n],
             held: Deferrals::default(),
             inlet: None,
@@ -456,35 +477,17 @@ impl SiteRunner {
 
     // -- frame pump ----------------------------------------------------
 
+    /// Decode one frame from `src`: serve a request on the spot — its reply
+    /// rides back at once, a silent round is owed an ack — and surface the
+    /// rest, each control frame only if its link may carry it.
     fn dispatch(&mut self, src: SiteId, method: u8, body: Vec<u8>) -> Result<Pumped, DetectError> {
-        let body = unpack_body(method, body).map_err(DetectError::Cluster)?;
-        match RtFrame::decode_frame(&body).map_err(DetectError::Cluster)? {
-            RtFrame::Piggy(k, m) => {
-                let event = self.on_hor(src, m)?;
-                Ok(Pumped {
-                    src,
-                    acks: k,
-                    event,
-                })
-            }
-            RtFrame::Hor(m) => Ok(Pumped {
-                src,
-                acks: 0,
-                event: self.on_hor(src, m)?,
-            }),
-            RtFrame::Ctrl(c) => Ok(Pumped {
-                src,
-                acks: 0,
-                event: self.on_ctrl(src, c)?,
-            }),
-        }
-    }
-
-    /// Requests are served by the machine on the spot — its reply rides
-    /// back at once, a silent round is owed an ack; replies surface.
-    fn on_hor(&mut self, src: SiteId, msg: HorMsg) -> Result<Option<Event>, DetectError> {
+        let (acks, msg) = match RtFrame::decode_frame(&unpack_body(method, body)?)? {
+            RtFrame::Piggy(k, m) => (k, m),
+            RtFrame::Hor(m) => (0, m),
+            RtFrame::Ctrl(c) => return self.on_ctrl(src, c),
+        };
         if matches!(msg, HorMsg::ProbeReply { .. } | HorMsg::DelReply { .. }) {
-            return Ok(Some(Event::Response(src, Response::Reply(msg))));
+            return Ok(Pumped::Reply(src, acks, msg));
         }
         let sink = (&mut self.violations, &mut self.dv);
         match self.site.on_request(src, msg, &self.rows, sink)? {
@@ -495,31 +498,39 @@ impl SiteRunner {
             // round bumps the owed counter (piggybacked or flushed later).
             None => self.owed[src] += 1,
         }
-        Ok(None)
+        Ok(match acks {
+            0 => Pumped::Served,
+            k => Pumped::Acks(src, k),
+        })
     }
 
-    fn on_ctrl(&mut self, src: SiteId, msg: CtrlMsg) -> Result<Option<Event>, DetectError> {
-        match msg {
-            CtrlMsg::Ack => Ok(Some(Event::Response(src, Response::Ack))),
-            CtrlMsg::AckN(k) => Ok(Some(Event::Response(src, Response::AckN(k)))),
-            CtrlMsg::WaveDone(_) => {
-                self.done_count += 1;
-                Ok(None)
-            }
-            CtrlMsg::WaveAdvance(w) => Ok(Some(Event::Advance(w))),
-            CtrlMsg::Ops(ops) => Ok(Some(Event::Ops(ops))),
-            CtrlMsg::Take => Ok(Some(Event::Ops(self.take(src)?))),
-            CtrlMsg::Deferred(deferred) => Ok(Some(Event::Deferred(deferred))),
-            CtrlMsg::Waves { n_waves, waves } => Ok(Some(Event::Waves(n_waves, waves))),
-            CtrlMsg::BatchResult(img) => Ok(Some(Event::Result(img))),
-            CtrlMsg::Built(print) => Ok(Some(Event::Built(print))),
-            CtrlMsg::Gather => Ok(Some(Event::Gather)),
-            CtrlMsg::Meters => Ok(Some(Event::Meters)),
-            CtrlMsg::Metered(img) => Ok(Some(Event::Metered(img))),
+    /// Which end of the `src → me` link may send a control frame: acks and
+    /// `Failed` aside, the coordinator sends a site what runs a batch or a
+    /// session, and a site sends the coordinator its answers.
+    fn on_ctrl(&mut self, src: SiteId, msg: CtrlMsg) -> Result<Pumped, DetectError> {
+        use CtrlMsg as C;
+        let (from_coord, to_coord) = (src == COORD, self.me == COORD);
+        let allowed = match &msg {
+            C::Ack => return Ok(Pumped::Acks(src, 1)),
+            C::AckN(k) => return Ok(Pumped::Acks(src, *k)),
             // Whatever we were waiting for, it is not coming.
-            CtrlMsg::Failed(cause) => Err(site_failed(src, &cause)),
-            CtrlMsg::Shutdown => Ok(Some(Event::Shutdown)),
+            C::Failed(cause) => return Err(site_failed(src, cause)),
+            // A slice out, a fragment back.
+            C::Ops(_) => from_coord || to_coord,
+            C::Take | C::Waves { .. } | C::WaveAdvance(_) | C::Gather => from_coord,
+            C::Meters | C::Shutdown => from_coord,
+            C::Deferred(_) | C::WaveDone(_) | C::BatchResult(_) | C::Built(_) => to_coord,
+            C::Metered(_) => to_coord,
+        };
+        if !allowed {
+            let what = "a control frame this link does not carry";
+            return Err(bad_link(src, self.me, what));
         }
+        let msg = match msg {
+            C::Take => C::Ops(self.take(src)?),
+            msg => msg,
+        };
+        Ok(Pumped::Ctrl(src, msg))
     }
 
     /// The slice `src`'s [`CtrlMsg::Take`] announces. The coordinator puts
@@ -533,22 +544,71 @@ impl SiteRunner {
         slice.map_err(|_| bad_link(src, self.me, "Take with nothing in the inlet"))
     }
 
-    /// Take the next frame; serve requests inline, surface everything
-    /// else (piggybacked acks included). While the inbox has frames
+    /// Take the next frame and dispatch it. While the inbox has frames
     /// queued they are drained as-is — owed acks keep accumulating (and
-    /// riding piggyback on whatever we send while serving). Only when
-    /// the inbox goes idle, *before* blocking, every owed counter is
-    /// flushed: nothing else would carry those acks soon, and a peer
-    /// may be blocked on exactly them.
-    fn pump(&mut self) -> Result<Pumped, DetectError> {
-        let (src, method, body) = match self.node.try_recv().map_err(DetectError::Cluster)? {
-            Some(frame) => frame,
-            None => {
-                self.flush_owed()?;
-                self.node.recv().map_err(DetectError::Cluster)?
+    /// riding piggyback on whatever we send while serving). Only when the
+    /// inbox goes idle, *before* blocking, every owed counter is flushed:
+    /// nothing else would carry those acks soon, and a peer may be blocked
+    /// on exactly them. An `idle` site keeps what its node metered before
+    /// each receive ([`SiteRunner::keep_meters`]), so a request between
+    /// batches finds the node's block holding only itself, and waits out
+    /// silence instead of calling it a dead peer.
+    fn pump(&mut self, idle: bool) -> Result<Pumped, DetectError> {
+        loop {
+            if idle {
+                self.keep_meters();
             }
-        };
-        self.dispatch(src, method, body)
+            let frame = match self.node.try_recv()? {
+                Some(frame) => Some(frame),
+                None if idle => {
+                    self.flush_owed()?;
+                    self.keep_meters();
+                    self.node.recv_opt()?
+                }
+                None => {
+                    self.flush_owed()?;
+                    Some(self.node.recv()?)
+                }
+            };
+            if let Some((src, method, body)) = frame {
+                return self.dispatch(src, method, body);
+            }
+        }
+    }
+
+    /// The one wait: the next control frame, serving protocol requests
+    /// meanwhile where `wait` allows. A reply or an ack is refused — no
+    /// round of ours is open outside a wave — and so is a request in one
+    /// of the coordinator's exchanges between batches.
+    fn next_ctrl(&mut self, wait: Wait) -> Result<(SiteId, CtrlMsg), DetectError> {
+        loop {
+            match self.pump(matches!(wait, Wait::Idle))? {
+                Pumped::Ctrl(src, msg) => return Ok((src, msg)),
+                Pumped::Served if !matches!(wait, Wait::Between(_)) => {}
+                _ => return Err(wait.refusal()),
+            }
+        }
+    }
+
+    /// One answer from each site `seen` lacks, each site once, in whatever
+    /// order they come (the coordinator is `seen[0]`, and never answers):
+    /// `pick` takes it out of its frame and `fold` takes it in. Any other
+    /// frame is refused as `wait` refuses it, a second answer from one
+    /// site as `a second {what}` on its link.
+    fn one_from_each<T>(
+        &mut self,
+        (wait, what): (Wait, &str),
+        mut seen: Vec<bool>,
+        pick: impl Fn(CtrlMsg) -> Option<T>,
+        mut fold: impl FnMut(SiteId, T) -> Result<(), DetectError>,
+    ) -> Result<(), DetectError> {
+        while seen[1..].contains(&false) {
+            let (src, msg) = self.next_ctrl(wait)?;
+            let it = pick(msg).ok_or_else(|| wait.refusal())?;
+            once(&mut seen, src, what)?;
+            fold(src, it)?;
+        }
+        Ok(())
     }
 
     /// Close every owed silent round with one standalone frame per
@@ -560,11 +620,10 @@ impl SiteRunner {
         for j in 0..self.n {
             let k = std::mem::take(&mut self.owed[j]);
             match k {
-                0 => continue,
-                1 => self.node.send_ctrl(j, &CtrlMsg::Ack),
-                k => self.node.send_ctrl(j, &CtrlMsg::AckN(k)),
+                0 => {}
+                1 => self.node.send_ctrl(j, &CtrlMsg::Ack)?,
+                k => self.node.send_ctrl(j, &CtrlMsg::AckN(k))?,
             }
-            .map_err(DetectError::Cluster)?;
         }
         Ok(())
     }
@@ -577,12 +636,11 @@ impl SiteRunner {
     /// separate [`CtrlMsg::AckN`] frame.
     fn send_hor(&mut self, dst: SiteId, msg: HorMsg) -> Result<(), DetectError> {
         let k = std::mem::take(&mut self.owed[dst]);
-        if k == 0 {
-            self.node.send(dst, &msg)
-        } else {
-            self.node.send(dst, &RtFrame::Piggy(k, msg))
+        match k {
+            0 => self.node.send(dst, &msg)?,
+            k => self.node.send(dst, &RtFrame::Piggy(k, msg))?,
         }
-        .map_err(DetectError::Cluster)
+        Ok(())
     }
 
     // -- own updates ---------------------------------------------------
@@ -600,18 +658,23 @@ impl SiteRunner {
     /// order, and return the rest of `order`: fire all rounds up front
     /// (windowed), serve peers while they're in flight, fold replies as
     /// they arrive. Each update comes with its `writes` bit: a held one is
-    /// class-preserving by the time it runs and must not ship.
+    /// class-preserving by the time it runs and must not ship. A site can
+    /// be through with the wave before the coordinator is: its `WaveDone`
+    /// goes into `done` as it comes.
     fn run_wave<'o>(
         &mut self,
         w: u32,
         order: &'o [Placed],
         slice: &[&Update],
+        done: &mut [bool],
     ) -> Result<&'o [Placed], DetectError> {
         let (mine, rest) = order.split_at(order.partition_point(|p| p.0 <= w));
         let mut ws = WaveState {
             inflight: Vec::new(),
             queues: (0..self.n).map(|_| VecDeque::new()).collect(),
             open: 0,
+            wave: w,
+            done,
         };
         for &(_, pos, writes) in mine {
             while ws.open >= WINDOW {
@@ -640,7 +703,7 @@ impl SiteRunner {
     /// has answered or acked.
     fn open_round(
         &mut self,
-        ws: &mut WaveState,
+        ws: &mut WaveState<'_>,
         slot: usize,
         round: Option<Round>,
         requests: Vec<(SiteId, HorMsg)>,
@@ -654,38 +717,34 @@ impl SiteRunner {
         Ok(())
     }
 
-    /// Pump one frame and, if it completes rounds, fold them. A
-    /// cumulative ack — piggybacked or a standalone
-    /// [`Response::AckN`]`(k)` — closes the `k` oldest outstanding
-    /// rounds towards `src`; piggybacked acks settle *before* the
-    /// carried payload (they cover strictly older rounds).
-    fn step(&mut self, ws: &mut WaveState) -> Result<(), DetectError> {
-        let p = self.pump()?;
-        for _ in 0..p.acks {
-            self.settle(p.src, Response::Ack, ws)?;
-        }
-        let Some(event) = p.event else {
-            return Ok(());
-        };
-        let Event::Response(src, resp) = event else {
-            return Err(proto("unexpected control frame mid-wave"));
-        };
-        if let Response::AckN(k) = resp {
-            for _ in 0..k {
-                self.settle(src, Response::Ack, ws)?;
+    /// Pump one frame and, if it completes rounds, fold them. An ack count
+    /// — an envelope's, or a standalone `AckN(k)` — closes the `k` oldest
+    /// outstanding rounds towards its sender; an envelope's settles
+    /// *before* the reply it carries (it covers strictly older rounds).
+    fn step(&mut self, ws: &mut WaveState<'_>) -> Result<(), DetectError> {
+        let (src, acks, reply) = match self.pump(false)? {
+            Pumped::Served => return Ok(()),
+            Pumped::Acks(src, k) => (src, k, None),
+            Pumped::Reply(src, acks, msg) => (src, acks, Some(msg)),
+            Pumped::Ctrl(src, CtrlMsg::WaveDone(x)) => {
+                once(ws.done, src, "WaveDone")?;
+                return in_wave(src, x, ws.wave);
             }
-            return Ok(());
+            Pumped::Ctrl(..) => return Err(proto("unexpected control frame mid-wave")),
+        };
+        for _ in 0..acks {
+            self.settle(src, None, ws)?;
         }
-        self.settle(src, resp, ws)
+        reply.map_or(Ok(()), |msg| self.settle(src, Some(msg), ws))
     }
 
-    /// Fold one reply (or ack) into the oldest outstanding round
-    /// towards `src`; the last one finishes the round.
+    /// Fold one reply (or, `None`, an ack) into the oldest outstanding
+    /// round towards `src`; the last one finishes the round.
     fn settle(
         &mut self,
         src: SiteId,
-        resp: Response,
-        ws: &mut WaveState,
+        reply: Option<HorMsg>,
+        ws: &mut WaveState<'_>,
     ) -> Result<(), DetectError> {
         let slot = ws.queues[src]
             .pop_front()
@@ -697,9 +756,9 @@ impl SiteRunner {
             );
             return Err(DetectError::Internal(what));
         };
-        match (resp, &mut p.round) {
-            (Response::Reply(msg), Some(round)) => self.site.on_reply(round, src, msg)?,
-            (Response::Ack, _) => {}
+        match (reply, &mut p.round) {
+            (Some(msg), Some(round)) => self.site.on_reply(round, src, msg)?,
+            (None, _) => {}
             _ => return Err(proto("reply type does not match the outstanding round")),
         }
         p.pending -= 1;
@@ -733,30 +792,20 @@ impl SiteRunner {
         let slice: Vec<&Update> = ops.iter().collect();
         let deferred = self.settle_pass(&slice)?;
         self.node
-            .send_ctrl(COORD, &CtrlMsg::Deferred(deferred.clone()))
-            .map_err(DetectError::Cluster)?;
-        let (n_waves, waves) = loop {
-            let p = self.pump()?;
-            match (p.acks, p.event) {
-                (0, None) => {}
-                (0, Some(Event::Waves(n_waves, waves))) => break (n_waves, waves),
-                _ => return Err(proto("unexpected frame before the wave schedule")),
-            }
+            .send_ctrl(COORD, &CtrlMsg::Deferred(deferred.clone()))?;
+        let wait = Wait::Batch("before the wave schedule");
+        let CtrlMsg::Waves { n_waves, waves } = self.next_ctrl(wait)?.1 else {
+            return Err(wait.refusal());
         };
         let order = wave_order(self.me, &deferred.updates, n_waves, &waves)?;
         let mut rest = order.as_slice();
+        let barrier = Wait::Batch("at a wave barrier");
         for w in 0..n_waves {
-            rest = self.run_wave(w, rest, &slice)?;
-            self.node
-                .send_ctrl(COORD, &CtrlMsg::WaveDone(w))
-                .map_err(DetectError::Cluster)?;
-            loop {
-                let p = self.pump()?;
-                match (p.acks, p.event) {
-                    (0, None) => {}
-                    (0, Some(Event::Advance(x))) if x == w => break,
-                    _ => return Err(proto("unexpected frame at a wave barrier")),
-                }
+            rest = self.run_wave(w, rest, &slice, &mut [])?;
+            self.node.send_ctrl(COORD, &CtrlMsg::WaveDone(w))?;
+            match self.next_ctrl(barrier)?.1 {
+                CtrlMsg::WaveAdvance(x) if x == w => {}
+                _ => return Err(barrier.refusal()),
             }
         }
         // Settled marks are sorted (small deltas on the wire) and net of
@@ -768,9 +817,8 @@ impl SiteRunner {
             added: std::mem::take(&mut self.dv.added),
             removed: std::mem::take(&mut self.dv.removed),
         };
-        self.node
-            .send_ctrl(COORD, &CtrlMsg::BatchResult(Box::new(img)))
-            .map_err(DetectError::Cluster)
+        let result = CtrlMsg::BatchResult(Box::new(img));
+        Ok(self.node.send_ctrl(COORD, &result)?)
     }
 
     /// The site main loop: serve batches until shutdown. This is what a
@@ -787,33 +835,16 @@ impl SiteRunner {
         served
     }
 
-    /// Same idle-flush discipline as the frame pump: whatever round is
-    /// served here is acked the moment the inbox goes quiet. Before each
-    /// receive the node's meters are kept ([`SiteRunner::keep_meters`]),
-    /// so a request between batches finds the node's block holding only
-    /// itself, and answering it leaves no trace on the meters.
+    /// Between batches the frame pump keeps the node's meters before each
+    /// receive, so a request here leaves no trace on them.
     fn serve_batches(&mut self) -> Result<(), DetectError> {
         loop {
-            self.keep_meters();
-            let (src, method, body) = match self.node.try_recv().map_err(DetectError::Cluster)? {
-                Some(frame) => frame,
-                None => {
-                    self.flush_owed()?;
-                    self.keep_meters();
-                    match self.node.recv_opt().map_err(DetectError::Cluster)? {
-                        Some(frame) => frame,
-                        None => continue, // idle between batches
-                    }
-                }
-            };
-            let p = self.dispatch(src, method, body)?;
-            match (p.acks, p.event) {
-                (0, None) => {}
-                (0, Some(Event::Ops(ops))) => self.run_batch(ops)?,
-                (0, Some(Event::Gather)) => self.send_fragment()?,
-                (0, Some(Event::Meters)) => self.send_meters()?,
-                (0, Some(Event::Shutdown)) => return Ok(()),
-                _ => return Err(proto("unexpected frame while idle")),
+            match self.next_ctrl(Wait::Idle)?.1 {
+                CtrlMsg::Ops(ops) => self.run_batch(ops)?,
+                CtrlMsg::Gather => self.send_fragment()?,
+                CtrlMsg::Meters => self.send_meters()?,
+                CtrlMsg::Shutdown => return Ok(()),
+                _ => return Err(Wait::Idle.refusal()),
             }
         }
     }
@@ -832,8 +863,7 @@ impl SiteRunner {
         let rows: Vec<Update> = self.rows.iter().map(Update::Insert).collect();
         let rows: Vec<&Update> = rows.iter().collect();
         let node = &mut self.node;
-        node.send_ctrl_with(COORD, |out| encode_ops(out, &rows))
-            .map_err(DetectError::Cluster)?;
+        node.send_ctrl_with(COORD, |out| encode_ops(out, &rows))?;
         node.reset_stats();
         Ok(())
     }
@@ -851,8 +881,7 @@ impl SiteRunner {
         };
         kept.reset();
         let node = &mut self.node;
-        node.send_ctrl(COORD, &CtrlMsg::Metered(Box::new(img)))
-            .map_err(DetectError::Cluster)?;
+        node.send_ctrl(COORD, &CtrlMsg::Metered(Box::new(img)))?;
         node.reset_stats();
         Ok(())
     }
@@ -929,13 +958,10 @@ pub fn run_site(
     let share = shares.into_iter().nth(me);
     let (site, rows, violations) = share.ok_or(ClusterError::UnknownSite(me))?;
     let print = BuildPrint::of(&rows, &violations);
-    let node = run::join(scheme.n_sites(), me, base_port)
-        .map_err(DetectError::Cluster)?
-        .with_compression(codec.compression());
+    let node = run::join(scheme.n_sites(), me, base_port)?.with_compression(codec.compression());
     let mut runner = SiteRunner::new(site, rows, violations, node);
     let node = &mut runner.node;
-    node.send_ctrl(COORD, &CtrlMsg::Built(print))
-        .map_err(DetectError::Cluster)?;
+    node.send_ctrl(COORD, &CtrlMsg::Built(print))?;
     // The handshake is the build's, not ΔD's.
     node.reset_stats();
     runner.serve()
@@ -1031,7 +1057,7 @@ impl ConcurrentHorizontal {
     ) -> Result<Self, DetectError> {
         let (shares, homes, v) = split(schema, cfds, &scheme, d, codec)?;
         let nodes = match transport {
-            TransportKind::Tcp => run::tcp_mesh(shares.len()).map_err(DetectError::Cluster)?,
+            TransportKind::Tcp => run::tcp_mesh(shares.len())?,
             _ => run::mem_mesh(shares.len()),
         };
         let mut runners = shares
@@ -1077,9 +1103,8 @@ impl ConcurrentHorizontal {
         let print = |(_, rows, v): &Share| BuildPrint::of(rows, v);
         let prints: Vec<BuildPrint> = shares.iter().map(print).collect();
         let (site, rows, v0) = shares.into_iter().next().ok_or_else(no_site)?;
-        let node0 = run::join(scheme.n_sites(), COORD, base_port)
-            .map_err(DetectError::Cluster)?
-            .with_compression(codec.compression());
+        let node0 =
+            run::join(scheme.n_sites(), COORD, base_port)?.with_compression(codec.compression());
         let coord = SiteRunner::new(site, rows, v0, node0);
         let mut det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMp");
         // On a refusal, dropping `det` shuts every site down.
@@ -1122,23 +1147,15 @@ impl ConcurrentHorizontal {
     /// are the build's, not `ΔD`'s: once all match, they leave the meters.
     fn check_builds(&mut self, prints: &[BuildPrint]) -> Result<(), DetectError> {
         let runner = self.runner.get_mut();
-        let mut reported = vec![false; self.n];
-        for _ in 1..self.n {
-            let p = runner.pump()?;
-            let (src, theirs) = match (p.acks, p.event) {
-                (0, Some(Event::Built(theirs))) => (p.src, theirs),
-                _ => return Err(proto("unexpected frame during the build handshake")),
-            };
-            if std::mem::replace(&mut reported[src], true) {
-                return Err(bad_link(src, COORD, "a second Built"));
-            }
+        let wait = (Wait::Between("during the build handshake"), "Built");
+        runner.one_from_each(wait, vec![false; self.n], pick!(Built), |src, theirs| {
             let ours = prints[src];
-            if theirs != ours {
-                let what = format!("{theirs}, where the coordinator built it {ours}");
-                let what = what.into();
-                return Err(DetectError::BuildMismatch { site: src, what });
+            if theirs == ours {
+                return Ok(());
             }
-        }
+            let what = format!("{theirs}, where the coordinator built it {ours}").into();
+            Err(DetectError::BuildMismatch { site: src, what })
+        })?;
         runner.node.reset_stats();
         Ok(())
     }
@@ -1163,33 +1180,23 @@ impl ConcurrentHorizontal {
         }
         let mut d = Relation::new(self.cfg.schema.clone());
         runner.rows.iter().try_for_each(|t| d.insert(t))?;
-        let mut replied = vec![false; self.n];
-        for _ in 1..self.n {
-            let p = runner.pump()?;
-            let (src, rows) = match (p.acks, p.event) {
-                (0, Some(Event::Ops(rows))) => (p.src, rows),
-                _ => return Err(proto("unexpected frame during the gather")),
-            };
-            if std::mem::replace(&mut replied[src], true) {
-                return Err(bad_link(src, COORD, "a second fragment"));
-            }
+        let wait = (Wait::Between("during the gather"), "fragment");
+        runner.one_from_each(wait, vec![false; self.n], pick!(Ops), |src, rows| {
             let mut floor = None;
             for op in rows {
                 let Update::Insert(t) = op else {
                     return Err(bad_link(src, COORD, "a fragment with a delete in it"));
                 };
-                let home = self.homes.get(t.tid).map(|h| h as SiteId);
-                if home != Some(src) || floor >= Some(t.tid) {
-                    let what = format!(
-                        "fragment row {} is out of tid order or homed elsewhere",
-                        t.tid
-                    );
+                let (tid, home) = (t.tid, self.homes.get(t.tid).map(|h| h as SiteId));
+                if home != Some(src) || floor >= Some(tid) {
+                    let what = format!("fragment row {tid} is out of tid order or homed elsewhere");
                     return Err(bad_link(src, COORD, what));
                 }
-                floor = Some(t.tid);
+                floor = Some(tid);
                 d.insert(t)?;
             }
-        }
+            Ok(())
+        })?;
         runner.node.reset_stats();
         if d.len() != self.homes.len() {
             let (got, want) = (d.len(), self.homes.len());
@@ -1232,32 +1239,23 @@ impl ConcurrentHorizontal {
         for j in 1..self.n {
             runner.node.send_ctrl(j, &CtrlMsg::Meters)?;
         }
-        let mut answered = vec![false; self.n];
-        for _ in 1..self.n {
-            let p = runner.pump()?;
-            let (src, img) = match (p.acks, p.event) {
-                (0, Some(Event::Metered(img))) => (p.src, img),
-                _ => return Err(proto("unexpected frame during the meters request")),
-            };
-            if std::mem::replace(&mut answered[src], true) {
-                return Err(bad_link(src, COORD, "a second Metered"));
-            }
-            let m = &mut runner.kept;
-            for (matrix, cells) in [(&mut m.modeled, &img.stats), (&mut m.wire, &img.wire)] {
+        let mut got = Meters::framed(self.n);
+        let wait = (Wait::Between("during the meters request"), "Metered");
+        runner.one_from_each(wait, vec![false; self.n], pick!(Metered), |src, img| {
+            for (matrix, cells) in [(&mut got.modeled, img.stats), (&mut got.wire, img.wire)] {
                 for (dst, c) in cells {
-                    if *dst >= self.n || *dst == src {
-                        return Err(bad_link(
-                            src,
-                            COORD,
-                            format!("metered a link to site {dst}"),
-                        ));
+                    if dst >= self.n || dst == src {
+                        let what = format!("metered a link to site {dst}");
+                        return Err(bad_link(src, COORD, what));
                     }
-                    matrix.add(src, *dst, c);
+                    matrix.add(src, dst, &c);
                 }
             }
-            m.transport.merge(&img.meter);
-            m.received += img.received;
-        }
+            got.transport.merge(&img.meter);
+            got.received += img.received;
+            Ok(())
+        })?;
+        runner.kept.merge(&got);
         runner.node.reset_stats();
         Ok(())
     }
@@ -1278,22 +1276,6 @@ impl ConcurrentHorizontal {
     fn defer(&self, e: DetectError) {
         let first = self.failed.take().unwrap_or(e);
         self.failed.set(Some(first));
-    }
-
-    /// One batch through the mesh. A site that fails says why before it
-    /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
-    /// but a *send* to the node it left behind fails first, in the
-    /// transport's words: prefer the site's own, if they are in the inbox.
-    /// What a gather of `D` or of the meters since the last batch gathered
-    /// goes; what one failed with is this batch's error.
-    fn apply_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        self.gathered.take();
-        self.metered.take();
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
-        let applied = self.drive_batch(delta);
-        applied.map_err(|e| in_own_words(&mut self.runner.get_mut().node, e))
     }
 
     /// Admit, route and ship the batch; settle our slice while the sites
@@ -1323,34 +1305,27 @@ impl ConcurrentHorizontal {
                     let owned = slice.iter().map(|&op| op.clone()).collect();
                     let left = |_| proto(format!("site {j} has left: its inlet is closed"));
                     inlet.send(owned).map_err(left)?;
-                    runner.node.send_ctrl(j, &CtrlMsg::Take)
+                    runner.node.send_ctrl(j, &CtrlMsg::Take)?;
                 }
-                None => runner.node.send_ctrl_with(j, |out| encode_ops(out, slice)),
+                None => runner
+                    .node
+                    .send_ctrl_with(j, |out| encode_ops(out, slice))?,
             }
-            .map_err(DetectError::Cluster)?;
         }
         // Not a park, but the next stretch is ours alone: put the sites to
         // work on their settle passes before starting on ours.
-        runner.node.flush().map_err(DetectError::Cluster)?;
-        let mut deferred: Vec<DeferredList> =
-            (0..self.n).map(|_| DeferredList::default()).collect();
+        runner.node.flush()?;
+        let mut deferred = vec![DeferredList::default(); self.n];
         deferred[COORD] = runner.settle_pass(&slices[COORD])?;
-        let mut reported = vec![false; self.n];
-        for _ in 1..self.n {
-            let (src, list) = loop {
-                let p = runner.pump()?;
-                match (p.acks, p.event) {
-                    (0, None) => {}
-                    (0, Some(Event::Deferred(list))) => break (p.src, list),
-                    _ => return Err(proto("unexpected frame during the settle handshake")),
-                }
-            };
-            if std::mem::replace(&mut reported[src], true) {
-                return Err(bad_link(src, COORD, "a second Deferred for one batch"));
-            }
+        let wait = (
+            Wait::Batch("during the settle handshake"),
+            "Deferred for one batch",
+        );
+        runner.one_from_each(wait, vec![false; self.n], pick!(Deferred), |src, list| {
             check_deferred(src, &list, &slices[src])?;
             deferred[src] = list;
-        }
+            Ok(())
+        })?;
         let ops = homes.iter().copied().zip(delta.ops());
         let (n_waves, waves) = self.planner.schedule(&self.cfg, ops, &deferred)?;
         self.waves += 1 + u64::from(n_waves);
@@ -1361,11 +1336,10 @@ impl ConcurrentHorizontal {
         for (j, waves) in (1..).zip(waves) {
             runner
                 .node
-                .send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })
-                .map_err(DetectError::Cluster)?;
+                .send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })?;
         }
         // Wave 0 is the sites' to start while the homes catch up.
-        runner.node.flush().map_err(DetectError::Cluster)?;
+        runner.node.flush()?;
         self.rehome(&delta, &homes);
         // Drive our own deferred updates, holding every wave barrier until
         // all sites report done.
@@ -1373,41 +1347,27 @@ impl ConcurrentHorizontal {
         let order = wave_order(COORD, &deferred[COORD].updates, n_waves, &own_waves)?;
         let mut rest = order.as_slice();
         for w in 0..n_waves {
-            rest = runner.run_wave(w, rest, &slices[COORD])?;
-            while runner.done_count < self.n - 1 {
-                let p = runner.pump()?;
-                if p.acks > 0 || p.event.is_some() {
-                    return Err(proto("unexpected frame at a wave barrier"));
-                }
-            }
-            runner.done_count = 0;
+            let mut done = vec![false; self.n];
+            rest = runner.run_wave(w, rest, &slices[COORD], &mut done)?;
+            let wait = (Wait::Batch("at a wave barrier"), "WaveDone");
+            runner.one_from_each(wait, done, pick!(WaveDone), |src, x| in_wave(src, x, w))?;
             for j in 1..self.n {
-                runner
-                    .node
-                    .send_ctrl(j, &CtrlMsg::WaveAdvance(w))
-                    .map_err(DetectError::Cluster)?;
+                runner.node.send_ctrl(j, &CtrlMsg::WaveAdvance(w))?;
             }
             // Every site is parked on this barrier: release them before
             // computing our own slice of the next wave.
-            runner.node.flush().map_err(DetectError::Cluster)?;
+            runner.node.flush()?;
         }
         // The last release (or the empty schedule) was the sites' cue:
         // collect their images and fold ΔV.
         dv.added = std::mem::take(&mut runner.dv.added);
         dv.removed = std::mem::take(&mut runner.dv.removed);
-        let mut got = 0;
-        while got < self.n - 1 {
-            let p = runner.pump()?;
-            match (p.acks, p.event) {
-                (0, None) => {}
-                (0, Some(Event::Result(img))) => {
-                    dv.added.extend(img.added);
-                    dv.removed.extend(img.removed);
-                    got += 1;
-                }
-                _ => return Err(proto("unexpected frame during collection")),
-            }
-        }
+        let wait = (Wait::Batch("during collection"), "BatchResult");
+        runner.one_from_each(wait, vec![false; self.n], pick!(BatchResult), |_, img| {
+            dv.added.extend(img.added);
+            dv.removed.extend(img.removed);
+            Ok(())
+        })?;
         dv.settle();
         for &(c, t) in &dv.added {
             self.violations.add(c, t);
@@ -1445,21 +1405,6 @@ impl ConcurrentHorizontal {
     pub fn n_sites(&self) -> usize {
         self.n
     }
-
-    /// Group-state census of the coordinator's own site (the others live
-    /// on their threads; rolling them up would widen `BatchResult`).
-    #[cfg(test)]
-    pub(crate) fn coordinator_census(&self) -> crate::StateCensus {
-        let mut census = crate::StateCensus::default();
-        self.runner.borrow().site.count_into(&mut census);
-        census
-    }
-
-    /// Symbols resident on each link into the coordinator.
-    #[cfg(test)]
-    pub(crate) fn coordinator_resident_symbols(&self) -> Vec<usize> {
-        self.runner.borrow().site.resident_symbols().collect()
-    }
 }
 
 impl Detector for ConcurrentHorizontal {
@@ -1492,8 +1437,20 @@ impl Detector for ConcurrentHorizontal {
         &self.violations
     }
 
+    /// One batch through the mesh. A site that fails says why before it
+    /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
+    /// but a *send* to the node it left behind fails first, in the
+    /// transport's words: prefer the site's own, if they are in the inbox.
+    /// What a gather of `D` or of the meters since the last batch gathered
+    /// goes; what one failed with is this batch's error.
     fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        self.apply_batch(delta)
+        self.gathered.take();
+        self.metered.take();
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        let applied = self.drive_batch(delta);
+        applied.map_err(|e| in_own_words(&mut self.runner.get_mut().node, e))
     }
 
     fn net(&self) -> NetReport {
@@ -1535,6 +1492,19 @@ mod tests {
     use cluster::TransportMeter;
     use relation::Tuple;
     use std::time::{Duration, Instant};
+
+    /// Group-state census of the coordinator's own site (the others live
+    /// on their threads; rolling them up would widen `BatchResult`).
+    fn coordinator_census(det: &ConcurrentHorizontal) -> crate::StateCensus {
+        let mut census = crate::StateCensus::default();
+        det.runner.borrow().site.count_into(&mut census);
+        census
+    }
+
+    /// Symbols resident on each link into the coordinator.
+    fn coordinator_resident_symbols(det: &ConcurrentHorizontal) -> Vec<usize> {
+        det.runner.borrow().site.resident_symbols().collect()
+    }
 
     /// The differential script: zero-shipment inserts, cross-site
     /// conflicts, witness-protected deletes, remote clears, and a
@@ -1585,7 +1555,7 @@ mod tests {
         what: &str,
     ) -> u64 {
         let before = conc.waves();
-        let dv_c = conc.apply_batch(b).unwrap();
+        let dv_c = conc.apply(b).unwrap();
         let dv_s = Detector::apply(seq, b).unwrap();
         assert_eq!(dv_c, dv_s, "{what}: ΔV");
         let marks = conc.violations().marks_sorted();
@@ -1681,8 +1651,8 @@ mod tests {
         }
         let seen = |det: &ConcurrentHorizontal| {
             let marks = det.violations().marks_sorted();
-            let census = det.coordinator_census();
-            (marks, census, det.coordinator_resident_symbols())
+            let census = coordinator_census(det);
+            (marks, census, coordinator_resident_symbols(det))
         };
         let codecs = [
             CodecKind::RawValues,
@@ -1755,7 +1725,7 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
         b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
-        conc.apply_batch(&b).unwrap();
+        conc.apply(&b).unwrap();
         let m = conc.meters().transport;
         assert_eq!(
             m.wire_bytes,
@@ -1786,7 +1756,7 @@ mod tests {
         batches.push(wide);
         let (mut before, mut saved) = (0, Vec::new());
         for (i, b) in batches.iter().enumerate() {
-            conc.apply_batch(b).unwrap();
+            conc.apply(b).unwrap();
             let m = conc.meters().transport;
             assert!(m.wire_bytes > before, "batch {i} moved bytes");
             before = m.wire_bytes;
@@ -2154,8 +2124,8 @@ mod tests {
             assert_eq!(meters(&mut gathering).0, TransportMeter::default());
             for (i, b) in script().iter().enumerate() {
                 let at = format!("batch {i} over {transport:?}");
-                gathering.apply_batch(b).unwrap();
-                twin.apply_batch(b).unwrap();
+                gathering.apply(b).unwrap();
+                twin.apply(b).unwrap();
                 let before = meters(&mut gathering);
                 let gathered = gathering.gather().unwrap();
                 assert_same_rows(gathering.current(), &gathered, &at);
@@ -2205,7 +2175,7 @@ mod tests {
             };
             let mut conc = scripted_session(n, answering);
             assert_eq!(conc.meters().wire.total_bytes(), 0, "{cause}");
-            let err = conc.apply_batch(&UpdateBatch::new()).unwrap_err();
+            let err = conc.apply(&UpdateBatch::new()).unwrap_err();
             assert!(err.to_string().contains(cause), "{err}");
         }
     }
@@ -2285,7 +2255,7 @@ mod tests {
         let mut per_window = Vec::new();
         for window in rows.chunks(4_096) {
             let before = conc.waves();
-            conc.apply_batch(&tuples_of(window)).unwrap();
+            conc.apply(&tuples_of(window)).unwrap();
             per_window.push(conc.waves() - before);
         }
         let full = &per_window[..n_rows / 4_096];
@@ -2347,6 +2317,107 @@ mod tests {
         }
     }
 
+    /// A site takes what runs a batch or a session from the coordinator
+    /// alone: an `Ops` slice, a `Waves` or a `Shutdown` that site 2 sends
+    /// site 1 ends site 1's `serve` with a typed error naming the link, and
+    /// the coordinator is told. Every case is run before any is judged, so
+    /// a failure lists them all.
+    #[test]
+    fn a_site_takes_the_coordinators_frames_from_the_coordinator_alone() {
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let row = emp_tuple(1, "B", 44, 131, "EH7 7AA", "Foo", "EDI");
+        let cases = [
+            CtrlMsg::Ops(vec![Update::Insert(row)]),
+            CtrlMsg::Waves {
+                n_waves: 1,
+                waves: vec![0],
+            },
+            CtrlMsg::Shutdown,
+        ];
+        let mut wrong = Vec::new();
+        for forged in cases {
+            let mut nodes = run::mem_mesh(3).into_iter();
+            let (mut coord, node) = (nodes.next().unwrap(), nodes.next().unwrap());
+            let mut peer = nodes.next().unwrap();
+            let site = empty_runner(cfg.clone(), node);
+            let handle = std::thread::spawn(move || site.serve());
+            peer.send_ctrl(1, &forged).unwrap();
+            peer.flush().unwrap();
+            let served = handle.join().expect("the site thread must not panic");
+            let refused = match &served {
+                Err(DetectError::Cluster(ClusterError::Transport(e))) => e.contains("link 2 → 1"),
+                _ => false,
+            };
+            let told = served
+                .as_ref()
+                .err()
+                .map(|e| CtrlMsg::Failed(e.to_string()));
+            if !refused || told.is_none_or(|f| coord.recv_msg::<CtrlMsg>().unwrap() != (1, f)) {
+                wrong.push(format!("{forged:?}: {served:?}"));
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
+    }
+
+    /// The coordinator takes one answer from each site, and a `WaveDone`
+    /// for the wave it runs alone: at three sites, a second `BatchResult`
+    /// from site 1 (site 2 silent), a second `WaveDone(0)` (site 2 silent)
+    /// or a `WaveDone(7)` in a batch of one wave fails the batch with a
+    /// typed error naming the link. Each case is run before any is judged.
+    #[test]
+    fn a_second_answer_or_a_stray_wave_fails_the_batch() {
+        let wave_done = CtrlMsg::WaveDone;
+        let cases = [
+            (
+                [vec![wave_done(0)], vec![wave_done(0)]],
+                [2, 0],
+                "a second BatchResult",
+            ),
+            ([vec![wave_done(0); 2], vec![]], [1, 1], "a second WaveDone"),
+            (
+                [vec![wave_done(7)], vec![wave_done(0)]],
+                [1, 1],
+                "WaveDone(7) in wave 0",
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (done, results, cause) in cases {
+            // Sites 1 and 2 defer every op of their slices as writers,
+            // then answer `Waves` and `WaveAdvance` as the case says.
+            let playing = move |node: &mut Node, frame: CtrlMsg| {
+                let at = node.me() - 1;
+                let answers = match frame {
+                    CtrlMsg::Ops(ops) => vec![CtrlMsg::Deferred(DeferredList {
+                        updates: (0..ops.len() as u32).map(|pos| (pos, true)).collect(),
+                        footprints: Vec::new(),
+                    })],
+                    CtrlMsg::Waves { .. } => done[at].clone(),
+                    CtrlMsg::WaveAdvance(_) => {
+                        vec![CtrlMsg::BatchResult(Box::default()); results[at]]
+                    }
+                    _ => Vec::new(),
+                };
+                for answer in &answers {
+                    node.send_ctrl(COORD, answer).unwrap();
+                }
+                node.flush().unwrap();
+            };
+            let mut conc = scripted_session(3, playing);
+            // One insert, homed at site 1: the batch's one wave.
+            let mut tuples = (1..).map(|tid| emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+            let mut b = UpdateBatch::new();
+            b.insert(tuples.find(|t| conc.scheme.route(t).unwrap() == 1).unwrap());
+            let applied = conc.apply(&b);
+            match &applied {
+                Err(DetectError::Cluster(ClusterError::Transport(e)))
+                    if e.contains("link 1 → 0") && e.contains(cause) => {}
+                _ => wrong.push(format!("{cause}: {applied:?}")),
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
+    }
+
     /// A site thread that is gone takes no slice: handing it one is a
     /// transport error that names the site, before any frame is sent.
     #[test]
@@ -2358,7 +2429,7 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
         b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
-        let err = match pair.0.apply_batch(&b) {
+        let err = match pair.0.apply(&b) {
             Err(DetectError::Cluster(ClusterError::Transport(e))) => e,
             other => panic!("expected a transport error, got {other:?}"),
         };
@@ -2393,7 +2464,7 @@ mod tests {
             b.insert(emp_tuple(10, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
             b.insert(emp_tuple(11, "B", 44, 131, "EH7 7AA", "Bar", "EDI"));
             let asked = Instant::now();
-            let err = match conc.apply_batch(&b) {
+            let err = match conc.apply(&b) {
                 Err(DetectError::Cluster(e)) => e.to_string(),
                 other => panic!("expected a transport error, got {other:?}"),
             };
@@ -2495,9 +2566,7 @@ mod tests {
                 }
                 let err = if through_current {
                     assert_eq!(conc.current().len(), 0, "{cause}");
-                    conc.apply_batch(&UpdateBatch::new())
-                        .map(|_| ())
-                        .unwrap_err()
+                    conc.apply(&UpdateBatch::new()).map(|_| ()).unwrap_err()
                 } else {
                     conc.gather().map(drop).unwrap_err()
                 };
@@ -2524,7 +2593,7 @@ mod tests {
                 }
                 let err = if through_current {
                     assert_eq!(conc.current().len(), 0);
-                    conc.apply_batch(&script()[0]).map(|_| ()).unwrap_err()
+                    conc.apply(&script()[0]).map(|_| ()).unwrap_err()
                 } else {
                     conc.gather().map(drop).unwrap_err()
                 };
@@ -2605,7 +2674,7 @@ mod tests {
                     break;
                 }
             }
-            let err = match conc.apply_batch(&b) {
+            let err = match conc.apply(&b) {
                 Err(DetectError::Cluster(e)) => e.to_string(),
                 other => panic!("expected a protocol error, got {other:?}"),
             };

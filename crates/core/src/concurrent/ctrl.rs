@@ -382,10 +382,14 @@ fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterE
     }
     let mut rows = rows.into_iter();
     let op = |(i, tid)| match is_delete(i) {
-        true => Update::Delete(tid),
-        false => Update::Insert(Tuple::new(tid, rows.next().expect("one row per insert"))),
+        true => Ok(Update::Delete(tid)),
+        false => {
+            let row = rows.next().ok_or_else(|| bad("an insert with no row"))?;
+            Ok(Update::Insert(Tuple::new(tid, row)))
+        }
     };
-    Ok(CtrlMsg::Ops(tids.into_iter().enumerate().map(op).collect()))
+    let ops = tids.into_iter().enumerate().map(op);
+    Ok(CtrlMsg::Ops(ops.collect::<Result<_, _>>()?))
 }
 
 fn get_deferred(r: &mut Reader<'_>) -> Result<DeferredList, ClusterError> {
@@ -1041,6 +1045,32 @@ mod tests {
                         assert_eq!(CtrlMsg::decode_frame(&encoded(&m)).unwrap(), m);
                     }
                 }
+            }
+        }
+    }
+
+    /// The kind bits of an `Ops` frame say which ops carry a row. Each bit
+    /// flipped in turn, the spare ones included, decodes to a typed error
+    /// or to a slice whose every insert carries a row of the frame's arity.
+    #[test]
+    fn flipped_kind_bits_are_a_typed_error_or_a_row_per_insert() {
+        let row = |tid, v| Update::Insert(Tuple::new(tid, vec![Value::int(v), Value::str("x")]));
+        let ops = vec![row(1, 5), Update::Delete(2), row(3, 7), Update::Delete(4)];
+        let frame = encoded(&CtrlMsg::Ops(ops));
+        // The tag, the op count, then the kind bits.
+        for bit in 0..8 {
+            let mut bent = frame.clone();
+            bent[2] ^= 1 << bit;
+            match CtrlMsg::decode_frame(&bent) {
+                Ok(CtrlMsg::Ops(ops)) => {
+                    let rows = ops.iter().filter_map(|op| match op {
+                        Update::Insert(t) => Some(t.values.len()),
+                        Update::Delete(_) => None,
+                    });
+                    assert!(rows.into_iter().all(|arity| arity == 2), "bit {bit}");
+                }
+                Ok(other) => panic!("bit {bit}: decoded {other:?}"),
+                Err(e) => assert!(matches!(e, ClusterError::Transport(_)), "bit {bit}: {e}"),
             }
         }
     }

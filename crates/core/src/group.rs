@@ -218,6 +218,7 @@ impl<K: ClassKey> GroupState<K> {
 
     /// Move the class of a single-class group out; the caller writes the
     /// group back.
+    #[expect(clippy::unreachable, reason = "every caller handles `Many` first")]
     fn take_single(&mut self) -> (K, ClassEntry) {
         let hole = Self::single(false, K::default(), ClassEntry::of(0));
         match std::mem::replace(self, hole) {
@@ -318,8 +319,10 @@ impl<K: ClassKey> GroupState<K> {
             }
             let left = classes.len();
             if left == 1 {
-                let (b, last) = classes.drain().next().expect("one class left");
-                *self = Self::single(violating, b, last);
+                let last = classes.drain().next();
+                if let Some((b, last)) = last {
+                    *self = Self::single(violating, b, last);
+                }
             } else {
                 shrink_if_sparse!(classes);
             }

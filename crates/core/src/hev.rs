@@ -72,6 +72,10 @@ impl BaseHev {
     /// # Panics
     /// Panics if `s` has no live class — that indicates the caller's
     /// insert/delete bookkeeping is out of sync.
+    #[expect(
+        clippy::expect_used,
+        reason = "a release without its acquire is a bookkeeping bug (# Panics)"
+    )]
     pub fn release(&mut self, s: Sym) -> EqId {
         let e = self
             .map
@@ -175,6 +179,10 @@ impl NonBaseHev {
     ///
     /// # Panics
     /// Panics when the key has no live class (bookkeeping error).
+    #[expect(
+        clippy::expect_used,
+        reason = "a release without its acquire is a bookkeeping bug (# Panics)"
+    )]
     pub fn release(&mut self, key: &[EqId]) -> EqId {
         if let Some(f) = fuse(key) {
             let e = self

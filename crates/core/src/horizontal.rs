@@ -152,9 +152,7 @@ use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, Meters, MsgTransport, Network, SiteId, Wire};
 use order::{Ledger, Party, Verdict};
-use relation::{
-    AttrId, FxHashMap, RelError, Relation, Schema, Tid, Tuple, Update, UpdateBatch, Value,
-};
+use relation::{AttrId, FxHashMap, RelError, Relation, Schema, Tid, Tuple, UpdateBatch, Value};
 use site::{Own, Round, Site, SiteConfig};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -673,11 +671,9 @@ pub struct HorizontalDetector {
     cfg: SiteConfig,
     scheme: HorizontalScheme,
     sites: Vec<Site>,
-    /// Which site is home to each live tuple.
-    site_of_tid: FxHashMap<Tid, SiteId>,
     /// The logical relation, and the only copy of its rows: site `i`'s
-    /// fragment `σ_{F_i}(D)` is the rows `site_of_tid` maps to `i`, and
-    /// every machine's steps are handed this store.
+    /// fragment `σ_{F_i}(D)` is the rows `scheme` routes to `i`, and every
+    /// machine's steps are handed this store.
     current: Relation,
     violations: Violations,
     /// The substrate protocol rounds ride on: the simulated metered
@@ -719,15 +715,11 @@ impl HorizontalDetector {
     ) -> Result<Self, DetectError> {
         crate::detector::positional(&cfds)?;
         let current = d.clone_under(schema.clone())?;
-        let mut site_of_tid = FxHashMap::default();
-        let homed = |tid, home| {
-            site_of_tid.insert(tid, home);
-        };
         let Build {
             cfg,
             sites,
             violations,
-        } = Build::new(schema, cfds, &scheme, &current, codec, homed)?;
+        } = Build::new(schema, cfds, &scheme, &current, codec, |_, _| {})?;
         // Only now is there a transport: the build cannot send.
         let n = sites.len();
         let net: Box<dyn MsgTransport<HorMsg>> = match transport {
@@ -741,7 +733,6 @@ impl HorizontalDetector {
         };
         Ok(HorizontalDetector {
             sites,
-            site_of_tid,
             current,
             violations,
             net,
@@ -751,11 +742,6 @@ impl HorizontalDetector {
             cfg,
             scheme,
         })
-    }
-
-    /// Current violation set `V(Σ, D)`.
-    pub fn violations(&self) -> &Violations {
-        &self.violations
     }
 
     /// The payload codec this session ships values with.
@@ -775,13 +761,6 @@ impl HorizontalDetector {
         self.net.meters()
     }
 
-    /// Reset network statistics and the wave count.
-    pub fn reset_stats(&mut self) {
-        self.net.reset_stats();
-        self.flight.waves = 0;
-        self.flight.opened = 0;
-    }
-
     /// Drains since the last reset that waited on at least one open round:
     /// the sequential drive's barrier rounds, as
     /// [`ConcurrentHorizontal::waves`](crate::ConcurrentHorizontal::waves)
@@ -792,35 +771,9 @@ impl HorizontalDetector {
         self.flight.waves
     }
 
-    /// The rule set.
-    pub fn cfds(&self) -> &[Cfd] {
-        &self.cfg.cfds
-    }
-
     /// The merged multi-CFD evaluation plan.
     pub fn shared_plan(&self) -> &Arc<SharedPlan> {
         &self.cfg.plan
-    }
-
-    /// The global schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.cfg.schema
-    }
-
-    /// The logical relation (`scheme.partition` of it materialises any
-    /// fragment a caller wants).
-    pub fn current(&self) -> &Relation {
-        &self.current
-    }
-
-    /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incHor`:
-    /// each update runs at its home site's machine in batch order, and a
-    /// round it opens stays in flight until an update could observe it
-    /// unfinished (the module docs' sequential driver).
-    pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let delta = crate::detector::admit(&self.current, delta)?;
-        let homes = self.route(&delta)?;
-        self.apply_routed(&delta, homes)
     }
 
     /// The home of every insert of an admitted batch, in batch order. All
@@ -863,16 +816,14 @@ impl HorizontalDetector {
             if self.flight.open == WINDOW {
                 self.drain(dv)?;
             }
-            let home = match op {
-                Update::Insert(t) => homes.next().ok_or_else(|| {
+            let own = Own::read(op, &self.current)?;
+            let home = match &own {
+                Own::Insert(t) => homes.next().ok_or_else(|| {
                     DetectError::Internal(format!("insert of tid {} was routed nowhere", t.tid))
                 })?,
-                Update::Delete(tid) => *self
-                    .site_of_tid
-                    .get(tid)
-                    .ok_or(RelError::MissingTid(*tid))?,
+                // Where its insert was routed: the scheme is the session's.
+                Own::Delete(t) => self.scheme.route(t)?,
             };
-            let own = Own::read(op, &self.current)?;
             self.sites[home].classify(&own);
             // Whether it writes is read only if another site's round meets it.
             let (site, mut writes) = (&self.sites[home], None);
@@ -892,10 +843,6 @@ impl HorizontalDetector {
             let sink = (&mut self.violations, &mut *dv);
             let opened =
                 self.sites[home].begin_classified(own, may_ship, &mut self.current, sink)?;
-            match op {
-                Update::Insert(t) => self.site_of_tid.insert(t.tid, home),
-                Update::Delete(tid) => self.site_of_tid.remove(tid),
-            };
             let Some((round, requests)) = opened else {
                 continue;
             };
@@ -1056,24 +1003,35 @@ impl Detector for HorizontalDetector {
         "incHor"
     }
 
+    /// The global schema.
     fn schema(&self) -> &Arc<Schema> {
-        HorizontalDetector::schema(self)
+        &self.cfg.schema
     }
 
+    /// The rule set.
     fn cfds(&self) -> &[Cfd] {
-        HorizontalDetector::cfds(self)
+        &self.cfg.cfds
     }
 
+    /// The logical relation (`scheme.partition` of it materialises any
+    /// fragment a caller wants).
     fn current(&self) -> &Relation {
-        HorizontalDetector::current(self)
+        &self.current
     }
 
+    /// Current violation set `V(Σ, D)`.
     fn violations(&self) -> &Violations {
-        HorizontalDetector::violations(self)
+        &self.violations
     }
 
+    /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incHor`:
+    /// each update runs at its home site's machine in batch order, and a
+    /// round it opens stays in flight until an update could observe it
+    /// unfinished (the module docs' sequential driver).
     fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        HorizontalDetector::apply(self, delta)
+        let delta = crate::detector::admit(&self.current, delta)?;
+        let homes = self.route(&delta)?;
+        self.apply_routed(&delta, homes)
     }
 
     fn net(&self) -> cluster::NetReport {
@@ -1083,8 +1041,11 @@ impl Detector for HorizontalDetector {
             .with_codec(self.codec.name())
     }
 
+    /// Reset network statistics and the wave count.
     fn reset_stats(&mut self) {
-        HorizontalDetector::reset_stats(self);
+        self.net.reset_stats();
+        self.flight.waves = 0;
+        self.flight.opened = 0;
     }
 }
 
@@ -1092,7 +1053,7 @@ impl Detector for HorizontalDetector {
 mod tests {
     use super::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated};
     use super::*;
-    use relation::Tuple;
+    use relation::{Tuple, Update};
 
     fn detector() -> HorizontalDetector {
         let s = emp_schema();

@@ -77,7 +77,8 @@ pub(crate) type Key = u64;
 
 /// The [`Key`] of group key `kd` in key group `g`.
 pub(crate) fn key(g: usize, kd: Digest) -> Key {
-    u64::from_le_bytes(kd.0[..8].try_into().expect("a digest has 16 bytes")) ^ g as u64
+    // The low half of the little-endian digest: its first eight bytes.
+    u128::from_le_bytes(kd.0) as u64 ^ g as u64
 }
 
 /// What a later update must wait for of an earlier one it meets.

@@ -248,6 +248,10 @@ impl SiteConfig {
 /// `vars` and `group_kd` that [`SiteConfig::candidates`] left in the
 /// scratch. Whether `tp[X]` matches depends on `t[X]` alone, so the run of
 /// an operator is the matched set of *every* tuple of that group.
+#[expect(
+    clippy::expect_used,
+    reason = "a candidate CFD is variable, and its group key was digested as it matched"
+)]
 fn matched_ops<'a>(
     plan: &'a SharedPlan,
     vars: &'a [CfdId],
@@ -1076,6 +1080,7 @@ impl Site {
                 let mut resolved = self.served.reply_d.drain(..);
                 for (o, vs) in bvals {
                     let i = queries.binary_search_by_key(&o, |q| q.asked.op);
+                    #[expect(clippy::expect_used, reason = "every operator was checked above")]
                     let q = &mut queries[i.expect("checked above")];
                     q.holders.push(src);
                     q.remote.extend(resolved.by_ref().take(vs.len()));
@@ -1155,7 +1160,7 @@ mod tests {
         d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
     };
     use crate::horizontal::order::WavePlanner;
-    use crate::HorizontalDetector;
+    use crate::{Detector, HorizontalDetector};
     use cluster::{NetStats, Wire};
     use relation::{UpdateBatch, Value};
     use std::collections::VecDeque;
@@ -1547,7 +1552,9 @@ mod tests {
                         let delta = batch.normalize(seq.current());
                         let home = |op: &Update| match op {
                             Update::Insert(t) => scheme.route(t).unwrap(),
-                            Update::Delete(tid) => seq.site_of_tid[tid],
+                            Update::Delete(tid) => {
+                                scheme.route(&seq.current().get(*tid).unwrap()).unwrap()
+                            }
                         };
                         let ops = delta.ops().iter();
                         routed.push(ops.map(|op| (home(op), op.clone())).collect());

@@ -187,57 +187,10 @@ impl HybridDetector {
         })
     }
 
-    /// Current violation set.
-    pub fn violations(&self) -> &Violations {
-        self.inner.violations()
-    }
-
-    /// The global schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        self.inner.schema()
-    }
-
-    /// Reset both traffic meters.
-    pub fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-        self.intra.reset();
-    }
-
     /// The inter-region §6 detector.
     #[cfg(test)]
     pub(crate) fn inner(&self) -> &HorizontalDetector {
         &self.inner
-    }
-
-    /// The rule set.
-    pub fn cfds(&self) -> &[Cfd] {
-        self.inner.cfds()
-    }
-
-    /// The logical relation.
-    pub fn current(&self) -> &Relation {
-        self.inner.current()
-    }
-
-    /// Apply a batch update, metering intra-region assembly and running
-    /// the inter-region §6 protocol.
-    pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        let delta = crate::detector::admit(self.inner.current(), delta)?;
-        // Route every insert before anything is metered or stored; the
-        // inner detector is handed the regions back, not asked again.
-        // Metering only adds to counters: inserts and deletes may be
-        // metered in two passes.
-        let regions = self.inner.route(&delta)?;
-        for (t, &region) in delta.insertions().zip(&regions) {
-            self.meter_assembly(region, t);
-        }
-        for tid in delta.deletions() {
-            let t = self.inner.current().get(tid);
-            let t = t.ok_or(RelError::MissingTid(tid))?;
-            let region = self.scheme.regions.route(&t)?;
-            self.meter_assembly(region, &t);
-        }
-        self.inner.apply_routed(&delta, regions)
     }
 
     /// Assembly cost of one update at its region: every sub-site holding
@@ -293,24 +246,45 @@ impl Detector for HybridDetector {
         "incHyb"
     }
 
+    /// The global schema.
     fn schema(&self) -> &Arc<Schema> {
-        HybridDetector::schema(self)
+        self.inner.schema()
     }
 
+    /// The rule set.
     fn cfds(&self) -> &[Cfd] {
-        HybridDetector::cfds(self)
+        self.inner.cfds()
     }
 
+    /// The logical relation.
     fn current(&self) -> &Relation {
-        HybridDetector::current(self)
+        self.inner.current()
     }
 
+    /// Current violation set.
     fn violations(&self) -> &Violations {
-        HybridDetector::violations(self)
+        self.inner.violations()
     }
 
+    /// Apply a batch update, metering intra-region assembly and running
+    /// the inter-region §6 protocol.
     fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        HybridDetector::apply(self, delta)
+        let delta = crate::detector::admit(self.inner.current(), delta)?;
+        // Route every insert before anything is metered or stored; the
+        // inner detector is handed the regions back, not asked again.
+        // Metering only adds to counters: inserts and deletes may be
+        // metered in two passes.
+        let regions = self.inner.route(&delta)?;
+        for (t, &region) in delta.insertions().zip(&regions) {
+            self.meter_assembly(region, t);
+        }
+        for tid in delta.deletions() {
+            let t = self.inner.current().get(tid);
+            let t = t.ok_or(RelError::MissingTid(tid))?;
+            let region = self.scheme.regions.route(&t)?;
+            self.meter_assembly(region, &t);
+        }
+        self.inner.apply_routed(&delta, regions)
     }
 
     fn net(&self) -> cluster::NetReport {
@@ -319,8 +293,10 @@ impl Detector for HybridDetector {
         report.with_codec(self.inner.codec_kind().name())
     }
 
+    /// Reset both traffic meters.
     fn reset_stats(&mut self) {
-        HybridDetector::reset_stats(self);
+        self.inner.reset_stats();
+        self.intra.reset();
     }
 }
 

@@ -27,6 +27,8 @@
 //! through the pluggable [`cluster::codec::PayloadCodec`] — pick it per
 //! session with [`Suite::codec`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::unreachable)]
+
 pub mod baselines;
 pub mod concurrent;
 pub mod detector;

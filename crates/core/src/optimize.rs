@@ -262,6 +262,10 @@ fn find_loc(attrs: &[AttrId], scheme: &VerticalScheme, placed: &[Cand]) -> SiteI
 
 /// Materialize a plan for a subset of candidates: greedy input cover per
 /// node, consumer-aware base placement, `X∪{B}` nodes at IDX sites.
+#[expect(
+    clippy::expect_used,
+    reason = "the candidates keep every `X_φ` node, and the plan is built to be structurally sound"
+)]
 fn build_plan(cfds: &[Cfd], scheme: &VerticalScheme, cands: &[Cand], subset: &[usize]) -> HevPlan {
     // Order by attr-set size so inputs (strict subsets) come first.
     let mut order: Vec<usize> = subset.to_vec();
@@ -421,6 +425,7 @@ fn greedy_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Detector;
     use relation::Schema;
     use std::sync::Arc;
 

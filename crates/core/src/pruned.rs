@@ -119,7 +119,9 @@ pub(crate) fn preflight(
                 if rep == c.id {
                     continue;
                 }
-                let ic = inner_of[rep as usize].expect("representatives are kept");
+                let kept =
+                    || DetectError::Internal(format!("rule {rep} represents but is not kept"));
+                let ic = inner_of[rep as usize].ok_or_else(kept)?;
                 riders[ic as usize].push(c.id);
                 pruned.push((c.id, ic));
             }
@@ -178,6 +180,10 @@ pub struct Pruned {
 }
 
 impl Pruned {
+    #[expect(
+        clippy::expect_used,
+        reason = "a marked tuple is a row of the inner detector's relation"
+    )]
     pub(crate) fn new(inner: Box<dyn Detector>, prep: PrunePrep) -> Pruned {
         let mut violations = Violations::new(prep.full.len());
         for (ic, &full_id) in prep.full_of.iter().enumerate() {

@@ -965,6 +965,10 @@ impl Native {
 
 /// Owning fragment of a projected key under the reference partition:
 /// route the first key component through the scheme's hash predicate.
+#[expect(
+    clippy::expect_used,
+    reason = "a hash scheme's predicates route every value to one fragment"
+)]
 fn ind_owner(scheme: &HorizontalScheme, key: &[Value]) -> SiteId {
     scheme
         .route_with(0, &|_| &key[0])

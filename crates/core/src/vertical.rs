@@ -411,19 +411,9 @@ impl VerticalDetector {
         Ok(det)
     }
 
-    /// Current violation set `V(Σ, D)`.
-    pub fn violations(&self) -> &Violations {
-        &self.violations
-    }
-
     /// Cumulative traffic since construction (or last reset).
     pub fn meters(&self) -> &Meters {
         &self.meters
-    }
-
-    /// Reset network statistics.
-    pub fn reset_stats(&mut self) {
-        self.meters.reset();
     }
 
     /// The HEV plan in use.
@@ -434,22 +424,6 @@ impl VerticalDetector {
     /// The merged multi-CFD evaluation plan.
     pub fn shared_plan(&self) -> &Arc<SharedPlan> {
         &self.shared_plan
-    }
-
-    /// The rule set.
-    pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
-    }
-
-    /// The global schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// The logical relation (`scheme.partition` of it materialises any
-    /// fragment a caller wants).
-    pub fn current(&self) -> &Relation {
-        &self.current
     }
 
     /// The value dictionary (size reporting, tests) — the relation's own
@@ -481,29 +455,6 @@ impl VerticalDetector {
         let nodes = self.node_stores.iter().map(NonBaseHev::resident_bytes);
         census.resident_bytes += bases.chain(nodes).sum::<usize>();
         census
-    }
-
-    /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incVer`.
-    pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        // Line 1: remove updates cancelling each other.
-        let delta = crate::detector::admit(&self.current, delta)?;
-        let mut dv = DeltaV::default();
-
-        // Lines 11–16: variable CFDs (locally checkable ones ship nothing
-        // because their plan nodes are co-located). They run first: an
-        // update whose walk finds the state contradicting itself fails
-        // before it mutates anything, and before the constant CFDs below.
-        for op in delta.ops() {
-            match op {
-                Update::Insert(t) => self.insert_variable(t, &mut dv)?,
-                Update::Delete(tid) => self.delete_variable(*tid, &mut dv)?,
-            }
-        }
-
-        // Lines 4–10: constant CFDs, batch candidate protocol.
-        self.constant_cfds(&delta, &mut dv);
-        dv.settle();
-        Ok(dv)
     }
 
     // ------------------------------------------------------------------
@@ -686,32 +637,57 @@ impl Detector for VerticalDetector {
         "incVer"
     }
 
+    /// The global schema.
     fn schema(&self) -> &Arc<Schema> {
-        VerticalDetector::schema(self)
+        &self.schema
     }
 
+    /// The rule set.
     fn cfds(&self) -> &[Cfd] {
-        VerticalDetector::cfds(self)
+        &self.cfds
     }
 
+    /// The logical relation (`scheme.partition` of it materialises any
+    /// fragment a caller wants).
     fn current(&self) -> &Relation {
-        VerticalDetector::current(self)
+        &self.current
     }
 
+    /// Current violation set `V(Σ, D)`.
     fn violations(&self) -> &Violations {
-        VerticalDetector::violations(self)
+        &self.violations
     }
 
+    /// Apply a batch update `ΔD`, returning `ΔV` — algorithm `incVer`.
     fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
-        VerticalDetector::apply(self, delta)
+        // Line 1: remove updates cancelling each other.
+        let delta = crate::detector::admit(&self.current, delta)?;
+        let mut dv = DeltaV::default();
+
+        // Lines 11–16: variable CFDs (locally checkable ones ship nothing
+        // because their plan nodes are co-located). They run first: an
+        // update whose walk finds the state contradicting itself fails
+        // before it mutates anything, and before the constant CFDs below.
+        for op in delta.ops() {
+            match op {
+                Update::Insert(t) => self.insert_variable(t, &mut dv)?,
+                Update::Delete(tid) => self.delete_variable(*tid, &mut dv)?,
+            }
+        }
+
+        // Lines 4–10: constant CFDs, batch candidate protocol.
+        self.constant_cfds(&delta, &mut dv);
+        dv.settle();
+        Ok(dv)
     }
 
     fn net(&self) -> cluster::NetReport {
         self.meters.report("net")
     }
 
+    /// Reset network statistics.
     fn reset_stats(&mut self) {
-        VerticalDetector::reset_stats(self);
+        self.meters.reset();
     }
 }
 
