@@ -35,7 +35,7 @@
 //!
 //! [`minimal_cover`] greedily removes rules implied by the rest —
 //! vacuous rules, exact duplicates (modulo LHS atom order, via
-//! [`NormalForm`]), pattern-tableau subsumption (`ψ ⊨ φ` read off the
+//! their normal form), pattern-tableau subsumption (`ψ ⊨ φ` read off the
 //! atom maps), and, for small catalogs, the full model-based implication
 //! test. The result carries a machine-checkable
 //! [`CoverCertificate`]: each removed rule names the rules that imply it,
@@ -224,7 +224,7 @@ pub struct ConflictPair {
 pub enum RemovalReason {
     /// Untriggerable over the domains (implied by the empty set).
     Vacuous,
-    /// Equal [`NormalForm`] to an earlier rule.
+    /// Equal to an earlier rule up to LHS atom order and repeats.
     Duplicate,
     /// Pattern-tableau subsumption by a single rule.
     Subsumed,
@@ -257,13 +257,6 @@ pub struct CoverCertificate {
 }
 
 impl CoverCertificate {
-    /// Ids removed, ascending.
-    pub fn removed_ids(&self) -> Vec<CfdId> {
-        let mut v: Vec<CfdId> = self.removed.iter().map(|r| r.id).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Re-derive every step of the certificate: the kept/removed ids
     /// partition Σ, references are well-founded, and each removed rule is
     /// implied by its `implied_by` set (re-checked with the appropriate
@@ -426,11 +419,6 @@ impl PrunePlan {
         }
     }
 
-    /// Is this rule pruned (reconstructed from a representative)?
-    pub fn is_pruned(&self, id: CfdId) -> bool {
-        self.rep[id as usize] != id
-    }
-
     /// Number of pruned rules.
     pub fn n_pruned(&self) -> usize {
         self.rep.len() - self.kept.len()
@@ -492,7 +480,7 @@ pub fn analyze(
 }
 
 /// Closed-form status of one rule over the domains (no search).
-pub fn rule_status(cfd: &Cfd, domains: &Domains) -> RuleStatus {
+pub(crate) fn rule_status(cfd: &Cfd, domains: &Domains) -> RuleStatus {
     let Some(folded) = fold_lhs(cfd) else {
         return RuleStatus::Vacuous; // conflicting constants on one attr
     };
@@ -747,7 +735,7 @@ pub fn minimal_cover(
 /// Syntactic single-rule implication `ψ ⊨ φ`, read off the atom maps.
 /// Sound over any domains (the argument never consults them); complete
 /// only relative to single-rule, open-domain reasoning.
-pub fn subsumes(psi: &Cfd, phi: &Cfd) -> bool {
+pub(crate) fn subsumes(psi: &Cfd, phi: &Cfd) -> bool {
     let Some(fm) = fold_lhs(phi) else {
         return true; // φ untriggerable: implied by anything
     };
@@ -1371,7 +1359,9 @@ mod tests {
         let cfg = AnalysisConfig::default();
         let cover = minimal_cover(&s, &cfds, &doms, &cfg);
         assert_eq!(cover.kept, vec![0, 3]);
-        assert_eq!(cover.removed_ids(), vec![1, 2]);
+        let mut removed: Vec<CfdId> = cover.removed.iter().map(|r| r.id).collect();
+        removed.sort_unstable();
+        assert_eq!(removed, vec![1, 2]);
         cover.verify(&s, &cfds, &doms, &cfg).unwrap();
     }
 

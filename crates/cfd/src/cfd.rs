@@ -1,16 +1,14 @@
-//! The [`Cfd`] type, tableau form and normalization (§2.1).
+//! The [`Cfd`] type in normal form (§2.1).
 //!
-//! Internally every CFD is kept in the *normal form* `(X → B, t_p)` with a
-//! single RHS attribute. Multi-attribute RHS dependencies and pattern
-//! tableaux (`(X → Y, T_p)`) are supported at construction time and
-//! normalized into one `Cfd` per (RHS attribute × tableau row), which is the
-//! form all of the paper's algorithms operate on.
+//! Every CFD is kept in the *normal form* `(X → B, t_p)` with a single
+//! RHS attribute, the form all of the paper's algorithms operate on. A
+//! multi-attribute RHS or a pattern tableau `(X → Y, T_p)` is written as
+//! one `Cfd` per (RHS attribute × tableau row).
 
-use crate::pattern::{matches_all_iter, PatternValue};
+use crate::pattern::PatternValue;
 use crate::CfdError;
 use relation::{AttrId, Schema, Tuple, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a normalized CFD within a rule set `Σ`.
 pub type CfdId = u32;
@@ -132,15 +130,9 @@ impl Cfd {
     /// Does `t[X] ≍ t_p[X]`? (the tuple falls under this CFD's scope) —
     /// borrows through [`Tuple::iter_at`], no per-call vector.
     pub fn matches_lhs(&self, t: &Tuple) -> bool {
-        matches_all_iter(t.iter_at(&self.lhs), &self.lhs_pattern)
-    }
-
-    /// The LHS values `t[X]` of a tuple, cloned (the group key for
-    /// violations). Read-only consumers should prefer
-    /// `t.iter_at(&cfd.lhs)` or intern through a
-    /// [`relation::ValuePool`] instead of cloning per probe.
-    pub fn lhs_values(&self, t: &Tuple) -> Vec<Value> {
-        t.values_at(&self.lhs)
+        t.iter_at(&self.lhs)
+            .zip(&self.lhs_pattern)
+            .all(|(v, p)| p.matches(v))
     }
 
     /// Does a single tuple violate a *constant* CFD?
@@ -170,7 +162,7 @@ impl Cfd {
     /// rules with equal normal forms match the same tuples and violate on
     /// the same tuples — the identity [`crate::share::SharedPlan`] and
     /// [`crate::analysis`] dedupe through.
-    pub fn normal_form(&self) -> NormalForm {
+    pub(crate) fn normal_form(&self) -> NormalForm {
         let mut lhs: Vec<(AttrId, PatternValue)> = self
             .lhs
             .iter()
@@ -185,21 +177,6 @@ impl Cfd {
             rhs_pattern: self.rhs_pattern.clone(),
         }
     }
-
-    /// A copy of this rule in canonical atom order (the [`NormalForm`]'s
-    /// LHS order), keeping the id. Normalizing never changes which tuples
-    /// a rule matches or violates.
-    pub fn normalized(&self) -> Cfd {
-        let nf = self.normal_form();
-        let (lhs, lhs_pattern) = nf.lhs.into_iter().unzip();
-        Cfd {
-            id: self.id,
-            lhs,
-            rhs: self.rhs,
-            lhs_pattern,
-            rhs_pattern: self.rhs_pattern.clone(),
-        }
-    }
 }
 
 /// The canonical form of a [`Cfd`]: sorted, deduplicated LHS atoms plus
@@ -207,13 +184,13 @@ impl Cfd {
 /// and repeated atoms, so this is the dedupe key for "the same rule
 /// written twice" (duplicate-modulo-LHS-order catalogs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NormalForm {
+pub(crate) struct NormalForm {
     /// LHS `(attr, pattern)` atoms, sorted by attribute then pattern.
-    pub lhs: Vec<(AttrId, PatternValue)>,
+    pub(crate) lhs: Vec<(AttrId, PatternValue)>,
     /// RHS attribute `B`.
-    pub rhs: AttrId,
+    pub(crate) rhs: AttrId,
     /// Pattern over `B`.
-    pub rhs_pattern: PatternValue,
+    pub(crate) rhs_pattern: PatternValue,
 }
 
 /// Helper for [`Cfd::display`].
@@ -243,103 +220,11 @@ impl fmt::Display for CfdDisplay<'_> {
     }
 }
 
-/// A CFD in tableau form: `(X → Y, T_p)` with possibly several RHS
-/// attributes and several pattern rows (§2.1: "a set of CFDs of the form
-/// `(X→Y, t_pi)` can be converted to an equivalent `(X → Y, T_p)`").
-#[derive(Debug, Clone)]
-pub struct Tableau {
-    /// LHS attributes.
-    pub lhs: Vec<AttrId>,
-    /// RHS attributes.
-    pub rhs: Vec<AttrId>,
-    /// Pattern rows; each row is aligned with `lhs ++ rhs`.
-    pub rows: Vec<Vec<PatternValue>>,
-}
-
-impl Tableau {
-    /// Normalize into single-RHS, single-row CFDs with ids starting at
-    /// `first_id`. Exact duplicate rows collapse to their first
-    /// occurrence (a repeated row adds no constraint). Returns the
-    /// normalized rules in deterministic order.
-    pub fn normalize(&self, schema: &Schema, first_id: CfdId) -> Result<Vec<Cfd>, CfdError> {
-        let width = self.lhs.len() + self.rhs.len();
-        let mut out = Vec::new();
-        let mut id = first_id;
-        let mut seen_rows: std::collections::HashSet<&[PatternValue]> = Default::default();
-        for row in &self.rows {
-            if row.len() != width {
-                return Err(CfdError::PatternArity {
-                    expected: width,
-                    got: row.len(),
-                });
-            }
-            if !seen_rows.insert(row.as_slice()) {
-                continue;
-            }
-            for (j, &b) in self.rhs.iter().enumerate() {
-                let cfd = Cfd::new(
-                    id,
-                    schema,
-                    self.lhs.clone(),
-                    b,
-                    row[..self.lhs.len()].to_vec(),
-                    row[self.lhs.len() + j].clone(),
-                )?;
-                out.push(cfd);
-                id += 1;
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// A rule set `Σ`: normalized CFDs with contiguous ids, plus the schema they
-/// are defined over.
-#[derive(Debug, Clone)]
-pub struct RuleSet {
-    schema: Arc<Schema>,
-    cfds: Vec<Cfd>,
-}
-
-impl RuleSet {
-    /// Build from already-normalized CFDs; re-assigns contiguous ids.
-    pub fn new(schema: Arc<Schema>, mut cfds: Vec<Cfd>) -> Self {
-        for (i, c) in cfds.iter_mut().enumerate() {
-            c.id = i as CfdId;
-        }
-        RuleSet { schema, cfds }
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// All CFDs.
-    pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
-    }
-
-    /// Number of CFDs (`|Σ|`).
-    pub fn len(&self) -> usize {
-        self.cfds.len()
-    }
-
-    /// Is the rule set empty?
-    pub fn is_empty(&self) -> bool {
-        self.cfds.is_empty()
-    }
-
-    /// CFD by id.
-    pub fn get(&self, id: CfdId) -> &Cfd {
-        &self.cfds[id as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use relation::Schema;
+    use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
         Schema::new("EMP", &["id", "CC", "AC", "zip", "street", "city"], "id").unwrap()
@@ -498,35 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn tableau_normalization() {
-        let s = schema();
-        let tab = Tableau {
-            lhs: vec![s.attr_id("CC").unwrap(), s.attr_id("AC").unwrap()],
-            rhs: vec![s.attr_id("city").unwrap(), s.attr_id("street").unwrap()],
-            rows: vec![
-                vec![
-                    PatternValue::Const(Value::int(44)),
-                    PatternValue::Const(Value::int(131)),
-                    PatternValue::Const(Value::str("EDI")),
-                    PatternValue::Wildcard,
-                ],
-                vec![
-                    PatternValue::Const(Value::int(1)),
-                    PatternValue::Wildcard,
-                    PatternValue::Wildcard,
-                    PatternValue::Wildcard,
-                ],
-            ],
-        };
-        let cfds = tab.normalize(&s, 10).unwrap();
-        assert_eq!(cfds.len(), 4); // 2 rows × 2 RHS attrs
-        assert_eq!(cfds[0].id, 10);
-        assert_eq!(cfds[3].id, 13);
-        assert!(cfds[0].is_constant());
-        assert!(cfds[1].is_variable());
-    }
-
-    #[test]
     fn normal_form_is_order_and_duplicate_blind() {
         let s = schema();
         let a = Cfd::from_names(
@@ -562,38 +418,5 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.normal_form(), d.normal_form());
-        // normalized() keeps the id and sorts atoms by attribute.
-        let nb = b.normalized();
-        assert_eq!(nb.id, 1);
-        assert_eq!(nb.lhs, a.lhs);
-        assert_eq!(nb.lhs_pattern, a.lhs_pattern);
-    }
-
-    #[test]
-    fn tableau_dedupes_exact_duplicate_rows() {
-        let s = schema();
-        let row = vec![
-            PatternValue::Const(Value::int(44)),
-            PatternValue::Wildcard,
-            PatternValue::Wildcard,
-        ];
-        let tab = Tableau {
-            lhs: vec![s.attr_id("CC").unwrap(), s.attr_id("AC").unwrap()],
-            rhs: vec![s.attr_id("city").unwrap()],
-            rows: vec![row.clone(), row],
-        };
-        let cfds = tab.normalize(&s, 0).unwrap();
-        assert_eq!(cfds.len(), 1, "a repeated row adds no constraint");
-        assert_eq!(cfds[0].id, 0);
-    }
-
-    #[test]
-    fn ruleset_reassigns_ids() {
-        let s = schema();
-        let rs = RuleSet::new(s.clone(), vec![phi2(&s), phi1(&s)]);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs.get(0).id, 0);
-        assert_eq!(rs.get(1).id, 1);
-        assert!(rs.get(0).is_constant());
     }
 }

@@ -21,15 +21,9 @@
 //!   referenced relation hash-partitioned over sites and each probe
 //!   metered as cross-site traffic.
 //! * **Simple aggregates** (`Check::row_count` / `Check::sum_range` /
-//!   `Check::min_at_least` / `Check::max_at_most`): per-group row-count /
+//!   `Check::min_at_least`): per-group row-count /
 //!   sum / min / max bounds, maintained by delete-safe per-group
 //!   multiset state.
-//!
-//! Every check exposes the [`DeltaPlan`] skeleton it evaluates through
-//! ([`Constraint::delta_plan`]) — keys and completeness literally compile
-//! to CFD plans, inclusion and aggregates to the shared
-//! `ScanDelta → GroupBy` prefix — so the §5 sharing analysis applies to
-//! the whole catalog.
 //!
 //! Findings are reported uniformly: a [`RuleId`] names a rule of the
 //! combined catalog (CFDs and checks alike), and a [`Finding`] pairs it
@@ -38,7 +32,6 @@
 //! CFD-only surface remains a thin view of the same stream.
 
 use crate::cfd::{Cfd, CfdId};
-use crate::delta::{DeltaOp, DeltaPlan};
 use crate::violation::{DeltaV, Violations};
 use crate::CfdError;
 use relation::{AttrId, FxHashMap, Schema, Tid, Value};
@@ -228,21 +221,6 @@ impl Check {
             group_by: group_by.into_iter().map(Into::into).collect(),
             lo: Some(lo),
             hi: None,
-        }
-    }
-
-    /// Per-group maximum of `attr` at most `hi`.
-    pub fn max_at_most<I, S>(attr: impl Into<String>, group_by: I, hi: i64) -> Check
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Check::Aggregate {
-            func: AggFunc::Max,
-            attr: Some(attr.into()),
-            group_by: group_by.into_iter().map(Into::into).collect(),
-            lo: None,
-            hi: Some(hi),
         }
     }
 
@@ -569,35 +547,6 @@ impl Constraint {
             _ => None,
         }
     }
-
-    /// The delta-plan skeleton this constraint evaluates through: the
-    /// compiled CFD's plan for keys/completeness, the shared
-    /// `ScanDelta → GroupBy` prefix for inclusion and grouped
-    /// aggregates — the operator the §5 sharing compiler merges across
-    /// the catalog.
-    pub fn delta_plan(&self) -> DeltaPlan {
-        match self {
-            Constraint::Key { compiled, .. } | Constraint::Complete { compiled, .. } => {
-                DeltaPlan::compile(compiled)
-            }
-            Constraint::Inclusion { attrs, .. } => DeltaPlan::group_scan(0, attrs.clone()),
-            Constraint::Aggregate { group_by, .. } => DeltaPlan::group_scan(0, group_by.clone()),
-        }
-    }
-}
-
-impl DeltaPlan {
-    /// Plan skeleton of a non-CFD group-shaped check:
-    /// `ScanDelta → GroupBy{attrs}` (no restricts, no RHS probe — the
-    /// sink is the check's own state machine). An empty `attrs` list
-    /// (global aggregates) degenerates to the bare scan.
-    pub fn group_scan(rule: CfdId, attrs: Vec<AttrId>) -> DeltaPlan {
-        let mut ops = vec![DeltaOp::ScanDelta];
-        if !attrs.is_empty() {
-            ops.push(DeltaOp::GroupBy { attrs });
-        }
-        DeltaPlan { cfd: rule, ops }
-    }
 }
 
 /// One reported violation: rule, constraint class and the violating
@@ -634,7 +583,7 @@ impl FindingSet {
     }
 
     /// Number of rules tracked.
-    pub fn n_rules(&self) -> usize {
+    pub(crate) fn n_rules(&self) -> usize {
         self.kinds.len()
     }
 
@@ -664,11 +613,6 @@ impl FindingSet {
             self.counts[rule as usize].remove(&tid);
             Some(true)
         }
-    }
-
-    /// Is `tid` currently a finding of `rule`?
-    pub fn is_finding(&self, rule: RuleId, tid: Tid) -> bool {
-        self.counts[rule as usize].contains_key(&tid)
     }
 
     /// Violating tids of one rule, sorted.
@@ -815,9 +759,7 @@ mod tests {
         assert_eq!(cfd.id, 7);
         assert_eq!(cfd.rhs, s.key());
         assert_eq!(c.kind(), ConstraintKind::Key);
-        // The plan is a real variable-CFD plan: scan → group → probe.
-        let plan = c.delta_plan();
-        assert_eq!(plan.group_by(), Some(&[1u16, 2][..]));
+        assert_eq!(cfd.lhs, vec![1, 2]);
     }
 
     #[test]
@@ -845,12 +787,12 @@ mod tests {
     }
 
     #[test]
-    fn inclusion_and_aggregate_resolve_to_group_plans() {
+    fn inclusion_and_aggregate_resolve_their_group_attrs() {
         let s = schema();
         let r = Schema::new("S", &["k", "x"], "k").unwrap();
         let c = Constraint::resolve(&Check::inclusion(["a"], "S", ["x"]), &s, Some(&r), 0).unwrap();
         assert_eq!(c.kind(), ConstraintKind::Inclusion);
-        assert_eq!(c.delta_plan().group_by(), Some(&[1u16][..]));
+        assert!(matches!(c, Constraint::Inclusion { ref attrs, .. } if attrs == &[1]));
 
         let c = Constraint::resolve(
             &Check::sum_range("c", ["a"], Some(0), Some(100)),
@@ -860,8 +802,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.kind(), ConstraintKind::Aggregate);
-        assert_eq!(c.delta_plan().group_by(), Some(&[1u16][..]));
-        // Global aggregate: bare scan, still a valid plan.
+        assert!(matches!(c, Constraint::Aggregate { ref group_by, .. } if group_by == &[1]));
+        // Global aggregate: no group attributes.
         let c = Constraint::resolve(
             &Check::row_count(Vec::<String>::new(), None, Some(10)),
             &s,
@@ -869,7 +811,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(c.delta_plan().group_by(), None);
+        assert!(matches!(c, Constraint::Aggregate { ref group_by, .. } if group_by.is_empty()));
     }
 
     #[test]
@@ -918,9 +860,9 @@ mod tests {
         assert!(fs.add_mark(0, 5)); // FD source
         assert!(!fs.add_mark(0, 5)); // residual source — same finding
         assert_eq!(fs.remove_mark(0, 5), Some(false)); // one source left
-        assert!(fs.is_finding(0, 5));
+        assert_eq!(fs.tids_of(0), vec![5]);
         assert_eq!(fs.remove_mark(0, 5), Some(true)); // last source retires it
-        assert!(!fs.is_finding(0, 5));
+        assert!(fs.tids_of(0).is_empty());
         assert_eq!(fs.remove_mark(0, 5), None); // nothing left to release
         assert!(fs.is_empty());
 

@@ -11,15 +11,10 @@
 //! of merging eqids only: two CFDs with the same `X` share one group-by
 //! pass, and their constant atoms become residual [`DeltaOp::Restrict`]
 //! predicates applied on the shared output (see [`crate::share`]).
-//!
-//! The IR also evaluates directly over [`ColumnStore`] column slices
-//! ([`DeltaPlan::matching_rows`]): constants are resolved to interned
-//! symbols once, so a restrict is a `u32` comparison over a contiguous
-//! column — the batch-shaped path used by tests and coordinators.
 
 use crate::cfd::{Cfd, CfdId};
 use crate::pattern::PatternValue;
-use relation::{AttrId, ColumnStore, RowId, Value};
+use relation::{AttrId, Value};
 
 /// One operator of a compiled delta plan, in pipeline order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -64,7 +59,7 @@ pub struct DeltaPlan {
 
 impl DeltaPlan {
     /// Compile `cfd` into its delta plan.
-    pub fn compile(cfd: &Cfd) -> DeltaPlan {
+    pub(crate) fn compile(cfd: &Cfd) -> DeltaPlan {
         let mut ops = vec![DeltaOp::ScanDelta];
         if cfd.is_variable() {
             ops.push(DeltaOp::GroupBy {
@@ -82,7 +77,7 @@ impl DeltaPlan {
     }
 
     /// The group-by attribute list, if this plan has one (variable CFDs).
-    pub fn group_by(&self) -> Option<&[AttrId]> {
+    pub(crate) fn group_by(&self) -> Option<&[AttrId]> {
         self.ops.iter().find_map(|op| match op {
             DeltaOp::GroupBy { attrs } => Some(attrs.as_slice()),
             _ => None,
@@ -90,48 +85,18 @@ impl DeltaPlan {
     }
 
     /// The residual restrict predicates, in LHS order.
-    pub fn restricts(&self) -> impl Iterator<Item = (AttrId, &Value)> {
+    pub(crate) fn restricts(&self) -> impl Iterator<Item = (AttrId, &Value)> {
         self.ops.iter().filter_map(|op| match op {
             DeltaOp::Restrict { attr, value } => Some((*attr, value)),
             _ => None,
         })
-    }
-
-    /// Length of the longest common operator prefix with `other` — the
-    /// number of operators a sharing compiler evaluates once for both.
-    pub fn shared_prefix_len(&self, other: &DeltaPlan) -> usize {
-        self.ops
-            .iter()
-            .zip(&other.ops)
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
-
-    /// Evaluate the restrict chain over column slices: the delta rows
-    /// that satisfy every residual predicate (i.e. `matches_lhs`).
-    /// Constants resolve to interned symbols once; each restrict is then
-    /// a `u32` scan over a contiguous column. Rows survive in input
-    /// order, so downstream grouping is deterministic.
-    pub fn matching_rows(&self, store: &ColumnStore, delta_rows: &[RowId]) -> Vec<RowId> {
-        let mut alive: Vec<RowId> = delta_rows.to_vec();
-        for (attr, value) in self.restricts() {
-            let Some(sym) = store.pool().lookup(value) else {
-                return Vec::new(); // constant absent from the store
-            };
-            let col = store.col(attr);
-            alive.retain(|&row| col[row as usize] == sym);
-            if alive.is_empty() {
-                break;
-            }
-        }
-        alive
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::{Relation, Schema, Tuple};
+    use relation::Schema;
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -172,92 +137,5 @@ mod tests {
         let c = DeltaPlan::compile(&constant_cfd(&s));
         assert!(c.group_by().is_none(), "constant CFDs decide per tuple");
         assert_eq!(c.restricts().count(), 1);
-    }
-
-    #[test]
-    fn shared_prefix_reflects_lhs_overlap() {
-        let s = schema();
-        // Same LHS, different residual constant: share scan + group-by.
-        let a = Cfd::from_names(
-            0,
-            &s,
-            &[("cc", Some(Value::int(44))), ("zip", None)],
-            ("street", None),
-        )
-        .unwrap();
-        let b = Cfd::from_names(
-            1,
-            &s,
-            &[("cc", Some(Value::int(1))), ("zip", None)],
-            ("street", None),
-        )
-        .unwrap();
-        let (pa, pb) = (DeltaPlan::compile(&a), DeltaPlan::compile(&b));
-        assert_eq!(pa.shared_prefix_len(&pb), 2, "ScanDelta + GroupBy shared");
-
-        // Different LHS: only the scan is common.
-        let c = Cfd::from_names(2, &s, &[("city", None)], ("street", None)).unwrap();
-        assert_eq!(pa.shared_prefix_len(&DeltaPlan::compile(&c)), 1);
-
-        // Identical plans modulo the sink share everything up to it.
-        let a2 = Cfd::from_names(
-            3,
-            &s,
-            &[("cc", Some(Value::int(44))), ("zip", None)],
-            ("city", None),
-        )
-        .unwrap();
-        assert_eq!(pa.shared_prefix_len(&DeltaPlan::compile(&a2)), 3);
-    }
-
-    #[test]
-    fn matching_rows_agrees_with_matches_lhs() {
-        let s = schema();
-        let cfds = [variable_cfd(&s), constant_cfd(&s)];
-        let mut d = Relation::new(s.clone());
-        for i in 0..50u64 {
-            d.insert(Tuple::new(
-                i,
-                vec![
-                    Value::int(i as i64),
-                    Value::int((i % 3) as i64 * 22), // cc ∈ {0, 22, 44}
-                    Value::str(format!("Z{}", i % 5)),
-                    Value::str(format!("S{}", i % 7)),
-                    Value::str(if i % 2 == 0 { "NYC" } else { "EDI" }),
-                ],
-            ))
-            .unwrap();
-        }
-        let store = d.store();
-        let rows: Vec<RowId> = store.rows().map(|(_, r)| r).collect();
-        for cfd in &cfds {
-            let plan = DeltaPlan::compile(cfd);
-            let got = plan.matching_rows(store, &rows);
-            let want: Vec<RowId> = rows
-                .iter()
-                .copied()
-                .filter(|&r| {
-                    let t = Tuple::new(
-                        store.tid_of(r),
-                        (0..s.arity() as AttrId)
-                            .map(|a| store.value(r, a).clone())
-                            .collect::<Vec<_>>(),
-                    );
-                    cfd.matches_lhs(&t)
-                })
-                .collect();
-            assert_eq!(got, want, "cfd {}", cfd.id);
-        }
-        // A constant no row carries matches nothing without scanning.
-        let ghost = Cfd::from_names(
-            9,
-            &s,
-            &[("cc", Some(Value::int(999))), ("zip", None)],
-            ("street", None),
-        )
-        .unwrap();
-        assert!(DeltaPlan::compile(&ghost)
-            .matching_rows(store, &rows)
-            .is_empty());
     }
 }

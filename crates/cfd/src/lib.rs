@@ -8,12 +8,13 @@
 //! This crate provides:
 //!
 //! * [`pattern`] — pattern values and the match operator `≍`,
-//! * [`cfd`] — the [`Cfd`] type, tableau form and normalization,
+//! * [`cfd`] — the [`Cfd`] type in normal form,
 //! * [`delta`] — the per-CFD delta-plan operator IR (scan / group /
 //!   restrict / probe) with a columnar semi-naive evaluator,
 //! * [`constraint`] — the non-CFD constraint vocabulary (keys,
-//!   completeness, inclusion dependencies, aggregates) compiled onto the
-//!   same delta plans, plus the unified [`Finding`] reporting surface,
+//!   completeness, inclusion dependencies, aggregates), keys and
+//!   completeness compiled onto CFDs, plus the unified [`Finding`]
+//!   reporting surface,
 //! * [`share`] — operator-level sharing across a rule set's plans: one
 //!   dispatch scan and one group-key pass serving many CFDs,
 //! * [`parse`] — a small text format (`[CC=44, zip] -> [street]`),
@@ -22,7 +23,10 @@
 //! * [`violation`] — the violation containers `V(Σ, D)` and `ΔV`,
 //! * [`naive`] — a centralized batch detector used as the ground-truth
 //!   oracle in tests and as the reference for the "two SQL queries suffice"
-//!   remark of §1.
+//!   remark of §1,
+//! * [`sqlgen`] and [`algebra`] — §2.3's two queries as SQL text and as
+//!   an in-memory plan executor: a second, independent oracle that the
+//!   tests cross-check against [`naive`].
 
 pub mod algebra;
 pub mod analysis;
@@ -32,7 +36,6 @@ pub mod delta;
 pub mod naive;
 pub mod parse;
 pub mod pattern;
-pub mod report;
 pub mod share;
 pub mod sqlgen;
 pub mod violation;
@@ -40,7 +43,7 @@ pub mod violation;
 pub use crate::analysis::{
     AnalysisConfig, CatalogAnalysis, CoverCertificate, Domain, Domains, Implication, PrunePlan, Sat,
 };
-pub use crate::cfd::{Cfd, CfdId, NormalForm, Tableau};
+pub use crate::cfd::{Cfd, CfdId};
 pub use crate::constraint::{
     AggFunc, Check, Constraint, ConstraintError, ConstraintKind, DeltaFindings, Finding,
     FindingSet, RuleId,

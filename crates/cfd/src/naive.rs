@@ -13,7 +13,7 @@
 //! integer comparisons over `&[Sym]` slices — no tuple materialization, no
 //! pass-local re-interning.
 
-use crate::cfd::{Cfd, CfdId};
+use crate::cfd::Cfd;
 use crate::pattern::PatternValue;
 use crate::violation::Violations;
 use relation::{FxHashMap, Relation, SmallVec, Sym, Tid};
@@ -43,7 +43,7 @@ pub fn detect(cfds: &[Cfd], d: &Relation) -> Violations {
 }
 
 /// Compute `V(φ, D)` for a single CFD, merging into `out`.
-pub fn detect_one(cfd: &Cfd, d: &Relation, out: &mut Violations) {
+fn detect_one(cfd: &Cfd, d: &Relation, out: &mut Violations) {
     let Some(atoms) = atom_syms(cfd, d) else {
         return; // some LHS constant never occurs in D
     };
@@ -92,28 +92,6 @@ pub fn detect_one(cfd: &Cfd, d: &Relation, out: &mut Violations) {
             }
         }
     }
-}
-
-/// Convenience: violations of a single CFD as a fresh container (used in
-/// unit tests).
-pub fn detect_single(cfd: &Cfd, d: &Relation) -> Violations {
-    let mut v = Violations::new(cfd.id as usize + 1);
-    detect_one(cfd, d, &mut v);
-    v
-}
-
-/// Number of (cfd, tid) violation marks a rule set produces on `d` —
-/// convenience for experiment reporting.
-pub fn count_marks(cfds: &[Cfd], d: &Relation) -> usize {
-    detect(cfds, d).total_marks()
-}
-
-/// Ids of CFDs violated by at least one tuple (diagnostic helper).
-pub fn violated_cfds(cfds: &[Cfd], d: &Relation) -> Vec<CfdId> {
-    let v = detect(cfds, d);
-    (0..cfds.len() as CfdId)
-        .filter(|&c| !v.of_cfd(c).is_empty())
-        .collect()
 }
 
 #[cfg(test)]
@@ -186,7 +164,7 @@ mod tests {
         assert_eq!(phi2, vec![1]);
         // Combined: {t1, t3, t4, t5}
         assert_eq!(v.tids_sorted(), vec![1, 3, 4, 5]);
-        assert_eq!(violated_cfds(&cfds, &d), vec![0, 1]);
+        assert_eq!(v.total_marks(), 5); // 4 for φ1 + 1 for φ2
     }
 
     #[test]
@@ -206,7 +184,7 @@ mod tests {
         let (s, d) = emp();
         // zip alone (no CC constant): same groups here, still violations.
         let cfd = Cfd::from_names(0, &s, &[("zip", None)], ("street", None)).unwrap();
-        let v = detect_single(&cfd, &d);
+        let v = detect(&[cfd], &d);
         assert_eq!(v.tids_sorted(), vec![1, 3, 4, 5]);
     }
 
@@ -223,12 +201,5 @@ mod tests {
         // … so only φ2's single-tuple violation of t1 remains.
         assert!(v.of_cfd(0).is_empty());
         assert_eq!(v.tids_sorted(), vec![1]);
-    }
-
-    #[test]
-    fn count_marks_counts_pairs() {
-        let (s, d) = emp();
-        let cfds = fig1_cfds(&s);
-        assert_eq!(count_marks(&cfds, &d), 5); // 4 for φ1 + 1 for φ2
     }
 }

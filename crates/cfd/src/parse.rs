@@ -31,12 +31,19 @@ use relation::{Schema, Value};
 
 /// Parse a single CFD from text against `schema`, assigning `id`.
 /// Diagnostics are located as if `input` were line 1 of a catalog.
+///
+/// ```
+/// let s = relation::Schema::new("EMP", &["id", "CC", "zip", "street"], "id").unwrap();
+/// let phi = cfd::parse::parse_cfd(&s, 0, "([CC=44, zip] -> [street])").unwrap();
+/// assert!(phi.is_variable());
+/// assert_eq!(phi.display(&s).to_string(), "([CC=44, zip] -> [street])");
+/// ```
 pub fn parse_cfd(schema: &Schema, id: CfdId, input: &str) -> Result<Cfd, CfdError> {
     parse_cfd_at(schema, id, 1, input)
 }
 
 /// [`parse_cfd`] with an explicit 1-based source line for diagnostics.
-pub fn parse_cfd_at(schema: &Schema, id: CfdId, line: usize, input: &str) -> Result<Cfd, CfdError> {
+fn parse_cfd_at(schema: &Schema, id: CfdId, line: usize, input: &str) -> Result<Cfd, CfdError> {
     let span = |start: usize, len: usize| Span {
         line,
         col: start + 1,

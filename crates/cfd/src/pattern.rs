@@ -10,7 +10,7 @@ use std::fmt;
 /// One entry of a pattern tuple: a constant or the unnamed variable `_`.
 ///
 /// The `Ord` instance (wildcard first, then constants by value order) gives
-/// [`crate::cfd::NormalForm`] a stable sort key; it carries no semantic
+/// a rule's normal form a stable atom order; it carries no semantic
 /// meaning beyond determinism.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PatternValue {
@@ -36,7 +36,7 @@ impl PatternValue {
     }
 
     /// The constant, if any.
-    pub fn as_const(&self) -> Option<&Value> {
+    pub(crate) fn as_const(&self) -> Option<&Value> {
         match self {
             PatternValue::Wildcard => None,
             PatternValue::Const(c) => Some(c),
@@ -47,28 +47,12 @@ impl PatternValue {
     /// generalizes everything; a constant generalizes only itself.) The
     /// pointwise order behind pattern-tableau subsumption in
     /// [`crate::analysis`].
-    pub fn generalizes(&self, other: &PatternValue) -> bool {
+    pub(crate) fn generalizes(&self, other: &PatternValue) -> bool {
         match self {
             PatternValue::Wildcard => true,
             PatternValue::Const(_) => self == other,
         }
     }
-}
-
-/// `≍` extended to tuples of values vs. tuples of patterns.
-pub fn matches_all(values: &[&Value], patterns: &[PatternValue]) -> bool {
-    matches_all_iter(values.iter().copied(), patterns)
-}
-
-/// [`matches_all`] over a borrowed-value iterator — the allocation-free
-/// form for call sites (e.g. [`Tuple::iter_at`](relation::Tuple::iter_at)
-/// consumers) that don't have a collected slice.
-pub fn matches_all_iter<'a>(
-    values: impl ExactSizeIterator<Item = &'a Value>,
-    patterns: &[PatternValue],
-) -> bool {
-    debug_assert_eq!(values.len(), patterns.len());
-    values.zip(patterns).all(|(v, p)| p.matches(v))
 }
 
 impl fmt::Display for PatternValue {
@@ -119,8 +103,9 @@ mod tests {
             PatternValue::Wildcard,
             PatternValue::Const(Value::str("NYC")),
         ];
-        assert!(matches_all(&vals, &p_ok));
-        assert!(!matches_all(&vals, &p_no));
+        let matches_all = |ps: &[PatternValue]| vals.iter().zip(ps).all(|(v, p)| p.matches(v));
+        assert!(matches_all(&p_ok));
+        assert!(!matches_all(&p_no));
     }
 
     #[test]

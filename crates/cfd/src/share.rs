@@ -28,7 +28,7 @@
 //! CFD keeps its own restrict postings — the property suite asserts the
 //! match set is exactly the per-CFD `matches_lhs` loop's.
 //!
-//! **Duplicate dedupe.** Rules with equal [`NormalForm`]s (the same rule
+//! **Duplicate dedupe.** Rules with equal normal forms (the same rule
 //! written twice, possibly with reordered LHS atoms) match exactly the
 //! same tuples, so only the first occurrence of each class registers
 //! postings; a dispatch hit on the representative expands to every class
@@ -192,11 +192,6 @@ impl SharedPlan {
         self.plans.len()
     }
 
-    /// The compiled per-CFD plans, in id order.
-    pub fn plans(&self) -> &[DeltaPlan] {
-        &self.plans
-    }
-
     /// Is `c` a variable CFD?
     pub fn is_variable(&self, c: CfdId) -> bool {
         self.is_var[c as usize]
@@ -224,13 +219,6 @@ impl SharedPlan {
     /// Operator of a variable CFD (`None` for constant CFDs).
     pub fn operator_of(&self, c: CfdId) -> Option<OpId> {
         self.operator_of[c as usize]
-    }
-
-    /// Number of rules deduped onto an earlier rule with the same
-    /// [`NormalForm`] — they ride their representative's postings instead
-    /// of being evaluated by the dispatch pass.
-    pub fn n_deduped(&self) -> usize {
-        self.n_deduped
     }
 
     /// All CFDs whose LHS pattern matches the tuple described by
@@ -433,7 +421,7 @@ mod tests {
         let plan = SharedPlan::new(&cfds);
         // Rule 3 of the base set is already rule 2 modulo LHS order, so
         // the two appended duplicates bring the count to three.
-        assert_eq!(plan.n_deduped(), 3);
+        assert_eq!(plan.n_deduped, 3);
         let mut scratch = MatchScratch::default();
         for (cc, zip) in [(44, "a"), (1, "a"), (7, "b"), (44, "b")] {
             let t = tuple(cc, zip);
@@ -445,7 +433,7 @@ mod tests {
             assert_eq!(plan.matched(&t, &mut scratch), &want[..], "cc={cc}");
         }
         // Duplicate-free plans report zero dedupe (fast path).
-        assert_eq!(SharedPlan::new(&rules(&s)[..3]).n_deduped(), 0);
+        assert_eq!(SharedPlan::new(&rules(&s)[..3]).n_deduped, 0);
     }
 
     #[test]

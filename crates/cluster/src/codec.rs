@@ -406,11 +406,6 @@ impl ReceiverCodec {
         }
     }
 
-    /// The ordered `(src, dst)` link this receiver decodes.
-    pub fn link(&self) -> (SiteId, SiteId) {
-        self.link
-    }
-
     /// Distinct symbols this link has been taught.
     pub fn resident_symbols(&self) -> usize {
         self.dict.len()
@@ -554,7 +549,6 @@ mod tests {
         let v = Value::str("Glenna Goodacre Boulevard");
         let d = value_digest(&v);
         let mut rx = ReceiverCodec::for_link(2, 7);
-        assert_eq!(rx.link(), (2, 7));
         assert_eq!(rx.digest(&WireValue::Raw(v.clone())).unwrap(), d);
         assert_eq!(rx.digest(&WireValue::Md5(d)).unwrap(), d);
         // Delta teaches the link; bare symbol then resolves.

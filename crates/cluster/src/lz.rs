@@ -25,9 +25,9 @@
 //! pins them).
 
 /// Minimum match length the encoder emits / the decoder expects.
-pub const MIN_MATCH: usize = 4;
+const MIN_MATCH: usize = 4;
 /// Maximum match length one op can encode.
-pub const MAX_MATCH: usize = 0x7f + MIN_MATCH;
+const MAX_MATCH: usize = 0x7f + MIN_MATCH;
 /// Maximum literal-run length one op can encode.
 const MAX_LITERAL_RUN: usize = 0x80;
 /// Match window (the 2-byte distance field's range).
@@ -118,7 +118,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompress `input`, refusing to produce more than `max_out` bytes
 /// (frames declare their bound, so a malicious stream cannot balloon).
-pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>, LzError> {
+pub(crate) fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>, LzError> {
     let mut out = Vec::with_capacity(input.len().min(max_out));
     let mut i = 0usize;
     while i < input.len() {

@@ -105,8 +105,10 @@ pub fn md5(data: &[u8]) -> Digest {
     Digest(out)
 }
 
-/// [`digest_values`] through a caller-supplied scratch buffer: the buffer
-/// is cleared, filled with the injective byte encoding and digested —
+/// Digest of a value vector, using the injective per-value byte encoding
+/// from [`relation::Value::digest_bytes`]. Two value vectors collide iff
+/// MD5 collides — equality on digests is a sound stand-in for equality on
+/// the vectors. `scratch` is cleared and filled with the encoding, so
 /// callers on hot loops reuse one allocation across all their probes.
 pub fn digest_values_into(scratch: &mut Vec<u8>, values: &[relation::Value]) -> Digest {
     scratch.clear();
@@ -116,20 +118,14 @@ pub fn digest_values_into(scratch: &mut Vec<u8>, values: &[relation::Value]) -> 
     md5(scratch)
 }
 
-/// Digest of a value vector, using the injective per-value byte encoding
-/// from [`relation::Value::digest_bytes`]. Two value vectors collide iff
-/// MD5 collides — equality on digests is a sound stand-in for equality on
-/// the vectors. Thin wrapper over [`digest_values_into`] with a fresh
-/// scratch buffer.
-pub fn digest_values(values: &[relation::Value]) -> Digest {
-    let mut buf = Vec::with_capacity(values.len() * 12);
-    digest_values_into(&mut buf, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use relation::Value;
+
+    fn digest_values(values: &[Value]) -> Digest {
+        digest_values_into(&mut Vec::new(), values)
+    }
 
     /// RFC 1321 §A.5 test suite.
     #[test]

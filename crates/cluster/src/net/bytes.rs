@@ -255,12 +255,12 @@ pub fn get_cell(r: &mut Reader<'_>) -> Result<Value, ClusterError> {
 }
 
 /// Serialize a [`Digest`] (16 bytes, no overhead — the model charges 16).
-pub fn put_digest(out: &mut Vec<u8>, d: &Digest) {
+pub(crate) fn put_digest(out: &mut Vec<u8>, d: &Digest) {
     out.extend_from_slice(&d.0);
 }
 
 /// Deserialize a [`Digest`].
-pub fn get_digest(r: &mut Reader<'_>) -> Result<Digest, ClusterError> {
+pub(crate) fn get_digest(r: &mut Reader<'_>) -> Result<Digest, ClusterError> {
     Ok(Digest(r.array()?))
 }
 

@@ -8,15 +8,15 @@
 //!
 //! The header is one canonical LEB128 varint (the encoding of
 //! [`crate::net::bytes`]): 1 byte for a body under 64 bytes, 2 under
-//! 8 KiB, 3 under 1 MiB and at most [`MAX_HEADER_BYTES`] up to
+//! 8 KiB, 3 under 1 MiB and at most `MAX_HEADER_BYTES` up to
 //! [`MAX_FRAME_BYTES`]. Its low bit is the method, how the body is packed:
-//! [`METHOD_STORED`] (verbatim) or [`METHOD_LZ`] ([`crate::lz`]-compressed).
+//! `METHOD_STORED` (verbatim) or `METHOD_LZ` ([`crate::lz`]-compressed).
 //! This module alone knows the layout: every meter prices a frame with
-//! [`frame_wire_len`], whether or not its substrate writes the header.
+//! `frame_wire_len`, whether or not its substrate writes the header.
 //!
 //! Bodies larger than [`MAX_FRAME_BYTES`] are rejected on both sides — an
 //! oversized length is a protocol error, not an allocation request. So are
-//! a header running past [`MAX_HEADER_BYTES`], a non-minimal varint (a
+//! a header running past `MAX_HEADER_BYTES`, a non-minimal varint (a
 //! trailing zero group, as in `80 00`), and a header or body cut short.
 //! Each is a [`ClusterError::Transport`], never a panic, and none sizes an
 //! allocation: a body buffer grows with the bytes that actually arrive.
@@ -29,11 +29,11 @@ use std::io::{Read, Write};
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// Longest header: `(MAX_FRAME_BYTES << 1) | 1` takes 28 bits, four
 /// 7-bit groups.
-pub const MAX_HEADER_BYTES: usize = 4;
+pub(crate) const MAX_HEADER_BYTES: usize = 4;
 /// Body is stored verbatim.
-pub const METHOD_STORED: u8 = 0;
+pub(crate) const METHOD_STORED: u8 = 0;
 /// Body is [`crate::lz`]-compressed; decompressed size ≤ [`MAX_FRAME_BYTES`].
-pub const METHOD_LZ: u8 = 1;
+pub(crate) const METHOD_LZ: u8 = 1;
 
 /// Body bytes reserved ahead of a read: a larger frame's buffer grows as
 /// its bytes arrive, so a header that lies costs no more than this.
@@ -41,7 +41,7 @@ const BODY_RESERVE: usize = 64 << 10;
 
 /// Bytes a frame with a `body_len`-byte body occupies on the wire, header
 /// included.
-pub fn frame_wire_len(body_len: usize) -> usize {
+pub(crate) fn frame_wire_len(body_len: usize) -> usize {
     varint_len((body_len as u64) << 1) + body_len
 }
 
@@ -51,7 +51,7 @@ fn io_err(what: &str, e: std::io::Error) -> ClusterError {
 
 /// Write one frame **without** flushing — for buffered writers whose
 /// owner coalesces a burst of frames into one flush.
-pub fn queue_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result<(), ClusterError> {
+pub(crate) fn queue_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result<(), ClusterError> {
     let len = body.len();
     if len > MAX_FRAME_BYTES {
         return Err(ClusterError::Transport(format!(
@@ -94,7 +94,7 @@ fn read_byte(r: &mut impl Read) -> Result<Option<u8>, ClusterError> {
 /// boundary** (the peer closed between frames). Everything else — a
 /// header or body cut short, a header past [`MAX_HEADER_BYTES`] or not
 /// minimal, an oversized length — is a [`ClusterError::Transport`].
-pub fn read_frame_opt(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ClusterError> {
+pub(crate) fn read_frame_opt(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ClusterError> {
     let mut x = 0u64;
     for i in 0..MAX_HEADER_BYTES {
         let b = match read_byte(r)? {
@@ -139,7 +139,7 @@ pub fn read_frame_opt(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, Cluste
 
 /// [`read_frame_opt`] where a frame **must** be available — a clean close
 /// is also an error (used where the caller knows a frame is in flight).
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ClusterError> {
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ClusterError> {
     read_frame_opt(r)?
         .ok_or_else(|| ClusterError::Transport("link closed while a frame was expected".into()))
 }

@@ -5,7 +5,7 @@
 //! [`crate::Wire::wire_size`] and calls it `|M|` (§2.3). This module
 //! ships **actual bytes**: typed messages serialize to length-prefixed
 //! frames ([`frame`]), frames cross either in-process frame channels or
-//! real `TcpListener`/`TcpStream` sockets ([`tcp`]) between the nodes of
+//! real `TcpListener`/`TcpStream` sockets (`tcp`) between the nodes of
 //! [`crate::run`], and the receiving site reconstructs the message from
 //! nothing but the received bytes. [`ByteNetwork`] is those `n` nodes
 //! driven by one thread; its one [`Meters`] block holds both quantities
@@ -32,13 +32,11 @@
 
 pub mod bytes;
 pub mod frame;
-pub mod tcp;
+pub(crate) mod tcp;
 
 use crate::run::{self, Node};
 use crate::{lz, ClusterError, Meters, MsgTransport, SiteId, Wire};
 use frame::{frame_wire_len, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
-
-pub use tcp::{join_mesh, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
 
 /// Messages that can cross a byte link: they know their modeled size
 /// ([`Wire`]) *and* how to serialize/deserialize themselves.
@@ -98,7 +96,7 @@ pub struct TransportMeter {
     /// Frames shipped.
     pub frames: u64,
     /// Actual bytes on the wire, each frame's header included
-    /// ([`frame::frame_wire_len`]).
+    /// (`frame::frame_wire_len`).
     pub wire_bytes: u64,
     /// Modeled `|M|` bytes ([`Wire::wire_size`] sums).
     pub modeled_bytes: u64,
@@ -113,7 +111,7 @@ impl TransportMeter {
     /// Meter one frame whose message serialized to `modeled` `|M|` bytes
     /// plus `structural` bytes the model ignores, and whose body —
     /// packed or stored — put `body` bytes behind the frame header.
-    pub fn record_frame(&mut self, modeled: usize, structural: usize, body: usize) {
+    pub(crate) fn record_frame(&mut self, modeled: usize, structural: usize, body: usize) {
         let wire = frame_wire_len(body);
         self.frames += 1;
         self.wire_bytes += wire as u64;
@@ -147,7 +145,7 @@ pub fn unpack_body(method: u8, body: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
 
 /// Unpack one received frame body per its method bit and decode the
 /// message — the receive half of the [`Node::send`] recipe.
-pub fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
+pub(crate) fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
     M::decode_frame(&unpack_body(method, body)?)
 }
 
@@ -274,7 +272,7 @@ impl<M: FrameCodec> ByteNetwork<M> {
     }
 
     /// Are all links idle? (protocol-completion assertion)
-    pub fn quiescent(&self) -> bool {
+    pub(crate) fn quiescent(&self) -> bool {
         self.pending.iter().all(|row| row.iter().all(|&p| p == 0))
     }
 

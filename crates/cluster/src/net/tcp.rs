@@ -28,14 +28,14 @@ use std::time::{Duration, Instant};
 /// [`queue`](TcpLink::queue)s a burst of frames pays one `write` per
 /// [`flush`](TcpLink::flush) rather than one per frame.
 #[derive(Debug)]
-pub struct TcpLink {
+pub(crate) struct TcpLink {
     stream: BufWriter<TcpStream>,
 }
 
 impl TcpLink {
     /// Wrap a connected stream (Nagle disabled — protocol rounds are
     /// latency-bound request/reply exchanges).
-    pub fn new(stream: TcpStream) -> Result<Self, ClusterError> {
+    pub(crate) fn new(stream: TcpStream) -> Result<Self, ClusterError> {
         stream
             .set_nodelay(true)
             .map_err(|e| ClusterError::Transport(format!("set_nodelay: {e}")))?;
@@ -47,19 +47,19 @@ impl TcpLink {
     /// Buffer one frame without pushing it to the socket. The frame is
     /// not on the wire until [`flush`](TcpLink::flush) (or the buffer
     /// fills): whoever queues must flush before waiting on the peer.
-    pub fn queue(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
+    pub(crate) fn queue(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
         queue_frame(&mut self.stream, method, body)
     }
 
     /// Push every queued frame to the socket.
-    pub fn flush(&mut self) -> Result<(), ClusterError> {
+    pub(crate) fn flush(&mut self) -> Result<(), ClusterError> {
         self.stream.flush().map_err(|e| terr("flushing link", e))
     }
 }
 
 /// What a reader thread delivers into a node's inbox: the sending node
 /// and the frame (or the transport error that ended the link).
-pub type Inbound = (SiteId, Result<(u8, Vec<u8>), ClusterError>);
+pub(crate) type Inbound = (SiteId, Result<(u8, Vec<u8>), ClusterError>);
 
 /// Shutdown handle for a set of reader threads: a try-cloned handle per
 /// read half plus the join handles. Dropping the guard shuts the
@@ -69,7 +69,7 @@ pub type Inbound = (SiteId, Result<(u8, Vec<u8>), ClusterError>);
 /// `Transport` error into its inbox (or exits silently if the inbox
 /// is already gone) instead of panicking.
 #[derive(Debug, Default)]
-pub struct ReaderGuard {
+pub(crate) struct ReaderGuard {
     streams: Vec<TcpStream>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -82,7 +82,7 @@ impl ReaderGuard {
 
     /// Shut down every read half and join the reader threads. Idempotent;
     /// also runs on drop.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         for s in &self.streams {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -103,13 +103,13 @@ impl Drop for ReaderGuard {
 /// guard over its own reader threads. This is what a per-site thread (or
 /// a whole `site` process) owns — see `cluster::run`.
 #[derive(Debug)]
-pub struct NodeEndpoint {
+pub(crate) struct NodeEndpoint {
     /// Write halves to every other node (`None` at `me`).
-    pub tx: Vec<Option<TcpLink>>,
+    pub(crate) tx: Vec<Option<TcpLink>>,
     /// Inbox fed by this node's reader threads.
-    pub rx: Receiver<Inbound>,
+    pub(crate) rx: Receiver<Inbound>,
     /// Reader threads for the inbound links (joined on drop).
-    pub guard: ReaderGuard,
+    pub(crate) guard: ReaderGuard,
 }
 
 fn terr(what: &str, e: std::io::Error) -> ClusterError {
@@ -231,7 +231,11 @@ pub(crate) fn localhost(n: usize) -> Result<Vec<NodeEndpoint>, ClusterError> {
 /// and `base_port`: node `i` listens on `base_port + i`, connects to
 /// every other node's port (retrying while peers are still starting
 /// up), handshakes its id, then accepts its own `n − 1` inbound links.
-pub fn join_mesh(n: usize, me: SiteId, base_port: u16) -> Result<NodeEndpoint, ClusterError> {
+pub(crate) fn join_mesh(
+    n: usize,
+    me: SiteId,
+    base_port: u16,
+) -> Result<NodeEndpoint, ClusterError> {
     if me >= n {
         return Err(ClusterError::UnknownSite(me));
     }

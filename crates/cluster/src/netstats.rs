@@ -146,20 +146,6 @@ impl NetStats {
         }
         out
     }
-
-    /// Difference `self − earlier` (counters are monotone).
-    pub fn since(&self, earlier: &NetStats) -> NetStats {
-        assert_eq!(self.n, earlier.n);
-        let mut out = NetStats::new(self.n);
-        for i in 0..self.matrix.len() {
-            out.matrix[i] = Counters {
-                messages: self.matrix[i].messages - earlier.matrix[i].messages,
-                bytes: self.matrix[i].bytes - earlier.matrix[i].bytes,
-                eqids: self.matrix[i].eqids - earlier.matrix[i].eqids,
-            };
-        }
-        out
-    }
 }
 
 /// A normalized view of a detector's cumulative network traffic.
@@ -483,18 +469,6 @@ mod tests {
         assert_eq!(s.total_bytes(), 158);
         assert_eq!(s.total_messages(), 3);
         assert_eq!(s.total_eqids(), 3);
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let mut s = NetStats::new(2);
-        s.record(0, 1, 10, 1);
-        let snapshot = s.clone();
-        s.record(0, 1, 30, 0);
-        let d = s.since(&snapshot);
-        assert_eq!(d.pair(0, 1).bytes, 30);
-        assert_eq!(d.pair(0, 1).messages, 1);
-        assert_eq!(d.pair(0, 1).eqids, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   fragment" property.
 
 use crate::{ClusterError, SiteId};
-use relation::{AttrId, Predicate, Relation, Schema, Tuple, UpdateBatch, Value};
+use relation::{AttrId, Predicate, Relation, Schema, Tuple, Value};
 use std::sync::Arc;
 
 /// A vertical partition-and-replication scheme.
@@ -106,11 +106,6 @@ impl VerticalScheme {
         self.frags.len()
     }
 
-    /// Attribute ids held at `site` (key first).
-    pub fn attrs_of(&self, site: SiteId) -> &[AttrId] {
-        &self.frags[site]
-    }
-
     /// All sites holding `attr` (≥ 1; > 1 under replication).
     pub fn sites_of(&self, attr: AttrId) -> Vec<SiteId> {
         (0..self.frags.len())
@@ -159,18 +154,6 @@ impl VerticalScheme {
                 out[site]
                     .insert_row(tid, store.project_values(row, attrs))
                     .expect("projection preserves unique tids");
-            }
-        }
-        out
-    }
-
-    /// Project a batch update onto fragment `site` (`ΔD_i = π_{X_i}(ΔD)`).
-    pub fn project_update(&self, site: SiteId, delta: &UpdateBatch) -> UpdateBatch {
-        let mut out = UpdateBatch::new();
-        for op in delta.ops() {
-            match op {
-                relation::Update::Insert(t) => out.insert(t.project(&self.frags[site])),
-                relation::Update::Delete(tid) => out.delete(*tid),
             }
         }
         out
@@ -319,8 +302,6 @@ mod tests {
         let s = schema();
         let v = VerticalScheme::new(s.clone(), vec![vec![1, 2], vec![3, 4]]).unwrap();
         assert_eq!(v.n_sites(), 2);
-        assert_eq!(v.attrs_of(0), &[0, 1, 2]);
-        assert_eq!(v.attrs_of(1), &[0, 3, 4]);
         assert_eq!(v.primary_site(3), 1);
         assert_eq!(v.local_pos(1, 4), Some(2));
         assert_eq!(v.local_pos(0, 4), None);
@@ -363,30 +344,6 @@ mod tests {
         let v = VerticalScheme::round_robin(s.clone(), 3).unwrap();
         for a in 0..s.arity() as AttrId {
             assert!(!v.sites_of(a).is_empty());
-        }
-    }
-
-    #[test]
-    fn vertical_project_update() {
-        let s = schema();
-        let v = VerticalScheme::new(s, vec![vec![1], vec![2, 3, 4]]).unwrap();
-        let mut delta = UpdateBatch::new();
-        delta.insert(Tuple::new(
-            9,
-            vec![
-                Value::int(9),
-                Value::int(1),
-                Value::str("x"),
-                Value::int(0),
-                Value::str("A"),
-            ],
-        ));
-        delta.delete(3);
-        let d0 = v.project_update(0, &delta);
-        assert_eq!(d0.ops().len(), 2);
-        match &d0.ops()[0] {
-            relation::Update::Insert(t) => assert_eq!(t.arity(), 2),
-            _ => panic!("expected insert"),
         }
     }
 

@@ -11,7 +11,7 @@
 //!   inbox; receivers block, senders don't);
 //! * [`tcp_mesh`] — `n` nodes over the localhost TCP mesh, each node's
 //!   inbound links serviced by its own reader threads (joined on drop);
-//! * [`join_mesh`](crate::net::join_mesh) + [`Node::from_endpoint`] —
+//! * `join_mesh` + `Node::from_endpoint` —
 //!   the multi-process former: every participating process builds its
 //!   own node over fixed localhost ports.
 //!
@@ -32,7 +32,7 @@
 //! holds with packed control frames in the mix. Each node also counts
 //! the wire bytes of the frames it *receives* (`Meters::received`) —
 //! summed over a mesh at rest, that is every byte the senders metered.
-//! Both ends price a frame at [`frame_wire_len`] of its body, the one
+//! Both ends price a frame at `frame_wire_len` of its body, the one
 //! place that knows the header ([`crate::net::frame`]): the in-process
 //! links write no header but meter the one a socket would carry, so the
 //! two substrates read the same bytes.
@@ -65,7 +65,7 @@ use std::time::Duration;
 /// How long a node waits for an expected frame before declaring the
 /// peer dead. Generous: on a loaded box with fewer cores than sites, n
 /// site threads and their readers all contend for the same CPUs.
-pub const RECV_TIMEOUT: Duration = Duration::from_secs(60);
+pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Control frames at least this long are offered to [`lz`] regardless of
 /// the session codec (kept only if smaller). Below it a frame is an ack
@@ -125,7 +125,7 @@ impl Node {
 
     /// Wrap a multi-process [`NodeEndpoint`] (from
     /// [`crate::net::join_mesh`]) as a runtime node.
-    pub fn from_endpoint(n: usize, me: SiteId, ep: NodeEndpoint) -> Self {
+    pub(crate) fn from_endpoint(n: usize, me: SiteId, ep: NodeEndpoint) -> Self {
         Node::new(n, me, TxSide::Tcp(ep.tx), ep.rx, Some(ep.guard))
     }
 
@@ -293,7 +293,7 @@ impl Node {
         }
     }
 
-    /// Block up to [`RECV_TIMEOUT`] for a frame; `Ok(None)` on timeout.
+    /// Block up to `RECV_TIMEOUT` for a frame; `Ok(None)` on timeout.
     /// For idle loops (a site waiting for its next batch) where silence
     /// is normal, not a dead peer. This is where a node parks, so this
     /// is where queued sends are flushed: only when the inbox is empty,
@@ -326,7 +326,7 @@ impl Node {
     }
 
     /// Block for the next frame and decode it as `M` (see
-    /// [`decode_body`]).
+    /// `decode_body`).
     pub fn recv_msg<M: FrameCodec>(&mut self) -> Result<(SiteId, M), ClusterError> {
         let (src, method, body) = self.recv()?;
         Ok((src, decode_body(method, body)?))
@@ -374,7 +374,7 @@ pub fn tcp_mesh(n: usize) -> Result<Vec<Node>, ClusterError> {
 }
 
 /// Join an `n`-node **multi-process** mesh on fixed localhost ports as
-/// node `me` (see [`crate::net::join_mesh`]).
+/// node `me` (see `net::tcp::join_mesh`).
 pub fn join(n: usize, me: SiteId, base_port: u16) -> Result<Node, ClusterError> {
     Ok(Node::from_endpoint(
         n,

@@ -88,13 +88,8 @@ impl<M: Wire> Network<M> {
         self.inboxes[site].drain(..).collect()
     }
 
-    /// Receive a single message, if any.
-    pub fn recv(&mut self, site: SiteId) -> Option<(SiteId, M)> {
-        self.inboxes[site].pop_front()
-    }
-
     /// Are all inboxes empty? (protocol-completion assertion)
-    pub fn quiescent(&self) -> bool {
+    pub(crate) fn quiescent(&self) -> bool {
         self.inboxes.iter().all(VecDeque::is_empty)
     }
 
@@ -223,15 +218,6 @@ impl DictMeter {
         cost
     }
 
-    /// A symbol's dictionary entry was invalidated cluster-wide (its pool
-    /// slot was garbage-collected and the id recycled): future crossings
-    /// must re-ship the entry.
-    pub fn invalidate(&mut self, sym: Sym) {
-        for set in self.resident.values_mut() {
-            set.remove(&sym);
-        }
-    }
-
     /// Total bytes charged so far (symbols + dictionary entries).
     pub fn total_bytes(&self) -> u64 {
         self.sym_bytes + self.dict_bytes
@@ -338,14 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_single() {
-        let mut net: Network<u64> = Network::new(2);
-        net.send(0, 1, 42).unwrap();
-        assert_eq!(net.recv(1), Some((0, 42)));
-        assert_eq!(net.recv(1), None);
-    }
-
-    #[test]
     fn dict_meter_charges_entry_once_per_link() {
         let mut m = DictMeter::new();
         let v = Value::str("a long street name value"); // 24 + 4 B raw
@@ -360,18 +338,6 @@ mod tests {
         assert_eq!(m.sym_bytes(), 16);
         assert_eq!(m.dict_bytes(), 3 * (4 + v.wire_size() as u64));
         assert_eq!(m.total_bytes(), m.sym_bytes() + m.dict_bytes());
-    }
-
-    #[test]
-    fn dict_meter_invalidation_recharges_entry() {
-        let mut m = DictMeter::new();
-        let v = Value::int(44);
-        m.ship_sym(0, 1, 3, &v);
-        assert_eq!(m.ship_sym(0, 1, 3, &v), 4, "resident");
-        // Pool GC recycled symbol 3: receivers must be re-taught.
-        m.invalidate(3);
-        let w = Value::int(99);
-        assert_eq!(m.ship_sym(0, 1, 3, &w), 4 + 4 + w.wire_size());
     }
 
     #[test]

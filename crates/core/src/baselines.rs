@@ -11,10 +11,9 @@
 //!   Exp-10: recompute from scratch, but through the incremental insertion
 //!   machinery and its indices.
 //!
-//! The coordinator drives are substrate-generic ([`MsgTransport`]): the
-//! default simulated network delivers typed messages through metered
-//! inboxes, while [`bat_ver_with`] / [`bat_hor_with`] /
-//! [`ibat_hor_with`] (and [`BatVer::with_transport`] &c.) run the same
+//! The coordinator drives are substrate-generic ([`MsgTransport`]): each
+//! takes a [`TransportKind`]. The simulated network delivers typed
+//! messages through metered inboxes; framed and TCP run the same
 //! protocol over [`ByteNetwork`] — every shipment crosses as a real
 //! length-prefixed frame and is decoded by the coordinator from received
 //! bytes alone, with measured wire bytes reported beside the (identical)
@@ -528,23 +527,12 @@ fn bat_ver_one(
     })
 }
 
-/// `batVer`: batch detection over vertical fragments on the simulated
-/// network, CFDs checked one after another.
-#[expect(
-    clippy::expect_used,
-    reason = "the simulated substrate cannot fail; `bat_ver_with` is the checked form"
-)]
-pub fn bat_ver(cfds: &[Cfd], scheme: &VerticalScheme, d: &Relation) -> BatchOutcome {
-    bat_ver_with(cfds, scheme, d, TransportKind::Simulated)
-        .expect("the simulated substrate cannot fail")
-}
-
-/// [`bat_ver`] over an explicit transport: with [`TransportKind::Framed`]
-/// or [`TransportKind::Tcp`] every coordinator shipment crosses a
-/// [`ByteNetwork`] as a real frame (and [`BatchOutcome::meters`] reports
-/// the measured bytes beside it); the modeled `|M|` is identical on every
-/// substrate.
-pub fn bat_ver_with(
+/// `batVer`: batch detection over vertical fragments, CFDs checked one
+/// after another. With [`TransportKind::Framed`] or [`TransportKind::Tcp`]
+/// every coordinator shipment crosses a [`ByteNetwork`] as a real frame
+/// (and [`BatchOutcome::meters`] reports the measured bytes beside it);
+/// the modeled `|M|` is identical on every substrate.
+pub fn bat_ver(
     cfds: &[Cfd],
     scheme: &VerticalScheme,
     d: &Relation,
@@ -660,21 +648,10 @@ fn bat_hor_one(
     })
 }
 
-/// `batHor`: batch detection over horizontal fragments on the simulated
-/// network. Panics if `scheme` routes a row of `d` nowhere; the checked
-/// form is [`bat_hor_with`].
-#[expect(
-    clippy::expect_used,
-    reason = "documented panic on an unroutable row; `bat_hor_with` is the checked form"
-)]
-pub fn bat_hor(cfds: &[Cfd], scheme: &HorizontalScheme, d: &Relation) -> BatchOutcome {
-    bat_hor_with(cfds, scheme, d, TransportKind::Simulated)
-        .expect("every row routes and the simulated substrate cannot fail")
-}
-
-/// [`bat_hor`] over an explicit transport — see [`bat_ver_with`]. A row
-/// of `d` that `scheme` routes nowhere is its [`ClusterError::Routing`].
-pub fn bat_hor_with(
+/// `batHor`: batch detection over horizontal fragments, over `transport`
+/// as in [`bat_ver`]. A row of `d` that `scheme` routes nowhere is its
+/// [`ClusterError::Routing`].
+pub fn bat_hor(
     cfds: &[Cfd],
     scheme: &HorizontalScheme,
     d: &Relation,
@@ -728,21 +705,10 @@ pub fn ibat_ver(
     })
 }
 
-/// `ibatHor` (Exp-10): horizontal counterpart of [`ibat_ver`], on the
-/// simulated network.
+/// `ibatHor` (Exp-10): horizontal counterpart of [`ibat_ver`]. The
+/// incremental reload runs its §6 rounds through `transport` (real frames
+/// under [`TransportKind::Framed`]/[`TransportKind::Tcp`]).
 pub fn ibat_hor(
-    schema: Arc<Schema>,
-    cfds: Vec<Cfd>,
-    scheme: HorizontalScheme,
-    d: &Relation,
-) -> Result<BatchOutcome, DetectError> {
-    ibat_hor_with(schema, cfds, scheme, d, TransportKind::Simulated)
-}
-
-/// [`ibat_hor`] over an explicit transport: the incremental reload runs
-/// its §6 rounds through the chosen substrate (real frames under
-/// [`TransportKind::Framed`]/[`TransportKind::Tcp`]).
-pub fn ibat_hor_with(
     schema: Arc<Schema>,
     cfds: Vec<Cfd>,
     scheme: HorizontalScheme,
@@ -767,12 +733,6 @@ pub fn ibat_hor_with(
         violations: det.violations().clone(),
         meters: det.meters().clone(),
     })
-}
-
-/// Convenience used by tests and the experiment harness: the oracle
-/// violations computed centrally (no distribution at all).
-pub fn centralized(cfds: &[Cfd], d: &Relation) -> Violations {
-    cfd::naive::detect(cfds, d)
 }
 
 // ----------------------------------------------------------------------
@@ -840,7 +800,7 @@ macro_rules! batch_detector {
                 d: &Relation,
             ) -> Result<Self, DetectError> {
                 let mut det = Self::with_initial(schema, cfds, scheme, d, Violations::new(0))?;
-                det.violations = centralized(&det.cfds, &det.current);
+                det.violations = cfd::naive::detect(&det.cfds, &det.current);
                 Ok(det)
             }
 
@@ -880,7 +840,7 @@ macro_rules! batch_detector {
             /// wire bytes beside the modeled `|M|`. (`ibatVer` recomputes
             /// through the vertical detector, which runs on the simulated
             /// network regardless — the setting is a no-op there.)
-            pub fn with_transport(mut self, transport: TransportKind) -> Self {
+            pub(crate) fn with_transport(mut self, transport: TransportKind) -> Self {
                 self.transport = transport;
                 self
             }
@@ -942,16 +902,16 @@ macro_rules! batch_detector {
 
 batch_detector!(
     /// `batVer` as a maintained [`Detector`]: every `apply` recomputes
-    /// `V(Σ, D ⊕ ΔD)` from scratch with [`bat_ver_with`] over the
+    /// `V(Σ, D ⊕ ΔD)` from scratch with [`bat_ver`] over the
     /// configured transport and reports the diff.
     BatVer, "batVer", Some("dict"), VerticalScheme,
-    |det| bat_ver_with(&det.cfds, &det.scheme, &det.current, det.transport)?
+    |det| bat_ver(&det.cfds, &det.scheme, &det.current, det.transport)?
 );
 
 batch_detector!(
-    /// `batHor` as a maintained [`Detector`], wrapping [`bat_hor_with`].
+    /// `batHor` as a maintained [`Detector`], wrapping [`bat_hor`].
     BatHor, "batHor", Some("dict"), HorizontalScheme,
-    |det| bat_hor_with(&det.cfds, &det.scheme, &det.current, det.transport)?
+    |det| bat_hor(&det.cfds, &det.scheme, &det.current, det.transport)?
 );
 
 batch_detector!(
@@ -967,9 +927,9 @@ batch_detector!(
 
 batch_detector!(
     /// `ibatHor` (Exp-10) as a maintained [`Detector`], via
-    /// [`ibat_hor_with`] over the configured transport.
+    /// [`ibat_hor`] over the configured transport.
     IbatHor, "ibatHor", Some("md5"), HorizontalScheme,
-    |det| ibat_hor_with(
+    |det| ibat_hor(
         det.schema.clone(),
         det.cfds.clone(),
         det.scheme.clone(),
@@ -1069,8 +1029,8 @@ mod tests {
         let scheme = vscheme(&s);
         let d = d0();
         let cfds = fig1_cfds(&s);
-        let out = bat_ver(&cfds, &scheme, &d);
-        let oracle = centralized(&cfds, &d);
+        let out = bat_ver(&cfds, &scheme, &d, TransportKind::Simulated).unwrap();
+        let oracle = cfd::naive::detect(&cfds, &d);
         assert_eq!(out.violations.marks_sorted(), oracle.marks_sorted());
         assert!(
             out.meters.modeled.total_bytes() > 0,
@@ -1093,8 +1053,8 @@ mod tests {
         .unwrap();
         let d = d0();
         let cfds = fig1_cfds(&s);
-        let out = bat_hor(&cfds, &scheme, &d);
-        let oracle = centralized(&cfds, &d);
+        let out = bat_hor(&cfds, &scheme, &d, TransportKind::Simulated).unwrap();
+        let oracle = cfd::naive::detect(&cfds, &d);
         assert_eq!(out.violations.marks_sorted(), oracle.marks_sorted());
         assert!(out.meters.modeled.total_bytes() > 0);
     }
@@ -1109,9 +1069,9 @@ mod tests {
         let cfds = fig1_cfds(&s);
 
         let vs = vscheme(&s);
-        let sim = bat_ver(&cfds, &vs, &d);
+        let sim = bat_ver(&cfds, &vs, &d, TransportKind::Simulated).unwrap();
         for transport in [TransportKind::Framed, TransportKind::Tcp] {
-            let byte = bat_ver_with(&cfds, &vs, &d, transport).unwrap();
+            let byte = bat_ver(&cfds, &vs, &d, transport).unwrap();
             assert_eq!(
                 sim.violations.marks_sorted(),
                 byte.violations.marks_sorted(),
@@ -1135,8 +1095,8 @@ mod tests {
         }
 
         let hs = HorizontalScheme::by_hash(s.clone(), 0, 3).unwrap();
-        let sim = bat_hor(&cfds, &hs, &d);
-        let byte = bat_hor_with(&cfds, &hs, &d, TransportKind::Framed).unwrap();
+        let sim = bat_hor(&cfds, &hs, &d, TransportKind::Simulated).unwrap();
+        let byte = bat_hor(&cfds, &hs, &d, TransportKind::Framed).unwrap();
         assert_eq!(
             sim.violations.marks_sorted(),
             byte.violations.marks_sorted()
@@ -1185,10 +1145,10 @@ mod tests {
         let cfds = fig1_cfds(&s);
         let vs = VerticalScheme::round_robin(s.clone(), 3).unwrap();
         let hv = HorizontalScheme::by_hash(s.clone(), 0, 3).unwrap();
-        let oracle = centralized(&cfds, &d);
+        let oracle = cfd::naive::detect(&cfds, &d);
         let o1 = ibat_ver(s.clone(), cfds.clone(), vs, &d).unwrap();
         assert_eq!(o1.violations.marks_sorted(), oracle.marks_sorted());
-        let o2 = ibat_hor(s, cfds, hv, &d).unwrap();
+        let o2 = ibat_hor(s, cfds, hv, &d, TransportKind::Simulated).unwrap();
         assert_eq!(o2.violations.marks_sorted(), oracle.marks_sorted());
     }
 
@@ -1208,7 +1168,7 @@ mod tests {
 
         let mut d2 = d0();
         delta.apply(&mut d2).unwrap();
-        let bat = bat_ver(&cfds, &scheme, &d2);
+        let bat = bat_ver(&cfds, &scheme, &d2, TransportKind::Simulated).unwrap();
         assert!(
             bat.meters.modeled.total_bytes() > inc_bytes,
             "batch {} vs incremental {}",

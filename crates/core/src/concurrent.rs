@@ -96,7 +96,7 @@
 //! scheme)` from, runs the same build and keeps its own machine, and the
 //! processes build in parallel. Each then sends the coordinator one
 //! `Built` frame, a fingerprint of its fragment and its slice of `V`
-//! ([`BuildPrint`]), which [`ConcurrentHorizontal::distributed`] holds to
+//! (`BuildPrint`), which [`ConcurrentHorizontal::distributed`] holds to
 //! its own build of that site: a site that derived another `D₀` is
 //! [`DetectError::BuildMismatch`] naming the site, and every site is shut
 //! down. That handshake is the build's, not `ΔD`'s: both ends take it off
@@ -106,7 +106,7 @@
 //!
 //! The slice hand-over, the settle handshake, wave barriers, acks, result
 //! collection, the gathers of `D` and of the meters, a failing site's last
-//! words and a process's build fingerprint ride on [`CtrlMsg`] frames,
+//! words and a process's build fingerprint ride on `CtrlMsg` frames,
 //! which are wire-metered but contribute **zero** modeled `|M|`
 //! ([`Node::send_ctrl`]): the model meters the detection protocol, not the
 //! harness that schedules it. The differential suite asserts threaded,
@@ -115,7 +115,7 @@
 //!
 //! Since every byte of a control frame is overhead, the frames are
 //! written compactly (varints, bit and per-frame dictionary columns —
-//! layouts in the [`ctrl`] module docs; larger frames are then LZ-packed
+//! layouts in the `ctrl` module docs; larger frames are then LZ-packed
 //! by the node whatever the session codec), and no frame carries what its
 //! receiver can have without it. `ΔD_i` enters at `S_i`, as in the paper:
 //! a site *thread* is in the caller's process, so the coordinator hands it
@@ -137,7 +137,7 @@
 //! | `Ack`, `Shutdown`         | 5 + 1             | 1 + 1                     |
 //! | `AckN(k)`                 | 5 + 5             | 1 + 1 + varint `k` (3)    |
 //! | `WaveDone` / `WaveAdvance`| 5 + 5             | 1 + 1 + varint wave (3)   |
-//! | [`RtFrame::Piggy`] envelope | + 5             | + 1 + varint `k` (+ 2)    |
+//! | `RtFrame::Piggy` envelope | + 5             | + 1 + varint `k` (+ 2)    |
 //! | `Take`, site threads only | — (an `Ops` frame) | 1 + 1                    |
 //! | `Ops`, ≈ 64-op slice, site processes only | 5 + 9 452 mean | 2 + 3 843 mean, 2 + 2 483 packed |
 //! | `Deferred`                | —                 | 1 + 42.2 mean, 41.9 packed; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete (3 keys under these rules) |
@@ -149,7 +149,7 @@
 //! | `Meters`, between batches | —                 | 1 + 1; answered by a `Metered` frame of the site's row, 1 + 61 mean |
 //!
 //! **The gather.** [`Detector::current`] — and the fallible
-//! [`ConcurrentHorizontal::gather`] behind it — sends every site a tag-only
+//! `ConcurrentHorizontal::gather` behind it — sends every site a tag-only
 //! `Gather`; each answers with its fragment in tid order, in the `Ops`
 //! frame's insert layout, and the coordinator joins the fragments to site
 //! 0's, each row checked against its home. Like the `Built` handshake, the
@@ -169,7 +169,7 @@
 //! only a site sends the coordinator `Deferred`, `WaveDone`,
 //! `BatchResult`, `Built`, `Metered` and a fragment; any other frame is
 //! refused naming its link. A site that fails says so before it goes:
-//! [`SiteRunner::serve`] sends its error to the coordinator as a
+//! `SiteRunner::serve` sends its error to the coordinator as a
 //! best-effort `Failed`, which ends whatever the coordinator waits for at
 //! once, not at a receive timeout a minute later.
 //!
@@ -179,7 +179,7 @@
 //! [`ConcurrentHorizontal::meters`] — and `net()` and `reset_stats()`
 //! behind it — sends every site a tag-only `Meters`; each answers with its row of the modeled and wire
 //! matrices, its transport counters and its received bytes
-//! ([`MeterImage`]), and zeroes them. As with the gather of `D`, both ends
+//! (`MeterImage`), and zeroes them. As with the gather of `D`, both ends
 //! take the exchange off their meters, each cell is checked to be a link
 //! out of its site, and the merged block is kept until the next `apply`
 //! (a request that fails, its error for that `apply`). So the `wire` of
@@ -194,16 +194,16 @@
 //! counter per requesting peer and closes many silent rounds at once,
 //! over two vehicles. While traffic flows, the count rides for free:
 //! every outbound protocol frame towards a peer with a non-zero owed
-//! counter is wrapped in a [`RtFrame::Piggy`] envelope (two structural
+//! counter is wrapped in a `RtFrame::Piggy` envelope (two structural
 //! bytes below 128 owed rounds; the carried message's modeled `|M|` is
 //! untouched) whose cumulative ack pops the `k` oldest outstanding
 //! rounds at the receiver *before* the payload is matched — the owed
 //! rounds are strictly older, so FIFO reply matching is preserved by
 //! construction. When the inbox goes quiet — [`Node::try_recv`] finds
 //! nothing and the site is about to block — all owed counters flush as
-//! one standalone frame per peer ([`CtrlMsg::Ack`] for a single round,
+//! one standalone frame per peer (`CtrlMsg::Ack` for a single round,
 //! two wire bytes with its header, as many as the envelope it would have
-//! ridden in; [`CtrlMsg::AckN`] when several rounds batch up).
+//! ridden in; `CtrlMsg::AckN` when several rounds batch up).
 //!
 //! # Flush before you park
 //!
@@ -245,16 +245,16 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-pub mod ctrl;
+mod ctrl;
 
-pub use crate::horizontal::order::DeferredList;
-pub use crate::horizontal::site::SiteConfig;
+use crate::horizontal::order::DeferredList;
+use crate::horizontal::site::SiteConfig;
 use ctrl::encode_ops;
-pub use ctrl::{BatchImage, BuildPrint, CtrlMsg, MeterImage, RtFrame};
+use ctrl::{BatchImage, BuildPrint, CtrlMsg, MeterImage, RtFrame};
 
 /// The coordinator's site id. It is an ordinary site that additionally
 /// owns batch admission, wave barriers and result collection.
-pub const COORD: SiteId = 0;
+pub(crate) const COORD: SiteId = 0;
 
 /// In-flight rounds per site within a wave, and across the mesh between
 /// two drains of the sequential driver. Bounds peak buffering; the window
@@ -427,7 +427,7 @@ struct WaveState<'d> {
 /// bookkeeping. The same struct runs on a spawned thread (threaded mode),
 /// on the caller's thread (site 0), or alone inside a `site` process
 /// (multi-process mode).
-pub struct SiteRunner {
+pub(crate) struct SiteRunner {
     site: Site,
     /// This site's fragment `σ_{F_me}(D)`: the only copy of a row this
     /// thread or process holds.
@@ -826,7 +826,7 @@ impl SiteRunner {
     /// says so before it goes: the coordinator gets a best-effort
     /// [`CtrlMsg::Failed`] carrying the error this returns, so whatever it
     /// is waiting on ends at once with the cause, not at a receive timeout.
-    pub fn serve(mut self) -> Result<(), DetectError> {
+    pub(crate) fn serve(mut self) -> Result<(), DetectError> {
         let served = self.serve_batches();
         if let Err(e) = &served {
             let _ = self.node.send_ctrl(COORD, &CtrlMsg::Failed(e.to_string()));
@@ -942,7 +942,7 @@ fn split(
 /// Run one non-coordinator site of a **multi-process** mesh to
 /// completion: build site `me`'s share of `d`, join the mesh on fixed
 /// localhost ports, tell the coordinator what the build left
-/// ([`CtrlMsg::Built`]), serve batches, return on shutdown. The entry
+/// (`CtrlMsg::Built`), serve batches, return on shutdown. The entry
 /// point of the `site` binary, which derives `d` — like `(schema, Σ,
 /// scheme)` — from the same parameters as the coordinator.
 pub fn run_site(
@@ -974,7 +974,7 @@ pub fn run_site(
 /// A row of `D` lives only in its home site's fragment. The coordinator
 /// keeps what ordering a batch needs — every live tid's home, `V` and
 /// site 0's runner — and gathers `D` from the sites when asked for it:
-/// [`gather`](Self::gather), or [`Detector::current`], which keeps what
+/// `gather`, or [`Detector::current`], which keeps what
 /// it gathered until the next `apply`. A gather that fails cannot say so
 /// through `current()`: it then returns the empty relation, and the next
 /// `apply` returns the gather's error. The sites' meters are gathered
@@ -1088,7 +1088,7 @@ impl ConcurrentHorizontal {
     /// coordinator. The `n - 1` site processes must run [`run_site`] with
     /// the same `(schema, Σ, scheme, D₀, codec, base_port)`: each builds
     /// its own share of `d` while this builds every site's, and no row
-    /// crosses a process boundary. A site whose [`CtrlMsg::Built`] does not
+    /// crosses a process boundary. A site whose `CtrlMsg::Built` does not
     /// match this build of it is [`DetectError::BuildMismatch`], and every
     /// site is shut down.
     pub fn distributed(
@@ -1167,7 +1167,7 @@ impl ConcurrentHorizontal {
     /// coordinator's homes say the site holds — a delete, a row out of tid
     /// order or homed elsewhere, a row missing — is an error naming the
     /// link; a site that failed is its own error, naming it.
-    pub fn gather(&self) -> Result<Relation, DetectError> {
+    pub(crate) fn gather(&self) -> Result<Relation, DetectError> {
         let runner = &mut *self.runner.borrow_mut();
         let gathered = self.gather_from(runner);
         gathered.map_err(|e| in_own_words(&mut runner.node, e))
@@ -1391,7 +1391,7 @@ impl ConcurrentHorizontal {
     /// Every site's meters since the last reset, merged: modeled `|M|`,
     /// measured bytes with control frames included, and the bytes read
     /// off the inboxes. Gathered from the sites on first call after an
-    /// `apply` (one [`CtrlMsg::Meters`] each, off the meters) and kept
+    /// `apply` (one `CtrlMsg::Meters` each, off the meters) and kept
     /// until the next. Between batches the mesh is at rest and `received`
     /// equals `transport.wire_bytes`: every frame a node metered was read,
     /// every frame read had been metered. If the request fails, what was
@@ -1421,7 +1421,7 @@ impl Detector for ConcurrentHorizontal {
     }
 
     /// `D`, gathered from the sites on first call after an `apply` and
-    /// kept until the next ([`ConcurrentHorizontal::gather`]). If the
+    /// kept until the next (`ConcurrentHorizontal::gather`). If the
     /// gather fails, the empty relation, and the next `apply` returns the
     /// gather's error.
     fn current(&self) -> &Relation {
@@ -1438,7 +1438,7 @@ impl Detector for ConcurrentHorizontal {
     }
 
     /// One batch through the mesh. A site that fails says why before it
-    /// goes ([`CtrlMsg::Failed`]) and the pump reports that from any wait —
+    /// goes (`CtrlMsg::Failed`) and the pump reports that from any wait —
     /// but a *send* to the node it left behind fails first, in the
     /// transport's words: prefer the site's own, if they are in the inbox.
     /// What a gather of `D` or of the meters since the last batch gathered
@@ -1459,7 +1459,7 @@ impl Detector for ConcurrentHorizontal {
             .with_codec(self.codec_kind.name())
     }
 
-    /// Zero every site's meters — each answers a [`CtrlMsg::Meters`],
+    /// Zero every site's meters — each answers a `CtrlMsg::Meters`,
     /// whose block is dropped — and the barrier rounds.
     fn reset_stats(&mut self) {
         self.gathered_meters().kept.reset();

@@ -115,44 +115,44 @@ fn bad(what: &str) -> ClusterError {
 /// at collection. Its meters stay at the site until asked for
 /// ([`MeterImage`]).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchImage {
+pub(crate) struct BatchImage {
     /// Marks this site added, net of its own removals, sorted.
-    pub added: Vec<(CfdId, Tid)>,
+    pub(crate) added: Vec<(CfdId, Tid)>,
     /// Marks this site removed, net of its own additions, sorted.
-    pub removed: Vec<(CfdId, Tid)>,
+    pub(crate) removed: Vec<(CfdId, Tid)>,
 }
 
 /// A site's meters since it last answered a [`CtrlMsg::Meters`] request:
 /// the site fills only its own row of each matrix, so its non-zero cells
 /// are all there is to ship.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct MeterImage {
+pub(crate) struct MeterImage {
     /// Non-zero cells of the site's row of the modeled-`|M|` matrix.
-    pub stats: Vec<(SiteId, Counters)>,
+    pub(crate) stats: Vec<(SiteId, Counters)>,
     /// Non-zero cells of the site's row of the measured on-wire matrix.
-    pub wire: Vec<(SiteId, Counters)>,
+    pub(crate) wire: Vec<(SiteId, Counters)>,
     /// The site's transport counters.
-    pub meter: TransportMeter,
+    pub(crate) meter: TransportMeter,
     /// Wire bytes of the frames the site took off its inbox.
-    pub received: u64,
+    pub(crate) received: u64,
 }
 
 /// What a site's build left it, in a form two processes can compare: the
 /// sizes of its fragment and of its slice of `V`, and one MD5 over both —
 /// each row in tid order as its tid and its cells, then the marks sorted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BuildPrint {
+pub(crate) struct BuildPrint {
     /// Rows of the fragment.
-    pub rows: u64,
+    pub(crate) rows: u64,
     /// Marks of the slice of `V`.
-    pub marks: u64,
+    pub(crate) marks: u64,
     /// MD5 of the rows and the marks.
-    pub digest: Digest,
+    pub(crate) digest: Digest,
 }
 
 impl BuildPrint {
     /// The fingerprint of a site holding `rows` and the marks `v`.
-    pub fn of(rows: &Relation, v: &Violations) -> Self {
+    pub(crate) fn of(rows: &Relation, v: &Violations) -> Self {
         let mut bytes = Vec::new();
         let store = rows.store();
         for (tid, row) in store.rows() {
@@ -183,7 +183,7 @@ impl std::fmt::Display for BuildPrint {
 /// gathers of `D` and of the meters, failure, shutdown. All structure —
 /// `wire_size() == 0`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     /// Generic round-closer where the protocol has no payload to reply.
     Ack,
     /// Cumulative ack: closes the `k` *oldest* outstanding rounds the
@@ -254,7 +254,7 @@ impl Wire for CtrlMsg {
 /// where they lie, column by column, and no row is copied. Every
 /// inserted row must have the arity of the first (the coordinator checks
 /// rows against the schema before it schedules them).
-pub fn encode_ops(out: &mut Vec<u8>, ops: &[&Update]) {
+pub(crate) fn encode_ops(out: &mut Vec<u8>, ops: &[&Update]) {
     out.push(CT_OPS);
     put_varint(out, ops.len() as u64);
     for byte in ops.chunks(8) {
@@ -626,7 +626,7 @@ impl FrameCodec for CtrlMsg {
 /// first byte `< 0x80`) and control frames ([`CtrlMsg`], `>= 0x80`)
 /// share each inbound link.
 #[derive(Debug)]
-pub enum RtFrame {
+pub(crate) enum RtFrame {
     /// A §6 protocol message.
     Hor(HorMsg),
     /// A runtime control message.

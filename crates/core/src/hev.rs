@@ -16,7 +16,7 @@
 //! ([`relation::ValuePool`]), so a base HEV keys on fixed-size [`Sym`]bols —
 //! probes hash a `u32` instead of a string payload, and the index never
 //! clones values. Non-base HEV keys are short eqid vectors stored inline
-//! ([`EqKey`]): acquiring a class allocates nothing for arities up to the
+//! (`EqKey`): acquiring a class allocates nothing for arities up to the
 //! inline capacity, where the old `Box<[EqId]>` representation paid one
 //! heap allocation per probe.
 
@@ -28,7 +28,7 @@ pub type EqId = u64;
 
 /// Inline key of a non-base HEV: eqid vectors of arity ≤ 4 (the common
 /// case — `X ∪ {B}` chains combine two inputs at a time) stay on the stack.
-pub type EqKey = SmallVec<EqId, 4>;
+pub(crate) type EqKey = SmallVec<EqId, 4>;
 
 /// A base HEV: distinct attribute symbols → eqids, shared by all CFDs.
 #[derive(Debug, Default)]

@@ -681,7 +681,6 @@ pub struct HorizontalDetector {
     /// or TCP sockets) that serializes every [`HorMsg`] to bytes.
     net: Box<dyn MsgTransport<HorMsg>>,
     flight: InFlight,
-    transport: TransportKind,
     codec: CodecKind,
 }
 
@@ -737,7 +736,6 @@ impl HorizontalDetector {
             violations,
             net,
             flight: InFlight::new(n),
-            transport,
             codec,
             cfg,
             scheme,
@@ -747,11 +745,6 @@ impl HorizontalDetector {
     /// The payload codec this session ships values with.
     pub fn codec_kind(&self) -> CodecKind {
         self.codec
-    }
-
-    /// The transport substrate this session runs on.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.transport
     }
 
     /// Traffic since construction (or last reset): modeled `|M|`, and

@@ -326,7 +326,7 @@ pub(crate) struct WavePlanner {
 
 /// What a site's settle pass left for the wave schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DeferredList {
+pub(crate) struct DeferredList {
     /// The slice position of each deferred update, ascending, and whether
     /// the update writes.
     pub updates: Vec<(u32, bool)>,

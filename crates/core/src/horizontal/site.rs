@@ -116,7 +116,7 @@ fn broadcast(
 /// at every site, cheap to clone (all `Arc`s), and reconstructible in a
 /// separate process from the same inputs.
 #[derive(Debug, Clone)]
-pub struct SiteConfig {
+pub(crate) struct SiteConfig {
     pub(crate) schema: Arc<Schema>,
     pub(crate) cfds: Arc<[Cfd]>,
     /// The merged multi-CFD evaluation plan: one dispatch scan decides LHS
@@ -137,7 +137,7 @@ pub struct SiteConfig {
 
 impl SiteConfig {
     /// Derive the shared configuration.
-    pub fn new(schema: Arc<Schema>, cfds: Vec<Cfd>, scheme: &HorizontalScheme) -> Self {
+    pub(crate) fn new(schema: Arc<Schema>, cfds: Vec<Cfd>, scheme: &HorizontalScheme) -> Self {
         let n_sites = scheme.n_sites();
         let plan = SharedPlan::new(&cfds);
         let mut relevant = Vec::with_capacity(cfds.len());
@@ -1440,7 +1440,7 @@ mod tests {
         batches
     }
 
-    /// ROADMAP item 6's harness in its deterministic form: what
+    /// Delivery order is invisible, checked deterministically: what
     /// `interleaving_stress_{8,16}_sites` samples through the OS scheduler,
     /// enumerated, over the two-step schedule the threaded runtime runs.
     /// Every batch is settled site by site, and what the passes deferred

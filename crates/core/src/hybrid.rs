@@ -96,7 +96,7 @@ impl HybridScheme {
     }
 
     /// Global site id of sub-site `sub` within `region`.
-    pub fn global_site(&self, region: usize, sub: usize) -> SiteId {
+    pub(crate) fn global_site(&self, region: usize, sub: usize) -> SiteId {
         self.verticals[..region]
             .iter()
             .map(VerticalScheme::n_sites)

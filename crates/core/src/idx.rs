@@ -95,23 +95,14 @@ impl Idx {
     }
 
     /// Every member of the group `eq_x`.
-    pub fn for_each_member(&self, eq_x: EqId, f: impl FnMut(Tid)) {
+    pub(crate) fn for_each_member(&self, eq_x: EqId, f: impl FnMut(Tid)) {
         if let Some(g) = self.groups.get(&eq_x) {
             g.for_each_member(f);
         }
     }
 
-    /// Number of distinct `X∪{B}` classes in the group (`|set(t[X])|`).
-    pub fn n_classes(&self, eq_x: EqId) -> usize {
-        let mut n = 0;
-        if let Some(g) = self.groups.get(&eq_x) {
-            g.for_each_class(|_, _| n += 1);
-        }
-        n
-    }
-
     /// Total indexed tuples — O(1), maintained by `insert`/`remove`.
-    pub fn n_tuples(&self) -> usize {
+    pub(crate) fn n_tuples(&self) -> usize {
         self.n_tuples
     }
 
@@ -130,6 +121,15 @@ impl Idx {
 mod tests {
     use super::*;
 
+    /// Number of distinct `X∪{B}` classes in the group `eq_x`.
+    fn n_classes(idx: &Idx, eq_x: EqId) -> usize {
+        let mut n = 0;
+        if let Some(g) = idx.groups.get(&eq_x) {
+            g.for_each_class(|_, _| n += 1);
+        }
+        n
+    }
+
     #[test]
     fn mirrors_fig3_example() {
         // Fig. 3: group eq(z,c)=1 has classes {Mayfield: t1,t3,t4} and
@@ -141,9 +141,9 @@ mod tests {
         assert_eq!(idx.insert(1, 30, 5), Case::Group, "Crichton conflicts");
         assert_eq!(idx.insert(2, 20, 2), Case::Nothing);
 
-        assert_eq!(idx.n_classes(1), 2);
-        assert_eq!(idx.n_classes(2), 1);
-        assert_eq!(idx.n_classes(99), 0);
+        assert_eq!(n_classes(&idx, 1), 2);
+        assert_eq!(n_classes(&idx, 2), 1);
+        assert_eq!(n_classes(&idx, 99), 0);
         let mut members = Vec::new();
         idx.for_each_member(1, |t| members.push(t));
         members.sort_unstable();
@@ -164,9 +164,9 @@ mod tests {
         idx.insert(1, 11, 8);
         assert_eq!(idx.remove(1, 10, 7), Some(Case::Group));
         assert_eq!(idx.remove(1, 10, 7), None, "already gone");
-        assert_eq!(idx.n_classes(1), 1);
+        assert_eq!(n_classes(&idx, 1), 1);
         assert_eq!(idx.remove(1, 11, 8), Some(Case::Nothing));
-        assert_eq!(idx.n_classes(1), 0);
+        assert_eq!(n_classes(&idx, 1), 0);
         assert!(idx.is_empty());
         assert_eq!(idx.n_tuples(), 0);
     }

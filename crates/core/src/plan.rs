@@ -145,16 +145,6 @@ impl HevPlan {
         &self.nodes
     }
 
-    /// Base HEV site of `attr`.
-    pub fn base_site(&self, attr: AttrId) -> SiteId {
-        self.base_sites[&attr]
-    }
-
-    /// All base sites.
-    pub fn base_sites(&self) -> &FxHashMap<AttrId, SiteId> {
-        &self.base_sites
-    }
-
     /// Target anchors of `cfd` (None for constant CFDs, and for an id
     /// the plan has no target for).
     pub fn target(&self, cfd: u32) -> Option<CfdTarget> {
@@ -162,20 +152,15 @@ impl HevPlan {
     }
 
     /// Site of an eqid source.
-    pub fn site_of(&self, input: Input) -> SiteId {
+    pub(crate) fn site_of(&self, input: Input) -> SiteId {
         match input {
             Input::Base(a) => self.base_sites[&a],
             Input::Node(n) => self.nodes[n].site,
         }
     }
 
-    /// The site where `cfd`'s IDX lives (site of its `lhs` source).
-    pub fn idx_site(&self, cfd: u32) -> Option<SiteId> {
-        self.target(cfd).map(|t| self.site_of(t.lhs))
-    }
-
     /// Nodes needed to evaluate `cfd`'s anchors, in topological (id) order.
-    pub fn required_nodes(&self, cfd: u32) -> Vec<NodeId> {
+    pub(crate) fn required_nodes(&self, cfd: u32) -> Vec<NodeId> {
         let mut need: FxHashSet<NodeId> = FxHashSet::default();
         if let Some(t) = self.target(cfd) {
             let mut stack = vec![t.xb];
@@ -205,7 +190,7 @@ impl HevPlan {
 
     /// The deduplicated cross-site `(producer, destination)` pairs a unit
     /// update triggers.
-    pub fn shipment_pairs(&self) -> FxHashSet<(Input, SiteId)> {
+    pub(crate) fn shipment_pairs(&self) -> FxHashSet<(Input, SiteId)> {
         let mut pairs: FxHashSet<(Input, SiteId)> = FxHashSet::default();
         let mut needed: FxHashSet<NodeId> = FxHashSet::default();
         for c in 0..self.targets.len() as u32 {
@@ -276,7 +261,7 @@ impl HevPlan {
 
 /// Incremental plan builder shared by [`HevPlan::default_chains`] and the
 /// optimizer.
-pub struct PlanBuilder<'a> {
+pub(crate) struct PlanBuilder<'a> {
     scheme: &'a VerticalScheme,
     pub(crate) nodes: Vec<HevNode>,
     /// attrs (sorted) → existing node, for chain sharing.
@@ -287,7 +272,7 @@ pub struct PlanBuilder<'a> {
 
 impl<'a> PlanBuilder<'a> {
     /// Fresh builder; base HEVs default to each attribute's primary site.
-    pub fn new(scheme: &'a VerticalScheme) -> Self {
+    pub(crate) fn new(scheme: &'a VerticalScheme) -> Self {
         let mut base_sites = FxHashMap::default();
         for a in 0..scheme.schema().arity() as AttrId {
             base_sites.insert(a, scheme.primary_site(a));
@@ -301,27 +286,9 @@ impl<'a> PlanBuilder<'a> {
         }
     }
 
-    /// Choose a site for a node over `attrs`: prefer the site holding the
-    /// most of them (ties: lower id) — a lightweight `findLoc`.
-    pub fn find_loc(&self, attrs: &[AttrId]) -> SiteId {
-        let mut best = 0usize;
-        let mut best_cover = 0usize;
-        for s in 0..self.scheme.n_sites() {
-            let cover = attrs
-                .iter()
-                .filter(|&&a| self.scheme.local_pos(s, a).is_some())
-                .count();
-            if cover > best_cover {
-                best_cover = cover;
-                best = s;
-            }
-        }
-        best
-    }
-
     /// Get or create the prefix chain for sorted `xs`, returning the eqid
     /// source for the full set.
-    pub fn chain(&mut self, xs: &[AttrId]) -> Input {
+    pub(crate) fn chain(&mut self, xs: &[AttrId]) -> Input {
         debug_assert!(xs.windows(2).all(|w| w[0] < w[1]));
         if xs.len() == 1 {
             return Input::Base(xs[0]);
@@ -347,7 +314,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Create (or reuse) the `X ∪ {B}` node at the IDX site.
-    pub fn xb_node(&mut self, lhs: Input, b: AttrId) -> NodeId {
+    pub(crate) fn xb_node(&mut self, lhs: Input, b: AttrId) -> NodeId {
         let mut attrs: Vec<AttrId> = match lhs {
             Input::Base(a) => vec![a],
             Input::Node(n) => self.nodes[n].attrs.clone(),
@@ -375,7 +342,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Append a node, registering it for attr-based reuse.
-    pub fn push_node(&mut self, node: HevNode) -> NodeId {
+    pub(crate) fn push_node(&mut self, node: HevNode) -> NodeId {
         let id = self.nodes.len();
         self.by_attrs.entry(node.attrs.clone()).or_insert(id);
         self.nodes.push(node);
@@ -383,7 +350,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Finalize into a plan (invariants hold by construction).
-    pub fn finish(self) -> HevPlan {
+    pub(crate) fn finish(self) -> HevPlan {
         HevPlan {
             nodes: self.nodes,
             base_sites: self.base_sites,

@@ -37,8 +37,8 @@
 //! * **Inclusion dependencies** keep count-indexed containment state:
 //!   per projected key, the referencing tids and the referenced
 //!   multiplicity — `O(|ΔD| + |Δfindings|)` per batch on either side.
-//!   The referenced relation is hash-partitioned over
-//!   [`Suite::ind_sites`] sites ([`HorizontalScheme::by_hash`]) and
+//!   The referenced relation is hash-partitioned over two sites
+//!   (`IND_SITES`, [`HorizontalScheme::by_hash`]) and
 //!   every membership probe / presence flip is metered as cross-site
 //!   traffic in the report's `ind` tier.
 //! * **Aggregates** keep delete-safe per-group state (count, sum, and
@@ -142,8 +142,11 @@ pub struct Suite {
     codec: CodecKind,
     transport: TransportKind,
     analysis: AnalysisMode,
-    ind_sites: usize,
 }
+
+/// Sites the referenced relations of inclusion dependencies are
+/// hash-partitioned over.
+const IND_SITES: usize = 2;
 
 /// What [`Suite::resolve`] compiles out of the catalog: the combined CFD
 /// list (user CFDs first, compiled key/completeness rules after), the
@@ -169,7 +172,6 @@ impl Suite {
             codec: CodecKind::default(),
             transport: TransportKind::default(),
             analysis: AnalysisMode::default(),
-            ind_sites: 2,
         }
     }
 
@@ -235,13 +237,6 @@ impl Suite {
     /// bit-identical across the three on satisfiable catalogs.
     pub fn analyze(mut self, analysis: AnalysisMode) -> Self {
         self.analysis = analysis;
-        self
-    }
-
-    /// Sites the referenced relations of inclusion dependencies are
-    /// hash-partitioned over (default 2).
-    pub fn ind_sites(mut self, n: usize) -> Self {
-        self.ind_sites = n.max(1);
         self
     }
 
@@ -367,7 +362,7 @@ impl Suite {
         }
         let mut natives = Vec::new();
         for (rule, c) in resolved {
-            natives.push(Native::new(rule, c, &self.schema, self.ind_sites)?);
+            natives.push(Native::new(rule, c)?);
         }
         let mut session = SuiteSession {
             findings: FindingSet::new(kinds.clone()),
@@ -376,7 +371,7 @@ impl Suite {
             cfd_rule,
             natives,
             refs,
-            ind_net: NetStats::new(self.ind_sites + 1),
+            ind_net: NetStats::new(IND_SITES + 1),
             det,
         };
         session.seed(d0);
@@ -697,12 +692,7 @@ fn project<'v>(value: impl Fn(AttrId) -> &'v Value, attrs: &[AttrId]) -> Vec<Val
 }
 
 impl Native {
-    fn new(
-        rule: RuleId,
-        c: Constraint,
-        _schema: &Schema,
-        ind_sites: usize,
-    ) -> Result<Native, DetectError> {
+    fn new(rule: RuleId, c: Constraint) -> Result<Native, DetectError> {
         Ok(match c {
             Constraint::Key { attrs, compiled } => {
                 let mut proj = attrs;
@@ -730,7 +720,7 @@ impl Native {
                     // first projected attribute.
                     Schema::new("__ind_ref", &["k"], "k").map_err(DetectError::Rel)?,
                     0,
-                    ind_sites,
+                    IND_SITES,
                 )
                 .map_err(DetectError::Cluster)?,
                 attrs,

@@ -324,15 +324,15 @@ impl Walk {
 pub struct VerticalDetector {
     schema: Arc<Schema>,
     cfds: Vec<Cfd>,
-    plan: HevPlan,
-    /// Base HEVs by attribute (located at `plan.base_site(attr)`).
+    /// Base HEVs by attribute (each at its base site in the plan).
     bases: Vec<BaseHev>,
-    /// Non-base HEV stores, parallel to `plan.nodes()`.
+    /// Non-base HEV stores, parallel to the plan's nodes.
     node_stores: Vec<NonBaseHev>,
-    /// IDXs by CFD id (at `plan.idx_site(cfd)`; empty for constant CFDs).
+    /// IDXs by CFD id (each at its `lhs` source's site in the plan; empty
+    /// for constant CFDs).
     idxs: Vec<Idx>,
     /// The logical relation `D`, and the only copy of its rows: site `i`'s
-    /// fragment is the columns `scheme.attrs_of(i)` of it. Columnar: its
+    /// fragment is the columns the scheme places at `i`. Columnar: its
     /// [`relation::ColumnStore`] interns every live value once, and the
     /// HEV walks below borrow the stored row symbols directly — there is
     /// no separate encoded mirror.
@@ -392,7 +392,6 @@ impl VerticalDetector {
             compiled,
             schema,
             cfds,
-            plan,
         };
         // `current` is a clone of `d`: `d`'s rows, row ids and values are
         // its own. Tid order is a replay's insertion order, so every class
@@ -414,16 +413,6 @@ impl VerticalDetector {
     /// Cumulative traffic since construction (or last reset).
     pub fn meters(&self) -> &Meters {
         &self.meters
-    }
-
-    /// The HEV plan in use.
-    pub fn plan(&self) -> &HevPlan {
-        &self.plan
-    }
-
-    /// The merged multi-CFD evaluation plan.
-    pub fn shared_plan(&self) -> &Arc<SharedPlan> {
-        &self.shared_plan
     }
 
     /// The value dictionary (size reporting, tests) — the relation's own
@@ -987,7 +976,8 @@ mod tests {
         let mut det = detector();
         let street = det.schema().attr_id("street").unwrap();
         // Only t5 lives on Crichton; drop the class under it.
-        let crichton = det.current().sym_at(5, street).unwrap();
+        let store = det.current().store();
+        let crichton = store.sym(store.row_of(5).unwrap(), street);
         while det.bases[street as usize].lookup(crichton).is_some() {
             det.bases[street as usize].release(crichton);
         }

@@ -9,8 +9,8 @@
 //! the same samples report byte-identical percentiles and merged
 //! histograms are exactly the histogram of the concatenated streams.
 //!
-//! Quantiles are requested in parts-per-million
-//! ([`Histogram::value_at_ppm`]); the returned value is the midpoint of
+//! Quantiles are selected in parts-per-million ([`Histogram::p50`] …
+//! [`Histogram::p999`]); the returned value is the midpoint of
 //! the bucket holding the rank-`⌈total·q⌉` sample, so it deviates from
 //! the true order statistic by at most one bucket width (asserted by the
 //! sorted-vector oracle property test below).
@@ -98,19 +98,11 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Record `n` identical samples.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_index(v)] += n;
-        self.total += n;
+        self.counts[bucket_index(v)] += 1;
+        self.total += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sum += v as u128 * n as u128;
+        self.sum += v as u128;
     }
 
     /// Number of recorded samples.
@@ -169,7 +161,7 @@ impl Histogram {
     /// midpoint of its bucket — within one bucket width of the exact
     /// order statistic. Returns 0 when empty; `ppm >= 10⁶` returns the
     /// exact maximum.
-    pub fn value_at_ppm(&self, ppm: u64) -> u64 {
+    fn value_at_ppm(&self, ppm: u64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -212,13 +204,6 @@ impl Histogram {
     /// Quantile 0.999.
     pub fn p999(&self) -> u64 {
         self.value_at_ppm(999_000)
-    }
-
-    /// Width of the bucket `v` falls into — the error bound of
-    /// [`value_at_ppm`](Self::value_at_ppm) around a true order statistic
-    /// of `v`. Exposed for the oracle tests.
-    pub fn bucket_width_of(v: u64) -> u64 {
-        bucket_width(bucket_index(v))
     }
 }
 
@@ -312,7 +297,7 @@ mod tests {
                 let rank = (total * ppm).div_ceil(1_000_000).max(1);
                 let oracle = samples[(rank - 1) as usize];
                 let got = h.value_at_ppm(ppm);
-                let width = Histogram::bucket_width_of(oracle);
+                let width = bucket_width(bucket_index(oracle));
                 assert!(
                     got.abs_diff(oracle) <= width,
                     "case {case} ppm {ppm}: hist {got} vs oracle {oracle} \
@@ -363,18 +348,5 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(1_234_567, 10);
-        for _ in 0..10 {
-            b.record(1_234_567);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.p50(), b.p50());
-        assert_eq!(a.sum(), b.sum());
     }
 }

@@ -12,13 +12,13 @@
 //!   workload generators;
 //! * [`stream`] — deterministic sequentially-valid op streams
 //!   ([`UpdateStream`], [`Tick`]): same seed, byte-identical stream;
-//! * [`hist`] — a mergeable log-bucketed latency [`Histogram`] with
+//! * [`Histogram`] — a mergeable log-bucketed latency histogram with
 //!   integer-only bucket math and ppm quantiles (p50/p90/p99/p999);
 //! * [`driver`] — [`run_load`]: push a stream through any
 //!   [`Detector`](incdetect::Detector) strategy, timing every update.
 
 pub mod driver;
-pub mod hist;
+mod hist;
 pub mod scenario;
 pub mod stream;
 

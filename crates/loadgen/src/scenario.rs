@@ -87,7 +87,7 @@ pub enum ArrivalShape {
 
 impl ArrivalShape {
     /// Number of operations arriving at `tick` of `total_ticks`.
-    pub fn updates_at(&self, tick: usize, total_ticks: usize) -> usize {
+    pub(crate) fn updates_at(&self, tick: usize, total_ticks: usize) -> usize {
         match *self {
             ArrivalShape::Steady { per_tick } => per_tick,
             ArrivalShape::Bursty {
@@ -119,7 +119,7 @@ impl ArrivalShape {
     }
 
     /// Total operations over a whole run — the fresh-tuple pool bound.
-    pub fn total_updates(&self, total_ticks: usize) -> usize {
+    pub(crate) fn total_updates(&self, total_ticks: usize) -> usize {
         (0..total_ticks)
             .map(|t| self.updates_at(t, total_ticks))
             .sum()
@@ -156,7 +156,7 @@ pub struct OpMix {
 
 impl OpMix {
     /// The paper's §7 default leaning: mostly insertions, some deletions.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         OpMix {
             insert: 8,
             delete: 2,

@@ -86,11 +86,6 @@ impl UpdateStream {
         &self.mirror
     }
 
-    /// Ticks this stream will yield in total.
-    pub fn total_ticks(&self) -> usize {
-        self.cfg.ticks
-    }
-
     /// Draw a victim tid from the live set per the key distribution.
     fn victim(&mut self) -> Tid {
         let idx = match &self.zipf {

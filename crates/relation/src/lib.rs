@@ -12,23 +12,24 @@
 //!   deletions, with same-tid cancellation, `ΔD⁺`, `ΔD⁻`, and `D ⊕ ΔD`),
 //! * [`predicate`] — Boolean selection predicates used to define horizontal
 //!   fragments, including the `F_i ∧ F_φ` satisfiability test of §6,
-//! * [`fx`] — a small Fx-style hasher used for all hot hash maps,
+//! * [`FxHashMap`] / [`FxHashSet`] — maps and sets over a small Fx-style
+//!   hasher, used for all hot hash maps,
 //! * [`intern`] — the reference-counted value dictionary ([`ValuePool`])
 //!   mapping values to fixed-size symbols, and the dictionary-encoded
 //!   tuple representation ([`SymTuple`]),
-//! * [`smallvec`] — a tiny inline vector for short hot-path keys.
+//! * [`SmallVec`] — a tiny inline vector for short hot-path keys.
 //!
 //! The crate is deliberately free of any distribution or CFD logic so that it
 //! can be reused by the partitioners, the detectors and the workload
 //! generators alike.
 
 pub mod csv;
-pub mod fx;
+mod fx;
 pub mod intern;
 pub mod predicate;
 pub mod relation;
 pub mod schema;
-pub mod smallvec;
+mod smallvec;
 pub mod store;
 pub mod tuple;
 pub mod update;
@@ -36,7 +37,7 @@ pub mod value;
 
 pub use crate::relation::Relation;
 pub use fx::{FxHashMap, FxHashSet};
-pub use intern::{InternCache, Sym, SymTuple, ValuePool};
+pub use intern::{Sym, SymTuple, ValuePool};
 pub use predicate::Predicate;
 pub use schema::{AttrId, Attribute, Schema};
 pub use smallvec::SmallVec;

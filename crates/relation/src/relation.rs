@@ -105,14 +105,6 @@ impl Relation {
         })
     }
 
-    /// Batched ingest of raw `(tid, values)` rows — the loaders' fast
-    /// path: per-column contiguous appends with a per-load intern cache
-    /// (see [`ColumnStore::bulk_load`]). Validates up front; errors leave
-    /// the relation untouched.
-    pub fn bulk_load(&mut self, rows: &[(Tid, Vec<Value>)]) -> Result<(), RelError> {
-        self.store.bulk_load(rows)
-    }
-
     /// Delete by tuple id, returning the removed tuple (materialized).
     pub fn delete(&mut self, tid: Tid) -> Result<Tuple, RelError> {
         let row = self.store.row_of(tid).ok_or(RelError::MissingTid(tid))?;
@@ -171,11 +163,6 @@ impl Relation {
     /// Borrowed value at `(tid, attr)` — O(1), no clone.
     pub fn value_at(&self, tid: Tid, a: crate::AttrId) -> Option<&Value> {
         self.store.row_of(tid).map(|row| self.store.value(row, a))
-    }
-
-    /// Symbol at `(tid, attr)`.
-    pub fn sym_at(&self, tid: Tid, a: crate::AttrId) -> Option<Sym> {
-        self.store.row_of(tid).map(|row| self.store.sym(row, a))
     }
 
     /// Largest tid present (useful for allocating fresh tids in generators).
@@ -268,7 +255,8 @@ mod tests {
         assert_eq!(r.value_at(1, 1), Some(&Value::int(7)));
         assert_eq!(r.value_at(99, 1), None);
         // Equal values share a symbol within the relation's pool.
-        assert_eq!(r.sym_at(1, 1), r.sym_at(2, 1));
+        let sym = |tid| r.store().sym(r.store().row_of(tid).unwrap(), 1);
+        assert_eq!(sym(1), sym(2));
         let rows: Vec<_> = r.scan().collect();
         assert_eq!(rows.len(), 2);
         let col = r.col(1);

@@ -80,7 +80,7 @@ impl Schema {
     }
 
     /// All attributes in declaration order.
-    pub fn attributes(&self) -> &[Attribute] {
+    pub(crate) fn attributes(&self) -> &[Attribute] {
         &self.attrs
     }
 
@@ -91,11 +91,6 @@ impl Schema {
             .position(|a| a.name == name)
             .map(|i| i as AttrId)
             .ok_or_else(|| RelError::UnknownAttribute(name.to_string()))
-    }
-
-    /// Attribute ids for several names (order preserved).
-    pub fn attr_ids(&self, names: &[&str]) -> Result<Vec<AttrId>, RelError> {
-        names.iter().map(|n| self.attr_id(n)).collect()
     }
 
     /// Attribute name for `id` (panics on out-of-range, which indicates a
@@ -163,11 +158,5 @@ mod tests {
     #[test]
     fn display_marks_key() {
         assert_eq!(emp().to_string(), "EMP(*id, name, city, zip)");
-    }
-
-    #[test]
-    fn attr_ids_preserves_order() {
-        let s = emp();
-        assert_eq!(s.attr_ids(&["zip", "name"]).unwrap(), vec![3, 1]);
     }
 }

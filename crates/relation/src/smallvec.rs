@@ -83,11 +83,6 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Does the vector live entirely in its inline buffer?
-    pub fn is_inline(&self) -> bool {
-        self.len as usize <= N
-    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for SmallVec<T, N> {
@@ -146,14 +141,14 @@ mod tests {
     #[test]
     fn inline_until_capacity_then_spills() {
         let mut v: SmallVec<u64, 4> = SmallVec::new();
-        assert!(v.is_empty() && v.is_inline());
+        assert!(v.is_empty() && v.spill.is_empty());
         for i in 0..4 {
             v.push(i);
         }
-        assert!(v.is_inline());
+        assert!(v.spill.is_empty());
         assert_eq!(v.as_slice(), &[0, 1, 2, 3]);
         v.push(4);
-        assert!(!v.is_inline());
+        assert!(!v.spill.is_empty());
         assert_eq!(v.as_slice(), &[0, 1, 2, 3, 4]);
         assert_eq!(v.len(), 5);
     }
@@ -197,7 +192,7 @@ mod tests {
         // view — which is also what Borrow-based map probing sees.
         let inline: SmallVec<u64, 8> = SmallVec::from_slice(&[1, 2, 3]);
         let spilled: SmallVec<u64, 2> = SmallVec::from_slice(&[1, 2, 3]);
-        assert!(inline.is_inline() && !spilled.is_inline());
+        assert!(inline.spill.is_empty() && !spilled.spill.is_empty());
         assert_eq!(inline.as_slice(), spilled.as_slice());
         // Within one type, equality follows contents.
         let rebuilt: SmallVec<u64, 2> = [1u64, 2, 3].into_iter().collect();

@@ -5,7 +5,7 @@
 //! free-list reuse, and a [`TidMap`] giving dense `Tid ↔ RowId` lookup plus
 //! tid-ordered iteration. Compared to the previous `BTreeMap<Tid, Tuple>`:
 //!
-//! * **bulk loads** append one `u32` per attribute to contiguous columns
+//! * **inserts** append one `u32` per attribute to contiguous columns
 //!   (no per-tuple `Arc<[Value]>` allocation, no tree rebalancing);
 //! * **scans** read a column as one cache-friendly `&[Sym]` slice
 //!   ([`ColumnStore::col`]) instead of chasing a pointer per tuple;
@@ -21,8 +21,7 @@
 //!
 //! [`Relation`]: crate::relation::Relation
 
-use crate::fx::FxHashSet;
-use crate::intern::{InternCache, Sym, ValuePool};
+use crate::intern::{Sym, ValuePool};
 use crate::schema::AttrId;
 use crate::tuple::Tid;
 use crate::value::Value;
@@ -194,7 +193,7 @@ pub struct ColumnStore {
     free: Vec<RowId>,
     tids: TidMap,
     /// Live null occurrences per attribute, maintained by
-    /// insert/bulk_load/delete — the completeness metadata column
+    /// insert/delete — the completeness metadata column
     /// consumed by the validation suite (`cfd::constraint`): a not-null
     /// check over an attribute with `null_count == 0` needs no scan.
     null_counts: Vec<u64>,
@@ -297,16 +296,6 @@ impl ColumnStore {
         self.cols.iter().map(move |c| c[row as usize])
     }
 
-    /// Projected symbols `t[X]` of one row, in `attrs` order.
-    #[inline]
-    pub fn project_syms<'a>(
-        &'a self,
-        row: RowId,
-        attrs: &'a [AttrId],
-    ) -> impl ExactSizeIterator<Item = Sym> + 'a {
-        attrs.iter().map(move |&a| self.sym(row, a))
-    }
-
     /// Projected values of one row, in `attrs` order (borrowed).
     #[inline]
     pub fn project_values<'a>(
@@ -373,88 +362,6 @@ impl ColumnStore {
         let fresh = self.tids.insert(tid, row);
         debug_assert!(fresh, "contains() checked above");
         Ok(row)
-    }
-
-    /// Batched ingest of `rows` — equivalent to one [`ColumnStore::insert`]
-    /// per row, but built for loaders:
-    ///
-    /// * validation happens up front (arity, duplicates against the store
-    ///   *and* within the batch), so errors leave the store untouched;
-    /// * columns are reserved once and appended **column-major** — one
-    ///   contiguous `u32` run per attribute instead of `arity` scattered
-    ///   pushes per row;
-    /// * interning runs through a per-load [`InternCache`]: repeats pay a
-    ///   flat-table probe and a local counter instead of a global-map
-    ///   probe plus a refcount write, and the counts are applied to the
-    ///   pool in one step per distinct value at the end.
-    ///
-    /// New rows always extend the arena; the free list is left to
-    /// single-row inserts.
-    pub fn bulk_load(&mut self, rows: &[(Tid, Vec<Value>)]) -> Result<(), RelError> {
-        // Duplicates within the batch: strictly increasing tids (the
-        // common loader shape) imply distinctness for free; otherwise a
-        // set takes over from the first inversion.
-        let mut batch = FxHashSet::default();
-        let mut prev: Option<Tid> = None;
-        let mut sorted = true;
-        for (i, (tid, vals)) in rows.iter().enumerate() {
-            if vals.len() != self.arity {
-                return Err(RelError::ArityMismatch {
-                    expected: self.arity,
-                    got: vals.len(),
-                });
-            }
-            if self.contains(*tid) {
-                return Err(RelError::DuplicateTid(*tid));
-            }
-            if sorted && prev.is_some_and(|p| p >= *tid) {
-                sorted = false;
-                batch.reserve(rows.len());
-                batch.extend(rows[..i].iter().map(|(t, _)| *t));
-            }
-            if !sorted && !batch.insert(*tid) {
-                return Err(RelError::DuplicateTid(*tid));
-            }
-            prev = Some(*tid);
-        }
-        let base = self.row_tids.len() as RowId;
-        // Upper-bounded pre-size: skewed loads (the common case) have far
-        // fewer distinct values than rows, and an all-distinct load past
-        // the cap just grows amortized as usual.
-        self.pool.reserve(rows.len().min(1 << 16));
-        // Sample size for the per-column skew probe, and the distinct
-        // fraction above which the cache is judged not to pay.
-        const SAMPLE: usize = 256;
-        for (a, col) in self.cols.iter_mut().enumerate() {
-            col.reserve(rows.len());
-            // Per-column cache: domains are disjoint across attributes,
-            // and a per-column decision can bypass it where it loses.
-            let mut cache = InternCache::with_capacity(rows.len().min(1 << 14));
-            let probe = rows.len().min(SAMPLE);
-            for (_, vals) in &rows[..probe] {
-                col.push(cache.acquire(&mut self.pool, &vals[a]));
-            }
-            if cache.distinct() * 4 > probe * 3 {
-                // Nearly all distinct (keys, serial numbers): every probe
-                // is a miss, so intern the rest of the column directly.
-                for (_, vals) in &rows[probe..] {
-                    col.push(self.pool.acquire(&vals[a]));
-                }
-            } else {
-                for (_, vals) in &rows[probe..] {
-                    col.push(cache.acquire(&mut self.pool, &vals[a]));
-                }
-            }
-            cache.flush_refs(&mut self.pool);
-            self.null_counts[a] += rows.iter().filter(|(_, vals)| vals[a].is_null()).count() as u64;
-        }
-        self.row_tids.reserve(rows.len());
-        for (i, (tid, _)) in rows.iter().enumerate() {
-            self.row_tids.push(*tid);
-            let fresh = self.tids.insert(*tid, base + i as RowId);
-            debug_assert!(fresh, "pre-validated above");
-        }
-        Ok(())
     }
 
     /// Delete `tid`: release its dictionary references and recycle the row.
@@ -556,11 +463,8 @@ mod tests {
         s.insert(1, [&Value::Null, &v("x")]).unwrap();
         s.insert(2, [&v("a"), &Value::Null]).unwrap();
         assert_eq!((s.null_count(0), s.null_count(1)), (1, 1));
-        s.bulk_load(&[
-            (3, vec![Value::Null, Value::Null]),
-            (4, vec![v("b"), v("y")]),
-        ])
-        .unwrap();
+        s.insert(3, [&Value::Null, &Value::Null]).unwrap();
+        s.insert(4, [&v("b"), &v("y")]).unwrap();
         assert_eq!((s.null_count(0), s.null_count(1)), (2, 2));
         s.delete(1).unwrap();
         s.delete(3).unwrap();
@@ -592,76 +496,6 @@ mod tests {
         ));
         assert_eq!(s.pool().len(), pool_before, "no leaked dictionary refs");
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn bulk_load_equivalent_to_insert_loop() {
-        let rows: Vec<(Tid, Vec<Value>)> = (0..200u64)
-            .map(|i| {
-                (
-                    i,
-                    vec![v(&format!("a-{}", i % 7)), v(&format!("b-{}", i % 13))],
-                )
-            })
-            .collect();
-        let mut looped = ColumnStore::new(2);
-        for (tid, vals) in &rows {
-            looped.insert(*tid, vals.iter()).unwrap();
-        }
-        let mut bulk = ColumnStore::new(2);
-        bulk.bulk_load(&rows).unwrap();
-        assert_eq!(bulk.len(), looped.len());
-        assert_eq!(bulk.pool().len(), looped.pool().len());
-        for (tid, _) in &rows {
-            let (rb, rl) = (bulk.row_of(*tid).unwrap(), looped.row_of(*tid).unwrap());
-            for a in 0..2 {
-                assert_eq!(bulk.value(rb, a), looped.value(rl, a));
-                assert_eq!(bulk.pool().refs(bulk.sym(rb, a)), {
-                    looped.pool().refs(looped.sym(rl, a))
-                });
-            }
-        }
-        // Deleting everything drains the dictionary — refcounts balanced.
-        for (tid, _) in &rows {
-            bulk.delete(*tid).unwrap();
-        }
-        assert!(bulk.pool().is_empty());
-    }
-
-    #[test]
-    fn bulk_load_validates_before_mutating() {
-        let mut s = ColumnStore::new(2);
-        s.insert(5, [&v("live"), &v("row")]).unwrap();
-        let pool_before = s.pool().len();
-        // Duplicate against the store.
-        let dup_store = vec![(9, vec![v("x"), v("y")]), (5, vec![v("x"), v("y")])];
-        assert!(matches!(
-            s.bulk_load(&dup_store),
-            Err(RelError::DuplicateTid(5))
-        ));
-        // Duplicate within the batch.
-        let dup_batch = vec![(7, vec![v("x"), v("y")]), (7, vec![v("z"), v("w")])];
-        assert!(matches!(
-            s.bulk_load(&dup_batch),
-            Err(RelError::DuplicateTid(7))
-        ));
-        // Arity mismatch anywhere in the batch.
-        let bad_arity = vec![(8, vec![v("x"), v("y")]), (9, vec![v("only-one")])];
-        assert!(matches!(
-            s.bulk_load(&bad_arity),
-            Err(RelError::ArityMismatch {
-                expected: 2,
-                got: 1
-            })
-        ));
-        assert_eq!(s.len(), 1, "failed loads mutate nothing");
-        assert_eq!(s.pool().len(), pool_before);
-        // Loading after single inserts and vice versa stays consistent.
-        s.bulk_load(&[(9, vec![v("x"), v("y")])]).unwrap();
-        s.insert(10, [&v("x"), &v("tail")]).unwrap();
-        assert_eq!(s.len(), 3);
-        let order: Vec<Tid> = s.rows().map(|(t, _)| t).collect();
-        assert_eq!(order, vec![5, 9, 10]);
     }
 
     /// Everything a clone must carry over: rows, row ids and symbols, free
@@ -718,10 +552,8 @@ mod tests {
         let mut s = ColumnStore::new(3);
         s.insert(7, [&v("p"), &v("q"), &v("r")]).unwrap();
         let row = s.row_of(7).unwrap();
-        let syms: Vec<Sym> = s.project_syms(row, &[2, 0]).collect();
-        assert_eq!(syms, vec![s.sym(row, 2), s.sym(row, 0)]);
-        let vals: Vec<&Value> = s.project_values(row, &[1]).collect();
-        assert_eq!(vals, vec![&v("q")]);
+        let vals: Vec<&Value> = s.project_values(row, &[2, 0]).collect();
+        assert_eq!(vals, vec![&v("r"), &v("p")]);
         assert_eq!(s.row_syms(row).len(), 3);
         assert_eq!(s.tid_of(row), 7);
     }

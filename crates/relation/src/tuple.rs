@@ -75,14 +75,6 @@ impl Tuple {
     pub fn wire_size(&self) -> usize {
         8 + self.values.iter().map(Value::wire_size).sum::<usize>()
     }
-
-    /// Wire size of a projection of this tuple.
-    pub fn wire_size_of(&self, attrs: &[AttrId]) -> usize {
-        8 + attrs
-            .iter()
-            .map(|&a| self.values[a as usize].wire_size())
-            .sum::<usize>()
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -131,7 +123,6 @@ mod tests {
         let t = t();
         // 8 (tid) + 8 (int) + (4+4) (Adam) + (4+3) (EDI)
         assert_eq!(t.wire_size(), 8 + 8 + 8 + 7);
-        assert_eq!(t.wire_size_of(&[0]), 16);
     }
 
     #[test]

@@ -61,19 +61,19 @@ pub fn dblp_schema() -> Arc<Schema> {
 }
 
 /// Ground-truth functions for the venue hierarchy.
-pub mod truth {
+pub(crate) mod truth {
     /// Venue name of a venue key.
-    pub fn venue_name(venuekey: i64) -> String {
+    pub(crate) fn venue_name(venuekey: i64) -> String {
         format!("VENUE_{venuekey:04}")
     }
 
     /// Publisher of a venue.
-    pub fn publisher_of_venue(venuekey: i64) -> String {
+    pub(crate) fn publisher_of_venue(venuekey: i64) -> String {
         format!("PUBLISHER_{}", (venuekey % 20).abs())
     }
 
     /// Year of (venue, volume).
-    pub fn year_of_volume(venuekey: i64, volume: i64) -> i64 {
+    pub(crate) fn year_of_volume(venuekey: i64, volume: i64) -> i64 {
         1970 + ((venuekey * 7 + volume) % 55).abs()
     }
 }

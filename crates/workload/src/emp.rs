@@ -236,14 +236,14 @@ impl Default for EmpConfig {
 }
 
 /// Ground-truth functions for the scaled EMP hierarchy.
-pub mod truth {
+pub(crate) mod truth {
     /// Zip code of a zip index.
-    pub fn zip_code(zip_idx: i64) -> String {
+    pub(crate) fn zip_code(zip_idx: i64) -> String {
         format!("EH{zip_idx:03} {}XX", zip_idx % 9)
     }
 
     /// Street determined by a zip (the clean φ1 right-hand side).
-    pub fn street_of_zip(zip_idx: i64) -> String {
+    pub(crate) fn street_of_zip(zip_idx: i64) -> String {
         format!("Street-{zip_idx:04}")
     }
 }

@@ -90,17 +90,17 @@ pub mod truth {
     use super::*;
 
     /// Nation of a nation key.
-    pub fn nation_name(nationkey: i64) -> String {
+    pub(crate) fn nation_name(nationkey: i64) -> String {
         format!("NATION_{nationkey:02}")
     }
 
     /// Region of a nation.
-    pub fn region_of_nation(nationkey: i64) -> String {
+    pub(crate) fn region_of_nation(nationkey: i64) -> String {
         format!("REGION_{}", (nationkey as usize) % N_REGIONS)
     }
 
     /// Nation key of a customer.
-    pub fn nation_of_cust(custkey: i64) -> i64 {
+    pub(crate) fn nation_of_cust(custkey: i64) -> i64 {
         (custkey % N_NATIONS as i64).abs()
     }
 
@@ -110,27 +110,27 @@ pub mod truth {
     }
 
     /// Market segment of a customer.
-    pub fn segment_of_cust(custkey: i64) -> &'static str {
+    pub(crate) fn segment_of_cust(custkey: i64) -> &'static str {
         SEGMENTS[(custkey as usize) % SEGMENTS.len()]
     }
 
     /// Brand of a part.
-    pub fn brand_of_part(partkey: i64) -> String {
+    pub(crate) fn brand_of_part(partkey: i64) -> String {
         format!("Brand#{}", (partkey % 45).abs() + 10)
     }
 
     /// Type of a part.
-    pub fn type_of_part(partkey: i64) -> String {
+    pub(crate) fn type_of_part(partkey: i64) -> String {
         format!("TYPE_{}", (partkey % 150).abs())
     }
 
     /// Container of a part.
-    pub fn container_of_part(partkey: i64) -> String {
+    pub(crate) fn container_of_part(partkey: i64) -> String {
         format!("CONTAINER_{}", (partkey % 40).abs())
     }
 
     /// Nation of a supplier.
-    pub fn nation_of_supp(suppkey: i64) -> String {
+    pub(crate) fn nation_of_supp(suppkey: i64) -> String {
         nation_name((suppkey % N_NATIONS as i64).abs())
     }
 }

@@ -32,14 +32,14 @@ fn all_four_baselines_agree_with_oracle_on_tpch() {
     let vs = tpch::vertical_scheme(&s, 6);
     let hs = tpch::horizontal_scheme(&s, 6);
 
-    let bv = baselines::bat_ver(&cfds, &vs, &d);
+    let bv = baselines::bat_ver(&cfds, &vs, &d, TransportKind::Simulated).unwrap();
     assert_eq!(
         bv.violations.marks_sorted(),
         oracle.marks_sorted(),
         "batVer"
     );
 
-    let bh = baselines::bat_hor(&cfds, &hs, &d);
+    let bh = baselines::bat_hor(&cfds, &hs, &d, TransportKind::Simulated).unwrap();
     assert_eq!(
         bh.violations.marks_sorted(),
         oracle.marks_sorted(),
@@ -53,7 +53,7 @@ fn all_four_baselines_agree_with_oracle_on_tpch() {
         "ibatVer"
     );
 
-    let ih = baselines::ibat_hor(s, cfds, hs, &d).unwrap();
+    let ih = baselines::ibat_hor(s, cfds, hs, &d, TransportKind::Simulated).unwrap();
     assert_eq!(
         ih.violations.marks_sorted(),
         oracle.marks_sorted(),
@@ -77,11 +77,17 @@ fn baselines_agree_with_oracle_on_dblp() {
     let vs = dblp::vertical_scheme(&s, 5);
     let hs = dblp::horizontal_scheme(&s, 5);
     assert_eq!(
-        baselines::bat_ver(&cfds, &vs, &d).violations.marks_sorted(),
+        baselines::bat_ver(&cfds, &vs, &d, TransportKind::Simulated)
+            .unwrap()
+            .violations
+            .marks_sorted(),
         oracle.marks_sorted()
     );
     assert_eq!(
-        baselines::bat_hor(&cfds, &hs, &d).violations.marks_sorted(),
+        baselines::bat_hor(&cfds, &hs, &d, TransportKind::Simulated)
+            .unwrap()
+            .violations
+            .marks_sorted(),
         oracle.marks_sorted()
     );
 }

@@ -113,7 +113,7 @@ fn batch_grows_with_base_but_incremental_does_not() {
 
         let mut d_new = d.clone();
         delta.normalize(&d).apply(&mut d_new).unwrap();
-        let out = baselines::bat_ver(&cfds, &scheme, &d_new);
+        let out = baselines::bat_ver(&cfds, &scheme, &d_new, TransportKind::Simulated).unwrap();
         bat_bytes.push(out.meters.modeled.total_bytes());
     }
     // Batch grows roughly with |D| (4× base → ~4× shipment).
@@ -392,7 +392,7 @@ fn assert_census_returned(start: StateCensus, peak: StateCensus, end: StateCensu
     );
 }
 
-/// ROADMAP item 6, memory half, for the §6 group state: a seeded stream
+/// The §6 group state is bounded by the live data: a seeded stream
 /// that quadruples the relation, rewrites and deletes base tuples, and
 /// then walks back to the starting relation leaves the group state where
 /// it started — the same groups, classes, memberships and spills, the

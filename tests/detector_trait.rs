@@ -170,6 +170,73 @@ fn delta_v_nets_out_remove_then_readd_within_one_batch() {
     }
 }
 
+/// An empty batch, and one whose ops cancel out, change nothing in any
+/// strategy on any transport: `ΔV` is empty and `V` and `D` stay put.
+/// The incremental strategies send nothing for them, modeled or measured.
+/// The batch baselines recompute over `D` anyway, at a pinned cost per
+/// batch.
+#[test]
+fn an_empty_or_self_cancelling_batch_moves_nothing() {
+    let (schema, d0) = workload::emp::emp_relation();
+    let sigma = workload::emp::emp_cfds(&schema);
+    let vscheme = workload::emp::emp_vertical_scheme(&schema);
+    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
+    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
+    let empty = UpdateBatch::new();
+    let mut cancelling = UpdateBatch::new();
+    cancelling.insert(workload::emp::t6());
+    cancelling.delete(workload::emp::t6().tid);
+    // A baseline's recompute per batch: modeled messages and bytes, and
+    // the bytes measured on a byte transport (`ibatVer`'s vertical
+    // detector runs simulated whatever the transport).
+    let recompute = |strategy: &str| match strategy {
+        "batVer" => Some((2, 154, Some(183))),
+        "batHor" => Some((2, 146, Some(178))),
+        "ibatVer" => Some((11, 120, None)),
+        "ibatHor" => Some((10, 312, Some(406))),
+        _ => None,
+    };
+
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(&schema, &sigma, &vscheme, &hscheme, &yscheme, opt);
+    for transport in [
+        TransportKind::Simulated,
+        TransportKind::Framed,
+        TransportKind::Tcp,
+    ] {
+        for (name, suite) in &suites {
+            let built = suite.clone().transport(transport).build_detector(&d0);
+            let mut det = built.unwrap_or_else(|e| panic!("{name} over {transport:?}: {e}"));
+            let v = det.violations().marks_sorted();
+            let d: Vec<Tuple> = det.current().iter().collect();
+            for (what, batch) in [("empty", &empty), ("self-cancelling", &cancelling)] {
+                let at = format!("{name} over {transport:?}, {what} batch");
+                det.reset_stats();
+                let dv = det.apply(batch).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(dv.is_empty(), "{at}: ΔV {dv:?}");
+                assert_eq!(det.violations().marks_sorted(), v, "{at}: V moved");
+                assert_eq!(det.current().iter().collect::<Vec<_>>(), d, "{at}: D moved");
+                let net = det.net();
+                let modeled = (net.total_messages(), net.total_bytes());
+                match recompute(name) {
+                    None => {
+                        assert_eq!(modeled, (0, 0), "{at}: modeled");
+                        let sent = net
+                            .measured()
+                            .map(|m| (m.total_messages(), m.total_bytes()));
+                        assert_eq!(sent.unwrap_or_default(), (0, 0), "{at}: measured");
+                    }
+                    Some((messages, bytes, wire)) => {
+                        assert_eq!(modeled, (messages, bytes), "{at}: modeled");
+                        let wire = wire.filter(|_| transport != TransportKind::Simulated);
+                        assert_eq!(net.measured_bytes(), wire, "{at}: measured");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn net_report_is_normalized_across_strategies() {
     let (schema, d0) = workload::emp::emp_relation();

@@ -143,14 +143,16 @@ fn batch_coordinators_ship_columns() {
     let vs = tpch::vertical_scheme(&schema, 10);
     let hs = tpch::horizontal_scheme(&schema, 10);
     assert_eq!(
-        baselines::bat_ver(&cfds, &vs, &d)
+        baselines::bat_ver(&cfds, &vs, &d, TransportKind::Simulated)
+            .unwrap()
             .meters
             .modeled
             .total_bytes(),
         47_699
     );
     assert_eq!(
-        baselines::bat_hor(&cfds, &hs, &d)
+        baselines::bat_hor(&cfds, &hs, &d, TransportKind::Simulated)
+            .unwrap()
             .meters
             .modeled
             .total_bytes(),

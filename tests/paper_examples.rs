@@ -127,7 +127,7 @@ fn example1_batch_needs_shipment_where_incremental_does_not() {
     let (schema, mut d, sigma) = setup();
     d.insert(workload::emp::t6()).unwrap();
     let scheme = workload::emp::emp_horizontal_scheme(&schema);
-    let out = incdetect::baselines::bat_hor(&sigma, &scheme, &d);
+    let out = incdetect::baselines::bat_hor(&sigma, &scheme, &d, TransportKind::Simulated).unwrap();
     assert!(out.meters.modeled.total_bytes() > 0);
     assert_eq!(out.violations.tids_sorted(), vec![1, 3, 4, 5, 6]);
 }
@@ -152,8 +152,8 @@ fn batch_and_incremental_agree_after_example_updates() {
     assert_eq!(vdet.violations().marks_sorted(), oracle.marks_sorted());
     assert_eq!(hdet.violations().marks_sorted(), oracle.marks_sorted());
 
-    let bv = incdetect::baselines::bat_ver(&sigma, &vscheme, &d);
-    let bh = incdetect::baselines::bat_hor(&sigma, &hscheme, &d);
+    let bv = incdetect::baselines::bat_ver(&sigma, &vscheme, &d, TransportKind::Simulated).unwrap();
+    let bh = incdetect::baselines::bat_hor(&sigma, &hscheme, &d, TransportKind::Simulated).unwrap();
     assert_eq!(bv.violations.marks_sorted(), oracle.marks_sorted());
     assert_eq!(bh.violations.marks_sorted(), oracle.marks_sorted());
 }

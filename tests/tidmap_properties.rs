@@ -1,6 +1,6 @@
 //! Property tests for `relation::store::TidMap` — specifically the
 //! overflow tree behind the dense window, which production workloads never
-//! touched (ROADMAP: "untested at scale"): sparse 64-bit tids, the
+//! touched: sparse 64-bit tids, the
 //! dense-window growth that migrates overflow entries in, and the ordering
 //! invariant across both regimes.
 
