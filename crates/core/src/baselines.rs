@@ -875,6 +875,9 @@ macro_rules! batch_detector {
 
             fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
                 let delta = crate::detector::admit(&self.current, delta)?;
+                if delta.ops().is_empty() {
+                    return Ok(DeltaV::default());
+                }
                 self.scheme.check_rows(delta.insertions())?;
                 delta.apply(&mut self.current)?;
                 let $self_ = &*self;

@@ -31,10 +31,9 @@
 //! update. The runtime applies the rule in two steps, `Take` → `Deferred`
 //! → `Waves`:
 //!
-//! 1. **Settle pass.** Every site gets its slice of the batch in batch
-//!    order and walks it once (the machine's `settle` step), the
-//!    coordinator — site 0, just another site that also happens to own the
-//!    batch — from the borrowed batch. A class-preserving update that
+//! 1. **Settle pass.** Every site, site 0 among them, gets its slice of
+//!    the batch in batch order and walks it once (the machine's `settle`
+//!    step). A class-preserving update that
 //!    commutes with every update deferred before it is applied on the
 //!    spot; everything else is *deferred* untouched. Class sizes change
 //!    only through the home site's own updates, in slice order — counted
@@ -67,15 +66,12 @@
 //! Every round thus opens with the payload, towards the peers, and to the
 //! replies it would have had in batch order — the differential suites
 //! compare the full per-link traffic matrix — while barrier rounds stop
-//! scaling with batch size ÷ smallest key cardinality: `tpch_rules` keys
-//! one operator on 25 nations, so no footprint-only wave held more than
-//! 25 updates; of `thr_tcp_batch`'s updates over 90 % settle on arrival.
-//! [`ConcurrentHorizontal::waves`] counts those barrier rounds, coordinator
-//! round trips every site waits out: per non-empty batch the settle
-//! handshake and one per wave. With fewer cores than sites (the reference
-//! box has two for four sites) pipelining within a wave is what turns a
-//! context switch per frame into one per burst of frames; with a core per
-//! site it is what lets the sites work at once.
+//! scaling with batch size ÷ smallest key cardinality (`tpch_rules` keys
+//! one operator on 25 nations; over 90 % of `thr_tcp_batch`'s updates
+//! settle on arrival). [`ConcurrentHorizontal::waves`] counts the barrier
+//! rounds: per non-empty batch the settle handshake and one per wave. With
+//! fewer cores than sites, pipelining within a wave turns a context switch
+//! per frame into one per burst of frames.
 //!
 //! # The build
 //!
@@ -114,123 +110,106 @@
 //! the full per-link modeled byte matrix.
 //!
 //! Since every byte of a control frame is overhead, the frames are
-//! written compactly (varints, bit and per-frame dictionary columns —
-//! layouts in the `ctrl` module docs; larger frames are then LZ-packed
-//! by the node whatever the session codec), and no frame carries what its
-//! receiver can have without it. `ΔD_i` enters at `S_i`, as in the paper:
-//! a site *thread* is in the caller's process, so the coordinator hands it
-//! its slice in memory — into the site's inlet, an in-process channel
-//! whose rows share their values with the batch — and sends a one-byte
-//! `Take`; no row crosses a link. Only a site *process*, whose one way in
-//! is its links, gets an `Ops` frame, written straight from the borrowed
-//! batch. A site cuts its batch image on the last barrier release (or on
-//! a schedule of no waves), so there is no `Collect`. Sizes on the wire,
-//! old fixed-width row format behind a 5-byte frame header → current
-//! body behind its one-varint header (1 byte below a 64-byte body, 2
-//! below 8 KiB; [`cluster::net::frame`]), measured on `thr_tcp_batch`
-//! seed 1 (4 sites, 16-column TPCH rows, 256-op batches, so ≈ 64 ops a
-//! slice, 5 to 6 of them deferred, and ≈ 165 `ΔV` marks an image; 879
-//! frames of each per-batch kind a round):
+//! written compactly (layouts in the `ctrl` module docs; larger frames are
+//! then LZ-packed by the node whatever the session codec), and no frame
+//! carries what its receiver can have without it. `ΔD_i` enters at `S_i`,
+//! as in the paper: a site *thread* is in the caller's process, so the
+//! coordinator hands it its slice in memory — into the site's inlet, an
+//! in-process channel whose rows share their values with the batch — and
+//! sends a one-byte `Take`; no row crosses a link. Only a site *process*,
+//! whose one way in is its links, gets an `Ops` frame, written straight
+//! from the batch. A site cuts its batch image on the last barrier release
+//! (or on a schedule of no waves), so there is no `Collect`. Sizes on the
+//! wire, header included (one varint: 1 byte below a 64-byte body, 2 below
+//! 8 KiB; [`cluster::net::frame`]), on `thr_tcp_batch` seed 1 (4 sites,
+//! 16-column TPCH rows, 256-op batches, so ≈ 64 ops a slice, 5 to 6 of
+//! them deferred, and ≈ 165 `ΔV` marks an image):
 //!
-//! | frame                     | was (B)           | is (B), header included   |
-//! |---------------------------|-------------------|---------------------------|
-//! | `Ack`, `Shutdown`         | 5 + 1             | 1 + 1                     |
-//! | `AckN(k)`                 | 5 + 5             | 1 + 1 + varint `k` (3)    |
-//! | `WaveDone` / `WaveAdvance`| 5 + 5             | 1 + 1 + varint wave (3)   |
-//! | `RtFrame::Piggy` envelope | + 5             | + 1 + varint `k` (+ 2)    |
-//! | `Take`, site threads only | — (an `Ops` frame) | 1 + 1                    |
-//! | `Ops`, ≈ 64-op slice, site processes only | 5 + 9 452 mean | 2 + 3 843 mean, 2 + 2 483 packed |
-//! | `Deferred`                | —                 | 1 + 42.2 mean, 41.9 packed; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete (3 keys under these rules) |
-//! | `Waves`                   | —                 | 1 + 8.4 mean; 3 + 1 per deferred update |
-//! | `Failed`                  | —                 | 1–2 + 2 + the error's text |
-//! | `Built`                   | —                 | 1 + 17 + two varints; once a site and session |
-//! | `BatchResult`             | 5 + 2 791 mean, 833 + 12/mark | 2 + 197.5 mean, 2 + 182.1 packed; ≈ 1.2 a mark |
-//! | `Gather`, between batches | —                 | 1 + 1; answered by an `Ops` frame of the fragment, 3 + 481 096 mean, 3 + 398 419 packed |
-//! | `Meters`, between batches | —                 | 1 + 1; answered by a `Metered` frame of the site's row, 1 + 61 mean |
+//! | frame | bytes |
+//! |---|---|
+//! | `Ack`, `Shutdown`, `Take` (site threads), `Gather`, `Meters` | 1 + 1 |
+//! | `AckN(k)`, `WaveDone`, `WaveAdvance`; a `Piggy` envelope | 1 + 1 + a varint (3); + 1 + a varint |
+//! | `Ops`, ≈ 64-op slice (site processes) | 2 + 3 843 mean, 2 + 2 483 packed |
+//! | `Deferred` | 1 + 42.2 mean; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete |
+//! | `Waves` | 1 + 8.4 mean; 3 + 1 per deferred update |
+//! | `BatchResult` | 2 + 197.5 mean, 2 + 182.1 packed; ≈ 1.2 a mark |
+//! | `Failed`; `Built`, once a session | 1–2 + 2 + the error's text; 1 + 17 + two varints |
+//! | a fragment; `Metered` | 3 + 481 096 mean, 398 419 packed; 1 + 61 mean |
 //!
-//! **The gather.** [`Detector::current`] — and the fallible
+//! **The gathers.** [`Detector::current`] — and the fallible
 //! `ConcurrentHorizontal::gather` behind it — sends every site a tag-only
 //! `Gather`; each answers with its fragment in tid order, in the `Ops`
-//! frame's insert layout, and the coordinator joins the fragments to site
-//! 0's, each row checked against its home. Like the `Built` handshake, the
-//! exchange reads `D` and belongs to no batch: both ends take it off their
-//! meters, so no number a batch reports moves. `current()` keeps what it
-//! gathered until the next `apply`; a gather that fails leaves it empty,
-//! and its error for that `apply` to return.
+//! frame's insert layout, each row checked against its home. Likewise
+//! [`ConcurrentHorizontal::meters`] — and `net()` and `reset_stats()` —
+//! sends a tag-only `Meters`; each site answers with its row of the
+//! modeled and wire matrices, its transport counters and its received
+//! bytes (`MeterImage`), each cell checked to be a link out of it, and
+//! zeroes them: a batch image carries `ΔV` and nothing else. Like the
+//! `Built` handshake, these exchanges belong to no batch: both ends take
+//! them off their meters, so the `wire` of `meters()` is every byte the
+//! nodes wrote for batches, and its `received` — counted independently on
+//! the inboxes — equals it between batches. What a gather got is kept
+//! until the next `apply`; one that fails leaves its error for that
+//! `apply` to return.
 //!
-//! **The one wait.** A runner waits for control frames in one place,
-//! serving protocol requests meanwhile (except in the coordinator's
-//! exchanges between batches, which take the answer alone). Where the
-//! coordinator needs an answer from every site it takes one from each,
-//! once; a `WaveDone` counts only for the wave it runs, at the barrier or
-//! during its own share of the wave. The decoder knows who may send what:
-//! acks and `Failed` aside, only the coordinator sends `Take`, an `Ops`
-//! slice, `Waves`, `WaveAdvance`, `Gather`, `Meters` and `Shutdown`, and
-//! only a site sends the coordinator `Deferred`, `WaveDone`,
-//! `BatchResult`, `Built`, `Metered` and a fragment; any other frame is
-//! refused naming its link. A site that fails says so before it goes:
-//! `SiteRunner::serve` sends its error to the coordinator as a
-//! best-effort `Failed`, which ends whatever the coordinator waits for at
-//! once, not at a receive timeout a minute later.
+//! # The machines and the one loop
 //!
-//! **The meters.** A batch image carries `ΔV` and nothing else. Each node
-//! meters every frame it writes and reads, its own `BatchResult` included,
-//! and its site keeps that block across batches.
-//! [`ConcurrentHorizontal::meters`] — and `net()` and `reset_stats()`
-//! behind it — sends every site a tag-only `Meters`; each answers with its row of the modeled and wire
-//! matrices, its transport counters and its received bytes
-//! (`MeterImage`), and zeroes them. As with the gather of `D`, both ends
-//! take the exchange off their meters, each cell is checked to be a link
-//! out of its site, and the merged block is kept until the next `apply`
-//! (a request that fails, its error for that `apply`). So the `wire` of
-//! `meters()` is every byte the nodes wrote, and its `received` — counted
-//! independently on the inboxes — must equal it between batches.
+//! A site and the coordinator are sans-IO machines. `on_frame` steps one
+//! by one frame and never blocks: it sends through the node, which queues
+//! and meters a frame but never parks. A site goes idle → scheduled (its
+//! `Deferred` sent) → a wave (beginning updates while fewer than `WINDOW`
+//! rounds are open) → its barrier; the coordinator goes settle → a wave →
+//! collection, taking one answer from every site in each, once. Each is
+//! one `match (phase, frame)` behind one check of who may send what: acks
+//! and `Failed` aside, only the coordinator sends `Take`, an `Ops` slice,
+//! `Waves`, `WaveAdvance`, `Gather`, `Meters` and `Shutdown`, and only a
+//! site sends the coordinator `Deferred`, `WaveDone`, `BatchResult`,
+//! `Built`, `Metered` and a fragment. A frame its phase does not take is
+//! refused naming the link. Site 0 is an ordinary site machine beside the
+//! coordinator's: the coordinator calls it with the same `CtrlMsg` it
+//! sends the others, and its answers come back as return values, never as
+//! frames. One loop receives — a frame off the inbox, or flush and park
+//! for one — and feeds it to the machine; the exchanges between batches
+//! are phases over it that take their answer alone. So the same machines
+//! also run stepped on one thread, in an order a test chooses. A site
+//! that fails says so before it goes: `SiteRunner::serve` sends its error
+//! to the coordinator as a best-effort `Failed`, which ends whatever the
+//! coordinator waits for at once, not at a receive timeout a minute later.
 //!
 //! # Piggybacked cumulative acks, flushed on idle
 //!
-//! Pipelining needs every round closed eventually, but a per-round ack
-//! frame for each silent request is pure overhead when several rounds
-//! could share one. A serving site therefore *accumulates* an owed-ack
-//! counter per requesting peer and closes many silent rounds at once,
-//! over two vehicles. While traffic flows, the count rides for free:
-//! every outbound protocol frame towards a peer with a non-zero owed
-//! counter is wrapped in a `RtFrame::Piggy` envelope (two structural
-//! bytes below 128 owed rounds; the carried message's modeled `|M|` is
-//! untouched) whose cumulative ack pops the `k` oldest outstanding
-//! rounds at the receiver *before* the payload is matched — the owed
-//! rounds are strictly older, so FIFO reply matching is preserved by
-//! construction. When the inbox goes quiet — [`Node::try_recv`] finds
-//! nothing and the site is about to block — all owed counters flush as
-//! one standalone frame per peer (`CtrlMsg::Ack` for a single round,
-//! two wire bytes with its header, as many as the envelope it would have
-//! ridden in; `CtrlMsg::AckN` when several rounds batch up).
+//! A per-round ack frame for each silent request is pure overhead when
+//! several rounds could share one, so a serving site *accumulates* an
+//! owed-ack counter per requesting peer. While traffic flows, the count
+//! rides every protocol frame towards that peer in a `RtFrame::Piggy`
+//! envelope (the carried message's modeled `|M|` is untouched), whose
+//! cumulative ack pops the `k` oldest outstanding rounds at the receiver
+//! *before* the payload is matched — the owed rounds are strictly older,
+//! so FIFO reply matching holds. When the inbox goes quiet, all owed
+//! counters flush as one standalone frame per peer (`CtrlMsg::Ack` for a
+//! single round, as small as the envelope it would have ridden in;
+//! `CtrlMsg::AckN` when several batch up).
 //!
 //! # Flush before you park
 //!
-//! Two things are held back while a site is busy: owed acks (above) and,
-//! on TCP, the frames themselves — a node's write halves are buffered,
-//! so a burst of probes, barrier frames and acks towards one peer costs
-//! one `write`, not one each. Both are released at the same place and
-//! for the same reason. A site parks in exactly one spot, the blocking
-//! receive under the runner's frame pump; right before it, the runner
-//! flushes what it owes and [`Node::recv`] / [`Node::recv_opt`] — which
-//! enforce the invariant themselves, see the [`cluster::run`] module docs
-//! — flush the sockets. So a blocked site
-//! has nothing withheld, and a cycle of sites each waiting on a frame
-//! another still buffers (or an ack another still owes) cannot form; no
-//! demand/poll round-trip is ever needed. (A site thread's inlet is no
-//! second parking spot: its slice is in it before the `Take` is sent.)
-//! The coordinator adds three flushes that are not parks but hand-offs —
-//! after handing out the slices (`Take` or `Ops`), after shipping the
-//! `Waves` frames and after releasing a barrier — so the sites start
-//! while it turns to its own serial work (its settle pass, the homes of
-//! the batch), and one before it joins the site threads on drop (a wait
-//! that is not on its inbox); a failing site flushes its `Failed` before
-//! it returns.
+//! Two things are held back while a site is busy: owed acks and, on TCP,
+//! the frames themselves — a node's write halves are buffered, so a burst
+//! towards one peer costs one `write`. Both are released in the one loop,
+//! the one place a machine parks: right before its blocking receive it
+//! flushes what it owes, and [`Node::recv`] / [`Node::recv_opt`] flush the
+//! sockets (see the [`cluster::run`] module docs). So a blocked site has
+//! nothing withheld, and a cycle of sites each waiting on a frame another
+//! still buffers (or an ack another still owes) cannot form. (A site
+//! thread's inlet is no second parking spot: its slice is in it before the
+//! `Take` is sent.) The coordinator adds three flushes that are hand-offs,
+//! not parks — after the slices, after `Waves` and after releasing a
+//! barrier, each before site 0's serial work — and one before it joins the
+//! site threads on drop; a failing site flushes its `Failed` before it
+//! returns.
 
 use crate::detector::{DetectError, Detector};
-use crate::horizontal::order::{Deferrals, WavePlanner};
-use crate::horizontal::site::{Round, Site};
+use crate::horizontal::order::{Deferrals, DeferredList, WavePlanner};
+use crate::horizontal::site::{Round, Site, SiteConfig};
 use crate::horizontal::{Build, HorMsg};
 use cfd::{Cfd, CfdId, DeltaV, Violations};
 use cluster::codec::CodecKind;
@@ -247,8 +226,6 @@ use std::thread::JoinHandle;
 
 mod ctrl;
 
-use crate::horizontal::order::DeferredList;
-use crate::horizontal::site::SiteConfig;
 use ctrl::encode_ops;
 use ctrl::{BatchImage, BuildPrint, CtrlMsg, MeterImage, RtFrame};
 
@@ -276,14 +253,20 @@ fn site_failed(src: SiteId, cause: &str) -> DetectError {
     proto(format!("site {src} failed: {cause}"))
 }
 
+/// Mark `src` in `seen`, the sites a coordinator phase has heard from,
+/// and say whether every site now has: a second time is `a second
+/// {what}` on its link.
+fn heard(seen: &mut [bool], src: SiteId, what: &str) -> Result<bool, DetectError> {
+    match seen.get_mut(src).map(|seen| std::mem::replace(seen, true)) {
+        Some(false) => Ok(!seen.contains(&false)),
+        _ => Err(bad_link(src, COORD, format!("a second {what}"))),
+    }
+}
+
 /// Check a site's `Deferred` list against the slice it was sent, before
 /// anything is scheduled from it: positions inside the slice, ascending,
 /// and a footprint for each deferred delete.
-fn check_deferred(
-    src: SiteId,
-    deferred: &DeferredList,
-    slice: &[&Update],
-) -> Result<(), DetectError> {
+fn check_deferred(src: SiteId, deferred: &DeferredList, slice: &[&Update]) -> Step {
     let (mut floor, mut deletes) = (0, 0);
     for &(pos, _) in &deferred.updates {
         let Some(op) = slice.get(pos as usize) else {
@@ -337,66 +320,20 @@ pub(crate) fn wave_order(
 }
 
 // ---------------------------------------------------------------------
-// The per-site runner
+// The per-site machine
 // ---------------------------------------------------------------------
 
-/// What one inbound frame came to once [`SiteRunner::pump`] served the
-/// request in it, if any: nothing more; `k` of our rounds towards `src`
-/// closed by acks (an `Ack`, an `AckN(k)`, a served request's envelope);
-/// a reply behind the acks of its envelope; or a control frame its link
-/// may carry, a `Take` turned into the `Ops` of the slice it announces.
-enum Pumped {
-    Served,
-    Acks(SiteId, u32),
-    Reply(SiteId, u32, HorMsg),
-    Ctrl(SiteId, CtrlMsg),
-}
-
-/// Where a runner waits for a control frame, by the words its refusals
-/// use: in a batch, serving protocol requests meanwhile; in one of the
-/// coordinator's exchanges between batches (the build handshake, the
-/// gathers of `D` and of the meters), which take the answer alone; or at
-/// a site between batches, where silence is no fault and what the node
-/// metered is kept before each frame.
-#[derive(Clone, Copy)]
-enum Wait {
-    Batch(&'static str),
-    Between(&'static str),
+/// Where a site is in a batch: between batches; settled, its `Deferred`
+/// sent, awaiting the schedule (with the list it sent, to pair the
+/// schedule with); running its share of wave `w` of `n`; through with
+/// wave `w`, awaiting the barrier's release; shut down.
+#[derive(PartialEq)]
+enum SitePhase {
     Idle,
-}
-
-impl Wait {
-    fn refusal(self) -> DetectError {
-        let (Wait::Batch(at) | Wait::Between(at)) = self else {
-            return proto("unexpected frame while idle");
-        };
-        proto(format!("unexpected frame {at}"))
-    }
-}
-
-/// The payload of a `CtrlMsg::$kind` frame, `None` for any other frame.
-macro_rules! pick {
-    ($kind:ident) => {
-        |msg| match msg {
-            CtrlMsg::$kind(it) => Some(it),
-            _ => None,
-        }
-    };
-}
-
-/// Mark `src` in `seen`, the sites a wait has heard from: a second time
-/// is `a second {what}` on its link to the coordinator.
-fn once(seen: &mut [bool], src: SiteId, what: &str) -> Result<(), DetectError> {
-    match seen.get_mut(src).map(|seen| std::mem::replace(seen, true)) {
-        Some(false) => Ok(()),
-        _ => Err(bad_link(src, COORD, format!("a second {what}"))),
-    }
-}
-
-/// Site `src` is through with wave `x`, and the coordinator runs `w`.
-fn in_wave(src: SiteId, x: u32, w: u32) -> Result<(), DetectError> {
-    let stray = || bad_link(src, COORD, format!("WaveDone({x}) in wave {w}"));
-    (x == w).then_some(()).ok_or_else(stray)
+    Scheduled(Vec<(u32, bool)>),
+    Wave { w: u32, n: u32 },
+    Barrier { w: u32, n: u32 },
+    Down,
 }
 
 /// One outstanding update of the current wave: the peers still to answer
@@ -407,26 +344,18 @@ struct Pending {
     round: Option<Round>,
 }
 
-/// Reply routing for a pipelined wave. Links are FIFO and peers serve
-/// requests in arrival order, so the reply from `src` always belongs to
-/// the *oldest* outstanding round we opened towards `src`.
-struct WaveState<'d> {
-    inflight: Vec<Option<Pending>>,
-    /// Per peer: outstanding round slots, in send order.
-    queues: Vec<VecDeque<usize>>,
-    /// Rounds not yet complete.
-    open: usize,
-    /// The wave, and (coordinator only) the sites through with it.
-    wave: u32,
-    done: &'d mut [bool],
-}
+/// What a site's step has for the coordinator to hear: at the
+/// coordinator's own site, the answer that is a frame anywhere else.
+type Answer = Result<Option<CtrlMsg>, DetectError>;
 
-/// One site of the concurrent runtime: the §6 `Site` machine, the
-/// fragment its steps are handed, its slice of `V`, and what is the
-/// runtime's own — the frame pump, the owed-ack counters and the barrier
-/// bookkeeping. The same struct runs on a spawned thread (threaded mode),
-/// on the caller's thread (site 0), or alone inside a `site` process
-/// (multi-process mode).
+/// A step with nothing to hand on.
+type Step = Result<(), DetectError>;
+
+/// One site's machine: the §6 `Site` machine, the fragment its steps are
+/// handed, its slice of `V`, and what is the runtime's own — its phase,
+/// the wave's rounds, the owed-ack counters. It runs on a spawned thread
+/// (threaded mode), alone inside a `site` process (multi-process mode), or
+/// beside the coordinator on the caller's thread (site 0).
 pub(crate) struct SiteRunner {
     site: Site,
     /// This site's fragment `σ_{F_me}(D)`: the only copy of a row this
@@ -438,10 +367,6 @@ pub(crate) struct SiteRunner {
     violations: Violations,
     dv: DeltaV,
     /// Per requesting peer: silently-served rounds not yet acked.
-    /// Piggybacked onto the next protocol frame towards that peer
-    /// ([`RtFrame::Piggy`]) while traffic flows, flushed as standalone
-    /// [`CtrlMsg::Ack`]/[`CtrlMsg::AckN`] frames the moment the inbox
-    /// goes idle ([`SiteRunner::flush_owed`]).
     owed: Vec<u32>,
     /// The settle pass's memory of what it deferred, cleared per batch.
     held: Deferrals,
@@ -453,6 +378,20 @@ pub(crate) struct SiteRunner {
     /// ([`SiteRunner::keep_meters`]), kept until the coordinator asks for
     /// it. At the coordinator: its own, and every site's it was sent.
     kept: Meters,
+    phase: SitePhase,
+    /// The batch's slice, and its deferred updates by wave, then slice
+    /// position, with how many of them have begun.
+    slice: Vec<Update>,
+    order: Vec<Placed>,
+    next: usize,
+    /// The wave's rounds, and per peer the slots of those still owed an
+    /// answer, oldest first: links are FIFO and peers serve requests in
+    /// arrival order, so a reply from `src` answers the oldest round we
+    /// opened towards `src`.
+    inflight: Vec<Option<Pending>>,
+    queues: Vec<VecDeque<usize>>,
+    /// Rounds not yet complete.
+    open: usize,
 }
 
 impl SiteRunner {
@@ -468,6 +407,13 @@ impl SiteRunner {
             held: Deferrals::default(),
             inlet: None,
             kept: Meters::framed(n),
+            phase: SitePhase::Idle,
+            slice: Vec::new(),
+            order: Vec::new(),
+            next: 0,
+            inflight: Vec::new(),
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            open: 0,
             site,
             me,
             n,
@@ -475,44 +421,49 @@ impl SiteRunner {
         }
     }
 
-    // -- frame pump ----------------------------------------------------
+    // -- the one loop ----------------------------------------------------
 
-    /// Decode one frame from `src`: serve a request on the spot — its reply
-    /// rides back at once, a silent round is owed an ack — and surface the
-    /// rest, each control frame only if its link may carry it.
-    fn dispatch(&mut self, src: SiteId, method: u8, body: Vec<u8>) -> Result<Pumped, DetectError> {
-        let (acks, msg) = match RtFrame::decode_frame(&unpack_body(method, body)?)? {
-            RtFrame::Piggy(k, m) => (k, m),
-            RtFrame::Hor(m) => (0, m),
-            RtFrame::Ctrl(c) => return self.on_ctrl(src, c),
+    /// The one receive, and so the one place a machine parks: the next
+    /// frame, decoded and checked, with what we owe flushed only when the
+    /// inbox is empty, right before blocking. An `idle` site keeps what its
+    /// node metered before each frame ([`SiteRunner::keep_meters`]), so a
+    /// request between batches finds the node's block holding only itself,
+    /// and waits out silence (`None`) instead of calling it a dead peer.
+    fn next_frame(&mut self, idle: bool) -> Result<Option<(SiteId, RtFrame)>, DetectError> {
+        if idle {
+            self.keep_meters();
+        }
+        let frame = match self.node.try_recv()? {
+            Some(frame) => Some(frame),
+            None if idle => {
+                self.flush_owed()?;
+                self.keep_meters();
+                self.node.recv_opt()?
+            }
+            None => {
+                self.flush_owed()?;
+                Some(self.node.recv()?)
+            }
         };
-        if matches!(msg, HorMsg::ProbeReply { .. } | HorMsg::DelReply { .. }) {
-            return Ok(Pumped::Reply(src, acks, msg));
-        }
-        let sink = (&mut self.violations, &mut self.dv);
-        match self.site.on_request(src, msg, &self.rows, sink)? {
-            // A protocol reply carries the owed acks with it, so FIFO
-            // matching holds.
-            Some(reply) => self.send_hor(src, reply)?,
-            // Pipelining needs every round closed eventually: a silent
-            // round bumps the owed counter (piggybacked or flushed later).
-            None => self.owed[src] += 1,
-        }
-        Ok(match acks {
-            0 => Pumped::Served,
-            k => Pumped::Acks(src, k),
-        })
+        let Some((src, method, body)) = frame else {
+            return Ok(None);
+        };
+        let frame = RtFrame::decode_frame(&unpack_body(method, body)?)?;
+        Ok(Some((src, self.check(src, frame)?)))
     }
 
-    /// Which end of the `src → me` link may send a control frame: acks and
-    /// `Failed` aside, the coordinator sends a site what runs a batch or a
-    /// session, and a site sends the coordinator its answers.
-    fn on_ctrl(&mut self, src: SiteId, msg: CtrlMsg) -> Result<Pumped, DetectError> {
+    /// Who may send what: acks and `Failed` aside, the coordinator sends a
+    /// site what runs a batch or a session, and a site sends the
+    /// coordinator its answers. A `Failed` is the error it carries, and a
+    /// `Take` becomes the `Ops` of the slice it announces.
+    fn check(&self, src: SiteId, frame: RtFrame) -> Result<RtFrame, DetectError> {
         use CtrlMsg as C;
+        let RtFrame::Ctrl(msg) = frame else {
+            return Ok(frame);
+        };
         let (from_coord, to_coord) = (src == COORD, self.me == COORD);
         let allowed = match &msg {
-            C::Ack => return Ok(Pumped::Acks(src, 1)),
-            C::AckN(k) => return Ok(Pumped::Acks(src, *k)),
+            C::Ack | C::AckN(_) => true,
             // Whatever we were waiting for, it is not coming.
             C::Failed(cause) => return Err(site_failed(src, cause)),
             // A slice out, a fragment back.
@@ -525,98 +476,251 @@ impl SiteRunner {
         if !allowed {
             let what = "a control frame this link does not carry";
             return Err(bad_link(src, self.me, what));
+        } else if msg != C::Take {
+            return Ok(RtFrame::Ctrl(msg));
         }
-        let msg = match msg {
-            C::Take => C::Ops(self.take(src)?),
-            msg => msg,
-        };
-        Ok(Pumped::Ctrl(src, msg))
-    }
-
-    /// The slice `src`'s [`CtrlMsg::Take`] announces. The coordinator puts
-    /// it in the inlet before it sends the frame, so it is there to take,
-    /// and no site ever parks on its inlet.
-    fn take(&mut self, src: SiteId) -> Result<Vec<Update>, DetectError> {
+        // The coordinator fills the inlet before it sends the `Take`, so
+        // the slice is there to take: no site ever parks on its inlet.
         let Some(inlet) = &self.inlet else {
             return Err(bad_link(src, self.me, "Take at a site with no inlet"));
         };
         let slice = inlet.try_recv();
-        slice.map_err(|_| bad_link(src, self.me, "Take with nothing in the inlet"))
+        let slice = slice.map_err(|_| bad_link(src, self.me, "Take with nothing in the inlet"));
+        Ok(RtFrame::Ctrl(C::Ops(slice?)))
     }
 
-    /// Take the next frame and dispatch it. While the inbox has frames
-    /// queued they are drained as-is — owed acks keep accumulating (and
-    /// riding piggyback on whatever we send while serving). Only when the
-    /// inbox goes idle, *before* blocking, every owed counter is flushed:
-    /// nothing else would carry those acks soon, and a peer may be blocked
-    /// on exactly them. An `idle` site keeps what its node metered before
-    /// each receive ([`SiteRunner::keep_meters`]), so a request between
-    /// batches finds the node's block holding only itself, and waits out
-    /// silence instead of calling it a dead peer.
-    fn pump(&mut self, idle: bool) -> Result<Pumped, DetectError> {
-        loop {
-            if idle {
-                self.keep_meters();
+    /// The site's loop: frames until shutdown. This is what a spawned site
+    /// thread (or a `site` process) runs.
+    fn serve_batches(&mut self) -> Step {
+        while self.phase != SitePhase::Down {
+            let idle = self.phase == SitePhase::Idle;
+            if let Some((src, frame)) = self.next_frame(idle)? {
+                self.on_frame(src, frame)?;
             }
-            let frame = match self.node.try_recv()? {
-                Some(frame) => Some(frame),
-                None if idle => {
-                    self.flush_owed()?;
-                    self.keep_meters();
-                    self.node.recv_opt()?
-                }
-                None => {
-                    self.flush_owed()?;
-                    Some(self.node.recv()?)
-                }
-            };
-            if let Some((src, method, body)) = frame {
-                return self.dispatch(src, method, body);
-            }
-        }
-    }
-
-    /// The one wait: the next control frame, serving protocol requests
-    /// meanwhile where `wait` allows. A reply or an ack is refused — no
-    /// round of ours is open outside a wave — and so is a request in one
-    /// of the coordinator's exchanges between batches.
-    fn next_ctrl(&mut self, wait: Wait) -> Result<(SiteId, CtrlMsg), DetectError> {
-        loop {
-            match self.pump(matches!(wait, Wait::Idle))? {
-                Pumped::Ctrl(src, msg) => return Ok((src, msg)),
-                Pumped::Served if !matches!(wait, Wait::Between(_)) => {}
-                _ => return Err(wait.refusal()),
-            }
-        }
-    }
-
-    /// One answer from each site `seen` lacks, each site once, in whatever
-    /// order they come (the coordinator is `seen[0]`, and never answers):
-    /// `pick` takes it out of its frame and `fold` takes it in. Any other
-    /// frame is refused as `wait` refuses it, a second answer from one
-    /// site as `a second {what}` on its link.
-    fn one_from_each<T>(
-        &mut self,
-        (wait, what): (Wait, &str),
-        mut seen: Vec<bool>,
-        pick: impl Fn(CtrlMsg) -> Option<T>,
-        mut fold: impl FnMut(SiteId, T) -> Result<(), DetectError>,
-    ) -> Result<(), DetectError> {
-        while seen[1..].contains(&false) {
-            let (src, msg) = self.next_ctrl(wait)?;
-            let it = pick(msg).ok_or_else(|| wait.refusal())?;
-            once(&mut seen, src, what)?;
-            fold(src, it)?;
         }
         Ok(())
     }
 
-    /// Close every owed silent round with one standalone frame per
-    /// peer: the protocol-minimum [`CtrlMsg::Ack`] when a single round
-    /// is owed (the common sparse case — same cost as an unbatched
-    /// per-round ack), a cumulative [`CtrlMsg::AckN`] when several
-    /// batched up.
-    fn flush_owed(&mut self) -> Result<(), DetectError> {
+    /// Serve batches until shutdown. A site that fails says so before it
+    /// goes: the coordinator gets a best-effort [`CtrlMsg::Failed`]
+    /// carrying the error this returns, so whatever it is waiting on ends
+    /// at once with the cause, not at a receive timeout.
+    pub(crate) fn serve(mut self) -> Step {
+        let served = self.serve_batches();
+        if let Err(e) = &served {
+            let _ = self.node.send_ctrl(COORD, &CtrlMsg::Failed(e.to_string()));
+            let _ = self.node.flush();
+        }
+        served
+    }
+
+    // -- the machine -----------------------------------------------------
+
+    /// Step the machine by one checked frame from `src`: serve a request on
+    /// the spot, close the wave's rounds with acks — an envelope's *before*
+    /// the reply it carries, as they are older — and replies, and hand a
+    /// control frame to the phase.
+    fn on_frame(&mut self, src: SiteId, frame: RtFrame) -> Answer {
+        let (acks, msg) = match frame {
+            RtFrame::Ctrl(CtrlMsg::Ack) => (1, None),
+            RtFrame::Ctrl(CtrlMsg::AckN(k)) => (k, None),
+            RtFrame::Ctrl(msg) => return self.on_ctrl(src, msg),
+            RtFrame::Hor(msg) => (0, Some(msg)),
+            RtFrame::Piggy(k, msg) => (k, Some(msg)),
+        };
+        let reply = matches!(
+            msg,
+            Some(HorMsg::ProbeReply { .. } | HorMsg::DelReply { .. })
+        );
+        // No round of ours is open outside a wave.
+        if (acks > 0 || reply) && !matches!(self.phase, SitePhase::Wave { .. }) {
+            return Err(self.refusal(src));
+        }
+        let msg = match msg {
+            Some(request) if !reply => {
+                let sink = (&mut self.violations, &mut self.dv);
+                match self.site.on_request(src, request, &self.rows, sink)? {
+                    // A protocol reply carries the owed acks with it, so
+                    // FIFO matching holds.
+                    Some(answer) => self.send_hor(src, answer)?,
+                    // Pipelining needs every round closed eventually: a
+                    // silent round bumps the owed counter.
+                    None => self.owed[src] += 1,
+                }
+                None
+            }
+            msg => msg,
+        };
+        for _ in 0..acks {
+            self.close(src, None)?;
+        }
+        if let Some(msg) = msg {
+            self.close(src, Some(msg))?;
+        }
+        self.advance()
+    }
+
+    /// The site's phase table: which control frame each phase takes.
+    fn on_ctrl(&mut self, src: SiteId, msg: CtrlMsg) -> Answer {
+        match (&self.phase, msg) {
+            (SitePhase::Idle, CtrlMsg::Ops(ops)) => self.settle_pass(ops),
+            (SitePhase::Idle, CtrlMsg::Gather) => self.send_fragment().map(|()| None),
+            (SitePhase::Idle, CtrlMsg::Meters) => self.send_meters().map(|()| None),
+            (SitePhase::Idle, CtrlMsg::Shutdown) => {
+                self.phase = SitePhase::Down;
+                Ok(None)
+            }
+            (SitePhase::Scheduled(deferred), CtrlMsg::Waves { n_waves, waves }) => {
+                self.order = wave_order(self.me, deferred, n_waves, &waves)?;
+                self.next = 0;
+                self.start_wave(0, n_waves)
+            }
+            (&SitePhase::Barrier { w, n }, CtrlMsg::WaveAdvance(x)) if x == w => {
+                self.start_wave(w + 1, n)
+            }
+            _ => Err(self.refusal(src)),
+        }
+    }
+
+    /// A frame from `src` that this site's phase does not take.
+    fn refusal(&self, src: SiteId) -> DetectError {
+        let at = match self.phase {
+            SitePhase::Idle | SitePhase::Down => "while idle",
+            SitePhase::Scheduled(_) => "before the wave schedule",
+            SitePhase::Wave { .. } => "mid-wave",
+            SitePhase::Barrier { .. } => "at a wave barrier",
+        };
+        bad_link(src, self.me, format!("unexpected frame {at}"))
+    }
+
+    /// What the coordinator is to hear: sent to it, or — at its own site —
+    /// returned.
+    fn tell_coord(&mut self, msg: CtrlMsg) -> Answer {
+        if self.me == COORD {
+            return Ok(Some(msg));
+        }
+        self.node.send_ctrl(COORD, &msg)?;
+        Ok(None)
+    }
+
+    /// A new batch's slice: the settle pass ([`Site::settle`]) applies what
+    /// needs no scheduling, and the coordinator hears what it left.
+    fn settle_pass(&mut self, ops: Vec<Update>) -> Answer {
+        self.slice = ops;
+        let slice: Vec<&Update> = self.slice.iter().collect();
+        let sink = (&mut self.violations, &mut self.dv);
+        let deferred = self
+            .site
+            .settle(&slice, &mut self.rows, sink, &mut self.held)?;
+        self.phase = SitePhase::Scheduled(deferred.updates.clone());
+        self.tell_coord(CtrlMsg::Deferred(deferred))
+    }
+
+    /// Start wave `w` of `n`; past the last one, cut the batch image: its
+    /// marks settled (sorted, net of this site's own add/remove pairs).
+    fn start_wave(&mut self, w: u32, n: u32) -> Answer {
+        if w < n {
+            self.phase = SitePhase::Wave { w, n };
+            self.inflight.clear();
+            return self.advance();
+        }
+        self.phase = SitePhase::Idle;
+        self.dv.settle();
+        let img = BatchImage {
+            added: std::mem::take(&mut self.dv.added),
+            removed: std::mem::take(&mut self.dv.removed),
+        };
+        self.tell_coord(CtrlMsg::BatchResult(Box::new(img)))
+    }
+
+    /// In a wave, after every frame: begin our updates of it in slice
+    /// order, firing their rounds up front while fewer than [`WINDOW`] are
+    /// open — each with its `writes` bit: a held one is class-preserving by
+    /// the time it runs and must not ship. Once all have begun and every
+    /// round is closed, report the wave done and wait at its barrier.
+    fn advance(&mut self) -> Answer {
+        let SitePhase::Wave { w, n } = self.phase else {
+            return Ok(None);
+        };
+        while self.open < WINDOW {
+            let Some(&(_, pos, writes)) = self.order.get(self.next).filter(|p| p.0 == w) else {
+                break;
+            };
+            self.next += 1;
+            let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
+            let op = &self.slice[pos as usize];
+            if let Some((round, requests)) = self.site.begin(op, writes, rows, sink)? {
+                let slot = self.inflight.len();
+                self.inflight.push(None);
+                self.open += 1;
+                self.open_round(slot, Some(round), requests)?;
+            }
+        }
+        let begun = !matches!(self.order.get(self.next), Some(p) if p.0 == w);
+        if !begun || self.open > 0 {
+            return Ok(None);
+        }
+        self.phase = SitePhase::Barrier { w, n };
+        self.tell_coord(CtrlMsg::WaveDone(w))
+    }
+
+    /// Send `requests` and park `round` in `slot` until each asked peer
+    /// has answered or acked.
+    fn open_round(
+        &mut self,
+        slot: usize,
+        round: Option<Round>,
+        requests: Vec<(SiteId, HorMsg)>,
+    ) -> Step {
+        let pending = requests.len();
+        for (j, msg) in requests {
+            self.send_hor(j, msg)?;
+            self.queues[j].push_back(slot);
+        }
+        self.inflight[slot] = Some(Pending { pending, round });
+        Ok(())
+    }
+
+    /// Fold one reply (or, `None`, an ack) into the oldest outstanding
+    /// round towards `src`; the last one finishes the round.
+    fn close(&mut self, src: SiteId, reply: Option<HorMsg>) -> Step {
+        let me = self.me;
+        let Some(slot) = self.queues[src].pop_front() else {
+            return Err(bad_link(src, me, "an answer with no round open"));
+        };
+        let Some(p) = self.inflight[slot].as_mut() else {
+            return Err(DetectError::Internal(format!(
+                "site {me}: slot {slot} is closed"
+            )));
+        };
+        match (reply, &mut p.round) {
+            (Some(msg), Some(round)) => self.site.on_reply(round, src, msg)?,
+            (None, _) => {}
+            _ => return Err(bad_link(src, me, "a reply to a round that takes only acks")),
+        }
+        p.pending -= 1;
+        if p.pending > 0 {
+            return Ok(());
+        }
+        let round = p.round.take();
+        self.inflight[slot] = None;
+        let clears = match round {
+            Some(round) => self
+                .site
+                .finish(round, (&mut self.violations, &mut self.dv))?,
+            None => Vec::new(),
+        };
+        if clears.is_empty() {
+            self.open -= 1;
+            return Ok(());
+        }
+        // The clear round of a delete keeps the slot: only acks remain.
+        self.open_round(slot, None, clears)
+    }
+
+    /// Close every owed silent round with one standalone frame per peer:
+    /// [`CtrlMsg::Ack`] for one round, [`CtrlMsg::AckN`] for several.
+    fn flush_owed(&mut self) -> Step {
         for j in 0..self.n {
             let k = std::mem::take(&mut self.owed[j]);
             match k {
@@ -628,225 +732,15 @@ impl SiteRunner {
         Ok(())
     }
 
-    /// Ship a protocol frame towards `dst`, carrying any owed
-    /// silent-round acks in a [`RtFrame::Piggy`] envelope. The owed
-    /// rounds are strictly older than anything this frame opens or
-    /// closes, and the receiver settles the piggybacked count before
-    /// matching the payload, so FIFO round matching holds without a
-    /// separate [`CtrlMsg::AckN`] frame.
-    fn send_hor(&mut self, dst: SiteId, msg: HorMsg) -> Result<(), DetectError> {
+    /// Ship a protocol frame towards `dst`, carrying any acks we owe it in
+    /// a [`RtFrame::Piggy`] envelope.
+    fn send_hor(&mut self, dst: SiteId, msg: HorMsg) -> Step {
         let k = std::mem::take(&mut self.owed[dst]);
         match k {
             0 => self.node.send(dst, &msg)?,
             k => self.node.send(dst, &RtFrame::Piggy(k, msg))?,
         }
         Ok(())
-    }
-
-    // -- own updates ---------------------------------------------------
-
-    /// The settle pass over our slice of a new batch ([`Site::settle`]):
-    /// what it leaves for the waves.
-    fn settle_pass(&mut self, slice: &[&Update]) -> Result<DeferredList, DetectError> {
-        let sink = (&mut self.violations, &mut self.dv);
-        self.site
-            .settle(slice, &mut self.rows, sink, &mut self.held)
-    }
-
-    /// Run this site's share of wave `w` — the head of `order`, our
-    /// deferred updates of `slice` by wave, then slice position — in slice
-    /// order, and return the rest of `order`: fire all rounds up front
-    /// (windowed), serve peers while they're in flight, fold replies as
-    /// they arrive. Each update comes with its `writes` bit: a held one is
-    /// class-preserving by the time it runs and must not ship. A site can
-    /// be through with the wave before the coordinator is: its `WaveDone`
-    /// goes into `done` as it comes.
-    fn run_wave<'o>(
-        &mut self,
-        w: u32,
-        order: &'o [Placed],
-        slice: &[&Update],
-        done: &mut [bool],
-    ) -> Result<&'o [Placed], DetectError> {
-        let (mine, rest) = order.split_at(order.partition_point(|p| p.0 <= w));
-        let mut ws = WaveState {
-            inflight: Vec::new(),
-            queues: (0..self.n).map(|_| VecDeque::new()).collect(),
-            open: 0,
-            wave: w,
-            done,
-        };
-        for &(_, pos, writes) in mine {
-            while ws.open >= WINDOW {
-                self.step(&mut ws)?;
-            }
-            let op = slice[pos as usize];
-            let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
-            if let Some((round, requests)) = self.site.begin(op, writes, rows, sink)? {
-                let slot = ws.inflight.len();
-                ws.inflight.push(None);
-                ws.open += 1;
-                self.open_round(&mut ws, slot, Some(round), requests)?;
-            }
-        }
-        // Drain: silent rounds close via (piggybacked or flushed) acks,
-        // which every peer pushes no later than its next idle moment —
-        // and `step`'s own pump flushes what *we* owe before blocking,
-        // so two draining sites can never starve each other.
-        while ws.open > 0 {
-            self.step(&mut ws)?;
-        }
-        Ok(rest)
-    }
-
-    /// Send `requests` and park `round` in `slot` until each asked peer
-    /// has answered or acked.
-    fn open_round(
-        &mut self,
-        ws: &mut WaveState<'_>,
-        slot: usize,
-        round: Option<Round>,
-        requests: Vec<(SiteId, HorMsg)>,
-    ) -> Result<(), DetectError> {
-        let pending = requests.len();
-        for (j, msg) in requests {
-            self.send_hor(j, msg)?;
-            ws.queues[j].push_back(slot);
-        }
-        ws.inflight[slot] = Some(Pending { pending, round });
-        Ok(())
-    }
-
-    /// Pump one frame and, if it completes rounds, fold them. An ack count
-    /// — an envelope's, or a standalone `AckN(k)` — closes the `k` oldest
-    /// outstanding rounds towards its sender; an envelope's settles
-    /// *before* the reply it carries (it covers strictly older rounds).
-    fn step(&mut self, ws: &mut WaveState<'_>) -> Result<(), DetectError> {
-        let (src, acks, reply) = match self.pump(false)? {
-            Pumped::Served => return Ok(()),
-            Pumped::Acks(src, k) => (src, k, None),
-            Pumped::Reply(src, acks, msg) => (src, acks, Some(msg)),
-            Pumped::Ctrl(src, CtrlMsg::WaveDone(x)) => {
-                once(ws.done, src, "WaveDone")?;
-                return in_wave(src, x, ws.wave);
-            }
-            Pumped::Ctrl(..) => return Err(proto("unexpected control frame mid-wave")),
-        };
-        for _ in 0..acks {
-            self.settle(src, None, ws)?;
-        }
-        reply.map_or(Ok(()), |msg| self.settle(src, Some(msg), ws))
-    }
-
-    /// Fold one reply (or, `None`, an ack) into the oldest outstanding
-    /// round towards `src`; the last one finishes the round.
-    fn settle(
-        &mut self,
-        src: SiteId,
-        reply: Option<HorMsg>,
-        ws: &mut WaveState<'_>,
-    ) -> Result<(), DetectError> {
-        let slot = ws.queues[src]
-            .pop_front()
-            .ok_or_else(|| proto(format!("reply from site {src} with no outstanding round")))?;
-        let Some(p) = ws.inflight[slot].as_mut() else {
-            let what = format!(
-                "site {}: a reply from site {src} was routed to closed round slot {slot}",
-                self.me
-            );
-            return Err(DetectError::Internal(what));
-        };
-        match (reply, &mut p.round) {
-            (Some(msg), Some(round)) => self.site.on_reply(round, src, msg)?,
-            (None, _) => {}
-            _ => return Err(proto("reply type does not match the outstanding round")),
-        }
-        p.pending -= 1;
-        if p.pending > 0 {
-            return Ok(());
-        }
-        let round = p.round.take();
-        ws.inflight[slot] = None;
-        let clears = match round {
-            Some(round) => self
-                .site
-                .finish(round, (&mut self.violations, &mut self.dv))?,
-            None => Vec::new(),
-        };
-        if clears.is_empty() {
-            ws.open -= 1;
-            return Ok(());
-        }
-        // The clear round of a delete keeps the slot: only acks remain.
-        self.open_round(ws, slot, None, clears)
-    }
-
-    // -- batch / session loops -----------------------------------------
-
-    /// Run our slice of one batch: settle what needs no scheduling, report
-    /// the rest, take its waves from the coordinator; then per wave execute
-    /// our updates, report done and serve peers until the barrier releases.
-    /// The last release — or a schedule of no waves — is the cue to cut the
-    /// batch image.
-    fn run_batch(&mut self, ops: Vec<Update>) -> Result<(), DetectError> {
-        let slice: Vec<&Update> = ops.iter().collect();
-        let deferred = self.settle_pass(&slice)?;
-        self.node
-            .send_ctrl(COORD, &CtrlMsg::Deferred(deferred.clone()))?;
-        let wait = Wait::Batch("before the wave schedule");
-        let CtrlMsg::Waves { n_waves, waves } = self.next_ctrl(wait)?.1 else {
-            return Err(wait.refusal());
-        };
-        let order = wave_order(self.me, &deferred.updates, n_waves, &waves)?;
-        let mut rest = order.as_slice();
-        let barrier = Wait::Batch("at a wave barrier");
-        for w in 0..n_waves {
-            rest = self.run_wave(w, rest, &slice, &mut [])?;
-            self.node.send_ctrl(COORD, &CtrlMsg::WaveDone(w))?;
-            match self.next_ctrl(barrier)?.1 {
-                CtrlMsg::WaveAdvance(x) if x == w => {}
-                _ => return Err(barrier.refusal()),
-            }
-        }
-        // Settled marks are sorted (small deltas on the wire) and net of
-        // this site's own add/remove pairs; `ΔV` sums across sites, so
-        // the coordinator's global settle sees the same net change. The
-        // node meters the image's frame like any other.
-        self.dv.settle();
-        let img = BatchImage {
-            added: std::mem::take(&mut self.dv.added),
-            removed: std::mem::take(&mut self.dv.removed),
-        };
-        let result = CtrlMsg::BatchResult(Box::new(img));
-        Ok(self.node.send_ctrl(COORD, &result)?)
-    }
-
-    /// The site main loop: serve batches until shutdown. This is what a
-    /// spawned site thread (or a `site` process) runs. A site that fails
-    /// says so before it goes: the coordinator gets a best-effort
-    /// [`CtrlMsg::Failed`] carrying the error this returns, so whatever it
-    /// is waiting on ends at once with the cause, not at a receive timeout.
-    pub(crate) fn serve(mut self) -> Result<(), DetectError> {
-        let served = self.serve_batches();
-        if let Err(e) = &served {
-            let _ = self.node.send_ctrl(COORD, &CtrlMsg::Failed(e.to_string()));
-            let _ = self.node.flush();
-        }
-        served
-    }
-
-    /// Between batches the frame pump keeps the node's meters before each
-    /// receive, so a request here leaves no trace on them.
-    fn serve_batches(&mut self) -> Result<(), DetectError> {
-        loop {
-            match self.next_ctrl(Wait::Idle)?.1 {
-                CtrlMsg::Ops(ops) => self.run_batch(ops)?,
-                CtrlMsg::Gather => self.send_fragment()?,
-                CtrlMsg::Meters => self.send_meters()?,
-                CtrlMsg::Shutdown => return Ok(()),
-                _ => return Err(Wait::Idle.refusal()),
-            }
-        }
     }
 
     /// Fold what the node metered into [`kept`](SiteRunner::kept) and
@@ -859,7 +753,7 @@ impl SiteRunner {
     /// Answer a [`CtrlMsg::Gather`]: our fragment, one insert per row in
     /// tid order, in an `Ops` frame. The exchange reads `D` and belongs to
     /// no batch: like the `Built` handshake, it leaves the meters.
-    fn send_fragment(&mut self) -> Result<(), DetectError> {
+    fn send_fragment(&mut self) -> Step {
         let rows: Vec<Update> = self.rows.iter().map(Update::Insert).collect();
         let rows: Vec<&Update> = rows.iter().collect();
         let node = &mut self.node;
@@ -871,7 +765,7 @@ impl SiteRunner {
     /// Answer a [`CtrlMsg::Meters`]: what we metered since we last
     /// answered one, which we then zero. The exchange itself is traffic
     /// about traffic: it leaves the meters.
-    fn send_meters(&mut self) -> Result<(), DetectError> {
+    fn send_meters(&mut self) -> Step {
         let (me, kept) = (self.me, &mut self.kept);
         let img = MeterImage {
             stats: kept.modeled.row(me).collect(),
@@ -888,8 +782,38 @@ impl SiteRunner {
 }
 
 // ---------------------------------------------------------------------
-// The coordinator-side detector
+// The coordinator machine
 // ---------------------------------------------------------------------
+
+/// Where the coordinator is in a batch: awaiting the settle passes, with
+/// the admitted batch, the home of each update and each site's `Deferred`
+/// as it comes in; at wave `w` of `n`, with the sites through with it;
+/// collecting, with `ΔV` so far and the sites whose image is in. Site 0
+/// answers in each phase like any site, as a return value.
+enum CoordPhase {
+    Settle(UpdateBatch, Vec<SiteId>, Vec<Option<DeferredList>>),
+    Wave(u32, u32, Vec<bool>),
+    Collect(DeltaV, Vec<bool>),
+}
+
+impl CoordPhase {
+    /// Wave `w` of `n` over `sites` sites, or, past the last, collection.
+    fn wave(w: u32, n: u32, sites: usize) -> Self {
+        match w < n {
+            true => CoordPhase::Wave(w, n, vec![false; sites]),
+            false => CoordPhase::Collect(DeltaV::default(), vec![false; sites]),
+        }
+    }
+}
+
+/// What the coordinator asks every other site for between batches, and
+/// where their answers go: the build handshake (each site's fingerprint
+/// as the coordinator built it), the gather of `D`, the meters.
+enum Asked<'a> {
+    Built(&'a [BuildPrint]),
+    Fragments(&'a mut Relation),
+    Meters(&'a mut Meters),
+}
 
 /// One site's share of a build: its machine, its fragment and its slice
 /// of `V`.
@@ -953,7 +877,7 @@ pub fn run_site(
     me: SiteId,
     codec: CodecKind,
     base_port: u16,
-) -> Result<(), DetectError> {
+) -> Step {
     let (shares, ..) = split(schema, cfds, scheme, d, codec)?;
     let share = shares.into_iter().nth(me);
     let (site, rows, violations) = share.ok_or(ClusterError::UnknownSite(me))?;
@@ -973,12 +897,8 @@ pub fn run_site(
 ///
 /// A row of `D` lives only in its home site's fragment. The coordinator
 /// keeps what ordering a batch needs — every live tid's home, `V` and
-/// site 0's runner — and gathers `D` from the sites when asked for it:
-/// `gather`, or [`Detector::current`], which keeps what
-/// it gathered until the next `apply`. A gather that fails cannot say so
-/// through `current()`: it then returns the empty relation, and the next
-/// `apply` returns the gather's error. The sites' meters are gathered
-/// the same way ([`meters`](Self::meters)).
+/// site 0's runner — and gathers `D` ([`Detector::current`]) and the
+/// meters ([`meters`](Self::meters)) from the sites when asked for them.
 pub struct ConcurrentHorizontal {
     scheme: HorizontalScheme,
     /// What every site derives from `(schema, Σ, scheme)`.
@@ -1035,6 +955,17 @@ fn in_own_words(node: &mut Node, e: DetectError) -> DetectError {
     match e {
         DetectError::Cluster(ClusterError::Transport(_)) => last_words(node).unwrap_or(e),
         e => e,
+    }
+}
+
+/// Move the tids of a scheduled batch to their homes, in batch order:
+/// a modification's delete frees the tid its insert takes.
+fn rehome(tids: &mut TidMap, delta: &UpdateBatch, homes: &[SiteId]) {
+    for (op, &home) in delta.ops().iter().zip(homes) {
+        match op {
+            Update::Insert(t) => tids.insert(t.tid, home as RowId),
+            Update::Delete(tid) => tids.remove(*tid).is_some(),
+        };
     }
 }
 
@@ -1106,9 +1037,10 @@ impl ConcurrentHorizontal {
         let node0 =
             run::join(scheme.n_sites(), COORD, base_port)?.with_compression(codec.compression());
         let coord = SiteRunner::new(site, rows, v0, node0);
-        let mut det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMp");
-        // On a refusal, dropping `det` shuts every site down.
-        det.check_builds(&prints)?;
+        let det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMp");
+        // The handshake is the build's, not ΔD's; on a refusal, dropping
+        // `det` shuts every site down.
+        det.exchange(&mut det.runner.borrow_mut(), None, Asked::Built(&prints))?;
         Ok(det)
     }
 
@@ -1142,68 +1074,135 @@ impl ConcurrentHorizontal {
         }
     }
 
-    /// Take one [`CtrlMsg::Built`] from every other site and hold it to
-    /// `prints`, this build's fingerprint of each site's share. The frames
-    /// are the build's, not `ΔD`'s: once all match, they leave the meters.
-    fn check_builds(&mut self, prints: &[BuildPrint]) -> Result<(), DetectError> {
-        let runner = self.runner.get_mut();
-        let wait = (Wait::Between("during the build handshake"), "Built");
-        runner.one_from_each(wait, vec![false; self.n], pick!(Built), |src, theirs| {
-            let ours = prints[src];
-            if theirs == ours {
-                return Ok(());
+    // -- between batches -------------------------------------------------
+
+    /// One exchange between batches over the one loop: send every other
+    /// site `ask` (the build handshake asks nothing) and take one answer
+    /// from each. Both ends take the exchange off their meters: it reads
+    /// the build, `D` or the meters, and belongs to no batch.
+    fn exchange(&self, zero: &mut SiteRunner, ask: Option<CtrlMsg>, mut asked: Asked<'_>) -> Step {
+        zero.keep_meters();
+        if let Some(ask) = &ask {
+            for j in 1..self.n {
+                zero.node.send_ctrl(j, ask)?;
             }
-            let what = format!("{theirs}, where the coordinator built it {ours}").into();
-            Err(DetectError::BuildMismatch { site: src, what })
-        })?;
-        runner.node.reset_stats();
+        }
+        let mut seen = vec![false; self.n];
+        seen[COORD] = true;
+        while seen.contains(&false) {
+            if let Some((src, frame)) = zero.next_frame(false)? {
+                self.on_answer(&mut asked, &mut seen, src, frame)?;
+            }
+        }
+        zero.node.reset_stats();
         Ok(())
     }
 
-    /// `D`, gathered from the sites: every other site is sent a
-    /// [`CtrlMsg::Gather`] and answers with its fragment, which joins site
-    /// 0's. Both ends take the exchange off their meters, so it moves no
-    /// number a batch reports. A reply that is not the fragment the
-    /// coordinator's homes say the site holds — a delete, a row out of tid
-    /// order or homed elsewhere, a row missing — is an error naming the
-    /// link; a site that failed is its own error, naming it.
-    pub(crate) fn gather(&self) -> Result<Relation, DetectError> {
-        let runner = &mut *self.runner.borrow_mut();
-        let gathered = self.gather_from(runner);
-        gathered.map_err(|e| in_own_words(&mut runner.node, e))
+    /// An exchange's phase table: the answer it asked for, once from each
+    /// site, checked before it is folded; anything else — a protocol
+    /// frame among it — is refused naming the link.
+    fn on_answer(
+        &self,
+        asked: &mut Asked<'_>,
+        seen: &mut [bool],
+        src: SiteId,
+        frame: RtFrame,
+    ) -> Step {
+        use {CtrlMsg as C, RtFrame::Ctrl};
+        match (asked, frame) {
+            (Asked::Built(prints), Ctrl(C::Built(theirs))) => {
+                heard(seen, src, "Built")?;
+                let ours = prints[src];
+                if theirs != ours {
+                    let what = format!("{theirs}, where the coordinator built it {ours}").into();
+                    return Err(DetectError::BuildMismatch { site: src, what });
+                }
+            }
+            (Asked::Fragments(d), Ctrl(C::Ops(rows))) => {
+                heard(seen, src, "fragment")?;
+                let mut floor = None;
+                for op in rows {
+                    let Update::Insert(t) = op else {
+                        return Err(bad_link(src, COORD, "a fragment with a delete in it"));
+                    };
+                    let (tid, home) = (t.tid, self.homes.get(t.tid).map(|h| h as SiteId));
+                    if home != Some(src) || floor >= Some(tid) {
+                        let what =
+                            format!("fragment row {tid} is out of tid order or homed elsewhere");
+                        return Err(bad_link(src, COORD, what));
+                    }
+                    floor = Some(tid);
+                    d.insert(t)?;
+                }
+            }
+            (Asked::Meters(got), Ctrl(C::Metered(img))) => {
+                heard(seen, src, "Metered")?;
+                for (matrix, cells) in [(&mut got.modeled, img.stats), (&mut got.wire, img.wire)] {
+                    for (dst, c) in cells {
+                        if dst >= self.n || dst == src {
+                            let what = format!("metered a link to site {dst}");
+                            return Err(bad_link(src, COORD, what));
+                        }
+                        matrix.add(src, dst, &c);
+                    }
+                }
+                got.transport.merge(&img.meter);
+                got.received += img.received;
+            }
+            (asked, _) => {
+                let at = match asked {
+                    Asked::Built(_) => "during the build handshake",
+                    Asked::Fragments(_) => "during the gather",
+                    Asked::Meters(_) => "during the meters request",
+                };
+                return Err(bad_link(src, COORD, format!("unexpected frame {at}")));
+            }
+        }
+        Ok(())
     }
 
-    fn gather_from(&self, runner: &mut SiteRunner) -> Result<Relation, DetectError> {
-        runner.keep_meters();
-        for j in 1..self.n {
-            runner.node.send_ctrl(j, &CtrlMsg::Gather)?;
-        }
+    /// `D`, gathered from the sites: each other site's fragment joins site
+    /// 0's. A reply that is not the fragment the coordinator's homes say
+    /// the site holds — a delete, a row out of tid order or homed
+    /// elsewhere, a row missing — is an error naming the link; a site that
+    /// failed is its own error, naming it.
+    pub(crate) fn gather(&self) -> Result<Relation, DetectError> {
+        let zero = &mut *self.runner.borrow_mut();
+        let gathered = self.gather_from(zero);
+        gathered.map_err(|e| in_own_words(&mut zero.node, e))
+    }
+
+    fn gather_from(&self, zero: &mut SiteRunner) -> Result<Relation, DetectError> {
         let mut d = Relation::new(self.cfg.schema.clone());
-        runner.rows.iter().try_for_each(|t| d.insert(t))?;
-        let wait = (Wait::Between("during the gather"), "fragment");
-        runner.one_from_each(wait, vec![false; self.n], pick!(Ops), |src, rows| {
-            let mut floor = None;
-            for op in rows {
-                let Update::Insert(t) = op else {
-                    return Err(bad_link(src, COORD, "a fragment with a delete in it"));
-                };
-                let (tid, home) = (t.tid, self.homes.get(t.tid).map(|h| h as SiteId));
-                if home != Some(src) || floor >= Some(tid) {
-                    let what = format!("fragment row {tid} is out of tid order or homed elsewhere");
-                    return Err(bad_link(src, COORD, what));
-                }
-                floor = Some(tid);
-                d.insert(t)?;
-            }
-            Ok(())
-        })?;
-        runner.node.reset_stats();
+        zero.rows.iter().try_for_each(|t| d.insert(t))?;
+        self.exchange(zero, Some(CtrlMsg::Gather), Asked::Fragments(&mut d))?;
         if d.len() != self.homes.len() {
             let (got, want) = (d.len(), self.homes.len());
             return Err(proto(format!("the fragments hold {got} of {want} rows")));
         }
         Ok(d)
     }
+
+    /// Site 0's runner, every site's meters merged into its `kept` block
+    /// for the infallible accessors; an error is kept for the next `apply`.
+    fn gathered_meters(&self) -> RefMut<'_, SiteRunner> {
+        let mut zero = self.runner.borrow_mut();
+        let mut got = Meters::framed(self.n);
+        match self.exchange(&mut zero, Some(CtrlMsg::Meters), Asked::Meters(&mut got)) {
+            Ok(()) => zero.kept.merge(&got),
+            Err(e) => self.defer(in_own_words(&mut zero.node, e)),
+        }
+        zero
+    }
+
+    /// Keep `e` for the next `apply` to return, unless an earlier error is
+    /// already waiting there.
+    fn defer(&self, e: DetectError) {
+        let first = self.failed.take().unwrap_or(e);
+        self.failed.set(Some(first));
+    }
+
+    // -- a batch ---------------------------------------------------------
 
     /// The home of every update of an admitted batch, in batch order. All
     /// are routed before anything is sent, so an unroutable tuple fails its
@@ -1219,171 +1218,164 @@ impl ConcurrentHorizontal {
         delta.ops().iter().map(home).collect()
     }
 
-    /// Move the tids of a scheduled batch to their homes, in batch order:
-    /// a modification's delete frees the tid its insert takes.
-    fn rehome(&mut self, delta: &UpdateBatch, homes: &[SiteId]) {
-        for (op, &home) in delta.ops().iter().zip(homes) {
-            match op {
-                Update::Insert(t) => self.homes.insert(t.tid, home as RowId),
-                Update::Delete(tid) => self.homes.remove(*tid).is_some(),
-            };
-        }
-    }
-
-    /// Every site's meters, merged into the coordinator's `kept` block:
-    /// every other site is sent a [`CtrlMsg::Meters`] and answers with what
-    /// it metered since it last did, each cell checked to be a link out of
-    /// it. Both ends take the exchange off their meters.
-    fn ask_meters(&self, runner: &mut SiteRunner) -> Result<(), DetectError> {
-        runner.keep_meters();
-        for j in 1..self.n {
-            runner.node.send_ctrl(j, &CtrlMsg::Meters)?;
-        }
-        let mut got = Meters::framed(self.n);
-        let wait = (Wait::Between("during the meters request"), "Metered");
-        runner.one_from_each(wait, vec![false; self.n], pick!(Metered), |src, img| {
-            for (matrix, cells) in [(&mut got.modeled, img.stats), (&mut got.wire, img.wire)] {
-                for (dst, c) in cells {
-                    if dst >= self.n || dst == src {
-                        let what = format!("metered a link to site {dst}");
-                        return Err(bad_link(src, COORD, what));
-                    }
-                    matrix.add(src, dst, &c);
-                }
-            }
-            got.transport.merge(&img.meter);
-            got.received += img.received;
-            Ok(())
-        })?;
-        runner.kept.merge(&got);
-        runner.node.reset_stats();
-        Ok(())
-    }
-
-    /// Site 0's runner, every site's meters merged into its `kept` block
-    /// ([`ask_meters`](Self::ask_meters)) for the infallible accessors: an
-    /// error is kept for the next `apply`.
-    fn gathered_meters(&self) -> RefMut<'_, SiteRunner> {
-        let mut runner = self.runner.borrow_mut();
-        if let Err(e) = self.ask_meters(&mut runner) {
-            self.defer(in_own_words(&mut runner.node, e));
-        }
-        runner
-    }
-
-    /// Keep `e` for the next `apply` to return, unless an earlier error is
-    /// already waiting there.
-    fn defer(&self, e: DetectError) {
-        let first = self.failed.take().unwrap_or(e);
-        self.failed.set(Some(first));
-    }
-
-    /// Admit, route and ship the batch; settle our slice while the sites
-    /// settle theirs; place what everyone deferred and drive the waves;
-    /// fold the sites' images into `ΔV`, `V` and the meters.
-    fn drive_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
+    /// Admit and route a batch and hand the sites their slices — site 0's
+    /// by a direct call — to settle: the coordinator machine in its first
+    /// phase, or `None` for a batch of no update, which sends nothing.
+    fn start(&mut self, delta: &UpdateBatch) -> Result<Option<CoordPhase>, DetectError> {
         // No row is at hand to compare a re-insert with: its home drops the
         // pair if it re-inserts the row as stored (`Site::settle`).
         let live = |tid| self.homes.get(tid).is_some();
         let delta = delta.normalize_by(live, |_| false);
         let delta = crate::detector::fitted(delta, &self.cfg.schema)?;
-        let mut dv = DeltaV::default();
         if delta.ops().is_empty() {
-            return Ok(dv);
+            return Ok(None);
         }
         let homes = self.route(&delta)?;
-        // Ours is settled and run straight from the batch, a site process's
-        // is written to its frame from it; a site thread's shares its rows.
-        let mut slices: Vec<Vec<&Update>> = (0..self.n).map(|_| Vec::new()).collect();
+        // A site process's slice is written to its frame from the batch;
+        // a site machine's, here or on its thread, shares its rows.
+        let mut slices: Vec<Vec<&Update>> = vec![Vec::new(); self.n];
         for (op, &home) in delta.ops().iter().zip(&homes) {
             slices[home].push(op);
         }
-        let runner = self.runner.get_mut();
+        let owned = |slice: &[&Update]| slice.iter().map(|&op| op.clone()).collect();
+        let zero = self.runner.get_mut();
         for (j, slice) in slices.iter().enumerate().skip(1) {
+            let out = &mut zero.node;
             match self.inlets.get(j - 1) {
                 Some(inlet) => {
-                    let owned = slice.iter().map(|&op| op.clone()).collect();
                     let left = |_| proto(format!("site {j} has left: its inlet is closed"));
-                    inlet.send(owned).map_err(left)?;
-                    runner.node.send_ctrl(j, &CtrlMsg::Take)?;
+                    inlet.send(owned(slice)).map_err(left)?;
+                    out.send_ctrl(j, &CtrlMsg::Take)?;
                 }
-                None => runner
-                    .node
-                    .send_ctrl_with(j, |out| encode_ops(out, slice))?,
+                None => out.send_ctrl_with(j, |out| encode_ops(out, slice))?,
             }
         }
-        // Not a park, but the next stretch is ours alone: put the sites to
-        // work on their settle passes before starting on ours.
-        runner.node.flush()?;
-        let mut deferred = vec![DeferredList::default(); self.n];
-        deferred[COORD] = runner.settle_pass(&slices[COORD])?;
-        let wait = (
-            Wait::Batch("during the settle handshake"),
-            "Deferred for one batch",
-        );
-        runner.one_from_each(wait, vec![false; self.n], pick!(Deferred), |src, list| {
-            check_deferred(src, &list, &slices[src])?;
-            deferred[src] = list;
-            Ok(())
-        })?;
-        let ops = homes.iter().copied().zip(delta.ops());
-        let (n_waves, waves) = self.planner.schedule(&self.cfg, ops, &deferred)?;
-        self.waves += 1 + u64::from(n_waves);
-        let mut waves = waves.into_iter();
-        let own_waves = waves.next().ok_or_else(|| {
-            DetectError::Internal("the wave schedule has no list for the coordinator".into())
-        })?;
-        for (j, waves) in (1..).zip(waves) {
-            runner
-                .node
-                .send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })?;
+        // Not a park, but the next stretch is site 0's alone: put the
+        // sites to work on their settle passes before starting on ours.
+        zero.node.flush()?;
+        let answer = zero.on_ctrl(COORD, CtrlMsg::Ops(owned(&slices[COORD])))?;
+        let mut phase = CoordPhase::Settle(delta, homes, vec![None; self.n]);
+        if let Some(msg) = answer {
+            self.on_frame(&mut phase, COORD, RtFrame::Ctrl(msg))?;
         }
-        // Wave 0 is the sites' to start while the homes catch up.
-        runner.node.flush()?;
-        self.rehome(&delta, &homes);
-        // Drive our own deferred updates, holding every wave barrier until
-        // all sites report done.
-        let runner = self.runner.get_mut();
-        let order = wave_order(COORD, &deferred[COORD].updates, n_waves, &own_waves)?;
-        let mut rest = order.as_slice();
-        for w in 0..n_waves {
-            let mut done = vec![false; self.n];
-            rest = runner.run_wave(w, rest, &slices[COORD], &mut done)?;
-            let wait = (Wait::Batch("at a wave barrier"), "WaveDone");
-            runner.one_from_each(wait, done, pick!(WaveDone), |src, x| in_wave(src, x, w))?;
-            for j in 1..self.n {
-                runner.node.send_ctrl(j, &CtrlMsg::WaveAdvance(w))?;
+        Ok(Some(phase))
+    }
+
+    /// Step the coordinator by one checked frame off node 0: the phase
+    /// takes the sites' answers, site 0's machine the rest. What site 0
+    /// answers the calls an answer makes goes to the phase in turn.
+    fn on_frame(&mut self, phase: &mut CoordPhase, src: SiteId, frame: RtFrame) -> Step {
+        use CtrlMsg::{Ack, AckN};
+        let zero = self.runner.get_mut();
+        let mut heard = match frame {
+            RtFrame::Ctrl(msg) if !matches!(msg, Ack | AckN(_)) => Some((src, msg)),
+            frame => zero.on_frame(src, frame)?.map(|msg| (COORD, msg)),
+        };
+        while let Some((src, msg)) = heard {
+            heard = self.on_ctrl(phase, src, msg)?.map(|msg| (COORD, msg));
+        }
+        Ok(())
+    }
+
+    /// The coordinator's phase table. The last `Deferred` sends the wave
+    /// plan, the last `WaveDone` of a wave releases its barrier — each
+    /// hand-off flushed before site 0, called directly, takes it — and the
+    /// last `BatchResult` folds `ΔV` into `V`.
+    fn on_ctrl(&mut self, phase: &mut CoordPhase, src: SiteId, msg: CtrlMsg) -> Answer {
+        let (n, zero) = (self.n, self.runner.get_mut());
+        match (&mut *phase, msg) {
+            (CoordPhase::Settle(delta, homes, lists), CtrlMsg::Deferred(list)) => {
+                if lists[src].is_some() {
+                    return Err(bad_link(src, COORD, "a second Deferred for one batch"));
+                }
+                let ops = delta.ops().iter().zip(&*homes);
+                let slice: Vec<&Update> = ops.filter(|o| *o.1 == src).map(|o| o.0).collect();
+                check_deferred(src, &list, &slice)?;
+                lists[src] = Some(list);
+                if lists.contains(&None) {
+                    return Ok(None);
+                }
+                let deferred: Vec<_> = std::mem::take(lists).into_iter().flatten().collect();
+                let ops = homes.iter().copied().zip(delta.ops());
+                let (n_waves, waves) = self.planner.schedule(&self.cfg, ops, &deferred)?;
+                self.waves += 1 + u64::from(n_waves);
+                let mut per_site = waves.into_iter();
+                let waves = per_site.next().unwrap_or_default();
+                for (j, waves) in (1..).zip(per_site) {
+                    zero.node.send_ctrl(j, &CtrlMsg::Waves { n_waves, waves })?;
+                }
+                // Wave 0 is the sites' to start while the homes catch up.
+                zero.node.flush()?;
+                rehome(&mut self.homes, delta, homes);
+                *phase = CoordPhase::wave(0, n_waves, n);
+                zero.on_ctrl(COORD, CtrlMsg::Waves { n_waves, waves })
             }
-            // Every site is parked on this barrier: release them before
-            // computing our own slice of the next wave.
-            runner.node.flush()?;
+            (CoordPhase::Wave(w, n_waves, done), CtrlMsg::WaveDone(x)) => {
+                let (w, n_waves) = (*w, *n_waves);
+                let all = heard(done, src, "WaveDone")?;
+                if x != w {
+                    return Err(bad_link(src, COORD, format!("WaveDone({x}) in wave {w}")));
+                } else if !all {
+                    return Ok(None);
+                }
+                for j in 1..n {
+                    zero.node.send_ctrl(j, &CtrlMsg::WaveAdvance(w))?;
+                }
+                // Every site is parked on this barrier: release them before
+                // computing our own share of the next wave.
+                zero.node.flush()?;
+                *phase = CoordPhase::wave(w + 1, n_waves, n);
+                zero.on_ctrl(COORD, CtrlMsg::WaveAdvance(w))
+            }
+            (CoordPhase::Collect(dv, answered), CtrlMsg::BatchResult(img)) => {
+                let all = heard(answered, src, "BatchResult")?;
+                dv.added.extend(img.added);
+                dv.removed.extend(img.removed);
+                if all {
+                    dv.settle();
+                    for &(c, t) in &dv.added {
+                        self.violations.add(c, t);
+                    }
+                    for &(c, t) in &dv.removed {
+                        self.violations.remove(c, t);
+                    }
+                }
+                Ok(None)
+            }
+            (phase, _) => {
+                let at = match phase {
+                    CoordPhase::Settle(..) => "during the settle handshake",
+                    CoordPhase::Wave(..) => "at a wave barrier",
+                    CoordPhase::Collect(..) => "during collection",
+                };
+                Err(bad_link(src, COORD, format!("unexpected frame {at}")))
+            }
         }
-        // The last release (or the empty schedule) was the sites' cue:
-        // collect their images and fold ΔV.
-        dv.added = std::mem::take(&mut runner.dv.added);
-        dv.removed = std::mem::take(&mut runner.dv.removed);
-        let wait = (Wait::Batch("during collection"), "BatchResult");
-        runner.one_from_each(wait, vec![false; self.n], pick!(BatchResult), |_, img| {
-            dv.added.extend(img.added);
-            dv.removed.extend(img.removed);
-            Ok(())
-        })?;
-        dv.settle();
-        for &(c, t) in &dv.added {
-            self.violations.add(c, t);
+    }
+
+    /// One batch through the machines: start it, then the one loop on
+    /// node 0 until every image is in.
+    fn drive_batch(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
+        let Some(mut phase) = self.start(delta)? else {
+            return Ok(DeltaV::default());
+        };
+        loop {
+            if let CoordPhase::Collect(dv, answered) = &mut phase {
+                if !answered.contains(&false) {
+                    return Ok(std::mem::take(dv));
+                }
+            }
+            if let Some((src, frame)) = self.runner.get_mut().next_frame(false)? {
+                self.on_frame(&mut phase, src, frame)?;
+            }
         }
-        for &(c, t) in &dv.removed {
-            self.violations.remove(c, t);
-        }
-        Ok(dv)
     }
 
     /// Barrier rounds — coordinator round trips every site waits out —
     /// since the last reset: per non-empty batch, the settle handshake
     /// (`Take` or `Ops` out, `Deferred` back) and one per wave of deferred
-    /// updates.
-    /// Deterministic: classification depends only on a site's state and
-    /// slice, placement only on the op stream.
+    /// updates. Deterministic: classification depends only on a site's
+    /// state and slice, placement only on the op stream.
     pub fn waves(&self) -> u64 {
         self.waves
     }
@@ -1438,7 +1430,7 @@ impl Detector for ConcurrentHorizontal {
     }
 
     /// One batch through the mesh. A site that fails says why before it
-    /// goes (`CtrlMsg::Failed`) and the pump reports that from any wait —
+    /// goes (`CtrlMsg::Failed`) and the loop reports that in any phase —
     /// but a *send* to the node it left behind fails first, in the
     /// transport's words: prefer the site's own, if they are in the inbox.
     /// What a gather of `D` or of the meters since the last batch gathered
@@ -1788,6 +1780,19 @@ mod tests {
     /// still creates, empties and re-enters classes instead of settling
     /// whole.
     fn stress(n_sites: usize, seed: u64, n_batches: usize, batch: usize) {
+        let mut pair = stress_pair(n_sites);
+        let mut waves = 0;
+        for (i, b) in stress_batches(seed, n_batches, batch).iter().enumerate() {
+            let what = format!("{n_sites} sites, batch {i} of {batch}");
+            waves += apply_both(&mut pair, b, &what);
+        }
+        // Every batch shakes hands once, and some deferred an update.
+        assert!(waves > n_batches as u64, "{waves} barrier rounds");
+    }
+
+    /// Fig. 1's rules over `n_sites` hash fragments of an empty EMP: the
+    /// threaded drive and the sequential one.
+    fn stress_pair(n_sites: usize) -> (ConcurrentHorizontal, HorizontalDetector) {
         let s = emp_schema();
         let scheme =
             HorizontalScheme::by_hash(s.clone(), s.attr_id("id").unwrap(), n_sites).unwrap();
@@ -1801,7 +1806,11 @@ mod tests {
             TransportKind::Framed,
         );
         let seq = simulated(cfds, scheme, &empty, CodecKind::Md5);
-        let mut pair = (conc.unwrap(), seq.unwrap());
+        (conc.unwrap(), seq.unwrap())
+    }
+
+    /// The stress fixture's batches, a function of `seed` alone.
+    fn stress_batches(seed: u64, n_batches: usize, batch: usize) -> Vec<UpdateBatch> {
         let mut rng = seed;
         let mut next = move || {
             rng = rng
@@ -1814,8 +1823,8 @@ mod tests {
         let cities = ["EDI", "NYC"];
         let mut live: Vec<Tid> = Vec::new();
         let mut tid_next: Tid = 1;
-        let mut waves = 0;
-        for i in 0..n_batches {
+        let mut batches = Vec::new();
+        for _ in 0..n_batches {
             let mut b = UpdateBatch::new();
             for _ in 0..(batch / 2 + next() % batch) {
                 let del = !live.is_empty() && next() % 4 == 0;
@@ -1842,14 +1851,9 @@ mod tests {
                     ));
                 }
             }
-            waves += apply_both(
-                &mut pair,
-                &b,
-                &format!("{n_sites} sites, batch {i} of {batch}"),
-            );
+            batches.push(b);
         }
-        // Every batch shakes hands once, and some deferred an update.
-        assert!(waves > n_batches as u64, "{waves} barrier rounds");
+        batches
     }
 
     #[test]
@@ -2734,5 +2738,408 @@ mod tests {
             site.site.count_into(&mut census);
             assert_eq!((site.rows.len(), census.groups), (0, 0), "{err}");
         }
+    }
+
+    // -- the machines on one thread -------------------------------------
+
+    /// A session over `n_sites` hash fragments of an empty EMP whose
+    /// machines all run on the caller's thread over in-memory nodes: the
+    /// coordinator with site 0, and sites `1..` each with its inlet, as
+    /// `threaded` makes them, unspawned.
+    fn on_one_thread(n_sites: usize) -> (ConcurrentHorizontal, Vec<SiteRunner>) {
+        let s = emp_schema();
+        let scheme =
+            HorizontalScheme::by_hash(s.clone(), s.attr_id("id").unwrap(), n_sites).unwrap();
+        let empty = Relation::new(s.clone());
+        let md5 = CodecKind::Md5;
+        let (shares, homes, v) = split(s.clone(), fig1_cfds(&s), &scheme, &empty, md5).unwrap();
+        let nodes = run::mem_mesh(n_sites).into_iter();
+        let mut runners = shares
+            .into_iter()
+            .zip(nodes)
+            .map(|((site, rows, v), node)| {
+                SiteRunner::new(site, rows, v, node.with_compression(md5.compression()))
+            });
+        let zero = runners.next().unwrap();
+        let mut det = ConcurrentHorizontal::coordinating(scheme, (homes, v), zero, md5, "stepped");
+        let mut sites = Vec::new();
+        for mut runner in runners {
+            let (inlet, outlet) = mpsc::channel();
+            runner.inlet = Some(outlet);
+            det.inlets.push(inlet);
+            sites.push(runner);
+        }
+        (det, sites)
+    }
+
+    /// Take the frame `node` holds next, as the loop reads it: decoded and
+    /// checked against its link.
+    fn read(runner: &mut SiteRunner) -> Option<Result<(SiteId, RtFrame), DetectError>> {
+        let (src, method, body) = runner.node.try_recv().unwrap()?;
+        let frame = unpack_body(method, body).and_then(|b| RtFrame::decode_frame(&b));
+        Some(
+            frame
+                .map_err(DetectError::from)
+                .and_then(|f| Ok((src, runner.check(src, f)?))),
+        )
+    }
+
+    /// Step one batch to its end on this thread, `pick` choosing which
+    /// machine takes its next frame: 0 is node 0 (the coordinator, with
+    /// site 0 beside it), `j` site `j`. A machine whose inbox is empty
+    /// flushes what it owes, as the loop does before it parks. Once every
+    /// machine has been found empty since the last frame was taken and
+    /// nothing was flushed to it, no machine can step: the batch is stuck.
+    fn step_batch(
+        det: &mut ConcurrentHorizontal,
+        sites: &mut [SiteRunner],
+        b: &UpdateBatch,
+        pick: &mut impl FnMut() -> usize,
+    ) -> Result<DeltaV, String> {
+        let Some(mut phase) = det.start(b).map_err(|e| e.to_string())? else {
+            return Ok(DeltaV::default());
+        };
+        let n = sites.len() + 1;
+        let mut quiet = vec![false; n];
+        loop {
+            if let CoordPhase::Collect(dv, answered) = &mut phase {
+                if !answered.contains(&false) {
+                    return Ok(std::mem::take(dv));
+                }
+            }
+            if !quiet.contains(&false) {
+                return Err("no machine can step and the batch is not done".into());
+            }
+            let j = pick() % n;
+            let runner = match j {
+                0 => det.runner.get_mut(),
+                j => &mut sites[j - 1],
+            };
+            let Some(frame) = read(runner) else {
+                for (k, owed) in runner.owed.iter().enumerate() {
+                    quiet[k] &= *owed == 0;
+                }
+                runner.flush_owed().unwrap();
+                quiet[j] = true;
+                continue;
+            };
+            quiet.fill(false);
+            let stepped = frame.and_then(|(src, frame)| match j {
+                0 => det.on_frame(&mut phase, src, frame),
+                j => sites[j - 1].on_frame(src, frame).map(drop),
+            });
+            stepped.map_err(|e| format!("machine {j}: {e}"))?;
+        }
+    }
+
+    /// What a batch came to: `ΔV`, `V`, the modeled matrix and its message
+    /// count so far, and the barrier rounds the batch took.
+    type Outcome = (DeltaV, Vec<(CfdId, Tid)>, Vec<u8>, u64, u64);
+
+    /// The stress fixture at `n_sites`, its batches of about `batch`
+    /// updates, stepped on one thread once per schedule seed, each batch
+    /// held to the sequential drive (`ΔV`, `V`, the modeled matrix and its
+    /// messages) and to the threaded run (the waves). A failure names its
+    /// schedule seed, and `scheduled_stress(n_sites, …, &[seed])` replays it
+    /// alone: the schedule is a function of the seed.
+    fn scheduled_stress(n_sites: usize, n_batches: usize, batch: usize, seeds: &[u64]) {
+        let batches = stress_batches(0x5EED, n_batches, batch);
+        let (mut conc, mut seq) = stress_pair(n_sites);
+        let reference: Vec<Outcome> = (batches.iter())
+            .map(|b| {
+                let before = conc.waves();
+                conc.apply(b).unwrap();
+                let dv = Detector::apply(&mut seq, b).unwrap();
+                let (marks, m) = (seq.violations().marks_sorted(), &seq.meters().modeled);
+                let waves = conc.waves() - before;
+                (dv, marks, m.to_bytes(), m.total_messages(), waves)
+            })
+            .collect();
+        for &seed in seeds {
+            let (mut det, mut sites) = on_one_thread(n_sites);
+            let mut rng = seed;
+            let mut pick = move || {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) as usize
+            };
+            for (i, (b, want)) in batches.iter().zip(&reference).enumerate() {
+                let at =
+                    format!("{n_sites} sites, batches of {batch}: schedule seed {seed}, batch {i}");
+                let before = det.waves();
+                let stepped = step_batch(&mut det, &mut sites, b, &mut pick);
+                let dv = stepped.unwrap_or_else(|e| panic!("{at}: {e}"));
+                let mut m = Meters::framed(n_sites);
+                for r in std::iter::once(&*det.runner.get_mut()).chain(&sites) {
+                    m.merge(&r.kept);
+                    m.merge(r.node.meters());
+                }
+                assert_eq!(dv, want.0, "{at}: ΔV");
+                assert_eq!(det.violations().marks_sorted(), want.1, "{at}: V");
+                assert!(m.modeled.to_bytes() == want.2, "{at}: modeled |M| matrix");
+                assert_eq!(m.modeled.total_messages(), want.3, "{at}: messages");
+                assert_eq!(det.waves() - before, want.4, "{at}: waves");
+            }
+        }
+    }
+
+    /// The threaded runtime's own logic — wave slots, owed acks, barriers,
+    /// the settle handshake, image collection — under 100 schedules of
+    /// its machines on one thread, each as the sequential drive and the
+    /// threaded run have it.
+    #[test]
+    fn any_schedule_of_the_machines_is_the_sequential_drive() {
+        let seeds: Vec<u64> = (1..=100).collect();
+        scheduled_stress(4, 12, 4, &seeds);
+        scheduled_stress(4, 6, 16, &seeds);
+        scheduled_stress(4, 2, 256, &seeds);
+    }
+
+    /// The long sweep: 1 000 schedules at 8 and 16 sites, with the stress
+    /// tests' batch sizes (CI runs it optimized, `-- --ignored`).
+    #[test]
+    #[ignore = "a long sweep; run optimized with --ignored"]
+    fn a_thousand_schedules_at_8_and_16_sites() {
+        let seeds: Vec<u64> = (1..=1_000).collect();
+        for n_sites in [8, 16] {
+            for (n_batches, batch) in [(30, 4), (12, 16), (4, 256), (2, 4_096)] {
+                scheduled_stress(n_sites, n_batches, batch, &seeds);
+            }
+        }
+    }
+
+    /// Every control frame kind, and a reply and an ack.
+    fn every_frame() -> Vec<RtFrame> {
+        let c = RtFrame::Ctrl;
+        vec![
+            c(CtrlMsg::Ack),
+            c(CtrlMsg::AckN(2)),
+            c(CtrlMsg::Ops(Vec::new())),
+            c(CtrlMsg::Take),
+            c(CtrlMsg::Deferred(DeferredList::default())),
+            c(CtrlMsg::Waves {
+                n_waves: 2,
+                waves: vec![0, 1],
+            }),
+            c(CtrlMsg::WaveDone(0)),
+            c(CtrlMsg::WaveAdvance(0)),
+            c(CtrlMsg::BatchResult(Box::default())),
+            c(CtrlMsg::Meters),
+            c(CtrlMsg::Metered(Box::default())),
+            c(CtrlMsg::Failed("gone".into())),
+            c(CtrlMsg::Built(BuildPrint::default())),
+            c(CtrlMsg::Gather),
+            c(CtrlMsg::Shutdown),
+            RtFrame::Hor(HorMsg::ProbeReply {
+                conflicts: Vec::new(),
+            }),
+        ]
+    }
+
+    /// What a refused frame must leave alone: rows, `V` and group state.
+    fn state(r: &SiteRunner) -> (Vec<Tuple>, Vec<(CfdId, Tid)>, crate::StateCensus) {
+        let mut census = crate::StateCensus::default();
+        r.site.count_into(&mut census);
+        (r.rows.iter().collect(), r.violations.marks_sorted(), census)
+    }
+
+    /// Hold one step to the table: a frame the phase takes steps it (or
+    /// fails typed), any other is a typed error naming its link — a
+    /// `Failed`, its sender — and leaves `seen` as it was. Nothing panics.
+    fn judge<T: PartialEq + std::fmt::Debug>(
+        at: &str,
+        taken: bool,
+        (src, dst): (SiteId, SiteId),
+        stepped: Result<(), DetectError>,
+        (before, after): (T, T),
+        wrong: &mut Vec<String>,
+    ) {
+        let named = match &stepped {
+            Err(DetectError::Cluster(ClusterError::Transport(e))) => {
+                e.contains(&format!("link {src} → {dst}: "))
+                    || *e == format!("site {src} failed: gone")
+            }
+            _ => false,
+        };
+        if taken && stepped.is_err() && !named {
+            wrong.push(format!("{at}: taken, then {stepped:?}"));
+        } else if !taken && (!named || before != after) {
+            wrong.push(format!("{at}: {stepped:?}, {before:?} → {after:?}"));
+        }
+    }
+
+    /// Site 1 of three over Fig. 2's fragments, stepped by hand: idle;
+    /// scheduled, two creators of new groups deferred; in wave 0 of 2, the
+    /// first creator's round open; at wave 0's barrier, its round answered.
+    fn site_in(phase: &str) -> (SiteRunner, Vec<Node>) {
+        let s = emp_schema();
+        let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
+        let mut nodes = run::mem_mesh(3);
+        let mut site = empty_runner(cfg, nodes.remove(1));
+        let (_, outlet) = mpsc::channel();
+        site.inlet = Some(outlet);
+        let ops = vec![
+            Update::Insert(emp_tuple(1, "B", 44, 131, "EH7 7AA", "Foo", "EDI")),
+            Update::Insert(emp_tuple(2, "B", 44, 131, "EH8 8BB", "Bar", "EDI")),
+        ];
+        let waves = CtrlMsg::Waves {
+            n_waves: 2,
+            waves: vec![0, 1],
+        };
+        let steps = match phase {
+            "idle" => vec![],
+            "scheduled" => vec![CtrlMsg::Ops(ops)],
+            _ => vec![CtrlMsg::Ops(ops), waves],
+        };
+        for msg in steps {
+            site.on_ctrl(COORD, msg).unwrap();
+        }
+        if phase == "at a barrier" {
+            for j in [0, 2] {
+                while !site.queues[j].is_empty() {
+                    let reply = HorMsg::ProbeReply {
+                        conflicts: Vec::new(),
+                    };
+                    site.on_frame(j, RtFrame::Hor(reply)).unwrap();
+                }
+            }
+        }
+        (site, nodes)
+    }
+
+    /// Every site phase and every coordinator phase against every frame,
+    /// stepped directly on one thread: what the phase does not take is a
+    /// typed error naming the link, and leaves rows, `V` and group state
+    /// as they were. Site phases hear each control frame from the
+    /// coordinator and the reply and acks from site 2, which has a round
+    /// open only in a wave; coordinator phases hear every frame from site
+    /// 1, and the exchanges between batches are fed their phase table.
+    #[test]
+    fn every_phase_refuses_what_it_does_not_take() {
+        let mut wrong = Vec::new();
+        let site_phases: [(&str, &[&str]); 4] = [
+            ("idle", &["Ops", "Gather", "Meters", "Shutdown"]),
+            ("scheduled", &["Waves"]),
+            ("in a wave", &["Ack", "AckN", "ProbeReply"]),
+            ("at a barrier", &["WaveAdvance"]),
+        ];
+        for (phase, takes) in site_phases {
+            for (k, frame) in every_frame().into_iter().enumerate() {
+                let (mut site, _nodes) = site_in(phase);
+                assert_eq!(site.phase != SitePhase::Idle, phase != "idle");
+                let kind = format!("{frame:?}");
+                let taken = takes.iter().any(|t| kind.starts_with(&format!("Ctrl({t}")))
+                    || (kind.starts_with("Hor") && takes.contains(&"ProbeReply"));
+                let src = if k < 2 || k == 15 { 2 } else { COORD };
+                let before = state(&site);
+                let stepped = site.check(src, frame).and_then(|f| site.on_frame(src, f));
+                let at = format!("site {phase}, {kind} from {src}");
+                let after = state(&site);
+                judge(
+                    &at,
+                    taken,
+                    (src, 1),
+                    stepped.map(drop),
+                    (before, after),
+                    &mut wrong,
+                );
+            }
+        }
+        // The coordinator: settling (site 0's `Deferred` in), in wave 0
+        // (site 0 through with it), collecting (site 0's image in).
+        let b = {
+            let (det, _) = on_one_thread(3);
+            let mut tuples = (1..).map(|tid| emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+            let mut b = UpdateBatch::new();
+            b.insert(tuples.find(|t| det.scheme.route(t).unwrap() == 1).unwrap());
+            b
+        };
+        let coord_in = |phase: &str| {
+            let (mut det, sites) = on_one_thread(3);
+            let mut at = det.start(&b).unwrap().unwrap();
+            let deferred = |updates| DeferredList {
+                updates,
+                footprints: Vec::new(),
+            };
+            let steps = match phase {
+                "settling" => vec![],
+                "in a wave" => vec![(1, deferred(vec![(0, true)])), (2, deferred(vec![]))],
+                _ => vec![(1, deferred(vec![(0, true)])), (2, deferred(vec![]))],
+            };
+            for (j, list) in steps {
+                let frame = RtFrame::Ctrl(CtrlMsg::Deferred(list));
+                det.on_frame(&mut at, j, frame).unwrap();
+            }
+            if phase == "collecting" {
+                for j in [1, 2] {
+                    let frame = RtFrame::Ctrl(CtrlMsg::WaveDone(0));
+                    det.on_frame(&mut at, j, frame).unwrap();
+                }
+            }
+            (det, sites, at)
+        };
+        let seen = |det: &mut ConcurrentHorizontal| {
+            let zero = det.runner.get_mut();
+            (state(zero), det.violations.marks_sorted(), det.waves)
+        };
+        let coord_phases: [(&str, &str); 3] = [
+            ("settling", "Deferred"),
+            ("in a wave", "WaveDone"),
+            ("collecting", "BatchResult"),
+        ];
+        for (phase, takes) in coord_phases {
+            for frame in every_frame() {
+                let (mut det, _sites, mut at) = coord_in(phase);
+                let kind = format!("{frame:?}");
+                let taken = kind.starts_with(&format!("Ctrl({takes}"));
+                let before = seen(&mut det);
+                let zero = det.runner.get_mut();
+                let stepped = zero
+                    .check(1, frame)
+                    .and_then(|f| det.on_frame(&mut at, 1, f));
+                let after = seen(&mut det);
+                let what = format!("coordinator {phase}, {kind}");
+                judge(
+                    &what,
+                    taken,
+                    (1, COORD),
+                    stepped,
+                    (before, after),
+                    &mut wrong,
+                );
+            }
+        }
+        // The exchanges between batches.
+        for (phase, takes) in [("Built", "Built"), ("gather", "Ops"), ("meters", "Metered")] {
+            for frame in every_frame() {
+                let (det, _sites) = on_one_thread(3);
+                let (prints, mut d) = ([BuildPrint::default(); 3], Relation::new(emp_schema()));
+                let mut got = Meters::framed(3);
+                let mut asked = match phase {
+                    "Built" => Asked::Built(&prints),
+                    "gather" => Asked::Fragments(&mut d),
+                    _ => Asked::Meters(&mut got),
+                };
+                let kind = format!("{frame:?}");
+                let taken = kind.starts_with(&format!("Ctrl({takes}"));
+                let mut seen = vec![true, false, false];
+                let zero = &mut *det.runner.borrow_mut();
+                let before = (state(zero), seen.clone());
+                let stepped =
+                    (zero.check(1, frame)).and_then(|f| det.on_answer(&mut asked, &mut seen, 1, f));
+                let after = (state(zero), seen.clone());
+                let what = format!("the {phase} exchange, {kind}");
+                judge(
+                    &what,
+                    taken,
+                    (1, COORD),
+                    stepped,
+                    (before, after),
+                    &mut wrong,
+                );
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 }

@@ -5,22 +5,26 @@
 #   scripts/detbench-pairs.sh <parent-rev> <workload> [pairs=10] [seconds=8]
 #
 # Run from the repository root. The parent side is `git archive <parent-rev>`
-# unpacked beside the runs, the change side is this checkout as it stands
-# (uncommitted edits included). Each side's `benchmark/` is built once, into
-# a target directory of its own, and each binary runs from its own root (it
-# reads `./BENCHMARK.json`). Pair i runs both sides on seed i; odd pairs run
-# the parent first, even pairs the change. Every run's final JSON line and
-# its `#detail` line are kept. Per end-to-end metric of BENCHMARK.json the
-# two medians, the quartiles and the change's win count are printed; below
-# them, labelled ungated, the same for the stream metrics of the detail
-# lines (`run.updates_per_s`, `run.apply_p50_us`, `run.apply_p99_us`,
-# `run.cpu_us_per_update`).
+# unpacked beside the runs, the change side a copy of this checkout as it
+# stands (`git ls-files -co --exclude-standard`: uncommitted edits included)
+# in a sibling directory. The two source directories have names of one
+# length, and so do their target directories: the paths are compiled into
+# the binaries, and a path of another length alone moved `state_rss_mb`.
+# Each side's `benchmark/` is built into its own target directory, and each
+# binary runs from its own root (it reads `./BENCHMARK.json`). Pair i runs
+# both sides on seed i; odd pairs run the parent first, even pairs the
+# change. Every run's final JSON line and its `#detail` line are kept. Per
+# end-to-end metric of BENCHMARK.json the two medians, the quartiles and
+# the change's win count are printed; below them, labelled ungated, the
+# same for the stream metrics of the detail lines (`run.updates_per_s`,
+# `run.apply_p50_us`, `run.apply_p99_us`, `run.cpu_us_per_update`).
 #
 # Everything is written under ${TMPDIR:-/tmp}/detbench-pairs and reused by
-# the next call (the builds are then no-ops); nothing in the checkout moves.
+# the next call (the copy keeps file times, so the builds are incremental);
+# nothing in the checkout moves.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,23p' "$0" >&2; exit 2; }
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
 workload=$2
 pairs=${3:-10}
@@ -30,6 +34,7 @@ root=$(pwd)
 
 work=${TMPDIR:-/tmp}/detbench-pairs
 parent=$work/parent-$rev
+change=$work/change-$rev
 runs=$work/runs/$workload
 mkdir -p "$runs"
 if [ ! -d "$parent" ]; then
@@ -37,6 +42,10 @@ if [ ! -d "$parent" ]; then
     git archive "$rev" | tar -x -C "$parent.tmp"
     mv "$parent.tmp" "$parent"
 fi
+rm -rf "$change"
+mkdir -p "$change"
+git ls-files -z -co --exclude-standard |
+    tar --null --ignore-failed-read -T - -cf - | tar -x -C "$change"
 
 # build <side> <root>: the side's detbench, copied out of its target dir.
 build() {
@@ -45,7 +54,7 @@ build() {
     cp "$work/target-$1/release/detbench" "$work/detbench-$1"
 }
 build "parent-$rev" "$parent"
-build change "$root"
+build "change-$rev" "$change"
 
 # run <side> <root> <binary> <seed>: keep the run's final JSON line, and
 # its `#detail` line beside it.
@@ -64,9 +73,9 @@ i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then
         run parent "$parent" "$work/detbench-parent-$rev" "$i"
-        run change "$root" "$work/detbench-change" "$i"
+        run change "$change" "$work/detbench-change-$rev" "$i"
     else
-        run change "$root" "$work/detbench-change" "$i"
+        run change "$change" "$work/detbench-change-$rev" "$i"
         run parent "$parent" "$work/detbench-parent-$rev" "$i"
     fi
     echo "pair $i/$pairs done" >&2
