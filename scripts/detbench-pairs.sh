@@ -24,7 +24,7 @@
 # nothing in the checkout moves.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,23p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,24p' "$0" >&2; exit 2; }
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
 workload=$2
 pairs=${3:-10}
