@@ -9,13 +9,11 @@
 //!
 //! * [`pattern`] — pattern values and the match operator `≍`,
 //! * [`cfd`] — the [`Cfd`] type in normal form,
-//! * [`delta`] — the per-CFD delta-plan operator IR (scan / group /
-//!   restrict / probe) with a columnar semi-naive evaluator,
 //! * [`constraint`] — the non-CFD constraint vocabulary (keys,
 //!   completeness, inclusion dependencies, aggregates), keys and
 //!   completeness compiled onto CFDs, plus the unified [`Finding`]
 //!   reporting surface,
-//! * [`share`] — operator-level sharing across a rule set's plans: one
+//! * [`share`] — operator-level sharing across a rule set: one
 //!   dispatch scan and one group-key pass serving many CFDs,
 //! * [`parse`] — a small text format (`[CC=44, zip] -> [street]`),
 //! * [`analysis`] — static analysis of a catalog: satisfiability,
@@ -32,7 +30,6 @@ pub mod algebra;
 pub mod analysis;
 pub mod cfd;
 pub mod constraint;
-pub mod delta;
 pub mod naive;
 pub mod parse;
 pub mod pattern;
@@ -48,7 +45,6 @@ pub use crate::constraint::{
     AggFunc, Check, Constraint, ConstraintError, ConstraintKind, DeltaFindings, Finding,
     FindingSet, RuleId,
 };
-pub use crate::delta::{DeltaOp, DeltaPlan};
 pub use crate::parse::{parse_catalog, ParsedCatalog};
 pub use crate::pattern::PatternValue;
 pub use crate::share::{MatchScratch, OpId, SharedPlan};

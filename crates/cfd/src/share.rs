@@ -1,11 +1,14 @@
-//! Operator-level sharing across the delta plans of a rule set.
+//! Operator-level sharing across the rules of a rule set.
 //!
-//! [`SharedPlan`] compiles every CFD's [`DeltaPlan`]
-//! and merges the shareable operators:
+//! Every incremental detector evaluates the same query per CFD
+//! `φ = (X → B, t_p)` and per update: *restrict* the delta to the tuples
+//! matching `t_p[X]`'s constant atoms, *group* the survivors by `X`, and
+//! *probe* `B` against the group. [`SharedPlan`] compiles that query for
+//! every CFD of `Σ` at once and merges the shareable operators:
 //!
 //! * **One scan.** LHS matching for *all* CFDs is decided by a single
 //!   pass over the tuple's constrained attributes. Per attribute the
-//!   plan keeps a posting list `value → CFDs whose plan restricts the
+//!   plan keeps a posting list `value → CFDs whose pattern fixes the
 //!   attribute to that value`; a tuple LHS-matches a CFD exactly when it
 //!   hits every one of its postings (counted with generation-stamped
 //!   counters, no per-call clearing). CFDs without residual restricts
@@ -13,8 +16,8 @@
 //!   tuple is `O(#constrained attrs + #matches)` instead of the naive
 //!   `O(|Σ| · |X|)` loop — the sharing that makes thousand-CFD rule
 //!   sets feasible.
-//! * **One group-by.** Variable CFDs with byte-identical `GroupBy`
-//!   operators form a *key group*: the detectors compute one group-key
+//! * **One group-by.** Variable CFDs with identical LHS attribute lists
+//!   (in LHS order) form a *key group*: the detectors compute one group-key
 //!   digest per key group per tuple and every member CFD reuses it.
 //! * **One embedded FD.** Within a key group, the variable CFDs with the
 //!   same RHS attribute are patterns over one *operator* `(X → B)`.
@@ -24,7 +27,7 @@
 //!   names operators, not CFDs, on the wire.
 //!
 //! Residual predicates are **never** merged: two CFDs share a key group
-//! only when their `GroupBy` attribute lists are identical, and each
+//! only when their LHS attribute lists are identical, and each
 //! CFD keeps its own restrict postings — the property suite asserts the
 //! match set is exactly the per-CFD `matches_lhs` loop's.
 //!
@@ -35,7 +38,6 @@
 //! member. Duplicate-free catalogs take the zero-overhead fast path.
 
 use crate::cfd::{Cfd, CfdId, NormalForm};
-use crate::delta::DeltaPlan;
 use relation::{AttrId, FxHashMap, Tuple, Value};
 
 /// Reusable per-caller scratch for [`SharedPlan::matched_by`]. Holding
@@ -65,8 +67,6 @@ pub type OpId = u32;
 /// evaluation needs only a [`MatchScratch`].
 #[derive(Debug, Clone)]
 pub struct SharedPlan {
-    /// The per-CFD plans the sharing was compiled from (id order).
-    plans: Vec<DeltaPlan>,
     /// Per constrained attribute: constant → CFDs restricting to it.
     /// Sorted by attribute; a CFD appears once per restrict atom.
     index: Vec<(AttrId, FxHashMap<Value, Vec<CfdId>>)>,
@@ -76,7 +76,7 @@ pub struct SharedPlan {
     always: Vec<CfdId>,
     /// `is_variable` per CFD.
     is_var: Vec<bool>,
-    /// Distinct `GroupBy` operators: `(X in LHS order, member CFDs)`,
+    /// Distinct group-by keys: `(X in LHS order, member CFDs)`,
     /// first-seen order over ascending ids (variable CFDs only).
     key_groups: Vec<(Vec<AttrId>, Vec<CfdId>)>,
     /// Key group of each variable CFD.
@@ -103,7 +103,6 @@ impl SharedPlan {
             cfds.iter().enumerate().all(|(i, c)| c.id as usize == i),
             "SharedPlan requires contiguous CFD ids"
         );
-        let plans: Vec<DeltaPlan> = cfds.iter().map(DeltaPlan::compile).collect();
 
         // Duplicate classes: rules sharing a normal form match the same
         // tuples, so only the first of each class enters the dispatch
@@ -121,16 +120,16 @@ impl SharedPlan {
         let mut by_attr: FxHashMap<AttrId, FxHashMap<Value, Vec<CfdId>>> = FxHashMap::default();
         let mut needed = vec![0u32; n];
         let mut always = Vec::new();
-        for (c, plan) in plans.iter().enumerate() {
+        for (c, cfd) in cfds.iter().enumerate() {
             if rep_of[c] != c as CfdId {
                 continue;
             }
             let mut atoms = 0u32;
-            for (attr, value) in plan.restricts() {
+            for (attr, value) in cfd.constant_atoms() {
                 by_attr
                     .entry(attr)
                     .or_default()
-                    .entry(value.clone())
+                    .entry(value)
                     .or_default()
                     .push(c as CfdId);
                 atoms += 1;
@@ -147,20 +146,21 @@ impl SharedPlan {
         let mut group_of = vec![None; n];
         let mut operators: Vec<(usize, AttrId, Vec<CfdId>)> = Vec::new();
         let mut operator_of = vec![None; n];
-        for (c, plan) in plans.iter().enumerate() {
-            let Some(attrs) = plan.group_by() else {
+        for (c, cfd) in cfds.iter().enumerate() {
+            if !cfd.is_variable() {
                 continue;
-            };
+            }
+            let attrs = &cfd.lhs;
             let g = match key_groups.iter().position(|(k, _)| k == attrs) {
                 Some(g) => g,
                 None => {
-                    key_groups.push((attrs.to_vec(), Vec::new()));
+                    key_groups.push((attrs.clone(), Vec::new()));
                     key_groups.len() - 1
                 }
             };
             key_groups[g].1.push(c as CfdId);
             group_of[c] = Some(g);
-            let b = cfds[c].rhs;
+            let b = cfd.rhs;
             let o = match operators.iter().position(|&(og, ob, _)| (og, ob) == (g, b)) {
                 Some(o) => o,
                 None => {
@@ -181,7 +181,6 @@ impl SharedPlan {
             group_of,
             operators,
             operator_of,
-            plans,
             expand,
             n_deduped,
         }
@@ -189,7 +188,7 @@ impl SharedPlan {
 
     /// Number of CFDs the plan covers.
     pub fn n_cfds(&self) -> usize {
-        self.plans.len()
+        self.is_var.len()
     }
 
     /// Is `c` a variable CFD?
@@ -197,7 +196,7 @@ impl SharedPlan {
         self.is_var[c as usize]
     }
 
-    /// The shared `GroupBy` operators: each entry is one group-key
+    /// The shared group-by keys: each entry is one group-key
     /// computation serving every member CFD.
     pub fn key_groups(&self) -> &[(Vec<AttrId>, Vec<CfdId>)] {
         &self.key_groups
@@ -229,7 +228,7 @@ impl SharedPlan {
         mut value_of: impl FnMut(AttrId) -> &'v Value,
         scratch: &'s mut MatchScratch,
     ) -> &'s [CfdId] {
-        let n = self.plans.len();
+        let n = self.is_var.len();
         if scratch.count.len() < n {
             scratch.count.resize(n, 0);
             scratch.stamp.resize(n, 0);
@@ -369,7 +368,7 @@ mod tests {
             for &c in members {
                 assert_eq!(
                     cfds[c as usize].lhs, *attrs,
-                    "a key group must only merge byte-identical GroupBy operators"
+                    "a key group must only merge identical LHS lists"
                 );
             }
         }

@@ -86,13 +86,6 @@ pub enum CodecKind {
     Md5,
     /// Ship dictionary symbols with per-link deltas ([`DictSyms`]).
     Dict,
-    /// Ship raw values and compress **each message's frame** with the
-    /// in-tree LZ77 compressor ([`LzBlock`] + [`crate::lz`]). The win
-    /// happens at the byte-transport layer, so on the simulated
-    /// [`crate::Network`] this meters exactly like [`RawValues`]; on a
-    /// [`crate::net::ByteNetwork`] the measured on-wire bytes reflect
-    /// the per-frame compression.
-    Lz,
 }
 
 impl CodecKind {
@@ -102,7 +95,6 @@ impl CodecKind {
             CodecKind::RawValues => "raw_values",
             CodecKind::Md5 => "md5",
             CodecKind::Dict => "dict",
-            CodecKind::Lz => "lz",
         }
     }
 
@@ -112,16 +104,6 @@ impl CodecKind {
             CodecKind::RawValues => Box::new(RawValues),
             CodecKind::Md5 => Box::new(Md5Digest::default()),
             CodecKind::Dict => Box::new(DictSyms::new()),
-            CodecKind::Lz => Box::new(LzBlock),
-        }
-    }
-
-    /// The frame-level compression this codec asks of a byte transport
-    /// ([`crate::net::ByteNetwork::with_compression`]).
-    pub fn compression(self) -> crate::net::Compression {
-        match self {
-            CodecKind::Lz => crate::net::Compression::Lz,
-            _ => crate::net::Compression::None,
         }
     }
 }
@@ -245,64 +227,16 @@ impl PayloadCodec for Md5Digest {
 /// the bare symbol suffices. A receiver ([`ReceiverCodec`]) keeps each
 /// taught symbol's digest, so it pays one MD5 per distinct value instead
 /// of one per shipment; the sender computes none.
-///
-/// The batch coordinators' columnar shipments
-/// (`incdetect::baselines::ColsMsg`) route their sizing through
-/// [`DictSyms::ship_sym`], which accounts *caller-interned* symbols (the
-/// shipping fragment's own pool ids) against the same meter. One instance
-/// must stick to one path — the symbol namespaces differ.
-/// Which of [`DictSyms`]'s two symbol namespaces an instance serves (set
-/// on first use; mixing them would corrupt the shared residency meter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DictMode {
-    /// The value-level [`PayloadCodec`] path (codec-owned dictionary).
-    Codec,
-    /// The columnar [`DictSyms::ship_sym`] path (caller-owned symbols).
-    Columnar,
-}
-
 #[derive(Debug, Default)]
 pub struct DictSyms {
     dict: ValuePool,
     meter: DictMeter,
-    mode: Option<DictMode>,
 }
 
 impl DictSyms {
     /// Fresh codec: empty dictionary, nothing resident anywhere.
     pub fn new() -> Self {
         DictSyms::default()
-    }
-
-    /// The underlying per-link residency meter.
-    pub fn meter(&self) -> &DictMeter {
-        &self.meter
-    }
-
-    /// Cost-account a **caller-interned** symbol crossing `src → dst`,
-    /// delegating to the inner [`DictMeter`]; returns the charged bytes
-    /// (`> `[`DictMeter::SYM_WIRE_SIZE`] exactly when the link must carry
-    /// the one-time dictionary entry). This is the columnar fast path for
-    /// senders that already hold per-value symbols (fragment stores).
-    ///
-    /// # Panics
-    /// Panics (debug builds) when the instance has already encoded
-    /// through the [`PayloadCodec`] path — the two symbol namespaces must
-    /// not share one residency meter.
-    pub fn ship_sym(&mut self, src: SiteId, dst: SiteId, sym: Sym, value: &Value) -> usize {
-        self.enter(DictMode::Columnar);
-        self.meter.ship_sym(src, dst, sym, value)
-    }
-
-    /// Record (and in debug builds enforce) which symbol namespace this
-    /// instance serves.
-    fn enter(&mut self, mode: DictMode) {
-        let entered = *self.mode.get_or_insert(mode);
-        debug_assert!(
-            entered == mode,
-            "DictSyms instance mixed codec-path and columnar-path symbols"
-        );
-        let _ = entered;
     }
 }
 
@@ -312,7 +246,6 @@ impl PayloadCodec for DictSyms {
     }
 
     fn encode(&mut self, src: SiteId, dst: SiteId, value: &Value) -> WireValue {
-        self.enter(DictMode::Codec);
         let sym = match self.dict.lookup(value) {
             Some(s) => s,
             None => self.dict.acquire(value),
@@ -324,26 +257,6 @@ impl PayloadCodec for DictSyms {
 
     fn per_link(&self) -> bool {
         true
-    }
-}
-
-/// The `lz` codec's value-level half: values ship verbatim (like
-/// [`RawValues`]) — the actual compression is applied per message frame
-/// by the byte transport ([`crate::net::ByteNetwork`] with
-/// [`crate::net::Compression::Lz`]), which is where whole-message
-/// redundancy (repeated attribute prefixes, shared strings) lives. On
-/// the simulated network this codec therefore meters exactly like
-/// `raw_values`; the measured savings only exist where real bytes do.
-#[derive(Debug, Default)]
-pub struct LzBlock;
-
-impl PayloadCodec for LzBlock {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Lz
-    }
-
-    fn encode(&mut self, _src: SiteId, _dst: SiteId, value: &Value) -> WireValue {
-        WireValue::Raw(value.clone())
     }
 }
 
@@ -450,7 +363,6 @@ mod tests {
             (CodecKind::RawValues, "raw_values"),
             (CodecKind::Md5, "md5"),
             (CodecKind::Dict, "dict"),
-            (CodecKind::Lz, "lz"),
         ] {
             assert_eq!(kind.name(), name);
             let codec = kind.codec();
@@ -509,7 +421,6 @@ mod tests {
         let mut rx = ReceiverCodec::for_link(0, 1);
         assert_eq!(rx.digest(&first).unwrap(), value_digest(&v));
         assert_eq!(rx.digest(&repeat).unwrap(), value_digest(&v));
-        assert_eq!(c.meter().dict_bytes(), 2 * (4 + v.wire_size() as u64));
     }
 
     #[test]
@@ -523,25 +434,6 @@ mod tests {
             d += dict.encode(0, 1, &v).wire_size();
         }
         assert!(d < m && m < r, "dict {d} < md5 {m} < raw {r}");
-    }
-
-    #[test]
-    fn lz_codec_is_raw_at_the_value_level() {
-        let mut c = LzBlock;
-        let v = Value::str("a street name longer than a digest");
-        let w = c.encode(0, 1, &v);
-        assert!(matches!(w, WireValue::Raw(_)));
-        assert_eq!(w.wire_size(), v.wire_size(), "models like raw_values");
-        assert_eq!(received(&w), value_digest(&v));
-        assert_eq!(
-            CodecKind::Lz.compression(),
-            crate::net::Compression::Lz,
-            "the frame layer carries the actual compression"
-        );
-        assert_eq!(
-            CodecKind::RawValues.compression(),
-            crate::net::Compression::None
-        );
     }
 
     #[test]
@@ -598,15 +490,5 @@ mod tests {
         let w = tx.encode(0, 2, &values[0]);
         assert!(matches!(w, WireValue::Sym(_, Some(_))));
         assert_eq!(rx02.digest(&w).unwrap(), value_digest(&values[0]));
-    }
-
-    #[test]
-    fn dict_ship_sym_delegates_to_meter() {
-        let mut c = DictSyms::new();
-        let v = Value::str("caller-interned");
-        let first = c.ship_sym(0, 1, 7, &v);
-        assert_eq!(first, 2 * DictMeter::SYM_WIRE_SIZE + v.wire_size());
-        assert_eq!(c.ship_sym(0, 1, 7, &v), DictMeter::SYM_WIRE_SIZE);
-        assert_eq!(c.meter().total_bytes() as usize, first + 4);
     }
 }

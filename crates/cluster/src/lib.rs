@@ -24,12 +24,13 @@
 //!   by one thread per site, one process per site, or (as
 //!   [`net::ByteNetwork`]) all from one thread,
 //! * [`codec`] — the pluggable payload codecs ([`PayloadCodec`]:
-//!   [`codec::RawValues`], [`codec::Md5Digest`], [`codec::DictSyms`],
-//!   [`codec::LzBlock`]) every value-shipping protocol encodes through,
+//!   [`codec::RawValues`], [`codec::Md5Digest`], [`codec::DictSyms`])
+//!   every value-shipping protocol encodes through,
 //!   plus the receiver-side half ([`codec::ReceiverCodec`]) that rebuilds
 //!   digests from received payloads only,
-//! * [`lz`] — the in-tree LZ77-class block compressor behind
-//!   [`codec::CodecKind::Lz`] (no-dep, like [`md5`]),
+//! * [`lz`] — the in-tree LZ77-class block compressor that packs large
+//!   runtime control frames ([`run::CTRL_LZ_MIN_BYTES`]; no-dep, like
+//!   [`md5`]),
 //! * [`md5`] — RFC 1321, the digest primitive behind the §6 optimization,
 //! * [`partition`] — vertical (§2.2, projections with key, replication
 //!   allowed) and horizontal (disjoint selections) partitioners.
@@ -46,7 +47,7 @@ pub mod run;
 pub mod transport;
 
 pub use codec::{CodecKind, PayloadCodec, ReceiverCodec, WireValue};
-pub use net::{ByteNetwork, Compression, FrameCodec, TransportKind, TransportMeter};
+pub use net::{ByteNetwork, FrameCodec, TransportKind, TransportMeter};
 pub use netstats::{CostModel, Meters, NetReport, NetStats};
 pub use transport::{DictMeter, MsgTransport, Network, Wire};
 

@@ -3,9 +3,9 @@
 //! The offline crate set has no compression dependency, so — like the
 //! RFC 1321 [`crate::md5`] next door — this is a small, self-contained
 //! implementation: a greedy LZ77/LZSS with a 4-byte hash index over a
-//! 64 KiB window. It backs the per-message frame compression of
-//! [`crate::net::ByteNetwork`] when a session picks
-//! [`crate::codec::CodecKind::Lz`].
+//! 64 KiB window. It packs the runtime's control frames of
+//! [`crate::run::CTRL_LZ_MIN_BYTES`] or more ([`crate::run::Node::send_ctrl`]),
+//! kept only when smaller; protocol frames always ship stored.
 //!
 //! # Format
 //!
@@ -37,7 +37,7 @@ const HASH_BITS: u32 = 13;
 /// A malformed compressed stream (truncated op, bad distance, or output
 /// beyond the declared bound).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LzError(pub &'static str);
+pub(crate) struct LzError(pub(crate) &'static str);
 
 impl std::fmt::Display for LzError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -65,7 +65,7 @@ fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
 /// Compress `input`. The output is never *guaranteed* smaller — callers
 /// (the frame layer) compare against the stored size and keep whichever
 /// is shorter.
-pub fn compress(input: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 8);
     if input.len() < MIN_MATCH {
         flush_literals(&mut out, input);

@@ -26,9 +26,11 @@
 //! frame's one-varint header of body length and method, 1 byte below a
 //! 64-byte body — [`frame`] — plus the per-message tags and item counts
 //! itemized in [`bytes`]), and
-//! `saved_bytes` is what per-frame LZ compression ([`crate::lz`],
-//! enabled by [`Compression::Lz`]) recovered. The differential test
-//! suite asserts this identity over whole protocol runs.
+//! `saved_bytes` is what [`crate::lz`] packing of large control frames
+//! ([`crate::run::Node::send_ctrl`]) recovered — protocol frames ship
+//! stored, so a [`ByteNetwork`]'s `saved_bytes` stays zero. The
+//! differential test suite asserts this identity over whole protocol
+//! runs.
 
 pub mod bytes;
 pub mod frame;
@@ -50,17 +52,6 @@ pub trait FrameCodec: Wire + Sized + Send + std::fmt::Debug {
 
     /// Rebuild a message from one decoded frame body.
     fn decode_frame(body: &[u8]) -> Result<Self, ClusterError>;
-}
-
-/// Per-frame body packing applied by a [`ByteNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Bodies ship verbatim.
-    #[default]
-    None,
-    /// Each body is [`lz`]-compressed when that is smaller ("per-message
-    /// LZ"); the header's method bit records the choice per frame.
-    Lz,
 }
 
 /// Which substrate a detection session's protocol traffic rides on.
@@ -103,7 +94,7 @@ pub struct TransportMeter {
     /// Structural bytes the model ignores: frame headers (1–4 bytes each,
     /// the method bit inside) + message tags + item counts.
     pub structural_bytes: u64,
-    /// Bytes recovered by per-frame compression.
+    /// Bytes recovered by packing control frames with [`lz`].
     pub saved_bytes: u64,
 }
 
@@ -152,7 +143,7 @@ pub(crate) fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M,
 /// A byte-shipping drop-in for [`crate::Network`]: the `n` nodes of a
 /// [`run::mem_mesh`] or [`run::tcp_mesh`] driven by one thread, with the
 /// same send/drain discipline and identical modeled `|M|` accounting.
-/// Every message is serialized, framed, optionally compressed, pushed
+/// Every message is serialized, framed, pushed
 /// through a real byte link by its sender's [`Node`], and decoded on the
 /// receiving side from the received bytes alone.
 ///
@@ -191,16 +182,6 @@ impl<M: FrameCodec> ByteNetwork<M> {
             pending: vec![vec![0; n]; n],
             meters: Meters::framed(n),
             _msg: std::marker::PhantomData,
-        }
-    }
-
-    /// Select the per-frame body packing.
-    pub fn with_compression(self, compression: Compression) -> Self {
-        let nodes = self.nodes.into_iter();
-        let nodes = nodes.map(|node| node.with_compression(compression));
-        ByteNetwork {
-            nodes: nodes.collect(),
-            ..self
         }
     }
 
@@ -418,48 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn lz_compression_shrinks_repetitive_frames_and_balances() {
-        let repetitive = Nums(vec![0xABCD_EF00; 400]);
-        let mut plain: ByteNetwork<Nums> = ByteNetwork::in_memory(2);
-        let mut lz: ByteNetwork<Nums> = ByteNetwork::in_memory(2).with_compression(Compression::Lz);
-        plain.send(0, 1, repetitive.clone()).unwrap();
-        lz.send(0, 1, repetitive.clone()).unwrap();
-        assert_eq!(lz.try_drain(1).unwrap(), vec![(0, repetitive.clone())]);
-        assert_eq!(plain.try_drain(1).unwrap(), vec![(0, repetitive)]);
-        // Same model, smaller wire.
-        assert_eq!(
-            lz.meters().modeled.total_bytes(),
-            plain.meters().modeled.total_bytes()
-        );
-        let (pm, lm) = (plain.meter(), lz.meter());
-        assert!(lm.saved_bytes > 0);
-        assert!(lm.wire_bytes < pm.wire_bytes / 4, "{lm:?} vs {pm:?}");
-        assert_eq!(
-            lm.wire_bytes,
-            lm.modeled_bytes + lm.structural_bytes - lm.saved_bytes
-        );
-    }
-
-    #[test]
-    fn incompressible_frames_fall_back_to_stored() {
-        let noise = Nums(
-            (0..64)
-                .map(|i: u64| i.wrapping_mul(0x9E3779B97F4A7C15))
-                .collect(),
-        );
-        let mut lz: ByteNetwork<Nums> = ByteNetwork::in_memory(2).with_compression(Compression::Lz);
-        lz.send(0, 1, noise.clone()).unwrap();
-        assert_eq!(lz.try_drain(1).unwrap(), vec![(0, noise)]);
-        // Stored fallback: wire never exceeds modeled + structural.
-        let m = lz.meter();
-        assert_eq!(
-            m.wire_bytes,
-            m.modeled_bytes + m.structural_bytes - m.saved_bytes
-        );
-        assert!(m.wire_bytes <= m.modeled_bytes + m.structural_bytes);
-    }
-
-    #[test]
     fn tcp_network_round_trips_small_protocol() {
         let mut net: ByteNetwork<Nums> = ByteNetwork::tcp_localhost(3).unwrap();
         for round in 0..5u64 {
@@ -546,19 +485,13 @@ mod tests {
     }
 
     #[test]
-    fn oversized_serialized_messages_are_rejected_even_under_lz() {
-        // The frame bound applies to the serialized size: receivers cap
-        // decompressed output at MAX_FRAME_BYTES, so a message that only
-        // fits *compressed* must be refused at the sender (symmetrically
-        // with Compression::None) instead of dying at every receiver.
-        for net in both::<Nums>(2) {
+    fn oversized_messages_are_refused_and_leave_the_network_idle() {
+        for mut net in both::<Nums>(2) {
             let huge = Nums(vec![0u64; MAX_FRAME_BYTES / 8 + 1]);
-            let mut lznet = net.with_compression(Compression::Lz);
-            let e = lznet.send(0, 1, huge).unwrap_err();
-            assert!(matches!(e, ClusterError::Transport(_)));
+            let e = net.send(0, 1, huge).unwrap_err();
             assert!(e.to_string().contains("oversized"), "{e}");
-            assert!(lznet.quiescent(), "nothing was shipped");
-            assert_eq!(lznet.meter().frames, 0, "nothing was metered");
+            assert!(net.quiescent(), "nothing was shipped");
+            assert_eq!(net.meter().frames, 0, "nothing was metered");
         }
     }
 

@@ -166,7 +166,7 @@ impl NetStats {
 pub struct NetReport {
     tiers: Vec<(String, NetStats)>,
     /// Wire codec that produced the value traffic, if the strategy ships
-    /// values at all (`"raw_values"` / `"md5"` / `"dict"` / `"lz"`;
+    /// values at all (`"raw_values"` / `"md5"` / `"dict"`;
     /// `None` for eqid-only protocols like `incVer`).
     codec: Option<String>,
     /// Measured on-wire traffic, when the session ran over a real byte

@@ -25,11 +25,12 @@
 //! shipments) goes through [`Node::send_ctrl`], which is framed and
 //! wire-metered identically but contributes **zero** modeled `|M|` and
 //! zero modeled messages — the model meters the detection protocol, not
-//! the harness that schedules it. Control frames of
-//! [`CTRL_LZ_MIN_BYTES`] or more are offered to [`lz`] whatever the
-//! session's [`Compression`] (receivers dispatch on the method bit
-//! either way); the savings land in `saved_bytes`, so the identity
-//! holds with packed control frames in the mix. Each node also counts
+//! the harness that schedules it. How a frame is packed is the node's
+//! call alone: protocol frames ship stored, and control frames of
+//! [`CTRL_LZ_MIN_BYTES`] or more are offered to [`lz`] and kept packed
+//! when that is smaller (receivers dispatch on the header's method bit).
+//! The savings land in `saved_bytes`, so the identity holds with packed
+//! control frames in the mix. Each node also counts
 //! the wire bytes of the frames it *receives* (`Meters::received`) —
 //! summed over a mesh at rest, that is every byte the senders metered.
 //! Both ends price a frame at `frame_wire_len` of its body, the one
@@ -57,7 +58,7 @@
 
 use crate::net::frame::{frame_wire_len, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
 use crate::net::tcp::{self, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
-use crate::net::{decode_body, Compression, FrameCodec};
+use crate::net::{decode_body, FrameCodec};
 use crate::{lz, ClusterError, Meters, SiteId};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
@@ -67,9 +68,9 @@ use std::time::Duration;
 /// site threads and their readers all contend for the same CPUs.
 pub(crate) const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Control frames at least this long are offered to [`lz`] regardless of
-/// the session codec (kept only if smaller). Below it a frame is an ack
-/// or a barrier — a handful of bytes no match can shorten.
+/// Control frames at least this long are offered to [`lz`] (kept only if
+/// smaller). Below it a frame is an ack or a barrier — a handful of bytes
+/// no match can shorten.
 pub const CTRL_LZ_MIN_BYTES: usize = 128;
 
 /// One inbound frame: `(src, method, body)`.
@@ -97,7 +98,6 @@ pub struct Node {
     rx: Receiver<Inbound>,
     /// TCP reader threads for this node's inbound links (joined on drop).
     _guard: Option<ReaderGuard>,
-    compression: Compression,
     /// Its sends (a node fills its own row) and the bytes it received.
     meters: Meters,
     scratch: Vec<u8>,
@@ -117,7 +117,6 @@ impl Node {
             tx,
             rx,
             _guard: guard,
-            compression: Compression::default(),
             meters: Meters::framed(n),
             scratch: Vec::new(),
         }
@@ -127,12 +126,6 @@ impl Node {
     /// [`crate::net::join_mesh`]) as a runtime node.
     pub(crate) fn from_endpoint(n: usize, me: SiteId, ep: NodeEndpoint) -> Self {
         Node::new(n, me, TxSide::Tcp(ep.tx), ep.rx, Some(ep.guard))
-    }
-
-    /// Select the per-frame body packing (default: none).
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
-        self
     }
 
     /// Number of nodes in the mesh.
@@ -145,7 +138,8 @@ impl Node {
         self.me
     }
 
-    /// Ship a **protocol** message: modeled `|M|` and wire accounting.
+    /// Ship a **protocol** message, stored: modeled `|M|` and wire
+    /// accounting.
     pub fn send<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
         self.check_dst(dst)?;
         self.scratch.clear();
@@ -155,8 +149,7 @@ impl Node {
             msg.wire_size() + structural,
             "encoder broke the overhead identity"
         );
-        let try_lz = self.compression == Compression::Lz;
-        self.ship(dst, msg.wire_size(), structural, try_lz)?;
+        self.ship(dst, msg.wire_size(), structural, false)?;
         self.meters
             .modeled
             .record(self.me, dst, msg.wire_size(), msg.eqid_count());
@@ -179,7 +172,9 @@ impl Node {
 
     /// Ship a **control** frame: framed and wire-metered like any other
     /// frame, but zero modeled `|M|` and zero modeled messages — its
-    /// whole encoding is structural overhead.
+    /// whole encoding is structural overhead. A frame of
+    /// [`CTRL_LZ_MIN_BYTES`] or more ships [`lz`]-packed when that is
+    /// smaller.
     pub fn send_ctrl<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
         self.send_ctrl_with(dst, |out| {
             msg.encode_frame(out);
@@ -198,8 +193,7 @@ impl Node {
         self.scratch.clear();
         encode(&mut self.scratch);
         let len = self.scratch.len();
-        let try_lz = self.compression == Compression::Lz || len >= CTRL_LZ_MIN_BYTES;
-        self.ship(dst, 0, len, try_lz)
+        self.ship(dst, 0, len, len >= CTRL_LZ_MIN_BYTES)
     }
 
     fn check_dst(&self, dst: SiteId) -> Result<(), ClusterError> {
@@ -551,9 +545,91 @@ mod tests {
         );
     }
 
+    /// Two nodes over in-process links: `a` sends, `b` receives.
+    fn pair() -> (Node, Node) {
+        let mut nodes = mem_mesh(2);
+        let b = nodes.pop().unwrap();
+        let a = nodes.pop().unwrap();
+        (a, b)
+    }
+
+    /// A repetitive control frame of `CTRL_LZ_MIN_BYTES` or more ships
+    /// packed and round-trips, and the saving balances the identity; the
+    /// same message sent as protocol ships stored.
+    #[test]
+    fn large_ctrl_frames_pack_round_trip_and_balance() {
+        let repetitive = Nums(vec![0xABCD_EF00; 400]);
+        let (mut a, mut b) = pair();
+        a.send_ctrl(1, &repetitive).unwrap();
+        let (_, method, body) = b.recv().unwrap();
+        assert_eq!(method, METHOD_LZ);
+        assert_eq!(decode_body::<Nums>(method, body).unwrap(), repetitive);
+        let m = a.meters().transport;
+        let serialized = 4 + 8 * 400;
+        assert!(serialized >= CTRL_LZ_MIN_BYTES);
+        assert_eq!(m.modeled_bytes, 0, "control frames model nothing");
+        assert!(m.saved_bytes > 0);
+        assert!(m.wire_bytes < serialized as u64 / 4, "{m:?}");
+        assert_eq!(
+            m.wire_bytes,
+            m.modeled_bytes + m.structural_bytes - m.saved_bytes
+        );
+        assert_eq!(b.meters().received, m.wire_bytes);
+
+        let (mut a, mut b) = pair();
+        a.send(1, &repetitive).unwrap();
+        let (_, method, _) = b.recv().unwrap();
+        assert_eq!(method, METHOD_STORED, "protocol frames ship stored");
+        let m = a.meters().transport;
+        assert_eq!(m.saved_bytes, 0);
+        assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
+    }
+
+    /// A control frame LZ cannot shorten ships stored: nothing saved,
+    /// wire never above modeled + structural.
+    #[test]
+    fn incompressible_ctrl_frames_ship_stored() {
+        // SplitMix64: no four bytes repeat for a match to reach back to.
+        let mix = |i: u64| {
+            let z = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let noise = Nums((0..64).map(mix).collect());
+        let (mut a, mut b) = pair();
+        a.send_ctrl(1, &noise).unwrap();
+        let (_, method, body) = b.recv().unwrap();
+        assert_eq!(method, METHOD_STORED);
+        assert_eq!(decode_body::<Nums>(method, body).unwrap(), noise);
+        let m = a.meters().transport;
+        assert_eq!(m.saved_bytes, 0);
+        assert_eq!(m.wire_bytes, m.structural_bytes);
+        assert_eq!(m.wire_bytes, frame_wire_len(4 + 8 * 64) as u64);
+    }
+
+    /// The frame bound applies to the serialized size on both send
+    /// paths: receivers cap unpacked output at `MAX_FRAME_BYTES`, so a
+    /// message that would only fit packed is refused at the sender,
+    /// before anything is shipped or metered.
+    #[test]
+    fn oversized_frames_are_refused_on_both_send_paths() {
+        let huge = Nums(vec![0u64; MAX_FRAME_BYTES / 8 + 1]);
+        for mut nodes in [mem_mesh(2), tcp_mesh(2).unwrap()] {
+            let a = &mut nodes[0];
+            for e in [a.send(1, &huge), a.send_ctrl(1, &huge)] {
+                let e = e.unwrap_err();
+                assert!(matches!(e, ClusterError::Transport(_)));
+                assert!(e.to_string().contains("oversized"), "{e}");
+            }
+            assert_eq!(a.meters().transport, TransportMeter::default());
+            assert_eq!(a.meters().wire.total_messages(), 0);
+        }
+    }
+
     /// TCP sends only queue; the blocking receive is what puts them on
-    /// the wire. Large control frames are packed whatever the session
-    /// compression, and the receiver's byte count matches the meter.
+    /// the wire. Large control frames are packed, protocol frames are
+    /// not, and the receiver's byte count matches the meter.
     #[test]
     fn queued_frames_leave_when_the_node_parks() {
         let mut nodes = tcp_mesh(2).unwrap();

@@ -24,7 +24,6 @@ use crate::horizontal::HorizontalDetector;
 use crate::vertical::VerticalDetector;
 use cfd::pattern::PatternValue;
 use cfd::{Cfd, CfdId, DeltaV, Violations};
-use cluster::codec::DictSyms;
 use cluster::net::{bytes as wirefmt, FrameCodec, TransportKind};
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{
@@ -45,12 +44,11 @@ const SYM_NONE: Sym = Sym::MAX;
 /// A columnar, dictionary-backed shipment of projected rows: the tid
 /// vector, one symbol column per served attribute (sender-local symbols),
 /// and the **dictionary delta** — the `(sym, value)` entries this link has
-/// not carried before. Sizing routes through the same
-/// [`cluster::codec::DictSyms`] codec the incremental `dict` mode uses
-/// (4 B per shipped symbol, one-time `4 B + |value|` per new entry, per
-/// ordered link). Repeat values therefore cost 4 bytes instead of their
-/// full wire size, which is what collapses the coordinators' `|M|` on
-/// skewed columns.
+/// not carried before. Sizing is a [`DictMeter`], the residency meter
+/// the incremental `dict` codec prices with (4 B per shipped symbol,
+/// one-time `4 B + |value|` per new entry, per ordered link). Repeat
+/// values therefore cost 4 bytes instead of their full wire size, which
+/// is what collapses the coordinators' `|M|` on skewed columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColsMsg {
     /// Row tids, in the sender's scan order (ascending).
@@ -75,14 +73,14 @@ impl ColsMsg {
     }
 
     /// Encode the `rows` of `frag` projected onto `attrs` (fragment-local
-    /// positions), updating `codec`'s per-link residency to pick the
-    /// dictionary delta ([`DictSyms::ship_sym`] — the symbols here are the
+    /// positions), updating `meter`'s per-link residency to pick the
+    /// dictionary delta ([`DictMeter::ship_sym`] — the symbols here are the
     /// fragment store's own).
     pub fn encode(
         frag: &Relation,
         rows: &[(Tid, RowId)],
         attrs: &[AttrId],
-        codec: &mut DictSyms,
+        meter: &mut DictMeter,
         src: SiteId,
         dst: SiteId,
     ) -> ColsMsg {
@@ -97,7 +95,7 @@ impl ColsMsg {
             for (k, &a) in attrs.iter().enumerate() {
                 let s = store.sym(row, a);
                 let v = store.value(row, a);
-                if codec.ship_sym(src, dst, s, v) > DictMeter::SYM_WIRE_SIZE {
+                if meter.ship_sym(src, dst, s, v) > DictMeter::SYM_WIRE_SIZE {
                     msg.dict.push((s, v.clone()));
                 }
                 msg.cols[k].push(s);
@@ -367,7 +365,7 @@ fn bat_ver_one(
 ) -> Result<CfdRun, DetectError> {
     let n = scheme.n_sites();
     let mut net = bat_net(n, transport)?;
-    let mut codec = DictSyms::new();
+    let mut meter = DictMeter::new();
     let mut out: Vec<Tid> = Vec::new();
 
     // Coordinator: the site holding the most attributes of the CFD.
@@ -415,7 +413,7 @@ fn bat_ver_one(
         });
         let rows = filter_rows(frag, &atoms);
         if site != coord {
-            let msg = ColsMsg::encode(frag, &rows, &served_local, &mut codec, site, coord);
+            let msg = ColsMsg::encode(frag, &rows, &served_local, &mut meter, site, coord);
             net.send(site, coord, BatMsg::Cols(msg))
                 .map_err(DetectError::Cluster)?;
         } else {
@@ -581,7 +579,7 @@ fn bat_hor_one(
         });
     }
     let mut net = bat_net(n, transport)?;
-    let mut codec = DictSyms::new();
+    let mut meter = DictMeter::new();
     let coord = (cfd.id as usize) % n;
     let proj: Vec<AttrId> = cfd.attrs();
     let m = cfd.lhs.len();
@@ -593,7 +591,7 @@ fn bat_hor_one(
         let atoms = local_atom_syms(cfd, frag, Some);
         let rows = filter_rows(frag, &atoms);
         if site != coord {
-            let msg = ColsMsg::encode(frag, &rows, &proj, &mut codec, site, coord);
+            let msg = ColsMsg::encode(frag, &rows, &proj, &mut meter, site, coord);
             net.send(site, coord, BatMsg::Cols(msg))
                 .map_err(DetectError::Cluster)?;
         } else {
@@ -777,7 +775,7 @@ impl BatScheme for HorizontalScheme {
 /// batch algorithm, return the settled diff).
 macro_rules! batch_detector {
     ($(#[$doc:meta])* $name:ident, $strategy:literal, $codec:expr, $scheme_ty:ty,
-     |$self_:ident| $recompute:expr) => {
+     $(transport: $transport:ty,)? |$self_:ident| $recompute:expr) => {
         $(#[$doc])*
         pub struct $name {
             schema: Arc<Schema>,
@@ -785,7 +783,7 @@ macro_rules! batch_detector {
             scheme: $scheme_ty,
             current: Relation,
             violations: Violations,
-            transport: TransportKind,
+            $(transport: $transport,)?
             meters: Meters,
         }
 
@@ -827,7 +825,7 @@ macro_rules! batch_detector {
                 Ok($name {
                     violations: initial,
                     current,
-                    transport: TransportKind::Simulated,
+                    $(transport: <$transport>::default(),)?
                     meters: Meters::modeled(n),
                     schema,
                     cfds,
@@ -835,15 +833,15 @@ macro_rules! batch_detector {
                 })
             }
 
+            $(
             /// Recompute over an explicit transport substrate: framed or
             /// TCP runs ship real coordinator frames and expose measured
-            /// wire bytes beside the modeled `|M|`. (`ibatVer` recomputes
-            /// through the vertical detector, which runs on the simulated
-            /// network regardless — the setting is a no-op there.)
-            pub(crate) fn with_transport(mut self, transport: TransportKind) -> Self {
+            /// wire bytes beside the modeled `|M|`.
+            pub(crate) fn with_transport(mut self, transport: $transport) -> Self {
                 self.transport = transport;
                 self
             }
+            )?
 
             /// Cumulative recompute traffic, with the measured bytes once
             /// a recompute crossed a byte transport.
@@ -907,31 +905,29 @@ batch_detector!(
     /// `batVer` as a maintained [`Detector`]: every `apply` recomputes
     /// `V(Σ, D ⊕ ΔD)` from scratch with [`bat_ver`] over the
     /// configured transport and reports the diff.
-    BatVer, "batVer", Some("dict"), VerticalScheme,
+    BatVer, "batVer", Some("dict"), VerticalScheme, transport: TransportKind,
     |det| bat_ver(&det.cfds, &det.scheme, &det.current, det.transport)?
 );
 
 batch_detector!(
     /// `batHor` as a maintained [`Detector`], wrapping [`bat_hor`].
-    BatHor, "batHor", Some("dict"), HorizontalScheme,
+    BatHor, "batHor", Some("dict"), HorizontalScheme, transport: TransportKind,
     |det| bat_hor(&det.cfds, &det.scheme, &det.current, det.transport)?
 );
 
 batch_detector!(
     /// `ibatVer` (Exp-10) as a maintained [`Detector`]: recompute through
     /// the incremental machinery via [`ibat_ver`] (simulated network —
-    /// the vertical detector has no byte-transport mode).
+    /// the vertical detector has no byte-transport mode, so it carries no
+    /// transport).
     IbatVer, "ibatVer", None::<&str>, VerticalScheme,
-    |det| {
-        let _ = det.transport; // simulated regardless; see with_transport
-        ibat_ver(det.schema.clone(), det.cfds.clone(), det.scheme.clone(), &det.current)?
-    }
+    |det| ibat_ver(det.schema.clone(), det.cfds.clone(), det.scheme.clone(), &det.current)?
 );
 
 batch_detector!(
     /// `ibatHor` (Exp-10) as a maintained [`Detector`], via
     /// [`ibat_hor`] over the configured transport.
-    IbatHor, "ibatHor", Some("md5"), HorizontalScheme,
+    IbatHor, "ibatHor", Some("md5"), HorizontalScheme, transport: TransportKind,
     |det| ibat_hor(
         det.schema.clone(),
         det.cfds.clone(),

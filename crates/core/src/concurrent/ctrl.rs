@@ -62,7 +62,7 @@
 //! a repeated value costs one or two index bytes in dictionary form, an
 //! all-distinct column stays plain and pays nothing for the option.
 //! Frames of [`cluster::run::CTRL_LZ_MIN_BYTES`] or more are then
-//! offered to `cluster::lz` by the node, whatever the session codec.
+//! offered to `cluster::lz` by the node and kept packed when smaller.
 //!
 //! # Hostile input
 //!

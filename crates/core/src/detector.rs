@@ -24,7 +24,7 @@
 
 use crate::plan::PlanError;
 use cfd::{Cfd, DeltaV, Violations};
-use cluster::{ClusterError, NetReport, SiteId};
+use cluster::{ClusterError, NetReport, SiteId, TransportKind};
 use relation::{RelError, Relation, Schema, Tuple, Update, UpdateBatch};
 use std::sync::Arc;
 
@@ -54,6 +54,15 @@ pub enum DetectError {
         /// variant is no wider than the others.)
         what: Box<str>,
     },
+    /// The strategy cannot run over the transport a session asked for:
+    /// `incVer`, `optVer` and `ibatVer` ship eqids on the simulated
+    /// network only.
+    UnsupportedTransport {
+        /// The strategy ([`Strategy::name`](crate::Strategy::name)).
+        strategy: &'static str,
+        /// The transport it was asked to run over.
+        transport: TransportKind,
+    },
 }
 
 impl std::fmt::Display for DetectError {
@@ -67,6 +76,14 @@ impl std::fmt::Display for DetectError {
             DetectError::BuildMismatch { site, what } => {
                 write!(f, "site {site} built another share of D₀: {what}")
             }
+            DetectError::UnsupportedTransport {
+                strategy,
+                transport,
+            } => write!(
+                f,
+                "{strategy} runs on the simulated network only, not over {}",
+                transport.name()
+            ),
         }
     }
 }
@@ -268,12 +285,7 @@ mod tests {
         use crate::{HybridDetector, HybridScheme};
         let (d0, fresh, catalogs) = build_catalogs();
         let s = d0.schema().clone();
-        let codecs = [
-            CodecKind::RawValues,
-            CodecKind::Md5,
-            CodecKind::Dict,
-            CodecKind::Lz,
-        ];
+        let codecs = [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict];
         let transports = [TransportKind::Simulated, TransportKind::Framed];
         let empty = Relation::new(s.clone());
         let mut all = UpdateBatch::new();

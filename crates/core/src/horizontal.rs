@@ -687,9 +687,8 @@ pub struct HorizontalDetector {
 impl HorizontalDetector {
     /// Build a detector over `d` shipping values with `codec` —
     /// [`CodecKind::Md5`] (the §6 optimization), [`CodecKind::RawValues`]
-    /// (the unoptimized variant), [`CodecKind::Dict`] (symbols on the wire,
-    /// one-time per-link dictionary deltas) or [`CodecKind::Lz`] (raw values
-    /// with per-frame LZ compression on byte transports) — over `transport`.
+    /// (the unoptimized variant) or [`CodecKind::Dict`] (symbols on the
+    /// wire, one-time per-link dictionary deltas) — over `transport`.
     /// With [`TransportKind::Framed`] or [`TransportKind::Tcp`] every
     /// protocol message is serialized to a length-prefixed byte frame,
     /// shipped through the chosen link (in-process channel or localhost
@@ -723,12 +722,8 @@ impl HorizontalDetector {
         let n = sites.len();
         let net: Box<dyn MsgTransport<HorMsg>> = match transport {
             TransportKind::Simulated => Box::new(Network::new(n)),
-            TransportKind::Framed => {
-                Box::new(ByteNetwork::in_memory(n).with_compression(codec.compression()))
-            }
-            TransportKind::Tcp => {
-                Box::new(ByteNetwork::tcp_localhost(n)?.with_compression(codec.compression()))
-            }
+            TransportKind::Framed => Box::new(ByteNetwork::in_memory(n)),
+            TransportKind::Tcp => Box::new(ByteNetwork::tcp_localhost(n)?),
         };
         Ok(HorizontalDetector {
             sites,

@@ -27,12 +27,13 @@
 //! # Operator-level sharing
 //!
 //! Eqid merging shares *state* between CFDs; the rule set's
-//! [`SharedPlan`](cfd::SharedPlan) shares *work*. It compiles every CFD's
-//! [`DeltaPlan`](cfd::DeltaPlan) and merges the shareable operators: a
-//! single dispatch scan decides LHS matching for the whole rule set,
-//! identical `GroupBy` operators collapse into key groups (one group-key
-//! digest serving every member CFD), and each CFD's constant atoms stay
-//! behind as residual restricts evaluated on the shared output. It is how
+//! [`SharedPlan`](cfd::SharedPlan) shares *work*. It reads every CFD's
+//! LHS list and constant atoms ([`Cfd::constant_atoms`]) and merges the
+//! shareable operators: a single dispatch scan decides LHS matching for
+//! the whole rule set, variable CFDs with identical LHS lists collapse
+//! into key groups (one group-key digest serving every member CFD), and
+//! each CFD's constant atoms stay behind as residual restricts evaluated
+//! on the shared output. It is how
 //! all three incremental detectors generate their candidates; the
 //! per-rule `matches_lhs` scan survives only in the tests, as the
 //! reference each producer's match sets are checked against.

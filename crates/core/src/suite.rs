@@ -211,9 +211,11 @@ impl Suite {
 
     /// Wire codec of the §6 protocol, for the strategies that ship values
     /// through it (`incHor`, and `incHyb` between region gateways):
-    /// [`CodecKind::Md5`] (the default), [`CodecKind::RawValues`],
-    /// [`CodecKind::Dict`] or [`CodecKind::Lz`]. The batch baselines
-    /// ship with their own fixed codecs.
+    /// [`CodecKind::Md5`] (the default), [`CodecKind::RawValues`] or
+    /// [`CodecKind::Dict`]. The codec decides only what a value becomes;
+    /// how a frame is packed is the transport's own call (protocol frames
+    /// ship stored). The batch baselines ship with their own fixed
+    /// codecs.
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.codec = codec;
         self
@@ -223,7 +225,9 @@ impl Suite {
     /// [`TransportKind::Simulated`] (modeled `|M|` only, the default),
     /// [`TransportKind::Framed`] (real byte frames over in-process
     /// channels) or [`TransportKind::Tcp`] (localhost sockets). `incVer`,
-    /// `optVer` and `ibatVer` run on the simulated network regardless.
+    /// `optVer` and `ibatVer` run on the simulated network only: building
+    /// one over another transport is
+    /// [`DetectError::UnsupportedTransport`].
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
         self
@@ -310,6 +314,16 @@ impl Suite {
             }
         };
         let (codec, transport) = (self.codec, self.transport);
+        let simulated_only = matches!(
+            strategy,
+            Strategy::Vertical(_) | Strategy::OptimizedVertical(..) | Strategy::IbatVer(_)
+        );
+        if simulated_only && transport != TransportKind::default() {
+            return Err(DetectError::UnsupportedTransport {
+                strategy: strategy.name(),
+                transport,
+            });
+        }
         let vertical = |cfds, s, plan| -> Result<Box<dyn Detector>, DetectError> {
             let det = VerticalDetector::with_plan(schema.clone(), cfds, s, plan, d0)?;
             Ok(Box::new(det))
@@ -337,9 +351,7 @@ impl Suite {
             Strategy::BatHor(s) => {
                 Box::new(BatHor::new(schema, cfds, s, d0)?.with_transport(transport))
             }
-            Strategy::IbatVer(s) => {
-                Box::new(IbatVer::new(schema, cfds, s, d0)?.with_transport(transport))
-            }
+            Strategy::IbatVer(s) => Box::new(IbatVer::new(schema, cfds, s, d0)?),
             Strategy::IbatHor(s) => {
                 Box::new(IbatHor::new(schema, cfds, s, d0)?.with_transport(transport))
             }

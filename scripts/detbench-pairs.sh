@@ -7,24 +7,25 @@
 # Run from the repository root. The parent side is `git archive <parent-rev>`
 # unpacked beside the runs, the change side a copy of this checkout as it
 # stands (`git ls-files -co --exclude-standard`: uncommitted edits included)
-# in a sibling directory. The two source directories have names of one
-# length, and so do their target directories: the paths are compiled into
-# the binaries, and a path of another length alone moved `state_rss_mb`.
-# Each side's `benchmark/` is built into its own target directory, and each
-# binary runs from its own root (it reads `./BENCHMARK.json`). Pair i runs
-# both sides on seed i; odd pairs run the parent first, even pairs the
-# change. Every run's final JSON line and its `#detail` line are kept. Per
+# in a sibling directory with a name of the same length. The two sides'
+# `benchmark/` build in turn from one source directory into one target
+# directory, each binary copied out: paths are compiled into the binaries,
+# so the two differ only by source (built from two directories, identical
+# sources gave a ≈ 10 % throughput gap). Each source is unpacked there with
+# fresh file times, so every crate rebuilds whichever side built last.
+# Each binary runs from its own side's root (it reads `./BENCHMARK.json`).
+# Pair i runs both sides on seed i; odd pairs run the parent first, even
+# pairs the change. Every run's final JSON line and its `#detail` line are kept. Per
 # end-to-end metric of BENCHMARK.json the two medians, the quartiles and
 # the change's win count are printed; below them, labelled ungated, the
 # same for the stream metrics of the detail lines (`run.updates_per_s`,
 # `run.apply_p50_us`, `run.apply_p99_us`, `run.cpu_us_per_update`).
 #
-# Everything is written under ${TMPDIR:-/tmp}/detbench-pairs and reused by
-# the next call (the copy keeps file times, so the builds are incremental);
-# nothing in the checkout moves.
+# Everything is written under ${TMPDIR:-/tmp}/detbench-pairs; the parent's
+# unpacked tree is reused by the next call. Nothing in the checkout moves.
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,24p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
 workload=$2
 pairs=${3:-10}
@@ -47,11 +48,15 @@ mkdir -p "$change"
 git ls-files -z -co --exclude-standard |
     tar --null --ignore-failed-read -T - -cf - | tar -x -C "$change"
 
-# build <side> <root>: the side's detbench, copied out of its target dir.
+# build <side> <root>: the side's detbench, built from the one source
+# directory into the one target directory and copied out.
 build() {
+    rm -rf "$work/src"
+    mkdir -p "$work/src"
+    (cd "$2" && tar -cf - .) | tar -x -m -C "$work/src"
     cargo build --release --offline --quiet \
-        --manifest-path "$2/benchmark/Cargo.toml" --target-dir "$work/target-$1"
-    cp "$work/target-$1/release/detbench" "$work/detbench-$1"
+        --manifest-path "$work/src/benchmark/Cargo.toml" --target-dir "$work/target"
+    cp "$work/target/release/detbench" "$work/detbench-$1"
 }
 build "parent-$rev" "$parent"
 build "change-$rev" "$change"

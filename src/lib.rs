@@ -83,7 +83,7 @@ pub mod prelude {
     pub use cluster::partition::{HorizontalScheme, VerticalScheme};
     pub use cluster::{
         codec::{CodecKind, PayloadCodec, ReceiverCodec},
-        net::{ByteNetwork, Compression, FrameCodec, TransportKind},
+        net::{ByteNetwork, FrameCodec, TransportKind},
         CostModel, NetReport, NetStats, SiteId, TransportMeter,
     };
     pub use incdetect::{

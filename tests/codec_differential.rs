@@ -1,22 +1,15 @@
-//! Four-codec differential suite: the horizontal protocol must produce
-//! *identical* violation sets under `raw_values`, `md5`, `dict` and `lz`
+//! Three-codec differential suite: the horizontal protocol must produce
+//! *identical* violation sets under `raw_values`, `md5` and `dict`
 //! payload encodings on the fig9-style EMP and DBLP workloads — the codec
 //! is a wire concern, never a semantic one — and the `dict` codec must
 //! ship strictly fewer bytes than `raw_values` once its per-link
-//! dictionaries are warm. (`lz` models like `raw_values` here; its
-//! savings are measured on the byte transport — see
-//! `tests/transport_differential.rs`.)
+//! dictionaries are warm.
 
 use inc_cfd::prelude::*;
 use workload::dblp::{self, DblpConfig};
 use workload::updates::{self, UpdateMix};
 
-const CODECS: [CodecKind; 4] = [
-    CodecKind::RawValues,
-    CodecKind::Md5,
-    CodecKind::Dict,
-    CodecKind::Lz,
-];
+const CODECS: [CodecKind; 3] = [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict];
 
 /// Build one horizontal detector per codec over the same `d0`, feed all of
 /// them the same update stream, and after every batch check the violation

@@ -442,7 +442,7 @@ fn cols_msg_encode_decode_matches_row_shipment() {
         for tid in 0..30u64 {
             d.insert(rand_tuple(tid, &mut rng)).unwrap();
         }
-        let mut codec = cluster::codec::DictSyms::new();
+        let mut meter = cluster::DictMeter::new();
         let mut link: relation::FxHashMap<Sym, Value> = relation::FxHashMap::default();
         // Several messages over the same (0 → 1) link: later messages ride
         // on the dictionary entries of earlier ones.
@@ -455,7 +455,7 @@ fn cols_msg_encode_decode_matches_row_shipment() {
                 continue;
             }
             let rows: Vec<(Tid, RowId)> = d.scan().filter(|_| rng.random_bool(0.8)).collect();
-            let msg = ColsMsg::encode(&d, &rows, &attrs, &mut codec, 0, 1);
+            let msg = ColsMsg::encode(&d, &rows, &attrs, &mut meter, 0, 1);
             // Differential: decode equals the direct row projection.
             let decoded = msg.decode(&mut link);
             let expect: Vec<(Tid, Vec<Value>)> = rows

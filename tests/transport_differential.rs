@@ -10,10 +10,10 @@
 //!
 //! where every term is metered constructively at its own source (frame
 //! headers and tag/count bytes at the serializer, savings at the
-//! compressor), never derived by subtraction. For the `md5` /
-//! `raw_values` / `dict` codecs the savings term is zero, so measured
+//! compressor), never derived by subtraction. Protocol frames ship
+//! stored, so for every codec the savings term is zero and measured
 //! bytes equal the simulated accounting plus the declared frame
-//! overhead; for `lz` the savings are the point.
+//! overhead; only the threaded runtime's large control frames pack.
 
 use cluster::codec::{value_digest, CodecKind, ReceiverCodec};
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
@@ -100,7 +100,7 @@ fn run(
     }
 }
 
-/// For md5 / raw_values / dict: the framed run must (a) agree with the
+/// For every codec: the framed run must (a) agree with the
 /// simulated run and the oracle, (b) model identical `|M|`, and (c) obey
 /// the constructive overhead identity with zero compression savings —
 /// i.e. measured on-wire bytes equal the simulated accounting plus the
@@ -147,36 +147,6 @@ fn framed_bytes_equal_model_plus_declared_overhead() {
     }
     let oracle = cfd::naive::detect(det.cfds(), &mirror);
     assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
-}
-
-/// The fourth codec: per-message LZ compression must strictly reduce the
-/// measured incremental bytes vs `raw_values` on the same stream, while
-/// modeling identically (it ships the same raw payloads) and changing no
-/// results.
-#[test]
-fn lz_codec_reduces_measured_bytes_vs_raw_values() {
-    let fixture = stream_fixture();
-    let raw = run(&fixture, CodecKind::RawValues, TransportKind::Framed);
-    let lz = run(&fixture, CodecKind::Lz, TransportKind::Framed);
-    assert_eq!(raw.marks, lz.marks, "codecs must not change results");
-    assert_eq!(
-        raw.modeled, lz.modeled,
-        "lz models like raw_values on every substrate"
-    );
-    let (rm, lm) = (raw.meter.unwrap(), lz.meter.unwrap());
-    assert_eq!(rm.frames, lm.frames, "same protocol, same frames");
-    assert!(lm.saved_bytes > 0, "fig-shaped values compress");
-    assert!(
-        lm.wire_bytes < rm.wire_bytes,
-        "lz must beat raw on the wire: {} vs {}",
-        lm.wire_bytes,
-        rm.wire_bytes
-    );
-    assert_eq!(
-        lm.wire_bytes,
-        lm.modeled_bytes + lm.structural_bytes - lm.saved_bytes,
-        "the identity still balances with compression in play"
-    );
 }
 
 /// Every cell of an `n`-site matrix, row-major.
@@ -330,7 +300,7 @@ fn hybrid_gateway_rounds_ride_the_byte_transport() {
 }
 
 // ----------------------------------------------------------------------
-// Seeded round-trip property: random payloads, all four codecs
+// Seeded round-trip property: random payloads, all three codecs
 // ----------------------------------------------------------------------
 
 fn random_value(rng: &mut StdRng) -> Value {
@@ -355,12 +325,7 @@ fn random_value(rng: &mut StdRng) -> Value {
 #[test]
 fn random_wire_values_round_trip_for_all_codecs() {
     let mut rng = StdRng::seed_from_u64(0xC0DEC);
-    for codec_kind in [
-        CodecKind::RawValues,
-        CodecKind::Md5,
-        CodecKind::Dict,
-        CodecKind::Lz,
-    ] {
+    for codec_kind in [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict] {
         let mut tx = codec_kind.codec();
         let mut rx = ReceiverCodec::new();
         // Skewed pool so dict re-ships symbols (bare-sym payloads occur).
@@ -413,8 +378,8 @@ fn colsmsg_frames_cross_a_byte_network() {
         .unwrap();
     }
     let rows: Vec<(Tid, relation::RowId)> = frag.store().rows().collect();
-    let mut codec = cluster::codec::DictSyms::new();
-    let msg = ColsMsg::encode(&frag, &rows, &[1, 2], &mut codec, 0, 1);
+    let mut meter = cluster::DictMeter::new();
+    let msg = ColsMsg::encode(&frag, &rows, &[1, 2], &mut meter, 0, 1);
     let expected_rows = msg.decode(&mut Default::default());
 
     let mut net: ByteNetwork<BatMsg> = ByteNetwork::in_memory(2);
