@@ -2766,13 +2766,42 @@ mod tests {
     /// A fault [`step_batch`] puts into the frames it reads: the body of
     /// frame `at` (counting every frame read, from 0, across batches) is
     /// cut to `len` modulo its length. `reads` counts the frames read, and
-    /// `hit` is the link of the frame that was cut.
+    /// `hit` is the link of the frame that was cut; `tally` holds, per
+    /// frame kind, the frames read whole and their wire bytes.
     #[derive(Default)]
     struct Cut {
         at: Option<usize>,
         len: usize,
         reads: usize,
         hit: Option<(SiteId, SiteId)>,
+        tally: std::collections::BTreeMap<&'static str, (u64, u64)>,
+    }
+
+    /// The kind of a frame as it crossed the link: a control tag, a
+    /// protocol message, or the envelope of one.
+    fn kind(frame: &RtFrame) -> &'static str {
+        use CtrlMsg as C;
+        match frame {
+            RtFrame::Hor(m) => m.kind(),
+            RtFrame::Piggy(..) => "Piggy",
+            RtFrame::Ctrl(m) => match m {
+                C::Ack => "Ack",
+                C::AckN(_) => "AckN",
+                C::Ops(_) => "Ops",
+                C::Take => "Take",
+                C::Deferred(_) => "Deferred",
+                C::Waves { .. } => "Waves",
+                C::WaveDone(_) => "WaveDone",
+                C::WaveAdvance(_) => "WaveAdvance",
+                C::BatchResult(_) => "BatchResult",
+                C::Meters => "Meters",
+                C::Metered(_) => "Metered",
+                C::Failed(_) => "Failed",
+                C::Built(_) => "Built",
+                C::Gather => "Gather",
+                C::Shutdown => "Shutdown",
+            },
+        }
     }
 
     /// Take the frame `node` holds next, as the loop reads it: decoded and
@@ -2781,7 +2810,12 @@ mod tests {
         runner: &mut SiteRunner,
         cut: &mut Cut,
     ) -> Option<Result<(SiteId, RtFrame), DetectError>> {
+        let received = runner.node.meters().received;
         let (src, method, mut body) = runner.node.try_recv().unwrap()?;
+        let wire = runner.node.meters().received - received;
+        let whole = unpack_body(method, body.clone()).and_then(|b| RtFrame::decode_frame(&b));
+        let tally = cut.tally.entry(kind(&whole.unwrap())).or_default();
+        (tally.0, tally.1) = (tally.0 + 1, tally.1 + wire);
         if cut.at == Some(cut.reads) {
             assert!(!body.is_empty(), "every frame has a tag");
             body.truncate(cut.len % body.len());
@@ -2948,6 +2982,45 @@ mod tests {
             }
             assert!(cut.hit.is_some(), "seed {seed}: the cut frame was read");
         }
+    }
+
+    /// The control plane, kind by kind: the frames and wire bytes of every
+    /// frame the stress fixture at 4 sites puts on a link, stepped under
+    /// schedule seed 1 — one thread in a seeded order, so ack timing is
+    /// fixed and every count is exact. Whatever changes what a frame
+    /// carries, or which frames a batch sends, moves its row.
+    #[test]
+    fn the_control_plane_kind_by_kind() {
+        let batches = stress_batches(0x5EED, 6, 64);
+        let (mut det, mut sites) = on_one_thread(4);
+        let (mut pick, mut reads) = (schedule(1), Cut::default());
+        for b in &batches {
+            step_batch(&mut det, &mut sites, b, &mut pick, &mut reads).unwrap();
+        }
+        assert_eq!(det.waves(), 41);
+        // (kind, frames, wire bytes)
+        let want = [
+            ("Ack", 53, 106),
+            ("AckN", 15, 45),
+            ("BatchResult", 18, 390),
+            ("ClearFlags", 1, 32),
+            ("Deferred", 18, 477),
+            ("DelReply", 68, 1_552),
+            ("Piggy", 14, 206),
+            ("ProbeReply", 59, 472),
+            ("Take", 18, 36),
+            ("TupleDelQuery", 96, 3_072),
+            ("TupleProbe", 147, 5_514),
+            ("WaveAdvance", 105, 315),
+            ("WaveDone", 105, 315),
+            ("Waves", 18, 206),
+        ];
+        let got: Vec<_> = reads
+            .tally
+            .into_iter()
+            .map(|(k, (f, b))| (k, f, b))
+            .collect();
+        assert_eq!(got, want);
     }
 
     /// The long sweep: 1 000 schedules at 8 and 16 sites, with the stress
