@@ -84,6 +84,19 @@ pub enum ClusterError {
         /// The unresolvable dictionary symbol.
         sym: relation::Sym,
     },
+    /// A frame on the `src → dst` link that its receiver could not take:
+    /// its body did not decode, or the protocol does not carry it there.
+    /// The cause stays typed; the text names the link once, then the
+    /// cause's own words.
+    Link {
+        /// Sending site of the link.
+        src: SiteId,
+        /// Receiving site of the link.
+        dst: SiteId,
+        /// What was wrong with the frame. (Boxed, so the variant is no
+        /// wider than the others.)
+        cause: Box<ClusterError>,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -100,6 +113,10 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "bare dictionary symbol {sym} arrived on link {src} → {dst} before its delta"
             ),
+            ClusterError::Link { src, dst, cause } => match &**cause {
+                ClusterError::Transport(what) => write!(f, "link {src} → {dst}: {what}"),
+                cause => write!(f, "link {src} → {dst}: {cause}"),
+            },
         }
     }
 }

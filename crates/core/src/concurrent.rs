@@ -243,9 +243,16 @@ fn proto(msg: impl Into<String>) -> DetectError {
     DetectError::Cluster(ClusterError::Transport(msg.into()))
 }
 
+/// A frame on the `src → dst` link that its receiver cannot take, for
+/// `cause`.
+fn on_link(src: SiteId, dst: SiteId, cause: ClusterError) -> DetectError {
+    let cause = Box::new(cause);
+    DetectError::Cluster(ClusterError::Link { src, dst, cause })
+}
+
 /// A control frame on the `src → dst` link that its receiver cannot act on.
 fn bad_link(src: SiteId, dst: SiteId, what: impl std::fmt::Display) -> DetectError {
-    proto(format!("link {src} → {dst}: {what}"))
+    on_link(src, dst, ClusterError::Transport(what.to_string()))
 }
 
 /// What a site's [`CtrlMsg::Failed`] becomes at the coordinator.
@@ -456,7 +463,7 @@ impl SiteRunner {
     /// naming the link it came over.
     fn admit(&self, src: SiteId, method: u8, body: Vec<u8>) -> Result<RtFrame, DetectError> {
         let frame = unpack_body(method, body).and_then(|b| RtFrame::decode_frame(&b));
-        self.check(src, frame.map_err(|e| bad_link(src, self.me, e))?)
+        self.check(src, frame.map_err(|e| on_link(src, self.me, e))?)
     }
 
     /// Who may send what: acks and `Failed` aside, the coordinator sends a
@@ -960,7 +967,9 @@ fn last_words(node: &mut Node) -> Option<DetectError> {
 /// Prefer a site's own words ([`last_words`]) to a transport error.
 fn in_own_words(node: &mut Node, e: DetectError) -> DetectError {
     match e {
-        DetectError::Cluster(ClusterError::Transport(_)) => last_words(node).unwrap_or(e),
+        DetectError::Cluster(ClusterError::Transport(_) | ClusterError::Link { .. }) => {
+            last_words(node).unwrap_or(e)
+        }
         e => e,
     }
 }
@@ -2343,7 +2352,9 @@ mod tests {
             peer.flush().unwrap();
             let served = handle.join().expect("the site thread must not panic");
             let refused = match &served {
-                Err(DetectError::Cluster(ClusterError::Transport(e))) => e.contains("link 2 → 1"),
+                Err(DetectError::Cluster(ClusterError::Link { src, dst, .. })) => {
+                    (*src, *dst) == (2, 1)
+                }
                 _ => false,
             };
             let told = served
@@ -2407,8 +2418,8 @@ mod tests {
             b.insert(tuples.find(|t| conc.scheme.route(t).unwrap() == 1).unwrap());
             let applied = conc.apply(&b);
             match &applied {
-                Err(DetectError::Cluster(ClusterError::Transport(e)))
-                    if e.contains("link 1 → 0") && e.contains(cause) => {}
+                Err(DetectError::Cluster(e @ ClusterError::Link { src: 1, dst: 0, .. }))
+                    if e.to_string().contains(cause) => {}
                 _ => wrong.push(format!("{cause}: {applied:?}")),
             }
         }
@@ -2838,8 +2849,8 @@ mod tests {
         b: &UpdateBatch,
         pick: &mut impl FnMut() -> usize,
         cut: &mut Cut,
-    ) -> Result<DeltaV, String> {
-        let Some(mut phase) = det.start(b).map_err(|e| e.to_string())? else {
+    ) -> Result<DeltaV, DetectError> {
+        let Some(mut phase) = det.start(b)? else {
             return Ok(DeltaV::default());
         };
         let n = sites.len() + 1;
@@ -2851,7 +2862,8 @@ mod tests {
                 }
             }
             if !quiet.contains(&false) {
-                return Err("no machine can step and the batch is not done".into());
+                let stuck = "no machine can step and the batch is not done";
+                return Err(DetectError::Internal(stuck.into()));
             }
             let j = pick() % n;
             let runner = match j {
@@ -2871,7 +2883,7 @@ mod tests {
                 0 => det.on_frame(&mut phase, src, frame),
                 j => sites[j - 1].on_frame(src, frame).map(drop),
             });
-            stepped.map_err(|e| format!("machine {j}: {e}"))?;
+            stepped?;
         }
     }
 
@@ -2972,16 +2984,34 @@ mod tests {
             for (i, (b, whole_dv)) in batches.iter().zip(&whole_dvs).enumerate() {
                 let at = format!("schedule seed {seed}, batch {i}");
                 let stepped = step_batch(&mut det, &mut sites, b, &mut pick, &mut cut);
-                let Some((src, dst)) = cut.hit else {
-                    assert_eq!(stepped.as_ref(), Ok(whole_dv), "{at}: before the cut");
+                let Some(hit) = cut.hit else {
+                    let dv = stepped.unwrap_or_else(|e| panic!("{at}: before the cut: {e}"));
+                    assert_eq!(&dv, whole_dv, "{at}: before the cut");
                     continue;
                 };
-                let e = stepped.expect_err(&format!("{at}: a cut frame makes no ΔV"));
-                assert!(e.contains(&format!("link {src} → {dst}")), "{at}: {e}");
+                // The link is named once, then the decoder's own words; the
+                // decode error stays typed beneath it.
+                let Err(e) = stepped else {
+                    panic!("{at}: a cut frame makes no ΔV");
+                };
+                let text = e.to_string();
+                match e {
+                    DetectError::Cluster(ClusterError::Link { src, dst, cause }) => {
+                        assert_eq!((src, dst), hit, "{at}: {text}");
+                        let ClusterError::Transport(what) = *cause else {
+                            panic!("{at}: the cause is not the decoder's: {text}");
+                        };
+                        assert!(what.starts_with("malformed "), "{at}: {text}");
+                        assert_eq!(text, format!("link {src} → {dst}: {what}"), "{at}");
+                    }
+                    e => panic!("{at}: not a link error: {e}"),
+                }
                 break;
             }
             assert!(cut.hit.is_some(), "seed {seed}: the cut frame was read");
         }
+        // The typed cause costs the error no width.
+        assert_eq!(std::mem::size_of::<DetectError>(), 32);
     }
 
     /// The control plane, kind by kind: the frames and wire bytes of every
@@ -3083,9 +3113,11 @@ mod tests {
         wrong: &mut Vec<String>,
     ) {
         let named = match &stepped {
+            Err(DetectError::Cluster(ClusterError::Link { src: s, dst: d, .. })) => {
+                (*s, *d) == (src, dst)
+            }
             Err(DetectError::Cluster(ClusterError::Transport(e))) => {
-                e.contains(&format!("link {src} → {dst}: "))
-                    || *e == format!("site {src} failed: gone")
+                *e == format!("site {src} failed: gone")
             }
             _ => false,
         };
