@@ -2691,6 +2691,42 @@ mod tests {
         }
     }
 
+    /// A `Deferred` frame cut inside one of its 4-byte footprint keys does
+    /// not decode: the batch fails naming the link it came over, the
+    /// decoder's words beneath, and nothing is placed.
+    #[test]
+    fn a_deferred_frame_cut_inside_a_key_names_the_link() {
+        let list = DeferredList {
+            updates: vec![(0, true)],
+            footprints: vec![vec![7, 0xC0FF_EE00]],
+        };
+        let mut frame = Vec::new();
+        CtrlMsg::Deferred(list).encode_frame(&mut frame);
+        for cut in 1..4 {
+            let frame = frame[..frame.len() - cut].to_vec();
+            let answering = move |node: &mut Node, msg: CtrlMsg| {
+                if let CtrlMsg::Ops(_) = msg {
+                    node.send_ctrl_with(COORD, |out| out.extend_from_slice(&frame))
+                        .unwrap();
+                    node.flush().unwrap();
+                }
+            };
+            let mut conc = scripted_session(2, answering);
+            let mut tuples = (1..).map(|tid| emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+            let mut b = UpdateBatch::new();
+            b.insert(tuples.find(|t| conc.scheme.route(t).unwrap() == 1).unwrap());
+            let err = conc.apply(&b).map(drop).unwrap_err();
+            let text = err.to_string();
+            let DetectError::Cluster(ClusterError::Link { src, dst, cause }) = err else {
+                panic!("{cut} bytes short: {text}");
+            };
+            assert_eq!((src, dst), (1, COORD), "{text}");
+            assert!(matches!(*cause, ClusterError::Transport(_)), "{text}");
+            assert_eq!(text, "link 1 → 0: malformed frame payload: truncated field");
+            assert_eq!(conc.waves(), 0, "{text}");
+        }
+    }
+
     /// A `Waves` frame that does not answer the list the site deferred —
     /// another length, a wave the batch does not have — ends the site
     /// with the link and the cause, and none of the deferred updates ran.
@@ -3033,14 +3069,14 @@ mod tests {
             ("Ack", 53, 106),
             ("AckN", 15, 45),
             ("BatchResult", 18, 390),
-            ("ClearFlags", 1, 32),
-            ("Deferred", 18, 477),
-            ("DelReply", 68, 1_552),
-            ("Piggy", 14, 206),
-            ("ProbeReply", 59, 472),
+            ("ClearFlags", 1, 30),
+            ("Deferred", 18, 356),
+            ("DelReply", 68, 1_416),
+            ("Piggy", 14, 187),
+            ("ProbeReply", 59, 413),
             ("Take", 18, 36),
-            ("TupleDelQuery", 96, 3_072),
-            ("TupleProbe", 147, 5_514),
+            ("TupleDelQuery", 96, 2_880),
+            ("TupleProbe", 147, 5_220),
             ("WaveAdvance", 105, 315),
             ("WaveDone", 105, 315),
             ("Waves", 18, 206),

@@ -22,7 +22,7 @@
 //! Deferred     8a v(n) n × v(position << 1 | writes)
 //!              v(m) m × (v(k) k × key)              a deferred delete's
 //!                                                    footprint, in slice
-//!                                                    order; a key is 8
+//!                                                    order; a key is 4
 //!                                                    bytes little-endian
 //! Waves        8b v(n_waves) v(n) n × v(wave)
 //! Failed       8c v(len) len × UTF-8 byte
@@ -404,7 +404,7 @@ fn get_deferred(r: &mut Reader<'_>) -> Result<DeferredList, ClusterError> {
     let mut footprints = Vec::with_capacity(n);
     for _ in 0..n {
         let k = r.count()?;
-        footprints.push((0..k).map(|_| r.u64()).collect::<Result<_, _>>()?);
+        footprints.push((0..k).map(|_| r.u32()).collect::<Result<_, _>>()?);
     }
     Ok(DeferredList {
         updates,
@@ -761,8 +761,8 @@ mod tests {
                 let n_keys = rng.pick(&[0, 1, 3, 17]);
                 (0..n_keys)
                     .map(|_| {
-                        let wild = rng.next();
-                        rng.pick(&[0, 1, u64::MAX, wild])
+                        let wild = rng.next() as u32;
+                        rng.pick(&[0, 1, u32::MAX, wild])
                     })
                     .collect()
             })
@@ -858,7 +858,7 @@ mod tests {
             CtrlMsg::Deferred(DeferredList::default()),
             CtrlMsg::Deferred(DeferredList {
                 updates: vec![(0, true), (1, false), (4_095, true), (u32::MAX, false)],
-                footprints: vec![vec![], vec![7, u64::MAX, 0]],
+                footprints: vec![vec![], vec![7, u32::MAX, 0]],
             }),
             CtrlMsg::Waves {
                 n_waves: 0,
@@ -921,7 +921,7 @@ mod tests {
         // handed over in memory is a tag, and so is a request for a
         // fragment or for meters; a deferred update costs a byte each way in a steady
         // batch's slice, a deferred delete its footprint besides (a count
-        // and eight bytes a key), and eight ops share a kind byte.
+        // and four bytes a key), and eight ops share a kind byte.
         assert_eq!(encoded(&CtrlMsg::WaveDone(4)).len(), 2);
         assert_eq!(encoded(&CtrlMsg::Take).len(), 1);
         assert_eq!(encoded(&CtrlMsg::Gather).len(), 1);
@@ -935,7 +935,7 @@ mod tests {
             }))
         };
         assert_eq!(deferred(vec![]).len(), 5);
-        assert_eq!(deferred(vec![vec![1, 2, 3]]).len(), 5 + 1 + 3 * 8);
+        assert_eq!(deferred(vec![vec![1, 2, 3]]).len(), 5 + 1 + 3 * 4);
         let waves = vec![0, 1];
         assert_eq!(encoded(&CtrlMsg::Waves { n_waves: 2, waves }).len(), 5);
         let deletes = |n| CtrlMsg::Ops((0..n).map(Update::Delete).collect());
@@ -1166,16 +1166,17 @@ mod tests {
         past.clear();
         put_varint(&mut past, u64::MAX - 6);
         assert_eq!(marks(image(2, &past).unwrap()), [(0, 5), (0, u64::MAX - 1)]);
-        // A footprint longer than the bytes left, and one cut short.
+        // A footprint longer than the bytes left, and one cut short inside
+        // its second 4-byte key, at each of its three bytes.
         let mut keys = vec![CT_DEFERRED, 0, 1];
         huge(&mut keys);
         assert!(CtrlMsg::decode_frame(&keys).is_err());
-        let cut = [CT_DEFERRED, 0, 1, 2];
-        let mut cut = cut.to_vec();
-        cut.extend([7; 15]);
-        assert!(CtrlMsg::decode_frame(&cut).is_err());
-        cut.push(7);
-        assert!(CtrlMsg::decode_frame(&cut).is_ok());
+        let whole = [&[CT_DEFERRED, 0, 1, 2][..], &[7; 8]].concat();
+        assert!(CtrlMsg::decode_frame(&whole).is_ok());
+        for cut in 5..8 {
+            let cut = &whole[..whole.len() - 8 + cut];
+            assert!(CtrlMsg::decode_frame(cut).is_err(), "{cut:02x?}");
+        }
 
         // One long literal referenced over and over must not expand
         // past the budget: 1 literal + 9 references of 100 bytes.

@@ -255,12 +255,17 @@ const HF_DEL_QUERY: u8 = 2;
 const HF_DEL_REPLY: u8 = 3;
 const HF_CLEAR: u8 = 4;
 
+/// Write an item count as a varint; returns its length, all structural.
+fn put_count(out: &mut Vec<u8>, n: usize) -> usize {
+    wirefmt::put_varint(out, n as u64);
+    wirefmt::varint_len(n as u64)
+}
+
 /// Serialize `(attr, payload)` pairs; returns structural overhead (the
-/// 2-byte count plus each payload's tag bytes — attr ids themselves are
-/// modeled at 2 B).
+/// count plus each payload's tag bytes — attr ids themselves are modeled
+/// at 2 B).
 fn put_attrs(out: &mut Vec<u8>, attrs: &[(AttrId, WireValue)]) -> usize {
-    let mut ovh = 2;
-    out.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
+    let mut ovh = put_count(out, attrs.len());
     for (a, w) in attrs {
         out.extend_from_slice(&a.to_le_bytes());
         ovh += wirefmt::put_wire_value(out, w);
@@ -269,7 +274,7 @@ fn put_attrs(out: &mut Vec<u8>, attrs: &[(AttrId, WireValue)]) -> usize {
 }
 
 fn get_attrs(r: &mut wirefmt::Reader<'_>) -> Result<Vec<(AttrId, WireValue)>, ClusterError> {
-    let n = r.u16()? as usize;
+    let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let a = r.u16()? as AttrId;
@@ -278,18 +283,18 @@ fn get_attrs(r: &mut wirefmt::Reader<'_>) -> Result<Vec<(AttrId, WireValue)>, Cl
     Ok(out)
 }
 
-/// Serialize an operator-id list; overhead is the 2-byte count (ids are
-/// modeled at 4 B each).
+/// Serialize an operator-id list; overhead is the count (ids are modeled
+/// at 4 B each).
 fn put_ops(out: &mut Vec<u8>, ops: &[OpId]) -> usize {
-    out.extend_from_slice(&(ops.len() as u16).to_le_bytes());
+    let ovh = put_count(out, ops.len());
     for o in ops {
         out.extend_from_slice(&o.to_le_bytes());
     }
-    2
+    ovh
 }
 
 fn get_ops(r: &mut wirefmt::Reader<'_>) -> Result<Vec<OpId>, ClusterError> {
-    let n = r.u16()? as usize;
+    let n = r.count()?;
     (0..n).map(|_| Ok(r.u32()? as OpId)).collect()
 }
 
@@ -297,7 +302,9 @@ fn get_ops(r: &mut wirefmt::Reader<'_>) -> Result<Vec<OpId>, ClusterError> {
 /// a self-describing frame body and decodes from received bytes alone.
 /// The structural overhead (returned by `encode_frame`) is the message
 /// tag, the item counts and the per-payload type tags — everything the
-/// `|M|` model of [`Wire::wire_size`] deliberately ignores. The probe
+/// `|M|` model of [`Wire::wire_size`] deliberately ignores. Counts are
+/// canonical LEB128 varints (one byte below 128 items), each checked
+/// against the bytes left before it sizes an allocation. The probe
 /// and probe-reply shapes already model 1 byte of framing (their leading
 /// tag), so their tag contributes no overhead.
 impl FrameCodec for HorMsg {
@@ -317,12 +324,10 @@ impl FrameCodec for HorMsg {
             }
             HorMsg::DelReply { bvals } => {
                 out.push(HF_DEL_REPLY);
-                out.extend_from_slice(&(bvals.len() as u16).to_le_bytes());
-                let mut ovh = 1 + 2;
+                let mut ovh = 1 + put_count(out, bvals.len());
                 for (o, vs) in bvals {
                     out.extend_from_slice(&o.to_le_bytes());
-                    out.extend_from_slice(&(vs.len() as u16).to_le_bytes());
-                    ovh += 2;
+                    ovh += put_count(out, vs.len());
                     for v in vs {
                         ovh += wirefmt::put_wire_value(out, v);
                     }
@@ -351,11 +356,11 @@ impl FrameCodec for HorMsg {
                 queries: get_ops(&mut r)?,
             },
             HF_DEL_REPLY => {
-                let n = r.u16()? as usize;
+                let n = r.count()?;
                 let mut bvals = Vec::with_capacity(n);
                 for _ in 0..n {
                     let o = r.u32()? as OpId;
-                    let k = r.u16()? as usize;
+                    let k = r.count()?;
                     let mut vs = Vec::with_capacity(k);
                     for _ in 0..k {
                         vs.push(wirefmt::get_wire_value(&mut r)?);
@@ -1473,5 +1478,120 @@ mod tests {
         assert!(det.violations().is_empty());
         // No group, and no table allocation either, outlives the data.
         assert_eq!(det.state_census(), StateCensus::default());
+    }
+
+    // -- the frame codec -------------------------------------------------
+
+    /// A seeded `HorMsg` of shape `seed % 5`: attributes of every payload
+    /// kind, lists of no item to a few hundred, and — every 250th seed —
+    /// one list of 2¹⁶ + 1 items, more than a 16-bit count could carry.
+    fn seeded_msg(seed: u64) -> HorMsg {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut len = |long: bool| match next() % 7 {
+            _ if long => (1 << 16) + 1,
+            0 => 0,
+            1 => 1,
+            2 => 127,
+            3 => 128,
+            4 => 300,
+            k => k as usize,
+        };
+        let long = seed % 250 == 0;
+        let value = |x: u64| match x % 4 {
+            0 => WireValue::Raw(Value::int(x as i64)),
+            1 => WireValue::Md5(cluster::md5::md5(&x.to_le_bytes())),
+            2 => WireValue::Sym(x as u32, None),
+            _ => WireValue::Sym(x as u32, Some(Value::str(format!("v{x}")))),
+        };
+        let (n_attrs, n_ops) = (len(false), len(long));
+        let attrs: Vec<(AttrId, WireValue)> = (0..n_attrs)
+            .map(|i| (i as AttrId, value(seed ^ i as u64)))
+            .collect();
+        let ops: Vec<OpId> = (0..n_ops).map(|i| (i as u64 ^ seed) as OpId).collect();
+        match seed % 5 {
+            0 => HorMsg::TupleProbe { attrs, probes: ops },
+            1 => HorMsg::ProbeReply { conflicts: ops },
+            2 => HorMsg::TupleDelQuery {
+                attrs,
+                queries: ops,
+            },
+            3 => {
+                let vals = |o: OpId| (0..u64::from(o) % 4).map(move |k| value(k + u64::from(o)));
+                let bvals = ops.iter().take(n_attrs).map(|&o| (o, vals(o).collect()));
+                HorMsg::DelReply {
+                    bvals: bvals.collect(),
+                }
+            }
+            _ => HorMsg::ClearFlags { attrs, cfds: ops },
+        }
+    }
+
+    fn frame_of(m: &HorMsg) -> (Vec<u8>, usize) {
+        let mut buf = Vec::new();
+        let structural = m.encode_frame(&mut buf);
+        (buf, structural)
+    }
+
+    /// 1 000 seeded frames of the five shapes round-trip, and every byte a
+    /// frame adds to the modeled `|M|` is counted structural — a count of
+    /// 2¹⁶ + 1 items among them.
+    #[test]
+    fn protocol_frames_round_trip_and_balance() {
+        let mut long = 0;
+        for seed in 0..1_000 {
+            let m = seeded_msg(seed);
+            let (buf, structural) = frame_of(&m);
+            assert_eq!(structural, buf.len() - m.wire_size(), "seed {seed}");
+            assert_eq!(HorMsg::decode_frame(&buf).unwrap(), m, "seed {seed}");
+            long += usize::from(buf.len() > 1 << 18);
+        }
+        assert!(long >= 2, "{long} frames carry a count of 2^16 + 1");
+        // A count is one byte below 128 items, two below 2¹⁴.
+        let reply = |n: usize| {
+            frame_of(&HorMsg::ProbeReply {
+                conflicts: vec![7; n],
+            })
+        };
+        assert_eq!(reply(127).1, 1);
+        assert_eq!(reply(128).1, 2);
+    }
+
+    /// Bytes no encoder writes decode to a typed error, never a panic or
+    /// an allocation they size: every proper prefix of a frame of each
+    /// shape; a count past the bytes left; a count in a non-canonical
+    /// (overlong) varint.
+    #[test]
+    fn hostile_protocol_frames_are_refused() {
+        for seed in 1..=10 {
+            let (buf, _) = frame_of(&seeded_msg(seed));
+            for cut in 0..buf.len() {
+                let got = HorMsg::decode_frame(&buf[..cut]);
+                assert!(got.is_err(), "seed {seed}: prefix {cut} of {buf:02x?}");
+            }
+        }
+        let refused = |frame: &[u8], why: &str| match HorMsg::decode_frame(frame) {
+            Err(ClusterError::Transport(e)) => assert!(e.contains(why), "{frame:02x?}: {e}"),
+            other => panic!("{frame:02x?}: {other:?}"),
+        };
+        // 2⁴⁰ conflicts, attributes or RHS values; then one conflict of
+        // four bytes promised and three there.
+        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        for head in [
+            &[HF_PROBE_REPLY][..],
+            &[HF_PROBE],
+            &[HF_DEL_REPLY, 1, 9, 0, 0, 0],
+        ] {
+            refused(&[head, &huge[..]].concat(), "item count exceeds the frame");
+        }
+        refused(&[HF_PROBE_REPLY, 1, 1, 2, 3], "truncated field");
+        // One conflict, its count written in two bytes where one will do.
+        refused(&[HF_PROBE_REPLY, 0x81, 0x00, 1, 2, 3, 4], "overlong varint");
+        assert!(HorMsg::decode_frame(&[HF_PROBE_REPLY, 0x01, 1, 2, 3, 4]).is_ok());
     }
 }

@@ -68,17 +68,18 @@ use relation::{FxHashMap, Tid, Tuple, Update};
 /// enters thousands of updates, a steady batch a handful.
 const KEPT: usize = 64;
 
-/// One footprint key, `(key group, group key)` as one word. The group key
-/// is an MD5 digest, so its first eight bytes, mixed with the key group,
-/// tell keys apart but for a 2⁻⁶⁴ chance. Two keys taken for one order two
-/// updates that could have run at once; they never let two run at once
-/// that must not.
-pub(crate) type Key = u64;
+/// One footprint key, `(key group, group key)` as one 32-bit word: a
+/// deferred delete's footprint crosses a link, four bytes a key. The group
+/// key is an MD5 digest, so its first four bytes, mixed with the key
+/// group, tell two keys apart but for a 2⁻³² chance. Two keys taken for one
+/// order two updates that could have run at once; they never let two run
+/// at once that must not.
+pub(crate) type Key = u32;
 
 /// The [`Key`] of group key `kd` in key group `g`.
 pub(crate) fn key(g: usize, kd: Digest) -> Key {
-    // The low half of the little-endian digest: its first eight bytes.
-    u128::from_le_bytes(kd.0) as u64 ^ g as u64
+    // The low quarter of the little-endian digest: its first four bytes.
+    u128::from_le_bytes(kd.0) as u32 ^ g as u32
 }
 
 /// What a later update must wait for of an earlier one it meets.
@@ -333,7 +334,7 @@ pub(crate) struct DeferredList {
     /// The footprint keys of each deferred *delete*, in slice order: its
     /// home read the row, which the coordinator does not keep. (Which
     /// deferred updates are deletes, the coordinator knows from its batch.)
-    pub footprints: Vec<Vec<u64>>,
+    pub footprints: Vec<Vec<Key>>,
 }
 
 impl WavePlanner {

@@ -168,9 +168,9 @@ fn framed_transport_per_codec() {
     let (schema, cfds, d, delta) = fixture();
     let hs = tpch::horizontal_scheme(&schema, 10);
     for (kind, want) in [
-        (CodecKind::Md5, [79_590, 99_132, 1_488, 19_542, 0]),
-        (CodecKind::RawValues, [81_093, 101_136, 1_488, 20_043, 0]),
-        (CodecKind::Dict, [64_710, 80_283, 1_488, 15_573, 0]),
+        (CodecKind::Md5, [79_590, 96_253, 1_488, 16_663, 0]),
+        (CodecKind::RawValues, [81_093, 98_257, 1_488, 17_164, 0]),
+        (CodecKind::Dict, [64_710, 77_359, 1_488, 12_649, 0]),
     ] {
         let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
         let mut det = HorizontalDetector::new(s, c, hs.clone(), &d, kind, framed).unwrap();
@@ -241,28 +241,28 @@ const LOAD: [LoadRow; 5] = [
         "bursty_onoff",
         [430, 751, 774],
         [18_040, 42_740, 22_404, 42_824, 42_740, 22_619],
-        [54_974, 54_806],
+        [52_856, 52_688],
         [[36_238_968, 36_418_813], [35_554_113, 36_391_774]],
     ),
     (
         "zipf_hot",
         [230, 1_385, 151],
         [9_256, 6_936, 4_192, 7_008, 6_936, 16_574],
-        [9_572, 9_476],
+        [8_964, 8_868],
         [[11_831_645, 11_890_727], [18_772_549, 19_140_871]],
     ),
     (
         "churn_delete_heavy",
         [229, 11, 46],
         [9_248, 1_064, 608, 1_112, 1_064, 14_856],
-        [1_352, 1_288],
+        [1_320, 1_256],
         [[11_591_397, 11_650_021], [18_345_131, 18_710_072]],
     ),
     (
         "dirty_ramp",
         [275, 1_125, 915],
         [11_456, 27_310, 15_786, 27_334, 27_310, 15_150],
-        [35_028, 34_980],
+        [33_698, 33_650],
         [[21_080_646, 21_196_830], [20_745_040, 21_269_213]],
     ),
 ];
@@ -367,8 +367,8 @@ fn speedup_points_at_2_and_4_sites() {
     // A standalone `Ack` costs two bytes, as its envelope would: 40 release
     // runs under load read 7 946–7 999 and 27 382–27 390.
     for (n_sites, exact, thr_wire, ctrl_overhead) in [
-        (2, [138, 4_886, 6_388, 50, 215], (7_972, 31), (1_584, 31)),
-        (4, [468, 18_738, 24_108, 52, 215], (27_386, 71), (3_278, 71)),
+        (2, [138, 4_886, 6_117, 50, 215], (7_972, 31), (1_584, 31)),
+        (4, [468, 18_738, 23_190, 52, 215], (27_386, 71), (3_278, 71)),
     ] {
         let within = |got: u64, (pin, tolerance): (u64, u64)| got.abs_diff(pin) <= tolerance;
         let p = speedup_point(&schema, &cfds, &d, &delta, n_sites).unwrap();
