@@ -68,6 +68,13 @@ impl Violations {
         self.marks.contains_key(&tid)
     }
 
+    /// The CFDs `tid` violates, ascending.
+    pub fn cfds_of(&self, tid: Tid) -> impl Iterator<Item = CfdId> + '_ {
+        let marks = self.marks.get(&tid).map_or(0, |&n| n as usize);
+        let of = move |c: usize| self.per_cfd[c].contains(&tid).then_some(c as CfdId);
+        (0..self.per_cfd.len()).filter_map(of).take(marks)
+    }
+
     /// Violations of one CFD.
     pub fn of_cfd(&self, cfd: CfdId) -> &FxHashSet<Tid> {
         &self.per_cfd[cfd as usize]
@@ -246,8 +253,11 @@ mod tests {
         assert_eq!(v.len(), 1); // one distinct tuple
         assert_eq!(v.total_marks(), 2);
         assert!(v.is_violation(7));
+        assert_eq!(v.cfds_of(7).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(v.cfds_of(8).count(), 0);
 
         assert!(v.remove(0, 7));
+        assert_eq!(v.cfds_of(7).collect::<Vec<_>>(), [1]);
         assert!(v.is_violation(7)); // still marked by cfd 1
         assert!(v.remove(1, 7));
         assert!(!v.is_violation(7));

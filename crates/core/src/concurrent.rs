@@ -217,7 +217,7 @@ use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
 use cluster::{ClusterError, Meters, NetReport, SiteId};
-use relation::{RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
+use relation::{FxHashSet, RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
 use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -326,14 +326,71 @@ pub(crate) fn wave_order(
     Ok(order)
 }
 
+/// The tids `slice` deletes and does not insert, ascending. Their home at
+/// batch start is the slice's site, and their marks, which live only
+/// there, are all gone by the batch end: `V`'s marks of them are the
+/// removals, so the image leaves them out ([`implied_removals`]).
+fn pure_deletes(slice: &[Update]) -> Vec<Tid> {
+    let mut inserted: Vec<Tid> = slice
+        .iter()
+        .filter(|op| op.is_insert())
+        .map(Update::tid)
+        .collect();
+    inserted.sort_unstable();
+    let mut pure: Vec<Tid> = (slice.iter())
+        .filter(|op| !op.is_insert() && inserted.binary_search(&op.tid()).is_err())
+        .map(Update::tid)
+        .collect();
+    pure.sort_unstable();
+    pure
+}
+
+/// The removals no batch image carries: `V`'s marks of every tid `delta`
+/// deletes at a home (`homes`, in batch order) that no insert of it is
+/// routed to ([`pure_deletes`]). Exact while `V` is the batch's starting
+/// one: a tid's marks live only at its home, the site deleting it is that
+/// home, and marks it gains during the batch net out there.
+fn implied_removals(v: &Violations, delta: &UpdateBatch, homes: &[SiteId]) -> DeltaV {
+    let ops = || delta.ops().iter().zip(homes);
+    let inserted: FxHashSet<(Tid, SiteId)> = ops()
+        .filter(|(op, _)| op.is_insert())
+        .map(|(op, &home)| (op.tid(), home))
+        .collect();
+    let mut dv = DeltaV::default();
+    for (op, &home) in ops() {
+        if let Update::Delete(tid) = *op {
+            if !inserted.contains(&(tid, home)) {
+                v.cfds_of(tid).for_each(|c| dv.remove(c, tid));
+            }
+        }
+    }
+    dv
+}
+
+/// Per wave of `n_waves`, the sites holding an update of it, ascending:
+/// `waves[j]` is the wave of each update site `j` deferred.
+fn wave_holders(n_waves: u32, waves: &[Vec<u32>]) -> Vec<Vec<SiteId>> {
+    let mut holders = vec![Vec::new(); n_waves as usize];
+    for (j, waves) in waves.iter().enumerate() {
+        for &w in waves {
+            let held: &mut Vec<SiteId> = &mut holders[w as usize];
+            if held.last() != Some(&j) {
+                held.push(j);
+            }
+        }
+    }
+    holders
+}
+
 // ---------------------------------------------------------------------
 // The per-site machine
 // ---------------------------------------------------------------------
 
 /// Where a site is in a batch: between batches; settled, its `Deferred`
 /// sent, awaiting the schedule (with the list it sent, to pair the
-/// schedule with); running its share of wave `w` of `n`; through with
-/// wave `w`, awaiting the barrier's release; shut down.
+/// schedule with); running its share of wave `w` of `n`; awaiting the
+/// release of wave `w` — the wave before its next one, or the batch's
+/// last — at its barrier; shut down.
 #[derive(PartialEq)]
 enum SitePhase {
     Idle,
@@ -587,7 +644,10 @@ impl SiteRunner {
             (SitePhase::Scheduled(deferred), CtrlMsg::Waves { n_waves, waves }) => {
                 self.order = wave_order(self.me, deferred, n_waves, &waves)?;
                 self.next = 0;
-                self.start_wave(0, n_waves)
+                match self.next_wave(n_waves) {
+                    0 => self.start_wave(0, n_waves),
+                    w => self.await_release(w, n_waves),
+                }
             }
             (&SitePhase::Barrier { w, n }, CtrlMsg::WaveAdvance(x)) if x == w => {
                 self.start_wave(w + 1, n)
@@ -630,8 +690,24 @@ impl SiteRunner {
         self.tell_coord(CtrlMsg::Deferred(deferred))
     }
 
+    /// The next wave of `n` this site holds an update of, or `n` past its
+    /// last.
+    fn next_wave(&self, n: u32) -> u32 {
+        self.order.get(self.next).map_or(n, |p| p.0)
+    }
+
+    /// Wait at the barrier before wave `w` of `n` (`w > 0`), or, with `w ==
+    /// n`, before the batch image: for the release of wave `w - 1`. A wave
+    /// this site holds nothing of has nothing to report about it.
+    fn await_release(&mut self, w: u32, n: u32) -> Answer {
+        self.phase = SitePhase::Barrier { w: w - 1, n };
+        Ok(None)
+    }
+
     /// Start wave `w` of `n`; past the last one, cut the batch image: its
-    /// marks settled (sorted, net of this site's own add/remove pairs).
+    /// marks settled (sorted, net of this site's own add/remove pairs),
+    /// less the removals of every tid the slice deletes and does not
+    /// insert, which the coordinator derives from `V` ([`implied_removals`]).
     fn start_wave(&mut self, w: u32, n: u32) -> Answer {
         if w < n {
             self.phase = SitePhase::Wave { w, n };
@@ -640,9 +716,13 @@ impl SiteRunner {
         }
         self.phase = SitePhase::Idle;
         self.dv.settle();
+        let pure = pure_deletes(&self.slice);
+        let removed = std::mem::take(&mut self.dv.removed).into_iter();
         let img = BatchImage {
             added: std::mem::take(&mut self.dv.added),
-            removed: std::mem::take(&mut self.dv.removed),
+            removed: removed
+                .filter(|m| pure.binary_search(&m.1).is_err())
+                .collect(),
         };
         self.tell_coord(CtrlMsg::BatchResult(Box::new(img)))
     }
@@ -670,11 +750,11 @@ impl SiteRunner {
                 self.open_round(slot, Some(round), requests)?;
             }
         }
-        let begun = !matches!(self.order.get(self.next), Some(p) if p.0 == w);
-        if !begun || self.open > 0 {
+        let next = self.next_wave(n);
+        if next == w || self.open > 0 {
             return Ok(None);
         }
-        self.phase = SitePhase::Barrier { w, n };
+        self.await_release(next, n)?;
         self.tell_coord(CtrlMsg::WaveDone(w))
     }
 
@@ -801,22 +881,27 @@ impl SiteRunner {
 
 /// Where the coordinator is in a batch: awaiting the settle passes, with
 /// the admitted batch, the home of each update and each site's `Deferred`
-/// as it comes in; at wave `w` of `n`, with the sites through with it;
-/// collecting, with `ΔV` so far and the sites whose image is in. Site 0
-/// answers in each phase like any site, as a return value.
+/// as it comes in; at wave `w`, with the sites holding an update of each
+/// wave, the sites through with `w` — a site holding none of it is from
+/// the start — and `ΔV` so far; collecting, with `ΔV` so far and the sites
+/// whose image is in. Site 0 answers in each phase like any site, as a
+/// return value.
 enum CoordPhase {
     Settle(UpdateBatch, Vec<SiteId>, Vec<Option<DeferredList>>),
-    Wave(u32, u32, Vec<bool>),
+    Wave(u32, Vec<Vec<SiteId>>, Vec<bool>, DeltaV),
     Collect(DeltaV, Vec<bool>),
 }
 
 impl CoordPhase {
-    /// Wave `w` of `n` over `sites` sites, or, past the last, collection.
-    fn wave(w: u32, n: u32, sites: usize) -> Self {
-        match w < n {
-            true => CoordPhase::Wave(w, n, vec![false; sites]),
-            false => CoordPhase::Collect(DeltaV::default(), vec![false; sites]),
-        }
+    /// Wave `w` of the batch whose waves `holders` holds, over `sites`
+    /// sites, or, past the last, collection; `ΔV` so far is `dv`.
+    fn wave(w: u32, holders: Vec<Vec<SiteId>>, dv: DeltaV, sites: usize) -> Self {
+        let Some(held) = holders.get(w as usize) else {
+            return CoordPhase::Collect(dv, vec![false; sites]);
+        };
+        let mut done = vec![true; sites];
+        held.iter().for_each(|&j| done[j] = false);
+        CoordPhase::Wave(w, holders, done, dv)
     }
 }
 
@@ -1290,9 +1375,11 @@ impl ConcurrentHorizontal {
     }
 
     /// The coordinator's phase table. The last `Deferred` sends the wave
-    /// plan, the last `WaveDone` of a wave releases its barrier — each
-    /// hand-off flushed before site 0, called directly, takes it — and the
-    /// last `BatchResult` folds `ΔV` into `V`.
+    /// plan; the last `WaveDone` of a wave from the sites holding an
+    /// update of it releases the sites holding one of the next, or after
+    /// the last wave every site — each hand-off flushed before site 0,
+    /// called directly, takes it; and the last `BatchResult` folds `ΔV`
+    /// into `V`.
     fn on_ctrl(&mut self, phase: &mut CoordPhase, src: SiteId, msg: CtrlMsg) -> Answer {
         let (n, zero) = (self.n, self.runner.get_mut());
         match (&mut *phase, msg) {
@@ -1311,6 +1398,9 @@ impl ConcurrentHorizontal {
                 let ops = homes.iter().copied().zip(delta.ops());
                 let (n_waves, waves) = self.planner.schedule(&self.cfg, ops, &deferred)?;
                 self.waves += 1 + u64::from(n_waves);
+                let holders = wave_holders(n_waves, &waves);
+                // `V` is still the batch's starting one.
+                let implied = implied_removals(&self.violations, delta, homes);
                 let mut per_site = waves.into_iter();
                 let waves = per_site.next().unwrap_or_default();
                 for (j, waves) in (1..).zip(per_site) {
@@ -1319,25 +1409,37 @@ impl ConcurrentHorizontal {
                 // Wave 0 is the sites' to start while the homes catch up.
                 zero.node.flush()?;
                 rehome(&mut self.homes, delta, homes);
-                *phase = CoordPhase::wave(0, n_waves, n);
+                *phase = CoordPhase::wave(0, holders, implied, n);
                 zero.on_ctrl(COORD, CtrlMsg::Waves { n_waves, waves })
             }
-            (CoordPhase::Wave(w, n_waves, done), CtrlMsg::WaveDone(x)) => {
-                let (w, n_waves) = (*w, *n_waves);
+            (CoordPhase::Wave(w, holders, done, dv), CtrlMsg::WaveDone(x)) => {
+                let w = *w;
+                if !holders[w as usize].contains(&src) {
+                    let what = format!("WaveDone({x}) from a site with no update in wave {w}");
+                    return Err(bad_link(src, COORD, what));
+                }
                 let all = heard(done, src, "WaveDone")?;
                 if x != w {
                     return Err(bad_link(src, COORD, format!("WaveDone({x}) in wave {w}")));
                 } else if !all {
                     return Ok(None);
                 }
-                for j in 1..n {
+                let released = match holders.get(w as usize + 1) {
+                    Some(next) => next.clone(),
+                    None => (0..n).collect(),
+                };
+                for &j in released.iter().filter(|&&j| j != COORD) {
                     zero.node.send_ctrl(j, &CtrlMsg::WaveAdvance(w))?;
                 }
-                // Every site is parked on this barrier: release them before
-                // computing our own share of the next wave.
+                // The released sites are parked on this barrier: release
+                // them before computing our own share of the next wave.
                 zero.node.flush()?;
-                *phase = CoordPhase::wave(w + 1, n_waves, n);
-                zero.on_ctrl(COORD, CtrlMsg::WaveAdvance(w))
+                let (holders, dv) = (std::mem::take(holders), std::mem::take(dv));
+                *phase = CoordPhase::wave(w + 1, holders, dv, n);
+                match released.first() {
+                    Some(&COORD) => zero.on_ctrl(COORD, CtrlMsg::WaveAdvance(w)),
+                    _ => Ok(None),
+                }
             }
             (CoordPhase::Collect(dv, answered), CtrlMsg::BatchResult(img)) => {
                 let all = heard(answered, src, "BatchResult")?;
@@ -2369,28 +2471,48 @@ mod tests {
     }
 
     /// The coordinator takes one answer from each site, and a `WaveDone`
-    /// for the wave it runs alone: at three sites, a second `BatchResult`
-    /// from site 1 (site 2 silent), a second `WaveDone(0)` (site 2 silent)
-    /// or a `WaveDone(7)` in a batch of one wave fails the batch with a
-    /// typed error naming the link. Each case is run before any is judged.
+    /// for the wave it runs from the sites holding an update of it alone:
+    /// at three sites, in a batch of one wave that both sites 1 and 2 hold
+    /// an update of, a second `BatchResult` from site 1 (site 2 silent), a
+    /// second `WaveDone(0)` (site 2 silent) or a `WaveDone(7)`; in one only
+    /// site 1 holds an update of, a `WaveDone(0)` from site 2. Each fails
+    /// the batch with a typed error naming the link, and each case is run
+    /// before any is judged.
     #[test]
     fn a_second_answer_or_a_stray_wave_fails_the_batch() {
         let wave_done = CtrlMsg::WaveDone;
         let cases = [
             (
+                &[1, 2][..],
                 [vec![wave_done(0)], vec![wave_done(0)]],
                 [2, 0],
+                1,
                 "a second BatchResult",
             ),
-            ([vec![wave_done(0); 2], vec![]], [1, 1], "a second WaveDone"),
             (
+                &[1, 2],
+                [vec![wave_done(0); 2], vec![]],
+                [1, 1],
+                1,
+                "a second WaveDone",
+            ),
+            (
+                &[1, 2],
                 [vec![wave_done(7)], vec![wave_done(0)]],
                 [1, 1],
+                1,
                 "WaveDone(7) in wave 0",
+            ),
+            (
+                &[1],
+                [vec![], vec![wave_done(0)]],
+                [1, 1],
+                2,
+                "WaveDone(0) from a site with no update in wave 0",
             ),
         ];
         let mut wrong = Vec::new();
-        for (done, results, cause) in cases {
+        for (homed, done, results, src, cause) in cases {
             // Sites 1 and 2 defer every op of their slices as writers,
             // then answer `Waves` and `WaveAdvance` as the case says.
             let playing = move |node: &mut Node, frame: CtrlMsg| {
@@ -2412,14 +2534,22 @@ mod tests {
                 node.flush().unwrap();
             };
             let mut conc = scripted_session(3, playing);
-            // One insert, homed at site 1: the batch's one wave.
-            let mut tuples = (1..).map(|tid| emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
+            // One insert homed at each site of `homed`, each into a group
+            // of its own: the batch's one wave.
             let mut b = UpdateBatch::new();
-            b.insert(tuples.find(|t| conc.scheme.route(t).unwrap() == 1).unwrap());
+            for &home in homed {
+                let zip = format!("EH{home} 7AA");
+                let mut tuples = (1..).map(|tid| emp_tuple(tid, "A", 44, 131, &zip, "Foo", "EDI"));
+                b.insert(
+                    tuples
+                        .find(|t| conc.scheme.route(t).unwrap() == home)
+                        .unwrap(),
+                );
+            }
             let applied = conc.apply(&b);
             match &applied {
-                Err(DetectError::Cluster(e @ ClusterError::Link { src: 1, dst: 0, .. }))
-                    if e.to_string().contains(cause) => {}
+                Err(DetectError::Cluster(e @ ClusterError::Link { src: s, dst: 0, .. }))
+                    if *s == src && e.to_string().contains(cause) => {}
                 _ => wrong.push(format!("{cause}: {applied:?}")),
             }
         }
@@ -2790,10 +2920,17 @@ mod tests {
         let s = emp_schema();
         let scheme =
             HorizontalScheme::by_hash(s.clone(), s.attr_id("id").unwrap(), n_sites).unwrap();
-        let empty = Relation::new(s.clone());
-        let md5 = CodecKind::Md5;
-        let (shares, homes, v) = split(s.clone(), fig1_cfds(&s), &scheme, &empty, md5).unwrap();
-        let nodes = run::mem_mesh(n_sites).into_iter();
+        on_one_thread_over(scheme, &Relation::new(s))
+    }
+
+    /// [`on_one_thread`] over Fig. 1's rules, `scheme` and `d`.
+    fn on_one_thread_over(
+        scheme: HorizontalScheme,
+        d: &Relation,
+    ) -> (ConcurrentHorizontal, Vec<SiteRunner>) {
+        let (s, md5) = (scheme.schema().clone(), CodecKind::Md5);
+        let (shares, homes, v) = split(s.clone(), fig1_cfds(&s), &scheme, d, md5).unwrap();
+        let nodes = run::mem_mesh(scheme.n_sites()).into_iter();
         let mut runners = shares
             .into_iter()
             .zip(nodes)
@@ -3068,7 +3205,7 @@ mod tests {
         let want = [
             ("Ack", 53, 106),
             ("AckN", 15, 45),
-            ("BatchResult", 18, 390),
+            ("BatchResult", 18, 318),
             ("ClearFlags", 1, 30),
             ("Deferred", 18, 356),
             ("DelReply", 68, 1_416),
@@ -3077,8 +3214,8 @@ mod tests {
             ("Take", 18, 36),
             ("TupleDelQuery", 96, 2_880),
             ("TupleProbe", 147, 5_220),
-            ("WaveAdvance", 105, 315),
-            ("WaveDone", 105, 315),
+            ("WaveAdvance", 80, 240),
+            ("WaveDone", 78, 234),
             ("Waves", 18, 206),
         ];
         let got: Vec<_> = reads
@@ -3087,6 +3224,94 @@ mod tests {
             .map(|(k, (f, b))| (k, f, b))
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// A pure delete's removals — `V`'s marks of a tid its home deletes
+    /// and does not re-insert — are left out of the home's image and
+    /// derived by the coordinator. Case by case over Fig. 1 and Fig. 2
+    /// (t1 at site 0 violates φ0 and φ1; t3, t4 at site 1 and t5 at site 2
+    /// violate φ0), each batch through the threaded runtime and under 100
+    /// schedules of the machines on one thread: per batch the sequential
+    /// drive's `ΔV`, and `V` the brute-force detector's.
+    #[test]
+    fn a_pure_delete_is_derived_case_by_case() {
+        let d = d0();
+        let t = |tid, grade, street| emp_tuple(tid, grade, 44, 131, "EH4 8LE", street, "EDI");
+        let (ins, del) = (Update::Insert, Update::Delete);
+        let fresh = || ins(emp_tuple(10, "B", 44, 131, "EH4 8LE", "Foo", "EDI"));
+        let cases: Vec<(&str, Vec<Vec<Update>>)> = vec![
+            (
+                "a pure delete of a violating tid",
+                vec![vec![del(5)], vec![del(1)]],
+            ),
+            (
+                "a delete and re-insert at one home, values changed",
+                vec![vec![del(3), ins(t(3, "B", "Crichton"))]],
+            ),
+            (
+                "a delete and re-insert at one home, values the same",
+                vec![vec![del(3), ins(d.get(3).unwrap())]],
+            ),
+            (
+                "a modify that moves its tid's home",
+                vec![vec![ins(t(3, "A", "Mayfield"))]],
+            ),
+            (
+                "an insert, then the delete, of a fresh tid",
+                vec![vec![fresh(), del(10)]],
+            ),
+            (
+                "a fresh tid's marks, then its pure delete",
+                vec![vec![fresh()], vec![del(10)]],
+            ),
+            (
+                "a delete at A, a re-insert at B, a delete at B",
+                vec![vec![del(3), ins(t(3, "A", "Mayfield")), del(3)]],
+            ),
+            (
+                // t5's delete empties its class and clears φ0's flag at
+                // sites 0 and 1 in wave 0; t1's delete, a wave behind it,
+                // finds only its φ1 mark left.
+                "a delete behind a ClearFlags that removed some of its marks",
+                vec![vec![del(5), del(1)]],
+            ),
+        ];
+        let s = emp_schema();
+        for (case, batches) in &cases {
+            let batches: Vec<UpdateBatch> = batches.iter().map(|b| tuples_of(b)).collect();
+            // The sequential drive's `ΔV`, batch by batch; `apply_both`
+            // holds the threaded runtime to it, and `V` to the oracle's.
+            let mut seq = simulated(fig1_cfds(&s), fig2_scheme(&s), &d, CodecKind::Md5).unwrap();
+            let want: Vec<DeltaV> = (batches.iter())
+                .map(|b| Detector::apply(&mut seq, b).unwrap())
+                .collect();
+            let oracle = cfd::naive::detect(seq.cfds(), seq.current());
+            assert_eq!(
+                seq.violations().marks_sorted(),
+                oracle.marks_sorted(),
+                "{case}"
+            );
+            let mut pair = emp_pair(&d, CodecKind::Md5, TransportKind::Framed);
+            for (i, b) in batches.iter().enumerate() {
+                apply_both(&mut pair, b, &format!("{case}, batch {i}"));
+            }
+            for seed in 1..=100 {
+                let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), &d);
+                let (mut pick, mut reads) = (schedule(seed), Cut::default());
+                for (i, (b, want)) in batches.iter().zip(&want).enumerate() {
+                    let at = format!("{case}, schedule seed {seed}, batch {i}");
+                    let stepped = step_batch(&mut det, &mut sites, b, &mut pick, &mut reads);
+                    let dv = stepped.unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_eq!(&dv, want, "{at}: ΔV");
+                }
+                let marks = det.violations().marks_sorted();
+                assert_eq!(
+                    marks,
+                    oracle.marks_sorted(),
+                    "{case}, schedule seed {seed}: V"
+                );
+            }
+        }
     }
 
     /// The long sweep: 1 000 schedules at 8 and 16 sites, with the stress
@@ -3166,7 +3391,9 @@ mod tests {
 
     /// Site 1 of three over Fig. 2's fragments, stepped by hand: idle;
     /// scheduled, two creators of new groups deferred; in wave 0 of 2, the
-    /// first creator's round open; at wave 0's barrier, its round answered.
+    /// first creator's round open; at wave 0's barrier, its round answered;
+    /// before its wave, both creators placed in wave 1 of 2; awaiting the
+    /// image, with nothing deferred in a batch of 2 waves.
     fn site_in(phase: &str) -> (SiteRunner, Vec<Node>) {
         let s = emp_schema();
         let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
@@ -3178,14 +3405,13 @@ mod tests {
             Update::Insert(emp_tuple(1, "B", 44, 131, "EH7 7AA", "Foo", "EDI")),
             Update::Insert(emp_tuple(2, "B", 44, 131, "EH8 8BB", "Bar", "EDI")),
         ];
-        let waves = CtrlMsg::Waves {
-            n_waves: 2,
-            waves: vec![0, 1],
-        };
+        let waves = |waves| CtrlMsg::Waves { n_waves: 2, waves };
         let steps = match phase {
             "idle" => vec![],
             "scheduled" => vec![CtrlMsg::Ops(ops)],
-            _ => vec![CtrlMsg::Ops(ops), waves],
+            "before its wave" => vec![CtrlMsg::Ops(ops), waves(vec![1, 1])],
+            "awaiting the image" => vec![CtrlMsg::Ops(Vec::new()), waves(vec![])],
+            _ => vec![CtrlMsg::Ops(ops), waves(vec![0, 1])],
         };
         for msg in steps {
             site.on_ctrl(COORD, msg).unwrap();
@@ -3213,11 +3439,14 @@ mod tests {
     #[test]
     fn every_phase_refuses_what_it_does_not_take() {
         let mut wrong = Vec::new();
-        let site_phases: [(&str, &[&str]); 4] = [
+        let site_phases: [(&str, &[&str]); 6] = [
             ("idle", &["Ops", "Gather", "Meters", "Shutdown"]),
             ("scheduled", &["Waves"]),
             ("in a wave", &["Ack", "AckN", "ProbeReply"]),
             ("at a barrier", &["WaveAdvance"]),
+            ("before its wave", &["WaveAdvance"]),
+            // Only the release of the last wave, 1, which no row sends.
+            ("awaiting the image", &[]),
         ];
         for (phase, takes) in site_phases {
             for (k, frame) in every_frame().into_iter().enumerate() {
@@ -3241,36 +3470,44 @@ mod tests {
                 );
             }
         }
-        // The coordinator: settling (site 0's `Deferred` in), in wave 0
-        // (site 0 through with it), collecting (site 0's image in).
-        let b = {
+        // The coordinator, over a batch of one insert homed at site 1 (or,
+        // in the wave site 1 holds no update of, at site 2): settling (site
+        // 0's `Deferred` in), in wave 0, collecting (site 0's image in).
+        let batch_at = |home| {
             let (det, _) = on_one_thread(3);
             let mut tuples = (1..).map(|tid| emp_tuple(tid, "A", 44, 131, "EH7 7AA", "Foo", "EDI"));
             let mut b = UpdateBatch::new();
-            b.insert(tuples.find(|t| det.scheme.route(t).unwrap() == 1).unwrap());
+            b.insert(
+                tuples
+                    .find(|t| det.scheme.route(t).unwrap() == home)
+                    .unwrap(),
+            );
             b
         };
         let coord_in = |phase: &str| {
             let (mut det, sites) = on_one_thread(3);
-            let mut at = det.start(&b).unwrap().unwrap();
+            let home = if phase == "in a wave site 1 holds nothing of" {
+                2
+            } else {
+                1
+            };
+            let mut at = det.start(&batch_at(home)).unwrap().unwrap();
             let deferred = |updates| DeferredList {
                 updates,
                 footprints: Vec::new(),
             };
-            let steps = match phase {
-                "settling" => vec![],
-                "in a wave" => vec![(1, deferred(vec![(0, true)])), (2, deferred(vec![]))],
-                _ => vec![(1, deferred(vec![(0, true)])), (2, deferred(vec![]))],
-            };
+            let mut steps = vec![(1, deferred(vec![])), (2, deferred(vec![]))];
+            steps[home - 1].1.updates.push((0, true));
+            if phase == "settling" {
+                steps.clear();
+            }
             for (j, list) in steps {
                 let frame = RtFrame::Ctrl(CtrlMsg::Deferred(list));
                 det.on_frame(&mut at, j, frame).unwrap();
             }
             if phase == "collecting" {
-                for j in [1, 2] {
-                    let frame = RtFrame::Ctrl(CtrlMsg::WaveDone(0));
-                    det.on_frame(&mut at, j, frame).unwrap();
-                }
+                let frame = RtFrame::Ctrl(CtrlMsg::WaveDone(0));
+                det.on_frame(&mut at, 1, frame).unwrap();
             }
             (det, sites, at)
         };
@@ -3278,16 +3515,17 @@ mod tests {
             let zero = det.runner.get_mut();
             (state(zero), det.violations.marks_sorted(), det.waves)
         };
-        let coord_phases: [(&str, &str); 3] = [
-            ("settling", "Deferred"),
-            ("in a wave", "WaveDone"),
-            ("collecting", "BatchResult"),
+        let coord_phases: [(&str, &[&str]); 4] = [
+            ("settling", &["Deferred"]),
+            ("in a wave", &["WaveDone"]),
+            ("in a wave site 1 holds nothing of", &[]),
+            ("collecting", &["BatchResult"]),
         ];
         for (phase, takes) in coord_phases {
             for frame in every_frame() {
                 let (mut det, _sites, mut at) = coord_in(phase);
                 let kind = format!("{frame:?}");
-                let taken = kind.starts_with(&format!("Ctrl({takes}"));
+                let taken = takes.iter().any(|t| kind.starts_with(&format!("Ctrl({t}")));
                 let before = seen(&mut det);
                 let zero = det.runner.get_mut();
                 let stepped = zero

@@ -365,10 +365,10 @@ fn speedup_points_at_2_and_4_sites() {
     // owed ack rides a protocol frame or flushes alone), and that jitter
     // is a number of bytes, whatever the size of the rest of the traffic.
     // A standalone `Ack` costs two bytes, as its envelope would: 40 release
-    // runs under load read 7 946–7 999 and 27 382–27 390.
+    // runs, half of them under load, read 7 349–7 368 and 25 643–25 653.
     for (n_sites, exact, thr_wire, ctrl_overhead) in [
-        (2, [138, 4_886, 6_117, 50, 215], (7_972, 31), (1_584, 31)),
-        (4, [468, 18_738, 23_190, 52, 215], (27_386, 71), (3_278, 71)),
+        (2, [138, 4_886, 6_117, 50, 215], (7_360, 31), (1_243, 31)),
+        (4, [468, 18_738, 23_190, 52, 215], (25_650, 71), (2_460, 71)),
     ] {
         let within = |got: u64, (pin, tolerance): (u64, u64)| got.abs_diff(pin) <= tolerance;
         let p = speedup_point(&schema, &cfds, &d, &delta, n_sites).unwrap();
