@@ -28,9 +28,12 @@
 //! | `WireValue::Sym(None)`  | 4                | 1 + 4                | 1        |
 //! | `WireValue::Sym(Some)`  | 8 + value        | 1 + 4 + 4 + value    | 1 + val  |
 //! | item count (`u16`/`u32`)| 0                | 2 / 4                | 2 / 4    |
+//! | item count (varint)     | 0                | 1 below 128 items    | 1–10     |
 //!
 //! (`Sym(Some)` carries the dictionary entry the model already charges:
-//! the 4-byte entry id plus the raw value.)
+//! the 4-byte entry id plus the raw value. The §6 protocol's counts are
+//! varints, [`Reader::count`] on the way in; the batch baselines' columns
+//! keep fixed-width ones.)
 //!
 //! # Compact primitives
 //!

@@ -53,6 +53,18 @@
 //!    disjoint, so sites fire *all* their probes up front and serve peers
 //!    while their own rounds are in flight.
 //!
+//! **Who waits at a barrier.** A wave's barrier involves only the sites
+//! holding an update of it: a site with no update in a wave has nothing to
+//! report about it. A site sends `WaveDone(w)` only for a wave its `Waves`
+//! list gives it updates in, and waits for a `WaveAdvance` only before
+//! such a wave (`w > 0`) and before it cuts its batch image; all the
+//! while it serves whatever request reaches it. The coordinator closes
+//! wave `w` once each of its holders has sent `WaveDone(w)`, then sends
+//! `WaveAdvance(w)` to the holders of wave `w + 1` only, and after the
+//! last wave to every site. That is enough: a round completes only once
+//! every peer it asked has answered or acked, so when the last holder of
+//! a wave reports it, every site is through with the wave's requests.
+//!
 //! The coordinator admits a batch against the homes of the live tids alone:
 //! presence is all it can normalise by. A re-insert of a row as stored
 //! therefore reaches its home as the delete and the insert of one tid,
@@ -157,9 +169,12 @@
 //! A site and the coordinator are sans-IO machines. `on_frame` steps one
 //! by one frame and never blocks: it sends through the node, which queues
 //! and meters a frame but never parks. A site goes idle → scheduled (its
-//! `Deferred` sent) → a wave (beginning updates while fewer than `WINDOW`
-//! rounds are open) → its barrier; the coordinator goes settle → a wave →
-//! collection, taking one answer from every site in each, once. Each is
+//! `Deferred` sent) → for each wave it holds an update of, the barrier
+//! before it (past wave 0) and the wave (beginning updates while fewer
+//! than `WINDOW` rounds are open) → the barrier before its image; the
+//! coordinator goes settle → a wave → collection, taking one answer from
+//! every site in settle and collection, once, and in a wave from each of
+//! the wave's holders. Each is
 //! one `match (phase, frame)` behind one check of who may send what: acks
 //! and `Failed` aside, only the coordinator sends `Take`, an `Ops` slice,
 //! `Waves`, `WaveAdvance`, `Gather`, `Meters` and `Shutdown`, and only a
@@ -217,7 +232,7 @@ use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::run::{self, Node};
 use cluster::{ClusterError, Meters, NetReport, SiteId};
-use relation::{FxHashSet, RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
+use relation::{RelError, Relation, RowId, Schema, Tid, TidMap, Update, UpdateBatch};
 use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -326,18 +341,18 @@ pub(crate) fn wave_order(
     Ok(order)
 }
 
-/// The tids `slice` deletes and does not insert, ascending. Their home at
-/// batch start is the slice's site, and their marks, which live only
-/// there, are all gone by the batch end: `V`'s marks of them are the
-/// removals, so the image leaves them out ([`implied_removals`]).
-fn pure_deletes(slice: &[Update]) -> Vec<Tid> {
-    let mut inserted: Vec<Tid> = slice
-        .iter()
+/// The tids `slice` deletes and does not insert, ascending: its *pure*
+/// deletes. Their home at batch start is the slice's site, and their
+/// marks, which live only there, are all gone by the batch end: `V`'s
+/// marks of them are the removals. The site's image leaves them out, and
+/// the coordinator derives them ([`implied_removals`]).
+fn pure_deletes<'a>(slice: impl Iterator<Item = &'a Update> + Clone) -> Vec<Tid> {
+    let mut inserted: Vec<Tid> = (slice.clone())
         .filter(|op| op.is_insert())
         .map(Update::tid)
         .collect();
     inserted.sort_unstable();
-    let mut pure: Vec<Tid> = (slice.iter())
+    let mut pure: Vec<Tid> = slice
         .filter(|op| !op.is_insert() && inserted.binary_search(&op.tid()).is_err())
         .map(Update::tid)
         .collect();
@@ -345,23 +360,17 @@ fn pure_deletes(slice: &[Update]) -> Vec<Tid> {
     pure
 }
 
-/// The removals no batch image carries: `V`'s marks of every tid `delta`
-/// deletes at a home (`homes`, in batch order) that no insert of it is
-/// routed to ([`pure_deletes`]). Exact while `V` is the batch's starting
-/// one: a tid's marks live only at its home, the site deleting it is that
-/// home, and marks it gains during the batch net out there.
-fn implied_removals(v: &Violations, delta: &UpdateBatch, homes: &[SiteId]) -> DeltaV {
-    let ops = || delta.ops().iter().zip(homes);
-    let inserted: FxHashSet<(Tid, SiteId)> = ops()
-        .filter(|(op, _)| op.is_insert())
-        .map(|(op, &home)| (op.tid(), home))
-        .collect();
+/// The removals no batch image carries: `V`'s marks of the pure deletes
+/// of each of the `n` sites' slices of `delta` (`homes`, in batch order).
+/// Exact while `V` is the batch's starting one: a tid's marks live only at
+/// its home, the site deleting it is that home, and marks it gains during
+/// the batch net out there.
+fn implied_removals(v: &Violations, delta: &UpdateBatch, homes: &[SiteId], n: usize) -> DeltaV {
     let mut dv = DeltaV::default();
-    for (op, &home) in ops() {
-        if let Update::Delete(tid) = *op {
-            if !inserted.contains(&(tid, home)) {
-                v.cfds_of(tid).for_each(|c| dv.remove(c, tid));
-            }
+    for j in 0..n {
+        let slice = delta.ops().iter().zip(homes).filter(move |o| *o.1 == j);
+        for tid in pure_deletes(slice.map(|o| o.0)) {
+            v.cfds_of(tid).for_each(|c| dv.remove(c, tid));
         }
     }
     dv
@@ -646,7 +655,10 @@ impl SiteRunner {
                 self.next = 0;
                 match self.next_wave(n_waves) {
                     0 => self.start_wave(0, n_waves),
-                    w => self.await_release(w, n_waves),
+                    w => {
+                        self.await_release(w, n_waves);
+                        Ok(None)
+                    }
                 }
             }
             (&SitePhase::Barrier { w, n }, CtrlMsg::WaveAdvance(x)) if x == w => {
@@ -699,9 +711,8 @@ impl SiteRunner {
     /// Wait at the barrier before wave `w` of `n` (`w > 0`), or, with `w ==
     /// n`, before the batch image: for the release of wave `w - 1`. A wave
     /// this site holds nothing of has nothing to report about it.
-    fn await_release(&mut self, w: u32, n: u32) -> Answer {
+    fn await_release(&mut self, w: u32, n: u32) {
         self.phase = SitePhase::Barrier { w: w - 1, n };
-        Ok(None)
     }
 
     /// Start wave `w` of `n`; past the last one, cut the batch image: its
@@ -716,7 +727,7 @@ impl SiteRunner {
         }
         self.phase = SitePhase::Idle;
         self.dv.settle();
-        let pure = pure_deletes(&self.slice);
+        let pure = pure_deletes(self.slice.iter());
         let removed = std::mem::take(&mut self.dv.removed).into_iter();
         let img = BatchImage {
             added: std::mem::take(&mut self.dv.added),
@@ -754,7 +765,7 @@ impl SiteRunner {
         if next == w || self.open > 0 {
             return Ok(None);
         }
-        self.await_release(next, n)?;
+        self.await_release(next, n);
         self.tell_coord(CtrlMsg::WaveDone(w))
     }
 
@@ -1400,7 +1411,7 @@ impl ConcurrentHorizontal {
                 self.waves += 1 + u64::from(n_waves);
                 let holders = wave_holders(n_waves, &waves);
                 // `V` is still the batch's starting one.
-                let implied = implied_removals(&self.violations, delta, homes);
+                let implied = implied_removals(&self.violations, delta, homes, n);
                 let mut per_site = waves.into_iter();
                 let waves = per_site.next().unwrap_or_default();
                 for (j, waves) in (1..).zip(per_site) {

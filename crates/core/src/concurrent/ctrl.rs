@@ -15,8 +15,13 @@
 //! ```text
 //! Ack          80
 //! AckN(k)      87 v(k)
-//! WaveDone(w)  82 v(w)
-//! WaveAdvance  83 v(w)
+//! WaveDone(w)  82 v(w)                               from a site holding an
+//!                                                    update of wave w only
+//! WaveAdvance  83 v(w)                               wave w is closed: to
+//!                                                    the sites holding an
+//!                                                    update of wave w + 1,
+//!                                                    after the last wave
+//!                                                    to every site
 //! Shutdown     86
 //! Piggy(k, m)  89 v(k) <HorMsg frame of m>
 //! Deferred     8a v(n) n × v(position << 1 | writes)
@@ -45,7 +50,8 @@
 //!                                                    dictionary, i names
 //!                                                    its i-th literal
 //!
-//! BatchResult  85 marks(added) marks(removed)
+//! BatchResult  85 marks(added) marks(removed)        removed leaves out a
+//!                                                    pure delete's marks
 //!   marks      v(runs) runs × run                    a run: one CFD's marks,
 //!                                                    tids ascending
 //!   run        z(cfd − previous run's cfd) v(len)
@@ -57,6 +63,14 @@
 //!              v(received)
 //!   cells      v(n) n × (v(dst) v(messages) v(bytes) v(eqids))
 //! ```
+//!
+//! A `BatchResult` ships what only its site knows. Its `removed` leaves
+//! out every mark `(c, t)` of a tid `t` the site's slice deletes and does
+//! not insert — a *pure* delete: the coordinator derives those removals
+//! from `V`, which holds `t`'s marks as the batch found them (a tid's
+//! marks live only at its home, the deleting site). A modification that
+//! re-inserts its tid at the same home ships its removals as any update
+//! does: its row's marks may change rather than go.
 //!
 //! A column takes whichever of its two forms is shorter *in that frame*:
 //! a repeated value costs one or two index bytes in dictionary form, an
@@ -118,7 +132,9 @@ fn bad(what: &str) -> ClusterError {
 pub(crate) struct BatchImage {
     /// Marks this site added, net of its own removals, sorted.
     pub(crate) added: Vec<(CfdId, Tid)>,
-    /// Marks this site removed, net of its own additions, sorted.
+    /// Marks this site removed, net of its own additions, sorted — but
+    /// for the marks of the tids its slice deletes and does not insert,
+    /// which the coordinator derives.
     pub(crate) removed: Vec<(CfdId, Tid)>,
 }
 
@@ -216,12 +232,14 @@ pub(crate) enum CtrlMsg {
         /// One wave per deferred update, each below `n_waves`.
         waves: Vec<u32>,
     },
-    /// A site finished its slice of the given wave.
+    /// A site finished its slice of the given wave — sent only for a wave
+    /// the site holds an update of.
     WaveDone(u32),
-    /// The coordinator releases the barrier of the given wave; the last
-    /// one of a batch is the cue to cut the batch image.
+    /// The coordinator releases the barrier of the given wave: to the
+    /// sites holding an update of the next, or, after the last wave, to
+    /// every site, as the cue to cut the batch image.
     WaveAdvance(u32),
-    /// A site's batch image.
+    /// A site's batch image, less its pure deletes' removals.
     BatchResult(Box<BatchImage>),
     /// The coordinator asks a site for its meters, between batches. The
     /// site answers with [`CtrlMsg::Metered`] and zeroes them. Both ends
