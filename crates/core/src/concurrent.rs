@@ -142,9 +142,9 @@
 //! | `Ack`, `Shutdown`, `Take` (site threads), `Gather`, `Meters` | 1 + 1 |
 //! | `AckN(k)`, `WaveDone`, `WaveAdvance`; a `Piggy` envelope | 1 + 1 + a varint (3); + 1 + a varint |
 //! | `Ops`, ≈ 64-op slice (site processes) | 2 + 3 843 mean, 2 + 2 483 packed |
-//! | `Deferred` | 1 + 42.2 mean; 3 + 1–2 per deferred update + 1 + 8 a key per deferred delete |
+//! | `Deferred` | 27.2 mean; 3 + 1–2 per deferred update + 1 + 4 a key per deferred delete |
 //! | `Waves` | 1 + 8.4 mean; 3 + 1 per deferred update |
-//! | `BatchResult` | 2 + 197.5 mean, 2 + 182.1 packed; ≈ 1.2 a mark |
+//! | `BatchResult` | 157.7 mean, packed where smaller; ≈ 1.2 a mark, a pure delete's removals left out |
 //! | `Failed`; `Built`, once a session | 1–2 + 2 + the error's text; 1 + 17 + two varints |
 //! | a fragment; `Metered` | 3 + 481 096 mean, 398 419 packed; 1 + 61 mean |
 //!
