@@ -155,11 +155,11 @@ mod tests {
         let cfds = fig1_cfds(&s);
         let v = detect(&cfds, &d);
         // φ1: t1, t3, t4, t5 (same zip EH4 8LE, streets Mayfield vs Crichton)
-        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().copied().collect();
+        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().collect();
         phi1.sort_unstable();
         assert_eq!(phi1, vec![1, 3, 4, 5]);
         // φ2: t1 alone (city NYC under CC=44, AC=131)
-        let mut phi2: Vec<Tid> = v.of_cfd(1).iter().copied().collect();
+        let mut phi2: Vec<Tid> = v.of_cfd(1).iter().collect();
         phi2.sort_unstable();
         assert_eq!(phi2, vec![1]);
         // Combined: {t1, t3, t4, t5}

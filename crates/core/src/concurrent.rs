@@ -966,7 +966,7 @@ fn split(
         shares[home(tid)?].1.insert_row(tid, values)?;
     }
     for c in (0..cfg.cfds.len()).map(|c| c as CfdId) {
-        for &tid in violations.of_cfd(c) {
+        for tid in violations.of_cfd(c).iter() {
             shares[home(tid)?].2.add(c, tid);
         }
     }

@@ -24,6 +24,7 @@
 
 use crate::plan::PlanError;
 use cfd::{Cfd, DeltaV, Violations};
+use cluster::codec::CodecKind;
 use cluster::{ClusterError, NetReport, SiteId, TransportKind};
 use relation::{RelError, Relation, Schema, Tuple, Update, UpdateBatch};
 use std::sync::Arc;
@@ -63,6 +64,16 @@ pub enum DetectError {
         /// The transport it was asked to run over.
         transport: TransportKind,
     },
+    /// The strategy ships no value through the codec a session asked
+    /// for: only `incHor` and `incHyb` take one. `incVer`, `optVer` and
+    /// `ibatVer` ship eqids, `batVer` and `batHor` always ship dict and
+    /// `ibatHor` always md5.
+    UnsupportedCodec {
+        /// The strategy ([`Strategy::name`](crate::Strategy::name)).
+        strategy: &'static str,
+        /// The codec it was asked to ship with.
+        codec: CodecKind,
+    },
 }
 
 impl std::fmt::Display for DetectError {
@@ -83,6 +94,11 @@ impl std::fmt::Display for DetectError {
                 f,
                 "{strategy} runs on the simulated network only, not over {}",
                 transport.name()
+            ),
+            DetectError::UnsupportedCodec { strategy, codec } => write!(
+                f,
+                "{strategy} ships no value through a codec, so it cannot take {}",
+                codec.name()
             ),
         }
     }

@@ -19,9 +19,9 @@
 //! |---|---|---|
 //! | group (map slot) | 56 B + a class table of its own (≥ 308 B) | 64 B (§6) / 48 B (IDX), holding the flag, one class key and ≤ 3 tids; no allocation while one class of ≤ 3 members |
 //! | class | 72 B slot (`ClassEntry` 56 B) + a tid table (≥ 52 B) + a `Value` clone | in the group slot, or a 48 B / 40 B slot (`ClassEntry` 32 B) of the group's spilled class map |
-//! | membership | ≥ 9 B of a heap table | 8 B inline up to 3 per class, ≈ 9 B in a boxed `FxHashSet` beyond |
-//! | §6, all in, per membership (`hor_wide_sigma`) | ≈ 140 B | ≈ 44 B (25.6 MB by [`StateCensus`]) |
-//! | IDX, all in, per membership (`ver_stream`'s seed-1 `D₀`: 240 000 in 8 691 groups of one class) | 24.0 B, 5.75 MB as `FxHashMap<EqId, FxHashMap<EqId, FxHashSet<Tid>>>` | 19.2 B, 4.60 MB (by [`StateCensus`]) |
+//! | membership | ≥ 9 B of a heap table | 8 B inline up to 3 per class; beyond, in a boxed [`TidSet`], 8 B up to 32 and ≈ 2 B chunked (≈ 9 B in a hashed set before) |
+//! | §6, all in, per membership (`hor_wide_sigma`'s seed-1 `D₀`) | ≈ 140 B | 40.6 B, 23.3 MB by [`StateCensus`] (44.5 B, 25.6 MB with hashed tid sets) |
+//! | IDX, all in, per membership (`ver_stream`'s seed-1 `D₀`: 240 000 in 8 691 groups of one class) | 24.0 B, 5.75 MB as hash maps of hash maps of hashed tid sets | 16.4 B, 3.94 MB by [`StateCensus`], HEVs included (22.0 B, 5.27 MB with hashed tid sets) |
 //!
 //! The thresholds come from `detbench`'s `hor_wide_sigma`: 768 variable
 //! CFDs on 53 operators, seed 1's `D₀` 56 002 groups, 225 571 classes,
@@ -33,45 +33,34 @@
 //! classes are *hashed* (a flat `Vec` there cost 30 % of `updates_per_s`).
 //! 139 272 classes (62 %) hold exactly one tid, so tids start inline; but
 //! `hor_tcp_skew`'s Zipf classes reach 65–512 tids, so beyond three they
-//! are a boxed set and removal stays `O(1)`. A class's RHS value is read
-//! back from the rows through any member (§6's `class_values`; the IDX
-//! needs none). Removals demote (`Many → One`, set → inline) and tables
+//! are a boxed [`TidSet`] (a sorted vector up to 32 tids, about 2 B a
+//! tid in 2¹⁶-tid chunks beyond; `V(Σ, D)` is kept in the same sets). A
+//! class's RHS value is read back from the rows through any member (§6's
+//! `class_values`; the IDX needs none). Removals demote (`Many → One`, set → inline) and tables
 //! give their slack back under a quarter full, so the state follows
 //! deletes down as well as inserts up; [`StateCensus`] counts it.
 
-use relation::{FxHashMap, FxHashSet, Tid};
+use relation::{FxHashMap, Tid, TidSet};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
-/// Give a hash table's slack back once removals leave it under a quarter
-/// full. Amortised: the ≥ ¾·capacity removals before a shrink pay for it,
-/// and the shrunk table is over a quarter full, so growth and shrinkage
-/// cannot alternate op by op.
-macro_rules! shrink_if_sparse {
-    ($table:expr) => {
-        if $table.len() * 4 < $table.capacity() {
-            $table.shrink_to($table.len());
-        }
-    };
-}
-pub(crate) use shrink_if_sparse;
+pub(crate) use relation::shrink_if_sparse;
 
 /// A class key: an MD5 digest (§6) or an eqid (§4).
 pub(crate) trait ClassKey: Copy + Eq + Hash + Default {}
 impl<K: Copy + Eq + Hash + Default> ClassKey for K {}
 
-/// Member tids a class keeps inline before spilling to a boxed set.
+/// Member tids a class keeps inline before spilling to a boxed [`TidSet`].
 pub(crate) const INLINE_TIDS: usize = 3;
 
 /// The member tids of one class within a group: up to [`INLINE_TIDS`]
-/// inline, a boxed hash set beyond (Zipf-keyed classes reach hundreds of
-/// members, and removal must stay `O(1)` there). The layout is a function
-/// of the members alone — removals demote — and the class's RHS *value* is
+/// inline, a boxed [`TidSet`] beyond (Zipf-keyed classes reach hundreds
+/// of members). Removals demote to inline, and the class's RHS *value* is
 /// not kept: any member's row has it.
 #[derive(Debug)]
 pub(crate) enum ClassEntry {
     Inline { len: u8, tids: [Tid; INLINE_TIDS] },
-    Spilled(Box<FxHashSet<Tid>>),
+    Spilled(Box<TidSet>),
 }
 
 impl ClassEntry {
@@ -113,16 +102,14 @@ impl ClassEntry {
                 }
             }
             ClassEntry::Spilled(set) => {
-                set.remove(&tid);
+                set.remove(tid);
                 if set.len() <= INLINE_TIDS {
                     let mut tids = [0; INLINE_TIDS];
-                    for (slot, &t) in tids.iter_mut().zip(set.iter()) {
+                    for (slot, t) in tids.iter_mut().zip(set.iter()) {
                         *slot = t;
                     }
                     let len = set.len() as u8;
                     *self = ClassEntry::Inline { len, tids };
-                } else {
-                    shrink_if_sparse!(set);
                 }
             }
         }
@@ -140,7 +127,7 @@ impl ClassEntry {
 #[derive(Clone, Copy)]
 pub(crate) enum Members<'a> {
     Inline(&'a [Tid]),
-    Spilled(&'a FxHashSet<Tid>),
+    Spilled(&'a TidSet),
 }
 
 impl Members<'_> {
@@ -154,14 +141,14 @@ impl Members<'_> {
     pub(crate) fn first(self) -> Option<Tid> {
         match self {
             Members::Inline(tids) => tids.first().copied(),
-            Members::Spilled(set) => set.iter().next().copied(),
+            Members::Spilled(set) => set.first(),
         }
     }
 
     pub(crate) fn for_each(self, f: impl FnMut(Tid)) {
         match self {
             Members::Inline(tids) => tids.iter().copied().for_each(f),
-            Members::Spilled(set) => set.iter().copied().for_each(f),
+            Members::Spilled(set) => set.iter().for_each(f),
         }
     }
 }
@@ -185,7 +172,7 @@ pub(crate) enum GroupState<K> {
     One {
         violating: bool,
         bd: K,
-        tids: Box<FxHashSet<Tid>>,
+        tids: Box<TidSet>,
     },
     Many {
         violating: bool,
@@ -371,7 +358,7 @@ pub struct StateCensus {
     pub memberships: usize,
     /// Groups whose classes spilled to a hashed map (≥ 2 classes).
     pub spilled_class_maps: usize,
-    /// Classes whose tids spilled to a boxed set (> 3 members).
+    /// Classes whose tids spilled to a boxed [`TidSet`] (> 3 members).
     pub spilled_tid_sets: usize,
     /// Heap bytes of the group maps and every spill (for §4 also of the
     /// HEVs), from capacities.
@@ -404,8 +391,7 @@ impl StateCensus {
                 self.memberships += members.len();
                 if let Members::Spilled(set) = members {
                     self.spilled_tid_sets += 1;
-                    self.resident_bytes +=
-                        std::mem::size_of::<FxHashSet<Tid>>() + table_bytes::<Tid>(set.capacity());
+                    self.resident_bytes += std::mem::size_of::<TidSet>() + set.heap_bytes();
                 }
             });
         }
@@ -417,6 +403,7 @@ mod tests {
     use super::*;
     use crate::hev::EqId;
     use cluster::md5::Digest;
+    use std::collections::BTreeSet;
 
     /// A later field shows up here before it shows up in `state_rss_mb`.
     #[test]
@@ -443,7 +430,7 @@ mod tests {
         for round in 0..40 {
             let n_classes = 1 + round % 4;
             let mut groups: FxHashMap<Digest, GroupState<Digest>> = FxHashMap::default();
-            let mut model: FxHashMap<Digest, FxHashSet<Tid>> = FxHashMap::default();
+            let mut model: FxHashMap<Digest, BTreeSet<Tid>> = FxHashMap::default();
             for step in 0..400 {
                 let bd = Digest([next(n_classes) as u8; 16]);
                 let tid = next(12);
@@ -481,7 +468,7 @@ mod tests {
                 assert_eq!(census.classes, model.len());
                 assert_eq!(
                     census.memberships,
-                    model.values().map(FxHashSet::len).sum::<usize>()
+                    model.values().map(BTreeSet::len).sum::<usize>()
                 );
                 assert_eq!(census.spilled_class_maps, usize::from(model.len() >= 2));
                 assert_eq!(census.spilled_tid_sets, spilled);
@@ -501,5 +488,67 @@ mod tests {
                 assert_eq!(classes, want_classes);
             }
         }
+    }
+
+    /// Returns to start: rows entered into an IDX (`Idx`) and into a §6
+    /// group map (`insert_case`) and then deleted again in another order
+    /// (`Idx::remove`, `delete_case`) leave both censuses equal to an
+    /// empty map's — spilled class maps and tid sets, chunked ones
+    /// included — and `V` empty with no heap bytes.
+    #[test]
+    fn group_maps_return_to_start() {
+        use crate::horizontal::{delete_case, insert_case};
+        use crate::idx::Idx;
+        use cfd::{DeltaV, Violations};
+        let mut rng = 0x6A09_E667_F3BC_C909u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        // Skewed keys over 40 groups of 1–3 classes; tids over three chunks.
+        let mut rows: Vec<(u64, u64, Tid)> = (0..3_000)
+            .map(|i| {
+                let key = next(40).min(next(40));
+                (key, next(1 + key % 3), i * 53)
+            })
+            .collect();
+        let digest = |x: u64| Digest([x as u8; 16]);
+        let (mut idx, mut groups) = (Idx::new(), FxHashMap::default());
+        let (mut v, mut dv) = (Violations::new(1), DeltaV::default());
+        for &(key, class, tid) in &rows {
+            idx.insert(key, class, tid);
+            let (kd, bd) = (digest(key), digest(class));
+            insert_case(&mut groups, (&mut v, &mut dv), &[0], tid, (kd, bd), true);
+        }
+        let census = |idx: &Idx, groups: &FxHashMap<Digest, GroupState<Digest>>| {
+            let (mut i, mut g) = (StateCensus::default(), StateCensus::default());
+            idx.count_into(&mut i);
+            g.count(groups);
+            (i, g)
+        };
+        let (full_idx, full_groups) = census(&idx, &groups);
+        for full in [full_idx, full_groups] {
+            assert_eq!(full.memberships, rows.len());
+            assert!(
+                full.spilled_class_maps > 0 && full.spilled_tid_sets > 0,
+                "{full:?}"
+            );
+        }
+        assert!(!v.is_empty());
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, next(i as u64 + 1) as usize);
+        }
+        for &(key, class, tid) in &rows {
+            assert!(idx.remove(key, class, tid).is_some());
+            let (kd, bd) = (digest(key), digest(class));
+            let dropped = delete_case(&mut groups, (&mut v, &mut dv), &[0], tid, (kd, bd), true);
+            assert!(dropped.is_ok());
+        }
+        let empty = census(&Idx::new(), &FxHashMap::default());
+        assert_eq!(census(&idx, &groups), empty);
+        assert!(v.is_empty());
+        assert_eq!(v.of_cfd(0).heap_bytes(), 0);
     }
 }

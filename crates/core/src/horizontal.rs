@@ -1057,10 +1057,10 @@ mod tests {
     fn initial_violations_match_fig1() {
         let det = detector();
         let v = det.violations();
-        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().copied().collect();
+        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().collect();
         phi1.sort_unstable();
         assert_eq!(phi1, vec![1, 3, 4, 5]);
-        assert_eq!(v.of_cfd(1).iter().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(v.of_cfd(1).iter().collect::<Vec<_>>(), vec![1]);
         assert_eq!(det.meters().modeled.total_bytes(), 0, "load is unmetered");
     }
 

@@ -187,12 +187,12 @@ impl Pruned {
     pub(crate) fn new(inner: Box<dyn Detector>, prep: PrunePrep) -> Pruned {
         let mut violations = Violations::new(prep.full.len());
         for (ic, &full_id) in prep.full_of.iter().enumerate() {
-            for &tid in inner.violations().of_cfd(ic as CfdId) {
+            for tid in inner.violations().of_cfd(ic as CfdId).iter() {
                 violations.add(full_id, tid);
             }
         }
         for &(phi, ic) in &prep.pruned {
-            for &tid in inner.violations().of_cfd(ic) {
+            for tid in inner.violations().of_cfd(ic).iter() {
                 let t = inner
                     .current()
                     .get(tid)

@@ -214,8 +214,9 @@ impl Suite {
     /// [`CodecKind::Md5`] (the default), [`CodecKind::RawValues`] or
     /// [`CodecKind::Dict`]. The codec decides only what a value becomes;
     /// how a frame is packed is the transport's own call (protocol frames
-    /// ship stored). The batch baselines ship with their own fixed
-    /// codecs.
+    /// ship stored). Every other strategy ships eqids or its own fixed
+    /// codec: building one with a codec other than the default is
+    /// [`DetectError::UnsupportedCodec`].
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.codec = codec;
         self
@@ -322,6 +323,13 @@ impl Suite {
             return Err(DetectError::UnsupportedTransport {
                 strategy: strategy.name(),
                 transport,
+            });
+        }
+        let takes_codec = matches!(strategy, Strategy::Horizontal(_) | Strategy::Hybrid(_));
+        if !takes_codec && codec != CodecKind::default() {
+            return Err(DetectError::UnsupportedCodec {
+                strategy: strategy.name(),
+                codec,
             });
         }
         let vertical = |cfds, s, plan| -> Result<Box<dyn Detector>, DetectError> {

@@ -779,10 +779,10 @@ mod tests {
     fn initial_violations_match_fig1() {
         let det = detector();
         let v = det.violations();
-        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().copied().collect();
+        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().collect();
         phi1.sort_unstable();
         assert_eq!(phi1, vec![1, 3, 4, 5]);
-        let phi2: Vec<Tid> = v.of_cfd(1).iter().copied().collect();
+        let phi2: Vec<Tid> = v.of_cfd(1).iter().collect();
         assert_eq!(phi2, vec![1]);
         // Load is unmetered.
         assert_eq!(det.meters().modeled.total_bytes(), 0);

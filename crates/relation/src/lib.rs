@@ -17,7 +17,9 @@
 //! * [`intern`] — the reference-counted value dictionary ([`ValuePool`])
 //!   mapping values to fixed-size symbols, and the dictionary-encoded
 //!   tuple representation ([`SymTuple`]),
-//! * [`SmallVec`] — a tiny inline vector for short hot-path keys.
+//! * [`SmallVec`] — a tiny inline vector for short hot-path keys,
+//! * [`TidSet`] — the compressed tid set the detectors keep `V(Σ, D)` and
+//!   their class members in.
 //!
 //! The crate is deliberately free of any distribution or CFD logic so that it
 //! can be reused by the partitioners, the detectors and the workload
@@ -31,6 +33,7 @@ pub mod relation;
 pub mod schema;
 mod smallvec;
 pub mod store;
+mod tidset;
 pub mod tuple;
 pub mod update;
 pub mod value;
@@ -42,6 +45,7 @@ pub use predicate::Predicate;
 pub use schema::{AttrId, Attribute, Schema};
 pub use smallvec::SmallVec;
 pub use store::{ColumnStore, RowId, TidMap};
+pub use tidset::TidSet;
 pub use tuple::{Tid, Tuple};
 pub use update::{Update, UpdateBatch};
 pub use value::Value;

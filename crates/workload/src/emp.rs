@@ -336,10 +336,10 @@ mod tests {
         let cfds = emp_cfds(&s);
         let v = cfd::naive::detect(&cfds, &d);
         assert_eq!(v.tids_sorted(), vec![1, 3, 4, 5]);
-        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().copied().collect();
+        let mut phi1: Vec<Tid> = v.of_cfd(0).iter().collect();
         phi1.sort_unstable();
         assert_eq!(phi1, vec![1, 3, 4, 5]);
-        assert_eq!(v.of_cfd(1).iter().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(v.of_cfd(1).iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -238,6 +238,44 @@ fn an_empty_or_self_cancelling_batch_moves_nothing() {
     }
 }
 
+/// Only `incHor` and `incHyb` ship values through a codec: every other
+/// strategy built with a codec other than the default is refused with a
+/// typed error naming both, and each builds with the default one set
+/// explicitly.
+#[test]
+fn a_codec_a_strategy_ignores_is_refused() {
+    let (schema, d0) = workload::emp::emp_relation();
+    let sigma = workload::emp::emp_cfds(&schema);
+    let vscheme = workload::emp::emp_vertical_scheme(&schema);
+    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
+    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
+    let opt = OptimizeConfig::default();
+    let suites = common::nine_suites(&schema, &sigma, &vscheme, &hscheme, &yscheme, opt);
+    for codec in [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict] {
+        for (name, suite) in &suites {
+            let built = suite.clone().codec(codec).build_detector(&d0);
+            let takes_codec = ["incHor", "incHor/raw", "incHyb"].contains(name);
+            if takes_codec || codec == CodecKind::default() {
+                built.unwrap_or_else(|e| panic!("{name} with {codec:?}: {e}"));
+                continue;
+            }
+            match built.map(|_| ()) {
+                Err(
+                    e @ DetectError::UnsupportedCodec {
+                        strategy,
+                        codec: asked,
+                    },
+                ) => {
+                    assert_eq!((strategy, asked), (*name, codec));
+                    let msg = e.to_string();
+                    assert!(msg.contains(name) && msg.contains(codec.name()), "{msg}");
+                }
+                other => panic!("{name} with {codec:?} must be refused: {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn net_report_is_normalized_across_strategies() {
     let (schema, d0) = workload::emp::emp_relation();

@@ -61,7 +61,12 @@ fn fig9_and_fig11_shipments() {
         let suite = suite.clone().strategy(strategy).codec(codec);
         suite.build_detector(&d).unwrap()
     };
-    let against = |inc, codec, bat| shipped(build(inc, codec), build(bat, codec), &delta);
+    // The batch side ships its own fixed codec, so it is built with the
+    // default one (another is refused).
+    let against = |inc, codec, bat| {
+        let bat = build(bat, CodecKind::default());
+        shipped(build(inc, codec), bat, &delta)
+    };
     let (inc_ver, inc_hor) = (
         || Strategy::Vertical(vs.clone()),
         || Strategy::Horizontal(hs.clone()),

@@ -31,10 +31,10 @@ fn fig1_violation_table_vertical() {
     let scheme = workload::emp::emp_vertical_scheme(&schema);
     let det = build(&schema, &sigma, Strategy::Vertical(scheme), &d0);
     // φ1: t1, t3, t4, t5; φ2: t1.
-    let mut phi1: Vec<Tid> = det.violations().of_cfd(0).iter().copied().collect();
+    let mut phi1: Vec<Tid> = det.violations().of_cfd(0).iter().collect();
     phi1.sort_unstable();
     assert_eq!(phi1, vec![1, 3, 4, 5]);
-    let phi2: Vec<Tid> = det.violations().of_cfd(1).iter().copied().collect();
+    let phi2: Vec<Tid> = det.violations().of_cfd(1).iter().collect();
     assert_eq!(phi2, vec![1]);
 }
 
