@@ -1,83 +1,16 @@
 //! A miniature relational-algebra executor.
 //!
 //! Executes the detection plans behind the "two SQL queries" of §2.3
-//! ([`crate::sqlgen`]) directly on in-memory [`Relation`]s: selection,
-//! projection, grouping with a `COUNT(DISTINCT …) > 1` having-filter, and
-//! semijoin back to the base — exactly the operator shapes `Q_C`/`Q_V`
-//! need. It exists as a second, independently-implemented oracle (the
-//! tests cross-check it against [`crate::naive`]) and as the substrate for
-//! downstream users who want plan-shaped detection rather than the
-//! hand-fused loops of `naive`.
+//! ([`crate::sqlgen`]) directly on an in-memory [`Relation`]'s columns:
+//! `Q_C` as one selection scan, `Q_V` as a grouping with a
+//! `COUNT(DISTINCT …) > 1` having-filter. It exists as a second,
+//! independently-implemented oracle (the tests cross-check it against
+//! [`crate::naive`]).
 
 use crate::cfd::Cfd;
 use crate::pattern::PatternValue;
 use crate::violation::Violations;
-use relation::{
-    AttrId, FxHashMap, FxHashSet, Relation, SmallVec, Sym, Tid, Tuple, Value, ValuePool,
-};
-
-/// A selection predicate: conjunction of `attr = const` atoms.
-#[derive(Debug, Clone, Default)]
-pub struct EqSelect {
-    atoms: Vec<(AttrId, Value)>,
-}
-
-impl EqSelect {
-    /// Selection from the constant atoms of a CFD's LHS pattern.
-    pub fn from_cfd(cfd: &Cfd) -> Self {
-        EqSelect {
-            atoms: cfd.constant_atoms(),
-        }
-    }
-
-    /// Does the tuple satisfy all atoms?
-    pub fn eval(&self, t: &Tuple) -> bool {
-        self.atoms.iter().all(|(a, v)| t.get(*a) == v)
-    }
-}
-
-/// Streaming selection: tuples satisfying the predicate (materialized —
-/// the columnar plans below scan without materializing).
-pub fn select<'a>(d: &'a Relation, pred: &'a EqSelect) -> impl Iterator<Item = Tuple> + 'a {
-    d.iter().filter(move |t| pred.eval(t))
-}
-
-/// `GROUP BY keys HAVING COUNT(DISTINCT dep) > 1`, returning for each
-/// surviving group its member tids. Group keys and the distinct-dep check
-/// run on interned symbols (one pass-local dictionary), so grouping never
-/// clones attribute values.
-pub fn group_having_multiple_dep(
-    tuples: impl Iterator<Item = impl std::borrow::Borrow<Tuple>>,
-    keys: &[AttrId],
-    dep: AttrId,
-) -> Vec<Vec<Tid>> {
-    struct G {
-        tids: Vec<Tid>,
-        first: Sym,
-        mixed: bool,
-    }
-    let mut pool = ValuePool::new();
-    let mut groups: FxHashMap<SmallVec<Sym, 4>, G> = FxHashMap::default();
-    for t in tuples {
-        let t = t.borrow();
-        let key: SmallVec<Sym, 4> = t.iter_at(keys).map(|v| pool.acquire(v)).collect();
-        let b = pool.acquire(t.get(dep));
-        let g = groups.entry(key).or_insert(G {
-            tids: Vec::new(),
-            first: b,
-            mixed: false,
-        });
-        g.tids.push(t.tid);
-        if g.first != b {
-            g.mixed = true;
-        }
-    }
-    groups
-        .into_values()
-        .filter(|g| g.mixed)
-        .map(|g| g.tids)
-        .collect()
-}
+use relation::{AttrId, FxHashMap, Relation, SmallVec, Sym, Tid};
 
 /// Execute the constant-query plan `Q_C` for one constant CFD — a single
 /// columnar scan: the selection atoms and the RHS constant resolve to the
@@ -182,19 +115,10 @@ pub fn detect(cfds: &[Cfd], d: &Relation) -> Violations {
     v
 }
 
-/// Semijoin helper: restrict `d` to the given tid set (the outer `JOIN …
-/// ON` of `Q_V`). Exposed for plan-shaped consumers.
-pub fn semijoin_tids<'a>(
-    d: &'a Relation,
-    tids: &'a FxHashSet<Tid>,
-) -> impl Iterator<Item = Tuple> + 'a {
-    d.iter().filter(move |t| tids.contains(&t.tid))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::Schema;
+    use relation::{Schema, Tuple, Value};
     use std::sync::Arc;
 
     fn emp() -> (Arc<Schema>, Relation, Vec<Cfd>) {
@@ -274,32 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn select_filters_by_atoms() {
-        let (_, d, cfds) = emp();
-        let pred = EqSelect::from_cfd(&cfds[1]);
-        assert_eq!(select(&d, &pred).count(), 5);
-        let none = EqSelect {
-            atoms: vec![(1, Value::int(99))],
-        };
-        assert_eq!(select(&d, &none).count(), 0);
-    }
-
-    #[test]
     fn group_having_counts_distinct() {
         let (_, d, _) = emp();
         // Group by zip, dep = street: EH4 8LE group has two streets.
-        let groups = group_having_multiple_dep(d.iter(), &[3], 4);
+        let groups = group_having_multiple_dep_cols(&d, |_| true, &[3], 4);
         assert_eq!(groups.len(), 1);
         let mut tids = groups[0].clone();
         tids.sort_unstable();
         assert_eq!(tids, vec![1, 3, 4, 5]);
-    }
-
-    #[test]
-    fn semijoin_restricts() {
-        let (_, d, _) = emp();
-        let keep: FxHashSet<Tid> = [2u64, 5].into_iter().collect();
-        let got: Vec<Tid> = semijoin_tids(&d, &keep).map(|t| t.tid).collect();
-        assert_eq!(got, vec![2, 5]);
     }
 }

@@ -527,16 +527,6 @@ impl Constraint {
         }
     }
 
-    /// The constraint class.
-    pub fn kind(&self) -> ConstraintKind {
-        match self {
-            Constraint::Key { .. } => ConstraintKind::Key,
-            Constraint::Complete { .. } => ConstraintKind::Completeness,
-            Constraint::Inclusion { .. } => ConstraintKind::Inclusion,
-            Constraint::Aggregate { .. } => ConstraintKind::Aggregate,
-        }
-    }
-
     /// The compiled CFD, for the classes that ride the CFD machinery
     /// directly (keys and completeness).
     pub fn compiled_cfd(&self) -> Option<&Cfd> {
@@ -686,17 +676,6 @@ pub struct DeltaFindings {
 }
 
 impl DeltaFindings {
-    /// Number of `(rule, tid)` changes.
-    pub fn len(&self) -> usize {
-        self.added.iter().map(|f| f.tids.len()).sum::<usize>()
-            + self.removed.iter().map(|f| f.tids.len()).sum::<usize>()
-    }
-
-    /// Is the delta empty?
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
     /// Group settled rule-level marks (a [`DeltaV`] whose "CFD" ids are
     /// [`RuleId`]s) into per-rule findings. Rules beyond `kinds` default
     /// to [`ConstraintKind::Cfd`].
@@ -758,7 +737,7 @@ mod tests {
         assert!(cfd.is_fd());
         assert_eq!(cfd.id, 7);
         assert_eq!(cfd.rhs, s.key());
-        assert_eq!(c.kind(), ConstraintKind::Key);
+        assert!(matches!(c, Constraint::Key { .. }));
         assert_eq!(cfd.lhs, vec![1, 2]);
     }
 
@@ -791,7 +770,6 @@ mod tests {
         let s = schema();
         let r = Schema::new("S", &["k", "x"], "k").unwrap();
         let c = Constraint::resolve(&Check::inclusion(["a"], "S", ["x"]), &s, Some(&r), 0).unwrap();
-        assert_eq!(c.kind(), ConstraintKind::Inclusion);
         assert!(matches!(c, Constraint::Inclusion { ref attrs, .. } if attrs == &[1]));
 
         let c = Constraint::resolve(
@@ -801,7 +779,6 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(c.kind(), ConstraintKind::Aggregate);
         assert!(matches!(c, Constraint::Aggregate { ref group_by, .. } if group_by == &[1]));
         // Global aggregate: no group attributes.
         let c = Constraint::resolve(
@@ -897,6 +874,6 @@ mod tests {
         assert_eq!(df.added[1].rule, 1);
         assert_eq!(df.added[1].tids, vec![2, 4]);
         assert_eq!(df.removed[0].tids, vec![9]);
-        assert_eq!(df.len(), 4);
+        assert_eq!(df.added[0].tids, vec![2]);
     }
 }

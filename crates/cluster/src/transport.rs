@@ -70,19 +70,6 @@ impl<M: Wire> Network<M> {
         Ok(())
     }
 
-    /// Ship `msg` from `src` to every other site (`n−1` messages).
-    pub fn broadcast(&mut self, src: SiteId, msg: M) -> Result<(), ClusterError>
-    where
-        M: Clone,
-    {
-        for dst in 0..self.inboxes.len() {
-            if dst != src {
-                self.send(src, dst, msg.clone())?;
-            }
-        }
-        Ok(())
-    }
-
     /// Drain the inbox of `site` in FIFO order.
     pub fn drain(&mut self, site: SiteId) -> Vec<(SiteId, M)> {
         self.inboxes[site].drain(..).collect()
@@ -218,11 +205,6 @@ impl DictMeter {
         cost
     }
 
-    /// Total bytes charged so far (symbols + dictionary entries).
-    pub fn total_bytes(&self) -> u64 {
-        self.sym_bytes + self.dict_bytes
-    }
-
     /// Bytes attributable to one-time dictionary entries.
     pub fn dict_bytes(&self) -> u64 {
         self.dict_bytes
@@ -313,17 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_counts_n_minus_1_messages() {
-        let mut net: Network<EqidMsg> = Network::new(4);
-        net.broadcast(1, EqidMsg(vec![7])).unwrap();
-        assert_eq!(net.meters().modeled.total_messages(), 3);
-        for s in [0usize, 2, 3] {
-            assert_eq!(net.drain(s).len(), 1);
-        }
-        assert!(net.drain(1).is_empty());
-    }
-
-    #[test]
     fn dict_meter_charges_entry_once_per_link() {
         let mut m = DictMeter::new();
         let v = Value::str("a long street name value"); // 24 + 4 B raw
@@ -337,7 +308,6 @@ mod tests {
         assert_eq!(m.ship_sym(1, 0, 7, &v), 4 + 4 + v.wire_size());
         assert_eq!(m.sym_bytes(), 16);
         assert_eq!(m.dict_bytes(), 3 * (4 + v.wire_size() as u64));
-        assert_eq!(m.total_bytes(), m.sym_bytes() + m.dict_bytes());
     }
 
     #[test]

@@ -1517,11 +1517,6 @@ impl ConcurrentHorizontal {
         self.metered
             .get_or_init(|| self.gathered_meters().kept.clone())
     }
-
-    /// Number of sites.
-    pub fn n_sites(&self) -> usize {
-        self.n
-    }
 }
 
 impl Detector for ConcurrentHorizontal {
@@ -1605,17 +1600,15 @@ mod tests {
     use crate::horizontal::fixtures::{
         d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated,
     };
+    use crate::horizontal::site;
     use crate::HorizontalDetector;
     use cluster::TransportMeter;
     use relation::Tuple;
     use std::time::{Duration, Instant};
 
-    /// Group-state census of the coordinator's own site (the others live
-    /// on their threads; rolling them up would widen `BatchResult`).
-    fn coordinator_census(det: &ConcurrentHorizontal) -> crate::StateCensus {
-        let mut census = crate::StateCensus::default();
-        det.runner.borrow().site.count_into(&mut census);
-        census
+    /// Group-state census summed over `runners`' sites.
+    fn census<'a>(runners: impl IntoIterator<Item = &'a SiteRunner>) -> crate::StateCensus {
+        site::census(runners.into_iter().map(|r| &r.site))
     }
 
     /// Symbols resident on each link into the coordinator.
@@ -1768,7 +1761,8 @@ mod tests {
         }
         let seen = |det: &ConcurrentHorizontal| {
             let marks = det.violations().marks_sorted();
-            let census = coordinator_census(det);
+            // The coordinator's own site: the others live on their threads.
+            let census = census([&*det.runner.borrow()]);
             (marks, census, coordinator_resident_symbols(det))
         };
         let codecs = [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict];
@@ -2097,7 +2091,7 @@ mod tests {
         let ctrl_out = |conc: &ConcurrentHorizontal| -> Vec<u64> {
             let (wire, modeled) = (&conc.meters().wire, &conc.meters().modeled);
             let ctrl = |j| wire.pair(COORD, j).bytes - modeled.pair(COORD, j).bytes;
-            (1..conc.n_sites()).map(ctrl).collect()
+            (1..conc.n).map(ctrl).collect()
         };
         for transport in [TransportKind::Framed, TransportKind::Tcp] {
             let mut pair = emp_pair(&d0(), CodecKind::Md5, transport);
@@ -2915,9 +2909,7 @@ mod tests {
                 other => panic!("expected a protocol error, got {other:?}"),
             };
             assert!(err.contains("link 0 → 1") && err.contains(cause), "{err}");
-            let mut census = crate::StateCensus::default();
-            site.site.count_into(&mut census);
-            assert_eq!((site.rows.len(), census.groups), (0, 0), "{err}");
+            assert_eq!((site.rows.len(), census([&site]).groups), (0, 0), "{err}");
         }
     }
 
@@ -3202,7 +3194,8 @@ mod tests {
     /// frame the stress fixture at 4 sites puts on a link, stepped under
     /// schedule seed 1 — one thread in a seeded order, so ack timing is
     /// fixed and every count is exact. Whatever changes what a frame
-    /// carries, or which frames a batch sends, moves its row.
+    /// carries, or which frames a batch sends, moves its row. The state
+    /// the run leaves resident is pinned the same way.
     #[test]
     fn the_control_plane_kind_by_kind() {
         let batches = stress_batches(0x5EED, 6, 64);
@@ -3235,6 +3228,31 @@ mod tests {
             .map(|(k, (f, b))| (k, f, b))
             .collect();
         assert_eq!(got, want);
+
+        // The state the run leaves resident: group state summed over every
+        // site, and `V` at the coordinator beside each site's slice of it.
+        let coordinator = &*det.runner.get_mut();
+        let runners = || std::iter::once(coordinator).chain(&sites);
+        let want = crate::StateCensus {
+            groups: 32,
+            classes: 76,
+            memberships: 112,
+            spilled_class_maps: 25,
+            spilled_tid_sets: 4,
+            resident_bytes: 11_364,
+        };
+        assert_eq!(census(runners()), want);
+        let v_bytes = |v: &Violations| -> usize {
+            (0..v.n_cfds())
+                .map(|c| v.of_cfd(c as CfdId).heap_bytes())
+                .sum()
+        };
+        let slices: Vec<usize> = runners().map(|r| v_bytes(&r.violations)).collect();
+        // The slices hold 1 664 B beside the coordinator's 704.
+        assert_eq!(
+            (v_bytes(&det.violations), slices),
+            (704, vec![384, 384, 384, 512])
+        );
     }
 
     /// A pure delete's removals — `V`'s marks of a tid its home deletes
@@ -3368,9 +3386,11 @@ mod tests {
 
     /// What a refused frame must leave alone: rows, `V` and group state.
     fn state(r: &SiteRunner) -> (Vec<Tuple>, Vec<(CfdId, Tid)>, crate::StateCensus) {
-        let mut census = crate::StateCensus::default();
-        r.site.count_into(&mut census);
-        (r.rows.iter().collect(), r.violations.marks_sorted(), census)
+        (
+            r.rows.iter().collect(),
+            r.violations.marks_sorted(),
+            census([r]),
+        )
     }
 
     /// Hold one step to the table: a frame the phase takes steps it (or

@@ -23,6 +23,12 @@
 //! | §6, all in, per membership (`hor_wide_sigma`'s seed-1 `D₀`) | ≈ 140 B | 40.6 B, 23.3 MB by [`StateCensus`] (44.5 B, 25.6 MB with hashed tid sets) |
 //! | IDX, all in, per membership (`ver_stream`'s seed-1 `D₀`: 240 000 in 8 691 groups of one class) | 24.0 B, 5.75 MB as hash maps of hash maps of hashed tid sets | 16.4 B, 3.94 MB by [`StateCensus`], HEVs included (22.0 B, 5.27 MB with hashed tid sets) |
 //!
+//! The two "all in" rows are `detbench`-scale readings. At tier-1 scale
+//! the root package's `tests/resident_bytes.rs` pins both censuses
+//! exactly (TPCH, 2 000 rows, 25 rules, 8 sites: §6 1 246 068 B and the
+//! IDX 770 504 B over 21 716 memberships, 57.4 B and 35.5 B each), so a
+//! change to this layout moves a literal there.
+//!
 //! The thresholds come from `detbench`'s `hor_wide_sigma`: 768 variable
 //! CFDs on 53 operators, seed 1's `D₀` 56 002 groups, 225 571 classes,
 //! 575 398 memberships, 3 584 spilled class maps, 20 359 spilled tid sets

@@ -968,9 +968,7 @@ impl HorizontalDetector {
     /// the heap bytes it keeps resident. `O(state)`; nothing is counted
     /// unless this is called.
     pub fn state_census(&self) -> StateCensus {
-        let mut census = StateCensus::default();
-        self.sites.iter().for_each(|s| s.count_into(&mut census));
-        census
+        site::census(&self.sites)
     }
 
     /// Symbols resident per receiving link, `[dst][src]` flattened.

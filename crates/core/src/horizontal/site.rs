@@ -471,6 +471,15 @@ impl<'a> Own<'a> {
     }
 }
 
+/// Census of the group maps of `sites`.
+pub(crate) fn census<'a>(sites: impl IntoIterator<Item = &'a Site>) -> StateCensus {
+    let mut census = StateCensus::default();
+    for site in sites {
+        site.state.iter().for_each(|map| census.count(map));
+    }
+    census
+}
+
 /// One site of the §6 protocol, sans IO.
 pub(crate) struct Site {
     cfg: SiteConfig,
@@ -508,11 +517,6 @@ impl Site {
 
     pub(crate) fn cfg(&self) -> &SiteConfig {
         &self.cfg
-    }
-
-    /// Add this site's group maps to `census`.
-    pub(crate) fn count_into(&self, census: &mut StateCensus) {
-        self.state.iter().for_each(|map| census.count(map));
     }
 
     /// Symbols resident on each link into this site, by sender.
@@ -1370,16 +1374,10 @@ mod tests {
             }
         }
 
-        fn census(&self) -> StateCensus {
-            let mut census = StateCensus::default();
-            self.sites.iter().for_each(|s| s.count_into(&mut census));
-            census
-        }
-
         fn snapshot(&self) -> Snapshot {
             Snapshot {
                 marks: self.v.marks_sorted(),
-                census: self.census(),
+                census: census(&self.sites),
                 resident_symbols: self.resident_symbols(),
                 stats: self.stats.to_bytes(),
             }
@@ -1793,13 +1791,17 @@ mod tests {
                 ["ProbeReply", "not a request"],
             ),
         ];
-        let before = (mesh.v.marks_sorted(), mesh.census());
+        let before = (mesh.v.marks_sorted(), census(&mesh.sites));
         for (msg, needles) in forged {
             let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mesh.rows[0]);
             let err = message_of(mesh.sites[0].on_request(1, msg, rows, sink).unwrap_err());
             assert!(err.contains("1 → 0"), "{err}");
             assert!(needles.iter().all(|n| err.contains(n)), "{err}");
-            assert_eq!((mesh.v.marks_sorted(), mesh.census()), before, "{err}");
+            assert_eq!(
+                (mesh.v.marks_sorted(), census(&mesh.sites)),
+                before,
+                "{err}"
+            );
         }
         // An unknown or own site id is refused before the codec is asked.
         for src in [0, 3] {

@@ -106,11 +106,6 @@ impl Idx {
         self.n_tuples
     }
 
-    /// Is the index empty?
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// Add this index's groups to `census`.
     pub(crate) fn count_into(&self, census: &mut StateCensus) {
         census.count(&self.groups);
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(n_classes(&idx, 1), 1);
         assert_eq!(idx.remove(1, 11, 8), Some(Case::Nothing));
         assert_eq!(n_classes(&idx, 1), 0);
-        assert!(idx.is_empty());
         assert_eq!(idx.n_tuples(), 0);
     }
 

@@ -213,11 +213,6 @@ impl Pruned {
         }
     }
 
-    /// Number of rules the inner detector never evaluates.
-    pub fn n_pruned(&self) -> usize {
-        self.pruned.len()
-    }
-
     fn tuple_matches_residual(&self, phi: CfdId, tid: Tid) -> bool {
         self.inner
             .current()

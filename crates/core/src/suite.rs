@@ -58,7 +58,7 @@ use crate::{HevPlan, HorizontalDetector, VerticalDetector};
 use cfd::constraint::{
     AggFunc, Check, Constraint, ConstraintKind, DeltaFindings, FindingSet, RuleId,
 };
-use cfd::{Cfd, CfdId, DeltaV, Violations};
+use cfd::{Cfd, CfdId, DeltaV};
 use cluster::codec::CodecKind;
 use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
@@ -577,17 +577,6 @@ impl SuiteSession {
         &self.findings
     }
 
-    /// Snapshot view: one finding per violated rule.
-    pub fn findings(&self) -> Vec<cfd::constraint::Finding> {
-        self.findings.findings()
-    }
-
-    /// The inner CFD-level violation set over the compiled catalog —
-    /// the paper's native surface, kept as a thin delegating shim.
-    pub fn violations(&self) -> &Violations {
-        self.det.violations()
-    }
-
     /// The inner detector (strategy, mirror, traffic meters).
     pub fn detector(&self) -> &dyn Detector {
         self.det.as_ref()
@@ -596,11 +585,6 @@ impl SuiteSession {
     /// Partition-strategy name of the inner detector.
     pub fn strategy(&self) -> &'static str {
         self.det.strategy()
-    }
-
-    /// Mirror of the primary relation.
-    pub fn current(&self) -> &Relation {
-        self.det.current()
     }
 
     /// A registered reference relation, by schema name.
@@ -1085,7 +1069,7 @@ mod tests {
             .strategy(Strategy::Vertical(vscheme(&s)))
             .build(&d0)
             .unwrap();
-        assert!(session.findings().is_empty());
+        assert!(session.finding_set().findings().is_empty());
         // (EDI, A) collides with tid 1 — distinct ids: the FD path.
         let mut b = UpdateBatch::new();
         b.insert(row(4, "EDI", "A", 10));
@@ -1098,7 +1082,7 @@ mod tests {
         b.delete(4);
         let dv = session.apply(&b).unwrap();
         assert_eq!(dv.findings.removed[0].tids, vec![1, 4]);
-        assert!(session.findings().is_empty());
+        assert!(session.finding_set().findings().is_empty());
     }
 
     #[test]
@@ -1135,7 +1119,7 @@ mod tests {
             .reference(cities(&["EDI", "NYC"]))
             .build(&d0)
             .unwrap();
-        assert!(session.findings().is_empty());
+        assert!(session.finding_set().findings().is_empty());
         // Insert a dangling reference.
         let mut b = UpdateBatch::new();
         b.insert(row(5, "LDN", "C", 5));
@@ -1164,7 +1148,7 @@ mod tests {
             .check(Check::sum_range("salary", ["city"], Some(0), Some(200)))
             .build(&d0)
             .unwrap();
-        assert!(session.findings().is_empty());
+        assert!(session.finding_set().findings().is_empty());
         // Third A-grade row breaks the count bound for the whole group.
         let mut b = UpdateBatch::new();
         b.insert(row(6, "EDI", "A", 100));
@@ -1183,7 +1167,7 @@ mod tests {
         b.delete(6);
         let dv = session.apply(&b).unwrap();
         assert_eq!(dv.findings.removed.len(), 2);
-        assert!(session.findings().is_empty());
+        assert!(session.finding_set().findings().is_empty());
     }
 
     #[test]
@@ -1193,7 +1177,7 @@ mod tests {
             .check(Check::row_count(["grade"], None, Some(100)))
             .build(&d0)
             .unwrap();
-        assert!(session.findings().is_empty());
+        assert!(session.finding_set().findings().is_empty());
         assert_eq!(session.rules().len(), 1);
     }
 

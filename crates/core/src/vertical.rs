@@ -415,12 +415,6 @@ impl VerticalDetector {
         &self.meters
     }
 
-    /// The value dictionary (size reporting, tests) — the relation's own
-    /// store dictionary.
-    pub fn pool(&self) -> &relation::ValuePool {
-        self.current.pool()
-    }
-
     /// Peak-relevant index sizes: (dictionary entries, base HEV classes,
     /// non-base HEV classes, IDX member tuples), pinned on a fixed-seed run
     /// by `tests/gated_integers.rs`.
@@ -1044,7 +1038,7 @@ mod tests {
         assert!(det.violations().is_empty());
         assert!(det.current().is_empty());
         for idx in &det.idxs {
-            assert!(idx.is_empty(), "IDX garbage-collected");
+            assert_eq!(idx.n_tuples(), 0, "IDX garbage-collected");
         }
         for b in &det.bases {
             assert!(b.is_empty(), "base HEVs garbage-collected");
@@ -1052,7 +1046,10 @@ mod tests {
         for nstore in &det.node_stores {
             assert!(nstore.is_empty(), "non-base HEVs garbage-collected");
         }
-        assert!(det.pool().is_empty(), "value dictionary garbage-collected");
+        assert!(
+            det.current().pool().is_empty(),
+            "value dictionary garbage-collected"
+        );
     }
 
     #[test]
@@ -1062,7 +1059,7 @@ mod tests {
         // directly: a rejected tuple must not acquire any dictionary or
         // HEV references.
         let mut det = detector();
-        let dict_before = det.pool().len();
+        let dict_before = det.current().pool().len();
         let mut dv = DeltaV::default();
         let dup = emp_tuple(1, "Z", 44, 131, "ZZ9 9ZZ", "Nowhere", "GLA");
         assert!(matches!(
@@ -1076,7 +1073,7 @@ mod tests {
         ));
         assert!(dv.is_empty());
         assert_eq!(
-            det.pool().len(),
+            det.current().pool().len(),
             dict_before,
             "no leaked dictionary entries"
         );
@@ -1086,6 +1083,6 @@ mod tests {
             teardown.delete(tid);
         }
         det.apply(&teardown).unwrap();
-        assert!(det.pool().is_empty());
+        assert!(det.current().pool().is_empty());
     }
 }

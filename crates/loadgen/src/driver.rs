@@ -137,17 +137,6 @@ pub struct SuiteLoadReport {
     pub net: NetReport,
 }
 
-impl SuiteLoadReport {
-    /// Sustained throughput over the measured window.
-    pub fn updates_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.updates as f64 / self.wall_seconds
-        }
-    }
-}
-
 /// Drive `stream` through a validation [`SuiteSession`], timing every
 /// update. The suite analogue of [`run_load`]: same warmup and
 /// meter-reset discipline, but latencies cover the whole mixed-kind

@@ -13,18 +13,11 @@
 //! * the pool is reference-counted like the HEVs, so deletions
 //!   garbage-collect dictionary entries and symbol ids are reused —
 //!   the dictionary stays proportional to the live database.
-//!
-//! [`SymTuple`] is the dictionary-encoded tuple representation: one symbol
-//! per attribute in an `Arc<[Sym]>`, so projections and `t[X]` extraction
-//! are copy-free symbol reads instead of per-attribute value clones.
 
 use crate::fx::FxHashMap;
-use crate::schema::AttrId;
 use crate::smallvec::SmallVec;
 use crate::store::clone_with_capacity;
-use crate::tuple::{Tid, Tuple};
 use crate::value::Value;
-use std::sync::Arc;
 
 /// An interned-value symbol: index into its owning [`ValuePool`].
 pub type Sym = u32;
@@ -165,15 +158,6 @@ impl ValuePool {
         }
     }
 
-    /// Dictionary-encode a tuple, acquiring one reference per attribute
-    /// value.
-    pub fn encode(&mut self, t: &Tuple) -> SymTuple {
-        SymTuple {
-            tid: t.tid,
-            syms: t.values.iter().map(|v| self.acquire(v)).collect(),
-        }
-    }
-
     /// Number of distinct live values in the dictionary.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -199,29 +183,6 @@ impl ValuePool {
             self.slots.capacity(),
             self.free.capacity(),
         ]
-    }
-}
-
-/// A dictionary-encoded tuple: one [`Sym`] per attribute, positionally
-/// aligned with the owning schema. Cloning shares the symbol buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SymTuple {
-    /// Unique tuple id (same id as the source [`Tuple`]).
-    pub tid: Tid,
-    /// Interned symbols, one per attribute.
-    pub syms: Arc<[Sym]>,
-}
-
-impl SymTuple {
-    /// Symbol at attribute `a` (positional).
-    #[inline]
-    pub fn get(&self, a: AttrId) -> Sym {
-        self.syms[a as usize]
-    }
-
-    /// Arity of the encoded tuple.
-    pub fn arity(&self) -> usize {
-        self.syms.len()
     }
 }
 
@@ -277,23 +238,6 @@ mod tests {
         let a = p.acquire(&Value::int(1));
         p.release(a);
         let _ = p.resolve(a);
-    }
-
-    #[test]
-    fn encode_release_round_trip() {
-        let mut p = ValuePool::new();
-        let t = Tuple::new(7, vec![Value::int(7), Value::str("EDI"), Value::str("EDI")]);
-        let st = p.encode(&t);
-        assert_eq!(st.tid, 7);
-        assert_eq!(st.arity(), 3);
-        // Equal values share a symbol.
-        assert_eq!(st.get(1), st.get(2));
-        assert_ne!(st.get(0), st.get(1));
-        assert_eq!(p.refs(st.get(1)), 2, "one ref per attribute slot");
-        for &s in st.syms.iter() {
-            p.release(s);
-        }
-        assert!(p.is_empty());
     }
 
     #[test]

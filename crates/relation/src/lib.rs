@@ -15,8 +15,7 @@
 //! * [`FxHashMap`] / [`FxHashSet`] — maps and sets over a small Fx-style
 //!   hasher, used for all hot hash maps,
 //! * [`intern`] — the reference-counted value dictionary ([`ValuePool`])
-//!   mapping values to fixed-size symbols, and the dictionary-encoded
-//!   tuple representation ([`SymTuple`]),
+//!   mapping values to fixed-size symbols,
 //! * [`SmallVec`] — a tiny inline vector for short hot-path keys,
 //! * [`TidSet`] — the compressed tid set the detectors keep `V(Σ, D)` and
 //!   their class members in.
@@ -40,7 +39,7 @@ pub mod value;
 
 pub use crate::relation::Relation;
 pub use fx::{FxHashMap, FxHashSet};
-pub use intern::{Sym, SymTuple, ValuePool};
+pub use intern::{Sym, ValuePool};
 pub use predicate::Predicate;
 pub use schema::{AttrId, Attribute, Schema};
 pub use smallvec::SmallVec;

@@ -11,7 +11,6 @@
 //!   co-location of any violating pair).
 
 use crate::schema::AttrId;
-use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A Boolean selection predicate over tuples.
@@ -52,13 +51,8 @@ fn stable_hash(v: &Value) -> u64 {
 }
 
 impl Predicate {
-    /// Evaluate against a full tuple.
-    pub fn eval(&self, t: &Tuple) -> bool {
-        self.eval_with(&|a| t.get(a))
-    }
-
-    /// Evaluate against any positional value accessor — lets columnar
-    /// callers route rows without materializing a [`Tuple`].
+    /// Evaluate against a positional value accessor, so columnar callers
+    /// route rows without materializing a [`Tuple`](crate::Tuple).
     pub fn eval_with<'a>(&self, get: &impl Fn(AttrId) -> &'a Value) -> bool {
         match self {
             Predicate::True => true,
@@ -129,42 +123,42 @@ impl Predicate {
 mod tests {
     use super::*;
 
-    fn t(vals: Vec<Value>) -> Tuple {
-        Tuple::new(1, vals)
+    fn holds(p: &Predicate, vals: &[Value]) -> bool {
+        p.eval_with(&|a| &vals[a as usize])
     }
 
     #[test]
     fn eq_and_in() {
         let p = Predicate::Eq(0, Value::str("A"));
-        assert!(p.eval(&t(vec![Value::str("A")])));
-        assert!(!p.eval(&t(vec![Value::str("B")])));
+        assert!(holds(&p, &[Value::str("A")]));
+        assert!(!holds(&p, &[Value::str("B")]));
         let q = Predicate::In(0, vec![Value::str("A"), Value::str("B")]);
-        assert!(q.eval(&t(vec![Value::str("B")])));
-        assert!(!q.eval(&t(vec![Value::str("C")])));
+        assert!(holds(&q, &[Value::str("B")]));
+        assert!(!holds(&q, &[Value::str("C")]));
     }
 
     #[test]
     fn int_range() {
         let p = Predicate::IntRange(0, 10, 20);
-        assert!(p.eval(&t(vec![Value::int(10)])));
-        assert!(p.eval(&t(vec![Value::int(19)])));
-        assert!(!p.eval(&t(vec![Value::int(20)])));
-        assert!(!p.eval(&t(vec![Value::str("10")])));
+        assert!(holds(&p, &[Value::int(10)]));
+        assert!(holds(&p, &[Value::int(19)]));
+        assert!(!holds(&p, &[Value::int(20)]));
+        assert!(!holds(&p, &[Value::str("10")]));
     }
 
     #[test]
     fn hash_mod_partitions_every_value_exactly_once() {
         let buckets = 4u32;
         for i in 0..100i64 {
-            let tup = t(vec![Value::int(i)]);
+            let vals = [Value::int(i)];
             let matched = (0..buckets)
                 .filter(|&which| {
-                    Predicate::HashMod {
+                    let p = Predicate::HashMod {
                         attr: 0,
                         buckets,
                         which,
-                    }
-                    .eval(&tup)
+                    };
+                    holds(&p, &vals)
                 })
                 .count();
             assert_eq!(matched, 1, "value {i} must land in exactly one bucket");
@@ -177,8 +171,8 @@ mod tests {
             Predicate::Eq(0, Value::str("A")),
             Predicate::IntRange(1, 0, 5),
         ]);
-        assert!(p.eval(&t(vec![Value::str("A"), Value::int(3)])));
-        assert!(!p.eval(&t(vec![Value::str("A"), Value::int(7)])));
+        assert!(holds(&p, &[Value::str("A"), Value::int(3)]));
+        assert!(!holds(&p, &[Value::str("A"), Value::int(7)]));
     }
 
     #[test]

@@ -233,11 +233,6 @@ impl ColumnStore {
         self.null_counts[a as usize]
     }
 
-    /// Attribute count.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
     /// Live tuple count.
     pub fn len(&self) -> usize {
         self.tids.len()

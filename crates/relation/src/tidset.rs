@@ -49,7 +49,9 @@ macro_rules! shrink_if_sparse {
     };
 }
 
-/// A set of tids; see the [module docs](self) for its layouts.
+/// A set of tids: one sorted vector while small or sparse, else one
+/// sorted `u16` array or bitmap per 2¹⁶-tid chunk (thresholds in the
+/// `tidset` module docs).
 #[derive(Debug, Clone)]
 pub struct TidSet(Layout);
 

@@ -38,18 +38,6 @@ impl Tuple {
         &self.values[a as usize]
     }
 
-    /// Project onto `attrs`, preserving the tuple id. Used by vertical
-    /// partitioning (`D_i = π_{X_i}(D)`).
-    pub fn project(&self, attrs: &[AttrId]) -> Tuple {
-        Tuple::new(
-            self.tid,
-            attrs
-                .iter()
-                .map(|&a| self.values[a as usize].clone())
-                .collect(),
-        )
-    }
-
     /// Values at `attrs`, cloned into a vector (the `t[X]` notation).
     /// Call sites that only *read* `t[X]` should prefer [`Tuple::iter_at`],
     /// which borrows instead of cloning.
@@ -69,11 +57,6 @@ impl Tuple {
     /// Arity of this tuple.
     pub fn arity(&self) -> usize {
         self.values.len()
-    }
-
-    /// Wire size of the full tuple (id + values).
-    pub fn wire_size(&self) -> usize {
-        8 + self.values.iter().map(Value::wire_size).sum::<usize>()
     }
 }
 
@@ -108,21 +91,6 @@ mod tests {
         assert_eq!(t.values_at(&[2, 0]), vec![Value::str("EDI"), Value::int(5)]);
         let borrowed: Vec<&Value> = t.iter_at(&[2, 0]).collect();
         assert_eq!(borrowed, vec![&Value::str("EDI"), &Value::int(5)]);
-    }
-
-    #[test]
-    fn projection_keeps_tid() {
-        let p = t().project(&[0, 2]);
-        assert_eq!(p.tid, 5);
-        assert_eq!(p.arity(), 2);
-        assert_eq!(p.get(1), &Value::str("EDI"));
-    }
-
-    #[test]
-    fn wire_sizes() {
-        let t = t();
-        // 8 (tid) + 8 (int) + (4+4) (Adam) + (4+3) (EDI)
-        assert_eq!(t.wire_size(), 8 + 8 + 8 + 7);
     }
 
     #[test]

@@ -95,8 +95,7 @@ pub mod prelude {
         LoadReport, OpMix, Scenario, ScenarioCfg, SuiteLoadReport, UpdateStream, WorkloadKind,
     };
     pub use relation::{
-        Predicate, Relation, Schema, Sym, SymTuple, Tid, Tuple, Update, UpdateBatch, Value,
-        ValuePool,
+        Predicate, Relation, Schema, Sym, Tid, Tuple, Update, UpdateBatch, Value, ValuePool,
     };
     pub use {cfd, cluster, incdetect, loadgen, relation, workload};
 }

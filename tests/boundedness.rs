@@ -3,6 +3,7 @@
 //! `|ΔD| + |ΔV|` only, independent of `|D|` — while the batch baselines
 //! grow with `|D|`.
 
+use inc_cfd::cfd::CfdId;
 use inc_cfd::prelude::*;
 use incdetect::{baselines, StateCensus};
 
@@ -376,31 +377,51 @@ fn out_and_back<D: Detector>(det: &mut D, case: &Churn, at_peak: impl FnOnce(&D)
     );
 }
 
+/// What the churn tests read off a detector: its census and the heap
+/// bytes of `V`'s per-CFD tid sets.
+#[derive(Debug, Clone, Copy, Default)]
+struct State {
+    census: StateCensus,
+    v_bytes: usize,
+}
+
+fn state(census: StateCensus, v: &Violations) -> State {
+    let v_bytes = (0..v.n_cfds()).map(|c| v.of_cfd(c as CfdId).heap_bytes());
+    State {
+        census,
+        v_bytes: v_bytes.sum(),
+    }
+}
+
 /// Back at the start: the same census but for resident bytes, which are
 /// within a constant factor (tables shrink under a quarter full and grow
 /// at full, so 4× is the worst a stream can leave behind; held to 2×) and
-/// below the peak's.
-fn assert_census_returned(start: StateCensus, peak: StateCensus, end: StateCensus, what: &str) {
+/// below the peak's — for the census's tables and `V`'s sets alike.
+fn assert_returned(start: State, peak: State, end: State, what: &str) {
     let shape = |c: StateCensus| StateCensus {
         resident_bytes: 0,
         ..c
     };
-    assert_eq!(shape(end), shape(start), "{what}");
-    assert!(
-        end.resident_bytes <= 2 * start.resident_bytes && end.resident_bytes < peak.resident_bytes,
-        "{what}: start {start:?}, peak {peak:?}, end {end:?}"
-    );
+    assert_eq!(shape(end.census), shape(start.census), "{what}");
+    let bytes = |s: State| [s.census.resident_bytes, s.v_bytes];
+    for ((start, peak), end) in bytes(start).into_iter().zip(bytes(peak)).zip(bytes(end)) {
+        assert!(
+            end <= 2 * start && end < peak,
+            "{what}: start {start} B, peak {peak} B, end {end} B"
+        );
+    }
 }
 
 /// The §6 group state is bounded by the live data: a seeded stream
 /// that quadruples the relation, rewrites and deletes base tuples, and
 /// then walks back to the starting relation leaves the group state where
 /// it started — the same groups, classes, memberships and spills, the
-/// resident bytes within a constant factor (this one leaves 1.0–1.2×) —
-/// and `V` equal to the start, whatever codec ships the values.
+/// resident bytes within a constant factor (pinned below for TPCH's 25
+/// rules) — and `V` equal to the start, in as many bytes up to the same
+/// factor, whatever codec ships the values.
 #[test]
 fn group_state_returns_to_start_after_churn() {
-    for case in &churn_cases() {
+    for (i, case) in churn_cases().iter().enumerate() {
         let schema = case.d0.schema();
         for codec in [CodecKind::Md5, CodecKind::RawValues, CodecKind::Dict] {
             let mut det = HorizontalDetector::new(
@@ -412,44 +433,59 @@ fn group_state_returns_to_start_after_churn() {
                 TransportKind::Simulated,
             )
             .unwrap();
-            let start = det.state_census();
+            let read = |det: &HorizontalDetector| state(det.state_census(), det.violations());
+            let start = read(&det);
             assert!(
-                start.spilled_class_maps > 0 && start.spilled_tid_sets > 0,
+                start.census.spilled_class_maps > 0 && start.census.spilled_tid_sets > 0,
                 "{start:?}"
             );
-            let mut peak = StateCensus::default();
-            out_and_back(&mut det, case, |det| peak = det.state_census());
+            let mut peak = State::default();
+            out_and_back(&mut det, case, |det| peak = read(det));
             assert!(
-                peak.memberships > 2 * start.memberships,
+                peak.census.memberships > 2 * start.census.memberships,
                 "{peak:?} vs {start:?}"
             );
-            assert_census_returned(start, peak, det.state_census(), &format!("{codec:?}"));
+            let end = read(&det);
+            assert_returned(start, peak, end, &format!("{codec:?}"));
+            if i == 0 {
+                // TPCH's 25 rules: start, peak and end resident bytes.
+                let bytes = [start, peak, end].map(|s| s.census.resident_bytes);
+                assert_eq!(bytes, [710_212, 1_949_948, 799_652], "{codec:?}");
+            }
         }
     }
 }
 
 /// `incVer`'s HEV and IDX state under the same churn: back on `D₀`, the
 /// IDX census and `index_sizes()` (dictionary, base and non-base HEV
-/// classes, IDX members) equal the start's, and the HEV and IDX tables
-/// hold at most twice the start's bytes.
+/// classes, IDX members) equal the start's, the HEV and IDX tables and
+/// `V`'s sets hold at most twice the start's bytes (pinned for TPCH's 25
+/// rules).
 #[test]
 fn hev_and_idx_state_return_to_start_after_churn() {
-    for case in &churn_cases() {
+    for (i, case) in churn_cases().iter().enumerate() {
         let schema = case.d0.schema();
         let mut det = vertical(schema, &case.cfds, &case.ver, &case.d0);
-        let (start, start_sizes) = (det.state_census(), det.index_sizes());
+        let read = |det: &VerticalDetector| state(det.state_census(), det.violations());
+        let (start, start_sizes) = (read(&det), det.index_sizes());
         assert!(
-            start.spilled_class_maps > 0 && start.spilled_tid_sets > 0,
+            start.census.spilled_class_maps > 0 && start.census.spilled_tid_sets > 0,
             "{start:?}"
         );
-        let mut peak = StateCensus::default();
-        out_and_back(&mut det, case, |det| peak = det.state_census());
+        let mut peak = State::default();
+        out_and_back(&mut det, case, |det| peak = read(det));
         assert!(
-            peak.memberships > 2 * start.memberships,
+            peak.census.memberships > 2 * start.census.memberships,
             "{peak:?} vs {start:?}"
         );
         assert_eq!(det.index_sizes(), start_sizes);
-        assert_census_returned(start, peak, det.state_census(), "incVer");
+        let end = read(&det);
+        assert_returned(start, peak, end, "incVer");
+        if i == 0 {
+            // TPCH's 25 rules: start, peak and end resident bytes.
+            let bytes = [start, peak, end].map(|s| s.census.resident_bytes);
+            assert_eq!(bytes, [659_356, 1_525_542, 701_124]);
+        }
     }
 }
 
