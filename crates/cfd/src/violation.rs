@@ -98,6 +98,32 @@ impl Violations {
             .collect()
     }
 
+    /// Apply a settled `ΔV`: remove its `ΔV⁻` marks, then add its `ΔV⁺`
+    /// ones, so no set grows past the larger of its sizes before and
+    /// after. A mark it would remove where `V` has none, or add where `V`
+    /// holds it already, is refused and returned, and `V` is left as it
+    /// was: a detector that records each transition once never asks for
+    /// either.
+    pub fn commit(&mut self, dv: &DeltaV) -> Result<(), (CfdId, Tid)> {
+        let removes = dv.removed.iter();
+        let removed = removes.take_while(|&&(c, t)| self.remove(c, t)).count();
+        let mut added = 0;
+        if removed == dv.removed.len() {
+            let adds = dv.added.iter();
+            added = adds.take_while(|&&(c, t)| self.add(c, t)).count();
+        }
+        let Some(&refused) = dv.removed.get(removed).or(dv.added.get(added)) else {
+            return Ok(());
+        };
+        for &(c, t) in &dv.added[..added] {
+            self.remove(c, t);
+        }
+        for &(c, t) in &dv.removed[..removed] {
+            self.add(c, t);
+        }
+        Err(refused)
+    }
+
     /// Symmetric difference against another violation set, as (added to
     /// reach `other`, removed to reach `other`), sorted. Used by tests to
     /// compare an incremental result with the oracle.
@@ -159,10 +185,14 @@ impl DeltaV {
 
     /// Canonicalize to the *net* change: a mark that was removed and
     /// re-added (or added and re-removed) within the delta cancels out,
-    /// duplicates collapse, and both lists come out sorted. Since `V(Σ,D)`
-    /// is a set, recorded transitions for one `(cfd, tid)` mark strictly
-    /// alternate between add and remove, so the net effect is determined
-    /// by the count difference alone.
+    /// and both lists come out sorted. Since `V(Σ,D)` is a set, recorded
+    /// transitions for one `(cfd, tid)` mark strictly alternate between
+    /// add and remove, so the net effect is determined by the count
+    /// difference alone, and is at most one add or one remove. A mark
+    /// whose count difference is larger broke the alternation: it is kept
+    /// that many times, and [`Violations::commit`], which checks the net
+    /// change against `V`, refuses it — as it refuses a net add of a mark
+    /// `V` holds or a net remove of one it lacks.
     pub fn settle(&mut self) {
         let mut net: FxHashMap<(CfdId, Tid), i64> = FxHashMap::default();
         for &m in &self.added {
@@ -174,11 +204,12 @@ impl DeltaV {
         self.added.clear();
         self.removed.clear();
         for (m, n) in net {
-            match n.cmp(&0) {
-                std::cmp::Ordering::Greater => self.added.push(m),
-                std::cmp::Ordering::Less => self.removed.push(m),
-                std::cmp::Ordering::Equal => {}
-            }
+            let list = if n > 0 {
+                &mut self.added
+            } else {
+                &mut self.removed
+            };
+            list.extend(std::iter::repeat_n(m, n.unsigned_abs() as usize));
         }
         self.added.sort_unstable();
         self.removed.sort_unstable();
@@ -342,6 +373,80 @@ mod tests {
         d.settle();
         assert_eq!(d.added, vec![(0, 3)]);
         assert!(d.removed.is_empty());
+    }
+
+    /// Two marks of CFD 0, one of CFD 1.
+    fn three_marks() -> Violations {
+        let mut v = Violations::new(2);
+        v.commit(&DeltaV {
+            added: vec![(0, 1), (0, 2), (1, 2)],
+            removed: Vec::new(),
+        })
+        .unwrap();
+        v
+    }
+
+    #[test]
+    fn commit_applies_a_settled_delta() {
+        let mut v = three_marks();
+        let mut d = DeltaV::default();
+        d.remove(0, 1);
+        d.add(1, 1);
+        d.add(0, 9);
+        d.settle();
+        v.commit(&d).unwrap();
+        assert_eq!(v.marks_sorted(), [(0, 2), (0, 9), (1, 1), (1, 2)]);
+    }
+
+    /// A refused mark is named, and `V` is as it was before the commit.
+    #[test]
+    fn commit_refuses_a_mark_added_twice() {
+        let mut v = three_marks();
+        let d = DeltaV {
+            added: vec![(0, 7), (1, 2)],
+            removed: vec![(0, 1)],
+        };
+        assert_eq!(v.commit(&d), Err((1, 2)));
+        assert_eq!(v.marks_sorted(), three_marks().marks_sorted());
+    }
+
+    #[test]
+    fn commit_refuses_a_mark_removed_when_absent() {
+        let mut v = three_marks();
+        let d = DeltaV {
+            added: vec![(0, 7)],
+            removed: vec![(0, 1), (1, 1)],
+        };
+        assert_eq!(v.commit(&d), Err((1, 1)));
+        assert_eq!(v.marks_sorted(), three_marks().marks_sorted());
+    }
+
+    /// A mark recorded twice in one batch survives the settle twice, and
+    /// the commit refuses the second: `V` absorbs no repeat.
+    #[test]
+    fn a_mark_recorded_twice_is_refused() {
+        let mut v = three_marks();
+        let mut d = DeltaV::default();
+        d.add(1, 5);
+        d.add(1, 5);
+        d.settle();
+        assert_eq!(d.added, [(1, 5), (1, 5)]);
+        assert_eq!(v.commit(&d), Err((1, 5)));
+        assert_eq!(v.marks_sorted(), three_marks().marks_sorted());
+    }
+
+    #[test]
+    fn an_add_and_a_remove_of_one_mark_commit_nothing() {
+        let mut v = three_marks();
+        let mut d = DeltaV::default();
+        d.add(1, 5);
+        d.remove(1, 5);
+        d.remove(0, 2);
+        d.add(0, 2);
+        d.settle();
+        assert!(d.is_empty());
+        v.commit(&d).unwrap();
+        assert_eq!(v.marks_sorted(), three_marks().marks_sorted());
     }
 
     #[test]

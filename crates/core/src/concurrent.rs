@@ -14,9 +14,11 @@
 //! silent ones (slot queues, owed acks), the barriers between waves, and
 //! the per-batch images that carry each site's slice of `ΔV` home. No
 //! detector state is shared: each site owns its fragment, its per-operator
-//! group state, its slice of `V`, its receiver-side codec state and its
-//! meters, exactly as the paper's EC2 deployment would. No process holds
-//! `D` whole: a row lives in its home's fragment only, and the coordinator
+//! group state, its receiver-side codec state and its meters, exactly as
+//! the paper's EC2 deployment would. A site's steps record `ΔV` and never
+//! read `V`, which is kept once, at the coordinator, and changed only by
+//! committing each batch's `ΔV` to it. No process holds `D` whole: a row
+//! lives in its home's fragment only, and the coordinator
 //! gathers `D`, and the meters, when asked for them (the control plane's
 //! gathers, below).
 //!
@@ -93,18 +95,19 @@
 //! sends nothing and leaves every meter at zero.
 //! [`ConcurrentHorizontal::threaded`] runs it once, on the caller's
 //! thread, over the caller's `D₀` (it makes no copy of it), and moves into
-//! each site's runner its machine, its fragment (the rows it is home to)
-//! and its slice of `V` (the marks of those rows) — what a replay of `D₀`
-//! through the batch path would have left there. The coordinator keeps no
-//! row: only every row's home, in a dense [`TidMap`] at 4 B a tid, and the
-//! whole `V`. Only then does it open the mesh and spawn the site threads.
+//! each site's runner its machine and its fragment (the rows it is home
+//! to) — what a replay of `D₀` through the batch path would have left
+//! there. The coordinator keeps no row: only every row's home, in a dense
+//! [`TidMap`] at 4 B a tid, and `V`. Only then does it open the mesh and
+//! spawn the site threads.
 //!
 //! In a multi-process session no row of `D₀` crosses a link: each `site`
 //! process derives `D₀` from the parameters it derives `(schema, Σ,
 //! scheme)` from, runs the same build and keeps its own machine, and the
 //! processes build in parallel. Each then sends the coordinator one
-//! `Built` frame, a fingerprint of its fragment and its slice of `V`
-//! (`BuildPrint`), which [`ConcurrentHorizontal::distributed`] holds to
+//! `Built` frame, a fingerprint of its fragment and of the marks its build
+//! of `V` holds on it (`BuildPrint`), which
+//! [`ConcurrentHorizontal::distributed`] holds to
 //! its own build of that site: a site that derived another `D₀` is
 //! [`DetectError::BuildMismatch`] naming the site, and every site is shut
 //! down. That handshake is the build's, not `ΔD`'s: both ends take it off
@@ -226,7 +229,7 @@ use crate::detector::{DetectError, Detector};
 use crate::horizontal::order::{Deferrals, DeferredList, WavePlanner};
 use crate::horizontal::site::{Round, Site, SiteConfig};
 use crate::horizontal::{Build, HorMsg};
-use cfd::{Cfd, CfdId, DeltaV, Violations};
+use cfd::{Cfd, DeltaV, Violations};
 use cluster::codec::CodecKind;
 use cluster::net::{unpack_body, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
@@ -425,10 +428,10 @@ type Answer = Result<Option<CtrlMsg>, DetectError>;
 type Step = Result<(), DetectError>;
 
 /// One site's machine: the §6 `Site` machine, the fragment its steps are
-/// handed, its slice of `V`, and what is the runtime's own — its phase,
-/// the wave's rounds, the owed-ack counters. It runs on a spawned thread
-/// (threaded mode), alone inside a `site` process (multi-process mode), or
-/// beside the coordinator on the caller's thread (site 0).
+/// handed, the `ΔV` they record, and what is the runtime's own — its
+/// phase, the wave's rounds, the owed-ack counters. It runs on a spawned
+/// thread (threaded mode), alone inside a `site` process (multi-process
+/// mode), or beside the coordinator on the caller's thread (site 0).
 pub(crate) struct SiteRunner {
     site: Site,
     /// This site's fragment `σ_{F_me}(D)`: the only copy of a row this
@@ -437,7 +440,7 @@ pub(crate) struct SiteRunner {
     me: SiteId,
     n: usize,
     node: Node,
-    violations: Violations,
+    /// The batch's marks, recorded by the machine's steps.
     dv: DeltaV,
     /// Per requesting peer: silently-served rounds not yet acked.
     owed: Vec<u32>,
@@ -468,13 +471,12 @@ pub(crate) struct SiteRunner {
 }
 
 impl SiteRunner {
-    /// The site of `node` as the build left it: its machine, its fragment
-    /// and its slice of `V` ([`split`]).
-    pub(crate) fn new(site: Site, rows: Relation, violations: Violations, node: Node) -> Self {
+    /// The site of `node` as the build left it: its machine and its
+    /// fragment ([`split`]).
+    pub(crate) fn new(site: Site, rows: Relation, node: Node) -> Self {
         let (n, me) = (node.n_nodes(), node.me());
         SiteRunner {
             rows,
-            violations,
             dv: DeltaV::default(),
             owed: vec![0; n],
             held: Deferrals::default(),
@@ -618,8 +620,8 @@ impl SiteRunner {
         }
         let msg = match msg {
             Some(request) if !reply => {
-                let sink = (&mut self.violations, &mut self.dv);
-                match self.site.on_request(src, request, &self.rows, sink)? {
+                let (rows, dv) = (&self.rows, &mut self.dv);
+                match self.site.on_request(src, request, rows, dv)? {
                     // A protocol reply carries the owed acks with it, so
                     // FIFO matching holds.
                     Some(answer) => self.send_hor(src, answer)?,
@@ -694,10 +696,8 @@ impl SiteRunner {
     fn settle_pass(&mut self, ops: Vec<Update>) -> Answer {
         self.slice = ops;
         let slice: Vec<&Update> = self.slice.iter().collect();
-        let sink = (&mut self.violations, &mut self.dv);
-        let deferred = self
-            .site
-            .settle(&slice, &mut self.rows, sink, &mut self.held)?;
+        let (rows, dv) = (&mut self.rows, &mut self.dv);
+        let deferred = self.site.settle(&slice, rows, dv, &mut self.held)?;
         self.phase = SitePhase::Scheduled(deferred.updates.clone());
         self.tell_coord(CtrlMsg::Deferred(deferred))
     }
@@ -752,9 +752,9 @@ impl SiteRunner {
                 break;
             };
             self.next += 1;
-            let (rows, sink) = (&mut self.rows, (&mut self.violations, &mut self.dv));
+            let (rows, dv) = (&mut self.rows, &mut self.dv);
             let op = &self.slice[pos as usize];
-            if let Some((round, requests)) = self.site.begin(op, writes, rows, sink)? {
+            if let Some((round, requests)) = self.site.begin(op, writes, rows, dv)? {
                 let slot = self.inflight.len();
                 self.inflight.push(None);
                 self.open += 1;
@@ -810,9 +810,7 @@ impl SiteRunner {
         let round = p.round.take();
         self.inflight[slot] = None;
         let clears = match round {
-            Some(round) => self
-                .site
-                .finish(round, (&mut self.violations, &mut self.dv))?,
+            Some(round) => self.site.finish(round, &mut self.dv)?,
             None => Vec::new(),
         };
         if clears.is_empty() {
@@ -925,16 +923,14 @@ enum Asked<'a> {
     Meters(&'a mut Meters),
 }
 
-/// One site's share of a build: its machine, its fragment and its slice
-/// of `V`.
-type Share = (Site, Relation, Violations);
+/// One site's share of a build: its machine and its fragment.
+type Share = (Site, Relation);
 
-/// Build over `d` and take the build apart: by site, its machine, its
-/// fragment — the rows of `d` it is home to — and its slice of `V`, the
-/// marks of those rows; and what the coordinator keeps, every row's home
-/// and the whole `V`. A site's share is what a replay of `D₀` through the
-/// batch path leaves there: a site stores only the rows it is home to,
-/// and marks only members of its own groups.
+/// Build over `d` and take the build apart: by site, its machine and its
+/// fragment — the rows of `d` it is home to; and what the coordinator
+/// keeps, every row's home and `V`. A site's share is what a replay of
+/// `D₀` through the batch path leaves there: a site stores only the rows
+/// it is home to, and records marks only of members of its own groups.
 fn split(
     schema: Arc<Schema>,
     cfds: Vec<Cfd>,
@@ -951,10 +947,7 @@ fn split(
         sites,
         violations,
     } = Build::new(schema, cfds, scheme, d, codec, homed)?;
-    let share = |site| {
-        let rows = Relation::new(cfg.schema.clone());
-        (site, rows, Violations::new(cfg.cfds.len()))
-    };
+    let share = |site| (site, Relation::new(cfg.schema.clone()));
     let mut shares: Vec<_> = sites.into_iter().map(share).collect();
     let home = |tid: Tid| {
         let home = homes.get(tid).map(|h| h as SiteId);
@@ -964,11 +957,6 @@ fn split(
     for (tid, row) in store.rows() {
         let values = store.row_syms(row).map(|s| store.pool().resolve(s));
         shares[home(tid)?].1.insert_row(tid, values)?;
-    }
-    for c in (0..cfg.cfds.len()).map(|c| c as CfdId) {
-        for tid in violations.of_cfd(c).iter() {
-            shares[home(tid)?].2.add(c, tid);
-        }
     }
     Ok((shares, homes, violations))
 }
@@ -988,12 +976,12 @@ pub fn run_site(
     codec: CodecKind,
     base_port: u16,
 ) -> Step {
-    let (shares, ..) = split(schema, cfds, scheme, d, codec)?;
+    let (shares, _, violations) = split(schema, cfds, scheme, d, codec)?;
     let share = shares.into_iter().nth(me);
-    let (site, rows, violations) = share.ok_or(ClusterError::UnknownSite(me))?;
+    let (site, rows) = share.ok_or(ClusterError::UnknownSite(me))?;
     let print = BuildPrint::of(&rows, &violations);
     let node = run::join(scheme.n_sites(), me, base_port)?;
-    let mut runner = SiteRunner::new(site, rows, violations, node);
+    let mut runner = SiteRunner::new(site, rows, node);
     let node = &mut runner.node;
     node.send_ctrl(COORD, &CtrlMsg::Built(print))?;
     // The handshake is the build's, not ΔD's.
@@ -1016,7 +1004,7 @@ pub struct ConcurrentHorizontal {
     /// The home site of every live tid: what admission asks presence of
     /// and what routes a delete.
     homes: TidMap,
-    /// Global `V` mirror, folded from the per-site images.
+    /// `V`, the one copy: each batch's `ΔV` is committed to it.
     violations: Violations,
     /// Site 0. In a cell so that [`Detector::current`], which takes
     /// `&self`, can drive its node to gather; every `&mut self` path
@@ -1106,7 +1094,7 @@ impl ConcurrentHorizontal {
         let mut runners = shares
             .into_iter()
             .zip(nodes)
-            .map(|((site, rows, v), node)| SiteRunner::new(site, rows, v, node));
+            .map(|((site, rows), node)| SiteRunner::new(site, rows, node));
         let coord = runners.next().ok_or_else(no_site)?;
         let mut det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMt");
         for mut runner in runners {
@@ -1140,11 +1128,11 @@ impl ConcurrentHorizontal {
         base_port: u16,
     ) -> Result<Self, DetectError> {
         let (shares, homes, v) = split(schema, cfds, &scheme, d, codec)?;
-        let print = |(_, rows, v): &Share| BuildPrint::of(rows, v);
+        let print = |(_, rows): &Share| BuildPrint::of(rows, &v);
         let prints: Vec<BuildPrint> = shares.iter().map(print).collect();
-        let (site, rows, v0) = shares.into_iter().next().ok_or_else(no_site)?;
+        let (site, rows) = shares.into_iter().next().ok_or_else(no_site)?;
         let node0 = run::join(scheme.n_sites(), COORD, base_port)?;
-        let coord = SiteRunner::new(site, rows, v0, node0);
+        let coord = SiteRunner::new(site, rows, node0);
         let det = Self::coordinating(scheme, (homes, v), coord, codec, "incHorMp");
         // The handshake is the build's, not ΔD's; on a refusal, dropping
         // `det` shuts every site down.
@@ -1458,12 +1446,7 @@ impl ConcurrentHorizontal {
                 dv.removed.extend(img.removed);
                 if all {
                     dv.settle();
-                    for &(c, t) in &dv.added {
-                        self.violations.add(c, t);
-                    }
-                    for &(c, t) in &dv.removed {
-                        self.violations.remove(c, t);
-                    }
+                    crate::detector::commit(&mut self.violations, dv)?;
                 }
                 Ok(None)
             }
@@ -1602,6 +1585,7 @@ mod tests {
     };
     use crate::horizontal::site;
     use crate::HorizontalDetector;
+    use cfd::CfdId;
     use cluster::TransportMeter;
     use relation::Tuple;
     use std::time::{Duration, Instant};
@@ -1700,7 +1684,7 @@ mod tests {
     }
 
     /// The threaded build — `horizontal::Build` on the caller's thread, its
-    /// machines, fragments and `V` slices moved to the sites — is an empty
+    /// machines and fragments moved to the sites — is an empty
     /// runtime handed `D₀` as one batch and then reset. Right after
     /// construction, with no reset on the built side: the same `V`, the
     /// coordinator's group census and the symbols resident on its links,
@@ -2204,13 +2188,10 @@ mod tests {
         let s = emp_schema();
         let cfg = SiteConfig::new(s.clone(), fig1_cfds(&s), &fig2_scheme(&s));
         let (mut site, mut rows) = (Site::new(cfg.clone(), 1, CodecKind::Md5), d0());
-        let mut v = Violations::new(cfg.cfds.len());
         let (mut dv, mut held) = (DeltaV::default(), Deferrals::default());
         let pair = [Update::Delete(4), again(4)];
         let slice: Vec<&Update> = pair.iter().collect();
-        let left = site
-            .settle(&slice, &mut rows, (&mut v, &mut dv), &mut held)
-            .unwrap();
+        let left = site.settle(&slice, &mut rows, &mut dv, &mut held).unwrap();
         assert_eq!(left, DeferredList::default());
         assert_eq!(dv, DeltaV::default());
         assert_same_rows(&rows, &d, "after the pair");
@@ -2382,12 +2363,9 @@ mod tests {
 
     /// Site `node.me()` of a session over an empty `D₀`.
     fn empty_runner(cfg: SiteConfig, node: Node) -> SiteRunner {
-        let (rows, v) = (
-            Relation::new(cfg.schema.clone()),
-            Violations::new(cfg.cfds.len()),
-        );
+        let rows = Relation::new(cfg.schema.clone());
         let site = Site::new(cfg, node.me(), CodecKind::Md5);
-        SiteRunner::new(site, rows, v, node)
+        SiteRunner::new(site, rows, node)
     }
 
     /// A frame the codec decodes but the protocol cannot mean ends the
@@ -2937,7 +2915,7 @@ mod tests {
         let mut runners = shares
             .into_iter()
             .zip(nodes)
-            .map(|((site, rows, v), node)| SiteRunner::new(site, rows, v, node));
+            .map(|((site, rows), node)| SiteRunner::new(site, rows, node));
         let zero = runners.next().unwrap();
         let mut det = ConcurrentHorizontal::coordinating(scheme, (homes, v), zero, md5, "stepped");
         let mut sites = Vec::new();
@@ -3121,6 +3099,43 @@ mod tests {
         }
     }
 
+    /// `V` is a function of the group state, which is why no site keeps a
+    /// copy of it: after every batch of the stress fixture at 4 sites, the
+    /// marks every site's violating groups and stored rows imply are the
+    /// committed `V`, on the sequential drive and on the threaded machines
+    /// stepped under 10 schedule seeds.
+    #[test]
+    fn v_is_a_function_of_the_group_state() {
+        let batches = [(12, 4), (6, 16), (2, 256)];
+        let batches: Vec<_> = (batches.iter())
+            .flat_map(|&(n, size)| stress_batches(0x5EED, n, size))
+            .collect();
+        let (_, mut seq) = stress_pair(4);
+        for (i, b) in batches.iter().enumerate() {
+            Detector::apply(&mut seq, b).unwrap();
+            let implied = seq.implied_violations().marks_sorted();
+            assert_eq!(implied, seq.violations().marks_sorted(), "batch {i}");
+        }
+        for seed in 1..=10 {
+            let (mut det, mut sites) = on_one_thread(4);
+            let mut pick = schedule(seed);
+            for (i, b) in batches.iter().enumerate() {
+                step_batch(&mut det, &mut sites, b, &mut pick, &mut Cut::default()).unwrap();
+                let zero = &*det.runner.get_mut();
+                let runners: Vec<&SiteRunner> = std::iter::once(zero).chain(&sites).collect();
+                let held = runners.iter().map(|r| (&r.site, &r.rows));
+                let rows = runners.iter().flat_map(|r| r.rows.iter());
+                let implied = site::tests::implied_violations(held, rows, &det.cfg.cfds);
+                let marks = det.violations().marks_sorted();
+                assert_eq!(
+                    implied.marks_sorted(),
+                    marks,
+                    "schedule seed {seed}, batch {i}"
+                );
+            }
+        }
+    }
+
     /// The threaded runtime's own logic — wave slots, owed acks, barriers,
     /// the settle handshake, image collection — under 100 schedules of
     /// its machines on one thread, each as the sequential drive and the
@@ -3230,7 +3245,7 @@ mod tests {
         assert_eq!(got, want);
 
         // The state the run leaves resident: group state summed over every
-        // site, and `V` at the coordinator beside each site's slice of it.
+        // site, and `V`, which only the coordinator keeps.
         let coordinator = &*det.runner.get_mut();
         let runners = || std::iter::once(coordinator).chain(&sites);
         let want = crate::StateCensus {
@@ -3247,12 +3262,7 @@ mod tests {
                 .map(|c| v.of_cfd(c as CfdId).heap_bytes())
                 .sum()
         };
-        let slices: Vec<usize> = runners().map(|r| v_bytes(&r.violations)).collect();
-        // The slices hold 1 664 B beside the coordinator's 704.
-        assert_eq!(
-            (v_bytes(&det.violations), slices),
-            (704, vec![384, 384, 384, 512])
-        );
+        assert_eq!(v_bytes(&det.violations), 704);
     }
 
     /// A pure delete's removals — `V`'s marks of a tid its home deletes
@@ -3384,13 +3394,10 @@ mod tests {
         ]
     }
 
-    /// What a refused frame must leave alone: rows, `V` and group state.
-    fn state(r: &SiteRunner) -> (Vec<Tuple>, Vec<(CfdId, Tid)>, crate::StateCensus) {
-        (
-            r.rows.iter().collect(),
-            r.violations.marks_sorted(),
-            census([r]),
-        )
+    /// What a refused frame must leave alone: rows, the batch's `ΔV` and
+    /// group state.
+    fn state(r: &SiteRunner) -> (Vec<Tuple>, DeltaV, crate::StateCensus) {
+        (r.rows.iter().collect(), r.dv.clone(), census([r]))
     }
 
     /// Hold one step to the table: a frame the phase takes steps it (or

@@ -154,20 +154,21 @@ pub(crate) struct MeterImage {
 }
 
 /// What a site's build left it, in a form two processes can compare: the
-/// sizes of its fragment and of its slice of `V`, and one MD5 over both —
+/// sizes of its fragment and of `V`'s marks on it, and one MD5 over both —
 /// each row in tid order as its tid and its cells, then the marks sorted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct BuildPrint {
     /// Rows of the fragment.
     pub(crate) rows: u64,
-    /// Marks of the slice of `V`.
+    /// Marks of `V` on the fragment's rows.
     pub(crate) marks: u64,
     /// MD5 of the rows and the marks.
     pub(crate) digest: Digest,
 }
 
 impl BuildPrint {
-    /// The fingerprint of a site holding `rows` and the marks `v`.
+    /// The fingerprint of a site holding `rows`, and the marks of `V`
+    /// (`v`, whole) on them.
     pub(crate) fn of(rows: &Relation, v: &Violations) -> Self {
         let mut bytes = Vec::new();
         let store = rows.store();
@@ -177,7 +178,8 @@ impl BuildPrint {
                 .row_syms(row)
                 .for_each(|s| put_cell(&mut bytes, store.pool().resolve(s)));
         }
-        let marks = v.marks_sorted();
+        let mut marks = v.marks_sorted();
+        marks.retain(|&(_, tid)| rows.contains(tid));
         put_marks(&mut bytes, &marks);
         BuildPrint {
             rows: rows.len() as u64,

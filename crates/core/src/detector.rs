@@ -150,6 +150,19 @@ pub(crate) fn fitted(delta: UpdateBatch, schema: &Schema) -> Result<UpdateBatch,
     }
 }
 
+/// Commit a batch's settled `ΔV` to `v` ([`Violations::commit`]); a
+/// refused mark, a detector's bookkeeping bug, fails the batch naming it.
+pub(crate) fn commit(v: &mut Violations, dv: &DeltaV) -> Result<(), DetectError> {
+    v.commit(dv).map_err(|(c, t)| {
+        let what = if v.contains(c, t) {
+            "adds a mark `V` already holds"
+        } else {
+            "removes a mark `V` does not hold"
+        };
+        DetectError::Internal(format!("ΔV {what}: CFD {c} on tuple {t}"))
+    })
+}
+
 /// Refuse a catalog whose CFD ids are not their positions `0, 1, …` —
 /// the first thing every detector constructor does, since violation sets
 /// and plans index their per-CFD state by id.

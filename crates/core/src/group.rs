@@ -526,7 +526,7 @@ mod tests {
         for &(key, class, tid) in &rows {
             idx.insert(key, class, tid);
             let (kd, bd) = (digest(key), digest(class));
-            insert_case(&mut groups, (&mut v, &mut dv), &[0], tid, (kd, bd), true);
+            insert_case(&mut groups, &mut dv, &[0], tid, (kd, bd), true);
         }
         let census = |idx: &Idx, groups: &FxHashMap<Digest, GroupState<Digest>>| {
             let (mut i, mut g) = (StateCensus::default(), StateCensus::default());
@@ -542,6 +542,8 @@ mod tests {
                 "{full:?}"
             );
         }
+        dv.settle();
+        v.commit(&std::mem::take(&mut dv)).unwrap();
         assert!(!v.is_empty());
         for i in (1..rows.len()).rev() {
             rows.swap(i, next(i as u64 + 1) as usize);
@@ -549,11 +551,13 @@ mod tests {
         for &(key, class, tid) in &rows {
             assert!(idx.remove(key, class, tid).is_some());
             let (kd, bd) = (digest(key), digest(class));
-            let dropped = delete_case(&mut groups, (&mut v, &mut dv), &[0], tid, (kd, bd), true);
+            let dropped = delete_case(&mut groups, &mut dv, &[0], tid, (kd, bd), true);
             assert!(dropped.is_ok());
         }
         let empty = census(&Idx::new(), &FxHashMap::default());
         assert_eq!(census(&idx, &groups), empty);
+        dv.settle();
+        v.commit(&dv).unwrap();
         assert!(v.is_empty());
         assert_eq!(v.of_cfd(0).heap_bytes(), 0);
     }

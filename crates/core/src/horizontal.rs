@@ -416,11 +416,11 @@ pub(crate) fn insert_ship(found: Option<(bool, bool)>, local_only: bool) -> Ship
 /// The §6 insertion case analysis at one site for one operator, given the
 /// inserted tuple `tid`'s group-key and RHS digests. `cfds` are the
 /// operator's CFDs whose pattern the group key matches (at least one):
-/// they share the group, so the analysis runs once and only what it
-/// writes to `V` fans out over them.
+/// they share the group, so the analysis runs once and only the marks it
+/// records in `ΔV` fan out over them.
 pub(crate) fn insert_case(
     groups: &mut FxHashMap<Digest, GroupState<Digest>>,
-    (v, dv): (&mut Violations, &mut DeltaV),
+    dv: &mut DeltaV,
     cfds: &[CfdId],
     tid: Tid,
     (kd, bd): (Digest, Digest),
@@ -438,10 +438,10 @@ pub(crate) fn insert_case(
     if was_violating {
         // Everyone concerned is already in V (≥ 2 classes, or a known
         // remote conflict): only t is new.
-        add_marks(cfds, tid, v, dv);
+        add_marks(cfds, tid, dv);
     } else if has_other {
         // Everyone in the group joins V.
-        mark_group(g, cfds, v, dv);
+        mark_group(g, cfds, dv);
     }
     insert_ship(Some((has_other, was_violating)), local_only)
 }
@@ -454,7 +454,7 @@ pub(crate) fn insert_case(
 /// an earlier failed `apply` left behind — and nothing was touched.
 pub(crate) fn delete_case(
     groups: &mut FxHashMap<Digest, GroupState<Digest>>,
-    (v, dv): (&mut Violations, &mut DeltaV),
+    dv: &mut DeltaV,
     cfds: &[CfdId],
     tid: Tid,
     (kd, bd): (Digest, Digest),
@@ -474,7 +474,7 @@ pub(crate) fn delete_case(
         return Ok(false); // deletions never create violations
     }
     // t was a violation; it leaves V in every remaining case.
-    drop_marks(cfds, tid, v, dv);
+    drop_marks(cfds, tid, dv);
     if !class_empty || n_rem >= 2 {
         // Same-RHS witness survives or ≥2 local RHS values remain: global
         // multiplicity still ≥ 2. Zero shipment — Example 2(2).
@@ -483,52 +483,34 @@ pub(crate) fn delete_case(
     if local_only {
         // Global = local: the group dropped to ≤ 1 RHS value.
         if let Some(g) = groups.get_mut(&kd) {
-            clear_group(g, cfds, v, dv);
+            clear_group(g, cfds, dv);
         }
     }
     Ok(!local_only)
 }
 
-/// Clear a group's violating flag: its members leave `V(φ)` for every
+/// Clear a violating group's flag: its members leave `V(φ)` for every
 /// matched CFD `φ` of its operator.
-pub(crate) fn clear_group(
-    g: &mut GroupState<Digest>,
-    cfds: &[CfdId],
-    v: &mut Violations,
-    dv: &mut DeltaV,
-) {
+pub(crate) fn clear_group(g: &mut GroupState<Digest>, cfds: &[CfdId], dv: &mut DeltaV) {
     g.set_violating(false);
-    g.for_each_member(|m| drop_marks(cfds, m, v, dv));
+    g.for_each_member(|m| drop_marks(cfds, m, dv));
 }
 
-/// Raise a group's flag: every member joins `V(φ)` for every matched CFD
-/// `φ` of its operator.
-pub(crate) fn mark_group(
-    g: &mut GroupState<Digest>,
-    cfds: &[CfdId],
-    v: &mut Violations,
-    dv: &mut DeltaV,
-) {
+/// Raise a satisfied group's flag: every member joins `V(φ)` for every
+/// matched CFD `φ` of its operator.
+pub(crate) fn mark_group(g: &mut GroupState<Digest>, cfds: &[CfdId], dv: &mut DeltaV) {
     g.set_violating(true);
-    g.for_each_member(|m| add_marks(cfds, m, v, dv));
+    g.for_each_member(|m| add_marks(cfds, m, dv));
 }
 
 /// `tid` joins `V(φ)` for each `φ` of `cfds`.
-pub(crate) fn add_marks(cfds: &[CfdId], tid: Tid, v: &mut Violations, dv: &mut DeltaV) {
-    for &c in cfds {
-        if v.add(c, tid) {
-            dv.add(c, tid);
-        }
-    }
+pub(crate) fn add_marks(cfds: &[CfdId], tid: Tid, dv: &mut DeltaV) {
+    cfds.iter().for_each(|&c| dv.add(c, tid));
 }
 
 /// `tid` leaves `V(φ)` for each `φ` of `cfds`.
-fn drop_marks(cfds: &[CfdId], tid: Tid, v: &mut Violations, dv: &mut DeltaV) {
-    for &c in cfds {
-        if v.remove(c, tid) {
-            dv.remove(c, tid);
-        }
-    }
+fn drop_marks(cfds: &[CfdId], tid: Tid, dv: &mut DeltaV) {
+    cfds.iter().for_each(|&c| dv.remove(c, tid));
 }
 
 /// The `DelReply` payload of one group of operator `op` (`→ rhs`) at
@@ -779,19 +761,19 @@ impl HorizontalDetector {
 
     /// [`apply`](Self::apply) for an admitted batch and the
     /// [`route`](Self::route) of it. A batch that fails leaves no round
-    /// open and no frame in flight.
+    /// open and no frame in flight, and commits the `ΔV` it recorded.
     pub(crate) fn apply_routed(
         &mut self,
         delta: &UpdateBatch,
         homes: Vec<SiteId>,
     ) -> Result<DeltaV, DetectError> {
         let mut dv = DeltaV::default();
-        if let Err(e) = self.drive(delta, homes, &mut dv) {
-            return Err(self.recover(e, &mut dv));
-        }
+        let driven = self.drive(delta, homes, &mut dv);
+        let driven = driven.map_err(|e| self.recover(e, &mut dv));
         self.flight.ledger.give_back();
         dv.settle();
-        Ok(dv)
+        crate::detector::commit(&mut self.violations, &dv)?;
+        driven.map(|()| dv)
     }
 
     /// The batch loop. Each update begins at its home in batch order, after
@@ -833,9 +815,7 @@ impl HorizontalDetector {
             // Run at once behind another site's writer, it is
             // class-preserving and must not ship.
             let may_ship = ordered || writes != Some(false);
-            let sink = (&mut self.violations, &mut *dv);
-            let opened =
-                self.sites[home].begin_classified(own, may_ship, &mut self.current, sink)?;
+            let opened = self.sites[home].begin_classified(own, may_ship, &mut self.current, dv)?;
             let Some((round, requests)) = opened else {
                 continue;
             };
@@ -902,8 +882,7 @@ impl HorizontalDetector {
             HorMsg::ClearFlags { .. } => None,
             _ => Some(fl.asked[src][dst].pop_front().ok_or_else(stray)?),
         };
-        let sink = (&mut self.violations, &mut *dv);
-        let reply = self.sites[dst].on_request(src, msg, &self.current, sink)?;
+        let reply = self.sites[dst].on_request(src, msg, &self.current, dv)?;
         match (slot, reply) {
             (Some(slot), Some(reply)) => {
                 self.net.send(dst, src, reply)?;
@@ -927,7 +906,7 @@ impl HorizontalDetector {
         }
         let Open { home, round, .. } = self.flight.slots[slot].take().ok_or_else(closed)?;
         self.flight.open -= 1;
-        for (j, clear) in self.sites[home].finish(round, (&mut self.violations, dv))? {
+        for (j, clear) in self.sites[home].finish(round, dv)? {
             self.net.send(home, j, clear)?;
         }
         Ok(())
@@ -976,6 +955,13 @@ impl HorizontalDetector {
     pub(crate) fn resident_symbols(&self) -> Vec<usize> {
         let links = self.sites.iter().flat_map(Site::resident_symbols);
         links.collect()
+    }
+
+    /// `V` as the sites' group state and the rows imply it.
+    #[cfg(test)]
+    pub(crate) fn implied_violations(&self) -> Violations {
+        let sites = self.sites.iter().map(|s| (s, &self.current));
+        site::tests::implied_violations(sites, self.current.iter(), &self.cfg.cfds)
     }
 
     /// Every group's flag at every site, sorted by site, operator and key.

@@ -35,11 +35,6 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Where a step records what it decides: the caller's `V` and the `ΔV` of
-/// the batch in progress (the sequential driver has one of each, a
-/// threaded site its own slice).
-pub(crate) type Sink<'a> = (&'a mut Violations, &'a mut DeltaV);
-
 /// What a shipping `begin_*` hands its driver: the open round and the
 /// requests to send, ascending by peer.
 pub(crate) type Opened = (Round, Vec<(SiteId, HorMsg)>);
@@ -547,11 +542,11 @@ impl Site {
         op: &Update,
         may_ship: bool,
         rows: &mut Relation,
-        sink: Sink<'_>,
+        dv: &mut DeltaV,
     ) -> Result<Option<Opened>, DetectError> {
         let own = Own::read(op, rows)?;
         self.classify(&own);
-        self.begin_classified(own, may_ship, rows, sink)
+        self.begin_classified(own, may_ship, rows, dv)
     }
 
     /// The first half of an own update: its candidates — the CFDs it
@@ -604,7 +599,7 @@ impl Site {
         own: Own<'_>,
         may_ship: bool,
         rows: &mut Relation,
-        sink: Sink<'_>,
+        dv: &mut DeltaV,
     ) -> Result<Option<Opened>, DetectError> {
         let tid = own.tuple().tid;
         let opened = match own {
@@ -613,9 +608,9 @@ impl Site {
                 // has, from its first instant, a member whose RHS value
                 // `rows` can produce (`class_values`).
                 rows.insert_row(t.tid, t.values.iter())?;
-                self.insert_matched(t, sink)?
+                self.insert_matched(t, dv)?
             }
-            Own::Delete(t) => self.delete_matched(t, rows, sink)?,
+            Own::Delete(t) => self.delete_matched(t, rows, dv)?,
         };
         if opened.is_some() && !may_ship {
             let me = self.me;
@@ -631,11 +626,11 @@ impl Site {
     fn insert_matched(
         &mut self,
         t: &Tuple,
-        (v, dv): Sink<'_>,
+        dv: &mut DeltaV,
     ) -> Result<Option<Opened>, DetectError> {
         let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
         for &c in &sx.consts {
-            if cfg.cfds[c as usize].constant_violation(t) && v.add(c, t.tid) {
+            if cfg.cfds[c as usize].constant_violation(t) {
                 dv.add(c, t.tid);
             }
         }
@@ -644,8 +639,7 @@ impl Site {
             let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
             let local_only = cfg.local_ok[op as usize][me];
             let groups = &mut self.state[op as usize];
-            let sink = (&mut *v, &mut *dv);
-            match insert_case(groups, sink, cfds, t.tid, (kd, bd), local_only) {
+            match insert_case(groups, dv, cfds, t.tid, (kd, bd), local_only) {
                 Ship::Nothing => continue,
                 Ship::Probe => sx.probes.push(op),
                 Ship::Query => {
@@ -678,14 +672,14 @@ impl Site {
         &mut self,
         t: Tuple,
         rows: &mut Relation,
-        (v, dv): Sink<'_>,
+        dv: &mut DeltaV,
     ) -> Result<Option<Opened>, DetectError> {
         let tid = t.tid;
         let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
-        // A constant CFD outside the list holds no mark for `tid`: a mark
-        // implies the (immutable) tuple matched its LHS.
+        // The stored tuple is the inserted one: it holds the marks its
+        // insert recorded, and a constant CFD outside the list holds none.
         for &c in &sx.consts {
-            if v.remove(c, tid) {
+            if cfg.cfds[c as usize].constant_violation(&t) {
                 dv.remove(c, tid);
             }
         }
@@ -694,12 +688,11 @@ impl Site {
             let bd = digest_cached(&mut sx.attr_d, &t, cfg.operator(op).1, &mut sx.vbuf);
             let local_only = cfg.local_ok[op as usize][me];
             let groups = &mut self.state[op as usize];
-            let sink = (&mut *v, &mut *dv);
             let lost = |what| {
                 let at = format!("site {me}: operator {op} group {}", kd.to_hex());
                 DetectError::Internal(format!("{at} lost the {what} of tuple {tid}"))
             };
-            if !delete_case(groups, sink, cfds, tid, (kd, bd), local_only).map_err(lost)? {
+            if !delete_case(groups, dv, cfds, tid, (kd, bd), local_only).map_err(lost)? {
                 continue;
             }
             sx.queries.push(op);
@@ -718,7 +711,7 @@ impl Site {
         let cfds = asked_cfds;
         if !sx.settle_peers() {
             // Global = local: decide from this site's classes alone.
-            let clears = self.finish(Round::Delete { t, cfds, queries }, (v, dv))?;
+            let clears = self.finish(Round::Delete { t, cfds, queries }, dv)?;
             debug_assert!(clears.is_empty(), "no peers, no remote holders");
             return Ok(None);
         }
@@ -753,7 +746,7 @@ impl Site {
         &mut self,
         slice: &[&Update],
         rows: &mut Relation,
-        (v, dv): Sink<'_>,
+        dv: &mut DeltaV,
         held: &mut Deferrals,
     ) -> Result<DeferredList, DetectError> {
         held.clear();
@@ -781,7 +774,7 @@ impl Site {
                     deferred.footprints.push(self.sx.footprint().collect());
                 }
             } else {
-                self.begin_classified(own, false, rows, (&mut *v, &mut *dv))?;
+                self.begin_classified(own, false, rows, dv)?;
             }
         }
         Ok(deferred)
@@ -961,7 +954,7 @@ impl Site {
         src: SiteId,
         msg: HorMsg,
         rows: &Relation,
-        (v, dv): Sink<'_>,
+        dv: &mut DeltaV,
     ) -> Result<Option<HorMsg>, DetectError> {
         match msg {
             HorMsg::TupleProbe { attrs, probes } => {
@@ -974,7 +967,7 @@ impl Site {
                     if let Some(h) = h.filter(|h| !h.violating()) {
                         let sx = &mut self.served;
                         self.cfg.matched_under(o, &sx.digests, &mut sx.hit);
-                        mark_group(h, &sx.hit, v, dv);
+                        mark_group(h, &sx.hit, dv);
                     }
                 }
                 // Implicit queries: every other operator the payload can
@@ -1002,7 +995,7 @@ impl Site {
                     let other = h.has_other(bd);
                     if other && !h.violating() {
                         cfg.matched_under(o, digests, &mut sx.hit);
-                        mark_group(h, &sx.hit, v, dv);
+                        mark_group(h, &sx.hit, dv);
                     }
                     if other || h.violating() {
                         conflicts.push(o);
@@ -1035,7 +1028,7 @@ impl Site {
                     if let Some(h) = self.state[o as usize].get_mut(&kd) {
                         let sx = &mut self.served;
                         self.cfg.matched_under(o, &sx.digests, &mut sx.hit);
-                        clear_group(h, &sx.hit, v, dv);
+                        clear_group(h, &sx.hit, dv);
                     }
                 }
                 Ok(None)
@@ -1108,7 +1101,7 @@ impl Site {
     pub(crate) fn finish(
         &mut self,
         round: Round,
-        (v, dv): Sink<'_>,
+        dv: &mut DeltaV,
     ) -> Result<Vec<(SiteId, HorMsg)>, DetectError> {
         let me = self.me;
         match round {
@@ -1120,7 +1113,7 @@ impl Site {
                         DetectError::Internal(what)
                     })?;
                     g.set_violating(true);
-                    add_marks(&cfds[q.cfds], tid, v, dv);
+                    add_marks(&cfds[q.cfds], tid, dv);
                 }
                 Ok(Vec::new())
             }
@@ -1139,7 +1132,7 @@ impl Site {
                         continue; // still violating everywhere
                     }
                     if let Some(h) = h {
-                        clear_group(h, &cfds[ids], v, dv);
+                        clear_group(h, &cfds[ids], dv);
                     }
                     for j in q.holders {
                         clears.entry(j).or_default().push(op);
@@ -1157,7 +1150,7 @@ impl Site {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::concurrent::wave_order;
     use crate::horizontal::fixtures::{
@@ -1169,6 +1162,40 @@ mod tests {
     use relation::{UpdateBatch, Value};
     use std::collections::VecDeque;
     use workload::updates::{self, UpdateMix};
+
+    /// `V` as the state implies it: each member of a violating group, for
+    /// each CFD of the group's operator whose pattern the group key matches
+    /// (read off a member's row), and each stored row, for each constant CFD
+    /// it violates. `sites` pairs each machine with rows holding its
+    /// members; `rows` is every stored row. No mark is implied twice.
+    pub(crate) fn implied_violations<'a>(
+        sites: impl IntoIterator<Item = (&'a Site, &'a Relation)>,
+        rows: impl IntoIterator<Item = Tuple>,
+        cfds: &[Cfd],
+    ) -> Violations {
+        let mut v = Violations::new(cfds.len());
+        let mut mark = |c: CfdId, tid| assert!(v.add(c, tid), "CFD {c} on {tid} twice");
+        for (site, held) in sites {
+            for (op, groups) in (0..).zip(&site.state) {
+                for g in groups.values().filter(|g| g.violating()) {
+                    let mut members = Vec::new();
+                    g.for_each_member(|m| members.push(m));
+                    let t = held.get(members[0]).expect("a member's row");
+                    let matched = site.cfg.operator(op).2.iter().copied();
+                    for c in matched.filter(|&c| cfds[c as usize].matches_lhs(&t)) {
+                        members.iter().for_each(|&m| mark(c, m));
+                    }
+                }
+            }
+        }
+        for t in rows {
+            let constant = cfds.iter().filter(|c| c.is_constant());
+            for c in constant.filter(|c| c.constant_violation(&t)) {
+                mark(c.id, t.tid);
+            }
+        }
+        v
+    }
 
     /// What crosses a link of the [`Mesh`]: a request, or what came of one
     /// — the reply, or the ack of a silent round (free and unmetered, as
@@ -1246,8 +1273,8 @@ mod tests {
         }
 
         fn begin(&mut self, home: SiteId, op: &Update, writes: bool) {
-            let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[home]);
-            let opened = self.sites[home].begin(op, writes, rows, sink);
+            let (rows, dv) = (&mut self.rows[home], &mut self.dv);
+            let opened = self.sites[home].begin(op, writes, rows, dv);
             if let Some((round, requests)) = opened.unwrap() {
                 self.rounds[home].push(None);
                 self.send(home, self.rounds[home].len() - 1, Some(round), requests);
@@ -1257,11 +1284,11 @@ mod tests {
         /// Deliver the oldest frame of the `src → dst` link.
         fn deliver(&mut self, src: SiteId, dst: SiteId) {
             let frame = self.links[src][dst].pop_front().expect("a frame in flight");
-            let sink = (&mut self.v, &mut self.dv);
+            let dv = &mut self.dv;
             match frame {
                 Frame::Request(msg) => {
                     let rows = &self.rows[dst];
-                    let reply = self.sites[dst].on_request(src, msg, rows, sink).unwrap();
+                    let reply = self.sites[dst].on_request(src, msg, rows, dv).unwrap();
                     if let Some(msg) = &reply {
                         self.stats.record(dst, src, msg.wire_size(), 0);
                     }
@@ -1279,9 +1306,8 @@ mod tests {
                         return;
                     }
                     let (_, round) = self.rounds[dst][slot].take().expect("live slot");
-                    let clears = round.map_or_else(Vec::new, |round| {
-                        self.sites[dst].finish(round, sink).unwrap()
-                    });
+                    let clears = round
+                        .map_or_else(Vec::new, |round| self.sites[dst].finish(round, dv).unwrap());
                     if !clears.is_empty() {
                         self.send(dst, slot, None, clears);
                     }
@@ -1289,10 +1315,16 @@ mod tests {
             }
         }
 
-        /// Run one wave to quiescence. Each site begins its own ops in
-        /// wave order (as a runner does); everything else — who begins
-        /// next, which link delivers next — is `pick`'s choice among the
-        /// `k` moves possible.
+        /// `V` takes the `ΔV` recorded since the last commit, settled.
+        fn commit(&mut self) {
+            self.dv.settle();
+            self.v.commit(&std::mem::take(&mut self.dv)).unwrap();
+        }
+
+        /// Run one wave to quiescence, then commit it. Each site begins
+        /// its own ops in wave order (as a runner does); everything else —
+        /// who begins next, which link delivers next — is `pick`'s choice
+        /// among the `k` moves possible.
         fn run_wave(&mut self, wave: &[Step], mut pick: impl FnMut(usize) -> usize) {
             let n = self.sites.len();
             let mut todo: Vec<VecDeque<(&Update, bool)>> =
@@ -1323,6 +1355,7 @@ mod tests {
             let mut slots = self.rounds.iter().flatten();
             assert!(slots.all(Option::is_none), "a round was left open");
             self.rounds.iter_mut().for_each(Vec::clear);
+            self.commit();
         }
 
         /// One routed batch through the two-step schedule, by the
@@ -1344,10 +1377,10 @@ mod tests {
             // Sites do not interact while they settle.
             let mut deferred = Vec::new();
             for (i, slice) in slices.iter().enumerate() {
-                let (sink, rows) = ((&mut self.v, &mut self.dv), &mut self.rows[i]);
-                let held = &mut self.held[i];
-                deferred.push(self.sites[i].settle(slice, rows, sink, held).unwrap());
+                let (rows, dv, held) = (&mut self.rows[i], &mut self.dv, &mut self.held[i]);
+                deferred.push(self.sites[i].settle(slice, rows, dv, held).unwrap());
             }
+            self.commit();
             let cfg = self.sites[0].cfg().clone();
             let ops = batch.iter().map(|(home, op)| (*home, op));
             let schedule = WavePlanner::default().schedule(&cfg, ops, &deferred);
@@ -1716,9 +1749,9 @@ mod tests {
             let wave = [(scheme.route(&t).unwrap(), Update::Insert(t), true)];
             mesh.run_wave(&wave, |_| 0);
         }
-        let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
+        let (rows, dv) = (&mut mesh.rows[2], &mut mesh.dv);
         let opened = mesh.sites[2]
-            .begin(&Update::Delete(5), true, rows, sink)
+            .begin(&Update::Delete(5), true, rows, dv)
             .unwrap();
         let (round, requests) = opened.unwrap();
         (mesh, round, requests)
@@ -1791,22 +1824,18 @@ mod tests {
                 ["ProbeReply", "not a request"],
             ),
         ];
-        let before = (mesh.v.marks_sorted(), census(&mesh.sites));
+        let before = (mesh.dv.clone(), census(&mesh.sites));
         for (msg, needles) in forged {
-            let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mesh.rows[0]);
-            let err = message_of(mesh.sites[0].on_request(1, msg, rows, sink).unwrap_err());
+            let (rows, dv) = (&mesh.rows[0], &mut mesh.dv);
+            let err = message_of(mesh.sites[0].on_request(1, msg, rows, dv).unwrap_err());
             assert!(err.contains("1 → 0"), "{err}");
             assert!(needles.iter().all(|n| err.contains(n)), "{err}");
-            assert_eq!(
-                (mesh.v.marks_sorted(), census(&mesh.sites)),
-                before,
-                "{err}"
-            );
+            assert_eq!((mesh.dv.clone(), census(&mesh.sites)), before, "{err}");
         }
         // An unknown or own site id is refused before the codec is asked.
         for src in [0, 3] {
-            let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mesh.rows[0]);
-            let err = mesh.sites[0].on_request(src, probe(vec![0]), rows, sink);
+            let (rows, dv) = (&mesh.rows[0], &mut mesh.dv);
+            let err = mesh.sites[0].on_request(src, probe(vec![0]), rows, dv);
             assert!(message_of(err.unwrap_err()).contains("unknown site"));
         }
 
@@ -1873,9 +1902,9 @@ mod tests {
 
         // An insert round refuses a delete's reply, and ids out of Σ.
         let t = emp_tuple(7, "C", 44, 131, "EH2 4HF", "Lauriston", "EDI");
-        let (sink, rows) = ((&mut mesh.v, &mut mesh.dv), &mut mesh.rows[2]);
+        let (rows, dv) = (&mut mesh.rows[2], &mut mesh.dv);
         let opened = mesh.sites[2]
-            .begin(&Update::Insert(t), true, rows, sink)
+            .begin(&Update::Insert(t), true, rows, dv)
             .unwrap();
         let (mut round, requests) = opened.unwrap();
         let forged = [

@@ -288,12 +288,7 @@ impl Detector for Pruned {
             }
         }
         out.settle();
-        for &(c, t) in &out.added {
-            self.violations.add(c, t);
-        }
-        for &(c, t) in &out.removed {
-            self.violations.remove(c, t);
-        }
+        crate::detector::commit(&mut self.violations, &out)?;
         Ok(out)
     }
 

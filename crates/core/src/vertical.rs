@@ -385,7 +385,7 @@ impl VerticalDetector {
             node_stores: plan.nodes().iter().map(|_| NonBaseHev::new()).collect(),
             idxs: cfds.iter().map(|_| Idx::new()).collect(),
             current,
-            violations: Violations::new(cfds.len()),
+            violations: Violations::default(),
             meters: Meters::modeled(scheme.n_sites()),
             shared_plan: Arc::new(SharedPlan::new(&cfds)),
             walk: Walk::new(&compiled, arity),
@@ -395,16 +395,19 @@ impl VerticalDetector {
         };
         // `current` is a clone of `d`: `d`'s rows, row ids and values are
         // its own. Tid order is a replay's insertion order, so every class
-        // is acquired in the same order.
-        let store = d.store();
+        // is acquired in the same order. The build writes `V` directly.
+        let (store, mut v) = (d.store(), Violations::new(det.cfds.len()));
         for (tid, row) in d.scan() {
             let value_of = |a| store.value(row, a);
-            det.index_row((tid, row), value_of, |_, _| {})?;
+            det.index_row((tid, row), value_of, |c, m| {
+                v.add(c, m);
+            })?;
             let rules = (&det.compiled, &det.cfds[..]);
             det.walk.mark_constants(rules, value_of, |c| {
-                det.violations.add(c, tid);
+                v.add(c, tid);
             });
         }
+        det.violations = v;
         // Incremental metering starts at the first `apply`.
         det.meters.reset();
         Ok(det)
@@ -448,12 +451,12 @@ impl VerticalDetector {
     /// list, how many insertions it holds (lines 4–6), and per tuple
     /// whether every list holds it — the sort-merge of line 7 — and then
     /// violates on `B` (lines 8–10). A deleted tuple leaves `V(φ)` iff it
-    /// was in it: the old output is at hand, nothing ships.
+    /// was in it: the old output (`V` as the batch found it) is at hand.
     fn constant_cfds(&mut self, delta: &UpdateBatch, dv: &mut DeltaV) {
         let (k, w) = (&self.compiled, &mut self.walk);
         for c in &k.consts {
             for tid in delta.deletions() {
-                if self.violations.remove(c.id, tid) {
+                if self.violations.contains(c.id, tid) {
                     dv.remove(c.id, tid);
                 }
             }
@@ -461,11 +464,7 @@ impl VerticalDetector {
         w.hits.fill(0);
         for t in delta.insertions() {
             let value_of = |a| t.get(a);
-            w.mark_constants((k, &self.cfds), value_of, |c| {
-                if self.violations.add(c, t.tid) {
-                    dv.add(c, t.tid);
-                }
-            });
+            w.mark_constants((k, &self.cfds), value_of, |c| dv.add(c, t.tid));
         }
         // Each participating site's list, shipped to the coordinator per
         // CFD: `8 B` a tid, and no message for an empty list.
@@ -542,9 +541,9 @@ impl VerticalDetector {
 
     /// Index the stored row `row` of `tid`, whose values `value_of` reads,
     /// under every variable CFD they match: acquire its classes, enter it
-    /// into each matched IDX and mark what the Fig. 4 case moves into `V`,
-    /// passing each new mark to `added`. An insert runs it after storing
-    /// its tuple, the build on every row of `D₀`.
+    /// into each matched IDX and pass each mark the Fig. 4 case moves into
+    /// `V` to `added`. An insert runs it after storing its tuple (into
+    /// `ΔV`), the build on every row of `D₀` (into `V`).
     fn index_row<'v>(
         &mut self,
         (tid, row): (Tid, RowId),
@@ -559,11 +558,7 @@ impl VerticalDetector {
             let (x, xb) = (w.eq[anchor.x], w.eq[anchor.xb]);
             let idx = &mut self.idxs[c as usize];
             let case = idx.insert(x, xb, tid);
-            fan(idx, case, x, tid, |m| {
-                if self.violations.add(c, m) {
-                    added(c, m);
-                }
-            });
+            fan(idx, case, x, tid, |m| added(c, m));
         }
         Ok(())
     }
@@ -583,11 +578,7 @@ impl VerticalDetector {
             let case = idx.remove(x, xb, tid).ok_or_else(|| {
                 DetectError::Internal(format!("CFD {c}: tuple {tid} is not in its IDX"))
             })?;
-            fan(idx, case, x, tid, |m| {
-                if self.violations.remove(c, m) {
-                    dv.remove(c, m);
-                }
-            });
+            fan(idx, case, x, tid, |m| dv.remove(c, m));
         }
         // Release HEV references in reverse topological order, so parents
         // release before their inputs disappear.
@@ -604,14 +595,19 @@ impl VerticalDetector {
     }
 }
 
-/// The tuples a Fig. 4 case moves into or out of `V(φ)`: `tid`, and for
-/// [`Case::Group`] every member left in its group `x`.
+/// The tuples a Fig. 4 case moves into or out of `V(φ)`, each once:
+/// `tid`, and for [`Case::Group`] every other member of its group `x` —
+/// an inserted `tid` is one of them already, a deleted one has left.
 fn fan(idx: &Idx, case: Case, x: EqId, tid: Tid, mut f: impl FnMut(Tid)) {
     if case != Case::Nothing {
         f(tid);
     }
     if case == Case::Group {
-        idx.for_each_member(x, f);
+        idx.for_each_member(x, |m| {
+            if m != tid {
+                f(m);
+            }
+        });
     }
 }
 
@@ -651,17 +647,17 @@ impl Detector for VerticalDetector {
         // because their plan nodes are co-located). They run first: an
         // update whose walk finds the state contradicting itself fails
         // before it mutates anything, and before the constant CFDs below.
-        for op in delta.ops() {
-            match op {
-                Update::Insert(t) => self.insert_variable(t, &mut dv)?,
-                Update::Delete(tid) => self.delete_variable(*tid, &mut dv)?,
-            }
-        }
+        let variable = delta.ops().iter().try_for_each(|op| match op {
+            Update::Insert(t) => self.insert_variable(t, &mut dv),
+            Update::Delete(tid) => self.delete_variable(*tid, &mut dv),
+        });
 
         // Lines 4–10: constant CFDs, batch candidate protocol.
-        self.constant_cfds(&delta, &mut dv);
+        let run = variable.map(|()| self.constant_cfds(&delta, &mut dv));
+        // A failed batch commits too: `V` mirrors the IDX groups it left.
         dv.settle();
-        Ok(dv)
+        crate::detector::commit(&mut self.violations, &dv)?;
+        run.map(|()| dv)
     }
 
     fn net(&self) -> cluster::NetReport {

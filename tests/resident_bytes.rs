@@ -119,6 +119,8 @@ fn readings(f: &Fixture, cfds: &[Cfd]) -> [[Reading; 2]; 3] {
 
 // Each row: [groups, classes, memberships, spilled class maps, spilled
 // tid sets, resident bytes, V's heap bytes], at D₀ and after the stream.
+// `V` takes each batch in one commit, its removals before its adds, so a
+// tid set grows only as far as the larger of its sizes before and after.
 
 #[test]
 fn tpch_25_rules() {
@@ -128,17 +130,17 @@ fn tpch_25_rules() {
         // incHor
         [
             [9_889, 9_938, 21_716, 49, 1_550, 1_246_068, 7_008],
-            [9_767, 9_812, 21_566, 45, 1_573, 1_368_044, 7_602],
+            [9_767, 9_812, 21_566, 45, 1_573, 1_368_044, 7_536],
         ],
         // incVer
         [
             [3_880, 3_939, 21_716, 58, 1_115, 770_504, 7_008],
-            [3_898, 3_954, 21_566, 54, 1_109, 1_002_534, 7_602],
+            [3_898, 3_954, 21_566, 54, 1_109, 1_002_534, 7_536],
         ],
         // optVer: reads as incVer on this catalog
         [
             [3_880, 3_939, 21_716, 58, 1_115, 770_504, 7_008],
-            [3_898, 3_954, 21_566, 54, 1_109, 1_002_534, 7_602],
+            [3_898, 3_954, 21_566, 54, 1_109, 1_002_534, 7_536],
         ],
     ];
     assert_eq!(readings(&f, &cfds), want);
@@ -153,17 +155,17 @@ fn shared_operator_family_256_patterns() {
         // operator's patterns
         [
             [5_178, 11_186, 14_528, 929, 229, 1_160_644, 37_792],
-            [5_099, 11_118, 14_582, 919, 242, 1_349_316, 44_962],
+            [5_099, 11_118, 14_582, 919, 242, 1_349_316, 44_834],
         ],
         // incVer: one IDX group per (CFD, X-value)
         [
             [3_030, 6_661, 17_450, 197, 1_346, 1_042_876, 37_792],
-            [2_961, 6_625, 17_546, 185, 1_319, 1_151_320, 44_962],
+            [2_961, 6_625, 17_546, 185, 1_319, 1_151_320, 44_834],
         ],
         // optVer: the same IDX, other HEV bytes
         [
             [3_030, 6_661, 17_450, 197, 1_346, 1_170_212, 37_792],
-            [2_961, 6_625, 17_546, 185, 1_319, 1_293_856, 44_962],
+            [2_961, 6_625, 17_546, 185, 1_319, 1_293_856, 44_834],
         ],
     ];
     assert_eq!(readings(&f, &cfds), want);
