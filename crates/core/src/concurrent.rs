@@ -94,12 +94,14 @@
 //! local passes over `n` machines — before any mesh exists, so the build
 //! sends nothing and leaves every meter at zero.
 //! [`ConcurrentHorizontal::threaded`] runs it once, on the caller's
-//! thread, over the caller's `D₀` (it makes no copy of it), and moves into
-//! each site's runner its machine and its fragment (the rows it is home
-//! to) — what a replay of `D₀` through the batch path would have left
-//! there. The coordinator keeps no row: only every row's home, in a dense
-//! [`TidMap`] at 4 B a tid, and `V`. Only then does it open the mesh and
-//! spawn the site threads.
+//! thread: it routes the caller's `D₀` into one fragment per site (the
+//! rows that site is home to), builds over the fragments — so every
+//! member of a site's group state is a row id of its own fragment, as a
+//! replay of `D₀` through the batch path would have left it — and moves
+//! into each site's runner its machine and its fragment. The coordinator
+//! keeps no row: only every row's home, in a dense [`TidMap`] at 4 B a
+//! tid, and `V`. Only then does it open the mesh and spawn the site
+//! threads.
 //!
 //! In a multi-process session no row of `D₀` crosses a link: each `site`
 //! process derives `D₀` from the parameters it derives `(schema, Σ,
@@ -810,7 +812,7 @@ impl SiteRunner {
         let round = p.round.take();
         self.inflight[slot] = None;
         let clears = match round {
-            Some(round) => self.site.finish(round, &mut self.dv)?,
+            Some(round) => self.site.finish(round, &self.rows, &mut self.dv)?,
             None => Vec::new(),
         };
         if clears.is_empty() {
@@ -926,11 +928,13 @@ enum Asked<'a> {
 /// One site's share of a build: its machine and its fragment.
 type Share = (Site, Relation);
 
-/// Build over `d` and take the build apart: by site, its machine and its
-/// fragment — the rows of `d` it is home to; and what the coordinator
-/// keeps, every row's home and `V`. A site's share is what a replay of
-/// `D₀` through the batch path leaves there: a site stores only the rows
-/// it is home to, and records marks only of members of its own groups.
+/// Route the rows of `d` into one fragment per site, build over the
+/// fragments, and take the build apart: by site, its machine and its
+/// fragment — the rows of `d` it is home to, whose row ids its state
+/// holds; and what the coordinator keeps, every row's home and `V`. A
+/// site's share is what a replay of `D₀` through the batch path leaves
+/// there: a site stores only the rows it is home to, and records marks
+/// only of members of its own groups.
 fn split(
     schema: Arc<Schema>,
     cfds: Vec<Cfd>,
@@ -938,27 +942,33 @@ fn split(
     d: &Relation,
     codec: CodecKind,
 ) -> Result<(Vec<Share>, TidMap, Violations), DetectError> {
-    let mut homes = TidMap::default();
-    let homed = |tid, home| {
-        homes.insert(tid, home as RowId);
-    };
-    let Build {
-        cfg,
-        sites,
-        violations,
-    } = Build::new(schema, cfds, scheme, d, codec, homed)?;
-    let share = |site| (site, Relation::new(cfg.schema.clone()));
-    let mut shares: Vec<_> = sites.into_iter().map(share).collect();
-    let home = |tid: Tid| {
-        let home = homes.get(tid).map(|h| h as SiteId);
-        home.ok_or_else(|| DetectError::Internal(format!("row {tid} of the build has no home")))
-    };
-    let store = d.store();
-    for (tid, row) in store.rows() {
-        let values = store.row_syms(row).map(|s| store.pool().resolve(s));
-        shares[home(tid)?].1.insert_row(tid, values)?;
+    crate::detector::positional(&cfds)?;
+    let (expected, got) = (schema.arity(), d.schema().arity());
+    if expected != got {
+        return Err(RelError::ArityMismatch { expected, got }.into());
     }
-    Ok((shares, homes, violations))
+    let mut fragments: Vec<Relation> = (0..scheme.n_sites())
+        .map(|_| Relation::new(schema.clone()))
+        .collect();
+    let mut homes = TidMap::default();
+    let store = d.store();
+    for homed in crate::horizontal::homes(scheme, d) {
+        let (tid, home) = homed?;
+        let row = store.row_of(tid).ok_or(RelError::MissingTid(tid))?;
+        let values = store.row_syms(row).map(|s| store.pool().resolve(s));
+        fragments[home].insert_row(tid, values)?;
+        homes.insert(tid, home as RowId);
+    }
+    let rows: Vec<&Relation> = fragments.iter().collect();
+    let homed = homes.iter().map(|(tid, home)| Ok((tid, home as SiteId)));
+    let Build {
+        sites, violations, ..
+    } = Build::new(schema, cfds, scheme, &rows, homed, codec)?;
+    Ok((
+        sites.into_iter().zip(fragments).collect(),
+        homes,
+        violations,
+    ))
 }
 
 /// Run one non-coordinator site of a **multi-process** mesh to
@@ -3136,6 +3146,70 @@ mod tests {
         }
     }
 
+    /// A row freed by a batch is handed out again within it, while rounds
+    /// are in flight, and no state names it meanwhile: a delete's groups
+    /// let go of its row before the store frees it, an insert stores its
+    /// row before it enters a group, and rounds carry tids and tuples,
+    /// never rows. On Fig. 2's fragments, one batch opens a query round
+    /// (the insert of t10 into a zip no site knows), deletes t2 — alone
+    /// in its group — and t5 — whose round clears t1, t3 and t4 — and
+    /// inserts t11 and t12 behind each, at the same homes and into zips
+    /// their rows then take the freed rows of. The sequential drive runs
+    /// the batch with every round in flight until its one drain; the
+    /// threaded machines run it under 100 schedules. Both reuse the rows
+    /// and end on the oracle's `V`, with the sequential drive's `ΔV`.
+    #[test]
+    fn a_row_freed_in_a_batch_is_reused_in_it_with_rounds_in_flight() {
+        let s = emp_schema();
+        let mut b = UpdateBatch::new();
+        b.insert(emp_tuple(10, "A", 44, 131, "EH9 9ZZ", "Newington", "EDI"));
+        b.delete(2);
+        b.insert(emp_tuple(11, "A", 44, 131, "EH2 4HF", "Leith", "EDI"));
+        b.delete(5);
+        b.insert(emp_tuple(12, "C", 44, 131, "EH1 1AA", "Royal Mile", "EDI"));
+        let mut d1 = d0();
+        b.normalize(&d1).apply(&mut d1).unwrap();
+        let oracle = cfd::naive::detect(&fig1_cfds(&s), &d1).marks_sorted();
+
+        // One store: t11 takes t2's row, t12 takes t5's.
+        let mut seq = simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
+        let freed = [2, 5].map(|tid| seq.current().row_of(tid).unwrap());
+        let dv = Detector::apply(&mut seq, &b).unwrap();
+        assert_eq!(
+            seq.waves(),
+            1,
+            "every round stayed in flight to the batch end"
+        );
+        assert_eq!(
+            [11, 12].map(|tid| seq.current().row_of(tid).unwrap()),
+            freed
+        );
+        assert_eq!(seq.violations().marks_sorted(), oracle);
+        assert_eq!(seq.implied_violations().marks_sorted(), oracle);
+
+        // A fragment each: t11 takes t2's row at site 0, t12 t5's at site 2.
+        for seed in 1..=100 {
+            let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), &d0());
+            let freed = (det.runner.get_mut().rows.row_of(2), sites[1].rows.row_of(5));
+            let mut pick = schedule(seed);
+            let stepped = step_batch(&mut det, &mut sites, &b, &mut pick, &mut Cut::default());
+            let at = format!("schedule seed {seed}");
+            assert_eq!(stepped.unwrap(), dv, "{at}: ΔV");
+            assert_eq!(det.violations().marks_sorted(), oracle, "{at}: V");
+            let taken = (
+                det.runner.get_mut().rows.row_of(11),
+                sites[1].rows.row_of(12),
+            );
+            assert_eq!(taken, freed, "{at}: rows");
+            let zero = &*det.runner.get_mut();
+            let runners: Vec<&SiteRunner> = std::iter::once(zero).chain(&sites).collect();
+            let held = runners.iter().map(|r| (&r.site, &r.rows));
+            let rows = runners.iter().flat_map(|r| r.rows.iter());
+            let implied = site::tests::implied_violations(held, rows, &det.cfg.cfds);
+            assert_eq!(implied.marks_sorted(), oracle, "{at}: V implied");
+        }
+    }
+
     /// The threaded runtime's own logic — wave slots, owed acks, barriers,
     /// the settle handshake, image collection — under 100 schedules of
     /// its machines on one thread, each as the sequential drive and the
@@ -3254,7 +3328,7 @@ mod tests {
             memberships: 112,
             spilled_class_maps: 25,
             spilled_tid_sets: 4,
-            resident_bytes: 11_364,
+            resident_bytes: 8_420,
         };
         assert_eq!(census(runners()), want);
         let v_bytes = |v: &Violations| -> usize {

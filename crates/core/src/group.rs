@@ -1,9 +1,14 @@
-//! One container for the paper's two "group → classes → member tids"
+//! One container for the paper's two "group → classes → members"
 //! indices: §6's per-site, per-operator group state, keyed by MD5 digests,
 //! and §4's IDX, keyed by eqids. A [`GroupState<K>`] is one `X`-value
 //! group: its classes (one per distinct `X ∪ {B}` value, named by a class
-//! key `K`), each with its member tids, plus §6's `violating` flag (the IDX
-//! leaves it unset).
+//! key `K`), each with its members, plus §6's `violating` flag (the IDX
+//! leaves it unset). A member is the row id ([`RowId`]) of its tuple in
+//! the store the group's driver holds — the detector's one relation, or a
+//! site's fragment — so member ids are dense by construction: the store
+//! hands freed rows out again, and they stay below its live rows plus its
+//! free list however far tids run. The driver names a member by its tid
+//! (`ColumnStore::tid_of`) only where a mark enters `ΔV`.
 //!
 //! # State layout
 //!
@@ -17,36 +22,42 @@
 //!
 //! | per … | was | is |
 //! |---|---|---|
-//! | group (map slot) | 56 B + a class table of its own (≥ 308 B) | 64 B (§6) / 48 B (IDX), holding the flag, one class key and ≤ 3 tids; no allocation while one class of ≤ 3 members |
-//! | class | 72 B slot (`ClassEntry` 56 B) + a tid table (≥ 52 B) + a `Value` clone | in the group slot, or a 48 B / 40 B slot (`ClassEntry` 32 B) of the group's spilled class map |
-//! | membership | ≥ 9 B of a heap table | 8 B inline up to 3 per class; beyond, in a boxed [`TidSet`], 8 B up to 32 and ≈ 2 B chunked (≈ 9 B in a hashed set before) |
-//! | §6, all in, per membership (`hor_wide_sigma`'s seed-1 `D₀`) | ≈ 140 B | 40.6 B, 23.3 MB by [`StateCensus`] (44.5 B, 25.6 MB with hashed tid sets) |
-//! | IDX, all in, per membership (`ver_stream`'s seed-1 `D₀`: 240 000 in 8 691 groups of one class) | 24.0 B, 5.75 MB as hash maps of hash maps of hashed tid sets | 16.4 B, 3.94 MB by [`StateCensus`], HEVs included (22.0 B, 5.27 MB with hashed tid sets) |
+//! | group (map slot) | 56 B + a class table of its own (≥ 308 B) | 48 B (§6) / 32 B (IDX), holding the flag, one class key and ≤ 3 member rows; no allocation while one class of ≤ 3 members |
+//! | class | 72 B slot (`ClassEntry` 56 B) + a tid table (≥ 52 B) + a `Value` clone | in the group slot, or a 32 B / 24 B slot (`ClassEntry` 16 B) of the group's spilled class map |
+//! | membership | ≥ 9 B of a heap table | 4 B inline up to 3 per class; beyond, in a boxed [`TidSet`], 4 B up to 32 and ≈ 2 B chunked (8 B for 8-byte tids, ≈ 9 B in a hashed set before) |
+//! | §6, all in, per membership (`hor_wide_sigma`'s seed-1 `D₀`) | ≈ 140 B | 28.5 B, 16.4 MB by [`StateCensus`] (40.6 B, 23.3 MB with tid members; 44.5 B, 25.6 MB with hashed tid sets) |
+//! | IDX, all in, per membership (`ver_stream`'s seed-1 `D₀`: 240 000 in 8 691 groups of one class) | 24.0 B, 5.75 MB as hash maps of hash maps of hashed tid sets | 11.5 B, 2.76 MB by [`StateCensus`], HEVs included (16.4 B, 3.94 MB with tid members; 22.0 B, 5.27 MB with hashed tid sets) |
 //!
 //! The two "all in" rows are `detbench`-scale readings. At tier-1 scale
 //! the root package's `tests/resident_bytes.rs` pins both censuses
-//! exactly (TPCH, 2 000 rows, 25 rules, 8 sites: §6 1 246 068 B and the
-//! IDX 770 504 B over 21 716 memberships, 57.4 B and 35.5 B each), so a
+//! exactly (TPCH, 2 000 rows, 25 rules, 8 sites: §6 925 396 B and the
+//! IDX 612 152 B over 21 716 memberships, 42.6 B and 28.2 B each), so a
 //! change to this layout moves a literal there.
 //!
 //! The thresholds come from `detbench`'s `hor_wide_sigma`: 768 variable
 //! CFDs on 53 operators, seed 1's `D₀` 56 002 groups, 225 571 classes,
-//! 575 398 memberships, 3 584 spilled class maps, 20 359 spilled tid sets
-//! (kept per CFD, the same data was 78 946 / 435 020 / 1 182 697 / 4 924 /
-//! 36 915 and 51.7 MB). 52 418 groups (94 %)
+//! 575 398 memberships, 3 584 spilled class maps, 20 359 spilled member
+//! sets (kept per CFD, the same data was 78 946 / 435 020 / 1 182 697 /
+//! 4 924 / 36 915 and 51.7 MB). 52 418 groups (94 %)
 //! hold exactly one class, so one class lives inline; but 540 groups
 //! (1 %) hold 142 000 of the classes, 65–378 each, so beyond one the
 //! classes are *hashed* (a flat `Vec` there cost 30 % of `updates_per_s`).
-//! 139 272 classes (62 %) hold exactly one tid, so tids start inline; but
-//! `hor_tcp_skew`'s Zipf classes reach 65–512 tids, so beyond three they
-//! are a boxed [`TidSet`] (a sorted vector up to 32 tids, about 2 B a
-//! tid in 2¹⁶-tid chunks beyond; `V(Σ, D)` is kept in the same sets). A
-//! class's RHS value is read back from the rows through any member (§6's
-//! `class_values`; the IDX needs none). Removals demote (`Many → One`, set → inline) and tables
-//! give their slack back under a quarter full, so the state follows
-//! deletes down as well as inserts up; [`StateCensus`] counts it.
+//! 139 272 classes (62 %) hold exactly one member, so members start
+//! inline; but `hor_tcp_skew`'s Zipf classes reach 65–512 members, so
+//! beyond [`INLINE_ROWS`] they are a boxed [`TidSet`] (a sorted vector up
+//! to 32 rows, about 2 B a row in 2¹⁶-row chunks beyond; `V(Σ, D)` is kept
+//! in the same sets, over tids). Three inline rows is the census's
+//! minimum: with 2 / 3 / 4 / 5 inline, `hor_wide_sigma`'s `D₀` reads
+//! 17.26 / 16.40 / 19.18 / 19.01 MB, and `thr_tcp_batch`'s TPCH base
+//! 5.39 / 5.20 / 5.49 / 5.14 MB at `D₀` and 6.77 / 6.73 / 7.25 / 7.10 MB
+//! after its stream (sequential drive): a fourth row widens every §6 slot
+//! by 8 B, a fifth fits the same slot. A class's RHS value is read back
+//! from the rows through any member (§6's `class_values`; the IDX needs
+//! none). Removals demote (`Many → One`, set → inline) and tables give
+//! their slack back under a quarter full, so the state follows deletes
+//! down as well as inserts up; [`StateCensus`] counts it.
 
-use relation::{FxHashMap, Tid, TidSet};
+use relation::{FxHashMap, RowId, TidSet};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
@@ -56,104 +67,111 @@ pub(crate) use relation::shrink_if_sparse;
 pub(crate) trait ClassKey: Copy + Eq + Hash + Default {}
 impl<K: Copy + Eq + Hash + Default> ClassKey for K {}
 
-/// Member tids a class keeps inline before spilling to a boxed [`TidSet`].
-pub(crate) const INLINE_TIDS: usize = 3;
+/// A class member: the [`RowId`] of the row in the store that holds it —
+/// the one member type the detectors keep — or any other dense id a
+/// [`TidSet`] can hold.
+pub(crate) trait Member: Copy + Ord + Default + Into<u64> + TryFrom<u64> {}
+impl<I: Copy + Ord + Default + Into<u64> + TryFrom<u64>> Member for I {}
 
-/// The member tids of one class within a group: up to [`INLINE_TIDS`]
-/// inline, a boxed [`TidSet`] beyond (Zipf-keyed classes reach hundreds
-/// of members). Removals demote to inline, and the class's RHS *value* is
-/// not kept: any member's row has it.
+/// Members a class keeps inline before spilling to a boxed [`TidSet`].
+pub(crate) const INLINE_ROWS: usize = 3;
+
+/// The members of one class within a group — rows of the store that
+/// holds them: up to [`INLINE_ROWS`] inline, a boxed [`TidSet`] beyond
+/// (Zipf-keyed classes reach hundreds of members). Removals demote to
+/// inline, and the class's RHS *value* is not kept: any member's row has
+/// it.
 #[derive(Debug)]
-pub(crate) enum ClassEntry {
-    Inline { len: u8, tids: [Tid; INLINE_TIDS] },
-    Spilled(Box<TidSet>),
+pub(crate) enum ClassEntry<I = RowId> {
+    Inline { len: u8, rows: [I; INLINE_ROWS] },
+    Spilled(Box<TidSet<I>>),
 }
 
-impl ClassEntry {
-    /// The class holding just `tid`.
-    fn of(tid: Tid) -> Self {
-        let mut tids = [0; INLINE_TIDS];
-        tids[0] = tid;
-        ClassEntry::Inline { len: 1, tids }
+impl<I: Member> ClassEntry<I> {
+    /// The class holding just `row`.
+    fn of(row: I) -> Self {
+        let mut rows = [I::default(); INLINE_ROWS];
+        rows[0] = row;
+        ClassEntry::Inline { len: 1, rows }
     }
 
-    fn insert(&mut self, tid: Tid) {
+    fn insert(&mut self, row: I) {
         match self {
-            ClassEntry::Inline { len, tids } => {
+            ClassEntry::Inline { len, rows } => {
                 let n = usize::from(*len);
-                if tids[..n].contains(&tid) {
+                if rows[..n].contains(&row) {
                     return;
                 }
-                if n < INLINE_TIDS {
-                    tids[n] = tid;
+                if n < INLINE_ROWS {
+                    rows[n] = row;
                     *len += 1;
                 } else {
-                    let set = tids.iter().copied().chain([tid]).collect();
+                    let set = rows.iter().copied().chain([row]).collect();
                     *self = ClassEntry::Spilled(Box::new(set));
                 }
             }
             ClassEntry::Spilled(set) => {
-                set.insert(tid);
+                set.insert(row);
             }
         }
     }
 
-    fn remove(&mut self, tid: Tid) {
+    fn remove(&mut self, row: I) {
         match self {
-            ClassEntry::Inline { len, tids } => {
+            ClassEntry::Inline { len, rows } => {
                 let n = usize::from(*len);
-                if let Some(i) = tids[..n].iter().position(|&t| t == tid) {
-                    tids[i] = tids[n - 1];
+                if let Some(i) = rows[..n].iter().position(|&t| t == row) {
+                    rows[i] = rows[n - 1];
                     *len -= 1;
                 }
             }
             ClassEntry::Spilled(set) => {
-                set.remove(tid);
-                if set.len() <= INLINE_TIDS {
-                    let mut tids = [0; INLINE_TIDS];
-                    for (slot, t) in tids.iter_mut().zip(set.iter()) {
+                set.remove(row);
+                if set.len() <= INLINE_ROWS {
+                    let mut rows = [I::default(); INLINE_ROWS];
+                    for (slot, t) in rows.iter_mut().zip(set.iter()) {
                         *slot = t;
                     }
                     let len = set.len() as u8;
-                    *self = ClassEntry::Inline { len, tids };
+                    *self = ClassEntry::Inline { len, rows };
                 }
             }
         }
     }
 
-    fn members(&self) -> Members<'_> {
+    fn members(&self) -> Members<'_, I> {
         match self {
-            ClassEntry::Inline { len, tids } => Members::Inline(&tids[..usize::from(*len)]),
+            ClassEntry::Inline { len, rows } => Members::Inline(&rows[..usize::from(*len)]),
             ClassEntry::Spilled(set) => Members::Spilled(set),
         }
     }
 }
 
-/// Borrowed view of one class's member tids, however they are stored.
+/// Borrowed view of one class's members, however they are stored.
 #[derive(Clone, Copy)]
-pub(crate) enum Members<'a> {
-    Inline(&'a [Tid]),
-    Spilled(&'a TidSet),
+pub(crate) enum Members<'a, I = RowId> {
+    Inline(&'a [I]),
+    Spilled(&'a TidSet<I>),
 }
 
-impl Members<'_> {
+impl<I: Member> Members<'_, I> {
     pub(crate) fn len(self) -> usize {
         match self {
-            Members::Inline(tids) => tids.len(),
+            Members::Inline(rows) => rows.len(),
             Members::Spilled(set) => set.len(),
         }
     }
 
-    pub(crate) fn first(self) -> Option<Tid> {
+    pub(crate) fn first(self) -> Option<I> {
         match self {
-            Members::Inline(tids) => tids.first().copied(),
+            Members::Inline(rows) => rows.first().copied(),
             Members::Spilled(set) => set.first(),
         }
     }
 
-    pub(crate) fn for_each(self, f: impl FnMut(Tid)) {
+    pub(crate) fn for_each(self, f: impl FnMut(I)) {
         match self {
-            Members::Inline(tids) => tids.iter().copied().for_each(f),
+            Members::Inline(rows) => rows.iter().copied().for_each(f),
             Members::Spilled(set) => set.iter().for_each(f),
         }
     }
@@ -164,47 +182,47 @@ impl Members<'_> {
 /// operator's CFDs the group key matches). One class lives inline —
 /// `Few`/`One` are a [`ClassEntry`] flattened next to its key and the
 /// flag, so a single-class group allocates nothing and a §6 map slot is
-/// 64 B — and a hashed spill takes over from the second class. The layout
+/// 48 B — and a hashed spill takes over from the second class. The layout
 /// is canonical: `Many` holds ≥ 2 classes and removals demote, so state
 /// follows the data down as well as up.
 #[derive(Debug)]
-pub(crate) enum GroupState<K> {
+pub(crate) enum GroupState<K, I = RowId> {
     Few {
         violating: bool,
         len: u8,
         bd: K,
-        tids: [Tid; INLINE_TIDS],
+        rows: [I; INLINE_ROWS],
     },
     One {
         violating: bool,
         bd: K,
-        tids: Box<TidSet>,
+        rows: Box<TidSet<I>>,
     },
     Many {
         violating: bool,
-        classes: Box<FxHashMap<K, ClassEntry>>,
+        classes: Box<FxHashMap<K, ClassEntry<I>>>,
     },
 }
 
-impl<K: ClassKey> GroupState<K> {
-    /// A new, satisfied group holding `tid` in class `bd`.
-    pub(crate) fn new(bd: K, tid: Tid) -> Self {
-        Self::single(false, bd, ClassEntry::of(tid))
+impl<K: ClassKey, I: Member> GroupState<K, I> {
+    /// A new, satisfied group holding `row` in class `bd`.
+    pub(crate) fn new(bd: K, row: I) -> Self {
+        Self::single(false, bd, ClassEntry::of(row))
     }
 
     /// The group of one class.
-    fn single(violating: bool, bd: K, class: ClassEntry) -> Self {
+    fn single(violating: bool, bd: K, class: ClassEntry<I>) -> Self {
         match class {
-            ClassEntry::Inline { len, tids } => GroupState::Few {
+            ClassEntry::Inline { len, rows } => GroupState::Few {
                 violating,
                 len,
                 bd,
-                tids,
+                rows,
             },
-            ClassEntry::Spilled(tids) => GroupState::One {
+            ClassEntry::Spilled(rows) => GroupState::One {
                 violating,
                 bd,
-                tids,
+                rows,
             },
         }
     }
@@ -212,11 +230,11 @@ impl<K: ClassKey> GroupState<K> {
     /// Move the class of a single-class group out; the caller writes the
     /// group back.
     #[expect(clippy::unreachable, reason = "every caller handles `Many` first")]
-    fn take_single(&mut self) -> (K, ClassEntry) {
-        let hole = Self::single(false, K::default(), ClassEntry::of(0));
+    fn take_single(&mut self) -> (K, ClassEntry<I>) {
+        let hole = Self::single(false, K::default(), ClassEntry::of(I::default()));
         match std::mem::replace(self, hole) {
-            GroupState::Few { bd, len, tids, .. } => (bd, ClassEntry::Inline { len, tids }),
-            GroupState::One { bd, tids, .. } => (bd, ClassEntry::Spilled(tids)),
+            GroupState::Few { bd, len, rows, .. } => (bd, ClassEntry::Inline { len, rows }),
+            GroupState::One { bd, rows, .. } => (bd, ClassEntry::Spilled(rows)),
             GroupState::Many { .. } => unreachable!("callers handle Many first"),
         }
     }
@@ -243,7 +261,7 @@ impl<K: ClassKey> GroupState<K> {
     pub(crate) fn class_len(&self, bd: K) -> usize {
         match self {
             GroupState::Few { bd: b, len, .. } if *b == bd => usize::from(*len),
-            GroupState::One { bd: b, tids, .. } if *b == bd => tids.len(),
+            GroupState::One { bd: b, rows, .. } if *b == bd => rows.len(),
             GroupState::Many { classes, .. } => classes.get(&bd).map_or(0, |c| c.members().len()),
             _ => 0,
         }
@@ -263,6 +281,7 @@ impl<K: ClassKey> GroupState<K> {
     pub(crate) fn violates_among<'a>(&self, mut peers: impl Iterator<Item = &'a Self>) -> bool
     where
         K: 'a,
+        I: 'a,
     {
         match self {
             GroupState::Few { bd, .. } | GroupState::One { bd, .. } => {
@@ -272,13 +291,13 @@ impl<K: ClassKey> GroupState<K> {
         }
     }
 
-    /// Add `tid` to class `bd`, creating the class if need be.
-    pub(crate) fn insert(&mut self, bd: K, tid: Tid) {
+    /// Add `row` to class `bd`, creating the class if need be.
+    pub(crate) fn insert(&mut self, bd: K, row: I) {
         if let GroupState::Many { classes, .. } = self {
             match classes.entry(bd) {
-                Entry::Occupied(e) => e.into_mut().insert(tid),
+                Entry::Occupied(e) => e.into_mut().insert(row),
                 Entry::Vacant(e) => {
-                    e.insert(ClassEntry::of(tid));
+                    e.insert(ClassEntry::of(row));
                 }
             }
             return;
@@ -286,11 +305,11 @@ impl<K: ClassKey> GroupState<K> {
         let violating = self.violating();
         let (b, mut class) = self.take_single();
         *self = if b == bd {
-            class.insert(tid);
+            class.insert(row);
             Self::single(violating, b, class)
         } else {
             // A second class arrives: the inline one moves into the spill.
-            let classes = [(b, class), (bd, ClassEntry::of(tid))];
+            let classes = [(b, class), (bd, ClassEntry::of(row))];
             GroupState::Many {
                 violating,
                 classes: Box::new(classes.into_iter().collect()),
@@ -298,14 +317,14 @@ impl<K: ClassKey> GroupState<K> {
         };
     }
 
-    /// Remove `tid` from class `bd`: `(class now empty, classes left)`, or
+    /// Remove `row` from class `bd`: `(class now empty, classes left)`, or
     /// `None` when the group has no such class. A group left with no
     /// class is the caller's to drop.
-    pub(crate) fn remove(&mut self, bd: K, tid: Tid) -> Option<(bool, usize)> {
+    pub(crate) fn remove(&mut self, bd: K, row: I) -> Option<(bool, usize)> {
         let violating = self.violating();
         if let GroupState::Many { classes, .. } = self {
             let class = classes.get_mut(&bd)?;
-            class.remove(tid);
+            class.remove(row);
             let class_empty = class.members().len() == 0;
             if class_empty {
                 classes.remove(&bd);
@@ -323,7 +342,7 @@ impl<K: ClassKey> GroupState<K> {
         }
         let (b, mut class) = self.take_single();
         if b == bd {
-            class.remove(tid);
+            class.remove(row);
         }
         let left = usize::from(class.members().len() > 0);
         *self = Self::single(violating, b, class);
@@ -331,20 +350,20 @@ impl<K: ClassKey> GroupState<K> {
     }
 
     /// Every class: its key and its members.
-    pub(crate) fn for_each_class(&self, mut f: impl FnMut(K, Members<'_>)) {
+    pub(crate) fn for_each_class(&self, mut f: impl FnMut(K, Members<'_, I>)) {
         match self {
-            GroupState::Few { len, bd, tids, .. } => {
-                f(*bd, Members::Inline(&tids[..usize::from(*len)]));
+            GroupState::Few { len, bd, rows, .. } => {
+                f(*bd, Members::Inline(&rows[..usize::from(*len)]));
             }
-            GroupState::One { bd, tids, .. } => f(*bd, Members::Spilled(tids)),
+            GroupState::One { bd, rows, .. } => f(*bd, Members::Spilled(rows)),
             GroupState::Many { classes, .. } => {
                 classes.iter().for_each(|(bd, c)| f(*bd, c.members()));
             }
         }
     }
 
-    /// Every member tid, class by class.
-    pub(crate) fn for_each_member(&self, mut f: impl FnMut(Tid)) {
+    /// Every member, class by class.
+    pub(crate) fn for_each_member(&self, mut f: impl FnMut(I)) {
         self.for_each_class(|_, members| members.for_each(&mut f));
     }
 }
@@ -359,12 +378,13 @@ pub struct StateCensus {
     pub groups: usize,
     /// Classes over all groups.
     pub classes: usize,
-    /// `(operator, tid)` (§6) or `(CFD, tid)` (IDX) memberships over all
+    /// `(operator, row)` (§6) or `(CFD, row)` (IDX) memberships over all
     /// classes.
     pub memberships: usize,
     /// Groups whose classes spilled to a hashed map (≥ 2 classes).
     pub spilled_class_maps: usize,
-    /// Classes whose tids spilled to a boxed [`TidSet`] (> 3 members).
+    /// Classes whose members spilled to a boxed [`TidSet`] (more than
+    /// three).
     pub spilled_tid_sets: usize,
     /// Heap bytes of the group maps and every spill (for §4 also of the
     /// HEVs), from capacities.
@@ -383,21 +403,21 @@ pub(crate) fn table_bytes<T>(capacity: usize) -> usize {
 
 impl StateCensus {
     /// Add one group map.
-    pub(crate) fn count<K: ClassKey>(&mut self, map: &FxHashMap<K, GroupState<K>>) {
+    pub(crate) fn count<K: ClassKey, I: Member>(&mut self, map: &FxHashMap<K, GroupState<K, I>>) {
         self.groups += map.len();
-        self.resident_bytes += table_bytes::<(K, GroupState<K>)>(map.capacity());
+        self.resident_bytes += table_bytes::<(K, GroupState<K, I>)>(map.capacity());
         for g in map.values() {
             if let GroupState::Many { classes, .. } = g {
                 self.spilled_class_maps += 1;
-                self.resident_bytes += std::mem::size_of::<FxHashMap<K, ClassEntry>>()
-                    + table_bytes::<(K, ClassEntry)>(classes.capacity());
+                self.resident_bytes += std::mem::size_of::<FxHashMap<K, ClassEntry<I>>>()
+                    + table_bytes::<(K, ClassEntry<I>)>(classes.capacity());
             }
             g.for_each_class(|_, members| {
                 self.classes += 1;
                 self.memberships += members.len();
                 if let Members::Spilled(set) = members {
                     self.spilled_tid_sets += 1;
-                    self.resident_bytes += std::mem::size_of::<TidSet>() + set.heap_bytes();
+                    self.resident_bytes += std::mem::size_of::<TidSet<I>>() + set.heap_bytes();
                 }
             });
         }
@@ -414,9 +434,9 @@ mod tests {
     /// A later field shows up here before it shows up in `state_rss_mb`.
     #[test]
     fn group_state_sizes_are_guarded() {
-        assert!(std::mem::size_of::<ClassEntry>() <= 32);
-        assert!(std::mem::size_of::<(Digest, GroupState<Digest>)>() <= 64);
-        assert!(std::mem::size_of::<(EqId, GroupState<EqId>)>() <= 48);
+        assert!(std::mem::size_of::<ClassEntry>() <= 16);
+        assert!(std::mem::size_of::<(Digest, GroupState<Digest>)>() <= 48);
+        assert!(std::mem::size_of::<(EqId, GroupState<EqId>)>() <= 32);
     }
 
     /// Seeded op sequences over a few classes and a dozen tids cross both
@@ -436,10 +456,10 @@ mod tests {
         for round in 0..40 {
             let n_classes = 1 + round % 4;
             let mut groups: FxHashMap<Digest, GroupState<Digest>> = FxHashMap::default();
-            let mut model: FxHashMap<Digest, BTreeSet<Tid>> = FxHashMap::default();
+            let mut model: FxHashMap<Digest, BTreeSet<RowId>> = FxHashMap::default();
             for step in 0..400 {
                 let bd = Digest([next(n_classes) as u8; 16]);
-                let tid = next(12);
+                let tid = next(12) as RowId;
                 // Drift up, then down, so spills are entered and left.
                 if next(100) < if step < 200 { 65 } else { 35 } {
                     match groups.entry(kd) {
@@ -469,7 +489,7 @@ mod tests {
                 }
                 let mut census = StateCensus::default();
                 census.count(&groups);
-                let spilled = model.values().filter(|s| s.len() > INLINE_TIDS).count();
+                let spilled = model.values().filter(|s| s.len() > INLINE_ROWS).count();
                 assert_eq!(census.groups, usize::from(!model.is_empty()));
                 assert_eq!(census.classes, model.len());
                 assert_eq!(
@@ -486,7 +506,7 @@ mod tests {
                 });
                 members.sort_unstable();
                 classes.sort_unstable();
-                let mut want_members: Vec<Tid> = model.values().flatten().copied().collect();
+                let mut want_members: Vec<RowId> = model.values().flatten().copied().collect();
                 let mut want_classes: Vec<_> = model.keys().map(|&bd| (bd, true)).collect();
                 want_members.sort_unstable();
                 want_classes.sort_unstable();
@@ -499,13 +519,15 @@ mod tests {
     /// Returns to start: rows entered into an IDX (`Idx`) and into a §6
     /// group map (`insert_case`) and then deleted again in another order
     /// (`Idx::remove`, `delete_case`) leave both censuses equal to an
-    /// empty map's — spilled class maps and tid sets, chunked ones
-    /// included — and `V` empty with no heap bytes.
+    /// empty map's — spilled class maps and member sets, chunked ones
+    /// included — and `V`, whose marks name the rows by their tids,
+    /// empty with no heap bytes.
     #[test]
     fn group_maps_return_to_start() {
         use crate::horizontal::{delete_case, insert_case};
         use crate::idx::Idx;
         use cfd::{DeltaV, Violations};
+        use relation::{ColumnStore, Tid, Value};
         let mut rng = 0x6A09_E667_F3BC_C909u64;
         let mut next = |n: u64| {
             rng ^= rng << 13;
@@ -523,10 +545,12 @@ mod tests {
         let digest = |x: u64| Digest([x as u8; 16]);
         let (mut idx, mut groups) = (Idx::new(), FxHashMap::default());
         let (mut v, mut dv) = (Violations::new(1), DeltaV::default());
+        let mut store = ColumnStore::new(1);
         for &(key, class, tid) in &rows {
-            idx.insert(key, class, tid);
+            let row = store.insert(tid, [&Value::int(tid as i64)]).unwrap();
+            idx.insert(key, class, row);
             let (kd, bd) = (digest(key), digest(class));
-            insert_case(&mut groups, &mut dv, &[0], tid, (kd, bd), true);
+            insert_case(&mut groups, (&store, &mut dv), &[0], row, (kd, bd), true);
         }
         let census = |idx: &Idx, groups: &FxHashMap<Digest, GroupState<Digest>>| {
             let (mut i, mut g) = (StateCensus::default(), StateCensus::default());
@@ -549,10 +573,13 @@ mod tests {
             rows.swap(i, next(i as u64 + 1) as usize);
         }
         for &(key, class, tid) in &rows {
-            assert!(idx.remove(key, class, tid).is_some());
+            let row = store.row_of(tid).unwrap();
+            assert!(idx.remove(key, class, row).is_some());
             let (kd, bd) = (digest(key), digest(class));
-            let dropped = delete_case(&mut groups, &mut dv, &[0], tid, (kd, bd), true);
+            let marks = (&store, &mut dv);
+            let dropped = delete_case(&mut groups, marks, &[0], row, (kd, bd), true);
             assert!(dropped.is_ok());
+            store.delete(tid).unwrap();
         }
         let empty = census(&Idx::new(), &FxHashMap::default());
         assert_eq!(census(&idx, &groups), empty);

@@ -77,7 +77,16 @@
 //!   it. A machine
 //!   reads no row but the one being deleted and members of its own
 //!   classes — rows it inserted itself — so `n` machines may share one
-//!   store (tids are global) or hold one each.
+//!   store or hold one each.
+//! * **Row ids inside, tids at the edge.** A class member is the row id
+//!   the store handed out for it (`RowId`, 4 bytes, dense: a freed row is
+//!   handed out again). A tid appears only where a mark enters `ΔV`
+//!   (`add_marks`, `drop_marks`, and `mark_group` / `clear_group`, which
+//!   name each member by `ColumnStore::tid_of`), where a delete looks up
+//!   its row, and on the wire. A freed row may be taken again within the
+//!   same batch — the two orders above mean no group names it meanwhile —
+//!   and a round carries its update's tid and tuple, never a row, so a
+//!   round in flight cannot name a row another update took.
 //! * **Validate before mutate.** Operator ids and payloads off the wire
 //!   are checked at `on_request` / `on_reply` entry — every *listed* id
 //!   names an operator of `Σ` whose whole `X` the payload carries, no
@@ -101,12 +110,14 @@
 //! dictionary) is warmed in pass 1: `insert_ship`, the case analysis's own
 //! rule, says which rows the replay would have shipped, and their payloads
 //! are encoded and decoded on each link they would have crossed, so every
-//! link's dictionary holds the replay's symbols. `Build::new` runs it for
-//! both: [`HorizontalDetector`] keeps the `n` machines and the one store;
-//! the thread-per-site runtime moves each machine to its thread with the
-//! rows it is home to and the marks of those rows, and each process of a
-//! multi-process session runs the same build from the same parameters and
-//! keeps its own machine.
+//! link's dictionary holds the replay's symbols. The build keys on the
+//! rows each machine will be handed, stored before it runs: `Build::new`
+//! takes each site's store. [`HorizontalDetector`] hands every site its
+//! one store, a clone of `D₀`, and keeps it with the `n` machines; the
+//! thread-per-site runtime routes `D₀` into one fragment per site first
+//! and moves each machine to its thread with its fragment, and each
+//! process of a multi-process session runs the same build from the same
+//! parameters and keeps its own machine.
 //!
 //! # The sequential driver: rounds in flight across a batch
 //!
@@ -137,8 +148,8 @@
 //! # State layout
 //!
 //! Each `(site, operator)` owns one `FxHashMap<Digest, GroupState<Digest>>`:
-//! one class and ≤ 3 tids inline, hashed spills beyond, RHS values read
-//! back from the rows (`class_values`). The container, its layout table
+//! one class and ≤ 3 member rows inline, hashed spills beyond, RHS values
+//! read back from the rows (`class_values`). The container, its layout table
 //! and its thresholds live in `crate::group`, shared with §4's IDX;
 //! [`HorizontalDetector::state_census`] counts it.
 
@@ -152,7 +163,7 @@ use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, Meters, MsgTransport, Network, SiteId, Wire};
 use order::{Ledger, Party, Verdict};
-use relation::{AttrId, FxHashMap, RelError, Relation, Schema, Tid, Tuple, UpdateBatch, Value};
+use relation::{AttrId, ColumnStore, FxHashMap, Relation, RowId, Schema, Tid, UpdateBatch, Value};
 use site::{Own, Round, Site, SiteConfig};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -414,55 +425,56 @@ pub(crate) fn insert_ship(found: Option<(bool, bool)>, local_only: bool) -> Ship
 }
 
 /// The §6 insertion case analysis at one site for one operator, given the
-/// inserted tuple `tid`'s group-key and RHS digests. `cfds` are the
-/// operator's CFDs whose pattern the group key matches (at least one):
-/// they share the group, so the analysis runs once and only the marks it
-/// records in `ΔV` fan out over them.
+/// inserted tuple's stored `row` in `rows` and its group-key and RHS
+/// digests. `cfds` are the operator's CFDs whose pattern the group key
+/// matches (at least one): they share the group, so the analysis runs once
+/// and only the marks it records in `ΔV` fan out over them.
 pub(crate) fn insert_case(
     groups: &mut FxHashMap<Digest, GroupState<Digest>>,
-    dv: &mut DeltaV,
+    (rows, dv): (&ColumnStore, &mut DeltaV),
     cfds: &[CfdId],
-    tid: Tid,
+    row: RowId,
     (kd, bd): (Digest, Digest),
     local_only: bool,
 ) -> Ship {
     let g = match groups.entry(kd) {
         Entry::Vacant(e) => {
-            e.insert(GroupState::new(bd, tid));
+            e.insert(GroupState::new(bd, row));
             return insert_ship(None, local_only);
         }
         Entry::Occupied(e) => e.into_mut(),
     };
     let (has_other, was_violating) = (g.has_other(bd), g.violating());
-    g.insert(bd, tid);
+    g.insert(bd, row);
     if was_violating {
         // Everyone concerned is already in V (≥ 2 classes, or a known
         // remote conflict): only t is new.
-        add_marks(cfds, tid, dv);
+        add_marks(cfds, rows.tid_of(row), dv);
     } else if has_other {
         // Everyone in the group joins V.
-        mark_group(g, cfds, dv);
+        mark_group(g, cfds, rows, dv);
     }
     insert_ship(Some((has_other, was_violating)), local_only)
 }
 
 /// The §6 deletion case analysis at one site for one operator, given the
-/// deleted tuple `tid`'s group-key and RHS digests; `cfds` as for
+/// deleted tuple's `row` in `rows` — still stored: its groups let go of it
+/// first — and its group-key and RHS digests; `cfds` as for
 /// [`insert_case`]. `Ok(true)` when only the peers can tell whether the
 /// group still violates. `Err` says what the state no longer holds — a
 /// tuple that is in the rows was entered into its groups, so this is state
 /// an earlier failed `apply` left behind — and nothing was touched.
 pub(crate) fn delete_case(
     groups: &mut FxHashMap<Digest, GroupState<Digest>>,
-    dv: &mut DeltaV,
+    (rows, dv): (&ColumnStore, &mut DeltaV),
     cfds: &[CfdId],
-    tid: Tid,
+    row: RowId,
     (kd, bd): (Digest, Digest),
     local_only: bool,
 ) -> Result<bool, &'static str> {
     let g = groups.get_mut(&kd).ok_or("group")?;
     let was_violating = g.violating();
-    let (class_empty, n_rem) = g.remove(bd, tid).ok_or("RHS class")?;
+    let (class_empty, n_rem) = g.remove(bd, row).ok_or("RHS class")?;
     if n_rem == 0 {
         // An empty group carries no information — future inserts will
         // re-query — so it is dropped, and with it the map's slack once
@@ -474,7 +486,7 @@ pub(crate) fn delete_case(
         return Ok(false); // deletions never create violations
     }
     // t was a violation; it leaves V in every remaining case.
-    drop_marks(cfds, tid, dv);
+    drop_marks(cfds, rows.tid_of(row), dv);
     if !class_empty || n_rem >= 2 {
         // Same-RHS witness survives or ≥2 local RHS values remain: global
         // multiplicity still ≥ 2. Zero shipment — Example 2(2).
@@ -483,24 +495,35 @@ pub(crate) fn delete_case(
     if local_only {
         // Global = local: the group dropped to ≤ 1 RHS value.
         if let Some(g) = groups.get_mut(&kd) {
-            clear_group(g, cfds, dv);
+            clear_group(g, cfds, rows, dv);
         }
     }
     Ok(!local_only)
 }
 
-/// Clear a violating group's flag: its members leave `V(φ)` for every
-/// matched CFD `φ` of its operator.
-pub(crate) fn clear_group(g: &mut GroupState<Digest>, cfds: &[CfdId], dv: &mut DeltaV) {
+/// Clear a violating group's flag: its members — rows of `rows`, named
+/// by their tids — leave `V(φ)` for every matched CFD `φ` of its
+/// operator.
+pub(crate) fn clear_group(
+    g: &mut GroupState<Digest>,
+    cfds: &[CfdId],
+    rows: &ColumnStore,
+    dv: &mut DeltaV,
+) {
     g.set_violating(false);
-    g.for_each_member(|m| drop_marks(cfds, m, dv));
+    g.for_each_member(|m| drop_marks(cfds, rows.tid_of(m), dv));
 }
 
-/// Raise a satisfied group's flag: every member joins `V(φ)` for every
-/// matched CFD `φ` of its operator.
-pub(crate) fn mark_group(g: &mut GroupState<Digest>, cfds: &[CfdId], dv: &mut DeltaV) {
+/// Raise a satisfied group's flag: every member — a row of `rows`, named
+/// by its tid — joins `V(φ)` for every matched CFD `φ` of its operator.
+pub(crate) fn mark_group(
+    g: &mut GroupState<Digest>,
+    cfds: &[CfdId],
+    rows: &ColumnStore,
+    dv: &mut DeltaV,
+) {
     g.set_violating(true);
-    g.for_each_member(|m| add_marks(cfds, m, dv));
+    g.for_each_member(|m| add_marks(cfds, rows.tid_of(m), dv));
 }
 
 /// `tid` joins `V(φ)` for each `φ` of `cfds`.
@@ -516,20 +539,20 @@ fn drop_marks(cfds: &[CfdId], tid: Tid, dv: &mut DeltaV) {
 /// The `DelReply` payload of one group of operator `op` (`→ rhs`) at
 /// `site`: each class's RHS value, read through a member's row in `rows`,
 /// the store the site's driver hands it. The machine stores an inserted
-/// row *before* it touches group state, so a class always has a member to
-/// read; one that has none means the state contradicts the rows, and the
-/// error text says where.
+/// row *before* it touches group state, so a class always has a live
+/// member to read; one that has none means the state contradicts the
+/// rows, and the error text says where.
 pub(crate) fn class_values(
     g: &GroupState<Digest>,
-    rows: &Relation,
+    rows: &ColumnStore,
     (site, op, rhs, kd): (SiteId, OpId, AttrId, Digest),
     mut encode: impl FnMut(&Value) -> WireValue,
 ) -> Result<Vec<WireValue>, String> {
     let mut vals = Vec::new();
     let mut orphan = false;
     g.for_each_class(
-        |_, members| match members.first().and_then(|tid| rows.value_at(tid, rhs)) {
-            Some(v) => vals.push(encode(v)),
+        |_, members| match members.first().filter(|&row| rows.is_live(row)) {
+            Some(row) => vals.push(encode(rows.value(row, rhs))),
             None => orphan = true,
         },
     );
@@ -602,10 +625,12 @@ impl InFlight {
 }
 
 /// The module docs' build, for a driver to take apart: `n` fresh machines
-/// holding `D₀`'s group and codec state, and `V(Σ, D₀)`. The rows stay the
-/// caller's: [`HorizontalDetector`] builds over its own clone of `D₀` and
-/// keeps it; the thread-per-site runtime builds over the caller's `D₀` and
-/// moves each machine to its site with the rows it is home to.
+/// holding `D₀`'s group and codec state, and `V(Σ, D₀)`. It keys on the
+/// rows each machine will be handed, stored before it runs, and the rows
+/// stay the caller's: [`HorizontalDetector`] builds over its own clone of
+/// `D₀`, the one store of every site, and keeps it; the thread-per-site
+/// runtime routes `D₀` into one fragment per site first, builds over
+/// those, and moves each machine to its site with its fragment.
 pub(crate) struct Build {
     pub(crate) cfg: SiteConfig,
     pub(crate) sites: Vec<Site>,
@@ -613,41 +638,44 @@ pub(crate) struct Build {
 }
 
 impl Build {
-    /// Build over the rows of `d` with no transport in existence, so
-    /// nothing can be sent: refuse a catalog whose ids are not its
-    /// positions and a `d` of another arity than `schema`'s, then route
-    /// each row, tell `homed` its tid and home, and run the two passes
-    /// (`site::build`). An unroutable row is the scheme's
-    /// [`ClusterError::Routing`].
+    /// Build over `D₀` already stored, with no transport in existence, so
+    /// nothing can be sent: `rows[i]` is the store site `i`'s steps will
+    /// be handed — holding at least the rows it is home to — and `homes`
+    /// every row's tid and home, ascending by tid ([`homes`]). Every
+    /// member of the state built is a row id of its site's store.
     pub(crate) fn new(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
         scheme: &HorizontalScheme,
-        d: &Relation,
+        rows: &[&Relation],
+        homes: impl IntoIterator<Item = Result<(Tid, SiteId), DetectError>>,
         codec: CodecKind,
-        mut homed: impl FnMut(Tid, SiteId),
     ) -> Result<Self, DetectError> {
-        crate::detector::positional(&cfds)?;
-        let (expected, got) = (schema.arity(), d.schema().arity());
-        if expected != got {
-            return Err(RelError::ArityMismatch { expected, got }.into());
-        }
         let n = scheme.n_sites();
         let cfg = SiteConfig::new(schema, cfds, scheme);
         let mut sites: Vec<Site> = (0..n).map(|i| Site::new(cfg.clone(), i, codec)).collect();
         let mut violations = Violations::new(cfg.cfds.len());
-        let home = |t: &Tuple| {
-            let home = scheme.route(t)?;
-            homed(t.tid, home);
-            Ok(home)
-        };
-        site::build(&mut sites, d, home, &mut violations)?;
+        site::build(&mut sites, rows, homes, &mut violations)?;
         Ok(Build {
             cfg,
             sites,
             violations,
         })
     }
+}
+
+/// Every row of `d` with its home under `scheme`, ascending by tid: routed
+/// off the store's columns, with no tuple built. An unroutable row is the
+/// scheme's [`ClusterError::Routing`].
+pub(crate) fn homes<'a>(
+    scheme: &'a HorizontalScheme,
+    d: &'a Relation,
+) -> impl Iterator<Item = Result<(Tid, SiteId), DetectError>> + 'a {
+    let store = d.store();
+    d.scan().map(move |(tid, row)| {
+        let home = scheme.route_with(tid, &|a| store.value(row, a))?;
+        Ok((tid, home))
+    })
 }
 
 /// The incremental violation detector for horizontally partitioned data:
@@ -689,7 +717,8 @@ impl HorizontalDetector {
     /// opened. They equal what replaying `d` as inserts in tid order would
     /// leave. An unroutable tuple of `d` is the scheme's
     /// [`ClusterError::Routing`], one of another arity a
-    /// [`RelError::ArityMismatch`]; neither leaves a detector behind.
+    /// [`RelError::ArityMismatch`](relation::RelError::ArityMismatch);
+    /// neither leaves a detector behind.
     pub fn new(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -700,11 +729,14 @@ impl HorizontalDetector {
     ) -> Result<Self, DetectError> {
         crate::detector::positional(&cfds)?;
         let current = d.clone_under(schema.clone())?;
+        // One store, and every site is handed it.
+        let rows = vec![&current; scheme.n_sites()];
+        let homes = homes(&scheme, &current);
         let Build {
             cfg,
             sites,
             violations,
-        } = Build::new(schema, cfds, &scheme, &current, codec, |_, _| {})?;
+        } = Build::new(schema, cfds, &scheme, &rows, homes, codec)?;
         // Only now is there a transport: the build cannot send.
         let n = sites.len();
         let net: Box<dyn MsgTransport<HorMsg>> = match transport {
@@ -906,7 +938,7 @@ impl HorizontalDetector {
         }
         let Open { home, round, .. } = self.flight.slots[slot].take().ok_or_else(closed)?;
         self.flight.open -= 1;
-        for (j, clear) in self.sites[home].finish(round, dv)? {
+        for (j, clear) in self.sites[home].finish(round, &self.current, dv)? {
             self.net.send(home, j, clear)?;
         }
         Ok(())

@@ -29,7 +29,10 @@ use cluster::codec::{
 use cluster::md5::{md5, Digest};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, SiteId};
-use relation::{AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, Tid, Tuple, Update};
+use relation::{
+    AttrId, ColumnStore, FxHashMap, FxHashSet, RelError, Relation, RowId, Schema, Tid, Tuple,
+    Update,
+};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -260,15 +263,18 @@ fn matched_ops<'a>(
     })
 }
 
-/// `V(Σ, D₀)` and every site's group and codec state, built over `rows` —
-/// `D₀`, already stored — as a replay of its rows as inserts in tid order
-/// through the protocol leaves them, with no round and no frame:
+/// `V(Σ, D₀)` and every site's group and codec state, built over `D₀`
+/// already stored — `rows[i]` is the store site `i`'s steps are handed,
+/// holding at least the rows it is home to — as a replay of `D₀`'s rows as
+/// inserts in tid order through the protocol leaves them, with no round
+/// and no frame. `homes` is every row's tid and home, ascending by tid.
 ///
-/// 1. each row is routed by `home`, classified once at its home (shared
-///    dispatch, key and RHS digests), and entered: into the home's group
-///    maps, and into `V` for each constant CFD it violates. Under a codec
-///    with per-link state it first teaches the links what the replay's
-///    frame for it would have ([`Site::teach`]).
+/// 1. each row is read off its home's store, classified once there
+///    (shared dispatch, key and RHS digests), and entered: into the home's
+///    group maps by its row id in that store, and into `V` for each
+///    constant CFD it violates. Under a codec with per-link state it first
+///    teaches the links what the replay's frame for it would have
+///    ([`Site::teach`]).
 /// 2. per operator, each group's flag is the global fact the protocol
 ///    maintains — its classes across all sites hold ≥ 2 distinct RHS
 ///    digests — and a violating group's members are marked.
@@ -278,20 +284,26 @@ fn matched_ops<'a>(
 /// kept beside the state itself.
 pub(crate) fn build(
     sites: &mut [Site],
-    rows: &Relation,
-    mut home: impl FnMut(&Tuple) -> Result<SiteId, DetectError>,
+    rows: &[&Relation],
+    homes: impl IntoIterator<Item = Result<(Tid, SiteId), DetectError>>,
     v: &mut Violations,
 ) -> Result<(), DetectError> {
-    for t in rows.iter() {
-        let (before, site, after) = split(sites, home(&t)?)?;
+    for homed in homes {
+        let (tid, home) = homed?;
+        let store = rows.get(home).ok_or(ClusterError::UnknownSite(home))?;
+        let row = store.row_of(tid).ok_or_else(|| {
+            DetectError::Internal(format!("row {tid} is not stored at its home {home}"))
+        })?;
+        let t = store.tuple_at(row);
+        let (before, site, after) = split(sites, home)?;
         site.classify(&Own::Insert(&t));
-        site.enter(&t, (before, after), v)?;
+        site.enter(&t, row, (before, after), v)?;
     }
     let operators = sites.first().map_or(0, |s| s.state.len());
     for op in (0..operators).map(|o| o as OpId) {
-        for i in 0..sites.len() {
+        for (i, store) in rows.iter().enumerate() {
             let (before, site, after) = split(sites, i)?;
-            site.flag(op, (before, after), rows, v)?;
+            site.flag(op, (before, after), store, v)?;
         }
     }
     Ok(())
@@ -607,8 +619,8 @@ impl Site {
                 // Row before group state: every class this update creates
                 // has, from its first instant, a member whose RHS value
                 // `rows` can produce (`class_values`).
-                rows.insert_row(t.tid, t.values.iter())?;
-                self.insert_matched(t, dv)?
+                let row = rows.insert_row(t.tid, t.values.iter())?;
+                self.insert_matched(t, row, rows.store(), dv)?
             }
             Own::Delete(t) => self.delete_matched(t, rows, dv)?,
         };
@@ -622,10 +634,12 @@ impl Site {
     }
 
     /// The insertion case analysis over the candidates the scratch holds
-    /// for `t`, whose row is stored.
+    /// for `t`, stored at `row` of `rows`.
     fn insert_matched(
         &mut self,
         t: &Tuple,
+        row: RowId,
+        rows: &ColumnStore,
         dv: &mut DeltaV,
     ) -> Result<Option<Opened>, DetectError> {
         let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
@@ -639,7 +653,7 @@ impl Site {
             let bd = digest_cached(&mut sx.attr_d, t, cfg.operator(op).1, &mut sx.vbuf);
             let local_only = cfg.local_ok[op as usize][me];
             let groups = &mut self.state[op as usize];
-            match insert_case(groups, dv, cfds, t.tid, (kd, bd), local_only) {
+            match insert_case(groups, (rows, dv), cfds, row, (kd, bd), local_only) {
                 Ship::Nothing => continue,
                 Ship::Probe => sx.probes.push(op),
                 Ship::Query => {
@@ -675,6 +689,7 @@ impl Site {
         dv: &mut DeltaV,
     ) -> Result<Option<Opened>, DetectError> {
         let tid = t.tid;
+        let row = rows.row_of(tid).ok_or(RelError::MissingTid(tid))?;
         let (cfg, me, sx) = (&self.cfg, self.me, &mut self.sx);
         // The stored tuple is the inserted one: it holds the marks its
         // insert recorded, and a constant CFD outside the list holds none.
@@ -692,7 +707,8 @@ impl Site {
                 let at = format!("site {me}: operator {op} group {}", kd.to_hex());
                 DetectError::Internal(format!("{at} lost the {what} of tuple {tid}"))
             };
-            if !delete_case(groups, dv, cfds, tid, (kd, bd), local_only).map_err(lost)? {
+            let marks = (rows.store(), &mut *dv);
+            if !delete_case(groups, marks, cfds, row, (kd, bd), local_only).map_err(lost)? {
                 continue;
             }
             sx.queries.push(op);
@@ -703,7 +719,9 @@ impl Site {
             });
             cfg.peers_of(cfds, me, &mut sx.peers);
         }
-        // The groups have let go of the row; peers never read it.
+        // The groups have let go of the row, so no state names it once it
+        // is freed — and handed out again, perhaps within this batch — and
+        // peers never read it.
         rows.delete_quiet(tid)?;
         if queries.is_empty() {
             return Ok(None);
@@ -711,7 +729,7 @@ impl Site {
         let cfds = asked_cfds;
         if !sx.settle_peers() {
             // Global = local: decide from this site's classes alone.
-            let clears = self.finish(Round::Delete { t, cfds, queries }, dv)?;
+            let clears = self.finish(Round::Delete { t, cfds, queries }, rows, dv)?;
             debug_assert!(clears.is_empty(), "no peers, no remote holders");
             return Ok(None);
         }
@@ -796,12 +814,14 @@ impl Site {
 
     // -- the direct build -----------------------------------------------
 
-    /// Pass 1 of [`build`] for the classified row `t`, stored at this site
-    /// and after every row of a lower tid: its codec traffic first, then
-    /// its constant-CFD marks and its memberships.
+    /// Pass 1 of [`build`] for the classified row `t`, stored at `row` of
+    /// this site's store and entered after every row of a lower tid: its
+    /// codec traffic first, then its constant-CFD marks and its
+    /// memberships.
     fn enter(
         &mut self,
         t: &Tuple,
+        row: RowId,
         (before, after): (&mut [Site], &mut [Site]),
         v: &mut Violations,
     ) -> Result<(), DetectError> {
@@ -817,9 +837,9 @@ impl Site {
         for (op, kd, bd) in sx.classes(cfg) {
             match self.state[op as usize].entry(kd) {
                 Entry::Vacant(e) => {
-                    e.insert(GroupState::new(bd, t.tid));
+                    e.insert(GroupState::new(bd, row));
                 }
-                Entry::Occupied(e) => e.into_mut().insert(bd, t.tid),
+                Entry::Occupied(e) => e.into_mut().insert(bd, row),
             }
         }
         Ok(())
@@ -870,7 +890,8 @@ impl Site {
     /// Pass 2 of [`build`] at this site for operator `op`: raise the flag
     /// of every group whose classes here and at the peers hold ≥ 2
     /// distinct RHS digests, and mark its members for the CFDs of `op`
-    /// whose pattern the group key matches — read off one member's row.
+    /// whose pattern the group key matches — read off one member's row in
+    /// `rows`, this site's store.
     fn flag(
         &mut self,
         op: OpId,
@@ -888,16 +909,18 @@ impl Site {
             g.set_violating(true);
             let mut member = None;
             g.for_each_class(|_, members| member = member.or(members.first()));
-            let Some(t) = member.and_then(|tid| rows.get(tid)) else {
+            let store = rows.store();
+            let Some(row) = member.filter(|&row| store.is_live(row)) else {
                 let what = format!("site {me}: operator {op} group {} has no row", kd.to_hex());
                 return Err(DetectError::Internal(what));
             };
+            let t = rows.tuple_at(row);
             let matched = cfg.operator(op).2.iter().copied();
             hit.clear();
             hit.extend(matched.filter(|&c| cfg.cfds[c as usize].matches_lhs(&t)));
             g.for_each_member(|m| {
                 for &c in &hit {
-                    v.add(c, m);
+                    v.add(c, store.tid_of(m));
                 }
             });
         }
@@ -967,7 +990,7 @@ impl Site {
                     if let Some(h) = h.filter(|h| !h.violating()) {
                         let sx = &mut self.served;
                         self.cfg.matched_under(o, &sx.digests, &mut sx.hit);
-                        mark_group(h, &sx.hit, dv);
+                        mark_group(h, &sx.hit, rows.store(), dv);
                     }
                 }
                 // Implicit queries: every other operator the payload can
@@ -995,7 +1018,7 @@ impl Site {
                     let other = h.has_other(bd);
                     if other && !h.violating() {
                         cfg.matched_under(o, digests, &mut sx.hit);
-                        mark_group(h, &sx.hit, dv);
+                        mark_group(h, &sx.hit, rows.store(), dv);
                     }
                     if other || h.violating() {
                         conflicts.push(o);
@@ -1015,7 +1038,7 @@ impl Site {
                         let (me, codec) = (self.me, self.codec.as_mut());
                         let at = (me, o, self.cfg.operator(o).1, kd);
                         let encode = |v: &_| codec.encode(me, src, v);
-                        let vals = class_values(h, rows, at, encode);
+                        let vals = class_values(h, rows.store(), at, encode);
                         bvals.push((o, vals.map_err(DetectError::Internal)?));
                     }
                 }
@@ -1028,7 +1051,7 @@ impl Site {
                     if let Some(h) = self.state[o as usize].get_mut(&kd) {
                         let sx = &mut self.served;
                         self.cfg.matched_under(o, &sx.digests, &mut sx.hit);
-                        clear_group(h, &sx.hit, dv);
+                        clear_group(h, &sx.hit, rows.store(), dv);
                     }
                 }
                 Ok(None)
@@ -1096,11 +1119,13 @@ impl Site {
     /// Close a round once every asked peer has answered (or stayed
     /// silent). An insert raises the flags peers reported and ships
     /// nothing; a delete decides each queried group from the folded RHS
-    /// values and returns one coalesced `ClearFlags` per peer still
+    /// values — a group it clears names its members by their tids in
+    /// `rows` — and returns one coalesced `ClearFlags` per peer still
     /// holding a group that stopped violating, ascending by peer.
     pub(crate) fn finish(
         &mut self,
         round: Round,
+        rows: &Relation,
         dv: &mut DeltaV,
     ) -> Result<Vec<(SiteId, HorMsg)>, DetectError> {
         let me = self.me;
@@ -1132,7 +1157,7 @@ impl Site {
                         continue; // still violating everywhere
                     }
                     if let Some(h) = h {
-                        clear_group(h, &cfds[ids], dv);
+                        clear_group(h, &cfds[ids], rows.store(), dv);
                     }
                     for j in q.holders {
                         clears.entry(j).or_default().push(op);
@@ -1180,10 +1205,12 @@ pub(crate) mod tests {
                 for g in groups.values().filter(|g| g.violating()) {
                     let mut members = Vec::new();
                     g.for_each_member(|m| members.push(m));
-                    let t = held.get(members[0]).expect("a member's row");
+                    let t = held.tuple_at(members[0]);
                     let matched = site.cfg.operator(op).2.iter().copied();
                     for c in matched.filter(|&c| cfds[c as usize].matches_lhs(&t)) {
-                        members.iter().for_each(|&m| mark(c, m));
+                        members
+                            .iter()
+                            .for_each(|&m| mark(c, held.store().tid_of(m)));
                     }
                 }
             }
@@ -1306,8 +1333,10 @@ pub(crate) mod tests {
                         return;
                     }
                     let (_, round) = self.rounds[dst][slot].take().expect("live slot");
-                    let clears = round
-                        .map_or_else(Vec::new, |round| self.sites[dst].finish(round, dv).unwrap());
+                    let rows = &self.rows[dst];
+                    let clears = round.map_or_else(Vec::new, |round| {
+                        self.sites[dst].finish(round, rows, dv).unwrap()
+                    });
                     if !clears.is_empty() {
                         self.send(dst, slot, None, clears);
                     }
@@ -1483,7 +1512,9 @@ pub(crate) mod tests {
     /// synchronous driver, fed the batch whole and in batch order, is: the
     /// reordering is invisible. (Message *contents* may differ under dict —
     /// a teach delta rides whichever frame crosses its link first — which
-    /// is why the matrix, not the frames, is compared.)
+    /// is why the matrix, not the frames, is compared.) The streams'
+    /// batches mix deletes and inserts, so a row a delete frees is handed
+    /// out again within its batch, at its site, under every order.
     #[test]
     fn any_fifo_interleaving_of_a_wave_gives_the_same_state() {
         use workload::{emp, rules, tpch};
@@ -1579,6 +1610,9 @@ pub(crate) mod tests {
                     let mut routed: Vec<Vec<(SiteId, Update)>> = Vec::new();
                     let mut steps: Vec<Vec<Step>> = Vec::new();
                     let mut want = Vec::new();
+                    // Inserts that took, at their home, a row a delete of
+                    // their own batch freed.
+                    let mut reused = 0;
                     for batch in &batches {
                         let delta = batch.normalize(seq.current());
                         let home = |op: &Update| match op {
@@ -1589,8 +1623,16 @@ pub(crate) mod tests {
                         };
                         let ops = delta.ops().iter();
                         routed.push(ops.map(|op| (home(op), op.clone())).collect());
+                        let ops = routed.last().expect("pushed");
+                        let row = |mesh: &Mesh, home: SiteId, tid| mesh.rows[home].row_of(tid);
+                        let freed: Vec<_> = (ops.iter())
+                            .filter_map(|(home, op)| match op {
+                                Update::Delete(tid) => Some((*home, row(&pilot, *home, *tid))),
+                                Update::Insert(_) => None,
+                            })
+                            .collect();
                         pilot.run_batch(
-                            routed.last().expect("pushed"),
+                            ops,
                             |_| 0,
                             |mesh, step| {
                                 let ops = step.iter().map(|(_, op, _)| op.clone()).collect();
@@ -1602,6 +1644,13 @@ pub(crate) mod tests {
                                 steps.push(step.to_vec());
                             },
                         );
+                        reused += (ops.iter())
+                            .filter_map(|(home, op)| match op {
+                                Update::Insert(t) => Some((*home, row(&pilot, *home, t.tid))),
+                                Update::Delete(_) => None,
+                            })
+                            .filter(|at| freed.contains(at))
+                            .count();
                         whole.apply(&delta).unwrap();
                         // Table capacities remember the order of growth.
                         let logical = |mut at: Snapshot| {
@@ -1621,6 +1670,7 @@ pub(crate) mod tests {
                             && steps.len() > 2 * batches.len()
                     );
                     assert!(settled > 0 && count(|s| s.2) > 0, "{settled} settled steps");
+                    assert!(reused > 0, "no row freed in a batch was reused in it");
 
                     for seed in 1..=PERMUTATIONS {
                         let mut pick = xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -2008,9 +2058,10 @@ pub(crate) mod tests {
         let mut det = simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
         // t2 is alone in its group (zip EH2 4HF, site 0): drop the group
         // behind the machine's back.
+        let t2 = det.current.row_of(2).unwrap();
         let holds_t2 = |g: &GroupState<Digest>| {
             let mut found = false;
-            g.for_each_member(|m| found |= m == 2);
+            g.for_each_member(|m| found |= m == t2);
             found
         };
         det.sites[0].state[0].retain(|_, g| !holds_t2(g));
@@ -2026,7 +2077,8 @@ pub(crate) mod tests {
         lost_t2(&mut det, &delta);
         // A group that is there but holds another class reads the same.
         let groups = det.sites[1].state[0].values_mut();
-        groups.for_each(|g| *g = GroupState::new(Digest([9; 16]), 3));
+        let t3 = det.current.row_of(3).unwrap();
+        groups.for_each(|g| *g = GroupState::new(Digest([9; 16]), t3));
         let mut delta = UpdateBatch::new();
         delta.delete(3);
         match det.apply(&delta) {

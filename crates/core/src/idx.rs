@@ -3,19 +3,20 @@
 //! For each variable CFD `φ = (X → B, t_p)`, one IDX lives at the site
 //! maintaining `id[t_X]`. Given the eqid of `[t]_X` it returns
 //! `set(t[X])` — the distinct eqids of the classes `[t′]_{X∪{B}}` inside the
-//! group, each with the set of member tuple ids. In other words, per
+//! group, each with the set of its members. In other words, per
 //! pattern-matching group the IDX stores the distinct `B`-values (as
-//! `X∪{B}` eqids) and their tuples.
+//! `X∪{B}` eqids) and their tuples — by the row ids of the store that holds
+//! them, which its caller names by tid where a mark enters `ΔV`.
 //!
 //! A group is the container §6 keeps its group state in
-//! (`crate::group`, keyed here by eqids): one class and ≤ 3 tids inline,
+//! (`crate::group`, keyed here by eqids): one class and ≤ 3 rows inline,
 //! hashed spills beyond, demoting on removal. Entering and leaving a tuple
 //! also runs Fig. 4's case analysis, which needs only `|set(t[X])|` and
 //! `|[t]_{X∪B}|`, and reports who joins or leaves `V(φ)` as a [`Case`].
 
 use crate::group::{shrink_if_sparse, GroupState, StateCensus};
 use crate::hev::EqId;
-use relation::{FxHashMap, Tid};
+use relation::{FxHashMap, RowId};
 use std::collections::hash_map::Entry;
 
 /// Which tuples one update moves into (insert) or out of (delete) `V(φ)`.
@@ -30,29 +31,41 @@ pub enum Case {
     Group,
 }
 
-/// IDX: `id[t_X]` → { `id[t_{X∪B}]` → member tids }.
-#[derive(Debug, Default)]
-pub struct Idx {
-    groups: FxHashMap<EqId, GroupState<EqId>>,
+/// IDX: `id[t_X]` → { `id[t_{X∪B}]` → member rows }.
+///
+/// Members are the row ids of the store that holds the rows; any other
+/// dense id (`u64` tids, say) works the same.
+#[derive(Debug)]
+pub struct Idx<I = RowId> {
+    groups: FxHashMap<EqId, GroupState<EqId, I>>,
     /// Live member count, maintained by `insert`/`remove` so that
     /// [`Idx::n_tuples`] is O(1) instead of a full index scan.
     n_tuples: usize,
 }
 
-impl Idx {
+impl<I> Default for Idx<I> {
+    fn default() -> Self {
+        Idx {
+            groups: FxHashMap::default(),
+            n_tuples: 0,
+        }
+    }
+}
+
+impl<I: Copy + Ord + Default + Into<u64> + TryFrom<u64>> Idx<I> {
     /// Fresh empty index.
     pub fn new() -> Self {
         Idx::default()
     }
 
-    /// Add `tid` to the class `(eq_x, eq_xb)` — `incVIns`'s case analysis
+    /// Add `row` to the class `(eq_x, eq_xb)` — `incVIns`'s case analysis
     /// on `|set(t[X])|` before `t` enters: no group or `t`'s own class
     /// alone is [`Case::Nothing`], one other class is [`Case::Group`], two
     /// or more classes [`Case::Tuple`].
-    pub fn insert(&mut self, eq_x: EqId, eq_xb: EqId, tid: Tid) -> Case {
+    pub fn insert(&mut self, eq_x: EqId, eq_xb: EqId, row: I) -> Case {
         let g = match self.groups.entry(eq_x) {
             Entry::Vacant(e) => {
-                e.insert(GroupState::new(eq_xb, tid));
+                e.insert(GroupState::new(eq_xb, row));
                 self.n_tuples += 1;
                 return Case::Nothing;
             }
@@ -64,21 +77,21 @@ impl Idx {
             _ => Case::Nothing,
         };
         let before = g.class_len(eq_xb);
-        g.insert(eq_xb, tid);
+        g.insert(eq_xb, row);
         self.n_tuples += g.class_len(eq_xb) - before;
         case
     }
 
-    /// Remove `tid` from the class `(eq_x, eq_xb)` — `incVDel`'s case
+    /// Remove `row` from the class `(eq_x, eq_xb)` — `incVDel`'s case
     /// analysis on `|[t]_{X∪B}|` and `|set(t[X])|`: a group of one class
     /// is [`Case::Nothing`]; of two, where `t` was its class's last
     /// member, [`Case::Group`] (the class left stops violating); any other
-    /// group of two or more [`Case::Tuple`]. `None` when `tid` is not a
+    /// group of two or more [`Case::Tuple`]. `None` when `row` is not a
     /// member; empty classes and groups are dropped.
-    pub fn remove(&mut self, eq_x: EqId, eq_xb: EqId, tid: Tid) -> Option<Case> {
+    pub fn remove(&mut self, eq_x: EqId, eq_xb: EqId, row: I) -> Option<Case> {
         let g = self.groups.get_mut(&eq_x)?;
         let before = g.class_len(eq_xb);
-        let (emptied, left) = g.remove(eq_xb, tid)?;
+        let (emptied, left) = g.remove(eq_xb, row)?;
         if g.class_len(eq_xb) == before {
             return None;
         }
@@ -95,7 +108,7 @@ impl Idx {
     }
 
     /// Every member of the group `eq_x`.
-    pub(crate) fn for_each_member(&self, eq_x: EqId, f: impl FnMut(Tid)) {
+    pub(crate) fn for_each_member(&self, eq_x: EqId, f: impl FnMut(I)) {
         if let Some(g) = self.groups.get(&eq_x) {
             g.for_each_member(f);
         }
@@ -129,7 +142,7 @@ mod tests {
     fn mirrors_fig3_example() {
         // Fig. 3: group eq(z,c)=1 has classes {Mayfield: t1,t3,t4} and
         // {Crichton: t5}; group 2 has {Preston: t2}.
-        let mut idx = Idx::new();
+        let mut idx: Idx = Idx::new();
         assert_eq!(idx.insert(1, 10, 1), Case::Nothing);
         assert_eq!(idx.insert(1, 10, 3), Case::Nothing);
         assert_eq!(idx.insert(1, 10, 4), Case::Nothing);
@@ -154,7 +167,7 @@ mod tests {
 
     #[test]
     fn remove_cleans_up() {
-        let mut idx = Idx::new();
+        let mut idx: Idx = Idx::new();
         idx.insert(1, 10, 7);
         idx.insert(1, 11, 8);
         assert_eq!(idx.remove(1, 10, 7), Some(Case::Group));
@@ -167,7 +180,7 @@ mod tests {
 
     #[test]
     fn n_tuples_counter_ignores_duplicates_and_misses() {
-        let mut idx = Idx::new();
+        let mut idx: Idx = Idx::new();
         idx.insert(1, 10, 7);
         idx.insert(1, 10, 7); // duplicate insert must not double-count
         assert_eq!(idx.n_tuples(), 1);
@@ -181,7 +194,7 @@ mod tests {
 
     #[test]
     fn three_classes_move_one_tuple_at_a_time() {
-        let mut idx = Idx::new();
+        let mut idx: Idx = Idx::new();
         idx.insert(5, 1, 1);
         assert_eq!(idx.insert(5, 2, 2), Case::Group);
         assert_eq!(idx.insert(5, 3, 3), Case::Tuple);

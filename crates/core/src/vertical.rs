@@ -71,7 +71,8 @@ use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
 use cluster::partition::VerticalScheme;
 use cluster::{Meters, SiteId};
 use relation::{
-    AttrId, FxHashMap, RelError, Relation, RowId, Schema, Tid, Tuple, Update, UpdateBatch, Value,
+    AttrId, ColumnStore, FxHashMap, RelError, Relation, RowId, Schema, Tid, Tuple, Update,
+    UpdateBatch, Value,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -399,7 +400,7 @@ impl VerticalDetector {
         let (store, mut v) = (d.store(), Violations::new(det.cfds.len()));
         for (tid, row) in d.scan() {
             let value_of = |a| store.value(row, a);
-            det.index_row((tid, row), value_of, |c, m| {
+            det.index_row(row, value_of, |c, m| {
                 v.add(c, m);
             })?;
             let rules = (&det.compiled, &det.cfds[..]);
@@ -536,29 +537,29 @@ impl VerticalDetector {
         // mutating anything. The walk after it cannot fail (the plan was
         // validated at build), so an error cannot leak a row or refcounts.
         let row = self.current.insert_row(t.tid, t.values.iter())?;
-        self.index_row((t.tid, row), |a| t.get(a), |c, m| dv.add(c, m))
+        self.index_row(row, |a| t.get(a), |c, m| dv.add(c, m))
     }
 
-    /// Index the stored row `row` of `tid`, whose values `value_of` reads,
-    /// under every variable CFD they match: acquire its classes, enter it
-    /// into each matched IDX and pass each mark the Fig. 4 case moves into
-    /// `V` to `added`. An insert runs it after storing its tuple (into
+    /// Index the row `row` of `current`, whose values `value_of` reads,
+    /// under every variable CFD they match: acquire its classes, enter the
+    /// row into each matched IDX and pass each mark the Fig. 4 case moves
+    /// into `V` to `added`. An insert runs it after storing its tuple (into
     /// `ΔV`), the build on every row of `D₀` (into `V`).
     fn index_row<'v>(
         &mut self,
-        (tid, row): (Tid, RowId),
+        row: RowId,
         value_of: impl Fn(AttrId) -> &'v Value,
         mut added: impl FnMut(CfdId, Tid),
     ) -> Result<(), DetectError> {
         self.walk.dispatch(&self.shared_plan, value_of);
         self.eqids(row, true)?;
-        let (k, w) = (&self.compiled, &self.walk);
+        let (k, w, rows) = (&self.compiled, &self.walk, self.current.store());
         for &c in &w.matched {
             let anchor = &k.anchors[c as usize];
             let (x, xb) = (w.eq[anchor.x], w.eq[anchor.xb]);
             let idx = &mut self.idxs[c as usize];
-            let case = idx.insert(x, xb, tid);
-            fan(idx, case, x, tid, |m| added(c, m));
+            let case = idx.insert(x, xb, row);
+            fan(idx, case, x, (row, rows), |m| added(c, m));
         }
         Ok(())
     }
@@ -570,15 +571,15 @@ impl VerticalDetector {
         self.walk
             .dispatch(&self.shared_plan, |a| store.value(row, a));
         self.eqids(row, false)?;
-        let (k, w) = (&self.compiled, &self.walk);
+        let (k, w, rows) = (&self.compiled, &self.walk, self.current.store());
         for &c in &w.matched {
             let anchor = &k.anchors[c as usize];
             let (x, xb) = (w.eq[anchor.x], w.eq[anchor.xb]);
             let idx = &mut self.idxs[c as usize];
-            let case = idx.remove(x, xb, tid).ok_or_else(|| {
+            let case = idx.remove(x, xb, row).ok_or_else(|| {
                 DetectError::Internal(format!("CFD {c}: tuple {tid} is not in its IDX"))
             })?;
-            fan(idx, case, x, tid, |m| dv.remove(c, m));
+            fan(idx, case, x, (row, rows), |m| dv.remove(c, m));
         }
         // Release HEV references in reverse topological order, so parents
         // release before their inputs disappear.
@@ -595,17 +596,18 @@ impl VerticalDetector {
     }
 }
 
-/// The tuples a Fig. 4 case moves into or out of `V(φ)`, each once:
-/// `tid`, and for [`Case::Group`] every other member of its group `x` —
-/// an inserted `tid` is one of them already, a deleted one has left.
-fn fan(idx: &Idx, case: Case, x: EqId, tid: Tid, mut f: impl FnMut(Tid)) {
+/// The tuples a Fig. 4 case moves into or out of `V(φ)`, each once and
+/// by its tid in `rows`: the updated `row` — still stored, for a delete —
+/// and for [`Case::Group`] every other member of its group `x` (an
+/// inserted row is one of them already, a deleted one has left).
+fn fan(idx: &Idx, case: Case, x: EqId, (row, rows): (RowId, &ColumnStore), mut f: impl FnMut(Tid)) {
     if case != Case::Nothing {
-        f(tid);
+        f(rows.tid_of(row));
     }
     if case == Case::Group {
         idx.for_each_member(x, |m| {
-            if m != tid {
-                f(m);
+            if m != row {
+                f(rows.tid_of(m));
             }
         });
     }

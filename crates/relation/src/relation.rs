@@ -125,6 +125,11 @@ impl Relation {
         Some(self.materialize(tid, row))
     }
 
+    /// The live tuple stored at `row` (materialized).
+    pub fn tuple_at(&self, row: RowId) -> Tuple {
+        self.materialize(self.store.tid_of(row), row)
+    }
+
     /// Does the relation contain `tid`?
     pub fn contains(&self, tid: Tid) -> bool {
         self.store.contains(tid)

@@ -307,6 +307,13 @@ impl ColumnStore {
         self.row_tids[row as usize]
     }
 
+    /// Is `row` live? A freed row keeps the tid it last held, which maps
+    /// to another row or to none.
+    pub fn is_live(&self, row: RowId) -> bool {
+        let tid = self.row_tids.get(row as usize);
+        tid.is_some_and(|&tid| self.tids.get(tid) == Some(row))
+    }
+
     /// Live `(tid, row)` pairs in ascending tid order.
     pub fn rows(&self) -> impl Iterator<Item = (Tid, RowId)> + '_ {
         self.tids.iter()

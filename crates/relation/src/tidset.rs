@@ -1,16 +1,19 @@
-//! [`TidSet`]: a compressed set of tuple ids, the one tid set of the
-//! detectors' state — `V(Σ, D)` per CFD, the members of §4's IDX classes
-//! and of §6's.
+//! [`TidSet`]: a compressed set of ids, the one id set of the detectors'
+//! state — `V(Σ, D)` per CFD over tuple ids ([`Tid`]), and the members of
+//! §4's IDX classes and of §6's over the row ids ([`RowId`](crate::RowId)) of the store
+//! that holds them.
 //!
-//! Tids are dense row ids (the premise of [`TidMap`](crate::TidMap)), so
-//! beyond a few members the set is stored as Roaring-style containers
-//! (Chambi, Lemire, Kaser, Godin, "Better bitmap performance with Roaring
-//! bitmaps", SPE 2016):
+//! Row ids are dense by construction: a [`ColumnStore`](crate::ColumnStore)
+//! hands freed rows out again, so they stay below the live row count plus
+//! its free list however far tids run. Beyond a few members the set is
+//! stored as Roaring-style containers (Chambi, Lemire, Kaser, Godin,
+//! "Better bitmap performance with Roaring bitmaps", SPE 2016), whose
+//! premise that is:
 //!
 //! | members | layout | bytes a member |
 //! |---|---|---|
-//! | ≤ 32 (`SMALL_MAX`), or ≤ 512 (`SPARSE_MAX`) under 8 a chunk | one sorted `Vec<Tid>` | 8 |
-//! | more | one chunk per 2¹⁶-tid range holding any: a sorted `u16` array up to 4 096 (`ARRAY_MAX`) members, an 8 KiB bitmap above | 2, or 1 bit of the range |
+//! | ≤ 32 (`SMALL_MAX`), or ≤ 512 (`SPARSE_MAX`) under 8 a chunk | one sorted `Vec` of ids | 4 (`RowId`) or 8 (`Tid`) |
+//! | more | one chunk per 2¹⁶-id range holding any: a sorted `u16` array up to 4 096 (`ARRAY_MAX`) members, an 8 KiB bitmap above | 2, or 1 bit of the range |
 //!
 //! A chunk costs ≈ 56 B before its members, so a set spread thinner than
 //! 8 members a chunk stays one vector up to `SPARSE_MAX`: chunking it
@@ -25,15 +28,15 @@
 
 use crate::Tid;
 
-/// Members kept as a sorted `Vec<Tid>` before the set is chunked.
+/// Members kept as a sorted vector before the set is chunked.
 const SMALL_MAX: usize = 32;
-/// Members kept as a sorted `Vec<Tid>` while they average fewer than 8 a
-/// chunk (a 4 KiB vector).
+/// Members kept as a sorted vector while they average fewer than 8 a
+/// chunk (a 2 KiB or 4 KiB vector).
 const SPARSE_MAX: usize = 512;
 /// Members of one chunk kept as a sorted `u16` array before it becomes a
 /// bitmap (where the two cost the same 8 KiB).
 const ARRAY_MAX: usize = 4096;
-/// Words of a chunk's bitmap: one bit per tid of its 2¹⁶-tid range.
+/// Words of a chunk's bitmap: one bit per id of its 2¹⁶-id range.
 const WORDS: usize = (1 << 16) / 64;
 
 /// Give a vector's or a hash table's slack back once removals leave it
@@ -49,23 +52,24 @@ macro_rules! shrink_if_sparse {
     };
 }
 
-/// A set of tids: one sorted vector while small or sparse, else one
-/// sorted `u16` array or bitmap per 2¹⁶-tid chunk (thresholds in the
-/// `tidset` module docs).
+/// A set of ids — [`Tid`]s by default, or a store's
+/// [`RowId`](crate::RowId)s: one
+/// sorted vector while small or sparse, else one sorted `u16` array or
+/// bitmap per 2¹⁶-id chunk (thresholds in the `tidset` module docs).
 #[derive(Debug, Clone)]
-pub struct TidSet(Layout);
+pub struct TidSet<I = Tid>(Layout<I>);
 
 #[derive(Debug, Clone)]
-enum Layout {
+enum Layout<I> {
     /// At most [`SMALL_MAX`] members, or [`SPARSE_MAX`] too sparse to
     /// chunk, ascending.
-    Small(Vec<Tid>),
+    Small(Vec<I>),
     /// More than `SMALL_MAX / 2` members, `len` of them, by ascending
     /// chunk key.
     Chunked { chunks: Vec<Chunk>, len: usize },
 }
 
-/// The members of one 2¹⁶-tid range: `key` is their tid's high 48 bits.
+/// The members of one 2¹⁶-id range: `key` is their id's high bits.
 #[derive(Debug, Clone)]
 struct Chunk {
     key: u64,
@@ -81,23 +85,26 @@ enum Lows {
     Bitmap { words: Box<[u64]>, len: u32 },
 }
 
-impl Default for TidSet {
+impl<I> Default for TidSet<I> {
     fn default() -> Self {
         TidSet(Layout::Small(Vec::new()))
     }
 }
 
-impl FromIterator<Tid> for TidSet {
-    fn from_iter<I: IntoIterator<Item = Tid>>(tids: I) -> Self {
+impl<I: Copy + Ord + Into<u64> + TryFrom<u64>> FromIterator<I> for TidSet<I> {
+    fn from_iter<T: IntoIterator<Item = I>>(ids: T) -> Self {
         let mut set = TidSet::default();
-        for tid in tids {
-            set.insert(tid);
+        for id in ids {
+            set.insert(id);
         }
         set
     }
 }
 
-impl TidSet {
+/// A set's members: `Copy` ids, widened to `u64` to split them into a
+/// chunk key and its low 16 bits, and narrowed back from the two — which
+/// came from a member, so they always fit.
+impl<I: Copy + Ord + Into<u64> + TryFrom<u64>> TidSet<I> {
     /// Number of members.
     pub fn len(&self) -> usize {
         match &self.0 {
@@ -111,12 +118,12 @@ impl TidSet {
         matches!(&self.0, Layout::Small(tids) if tids.is_empty())
     }
 
-    /// Is `tid` a member?
-    pub fn contains(&self, tid: Tid) -> bool {
+    /// Is `id` a member?
+    pub fn contains(&self, id: I) -> bool {
         match &self.0 {
-            Layout::Small(tids) => search(tids, tid).is_ok(),
+            Layout::Small(ids) => search(ids, id).is_ok(),
             Layout::Chunked { chunks, .. } => {
-                let (key, low) = split(tid);
+                let (key, low) = split(id);
                 let at = chunks.binary_search_by_key(&key, |c| c.key);
                 at.is_ok_and(|i| chunks[i].lows.contains(low))
             }
@@ -124,62 +131,64 @@ impl TidSet {
     }
 
     /// Smallest member.
-    pub fn first(&self) -> Option<Tid> {
+    pub fn first(&self) -> Option<I> {
         self.iter().next()
     }
 
     /// Members, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = Tid> + '_ {
-        let (small, chunks): (&[Tid], &[Chunk]) = match &self.0 {
-            Layout::Small(tids) => (tids, &[]),
+    pub fn iter(&self) -> impl Iterator<Item = I> + '_ {
+        let (small, chunks): (&[I], &[Chunk]) = match &self.0 {
+            Layout::Small(ids) => (ids, &[]),
             Layout::Chunked { chunks, .. } => (&[], chunks),
         };
         let chunked = chunks.iter().flat_map(|c| {
             let base = c.key << 16;
-            c.lows.iter().map(move |low| base | u64::from(low))
+            c.lows
+                .iter()
+                .filter_map(move |low| I::try_from(base | u64::from(low)).ok())
         });
         small.iter().copied().chain(chunked)
     }
 
-    /// Add `tid`; `false` (and nothing changes) when it is a member.
-    pub fn insert(&mut self, tid: Tid) -> bool {
+    /// Add `id`; `false` (and nothing changes) when it is a member.
+    pub fn insert(&mut self, id: I) -> bool {
         match &mut self.0 {
-            Layout::Small(tids) => {
-                let Err(i) = search(tids, tid) else {
+            Layout::Small(ids) => {
+                let Err(i) = search(ids, id) else {
                     return false;
                 };
-                if tids.len() < SMALL_MAX || (tids.len() < SPARSE_MAX && sparse(tids, tid)) {
-                    tids.insert(i, tid);
+                if ids.len() < SMALL_MAX || (ids.len() < SPARSE_MAX && sparse(ids, id)) {
+                    ids.insert(i, id);
                     return true;
                 }
                 let mut chunks = Vec::new();
-                for &t in tids.iter().chain([&tid]) {
+                for &t in ids.iter().chain([&id]) {
                     insert_chunked(&mut chunks, t);
                 }
-                let len = tids.len() + 1;
+                let len = ids.len() + 1;
                 self.0 = Layout::Chunked { chunks, len };
                 true
             }
             Layout::Chunked { chunks, len } => {
-                let fresh = insert_chunked(chunks, tid);
+                let fresh = insert_chunked(chunks, id);
                 *len += usize::from(fresh);
                 fresh
             }
         }
     }
 
-    /// Remove `tid`; `false` (and nothing changes) when it is no member.
-    pub fn remove(&mut self, tid: Tid) -> bool {
+    /// Remove `id`; `false` (and nothing changes) when it is no member.
+    pub fn remove(&mut self, id: I) -> bool {
         match &mut self.0 {
-            Layout::Small(tids) => {
-                let Ok(i) = search(tids, tid) else {
+            Layout::Small(ids) => {
+                let Ok(i) = search(ids, id) else {
                     return false;
                 };
-                tids.remove(i);
-                shrink_if_sparse!(tids);
+                ids.remove(i);
+                shrink_if_sparse!(ids);
             }
             Layout::Chunked { chunks, len } => {
-                let (key, low) = split(tid);
+                let (key, low) = split(id);
                 let Ok(i) = chunks.binary_search_by_key(&key, |c| c.key) else {
                     return false;
                 };
@@ -192,9 +201,9 @@ impl TidSet {
                 }
                 *len -= 1;
                 if *len <= SMALL_MAX / 2 {
-                    let mut tids = Vec::with_capacity(*len);
-                    tids.extend(self.iter());
-                    self.0 = Layout::Small(tids);
+                    let mut ids = Vec::with_capacity(*len);
+                    ids.extend(self.iter());
+                    self.0 = Layout::Small(ids);
                 }
             }
         }
@@ -204,7 +213,7 @@ impl TidSet {
     /// Heap bytes the set holds, from capacities.
     pub fn heap_bytes(&self) -> usize {
         match &self.0 {
-            Layout::Small(tids) => tids.capacity() * std::mem::size_of::<Tid>(),
+            Layout::Small(ids) => ids.capacity() * std::mem::size_of::<I>(),
             Layout::Chunked { chunks, .. } => {
                 let lows: usize = chunks.iter().map(|c| c.lows.heap_bytes()).sum();
                 chunks.capacity() * std::mem::size_of::<Chunk>() + lows
@@ -213,8 +222,8 @@ impl TidSet {
     }
 }
 
-/// Where `x` is, or would go, in the ascending `v`. Fresh tids are the
-/// largest yet, so an append skips the search.
+/// Where `x` is, or would go, in the ascending `v`. Fresh ids are mostly
+/// the largest yet, so an append skips the search.
 fn search<T: Ord + Copy>(v: &[T], x: T) -> Result<usize, usize> {
     match v.last() {
         Some(&last) if last < x => Err(v.len()),
@@ -222,21 +231,22 @@ fn search<T: Ord + Copy>(v: &[T], x: T) -> Result<usize, usize> {
     }
 }
 
-/// Would the ascending, non-empty `tids` and `tid` hold fewer than 8
+/// Would the ascending, non-empty `ids` and `id` hold fewer than 8
 /// members a chunk of their span?
-fn sparse(tids: &[Tid], tid: Tid) -> bool {
-    let (lo, hi) = (tids[0].min(tid), tids[tids.len() - 1].max(tid));
+fn sparse<I: Copy + Ord + Into<u64>>(ids: &[I], id: I) -> bool {
+    let (lo, hi) = (ids[0].min(id).into(), ids[ids.len() - 1].max(id).into());
     let span = (hi >> 16) - (lo >> 16) + 1;
-    span.saturating_mul(8) > tids.len() as u64 + 1
+    span.saturating_mul(8) > ids.len() as u64 + 1
 }
 
-/// A tid's chunk key and its low 16 bits.
-fn split(tid: Tid) -> (u64, u16) {
-    (tid >> 16, tid as u16)
+/// An id's chunk key and its low 16 bits.
+fn split<I: Into<u64>>(id: I) -> (u64, u16) {
+    let id = id.into();
+    (id >> 16, id as u16)
 }
 
-fn insert_chunked(chunks: &mut Vec<Chunk>, tid: Tid) -> bool {
-    let (key, low) = split(tid);
+fn insert_chunked<I: Into<u64>>(chunks: &mut Vec<Chunk>, id: I) -> bool {
+    let (key, low) = split(id);
     match chunks.binary_search_by_key(&key, |c| c.key) {
         Ok(i) => chunks[i].lows.insert(low),
         Err(i) => {
@@ -366,47 +376,44 @@ mod tests {
     }
 
     /// Everything a set says about itself equals the model's answer.
-    fn agrees(set: &TidSet, model: &BTreeSet<Tid>, at: &str) {
+    fn agrees<I: Copy + Ord + Into<u64> + TryFrom<u64> + std::fmt::Debug>(
+        set: &TidSet<I>,
+        model: &BTreeSet<I>,
+        at: &str,
+    ) {
         assert_eq!(set.len(), model.len(), "{at}: len");
         assert_eq!(set.is_empty(), model.is_empty(), "{at}: is_empty");
         assert_eq!(set.first(), model.first().copied(), "{at}: first");
         assert!(set.iter().eq(model.iter().copied()), "{at}: iter");
     }
 
-    /// Seeded insert/remove/contains streams against a `BTreeSet`, each
-    /// drifting up then down so every layout is entered and left: tids
-    /// `base + stride·r` around the chunk edges (65 535 | 65 536,
-    /// 131 071 | 131 072), up to `u64::MAX`, dense enough in one chunk to
-    /// cross the array/bitmap threshold both ways, and sparse over several
-    /// chunks. After every op the answers agree; an emptied set holds no
-    /// heap bytes, like a new one.
-    #[test]
-    fn tidset_matches_a_btreeset() {
-        let rounds: [(Tid, u64, u64); 6] = [
-            (0, 40, 1),
-            (65_536 - 20, 40, 1),
-            (131_072 - 30, 60, 1),
-            (u64::MAX - 3 * 39_999, 40_000, 3),
-            (5 * 65_536, 8_000, 2),
-            (0, 30_000, 7),
-        ];
+    /// Seeded insert/remove/contains streams against a `BTreeSet`, one per
+    /// round `(base, span, stride)` over the ids `base + stride·r`, each
+    /// drifting up then down so every layout is entered and left. After
+    /// every op the answers agree; an emptied set holds no heap bytes,
+    /// like a new one.
+    fn matches_a_btreeset<I>(rounds: &[(u64, u64, u64)])
+    where
+        I: Copy + Ord + Into<u64> + TryFrom<u64> + std::fmt::Debug,
+        <I as TryFrom<u64>>::Error: std::fmt::Debug,
+    {
         for (round, &(base, span, stride)) in rounds.iter().enumerate() {
             let mut next = rng(0x9E37_79B9 + round as u64);
             let mut set = TidSet::default();
             let mut model = BTreeSet::new();
-            let tid = |r: u64| base + stride * r;
+            let id = |r: u64| I::try_from(base + stride * r).unwrap();
             for step in 0..40_000u64 {
-                let t = tid(next(span));
+                let t = id(next(span));
                 if next(100) < if step < 20_000 { 80 } else { 20 } {
-                    assert_eq!(set.insert(t), model.insert(t), "insert {t}");
+                    assert_eq!(set.insert(t), model.insert(t), "insert {t:?}");
                 } else {
-                    assert_eq!(set.remove(t), model.remove(&t), "remove {t}");
+                    assert_eq!(set.remove(t), model.remove(&t), "remove {t:?}");
                 }
-                let probe = tid(next(span));
+                let probe = id(next(span));
                 assert_eq!(
                     set.contains(probe),
                     model.contains(&probe),
-                    "contains {probe}"
+                    "contains {probe:?}"
                 );
                 if step % 997 == 0 {
                     agrees(&set, &model, &format!("round {round} step {step}"));
@@ -416,8 +423,35 @@ mod tests {
                 assert!(set.remove(t));
             }
             agrees(&set, &model, &format!("round {round} emptied"));
-            assert_eq!(set.heap_bytes(), TidSet::default().heap_bytes());
+            assert_eq!(set.heap_bytes(), TidSet::<I>::default().heap_bytes());
         }
+    }
+
+    /// Tids around the chunk edges (65 535 | 65 536, 131 071 | 131 072),
+    /// up to `u64::MAX`, dense enough in one chunk to cross the
+    /// array/bitmap threshold both ways, and sparse over several chunks.
+    #[test]
+    fn tidset_matches_a_btreeset() {
+        matches_a_btreeset::<Tid>(&[
+            (0, 40, 1),
+            (65_536 - 20, 40, 1),
+            (131_072 - 30, 60, 1),
+            (u64::MAX - 3 * 39_999, 40_000, 3),
+            (5 * 65_536, 8_000, 2),
+            (0, 30_000, 7),
+        ]);
+    }
+
+    /// The same over row ids, whose chunk keys are their high 16 bits: up
+    /// to `u32::MAX`, and across the chunk edges.
+    #[test]
+    fn row_id_sets_match_a_btreeset() {
+        matches_a_btreeset::<crate::RowId>(&[
+            (65_536 - 20, 40, 1),
+            (u64::from(u32::MAX) - 3 * 39_999, 40_000, 3),
+            (5 * 65_536, 8_000, 2),
+            (0, 30_000, 7),
+        ]);
     }
 
     /// The layout thresholds, crossed one member at a time in both

@@ -450,7 +450,7 @@ fn group_state_returns_to_start_after_churn() {
             if i == 0 {
                 // TPCH's 25 rules: start, peak and end resident bytes.
                 let bytes = [start, peak, end].map(|s| s.census.resident_bytes);
-                assert_eq!(bytes, [710_212, 1_949_948, 799_652], "{codec:?}");
+                assert_eq!(bytes, [525_268, 1_384_956, 592_540], "{codec:?}");
             }
         }
     }
@@ -484,7 +484,7 @@ fn hev_and_idx_state_return_to_start_after_churn() {
         if i == 0 {
             // TPCH's 25 rules: start, peak and end resident bytes.
             let bytes = [start, peak, end].map(|s| s.census.resident_bytes);
-            assert_eq!(bytes, [659_356, 1_525_542, 701_124]);
+            assert_eq!(bytes, [528_988, 1_147_784, 563_848]);
         }
     }
 }
