@@ -44,16 +44,30 @@ pub(crate) fn clone_with_capacity<T: Clone>(v: &Vec<T>) -> Vec<T> {
 
 /// Dense `Tid → RowId` map with tid-ordered iteration.
 ///
-/// Tuple ids in every workload here are small, mostly-contiguous integers,
-/// so the map is a direct-index vector (`row + 1`, `0` = absent) for tids
-/// inside a growing dense window, with a `BTreeMap` overflow for outliers.
-/// The invariant `sparse keys ≥ dense.len()` makes tid-ordered iteration a
-/// linear dense scan followed by the in-order overflow walk.
+/// Tids only grow — every insert of a stream mints a fresh one — while the
+/// live ones stay few and mostly contiguous at the top. So the map is a
+/// direct-index vector (`row + 1`, `0` = absent) over a window of tids
+/// `[base, base + dense.len())`, with a `BTreeMap` overflow for the tids
+/// outside it. The window grows at its top to take fresh tids, and its
+/// base advances once its low end has emptied: when the vector would
+/// reallocate, the low prefix whose slots outweigh its live tids the most
+/// (a tid moved to the overflow tree costs `SPARSE_PREFIX` slots) leaves
+/// the window, its survivors moving to the tree, provided it is at least
+/// a quarter of the window. So
+/// the map's size tracks the span of live tids, not the largest tid ever
+/// inserted. The invariant `sparse keys ∉ [base, base + dense.len())`
+/// makes tid-ordered iteration the overflow below the window, a linear
+/// scan of it, and the overflow above it.
 #[derive(Debug, Default)]
 pub struct TidMap {
-    /// `row + 1` per tid; `0` marks an absent tid.
+    /// First tid of the window.
+    base: Tid,
+    /// `row + 1` per tid of the window; `0` marks an absent tid.
     dense: Vec<u32>,
-    /// Overflow for tids beyond the dense window (all keys ≥ `dense.len()`).
+    /// Live tids in the window.
+    in_window: usize,
+    /// Overflow for tids outside the window (below `base` or at or past
+    /// its end).
     sparse: BTreeMap<Tid, RowId>,
     len: usize,
 }
@@ -61,7 +75,9 @@ pub struct TidMap {
 impl Clone for TidMap {
     fn clone(&self) -> Self {
         TidMap {
+            base: self.base,
             dense: clone_with_capacity(&self.dense),
+            in_window: self.in_window,
             sparse: self.sparse.clone(),
             len: self.len,
         }
@@ -69,22 +85,32 @@ impl Clone for TidMap {
 }
 
 impl TidMap {
-    /// Tids this far past the dense window still grow it (amortized by the
+    /// Tids this far past the window's end still grow it (amortized by the
     /// doubling term in [`TidMap::admit_dense`]); anything farther goes to
     /// the overflow tree so one huge tid cannot balloon the vector.
     const DENSE_SLACK: usize = 4096;
+    /// What a live tid moved to the overflow tree costs, in window slots:
+    /// 4 B a slot against a tree entry at twice its 16 bytes.
+    const SPARSE_PREFIX: usize = 8;
 
-    /// Should `tid` live in the dense window (growing it if needed)?
+    /// The window's slot of `tid`, if the window spans it.
+    #[inline]
+    fn slot(&self, tid: Tid) -> Option<usize> {
+        let at = tid.checked_sub(self.base)?;
+        (at < self.dense.len() as u64).then_some(at as usize)
+    }
+
+    /// Should `tid`, at or past the window's end, grow the window to it?
     fn admit_dense(&self, tid: Tid) -> bool {
-        (tid as usize) < self.dense.len().max(1) * 2 + Self::DENSE_SLACK
+        let past = tid - self.base;
+        past < (self.dense.len().max(1) * 2 + Self::DENSE_SLACK) as u64
     }
 
     /// Row of `tid`, if present.
     #[inline]
     pub fn get(&self, tid: Tid) -> Option<RowId> {
-        match self.dense.get(tid as usize) {
-            Some(0) => None,
-            Some(&r) => Some(r - 1),
+        match self.slot(tid) {
+            Some(at) => self.dense[at].checked_sub(1),
             None => self.sparse.get(&tid).copied(),
         }
     }
@@ -92,27 +118,23 @@ impl TidMap {
     /// Insert `tid → row`; returns `false` (and changes nothing) when the
     /// tid is already mapped.
     pub fn insert(&mut self, tid: Tid, row: RowId) -> bool {
-        if (tid as usize) >= self.dense.len() && self.admit_dense(tid) {
-            self.dense.resize(tid as usize + 1, 0);
-            // Keep the invariant: overflow keys now inside the window move in.
-            let moved: Vec<(Tid, RowId)> = {
-                let mut inside = self.sparse.range(..self.dense.len() as Tid);
-                let mut v = Vec::new();
-                for (&t, &r) in inside.by_ref() {
-                    v.push((t, r));
-                }
-                v
-            };
-            for (t, r) in moved {
-                self.sparse.remove(&t);
-                self.dense[t as usize] = r + 1;
-            }
+        if self.in_window == 0 && !self.sparse.contains_key(&tid) {
+            // An empty window moves to wherever tids arrive.
+            self.dense.clear();
+            crate::shrink_if_sparse!(self.dense);
+            self.base = tid;
         }
-        if let Some(slot) = self.dense.get_mut(tid as usize) {
+        let end = self.base + self.dense.len() as Tid;
+        if tid >= end && self.admit_dense(tid) {
+            self.grow_to(tid);
+        }
+        if let Some(at) = self.slot(tid) {
+            let slot = &mut self.dense[at];
             if *slot != 0 {
                 return false;
             }
             *slot = row + 1;
+            self.in_window += 1;
         } else {
             match self.sparse.entry(tid) {
                 std::collections::btree_map::Entry::Occupied(_) => return false,
@@ -125,17 +147,63 @@ impl TidMap {
         true
     }
 
+    /// Extend the window to span `tid` (at or past its end), sliding its
+    /// base first if the vector would otherwise reallocate; overflow keys
+    /// the window comes to span move in.
+    fn grow_to(&mut self, tid: Tid) {
+        if (tid - self.base) as usize >= self.dense.capacity() {
+            self.slide();
+        }
+        let end = self.base + self.dense.len() as Tid;
+        self.dense.resize((tid - self.base) as usize + 1, 0);
+        let inside: Vec<(Tid, RowId)> = (self.sparse.range(end..=tid))
+            .map(|(&t, &r)| (t, r))
+            .collect();
+        for (t, r) in inside {
+            self.sparse.remove(&t);
+            self.dense[(t - self.base) as usize] = r + 1;
+            self.in_window += 1;
+        }
+    }
+
+    /// Advance the base past the low prefix of the window that saves the
+    /// most — its slots, less `SPARSE_PREFIX` slots for each live tid it
+    /// holds — if it is at least a quarter of the window: its live tids
+    /// move to the overflow tree, and the vector gives back slack it no
+    /// longer needs.
+    fn slide(&mut self) {
+        let (mut live, mut cut, mut best) = (0, 0, 0);
+        for (i, &slot) in self.dense.iter().enumerate() {
+            live += usize::from(slot != 0);
+            let saved = (i + 1).saturating_sub(live * Self::SPARSE_PREFIX);
+            if saved > best {
+                (best, cut) = (saved, i + 1);
+            }
+        }
+        if cut * 4 < self.dense.len() {
+            return;
+        }
+        for (i, &slot) in self.dense[..cut].iter().enumerate() {
+            if let Some(row) = slot.checked_sub(1) {
+                self.sparse.insert(self.base + i as Tid, row);
+                self.in_window -= 1;
+            }
+        }
+        self.dense.drain(..cut);
+        self.base += cut as Tid;
+        crate::shrink_if_sparse!(self.dense);
+    }
+
     /// Remove `tid`, returning its row.
     pub fn remove(&mut self, tid: Tid) -> Option<RowId> {
-        let row = if let Some(slot) = self.dense.get_mut(tid as usize) {
-            if *slot == 0 {
-                return None;
+        let row = match self.slot(tid) {
+            Some(at) => {
+                let row = self.dense[at].checked_sub(1)?;
+                self.dense[at] = 0;
+                self.in_window -= 1;
+                row
             }
-            let r = *slot - 1;
-            *slot = 0;
-            r
-        } else {
-            self.sparse.remove(&tid)?
+            None => self.sparse.remove(&tid)?,
         };
         self.len -= 1;
         Some(row)
@@ -153,23 +221,34 @@ impl TidMap {
 
     /// `(tid, row)` pairs in ascending tid order.
     pub fn iter(&self) -> impl Iterator<Item = (Tid, RowId)> + '_ {
-        self.dense
-            .iter()
-            .enumerate()
-            .filter(|(_, &slot)| slot != 0)
-            .map(|(tid, &slot)| (tid as Tid, slot - 1))
-            .chain(self.sparse.iter().map(|(&t, &r)| (t, r)))
+        let entry = |(&t, &r): (&Tid, &RowId)| (t, r);
+        let end = self.base + self.dense.len() as Tid;
+        let window = self.dense.iter().enumerate().filter_map(|(i, &slot)| {
+            let row = slot.checked_sub(1)?;
+            Some((self.base + i as Tid, row))
+        });
+        (self.sparse.range(..self.base).map(entry))
+            .chain(window)
+            .chain(self.sparse.range(end..).map(entry))
     }
 
     /// Largest mapped tid.
     pub fn max_tid(&self) -> Option<Tid> {
-        if let Some((&t, _)) = self.sparse.iter().next_back() {
+        let end = self.base + self.dense.len() as Tid;
+        if let Some((&t, _)) = self.sparse.range(end..).next_back() {
             return Some(t);
         }
-        self.dense
-            .iter()
-            .rposition(|&slot| slot != 0)
-            .map(|i| i as Tid)
+        let top = self.dense.iter().rposition(|&slot| slot != 0);
+        let below = || self.sparse.range(..self.base).next_back().map(|(&t, _)| t);
+        top.map(|i| self.base + i as Tid).or_else(below)
+    }
+
+    /// Heap bytes the map holds: the window's vector by capacity, and the
+    /// overflow tree at twice its entries' bytes — a B-tree node is at
+    /// least half full.
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(Tid, RowId)>();
+        self.dense.capacity() * std::mem::size_of::<u32>() + 2 * entry * self.sparse.len()
     }
 }
 
@@ -231,6 +310,11 @@ impl ColumnStore {
     /// every mutation path.
     pub fn null_count(&self, a: AttrId) -> u64 {
         self.null_counts[a as usize]
+    }
+
+    /// The `Tid → RowId` map of the live rows.
+    pub fn tid_map(&self) -> &TidMap {
+        &self.tids
     }
 
     /// Live tuple count.
@@ -416,18 +500,37 @@ mod tests {
         let mid = (TidMap::DENSE_SLACK * 4) as Tid; // overflow at first
         m.insert(mid, 1);
         assert_eq!(m.sparse.len(), 1);
-        // Inserting nearby tids grows the window past `mid` eventually.
-        let mut next_row = 2;
-        let mut t = TidMap::DENSE_SLACK as Tid / 2;
-        while m.dense.len() <= mid as usize {
-            m.insert(t, next_row);
-            next_row += 1;
-            t = (m.dense.len() as Tid * 2).min(mid + 1);
+        // Filling the tids around it grows the window past `mid`.
+        for t in (1..mid).chain([mid + 1]) {
+            assert!(m.insert(t, t as RowId + 1));
         }
+        assert!(m.slot(mid).is_some());
         assert!(m.sparse.is_empty(), "overflow migrated into dense window");
         assert_eq!(m.get(mid), Some(1));
         let order: Vec<Tid> = m.iter().map(|(t, _)| t).collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]), "tid order preserved");
+    }
+
+    /// Fresh tids in, the oldest out, the live count constant: the window
+    /// slides with the live tids, never holding more than a few times
+    /// their span, and nothing goes to the overflow tree.
+    #[test]
+    fn tid_map_window_slides_with_its_live_tids() {
+        const LIVE: u64 = 1_000;
+        let mut m = TidMap::default();
+        for tid in 0..LIVE {
+            m.insert(tid, tid as RowId);
+        }
+        let start = m.heap_bytes();
+        for tid in LIVE..200 * LIVE {
+            assert!(m.insert(tid, tid as RowId));
+            assert_eq!(m.remove(tid - LIVE), Some((tid - LIVE) as RowId));
+            assert!(m.heap_bytes() <= 2 * start, "one growth step");
+        }
+        assert!(m.sparse.is_empty() && m.base > 100 * LIVE);
+        let order: Vec<Tid> = m.iter().map(|(t, _)| t).collect();
+        assert!(order.iter().copied().eq(199 * LIVE..200 * LIVE));
+        assert_eq!(m.max_tid(), Some(200 * LIVE - 1));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for `relation::store::TidMap` — specifically the
-//! overflow tree behind the dense window, which production workloads never
-//! touched: sparse 64-bit tids, the
-//! dense-window growth that migrates overflow entries in, and the ordering
-//! invariant across both regimes.
+//! overflow tree beside the dense window: sparse 64-bit tids, the
+//! dense-window growth that migrates overflow entries in, the window's
+//! slide once its low end drains, and the ordering invariant across all
+//! of them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,4 +146,56 @@ fn sparse_64bit_tids_stay_in_the_overflow_tree() {
         assert_eq!(map.remove(t), model.remove(&t));
     }
     check_agrees(&map, &model);
+}
+
+/// Streams whose low end drains: fresh tids arrive ascending while live
+/// tids leave, so the live count stays near constant and the largest tid
+/// runs far past it. Victims are the oldest live tid (a FIFO), a uniform
+/// pick among the live (old survivors thin out but some stay), or the
+/// oldest with an occasional far jump in the fresh tids. Against a
+/// `BTreeMap` model throughout; and the map's heap bytes follow the live
+/// tids — a bounded number of bytes a live tid — not the largest tid.
+#[test]
+fn model_equivalence_when_the_low_end_drains() {
+    const LIVE: usize = 2_000;
+    for (seed, victims) in [(1u64, "fifo"), (2, "uniform"), (3, "jumps")] {
+        let mut rng = StdRng::seed_from_u64(0xd7a1 ^ seed);
+        let mut map = TidMap::default();
+        let mut model: BTreeMap<Tid, RowId> = BTreeMap::new();
+        let mut live: std::collections::VecDeque<Tid> = Default::default();
+        let mut next: Tid = 1_000;
+        let mut peak = 0;
+        for step in 0..200_000usize {
+            if live.len() < LIVE || rng.random_bool(0.5) {
+                if victims == "jumps" && rng.random_range(0..5_000u32) == 0 {
+                    next += rng.random_range(10_000..1_000_000u64);
+                }
+                let row = step as RowId;
+                assert!(map.insert(next, row), "{victims} step {step}");
+                model.insert(next, row);
+                live.push_back(next);
+                next += 1;
+            }
+            if live.len() > LIVE {
+                let victim = match victims {
+                    "uniform" => {
+                        let at = rng.random_range(0..live.len());
+                        live.swap_remove_back(at).expect("in range")
+                    }
+                    _ => live.pop_front().expect("live"),
+                };
+                assert_eq!(map.remove(victim), model.remove(&victim), "{victims}");
+            }
+            peak = peak.max(map.heap_bytes());
+            if step % 20_000 == 0 {
+                check_agrees(&map, &model);
+            }
+        }
+        check_agrees(&map, &model);
+        assert!(next > 50 * LIVE as Tid, "{victims}: tids ran on");
+        assert!(
+            peak <= 32 * LIVE + 32 * 1024,
+            "{victims}: {peak} B at the peak for {LIVE} live tids"
+        );
+    }
 }
