@@ -2911,16 +2911,17 @@ mod tests {
         let s = emp_schema();
         let scheme =
             HorizontalScheme::by_hash(s.clone(), s.attr_id("id").unwrap(), n_sites).unwrap();
-        on_one_thread_over(scheme, &Relation::new(s))
+        on_one_thread_over(scheme, fig1_cfds(&s), &Relation::new(s))
     }
 
-    /// [`on_one_thread`] over Fig. 1's rules, `scheme` and `d`.
+    /// [`on_one_thread`] over `cfds`, `scheme` and `d`.
     fn on_one_thread_over(
         scheme: HorizontalScheme,
+        cfds: Vec<Cfd>,
         d: &Relation,
     ) -> (ConcurrentHorizontal, Vec<SiteRunner>) {
         let (s, md5) = (scheme.schema().clone(), CodecKind::Md5);
-        let (shares, homes, v) = split(s.clone(), fig1_cfds(&s), &scheme, d, md5).unwrap();
+        let (shares, homes, v) = split(s.clone(), cfds, &scheme, d, md5).unwrap();
         let nodes = run::mem_mesh(scheme.n_sites()).into_iter();
         let mut runners = shares
             .into_iter()
@@ -3189,7 +3190,7 @@ mod tests {
 
         // A fragment each: t11 takes t2's row at site 0, t12 t5's at site 2.
         for seed in 1..=100 {
-            let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), &d0());
+            let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), fig1_cfds(&s), &d0());
             let freed = (det.runner.get_mut().rows.row_of(2), sites[1].rows.row_of(5));
             let mut pick = schedule(seed);
             let stepped = step_batch(&mut det, &mut sites, &b, &mut pick, &mut Cut::default());
@@ -3208,6 +3209,175 @@ mod tests {
             let implied = site::tests::implied_violations(held, rows, &det.cfg.cfds);
             assert_eq!(implied.marks_sorted(), oracle, "{at}: V implied");
         }
+    }
+
+    // -- bounded by live data ------------------------------------------
+
+    /// A net-zero churn over `d0`: `ops` updates in batches of `batch`,
+    /// each deleting the `batch / 2` oldest live rows and inserting their
+    /// values again under fresh tids past every tid seen. Live rows stay
+    /// |D₀| while tids run on; once `ops / 2` is a multiple of |D₀|, the
+    /// relation ends holding `D₀`'s values again, in the same order.
+    fn net_zero_churn(d0: &Relation, batch: usize, ops: usize) -> Vec<UpdateBatch> {
+        let mut live: VecDeque<Tuple> = d0.iter().collect();
+        let mut fresh = d0.max_tid().map_or(0, |t| t + 1);
+        let churn = |_| {
+            let mut b = UpdateBatch::new();
+            let gone: Vec<Tuple> = live.drain(..batch / 2).collect();
+            gone.iter().for_each(|t| b.delete(t.tid));
+            for t in gone {
+                let again = Tuple::new(fresh, t.values.to_vec());
+                fresh += 1;
+                live.push_back(again.clone());
+                b.insert(again);
+            }
+            b
+        };
+        (0..ops / batch).map(churn).collect()
+    }
+
+    /// What the soak reads of a drive's resident state: the census's
+    /// counts and bytes, `V`'s heap bytes, and per store the arena's rows
+    /// and its `TidMap`'s bytes (the threaded coordinator's map of homes
+    /// last).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Resident {
+        counts: [usize; 5],
+        bytes: usize,
+        v_bytes: usize,
+        n_rows: Vec<usize>,
+        tid_maps: Vec<usize>,
+    }
+
+    impl Resident {
+        fn read<'a>(
+            census: crate::StateCensus,
+            v: &Violations,
+            stores: impl IntoIterator<Item = &'a Relation>,
+            homes: Option<&TidMap>,
+        ) -> Self {
+            let c = census;
+            let stores: Vec<_> = stores.into_iter().map(Relation::store).collect();
+            let maps = stores.iter().map(|s| s.tid_map()).chain(homes);
+            Resident {
+                counts: [
+                    c.groups,
+                    c.classes,
+                    c.memberships,
+                    c.spilled_class_maps,
+                    c.spilled_tid_sets,
+                ],
+                bytes: c.resident_bytes,
+                v_bytes: (0..v.n_cfds())
+                    .map(|i| v.of_cfd(i as CfdId).heap_bytes())
+                    .sum(),
+                n_rows: stores.iter().map(|s| s.n_rows()).collect(),
+                tid_maps: maps.map(TidMap::heap_bytes).collect(),
+            }
+        }
+
+        /// Back where `start` was: every count and arena exactly, every
+        /// byte figure within one growth step (twice the start's).
+        fn returned_to(&self, start: &Resident, what: &str) {
+            assert_eq!(self.counts, start.counts, "{what}: census counts");
+            assert_eq!(self.n_rows, start.n_rows, "{what}: arena rows");
+            let step = |end: usize, start: usize, name: &str| {
+                assert!(end <= 2 * start, "{what}: {name} {end} B against {start} B");
+            };
+            step(self.bytes, start.bytes, "census");
+            step(self.v_bytes, start.v_bytes, "V");
+            for (&end, &start) in self.tid_maps.iter().zip(&start.tid_maps) {
+                step(end, start, "TidMap");
+            }
+        }
+    }
+
+    /// Resident state is bounded by live data, not by history: a net-zero
+    /// churn of fresh tids ([`net_zero_churn`]) over TPCH's 8 rules leaves
+    /// `incHor`, `incVer` and the threaded machines stepped under
+    /// `step_batch` with the census counts and the arenas' rows they
+    /// started with, and the census bytes, `V`'s heap bytes and every
+    /// `TidMap`'s bytes (the stores', and the coordinator's homes) within
+    /// one growth step — after every full turn of `D₀`, while the largest
+    /// tid runs on. `updates` is the length of the churn.
+    fn soak(updates: usize) {
+        use workload::{rules, tpch};
+        let tcfg = tpch::TpchConfig {
+            n_rows: 400,
+            n_customers: 40,
+            n_parts: 30,
+            n_suppliers: 10,
+            error_rate: 0.05,
+            ..tpch::TpchConfig::default()
+        };
+        let (schema, d0) = tpch::generate(&tcfg);
+        let cfds = rules::tpch_rules(&schema, 8, 1);
+        let (batch, turn) = (80, 2 * d0.len());
+        let churn = net_zero_churn(&d0, batch, updates);
+        // The samples: after every full turn of `D₀`.
+        let sampled = |i: usize| ((i + 1) * batch) % turn == 0;
+        assert!(churn.len() * batch >= 2 * turn && sampled(churn.len() - 1));
+        let scheme = HorizontalScheme::by_hash(schema.clone(), schema.key(), 4).unwrap();
+
+        let mut seq = simulated(cfds.clone(), scheme.clone(), &d0, CodecKind::Md5).unwrap();
+        let read = |d: &HorizontalDetector| {
+            Resident::read(d.state_census(), d.violations(), [d.current()], None)
+        };
+        let start = read(&seq);
+        for (i, b) in churn.iter().enumerate() {
+            Detector::apply(&mut seq, b).unwrap();
+            if sampled(i) {
+                read(&seq).returned_to(&start, &format!("incHor, batch {i}"));
+            }
+        }
+        let oracle = cfd::naive::detect(&cfds, seq.current()).marks_sorted();
+        assert_eq!(seq.violations().marks_sorted(), oracle);
+
+        let ver = cluster::partition::VerticalScheme::round_robin(schema.clone(), 4).unwrap();
+        let mut inc_ver = crate::VerticalDetector::new(schema, cfds.clone(), ver, &d0).unwrap();
+        let read = |d: &crate::VerticalDetector| {
+            Resident::read(d.state_census(), d.violations(), [d.current()], None)
+        };
+        let start = read(&inc_ver);
+        for (i, b) in churn.iter().enumerate() {
+            inc_ver.apply(b).unwrap();
+            if sampled(i) {
+                read(&inc_ver).returned_to(&start, &format!("incVer, batch {i}"));
+            }
+        }
+        assert_eq!(inc_ver.violations().marks_sorted(), oracle);
+
+        let (mut det, mut sites) = on_one_thread_over(scheme, cfds, &d0);
+        let read = |det: &mut ConcurrentHorizontal, sites: &[SiteRunner]| {
+            let zero = &*det.runner.get_mut();
+            let runners: Vec<&SiteRunner> = std::iter::once(zero).chain(sites).collect();
+            let stores = runners.iter().map(|r| &r.rows);
+            let census = census(runners.iter().copied());
+            Resident::read(census, &det.violations, stores, Some(&det.homes))
+        };
+        let start = read(&mut det, &sites);
+        let mut pick = schedule(7);
+        for (i, b) in churn.iter().enumerate() {
+            step_batch(&mut det, &mut sites, b, &mut pick, &mut Cut::default()).unwrap();
+            if sampled(i) {
+                let what = format!("threaded, batch {i}");
+                read(&mut det, &sites).returned_to(&start, &what);
+            }
+        }
+        assert_eq!(det.violations().marks_sorted(), oracle);
+    }
+
+    /// The tier-1 length of the soak: five turns of `D₀`.
+    #[test]
+    fn a_net_zero_churn_returns_resident_state_to_start() {
+        soak(4_000);
+    }
+
+    /// The soak at 10⁵ updates, 125 turns of `D₀`.
+    #[test]
+    #[ignore = "10⁵ updates: cargo test --release -p incdetect net_zero_churn -- --ignored"]
+    fn a_long_net_zero_churn_returns_resident_state_to_start() {
+        soak(100_000);
     }
 
     /// The threaded runtime's own logic — wave slots, owed acks, barriers,
@@ -3409,7 +3579,7 @@ mod tests {
                 apply_both(&mut pair, b, &format!("{case}, batch {i}"));
             }
             for seed in 1..=100 {
-                let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), &d);
+                let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), fig1_cfds(&s), &d);
                 let (mut pick, mut reads) = (schedule(seed), Cut::default());
                 for (i, (b, want)) in batches.iter().zip(&want).enumerate() {
                     let at = format!("{case}, schedule seed {seed}, batch {i}");
