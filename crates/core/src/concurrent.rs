@@ -3154,9 +3154,9 @@ mod tests {
     /// never rows. On Fig. 2's fragments, one batch opens a query round
     /// (the insert of t10 into a zip no site knows), deletes t2 — alone
     /// in its group — and t5 — whose round clears t1, t3 and t4 — and
-    /// inserts t11 and t12 behind each, at the same homes and into zips
-    /// their rows then take the freed rows of. The sequential drive runs
-    /// the batch with every round in flight until its one drain; the
+    /// right behind each delete inserts a tuple at the same home (t11,
+    /// t12), which takes the row the delete freed. The sequential drive
+    /// runs the batch with every round in flight until its one drain; the
     /// threaded machines run it under 100 schedules. Both reuse the rows
     /// and end on the oracle's `V`, with the sequential drive's `ΔV`.
     #[test]
@@ -3256,18 +3256,17 @@ mod tests {
             stores: impl IntoIterator<Item = &'a Relation>,
             homes: Option<&TidMap>,
         ) -> Self {
-            let c = census;
             let stores: Vec<_> = stores.into_iter().map(Relation::store).collect();
             let maps = stores.iter().map(|s| s.tid_map()).chain(homes);
             Resident {
                 counts: [
-                    c.groups,
-                    c.classes,
-                    c.memberships,
-                    c.spilled_class_maps,
-                    c.spilled_tid_sets,
+                    census.groups,
+                    census.classes,
+                    census.memberships,
+                    census.spilled_class_maps,
+                    census.spilled_tid_sets,
                 ],
-                bytes: c.resident_bytes,
+                bytes: census.resident_bytes,
                 v_bytes: (0..v.n_cfds())
                     .map(|i| v.of_cfd(i as CfdId).heap_bytes())
                     .sum(),

@@ -48,7 +48,7 @@
 //! The protocol is written once, in the `site` submodule: a `Site` is one
 //! site's group state and codec state, with no transport, no threads, no
 //! `V` and no rows inside — every step takes the `(V, ΔV)` it records
-//! into, and the three that touch a row take the store (`rows`) their
+//! into, and the four that touch a row take the store (`rows`) their
 //! driver owns. [`HorizontalDetector`] holds `n` machines, drives them
 //! from one thread over a [`MsgTransport`] — rounds pipelined across a
 //! batch, below — and hands every one of them its single logical
@@ -65,7 +65,7 @@
 //! | `begin_classified(own, may_ship, rows)` | the driver, once the update may run | — | an insert's row is stored first thing; a delete's is dropped once its groups let go | nothing, or an open round and one `TupleProbe` / `TupleDelQuery` per relevant peer (a [`DetectError::Internal`] if the driver ran it as class-preserving) | insertion / deletion case analysis, once per matched operator; *nothing* is Examples 2(1)(b), 2(2) and 9: a local same-RHS witness or an already-violating group decides |
 //! | `on_request(src, msg, rows)` | whoever took `msg` off the `src →` link | `TupleProbe`, `TupleDelQuery`, `ClearFlags`, each listing operator ids | read only, and only for a `TupleDelQuery`: the RHS value of each class of a queried group, through one of its members | `ProbeReply` / `DelReply` by operator id, or nothing (a silent round) | the receiving half of each exchange, one group lookup per operator: flip or report conflicting groups, report distinct RHS values, clear flags — and only where a flag flips or clears, the pattern check that says which CFDs' marks to write |
 //! | `on_reply(round, src, msg)` | the driver, per reply to an open round | `ProbeReply`, `DelReply` | — | — | fold: which queried operators' groups conflict somewhere, which RHS values remain and who holds them |
-//! | `finish(round)` | the driver, once every asked peer answered or stayed silent | — | — (the deleted tuple, and the matched CFD ids of every queried operator, travel in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion, its marks fanned out to the operator's matched CFDs |
+//! | `finish(round, rows)` | the driver, once every asked peer answered or stayed silent | — | read only, to name by tid the members of a group a delete clears (the deleted tuple, and the matched CFD ids of every queried operator, travel in the round) | insert: flags raised, nothing to ship; delete: the decision, plus one coalesced `ClearFlags` per peer still holding a group that stopped violating | the round's conclusion, its marks fanned out to the operator's matched CFDs |
 //! | `settle(slice, rows, held)` | the threaded runtime, at every site, once per batch before any round of it opens | — | as `begin_classified` for what it applies; a deferred update touches nothing | the deferred updates' slice positions, each with one bit: does it write, or is it only held behind a deferred update of the slice | the zero-shipment cases told apart *before* the case analysis runs: an update whose RHS class is populated before and after it (`GroupState::class_len`, plus what the slice's deferred updates will add or remove) ships nothing whatever the group's flag and leaves unchanged everything a peer's request reads — the set of classes and the flag — so it is applied through the same `insert_case` / `delete_case`, which must ship nothing |
 //!
 //! The machine enforces, for every driver:

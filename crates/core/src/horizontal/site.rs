@@ -1,6 +1,6 @@
 //! The §6 site machine: one site's whole share of `incHor` — group state
 //! and codec state — behind six steps with no transport, no threads, no
-//! `V` and no rows inside: the three steps that touch a row are handed the
+//! `V` and no rows inside: the four steps that touch a row are handed the
 //! store their driver owns. The [parent module](super) documents the steps
 //! and the invariants; [`HorizontalDetector`](super::HorizontalDetector)
 //! drives `n` machines from one thread over a `MsgTransport`, rounds in

@@ -180,7 +180,7 @@ impl TidMap {
                 (best, cut) = (saved, i + 1);
             }
         }
-        if cut * 4 < self.dense.len() {
+        if cut == 0 || cut * 4 < self.dense.len() {
             return;
         }
         for (i, &slot) in self.dense[..cut].iter().enumerate() {
