@@ -198,6 +198,13 @@ impl PayloadCodec for RawValues {
 /// The §6 MD5 optimization: ship the 128-bit code whenever the value is
 /// wider than it ("to reduce the shipping cost" of large tuples — digesting
 /// a 4-byte integer would *grow* it), the raw value otherwise.
+///
+/// The cut is taken on the model, `value.wire_size() > 16`, so it decides
+/// modeled `|M|` exactly as the paper prices it: an integer (8 modeled
+/// bytes) and a string of up to 12 bytes ship raw. On a byte link a raw
+/// value is a cell ([`crate::net::bytes`]): an integer costs 1 byte of
+/// header and its zig-zag varint — 2 bytes for −64 ≤ i < 64, at most 4 for
+/// |i| < 2²⁰ — and a short string 1 byte more than its text.
 #[derive(Debug, Default)]
 pub struct Md5Digest {
     scratch: Vec<u8>,

@@ -1,63 +1,55 @@
 //! Byte-level serialization of the wire vocabulary: [`Value`],
-//! [`Digest`], [`WireValue`], and the integer primitives protocol
-//! messages are built from.
+//! [`Digest`], [`WireValue`], and the integer primitives every frame is
+//! built from.
 //!
-//! # Overhead accounting
+//! # Modeled vs encoded
 //!
-//! The paper's `|M|` model ([`crate::Wire::wire_size`]) counts *payload*
-//! bytes: value widths, 16-byte digests, 4-byte symbols, 2-byte attribute
-//! ids, 4-byte CFD ids. A decodable byte stream additionally needs
-//! **structural** bytes — enum tags, item counts, value-type markers —
-//! that the model deliberately ignores. Every `put_*` function therefore
-//! returns the structural overhead it introduced, so encoders can prove
-//! (and [`crate::run::Node::send`] debug-asserts) the identity
+//! The paper's `|M|` model ([`crate::Wire::wire_size`]) prices a payload
+//! by fixed widths: 8 bytes per integer, `4 + len` per string, 16 per
+//! digest, 4 per symbol, 2 per attribute id, 4 per rule or operator id.
+//! A frame is a separate format. It writes ids and counts as canonical
+//! LEB128 varints ([`put_varint`] / [`Reader::varint`]), signed
+//! quantities zig-zagged, and a [`Value`] as a *cell* ([`put_cell`] /
+//! [`get_cell`]): one varint header (`0` null, `1` int followed by a
+//! zig-zag varint, `n + 2` a string of `n` bytes). A [`WireValue`] is one
+//! varint header `(key << 2) | kind` — `key` the attribute id it carries,
+//! `kind` raw, md5, symbol or symbol-with-entry — then its body. Per item:
 //!
-//! ```text
-//! encoded_len == wire_size() + structural_overhead
-//! ```
+//! | item                     | modeled `\|M\|`  | encoded                                   |
+//! |--------------------------|------------------|-------------------------------------------|
+//! | `Value::Null`            | 1                | 1                                         |
+//! | `Value::Int(i)`          | 8                | 1 + varint(zigzag(i)): 2 for −64 ≤ i < 64, at most 11 |
+//! | `Value::Str(s)`          | 4 + len          | varint(len + 2) + len: 1 + len below 126 bytes |
+//! | `WireValue` header       | 2 (the attribute id) | varint((attr << 2) \| kind): 1 below attribute 32, 2 below 4 096 |
+//! | `WireValue::Raw(v)`      | v                | header + cell(v)                          |
+//! | `WireValue::Md5(d)`      | 16               | header + 16                               |
+//! | `WireValue::Sym(s, None)`| 4                | header + varint(s): 1 below symbol 128    |
+//! | `WireValue::Sym(s, Some(v))` | 8 + v        | header + varint(s) + cell(v)              |
+//! | operator / rule id       | 4                | varint: 1 below 128                       |
+//! | tid (batch columns)      | 8                | varint of the gap from the previous tid   |
+//! | item count               | 0                | varint: 1 below 128 items                 |
+//! | message tag              | 0 or 1           | 1                                         |
 //!
-//! Per-item overheads:
+//! So a frame may be longer or shorter than the model. The node that
+//! ships it ([`crate::run::Node::send`]) meters both and books the
+//! difference: bytes above the model as `structural_bytes`, bytes below
+//! it as `saved_bytes` ([`crate::net::TransportMeter`]).
 //!
-//! | item                    | modeled          | encoded              | overhead |
-//! |-------------------------|------------------|----------------------|----------|
-//! | `Value::Null`           | 1                | 1 (tag only)         | 0        |
-//! | `Value::Int`            | 8                | 1 + 8                | 1        |
-//! | `Value::Str`            | 4 + len          | 1 + 4 + len          | 1        |
-//! | `WireValue::Raw`        | value            | 1 + value            | 1 + val  |
-//! | `WireValue::Md5`        | 16               | 1 + 16               | 1        |
-//! | `WireValue::Sym(None)`  | 4                | 1 + 4                | 1        |
-//! | `WireValue::Sym(Some)`  | 8 + value        | 1 + 4 + 4 + value    | 1 + val  |
-//! | item count (`u16`/`u32`)| 0                | 2 / 4                | 2 / 4    |
-//! | item count (varint)     | 0                | 1 below 128 items    | 1–10     |
-//!
-//! (`Sym(Some)` carries the dictionary entry the model already charges:
-//! the 4-byte entry id plus the raw value. The §6 protocol's counts are
-//! varints, [`Reader::count`] on the way in; the batch baselines' columns
-//! keep fixed-width ones.)
-//!
-//! # Compact primitives
-//!
-//! Control frames have no modeled size to stay aligned with (their whole
-//! encoding is structural overhead), so they use the compact primitives
-//! instead of the fixed-width ones above: LEB128 varints
-//! ([`put_varint`] / [`Reader::varint`], canonical encodings only),
-//! zig-zag for signed quantities, and [`put_cell`] / [`get_cell`] —
-//! a [`Value`] as one varint header (`0` null, `1` int followed by a
-//! zig-zag varint, `n + 2` a string of `n` bytes).
+//! Every decoder here accepts only the encoding its encoder writes — no
+//! overlong varint, no id past its type — so a byte string decodes to a
+//! message that re-encodes to exactly those bytes, or to a
+//! [`ClusterError::Transport`].
 
 use crate::codec::WireValue;
 use crate::md5::Digest;
 use crate::ClusterError;
-use relation::{Sym, Value};
+use relation::{AttrId, Value};
 
-const TAG_VALUE_NULL: u8 = 0;
-const TAG_VALUE_INT: u8 = 1;
-const TAG_VALUE_STR: u8 = 2;
-
-const TAG_WIRE_RAW: u8 = 0;
-const TAG_WIRE_MD5: u8 = 1;
-const TAG_WIRE_SYM: u8 = 2;
-const TAG_WIRE_SYM_DELTA: u8 = 3;
+// The `kind` bits of a wire value's header.
+const WIRE_RAW: u64 = 0;
+const WIRE_MD5: u64 = 1;
+const WIRE_SYM: u64 = 2;
+const WIRE_SYM_ENTRY: u64 = 3;
 
 fn bad(what: &'static str) -> ClusterError {
     ClusterError::Transport(format!("malformed frame payload: {what}"))
@@ -103,19 +95,9 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Next little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, ClusterError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
     /// Next little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, ClusterError> {
         Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    /// Next little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ClusterError> {
-        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Next LEB128 varint. Only the canonical encoding is accepted:
@@ -139,6 +121,14 @@ impl<'a> Reader<'a> {
         Err(bad("varint longer than ten bytes"))
     }
 
+    /// Next varint as an id of type `T`: one past `T`'s range is refused,
+    /// naming `what`.
+    pub fn id<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, ClusterError> {
+        T::try_from(self.varint()?).map_err(|_| {
+            ClusterError::Transport(format!("malformed frame payload: {what} past its range"))
+        })
+    }
+
     /// Next varint as the count of items that follow, each at least one
     /// byte long: a count the rest of the frame cannot hold is rejected
     /// here, so it never sizes an allocation.
@@ -155,43 +145,6 @@ impl<'a> Reader<'a> {
             return Err(bad("trailing bytes after message"));
         }
         Ok(())
-    }
-}
-
-/// Serialize a [`Value`]; returns structural overhead (see module table).
-pub fn put_value(out: &mut Vec<u8>, v: &Value) -> usize {
-    match v {
-        Value::Null => {
-            // The model charges 1 byte for Null — the tag *is* that byte.
-            out.push(TAG_VALUE_NULL);
-            0
-        }
-        Value::Int(i) => {
-            out.push(TAG_VALUE_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-            1
-        }
-        Value::Str(s) => {
-            out.push(TAG_VALUE_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-            1
-        }
-    }
-}
-
-/// Deserialize a [`Value`].
-pub fn get_value(r: &mut Reader<'_>) -> Result<Value, ClusterError> {
-    match r.u8()? {
-        TAG_VALUE_NULL => Ok(Value::Null),
-        TAG_VALUE_INT => Ok(Value::Int(r.u64()? as i64)),
-        TAG_VALUE_STR => {
-            let len = r.u32()? as usize;
-            let bytes = r.take(len)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| bad("non-UTF-8 string value"))?;
-            Ok(Value::str(s))
-        }
-        _ => Err(bad("unknown value tag")),
     }
 }
 
@@ -257,7 +210,7 @@ pub fn get_cell(r: &mut Reader<'_>) -> Result<Value, ClusterError> {
     }
 }
 
-/// Serialize a [`Digest`] (16 bytes, no overhead — the model charges 16).
+/// Serialize a [`Digest`] (its 16 bytes).
 pub(crate) fn put_digest(out: &mut Vec<u8>, d: &Digest) {
     out.extend_from_slice(&d.0);
 }
@@ -267,98 +220,88 @@ pub(crate) fn get_digest(r: &mut Reader<'_>) -> Result<Digest, ClusterError> {
     Ok(Digest(r.array()?))
 }
 
-/// Serialize a [`WireValue`]; returns structural overhead.
-pub fn put_wire_value(out: &mut Vec<u8>, w: &WireValue) -> usize {
+/// Serialize a [`WireValue`] behind its header `(key << 2) | kind` (see
+/// the module table); `key` is the attribute it carries, or `0` where a
+/// frame names none.
+pub fn put_wire_value(out: &mut Vec<u8>, key: AttrId, w: &WireValue) {
+    let head = |kind: u64| (u64::from(key) << 2) | kind;
     match w {
         WireValue::Raw(v) => {
-            out.push(TAG_WIRE_RAW);
-            1 + put_value(out, v)
+            put_varint(out, head(WIRE_RAW));
+            put_cell(out, v);
         }
         WireValue::Md5(d) => {
-            out.push(TAG_WIRE_MD5);
+            put_varint(out, head(WIRE_MD5));
             put_digest(out, d);
-            1
         }
         WireValue::Sym(s, None) => {
-            out.push(TAG_WIRE_SYM);
-            out.extend_from_slice(&s.to_le_bytes());
-            1
+            put_varint(out, head(WIRE_SYM));
+            put_varint(out, u64::from(*s));
         }
         WireValue::Sym(s, Some(v)) => {
-            out.push(TAG_WIRE_SYM_DELTA);
-            out.extend_from_slice(&s.to_le_bytes());
-            // The dictionary entry the model charges as `4 + |value|`:
-            // the entry's own symbol id, then the raw value.
-            out.extend_from_slice(&s.to_le_bytes());
-            1 + put_value(out, v)
+            // The dictionary entry the model charges as `4 + |value|`: the
+            // symbol is already on the wire, so only the value follows.
+            put_varint(out, head(WIRE_SYM_ENTRY));
+            put_varint(out, u64::from(*s));
+            put_cell(out, v);
         }
     }
 }
 
-/// Deserialize a [`WireValue`].
-pub fn get_wire_value(r: &mut Reader<'_>) -> Result<WireValue, ClusterError> {
-    match r.u8()? {
-        TAG_WIRE_RAW => Ok(WireValue::Raw(get_value(r)?)),
-        TAG_WIRE_MD5 => Ok(WireValue::Md5(get_digest(r)?)),
-        TAG_WIRE_SYM => Ok(WireValue::Sym(r.u32()? as Sym, None)),
-        TAG_WIRE_SYM_DELTA => {
-            let sym = r.u32()? as Sym;
-            let entry = r.u32()? as Sym;
-            if entry != sym {
-                return Err(bad("dictionary delta id does not match its symbol"));
-            }
-            Ok(WireValue::Sym(sym, Some(get_value(r)?)))
-        }
-        _ => Err(bad("unknown wire-value tag")),
-    }
+/// Deserialize a [`put_wire_value`] value: its key and the value. A key
+/// past [`AttrId`] is refused.
+pub fn get_wire_value(r: &mut Reader<'_>) -> Result<(AttrId, WireValue), ClusterError> {
+    let head = r.varint()?;
+    let key =
+        AttrId::try_from(head >> 2).map_err(|_| bad("attribute id past the attribute range"))?;
+    let w = match head & 3 {
+        WIRE_RAW => WireValue::Raw(get_cell(r)?),
+        WIRE_MD5 => WireValue::Md5(get_digest(r)?),
+        WIRE_SYM => WireValue::Sym(r.id("symbol")?, None),
+        _ => WireValue::Sym(r.id("symbol")?, Some(get_cell(r)?)),
+    };
+    Ok((key, w))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::value_digest;
+    use relation::Sym;
 
-    fn value_round_trip(v: &Value) {
+    fn wire_frame(key: AttrId, w: &WireValue) -> Vec<u8> {
         let mut buf = Vec::new();
-        let ovh = put_value(&mut buf, v);
-        assert_eq!(
-            buf.len(),
-            v.wire_size() + ovh,
-            "overhead identity for {v:?}"
-        );
-        let mut r = Reader::new(&buf);
-        assert_eq!(&get_value(&mut r).unwrap(), v);
-        r.finish().unwrap();
+        put_wire_value(&mut buf, key, w);
+        buf
     }
 
+    /// Every payload shape round-trips with its key, at the exact length
+    /// the module table gives — shorter than the model for ints, symbols
+    /// and entries, one header byte longer for a digest.
     #[test]
-    fn values_round_trip_with_declared_overhead() {
-        value_round_trip(&Value::Null);
-        value_round_trip(&Value::int(0));
-        value_round_trip(&Value::int(-987654321));
-        value_round_trip(&Value::str(""));
-        value_round_trip(&Value::str("Mayfield Gardens"));
-        value_round_trip(&Value::str("ünïcodé — 东京"));
-    }
-
-    #[test]
-    fn wire_values_round_trip_with_declared_overhead() {
+    fn wire_values_round_trip_at_their_table_lengths() {
         let v = Value::str("EH4 8LE");
-        let cases = vec![
-            WireValue::Raw(v.clone()),
-            WireValue::Raw(Value::int(44)),
-            WireValue::Md5(value_digest(&v)),
-            WireValue::Sym(7, None),
-            WireValue::Sym(9, Some(v.clone())),
-            WireValue::Sym(3, Some(Value::Null)),
+        let cases = [
+            (WireValue::Raw(v.clone()), 0, 1 + 1 + 7, 11),
+            (WireValue::Raw(Value::int(44)), 5, 1 + 2, 8),
+            (WireValue::Raw(Value::int(-987_654_321)), 31, 1 + 1 + 5, 8),
+            (WireValue::Raw(Value::Null), 32, 2 + 1, 1),
+            (WireValue::Md5(value_digest(&v)), 7, 1 + 16, 16),
+            (WireValue::Sym(7, None), 1, 1 + 1, 4),
+            (WireValue::Sym(300, None), 4_095, 2 + 2, 4),
+            (WireValue::Sym(9, Some(v.clone())), 2, 1 + 1 + 8, 19),
+            (
+                WireValue::Sym(Sym::MAX, Some(Value::Null)),
+                AttrId::MAX,
+                3 + 5 + 1,
+                9,
+            ),
         ];
-        for w in &cases {
-            let mut buf = Vec::new();
-            let ovh = put_wire_value(&mut buf, w);
-            // WireValue::wire_size is the model; encoded adds `ovh`.
-            assert_eq!(buf.len(), w.wire_size() + ovh, "{w:?}");
+        for (w, key, encoded, modeled) in cases {
+            let buf = wire_frame(key, &w);
+            assert_eq!((buf.len(), w.wire_size()), (encoded, modeled), "{w:?}");
             let mut r = Reader::new(&buf);
-            assert_eq!(&get_wire_value(&mut r).unwrap(), w);
+            assert_eq!(get_wire_value(&mut r).unwrap(), (key, w));
             r.finish().unwrap();
         }
     }
@@ -427,28 +370,30 @@ mod tests {
 
     #[test]
     fn malformed_payloads_error_not_panic() {
-        // Unknown tags.
-        assert!(get_value(&mut Reader::new(&[9])).is_err());
-        assert!(get_wire_value(&mut Reader::new(&[9])).is_err());
-        // Truncations at every level.
-        assert!(get_value(&mut Reader::new(&[TAG_VALUE_INT, 1, 2])).is_err());
-        assert!(get_value(&mut Reader::new(&[TAG_VALUE_STR, 5, 0, 0, 0, b'a'])).is_err());
-        assert!(get_wire_value(&mut Reader::new(&[TAG_WIRE_MD5, 1, 2, 3])).is_err());
-        assert!(get_wire_value(&mut Reader::new(&[TAG_WIRE_SYM, 1])).is_err());
-        // Invalid UTF-8.
-        assert!(get_value(&mut Reader::new(&[TAG_VALUE_STR, 2, 0, 0, 0, 0xff, 0xfe])).is_err());
-        // Mismatched dictionary delta id.
-        let mut buf = vec![TAG_WIRE_SYM_DELTA];
-        buf.extend_from_slice(&7u32.to_le_bytes());
-        buf.extend_from_slice(&8u32.to_le_bytes());
-        put_value(&mut buf, &Value::int(1));
-        assert!(get_wire_value(&mut Reader::new(&buf)).is_err());
-        // Trailing bytes rejected.
+        let refused = |bytes: &[u8], why: &str| match get_wire_value(&mut Reader::new(bytes)) {
+            Err(ClusterError::Transport(e)) => assert!(e.contains(why), "{bytes:02x?}: {e}"),
+            other => panic!("{bytes:02x?}: {other:?}"),
+        };
+        // Truncations at every level: a digest, a symbol, a cell.
+        refused(&[1, 1, 2, 3], "truncated field");
+        refused(&[2, 0x80], "truncated field");
+        refused(&[0, 5, b'a'], "truncated field");
+        refused(&[3, 9], "truncated field");
+        // A header past the attribute range: attribute 2¹⁶, raw null.
         let mut buf = Vec::new();
-        put_value(&mut buf, &Value::int(5));
+        put_varint(&mut buf, 1 << 18);
         buf.push(0);
-        let mut r = Reader::new(&buf);
-        get_value(&mut r).unwrap();
+        refused(&buf, "attribute id past");
+        // A symbol one past `Sym::MAX`.
+        let mut buf = vec![2];
+        put_varint(&mut buf, u64::from(Sym::MAX) + 1);
+        refused(&buf, "symbol past");
+        // Invalid UTF-8, and an overlong header.
+        refused(&[0, 4, 0xff, 0xfe], "non-UTF-8");
+        refused(&[0x80, 0x00, 0], "overlong varint");
+        // Trailing bytes are the frame's to refuse.
+        let mut r = Reader::new(&[0, 0, 0]);
+        get_wire_value(&mut r).unwrap();
         assert!(r.finish().is_err());
     }
 }

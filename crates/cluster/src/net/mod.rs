@@ -15,22 +15,25 @@
 //!
 //! # Accounting identity
 //!
-//! For every frame the network maintains, constructively (each counter
-//! incremented at its own source, never derived by subtraction):
+//! A frame is not the model: [`bytes`] writes ids and counts as varints
+//! and values as cells, where `|M|` charges fixed widths. Each frame is
+//! metered at both sizes and the difference is booked, constructively
+//! (each counter incremented at its own source, never derived by
+//! subtraction), so that for every meter
 //!
 //! ```text
 //! wire_bytes == modeled |M| + structural_bytes − saved_bytes
 //! ```
 //!
-//! where `structural_bytes` is the framing the model ignores (each
+//! `structural_bytes` is what a frame spends above the model: each
 //! frame's one-varint header of body length and method, 1 byte below a
-//! 64-byte body — [`frame`] — plus the per-message tags and item counts
-//! itemized in [`bytes`]), and
-//! `saved_bytes` is what [`crate::lz`] packing of large control frames
-//! ([`crate::run::Node::send_ctrl`]) recovered — protocol frames ship
-//! stored, so a [`ByteNetwork`]'s `saved_bytes` stays zero. The
-//! differential test suite asserts this identity over whole protocol
-//! runs.
+//! 64-byte body ([`frame`]), plus whatever its encoding writes beyond
+//! `wire_size()` — tags and counts the model ignores, a digest's
+//! one-byte header. `saved_bytes` is what it spends below: the fixed
+//! widths a varint or a cell undercuts, and what [`crate::lz`] packing
+//! of large control frames ([`crate::run::Node::send_ctrl`]) recovered.
+//! The differential test suite asserts this identity over whole
+//! protocol runs.
 
 pub mod bytes;
 pub mod frame;
@@ -41,14 +44,12 @@ use crate::{lz, ClusterError, Meters, MsgTransport, SiteId, Wire};
 use frame::{frame_wire_len, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
 
 /// Messages that can cross a byte link: they know their modeled size
-/// ([`Wire`]) *and* how to serialize/deserialize themselves.
+/// ([`Wire`]) *and* how to serialize/deserialize themselves. The two are
+/// independent: [`Node::send`] meters `wire_size()` as `|M|` and the
+/// frame's length as the wire, and books the difference.
 pub trait FrameCodec: Wire + Sized + Send + std::fmt::Debug {
-    /// Append the serialized message to `out`, returning the
-    /// **structural overhead**: bytes written beyond
-    /// [`Wire::wire_size`] (tags, counts — see [`bytes`]). Encoders
-    /// must uphold `out-growth == wire_size() + overhead`;
-    /// [`Node::send`] debug-asserts it.
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize;
+    /// Append the serialized message to `out`.
+    fn encode_frame(&self, out: &mut Vec<u8>);
 
     /// Rebuild a message from one decoded frame body.
     fn decode_frame(body: &[u8]) -> Result<Self, ClusterError>;
@@ -91,24 +92,27 @@ pub struct TransportMeter {
     pub wire_bytes: u64,
     /// Modeled `|M|` bytes ([`Wire::wire_size`] sums).
     pub modeled_bytes: u64,
-    /// Structural bytes the model ignores: frame headers (1–4 bytes each,
-    /// the method bit inside) + message tags + item counts.
+    /// Bytes above the model: frame headers (1–4 bytes each, the method
+    /// bit inside), plus each message's encoding where it is longer than
+    /// its `|M|` (every byte of a control frame).
     pub structural_bytes: u64,
-    /// Bytes recovered by packing control frames with [`lz`].
+    /// Bytes below the model: each message's encoding where it is
+    /// shorter than its `|M|`, plus what [`lz`] packing of control frames
+    /// recovered.
     pub saved_bytes: u64,
 }
 
 impl TransportMeter {
-    /// Meter one frame whose message serialized to `modeled` `|M|` bytes
-    /// plus `structural` bytes the model ignores, and whose body —
-    /// packed or stored — put `body` bytes behind the frame header.
-    pub(crate) fn record_frame(&mut self, modeled: usize, structural: usize, body: usize) {
+    /// Meter one frame whose message is `modeled` `|M|` bytes and
+    /// serialized to `encoded` bytes, and whose body — packed or stored —
+    /// put `body` bytes behind the frame header.
+    pub(crate) fn record_frame(&mut self, modeled: usize, encoded: usize, body: usize) {
         let wire = frame_wire_len(body);
         self.frames += 1;
         self.wire_bytes += wire as u64;
         self.modeled_bytes += modeled as u64;
-        self.structural_bytes += (structural + wire - body) as u64;
-        self.saved_bytes += (modeled + structural - body) as u64;
+        self.structural_bytes += (encoded.saturating_sub(modeled) + wire - body) as u64;
+        self.saved_bytes += (modeled.saturating_sub(encoded) + encoded - body) as u64;
     }
 
     /// Add another meter's counters to this one.
@@ -310,22 +314,17 @@ mod tests {
         }
     }
 
+    /// Frames a count and the numbers as varints.
     impl FrameCodec for Nums {
-        fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
-            out.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
-            for v in &self.0 {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            4
+        fn encode_frame(&self, out: &mut Vec<u8>) {
+            bytes::put_varint(out, self.0.len() as u64);
+            self.0.iter().for_each(|&v| bytes::put_varint(out, v));
         }
 
         fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
             let mut r = bytes::Reader::new(body);
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
+            let n = r.count()?;
+            let v = (0..n).map(|_| r.varint()).collect::<Result<_, _>>()?;
             r.finish()?;
             Ok(Nums(v))
         }
@@ -371,13 +370,17 @@ mod tests {
             // …and the constructive identity holds.
             let m = net.meter();
             assert_eq!(m.frames, 5);
-            assert_eq!(m.saved_bytes, 0);
-            assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
+            assert_eq!(
+                m.wire_bytes,
+                m.modeled_bytes + m.structural_bytes - m.saved_bytes
+            );
             assert_eq!(net.meters().wire.total_bytes(), m.wire_bytes);
-            assert_eq!(net.meters().wire.pair(0, 2).bytes, 5 + 24 + 5 + 16);
-            // Structural = per-frame header (one byte below a 64-byte body)
-            // + the u32 count (4).
-            assert_eq!(m.structural_bytes, 5 * (1 + 4));
+            // A frame is its header, a one-byte count and a byte a number.
+            assert_eq!(net.meters().wire.pair(0, 2).bytes, (1 + 4) + (1 + 3));
+            // Above the model: one header byte per frame (bodies below 64
+            // bytes). Below it: each body against its 8 B a number.
+            assert_eq!(m.structural_bytes, 5);
+            assert_eq!(m.saved_bytes, (24 - 4) + (16 - 3) + 3 * (8 - 2));
         }
     }
 
@@ -419,7 +422,10 @@ mod tests {
         assert!(net.quiescent());
         let m = net.meter();
         assert_eq!(m.frames, 15);
-        assert_eq!(m.wire_bytes, m.modeled_bytes + m.structural_bytes);
+        assert_eq!(
+            m.wire_bytes,
+            m.modeled_bytes + m.structural_bytes - m.saved_bytes
+        );
     }
 
     #[test]
@@ -450,14 +456,13 @@ mod tests {
     }
 
     impl FrameCodec for Fussy {
-        fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
-            out.extend_from_slice(&self.0.to_le_bytes());
-            0
+        fn encode_frame(&self, out: &mut Vec<u8>) {
+            bytes::put_varint(out, self.0);
         }
 
         fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
             let mut r = bytes::Reader::new(body);
-            let v = r.u64()?;
+            let v = r.varint()?;
             r.finish()?;
             if v == POISON {
                 return Err(ClusterError::Transport("poisoned payload".into()));
@@ -487,7 +492,8 @@ mod tests {
     #[test]
     fn oversized_messages_are_refused_and_leave_the_network_idle() {
         for mut net in both::<Nums>(2) {
-            let huge = Nums(vec![0u64; MAX_FRAME_BYTES / 8 + 1]);
+            // Ten bytes a number serialized.
+            let huge = Nums(vec![u64::MAX; MAX_FRAME_BYTES / 10 + 1]);
             let e = net.send(0, 1, huge).unwrap_err();
             assert!(e.to_string().contains("oversized"), "{e}");
             assert!(net.quiescent(), "nothing was shipped");

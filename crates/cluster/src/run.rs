@@ -17,9 +17,11 @@
 //!
 //! # Metering
 //!
-//! Each node meters its *sends* — modeled `|M|`, measured wire bytes,
-//! and the transport-meter identity `wire == modeled + structural −
-//! saved` — into its own [`Meters`] block ([`Node::meters`]); merging
+//! Each node meters its *sends* — modeled `|M|` (the message's
+//! `wire_size()`), measured wire bytes (its frame), and the
+//! transport-meter identity `wire == modeled + structural − saved`, the
+//! frame's bytes above and below the model — into its own [`Meters`]
+//! block ([`Node::meters`]); merging
 //! every node's block gives the whole mesh's picture. Protocol messages go through
 //! [`Node::send`]; runtime control traffic (acks, wave barriers, op
 //! shipments) goes through [`Node::send_ctrl`], which is framed and
@@ -138,18 +140,13 @@ impl Node {
         self.me
     }
 
-    /// Ship a **protocol** message, stored: modeled `|M|` and wire
-    /// accounting.
+    /// Ship a **protocol** message, stored: its `wire_size()` is metered
+    /// as modeled `|M|`, and its frame's length is booked against it.
     pub fn send<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
         self.check_dst(dst)?;
         self.scratch.clear();
-        let structural = msg.encode_frame(&mut self.scratch);
-        debug_assert_eq!(
-            self.scratch.len(),
-            msg.wire_size() + structural,
-            "encoder broke the overhead identity"
-        );
-        self.ship(dst, msg.wire_size(), structural, false)?;
+        msg.encode_frame(&mut self.scratch);
+        self.ship(dst, msg.wire_size(), false)?;
         self.meters
             .modeled
             .record(self.me, dst, msg.wire_size(), msg.eqid_count());
@@ -171,14 +168,12 @@ impl Node {
     }
 
     /// Ship a **control** frame: framed and wire-metered like any other
-    /// frame, but zero modeled `|M|` and zero modeled messages — its
-    /// whole encoding is structural overhead. A frame of
+    /// frame, but zero modeled `|M|` and zero modeled messages — every
+    /// byte of it is above the model. A frame of
     /// [`CTRL_LZ_MIN_BYTES`] or more ships [`lz`]-packed when that is
     /// smaller.
     pub fn send_ctrl<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
-        self.send_ctrl_with(dst, |out| {
-            msg.encode_frame(out);
-        })
+        self.send_ctrl_with(dst, |out| msg.encode_frame(out))
     }
 
     /// [`send_ctrl`](Node::send_ctrl) for a sender that serializes from
@@ -192,8 +187,7 @@ impl Node {
         self.check_dst(dst)?;
         self.scratch.clear();
         encode(&mut self.scratch);
-        let len = self.scratch.len();
-        self.ship(dst, 0, len, len >= CTRL_LZ_MIN_BYTES)
+        self.ship(dst, 0, self.scratch.len() >= CTRL_LZ_MIN_BYTES)
     }
 
     fn check_dst(&self, dst: SiteId) -> Result<(), ClusterError> {
@@ -208,14 +202,8 @@ impl Node {
 
     /// Frame the serialized message in `scratch` (packed when `try_lz`
     /// and that is smaller), hand it to the link towards `dst`, and
-    /// meter it: `modeled` of its bytes are `|M|`, `structural` are not.
-    fn ship(
-        &mut self,
-        dst: SiteId,
-        modeled: usize,
-        structural: usize,
-        try_lz: bool,
-    ) -> Result<(), ClusterError> {
+    /// meter it against its modeled `|M|` of `modeled` bytes.
+    fn ship(&mut self, dst: SiteId, modeled: usize, try_lz: bool) -> Result<(), ClusterError> {
         if self.scratch.len() > MAX_FRAME_BYTES {
             return Err(ClusterError::Transport(format!(
                 "refusing to send an oversized message ({} > {MAX_FRAME_BYTES} bytes serialized)",
@@ -252,7 +240,7 @@ impl Node {
             .wire
             .record(me, dst, frame_wire_len(body.len()), 0);
         let transport = &mut self.meters.transport;
-        transport.record_frame(modeled, structural, body.len());
+        transport.record_frame(modeled, self.scratch.len(), body.len());
         Ok(())
     }
 
@@ -392,21 +380,23 @@ mod tests {
         }
     }
 
+    /// Fixed widths: a 4-byte count, then 8 bytes a number — every frame
+    /// 4 bytes above its model.
     impl FrameCodec for Nums {
-        fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
+        fn encode_frame(&self, out: &mut Vec<u8>) {
             out.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
             for v in &self.0 {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            4
         }
 
         fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
             let mut r = bytes::Reader::new(body);
             let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n.min(1 << 16));
+            let mut v = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                v.push(r.u64()?);
+                let (lo, hi) = (r.u32()?, r.u32()?);
+                v.push(u64::from(lo) | u64::from(hi) << 32);
             }
             r.finish()?;
             Ok(Nums(v))
@@ -513,9 +503,8 @@ mod tests {
             }
         }
         impl FrameCodec for Ack {
-            fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
+            fn encode_frame(&self, out: &mut Vec<u8>) {
                 out.push(0xAC);
-                1
             }
             fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
                 if body == [0xAC] {

@@ -51,7 +51,8 @@ const SYM_NONE: Sym = Sym::MAX;
 /// is what collapses the coordinators' `|M|` on skewed columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColsMsg {
-    /// Row tids, in the sender's scan order (ascending).
+    /// Row tids, ascending (the sender's scan order): a frame writes
+    /// each as its gap from the one before.
     pub tids: Vec<Tid>,
     /// One column per served attribute, aligned with `tids`.
     pub cols: Vec<Vec<Sym>>,
@@ -60,7 +61,7 @@ pub struct ColsMsg {
 }
 
 impl ColsMsg {
-    /// Serialized size: 8 B per tid, 4 B per symbol, `4 + |value|` per
+    /// Modeled `|M|`: 8 B per tid, 4 B per symbol, `4 + |value|` per
     /// dictionary entry.
     pub fn wire_size(&self) -> usize {
         8 * self.tids.len()
@@ -103,24 +104,6 @@ impl ColsMsg {
         }
         msg
     }
-
-    /// Receiver-side decode back to `(tid, values)` rows. `link` is the
-    /// receiver's dictionary for this `(src → dst)` link, fed by every
-    /// message's delta — symbols not in the delta must already be resident
-    /// from earlier messages on the same link.
-    pub fn decode(
-        &self,
-        link: &mut FxHashMap<Sym, relation::Value>,
-    ) -> Vec<(Tid, Vec<relation::Value>)> {
-        for (s, v) in &self.dict {
-            link.insert(*s, v.clone());
-        }
-        self.tids
-            .iter()
-            .enumerate()
-            .map(|(i, &tid)| (tid, self.cols.iter().map(|c| link[&c[i]].clone()).collect()))
-            .collect()
-    }
 }
 
 /// Column payloads shipped by the batch baselines.
@@ -139,34 +122,46 @@ impl Wire for BatMsg {
 }
 
 /// Real byte framing for the coordinator shipments, so [`BatMsg::Cols`]
-/// crosses a [`cluster::net::ByteNetwork`] as an actual frame: tids,
-/// symbol columns and the per-link dictionary delta serialize in column
-/// order and decode from received bytes alone (the receiver's link
-/// dictionary is [`ColsMsg::decode`], fed by each frame's delta). The
-/// structural overhead beyond the modeled [`Wire::wire_size`] is the
-/// message tag, three item counts and the per-value type tags.
+/// crosses a [`cluster::net::ByteNetwork`] as an actual frame and decodes
+/// from received bytes alone, in the compact forms of
+/// [`cluster::net::bytes`] (`v(x)` a canonical varint, `cell` a
+/// [`wirefmt::put_cell`] value):
+///
+/// ```text
+/// Cols  00 v(rows) v(first tid) (rows − 1) × v(tid − previous tid)
+///          v(cols) cols × rows × v(sym)
+///          v(entries) entries × (v(sym) cell)
+/// ```
+///
+/// Tids ascend, so every gap is at least 1; a gap of zero, a tid past
+/// `u64::MAX`, a symbol past [`Sym`] and a count past the bytes left are
+/// refused before anything is allocated. The frame is not the `|M|`
+/// model of [`ColsMsg::wire_size`] — 8 bytes a tid, 4 a symbol — and the
+/// node that ships it books the difference. The receiver's link
+/// dictionary is fed by each frame's delta
+/// (`CoordPool::translate_received`).
 impl FrameCodec for BatMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
+    fn encode_frame(&self, out: &mut Vec<u8>) {
         let BatMsg::Cols(m) = self;
         out.push(0); // message tag
-        out.extend_from_slice(&(m.tids.len() as u32).to_le_bytes());
-        for t in &m.tids {
-            out.extend_from_slice(&t.to_le_bytes());
+        wirefmt::put_varint(out, m.tids.len() as u64);
+        let mut prev = None;
+        for &t in &m.tids {
+            debug_assert!(prev < Some(t), "tids ascend");
+            wirefmt::put_varint(out, prev.map_or(t, |p| t.wrapping_sub(p)));
+            prev = Some(t);
         }
-        out.extend_from_slice(&(m.cols.len() as u16).to_le_bytes());
+        wirefmt::put_varint(out, m.cols.len() as u64);
         for col in &m.cols {
             debug_assert_eq!(col.len(), m.tids.len(), "columns align with tids");
-            for s in col {
-                out.extend_from_slice(&s.to_le_bytes());
-            }
+            col.iter()
+                .for_each(|&s| wirefmt::put_varint(out, u64::from(s)));
         }
-        out.extend_from_slice(&(m.dict.len() as u32).to_le_bytes());
-        let mut ovh = 1 + 4 + 2 + 4;
+        wirefmt::put_varint(out, m.dict.len() as u64);
         for (s, v) in &m.dict {
-            out.extend_from_slice(&s.to_le_bytes());
-            ovh += wirefmt::put_value(out, v);
+            wirefmt::put_varint(out, u64::from(*s));
+            wirefmt::put_cell(out, v);
         }
-        ovh
     }
 
     fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
@@ -176,25 +171,38 @@ impl FrameCodec for BatMsg {
                 "unknown batch-protocol message tag".into(),
             ));
         }
-        let n_rows = r.u32()? as usize;
-        let mut tids = Vec::with_capacity(n_rows.min(1 << 20));
+        let n_rows = r.count()?;
+        let mut tids: Vec<Tid> = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
-            tids.push(r.u64()? as Tid);
+            let v = r.varint()?;
+            let t = match tids.last() {
+                None => Some(v),
+                Some(&p) => p.checked_add(v).filter(|_| v > 0),
+            };
+            tids.push(t.ok_or_else(|| {
+                ClusterError::Transport(
+                    "malformed frame payload: tids do not ascend within u64".into(),
+                )
+            })?);
         }
-        let n_cols = r.u16()? as usize;
+        // A column serves one attribute, and each of its symbols takes a
+        // byte: columns the frame cannot hold fail before any is reserved.
+        let n_cols = usize::try_from(r.varint()?)
+            .ok()
+            .filter(|&k| k <= usize::from(AttrId::MAX) + 1)
+            .filter(|&k| k.checked_mul(n_rows).is_some_and(|n| n <= r.remaining()))
+            .ok_or_else(|| {
+                ClusterError::Transport("malformed frame payload: columns exceed the frame".into())
+            })?;
         let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            let mut col = Vec::with_capacity(n_rows.min(1 << 20));
-            for _ in 0..n_rows {
-                col.push(r.u32()? as Sym);
-            }
-            cols.push(col);
+            let col = (0..n_rows).map(|_| r.id("symbol"));
+            cols.push(col.collect::<Result<Vec<Sym>, _>>()?);
         }
-        let n_dict = r.u32()? as usize;
-        let mut dict = Vec::with_capacity(n_dict.min(1 << 20));
+        let n_dict = r.count()?;
+        let mut dict = Vec::with_capacity(n_dict);
         for _ in 0..n_dict {
-            let s = r.u32()? as Sym;
-            dict.push((s, wirefmt::get_value(&mut r)?));
+            dict.push((r.id("symbol")?, wirefmt::get_cell(&mut r)?));
         }
         r.finish()?;
         Ok(BatMsg::Cols(ColsMsg { tids, cols, dict }))
@@ -940,6 +948,7 @@ batch_detector!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::horizontal::tests::{arbitrary_bytes, frame_of};
     use cluster::TransportMeter;
     use relation::Value;
 
@@ -1090,7 +1099,10 @@ mod tests {
             );
             let report = byte.meters.report("net");
             let wire = report.measured().expect("byte transport meters wire stats");
-            assert!(wire.total_bytes() > byte.meters.modeled.total_bytes());
+            // `[measured, modeled]`: varint tids and symbols undercut the
+            // model's 8 and 4 bytes.
+            let got = [wire.total_bytes(), byte.meters.modeled.total_bytes()];
+            assert_eq!(got, [43, 154], "{transport:?}");
         }
 
         let hs = HorizontalScheme::by_hash(s.clone(), 0, 3).unwrap();
@@ -1133,7 +1145,8 @@ mod tests {
         assert_eq!(sim.meters().transport, TransportMeter::default());
         let report = byte.net();
         let wire = report.measured().expect("framed run measures wire bytes");
-        assert!(wire.total_bytes() > byte.meters().modeled.total_bytes());
+        let got = [wire.total_bytes(), byte.meters().modeled.total_bytes()];
+        assert_eq!(got, [84, 202], "[measured, modeled]");
         assert!(byte.net().measured_bytes().is_some());
     }
 
@@ -1173,6 +1186,104 @@ mod tests {
             "batch {} vs incremental {}",
             bat.meters.modeled.total_bytes(),
             inc_bytes
+        );
+    }
+
+    // -- the frame codec -------------------------------------------------
+
+    /// A seeded shipment of `rows` ascending tids (gaps of one to a few
+    /// hundred), `cols` symbol columns and a dictionary delta of ints and
+    /// strings.
+    fn seeded_cols(seed: u64, rows: usize, cols: usize) -> BatMsg {
+        let mut t = seed;
+        let tids = (0..rows as u64)
+            .map(|i| {
+                t += 1 + (i * seed) % 300;
+                t
+            })
+            .collect();
+        let col = |c: usize| (0..rows).map(|i| (i * 37 + c * 1_000) as Sym).collect();
+        let entry = |i: usize| match i % 2 {
+            0 => (i as Sym * 200, Value::int(-(i as i64) * 1_000)),
+            _ => (i as Sym * 200, Value::str(format!("v{i}"))),
+        };
+        BatMsg::Cols(ColsMsg {
+            tids,
+            cols: (0..cols).map(col).collect(),
+            dict: (0..rows.min(5)).map(entry).collect(),
+        })
+    }
+
+    /// Batch frames round-trip at the lengths their layout gives. Bytes
+    /// no encoder writes decode to a typed error, never a panic or an
+    /// allocation they size: every proper prefix; a count past the bytes
+    /// left; an overlong varint; a symbol past [`Sym`]; tids that do not
+    /// ascend.
+    #[test]
+    fn hostile_batch_frames_are_refused() {
+        for seed in 1..=6 {
+            let m = seeded_cols(seed, [0, 1, 2, 40, 130, 7][seed as usize - 1], 3);
+            let buf = frame_of(&m);
+            assert_eq!(BatMsg::decode_frame(&buf).unwrap(), m, "seed {seed}");
+            for cut in 0..buf.len() {
+                let got = BatMsg::decode_frame(&buf[..cut]);
+                assert!(got.is_err(), "seed {seed}: prefix {cut} of {buf:02x?}");
+            }
+        }
+        // Tag, three counts, tids 5, 6, 300 as 5 and gaps of 1 and 294,
+        // symbols 1, 2, 200, and the entry (200, −3) as a symbol and a
+        // cell: 16 bytes, against 24 + 12 + 12 modeled.
+        let m = BatMsg::Cols(ColsMsg {
+            tids: vec![5, 6, 300],
+            cols: vec![vec![1, 2, 200]],
+            dict: vec![(200, Value::int(-3))],
+        });
+        assert_eq!([frame_of(&m).len(), m.wire_size()], [16, 48]);
+
+        let refused = |frame: &[u8], why: &str| match BatMsg::decode_frame(frame) {
+            Err(ClusterError::Transport(e)) => assert!(e.contains(why), "{frame:02x?}: {e}"),
+            other => panic!("{frame:02x?}: {other:?}"),
+        };
+        refused(&[9], "unknown batch-protocol message tag");
+        // A row count whose varint never ends; 2¹⁵ rows; a column of three
+        // symbols with one byte left; 2¹⁶ + 1 empty columns, more than
+        // there are attributes; a dictionary of 2⁴⁰ entries.
+        refused(&[0, 0xff, 0xff, 0xff, 0xff], "truncated field");
+        refused(&[0, 0x80, 0x80, 0x02], "item count exceeds the frame");
+        refused(&[0, 3, 1, 1, 1, 1, 7], "columns exceed the frame");
+        refused(&[0, 0, 0x81, 0x80, 0x04, 0], "columns exceed the frame");
+        assert!(BatMsg::decode_frame(&[0, 0, 2, 0]).is_ok());
+        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        refused(&[&[0, 0, 0][..], &huge].concat(), "item count exceeds");
+        // One row, its count written in two bytes where one will do.
+        refused(&[0, 0x81, 0x00, 5, 0, 0], "overlong varint");
+        assert!(BatMsg::decode_frame(&[0, 0x01, 5, 0, 0]).is_ok());
+        // Symbol 2³² in a column, and as a dictionary entry.
+        let mut past = vec![0, 1, 5, 1];
+        cluster::net::bytes::put_varint(&mut past, 1 << 32);
+        refused(&[&past[..], &[0]].concat(), "symbol past");
+        refused(
+            &[&[0, 0, 0, 1][..], &past[4..], &[0]].concat(),
+            "symbol past",
+        );
+        // A repeated tid; a gap past `u64::MAX`.
+        refused(&[0, 2, 5, 0, 0, 0], "tids do not ascend");
+        let mut wrap = vec![0, 2];
+        cluster::net::bytes::put_varint(&mut wrap, u64::MAX);
+        refused(&[&wrap[..], &[1, 0, 0]].concat(), "tids do not ascend");
+    }
+
+    /// Arbitrary bytes give a typed error, or a shipment that re-encodes
+    /// to exactly the bytes it was read from.
+    #[test]
+    fn arbitrary_bytes_error_or_re_encode() {
+        let specimens: Vec<_> = (1..=20)
+            .map(|s| frame_of(&seeded_cols(s, s as usize % 9, s as usize % 3)))
+            .collect();
+        let (msgs, errors) = arbitrary_bytes::<BatMsg>(1, &specimens);
+        assert!(
+            msgs > 1_000 && errors > 1_000,
+            "{msgs} messages, {errors} errors"
         );
     }
 }

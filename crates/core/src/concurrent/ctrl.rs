@@ -1,10 +1,9 @@
 //! Wire format of the concurrent runtime's control plane.
 //!
 //! Control frames carry no modeled `|M|` — every byte of them is harness
-//! overhead — so they are written with the compact primitives of
-//! [`cluster::net::bytes`] (canonical LEB128 varints, zig-zag deltas,
-//! one-header cells) rather than the fixed-width fields protocol frames
-//! keep aligned with the `|M|` model. Every frame is **stateless**: it
+//! overhead — and are written, like the protocol frames, with the compact
+//! primitives of [`cluster::net::bytes`] (canonical LEB128 varints,
+//! zig-zag deltas, one-header cells). Every frame is **stateless**: it
 //! decodes from its own bytes alone and nothing stays resident per link.
 //!
 //! # Layouts
@@ -91,9 +90,7 @@ use crate::horizontal::order::DeferredList;
 use crate::horizontal::HorMsg;
 use cfd::{CfdId, Violations};
 use cluster::md5::{md5, Digest};
-use cluster::net::bytes::{
-    cell_len, get_cell, put_cell, put_varint, unzigzag, varint_len, zigzag, Reader,
-};
+use cluster::net::bytes::{cell_len, get_cell, put_cell, put_varint, unzigzag, zigzag, Reader};
 use cluster::net::frame::MAX_FRAME_BYTES;
 use cluster::net::FrameCodec;
 use cluster::netstats::Counters;
@@ -507,8 +504,7 @@ fn get_cells(r: &mut Reader<'_>) -> Result<Vec<(SiteId, Counters)>, ClusterError
 }
 
 impl FrameCodec for CtrlMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
+    fn encode_frame(&self, out: &mut Vec<u8>) {
         match self {
             CtrlMsg::Ack => out.push(CT_ACK),
             CtrlMsg::AckN(k) => {
@@ -582,7 +578,6 @@ impl FrameCodec for CtrlMsg {
             CtrlMsg::Gather => out.push(CT_GATHER),
             CtrlMsg::Shutdown => out.push(CT_SHUTDOWN),
         }
-        out.len() - start
     }
 
     fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
@@ -668,14 +663,14 @@ impl Wire for RtFrame {
 }
 
 impl FrameCodec for RtFrame {
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
+    fn encode_frame(&self, out: &mut Vec<u8>) {
         match self {
             RtFrame::Hor(m) => m.encode_frame(out),
             RtFrame::Ctrl(m) => m.encode_frame(out),
             RtFrame::Piggy(k, m) => {
                 out.push(CT_PIGGY);
                 put_varint(out, u64::from(*k));
-                m.encode_frame(out) + 1 + varint_len(u64::from(*k))
+                m.encode_frame(out);
             }
         }
     }
@@ -846,9 +841,8 @@ mod tests {
 
     fn encoded(m: &CtrlMsg) -> Vec<u8> {
         let mut buf = Vec::new();
-        let structural = m.encode_frame(&mut buf);
-        assert_eq!(structural, buf.len(), "control frames are all structure");
-        assert_eq!(m.wire_size(), 0);
+        m.encode_frame(&mut buf);
+        assert_eq!(m.wire_size(), 0, "control frames model nothing");
         buf
     }
 
@@ -1216,15 +1210,15 @@ mod tests {
         };
         let plain_size = inner.wire_size();
         let mut plain = Vec::new();
-        let plain_structural = inner.encode_frame(&mut plain);
+        inner.encode_frame(&mut plain);
         let wrapped = RtFrame::Piggy(42, inner);
-        // Modeled |M| is the carried message's — the envelope is pure
-        // structural overhead (tag + varint count = 2 bytes here).
+        // Modeled |M| is the carried message's — the envelope adds only
+        // frame bytes (tag + varint count = 2 bytes here).
         assert_eq!(wrapped.wire_size(), plain_size);
         let mut buf = Vec::new();
-        let structural = wrapped.encode_frame(&mut buf);
-        assert_eq!(structural, plain_structural + 2);
-        assert_eq!(buf.len(), wrapped.wire_size() + structural);
+        wrapped.encode_frame(&mut buf);
+        assert_eq!(buf.len(), plain.len() + 2);
+        assert_eq!(buf[2..], plain[..]);
         match RtFrame::decode_frame(&buf).unwrap() {
             RtFrame::Piggy(k, HorMsg::ProbeReply { conflicts }) => {
                 assert_eq!(k, 42);

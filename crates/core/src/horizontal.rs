@@ -266,88 +266,81 @@ const HF_DEL_QUERY: u8 = 2;
 const HF_DEL_REPLY: u8 = 3;
 const HF_CLEAR: u8 = 4;
 
-/// Write an item count as a varint; returns its length, all structural.
-fn put_count(out: &mut Vec<u8>, n: usize) -> usize {
-    wirefmt::put_varint(out, n as u64);
-    wirefmt::varint_len(n as u64)
-}
-
-/// Serialize `(attr, payload)` pairs; returns structural overhead (the
-/// count plus each payload's tag bytes — attr ids themselves are modeled
-/// at 2 B).
-fn put_attrs(out: &mut Vec<u8>, attrs: &[(AttrId, WireValue)]) -> usize {
-    let mut ovh = put_count(out, attrs.len());
+/// `(attr, payload)` pairs: a count, then each payload behind its
+/// attribute's header.
+fn put_attrs(out: &mut Vec<u8>, attrs: &[(AttrId, WireValue)]) {
+    wirefmt::put_varint(out, attrs.len() as u64);
     for (a, w) in attrs {
-        out.extend_from_slice(&a.to_le_bytes());
-        ovh += wirefmt::put_wire_value(out, w);
+        wirefmt::put_wire_value(out, *a, w);
     }
-    ovh
 }
 
 fn get_attrs(r: &mut wirefmt::Reader<'_>) -> Result<Vec<(AttrId, WireValue)>, ClusterError> {
     let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let a = r.u16()? as AttrId;
-        out.push((a, wirefmt::get_wire_value(r)?));
-    }
-    Ok(out)
+    (0..n).map(|_| wirefmt::get_wire_value(r)).collect()
 }
 
-/// Serialize an operator-id list; overhead is the count (ids are modeled
-/// at 4 B each).
-fn put_ops(out: &mut Vec<u8>, ops: &[OpId]) -> usize {
-    let ovh = put_count(out, ops.len());
-    for o in ops {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    ovh
+fn put_ops(out: &mut Vec<u8>, ops: &[OpId]) {
+    wirefmt::put_varint(out, ops.len() as u64);
+    ops.iter()
+        .for_each(|&o| wirefmt::put_varint(out, u64::from(o)));
 }
 
 fn get_ops(r: &mut wirefmt::Reader<'_>) -> Result<Vec<OpId>, ClusterError> {
     let n = r.count()?;
-    (0..n).map(|_| Ok(r.u32()? as OpId)).collect()
+    (0..n).map(|_| r.id("operator id")).collect()
 }
 
 /// Real byte framing for the §6 protocol: every [`HorMsg`] serializes to
-/// a self-describing frame body and decodes from received bytes alone.
-/// The structural overhead (returned by `encode_frame`) is the message
-/// tag, the item counts and the per-payload type tags — everything the
-/// `|M|` model of [`Wire::wire_size`] deliberately ignores. Counts are
-/// canonical LEB128 varints (one byte below 128 items), each checked
-/// against the bytes left before it sizes an allocation. The probe
-/// and probe-reply shapes already model 1 byte of framing (their leading
-/// tag), so their tag contributes no overhead.
+/// a self-describing frame body and decodes from received bytes alone,
+/// in the compact forms of [`cluster::net::bytes`] — `v(x)` a canonical
+/// varint, `wire(a)` a [`WireValue`] behind its one-varint header
+/// `(a << 2) | kind`:
+///
+/// ```text
+/// TupleProbe     00 v(n) n × wire(attr)  v(m) m × v(op)   probes
+/// ProbeReply     01 v(m) m × v(op)                        conflicts
+/// TupleDelQuery  02 v(n) n × wire(attr)  v(m) m × v(op)   queries
+/// DelReply       03 v(m) m × (v(op) v(k) k × wire(0))     RHS values
+/// ClearFlags     04 v(n) n × wire(attr)  v(m) m × v(op)   operators
+/// ```
+///
+/// Every count is checked against the bytes left before it sizes an
+/// allocation, and an id past its type is refused, so the decoder takes
+/// exactly what the encoder writes. The frame is not the `|M|` model of
+/// [`Wire::wire_size`] — that charges 2 bytes an attribute id, 4 an
+/// operator id and 8 an integer — and the node that ships it books the
+/// difference.
 impl FrameCodec for HorMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) -> usize {
+    fn encode_frame(&self, out: &mut Vec<u8>) {
         match self {
             HorMsg::TupleProbe { attrs, probes } => {
-                out.push(HF_PROBE); // modeled: wire_size counts this byte
-                put_attrs(out, attrs) + put_ops(out, probes)
+                out.push(HF_PROBE);
+                put_attrs(out, attrs);
+                put_ops(out, probes);
             }
             HorMsg::ProbeReply { conflicts } => {
-                out.push(HF_PROBE_REPLY); // modeled
-                put_ops(out, conflicts)
+                out.push(HF_PROBE_REPLY);
+                put_ops(out, conflicts);
             }
             HorMsg::TupleDelQuery { attrs, queries } => {
                 out.push(HF_DEL_QUERY);
-                1 + put_attrs(out, attrs) + put_ops(out, queries)
+                put_attrs(out, attrs);
+                put_ops(out, queries);
             }
             HorMsg::DelReply { bvals } => {
                 out.push(HF_DEL_REPLY);
-                let mut ovh = 1 + put_count(out, bvals.len());
+                wirefmt::put_varint(out, bvals.len() as u64);
                 for (o, vs) in bvals {
-                    out.extend_from_slice(&o.to_le_bytes());
-                    ovh += put_count(out, vs.len());
-                    for v in vs {
-                        ovh += wirefmt::put_wire_value(out, v);
-                    }
+                    wirefmt::put_varint(out, u64::from(*o));
+                    wirefmt::put_varint(out, vs.len() as u64);
+                    vs.iter().for_each(|v| wirefmt::put_wire_value(out, 0, v));
                 }
-                ovh
             }
             HorMsg::ClearFlags { attrs, cfds } => {
                 out.push(HF_CLEAR);
-                1 + put_attrs(out, attrs) + put_ops(out, cfds)
+                put_attrs(out, attrs);
+                put_ops(out, cfds);
             }
         }
     }
@@ -370,11 +363,16 @@ impl FrameCodec for HorMsg {
                 let n = r.count()?;
                 let mut bvals = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let o = r.u32()? as OpId;
+                    let o = r.id("operator id")?;
                     let k = r.count()?;
                     let mut vs = Vec::with_capacity(k);
                     for _ in 0..k {
-                        vs.push(wirefmt::get_wire_value(&mut r)?);
+                        let (0, v) = wirefmt::get_wire_value(&mut r)? else {
+                            return Err(ClusterError::Transport(
+                                "malformed frame payload: an RHS value names an attribute".into(),
+                            ));
+                        };
+                        vs.push(v);
                     }
                     bvals.push((o, vs));
                 }
@@ -1059,7 +1057,7 @@ impl Detector for HorizontalDetector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated};
     use super::*;
     use relation::{Tuple, Update};
@@ -1548,44 +1546,58 @@ mod tests {
         }
     }
 
-    fn frame_of(m: &HorMsg) -> (Vec<u8>, usize) {
+    pub(crate) fn frame_of<M: FrameCodec>(m: &M) -> Vec<u8> {
         let mut buf = Vec::new();
-        let structural = m.encode_frame(&mut buf);
-        (buf, structural)
+        m.encode_frame(&mut buf);
+        buf
     }
 
-    /// 1 000 seeded frames of the five shapes round-trip, and every byte a
-    /// frame adds to the modeled `|M|` is counted structural — a count of
-    /// 2¹⁶ + 1 items among them.
+    /// 1 000 seeded frames of the five shapes round-trip — a count of
+    /// 2¹⁶ + 1 items among them — and fixed shapes take exactly the bytes
+    /// the layout gives, against their modeled `|M|`.
     #[test]
     fn protocol_frames_round_trip_and_balance() {
         let mut long = 0;
         for seed in 0..1_000 {
             let m = seeded_msg(seed);
-            let (buf, structural) = frame_of(&m);
-            assert_eq!(structural, buf.len() - m.wire_size(), "seed {seed}");
+            let buf = frame_of(&m);
             assert_eq!(HorMsg::decode_frame(&buf).unwrap(), m, "seed {seed}");
-            long += usize::from(buf.len() > 1 << 18);
+            long += usize::from(buf.len() > 1 << 17);
         }
         assert!(long >= 2, "{long} frames carry a count of 2^16 + 1");
-        // A count is one byte below 128 items, two below 2¹⁴.
-        let reply = |n: usize| {
-            frame_of(&HorMsg::ProbeReply {
-                conflicts: vec![7; n],
-            })
+        let probe = |w: WireValue| HorMsg::TupleProbe {
+            attrs: vec![(3, w)],
+            probes: vec![],
         };
-        assert_eq!(reply(127).1, 1);
-        assert_eq!(reply(128).1, 2);
+        let street = Value::str("EH4 8LE");
+        let reply = |n: usize| HorMsg::ProbeReply {
+            conflicts: vec![7; n],
+        };
+        // `[encoded, modeled]`: tag, counts, one header per attribute, then
+        // a digest, a two-byte int cell, or a symbol and its string cell;
+        // one byte an operator id, a count of 128 taking two.
+        for (m, want) in [
+            (probe(WireValue::Md5(cluster::md5::md5(b"x"))), [20, 19]),
+            (probe(WireValue::Raw(Value::int(44))), [6, 11]),
+            (probe(WireValue::Sym(9, Some(street))), [13, 22]),
+            (reply(1), [3, 5]),
+            (reply(127), [129, 509]),
+            (reply(128), [131, 513]),
+        ] {
+            assert_eq!([frame_of(&m).len(), m.wire_size()], want, "{m:?}");
+        }
     }
 
     /// Bytes no encoder writes decode to a typed error, never a panic or
     /// an allocation they size: every proper prefix of a frame of each
     /// shape; a count past the bytes left; a count in a non-canonical
-    /// (overlong) varint.
+    /// (overlong) varint; an attribute header, an operator id or a symbol
+    /// past its type; a string longer than the frame; an RHS value that
+    /// names an attribute.
     #[test]
     fn hostile_protocol_frames_are_refused() {
         for seed in 1..=10 {
-            let (buf, _) = frame_of(&seeded_msg(seed));
+            let buf = frame_of(&seeded_msg(seed));
             for cut in 0..buf.len() {
                 let got = HorMsg::decode_frame(&buf[..cut]);
                 assert!(got.is_err(), "seed {seed}: prefix {cut} of {buf:02x?}");
@@ -1595,19 +1607,100 @@ mod tests {
             Err(ClusterError::Transport(e)) => assert!(e.contains(why), "{frame:02x?}: {e}"),
             other => panic!("{frame:02x?}: {other:?}"),
         };
-        // 2⁴⁰ conflicts, attributes or RHS values; then one conflict of
-        // four bytes promised and three there.
+        // 2⁴⁰ conflicts, attributes or RHS values; then one conflict
+        // whose varint stops short.
         let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
-        for head in [
-            &[HF_PROBE_REPLY][..],
-            &[HF_PROBE],
-            &[HF_DEL_REPLY, 1, 9, 0, 0, 0],
-        ] {
+        for head in [&[HF_PROBE_REPLY][..], &[HF_PROBE], &[HF_DEL_REPLY, 1, 9]] {
             refused(&[head, &huge[..]].concat(), "item count exceeds the frame");
         }
-        refused(&[HF_PROBE_REPLY, 1, 1, 2, 3], "truncated field");
+        refused(&[HF_PROBE_REPLY, 1, 0x80], "truncated field");
         // One conflict, its count written in two bytes where one will do.
-        refused(&[HF_PROBE_REPLY, 0x81, 0x00, 1, 2, 3, 4], "overlong varint");
-        assert!(HorMsg::decode_frame(&[HF_PROBE_REPLY, 0x01, 1, 2, 3, 4]).is_ok());
+        refused(&[HF_PROBE_REPLY, 0x81, 0x00, 4], "overlong varint");
+        assert!(HorMsg::decode_frame(&[HF_PROBE_REPLY, 0x01, 4]).is_ok());
+        // Attribute 2¹⁶ (a raw null); operator 2³²; symbol 2³² of
+        // attribute 0.
+        let past = |x: u64| {
+            let mut v = Vec::new();
+            wirefmt::put_varint(&mut v, x);
+            v
+        };
+        refused(
+            &[&[HF_PROBE, 1][..], &past(1 << 18), &[0, 0]].concat(),
+            "attribute id past",
+        );
+        refused(
+            &[&[HF_PROBE_REPLY, 1][..], &past(1 << 32)].concat(),
+            "operator id past",
+        );
+        refused(
+            &[&[HF_PROBE, 1, 2][..], &past(1 << 32), &[0]].concat(),
+            "symbol past",
+        );
+        // A raw string of 100 bytes with one there.
+        refused(&[HF_PROBE, 1, 0, 102, b'a', 0], "truncated field");
+        // An RHS value under attribute 1's header.
+        refused(&[HF_DEL_REPLY, 1, 9, 1, 4, 0], "names an attribute");
+        assert!(HorMsg::decode_frame(&[HF_DEL_REPLY, 1, 9, 1, 0, 0]).is_ok());
+    }
+
+    /// Arbitrary bytes give a typed error, or a message that re-encodes to
+    /// exactly the bytes it was read from — the encoding is canonical.
+    #[test]
+    fn arbitrary_bytes_error_or_re_encode() {
+        let specimens: Vec<_> = (1..=40).map(|s| frame_of(&seeded_msg(s))).collect();
+        let (msgs, errors) = arbitrary_bytes::<HorMsg>(6, &specimens);
+        assert!(
+            msgs > 1_000 && errors > 1_000,
+            "{msgs} messages, {errors} errors"
+        );
+    }
+
+    /// Feed `M`'s decoder 20 000 seeded inputs: odd ones short runs of
+    /// arbitrary bytes (the first a tag below `tags`), even ones a
+    /// `specimens` frame with one byte overwritten. Each must give a typed
+    /// [`ClusterError::Transport`], or a message that re-encodes to exactly
+    /// the bytes it was read from — the encoding is canonical. Returns
+    /// `(messages, errors)`.
+    pub(crate) fn arbitrary_bytes<M: FrameCodec>(
+        tags: u8,
+        specimens: &[Vec<u8>],
+    ) -> (usize, usize) {
+        let mut rng = 0x5EED_u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) as u8
+        };
+        let (mut msgs, mut errors) = (0, 0);
+        for k in 0..20_000 {
+            let bytes: Vec<u8> = if k % 2 == 1 {
+                // Short varints are the interesting bytes: bias towards them.
+                let len = usize::from(next() % 16);
+                (0..len)
+                    .map(|i| match next() {
+                        _ if i == 0 => next() % tags,
+                        b if b % 2 == 0 => next() % 8,
+                        _ => next(),
+                    })
+                    .collect()
+            } else {
+                let mut b = specimens[usize::from(next()) % specimens.len()].clone();
+                let at = (usize::from(next()) << 8 | usize::from(next())) % b.len();
+                b[at] = next();
+                b
+            };
+            match M::decode_frame(&bytes) {
+                Ok(m) => {
+                    let mut again = Vec::new();
+                    m.encode_frame(&mut again);
+                    assert_eq!(again, bytes, "{m:?}");
+                    msgs += 1;
+                }
+                Err(ClusterError::Transport(_)) => errors += 1,
+                Err(e) => panic!("{bytes:02x?}: untyped {e:?}"),
+            }
+        }
+        (msgs, errors)
     }
 }

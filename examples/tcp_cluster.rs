@@ -62,8 +62,8 @@ fn run(codec: CodecKind, rows: usize, batches: usize) -> (NetReport, TransportMe
     );
     assert_eq!(
         meter.wire_bytes,
-        meter.modeled_bytes + meter.structural_bytes,
-        "protocol frames ship stored: wire is the model plus framing"
+        meter.modeled_bytes + meter.structural_bytes - meter.saved_bytes,
+        "wire is the model, plus the bytes above it, less the bytes below it"
     );
     (det.net(), meter, total_dv)
 }
@@ -79,23 +79,24 @@ fn main() {
          dedicated reader threads)\n"
     );
     println!(
-        "{:<12} {:>12} {:>13} {:>8} {:>11} {:>8}",
-        "codec", "modeled |M|", "wire bytes", "frames", "overhead", "|ΔV|"
+        "{:<12} {:>12} {:>13} {:>8} {:>11} {:>11} {:>8}",
+        "codec", "modeled |M|", "wire bytes", "frames", "above", "below", "|ΔV|"
     );
     for codec in [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict] {
         let (net, meter, total_dv) = run(codec, rows, batches);
         println!(
-            "{:<12} {:>12} {:>13} {:>8} {:>11} {:>8}",
+            "{:<12} {:>12} {:>13} {:>8} {:>11} {:>11} {:>8}",
             net.codec().expect("labeled"),
             net.total_bytes(),
             meter.wire_bytes,
             meter.frames,
             format!("+{}", meter.structural_bytes),
+            format!("-{}", meter.saved_bytes),
             total_dv,
         );
     }
     println!(
-        "\nwire bytes = modeled |M| + structural framing (headers, tags, counts); \
-         protocol frames ship stored."
+        "\nwire bytes = modeled |M| + bytes above the model (frame headers, tags, counts) \
+         − bytes below it (varint ids, compact values)."
     );
 }
