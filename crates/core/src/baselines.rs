@@ -1280,7 +1280,7 @@ mod tests {
         let specimens: Vec<_> = (1..=20)
             .map(|s| frame_of(&seeded_cols(s, s as usize % 9, s as usize % 3)))
             .collect();
-        let (msgs, errors) = arbitrary_bytes::<BatMsg>(1, &specimens);
+        let (msgs, errors, _) = arbitrary_bytes::<BatMsg>(0..1, &[], &specimens);
         assert!(
             msgs > 1_000 && errors > 1_000,
             "{msgs} messages, {errors} errors"

@@ -502,26 +502,22 @@ impl SiteRunner {
     // -- the one loop ----------------------------------------------------
 
     /// The one receive, and so the one place a machine parks: the next
-    /// frame, decoded and checked, with what we owe flushed only when the
-    /// inbox is empty, right before blocking. An `idle` site keeps what its
-    /// node metered before each frame ([`SiteRunner::keep_meters`]), so a
-    /// request between batches finds the node's block holding only itself,
-    /// and waits out silence (`None`) instead of calling it a dead peer.
+    /// frame, decoded and checked, blocking only once [`SiteRunner::poll`]
+    /// found the inbox empty and flushed what we owe. An `idle` site keeps
+    /// what its node metered before each frame (`keep_meters`), so a request
+    /// between batches finds the node's block holding only itself, and
+    /// waits out silence (`None`) instead of calling it a dead peer.
     fn next_frame(&mut self, idle: bool) -> Result<Option<(SiteId, RtFrame)>, DetectError> {
         if idle {
             self.keep_meters();
         }
-        let frame = match self.node.try_recv()? {
+        let frame = match self.poll()? {
             Some(frame) => Some(frame),
             None if idle => {
-                self.flush_owed()?;
                 self.keep_meters();
                 self.node.recv_opt()?
             }
-            None => {
-                self.flush_owed()?;
-                Some(self.node.recv()?)
-            }
+            None => Some(self.node.recv()?),
         };
         let Some((src, method, body)) = frame else {
             return Ok(None);
@@ -824,18 +820,22 @@ impl SiteRunner {
         self.open_round(slot, None, clears)
     }
 
-    /// Close every owed silent round with one standalone frame per peer:
-    /// [`CtrlMsg::Ack`] for one round, [`CtrlMsg::AckN`] for several.
-    fn flush_owed(&mut self) -> Step {
+    /// The half of [`SiteRunner::next_frame`] that never blocks: the next
+    /// frame off the inbox, or — the inbox empty — every owed silent round
+    /// closed with one standalone frame per peer ([`CtrlMsg::Ack`] for one
+    /// round, [`CtrlMsg::AckN`] for several) and `None`.
+    fn poll(&mut self) -> Result<Option<(SiteId, u8, Vec<u8>)>, DetectError> {
+        if let Some(frame) = self.node.try_recv()? {
+            return Ok(Some(frame));
+        }
         for j in 0..self.n {
-            let k = std::mem::take(&mut self.owed[j]);
-            match k {
+            match std::mem::take(&mut self.owed[j]) {
                 0 => {}
                 1 => self.node.send_ctrl(j, &CtrlMsg::Ack)?,
                 k => self.node.send_ctrl(j, &CtrlMsg::AckN(k))?,
             }
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Ship a protocol frame towards `dst`, carrying any acks we owe it in
@@ -1653,12 +1653,12 @@ mod tests {
 
     /// One batch through both drives: per-batch `ΔV`, `V` (the oracle's)
     /// and the full per-link modeled matrix agree. Returns the barrier
-    /// rounds the threaded drive took.
+    /// rounds the threaded drive took, and `ΔV`.
     fn apply_both(
         (conc, seq): &mut (ConcurrentHorizontal, HorizontalDetector),
         b: &UpdateBatch,
         what: &str,
-    ) -> u64 {
+    ) -> (u64, DeltaV) {
         let before = conc.waves();
         let dv_c = conc.apply(b).unwrap();
         let dv_s = Detector::apply(seq, b).unwrap();
@@ -1673,7 +1673,7 @@ mod tests {
             seq.meters().modeled.to_bytes(),
         );
         assert_eq!(got, want, "{what}: modeled |M| matrix");
-        conc.waves() - before
+        (conc.waves() - before, dv_s)
     }
 
     /// Two relations hold the same rows, tid for tid.
@@ -1888,7 +1888,7 @@ mod tests {
         let mut waves = 0;
         for (i, b) in stress_batches(seed, n_batches, batch).iter().enumerate() {
             let what = format!("{n_sites} sites, batch {i} of {batch}");
-            waves += apply_both(&mut pair, b, &what);
+            waves += apply_both(&mut pair, b, &what).0;
         }
         // Every batch shakes hands once, and some deferred an update.
         assert!(waves > n_batches as u64, "{waves} barrier rounds");
@@ -1995,7 +1995,7 @@ mod tests {
     /// rounds it took.
     fn rounds_of(d: &Relation, batch: &[Update], what: &str) -> u64 {
         let mut pair = emp_pair(d, CodecKind::Md5, TransportKind::Framed);
-        apply_both(&mut pair, &tuples_of(batch), what)
+        apply_both(&mut pair, &tuples_of(batch), what).0
     }
 
     /// The four commutation cases: a class-preserving insert or delete at
@@ -2109,7 +2109,7 @@ mod tests {
                 b.delete(tid - 4);
                 let what = format!("{size} inserts over {transport:?}");
                 let before = ctrl_out(&pair.0);
-                assert_eq!(apply_both(&mut pair, &b, &what), 1, "{what}");
+                assert_eq!(apply_both(&mut pair, &b, &what).0, 1, "{what}");
                 let after = ctrl_out(&pair.0);
                 let moved: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
                 assert!(moved.iter().all(|&bytes| bytes > 0), "{what}: {moved:?}");
@@ -2141,7 +2141,7 @@ mod tests {
                 ("cancelling", cancelling.clone()),
             ] {
                 let what = format!("{what} batch over {transport:?}");
-                assert_eq!(apply_both(&mut pair, &b, &what), 0, "{what}");
+                assert_eq!(apply_both(&mut pair, &b, &what).0, 0, "{what}");
                 let conc = &pair.0;
                 assert_same_rows(&conc.gather().unwrap(), pair.1.current(), &what);
                 assert_eq!(conc.meters().transport, TransportMeter::default(), "{what}");
@@ -2184,8 +2184,8 @@ mod tests {
             let mut with = emp_pair(&d, CodecKind::Md5, transport);
             let mut without = emp_pair(&d, CodecKind::Md5, transport);
             let what = format!("re-inserts over {transport:?}");
-            let waves = apply_both(&mut with, &mixed, &what);
-            assert_eq!(waves, apply_both(&mut without, &plain, &what), "{what}");
+            let waves = apply_both(&mut with, &mixed, &what).0;
+            assert_eq!(waves, apply_both(&mut without, &plain, &what).0, "{what}");
             let (with, without) = (&with.0, &without.0);
             let marks = with.violations().marks_sorted();
             assert_eq!(marks, without.violations().marks_sorted(), "{what}");
@@ -2981,14 +2981,16 @@ mod tests {
         }
     }
 
-    /// Take the frame `node` holds next, as the loop reads it: decoded and
-    /// checked against its link, after `cut` had its way with it.
+    /// Take the frame `runner` holds next, as the loop reads it — by the
+    /// non-blocking half of its receive, which flushes what it owes when
+    /// the inbox is empty — decoded and checked against its link, after
+    /// `cut` had its way with it.
     fn read(
         runner: &mut SiteRunner,
         cut: &mut Cut,
     ) -> Option<Result<(SiteId, RtFrame), DetectError>> {
         let received = runner.node.meters().received;
-        let (src, method, mut body) = runner.node.try_recv().unwrap()?;
+        let (src, method, mut body) = runner.poll().unwrap()?;
         let wire = runner.node.meters().received - received;
         let whole = unpack_body(method, body.clone()).and_then(|b| RtFrame::decode_frame(&b));
         let tally = cut.tally.entry(kind(&whole.unwrap())).or_default();
@@ -3002,49 +3004,75 @@ mod tests {
         Some(runner.admit(src, method, body).map(|f| (src, f)))
     }
 
+    /// Which machines can act — node 0 (the coordinator, with site 0
+    /// beside it) and sites `1..` — each with a frame in its inbox or acks
+    /// it owes. An in-memory inbox cannot be peeked: a frame is in flight
+    /// to a node while its peers metered more bytes towards it than it
+    /// took off its inbox, and nothing resets the meters of machines
+    /// stepped on one thread.
+    fn ready(det: &mut ConcurrentHorizontal, sites: &[SiteRunner]) -> Vec<bool> {
+        let zero = &*det.runner.get_mut();
+        let runners = || std::iter::once(zero).chain(sites);
+        let sent = |dst| -> u64 {
+            runners()
+                .map(|r| r.node.meters().wire.pair(r.me, dst).bytes)
+                .sum()
+        };
+        runners()
+            .map(|r| sent(r.me) > r.node.meters().received || owes(r))
+            .collect()
+    }
+
+    /// Whether `runner` owes a peer acks.
+    fn owes(runner: &SiteRunner) -> bool {
+        runner.owed.iter().any(|&k| k > 0)
+    }
+
     /// Step one batch to its end on this thread, `pick` choosing which
-    /// machine takes its next frame: 0 is node 0 (the coordinator, with
-    /// site 0 beside it), `j` site `j`. A machine whose inbox is empty
-    /// flushes what it owes, as the loop does before it parks. Once every
-    /// machine has been found empty since the last frame was taken and
-    /// nothing was flushed to it, no machine can step: the batch is stuck.
-    /// Every frame read goes through `cut`.
+    /// machine takes its next frame, shown which ones can act: 0 is node
+    /// 0 (the coordinator, with site 0 beside it), `j` site `j`. A machine
+    /// whose inbox is empty runs the half of its receive that never
+    /// blocks, which must flush what it owes, as the loop does before it
+    /// parks; a pick of one that owes nothing does nothing. A machine that
+    /// would park owing acks, or no machine able to act before the batch
+    /// is done, fails the batch. Every frame read goes through `cut`.
     fn step_batch(
         det: &mut ConcurrentHorizontal,
         sites: &mut [SiteRunner],
         b: &UpdateBatch,
-        pick: &mut impl FnMut() -> usize,
+        pick: &mut impl FnMut(&[bool]) -> usize,
         cut: &mut Cut,
     ) -> Result<DeltaV, DetectError> {
         let Some(mut phase) = det.start(b)? else {
             return Ok(DeltaV::default());
         };
         let n = sites.len() + 1;
-        let mut quiet = vec![false; n];
         loop {
             if let CoordPhase::Collect(dv, answered) = &mut phase {
                 if !answered.contains(&false) {
                     return Ok(std::mem::take(dv));
                 }
             }
-            if !quiet.contains(&false) {
+            let ready = ready(det, sites);
+            if !ready.contains(&true) {
                 let stuck = "no machine can step and the batch is not done";
                 return Err(DetectError::Internal(stuck.into()));
             }
-            let j = pick() % n;
+            let j = pick(&ready) % n;
             let runner = match j {
                 0 => det.runner.get_mut(),
                 j => &mut sites[j - 1],
             };
-            let Some(frame) = read(runner, cut) else {
-                for (k, owed) in runner.owed.iter().enumerate() {
-                    quiet[k] &= *owed == 0;
+            let owed = owes(runner);
+            let frame = read(runner, cut);
+            assert_eq!(ready[j], frame.is_some() || owed, "machine {j} can act");
+            let Some(frame) = frame else {
+                if owes(runner) {
+                    let parks = format!("machine {j} would park owing acks");
+                    return Err(DetectError::Internal(parks));
                 }
-                runner.flush_owed().unwrap();
-                quiet[j] = true;
                 continue;
             };
-            quiet.fill(false);
             let stepped = frame.and_then(|(src, frame)| match j {
                 0 => det.on_frame(&mut phase, src, frame),
                 j => sites[j - 1].on_frame(src, frame).map(drop),
@@ -3053,10 +3081,11 @@ mod tests {
         }
     }
 
-    /// The machine picks of schedule `seed`, a function of the seed alone.
-    fn schedule(seed: u64) -> impl FnMut() -> usize {
+    /// The machine picks of schedule `seed`, a function of the seed alone:
+    /// blind to which machines can act.
+    fn schedule(seed: u64) -> impl FnMut(&[bool]) -> usize {
         let mut rng = seed;
-        move || {
+        move |_| {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -3068,36 +3097,85 @@ mod tests {
     /// count so far, and the barrier rounds the batch took.
     type Outcome = (DeltaV, Vec<(CfdId, Tid)>, Vec<u8>, u64, u64);
 
-    /// The stress fixture at `n_sites`, its batches of about `batch`
-    /// updates, stepped on one thread once per schedule seed, each batch
-    /// held to the sequential drive (`ΔV`, `V`, the modeled matrix and its
-    /// messages) and to the threaded run (the waves). A failure names its
-    /// schedule seed, and `scheduled_stress(n_sites, …, &[seed])` replays it
-    /// alone: the schedule is a function of the seed.
-    fn scheduled_stress(n_sites: usize, n_batches: usize, batch: usize, seeds: &[u64]) {
-        let batches = stress_batches(0x5EED, n_batches, batch);
-        let (mut conc, mut seq) = stress_pair(n_sites);
-        let reference: Vec<Outcome> = (batches.iter())
-            .map(|b| {
-                let before = conc.waves();
-                conc.apply(b).unwrap();
-                let dv = Detector::apply(&mut seq, b).unwrap();
-                let (marks, m) = (seq.violations().marks_sorted(), &seq.meters().modeled);
-                let waves = conc.waves() - before;
-                (dv, marks, m.to_bytes(), m.total_messages(), waves)
-            })
-            .collect();
-        for &seed in seeds {
-            let (mut det, mut sites) = on_one_thread(n_sites);
-            let mut pick = schedule(seed);
-            let mut whole = Cut::default();
-            for (i, (b, want)) in batches.iter().zip(&reference).enumerate() {
-                let at =
-                    format!("{n_sites} sites, batches of {batch}: schedule seed {seed}, batch {i}");
+    /// What else the end of a run must hold, over every runner, site 0's
+    /// first.
+    type EndCheck = Box<dyn Fn(&[&SiteRunner])>;
+
+    /// A cluster whose machines are stepped on one thread: Σ over
+    /// fragments of `D₀`, the batches to run, and its end check.
+    struct Case {
+        name: String,
+        scheme: HorizontalScheme,
+        cfds: Vec<Cfd>,
+        d0: Relation,
+        batches: Vec<UpdateBatch>,
+        end: EndCheck,
+    }
+
+    impl Case {
+        /// Fig. 1's rules over Fig. 2's fragments of Fig. 1's `D₀`.
+        fn fig(name: &str, batches: Vec<UpdateBatch>) -> Self {
+            let s = emp_schema();
+            Case {
+                name: name.into(),
+                scheme: fig2_scheme(&s),
+                cfds: fig1_cfds(&s),
+                d0: d0(),
+                batches,
+                end: Box::new(|_| {}),
+            }
+        }
+
+        /// The stress fixture at `n_sites` (Fig. 1's rules over hash
+        /// fragments of an empty EMP): `n_batches` of its batches of about
+        /// `batch` updates.
+        fn stress(n_sites: usize, n_batches: usize, batch: usize) -> Self {
+            let s = emp_schema();
+            let id = s.attr_id("id").unwrap();
+            Case {
+                name: format!("stress, {n_sites} sites, {n_batches}×{batch}"),
+                scheme: HorizontalScheme::by_hash(s.clone(), id, n_sites).unwrap(),
+                cfds: fig1_cfds(&s),
+                d0: Relation::new(s),
+                batches: stress_batches(0x5EED, n_batches, batch),
+                end: Box::new(|_| {}),
+            }
+        }
+
+        /// What every run is held to, batch by batch: the sequential
+        /// drive's `ΔV`, `V`, modeled matrix and messages, and the threaded
+        /// run's waves. [`apply_both`] holds the two drives to each other
+        /// and `V` to the brute-force detector's.
+        fn reference(&self) -> Vec<Outcome> {
+            let (s, md5) = (self.scheme.schema().clone(), CodecKind::Md5);
+            let (cfds, scheme, d0) = (self.cfds.clone(), self.scheme.clone(), &self.d0);
+            let framed = TransportKind::Framed;
+            let conc =
+                ConcurrentHorizontal::threaded(s, cfds.clone(), scheme.clone(), d0, md5, framed);
+            let mut pair = (conc.unwrap(), simulated(cfds, scheme, d0, md5).unwrap());
+            (self.batches.iter().enumerate())
+                .map(|(i, b)| {
+                    let (waves, dv) =
+                        apply_both(&mut pair, b, &format!("{}, batch {i}", self.name));
+                    let (marks, m) = (pair.1.violations().marks_sorted(), &pair.1.meters().modeled);
+                    (dv, marks, m.to_bytes(), m.total_messages(), waves)
+                })
+                .collect()
+        }
+
+        /// Step the batches on one thread under `pick`, each batch held to
+        /// `want` (`ΔV`, `V`, the modeled matrix, messages, waves); at the
+        /// end `V` is also what the sites' group state and rows imply, and
+        /// the case's own check holds. `what` names the schedule.
+        fn run(&self, want: &[Outcome], pick: &mut impl FnMut(&[bool]) -> usize, what: &str) {
+            let (scheme, cfds) = (self.scheme.clone(), self.cfds.clone());
+            let (mut det, mut sites) = on_one_thread_over(scheme, cfds, &self.d0);
+            for (i, (b, want)) in self.batches.iter().zip(want).enumerate() {
+                let at = format!("{}: {what}, batch {i}", self.name);
                 let before = det.waves();
-                let stepped = step_batch(&mut det, &mut sites, b, &mut pick, &mut whole);
+                let stepped = step_batch(&mut det, &mut sites, b, pick, &mut Cut::default());
                 let dv = stepped.unwrap_or_else(|e| panic!("{at}: {e}"));
-                let mut m = Meters::framed(n_sites);
+                let mut m = Meters::framed(self.scheme.n_sites());
                 for r in std::iter::once(&*det.runner.get_mut()).chain(&sites) {
                     m.merge(&r.kept);
                     m.merge(r.node.meters());
@@ -3108,7 +3186,177 @@ mod tests {
                 assert_eq!(m.modeled.total_messages(), want.3, "{at}: messages");
                 assert_eq!(det.waves() - before, want.4, "{at}: waves");
             }
+            let implied = implied_marks(&mut det, &sites);
+            let what = format!("{}: {what}: V implied", self.name);
+            assert_eq!(implied, det.violations().marks_sorted(), "{what}");
+            let runners: Vec<&SiteRunner> = std::iter::once(&*det.runner.get_mut())
+                .chain(&sites)
+                .collect();
+            (self.end)(&runners);
         }
+
+        /// Run the schedule that replays `prefix` and goes on round-robin,
+        /// held to `want`. A failure prints the case and the pick list,
+        /// which [`replay`] reruns alone.
+        fn replay(&self, want: &[Outcome], prefix: Vec<usize>) -> Schedule {
+            let mut s = Schedule {
+                prefix,
+                ..Schedule::default()
+            };
+            let run = || self.run(want, &mut |ready| s.pick(ready), "explored");
+            if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                let (name, picks) = (&self.name, &s.picks);
+                eprintln!("failing schedule; rerun it with replay({name:?}, &{picks:?})");
+                std::panic::resume_unwind(e);
+            }
+            s
+        }
+    }
+
+    /// The stress fixture at `n_sites`, its batches of about `batch`
+    /// updates, stepped on one thread once per schedule seed and held to
+    /// the sequential drive and the threaded run ([`Case::run`]). A failure
+    /// names its schedule seed, and `scheduled_stress(n_sites, …, &[seed])`
+    /// replays it alone: the schedule is a function of the seed.
+    fn scheduled_stress(n_sites: usize, n_batches: usize, batch: usize, seeds: &[u64]) {
+        let case = Case::stress(n_sites, n_batches, batch);
+        let want = case.reference();
+        for &seed in seeds {
+            case.run(&want, &mut schedule(seed), &format!("schedule seed {seed}"));
+        }
+    }
+
+    // -- every schedule of a small cluster ------------------------------
+
+    /// One schedule as the explorer runs it: `prefix` replayed, then
+    /// round-robin — the first machine that can act, counting from the one
+    /// after the last pick. Per step it keeps the machines that could act
+    /// in that order, where a pick of the `k`-th is `k` delays, and the
+    /// delays spent before the step.
+    #[derive(Default)]
+    struct Schedule {
+        prefix: Vec<usize>,
+        picks: Vec<usize>,
+        steps: Vec<(Vec<usize>, usize)>,
+        spent: usize,
+    }
+
+    impl Schedule {
+        fn pick(&mut self, ready: &[bool]) -> usize {
+            let n = ready.len();
+            let from = self.picks.last().map_or(0, |&j| j + 1);
+            let order: Vec<usize> = (from..from + n)
+                .map(|j| j % n)
+                .filter(|&j| ready[j])
+                .collect();
+            let delays = match self.prefix.get(self.picks.len()) {
+                Some(j) => (order.iter().position(|k| k == j))
+                    .unwrap_or_else(|| panic!("step {}: machine {j} cannot act", self.picks.len())),
+                None => 0,
+            };
+            let j = order[delays];
+            self.steps.push((order, self.spent));
+            self.spent += delays;
+            self.picks.push(j);
+            j
+        }
+    }
+
+    /// Run `case` under every schedule of its machines with at most
+    /// `bound` delays — picks other than round-robin's, each skipping one
+    /// machine that could act (Emmi, Qadeer and Rakamarić, "Delay-bounded
+    /// scheduling", POPL 2011) — each held to the sequential drive by
+    /// [`Case::run`]; print and return how many ran.
+    ///
+    /// A choice is a machine that can act: one with a frame in its inbox,
+    /// or one that owes acks, which a pick flushes. A pick of any other
+    /// machine does nothing and is not explored. The search is stateless:
+    /// every schedule rebuilds the machines, replays a prefix of picks and
+    /// goes on round-robin, and a later step of it branches on each other
+    /// machine the budget still allows. A failing schedule prints its pick
+    /// list, which [`replay`] reruns alone.
+    ///
+    /// The explorer chooses which *machine* steps, not which *link*
+    /// delivers. A node's inbox is one FIFO that its senders fill in send
+    /// order, so the frames of two peers reach it in the order they were
+    /// sent. Reordering across links is a fault, and this does not add it.
+    fn explore(case: &Case, bound: usize) -> usize {
+        let want = case.reference();
+        let (mut todo, mut runs) = (vec![Vec::new()], 0);
+        while let Some(prefix) = todo.pop() {
+            let s = case.replay(&want, prefix);
+            runs += 1;
+            for (i, (order, spent)) in s.steps.iter().enumerate().skip(s.prefix.len()) {
+                for &j in order.iter().take(bound - spent + 1).skip(1) {
+                    todo.push([&s.picks[..i], &[j]].concat());
+                }
+            }
+        }
+        println!("{}: {runs} schedules of at most {bound} delays", case.name);
+        runs
+    }
+
+    /// Rerun one schedule of the case named `name` from its pick list
+    /// alone, as a failing [`explore`] prints it.
+    fn replay(name: &str, picks: &[usize]) -> Schedule {
+        let case = cases().into_iter().find(|c| c.name == name);
+        let case = case.unwrap_or_else(|| panic!("no case is named {name:?}"));
+        case.replay(&case.reference(), picks.to_vec())
+    }
+
+    /// Every case the explorer runs: Fig. 1/Fig. 2's pure-delete cases and
+    /// row-reuse batch, the stress fixture cut to 2 and 3 sites and one or
+    /// two batches of about 4 updates, and the insert/insert writer pairs.
+    fn cases() -> Vec<Case> {
+        let mut cases = pure_delete_cases();
+        cases.push(row_freed_case());
+        for n_sites in [2, 3] {
+            cases.extend([1, 2].map(|n_batches| Case::stress(n_sites, n_batches, 4)));
+        }
+        cases.extend(writer_pairs());
+        cases
+    }
+
+    /// The small stress clusters, every schedule of at most two delays.
+    #[test]
+    fn every_schedule_of_a_small_stress_cluster() {
+        for n_sites in [2, 3] {
+            for n_batches in [1, 2] {
+                explore(&Case::stress(n_sites, n_batches, 4), 2);
+            }
+        }
+    }
+
+    /// A schedule is a function of its pick list: the picks a run made,
+    /// replayed, make the same run — one delay off round-robin here.
+    #[test]
+    fn a_schedule_replays_from_its_pick_list_alone() {
+        let name = "stress, 3 sites, 2×4";
+        let round_robin = replay(name, &[]);
+        assert_eq!(round_robin.spent, 0);
+        let steps = round_robin.steps.iter().enumerate();
+        let (i, (order, _)) = steps.rev().find(|(_, (o, _))| o.len() > 1).unwrap();
+        let delayed = replay(name, &[&round_robin.picks[..i], &[order[1]]].concat());
+        assert_eq!(delayed.spent, 1);
+        assert_eq!(replay(name, &delayed.picks).picks, delayed.picks);
+    }
+
+    /// Every case at three delays (CI runs it optimized, `-- --ignored`).
+    #[test]
+    #[ignore = "every explored case at three delays; run optimized with --ignored"]
+    fn every_schedule_of_three_delays() {
+        for case in cases() {
+            explore(&case, 3);
+        }
+    }
+
+    /// The marks that every site's violating groups and stored rows imply.
+    fn implied_marks(det: &mut ConcurrentHorizontal, sites: &[SiteRunner]) -> Vec<(CfdId, Tid)> {
+        let cfds = &det.cfg.cfds;
+        let runners = std::iter::once(&*det.runner.get_mut()).chain(sites);
+        let held = runners.clone().map(|r| (&r.site, &r.rows));
+        let rows = runners.flat_map(|r| r.rows.iter());
+        site::tests::implied_violations(held, rows, cfds).marks_sorted()
     }
 
     /// `V` is a function of the group state, which is why no site keeps a
@@ -3133,17 +3381,9 @@ mod tests {
             let mut pick = schedule(seed);
             for (i, b) in batches.iter().enumerate() {
                 step_batch(&mut det, &mut sites, b, &mut pick, &mut Cut::default()).unwrap();
-                let zero = &*det.runner.get_mut();
-                let runners: Vec<&SiteRunner> = std::iter::once(zero).chain(&sites).collect();
-                let held = runners.iter().map(|r| (&r.site, &r.rows));
-                let rows = runners.iter().flat_map(|r| r.rows.iter());
-                let implied = site::tests::implied_violations(held, rows, &det.cfg.cfds);
-                let marks = det.violations().marks_sorted();
-                assert_eq!(
-                    implied.marks_sorted(),
-                    marks,
-                    "schedule seed {seed}, batch {i}"
-                );
+                let implied = implied_marks(&mut det, &sites);
+                let at = format!("schedule seed {seed}, batch {i}");
+                assert_eq!(implied, det.violations().marks_sorted(), "{at}");
             }
         }
     }
@@ -3156,19 +3396,38 @@ mod tests {
     /// (the insert of t10 into a zip no site knows), deletes t2 — alone
     /// in its group — and t5 — whose round clears t1, t3 and t4 — and
     /// right behind each delete inserts a tuple at the same home (t11,
-    /// t12), which takes the row the delete freed. The sequential drive
-    /// runs the batch with every round in flight until its one drain; the
-    /// threaded machines run it under 100 schedules. Both reuse the rows
-    /// and end on the oracle's `V`, with the sequential drive's `ΔV`.
-    #[test]
-    fn a_row_freed_in_a_batch_is_reused_in_it_with_rounds_in_flight() {
-        let s = emp_schema();
+    /// t12), which takes the row the delete freed.
+    fn row_freed_batch() -> UpdateBatch {
         let mut b = UpdateBatch::new();
         b.insert(emp_tuple(10, "A", 44, 131, "EH9 9ZZ", "Newington", "EDI"));
         b.delete(2);
         b.insert(emp_tuple(11, "A", 44, 131, "EH2 4HF", "Leith", "EDI"));
         b.delete(5);
         b.insert(emp_tuple(12, "C", 44, 131, "EH1 1AA", "Royal Mile", "EDI"));
+        b
+    }
+
+    /// [`row_freed_batch`] on the machines: a fragment each, where t11
+    /// takes t2's row at site 0 and t12 t5's at site 2.
+    fn row_freed_case() -> Case {
+        let mut case = Case::fig("a row freed in a batch", vec![row_freed_batch()]);
+        let (scheme, cfds) = (case.scheme.clone(), case.cfds.clone());
+        let (mut det, sites) = on_one_thread_over(scheme, cfds, &case.d0);
+        let freed = (det.runner.get_mut().rows.row_of(2), sites[1].rows.row_of(5));
+        case.end = Box::new(move |r| {
+            let taken = (r[0].rows.row_of(11), r[2].rows.row_of(12));
+            assert_eq!(taken, freed, "rows");
+        });
+        case
+    }
+
+    /// The sequential drive runs [`row_freed_batch`] with every round in
+    /// flight until its one drain; the threaded machines run it under
+    /// every schedule of at most two delays. Both reuse the rows and end
+    /// on the oracle's `V`, with the sequential drive's `ΔV`.
+    #[test]
+    fn a_row_freed_in_a_batch_is_reused_in_it_with_rounds_in_flight() {
+        let (s, b) = (emp_schema(), row_freed_batch());
         let mut d1 = d0();
         b.normalize(&d1).apply(&mut d1).unwrap();
         let oracle = cfd::naive::detect(&fig1_cfds(&s), &d1).marks_sorted();
@@ -3176,7 +3435,7 @@ mod tests {
         // One store: t11 takes t2's row, t12 takes t5's.
         let mut seq = simulated(fig1_cfds(&s), fig2_scheme(&s), &d0(), CodecKind::Md5).unwrap();
         let freed = [2, 5].map(|tid| seq.current().row_of(tid).unwrap());
-        let dv = Detector::apply(&mut seq, &b).unwrap();
+        Detector::apply(&mut seq, &b).unwrap();
         assert_eq!(
             seq.waves(),
             1,
@@ -3188,28 +3447,7 @@ mod tests {
         );
         assert_eq!(seq.violations().marks_sorted(), oracle);
         assert_eq!(seq.implied_violations().marks_sorted(), oracle);
-
-        // A fragment each: t11 takes t2's row at site 0, t12 t5's at site 2.
-        for seed in 1..=100 {
-            let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), fig1_cfds(&s), &d0());
-            let freed = (det.runner.get_mut().rows.row_of(2), sites[1].rows.row_of(5));
-            let mut pick = schedule(seed);
-            let stepped = step_batch(&mut det, &mut sites, &b, &mut pick, &mut Cut::default());
-            let at = format!("schedule seed {seed}");
-            assert_eq!(stepped.unwrap(), dv, "{at}: ΔV");
-            assert_eq!(det.violations().marks_sorted(), oracle, "{at}: V");
-            let taken = (
-                det.runner.get_mut().rows.row_of(11),
-                sites[1].rows.row_of(12),
-            );
-            assert_eq!(taken, freed, "{at}: rows");
-            let zero = &*det.runner.get_mut();
-            let runners: Vec<&SiteRunner> = std::iter::once(zero).chain(&sites).collect();
-            let held = runners.iter().map(|r| (&r.site, &r.rows));
-            let rows = runners.iter().flat_map(|r| r.rows.iter());
-            let implied = site::tests::implied_violations(held, rows, &det.cfg.cfds);
-            assert_eq!(implied.marks_sorted(), oracle, "{at}: V implied");
-        }
+        explore(&row_freed_case(), 2);
     }
 
     // -- bounded by live data ------------------------------------------
@@ -3513,11 +3751,8 @@ mod tests {
     /// and does not re-insert — are left out of the home's image and
     /// derived by the coordinator. Case by case over Fig. 1 and Fig. 2
     /// (t1 at site 0 violates φ0 and φ1; t3, t4 at site 1 and t5 at site 2
-    /// violate φ0), each batch through the threaded runtime and under 100
-    /// schedules of the machines on one thread: per batch the sequential
-    /// drive's `ΔV`, and `V` the brute-force detector's.
-    #[test]
-    fn a_pure_delete_is_derived_case_by_case() {
+    /// violate φ0).
+    fn pure_delete_cases() -> Vec<Case> {
         let d = d0();
         let t = |tid, grade, street| emp_tuple(tid, grade, 44, 131, "EH4 8LE", street, "EDI");
         let (ins, del) = (Update::Insert, Update::Delete);
@@ -3559,41 +3794,67 @@ mod tests {
                 vec![vec![del(5), del(1)]],
             ),
         ];
-        let s = emp_schema();
-        for (case, batches) in &cases {
-            let batches: Vec<UpdateBatch> = batches.iter().map(|b| tuples_of(b)).collect();
-            // The sequential drive's `ΔV`, batch by batch; `apply_both`
-            // holds the threaded runtime to it, and `V` to the oracle's.
-            let mut seq = simulated(fig1_cfds(&s), fig2_scheme(&s), &d, CodecKind::Md5).unwrap();
-            let want: Vec<DeltaV> = (batches.iter())
-                .map(|b| Detector::apply(&mut seq, b).unwrap())
-                .collect();
-            let oracle = cfd::naive::detect(seq.cfds(), seq.current());
-            assert_eq!(
-                seq.violations().marks_sorted(),
-                oracle.marks_sorted(),
-                "{case}"
-            );
-            let mut pair = emp_pair(&d, CodecKind::Md5, TransportKind::Framed);
-            for (i, b) in batches.iter().enumerate() {
-                apply_both(&mut pair, b, &format!("{case}, batch {i}"));
-            }
-            for seed in 1..=100 {
-                let (mut det, mut sites) = on_one_thread_over(fig2_scheme(&s), fig1_cfds(&s), &d);
-                let (mut pick, mut reads) = (schedule(seed), Cut::default());
-                for (i, (b, want)) in batches.iter().zip(&want).enumerate() {
-                    let at = format!("{case}, schedule seed {seed}, batch {i}");
-                    let stepped = step_batch(&mut det, &mut sites, b, &mut pick, &mut reads);
-                    let dv = stepped.unwrap_or_else(|e| panic!("{at}: {e}"));
-                    assert_eq!(&dv, want, "{at}: ΔV");
-                }
-                let marks = det.violations().marks_sorted();
-                assert_eq!(
-                    marks,
-                    oracle.marks_sorted(),
-                    "{case}, schedule seed {seed}: V"
-                );
-            }
+        let batches = |b: Vec<Vec<Update>>| b.iter().map(|b| tuples_of(b)).collect();
+        (cases.into_iter())
+            .map(|(case, b)| Case::fig(case, batches(b)))
+            .collect()
+    }
+
+    /// Each pure-delete case through the threaded runtime, and under every
+    /// schedule of at most two delays of the machines on one thread: per
+    /// batch the sequential drive's `ΔV`, and `V` the brute-force
+    /// detector's.
+    #[test]
+    fn a_pure_delete_is_derived_case_by_case() {
+        for case in pure_delete_cases() {
+            explore(&case, 2);
+        }
+    }
+
+    /// Two inserts at two sites, each opening a new RHS class in one group
+    /// of φ0 — of a zip no site knows (two streets, or one), of a zip one
+    /// site holds, of a zip already violating — are a `Writer` pair, which
+    /// today's rule puts in two waves: a batch of three barrier rounds,
+    /// under every schedule of at most two delays.
+    fn writer_pairs() -> Vec<Case> {
+        let t = |tid, grade, zip, street| emp_tuple(tid, grade, 44, 131, zip, street, "EDI");
+        let pair = |a, b| vec![tuples_of(&[Update::Insert(a), Update::Insert(b)])];
+        let cases = [
+            (
+                "of a zip no site knows, two streets",
+                ("A", "EH9 9ZZ", "Foo"),
+                ("B", "Bar"),
+            ),
+            (
+                "of a zip no site knows, one street",
+                ("A", "EH9 9ZZ", "Foo"),
+                ("B", "Foo"),
+            ),
+            (
+                "of a zip one site holds",
+                ("A", "EH2 4HF", "Leith"),
+                ("B", "Rose"),
+            ),
+            (
+                "of a zip already violating",
+                ("A", "EH4 8LE", "Foo"),
+                ("C", "Bar"),
+            ),
+        ];
+        (cases.into_iter())
+            .map(|(what, (g0, zip, s0), (g1, s1))| {
+                let batches = pair(t(10, g0, zip, s0), t(11, g1, zip, s1));
+                Case::fig(&format!("two writers {what}"), batches)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_inserts_opening_classes_at_two_sites_take_two_waves() {
+        for case in writer_pairs() {
+            let handshake_and_two_waves = case.reference().iter().map(|o| o.4).collect::<Vec<_>>();
+            assert_eq!(handshake_and_two_waves, [3], "{}", case.name);
+            explore(&case, 2);
         }
     }
 

@@ -640,7 +640,7 @@ impl FrameCodec for CtrlMsg {
 /// Frame dispatcher for a running site: protocol frames ([`HorMsg`],
 /// first byte `< 0x80`) and control frames ([`CtrlMsg`], `>= 0x80`)
 /// share each inbound link.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum RtFrame {
     /// A §6 protocol message.
     Hor(HorMsg),
@@ -1035,6 +1035,35 @@ mod tests {
         .encode_frame(&mut piggy);
         frames.push(piggy);
         frames
+    }
+
+    /// Arbitrary bytes under a control tag give a typed error, or a frame
+    /// that survives its own round trip. Every tag's encoding is canonical
+    /// but `BatchResult`'s: its decoder takes marks in runs the encoder
+    /// never writes, which re-encode to other bytes of the same image.
+    #[test]
+    fn arbitrary_bytes_error_or_round_trip() {
+        use crate::horizontal::tests::arbitrary_bytes;
+        let (tags, loose) = (0x80..CT_GATHER + 1, &[CT_RESULT]);
+        let (msgs, errors, rewritten) =
+            arbitrary_bytes::<CtrlMsg>(tags.clone(), loose, &specimens());
+        assert!(
+            msgs > 1_000 && errors > 1_000,
+            "{msgs} messages, {errors} errors"
+        );
+        assert!(
+            rewritten > 0,
+            "{msgs} messages, every one the encoder's bytes"
+        );
+        let (msgs, errors, _) = arbitrary_bytes::<RtFrame>(tags, loose, &specimens());
+        assert!(
+            msgs > 1_000 && errors > 1_000,
+            "{msgs} frames, {errors} errors"
+        );
+        // Two runs of CFD 0 where one would do: t5, then t6.
+        let two_runs = [CT_RESULT, 2, 0, 1, 10, 0, 1, 2, 0];
+        let image = CtrlMsg::decode_frame(&two_runs).unwrap();
+        assert_eq!(encoded(&image), [CT_RESULT, 1, 0, 2, 10, 1, 0]);
     }
 
     #[test]

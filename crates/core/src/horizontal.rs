@@ -1648,7 +1648,7 @@ pub(crate) mod tests {
     #[test]
     fn arbitrary_bytes_error_or_re_encode() {
         let specimens: Vec<_> = (1..=40).map(|s| frame_of(&seeded_msg(s))).collect();
-        let (msgs, errors) = arbitrary_bytes::<HorMsg>(6, &specimens);
+        let (msgs, errors, _) = arbitrary_bytes::<HorMsg>(0..6, &[], &specimens);
         assert!(
             msgs > 1_000 && errors > 1_000,
             "{msgs} messages, {errors} errors"
@@ -1656,15 +1656,18 @@ pub(crate) mod tests {
     }
 
     /// Feed `M`'s decoder 20 000 seeded inputs: odd ones short runs of
-    /// arbitrary bytes (the first a tag below `tags`), even ones a
+    /// arbitrary bytes (the first a tag in `tags`), even ones a
     /// `specimens` frame with one byte overwritten. Each must give a typed
     /// [`ClusterError::Transport`], or a message that re-encodes to exactly
-    /// the bytes it was read from — the encoding is canonical. Returns
-    /// `(messages, errors)`.
-    pub(crate) fn arbitrary_bytes<M: FrameCodec>(
-        tags: u8,
+    /// the bytes it was read from — the encoding is canonical — or, under a
+    /// first byte in `loose`, to bytes that decode to the same message.
+    /// Returns `(messages, errors, rewritten)`, the last the messages
+    /// whose bytes were not the encoder's.
+    pub(crate) fn arbitrary_bytes<M: FrameCodec + PartialEq>(
+        tags: std::ops::Range<u8>,
+        loose: &[u8],
         specimens: &[Vec<u8>],
-    ) -> (usize, usize) {
+    ) -> (usize, usize, usize) {
         let mut rng = 0x5EED_u64;
         let mut next = move || {
             rng = rng
@@ -1672,14 +1675,14 @@ pub(crate) mod tests {
                 .wrapping_add(1442695040888963407);
             (rng >> 33) as u8
         };
-        let (mut msgs, mut errors) = (0, 0);
+        let (mut msgs, mut errors, mut rewritten) = (0, 0, 0);
         for k in 0..20_000 {
             let bytes: Vec<u8> = if k % 2 == 1 {
                 // Short varints are the interesting bytes: bias towards them.
                 let len = usize::from(next() % 16);
                 (0..len)
                     .map(|i| match next() {
-                        _ if i == 0 => next() % tags,
+                        _ if i == 0 => tags.start + next() % tags.len() as u8,
                         b if b % 2 == 0 => next() % 8,
                         _ => next(),
                     })
@@ -1694,13 +1697,18 @@ pub(crate) mod tests {
                 Ok(m) => {
                     let mut again = Vec::new();
                     m.encode_frame(&mut again);
-                    assert_eq!(again, bytes, "{m:?}");
+                    if again != bytes {
+                        let tag = bytes[0];
+                        assert!(loose.contains(&tag), "{m:?}: tag {tag:#x} is canonical");
+                        assert_eq!(M::decode_frame(&again).ok().as_ref(), Some(&m));
+                        rewritten += 1;
+                    }
                     msgs += 1;
                 }
                 Err(ClusterError::Transport(_)) => errors += 1,
                 Err(e) => panic!("{bytes:02x?}: untyped {e:?}"),
             }
         }
-        (msgs, errors)
+        (msgs, errors, rewritten)
     }
 }
