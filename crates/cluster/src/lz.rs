@@ -235,4 +235,53 @@ mod tests {
         let e = decompress(&[0x80], 100).unwrap_err();
         assert!(e.to_string().contains("malformed"));
     }
+
+    /// 20 000 seeded inputs, each under a bound of 0 to 599 bytes: odd
+    /// ones arbitrary bytes (tags of both kinds, distances near the output
+    /// produced), even ones a packed specimen with one byte overwritten.
+    /// Each is an error or at most the bound's bytes, never a panic.
+    #[test]
+    fn arbitrary_streams_error_or_stay_bounded() {
+        let specimens: Vec<Vec<u8>> = [
+            &b"Glenna Goodacre Boulevard|".repeat(20)[..],
+            &[7u8; 300],
+            b"the quick brown fox jumps over the lazy dog",
+        ]
+        .iter()
+        .map(|data| compress(data))
+        .collect();
+        let mut rng = 0x5EED_u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) as usize
+        };
+        let (mut ok, mut err) = (0, 0);
+        for k in 0..20_000 {
+            let max_out = next() % 600;
+            let input: Vec<u8> = if k % 2 == 1 {
+                (0..next() % 48)
+                    .map(|_| match next() % 3 {
+                        0 => (next() % 8) as u8,
+                        1 => 0x80 | (next() % 8) as u8,
+                        _ => next() as u8,
+                    })
+                    .collect()
+            } else {
+                let mut b = specimens[next() % specimens.len()].clone();
+                let at = next() % b.len();
+                b[at] = next() as u8;
+                b
+            };
+            match decompress(&input, max_out) {
+                Ok(out) => {
+                    assert!(out.len() <= max_out, "input {k}: {} > {max_out}", out.len());
+                    ok += 1;
+                }
+                Err(_) => err += 1,
+            }
+        }
+        assert!(ok > 1_000 && err > 1_000, "{ok} streams, {err} errors");
+    }
 }

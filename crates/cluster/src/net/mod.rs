@@ -81,25 +81,27 @@ impl TransportKind {
     }
 }
 
-/// Whole-run transport counters, each maintained constructively at its
-/// own increment site (see the module docs for the identity they obey).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportMeter {
-    /// Frames shipped.
-    pub frames: u64,
-    /// Actual bytes on the wire, each frame's header included
-    /// (`frame::frame_wire_len`).
-    pub wire_bytes: u64,
-    /// Modeled `|M|` bytes ([`Wire::wire_size`] sums).
-    pub modeled_bytes: u64,
-    /// Bytes above the model: frame headers (1–4 bytes each, the method
-    /// bit inside), plus each message's encoding where it is longer than
-    /// its `|M|` (every byte of a control frame).
-    pub structural_bytes: u64,
-    /// Bytes below the model: each message's encoding where it is
-    /// shorter than its `|M|`, plus what [`lz`] packing of control frames
-    /// recovered.
-    pub saved_bytes: u64,
+crate::wire! {
+    /// Whole-run transport counters, each maintained constructively at its
+    /// own increment site (see the module docs for the identity they obey).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TransportMeter {
+        /// Frames shipped.
+        pub frames: u64,
+        /// Actual bytes on the wire, each frame's header included
+        /// (`frame::frame_wire_len`).
+        pub wire_bytes: u64,
+        /// Modeled `|M|` bytes ([`Wire::wire_size`] sums).
+        pub modeled_bytes: u64,
+        /// Bytes above the model: frame headers (1–4 bytes each, the method
+        /// bit inside), plus each message's encoding where it is longer than
+        /// its `|M|` (every byte of a control frame).
+        pub structural_bytes: u64,
+        /// Bytes below the model: each message's encoding where it is
+        /// shorter than its `|M|`, plus what [`lz`] packing of control frames
+        /// recovered.
+        pub saved_bytes: u64,
+    }
 }
 
 impl TransportMeter {

@@ -22,15 +22,17 @@
 use crate::net::TransportMeter;
 use crate::SiteId;
 
-/// Counters for one direction of one site pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Number of messages sent.
-    pub messages: u64,
-    /// Payload bytes sent.
-    pub bytes: u64,
-    /// Equivalence-class ids shipped (subset of the byte traffic).
-    pub eqids: u64,
+crate::wire! {
+    /// Counters for one direction of one site pair.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Number of messages sent.
+        pub messages: u64,
+        /// Payload bytes sent.
+        pub bytes: u64,
+        /// Equivalence-class ids shipped (subset of the byte traffic).
+        pub eqids: u64,
+    }
 }
 
 impl Counters {

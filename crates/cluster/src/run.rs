@@ -368,7 +368,8 @@ pub fn join(n: usize, me: SiteId, base_port: u16) -> Result<Node, ClusterError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{bytes, ByteNetwork, TransportMeter};
+    use crate::net::bytes::{self, Field};
+    use crate::net::{ByteNetwork, TransportMeter};
     use crate::{NetStats, Wire};
 
     #[derive(Debug, Clone, PartialEq)]
@@ -392,10 +393,10 @@ mod tests {
 
         fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
             let mut r = bytes::Reader::new(body);
-            let n = r.u32()? as usize;
+            let n = bytes::Le32::get(&mut r)? as usize;
             let mut v = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                let (lo, hi) = (r.u32()?, r.u32()?);
+                let (lo, hi) = (bytes::Le32::get(&mut r)?, bytes::Le32::get(&mut r)?);
                 v.push(u64::from(lo) | u64::from(hi) << 32);
             }
             r.finish()?;

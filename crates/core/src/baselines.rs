@@ -24,7 +24,8 @@ use crate::horizontal::HorizontalDetector;
 use crate::vertical::VerticalDetector;
 use cfd::pattern::PatternValue;
 use cfd::{Cfd, CfdId, DeltaV, Violations};
-use cluster::net::{bytes as wirefmt, FrameCodec, TransportKind};
+use cluster::net::bytes::{malformed, put_varint, Field, Gaps, Reader};
+use cluster::net::TransportKind;
 use cluster::partition::{HorizontalScheme, VerticalScheme};
 use cluster::{
     ByteNetwork, ClusterError, DictMeter, Meters, MsgTransport, NetReport, Network, SiteId, Wire,
@@ -106,11 +107,16 @@ impl ColsMsg {
     }
 }
 
-/// Column payloads shipped by the batch baselines.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatMsg {
-    /// Dictionary-backed projected columns.
-    Cols(ColsMsg),
+cluster::wire! {
+    /// Column payloads shipped by the batch baselines, declared here once:
+    /// a frame is the tag, then the [`ColsMsg`] form, so [`BatMsg::Cols`]
+    /// crosses a [`cluster::net::ByteNetwork`] as an actual frame and
+    /// decodes from received bytes alone.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum BatMsg {
+        /// Dictionary-backed projected columns.
+        BF_COLS = 0 => Cols(m: ColsMsg),
+    }
 }
 
 impl Wire for BatMsg {
@@ -121,91 +127,54 @@ impl Wire for BatMsg {
     }
 }
 
-/// Real byte framing for the coordinator shipments, so [`BatMsg::Cols`]
-/// crosses a [`cluster::net::ByteNetwork`] as an actual frame and decodes
-/// from received bytes alone, in the compact forms of
-/// [`cluster::net::bytes`] (`v(x)` a canonical varint, `cell` a
-/// [`wirefmt::put_cell`] value):
+/// A shipment in the compact forms of [`cluster::net::bytes`] (`v(x)` a
+/// canonical varint, `cell` a [`relation::Value`] cell):
 ///
 /// ```text
-/// Cols  00 v(rows) v(first tid) (rows − 1) × v(tid − previous tid)
-///          v(cols) cols × rows × v(sym)
-///          v(entries) entries × (v(sym) cell)
+/// v(rows) v(first tid) (rows − 1) × v(tid − previous tid)
+/// v(cols) cols × rows × v(sym)
+/// v(entries) entries × (v(sym) cell)
 /// ```
 ///
-/// Tids ascend, so every gap is at least 1; a gap of zero, a tid past
-/// `u64::MAX`, a symbol past [`Sym`] and a count past the bytes left are
-/// refused before anything is allocated. The frame is not the `|M|`
+/// Tids ascend ([`Gaps`]), so every gap is at least 1; a gap of zero, a
+/// tid past `u64::MAX`, a symbol past [`Sym`] and a count past the bytes
+/// left are refused before anything is allocated. The columns are the one
+/// shape whose size rests on another field: `cols × rows` symbols, each at
+/// least a byte, must fit in the bytes left. The frame is not the `|M|`
 /// model of [`ColsMsg::wire_size`] — 8 bytes a tid, 4 a symbol — and the
 /// node that ships it books the difference. The receiver's link
 /// dictionary is fed by each frame's delta
 /// (`CoordPool::translate_received`).
-impl FrameCodec for BatMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) {
-        let BatMsg::Cols(m) = self;
-        out.push(0); // message tag
-        wirefmt::put_varint(out, m.tids.len() as u64);
-        let mut prev = None;
-        for &t in &m.tids {
-            debug_assert!(prev < Some(t), "tids ascend");
-            wirefmt::put_varint(out, prev.map_or(t, |p| t.wrapping_sub(p)));
-            prev = Some(t);
-        }
-        wirefmt::put_varint(out, m.cols.len() as u64);
+impl Field for ColsMsg {
+    type Value = ColsMsg;
+
+    fn put(out: &mut Vec<u8>, m: &ColsMsg) {
+        Gaps::put(out, &m.tids);
+        put_varint(out, m.cols.len() as u64);
         for col in &m.cols {
             debug_assert_eq!(col.len(), m.tids.len(), "columns align with tids");
-            col.iter()
-                .for_each(|&s| wirefmt::put_varint(out, u64::from(s)));
+            col.iter().for_each(|s| Sym::put(out, s));
         }
-        wirefmt::put_varint(out, m.dict.len() as u64);
-        for (s, v) in &m.dict {
-            wirefmt::put_varint(out, u64::from(*s));
-            wirefmt::put_cell(out, v);
-        }
+        Vec::<(Sym, relation::Value)>::put(out, &m.dict);
     }
 
-    fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
-        let mut r = wirefmt::Reader::new(body);
-        if r.u8()? != 0 {
-            return Err(ClusterError::Transport(
-                "unknown batch-protocol message tag".into(),
-            ));
-        }
-        let n_rows = r.count()?;
-        let mut tids: Vec<Tid> = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let v = r.varint()?;
-            let t = match tids.last() {
-                None => Some(v),
-                Some(&p) => p.checked_add(v).filter(|_| v > 0),
-            };
-            tids.push(t.ok_or_else(|| {
-                ClusterError::Transport(
-                    "malformed frame payload: tids do not ascend within u64".into(),
-                )
-            })?);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<ColsMsg, ClusterError> {
+        let tids = Gaps::get(r)?;
+        let n_rows = tids.len();
         // A column serves one attribute, and each of its symbols takes a
         // byte: columns the frame cannot hold fail before any is reserved.
         let n_cols = usize::try_from(r.varint()?)
             .ok()
             .filter(|&k| k <= usize::from(AttrId::MAX) + 1)
             .filter(|&k| k.checked_mul(n_rows).is_some_and(|n| n <= r.remaining()))
-            .ok_or_else(|| {
-                ClusterError::Transport("malformed frame payload: columns exceed the frame".into())
-            })?;
+            .ok_or_else(|| malformed("columns exceed the frame"))?;
         let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            let col = (0..n_rows).map(|_| r.id("symbol"));
-            cols.push(col.collect::<Result<Vec<Sym>, _>>()?);
+            let col = (0..n_rows).map(|_| Sym::get(r));
+            cols.push(col.collect::<Result<_, _>>()?);
         }
-        let n_dict = r.count()?;
-        let mut dict = Vec::with_capacity(n_dict);
-        for _ in 0..n_dict {
-            dict.push((r.id("symbol")?, wirefmt::get_cell(&mut r)?));
-        }
-        r.finish()?;
-        Ok(BatMsg::Cols(ColsMsg { tids, cols, dict }))
+        let dict = Vec::<(Sym, relation::Value)>::get(r)?;
+        Ok(ColsMsg { tids, cols, dict })
     }
 }
 
@@ -946,9 +915,10 @@ batch_detector!(
 );
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::horizontal::tests::{arbitrary_bytes, frame_of};
+    use crate::horizontal::tests::frame_of;
+    use cluster::net::FrameCodec;
     use cluster::TransportMeter;
     use relation::Value;
 
@@ -1194,7 +1164,7 @@ mod tests {
     /// A seeded shipment of `rows` ascending tids (gaps of one to a few
     /// hundred), `cols` symbol columns and a dictionary delta of ints and
     /// strings.
-    fn seeded_cols(seed: u64, rows: usize, cols: usize) -> BatMsg {
+    pub(crate) fn seeded_cols(seed: u64, rows: usize, cols: usize) -> BatMsg {
         let mut t = seed;
         let tids = (0..rows as u64)
             .map(|i| {
@@ -1244,7 +1214,7 @@ mod tests {
             Err(ClusterError::Transport(e)) => assert!(e.contains(why), "{frame:02x?}: {e}"),
             other => panic!("{frame:02x?}: {other:?}"),
         };
-        refused(&[9], "unknown batch-protocol message tag");
+        refused(&[9], "unknown BatMsg tag 0x09");
         // A row count whose varint never ends; 2¹⁵ rows; a column of three
         // symbols with one byte left; 2¹⁶ + 1 empty columns, more than
         // there are attributes; a dictionary of 2⁴⁰ entries.
@@ -1261,29 +1231,15 @@ mod tests {
         // Symbol 2³² in a column, and as a dictionary entry.
         let mut past = vec![0, 1, 5, 1];
         cluster::net::bytes::put_varint(&mut past, 1 << 32);
-        refused(&[&past[..], &[0]].concat(), "symbol past");
+        refused(&[&past[..], &[0]].concat(), "a varint past u32");
         refused(
             &[&[0, 0, 0, 1][..], &past[4..], &[0]].concat(),
-            "symbol past",
+            "a varint past u32",
         );
         // A repeated tid; a gap past `u64::MAX`.
-        refused(&[0, 2, 5, 0, 0, 0], "tids do not ascend");
+        refused(&[0, 2, 5, 0, 0, 0], "a tid gap of zero");
         let mut wrap = vec![0, 2];
         cluster::net::bytes::put_varint(&mut wrap, u64::MAX);
-        refused(&[&wrap[..], &[1, 0, 0]].concat(), "tids do not ascend");
-    }
-
-    /// Arbitrary bytes give a typed error, or a shipment that re-encodes
-    /// to exactly the bytes it was read from.
-    #[test]
-    fn arbitrary_bytes_error_or_re_encode() {
-        let specimens: Vec<_> = (1..=20)
-            .map(|s| frame_of(&seeded_cols(s, s as usize % 9, s as usize % 3)))
-            .collect();
-        let (msgs, errors, _) = arbitrary_bytes::<BatMsg>(0..1, &[], &specimens);
-        assert!(
-            msgs > 1_000 && errors > 1_000,
-            "{msgs} messages, {errors} errors"
-        );
+        refused(&[&wrap[..], &[1, 0, 0]].concat(), "past u64");
     }
 }

@@ -8,54 +8,44 @@
 //!
 //! # Layouts
 //!
-//! `v(x)` is a varint, `z(x)` a zig-zag varint, `cell` a
-//! [`put_cell`] value.
+//! Each frame is declared once, by the [`cluster::wire!`] invocations
+//! below — [`CtrlMsg`]'s, [`RtFrame`]'s and the records they carry, each
+//! variant documented there — and both its encoder and its decoder are
+//! derived from that declaration in the forms of [`cluster::net::bytes`].
+//! What they write, with `v(x)` a varint, `z(x)` a zig-zag varint, `cell`
+//! a value cell:
 //!
 //! ```text
 //! Ack          80
-//! AckN(k)      87 v(k)
-//! WaveDone(w)  82 v(w)                               from a site holding an
-//!                                                    update of wave w only
-//! WaveAdvance  83 v(w)                               wave w is closed: to
-//!                                                    the sites holding an
-//!                                                    update of wave w + 1,
-//!                                                    after the last wave
-//!                                                    to every site
+//! AckN(k)      87 v(k)                              k ≥ 2
+//! WaveDone(w)  82 v(w)
+//! WaveAdvance  83 v(w)
 //! Shutdown     86
-//! Piggy(k, m)  89 v(k) <HorMsg frame of m>
+//! Piggy(k, m)  89 v(k) <HorMsg frame of m>          k ≥ 1
 //! Deferred     8a v(n) n × v(position << 1 | writes)
-//!              v(m) m × (v(k) k × key)              a deferred delete's
-//!                                                    footprint, in slice
-//!                                                    order; a key is 4
-//!                                                    bytes little-endian
+//!              v(m) m × (v(k) k × key)              a key is 4 bytes
+//!                                                   little-endian
 //! Waves        8b v(n_waves) v(n) n × v(wave)
 //! Failed       8c v(len) len × UTF-8 byte
 //! Built        8d v(rows) v(marks) 16 × digest byte
 //! Take         8e
-//! Gather       8f                                    answered by an Ops
-//!                                                    frame of inserts
-//! Meters       84                                    answered by Metered
+//! Gather       8f
+//! Meters       84
 //!
 //! Ops          81 v(n_ops)
-//!              ⌈n_ops / 8⌉ × kind bits               op i is bit i mod 8 of
-//!                                                    byte i / 8, set for a
-//!                                                    delete; spare bits 0
-//!              n_ops × z(tid − previous tid)         tid column
-//!              v(arity)                              0 without inserts
+//!              ⌈n_ops / 8⌉ × kind bits              op i is bit i mod 8 of
+//!                                                   byte i / 8, set for a
+//!                                                   delete; spare bits 0
+//!              n_ops × z(tid − previous tid)        tid column
+//!              v(arity)                             0 without inserts
 //!              arity × column over the inserted rows, in slice order:
-//!                00 rows × cell                      plain
-//!                01 rows × (00 cell | v(i + 1))      dictionary: a literal
-//!                                                    joins the column's
-//!                                                    dictionary, i names
-//!                                                    its i-th literal
+//!                00 rows × cell                     plain
+//!                01 rows × (00 cell | v(i + 1))     dictionary: a literal
+//!                                                   joins the column's
+//!                                                   dictionary, i names
+//!                                                   its i-th literal
 //!
-//! BatchResult  85 marks(added) marks(removed)        removed leaves out a
-//!                                                    pure delete's marks
-//!   marks      v(runs) runs × run                    a run: one CFD's marks,
-//!                                                    tids ascending
-//!   run        z(cfd − previous run's cfd) v(len)
-//!              z(first tid − previous run's first tid)
-//!              (len − 1) × v(tid − previous tid)
+//! BatchResult  85 marks(added) marks(removed)       each marks a `Runs`
 //!
 //! Metered      88 cells(stats) cells(wire)
 //!              v(frames) v(wire) v(modeled) v(structural) v(saved)
@@ -73,94 +63,85 @@
 //!
 //! A column takes whichever of its two forms is shorter *in that frame*:
 //! a repeated value costs one or two index bytes in dictionary form, an
-//! all-distinct column stays plain and pays nothing for the option.
-//! Frames of [`cluster::run::CTRL_LZ_MIN_BYTES`] or more are then
+//! all-distinct column stays plain and pays nothing for the option. `Ops`
+//! is the one frame whose shape rests on its own contents — the kind
+//! bits say how many rows the columns hold, and the values decide each
+//! column's form — so its [`Field`] is written by hand, `put` beside
+//! `get`. Frames of [`cluster::run::CTRL_LZ_MIN_BYTES`] or more are then
 //! offered to `cluster::lz` by the node and kept packed when smaller.
 //!
 //! # Hostile input
 //!
-//! Every count is checked against the bytes left in the frame before it
-//! sizes an allocation (an item is at least one byte), varints are
-//! canonical, and the strings a dictionary column may *re*-materialize
-//! are budgeted by [`MAX_FRAME_BYTES`] — one long literal referenced a
-//! million times does not decode. Malformed frames are
+//! Every decoder accepts only its encoder's bytes. Every count is checked
+//! against the bytes left in the frame before it sizes an allocation (an
+//! item is at least one byte), varints are canonical, an ack count is
+//! refused below its least value, a run of marks may not continue the one
+//! before, an `Ops` column must take the form the encoder picks (the
+//! dictionary only when strictly shorter) and its dictionary may not
+//! repeat a literal, and the strings a dictionary column may
+//! *re*-materialize are budgeted by [`MAX_FRAME_BYTES`] — one long literal
+//! referenced a million times does not decode. Malformed frames are
 //! [`ClusterError::Transport`], never a panic.
 
 use crate::horizontal::order::DeferredList;
 use crate::horizontal::HorMsg;
 use cfd::{CfdId, Violations};
 use cluster::md5::{md5, Digest};
-use cluster::net::bytes::{cell_len, get_cell, put_cell, put_varint, unzigzag, zigzag, Reader};
+use cluster::net::bytes::{cell_len, malformed, put_varint, AtLeast, Field, Nested, Reader, Runs};
 use cluster::net::frame::MAX_FRAME_BYTES;
-use cluster::net::FrameCodec;
 use cluster::netstats::Counters;
 use cluster::{ClusterError, SiteId, TransportMeter, Wire};
 use relation::{Relation, Tid, Tuple, Update, Value};
 use std::collections::hash_map::{Entry, HashMap};
 
-const CT_ACK: u8 = 0x80;
-const CT_OPS: u8 = 0x81;
-const CT_DONE: u8 = 0x82;
-const CT_ADVANCE: u8 = 0x83;
-const CT_METERS: u8 = 0x84;
-const CT_RESULT: u8 = 0x85;
-const CT_SHUTDOWN: u8 = 0x86;
-const CT_ACK_N: u8 = 0x87;
-const CT_METERED: u8 = 0x88;
-const CT_PIGGY: u8 = 0x89;
-const CT_DEFERRED: u8 = 0x8a;
-const CT_WAVES: u8 = 0x8b;
-const CT_FAILED: u8 = 0x8c;
-const CT_BUILT: u8 = 0x8d;
-const CT_TAKE: u8 = 0x8e;
-const CT_GATHER: u8 = 0x8f;
-
 const COL_PLAIN: u8 = 0;
 const COL_DICT: u8 = 1;
 
-fn bad(what: &str) -> ClusterError {
-    ClusterError::Transport(format!("malformed control frame: {what}"))
+cluster::wire! {
+    /// A site's settled `ΔV` slice for one batch, reported to the coordinator
+    /// at collection. Its meters stay at the site until asked for
+    /// ([`MeterImage`]).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub(crate) struct BatchImage {
+        /// Marks this site added, net of its own removals, sorted.
+        pub(crate) added: Vec<(CfdId, Tid)> as Runs,
+        /// Marks this site removed, net of its own additions, sorted — but
+        /// for the marks of the tids its slice deletes and does not insert,
+        /// which the coordinator derives.
+        pub(crate) removed: Vec<(CfdId, Tid)> as Runs,
+    }
 }
 
-/// A site's settled `ΔV` slice for one batch, reported to the coordinator
-/// at collection. Its meters stay at the site until asked for
-/// ([`MeterImage`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct BatchImage {
-    /// Marks this site added, net of its own removals, sorted.
-    pub(crate) added: Vec<(CfdId, Tid)>,
-    /// Marks this site removed, net of its own additions, sorted — but
-    /// for the marks of the tids its slice deletes and does not insert,
-    /// which the coordinator derives.
-    pub(crate) removed: Vec<(CfdId, Tid)>,
+cluster::wire! {
+    /// A site's meters since it last answered a [`CtrlMsg::Meters`] request:
+    /// the site fills only its own row of each matrix, so its non-zero cells
+    /// are all there is to ship.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub(crate) struct MeterImage {
+        /// Non-zero cells of the site's row of the modeled-`|M|` matrix.
+        pub(crate) stats: Vec<(SiteId, Counters)>,
+        /// Non-zero cells of the site's row of the measured on-wire matrix.
+        pub(crate) wire: Vec<(SiteId, Counters)>,
+        /// The site's transport counters.
+        pub(crate) meter: TransportMeter,
+        /// Wire bytes of the frames the site took off its inbox.
+        pub(crate) received: u64,
+    }
 }
 
-/// A site's meters since it last answered a [`CtrlMsg::Meters`] request:
-/// the site fills only its own row of each matrix, so its non-zero cells
-/// are all there is to ship.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct MeterImage {
-    /// Non-zero cells of the site's row of the modeled-`|M|` matrix.
-    pub(crate) stats: Vec<(SiteId, Counters)>,
-    /// Non-zero cells of the site's row of the measured on-wire matrix.
-    pub(crate) wire: Vec<(SiteId, Counters)>,
-    /// The site's transport counters.
-    pub(crate) meter: TransportMeter,
-    /// Wire bytes of the frames the site took off its inbox.
-    pub(crate) received: u64,
-}
-
-/// What a site's build left it, in a form two processes can compare: the
-/// sizes of its fragment and of `V`'s marks on it, and one MD5 over both —
-/// each row in tid order as its tid and its cells, then the marks sorted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct BuildPrint {
-    /// Rows of the fragment.
-    pub(crate) rows: u64,
-    /// Marks of `V` on the fragment's rows.
-    pub(crate) marks: u64,
-    /// MD5 of the rows and the marks.
-    pub(crate) digest: Digest,
+cluster::wire! {
+    /// What a site's build left it, in a form two processes can compare: the
+    /// sizes of its fragment and of `V`'s marks on it, and one MD5 over both —
+    /// each row in tid order as its tid and its cells, then the marks sorted.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub(crate) struct BuildPrint {
+        /// Rows of the fragment.
+        pub(crate) rows: u64,
+        /// Marks of `V` on the fragment's rows.
+        pub(crate) marks: u64,
+        /// MD5 of the rows and the marks.
+        pub(crate) digest: Digest,
+    }
 }
 
 impl BuildPrint {
@@ -170,14 +151,14 @@ impl BuildPrint {
         let mut bytes = Vec::new();
         let store = rows.store();
         for (tid, row) in store.rows() {
-            put_varint(&mut bytes, tid);
+            Tid::put(&mut bytes, &tid);
             store
                 .row_syms(row)
-                .for_each(|s| put_cell(&mut bytes, store.pool().resolve(s)));
+                .for_each(|s| Value::put(&mut bytes, store.pool().resolve(s)));
         }
         let mut marks = v.marks_sorted();
         marks.retain(|&(_, tid)| rows.contains(tid));
-        put_marks(&mut bytes, &marks);
+        Runs::put(&mut bytes, &marks);
         BuildPrint {
             rows: rows.len() as u64,
             marks: marks.len() as u64,
@@ -193,72 +174,76 @@ impl std::fmt::Display for BuildPrint {
     }
 }
 
-/// Runtime control traffic: a process's build fingerprint, batch hand-over,
-/// the settle handshake, wave barriers, acks, result collection, the
-/// gathers of `D` and of the meters, failure, shutdown. All structure —
-/// `wire_size() == 0`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CtrlMsg {
-    /// Generic round-closer where the protocol has no payload to reply.
-    Ack,
-    /// Cumulative ack: closes the `k` *oldest* outstanding rounds the
-    /// receiver opened towards us (all served silently on our side).
-    /// Never sent with `k == 0`, and never with `k == 1` either — a
-    /// single owed round flushes as the smaller [`CtrlMsg::Ack`].
-    AckN(u32),
-    /// The coordinator ships a site process its slice of the batch, in
-    /// batch order. (The coordinator itself never builds this variant: it
-    /// writes the frame from the borrowed batch with [`encode_ops`].)
-    Ops(Vec<Update>),
-    /// A site thread's slice of the batch is in its in-process inlet:
-    /// take it. The rows never cross the link; a site process, which has
-    /// no inlet, gets [`CtrlMsg::Ops`] instead.
-    Take,
-    /// A site's settle pass is through: the slice positions, ascending, of
-    /// the updates it left for the wave schedule, each with whether the
-    /// update *writes* (creates or empties a local RHS class) or is
-    /// class-preserving and only held behind one that shares a group key
-    /// or its tid; and the footprint of each deferred delete, whose row
-    /// only the site holds.
-    Deferred(DeferredList),
-    /// The coordinator's answer: the wave of each update the site
-    /// deferred, in the order the site listed them. With `n_waves == 0`
-    /// nobody deferred anything and the frame is the cue to cut the batch
-    /// image.
-    Waves {
-        /// Waves of the batch, the same number at every site.
-        n_waves: u32,
-        /// One wave per deferred update, each below `n_waves`.
-        waves: Vec<u32>,
-    },
-    /// A site finished its slice of the given wave — sent only for a wave
-    /// the site holds an update of.
-    WaveDone(u32),
-    /// The coordinator releases the barrier of the given wave: to the
-    /// sites holding an update of the next, or, after the last wave, to
-    /// every site, as the cue to cut the batch image.
-    WaveAdvance(u32),
-    /// A site's batch image, less its pure deletes' removals.
-    BatchResult(Box<BatchImage>),
-    /// The coordinator asks a site for its meters, between batches. The
-    /// site answers with [`CtrlMsg::Metered`] and zeroes them. Both ends
-    /// take the exchange off their meters: it reports traffic, it is none.
-    Meters,
-    /// A site's answer to [`CtrlMsg::Meters`].
-    Metered(Box<MeterImage>),
-    /// A site's last words to the coordinator: its `serve` is returning
-    /// this error.
-    Failed(String),
-    /// A site process's first words to the coordinator: what its build
-    /// left it.
-    Built(BuildPrint),
-    /// The coordinator asks a site for its fragment, between batches. The
-    /// site answers with an [`CtrlMsg::Ops`] frame of inserts, one per row
-    /// it is home to, in tid order. Both ends take the exchange off their
-    /// meters: it reads `D`, it is not `ΔD`'s.
-    Gather,
-    /// Tear the site down (end of session).
-    Shutdown,
+cluster::wire! {
+    /// Runtime control traffic: a process's build fingerprint, batch hand-over,
+    /// the settle handshake, wave barriers, acks, result collection, the
+    /// gathers of `D` and of the meters, failure, shutdown. All structure —
+    /// `wire_size() == 0`. Each frame is declared here once (the layouts
+    /// above).
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) enum CtrlMsg {
+        /// Generic round-closer where the protocol has no payload to reply.
+        CT_ACK = 0x80 => Ack,
+        /// Cumulative ack: closes the `k` *oldest* outstanding rounds the
+        /// receiver opened towards us (all served silently on our side).
+        /// Never sent with `k == 0`, and never with `k == 1` either — a
+        /// single owed round flushes as the smaller [`CtrlMsg::Ack`] — so
+        /// both are refused.
+        CT_ACK_N = 0x87 => AckN(k: u32 as AtLeast<2>),
+        /// The coordinator ships a site process its slice of the batch, in
+        /// batch order. (The coordinator itself never builds this variant: it
+        /// writes the frame from the borrowed batch with [`encode_ops`].)
+        CT_OPS = 0x81 => Ops(ops: Vec<Update> as Slice),
+        /// A site thread's slice of the batch is in its in-process inlet:
+        /// take it. The rows never cross the link; a site process, which has
+        /// no inlet, gets [`CtrlMsg::Ops`] instead.
+        CT_TAKE = 0x8e => Take,
+        /// A site's settle pass is through: the slice positions, ascending, of
+        /// the updates it left for the wave schedule, each with whether the
+        /// update *writes* (creates or empties a local RHS class) or is
+        /// class-preserving and only held behind one that shares a group key
+        /// or its tid; and the footprint of each deferred delete, whose row
+        /// only the site holds.
+        CT_DEFERRED = 0x8a => Deferred(list: DeferredList),
+        /// The coordinator's answer: the wave of each update the site
+        /// deferred, in the order the site listed them. With `n_waves == 0`
+        /// nobody deferred anything and the frame is the cue to cut the batch
+        /// image.
+        CT_WAVES = 0x8b => Waves {
+            /// Waves of the batch, the same number at every site.
+            n_waves: u32,
+            /// One wave per deferred update, each below `n_waves`.
+            waves: Vec<u32>,
+        },
+        /// A site finished its slice of the given wave — sent only for a wave
+        /// the site holds an update of.
+        CT_DONE = 0x82 => WaveDone(w: u32),
+        /// The coordinator releases the barrier of the given wave: to the
+        /// sites holding an update of the next, or, after the last wave, to
+        /// every site, as the cue to cut the batch image.
+        CT_ADVANCE = 0x83 => WaveAdvance(w: u32),
+        /// A site's batch image, less its pure deletes' removals.
+        CT_RESULT = 0x85 => BatchResult(img: Box<BatchImage>),
+        /// The coordinator asks a site for its meters, between batches. The
+        /// site answers with [`CtrlMsg::Metered`] and zeroes them. Both ends
+        /// take the exchange off their meters: it reports traffic, it is none.
+        CT_METERS = 0x84 => Meters,
+        /// A site's answer to [`CtrlMsg::Meters`].
+        CT_METERED = 0x88 => Metered(img: Box<MeterImage>),
+        /// A site's last words to the coordinator: its `serve` is returning
+        /// this error.
+        CT_FAILED = 0x8c => Failed(cause: String),
+        /// A site process's first words to the coordinator: what its build
+        /// left it.
+        CT_BUILT = 0x8d => Built(print: BuildPrint),
+        /// The coordinator asks a site for its fragment, between batches. The
+        /// site answers with an [`CtrlMsg::Ops`] frame of inserts, one per row
+        /// it is home to, in tid order. Both ends take the exchange off their
+        /// meters: it reads `D`, it is not `ΔD`'s.
+        CT_GATHER = 0x8f => Gather,
+        /// Tear the site down (end of session).
+        CT_SHUTDOWN = 0x86 => Shutdown,
+    }
 }
 
 impl Wire for CtrlMsg {
@@ -267,12 +252,31 @@ impl Wire for CtrlMsg {
     }
 }
 
+/// A slice of updates, column by column (the `Ops` layout above).
+struct Slice;
+
+impl Field for Slice {
+    type Value = Vec<Update>;
+
+    fn put(out: &mut Vec<u8>, ops: &Vec<Update>) {
+        put_slice(out, &ops.iter().collect::<Vec<_>>());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Vec<Update>, ClusterError> {
+        get_slice(r, MAX_FRAME_BYTES)
+    }
+}
+
 /// Write an `Ops` frame straight from borrowed updates: cells are read
-/// where they lie, column by column, and no row is copied. Every
-/// inserted row must have the arity of the first (the coordinator checks
-/// rows against the schema before it schedules them).
+/// where they lie, column by column, and no row is copied.
 pub(crate) fn encode_ops(out: &mut Vec<u8>, ops: &[&Update]) {
     out.push(CT_OPS);
+    put_slice(out, ops);
+}
+
+/// Every inserted row must have the arity of the first (the coordinator
+/// checks rows against the schema before it schedules them).
+fn put_slice(out: &mut Vec<u8>, ops: &[&Update]) {
     put_varint(out, ops.len() as u64);
     for byte in ops.chunks(8) {
         let bit = |(i, op): (usize, &&Update)| u8::from(matches!(op, Update::Delete(_))) << i;
@@ -280,7 +284,7 @@ pub(crate) fn encode_ops(out: &mut Vec<u8>, ops: &[&Update]) {
     }
     let mut prev: Tid = 0;
     for op in ops {
-        put_varint(out, zigzag(op.tid().wrapping_sub(prev) as i64));
+        i64::put(out, &(op.tid().wrapping_sub(prev) as i64));
         prev = op.tid();
     }
     let rows: Vec<&Tuple> = ops
@@ -296,76 +300,73 @@ pub(crate) fn encode_ops(out: &mut Vec<u8>, ops: &[&Update]) {
         "rows of one slice share one schema"
     );
     put_varint(out, arity as u64);
-    // Keyed by caller-supplied values: keep the collision-resistant
-    // default hasher.
-    let mut seen: HashMap<&Value, u64> = HashMap::new();
-    let mut dict_form = Vec::new();
     for a in 0..arity {
-        seen.clear();
-        dict_form.clear();
-        let mut plain_len = 0;
-        for t in &rows {
-            let v = &t.values[a];
-            plain_len += cell_len(v);
-            let next = seen.len() as u64 + 1;
-            match seen.entry(v) {
-                Entry::Occupied(e) => put_varint(&mut dict_form, *e.get()),
-                Entry::Vacant(e) => {
-                    e.insert(next);
-                    dict_form.push(0);
-                    put_cell(&mut dict_form, v);
-                }
-            }
-        }
-        if dict_form.len() < plain_len {
-            out.push(COL_DICT);
-            out.extend_from_slice(&dict_form);
-        } else {
-            out.push(COL_PLAIN);
-            for t in &rows {
-                put_cell(out, &t.values[a]);
-            }
-        }
+        put_column(out, rows.iter().map(|t| &t.values[a]));
     }
 }
 
-fn get_u32(r: &mut Reader<'_>) -> Result<u32, ClusterError> {
-    u32::try_from(r.varint()?).map_err(|_| bad("32-bit field out of range"))
+/// One column of an `Ops` frame: the dictionary form when it is strictly
+/// shorter than the plain one, each value a literal where it first
+/// appears and the index of that literal after.
+fn put_column<'a>(out: &mut Vec<u8>, col: impl Iterator<Item = &'a Value> + Clone) {
+    // Keyed by caller-supplied values: keep the collision-resistant
+    // default hasher.
+    let mut seen: HashMap<&Value, u64> = HashMap::new();
+    let (mut dict, mut plain_len) = (vec![COL_DICT], 1);
+    for v in col.clone() {
+        plain_len += cell_len(v);
+        let next = seen.len() as u64 + 1;
+        match seen.entry(v) {
+            Entry::Occupied(e) => put_varint(&mut dict, *e.get()),
+            Entry::Vacant(e) => {
+                e.insert(next);
+                dict.push(0);
+                Value::put(&mut dict, v);
+            }
+        }
+    }
+    if dict.len() < plain_len {
+        out.extend_from_slice(&dict);
+    } else {
+        out.push(COL_PLAIN);
+        col.for_each(|v| Value::put(out, v));
+    }
 }
 
-/// Decode the body of an `Ops` frame; `budget` bounds the string bytes
-/// dictionary references may re-materialize.
-fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterError> {
+/// Read an `Ops` slice; `budget` bounds the string bytes dictionary
+/// references may re-materialize.
+fn get_slice(r: &mut Reader<'_>, mut budget: usize) -> Result<Vec<Update>, ClusterError> {
     // Every op has a tid byte ahead, so the count cannot outgrow the frame.
     let n = r.count()?;
     let bits = r.take(n.div_ceil(8))?;
     let is_delete = |i: usize| bits[i / 8] >> (i % 8) & 1 == 1;
     if n % 8 != 0 && bits[n / 8] >> (n % 8) != 0 {
-        return Err(bad("spare kind bits set"));
+        return Err(malformed("spare kind bits set"));
     }
     let mut tids = Vec::with_capacity(n);
     let mut prev: Tid = 0;
     for _ in 0..n {
-        prev = prev.wrapping_add(unzigzag(r.varint()?) as u64);
+        prev = prev.wrapping_add(i64::get(r)? as u64);
         tids.push(prev);
     }
     let arity = r.count()?;
     let n_rows = (0..n).filter(|&i| !is_delete(i)).count();
     if n_rows == 0 && arity != 0 {
-        return Err(bad("columns without rows"));
+        return Err(malformed("columns without rows"));
     }
     // A cell is at least one byte: the rows cannot outgrow the frame.
     match n_rows.checked_mul(arity) {
         Some(cells) if cells <= r.remaining() => {}
-        _ => return Err(bad("row count exceeds the frame")),
+        _ => return Err(malformed("row count exceeds the frame")),
     }
     let mut rows: Vec<Vec<Value>> = (0..n_rows).map(|_| Vec::with_capacity(arity)).collect();
     let mut literals: Vec<usize> = Vec::new();
     for a in 0..arity {
+        let mut column = r.clone();
         match r.u8()? {
             COL_PLAIN => {
                 for row in &mut rows {
-                    row.push(get_cell(r)?);
+                    row.push(Value::get(r)?);
                 }
             }
             COL_DICT => {
@@ -375,282 +376,72 @@ fn decode_ops(r: &mut Reader<'_>, mut budget: usize) -> Result<CtrlMsg, ClusterE
                     let v = match usize::try_from(r.varint()?) {
                         Ok(0) => {
                             literals.push(i);
-                            get_cell(r)?
+                            Value::get(r)?
                         }
                         Ok(k) => {
                             let v = literals
                                 .get(k - 1)
                                 .map(|&row| &rows[row][a])
-                                .ok_or_else(|| bad("dictionary index out of range"))?;
+                                .ok_or_else(|| malformed("dictionary index out of range"))?;
                             if let Value::Str(s) = v {
                                 budget = budget.checked_sub(s.len()).ok_or_else(|| {
-                                    bad("dictionary column expands past the frame limit")
+                                    malformed("dictionary column expands past the frame limit")
                                 })?;
                             }
                             v.clone()
                         }
-                        Err(_) => return Err(bad("dictionary index out of range")),
+                        Err(_) => return Err(malformed("dictionary index out of range")),
                     };
                     rows[i].push(v);
                 }
             }
-            _ => return Err(bad("unknown column form")),
+            _ => return Err(malformed("unknown column form")),
+        }
+        // The column as its encoder writes it, or a refusal: a form the
+        // encoder does not pick, or a literal that repeats one before it.
+        let got = column.take(column.remaining() - r.remaining())?;
+        let mut canonical = Vec::with_capacity(got.len());
+        put_column(&mut canonical, rows.iter().map(|row| &row[a]));
+        if got != canonical {
+            return Err(malformed(if got[0] != canonical[0] {
+                "a column in the form its encoder does not pick"
+            } else {
+                "a dictionary literal repeats an earlier one"
+            }));
         }
     }
     let mut rows = rows.into_iter();
     let op = |(i, tid)| match is_delete(i) {
         true => Ok(Update::Delete(tid)),
         false => {
-            let row = rows.next().ok_or_else(|| bad("an insert with no row"))?;
+            let row = rows
+                .next()
+                .ok_or_else(|| malformed("an insert with no row"))?;
             Ok(Update::Insert(Tuple::new(tid, row)))
         }
     };
     let ops = tids.into_iter().enumerate().map(op);
-    Ok(CtrlMsg::Ops(ops.collect::<Result<_, _>>()?))
+    ops.collect()
 }
 
-fn get_deferred(r: &mut Reader<'_>) -> Result<DeferredList, ClusterError> {
-    let n = r.count()?;
-    let mut updates = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = r.varint()?;
-        let pos = u32::try_from(x >> 1).map_err(|_| bad("position out of range"))?;
-        updates.push((pos, x & 1 == 1));
+cluster::wire! {
+    /// Frame dispatcher for a running site: protocol frames ([`HorMsg`],
+    /// first byte `< 0x80`) and control frames ([`CtrlMsg`], `>= 0x80`)
+    /// share each inbound link, and `Piggy` wraps a protocol frame behind
+    /// the acks it carries.
+    #[derive(Debug, PartialEq)]
+    pub(crate) enum RtFrame {
+        /// A §6 protocol message carrying a piggybacked cumulative ack:
+        /// close the `k` oldest outstanding rounds towards the sender, then
+        /// process the payload. The envelope is pure structure — modeled
+        /// `|M|` is the carried message's.
+        CT_PIGGY = 0x89 => Piggy(k: u32 as AtLeast<1>, m: HorMsg as Nested<HorMsg>),
+        ;
+        /// A §6 protocol message.
+        0x00..=0x7f => Hor(HorMsg),
+        /// A runtime control message.
+        0x80..=0xff => Ctrl(CtrlMsg),
     }
-    let n = r.count()?;
-    let mut footprints = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = r.count()?;
-        footprints.push((0..k).map(|_| r.u32()).collect::<Result<_, _>>()?);
-    }
-    Ok(DeferredList {
-        updates,
-        footprints,
-    })
-}
-
-/// Marks as runs: a run is a stretch of one CFD's marks with ascending
-/// tids (a sorted list has one per CFD), its CFD and first tid written as
-/// deltas from the run before, the rest of its tids as gaps.
-fn put_marks(out: &mut Vec<u8>, marks: &[(CfdId, Tid)]) {
-    let runs = || marks.chunk_by(|a, b| a.0 == b.0 && a.1 < b.1);
-    put_varint(out, runs().count() as u64);
-    let (mut prev_c, mut prev_t) = (0i64, 0 as Tid);
-    for run in runs() {
-        let (c, first) = run[0];
-        put_varint(out, zigzag(i64::from(c) - prev_c));
-        put_varint(out, run.len() as u64);
-        put_varint(out, zigzag(first.wrapping_sub(prev_t) as i64));
-        for pair in run.windows(2) {
-            put_varint(out, pair[1].1 - pair[0].1);
-        }
-        (prev_c, prev_t) = (i64::from(c), first);
-    }
-}
-
-fn get_marks(r: &mut Reader<'_>) -> Result<Vec<(CfdId, Tid)>, ClusterError> {
-    let runs = r.count()?;
-    let mut marks = Vec::new();
-    let (mut prev_c, mut prev_t) = (0i64, 0 as Tid);
-    for _ in 0..runs {
-        prev_c = prev_c
-            .checked_add(unzigzag(r.varint()?))
-            .filter(|c| CfdId::try_from(*c).is_ok())
-            .ok_or_else(|| bad("CFD id out of range"))?;
-        // Every tid of the run is at least one byte.
-        let len = r.count()?;
-        if len == 0 {
-            return Err(bad("an empty run of marks"));
-        }
-        marks.reserve(len);
-        prev_t = prev_t.wrapping_add(unzigzag(r.varint()?) as u64);
-        let c = prev_c as CfdId;
-        let mut t = prev_t;
-        marks.push((c, t));
-        for _ in 1..len {
-            let gap = r.varint()?;
-            t = t
-                .checked_add(gap)
-                .filter(|_| gap > 0)
-                .ok_or_else(|| bad("a tid gap of zero or past the last tid"))?;
-            marks.push((c, t));
-        }
-    }
-    Ok(marks)
-}
-
-fn put_cells(out: &mut Vec<u8>, cells: &[(SiteId, Counters)]) {
-    put_varint(out, cells.len() as u64);
-    for (dst, c) in cells {
-        for x in [*dst as u64, c.messages, c.bytes, c.eqids] {
-            put_varint(out, x);
-        }
-    }
-}
-
-fn get_cells(r: &mut Reader<'_>) -> Result<Vec<(SiteId, Counters)>, ClusterError> {
-    let n = r.count()?;
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        let dst = SiteId::try_from(r.varint()?).map_err(|_| bad("site id out of range"))?;
-        let c = Counters {
-            messages: r.varint()?,
-            bytes: r.varint()?,
-            eqids: r.varint()?,
-        };
-        cells.push((dst, c));
-    }
-    Ok(cells)
-}
-
-impl FrameCodec for CtrlMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) {
-        match self {
-            CtrlMsg::Ack => out.push(CT_ACK),
-            CtrlMsg::AckN(k) => {
-                out.push(CT_ACK_N);
-                put_varint(out, u64::from(*k));
-            }
-            CtrlMsg::Ops(ops) => encode_ops(out, &ops.iter().collect::<Vec<_>>()),
-            CtrlMsg::Take => out.push(CT_TAKE),
-            CtrlMsg::Deferred(deferred) => {
-                out.push(CT_DEFERRED);
-                put_varint(out, deferred.updates.len() as u64);
-                for &(pos, writes) in &deferred.updates {
-                    put_varint(out, (u64::from(pos) << 1) | u64::from(writes));
-                }
-                put_varint(out, deferred.footprints.len() as u64);
-                for keys in &deferred.footprints {
-                    put_varint(out, keys.len() as u64);
-                    keys.iter()
-                        .for_each(|k| out.extend_from_slice(&k.to_le_bytes()));
-                }
-            }
-            CtrlMsg::Waves { n_waves, waves } => {
-                out.push(CT_WAVES);
-                put_varint(out, u64::from(*n_waves));
-                put_varint(out, waves.len() as u64);
-                for &w in waves {
-                    put_varint(out, u64::from(w));
-                }
-            }
-            CtrlMsg::WaveDone(w) => {
-                out.push(CT_DONE);
-                put_varint(out, u64::from(*w));
-            }
-            CtrlMsg::WaveAdvance(w) => {
-                out.push(CT_ADVANCE);
-                put_varint(out, u64::from(*w));
-            }
-            CtrlMsg::BatchResult(img) => {
-                out.push(CT_RESULT);
-                put_marks(out, &img.added);
-                put_marks(out, &img.removed);
-            }
-            CtrlMsg::Meters => out.push(CT_METERS),
-            CtrlMsg::Metered(img) => {
-                out.push(CT_METERED);
-                put_cells(out, &img.stats);
-                put_cells(out, &img.wire);
-                let m = &img.meter;
-                for x in [
-                    m.frames,
-                    m.wire_bytes,
-                    m.modeled_bytes,
-                    m.structural_bytes,
-                    m.saved_bytes,
-                    img.received,
-                ] {
-                    put_varint(out, x);
-                }
-            }
-            CtrlMsg::Failed(cause) => {
-                out.push(CT_FAILED);
-                put_varint(out, cause.len() as u64);
-                out.extend_from_slice(cause.as_bytes());
-            }
-            CtrlMsg::Built(print) => {
-                out.push(CT_BUILT);
-                put_varint(out, print.rows);
-                put_varint(out, print.marks);
-                out.extend_from_slice(&print.digest.0);
-            }
-            CtrlMsg::Gather => out.push(CT_GATHER),
-            CtrlMsg::Shutdown => out.push(CT_SHUTDOWN),
-        }
-    }
-
-    fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
-        let mut r = Reader::new(body);
-        let msg = match r.u8()? {
-            CT_ACK => CtrlMsg::Ack,
-            CT_ACK_N => CtrlMsg::AckN(get_u32(&mut r)?),
-            CT_OPS => decode_ops(&mut r, MAX_FRAME_BYTES)?,
-            CT_TAKE => CtrlMsg::Take,
-            CT_DONE => CtrlMsg::WaveDone(get_u32(&mut r)?),
-            CT_ADVANCE => CtrlMsg::WaveAdvance(get_u32(&mut r)?),
-            CT_DEFERRED => CtrlMsg::Deferred(get_deferred(&mut r)?),
-            CT_WAVES => {
-                let n_waves = get_u32(&mut r)?;
-                let n = r.count()?;
-                let waves = (0..n).map(|_| get_u32(&mut r)).collect::<Result<_, _>>()?;
-                CtrlMsg::Waves { n_waves, waves }
-            }
-            CT_FAILED => {
-                let len = r.count()?;
-                let cause = String::from_utf8(r.take(len)?.to_vec());
-                CtrlMsg::Failed(cause.map_err(|_| bad("cause is not UTF-8"))?)
-            }
-            CT_RESULT => CtrlMsg::BatchResult(Box::new(BatchImage {
-                added: get_marks(&mut r)?,
-                removed: get_marks(&mut r)?,
-            })),
-            CT_METERS => CtrlMsg::Meters,
-            CT_METERED => CtrlMsg::Metered(Box::new(MeterImage {
-                stats: get_cells(&mut r)?,
-                wire: get_cells(&mut r)?,
-                meter: TransportMeter {
-                    frames: r.varint()?,
-                    wire_bytes: r.varint()?,
-                    modeled_bytes: r.varint()?,
-                    structural_bytes: r.varint()?,
-                    saved_bytes: r.varint()?,
-                },
-                received: r.varint()?,
-            })),
-            CT_BUILT => {
-                let (rows, marks) = (r.varint()?, r.varint()?);
-                let mut digest = Digest::default();
-                digest.0.copy_from_slice(r.take(Digest::WIRE_SIZE)?);
-                CtrlMsg::Built(BuildPrint {
-                    rows,
-                    marks,
-                    digest,
-                })
-            }
-            CT_GATHER => CtrlMsg::Gather,
-            CT_SHUTDOWN => CtrlMsg::Shutdown,
-            t => return Err(bad(&format!("unknown tag {t:#x}"))),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
-
-/// Frame dispatcher for a running site: protocol frames ([`HorMsg`],
-/// first byte `< 0x80`) and control frames ([`CtrlMsg`], `>= 0x80`)
-/// share each inbound link.
-#[derive(Debug, PartialEq)]
-pub(crate) enum RtFrame {
-    /// A §6 protocol message.
-    Hor(HorMsg),
-    /// A runtime control message.
-    Ctrl(CtrlMsg),
-    /// A §6 protocol message carrying a piggybacked cumulative ack:
-    /// close the `k` oldest outstanding rounds towards the sender, then
-    /// process the payload. The envelope is pure structure — modeled
-    /// `|M|` is the carried message's.
-    Piggy(u32, HorMsg),
 }
 
 impl Wire for RtFrame {
@@ -662,37 +453,15 @@ impl Wire for RtFrame {
     }
 }
 
-impl FrameCodec for RtFrame {
-    fn encode_frame(&self, out: &mut Vec<u8>) {
-        match self {
-            RtFrame::Hor(m) => m.encode_frame(out),
-            RtFrame::Ctrl(m) => m.encode_frame(out),
-            RtFrame::Piggy(k, m) => {
-                out.push(CT_PIGGY);
-                put_varint(out, u64::from(*k));
-                m.encode_frame(out);
-            }
-        }
-    }
-
-    fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
-        match body.first() {
-            None => Err(bad("empty frame body")),
-            Some(&CT_PIGGY) => {
-                let mut r = Reader::new(&body[1..]);
-                let k = get_u32(&mut r)?;
-                let rest = r.take(r.remaining())?;
-                Ok(RtFrame::Piggy(k, HorMsg::decode_frame(rest)?))
-            }
-            Some(&t) if t >= 0x80 => Ok(RtFrame::Ctrl(CtrlMsg::decode_frame(body)?)),
-            Some(_) => Ok(RtFrame::Hor(HorMsg::decode_frame(body)?)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::tests::seeded_cols;
+    use crate::baselines::BatMsg;
+    use crate::horizontal::tests::{frame_of, seeded_msg};
+    use cluster::net::bytes::zigzag;
+    use cluster::net::FrameCodec;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Seeded generator for the property tests (no `rand` offline).
     struct Lcg(u64);
@@ -1025,45 +794,185 @@ mod tests {
             digest: md5(b"site 2"),
         };
         frames.push(encoded(&CtrlMsg::Built(print)));
-        let mut piggy = Vec::new();
-        RtFrame::Piggy(
-            300,
-            HorMsg::ProbeReply {
-                conflicts: vec![3, 5],
-            },
-        )
-        .encode_frame(&mut piggy);
-        frames.push(piggy);
+        // Frames one byte from bytes no encoder writes. Two two-character
+        // strings that differ in their last byte: a plain column, which a
+        // repeat would make longer than its dictionary form. A dictionary
+        // column whose two literals differ in their last byte. Two runs of
+        // CFD 0 that do not ascend, and would be one if they did; a run
+        // whose one gap is 1.
+        let insert = |tid, v: &str| Update::Insert(Tuple::new(tid, vec![Value::str(v)]));
+        for tid in [1, 300] {
+            let plain = vec![insert(tid, "AA"), insert(tid + 1, "AB")];
+            let dict = ["AB", "AC", "AB", "AB"].iter().zip(tid..);
+            let dict = dict.map(|(v, t)| insert(t, v)).collect();
+            let runs = BatchImage {
+                added: vec![(0, tid + 1), (0, tid)],
+                removed: vec![(0, tid), (0, tid + 1)],
+            };
+            frames.push(encoded(&CtrlMsg::Ops(plain)));
+            frames.push(encoded(&CtrlMsg::Ops(dict)));
+            frames.push(encoded(&CtrlMsg::BatchResult(Box::new(runs))));
+        }
+        frames.push(encoded(&CtrlMsg::AckN(2)));
+        for k in [1, 300] {
+            let mut piggy = Vec::new();
+            RtFrame::Piggy(
+                k,
+                HorMsg::ProbeReply {
+                    conflicts: vec![3, 5],
+                },
+            )
+            .encode_frame(&mut piggy);
+            frames.push(piggy);
+        }
         frames
     }
 
-    /// Arbitrary bytes under a control tag give a typed error, or a frame
-    /// that survives its own round trip. Every tag's encoding is canonical
-    /// but `BatchResult`'s: its decoder takes marks in runs the encoder
-    /// never writes, which re-encode to other bytes of the same image.
+    /// Feed `M`'s decoder `inputs` seeded byte strings: odd ones short
+    /// runs of arbitrary bytes behind a specimen's tag, even ones a
+    /// specimen with one byte changed — to a random byte, to another byte
+    /// of the same frame, or by one. Each must decode to a message that
+    /// re-encodes to exactly the bytes it was read from, or give a typed
+    /// [`ClusterError::Transport`]. Returns the messages and the errors
+    /// under each first byte.
+    fn arbitrary_bytes<M: FrameCodec + PartialEq>(
+        specimens: &[Vec<u8>],
+        inputs: usize,
+    ) -> BTreeMap<u8, [usize; 2]> {
+        let mut rng = Lcg(0x5EED);
+        let mut tally = BTreeMap::new();
+        for k in 0..inputs {
+            let specimen = rng.pick(specimens);
+            let bytes: Vec<u8> = if k % 2 == 1 {
+                // Short varints are the interesting bytes: bias towards them.
+                let len = rng.below(16) as usize;
+                let tail = (0..len).map(|_| match rng.below(2) {
+                    0 => rng.below(8) as u8,
+                    _ => rng.next() as u8,
+                });
+                [specimen[0]].into_iter().chain(tail).collect()
+            } else {
+                let mut b = specimen;
+                let at = rng.below(b.len() as u64) as usize;
+                b[at] = match rng.below(3) {
+                    0 => rng.next() as u8,
+                    1 => b[rng.below(b.len() as u64) as usize],
+                    _ => b[at].wrapping_add(if rng.below(2) == 0 { 1 } else { u8::MAX }),
+                };
+                b
+            };
+            let counts = tally.entry(bytes[0]).or_insert([0, 0]);
+            match M::decode_frame(&bytes) {
+                Ok(m) => {
+                    let again = frame_of(&m);
+                    assert_eq!(again, bytes, "input {k} decoded to {m:?}");
+                    counts[0] += 1;
+                }
+                Err(ClusterError::Transport(_)) => counts[1] += 1,
+                Err(e) => panic!("input {k}, {bytes:02x?}: untyped {e:?}"),
+            }
+        }
+        tally
+    }
+
+    /// Every family's decoder under [`arbitrary_bytes`]: each tag of its
+    /// specimens decodes some input, and errors and messages both abound.
+    fn every_family(inputs: usize) {
+        fn check<M: FrameCodec + PartialEq>(family: &str, specimens: &[Vec<u8>], inputs: usize) {
+            let tally = arbitrary_bytes::<M>(specimens, inputs);
+            let tags: BTreeSet<u8> = specimens.iter().map(|f| f[0]).collect();
+            for tag in tags {
+                let decoded = tally.get(&tag).map_or(0, |c| c[0]);
+                assert!(
+                    decoded > 0,
+                    "{family}: no input under tag {tag:#04x} decoded"
+                );
+            }
+            let [msgs, errors] = tally
+                .values()
+                .fold([0, 0], |a, c| [a[0] + c[0], a[1] + c[1]]);
+            assert!(
+                msgs > inputs / 20 && errors > inputs / 20,
+                "{family}: {msgs} messages, {errors} errors"
+            );
+        }
+        let hor: Vec<_> = (1..=40).map(|s| frame_of(&seeded_msg(s))).collect();
+        let bat: Vec<_> = (1..=20)
+            .map(|s| frame_of(&seeded_cols(s, s as usize % 9, s as usize % 3)))
+            .collect();
+        let (piggy, ctrl): (Vec<_>, Vec<_>) =
+            specimens().into_iter().partition(|f| f[0] == CT_PIGGY);
+        check::<HorMsg>("HorMsg", &hor, inputs);
+        check::<BatMsg>("BatMsg", &bat, inputs);
+        check::<CtrlMsg>("CtrlMsg", &ctrl, inputs);
+        check::<RtFrame>("RtFrame", &[hor, ctrl, piggy].concat(), inputs);
+    }
+
+    /// Arbitrary bytes under every tag of every family — `HorMsg`,
+    /// `BatMsg`, `CtrlMsg` and `RtFrame` — give a typed error, or a
+    /// message that re-encodes to exactly the bytes it was read from:
+    /// every decoder accepts only its encoder's bytes.
     #[test]
-    fn arbitrary_bytes_error_or_round_trip() {
-        use crate::horizontal::tests::arbitrary_bytes;
-        let (tags, loose) = (0x80..CT_GATHER + 1, &[CT_RESULT]);
-        let (msgs, errors, rewritten) =
-            arbitrary_bytes::<CtrlMsg>(tags.clone(), loose, &specimens());
-        assert!(
-            msgs > 1_000 && errors > 1_000,
-            "{msgs} messages, {errors} errors"
+    fn every_frame_decodes_only_its_encoders_bytes() {
+        every_family(20_000);
+    }
+
+    /// The same property at 10⁶ inputs a family (`cargo test --release -p
+    /// incdetect every_frame -- --ignored`).
+    #[test]
+    #[ignore = "10^6 inputs a family; run optimized"]
+    fn every_frame_decodes_only_its_encoders_bytes_at_a_million() {
+        every_family(1_000_000);
+    }
+
+    /// Frames that decoded to a message whose encoder writes other bytes —
+    /// a second spelling of one message — are each a typed error.
+    #[test]
+    fn second_spellings_are_refused() {
+        let a8 = [&[0x0a][..], b"AAAAAAAA"].concat();
+        let ops = |columns: &[&[u8]]| [&[CT_OPS, 2, 0, 2, 2, 1][..], &columns.concat()].concat();
+        let piggy = |k| [&[CT_PIGGY, k, 1][..], &[1, 3]].concat();
+        for (frame, why) in [
+            // A plain column whose dictionary form is shorter.
+            (
+                ops(&[&[COL_PLAIN], &a8, &a8]),
+                "a column in the form its encoder does not pick",
+            ),
+            // A dictionary literal that repeats the one before it.
+            (
+                ops(&[&[COL_DICT, 0], &a8, &[0], &a8]),
+                "a dictionary literal repeats an earlier one",
+            ),
+            // Two runs of CFD 0 where one would do: t5, then t6.
+            (
+                vec![CT_RESULT, 2, 0, 1, 10, 0, 1, 2, 0],
+                "a run of marks continues the one before",
+            ),
+            // `AckN(1)` is `Ack`, `AckN(0)` no ack, `Piggy(0, m)` is `m`.
+            (vec![CT_ACK_N, 0], "0 below its least value 2"),
+            (vec![CT_ACK_N, 1], "1 below its least value 2"),
+            (piggy(0), "0 below its least value 1"),
+        ] {
+            match RtFrame::decode_frame(&frame) {
+                Err(ClusterError::Transport(e)) => assert!(e.contains(why), "{frame:02x?}: {e}"),
+                other => panic!("{frame:02x?} ({why}): {other:?}"),
+            }
+        }
+        // What the encoder writes for the first two, and the third.
+        let row = |tid| Update::Insert(Tuple::new(tid, vec![Value::str("AAAAAAAA")]));
+        let canonical = ops(&[&[COL_DICT, 0], &a8, &[1]]);
+        assert_eq!(encoded(&CtrlMsg::Ops(vec![row(1), row(2)])), canonical);
+        assert_eq!(
+            CtrlMsg::decode_frame(&canonical).unwrap(),
+            CtrlMsg::Ops(vec![row(1), row(2)])
         );
-        assert!(
-            rewritten > 0,
-            "{msgs} messages, every one the encoder's bytes"
-        );
-        let (msgs, errors, _) = arbitrary_bytes::<RtFrame>(tags, loose, &specimens());
-        assert!(
-            msgs > 1_000 && errors > 1_000,
-            "{msgs} frames, {errors} errors"
-        );
-        // Two runs of CFD 0 where one would do: t5, then t6.
-        let two_runs = [CT_RESULT, 2, 0, 1, 10, 0, 1, 2, 0];
-        let image = CtrlMsg::decode_frame(&two_runs).unwrap();
-        assert_eq!(encoded(&image), [CT_RESULT, 1, 0, 2, 10, 1, 0]);
+        let image = BatchImage {
+            added: vec![(0, 5), (0, 6)],
+            removed: vec![],
+        };
+        let one_run = encoded(&CtrlMsg::BatchResult(Box::new(image)));
+        assert_eq!(one_run, [CT_RESULT, 1, 0, 2, 10, 1, 0]);
+        assert!(RtFrame::decode_frame(&piggy(1)).is_ok());
     }
 
     #[test]
@@ -1227,7 +1136,7 @@ mod tests {
             .map(|i| Update::Insert(Tuple::new(i, vec![Value::str("x".repeat(100))])))
             .collect();
         let frame = encoded(&CtrlMsg::Ops(ops));
-        let body = |budget| decode_ops(&mut Reader::new(&frame[1..]), budget);
+        let body = |budget| get_slice(&mut Reader::new(&frame[1..]), budget);
         assert!(body(900).is_ok());
         assert!(body(899).is_err());
     }

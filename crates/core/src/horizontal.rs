@@ -159,7 +159,8 @@ use crate::group::{shrink_if_sparse, GroupState, StateCensus};
 use cfd::{Cfd, CfdId, DeltaV, OpId, SharedPlan, Violations};
 use cluster::codec::{CodecKind, WireValue};
 use cluster::md5::Digest;
-use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
+use cluster::net::bytes::Attr;
+use cluster::net::{ByteNetwork, TransportKind};
 use cluster::partition::HorizontalScheme;
 use cluster::{ClusterError, Meters, MsgTransport, Network, SiteId, Wire};
 use order::{Ledger, Party, Verdict};
@@ -174,58 +175,81 @@ pub(crate) mod fixtures;
 pub(crate) mod order;
 pub(crate) mod site;
 
-/// Messages of the horizontal protocol. One `TupleProbe`/`TupleDelQuery`
-/// carries *all* rule work for one update — the tuple crosses each link at
-/// most once. Every id list names *operators* ([`OpId`]: the embedded FDs
-/// `(X → B)` of `Σ`'s variable CFDs, numbered alike at every site), never
-/// CFDs: a group is shared by every CFD of its operator whose pattern its
-/// key matches, and the receiver works those out from the payload. Every value payload is a [`WireValue`] produced by the
-/// session's [`cluster::codec::PayloadCodec`], so the same message shapes serve all three
-/// encodings.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HorMsg {
-    /// Insert-side probe/query for one updated tuple. Receivers know `Σ`,
-    /// so the operators to check are *implicit*: every operator whose `X`
-    /// and `B` are all present in the payload (and whose group the
-    /// receiver holds) is processed. Only the rare `probes` (brand-new
-    /// local conflicts, which force a flag flip even on agreeing remote
-    /// classes) are listed explicitly.
-    TupleProbe {
-        /// Per-attribute payload for the union of attributes the involved
-        /// operators need (attr id + digest/raw value).
-        attrs: Vec<(AttrId, WireValue)>,
-        /// Operators whose group gained a brand-new conflict (flip flags).
-        probes: Vec<OpId>,
-    },
-    /// Reply to a [`HorMsg::TupleProbe`]: the operators whose groups
-    /// conflict with the inserted tuple at the replying site (sparse —
-    /// non-listed operators don't conflict).
-    ProbeReply {
-        /// Conflicting operator ids.
-        conflicts: Vec<OpId>,
-    },
-    /// Delete-side query: report your distinct RHS values per listed
-    /// operator.
-    TupleDelQuery {
-        /// Attribute payload (union of the listed operators' `X`).
-        attrs: Vec<(AttrId, WireValue)>,
-        /// Operators whose global multiplicity is in doubt.
-        queries: Vec<OpId>,
-    },
-    /// Reply to [`HorMsg::TupleDelQuery`].
-    DelReply {
-        /// Per operator, the distinct local RHS values of the group —
-        /// once, however many of the operator's CFDs the group serves.
-        bvals: Vec<(OpId, Vec<WireValue>)>,
-    },
-    /// The listed operators' groups no longer violate anywhere: clear
-    /// flags.
-    ClearFlags {
-        /// Attribute payload for group-key derivation.
-        attrs: Vec<(AttrId, WireValue)>,
-        /// Operators to clear.
-        cfds: Vec<OpId>,
-    },
+cluster::wire! {
+    /// Messages of the horizontal protocol. One `TupleProbe`/`TupleDelQuery`
+    /// carries *all* rule work for one update — the tuple crosses each link at
+    /// most once. Every id list names *operators* ([`OpId`]: the embedded FDs
+    /// `(X → B)` of `Σ`'s variable CFDs, numbered alike at every site), never
+    /// CFDs: a group is shared by every CFD of its operator whose pattern its
+    /// key matches, and the receiver works those out from the payload. Every value payload is a [`WireValue`] produced by the
+    /// session's [`cluster::codec::PayloadCodec`], so the same message shapes serve all three
+    /// encodings.
+    ///
+    /// Each message is declared here once, as its tag and its fields' forms
+    /// ([`cluster::wire!`]), and serializes to a self-describing frame body
+    /// that decodes from received bytes alone — `v(x)` a canonical varint,
+    /// `wire(a)` a [`WireValue`] behind its one-varint header `(a << 2) |
+    /// kind`:
+    ///
+    /// ```text
+    /// TupleProbe     00 v(n) n × wire(attr)  v(m) m × v(op)   probes
+    /// ProbeReply     01 v(m) m × v(op)                        conflicts
+    /// TupleDelQuery  02 v(n) n × wire(attr)  v(m) m × v(op)   queries
+    /// DelReply       03 v(m) m × (v(op) v(k) k × wire(0))     RHS values
+    /// ClearFlags     04 v(n) n × wire(attr)  v(m) m × v(op)   operators
+    /// ```
+    ///
+    /// The decoder accepts only the encoder's bytes: every count is checked
+    /// against the bytes left before it sizes an allocation, and an id past
+    /// its type is refused. The frame is not the `|M|` model of
+    /// [`Wire::wire_size`] — that charges 2 bytes an attribute id, 4 an
+    /// operator id and 8 an integer — and the node that ships it books the
+    /// difference.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum HorMsg {
+        /// Insert-side probe/query for one updated tuple. Receivers know `Σ`,
+        /// so the operators to check are *implicit*: every operator whose `X`
+        /// and `B` are all present in the payload (and whose group the
+        /// receiver holds) is processed. Only the rare `probes` (brand-new
+        /// local conflicts, which force a flag flip even on agreeing remote
+        /// classes) are listed explicitly.
+        HF_PROBE = 0 => TupleProbe {
+            /// Per-attribute payload for the union of attributes the involved
+            /// operators need (attr id + digest/raw value).
+            attrs: Vec<(AttrId, WireValue)> as Vec<Attr>,
+            /// Operators whose group gained a brand-new conflict (flip flags).
+            probes: Vec<OpId>,
+        },
+        /// Reply to a [`HorMsg::TupleProbe`]: the operators whose groups
+        /// conflict with the inserted tuple at the replying site (sparse —
+        /// non-listed operators don't conflict).
+        HF_PROBE_REPLY = 1 => ProbeReply {
+            /// Conflicting operator ids.
+            conflicts: Vec<OpId>,
+        },
+        /// Delete-side query: report your distinct RHS values per listed
+        /// operator.
+        HF_DEL_QUERY = 2 => TupleDelQuery {
+            /// Attribute payload (union of the listed operators' `X`).
+            attrs: Vec<(AttrId, WireValue)> as Vec<Attr>,
+            /// Operators whose global multiplicity is in doubt.
+            queries: Vec<OpId>,
+        },
+        /// Reply to [`HorMsg::TupleDelQuery`].
+        HF_DEL_REPLY = 3 => DelReply {
+            /// Per operator, the distinct local RHS values of the group —
+            /// once, however many of the operator's CFDs the group serves.
+            bvals: Vec<(OpId, Vec<WireValue>)>,
+        },
+        /// The listed operators' groups no longer violate anywhere: clear
+        /// flags.
+        HF_CLEAR = 4 => ClearFlags {
+            /// Attribute payload for group-key derivation.
+            attrs: Vec<(AttrId, WireValue)> as Vec<Attr>,
+            /// Operators to clear.
+            cfds: Vec<OpId>,
+        },
+    }
 }
 
 impl HorMsg {
@@ -256,140 +280,6 @@ impl Wire for HorMsg {
                 .sum(),
             HorMsg::ClearFlags { attrs, cfds } => attrs_size(attrs) + 4 * cfds.len(),
         }
-    }
-}
-
-// Frame tags of the five message shapes.
-const HF_PROBE: u8 = 0;
-const HF_PROBE_REPLY: u8 = 1;
-const HF_DEL_QUERY: u8 = 2;
-const HF_DEL_REPLY: u8 = 3;
-const HF_CLEAR: u8 = 4;
-
-/// `(attr, payload)` pairs: a count, then each payload behind its
-/// attribute's header.
-fn put_attrs(out: &mut Vec<u8>, attrs: &[(AttrId, WireValue)]) {
-    wirefmt::put_varint(out, attrs.len() as u64);
-    for (a, w) in attrs {
-        wirefmt::put_wire_value(out, *a, w);
-    }
-}
-
-fn get_attrs(r: &mut wirefmt::Reader<'_>) -> Result<Vec<(AttrId, WireValue)>, ClusterError> {
-    let n = r.count()?;
-    (0..n).map(|_| wirefmt::get_wire_value(r)).collect()
-}
-
-fn put_ops(out: &mut Vec<u8>, ops: &[OpId]) {
-    wirefmt::put_varint(out, ops.len() as u64);
-    ops.iter()
-        .for_each(|&o| wirefmt::put_varint(out, u64::from(o)));
-}
-
-fn get_ops(r: &mut wirefmt::Reader<'_>) -> Result<Vec<OpId>, ClusterError> {
-    let n = r.count()?;
-    (0..n).map(|_| r.id("operator id")).collect()
-}
-
-/// Real byte framing for the §6 protocol: every [`HorMsg`] serializes to
-/// a self-describing frame body and decodes from received bytes alone,
-/// in the compact forms of [`cluster::net::bytes`] — `v(x)` a canonical
-/// varint, `wire(a)` a [`WireValue`] behind its one-varint header
-/// `(a << 2) | kind`:
-///
-/// ```text
-/// TupleProbe     00 v(n) n × wire(attr)  v(m) m × v(op)   probes
-/// ProbeReply     01 v(m) m × v(op)                        conflicts
-/// TupleDelQuery  02 v(n) n × wire(attr)  v(m) m × v(op)   queries
-/// DelReply       03 v(m) m × (v(op) v(k) k × wire(0))     RHS values
-/// ClearFlags     04 v(n) n × wire(attr)  v(m) m × v(op)   operators
-/// ```
-///
-/// Every count is checked against the bytes left before it sizes an
-/// allocation, and an id past its type is refused, so the decoder takes
-/// exactly what the encoder writes. The frame is not the `|M|` model of
-/// [`Wire::wire_size`] — that charges 2 bytes an attribute id, 4 an
-/// operator id and 8 an integer — and the node that ships it books the
-/// difference.
-impl FrameCodec for HorMsg {
-    fn encode_frame(&self, out: &mut Vec<u8>) {
-        match self {
-            HorMsg::TupleProbe { attrs, probes } => {
-                out.push(HF_PROBE);
-                put_attrs(out, attrs);
-                put_ops(out, probes);
-            }
-            HorMsg::ProbeReply { conflicts } => {
-                out.push(HF_PROBE_REPLY);
-                put_ops(out, conflicts);
-            }
-            HorMsg::TupleDelQuery { attrs, queries } => {
-                out.push(HF_DEL_QUERY);
-                put_attrs(out, attrs);
-                put_ops(out, queries);
-            }
-            HorMsg::DelReply { bvals } => {
-                out.push(HF_DEL_REPLY);
-                wirefmt::put_varint(out, bvals.len() as u64);
-                for (o, vs) in bvals {
-                    wirefmt::put_varint(out, u64::from(*o));
-                    wirefmt::put_varint(out, vs.len() as u64);
-                    vs.iter().for_each(|v| wirefmt::put_wire_value(out, 0, v));
-                }
-            }
-            HorMsg::ClearFlags { attrs, cfds } => {
-                out.push(HF_CLEAR);
-                put_attrs(out, attrs);
-                put_ops(out, cfds);
-            }
-        }
-    }
-
-    fn decode_frame(body: &[u8]) -> Result<Self, ClusterError> {
-        let mut r = wirefmt::Reader::new(body);
-        let msg = match r.u8()? {
-            HF_PROBE => HorMsg::TupleProbe {
-                attrs: get_attrs(&mut r)?,
-                probes: get_ops(&mut r)?,
-            },
-            HF_PROBE_REPLY => HorMsg::ProbeReply {
-                conflicts: get_ops(&mut r)?,
-            },
-            HF_DEL_QUERY => HorMsg::TupleDelQuery {
-                attrs: get_attrs(&mut r)?,
-                queries: get_ops(&mut r)?,
-            },
-            HF_DEL_REPLY => {
-                let n = r.count()?;
-                let mut bvals = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let o = r.id("operator id")?;
-                    let k = r.count()?;
-                    let mut vs = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        let (0, v) = wirefmt::get_wire_value(&mut r)? else {
-                            return Err(ClusterError::Transport(
-                                "malformed frame payload: an RHS value names an attribute".into(),
-                            ));
-                        };
-                        vs.push(v);
-                    }
-                    bvals.push((o, vs));
-                }
-                HorMsg::DelReply { bvals }
-            }
-            HF_CLEAR => HorMsg::ClearFlags {
-                attrs: get_attrs(&mut r)?,
-                cfds: get_ops(&mut r)?,
-            },
-            _ => {
-                return Err(ClusterError::Transport(
-                    "unknown horizontal-protocol message tag".into(),
-                ))
-            }
-        };
-        r.finish()?;
-        Ok(msg)
     }
 }
 
@@ -1060,6 +950,7 @@ impl Detector for HorizontalDetector {
 pub(crate) mod tests {
     use super::fixtures::{d0, emp_schema, emp_tuple, fig1_cfds, fig2_scheme, simulated};
     use super::*;
+    use cluster::net::FrameCodec;
     use relation::{Tuple, Update};
 
     fn detector() -> HorizontalDetector {
@@ -1499,7 +1390,7 @@ pub(crate) mod tests {
     /// A seeded `HorMsg` of shape `seed % 5`: attributes of every payload
     /// kind, lists of no item to a few hundred, and — every 250th seed —
     /// one list of 2¹⁶ + 1 items, more than a 16-bit count could carry.
-    fn seeded_msg(seed: u64) -> HorMsg {
+    pub(crate) fn seeded_msg(seed: u64) -> HorMsg {
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1621,7 +1512,7 @@ pub(crate) mod tests {
         // attribute 0.
         let past = |x: u64| {
             let mut v = Vec::new();
-            wirefmt::put_varint(&mut v, x);
+            cluster::net::bytes::put_varint(&mut v, x);
             v
         };
         refused(
@@ -1630,85 +1521,16 @@ pub(crate) mod tests {
         );
         refused(
             &[&[HF_PROBE_REPLY, 1][..], &past(1 << 32)].concat(),
-            "operator id past",
+            "a varint past u32",
         );
         refused(
             &[&[HF_PROBE, 1, 2][..], &past(1 << 32), &[0]].concat(),
-            "symbol past",
+            "a varint past u32",
         );
         // A raw string of 100 bytes with one there.
         refused(&[HF_PROBE, 1, 0, 102, b'a', 0], "truncated field");
         // An RHS value under attribute 1's header.
         refused(&[HF_DEL_REPLY, 1, 9, 1, 4, 0], "names an attribute");
         assert!(HorMsg::decode_frame(&[HF_DEL_REPLY, 1, 9, 1, 0, 0]).is_ok());
-    }
-
-    /// Arbitrary bytes give a typed error, or a message that re-encodes to
-    /// exactly the bytes it was read from — the encoding is canonical.
-    #[test]
-    fn arbitrary_bytes_error_or_re_encode() {
-        let specimens: Vec<_> = (1..=40).map(|s| frame_of(&seeded_msg(s))).collect();
-        let (msgs, errors, _) = arbitrary_bytes::<HorMsg>(0..6, &[], &specimens);
-        assert!(
-            msgs > 1_000 && errors > 1_000,
-            "{msgs} messages, {errors} errors"
-        );
-    }
-
-    /// Feed `M`'s decoder 20 000 seeded inputs: odd ones short runs of
-    /// arbitrary bytes (the first a tag in `tags`), even ones a
-    /// `specimens` frame with one byte overwritten. Each must give a typed
-    /// [`ClusterError::Transport`], or a message that re-encodes to exactly
-    /// the bytes it was read from — the encoding is canonical — or, under a
-    /// first byte in `loose`, to bytes that decode to the same message.
-    /// Returns `(messages, errors, rewritten)`, the last the messages
-    /// whose bytes were not the encoder's.
-    pub(crate) fn arbitrary_bytes<M: FrameCodec + PartialEq>(
-        tags: std::ops::Range<u8>,
-        loose: &[u8],
-        specimens: &[Vec<u8>],
-    ) -> (usize, usize, usize) {
-        let mut rng = 0x5EED_u64;
-        let mut next = move || {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (rng >> 33) as u8
-        };
-        let (mut msgs, mut errors, mut rewritten) = (0, 0, 0);
-        for k in 0..20_000 {
-            let bytes: Vec<u8> = if k % 2 == 1 {
-                // Short varints are the interesting bytes: bias towards them.
-                let len = usize::from(next() % 16);
-                (0..len)
-                    .map(|i| match next() {
-                        _ if i == 0 => tags.start + next() % tags.len() as u8,
-                        b if b % 2 == 0 => next() % 8,
-                        _ => next(),
-                    })
-                    .collect()
-            } else {
-                let mut b = specimens[usize::from(next()) % specimens.len()].clone();
-                let at = (usize::from(next()) << 8 | usize::from(next())) % b.len();
-                b[at] = next();
-                b
-            };
-            match M::decode_frame(&bytes) {
-                Ok(m) => {
-                    let mut again = Vec::new();
-                    m.encode_frame(&mut again);
-                    if again != bytes {
-                        let tag = bytes[0];
-                        assert!(loose.contains(&tag), "{m:?}: tag {tag:#x} is canonical");
-                        assert_eq!(M::decode_frame(&again).ok().as_ref(), Some(&m));
-                        rewritten += 1;
-                    }
-                    msgs += 1;
-                }
-                Err(ClusterError::Transport(_)) => errors += 1,
-                Err(e) => panic!("{bytes:02x?}: untyped {e:?}"),
-            }
-        }
-        (msgs, errors, rewritten)
     }
 }

@@ -61,7 +61,8 @@ use super::site::{OpScratch, SiteConfig};
 use crate::detector::DetectError;
 use cfd::OpId;
 use cluster::md5::Digest;
-use cluster::SiteId;
+use cluster::net::bytes::{malformed, put_varint, Field, Le32, Reader};
+use cluster::{ClusterError, SiteId};
 use relation::{FxHashMap, Tid, Tuple, Update};
 
 /// Tables of a holder keep this much room between batches: a `D₀` window
@@ -325,16 +326,37 @@ pub(crate) struct WavePlanner {
     n_waves: u32,
 }
 
-/// What a site's settle pass left for the wave schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct DeferredList {
-    /// The slice position of each deferred update, ascending, and whether
-    /// the update writes.
-    pub updates: Vec<(u32, bool)>,
-    /// The footprint keys of each deferred *delete*, in slice order: its
-    /// home read the row, which the coordinator does not keep. (Which
-    /// deferred updates are deletes, the coordinator knows from its batch.)
-    pub footprints: Vec<Vec<Key>>,
+cluster::wire! {
+    /// What a site's settle pass left for the wave schedule; on the wire, a
+    /// `Deferred` frame's body (`crate::concurrent`'s control plane).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub(crate) struct DeferredList {
+        /// The slice position of each deferred update, ascending, and whether
+        /// the update writes.
+        pub updates: Vec<(u32, bool)> as Vec<Flagged>,
+        /// The footprint keys of each deferred *delete*, in slice order: its
+        /// home read the row, which the coordinator does not keep. (Which
+        /// deferred updates are deletes, the coordinator knows from its batch.)
+        pub footprints: Vec<Vec<Key>> as Vec<Vec<Le32>>,
+    }
+}
+
+/// A slice position and whether its update writes, as one varint
+/// `position << 1 | writes`.
+struct Flagged;
+
+impl Field for Flagged {
+    type Value = (u32, bool);
+
+    fn put(out: &mut Vec<u8>, &(pos, writes): &(u32, bool)) {
+        put_varint(out, (u64::from(pos) << 1) | u64::from(writes));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<(u32, bool), ClusterError> {
+        let x = r.varint()?;
+        let pos = u32::try_from(x >> 1).map_err(|_| malformed("position out of range"))?;
+        Ok((pos, x & 1 == 1))
+    }
 }
 
 impl WavePlanner {
