@@ -21,12 +21,9 @@
 //! * [`violation`] — the violation containers `V(Σ, D)` and `ΔV`,
 //! * [`naive`] — a centralized batch detector used as the ground-truth
 //!   oracle in tests and as the reference for the "two SQL queries suffice"
-//!   remark of §1,
-//! * [`sqlgen`] and [`algebra`] — §2.3's two queries as SQL text and as
-//!   an in-memory plan executor: a second, independent oracle that the
-//!   tests cross-check against [`naive`].
+//!   remark of §1 (§2.3's two queries, as SQL text and as an in-memory
+//!   plan executor, are a second oracle in the root package's tests).
 
-pub mod algebra;
 pub mod analysis;
 pub mod cfd;
 pub mod constraint;
@@ -34,7 +31,6 @@ pub mod naive;
 pub mod parse;
 pub mod pattern;
 pub mod share;
-pub mod sqlgen;
 pub mod violation;
 
 pub use crate::analysis::{

@@ -23,7 +23,7 @@ type GroupKey = SmallVec<Sym, 4>;
 
 /// The constant LHS atoms of `cfd` resolved to `d`'s dictionary symbols.
 /// `None` means some constant never occurs in `d` — no tuple can match.
-pub(crate) fn atom_syms(cfd: &Cfd, d: &Relation) -> Option<SmallVec<(relation::AttrId, Sym), 4>> {
+fn atom_syms(cfd: &Cfd, d: &Relation) -> Option<SmallVec<(relation::AttrId, Sym), 4>> {
     let mut out = SmallVec::new();
     for (&a, p) in cfd.lhs.iter().zip(&cfd.lhs_pattern) {
         if let PatternValue::Const(v) = p {

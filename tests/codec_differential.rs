@@ -1,80 +1,39 @@
 //! Three-codec differential suite: the horizontal protocol must produce
 //! *identical* violation sets under `raw_values`, `md5` and `dict`
 //! payload encodings on the fig9-style EMP and DBLP workloads — the codec
-//! is a wire concern, never a semantic one — and the `dict` codec must
-//! ship strictly fewer bytes than `raw_values` once its per-link
-//! dictionaries are warm.
+//! is a wire concern, never a semantic one; the matrix (`common::matrix`)
+//! holds every codec cell to the oracle and to one `ΔV` — and the `dict`
+//! codec must ship strictly fewer bytes than `raw_values` once its
+//! per-link dictionaries are warm.
 
+mod common;
+
+use common::matrix::{self, Family, Report};
 use inc_cfd::prelude::*;
 use workload::dblp::{self, DblpConfig};
 use workload::updates::{self, UpdateMix};
 
 const CODECS: [CodecKind; 3] = [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict];
 
-/// Build one horizontal detector per codec over the same `d0`, feed all of
-/// them the same update stream, and after every batch check the violation
-/// sets agree with each other and with the centralized oracle. Returns the
-/// per-codec total bytes for the streamed (post-warm-up) traffic.
-fn run_stream(
-    schema: &std::sync::Arc<Schema>,
-    cfds: &[Cfd],
-    scheme: &HorizontalScheme,
-    d0: &Relation,
-    batches: &[UpdateBatch],
-) -> Vec<(CodecKind, u64)> {
-    let suite = Suite::on(schema.clone()).cfds(cfds.to_vec());
-    let suite = suite.strategy(Strategy::Horizontal(scheme.clone()));
-    let mut dets: Vec<(CodecKind, Box<dyn Detector>)> = CODECS
-        .map(|codec| {
-            let det = suite.clone().codec(codec).build_detector(d0);
-            (codec, det.expect("detector builds"))
-        })
-        .into_iter()
-        .collect();
-    let mut mirror = d0.clone();
-    for (round, delta) in batches.iter().enumerate() {
-        let mut dvs = Vec::new();
-        for (codec, det) in &mut dets {
-            let dv = det.apply(delta).expect("apply succeeds");
-            dvs.push((*codec, dv));
-        }
-        delta.normalize(&mirror).apply(&mut mirror).expect("mirror");
-        let oracle = cfd::naive::detect(cfds, &mirror);
-        for (codec, det) in &dets {
-            assert_eq!(
-                det.violations().marks_sorted(),
-                oracle.marks_sorted(),
-                "round {round}: codec {} disagrees with the oracle",
-                codec.name()
-            );
-        }
-        for w in dvs.windows(2) {
-            assert_eq!(
-                w[0].1.added,
-                w[1].1.added,
-                "round {round}: ΔV⁺ differs between {} and {}",
-                w[0].0.name(),
-                w[1].0.name()
-            );
-            assert_eq!(w[0].1.removed, w[1].1.removed, "round {round}: ΔV⁻");
-        }
-    }
-    dets.iter()
-        .map(|(codec, det)| (*codec, det.net().total_bytes()))
-        .collect()
+/// The modeled bytes of the simulated sequential `incHor` cell of `codec`.
+fn hor_bytes(report: &Report, codec: CodecKind) -> u64 {
+    let simulated = |c: &matrix::Cell| c.transport == TransportKind::Simulated && !c.threaded;
+    let hor = |c: &matrix::Cell| c.strategy == "incHor" && c.codec == codec && simulated(c);
+    report
+        .traffic
+        .iter()
+        .find(|(c, _)| hor(c))
+        .expect("the incHor cell")
+        .1[1]
 }
 
-/// The paper's running example (EMP, Fig. 1/2) under a stream of
-/// conflicting inserts and deletes that forces probe, query, reply and
-/// clear rounds across the grade partition.
-#[test]
-fn emp_codecs_agree_and_dict_undercuts_raw() {
+/// Cycles of the same cross-site conflict on the paper's running example
+/// (EMP, Fig. 1/2), forcing probe, query, reply and clear rounds across
+/// the grade partition: after the first cycle warms the per-link
+/// dictionaries, every re-shipment is a short symbol.
+fn emp_cycles(_: u64) -> Option<Family> {
     let (schema, d0) = workload::emp::emp_relation();
     let cfds = workload::emp::emp_cfds(&schema);
-    let scheme = workload::emp::emp_horizontal_scheme(&schema);
-
-    // Cycles of the same cross-site conflict: after the first cycle warms
-    // the per-link dictionaries, every re-shipment is a 4-byte symbol.
     let grade_at = schema.attr_id("grade").unwrap() as usize;
     let street_at = schema.attr_id("street").unwrap() as usize;
     let mut batches = Vec::new();
@@ -95,21 +54,26 @@ fn emp_codecs_agree_and_dict_undercuts_raw() {
         }
         batches.push(del);
     }
-
-    let bytes = run_stream(&schema, &cfds, &scheme, &d0, &batches);
-    let of = |k: CodecKind| bytes.iter().find(|(c, _)| *c == k).unwrap().1;
-    assert!(
-        of(CodecKind::Dict) < of(CodecKind::RawValues),
-        "dict {} must undercut raw {}",
-        of(CodecKind::Dict),
-        of(CodecKind::RawValues)
+    let schemes = (
+        workload::emp::emp_vertical_scheme(&schema),
+        workload::emp::emp_horizontal_scheme(&schema),
+        HybridScheme::uniform(schema.clone(), 2, 2).unwrap(),
     );
+    Some(Family::new("emp_cycles", cfds, d0, schemes).batches(batches))
+}
+
+#[test]
+fn emp_codecs_agree_and_dict_undercuts_raw() {
+    let report = matrix::run(emp_cycles, 0..1, 1);
+    let (dict, raw) = (CodecKind::Dict, CodecKind::RawValues);
+    let (dict, raw) = (hor_bytes(&report, dict), hor_bytes(&report, raw));
+    assert!(dict < raw, "dict {dict} must undercut raw {raw}");
 }
 
 /// A DBLP-like fig9 workload: hash-partitioned over 6 sites, 12 rules,
-/// mixed insert/delete stream drawn from skewed venue/author domains.
-#[test]
-fn dblp_codecs_agree_and_dict_undercuts_raw() {
+/// mixed insert/delete stream drawn from skewed venue/author domains,
+/// through `incHor` on each codec.
+fn dblp_codecs(_: u64) -> Option<Family> {
     let cfg = DblpConfig {
         n_rows: 1_500,
         n_venues: 40,
@@ -119,72 +83,70 @@ fn dblp_codecs_agree_and_dict_undercuts_raw() {
     };
     let (schema, d0) = dblp::generate(&cfg);
     let cfds = workload::rules::dblp_rules(&schema, 12, 3);
-    let scheme = dblp::horizontal_scheme(&schema, 6);
-
     let mut mirror = d0.clone();
     let mut batches = Vec::new();
-    let mut next_tid = 1_000_000u64;
     for round in 0..8u64 {
-        let fresh = dblp::generate_fresh(&cfg, next_tid, 60, round + 1);
-        next_tid += 60;
-        let delta = updates::generate(
-            &mirror,
-            &fresh,
-            60,
-            UpdateMix {
-                insert_fraction: 0.7,
-            },
-            round ^ 0x5eed,
-        );
+        let fresh = dblp::generate_fresh(&cfg, 1_000_000 + 60 * round, 60, round + 1);
+        let mix = UpdateMix {
+            insert_fraction: 0.7,
+        };
+        let delta = updates::generate(&mirror, &fresh, 60, mix, round ^ 0x5eed);
         delta.normalize(&mirror).apply(&mut mirror).expect("mirror");
         batches.push(delta);
     }
-
-    let bytes = run_stream(&schema, &cfds, &scheme, &d0, &batches);
-    let of = |k: CodecKind| bytes.iter().find(|(c, _)| *c == k).unwrap().1;
-    assert!(of(CodecKind::RawValues) > 0, "stream must ship something");
-    assert!(
-        of(CodecKind::Dict) < of(CodecKind::RawValues),
-        "dict {} must undercut raw {} after warm-up",
-        of(CodecKind::Dict),
-        of(CodecKind::RawValues)
+    let schemes = (
+        dblp::vertical_scheme(&schema, 6),
+        dblp::horizontal_scheme(&schema, 6),
+        HybridScheme::uniform(schema.clone(), 2, 3).unwrap(),
     );
-    // Reports carry the codec label the traffic was encoded with.
+    let mut family = Family::new("dblp_codecs", cfds, d0, schemes).batches(batches);
+    family.only = |c| c.strategy == "incHor" && c.transport == TransportKind::Simulated;
+    Some(family)
+}
+
+#[test]
+fn dblp_codecs_agree_and_dict_undercuts_raw() {
+    let report = matrix::run(dblp_codecs, 0..1, 1);
+    let [raw, md5, dict] = CODECS.map(|c| hor_bytes(&report, c));
+    assert!(raw > 0 && md5 > 0, "stream must ship something");
+    assert!(
+        dict < raw,
+        "dict {dict} must undercut raw {raw} after warm-up"
+    );
+    // Detectors carry the codec they were built with.
+    let family = dblp_codecs(0).expect("family");
     for codec in CODECS {
-        let (s, c, sim) = (schema.clone(), cfds.clone(), TransportKind::Simulated);
-        let det = HorizontalDetector::new(s, c, scheme.clone(), &d0, codec, sim).unwrap();
-        assert_eq!(det.net().codec(), Some(codec.name()));
+        let (s, c, sim) = (
+            family.schema.clone(),
+            family.cfds.clone(),
+            TransportKind::Simulated,
+        );
+        let h = family.schemes.1.clone();
+        let det = HorizontalDetector::new(s, c, h, &family.d0, codec, sim).unwrap();
         assert_eq!(det.codec_kind(), codec);
     }
 }
 
 /// The hybrid topology routes its inter-region traffic through the same
-/// codec seam: all three codecs must agree with the oracle there too.
-#[test]
-fn hybrid_inter_region_codecs_agree() {
+/// codec seam: EMP over three regions of two sites, every `incHyb` cell.
+fn emp_hybrid(_: u64) -> Option<Family> {
     let (schema, d0) = workload::emp::emp_relation();
     let cfds = workload::emp::emp_cfds(&schema);
-    let scheme = HybridScheme::uniform(schema.clone(), 3, 2).unwrap();
-    let mut mirror = d0.clone();
     let mut delta = UpdateBatch::new();
     delta.insert(workload::emp::t6());
     delta.delete(4);
-    delta.normalize(&mirror).apply(&mut mirror).unwrap();
-    let oracle = cfd::naive::detect(&cfds, &mirror);
-    for codec in CODECS {
-        let mut det = Suite::on(schema.clone())
-            .cfds(cfds.clone())
-            .strategy(Strategy::Hybrid(scheme.clone()))
-            .codec(codec)
-            .build_detector(&d0)
-            .unwrap();
-        det.apply(&delta).unwrap();
-        assert_eq!(
-            det.violations().marks_sorted(),
-            oracle.marks_sorted(),
-            "hybrid codec {}",
-            codec.name()
-        );
-        assert_eq!(det.net().codec(), Some(codec.name()));
-    }
+    let schemes = (
+        workload::emp::emp_vertical_scheme(&schema),
+        workload::emp::emp_horizontal_scheme(&schema),
+        HybridScheme::uniform(schema.clone(), 3, 2).unwrap(),
+    );
+    let mut family = Family::new("emp_hybrid", cfds, d0, schemes).batches([delta]);
+    family.only = |c| c.strategy == "incHyb";
+    Some(family)
+}
+
+#[test]
+fn hybrid_inter_region_codecs_agree() {
+    let report = matrix::run(emp_hybrid, 0..1, 1);
+    assert_eq!((report.accepted, report.refused), (9, 42));
 }

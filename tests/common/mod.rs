@@ -1,4 +1,13 @@
-//! The strategy list the differential suites share.
+//! What the differential suites share: the strategy list, the matrix
+//! that drives it, and §2.3's second oracle.
+
+// Each test binary compiles these modules and calls a part of them.
+#[allow(dead_code)]
+pub(crate) mod algebra;
+#[allow(dead_code)]
+pub(crate) mod matrix;
+#[allow(dead_code)]
+pub(crate) mod sqlgen;
 
 use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;

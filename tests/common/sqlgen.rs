@@ -13,13 +13,11 @@
 //!
 //! This module generates those queries as SQL text (for running against an
 //! external RDBMS) for any normalized rule set. The companion module
-//! [`crate::algebra`] executes the equivalent plans on an in-memory
-//! [`relation::Relation`], giving the repository a second, independent
-//! oracle (cross-checked against [`crate::naive`] in the tests).
+//! [`super::algebra`] executes the equivalent plans on an in-memory
+//! `Relation`, a second oracle beside `cfd::naive`.
 
-use crate::cfd::Cfd;
-use crate::pattern::PatternValue;
-use relation::{Schema, Value};
+use inc_cfd::cfd::{Cfd, PatternValue};
+use inc_cfd::relation::{Schema, Value};
 
 /// Quote an identifier for SQL.
 fn ident(name: &str) -> String {
@@ -42,9 +40,13 @@ fn pattern_where(schema: &Schema, cfd: &Cfd, alias: &str) -> String {
         .lhs
         .iter()
         .zip(&cfd.lhs_pattern)
-        .filter_map(|(&a, p)| {
-            p.as_const()
-                .map(|v| format!("{alias}.{} = {}", ident(schema.attr_name(a)), literal(v)))
+        .filter_map(|(&a, p)| match p {
+            PatternValue::Const(v) => Some(format!(
+                "{alias}.{} = {}",
+                ident(schema.attr_name(a)),
+                literal(v)
+            )),
+            PatternValue::Wildcard => None,
         })
         .collect();
     if conds.is_empty() {
@@ -56,7 +58,7 @@ fn pattern_where(schema: &Schema, cfd: &Cfd, alias: &str) -> String {
 /// The constant query `Q_C` for a constant CFD: every tuple matching the
 /// LHS pattern whose RHS attribute differs from the RHS constant.
 /// Returns `None` for variable CFDs.
-pub fn constant_query(schema: &Schema, cfd: &Cfd) -> Option<String> {
+pub(crate) fn constant_query(schema: &Schema, cfd: &Cfd) -> Option<String> {
     let b = match &cfd.rhs_pattern {
         PatternValue::Const(v) => v,
         PatternValue::Wildcard => return None,
@@ -74,7 +76,7 @@ pub fn constant_query(schema: &Schema, cfd: &Cfd) -> Option<String> {
 /// The variable query `Q_V` for a variable CFD: tuples in pattern-matching
 /// `X` groups holding more than one distinct `B` value. Returns `None`
 /// for constant CFDs.
-pub fn variable_query(schema: &Schema, cfd: &Cfd) -> Option<String> {
+pub(crate) fn variable_query(schema: &Schema, cfd: &Cfd) -> Option<String> {
     if cfd.is_constant() {
         return None;
     }
@@ -101,7 +103,7 @@ pub fn variable_query(schema: &Schema, cfd: &Cfd) -> Option<String> {
 /// The "two queries" of §2.3 for a whole rule set: one `UNION ALL` of all
 /// constant queries, one of all variable queries. Either may be `None`
 /// when the rule set has no CFDs of that kind.
-pub fn two_queries(schema: &Schema, cfds: &[Cfd]) -> (Option<String>, Option<String>) {
+pub(crate) fn two_queries(schema: &Schema, cfds: &[Cfd]) -> (Option<String>, Option<String>) {
     let consts: Vec<String> = cfds
         .iter()
         .filter_map(|c| constant_query(schema, c))
@@ -118,88 +120,4 @@ pub fn two_queries(schema: &Schema, cfds: &[Cfd]) -> (Option<String>, Option<Str
         }
     };
     (join(consts), join(vars))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    fn schema() -> Arc<Schema> {
-        Schema::new("EMP", &["id", "CC", "AC", "zip", "street", "city"], "id").unwrap()
-    }
-
-    fn phi1(s: &Schema) -> Cfd {
-        Cfd::from_names(
-            0,
-            s,
-            &[("CC", Some(Value::int(44))), ("zip", None)],
-            ("street", None),
-        )
-        .unwrap()
-    }
-
-    fn phi2(s: &Schema) -> Cfd {
-        Cfd::from_names(
-            1,
-            s,
-            &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
-            ("city", Some(Value::str("EDI"))),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn constant_query_shape() {
-        let s = schema();
-        let q = constant_query(&s, &phi2(&s)).unwrap();
-        assert!(q.contains("\"CC\" = 44"));
-        assert!(q.contains("\"AC\" = 131"));
-        assert!(q.contains("<> 'EDI'"));
-        assert!(q.starts_with("SELECT t.\"id\""));
-        assert!(constant_query(&s, &phi1(&s)).is_none());
-    }
-
-    #[test]
-    fn variable_query_shape() {
-        let s = schema();
-        let q = variable_query(&s, &phi1(&s)).unwrap();
-        assert!(q.contains("GROUP BY \"CC\", \"zip\""));
-        assert!(q.contains("HAVING COUNT(DISTINCT \"street\") > 1"));
-        assert!(q.contains("\"CC\" = 44"));
-        assert!(variable_query(&s, &phi2(&s)).is_none());
-    }
-
-    #[test]
-    fn two_queries_union() {
-        let s = schema();
-        let (qc, qv) = two_queries(&s, &[phi1(&s), phi2(&s)]);
-        assert!(qc.unwrap().contains("SELECT"));
-        assert!(qv.unwrap().contains("HAVING"));
-        let (qc2, qv2) = two_queries(&s, &[phi1(&s)]);
-        assert!(qc2.is_none());
-        assert!(qv2.is_some());
-    }
-
-    #[test]
-    fn literals_escaped() {
-        let s = schema();
-        let cfd = Cfd::from_names(
-            0,
-            &s,
-            &[("city", Some(Value::str("O'Hare")))],
-            ("street", Some(Value::str("x"))),
-        )
-        .unwrap();
-        let q = constant_query(&s, &cfd).unwrap();
-        assert!(q.contains("'O''Hare'"));
-    }
-
-    #[test]
-    fn wildcard_only_pattern_uses_trivial_where() {
-        let s = schema();
-        let fd = Cfd::from_names(0, &s, &[("zip", None)], ("street", None)).unwrap();
-        let q = variable_query(&s, &fd).unwrap();
-        assert!(q.contains("1 = 1"));
-    }
 }

@@ -2,7 +2,11 @@
 //! (§8 future work), the SQL/algebra second oracle (§2.3), and CSV I/O
 //! feeding the detectors.
 
+mod common;
+
+use common::{algebra, sqlgen};
 use inc_cfd::prelude::*;
+use std::sync::Arc;
 use workload::tpch::{self, TpchConfig};
 use workload::updates::{self, UpdateMix};
 
@@ -63,7 +67,7 @@ fn hybrid_detector_matches_oracle_over_update_rounds() {
 #[test]
 fn algebra_oracle_agrees_with_naive_on_workloads() {
     let (_, d, cfds, _) = tpch_small();
-    let a = cfd::algebra::detect(&cfds, &d);
+    let a = algebra::detect(&cfds, &d);
     let b = cfd::naive::detect(&cfds, &d);
     assert_eq!(a.marks_sorted(), b.marks_sorted());
 
@@ -75,7 +79,7 @@ fn algebra_oracle_agrees_with_naive_on_workloads() {
     let (sd, dd) = workload::dblp::generate(&dcfg);
     let rules = workload::rules::dblp_rules(&sd, 12, 5);
     assert_eq!(
-        cfd::algebra::detect(&rules, &dd).marks_sorted(),
+        algebra::detect(&rules, &dd).marks_sorted(),
         cfd::naive::detect(&rules, &dd).marks_sorted()
     );
 }
@@ -83,7 +87,7 @@ fn algebra_oracle_agrees_with_naive_on_workloads() {
 #[test]
 fn sqlgen_produces_queries_for_generated_rule_sets() {
     let (s, _, cfds, _) = tpch_small();
-    let (qc, qv) = cfd::sqlgen::two_queries(&s, &cfds);
+    let (qc, qv) = sqlgen::two_queries(&s, &cfds);
     let qc = qc.expect("rule set contains constant CFDs");
     let qv = qv.expect("rule set contains variable CFDs");
     // Structural sanity of the generated SQL.
@@ -95,7 +99,7 @@ fn sqlgen_produces_queries_for_generated_rule_sets() {
     );
     for c in &cfds {
         if c.is_constant() {
-            let q = cfd::sqlgen::constant_query(&s, c).unwrap();
+            let q = sqlgen::constant_query(&s, c).unwrap();
             assert!(q.contains(&format!("\"{}\"", s.attr_name(c.rhs))));
         }
     }
@@ -136,4 +140,171 @@ id,grade,CC,AC,zip,street,city
         .strategy(Strategy::Vertical(scheme));
     let det = suite.build_detector(&d).unwrap();
     assert_eq!(det.violations().tids_sorted(), vec![1, 3, 4, 5]);
+}
+
+// §2.3's plans and queries on Fig. 1's EMP relation.
+
+fn emp5() -> (Arc<Schema>, Relation, Vec<Cfd>) {
+    let s = Schema::new("EMP", &["id", "CC", "AC", "zip", "street", "city"], "id").unwrap();
+    let rows: Vec<(i64, i64, &str, &str, &str)> = vec![
+        (44, 131, "EH4 8LE", "Mayfield", "NYC"),
+        (44, 131, "EH2 4HF", "Preston", "EDI"),
+        (44, 131, "EH4 8LE", "Mayfield", "EDI"),
+        (44, 131, "EH4 8LE", "Mayfield", "EDI"),
+        (44, 131, "EH4 8LE", "Crichton", "EDI"),
+    ];
+    let mut d = Relation::new(s.clone());
+    for (i, (cc, ac, zip, street, city)) in rows.into_iter().enumerate() {
+        d.insert(Tuple::new(
+            (i + 1) as Tid,
+            vec![
+                Value::int((i + 1) as i64),
+                Value::int(cc),
+                Value::int(ac),
+                Value::str(zip),
+                Value::str(street),
+                Value::str(city),
+            ],
+        ))
+        .unwrap();
+    }
+    let cfds = vec![
+        Cfd::from_names(
+            0,
+            &s,
+            &[("CC", Some(Value::int(44))), ("zip", None)],
+            ("street", None),
+        )
+        .unwrap(),
+        Cfd::from_names(
+            1,
+            &s,
+            &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
+            ("city", Some(Value::str("EDI"))),
+        )
+        .unwrap(),
+    ];
+    (s, d, cfds)
+}
+
+#[test]
+fn plan_matches_naive_on_fig1() {
+    let (_, d, cfds) = emp5();
+    let a = algebra::detect(&cfds, &d);
+    let b = cfd::naive::detect(&cfds, &d);
+    assert_eq!(a.marks_sorted(), b.marks_sorted());
+    assert_eq!(a.tids_sorted(), vec![1, 3, 4, 5]);
+}
+
+#[test]
+fn run_constant_finds_single_tuple_violations() {
+    let (_, d, cfds) = emp5();
+    let mut tids = algebra::run_constant(&cfds[1], &d);
+    tids.sort_unstable();
+    assert_eq!(tids, vec![1]);
+    assert!(
+        algebra::run_constant(&cfds[0], &d).is_empty(),
+        "variable CFD → Q_C empty"
+    );
+}
+
+#[test]
+fn run_variable_groups_and_filters() {
+    let (_, d, cfds) = emp5();
+    let mut tids = algebra::run_variable(&cfds[0], &d);
+    tids.sort_unstable();
+    assert_eq!(tids, vec![1, 3, 4, 5]);
+    assert!(
+        algebra::run_variable(&cfds[1], &d).is_empty(),
+        "constant CFD → Q_V empty"
+    );
+}
+
+#[test]
+fn group_having_counts_distinct() {
+    let (_, d, _) = emp5();
+    // Group by zip, dep = street: EH4 8LE group has two streets.
+    let groups = algebra::group_having_multiple_dep_cols(&d, |_| true, &[3], 4);
+    assert_eq!(groups.len(), 1);
+    let mut tids = groups[0].clone();
+    tids.sort_unstable();
+    assert_eq!(tids, vec![1, 3, 4, 5]);
+}
+
+fn sql_schema() -> Arc<Schema> {
+    Schema::new("EMP", &["id", "CC", "AC", "zip", "street", "city"], "id").unwrap()
+}
+
+fn phi1(s: &Schema) -> Cfd {
+    Cfd::from_names(
+        0,
+        s,
+        &[("CC", Some(Value::int(44))), ("zip", None)],
+        ("street", None),
+    )
+    .unwrap()
+}
+
+fn phi2(s: &Schema) -> Cfd {
+    Cfd::from_names(
+        1,
+        s,
+        &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
+        ("city", Some(Value::str("EDI"))),
+    )
+    .unwrap()
+}
+
+#[test]
+fn constant_query_shape() {
+    let s = sql_schema();
+    let q = sqlgen::constant_query(&s, &phi2(&s)).unwrap();
+    assert!(q.contains("\"CC\" = 44"));
+    assert!(q.contains("\"AC\" = 131"));
+    assert!(q.contains("<> 'EDI'"));
+    assert!(q.starts_with("SELECT t.\"id\""));
+    assert!(sqlgen::constant_query(&s, &phi1(&s)).is_none());
+}
+
+#[test]
+fn variable_query_shape() {
+    let s = sql_schema();
+    let q = sqlgen::variable_query(&s, &phi1(&s)).unwrap();
+    assert!(q.contains("GROUP BY \"CC\", \"zip\""));
+    assert!(q.contains("HAVING COUNT(DISTINCT \"street\") > 1"));
+    assert!(q.contains("\"CC\" = 44"));
+    assert!(sqlgen::variable_query(&s, &phi2(&s)).is_none());
+}
+
+#[test]
+fn two_queries_union() {
+    let s = sql_schema();
+    let (qc, qv) = sqlgen::two_queries(&s, &[phi1(&s), phi2(&s)]);
+    assert!(qc.unwrap().contains("SELECT"));
+    assert!(qv.unwrap().contains("HAVING"));
+    let (qc2, qv2) = sqlgen::two_queries(&s, &[phi1(&s)]);
+    assert!(qc2.is_none());
+    assert!(qv2.is_some());
+}
+
+#[test]
+fn literals_escaped() {
+    let s = sql_schema();
+    let cfd = Cfd::from_names(
+        0,
+        &s,
+        &[("city", Some(Value::str("O'Hare")))],
+        ("street", Some(Value::str("x"))),
+    )
+    .unwrap();
+    let q = sqlgen::constant_query(&s, &cfd).unwrap();
+    assert!(q.contains("'O''Hare'"));
+}
+
+#[test]
+fn wildcard_only_pattern_uses_trivial_where() {
+    let s = sql_schema();
+    let fd = Cfd::from_names(0, &s, &[("zip", None)], ("street", None)).unwrap();
+    let q = sqlgen::variable_query(&s, &fd).unwrap();
+    assert!(q.contains("1 = 1"));
 }

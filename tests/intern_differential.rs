@@ -4,10 +4,10 @@
 //! on `Sym`, grouping on symbol vectors, inline non-base keys), so this
 //! suite drives **string-heavy** seeded workloads — where interning
 //! actually collapses payloads — through all nine strategy
-//! configurations and checks them against an *independent*
-//! pairwise oracle implemented here straight from the CFD semantics
-//! (deliberately not `cfd::naive`, which now interns too: the oracle and
-//! the system under test must not share the new code path).
+//! configurations and checks them, through the matrix
+//! (`common::matrix`), against an *independent* pairwise oracle
+//! implemented here straight from the CFD semantics beside `cfd::naive`
+//! (which interns too: one oracle must not share the new code path).
 //!
 //! The second half holds the seeded property suites for the storage
 //! layer: `ValuePool` (acquire/release round-trips against a reference
@@ -20,6 +20,7 @@
 
 mod common;
 
+use common::matrix::{self, Family};
 use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use incdetect::baselines::ColsMsg;
@@ -154,97 +155,73 @@ fn rand_updates(
     delta
 }
 
-/// All nine strategy configurations of the PR-1 builder API.
-fn strategies(
-    s: &Arc<Schema>,
-    cfds: &[Cfd],
-    d: &Relation,
-    n_sites: usize,
-) -> Vec<Box<dyn Detector>> {
-    let vscheme = VerticalScheme::round_robin(s.clone(), n_sites).unwrap();
-    let hscheme = HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap();
-    let yscheme = HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap();
-    let opt = OptimizeConfig {
+/// A string-heavy instance over `n_sites` sites with `batches` update
+/// batches of up to `n_ops` ops, held to the pairwise definition and to
+/// the interned `cfd::naive`.
+fn interned_family(
+    name: &'static str,
+    rng: &mut StdRng,
+    n_rows: u64,
+    n_sites: Option<usize>,
+    batches: usize,
+    n_ops: usize,
+) -> Option<Family> {
+    let s = schema();
+    let cfds = rand_cfds(rng);
+    if cfds.is_empty() {
+        return None;
+    }
+    let d = Relation::from_tuples(s.clone(), (0..n_rows).map(|tid| rand_tuple(tid, rng))).unwrap();
+    let n_sites = n_sites.unwrap_or_else(|| rng.random_range(2..5usize));
+    let schemes = (
+        VerticalScheme::round_robin(s.clone(), n_sites).unwrap(),
+        HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap(),
+        HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap(),
+    );
+    let mut mirror = d.clone();
+    let mut stream = Vec::new();
+    for _ in 0..batches {
+        let mut live: BTreeSet<u64> = mirror.tids().collect();
+        let delta = rand_updates(&mut live, n_rows, n_ops, rng);
+        delta.normalize(&mirror.clone()).apply(&mut mirror).unwrap();
+        stream.push(delta);
+    }
+    let sigma = cfds.clone();
+    let mut family = Family::new(name, cfds, d, schemes).batches(stream);
+    family.opt = OptimizeConfig {
         k: 3,
         eval_budget: 500,
         relocate: true,
     };
-    let suites = common::nine_suites(s, cfds, &vscheme, &hscheme, &yscheme, opt);
-    let build = |(_, suite): (&str, Suite)| suite.build_detector(d).unwrap();
-    suites.into_iter().map(build).collect()
+    family
+        .oracles
+        .insert(0, Box::new(move |d| pairwise_oracle(&sigma, &d[0])));
+    Some(family)
 }
 
-#[test]
-fn interned_detectors_match_pairwise_oracle() {
-    for seed in 0..32u64 {
-        let mut rng = StdRng::seed_from_u64(0x1D1C7 ^ seed);
-        let s = schema();
-        let cfds = rand_cfds(&mut rng);
-        if cfds.is_empty() {
-            continue;
-        }
-        let d = Relation::from_tuples(s.clone(), (0..20u64).map(|tid| rand_tuple(tid, &mut rng)))
-            .unwrap();
-        let n_sites = rng.random_range(2..5usize);
-        let mut live: BTreeSet<u64> = d.tids().collect();
-        let delta = rand_updates(&mut live, 20, 24, &mut rng);
-
-        let mut d_new = d.clone();
-        delta.normalize(&d).apply(&mut d_new).unwrap();
-        let oracle = pairwise_oracle(&cfds, &d_new);
-        // The interned centralized detector agrees with the definition.
-        assert_eq!(
-            cfd::naive::detect(&cfds, &d_new).marks_sorted(),
-            oracle,
-            "seed {seed}: interned naive diverged from the pairwise definition"
-        );
-        // … and so does every distributed strategy.
-        for det in &mut strategies(&s, &cfds, &d, n_sites) {
-            det.apply(&delta)
-                .unwrap_or_else(|e| panic!("seed {seed}: {} failed: {e}", det.strategy()));
-            assert_eq!(
-                det.violations().marks_sorted(),
-                oracle,
-                "seed {seed}: {} diverged from the pairwise oracle",
-                det.strategy()
-            );
-        }
-    }
+/// One batch over 20 rows and 2–4 sites.
+fn interned(seed: u64) -> Option<Family> {
+    let mut rng = StdRng::seed_from_u64(0x1D1C7 ^ seed);
+    interned_family("interned", &mut rng, 20, None, 1, 24)
 }
 
 /// Multi-batch state evolution: deletions must garbage-collect dictionary
 /// entries while detection stays exact (three consecutive batches).
+fn interned_batches(seed: u64) -> Option<Family> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    interned_family("interned_batches", &mut rng, 14, Some(3), 3, 10)
+}
+
+#[test]
+fn interned_detectors_match_pairwise_oracle() {
+    let report = matrix::run(interned, 0..32, 3);
+    assert_eq!((report.accepted, report.refused), (685, 1_428));
+}
+
 #[test]
 fn interned_detectors_survive_sequential_batches() {
-    for seed in 200..216u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = schema();
-        let cfds = rand_cfds(&mut rng);
-        if cfds.is_empty() {
-            continue;
-        }
-        let d = Relation::from_tuples(s.clone(), (0..14u64).map(|tid| rand_tuple(tid, &mut rng)))
-            .unwrap();
-        let mut dets = strategies(&s, &cfds, &d, 3);
-        let mut mirror = d;
-        for round in 0..3 {
-            let mut live: BTreeSet<u64> = mirror.tids().collect();
-            let delta = rand_updates(&mut live, 14, 10, &mut rng);
-            delta.normalize(&mirror.clone()).apply(&mut mirror).unwrap();
-            let oracle = pairwise_oracle(&cfds, &mirror);
-            for det in &mut dets {
-                det.apply(&delta).unwrap_or_else(|e| {
-                    panic!("seed {seed} round {round}: {} failed: {e}", det.strategy())
-                });
-                assert_eq!(
-                    det.violations().marks_sorted(),
-                    oracle,
-                    "seed {seed} round {round}: {} diverged",
-                    det.strategy()
-                );
-            }
-        }
-    }
+    let report = matrix::run(interned_batches, 200..216, 3);
+    assert_eq!((report.accepted, report.refused), (317, 672));
 }
 
 // ----------------------------------------------------------------------

@@ -1,30 +1,14 @@
 //! Loadgen subsystem contracts: deterministic streams, differential
-//! correctness of a sampled stream prefix across all nine strategies,
-//! and churn settling through every strategy.
+//! correctness of a sampled stream prefix through the matrix
+//! (`common::matrix`), and churn settling through every cell.
 
 mod common;
 
-use inc_cfd::incdetect::optimize::OptimizeConfig;
+use common::matrix::{self, Family};
 use inc_cfd::prelude::*;
 use loadgen::{catalog, Scenario, Tick};
-use std::sync::Arc;
 use workload::tpch::{self, TpchConfig};
 use workload::updates;
-
-/// Every strategy over the same `(schema, Σ, D₀)` instance.
-fn all_strategies(
-    schema: &Arc<Schema>,
-    cfds: &[Cfd],
-    vscheme: VerticalScheme,
-    hscheme: HorizontalScheme,
-    yscheme: HybridScheme,
-    d0: &Relation,
-) -> Vec<Box<dyn Detector>> {
-    let opt = OptimizeConfig::default();
-    let suites = common::nine_suites(schema, cfds, &vscheme, &hscheme, &yscheme, opt);
-    let build = |(name, suite): (&str, Suite)| suite.build_detector(d0).expect(name);
-    suites.into_iter().map(build).collect()
-}
 
 #[test]
 fn same_seed_produces_byte_identical_streams() {
@@ -51,43 +35,28 @@ fn same_seed_produces_byte_identical_streams() {
     }
 }
 
+/// The first six ticks of catalog scenario `seed`, applied per tick as
+/// batches.
+fn prefix(seed: u64) -> Option<Family> {
+    let cfg = catalog().into_iter().nth(seed as usize)?;
+    let ds = cfg.dataset();
+    let batches = cfg.stream(&ds).take(6).map(|tick| tick.batch);
+    let schemes = (
+        ds.vertical.clone(),
+        ds.horizontal.clone(),
+        ds.hybrid.clone(),
+    );
+    let mut family = Family::new("prefix", ds.cfds.clone(), ds.base, schemes).batches(batches);
+    family.only = |cell| cell.transport == TransportKind::Simulated && !cell.threaded;
+    Some(family)
+}
+
 /// Differential test: a sampled prefix of every catalog stream produces
-/// oracle-identical violation sets across all nine strategies, applied
-/// per-tick as batches.
+/// oracle-identical violation sets in every strategy.
 #[test]
 fn stream_prefix_is_oracle_identical_across_all_strategies() {
-    for cfg in catalog() {
-        let ds = cfg.dataset();
-        let prefix: Vec<Tick> = cfg.stream(&ds).take(6).collect();
-        let mut dets = all_strategies(
-            &ds.schema,
-            &ds.cfds,
-            ds.vertical.clone(),
-            ds.horizontal.clone(),
-            ds.hybrid.clone(),
-            &ds.base,
-        );
-        let mut mirror = ds.base.clone();
-        for tick in &prefix {
-            tick.batch
-                .normalize(&mirror.clone())
-                .apply(&mut mirror)
-                .expect("mirror applies");
-            let oracle = cfd::naive::detect(&ds.cfds, &mirror);
-            for det in &mut dets {
-                det.apply(&tick.batch)
-                    .unwrap_or_else(|e| panic!("{} failed: {e}", det.strategy()));
-                assert_eq!(
-                    det.violations().marks_sorted(),
-                    oracle.marks_sorted(),
-                    "{}: {} diverged from oracle at tick {}",
-                    cfg.name,
-                    det.strategy(),
-                    tick.index
-                );
-            }
-        }
-    }
+    let report = matrix::run(prefix, 0..5, 1);
+    assert_eq!((report.accepted, report.refused), (60, 210));
 }
 
 /// The same prefix applied op-by-op (`apply_one`, the driver's measured
@@ -127,97 +96,59 @@ fn apply_one_walk_matches_batch_walk() {
     );
 }
 
-/// Identical-reinsert churn settles to an empty `ΔV` and leaves the
-/// violation set untouched in every strategy.
-#[test]
-fn identical_churn_settles_through_every_strategy() {
+/// A 300-row TPCH base and one churn batch.
+fn churn_family(
+    name: &'static str,
+    error_rate: f64,
+    churn: fn(&Relation) -> UpdateBatch,
+) -> Option<Family> {
     let gen = TpchConfig {
         n_rows: 300,
-        error_rate: 0.05,
+        error_rate,
         ..TpchConfig::default()
     };
     let (schema, d0) = tpch::generate(&gen);
     let cfds = workload::rules::tpch_rules(&schema, 8, 11);
-    let churn = updates::generate_churn(&d0, 120, 0.0, 77, |t, _| t.clone());
-    let mut dets = all_strategies(
-        &schema,
-        &cfds,
+    let schemes = (
         tpch::vertical_scheme(&schema, 4),
         tpch::horizontal_scheme(&schema, 4),
         HybridScheme::uniform(schema.clone(), 2, 2).unwrap(),
-        &d0,
     );
-    let oracle = cfd::naive::detect(&cfds, &d0);
-    for det in &mut dets {
-        let before = det.violations().clone();
-        let dv = det
-            .apply(&churn)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", det.strategy()));
-        assert_eq!(
-            dv.len(),
-            0,
-            "{}: identical churn must settle to an empty ΔV",
-            det.strategy()
-        );
-        assert_eq!(
-            det.violations().marks_sorted(),
-            before.marks_sorted(),
-            "{}: violations unchanged by identical churn",
-            det.strategy()
-        );
-        assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
-    }
+    let batch = churn(&d0);
+    Some(Family::new(name, cfds, d0, schemes).batches([batch]))
+}
+
+fn identical_churn(_: u64) -> Option<Family> {
+    let churn = |d0: &Relation| updates::generate_churn(d0, 120, 0.0, 77, |t, _| t.clone());
+    churn_family("identical_churn", 0.05, churn)
+}
+
+/// Identical-reinsert churn settles to an empty `ΔV` and leaves the
+/// violation set untouched in every cell.
+#[test]
+fn identical_churn_settles_through_every_strategy() {
+    let report = matrix::run(identical_churn, 0..1, 1);
+    assert_eq!(report.deltas, vec![Default::default()]);
+}
+
+fn mutated_churn(_: u64) -> Option<Family> {
+    let churn = |d0: &Relation| {
+        let nation = d0.schema().attr_id("nation").unwrap();
+        updates::generate_churn(d0, 80, 0.5, 99, |t, rng| {
+            updates::corrupt_attr(t, nation, rng)
+        })
+    };
+    churn_family("mutated_churn", 0.0, churn)
 }
 
 /// Mutated churn (delete + reinsert of the same tid with one attribute
-/// corrupted) settles to the oracle's diff in every strategy.
+/// corrupted) settles to the oracle's diff in every cell.
 #[test]
 fn mutated_churn_settles_to_oracle_diff() {
-    let gen = TpchConfig {
-        n_rows: 300,
-        error_rate: 0.0,
-        ..TpchConfig::default()
-    };
-    let (schema, d0) = tpch::generate(&gen);
-    let cfds = workload::rules::tpch_rules(&schema, 8, 11);
-    let nation = schema.attr_id("nation").unwrap();
-    let churn = updates::generate_churn(&d0, 80, 0.5, 99, |t, rng| {
-        updates::corrupt_attr(t, nation, rng)
-    });
-    let mut mirror = d0.clone();
-    churn
-        .normalize(&mirror.clone())
-        .apply(&mut mirror)
-        .expect("churn applies");
-    let oracle = cfd::naive::detect(&cfds, &mirror);
+    let report = matrix::run(mutated_churn, 0..1, 1);
+    let (added, _) = &report.deltas[0];
     assert!(
-        !oracle.is_empty(),
+        !added.is_empty(),
         "corrupting nations must create violations"
     );
-    let mut dets = all_strategies(
-        &schema,
-        &cfds,
-        tpch::vertical_scheme(&schema, 4),
-        tpch::horizontal_scheme(&schema, 4),
-        HybridScheme::uniform(schema.clone(), 2, 2).unwrap(),
-        &d0,
-    );
-    for det in &mut dets {
-        let before = det.violations().clone();
-        let dv = det
-            .apply(&churn)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", det.strategy()));
-        assert_eq!(
-            det.violations().marks_sorted(),
-            oracle.marks_sorted(),
-            "{}: mutated churn must land on the oracle",
-            det.strategy()
-        );
-        assert_eq!(
-            dv,
-            before.diff(det.violations()),
-            "{}: ΔV must be the settled diff",
-            det.strategy()
-        );
-    }
 }

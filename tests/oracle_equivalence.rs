@@ -1,15 +1,17 @@
 //! Randomized equivalence: on seeded random relations, rule sets and
-//! update batches, every strategy behind the `Detector` trait must
-//! maintain exactly the violation set the centralized oracle computes —
-//! for every partition layout, with and without the HEV-plan optimizer
-//! and the MD5 optimization, and for the batch baselines.
+//! update batches, every cell of the matrix (`common::matrix`) must
+//! maintain exactly the violation set both centralized oracles compute —
+//! `cfd::naive` and §2.3's algebra executor — for every partition
+//! layout, with and without the HEV-plan optimizer, every codec,
+//! transport and drive, and for the batch baselines.
 //!
-//! Deterministic replacement for the former proptest suite: cases are
-//! generated from explicit seeds with the workspace PRNG, so a failing
-//! seed reproduces with no external shrinking machinery.
+//! Cases are generated from explicit seeds with the workspace PRNG, and
+//! a failing cell shrinks to a replayable batch list.
 
 mod common;
 
+use common::algebra;
+use common::matrix::{self, Family};
 use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::prelude::*;
 use rand::rngs::StdRng;
@@ -118,91 +120,98 @@ fn rand_updates(
     delta
 }
 
-/// Stand up every strategy over `(s, cfds, d)` and `n_sites` sites.
-fn strategies(
-    s: &Arc<Schema>,
-    cfds: &[Cfd],
-    d: &Relation,
-    n_sites: usize,
-) -> Vec<Box<dyn Detector>> {
-    let vscheme = VerticalScheme::round_robin(s.clone(), n_sites).unwrap();
-    let hscheme = HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap();
-    let yscheme = HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap();
-    let opt = OptimizeConfig {
+/// A random instance over `n_sites` sites with `batches` update batches
+/// of up to `n_ops` ops, each drawn against the mirror's live tids.
+fn random_family(
+    name: &'static str,
+    rng: &mut StdRng,
+    n_rows: u64,
+    n_sites: Option<usize>,
+    batches: usize,
+    n_ops: usize,
+) -> Option<Family> {
+    let s = schema();
+    let cfds = rand_cfds(rng);
+    if cfds.is_empty() {
+        return None;
+    }
+    let d = Relation::from_tuples(s.clone(), rand_relation(n_rows as usize, rng)).unwrap();
+    let n_sites = n_sites.unwrap_or_else(|| rng.random_range(2..5usize));
+    let schemes = (
+        VerticalScheme::round_robin(s.clone(), n_sites).unwrap(),
+        HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap(),
+        HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap(),
+    );
+    let mut mirror = d.clone();
+    let mut stream = Vec::new();
+    for _ in 0..batches {
+        let mut live: std::collections::BTreeSet<u64> = mirror.tids().collect();
+        let delta = rand_updates(&mut live, n_rows, n_ops, rng);
+        delta.normalize(&mirror.clone()).apply(&mut mirror).unwrap();
+        stream.push(delta);
+    }
+    let sigma = cfds.clone();
+    let mut family = Family::new(name, cfds, d, schemes).batches(stream);
+    family.opt = OptimizeConfig {
         k: 3,
         eval_budget: 500,
         relocate: true,
     };
-    let suites = common::nine_suites(s, cfds, &vscheme, &hscheme, &yscheme, opt);
-    let build = |(_, suite): (&str, Suite)| suite.build_detector(d).unwrap();
-    suites.into_iter().map(build).collect()
+    let algebra = move |d: &[Relation]| algebra::detect(&sigma, &d[0]).marks_sorted();
+    family.oracles.push(Box::new(algebra));
+    Some(family)
+}
+
+/// One batch over 24 rows and 2–4 sites.
+fn random(seed: u64) -> Option<Family> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    random_family("random", &mut rng, 24, None, 1, 30)
+}
+
+/// Three consecutive batches over 16 rows and 3 sites: catches state
+/// corruption that a single batch would miss.
+fn random_batches(seed: u64) -> Option<Family> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    random_family("random_batches", &mut rng, 16, Some(3), 3, 12)
 }
 
 #[test]
 fn detectors_match_oracle() {
-    for seed in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = schema();
-        let cfds = rand_cfds(&mut rng);
-        if cfds.is_empty() {
-            continue;
-        }
-        let d = Relation::from_tuples(s.clone(), rand_relation(24, &mut rng)).unwrap();
-        let n_sites = rng.random_range(2..5usize);
-
-        let mut live: std::collections::BTreeSet<u64> = d.tids().collect();
-        let delta = rand_updates(&mut live, 24, 30, &mut rng);
-
-        // Ground truth.
-        let mut d_new = d.clone();
-        delta.normalize(&d).apply(&mut d_new).unwrap();
-        let oracle = cfd::naive::detect(&cfds, &d_new);
-
-        for det in &mut strategies(&s, &cfds, &d, n_sites) {
-            det.apply(&delta)
-                .unwrap_or_else(|e| panic!("seed {seed}: {} failed: {e}", det.strategy()));
-            assert_eq!(
-                det.violations().marks_sorted(),
-                oracle.marks_sorted(),
-                "seed {seed}: {} diverged from oracle",
-                det.strategy()
-            );
-        }
-    }
+    let report = matrix::run(random, 0..48, 3);
+    assert_eq!((report.accepted, report.refused), (901, 1_890));
 }
 
-/// Sequential batches: apply three consecutive update batches and check
-/// the oracle after each (catches state corruption that a single batch
-/// would miss).
 #[test]
 fn detectors_match_oracle_across_batches() {
-    for seed in 100..124u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = schema();
-        let cfds = rand_cfds(&mut rng);
-        if cfds.is_empty() {
-            continue;
-        }
-        let d = Relation::from_tuples(s.clone(), rand_relation(16, &mut rng)).unwrap();
-        let mut dets = strategies(&s, &cfds, &d, 3);
-        let mut mirror = d;
+    let report = matrix::run(random_batches, 100..124, 3);
+    assert_eq!((report.accepted, report.refused), (520, 1_092));
+}
 
-        for round in 0..3 {
-            let mut live: std::collections::BTreeSet<u64> = mirror.tids().collect();
-            let delta = rand_updates(&mut live, 16, 12, &mut rng);
-            delta.normalize(&mirror.clone()).apply(&mut mirror).unwrap();
-            let oracle = cfd::naive::detect(&cfds, &mirror);
-            for det in &mut dets {
-                det.apply(&delta).unwrap_or_else(|e| {
-                    panic!("seed {seed} round {round}: {} failed: {e}", det.strategy())
-                });
-                assert_eq!(
-                    det.violations().marks_sorted(),
-                    oracle.marks_sorted(),
-                    "seed {seed} round {round}: {} diverged",
-                    det.strategy()
-                );
-            }
-        }
+/// Ten times the seeds of the two tests above, every cell at each
+/// (release: `cargo test --release --test oracle_equivalence
+/// every_cell_at_many_seeds -- --ignored`).
+#[test]
+#[ignore]
+fn every_cell_at_many_seeds() {
+    matrix::run(random, 0..480, 1);
+    matrix::run(random_batches, 100..340, 1);
+}
+
+/// The shrinker on a synthetic failure: a run fails when it holds 3, 17
+/// and 42, or two multiples of 29. ddmin reaches a failing subsequence
+/// from which no single element can be dropped.
+#[test]
+fn ddmin_returns_a_one_minimal_failing_case() {
+    let fails = |xs: &[u32]| {
+        let all = [3, 17, 42].iter().all(|x| xs.contains(x));
+        all || xs.iter().filter(|&&x| x > 0 && x % 29 == 0).count() >= 2
+    };
+    let min = matrix::ddmin((0..100).collect(), fails);
+    assert!(fails(&min));
+    for i in 0..min.len() {
+        let mut less = min.clone();
+        less.remove(i);
+        assert!(!fails(&less), "{min:?} without {}", min[i]);
     }
+    assert!(min.len() <= 3, "{min:?}");
 }

@@ -1,89 +1,27 @@
 //! Prune differential suite: `AnalysisMode::Prune` must be a pure
-//! execution strategy. For every one of the nine detection strategies,
-//! driving the same update stream with the detector built over the full
-//! catalog (`Off`), with findings merely reported (`Warn`), and over the
-//! minimal cover with riders reconstructed (`Prune`) must produce
-//! bit-identical `ΔV` and violations — pruning changes what is
-//! *evaluated*, never what is *detected*.
+//! execution strategy. On a catalog with prunable rules the matrix
+//! (`common::matrix`) drives every strategy with the detector built over
+//! the full catalog (`Off`), with findings merely reported (`Warn`), and
+//! over the minimal cover with riders reconstructed (`Prune`), and holds
+//! each to the oracle over the full catalog and to one `ΔV` — pruning
+//! changes what is *evaluated*, never what is *detected*. (Modeled
+//! traffic is not compared across modes: the pruned detector ships less.)
 //!
 //! Plus the refusal path: an unsatisfiable catalog must fail to build
 //! under `Prune` (detection over it is vacuous — everything violates).
 
 mod common;
 
-use inc_cfd::incdetect::optimize::OptimizeConfig;
+use common::matrix::{self, Family};
 use inc_cfd::prelude::*;
-use std::sync::Arc;
 use workload::family::{cfd_family, FamilyConfig};
 use workload::updates::{self, UpdateMix};
-
-/// All nine strategies over one instance, pinned to one analysis mode.
-fn strategies(
-    schema: &Arc<Schema>,
-    cfds: &[Cfd],
-    (vscheme, hscheme, yscheme): (&VerticalScheme, &HorizontalScheme, &HybridScheme),
-    d0: &Relation,
-    mode: AnalysisMode,
-) -> Vec<Box<dyn Detector>> {
-    let opt = OptimizeConfig::default();
-    let suites = common::nine_suites(schema, cfds, vscheme, hscheme, yscheme, opt);
-    let build = |(name, suite): (&str, Suite)| suite.analyze(mode).build_detector(d0).expect(name);
-    suites.into_iter().map(build).collect()
-}
-
-/// Drive all three analysis modes in lockstep over `batches`, asserting
-/// `ΔV` and `V` bit-identity after every batch. (Modeled traffic is
-/// deliberately *not* compared: the pruned detector ships less — that
-/// is the point.)
-fn assert_modes_identical(
-    schema: &Arc<Schema>,
-    cfds: &[Cfd],
-    vscheme: VerticalScheme,
-    hscheme: HorizontalScheme,
-    yscheme: HybridScheme,
-    d0: &Relation,
-    batches: &[UpdateBatch],
-) {
-    // The suite is vacuous unless something is actually pruned.
-    let plan = cfd::PrunePlan::compute(cfds);
-    assert!(
-        plan.n_pruned() > 0,
-        "fixture must contain prunable rules ({} rules, 0 pruned)",
-        cfds.len()
-    );
-    let schemes = (&vscheme, &hscheme, &yscheme);
-    let [mut off, mut warn, mut prune] =
-        [AnalysisMode::Off, AnalysisMode::Warn, AnalysisMode::Prune]
-            .map(|mode| strategies(schema, cfds, schemes, d0, mode));
-    for ((o, w), p) in off.iter_mut().zip(&mut warn).zip(&mut prune) {
-        assert_eq!(o.strategy(), p.strategy());
-        let name = o.strategy();
-        assert_eq!(
-            o.violations().marks_sorted(),
-            p.violations().marks_sorted(),
-            "{name}: initial V diverged under Prune"
-        );
-        for (i, b) in batches.iter().enumerate() {
-            let dv_o = o.apply(b).expect("Off apply");
-            let dv_w = w.apply(b).expect("Warn apply");
-            let dv_p = p.apply(b).expect("Prune apply");
-            assert_eq!(dv_o, dv_w, "{name}: ΔV diverged under Warn at batch {i}");
-            assert_eq!(dv_o, dv_p, "{name}: ΔV diverged under Prune at batch {i}");
-            assert_eq!(
-                o.violations().marks_sorted(),
-                p.violations().marks_sorted(),
-                "{name}: V diverged under Prune at batch {i}"
-            );
-        }
-    }
-}
 
 /// A redundancy-dialed TPCH family over a small instance, with an update
 /// stream that includes churn: delete-heavy batches and same-tid
 /// delete+reinsert flips — the cases the pruned wrapper's touched-tid
 /// recheck exists for.
-#[test]
-fn pruning_is_invisible_across_all_nine_strategies() {
+fn tpch_family(_: u64) -> Option<Family> {
     let tcfg = workload::tpch::TpchConfig {
         n_rows: 300,
         seed: 13,
@@ -101,9 +39,11 @@ fn pruning_is_invisible_across_all_nine_strategies() {
             conflicts: 0,
         },
     );
-    let vscheme = workload::tpch::vertical_scheme(&schema, 5);
-    let hscheme = workload::tpch::horizontal_scheme(&schema, 5);
-    let yscheme = HybridScheme::uniform(schema.clone(), 2, 3).expect("hybrid scheme");
+    let schemes = (
+        workload::tpch::vertical_scheme(&schema, 5),
+        workload::tpch::horizontal_scheme(&schema, 5),
+        HybridScheme::uniform(schema.clone(), 2, 3).expect("hybrid scheme"),
+    );
 
     let mut mirror = d0.clone();
     let mut batches = Vec::new();
@@ -142,11 +82,18 @@ fn pruning_is_invisible_across_all_nine_strategies() {
         flip.insert(Tuple::new(t.tid, vals));
     }
     batches.push(flip);
-    assert_modes_identical(&schema, &sigma, vscheme, hscheme, yscheme, &d0, &batches);
+    let mut family = Family::new("tpch_family", sigma, d0, schemes).batches(batches);
+    family.only = |cell| cell.transport == TransportKind::Simulated && !cell.threaded;
+    Some(family)
 }
 
 #[test]
-fn pruning_is_invisible_on_emp_with_an_added_duplicate() {
+fn pruning_is_invisible_across_all_nine_strategies() {
+    let report = matrix::run(tpch_family, 0..1, 1);
+    assert_eq!((report.accepted, report.refused), (36, 126));
+}
+
+fn emp_dup(_: u64) -> Option<Family> {
     let (schema, d0) = workload::emp::emp_relation();
     let mut sigma = workload::emp::emp_cfds(&schema);
     // Append an LHS-reordered duplicate of rule 0 — the minimal prunable
@@ -168,9 +115,11 @@ fn pruning_is_invisible_on_emp_with_an_added_duplicate() {
         .expect("reordered duplicate")
     };
     sigma.push(dup);
-    let vscheme = workload::emp::emp_vertical_scheme(&schema);
-    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
-    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
+    let schemes = (
+        workload::emp::emp_vertical_scheme(&schema),
+        workload::emp::emp_horizontal_scheme(&schema),
+        HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme"),
+    );
 
     let mut b1 = UpdateBatch::new();
     b1.insert(workload::emp::t6());
@@ -180,15 +129,13 @@ fn pruning_is_invisible_on_emp_with_an_added_duplicate() {
     let mut b3 = UpdateBatch::new();
     b3.delete(5);
     b3.insert(workload::emp::t6());
-    assert_modes_identical(
-        &schema,
-        &sigma,
-        vscheme,
-        hscheme,
-        yscheme,
-        &d0,
-        &[b1, b2, b3],
-    );
+    Some(Family::new("emp_dup", sigma, d0, schemes).batches([b1, b2, b3]))
+}
+
+#[test]
+fn pruning_is_invisible_on_emp_with_an_added_duplicate() {
+    let report = matrix::run(emp_dup, 0..1, 1);
+    assert_eq!((report.accepted, report.refused), (96, 126));
 }
 
 /// An unsatisfiable catalog (two all-wildcard-LHS constant rules forcing

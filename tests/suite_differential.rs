@@ -1,15 +1,15 @@
 //! Differential validation of the suite API: every non-CFD constraint
 //! kind — keys, completeness, inclusion dependencies, aggregates — is
-//! driven through every partition strategy (the nine configurations of
-//! `common::nine_suites`, plus a real framed byte transport) and must agree with a
-//! brute-force oracle recomputed from scratch after **every** batch,
-//! including churn streams from `loadgen` and reference-side updates.
+//! driven through every cell of the matrix (`common::matrix`) a suite
+//! session accepts and must agree with a brute-force oracle recomputed
+//! from scratch after **every** batch, including a stream that drives
+//! every kind's transitions both ways, churn streams from `loadgen` and
+//! reference-side updates.
 
 mod common;
 
+use common::matrix::{self, Family};
 use inc_cfd::prelude::*;
-use incdetect::optimize::OptimizeConfig;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Brute-force oracles (full recomputation, no increments)
@@ -107,32 +107,6 @@ fn aggregate_oracle(
 // The shared fixture: EMP CFDs + one check of every kind
 // ---------------------------------------------------------------------
 
-/// Attribute ids the oracles need, resolved once per schema.
-struct Attrs {
-    zip: relation::AttrId,
-    phn: relation::AttrId,
-    city: relation::AttrId,
-    grade: relation::AttrId,
-    ac: relation::AttrId,
-    cc: relation::AttrId,
-    ref_city: relation::AttrId,
-}
-
-impl Attrs {
-    fn resolve(schema: &Schema, ref_schema: &Schema) -> Attrs {
-        let a = |n| schema.attr_id(n).expect("EMP attribute");
-        Attrs {
-            zip: a("zip"),
-            phn: a("phn"),
-            city: a("city"),
-            grade: a("grade"),
-            ac: a("AC"),
-            cc: a("CC"),
-            ref_city: ref_schema.attr_id("city").expect("CITIES attribute"),
-        }
-    }
-}
-
 /// One check of every kind over EMP. Rules: user CFDs take 0..n, then
 /// key, complete, inclusion, count, sum, min — in this order.
 fn all_checks() -> Vec<Check> {
@@ -147,172 +121,61 @@ fn all_checks() -> Vec<Check> {
 }
 
 /// Expected `(rule, tid)` marks of the whole catalog, recomputed from
-/// scratch against the mirrors.
-fn oracle_marks(
-    cfds: &[Cfd],
-    at: &Attrs,
-    mirror: &Relation,
-    ref_mirror: &Relation,
-) -> Vec<(RuleId, Tid)> {
-    let n = cfds.len() as RuleId;
-    let mut marks: Vec<(RuleId, Tid)> = cfd::naive::detect(cfds, mirror).marks_sorted();
-    let mut rule = |r: RuleId, tids: Vec<Tid>| {
-        marks.extend(tids.into_iter().map(|t| (n + r, t)));
-    };
-    rule(0, key_oracle(mirror, &[at.zip, at.phn]));
-    rule(1, complete_oracle(mirror, at.city));
-    rule(
-        2,
-        inclusion_oracle(mirror, &[at.city], ref_mirror, &[at.ref_city]),
-    );
-    rule(
-        3,
-        aggregate_oracle(mirror, AggFunc::Count, None, &[at.grade], None, Some(4)),
-    );
-    rule(
-        4,
-        aggregate_oracle(
-            mirror,
-            AggFunc::Sum,
-            Some(at.ac),
-            &[at.city],
-            Some(0),
-            Some(600),
-        ),
-    );
-    rule(
-        5,
-        aggregate_oracle(
-            mirror,
-            AggFunc::Min,
-            Some(at.cc),
-            &[at.grade],
-            Some(1),
-            None,
-        ),
-    );
-    marks.sort_unstable();
-    marks
+/// scratch against the mirrors of `D` and `CITIES`.
+fn oracle(cfds: Vec<Cfd>) -> matrix::Oracle {
+    Box::new(move |mirrors: &[Relation]| {
+        let (d, cities) = (&mirrors[0], &mirrors[1]);
+        let a = |n| d.schema().attr_id(n).expect("EMP attribute");
+        let ref_city = cities.schema().attr_id("city").expect("CITIES attribute");
+        let n = cfds.len() as RuleId;
+        let mut marks: Vec<(RuleId, Tid)> = cfd::naive::detect(&cfds, d).marks_sorted();
+        let (count, sum, min) = (AggFunc::Count, AggFunc::Sum, AggFunc::Min);
+        let rules = [
+            key_oracle(d, &[a("zip"), a("phn")]),
+            complete_oracle(d, a("city")),
+            inclusion_oracle(d, &[a("city")], cities, &[ref_city]),
+            aggregate_oracle(d, count, None, &[a("grade")], None, Some(4)),
+            aggregate_oracle(d, sum, Some(a("AC")), &[a("city")], Some(0), Some(600)),
+            aggregate_oracle(d, min, Some(a("CC")), &[a("grade")], Some(1), None),
+        ];
+        for (r, tids) in (n..).zip(rules) {
+            marks.extend(tids.into_iter().map(|t| (r, t)));
+        }
+        marks.sort_unstable();
+        marks
+    })
 }
 
-/// Every partition strategy of the shared nine, plus one horizontal
-/// session on the real framed byte transport.
-fn all_suite_sessions(
-    schema: &Arc<Schema>,
-    cfds: &[Cfd],
-    vscheme: &VerticalScheme,
-    hscheme: &HorizontalScheme,
-    yscheme: &HybridScheme,
-    cities: &Relation,
-    d0: &Relation,
-) -> Vec<SuiteSession> {
-    let framed = Suite::on(schema.clone())
-        .cfds(cfds.to_vec())
-        .strategy(Strategy::Horizontal(hscheme.clone()))
-        .transport(TransportKind::Framed);
-    let opt = OptimizeConfig::default();
-    let mut configs = common::nine_suites(schema, cfds, vscheme, hscheme, yscheme, opt);
-    configs.push(("incHor/framed", framed));
-    configs
-        .into_iter()
-        .map(|(label, suite)| {
-            let suite = suite.checks(all_checks()).reference(cities.clone());
-            suite.build(d0).unwrap_or_else(|e| panic!("{label}: {e}"))
-        })
-        .collect()
-}
-
-/// Apply a primary-relation batch and check the full contract: the
-/// maintained finding set equals the oracle, and the reported delta is
-/// exactly the set difference.
-fn drive_and_check(
-    session: &mut SuiteSession,
-    cfds: &[Cfd],
-    at: &Attrs,
-    mirror: &mut Relation,
-    ref_mirror: &Relation,
-    delta: &UpdateBatch,
-) {
-    let before = session.finding_set().marks_sorted();
-    let reported = session
-        .apply(delta)
-        .unwrap_or_else(|e| panic!("{} failed to apply: {e}", session.strategy()));
-    delta
-        .normalize(&mirror.clone())
-        .apply(mirror)
-        .expect("mirror applies");
-    check_against_oracle(session, cfds, at, mirror, ref_mirror, &before, &reported);
-}
-
-fn check_against_oracle(
-    session: &SuiteSession,
-    cfds: &[Cfd],
-    at: &Attrs,
-    mirror: &Relation,
-    ref_mirror: &Relation,
-    before: &[(RuleId, Tid)],
-    reported: &SuiteDelta,
-) {
-    let strategy = session.strategy();
-    let after = session.finding_set().marks_sorted();
-    let expected = oracle_marks(cfds, at, mirror, ref_mirror);
-    assert_eq!(after, expected, "{strategy} diverged from the oracle");
-
-    // The reported delta must be the exact set difference before/after.
-    let before: std::collections::BTreeSet<_> = before.iter().copied().collect();
-    let after: std::collections::BTreeSet<_> = after.into_iter().collect();
-    let mut added: Vec<(RuleId, Tid)> = after.difference(&before).copied().collect();
-    let mut removed: Vec<(RuleId, Tid)> = before.difference(&after).copied().collect();
-    added.sort_unstable();
-    removed.sort_unstable();
-    let flat = |fs: &[Finding]| {
-        let mut v: Vec<(RuleId, Tid)> = fs
-            .iter()
-            .flat_map(|f| f.tids.iter().map(|&t| (f.rule, t)))
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(
-        flat(&reported.findings.added),
-        added,
-        "{strategy} reported wrong added findings"
-    );
-    assert_eq!(
-        flat(&reported.findings.removed),
-        removed,
-        "{strategy} reported wrong removed findings"
-    );
-    // Every reported finding carries the kind of its rule.
-    for f in reported
-        .findings
-        .added
-        .iter()
-        .chain(&reported.findings.removed)
-    {
-        assert_eq!(
-            f.kind,
-            session.finding_set().kind(f.rule),
-            "{strategy} mislabeled rule {}",
-            f.rule
-        );
-    }
-}
-
-fn emp_fixture() -> (Arc<Schema>, Relation, Vec<Cfd>, Relation, Attrs) {
-    let (schema, d0) = workload::emp::emp_relation();
+/// EMP's CFDs and every check kind over `d0` with `cities` as the
+/// reference, and the `(relation, batch)` stream.
+fn suite_family(
+    name: &'static str,
+    d0: Relation,
+    cities: Relation,
+    batches: Vec<(usize, UpdateBatch)>,
+) -> Family {
+    let schema = d0.schema().clone();
     let cfds = workload::emp::emp_cfds(&schema);
-    let cities = workload::emp::city_reference(&d0, 1.0);
-    let at = Attrs::resolve(&schema, cities.schema());
-    (schema, d0, cfds, cities, at)
+    let schemes = (
+        workload::emp::emp_vertical_scheme(&schema),
+        workload::emp::emp_horizontal_scheme(&schema),
+        HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme"),
+    );
+    let mut family = Family::new(name, cfds.clone(), d0, schemes);
+    (family.batches, family.checks, family.refs) = (batches, all_checks(), vec![cities]);
+    family.oracles = vec![oracle(cfds)];
+    family
 }
 
-/// Clone an EMP tuple under a fresh tid, patching attributes by name.
+/// Clone t6 (grade C, Mayfield, EDI, EH4 8LE, CC 44) under a fresh tid
+/// with AC 0 and a phone of its own, patching attributes by name.
 fn variant(schema: &Schema, tid: Tid, patches: &[(&str, Value)]) -> Tuple {
     let mut vals: Vec<Value> = workload::emp::t6().values.to_vec();
     vals[0] = Value::int(tid as i64);
+    let at = |name| schema.attr_id(name).expect("attribute") as usize;
+    (vals[at("AC")], vals[at("phn")]) = (Value::int(0), Value::str(format!("p{tid}")));
     for (name, v) in patches {
-        vals[schema.attr_id(name).expect("attribute") as usize] = v.clone();
+        vals[at(name)] = v.clone();
     }
     Tuple::new(tid, vals)
 }
@@ -321,112 +184,125 @@ fn variant(schema: &Schema, tid: Tid, patches: &[(&str, Value)]) -> Tuple {
 // Tests
 // ---------------------------------------------------------------------
 
+/// Every transition of every kind, both ways, one per batch over Fig. 2's
+/// EMP (grades A A B B C; cities NYC, then EDI ×4, whose AC sum is 524;
+/// CC 44 everywhere) with both cities listed. Relation 1 is `CITIES`
+/// (EDI is tid 1, NYC tid 2).
+fn transitions(_: u64) -> Option<Family> {
+    let (schema, d0) = workload::emp::emp_relation();
+    let cities = workload::emp::city_reference(&d0, 1.0);
+    let row = |tid, patches: &[(&str, Value)]| variant(&schema, tid, patches);
+    let nyc = |tid, grade: &str, ac: i64| {
+        let (g, city) = (Value::str(grade), Value::str("NYC"));
+        row(tid, &[("grade", g), ("city", city), ("AC", Value::int(ac))])
+    };
+    let ins = |rows: Vec<Tuple>| {
+        (
+            0,
+            UpdateBatch::from_ops(rows.into_iter().map(Update::Insert).collect()),
+        )
+    };
+    let del = |tids: &[Tid]| {
+        (
+            0,
+            UpdateBatch::from_ops(tids.iter().map(|&t| Update::Delete(t)).collect()),
+        )
+    };
+    let twin = [
+        ("zip", Value::str("EH2 4HF")),
+        ("phn", Value::str("8765432")),
+    ];
+    let city = |c: Value| [("city", c)];
+    let listed = |tid: Tid, c: &str| Tuple::new(tid, vec![Value::int(tid as i64), Value::str(c)]);
+    let batches = vec![
+        ins(vec![row(7, &twin)]),              // 0: key enters (t2's zip and phn)
+        del(&[7]),                             // 1: key leaves
+        ins(vec![row(8, &city(Value::Null))]), // 2: null enters
+        del(&[8]),                             // 3: null leaves
+        ins(vec![row(9, &city(Value::str("LDN")))]), // 4: IND enters, primary side
+        del(&[9]),                             // 5: IND leaves, primary side
+        (1, UpdateBatch::from_ops(vec![Update::Delete(2)])), // 6: IND enters, reference side
+        (
+            1,
+            UpdateBatch::from_ops(vec![Update::Insert(listed(3, "NYC"))]),
+        ), // 7: leaves
+        ins(vec![nyc(10, "B", 0), nyc(11, "B", 0), nyc(12, "B", 0)]), // 8: count > 4 by insert
+        del(&[12]),                            // 9: count ≤ 4 by delete
+        ins(vec![nyc(13, "C", 700), nyc(14, "C", -300)]), // 10: NYC sum 531, in bounds
+        del(&[14]),                            // 11: sum 831 > 600 by delete
+        ins(vec![nyc(15, "C", -300)]),         // 12: sum 531 by insert
+        del(&[13]),                            // 13: sum −169 < 0 by delete
+        ins(vec![nyc(16, "C", 200)]),          // 14: sum 31 ≥ 0 by insert
+        ins(vec![row(
+            17,
+            &[("grade", Value::str("A")), ("CC", Value::int(0))],
+        )]), // 15: min < 1
+        del(&[17]),                            // 16: min ≥ 1 by delete
+    ];
+    Some(suite_family("transitions", d0, cities, batches))
+}
+
+/// Every check kind tracks the oracle in every cell, and the stream flips
+/// each check's findings both ways: per batch, the check rules whose
+/// findings were added and removed.
 #[test]
 fn every_kind_tracks_the_oracle_over_every_strategy() {
-    let (schema, d0, cfds, cities, at) = emp_fixture();
-    let vscheme = workload::emp::emp_vertical_scheme(&schema);
-    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
-    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
-
-    // A scripted gauntlet hitting every kind: a zip+phn key collision, a
-    // null city (completeness + a dangling-city inclusion candidate), an
-    // unlisted city, a 5th grade-C row (count bound), an AC spike (sum
-    // bound), a CC of 0 (min bound) — then deletions that cure them.
-    let script: Vec<UpdateBatch> = {
-        let mut batches = Vec::new();
-        let mut b = UpdateBatch::new();
-        b.insert(workload::emp::t6());
-        batches.push(b);
-        let mut b = UpdateBatch::new();
-        // Same zip+phn as t6 (a key collision the FD alone cannot prove).
-        b.insert(variant(&schema, 7, &[("name", Value::str(" Criss"))]));
-        b.insert(variant(&schema, 8, &[("city", Value::Null)]));
-        batches.push(b);
-        let mut b = UpdateBatch::new();
-        b.insert(variant(
-            &schema,
-            9,
-            &[("city", Value::str("LDN")), ("zip", Value::str("N1 9GU"))],
-        ));
-        b.insert(variant(&schema, 10, &[("AC", Value::int(900))]));
-        batches.push(b);
-        let mut b = UpdateBatch::new();
-        b.insert(variant(&schema, 11, &[("CC", Value::int(0))]));
-        b.delete(7);
-        batches.push(b);
-        let mut b = UpdateBatch::new();
-        b.delete(9);
-        b.delete(10);
-        b.delete(11);
-        b.delete(8);
-        batches.push(b);
-        batches
+    let report = matrix::run(transitions, 0..1, 1);
+    assert_eq!((report.accepted, report.refused), (30, 42));
+    let checks = |m: &[(RuleId, Tid)]| {
+        let mut rules: Vec<RuleId> = m.iter().map(|&(r, _)| r).filter(|&r| r >= 2).collect();
+        rules.dedup();
+        rules
     };
+    let flips: Vec<_> = report
+        .deltas
+        .iter()
+        .map(|(a, r)| (checks(a), checks(r)))
+        .collect();
+    let (enter, leave) = (|r| (vec![r], vec![]), |r| (vec![], vec![r]));
+    let mut want = vec![enter(2), leave(2)]; // key
+    want.extend([(vec![3, 4], vec![]), (vec![], vec![3, 4])]); // null, unlisted
+    want.extend([enter(4), leave(4), enter(4), leave(4)]); // IND: primary, reference
+    want.extend([enter(5), leave(5), (vec![], vec![])]); // count hi
+    want.extend([enter(6), leave(6), enter(6), leave(6)]); // sum hi, then lo
+    want.extend([enter(7), leave(7)]); // min lo
+    assert_eq!(flips, want);
+}
 
-    for session in
-        &mut all_suite_sessions(&schema, &cfds, &vscheme, &hscheme, &yscheme, &cities, &d0)
-    {
-        let mut mirror = d0.clone();
-        for delta in &script {
-            drive_and_check(session, &cfds, &at, &mut mirror, &cities, delta);
-        }
-    }
+/// Reference churn over half coverage (NYC unlisted): teach the missing
+/// city, retract a listed one, then teach it back.
+fn reference_churn(_: u64) -> Option<Family> {
+    let (_, d0) = workload::emp::emp_relation();
+    let cities = workload::emp::city_reference(&d0, 0.5);
+    let next =
+        |tid: Tid, city: &str| Tuple::new(tid, vec![Value::int(tid as i64), Value::str(city)]);
+    let batches = vec![
+        UpdateBatch::from_ops(vec![Update::Insert(next(100, "NYC"))]),
+        UpdateBatch::from_ops(vec![Update::Delete(1)]),
+        UpdateBatch::from_ops(vec![
+            Update::Insert(next(101, "EDI")),
+            Update::Insert(next(102, "LDN")),
+        ]),
+    ];
+    let batches = batches.into_iter().map(|b| (1, b)).collect();
+    Some(suite_family("reference_churn", d0, cities, batches))
 }
 
 #[test]
 fn reference_churn_flips_inclusion_findings_on_both_sides() {
-    let (schema, d0, cfds, _, at) = emp_fixture();
-    // Start with half coverage: one of the two cities is unlisted.
-    let cities = workload::emp::city_reference(&d0, 0.5);
-    let mut session = Suite::on(schema.clone())
-        .cfds(cfds.clone())
-        .checks(all_checks())
-        .reference(cities.clone())
-        .build(&d0)
-        .expect("suite builds");
-    let mut ref_mirror = cities;
-
-    // Seeding already sees the dangling city.
-    let expected = oracle_marks(&cfds, &at, &d0, &ref_mirror);
-    assert_eq!(session.finding_set().marks_sorted(), expected);
-
-    // Reference churn: teach the missing city, retract a listed one,
-    // then teach it back — each batch checked against the oracle.
-    let next =
-        |tid: Tid, city: &str| Tuple::new(tid, vec![Value::int(tid as i64), Value::str(city)]);
-    let script: Vec<UpdateBatch> = {
-        let mut batches = Vec::new();
-        let mut b = UpdateBatch::new();
-        b.insert(next(100, "NYC"));
-        batches.push(b);
-        let mut b = UpdateBatch::new();
-        b.delete(1);
-        batches.push(b);
-        let mut b = UpdateBatch::new();
-        b.insert(next(101, "EDI"));
-        b.insert(next(102, "LDN"));
-        batches.push(b);
-        batches
-    };
-    for delta in &script {
-        let before = session.finding_set().marks_sorted();
-        let reported = session.apply_to("CITIES", delta).expect("ref batch");
-        delta
-            .normalize(&ref_mirror.clone())
-            .apply(&mut ref_mirror)
-            .expect("ref mirror applies");
-        check_against_oracle(&session, &cfds, &at, &d0, &ref_mirror, &before, &reported);
+    let report = matrix::run(reference_churn, 0..1, 1);
+    for (added, removed) in &report.deltas {
+        let cfd = |m: &Vec<(RuleId, Tid)>| m.iter().any(|&(r, _)| r < 2);
         assert!(
-            reported.cfd_delta.is_empty(),
+            !cfd(added) && !cfd(removed),
             "reference updates cannot move CFD violations"
         );
     }
 }
 
-#[test]
-fn suite_tracks_the_oracle_under_loadgen_churn() {
-    // A churn-heavy loadgen stream over the scaled EMP generator, driven
-    // tick by tick through a vertical and a framed-horizontal session.
+/// A churn-heavy loadgen stream over the scaled EMP generator, tick by
+/// tick, with half the base cities listed.
+fn loadgen_churn(_: u64) -> Option<Family> {
     let cfg = ScenarioCfg {
         name: "suite_churn",
         workload: WorkloadKind::Emp,
@@ -446,42 +322,36 @@ fn suite_tracks_the_oracle_under_loadgen_churn() {
     };
     let ds = cfg.dataset();
     let cities = workload::emp::city_reference(&ds.base, 0.5);
-    let at = Attrs::resolve(&ds.schema, cities.schema());
-    let yscheme = HybridScheme::uniform(ds.schema.clone(), 2, 2).expect("hybrid scheme");
-
-    let base = || {
-        Suite::on(ds.schema.clone())
-            .cfds(ds.cfds.clone())
-            .checks(all_checks())
-            .reference(cities.clone())
-    };
-    let sessions = vec![
-        base().strategy(Strategy::Vertical(ds.vertical.clone())),
-        base().strategy(Strategy::Hybrid(yscheme)),
-        base()
-            .strategy(Strategy::Horizontal(ds.horizontal.clone()))
-            .transport(TransportKind::Framed),
-    ];
-    for suite in sessions {
-        let mut session = suite.build(&ds.base).expect("suite builds");
-        let mut mirror = ds.base.clone();
-        let mut stream = cfg.stream(&ds);
-        while let Some(tick) = stream.next_tick() {
-            drive_and_check(
-                &mut session,
-                &ds.cfds,
-                &at,
-                &mut mirror,
-                &cities,
-                &tick.batch,
-            );
-        }
-        assert!(
-            !session.finding_set().is_empty(),
-            "{}: churn at 15% error rate must leave findings",
-            session.strategy()
-        );
+    let mut batches = Vec::new();
+    let mut stream = cfg.stream(&ds);
+    while let Some(tick) = stream.next_tick() {
+        batches.push((0, tick.batch));
     }
+    let mut family = suite_family("loadgen_churn", ds.base, cities, batches);
+    family.schemes = (
+        ds.vertical,
+        ds.horizontal,
+        HybridScheme::uniform(ds.schema, 2, 2).ok()?,
+    );
+    Some(family)
+}
+
+#[test]
+fn suite_tracks_the_oracle_under_loadgen_churn() {
+    matrix::run(loadgen_churn, 0..1, 1);
+    let family = loadgen_churn(0).expect("family");
+    let mut mirrors = [family.d0, family.refs[0].clone()];
+    for (_, batch) in &family.batches {
+        batch
+            .normalize(&mirrors[0])
+            .apply(&mut mirrors[0])
+            .expect("mirror");
+    }
+    let findings = (family.oracles[0])(&mirrors);
+    assert!(
+        !findings.is_empty(),
+        "churn at 15% error rate must leave findings"
+    );
 }
 
 /// Every direction of an aggregate bound transition on a one-group

@@ -15,13 +15,15 @@
 //! compressor recovered are saved. Protocol frames ship stored; only the
 //! threaded runtime's large control frames pack.
 
+mod common;
+
 use cluster::codec::{value_digest, CodecKind, ReceiverCodec, WireValue};
 use cluster::net::{bytes as wirefmt, ByteNetwork, FrameCodec, TransportKind};
-use cluster::netstats::Counters;
 use cluster::TransportMeter;
+use common::matrix::{self, Family};
 use inc_cfd::prelude::*;
 use incdetect::baselines::{BatMsg, ColsMsg};
-use incdetect::{ConcurrentHorizontal, HybridScheme};
+use incdetect::HybridScheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relation::{AttrId, FxHashMap};
@@ -154,21 +156,13 @@ fn framed_bytes_equal_model_plus_declared_overhead() {
     assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
 }
 
-/// Every cell of an `n`-site matrix, row-major.
-fn cells(stats: &NetStats) -> Vec<Counters> {
-    let n = stats.n_sites();
-    (0..n * n).map(|i| stats.pair(i / n, i % n)).collect()
-}
-
-/// The socket transport: the same protocol over real localhost TCP
-/// connections (per-site reader threads), byte-for-byte metered — and
-/// byte for byte what the in-process framed channels write, link by
-/// link, since both are the same nodes driven by one thread. The
-/// thread-per-site runtime over the same sockets computes the same `ΔV`
-/// and modeled matrix, and the `D` it gathers from its sites after every
-/// batch is the stream's.
-#[test]
-fn tcp_transport_runs_the_protocol_end_to_end() {
+/// A DBLP stream over 4 sites, through every `incHor` and `incHyb` cell:
+/// the sequential protocol over real localhost TCP connections writes,
+/// link by link, the bytes the in-process framed channels write (both are
+/// the same nodes driven by one thread), and the thread-per-site runtime
+/// over the same sockets computes the same `ΔV` and modeled matrix and
+/// gathers the stream's `D` from its sites after every batch.
+fn dblp_sockets(_: u64) -> Option<Family> {
     let cfg = DblpConfig {
         n_rows: 300,
         n_venues: 15,
@@ -178,68 +172,31 @@ fn tcp_transport_runs_the_protocol_end_to_end() {
     };
     let (schema, d0) = dblp::generate(&cfg);
     let cfds = workload::rules::dblp_rules(&schema, 8, 2);
-    let scheme = dblp::horizontal_scheme(&schema, 4);
-    let (s, c, dict) = (schema.clone(), cfds.clone(), CodecKind::Dict);
-    let det = HorizontalDetector::new(s, c, scheme.clone(), &d0, dict, TransportKind::Tcp);
-    let mut det = det.expect("TCP mesh builds on localhost");
-    let mut mirror = d0.clone();
-    let (s, c, framed) = (schema.clone(), cfds.clone(), TransportKind::Framed);
-    let mut framed = HorizontalDetector::new(s, c, scheme.clone(), &d0, dict, framed).unwrap();
-    let (s, c, tcp) = (schema.clone(), cfds.clone(), TransportKind::Tcp);
-    let mut thr = ConcurrentHorizontal::threaded(s, c, scheme.clone(), &d0, dict, tcp).unwrap();
-    let sim = TransportKind::Simulated;
-    let mut sim = HorizontalDetector::new(schema, cfds, scheme, &d0, dict, sim).unwrap();
     let fresh = dblp::generate_fresh(&cfg, 9_000_000, 60, 5);
+    let mut mirror = d0.clone();
+    let mut batches = Vec::new();
     for round in 0..4u64 {
-        let delta = updates::generate(
-            &mirror,
-            &fresh,
-            40,
-            UpdateMix {
-                insert_fraction: 0.7,
-            },
-            round,
-        );
-        let dv = det.apply(&delta).expect("apply over sockets");
-        assert_eq!(
-            dv,
-            framed.apply(&delta).expect("apply framed"),
-            "round {round}"
-        );
-        let (m, framed_m) = (det.meters(), framed.meters());
-        assert_eq!(cells(&m.modeled), cells(&framed_m.modeled), "round {round}");
-        assert_eq!(cells(&m.wire), cells(&framed_m.wire), "round {round}");
-        sim.apply(&delta).expect("apply simulated");
-        delta.normalize(&mirror).apply(&mut mirror).unwrap();
-        assert_eq!(
-            thr.apply(&delta).expect("apply threaded"),
-            dv,
-            "round {round}"
-        );
-        let (thr_m, m) = (&thr.meters().modeled, &det.meters().modeled);
-        assert_eq!(cells(thr_m), cells(m), "round {round}");
-        let gathered = thr.current();
-        assert_eq!(gathered.len(), mirror.len(), "round {round}");
-        assert!(gathered.iter().eq(mirror.iter()), "round {round}");
+        let mix = UpdateMix {
+            insert_fraction: 0.7,
+        };
+        let delta = updates::generate(&mirror, &fresh, 40, mix, round);
+        delta.normalize(&mirror).apply(&mut mirror).expect("mirror");
+        batches.push(delta);
     }
-    let oracle = cfd::naive::detect(det.cfds(), &mirror);
-    assert_eq!(det.violations().marks_sorted(), oracle.marks_sorted());
-    assert_eq!(
-        det.meters().modeled.total_bytes(),
-        sim.meters().modeled.total_bytes(),
-        "modeled |M| identical over sockets and simulation"
+    let schemes = (
+        dblp::vertical_scheme(&schema, 4),
+        dblp::horizontal_scheme(&schema, 4),
+        HybridScheme::uniform(schema.clone(), 2, 2).unwrap(),
     );
-    let m = det.meters().transport;
-    assert_eq!(
-        m.wire_bytes,
-        m.modeled_bytes + m.structural_bytes - m.saved_bytes
-    );
-    // The NetReport surface carries both sides.
-    let report = det.net();
-    let wire = report.measured().expect("sockets meter the wire");
-    assert_eq!(wire.total_messages(), m.frames);
-    assert_eq!(report.total_bytes(), det.meters().modeled.total_bytes());
-    assert_eq!(report.measured_bytes(), Some(m.wire_bytes));
+    let mut family = Family::new("dblp_sockets", cfds, d0, schemes).batches(batches);
+    family.only = |c| ["incHor", "incHyb"].contains(&c.strategy);
+    Some(family)
+}
+
+#[test]
+fn tcp_transport_runs_the_protocol_end_to_end() {
+    let report = matrix::run(dblp_sockets, 0..1, 1);
+    assert_eq!((report.accepted, report.refused), (24, 42));
 }
 
 /// The hybrid detector's inter-region gateway rounds ride the byte
