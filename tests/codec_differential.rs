@@ -8,23 +8,28 @@
 
 mod common;
 
-use common::matrix::{self, Family, Report};
+use common::matrix::{self, Family};
 use inc_cfd::prelude::*;
 use workload::dblp::{self, DblpConfig};
 use workload::updates::{self, UpdateMix};
 
 const CODECS: [CodecKind; 3] = [CodecKind::RawValues, CodecKind::Md5, CodecKind::Dict];
 
-/// The modeled bytes of the simulated sequential `incHor` cell of `codec`.
-fn hor_bytes(report: &Report, codec: CodecKind) -> u64 {
-    let simulated = |c: &matrix::Cell| c.transport == TransportKind::Simulated && !c.threaded;
-    let hor = |c: &matrix::Cell| c.strategy == "incHor" && c.codec == codec && simulated(c);
-    report
-        .traffic
-        .iter()
-        .find(|(c, _)| hor(c))
-        .expect("the incHor cell")
-        .1[1]
+/// The modeled bytes of `incHor` over `codec` on the family's stream;
+/// the detector carries the codec it was built with.
+fn hor_bytes(family: &Family, codec: CodecKind) -> u64 {
+    let (s, c, h) = (
+        family.schema.clone(),
+        family.cfds.clone(),
+        family.schemes.1.clone(),
+    );
+    let sim = TransportKind::Simulated;
+    let mut det = HorizontalDetector::new(s, c, h, &family.d0, codec, sim).unwrap();
+    assert_eq!(det.codec_kind(), codec);
+    for (_, batch) in &family.batches {
+        det.apply(batch).unwrap();
+    }
+    det.net().total_bytes()
 }
 
 /// Cycles of the same cross-site conflict on the paper's running example
@@ -64,15 +69,16 @@ fn emp_cycles(_: u64) -> Option<Family> {
 
 #[test]
 fn emp_codecs_agree_and_dict_undercuts_raw() {
-    let report = matrix::run(emp_cycles, 0..1, 1);
+    matrix::run(emp_cycles, 0..1, 1);
+    let family = emp_cycles(0).expect("family");
     let (dict, raw) = (CodecKind::Dict, CodecKind::RawValues);
-    let (dict, raw) = (hor_bytes(&report, dict), hor_bytes(&report, raw));
+    let (dict, raw) = (hor_bytes(&family, dict), hor_bytes(&family, raw));
     assert!(dict < raw, "dict {dict} must undercut raw {raw}");
 }
 
 /// A DBLP-like fig9 workload: hash-partitioned over 6 sites, 12 rules,
 /// mixed insert/delete stream drawn from skewed venue/author domains,
-/// through `incHor` on each codec.
+/// through every twelfth cell, and `incHor` on each codec.
 fn dblp_codecs(_: u64) -> Option<Family> {
     let cfg = DblpConfig {
         n_rows: 1_500,
@@ -99,36 +105,24 @@ fn dblp_codecs(_: u64) -> Option<Family> {
         dblp::horizontal_scheme(&schema, 6),
         HybridScheme::uniform(schema.clone(), 2, 3).unwrap(),
     );
-    let mut family = Family::new("dblp_codecs", cfds, d0, schemes).batches(batches);
-    family.only = |c| c.strategy == "incHor" && c.transport == TransportKind::Simulated;
-    Some(family)
+    Some(Family::new("dblp_codecs", cfds, d0, schemes).batches(batches))
 }
 
 #[test]
 fn dblp_codecs_agree_and_dict_undercuts_raw() {
-    let report = matrix::run(dblp_codecs, 0..1, 1);
-    let [raw, md5, dict] = CODECS.map(|c| hor_bytes(&report, c));
+    let report = matrix::run(dblp_codecs, 0..1, 12);
+    assert_eq!((report.accepted, report.refused), (3, 42));
+    let family = dblp_codecs(0).expect("family");
+    let [raw, md5, dict] = CODECS.map(|c| hor_bytes(&family, c));
     assert!(raw > 0 && md5 > 0, "stream must ship something");
     assert!(
         dict < raw,
         "dict {dict} must undercut raw {raw} after warm-up"
     );
-    // Detectors carry the codec they were built with.
-    let family = dblp_codecs(0).expect("family");
-    for codec in CODECS {
-        let (s, c, sim) = (
-            family.schema.clone(),
-            family.cfds.clone(),
-            TransportKind::Simulated,
-        );
-        let h = family.schemes.1.clone();
-        let det = HorizontalDetector::new(s, c, h, &family.d0, codec, sim).unwrap();
-        assert_eq!(det.codec_kind(), codec);
-    }
 }
 
 /// The hybrid topology routes its inter-region traffic through the same
-/// codec seam: EMP over three regions of two sites, every `incHyb` cell.
+/// codec seam: EMP over three regions of two sites, every cell.
 fn emp_hybrid(_: u64) -> Option<Family> {
     let (schema, d0) = workload::emp::emp_relation();
     let cfds = workload::emp::emp_cfds(&schema);
@@ -140,13 +134,11 @@ fn emp_hybrid(_: u64) -> Option<Family> {
         workload::emp::emp_horizontal_scheme(&schema),
         HybridScheme::uniform(schema.clone(), 3, 2).unwrap(),
     );
-    let mut family = Family::new("emp_hybrid", cfds, d0, schemes).batches([delta]);
-    family.only = |c| c.strategy == "incHyb";
-    Some(family)
+    Some(Family::new("emp_hybrid", cfds, d0, schemes).batches([delta]))
 }
 
 #[test]
 fn hybrid_inter_region_codecs_agree() {
     let report = matrix::run(emp_hybrid, 0..1, 1);
-    assert_eq!((report.accepted, report.refused), (9, 42));
+    assert_eq!((report.accepted, report.refused), (36, 42));
 }

@@ -7,9 +7,7 @@
 //! strategy × codec × transport × analysis × drive that the library
 //! accepts, one cell alive at a time:
 //!
-//! - strategy: the eight algorithms of [`super::nine_suites`] (its ninth
-//!   entry, `incHor` shipping raw values, is the codec axis's
-//!   `incHor raw_values` cell);
+//! - strategy: the paper's eight algorithms;
 //! - codec: `raw_values` / `md5` / `dict`; transport: `simulated` /
 //!   `framed` / `tcp`;
 //! - analysis: `off`, plus `warn` and `prune` when Σ is satisfiable and
@@ -17,24 +15,24 @@
 //! - drive: sequential, plus `ConcurrentHorizontal::threaded` for `incHor`
 //!   over the in-memory mesh and over TCP (bare detector families only).
 //!
-//! A family may run a part of its cells ([`Family::only`]), and a seeded
-//! run a rotating share of them ([`run`]'s stride), but every refused
-//! cell is asserted refused with its typed `UnsupportedTransport` /
-//! `UnsupportedCodec` error. After every batch each cell is held to a
-//! mirror of `D` kept in step with it: `V` equals every oracle over the
-//! mirror, `ΔV` equals the settled diff of `V`, `current()` has the
-//! mirror's size (its rows, for the threaded drive), `ΔV` equals the
-//! family's first cell's, cells that differ only in transport or drive
-//! model the same messages and `|M|` on every link (and the sequential
-//! byte cells write the same bytes on every link), and a byte cell's
-//! meters obey measured = modeled + structural − saved.
+//! With a stride above 1, [`run`] runs a rotating share of the cells at
+//! each seed (a cell's group is then compared with its first cell run),
+//! but every refused cell is asserted refused with its typed
+//! `UnsupportedTransport` / `UnsupportedCodec` error. After every batch
+//! each cell is held to a mirror of `D` kept in step with it: `V` equals
+//! every oracle over the mirror, `ΔV` equals the settled diff of `V`,
+//! `current()` holds the mirror's rows, `ΔV` equals the family's first
+//! cell's, cells that differ only in transport or drive model the same
+//! messages and `|M|` on every link (and the sequential byte cells write
+//! the same bytes on every link), the report's roll-ups are its tiers'
+//! sums, and a byte cell's meters obey measured = modeled + structural −
+//! saved.
 //!
 //! A failing cell is shrunk by delta debugging ([`ddmin`], Zeller and
 //! Hildebrandt, TSE 2002) over the batches, then over the ops of the
 //! last batch left, and the panic prints the [`replay`] call that reruns
 //! that case alone.
 
-use super::nine_suites;
 use inc_cfd::cfd::analysis::{analyze, AnalysisConfig, Domains, Sat};
 use inc_cfd::cluster::net::TransportKind::{Framed, Simulated, Tcp};
 use inc_cfd::cluster::netstats::Counters;
@@ -42,7 +40,6 @@ use inc_cfd::cluster::Meters;
 use inc_cfd::incdetect::optimize::OptimizeConfig;
 use inc_cfd::incdetect::ConcurrentHorizontal;
 use inc_cfd::prelude::*;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -71,13 +68,11 @@ pub(crate) struct Family {
     /// Non-CFD checks: when present every cell is a suite session.
     pub(crate) checks: Vec<Check>,
     pub(crate) refs: Vec<Relation>,
-    /// The accepted cells this family runs (all, by default).
-    pub(crate) only: fn(&Cell) -> bool,
 }
 
 impl Family {
-    /// A bare detector family over `D` with `cfd::naive` as its oracle,
-    /// every cell and no batches yet.
+    /// A bare detector family over `D` with `cfd::naive` as its oracle and
+    /// no batches yet.
     pub(crate) fn new(
         name: &'static str,
         cfds: Vec<Cfd>,
@@ -96,7 +91,6 @@ impl Family {
             oracles: vec![Box::new(move |d| naive(&sigma, &d[0]))],
             checks: Vec::new(),
             refs: Vec::new(),
-            only: |_| true,
         }
     }
 
@@ -131,37 +125,7 @@ pub(crate) struct Cell {
     pub(crate) threaded: bool,
 }
 
-fn mode_name(mode: AnalysisMode) -> &'static str {
-    ["off", "warn", "prune"][MODES.iter().position(|&m| m == mode).expect("a mode")]
-}
-
-impl fmt::Display for Cell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let drive = if self.threaded { "thr" } else { "seq" };
-        let (codec, transport) = (self.codec.name(), self.transport.name());
-        let mode = mode_name(self.mode);
-        write!(f, "{} {codec} {transport} {mode} {drive}", self.strategy)
-    }
-}
-
 impl Cell {
-    /// The cell a [`Display`](fmt::Display) label names.
-    pub(crate) fn parse(label: &str) -> Cell {
-        let words: Vec<&str> = label.split(' ').collect();
-        assert_eq!(words.len(), 5, "{label}: five words");
-        let pick = |i: usize, names: &[&str]| {
-            let at = names.iter().position(|n| *n == words[i]);
-            at.unwrap_or_else(|| panic!("{label}: word {i} is not one of {names:?}"))
-        };
-        Cell {
-            strategy: STRATEGIES[pick(0, &STRATEGIES)],
-            codec: CODECS[pick(1, &CODECS.map(CodecKind::name))],
-            transport: TRANSPORTS[pick(2, &TRANSPORTS.map(TransportKind::name))],
-            mode: MODES[pick(3, &MODES.map(mode_name))],
-            threaded: pick(4, &["seq", "thr"]) == 1,
-        }
-    }
-
     /// The simulated sequential cell this one differs from only in
     /// transport or drive.
     fn head(self) -> Cell {
@@ -201,46 +165,34 @@ fn prunable(family: &Family) -> bool {
     a.prune.n_pruned() > 0 && !matches!(a.sat, Sat::Unsatisfiable { .. })
 }
 
-/// The family's cells to run, each group's simulated sequential cell
-/// ahead of the cells that differ from it only in transport or drive, and
-/// every refused cell with the word its error must name.
+/// The family's cells, each group's simulated sequential cell ahead of
+/// the cells that differ from it only in transport or drive, and every
+/// refused cell with the word its error must name.
 pub(crate) fn cells(family: &Family) -> (Vec<Cell>, Vec<(Cell, &'static str)>) {
     let bare = family.checks.is_empty();
     let modes = if bare && prunable(family) { 3 } else { 1 };
     let (mut accepted, mut refused) = (Vec::new(), Vec::new());
-    for (mode, strategy, codec) in product(&MODES[..modes], &STRATEGIES, &CODECS) {
-        for transport in TRANSPORTS {
-            let cell = Cell {
+    for mode in &MODES[..modes] {
+        for (strategy, codec) in STRATEGIES.iter().flat_map(|s| CODECS.map(|c| (*s, c))) {
+            let cell = |transport, threaded| Cell {
                 strategy,
                 codec,
                 transport,
-                mode,
-                threaded: false,
+                mode: *mode,
+                threaded,
             };
-            match refusal(strategy, codec, transport) {
-                Some(why) => refused.push((cell, why)),
-                None => accepted.push(cell),
+            for transport in TRANSPORTS {
+                match refusal(strategy, codec, transport) {
+                    Some(why) => refused.push((cell(transport, false), why)),
+                    None => accepted.push(cell(transport, false)),
+                }
+            }
+            if bare && strategy == "incHor" && *mode == AnalysisMode::Off {
+                accepted.extend([cell(Framed, true), cell(Tcp, true)]);
             }
         }
-        if bare && strategy == "incHor" && mode == AnalysisMode::Off {
-            let thr = |transport| Cell {
-                strategy,
-                codec,
-                transport,
-                mode,
-                threaded: true,
-            };
-            accepted.extend([thr(Framed), thr(Tcp)]);
-        }
     }
-    accepted.retain(family.only);
     (accepted, refused)
-}
-
-fn product<A: Copy, B: Copy, C: Copy>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B, C)> {
-    let ab = a.iter().flat_map(|&x| b.iter().map(move |&y| (x, y)));
-    ab.flat_map(|(x, y)| c.iter().map(move |&z| (x, y, z)))
-        .collect()
 }
 
 /// A built cell: a bare detector (concrete where its meters are needed)
@@ -330,13 +282,22 @@ impl Subject {
 
 /// The suite a sequential cell builds from.
 fn suite(family: &Family, cell: &Cell) -> Suite {
-    let (v, h, y) = &family.schemes;
-    let nine = nine_suites(&family.schema, &family.cfds, v, h, y, family.opt);
-    let (_, suite) = nine
-        .into_iter()
-        .find(|(n, _)| *n == cell.strategy)
-        .expect("strategy");
-    let suite = suite.codec(cell.codec).transport(cell.transport);
+    let (v, h, y) = family.schemes.clone();
+    let strategy = match cell.strategy {
+        "incVer" => Strategy::Vertical(v),
+        "optVer" => Strategy::OptimizedVertical(v, family.opt),
+        "incHor" => Strategy::Horizontal(h),
+        "incHyb" => Strategy::Hybrid(y),
+        "batVer" => Strategy::BatVer(v),
+        "batHor" => Strategy::BatHor(h),
+        "ibatVer" => Strategy::IbatVer(v),
+        _ => Strategy::IbatHor(h),
+    };
+    let suite = Suite::on(family.schema.clone()).cfds(family.cfds.clone());
+    let suite = suite
+        .strategy(strategy)
+        .codec(cell.codec)
+        .transport(cell.transport);
     let suite = suite.analyze(cell.mode).checks(family.checks.clone());
     family
         .refs
@@ -358,18 +319,6 @@ pub(crate) fn build(family: &Family, cell: &Cell) -> Result<Subject, DetectError
         Ok(Subject::Hor(Box::new(det)))
     } else {
         Ok(Subject::Det(suite(family, cell).build_detector(d0)?))
-    }
-}
-
-/// Build every cell of `family` in turn, one alive at a time, and hand
-/// it to `f`.
-pub(crate) fn for_each_cell(family: &Family, mut f: impl FnMut(&Cell, Subject)) {
-    for cell in cells(family).0 {
-        let subject = build(family, &cell);
-        f(
-            &cell,
-            subject.unwrap_or_else(|e| panic!("{}: {cell}: {e}", family.name)),
-        );
     }
 }
 
@@ -488,12 +437,8 @@ fn drive(
                 if delta != settled(&before, &after) {
                     return fail("ΔV is not the settled diff of V");
                 }
-                let current = subject.det().current();
-                if current.len() != mirror.len() {
-                    return fail("current() is not the mirror's size");
-                }
-                if cell.threaded && !current.iter().eq(mirror.iter()) {
-                    return fail("the gathered D is not the mirror");
+                if !subject.det().current().iter().eq(mirror.iter()) {
+                    return fail("current() does not hold the mirror's rows");
                 }
                 match report.deltas.get(i) {
                     Some(first) if *first != delta => {
@@ -503,7 +448,15 @@ fn drive(
                     None => report.deltas.push(delta),
                 }
                 let net = subject.net();
-                let modeled = net.tiers().iter().map(|(_, s)| links(s)).collect();
+                let tiers = net.tiers();
+                let sum = |f: fn(&NetStats) -> u64| tiers.iter().map(|(_, s)| f(s)).sum::<u64>();
+                let totals = (net.total_messages(), net.total_bytes());
+                if tiers.is_empty()
+                    || totals != (sum(NetStats::total_messages), sum(NetStats::total_bytes))
+                {
+                    return fail("the report's roll-ups are not its tiers' sums");
+                }
+                let modeled = tiers.iter().map(|(_, s)| links(s)).collect();
                 let wire = net.measured().filter(|_| byte).map(links);
                 if let Some((model, bytes)) = group.and_then(|g| groups[g].1.get(i)) {
                     if *model != modeled {
@@ -516,6 +469,9 @@ fn drive(
                 seen.push((modeled, wire));
                 if let Some(m) = subject.meters() {
                     let t = m.transport;
+                    if totals.1 != m.modeled.total_bytes() {
+                        return fail("the report's bytes are not the modeled meter's");
+                    }
                     if t.wire_bytes != t.modeled_bytes + t.structural_bytes - t.saved_bytes {
                         return fail("measured ≠ modeled + structural − saved");
                     }
@@ -572,55 +528,48 @@ fn drive(
 /// that names the strategy and what it refused.
 fn assert_refused(family: &Family, refused: &[(Cell, &'static str)]) {
     for (cell, why) in refused {
-        let at = format!("{}: {cell}", family.name);
-        let built = if family.checks.is_empty() {
-            suite(family, cell).build_detector(&family.d0).map(drop)
-        } else {
-            suite(family, cell).build(&family.d0).map(drop)
+        let suite = suite(family, cell);
+        let built = match family.checks.is_empty() {
+            true => suite.build_detector(&family.d0).map(drop),
+            false => suite.build(&family.d0).map(drop),
         };
-        let Err(err) = built else {
-            panic!("{at} must be refused")
-        };
-        let (strategy, named) = match (&err, *why) {
-            (
-                DetectError::UnsupportedTransport {
-                    strategy,
-                    transport,
-                },
-                "transport",
-            ) => (
-                *strategy,
-                (*transport == cell.transport).then(|| transport.name()),
-            ),
-            (DetectError::UnsupportedCodec { strategy, codec }, "codec") => {
-                (*strategy, (*codec == cell.codec).then(|| codec.name()))
+        let (typed, word) = match &built {
+            Err(DetectError::UnsupportedTransport {
+                strategy,
+                transport,
+            }) => {
+                let typed = (*why, *transport) == ("transport", cell.transport);
+                (typed && *strategy == cell.strategy, transport.name())
             }
-            _ => panic!("{at}: refused with {err:?}, not its {why}"),
+            Err(DetectError::UnsupportedCodec { strategy, codec }) => {
+                let typed = (*why, *codec) == ("codec", cell.codec);
+                (typed && *strategy == cell.strategy, codec.name())
+            }
+            _ => (false, ""),
         };
-        let msg = err.to_string();
-        assert_eq!(strategy, cell.strategy, "{at}");
-        let named = named.unwrap_or_else(|| panic!("{at}: {err:?} names another {why}"));
+        let msg = built.as_ref().err().map(ToString::to_string);
         assert!(
-            msg.contains(cell.strategy) && msg.contains(named),
-            "{at}: {msg}"
+            typed && msg.is_some_and(|m| m.contains(cell.strategy) && m.contains(word)),
+            "{}: {cell:?} must be refused for its {why}: {built:?}",
+            family.name
         );
     }
 }
 
 /// Drive the cells of every seed's family, assert every refused cell
-/// refused, and print the cell counts. With `stride` k > 1, the family
-/// at seed s runs every group's simulated sequential cell and, of the
-/// others, those whose position is s modulo k, so each cell runs at one
-/// seed in k. A failure panics with the shrunk case's [`replay`] call.
-pub(crate) fn run(make: Maker, seeds: std::ops::Range<u64>, stride: u64) -> Report {
+/// refused, and print the cell counts. The family at seed s runs every
+/// `stride`-th accepted cell from position s mod `stride`, so over that
+/// many consecutive seeds each cell runs once. A failure panics with the
+/// shrunk case's [`replay`] call.
+pub(crate) fn run(make: Maker, seeds: std::ops::Range<u64>, stride: usize) -> Report {
     let mut total = Report::default();
     let mut name = "";
     for seed in seeds {
         let Some(family) = make(seed) else { continue };
         name = family.name;
-        let (mut accepted, refused) = cells(&family);
-        let mut at = 0..;
-        accepted.retain(|c| at.next().unwrap_or(0) % stride == seed % stride || *c == c.head());
+        let (accepted, refused) = cells(&family);
+        let skip = seed as usize % stride;
+        let accepted: Vec<Cell> = accepted.into_iter().skip(skip).step_by(stride).collect();
         assert_refused(&family, &refused);
         let report = drive(&family, &accepted, &family.batches);
         let report = report.unwrap_or_else(|failure| shrink(seed, &family, failure));
@@ -638,20 +587,17 @@ pub(crate) fn run(make: Maker, seeds: std::ops::Range<u64>, stride: u64) -> Repo
 
 /// A shrunk case: each entry is `[batch]` (the whole batch) or
 /// `[batch, op, …]` (those ops of it, in order).
-fn steps_of(family: &Family, picks: &[&[usize]]) -> Vec<(usize, UpdateBatch)> {
-    let step = |p: &&[usize]| {
+fn steps_of(family: &Family, picks: &[impl AsRef<[usize]>]) -> Vec<(usize, UpdateBatch)> {
+    let step = |p: &[usize]| {
         let (to, batch) = &family.batches[p[0]];
         let ops = p[1..].iter().map(|&o| batch.ops()[o].clone());
-        (
-            *to,
-            if p.len() == 1 {
-                batch.clone()
-            } else {
-                UpdateBatch::from_ops(ops.collect())
-            },
-        )
+        let batch = match p.len() {
+            1 => batch.clone(),
+            _ => UpdateBatch::from_ops(ops.collect()),
+        };
+        (*to, batch)
     };
-    picks.iter().map(step).collect()
+    picks.iter().map(|p| step(p.as_ref())).collect()
 }
 
 /// The cells a failure of `cell` is replayed with: the cells of its group
@@ -674,12 +620,13 @@ fn replay_cells(cell: Cell) -> Vec<Cell> {
 }
 
 /// Rerun one case of a family alone: the family `make` draws at `seed`,
-/// the cell `cell` labels (with its group's simulated cell before it),
-/// over the batches and ops `picks` names. Panics with what went wrong.
-pub(crate) fn replay(make: Maker, seed: u64, cell: &str, picks: &[&[usize]]) {
+/// its `cell`-th accepted cell (with the cells of its group it is
+/// compared with), over the batches and ops `picks` names. Panics with
+/// what went wrong.
+pub(crate) fn replay(make: Maker, seed: u64, cell: usize, picks: &[&[usize]]) {
     let family = make(seed).expect("the seed draws a family");
-    let steps = steps_of(&family, picks);
-    if let Err(f) = drive(&family, &replay_cells(Cell::parse(cell)), &steps) {
+    let cell = cells(&family).0[cell];
+    if let Err(f) = drive(&family, &replay_cells(cell), &steps_of(&family, picks)) {
         panic!("{}: {f:?}", family.name);
     }
 }
@@ -707,44 +654,61 @@ pub(crate) fn ddmin<T: Clone>(items: Vec<T>, mut fails: impl FnMut(&[T]) -> bool
     c
 }
 
-/// Shrink a failure of `family` and panic with its replay call.
+/// Shrink a failure of `family` and panic with its replay call. The
+/// failing cell is rerun alone with the cells it is compared with, over
+/// the batches up to the failing one (none for a failed build); the cell
+/// that fails there — itself, or one of those cells failing first — is
+/// the one shrunk. A smaller case counts as failing only when that cell
+/// fails it with the same kind of message (the text before its first
+/// colon).
 fn shrink(seed: u64, family: &Family, failure: Failure) -> ! {
-    let (Some(cell), Some(last)) = (failure.cell, failure.batch) else {
-        panic!("{} (seed {seed}): {failure:?}", family.name);
+    let name = family.name;
+    let upto = failure.batch.map_or(0, |b| b + 1);
+    let all: Vec<Vec<usize>> = (0..upto).map(|b| vec![b]).collect();
+    let run = |cell: Cell, picks: &[Vec<usize>]| {
+        let steps = steps_of(family, picks);
+        catch_unwind(AssertUnwindSafe(|| {
+            drive(family, &replay_cells(cell), &steps)
+        }))
     };
-    let cells = replay_cells(cell);
-    let fails = |picks: &[Vec<usize>]| {
-        let picks: Vec<&[usize]> = picks.iter().map(Vec::as_slice).collect();
-        let steps = steps_of(family, &picks);
-        catch_unwind(AssertUnwindSafe(|| drive(family, &cells, &steps).is_err())).unwrap_or(true)
+    let kind = |msg: &str| msg.split(':').next().unwrap_or_default().to_string();
+    let (cell, want) = match failure.cell.map(|c| run(c, &all)) {
+        Some(Ok(Err(Failure {
+            cell: Some(cell),
+            msg,
+            ..
+        }))) => (cell, kind(&msg)),
+        _ => panic!("{name} (seed {seed}): {failure:?}, not shrunk"),
     };
-    // Shrinking runs many failing drives: keep their panics quiet.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut picks = ddmin((0..=last).map(|b| vec![b]).collect(), &fails);
-    let tail = picks.pop().expect("a failing case has a batch")[0];
-    let with = |ops: &[usize]| {
-        let last = std::iter::once(tail).chain(ops.iter().copied()).collect();
-        picks.iter().cloned().chain([last]).collect::<Vec<_>>()
+    let fails = |picks: &[Vec<usize>]| match run(cell, picks) {
+        Ok(Err(f)) => f.cell == Some(cell) && kind(&f.msg) == want,
+        _ => false,
     };
-    let ops = ddmin((0..family.batches[tail].1.len()).collect(), |o| {
-        fails(&with(o))
-    });
-    let picks = with(&ops);
-    std::panic::set_hook(hook);
-    let len = |p: &Vec<usize>| {
-        if p.len() == 1 {
-            family.batches[p[0]].1.len()
-        } else {
-            p.len() - 1
-        }
+    let mut picks = ddmin(all, &fails);
+    if let Some(last) = picks.pop() {
+        let with = |ops: &[usize]| {
+            let last = std::iter::once(last[0])
+                .chain(ops.iter().copied())
+                .collect();
+            picks.iter().cloned().chain([last]).collect::<Vec<_>>()
+        };
+        let ops = ddmin((0..family.batches[last[0]].1.len()).collect(), |o| {
+            fails(&with(o))
+        });
+        picks = with(&ops);
+    }
+    let len = |p: &Vec<usize>| match p.len() {
+        1 => family.batches[p[0]].1.len(),
+        n => n - 1,
     };
     let n: usize = picks.iter().map(len).sum();
+    let of: usize = family.batches.iter().map(|(_, b)| b.len()).sum();
     let shown: Vec<String> = picks.iter().map(|p| format!("&{p:?}")).collect();
+    let index = cells(family).0.iter().position(|c| *c == cell);
     panic!(
-        "{name} (seed {seed}): {cell} failed: {failure:?}\nshrunk to {n} ops; rerun alone with\n  \
-         matrix::replay({name}, {seed}, \"{cell}\", &[{}]);",
+        "{name} (seed {seed}): {failure:?}\n{cell:?} ({want}) shrunk from {of} ops to {n}; \
+         rerun alone with\n  matrix::replay({name}, {seed}, {}, &[{}]);",
+        index.expect("the cell is accepted"),
         shown.join(", "),
-        name = family.name,
     );
 }

@@ -144,52 +144,15 @@ id,grade,CC,AC,zip,street,city
 
 // §2.3's plans and queries on Fig. 1's EMP relation.
 
-fn emp5() -> (Arc<Schema>, Relation, Vec<Cfd>) {
-    let s = Schema::new("EMP", &["id", "CC", "AC", "zip", "street", "city"], "id").unwrap();
-    let rows: Vec<(i64, i64, &str, &str, &str)> = vec![
-        (44, 131, "EH4 8LE", "Mayfield", "NYC"),
-        (44, 131, "EH2 4HF", "Preston", "EDI"),
-        (44, 131, "EH4 8LE", "Mayfield", "EDI"),
-        (44, 131, "EH4 8LE", "Mayfield", "EDI"),
-        (44, 131, "EH4 8LE", "Crichton", "EDI"),
-    ];
-    let mut d = Relation::new(s.clone());
-    for (i, (cc, ac, zip, street, city)) in rows.into_iter().enumerate() {
-        d.insert(Tuple::new(
-            (i + 1) as Tid,
-            vec![
-                Value::int((i + 1) as i64),
-                Value::int(cc),
-                Value::int(ac),
-                Value::str(zip),
-                Value::str(street),
-                Value::str(city),
-            ],
-        ))
-        .unwrap();
-    }
-    let cfds = vec![
-        Cfd::from_names(
-            0,
-            &s,
-            &[("CC", Some(Value::int(44))), ("zip", None)],
-            ("street", None),
-        )
-        .unwrap(),
-        Cfd::from_names(
-            1,
-            &s,
-            &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
-            ("city", Some(Value::str("EDI"))),
-        )
-        .unwrap(),
-    ];
+fn fig1() -> (Arc<Schema>, Relation, Vec<Cfd>) {
+    let (s, d) = workload::emp::emp_relation();
+    let cfds = workload::emp::emp_cfds(&s);
     (s, d, cfds)
 }
 
 #[test]
 fn plan_matches_naive_on_fig1() {
-    let (_, d, cfds) = emp5();
+    let (_, d, cfds) = fig1();
     let a = algebra::detect(&cfds, &d);
     let b = cfd::naive::detect(&cfds, &d);
     assert_eq!(a.marks_sorted(), b.marks_sorted());
@@ -198,7 +161,7 @@ fn plan_matches_naive_on_fig1() {
 
 #[test]
 fn run_constant_finds_single_tuple_violations() {
-    let (_, d, cfds) = emp5();
+    let (_, d, cfds) = fig1();
     let mut tids = algebra::run_constant(&cfds[1], &d);
     tids.sort_unstable();
     assert_eq!(tids, vec![1]);
@@ -210,7 +173,7 @@ fn run_constant_finds_single_tuple_violations() {
 
 #[test]
 fn run_variable_groups_and_filters() {
-    let (_, d, cfds) = emp5();
+    let (_, d, cfds) = fig1();
     let mut tids = algebra::run_variable(&cfds[0], &d);
     tids.sort_unstable();
     assert_eq!(tids, vec![1, 3, 4, 5]);
@@ -222,74 +185,51 @@ fn run_variable_groups_and_filters() {
 
 #[test]
 fn group_having_counts_distinct() {
-    let (_, d, _) = emp5();
+    let (s, d, _) = fig1();
     // Group by zip, dep = street: EH4 8LE group has two streets.
-    let groups = algebra::group_having_multiple_dep_cols(&d, |_| true, &[3], 4);
+    let at = |name| s.attr_id(name).unwrap();
+    let groups = algebra::group_having_multiple_dep_cols(&d, |_| true, &[at("zip")], at("street"));
     assert_eq!(groups.len(), 1);
     let mut tids = groups[0].clone();
     tids.sort_unstable();
     assert_eq!(tids, vec![1, 3, 4, 5]);
 }
 
-fn sql_schema() -> Arc<Schema> {
-    Schema::new("EMP", &["id", "CC", "AC", "zip", "street", "city"], "id").unwrap()
-}
-
-fn phi1(s: &Schema) -> Cfd {
-    Cfd::from_names(
-        0,
-        s,
-        &[("CC", Some(Value::int(44))), ("zip", None)],
-        ("street", None),
-    )
-    .unwrap()
-}
-
-fn phi2(s: &Schema) -> Cfd {
-    Cfd::from_names(
-        1,
-        s,
-        &[("CC", Some(Value::int(44))), ("AC", Some(Value::int(131)))],
-        ("city", Some(Value::str("EDI"))),
-    )
-    .unwrap()
-}
-
 #[test]
 fn constant_query_shape() {
-    let s = sql_schema();
-    let q = sqlgen::constant_query(&s, &phi2(&s)).unwrap();
+    let (s, _, phi) = fig1();
+    let q = sqlgen::constant_query(&s, &phi[1]).unwrap();
     assert!(q.contains("\"CC\" = 44"));
     assert!(q.contains("\"AC\" = 131"));
     assert!(q.contains("<> 'EDI'"));
     assert!(q.starts_with("SELECT t.\"id\""));
-    assert!(sqlgen::constant_query(&s, &phi1(&s)).is_none());
+    assert!(sqlgen::constant_query(&s, &phi[0]).is_none());
 }
 
 #[test]
 fn variable_query_shape() {
-    let s = sql_schema();
-    let q = sqlgen::variable_query(&s, &phi1(&s)).unwrap();
+    let (s, _, phi) = fig1();
+    let q = sqlgen::variable_query(&s, &phi[0]).unwrap();
     assert!(q.contains("GROUP BY \"CC\", \"zip\""));
     assert!(q.contains("HAVING COUNT(DISTINCT \"street\") > 1"));
     assert!(q.contains("\"CC\" = 44"));
-    assert!(sqlgen::variable_query(&s, &phi2(&s)).is_none());
+    assert!(sqlgen::variable_query(&s, &phi[1]).is_none());
 }
 
 #[test]
 fn two_queries_union() {
-    let s = sql_schema();
-    let (qc, qv) = sqlgen::two_queries(&s, &[phi1(&s), phi2(&s)]);
+    let (s, _, phi) = fig1();
+    let (qc, qv) = sqlgen::two_queries(&s, &phi);
     assert!(qc.unwrap().contains("SELECT"));
     assert!(qv.unwrap().contains("HAVING"));
-    let (qc2, qv2) = sqlgen::two_queries(&s, &[phi1(&s)]);
+    let (qc2, qv2) = sqlgen::two_queries(&s, &phi[..1]);
     assert!(qc2.is_none());
     assert!(qv2.is_some());
 }
 
 #[test]
 fn literals_escaped() {
-    let s = sql_schema();
+    let (s, _, _) = fig1();
     let cfd = Cfd::from_names(
         0,
         &s,
@@ -303,7 +243,7 @@ fn literals_escaped() {
 
 #[test]
 fn wildcard_only_pattern_uses_trivial_where() {
-    let s = sql_schema();
+    let (s, _, _) = fig1();
     let fd = Cfd::from_names(0, &s, &[("zip", None)], ("street", None)).unwrap();
     let q = sqlgen::variable_query(&s, &fd).unwrap();
     assert!(q.contains("1 = 1"));

@@ -3,9 +3,8 @@
 //! The PR rekeyed every detection hot path on interned symbols (`BaseHev`
 //! on `Sym`, grouping on symbol vectors, inline non-base keys), so this
 //! suite drives **string-heavy** seeded workloads — where interning
-//! actually collapses payloads — through all nine strategy
-//! configurations and checks them, through the matrix
-//! (`common::matrix`), against an *independent* pairwise oracle
+//! actually collapses payloads — through the cells of the matrix
+//! (`common::matrix`) and checks them against an *independent* pairwise oracle
 //! implemented here straight from the CFD semantics beside `cfd::naive`
 //! (which interns too: one oracle must not share the new code path).
 //!
@@ -21,14 +20,13 @@
 mod common;
 
 use common::matrix::{self, Family};
-use inc_cfd::incdetect::optimize::OptimizeConfig;
+use common::random::{self, Shape};
 use inc_cfd::prelude::*;
 use incdetect::baselines::ColsMsg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relation::{ColumnStore, RowId, Sym, ValuePool};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 // ----------------------------------------------------------------------
 // Independent oracle: pairwise, straight from §2.1 semantics
@@ -65,10 +63,6 @@ fn pairwise_oracle(cfds: &[Cfd], d: &Relation) -> Vec<(u32, Tid)> {
 // String-heavy seeded workload
 // ----------------------------------------------------------------------
 
-fn schema() -> Arc<Schema> {
-    Schema::new("R", &["id", "a", "b", "c", "d", "e"], "id").unwrap()
-}
-
 /// Small string domains: lots of symbol reuse *and* lots of group
 /// collisions. Attribute `e` mixes in NULLs (which group with themselves).
 fn rand_value(attr: usize, rng: &mut StdRng) -> Value {
@@ -79,149 +73,59 @@ fn rand_value(attr: usize, rng: &mut StdRng) -> Value {
     Value::str(format!("attr{attr}-payload-{k:02}"))
 }
 
-fn rand_tuple(tid: u64, rng: &mut StdRng) -> Tuple {
-    let mut v = vec![Value::int(tid as i64)];
-    for attr in 1..6 {
-        v.push(rand_value(attr, rng));
-    }
-    Tuple::new(tid, v)
-}
-
-fn rand_cfds(rng: &mut StdRng) -> Vec<Cfd> {
-    let s = schema();
-    let n_rules = rng.random_range(1..5usize);
-    let mut out = Vec::new();
-    for _ in 0..n_rules {
-        let rhs = rng.random_range(1..6usize);
-        let n_lhs = rng.random_range(1..3usize);
-        let mut lhs: Vec<(relation::AttrId, Option<Value>)> = (0..n_lhs)
-            .map(|_| {
-                let a = rng.random_range(1..6usize);
-                let c = rng.random_bool(0.4).then(|| rand_value(a, rng));
-                (a as relation::AttrId, c)
-            })
-            .collect();
-        lhs.sort_by_key(|(a, _)| *a);
-        lhs.dedup_by_key(|(a, _)| *a);
-        lhs.retain(|(a, _)| *a as usize != rhs);
-        if lhs.is_empty() {
-            continue;
-        }
-        let rhs_const = rng.random_bool(0.3).then(|| rand_value(rhs, rng));
-        let id = out.len() as u32;
-        let (attrs, pats): (Vec<_>, Vec<_>) = lhs.into_iter().unzip();
-        let cfd = Cfd::new(
-            id,
-            &s,
-            attrs,
-            rhs as relation::AttrId,
-            pats.into_iter()
-                .map(|p| match p {
-                    Some(v) => cfd::PatternValue::Const(v),
-                    None => cfd::PatternValue::Wildcard,
-                })
-                .collect(),
-            match rhs_const {
-                Some(v) => cfd::PatternValue::Const(v),
-                None => cfd::PatternValue::Wildcard,
-            },
-        );
-        if let Ok(c) = cfd {
-            out.push(c);
-        }
-    }
-    out
-}
-
-fn rand_updates(
-    live: &mut BTreeSet<u64>,
-    base_n: u64,
-    n_ops: usize,
-    rng: &mut StdRng,
-) -> UpdateBatch {
-    let mut delta = UpdateBatch::new();
-    for _ in 0..rng.random_range(1..n_ops.max(2)) {
-        let tid = rng.random_range(0..base_n + n_ops as u64);
-        if rng.random_bool(0.5) {
-            if live.contains(&tid) {
-                delta.delete(tid);
-            }
-            delta.insert(rand_tuple(tid, rng));
-            live.insert(tid);
-        } else if live.remove(&tid) {
-            delta.delete(tid);
-        }
-    }
-    delta
-}
-
-/// A string-heavy instance over `n_sites` sites with `batches` update
-/// batches of up to `n_ops` ops, held to the pairwise definition and to
-/// the interned `cfd::naive`.
-fn interned_family(
-    name: &'static str,
-    rng: &mut StdRng,
-    n_rows: u64,
-    n_sites: Option<usize>,
-    batches: usize,
-    n_ops: usize,
-) -> Option<Family> {
-    let s = schema();
-    let cfds = rand_cfds(rng);
-    if cfds.is_empty() {
-        return None;
-    }
-    let d = Relation::from_tuples(s.clone(), (0..n_rows).map(|tid| rand_tuple(tid, rng))).unwrap();
-    let n_sites = n_sites.unwrap_or_else(|| rng.random_range(2..5usize));
-    let schemes = (
-        VerticalScheme::round_robin(s.clone(), n_sites).unwrap(),
-        HorizontalScheme::by_hash(s.clone(), 1, n_sites).unwrap(),
-        HybridScheme::uniform(s.clone(), n_sites.min(3), 2).unwrap(),
-    );
-    let mut mirror = d.clone();
-    let mut stream = Vec::new();
-    for _ in 0..batches {
-        let mut live: BTreeSet<u64> = mirror.tids().collect();
-        let delta = rand_updates(&mut live, n_rows, n_ops, rng);
-        delta.normalize(&mirror.clone()).apply(&mut mirror).unwrap();
-        stream.push(delta);
-    }
-    let sigma = cfds.clone();
-    let mut family = Family::new(name, cfds, d, schemes).batches(stream);
-    family.opt = OptimizeConfig {
-        k: 3,
-        eval_budget: 500,
-        relocate: true,
-    };
-    family
-        .oracles
-        .insert(0, Box::new(move |d| pairwise_oracle(&sigma, &d[0])));
+/// A string-heavy instance held to the pairwise definition and to the
+/// interned `cfd::naive`.
+fn interned_family(name: &'static str, rng: &mut StdRng, shape: Shape) -> Option<Family> {
+    let mut family = random::family(name, rng, rand_value, shape)?;
+    let sigma = family.cfds.clone();
+    let pairwise = move |d: &[Relation]| pairwise_oracle(&sigma, &d[0]);
+    family.oracles.insert(0, Box::new(pairwise));
     Some(family)
 }
 
-/// One batch over 20 rows and 2–4 sites.
+/// One batch of 1–23 ops over 20 rows and 2–4 sites.
 fn interned(seed: u64) -> Option<Family> {
     let mut rng = StdRng::seed_from_u64(0x1D1C7 ^ seed);
-    interned_family("interned", &mut rng, 20, None, 1, 24)
+    let (rows, sites, batches, ops) = (20, None, 1, (1, 24));
+    interned_family(
+        "interned",
+        &mut rng,
+        Shape {
+            rows,
+            sites,
+            batches,
+            ops,
+        },
+    )
 }
 
 /// Multi-batch state evolution: deletions must garbage-collect dictionary
 /// entries while detection stays exact (three consecutive batches).
 fn interned_batches(seed: u64) -> Option<Family> {
     let mut rng = StdRng::seed_from_u64(seed);
-    interned_family("interned_batches", &mut rng, 14, Some(3), 3, 10)
+    let (rows, sites, batches, ops) = (14, Some(3), 3, (1, 10));
+    interned_family(
+        "interned_batches",
+        &mut rng,
+        Shape {
+            rows,
+            sites,
+            batches,
+            ops,
+        },
+    )
 }
 
 #[test]
 fn interned_detectors_match_pairwise_oracle() {
     let report = matrix::run(interned, 0..32, 3);
-    assert_eq!((report.accepted, report.refused), (685, 1_428));
+    assert_eq!((report.accepted, report.refused), (404, 1_428));
 }
 
 #[test]
 fn interned_detectors_survive_sequential_batches() {
     let report = matrix::run(interned_batches, 200..216, 3);
-    assert_eq!((report.accepted, report.refused), (317, 672));
+    assert_eq!((report.accepted, report.refused), (192, 672));
 }
 
 // ----------------------------------------------------------------------
@@ -371,10 +275,10 @@ fn column_store_matches_reference_model() {
 fn relation_store_round_trip() {
     for seed in 100..112u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let s = schema();
+        let s = random::schema();
         let mut d = Relation::new(s.clone());
         for tid in 0..25u64 {
-            d.insert(rand_tuple(tid, &mut rng)).unwrap();
+            d.insert(random::tuple(tid, rand_value, &mut rng)).unwrap();
         }
         for _ in 0..40 {
             let tid = rng.random_range(0..25u64);
@@ -383,7 +287,7 @@ fn relation_store_round_trip() {
                 assert_eq!(t.tid, tid);
                 // Reinsert under the same tid: the id stays addressable.
                 if rng.random_bool(0.7) {
-                    d.insert(rand_tuple(tid, &mut rng)).unwrap();
+                    d.insert(random::tuple(tid, rand_value, &mut rng)).unwrap();
                 }
             }
         }
@@ -430,10 +334,10 @@ fn decode_cols(
 fn cols_msg_encode_decode_matches_row_shipment() {
     for seed in 300..316u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let s = schema();
+        let s = random::schema();
         let mut d = Relation::new(s.clone());
         for tid in 0..30u64 {
-            d.insert(rand_tuple(tid, &mut rng)).unwrap();
+            d.insert(random::tuple(tid, rand_value, &mut rng)).unwrap();
         }
         let mut meter = cluster::DictMeter::new();
         let mut link: relation::FxHashMap<Sym, Value> = relation::FxHashMap::default();

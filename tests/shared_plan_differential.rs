@@ -13,8 +13,6 @@
 //! LHS attribute lists are *identical* (residual restricts stay per-CFD —
 //! incompatible patterns are never merged).
 
-mod common;
-
 use cfd::{Cfd, MatchScratch, SharedPlan};
 use inc_cfd::incdetect::optimize::{optimize, OptimizeConfig};
 use inc_cfd::incdetect::HevPlan;
@@ -24,6 +22,33 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use workload::family::{cfd_family, FamilyConfig};
 use workload::updates::{self, UpdateMix};
+
+/// The nine configurations pinned below over one `(schema, Σ)`: each of
+/// the paper's eight algorithms once, plus `incHor` shipping raw values.
+fn nine_suites(
+    schema: &Arc<Schema>,
+    cfds: &[Cfd],
+    vscheme: &VerticalScheme,
+    hscheme: &HorizontalScheme,
+    yscheme: &HybridScheme,
+    opt: OptimizeConfig,
+) -> Vec<(&'static str, Suite)> {
+    let base = Suite::on(schema.clone()).cfds(cfds.to_vec());
+    let on = |strategy| base.clone().strategy(strategy);
+    let (v, h) = (|| vscheme.clone(), || hscheme.clone());
+    let raw = on(Strategy::Horizontal(h())).codec(CodecKind::RawValues);
+    vec![
+        ("incVer", on(Strategy::Vertical(v()))),
+        ("optVer", on(Strategy::OptimizedVertical(v(), opt))),
+        ("incHor", on(Strategy::Horizontal(h()))),
+        ("incHor/raw", raw),
+        ("incHyb", on(Strategy::Hybrid(yscheme.clone()))),
+        ("batVer", on(Strategy::BatVer(v()))),
+        ("batHor", on(Strategy::BatHor(h()))),
+        ("ibatVer", on(Strategy::IbatVer(v()))),
+        ("ibatHor", on(Strategy::IbatHor(h()))),
+    ]
+}
 
 /// `incVer` as its concrete type, over the default chains or the `optVer`
 /// plan.
@@ -110,7 +135,7 @@ fn nine_strategies_meter_the_per_cfd_loops_traffic_on_a_64_cfd_family() {
     }
 
     let opt = OptimizeConfig::default();
-    let suites = common::nine_suites(&schema, &sigma, &vscheme, &hscheme, &yscheme, opt);
+    let suites = nine_suites(&schema, &sigma, &vscheme, &hscheme, &yscheme, opt);
     for ((name, suite), (parent_name, parent)) in suites.into_iter().zip(PARENT) {
         assert_eq!(name, parent_name);
         let mut det = suite.build_detector(&d0).expect(name);
