@@ -146,12 +146,21 @@ impl<'a> Reader<'a> {
 }
 
 /// Append `v` as a LEB128 varint (1 byte below 128, at most 10).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+    let (bytes, n) = varint_bytes(v);
+    out.extend_from_slice(&bytes[..n]);
+}
+
+/// `v` as a LEB128 varint: a buffer and how many of its bytes it takes.
+pub(crate) fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+    let (mut bytes, mut n) = ([0; 10], 0);
     while v >= 0x80 {
-        out.push(v as u8 | 0x80);
+        bytes[n] = v as u8 | 0x80;
         v >>= 7;
+        n += 1;
     }
-    out.push(v as u8);
+    bytes[n] = v as u8;
+    (bytes, n + 1)
 }
 
 /// Bytes [`put_varint`] spends on `v`.

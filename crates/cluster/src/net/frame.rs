@@ -6,8 +6,8 @@
 //! [ header: varint((body_len << 1) | method) ][ body: body_len bytes ]
 //! ```
 //!
-//! The header is one canonical LEB128 varint (the encoding of
-//! [`crate::net::bytes`]): 1 byte for a body under 64 bytes, 2 under
+//! The header is one canonical LEB128 varint, written and read by
+//! [`crate::net::bytes`]: 1 byte for a body under 64 bytes, 2 under
 //! 8 KiB, 3 under 1 MiB and at most `MAX_HEADER_BYTES` up to
 //! [`MAX_FRAME_BYTES`]. Its low bit is the method, how the body is packed:
 //! `METHOD_STORED` (verbatim) or `METHOD_LZ` ([`crate::lz`]-compressed).
@@ -21,9 +21,9 @@
 //! Each is a [`ClusterError::Transport`], never a panic, and none sizes an
 //! allocation: a body buffer grows with the bytes that actually arrive.
 
-use crate::net::bytes::varint_len;
+use crate::net::bytes::{varint_bytes, varint_len, Reader};
 use crate::ClusterError;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Hard ceiling on one frame's body (64 MiB).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -63,31 +63,11 @@ pub(crate) fn queue_frame(w: &mut impl Write, method: u8, body: &[u8]) -> Result
             "refusing to send unknown frame method {method}"
         )));
     }
-    let mut header = [0u8; MAX_HEADER_BYTES];
-    let (mut x, mut n) = ((len as u64) << 1 | u64::from(method), 0);
-    while x >= 0x80 {
-        header[n] = x as u8 | 0x80;
-        x >>= 7;
-        n += 1;
-    }
-    header[n] = x as u8;
-    w.write_all(&header[..=n])
+    let (header, n) = varint_bytes((len as u64) << 1 | u64::from(method));
+    w.write_all(&header[..n])
         .map_err(|e| io_err("writing frame header", e))?;
     w.write_all(body)
         .map_err(|e| io_err("writing frame body", e))
-}
-
-/// One byte off `r`, or `None` at end of stream.
-fn read_byte(r: &mut impl Read) -> Result<Option<u8>, ClusterError> {
-    let mut b = [0u8];
-    loop {
-        match r.read(&mut b) {
-            Ok(0) => return Ok(None),
-            Ok(_) => return Ok(Some(b[0])),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err("reading frame header", e)),
-        }
-    }
 }
 
 /// Read one frame, or `None` on a clean end-of-stream **at a frame
@@ -95,46 +75,48 @@ fn read_byte(r: &mut impl Read) -> Result<Option<u8>, ClusterError> {
 /// header or body cut short, a header past [`MAX_HEADER_BYTES`] or not
 /// minimal, an oversized length — is a [`ClusterError::Transport`].
 pub(crate) fn read_frame_opt(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ClusterError> {
-    let mut x = 0u64;
-    for i in 0..MAX_HEADER_BYTES {
-        let b = match read_byte(r)? {
-            Some(b) => b,
-            None if i == 0 => return Ok(None), // clean close
-            None => {
+    let (mut header, mut n) = ([0u8; MAX_HEADER_BYTES], 0);
+    let x = loop {
+        match r.read_exact(&mut header[n..=n]) {
+            Ok(()) => {}
+            Err(e) if e.kind() != ErrorKind::UnexpectedEof => {
+                return Err(io_err("reading frame header", e))
+            }
+            Err(_) if n == 0 => return Ok(None), // clean close
+            Err(_) => {
                 return Err(ClusterError::Transport(
                     "mid-stream disconnect: frame header truncated".into(),
                 ))
             }
-        };
-        x |= u64::from(b & 0x7f) << (7 * i);
-        if b & 0x80 != 0 {
-            continue;
         }
-        if b == 0 && i > 0 {
-            return Err(ClusterError::Transport(
-                "frame header is not a minimal varint".into(),
-            ));
+        n += 1;
+        if header[n - 1] & 0x80 == 0 {
+            break Reader::new(&header[..n]).varint();
         }
-        let len = (x >> 1) as usize;
-        if len > MAX_FRAME_BYTES {
+        if n == MAX_HEADER_BYTES {
             return Err(ClusterError::Transport(format!(
-                "oversized frame length ({len} > {MAX_FRAME_BYTES} bytes)"
+                "frame header runs past {MAX_HEADER_BYTES} bytes"
             )));
         }
-        let mut body = Vec::with_capacity(len.min(BODY_RESERVE));
-        r.take(len as u64)
-            .read_to_end(&mut body)
-            .map_err(|e| io_err("reading frame body", e))?;
-        if body.len() < len {
-            return Err(ClusterError::Transport(
-                "mid-stream disconnect: frame body truncated".into(),
-            ));
-        }
-        return Ok(Some(((x & 1) as u8, body)));
+    };
+    let x =
+        x.map_err(|_| ClusterError::Transport("frame header is not a minimal varint".into()))?;
+    let len = (x >> 1) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(ClusterError::Transport(format!(
+            "oversized frame length ({len} > {MAX_FRAME_BYTES} bytes)"
+        )));
     }
-    Err(ClusterError::Transport(format!(
-        "frame header runs past {MAX_HEADER_BYTES} bytes"
-    )))
+    let mut body = Vec::with_capacity(len.min(BODY_RESERVE));
+    r.take(len as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| io_err("reading frame body", e))?;
+    if body.len() < len {
+        return Err(ClusterError::Transport(
+            "mid-stream disconnect: frame body truncated".into(),
+        ));
+    }
+    Ok(Some(((x & 1) as u8, body)))
 }
 
 /// [`read_frame_opt`] where a frame **must** be available — a clean close
