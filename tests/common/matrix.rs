@@ -25,8 +25,8 @@
 //! cell's, cells that differ only in transport or drive model the same
 //! messages and `|M|` on every link (and the sequential byte cells write
 //! the same bytes on every link), the report's roll-ups are its tiers'
-//! sums, and a byte cell's meters obey measured = modeled + structural −
-//! saved.
+//! sums, and an `incHor` or threaded cell's meters agree with its report
+//! and obey measured = modeled + structural − saved.
 //!
 //! A failing cell is shrunk by delta debugging ([`ddmin`], Zeller and
 //! Hildebrandt, TSE 2002) over the batches, then over the ops of the

@@ -118,14 +118,14 @@ fn interned_batches(seed: u64) -> Option<Family> {
 
 #[test]
 fn interned_detectors_match_pairwise_oracle() {
-    let report = matrix::run(interned, 0..32, 3);
-    assert_eq!((report.accepted, report.refused), (404, 1_428));
+    let report = matrix::run(interned, 0..32, 4);
+    assert_eq!((report.accepted, report.refused), (303, 1_428));
 }
 
 #[test]
 fn interned_detectors_survive_sequential_batches() {
-    let report = matrix::run(interned_batches, 200..216, 3);
-    assert_eq!((report.accepted, report.refused), (192, 672));
+    let report = matrix::run(interned_batches, 200..216, 4);
+    assert_eq!((report.accepted, report.refused), (144, 672));
 }
 
 // ----------------------------------------------------------------------

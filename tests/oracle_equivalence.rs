@@ -1,6 +1,6 @@
 //! Randomized equivalence: on seeded random relations, rule sets and
 //! update batches, every cell of the matrix (`common::matrix`), one in
-//! three per seed, must maintain exactly the violation set both
+//! four per seed, must maintain exactly the violation set both
 //! centralized oracles compute — `cfd::naive` and §2.3's algebra
 //! executor — for every partition layout, with and without the HEV-plan
 //! optimizer, every codec, transport and drive, and for the batch
@@ -66,14 +66,14 @@ fn random_batches(seed: u64) -> Option<Family> {
 
 #[test]
 fn detectors_match_oracle() {
-    let report = matrix::run(random, 0..48, 3);
-    assert_eq!((report.accepted, report.refused), (540, 1_890));
+    let report = matrix::run(random, 0..48, 4);
+    assert_eq!((report.accepted, report.refused), (405, 1_890));
 }
 
 #[test]
 fn detectors_match_oracle_across_batches() {
-    let report = matrix::run(random_batches, 100..124, 3);
-    assert_eq!((report.accepted, report.refused), (308, 1_092));
+    let report = matrix::run(random_batches, 100..124, 4);
+    assert_eq!((report.accepted, report.refused), (231, 1_092));
 }
 
 /// Ten times the seeds of the two tests above, every cell at each

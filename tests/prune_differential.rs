@@ -87,8 +87,8 @@ fn tpch_family(_: u64) -> Option<Family> {
 
 #[test]
 fn pruning_is_invisible_across_all_nine_strategies() {
-    let report = matrix::run(tpch_family, 0..1, 4);
-    assert_eq!((report.accepted, report.refused), (24, 126));
+    let report = matrix::run(tpch_family, 0..1, 6);
+    assert_eq!((report.accepted, report.refused), (16, 126));
 }
 
 fn emp_dup(_: u64) -> Option<Family> {

@@ -301,7 +301,7 @@ fn reference_churn_flips_inclusion_findings_on_both_sides() {
 }
 
 /// A churn-heavy loadgen stream over the scaled EMP generator, tick by
-/// tick, with half the base cities listed.
+/// tick, with half the base cities listed (every other suite cell).
 fn loadgen_churn(_: u64) -> Option<Family> {
     let cfg = ScenarioCfg {
         name: "suite_churn",
@@ -338,7 +338,7 @@ fn loadgen_churn(_: u64) -> Option<Family> {
 
 #[test]
 fn suite_tracks_the_oracle_under_loadgen_churn() {
-    matrix::run(loadgen_churn, 0..1, 1);
+    matrix::run(loadgen_churn, 0..1, 2);
     let family = loadgen_churn(0).expect("family");
     let mut mirrors = [family.d0, family.refs[0].clone()];
     for (_, batch) in &family.batches {
