@@ -29,9 +29,9 @@
 //! and obey measured = modeled + structural − saved.
 //!
 //! A failing cell is shrunk by delta debugging ([`ddmin`], Zeller and
-//! Hildebrandt, TSE 2002) over the batches, then over the ops of the
-//! last batch left, and the panic prints the [`replay`] call that reruns
-//! that case alone.
+//! Hildebrandt, TSE 2002) over the batches, then over the ops of each
+//! batch left, and the panic prints the [`replay`] call that reruns that
+//! case alone.
 
 use inc_cfd::cfd::analysis::{analyze, AnalysisConfig, Domains, Sat};
 use inc_cfd::cluster::net::TransportKind::{Framed, Simulated, Tcp};
@@ -685,14 +685,15 @@ fn shrink(seed: u64, family: &Family, failure: Failure) -> ! {
         _ => false,
     };
     let mut picks = ddmin(all, &fails);
-    if let Some(last) = picks.pop() {
+    // Then the ops of each batch kept, the others held as they are.
+    for k in 0..picks.len() {
+        let batch = picks[k][0];
         let with = |ops: &[usize]| {
-            let last = std::iter::once(last[0])
-                .chain(ops.iter().copied())
-                .collect();
-            picks.iter().cloned().chain([last]).collect::<Vec<_>>()
+            let mut p = picks.clone();
+            p[k] = std::iter::once(batch).chain(ops.iter().copied()).collect();
+            p
         };
-        let ops = ddmin((0..family.batches[last[0]].1.len()).collect(), |o| {
+        let ops = ddmin((0..family.batches[batch].1.len()).collect(), |o| {
             fails(&with(o))
         });
         picks = with(&ops);
